@@ -134,7 +134,7 @@ fn main() {
             iters = n;
         }
     }
-    let jobs = ent_bench::parse_grid_args(0).jobs;
+    let jobs = ent_bench::parse_grid_args_with(0, &["--fuzz-iters"]).jobs;
 
     eprintln!("fuzzing {iters} seeds under all three engines ({jobs} jobs)...");
     let start = Instant::now();

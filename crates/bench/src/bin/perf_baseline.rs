@@ -335,7 +335,7 @@ fn main() {
             .collect::<Vec<_>>()
             .windows(2)
             .any(|w| w[0] == "--phase" && w[1] == "baseline");
-    let grid = ent_bench::parse_grid_args(0);
+    let grid = ent_bench::parse_grid_args_with(0, &["--phase"]);
     let engines: Vec<Engine> = if capture_baseline {
         // The stored baseline is the tree walker's numbers by definition.
         vec![Engine::Tree]

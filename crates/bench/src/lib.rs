@@ -58,9 +58,8 @@ pub fn average_runs(repeats: usize, mut f: impl FnMut(u64) -> f64) -> f64 {
 /// Command-line arguments shared by the figure binaries:
 /// `[<value>] [--jobs N] [--faults <spec>] [--fault-seed N]
 /// [--engine tree|bytecode|threaded] [--tier-up N|0|off]
-/// [--enforce guarded|transient] [--adapt on|off|frozen] [--chunk N]`,
-/// where the positional value is the repeat count (the seed, for
-/// `fig11_e3_thermal`).
+/// [--enforce guarded|transient]`, where the positional value is the
+/// repeat count (the seed, for `fig11_e3_thermal`).
 #[derive(Clone, Debug)]
 pub struct GridArgs {
     /// The positional value (repeats or seed).
@@ -83,34 +82,33 @@ pub struct GridArgs {
     /// absent (the process default — `ENT_ENFORCE`, else guarded — stays
     /// in force).
     pub enforce: Option<ent_runtime::Enforcement>,
-    /// Adaptation mode from `--adapt`; `None` when the flag is absent
-    /// (the `ENT_ADAPT` environment variable, else off, stays in force).
-    pub adapt: Option<ent_runtime::AdaptMode>,
-    /// Scheduler chunk pin from `--chunk`; `None` when the flag is absent
-    /// (the scheduler derives a chunk from the batch shape).
-    pub chunk: Option<u32>,
 }
 
 /// Parses `std::env::args()` as
 /// `[<value>] [--jobs N] [--faults <spec>] [--fault-seed N]
 /// [--engine tree|bytecode|threaded] [--tier-up N|0|off]
-/// [--enforce guarded|transient] [--adapt on|off|frozen] [--chunk N]`. The
-/// jobs default comes from the `ENT_JOBS` environment variable (else 1);
-/// figure output is bit-identical at every jobs count, under both
-/// engines, at every chunk size, and in every adaptation mode, so those
-/// flags only change speed (and, for `--adapt`, telemetry stamps).
-/// `--enforce transient` changes which checks run, so it *does* change
-/// results — that's the point of the migration-lattice sweep. A
-/// malformed `--faults`, `--engine`, `--tier-up`, `--enforce`, or
-/// `--adapt` value exits with status 1, as does a zero or non-numeric
-/// `--jobs`, `--fault-seed`, or `--chunk` — never a silent default.
+/// [--enforce guarded|transient]`. The jobs default comes from the
+/// `ENT_JOBS` environment variable (else 1); figure output is
+/// bit-identical at every jobs count and under every engine, so those
+/// flags only change speed. `--enforce transient` changes which checks
+/// run, so it *does* change results — that's the point of the
+/// migration-lattice sweep. A malformed `--faults`, `--engine`,
+/// `--tier-up`, or `--enforce` value exits with status 1, as does a zero
+/// or non-numeric `--jobs` or `--fault-seed`, and so does any other
+/// `--flag` — its value would otherwise be read as the positional count.
 /// `--engine`, `--tier-up`, and `--enforce` are installed process-wide
 /// via [`ent_workloads::set_default_engine`] /
 /// [`ent_workloads::set_default_tier_up`] /
-/// [`ent_workloads::set_default_enforcement`]; `--adapt` and `--chunk`
-/// via [`ent_runtime::adapt::set_mode`] /
-/// [`ent_runtime::adapt::pin_chunk`].
+/// [`ent_workloads::set_default_enforcement`].
 pub fn parse_grid_args(default_value: u64) -> GridArgs {
+    parse_grid_args_with(default_value, &[])
+}
+
+/// [`parse_grid_args`] for a binary with flags of its own: every name in
+/// `own_flags` takes one value (`--flag v` or `--flag=v`) that the binary
+/// reads itself, so the grid parser skips the flag and its value instead
+/// of rejecting them.
+pub fn parse_grid_args_with(default_value: u64, own_flags: &[&str]) -> GridArgs {
     let mut parsed = GridArgs {
         value: default_value,
         jobs: ent_workloads::default_jobs(),
@@ -119,8 +117,6 @@ pub fn parse_grid_args(default_value: u64) -> GridArgs {
         engine: None,
         tier_up: None,
         enforce: None,
-        adapt: None,
-        chunk: None,
     };
     let mut args = std::env::args().skip(1);
     let set_faults = |spec: &str, parsed: &mut GridArgs| match FaultPlan::parse(spec) {
@@ -161,20 +157,6 @@ pub fn parse_grid_args(default_value: u64) -> GridArgs {
                 std::process::exit(1);
             }
         };
-    let set_adapt = |name: &str, parsed: &mut GridArgs| match ent_runtime::AdaptMode::parse(name) {
-        Some(mode) => {
-            ent_runtime::adapt::set_mode(mode);
-            parsed.adapt = Some(mode);
-        }
-        None => {
-            eprintln!("invalid --adapt value {name:?} (expected on, off, or frozen)");
-            std::process::exit(1);
-        }
-    };
-    let set_chunk = |n: u32, parsed: &mut GridArgs| {
-        ent_runtime::adapt::pin_chunk(n);
-        parsed.chunk = Some(n);
-    };
     let parse_jobs = |v: &str| -> usize {
         match v.parse::<usize>() {
             Ok(n) if n >= 1 => n,
@@ -184,12 +166,6 @@ pub fn parse_grid_args(default_value: u64) -> GridArgs {
     let parse_seed = |v: &str| -> u64 {
         v.parse()
             .unwrap_or_else(|_| exit_invalid("--fault-seed", v, "a non-negative integer"))
-    };
-    let parse_chunk = |v: &str| -> u32 {
-        match v.parse::<u32>() {
-            Ok(n) if n >= 1 => n,
-            _ => exit_invalid("--chunk", v, "a positive integer"),
-        }
     };
     while let Some(a) = args.next() {
         if a == "--jobs" {
@@ -226,17 +202,15 @@ pub fn parse_grid_args(default_value: u64) -> GridArgs {
         } else if let Some(name) = a.strip_prefix("--enforce=") {
             let name = name.to_string();
             set_enforce(&name, &mut parsed);
-        } else if a == "--adapt" {
-            let name = args.next().unwrap_or_default();
-            set_adapt(&name, &mut parsed);
-        } else if let Some(name) = a.strip_prefix("--adapt=") {
-            let name = name.to_string();
-            set_adapt(&name, &mut parsed);
-        } else if a == "--chunk" {
-            let v = args.next().unwrap_or_default();
-            set_chunk(parse_chunk(&v), &mut parsed);
-        } else if let Some(v) = a.strip_prefix("--chunk=") {
-            set_chunk(parse_chunk(v), &mut parsed);
+        } else if a.starts_with("--") {
+            let name = a.split_once('=').map_or(a.as_str(), |(name, _)| name);
+            if !own_flags.contains(&name) {
+                eprintln!("unknown flag `{name}`");
+                std::process::exit(1);
+            }
+            if name == a {
+                args.next();
+            }
         } else if let Ok(v) = a.parse() {
             parsed.value = v;
         }
@@ -1249,7 +1223,6 @@ mod tests {
             "\"batches\":",
             "\"steals\":",
             "\"chunks_claimed\":",
-            "\"adapt\":",
             "\"cache\":",
             "\"entries\":",
             "\"shard_entries\": [",

@@ -107,11 +107,6 @@ pub struct Options {
     /// default: guarded, overridable via the `ENT_ENFORCE` environment
     /// variable).
     pub enforce: Option<Enforcement>,
-    /// Adaptation mode from `--adapt` (`None` = the runtime default: off,
-    /// overridable via the `ENT_ADAPT` environment variable).
-    pub adapt: Option<ent_runtime::AdaptMode>,
-    /// Scheduler chunk pin from `--chunk` (`None` = derived per batch).
-    pub chunk: Option<u32>,
 }
 
 /// The CLI subcommands.
@@ -185,14 +180,6 @@ options:
                        default) or transient (shallow first-order checks at
                        boundaries, call sites, and field reads; never copies;
                        failures blame the check site) (ENT_ENFORCE env default)
-  --adapt <m>          online adaptive tuning: off (default), on (tune the
-                       scheduler/cache/engine from run telemetry; changes
-                       timing only, never values), or frozen (pin the current
-                       config generation for byte-stable telemetry stamps)
-                       (ENT_ADAPT env default)
-  --chunk <n>          pin the batch scheduler's owner-side chunk size (jobs
-                       claimed per grab); at least 1, or omit the flag to
-                       derive it per batch
 
 exit codes:
   0  success
@@ -245,8 +232,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
         engine: None,
         tier_up: None,
         enforce: None,
-        adapt: None,
-        chunk: None,
     };
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -372,27 +357,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                     format!("unknown enforcement `{v}` (expected guarded or transient)")
                 })?);
             }
-            "--adapt" => {
-                let v = it
-                    .next()
-                    .ok_or("--adapt needs a value (on, off, or frozen)")?;
-                options.adapt = Some(ent_runtime::AdaptMode::parse(v).ok_or_else(|| {
-                    format!("unknown adapt mode `{v}` (expected on, off, or frozen)")
-                })?);
-            }
-            "--chunk" => {
-                let v = it.next().ok_or("--chunk needs a value")?;
-                let chunk: u32 = v
-                    .parse()
-                    .map_err(|_| format!("malformed chunk size `{v}`"))?;
-                if chunk == 0 {
-                    return Err(
-                        "chunk size must be at least 1 (omit --chunk to derive it per batch)"
-                            .to_string(),
-                    );
-                }
-                options.chunk = Some(chunk);
-            }
             other => return Err(format!("unknown option `{other}`\n\n{USAGE}")),
         }
     }
@@ -427,14 +391,6 @@ impl Options {
 /// Runs the CLI against already-loaded source text, returning
 /// `(exit_code, output)`.
 pub fn execute(options: &Options, src: &str) -> (i32, String) {
-    // Install the adaptation knobs process-wide before any run: the run's
-    // telemetry stamps the mode and config generation it observed.
-    if let Some(mode) = options.adapt {
-        ent_runtime::adapt::set_mode(mode);
-    }
-    if let Some(chunk) = options.chunk {
-        ent_runtime::adapt::pin_chunk(chunk);
-    }
     let mut out = String::new();
     match options.command {
         Command::Eval => {
@@ -959,18 +915,14 @@ mod tests {
             ["--staleness-bound", "inf"],
             ["--staleness-bound", "NaN"],
             ["--staleness-bound", "soon"],
-            ["--chunk", "0"],
-            ["--chunk", "-4"],
-            ["--chunk", "many"],
             ["--sample-period", "0"],
         ] {
             let err = parse_args(&args(&["run", "x.ent", bad[0], bad[1]]))
                 .expect_err(&format!("{} {} must be rejected", bad[0], bad[1]));
             assert!(!err.is_empty());
         }
-        // The open boundary values stay accepted.
+        // The open boundary value stays accepted.
         assert!(parse_args(&args(&["run", "x.ent", "--staleness-bound", "0.001"])).is_ok());
-        assert!(parse_args(&args(&["run", "x.ent", "--chunk", "1"])).is_ok());
     }
 
     #[test]
@@ -1037,8 +989,6 @@ mod tests {
         assert!(USAGE.contains("--fault-seed"));
         assert!(USAGE.contains("--staleness-bound"));
         assert!(USAGE.contains("--enforce"));
-        assert!(USAGE.contains("--adapt"));
-        assert!(USAGE.contains("--chunk"));
         for needle in [
             "0  success",
             "2  the program failed to parse",
@@ -1050,35 +1000,17 @@ mod tests {
 
     #[test]
     fn parse_args_adapt_and_chunk_flags() {
-        use ent_runtime::AdaptMode;
-        let o = parse_args(&args(&["run", "x.ent"])).unwrap();
-        assert_eq!(o.adapt, None);
-        assert_eq!(o.chunk, None);
-        let o = parse_args(&args(&[
-            "run", "x.ent", "--adapt", "frozen", "--chunk", "16",
-        ]))
-        .unwrap();
-        assert_eq!(o.adapt, Some(AdaptMode::Frozen));
-        assert_eq!(o.chunk, Some(16));
-        for mode in ["on", "off"] {
-            assert!(parse_args(&args(&["run", "x.ent", "--adapt", mode])).is_ok());
+        // The scheduler takes no tuning flags: its chunk is derived from
+        // each batch's shape.
+        for flags in [["--adapt", "on"], ["--chunk", "16"]] {
+            let mut argv = vec!["run", "x.ent"];
+            argv.extend(flags);
+            let err = parse_args(&args(&argv)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown option `{}`", flags[0])),
+                "{err}"
+            );
         }
-        assert!(parse_args(&args(&["run", "x.ent", "--adapt", "warm"])).is_err());
-        assert!(parse_args(&args(&["run", "x.ent", "--adapt"])).is_err());
-        assert!(parse_args(&args(&["run", "x.ent", "--chunk", "lots"])).is_err());
-        assert!(parse_args(&args(&["run", "x.ent", "--chunk"])).is_err());
-    }
-
-    #[test]
-    fn adapt_frozen_runs_are_byte_identical_and_stamp_telemetry() {
-        // `--adapt frozen` pins the config generation; two identical runs
-        // must agree byte for byte, and the telemetry must carry the
-        // adapt stamp. (No `--adapt on` leg here: mode is process-wide
-        // state and `on` would leak into parallel tests' telemetry.)
-        let o = parse_args(&args(&["run", "x.ent", "--adapt", "frozen"])).unwrap();
-        let a = execute(&o, HELLO);
-        let b = execute(&o, HELLO);
-        assert_eq!(a, b);
-        assert_eq!(a.0, EXIT_OK);
+        assert!(!USAGE.contains("--adapt") && !USAGE.contains("--chunk"));
     }
 }

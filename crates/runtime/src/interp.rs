@@ -417,13 +417,6 @@ pub struct RunResult {
     /// The per-method attribution report — exact or sampled, matching
     /// [`RuntimeConfig::profile`] — when profiling was on.
     pub profile: Option<ProfileReport>,
-    /// The adaptation mode in force when the run executed (see
-    /// [`crate::adapt`]); `frozen` pins [`RunResult::adapt_generation`].
-    pub adapt_mode: crate::adapt::AdaptMode,
-    /// The adaptive-config generation the run observed. Stable across
-    /// runs under `--adapt frozen`/`off`; advances as the tuner publishes
-    /// under `--adapt on`. Never affects values, stats, or measurements.
-    pub adapt_generation: u64,
     /// The enforcement strategy the run executed under (mirrors
     /// [`RuntimeConfig::enforcement`]; surfaced in telemetry).
     pub enforcement: Enforcement,
@@ -579,8 +572,6 @@ fn run_on_current_thread(
         samples,
         events: interp.events,
         profile,
-        adapt_mode: crate::adapt::mode(),
-        adapt_generation: crate::adapt::snapshot().0,
         enforcement: interp.config.enforcement,
         tier: interp.tier,
     }

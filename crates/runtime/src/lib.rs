@@ -41,7 +41,6 @@
 //! assert!(result.measurement.energy_j > 0.0);
 //! ```
 
-pub mod adapt;
 mod compile;
 mod error;
 mod events;
@@ -53,7 +52,6 @@ mod stack;
 mod telemetry;
 mod value;
 
-pub use adapt::{AdaptConfig, AdaptMode, AtomicConfig};
 pub use error::{Flow, RtError};
 pub use events::{render_event, EnergyEvent, EventPayload, EventRing, FaultServe};
 pub use interp::{

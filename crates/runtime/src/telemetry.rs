@@ -156,13 +156,6 @@ impl RunResult {
             self.events.capacity(),
         );
 
-        let _ = write!(
-            out,
-            ", \"adapt\": {{\"mode\": \"{}\", \"generation\": {}}}",
-            self.adapt_mode.as_str(),
-            self.adapt_generation,
-        );
-
         // Which strategy discharged the run's mode obligations, and how
         // often it checked/failed (the transient counters are 0 under
         // guarded, whose checks are the dfall/snapshot counters above).

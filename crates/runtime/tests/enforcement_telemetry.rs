@@ -1,8 +1,7 @@
 //! The `enforcement` object of `ent-run-telemetry/1`: every run document
 //! names the strategy that produced it and carries that strategy's check
 //! counters, so downstream consumers can tell a guarded measurement from
-//! a transient one without out-of-band context (mirroring the `adapt`
-//! object's role for the tuner).
+//! a transient one without out-of-band context.
 
 use ent_core::compile;
 use ent_energy::Platform;

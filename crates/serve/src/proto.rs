@@ -231,8 +231,6 @@ fn base_options() -> Options {
         engine: None,
         tier_up: None,
         enforce: None,
-        adapt: None,
-        chunk: None,
     }
 }
 

@@ -39,6 +39,10 @@ pub fn serve(listener: TcpListener, server: Arc<Server>, tick_ms: u64) {
 }
 
 fn handle_connection(stream: TcpStream, server: &Server, epoch: Instant) {
+    // Each reply is one complete write. With Nagle's algorithm on, the
+    // second of two pipelined replies waits for the client's delayed ACK
+    // of the first (about 40 ms on Linux).
+    let _ = stream.set_nodelay(true);
     let Ok(peer) = stream.try_clone() else { return };
     let mut writer = peer;
     let reader = BufReader::new(stream);
@@ -101,5 +105,36 @@ mod tests {
         assert!(lines[0].contains("result: 42"), "{}", lines[0]);
         assert!(lines[1].contains("\"ok\": true"), "{}", lines[1]);
         assert!(lines[2].contains("bad_request"), "{}", lines[2]);
+    }
+
+    #[test]
+    fn pipelined_replies_are_not_held_back_by_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let addr = listener.local_addr().unwrap();
+        let server = Arc::new(Server::start(ServerConfig::default()));
+        std::thread::spawn(move || serve(listener, server, 50));
+
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut rounds = Vec::new();
+        for _ in 0..5 {
+            let started = Instant::now();
+            writer
+                .write_all(b"{\"op\": \"health\"}\n{\"op\": \"health\"}\n")
+                .unwrap();
+            for _ in 0..2 {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                assert!(line.contains("\"ok\": true"), "{line}");
+            }
+            rounds.push(started.elapsed());
+        }
+        rounds.sort();
+        assert!(
+            rounds[2] < Duration::from_millis(20),
+            "median round of two pipelined requests took {:?} (all: {rounds:?})",
+            rounds[2]
+        );
     }
 }

@@ -29,16 +29,14 @@
 //! Jobs are known up front, so there is no shared injector queue to keep
 //! hot: the scheduler partitions `0..n` into one contiguous
 //! [`StealRange`] per worker (a single atomic word packing `(lo, hi)`).
-//! An **owner** claims [`chunk`-sized](ent_runtime::adapt::AdaptConfig)
-//! blocks from the front of its own range with a CAS; a **thief** whose
-//! range has drained takes the *back half* of a victim's remainder with a
-//! CAS on the same word, adopts the stolen block as its new range, and
-//! goes back to owner-side claiming — so stolen work is itself stealable,
-//! and a skewed job mix diffuses across workers instead of convoying
-//! behind the slowest range. Steals, stolen jobs, and owner grabs are
-//! counted ([`BatchTelemetry`]) and fed to the adaptive tuner
-//! ([`ent_runtime::adapt`]) which refines the chunk size between batches
-//! when `--adapt on`.
+//! An **owner** claims chunk-sized blocks from the front of its own range
+//! with a CAS (the chunk is derived from the batch shape: about eight
+//! grabs per worker); a **thief** whose range has drained takes the
+//! *back half* of a victim's remainder with a CAS on the same word,
+//! adopts the stolen block as its new range, and goes back to owner-side
+//! claiming — so stolen work is itself stealable, and a skewed job mix
+//! diffuses across workers instead of convoying behind the slowest range.
+//! Steals, stolen jobs, and owner grabs are counted ([`BatchTelemetry`]).
 //!
 //! # Determinism contract
 //!
@@ -70,7 +68,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use ent_core::compile;
-use ent_runtime::adapt;
 use ent_runtime::{
     default_stack_size, with_interp_stack, Enforcement, Engine, LoweredProgram, TierUp,
 };
@@ -82,12 +79,14 @@ use ent_runtime::{
 pub const LOWERED_CACHE_SHARDS: usize = 8;
 
 /// The most distinct programs the cache retains at once across all
-/// shards, by default (the adaptive tuner may raise it up to 4× under
-/// `--adapt on`; see [`ent_runtime::adapt::observe_cache`]). Past the
-/// per-shard bound the oldest entry in that shard is evicted (insertion
-/// order); the figure suite uses a few dozen programs, so eviction only
-/// fires for adversarial or very-long-lived callers.
+/// shards. Past the per-shard bound the oldest entry in that shard is
+/// evicted (insertion order); the figure suite uses a few dozen
+/// programs, so eviction only fires for adversarial or very-long-lived
+/// callers.
 pub const LOWERED_CACHE_CAP: usize = 256;
+
+/// Entries each shard retains before evicting its oldest.
+const PER_SHARD_CAP: usize = LOWERED_CACHE_CAP / LOWERED_CACHE_SHARDS;
 
 struct Shard {
     map: HashMap<String, Arc<LoweredProgram>>,
@@ -143,7 +142,7 @@ static CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 pub struct CacheStats {
     /// Lock stripes ([`LOWERED_CACHE_SHARDS`]).
     pub shards: u64,
-    /// Total capacity currently in force (default or adaptively raised).
+    /// Total capacity ([`LOWERED_CACHE_CAP`]).
     pub capacity: u64,
     /// Programs resident across all shards right now.
     pub entries: u64,
@@ -161,7 +160,7 @@ pub struct CacheStats {
 pub fn lowered_cache_stats() -> CacheStats {
     CacheStats {
         shards: LOWERED_CACHE_SHARDS as u64,
-        capacity: cache_capacity() as u64,
+        capacity: LOWERED_CACHE_CAP as u64,
         entries: lowered_cache_shard_entries().iter().sum(),
         hits: CACHE_HITS.load(Ordering::Relaxed),
         misses: CACHE_MISSES.load(Ordering::Relaxed),
@@ -179,15 +178,6 @@ pub fn lowered_cache_shard_entries() -> Vec<u64> {
         .iter()
         .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).map.len() as u64)
         .collect()
-}
-
-/// The total cache capacity in force: the adaptive config's when it set
-/// one, else [`LOWERED_CACHE_CAP`].
-fn cache_capacity() -> usize {
-    match adapt::snapshot().1.cache_capacity {
-        0 => LOWERED_CACHE_CAP,
-        n => n as usize,
-    }
 }
 
 /// Compiles and lowers `src` once, returning the shared lowered program.
@@ -237,13 +227,12 @@ pub fn try_lowered_cached(src: &str) -> Result<Arc<LoweredProgram>, String> {
     CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
     let compiled = compile(src).map_err(|e| e.render(src))?;
     let lowered = Arc::new(ent_runtime::lower_program(&compiled));
-    let per_shard = (cache_capacity() / LOWERED_CACHE_SHARDS).max(1);
     let mut s = shard.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(raced) = s.map.get(src) {
         // Another worker compiled and inserted while we were compiling.
         return Ok(Arc::clone(raced));
     }
-    while s.map.len() >= per_shard {
+    while s.map.len() >= PER_SHARD_CAP {
         let Some(oldest) = s.order.pop_front() else {
             break;
         };
@@ -274,13 +263,10 @@ pub fn set_default_engine(engine: Engine) {
 
 /// The engine newly-prepared programs run on: the [`set_default_engine`]
 /// override when one was installed, else the `ENT_ENGINE` environment
-/// variable (`tree`, `bytecode`, or `threaded`), else — under `--adapt
-/// on` — the adaptive tuner's preference when it has one, else the
-/// runtime default (bytecode). Engine choice is value-neutral (the
-/// differential harness proves all engines bit-identical), so the
-/// adaptive rung can only change timing. Bytecode compiled for a cached
-/// program is part of the shared `LoweredProgram`, so switching engines
-/// never recompiles anything.
+/// variable (`tree`, `bytecode`, or `threaded`), else the runtime default
+/// (bytecode). Bytecode compiled for a cached program is part of the
+/// shared `LoweredProgram`, so switching engines never recompiles
+/// anything.
 #[must_use]
 pub fn default_engine() -> Engine {
     match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
@@ -290,27 +276,6 @@ pub fn default_engine() -> Engine {
         _ => std::env::var("ENT_ENGINE")
             .ok()
             .and_then(|v| Engine::parse(v.trim()))
-            .or_else(adapt::preferred_engine)
-            .unwrap_or_default(),
-    }
-}
-
-/// The engine a specific program should run on: the same
-/// override → env → tuner → default waterfall as [`default_engine`],
-/// except the tuner rung consults the per-program table first
-/// ([`adapt::preferred_engine_for`], keyed by the program's source
-/// fingerprint) before falling back to the global hint. Prepared
-/// programs pass the fingerprint they cache under.
-#[must_use]
-pub fn default_engine_for(fingerprint: u64) -> Engine {
-    match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Engine::Tree,
-        2 => Engine::Bytecode,
-        3 => Engine::Threaded,
-        _ => std::env::var("ENT_ENGINE")
-            .ok()
-            .and_then(|v| Engine::parse(v.trim()))
-            .or_else(|| adapt::preferred_engine_for(fingerprint))
             .unwrap_or_default(),
     }
 }
@@ -579,10 +544,10 @@ impl StealRange {
         }
     }
 
-    /// Thief side: steals the back half of the remainder (at least
-    /// `min_take`, never more than the remainder), returning the stolen
+    /// Thief side: steals the back half of the remainder (rounded up, so
+    /// a single remaining job is stolen whole), returning the stolen
     /// half-open block.
-    fn steal_back(&self, min_take: u32) -> Option<(u32, u32)> {
+    fn steal_back(&self) -> Option<(u32, u32)> {
         let mut cur = self.0.load(Ordering::Acquire);
         loop {
             let (lo, hi) = unpack(cur);
@@ -590,7 +555,7 @@ impl StealRange {
             if rem == 0 {
                 return None;
             }
-            let take = (rem - rem / 2).max(min_take.max(1)).min(rem);
+            let take = rem - rem / 2;
             match self.0.compare_exchange_weak(
                 cur,
                 pack(lo, hi - take),
@@ -623,18 +588,14 @@ pub struct BatchTelemetry {
     pub jobs: u64,
     /// Workers the batch actually ran on (after clamping to batch size).
     pub workers: u64,
-    /// The owner-side chunk size in force.
+    /// The owner-side chunk size ([`effective_chunk`] of the batch shape).
     pub chunk: u64,
-    /// The thief-side minimum steal granularity in force.
-    pub steal_min: u64,
     /// Successful steals.
     pub steals: u64,
     /// Job indices moved by steals.
     pub stolen_jobs: u64,
     /// Owner-side chunk grabs.
     pub chunks_claimed: u64,
-    /// The adaptive-config generation the batch was scheduled under.
-    pub adapt_generation: u64,
 }
 
 #[derive(Default)]
@@ -714,9 +675,7 @@ impl SchedTotals {
              \"batches\": {}, \"jobs\": {}, \"max_workers\": {}, \
              \"steals\": {}, \"stolen_jobs\": {}, \"chunks_claimed\": {}, \
              \"last\": {{\"jobs\": {}, \"workers\": {}, \"chunk\": {}, \
-             \"steal_min\": {}, \"steals\": {}, \"stolen_jobs\": {}, \
-             \"chunks_claimed\": {}}}, \
-             \"adapt\": {{\"mode\": \"{}\", \"generation\": {}}}, \
+             \"steals\": {}, \"stolen_jobs\": {}, \"chunks_claimed\": {}}}, \
              \"cache\": {{\"shards\": {}, \"capacity\": {}, \"hits\": {}, \
              \"misses\": {}, \"evictions\": {}, \"entries\": {}, \
              \"shard_entries\": [{}]}}}}",
@@ -729,12 +688,9 @@ impl SchedTotals {
             self.last.jobs,
             self.last.workers,
             self.last.chunk,
-            self.last.steal_min,
             self.last.steals,
             self.last.stolen_jobs,
             self.last.chunks_claimed,
-            adapt::mode().as_str(),
-            adapt::snapshot().0,
             self.cache.shards,
             self.cache.capacity,
             self.cache.hits,
@@ -750,14 +706,10 @@ impl SchedTotals {
     }
 }
 
-/// The owner-side chunk size for a batch: the adaptive config's pin when
-/// one is set, else `max(1, jobs / (workers * 8))` clamped to 64 — about
-/// eight grabs per worker on a balanced mix, fine enough that a skewed
-/// mix leaves blocks worth stealing.
-fn effective_chunk(cfg_chunk: u32, jobs: usize, workers: usize) -> u32 {
-    if cfg_chunk > 0 {
-        return cfg_chunk;
-    }
+/// The owner-side chunk size for a batch: `jobs / (workers * 8)` clamped
+/// to `[1, 64]` — about eight grabs per worker on a balanced mix, fine
+/// enough that a skewed mix leaves blocks worth stealing.
+fn effective_chunk(jobs: usize, workers: usize) -> u32 {
     (jobs / (workers.max(1) * 8)).clamp(1, 64) as u32
 }
 
@@ -791,13 +743,10 @@ where
 {
     let stack_size = default_stack_size();
     let workers = resolve_jobs(jobs).max(1).min(work.len().max(1));
-    let (generation, cfg) = adapt::snapshot();
     let mut telemetry = BatchTelemetry {
         jobs: work.len() as u64,
         workers: workers as u64,
-        chunk: u64::from(effective_chunk(cfg.chunk, work.len(), workers)),
-        steal_min: u64::from(cfg.steal_min.max(1)),
-        adapt_generation: generation,
+        chunk: u64::from(effective_chunk(work.len(), workers)),
         ..BatchTelemetry::default()
     };
     if workers == 1 {
@@ -805,13 +754,11 @@ where
             work.iter().map(|job| run_job(job, policy, &f)).collect()
         });
         record_batch(&telemetry);
-        observe(&telemetry);
         return (outcomes, telemetry);
     }
 
     let n = u32::try_from(work.len()).expect("batch too large for the range scheduler");
     let chunk = telemetry.chunk as u32;
-    let steal_min = telemetry.steal_min as u32;
     // Even contiguous partition: worker w owns [w*n/W, (w+1)*n/W).
     let ranges: Vec<StealRange> = (0..workers)
         .map(|w| {
@@ -846,7 +793,7 @@ where
                             // itself stealable by others).
                             for off in 1..workers {
                                 let victim = (w + off) % workers;
-                                if let Some((a, b)) = ranges[victim].steal_back(steal_min) {
+                                if let Some((a, b)) = ranges[victim].steal_back() {
                                     counters.steals.fetch_add(1, Ordering::Relaxed);
                                     counters
                                         .stolen_jobs
@@ -880,26 +827,7 @@ where
     telemetry.stolen_jobs = counters.stolen_jobs.load(Ordering::Relaxed);
     telemetry.chunks_claimed = counters.chunks_claimed.load(Ordering::Relaxed);
     record_batch(&telemetry);
-    observe(&telemetry);
     (indexed.into_iter().map(|(_, r)| r).collect(), telemetry)
-}
-
-/// Feeds one finished batch to the adaptive tuner (no-ops unless
-/// `--adapt on`).
-fn observe(t: &BatchTelemetry) {
-    adapt::observe_batch(&adapt::BatchObservation {
-        jobs: t.jobs,
-        workers: t.workers,
-        chunk: t.chunk,
-        steals: t.steals,
-        chunks_claimed: t.chunks_claimed,
-    });
-    let cache = lowered_cache_stats();
-    adapt::observe_cache(&adapt::CacheObservation {
-        hits: cache.hits,
-        misses: cache.misses,
-        evictions: cache.evictions,
-    });
 }
 
 /// [`run_batch_outcomes_with_telemetry`] minus the telemetry — the
@@ -979,25 +907,24 @@ mod tests {
         let r = StealRange::new(0, 10);
         assert_eq!(r.claim_front(3), Some((0, 3)));
         // Remainder 3..10 (7 jobs); the thief takes the back ceil-half.
-        assert_eq!(r.steal_back(1), Some((6, 10)));
+        assert_eq!(r.steal_back(), Some((6, 10)));
         assert_eq!(r.claim_front(5), Some((3, 6)));
         assert_eq!(r.claim_front(1), None);
-        assert_eq!(r.steal_back(1), None);
+        assert_eq!(r.steal_back(), None);
 
-        // min_take covers the whole remainder: the thief drains it.
-        let r = StealRange::new(4, 6);
-        assert_eq!(r.steal_back(8), Some((4, 6)));
+        // A single remaining job is stolen whole.
+        let r = StealRange::new(4, 5);
+        assert_eq!(r.steal_back(), Some((4, 5)));
         assert_eq!(r.claim_front(1), None);
     }
 
     #[test]
     fn skewed_batches_steal_and_stay_in_order() {
-        // Worker 0's range starts with slow jobs; with chunk 1 the other
-        // workers drain their ranges and then steal the slow tail. The
-        // telemetry must show steals, and the output must stay in job
-        // order with every index present exactly once.
-        let prev = adapt::snapshot().1.chunk;
-        adapt::pin_chunk(1);
+        // Worker 0's range starts with slow jobs; 48 jobs on 4 workers
+        // derive chunk 1, so the other workers drain their ranges and
+        // then steal the slow tail. The telemetry must show steals, and
+        // the output must stay in job order with every index present
+        // exactly once.
         let work: Vec<usize> = (0..48).collect();
         let (outcomes, telemetry) =
             run_batch_outcomes_with_telemetry(4, &work, &BatchPolicy::default(), |&n, _| {
@@ -1006,13 +933,13 @@ mod tests {
                 }
                 n * 3
             });
-        adapt::pin_chunk(prev);
         assert_eq!(outcomes.len(), work.len());
         for (i, o) in outcomes.iter().enumerate() {
             assert_eq!(o.as_ref().unwrap(), &(i * 3));
         }
         assert_eq!(telemetry.jobs, 48);
         assert_eq!(telemetry.workers, 4);
+        assert_eq!(telemetry.chunk, 1);
         assert!(
             telemetry.steals > 0,
             "skewed chunk-1 batch should steal: {telemetry:?}"
@@ -1138,10 +1065,9 @@ mod tests {
         let first_src = src_for(9_000_000);
         let shard = cache_shard_of(&first_src);
         let first = lowered_cached("evict-test", &first_src);
-        let per_shard = (LOWERED_CACHE_CAP / LOWERED_CACHE_SHARDS).max(1);
         let mut same_shard = Vec::new();
         let mut n = 9_100_000;
-        while same_shard.len() < per_shard {
+        while same_shard.len() < PER_SHARD_CAP {
             let src = src_for(n);
             if cache_shard_of(&src) == shard {
                 same_shard.push(src);
@@ -1176,7 +1102,6 @@ mod tests {
             "\"schema\": \"ent-batch-telemetry/1\"",
             "\"steals\"",
             "\"chunks_claimed\"",
-            "\"adapt\"",
             "\"cache\"",
             "\"shards\"",
             "\"entries\"",
@@ -1277,10 +1202,11 @@ mod tests {
 
     #[test]
     fn effective_chunk_pins_and_scales() {
-        assert_eq!(effective_chunk(17, 1000, 4), 17);
-        assert_eq!(effective_chunk(0, 8, 8), 1);
-        assert_eq!(effective_chunk(0, 64, 4), 2);
-        assert_eq!(effective_chunk(0, 1_000_000, 2), 64);
+        assert_eq!(effective_chunk(8, 8), 1);
+        assert_eq!(effective_chunk(64, 8), 1);
+        assert_eq!(effective_chunk(64, 4), 2);
+        assert_eq!(effective_chunk(600, 2), 37);
+        assert_eq!(effective_chunk(1_000_000, 2), 64);
     }
 
     #[test]

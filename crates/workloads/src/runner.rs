@@ -16,14 +16,11 @@
 use std::sync::Arc;
 
 use ent_energy::{FaultPlan, Platform, PlatformKind};
-use ent_runtime::adapt;
 use ent_runtime::{
-    run_lowered, AdaptMode, Enforcement, Engine, LoweredProgram, RunResult, RuntimeConfig, TierUp,
+    run_lowered, Enforcement, Engine, LoweredProgram, RunResult, RuntimeConfig, TierUp,
 };
 
-use crate::engine::{
-    default_enforcement, default_engine_for, default_tier_up, lowered_cached, source_fingerprint,
-};
+use crate::engine::{default_enforcement, default_engine, default_tier_up, lowered_cached};
 use crate::programs::{e1_program, e2_program, e3_program};
 use crate::settings::{battery_for_boot, BenchmarkSpec, E3Settings};
 
@@ -65,19 +62,14 @@ pub struct PreparedProgram {
     /// The shared lowered program.
     pub lowered: Arc<LoweredProgram>,
     /// The evaluation engine every run of this program uses (captured
-    /// from [`crate::default_engine_for`] at prepare time, so under
-    /// `--adapt on` each program gets the tuner's *per-program* engine
-    /// preference). Bytecode lives in the shared `LoweredProgram`,
-    /// compiled at most once per method no matter how many runs,
-    /// threads, or engines touch the program.
+    /// from [`crate::default_engine`] at prepare time). Bytecode lives in
+    /// the shared `LoweredProgram`, compiled at most once per method no
+    /// matter how many runs, threads, or engines touch the program.
     pub engine: Engine,
     /// The tier-up threshold every run of this program uses (captured
     /// from [`crate::default_tier_up`] at prepare time). Only the
     /// threaded engine reads it.
     pub tier_up: TierUp,
-    /// The program's source fingerprint — the sharded program-cache key,
-    /// also the key runs report per-program engine timing under.
-    pub fingerprint: u64,
     /// The enforcement strategy every run of this program uses (captured
     /// from [`crate::default_enforcement`] at prepare time).
     pub enforcement: Enforcement,
@@ -93,12 +85,6 @@ impl PreparedProgram {
     /// overhead pair runs the tagged leg on the base platform). The
     /// prepared engine overrides whatever the config carries, so every
     /// `run_e*_prepared` entry point honors the harness `--engine` flag.
-    ///
-    /// Under `--adapt on`, each run's wall time and step count feed the
-    /// tuner's per-engine timing model, keyed by this program's source
-    /// fingerprint ([`adapt::observe_engine_for`]) — value-neutral
-    /// telemetry that can steer the engine choice of *future* prepares,
-    /// never the result of this run.
     pub fn run_on(&self, platform: Platform, config: RuntimeConfig) -> RunResult {
         let config = RuntimeConfig {
             engine: self.engine,
@@ -106,15 +92,7 @@ impl PreparedProgram {
             tier_up: self.tier_up,
             ..config
         };
-        if adapt::mode() == AdaptMode::On {
-            let started = std::time::Instant::now();
-            let result = run_lowered(&self.lowered, platform, config);
-            let wall = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            adapt::observe_engine_for(self.fingerprint, self.engine, result.stats.steps, wall);
-            result
-        } else {
-            run_lowered(&self.lowered, platform, config)
-        }
+        run_lowered(&self.lowered, platform, config)
     }
 
     /// Returns the same prepared program pinned to an explicit engine
@@ -176,15 +154,13 @@ fn to_outcome(name: &str, result: RunResult) -> Outcome {
 pub fn prepare_e1(spec: &BenchmarkSpec, system: PlatformKind, workload: usize) -> PreparedProgram {
     let platform = platform_for(spec, system);
     let src = e1_program(spec, &platform, workload);
-    let fingerprint = source_fingerprint(&src);
     PreparedProgram {
         name: spec.name,
         lowered: lowered_cached(spec.name, &src),
         platform,
-        engine: default_engine_for(fingerprint),
+        engine: default_engine(),
         tier_up: default_tier_up(),
         enforcement: default_enforcement(),
-        fingerprint,
     }
 }
 
@@ -289,15 +265,13 @@ pub fn run_e1(
 pub fn prepare_e2(spec: &BenchmarkSpec, system: PlatformKind, workload: usize) -> PreparedProgram {
     let platform = platform_for(spec, system);
     let src = e2_program(spec, &platform, workload);
-    let fingerprint = source_fingerprint(&src);
     PreparedProgram {
         name: spec.name,
         lowered: lowered_cached(spec.name, &src),
         platform,
-        engine: default_engine_for(fingerprint),
+        engine: default_engine(),
         tier_up: default_tier_up(),
         enforcement: default_enforcement(),
-        fingerprint,
     }
 }
 
@@ -335,15 +309,13 @@ pub fn prepare_e3(
     let platform = platform_of(PlatformKind::SystemA);
     let settings = E3Settings::default();
     let src = e3_program(spec, &platform, &settings, tasks, task_seconds, ent);
-    let fingerprint = source_fingerprint(&src);
     PreparedProgram {
         name: spec.name,
         lowered: lowered_cached(spec.name, &src),
         platform,
-        engine: default_engine_for(fingerprint),
+        engine: default_engine(),
         tier_up: default_tier_up(),
         enforcement: default_enforcement(),
-        fingerprint,
     }
 }
 

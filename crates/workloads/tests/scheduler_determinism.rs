@@ -1,18 +1,17 @@
 //! Adversarial determinism tests for the work-stealing batch scheduler:
 //! skewed job mixes (sleep-heavy and gas-heavy cells side by side) must
 //! produce byte-identical outcome vectors — values, error messages,
-//! attempt counts, ordering — at every worker count, with stealing forced
-//! by a chunk-1 pin.
+//! attempt counts, ordering — at every worker count.
 //!
-//! These tests pin the scheduler chunk via `adapt::pin_chunk`, which is
-//! process-wide; each test restores the previous pin before returning so
-//! the suite stays order-independent.
+//! The scheduler derives its chunk from the batch shape
+//! (`jobs / (workers * 8)`, clamped to `[1, 64]`), so the skewed batches
+//! here are small enough that the chunk is 1 at 8 workers and stealing
+//! is fine-grained.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use ent_energy::PlatformKind;
-use ent_runtime::adapt;
 use ent_workloads::{
     benchmark, prepare_e1, run_batch_outcomes, run_batch_outcomes_with_telemetry, run_e1_prepared,
     BatchPolicy, JobError,
@@ -44,50 +43,29 @@ fn fingerprint(outcomes: &[Result<Vec<u8>, JobError>]) -> u64 {
     h
 }
 
-/// Runs `f` with the scheduler chunk pinned to `chunk`, restoring the
-/// previous pin afterwards (even on panic, so a failing assertion in one
-/// test cannot poison the others). The pin is process-wide state, so
-/// tests using it serialize on a suite-local mutex — the test harness
-/// runs tests on parallel threads by default.
-fn with_pinned_chunk<R>(chunk: u32, f: impl FnOnce() -> R) -> R {
-    static PIN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _serialize = PIN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    struct Restore(u32);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            adapt::pin_chunk(self.0);
-        }
-    }
-    let _restore = Restore(adapt::snapshot().1.chunk);
-    adapt::pin_chunk(chunk);
-    f()
-}
-
 #[test]
 fn skewed_interpreter_batches_are_byte_identical_across_worker_counts() {
     // A deliberately unbalanced mix: the front of the range is gas-heavy
-    // (full_throttle workload cells) *and* sleep-padded, so with chunk 1
-    // the workers that drew light cells drain their ranges and steal the
-    // heavy tail. Every job's behavior — benchmark, config, seed, even
-    // its sleep — derives from its index, never from execution order.
+    // (full_throttle workload cells) *and* sleep-padded, so the workers
+    // that drew light cells drain their ranges and steal the heavy tail.
+    // Every job's behavior — benchmark, config, seed, even its sleep —
+    // derives from its index, never from execution order.
     let heavy = prepare_e1(&benchmark("sunflow").unwrap(), PlatformKind::SystemA, 2);
     let light = prepare_e1(&benchmark("jspider").unwrap(), PlatformKind::SystemA, 0);
     let work: Vec<usize> = (0..36).collect();
     let run = |jobs: usize| {
-        with_pinned_chunk(1, || {
-            run_batch_outcomes(jobs, &work, &BatchPolicy::default(), |&i, _| {
-                if i < 6 {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                let prog = if i % 3 == 0 { &heavy } else { &light };
-                let out = run_e1_prepared(prog, i % 3, i % 2 == 0, 1000 + i as u64 * 17);
-                let mut bytes = out.energy_j.to_bits().to_le_bytes().to_vec();
-                bytes.extend(out.time_s.to_bits().to_le_bytes());
-                bytes.push(out.exception as u8);
-                bytes.extend(out.snapshot_failures.to_le_bytes());
-                bytes.extend(out.dfall_failures.to_le_bytes());
-                bytes
-            })
+        run_batch_outcomes(jobs, &work, &BatchPolicy::default(), |&i, _| {
+            if i < 6 {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let prog = if i % 3 == 0 { &heavy } else { &light };
+            let out = run_e1_prepared(prog, i % 3, i % 2 == 0, 1000 + i as u64 * 17);
+            let mut bytes = out.energy_j.to_bits().to_le_bytes().to_vec();
+            bytes.extend(out.time_s.to_bits().to_le_bytes());
+            bytes.push(out.exception as u8);
+            bytes.extend(out.snapshot_failures.to_le_bytes());
+            bytes.extend(out.dfall_failures.to_le_bytes());
+            bytes
         })
     };
     let baseline = run(1);
@@ -106,16 +84,17 @@ fn skewed_interpreter_batches_are_byte_identical_across_worker_counts() {
 #[test]
 fn stealing_actually_happens_in_the_skewed_mix() {
     // The companion to the test above: prove the byte-equality is not
-    // vacuous — at 8 workers with chunk 1, the skewed mix steals.
+    // vacuous — 64 jobs on 8 workers derive chunk 1, and the skewed mix
+    // steals.
     let work: Vec<usize> = (0..64).collect();
-    let (_, telemetry) = with_pinned_chunk(1, || {
+    let (_, telemetry) =
         run_batch_outcomes_with_telemetry(8, &work, &BatchPolicy::default(), |&i, _| {
             if i < 8 {
                 std::thread::sleep(Duration::from_millis(10));
             }
             i
-        })
-    });
+        });
+    assert_eq!(telemetry.chunk, 1);
     assert!(
         telemetry.steals > 0,
         "expected steals in a skewed chunk-1 batch: {telemetry:?}"
@@ -135,19 +114,17 @@ fn failures_attempts_and_messages_are_identical_under_stealing() {
         ..BatchPolicy::default()
     };
     let run = |jobs: usize| {
-        with_pinned_chunk(1, || {
-            run_batch_outcomes(jobs, &work, &policy, |&i, attempt| {
-                if i == 5 || i == 13 || i == 21 {
-                    panic!("job {i} is permanently broken");
-                }
-                if i == 30 && attempt == 0 {
-                    panic!("job {i} is flaky on its first attempt");
-                }
-                if i < 4 {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                vec![i as u8, attempt as u8]
-            })
+        run_batch_outcomes(jobs, &work, &policy, |&i, attempt| {
+            if i == 5 || i == 13 || i == 21 {
+                panic!("job {i} is permanently broken");
+            }
+            if i == 30 && attempt == 0 {
+                panic!("job {i} is flaky on its first attempt");
+            }
+            if i < 4 {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            vec![i as u8, attempt as u8]
         })
     };
     let baseline = run(1);
@@ -170,28 +147,27 @@ fn failures_attempts_and_messages_are_identical_under_stealing() {
 }
 
 #[test]
-fn chunk_pins_do_not_change_results_only_schedules() {
-    // The same batch under wildly different chunk pins (1, 7, 4096) must
-    // return identical outcomes; only the telemetry may differ.
-    let work: Vec<usize> = (0..50).collect();
-    let run = |chunk: u32| {
-        with_pinned_chunk(chunk, || {
-            run_batch_outcomes_with_telemetry(4, &work, &BatchPolicy::default(), |&i, _| {
-                vec![(i * 31 % 251) as u8]
-            })
+fn worker_counts_change_chunks_not_results() {
+    // 600 jobs derive a different chunk at every worker count (64, 37,
+    // 18, 9); the outcomes must stay byte-identical, and only the
+    // schedule may differ.
+    let work: Vec<usize> = (0..600).collect();
+    let run = |jobs: usize| {
+        run_batch_outcomes_with_telemetry(jobs, &work, &BatchPolicy::default(), |&i, _| {
+            vec![(i * 31 % 251) as u8]
         })
     };
     let (base, t1) = run(1);
     let fp = fingerprint(&base);
-    let (mid, t7) = run(7);
-    let (coarse, tmax) = run(4096);
-    assert_eq!(fingerprint(&mid), fp);
-    assert_eq!(fingerprint(&coarse), fp);
-    assert_eq!(t1.chunk, 1);
-    assert_eq!(t7.chunk, 7);
-    assert_eq!(tmax.chunk, 4096);
-    // Coarse chunks mean fewer owner grabs than chunk-1's one-per-job.
-    assert!(tmax.chunks_claimed <= t1.chunks_claimed);
+    assert_eq!(base.len(), work.len());
+    let mut chunks = vec![t1.chunk];
+    for jobs in [2, 4, 8] {
+        let (outcomes, telemetry) = run(jobs);
+        assert_eq!(fingerprint(&outcomes), fp, "jobs={jobs} diverged");
+        assert_eq!(telemetry.workers, jobs as u64);
+        chunks.push(telemetry.chunk);
+    }
+    assert_eq!(chunks, vec![64, 37, 18, 9]);
 }
 
 #[test]
@@ -206,15 +182,13 @@ fn attempt_counter_is_per_job_not_per_worker() {
         retries: 1,
         ..BatchPolicy::default()
     };
-    let outcomes = with_pinned_chunk(1, || {
-        run_batch_outcomes(8, &work, &policy, |&i, attempt| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            assert!(attempt <= 1, "attempts never exceed retries + 1");
-            if i == 2 || i == 17 {
-                panic!("always fails");
-            }
-            i
-        })
+    let outcomes = run_batch_outcomes(8, &work, &policy, |&i, attempt| {
+        calls.fetch_add(1, Ordering::Relaxed);
+        assert!(attempt <= 1, "attempts never exceed retries + 1");
+        if i == 2 || i == 17 {
+            panic!("always fails");
+        }
+        i
     });
     assert_eq!(calls.load(Ordering::Relaxed), 22 + 2 * 2);
     assert_eq!(outcomes.iter().filter(|o| o.is_err()).count(), 2);
