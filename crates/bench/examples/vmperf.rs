@@ -1,4 +1,5 @@
-//! Engine microbenchmarks: tree walker vs. bytecode VM on isolated
+//! Engine microbenchmarks: tree walker vs. bytecode VM vs. the VM's
+//! threaded tier (every body tiered up on first entry) on isolated
 //! interpreter shapes, away from the energy sim and the fig-suite setup.
 //!
 //!   cargo run -p ent-bench --release --example vmperf
@@ -21,6 +22,7 @@ use std::time::Instant;
 use ent_energy::Platform;
 use ent_runtime::{
     default_stack_size, lower_program, run_lowered, with_interp_stack, Engine, RuntimeConfig,
+    TierUp,
 };
 
 const BUDGET_S: f64 = 0.7;
@@ -30,16 +32,21 @@ fn bench(name: &str, src: &str) {
     let lowered = lower_program(&compiled);
     let mut sps = Vec::new();
     with_interp_stack(default_stack_size(), || {
-        for engine in [Engine::Tree, Engine::Bytecode] {
+        for (lane, engine, tier_up) in [
+            ("tree", Engine::Tree, TierUp::Never),
+            ("bytecode", Engine::Bytecode, TierUp::Never),
+            ("threaded", Engine::Bytecode, TierUp::Always),
+        ] {
             let cfg = || RuntimeConfig {
                 engine,
+                tier_up,
                 gas_limit: 4_000_000_000,
                 ..Default::default()
             };
             let r = run_lowered(&lowered, Platform::system_a(), cfg());
             let steps = r.stats.steps;
             if let Err(e) = &r.value {
-                panic!("{name} {engine:?}: {e:?}");
+                panic!("{name} {lane}: {e:?}");
             }
             let start = Instant::now();
             let mut runs = 0u32;
@@ -51,13 +58,13 @@ fn bench(name: &str, src: &str) {
             let wall = start.elapsed().as_secs_f64();
             sps.push(steps as f64 * f64::from(runs) / wall);
             println!(
-                "{name:<10} {:<10} {:>12.0} steps/s ({steps} steps)",
-                format!("{engine:?}"),
+                "{name:<10} {lane:<10} {:>12.0} steps/s ({steps} steps)",
                 sps.last().unwrap()
             );
         }
     });
-    println!("{name:<10} ratio      {:>12.2}x", sps[1] / sps[0]);
+    println!("{name:<10} vm/tree    {:>12.2}x", sps[1] / sps[0]);
+    println!("{name:<10} thr/vm     {:>12.2}x", sps[2] / sps[1]);
 }
 
 fn main() {

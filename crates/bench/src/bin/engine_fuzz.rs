@@ -6,9 +6,9 @@
 //! Usage:
 //!   cargo run -p ent-bench --release --bin engine_fuzz -- [--fuzz-iters N] [--jobs N]
 //!
-//! Every seeded program from `ent_workloads::fuzzgen` is executed under
-//! all three engines (tree walker, bytecode VM, and the closure-threaded
-//! tier at `--tier-up 0`, so every body actually tiers) across a grid of
+//! Every seeded program from `ent_workloads::fuzzgen` is executed on the
+//! tree walker, the bytecode VM, and the VM's closure-threaded tier (at
+//! `TierUp::Always`, so every body actually tiers) across a grid of
 //! battery levels, fault regimes, and enforcement strategies; any
 //! observable divergence between any pair — value, output, stats,
 //! energy/time bits, or the rendered event stream — aborts with the
@@ -83,22 +83,25 @@ fn fuzz_seed(seed: u64) -> SeedReport {
     for battery in BATTERIES {
         for faults in [None, Some(FaultPlan::chaos())] {
             for enforcement in [Enforcement::Guarded, Enforcement::Transient] {
-                let config = |engine| RuntimeConfig {
-                    engine,
-                    enforcement,
-                    battery_level: battery,
-                    seed: 7,
-                    record_events: true,
-                    faults: faults.clone(),
-                    fault_seed: 11,
-                    // Tier every body immediately so the threaded leg
-                    // exercises compiled code, not its bytecode warm-up.
-                    tier_up: TierUp::Always,
-                    ..RuntimeConfig::default()
+                let run = |engine, tier_up| {
+                    let config = RuntimeConfig {
+                        engine,
+                        tier_up,
+                        enforcement,
+                        battery_level: battery,
+                        seed: 7,
+                        record_events: true,
+                        faults: faults.clone(),
+                        fault_seed: 11,
+                        ..RuntimeConfig::default()
+                    };
+                    run_lowered(&lowered, Platform::system_a(), config)
                 };
-                let tree = run_lowered(&lowered, Platform::system_a(), config(Engine::Tree));
-                let vm = run_lowered(&lowered, Platform::system_a(), config(Engine::Bytecode));
-                let th = run_lowered(&lowered, Platform::system_a(), config(Engine::Threaded));
+                let tree = run(Engine::Tree, TierUp::Never);
+                let vm = run(Engine::Bytecode, TierUp::Never);
+                // Tier every body immediately so the threaded leg
+                // exercises compiled code, not its bytecode warm-up.
+                let th = run(Engine::Bytecode, TierUp::Always);
                 report.runs += 1;
                 if tree.value.is_err() {
                     report.errors += 1;
@@ -136,7 +139,7 @@ fn main() {
     }
     let jobs = ent_bench::parse_grid_args_with(0, &["--fuzz-iters"]).jobs;
 
-    eprintln!("fuzzing {iters} seeds under all three engines ({jobs} jobs)...");
+    eprintln!("fuzzing {iters} seeds on tree, bytecode and threaded ({jobs} jobs)...");
     let start = Instant::now();
     let seeds: Vec<u64> = (0..iters).collect();
     let reports = run_batch(jobs, &seeds, |&seed| fuzz_seed(seed));

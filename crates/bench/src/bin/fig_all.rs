@@ -9,6 +9,8 @@
 //!
 //! `--jobs` is forwarded to the measuring figure binaries; their output is
 //! bit-identical at every jobs count, so it only changes wall-clock time.
+//! `ENT_ENGINE`, `ENT_TIER_UP` and `ENT_ENFORCE` reach every figure binary
+//! through the environment it inherits.
 
 use std::fs;
 use std::process::Command;

@@ -13,23 +13,20 @@
 //! every call site.
 //!
 //! Usage:
-//!   cargo run -p ent-bench --release --bin migration_lattice \
-//!       [repeats] [--engine tree|bytecode]
+//!   cargo run -p ent-bench --release --bin migration_lattice [repeats]
 //!
-//! Defaults: 3 repeats averaged. The strategy grid is swept explicitly
-//! (`--enforce` only changes the process default, which this binary
-//! overrides per run). Writes `BENCH_lattice.json` at the workspace
-//! root.
+//! Defaults: 3 repeats averaged. Runs use the `ENT_ENGINE` and
+//! `ENT_TIER_UP` defaults; the strategy grid is swept explicitly, so
+//! `ENT_ENFORCE` does not apply. Writes `BENCH_lattice.json` at the
+//! workspace root.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use ent_bench::{parse_grid_args, render_table};
 use ent_energy::PlatformKind;
-use ent_runtime::{run_lowered, Enforcement, RuntimeConfig};
-use ent_workloads::{
-    benchmark, default_engine, lattice_program, lowered_cached, platform_for, LATTICE_CHUNKS,
-};
+use ent_runtime::{run_lowered, Enforcement, Engine, RuntimeConfig, TierUp};
+use ent_workloads::{benchmark, lattice_program, lowered_cached, platform_for, LATTICE_CHUNKS};
 
 /// Batch benchmarks swept (each must have `Shape::Batch`).
 const BENCHMARKS: [&str; 3] = ["crypto", "sunflow", "batik"];
@@ -80,7 +77,8 @@ fn run_cell(
     let mut last = None;
     for r in 0..repeats {
         let config = RuntimeConfig {
-            engine: default_engine(),
+            engine: Engine::from_env(),
+            tier_up: TierUp::from_env(),
             enforcement: strategy,
             seed: SEED + r,
             ..RuntimeConfig::default()
@@ -205,7 +203,7 @@ fn main() {
     let _ = writeln!(json, "  \"chunks_per_stage\": {LATTICE_CHUNKS},");
     let _ = writeln!(json, "  \"repeats\": {repeats},");
     let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"engine\": \"{}\",", default_engine().name());
+    let _ = writeln!(json, "  \"engine\": \"{}\",", Engine::from_env().name());
     json.push_str("  \"programs\": [\n");
     for (bi, s) in sweeps.iter().enumerate() {
         let _ = writeln!(json, "    {{\"name\": \"{}\", \"points\": [", s.name);

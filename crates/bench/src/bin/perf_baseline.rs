@@ -1,20 +1,20 @@
 //! Interpreter perf baseline over the Figure-6 benchmark suite.
 //!
 //! Measures raw interpreter throughput (`RunStats::steps` per wall-clock
-//! second) for every benchmark's E2 program at a fixed seed, under all
-//! three execution engines (the recursive tree walker, the
-//! register-bytecode VM, and the closure-threaded tier), plus a semantics
-//! fingerprint (stats, output, pretty value, energy bits) so the faster
-//! engines can prove they compute *exactly* the same thing — with fault
-//! injection on as well as off.
+//! second) for every benchmark's E2 program at a fixed seed, in three
+//! lanes (the recursive tree walker, the register-bytecode VM, and the
+//! VM's closure-threaded tier with every body tiered up), plus a
+//! semantics fingerprint (stats, output, pretty value, energy bits) so
+//! the faster lanes can prove they compute *exactly* the same thing —
+//! with fault injection on as well as off.
 //!
 //! Usage:
 //!   cargo run -p ent-bench --release --bin perf_baseline -- --phase baseline
 //!     captures the reference numbers (tree engine) into
 //!     crates/bench/data/perf_baseline.txt
-//!   cargo run -p ent-bench --release --bin perf_baseline [-- --jobs N] [--engine E]
-//!     measures both engines (or just E), compares against the stored
-//!     baseline, and writes BENCH_interp.json at the workspace root.
+//!   cargo run -p ent-bench --release --bin perf_baseline [-- --jobs N]
+//!     measures all three lanes, compares against the stored baseline,
+//!     and writes BENCH_interp.json at the workspace root.
 //!
 //! `--jobs` parallelizes the compile + fingerprint-verification phase; the
 //! throughput timing loop always runs sequentially (concurrent timing on a
@@ -33,26 +33,52 @@ use std::time::Instant;
 
 use ent_energy::{FaultPlan, PlatformKind};
 use ent_runtime::{
-    default_stack_size, run_lowered, with_interp_stack, Engine, RunResult, RuntimeConfig,
+    default_stack_size, run_lowered, with_interp_stack, Engine, RunResult, RuntimeConfig, TierUp,
 };
 use ent_workloads::{all_benchmarks, prepare_e2, run_batch};
 
 const SEED: u64 = 42;
 const BATTERY: f64 = 0.75;
-/// Per-benchmark, per-engine measurement budget (seconds of wall time).
+/// Per-benchmark, per-lane measurement budget (seconds of wall time).
 const BUDGET_S: f64 = 0.3;
-/// Timing rounds per engine (the RSD sample size; the reported number is
+/// Timing rounds per lane (the RSD sample size; the reported number is
 /// the median round).
 const ROUNDS: usize = 6;
 /// Untimed runs before the first timing round (a floor — warmup also
 /// runs for at least [`WARMUP_S`] seconds).
 const WARMUP_RUNS: u32 = 3;
-/// Minimum untimed warmup wall time per engine, seconds.
+/// Minimum untimed warmup wall time per lane, seconds.
 const WARMUP_S: f64 = 0.05;
 
-const ENGINES: [Engine; 3] = [Engine::Tree, Engine::Bytecode, Engine::Threaded];
+/// One measured configuration: its key in BENCH_interp.json, the
+/// engine, and the tier-up policy.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Lane {
+    name: &'static str,
+    engine: Engine,
+    tier_up: TierUp,
+}
 
-struct EngineSample {
+const TREE: Lane = Lane {
+    name: "tree",
+    engine: Engine::Tree,
+    tier_up: TierUp::Never,
+};
+const BYTECODE: Lane = Lane {
+    name: "bytecode",
+    engine: Engine::Bytecode,
+    tier_up: TierUp::Never,
+};
+/// The threaded tier itself, not its bytecode warm-up laps: every body
+/// compiles on first entry.
+const THREADED: Lane = Lane {
+    name: "threaded",
+    engine: Engine::Bytecode,
+    tier_up: TierUp::Always,
+};
+const LANES: [Lane; 3] = [TREE, BYTECODE, THREADED];
+
+struct LaneSample {
     steps_per_sec: f64,
     wall_ms_per_run: f64,
     /// Relative standard deviation of the per-round throughput, percent.
@@ -62,33 +88,28 @@ struct EngineSample {
 struct Sample {
     name: String,
     steps: u64,
-    /// One measurement per engine probed, in the order requested.
-    by_engine: Vec<(Engine, EngineSample)>,
-    /// Plain-run fingerprint (identical across engines by construction:
+    /// One measurement per lane probed, in the order requested.
+    by_lane: Vec<(Lane, LaneSample)>,
+    /// Plain-run fingerprint (identical across lanes by construction:
     /// verification asserts it, faults off and on, before timing starts).
     fingerprint: String,
 }
 
-fn config(engine: Engine) -> RuntimeConfig {
+fn config(lane: Lane) -> RuntimeConfig {
     RuntimeConfig {
         battery_level: BATTERY,
         seed: SEED,
-        engine,
-        // Measure the threaded tier itself, not its bytecode warm-up
-        // laps: compile every body on first entry.
-        tier_up: match engine {
-            Engine::Threaded => ent_runtime::TierUp::Always,
-            _ => ent_runtime::TierUp::default(),
-        },
+        engine: lane.engine,
+        tier_up: lane.tier_up,
         ..RuntimeConfig::default()
     }
 }
 
-fn faulted_config(engine: Engine) -> RuntimeConfig {
+fn faulted_config(lane: Lane) -> RuntimeConfig {
     RuntimeConfig {
         faults: Some(FaultPlan::chaos()),
         fault_seed: 17,
-        ..config(engine)
+        ..config(lane)
     }
 }
 
@@ -117,13 +138,13 @@ fn fingerprint(result: &RunResult) -> String {
     )
 }
 
-fn measure(jobs: usize, engines: &[Engine]) -> Vec<Sample> {
+fn measure(jobs: usize, lanes: &[Lane]) -> Vec<Sample> {
     // Phase 1 — compile (through the engine's shared cache), warm up, and
     // verify fingerprints. Batch-parallel: each job is one benchmark.
-    // Every engine must match the first engine's fingerprint, both on the
+    // Every lane must match the first lane's fingerprint, both on the
     // plain configuration and under chaos fault injection.
     let specs = all_benchmarks();
-    let reference = engines[0];
+    let reference = lanes[0];
     let verified = run_batch(jobs, &specs, |spec| {
         let prog = prepare_e2(spec, PlatformKind::SystemA, 1);
         let rl = |c: RuntimeConfig| run_lowered(&prog.lowered, prog.platform.clone(), c);
@@ -131,22 +152,22 @@ fn measure(jobs: usize, engines: &[Engine]) -> Vec<Sample> {
         let fp = fingerprint(&warm);
         let fp_faulted = fingerprint(&rl(faulted_config(reference)));
 
-        for &engine in engines {
+        for &lane in lanes {
             assert_eq!(
-                fingerprint(&rl(config(engine))),
+                fingerprint(&rl(config(lane))),
                 fp,
                 "{}: {} disagrees with {} on the plain run",
                 spec.name,
-                engine.name(),
-                reference.name()
+                lane.name,
+                reference.name
             );
             assert_eq!(
-                fingerprint(&rl(faulted_config(engine))),
+                fingerprint(&rl(faulted_config(lane))),
                 fp_faulted,
                 "{}: {} disagrees with {} under fault injection",
                 spec.name,
-                engine.name(),
-                reference.name()
+                lane.name,
+                reference.name
             );
             // The observability layer must be a pure observer: a run with
             // the event ring and the profiler enabled computes bit-for-bit
@@ -154,14 +175,14 @@ fn measure(jobs: usize, engines: &[Engine]) -> Vec<Sample> {
             let observed = rl(RuntimeConfig {
                 record_events: true,
                 profile: ent_runtime::ProfileMode::Exact,
-                ..config(engine)
+                ..config(lane)
             });
             assert_eq!(
                 fingerprint(&observed),
                 fp,
                 "{}: enabling events+profile changed the {} fingerprint",
                 spec.name,
-                engine.name()
+                lane.name
             );
         }
         (prog, fp, warm.stats.steps)
@@ -169,25 +190,25 @@ fn measure(jobs: usize, engines: &[Engine]) -> Vec<Sample> {
 
     // Phase 2 — the throughput timing loop: strictly sequential, on one
     // reusable big-stack worker so each `run_lowered` is a direct call.
-    // Per engine: untimed warmup runs, then `ROUNDS` timed rounds whose
+    // Per lane: untimed warmup runs, then `ROUNDS` timed rounds whose
     // spread is the reported RSD.
     with_interp_stack(default_stack_size(), || {
         specs
             .iter()
             .zip(verified)
             .map(|(spec, (prog, fp, steps))| {
-                let by_engine = engines
+                let by_lane = lanes
                     .iter()
-                    .map(|&engine| {
+                    .map(|&lane| {
                         let run_once = || {
                             let r =
-                                run_lowered(&prog.lowered, prog.platform.clone(), config(engine));
+                                run_lowered(&prog.lowered, prog.platform.clone(), config(lane));
                             assert_eq!(
                                 r.stats.steps,
                                 steps,
                                 "{} must be deterministic under {}",
                                 spec.name,
-                                engine.name()
+                                lane.name
                             );
                         };
                         // Time-bounded warmup: at least WARMUP_RUNS runs
@@ -231,7 +252,7 @@ fn measure(jobs: usize, engines: &[Engine]) -> Vec<Sample> {
                             .map(|x| (x - mean) * (x - mean))
                             .sum::<f64>()
                             / round_sps.len() as f64;
-                        let sample = EngineSample {
+                        let sample = LaneSample {
                             steps_per_sec: median,
                             wall_ms_per_run: steps as f64 / median * 1000.0,
                             rsd_pct: var.sqrt() / mean * 100.0,
@@ -239,20 +260,20 @@ fn measure(jobs: usize, engines: &[Engine]) -> Vec<Sample> {
                         eprintln!(
                             "  {:<12} {:<8} {:>12.0} steps/s  ({} steps, {:.3} ms/run, {} runs, RSD {:.1}%)",
                             spec.name,
-                            engine.name(),
+                            lane.name,
                             sample.steps_per_sec,
                             steps,
                             sample.wall_ms_per_run,
                             total_runs,
                             sample.rsd_pct
                         );
-                        (engine, sample)
+                        (lane, sample)
                     })
                     .collect();
                 Sample {
                     name: spec.name.to_string(),
                     steps,
-                    by_engine,
+                    by_lane,
                     fingerprint: fp,
                 }
             })
@@ -287,7 +308,7 @@ fn write_baseline(samples: &[Sample]) {
          # name<TAB>steps<TAB>steps_per_sec<TAB>wall_ms_per_run<TAB>fingerprint\n",
     );
     for s in samples {
-        let tree = &s.by_engine[0].1;
+        let tree = &s.by_lane[0].1;
         let _ = writeln!(
             out,
             "{}\t{}\t{:.3}\t{:.6}\t{}",
@@ -336,25 +357,22 @@ fn main() {
             .windows(2)
             .any(|w| w[0] == "--phase" && w[1] == "baseline");
     let grid = ent_bench::parse_grid_args_with(0, &["--phase"]);
-    let engines: Vec<Engine> = if capture_baseline {
+    let lanes: Vec<Lane> = if capture_baseline {
         // The stored baseline is the tree walker's numbers by definition.
-        vec![Engine::Tree]
+        vec![TREE]
     } else {
-        match grid.engine {
-            Some(e) => vec![e],
-            None => ENGINES.to_vec(),
-        }
+        LANES.to_vec()
     };
 
     eprintln!(
         "measuring interpreter throughput (Figure-6 E2 suite) under {}...",
-        engines
+        lanes
             .iter()
-            .map(|e| e.name())
+            .map(|lane| lane.name)
             .collect::<Vec<_>>()
             .join(" + ")
     );
-    let samples = measure(grid.jobs, &engines);
+    let samples = measure(grid.jobs, &lanes);
 
     if capture_baseline {
         write_baseline(&samples);
@@ -369,9 +387,9 @@ fn main() {
     let mut threaded_speedups = Vec::new();
     let mut mismatches = Vec::new();
     for (i, s) in samples.iter().enumerate() {
-        // The headline number is the last engine probed (bytecode in the
-        // default two-engine sweep).
-        let fastest = s.by_engine.last().expect("engine measured").1.steps_per_sec;
+        // The headline number is the last lane probed (threaded in the
+        // default sweep).
+        let fastest = s.by_lane.last().expect("lane measured").1.steps_per_sec;
         let (base_sps, speedup, semantics_match) =
             match baseline.as_ref().and_then(|b| b.get(&s.name)) {
                 Some(b) => {
@@ -391,30 +409,30 @@ fn main() {
             "    {{\"name\": \"{}\", \"steps\": {}, \"engines\": {{",
             s.name, s.steps
         );
-        for (j, (engine, e)) in s.by_engine.iter().enumerate() {
+        for (j, (lane, e)) in s.by_lane.iter().enumerate() {
             let _ = write!(
                 json,
                 "{}\"{}\": {{\"steps_per_sec\": {:.1}, \"wall_ms_per_run\": {:.4}, \"rsd_pct\": {:.2}}}",
                 if j == 0 { "" } else { ", " },
-                engine.name(),
+                lane.name,
                 e.steps_per_sec,
                 e.wall_ms_per_run,
                 e.rsd_pct
             );
         }
         let _ = write!(json, "}}");
-        let sps_of = |engine: Engine| {
-            s.by_engine
+        let sps_of = |lane: Lane| {
+            s.by_lane
                 .iter()
-                .find(|(e, _)| *e == engine)
+                .find(|(e, _)| *e == lane)
                 .map(|(_, m)| m.steps_per_sec)
         };
-        if let (Some(tree), Some(vm)) = (sps_of(Engine::Tree), sps_of(Engine::Bytecode)) {
+        if let (Some(tree), Some(vm)) = (sps_of(TREE), sps_of(BYTECODE)) {
             let ratio = vm / tree;
             engine_speedups.push(ratio);
             let _ = write!(json, ", \"bytecode_over_tree\": {ratio:.3}");
         }
-        if let (Some(vm), Some(th)) = (sps_of(Engine::Bytecode), sps_of(Engine::Threaded)) {
+        if let (Some(vm), Some(th)) = (sps_of(BYTECODE), sps_of(THREADED)) {
             let ratio = th / vm;
             threaded_speedups.push(ratio);
             let _ = write!(json, ", \"threaded_over_bytecode\": {ratio:.3}");
@@ -429,7 +447,7 @@ fn main() {
     let current_geo = geomean(
         samples
             .iter()
-            .map(|s| s.by_engine.last().unwrap().1.steps_per_sec),
+            .map(|s| s.by_lane.last().unwrap().1.steps_per_sec),
     );
     let speedup_geo = geomean(speedups.iter().copied());
     let _ = writeln!(json, "  \"steps_per_sec_geomean\": {current_geo:.1},");
@@ -466,8 +484,8 @@ fn main() {
     let metric_rows: Vec<ent_bench::metrics::Row> = samples
         .iter()
         .flat_map(|s| {
-            s.by_engine.iter().map(|(engine, e)| {
-                ent_bench::metrics::Row::new(format!("{}/{}", s.name, engine.name()))
+            s.by_lane.iter().map(|(lane, e)| {
+                ent_bench::metrics::Row::new(format!("{}/{}", s.name, lane.name))
                     .with("steps", s.steps as f64)
                     .with("steps_per_sec", e.steps_per_sec)
                     .with("wall_ms_per_run", e.wall_ms_per_run)

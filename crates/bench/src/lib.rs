@@ -56,10 +56,12 @@ pub fn average_runs(repeats: usize, mut f: impl FnMut(u64) -> f64) -> f64 {
 }
 
 /// Command-line arguments shared by the figure binaries:
-/// `[<value>] [--jobs N] [--faults <spec>] [--fault-seed N]
-/// [--engine tree|bytecode|threaded] [--tier-up N|0|off]
-/// [--enforce guarded|transient]`, where the positional value is the
-/// repeat count (the seed, for `fig11_e3_thermal`).
+/// `[<value>] [--jobs N] [--faults <spec>] [--fault-seed N]`, where the
+/// positional value is the repeat count (the seed, for
+/// `fig11_e3_thermal`). The engine, tier-up and enforcement settings are
+/// not flags: every prepared program reads `ENT_ENGINE`, `ENT_TIER_UP`
+/// and `ENT_ENFORCE` (see `ent_workloads::prepare_e1`), which child
+/// processes inherit.
 #[derive(Clone, Debug)]
 pub struct GridArgs {
     /// The positional value (repeats or seed).
@@ -71,35 +73,17 @@ pub struct GridArgs {
     pub faults: Option<FaultPlan>,
     /// Seed for the fault injector's deterministic schedule.
     pub fault_seed: u64,
-    /// Engine from `--engine`; `None` when the flag is absent (the
-    /// process default — `ENT_ENGINE`, else bytecode — stays in force).
-    pub engine: Option<ent_runtime::Engine>,
-    /// Tier-up threshold from `--tier-up`; `None` when the flag is
-    /// absent (the process default — `ENT_TIER_UP`, else 8 — stays in
-    /// force). Only the threaded engine reads it.
-    pub tier_up: Option<ent_runtime::TierUp>,
-    /// Enforcement strategy from `--enforce`; `None` when the flag is
-    /// absent (the process default — `ENT_ENFORCE`, else guarded — stays
-    /// in force).
-    pub enforce: Option<ent_runtime::Enforcement>,
 }
 
 /// Parses `std::env::args()` as
-/// `[<value>] [--jobs N] [--faults <spec>] [--fault-seed N]
-/// [--engine tree|bytecode|threaded] [--tier-up N|0|off]
-/// [--enforce guarded|transient]`. The jobs default comes from the
-/// `ENT_JOBS` environment variable (else 1); figure output is
-/// bit-identical at every jobs count and under every engine, so those
-/// flags only change speed. `--enforce transient` changes which checks
-/// run, so it *does* change results — that's the point of the
-/// migration-lattice sweep. A malformed `--faults`, `--engine`,
-/// `--tier-up`, or `--enforce` value exits with status 1, as does a zero
-/// or non-numeric `--jobs` or `--fault-seed`, and so does any other
-/// `--flag` — its value would otherwise be read as the positional count.
-/// `--engine`, `--tier-up`, and `--enforce` are installed process-wide
-/// via [`ent_workloads::set_default_engine`] /
-/// [`ent_workloads::set_default_tier_up`] /
-/// [`ent_workloads::set_default_enforcement`].
+/// `[<value>] [--jobs N] [--faults <spec>] [--fault-seed N]`. The jobs
+/// default comes from the `ENT_JOBS` environment variable (else 1);
+/// figure output is bit-identical at every jobs count, so that flag only
+/// changes speed. A malformed `--faults` value exits with status 1, as
+/// does a zero or non-numeric `--jobs` or `--fault-seed`, any other
+/// `--flag` (its value would otherwise be read as the positional count),
+/// and a malformed `ENT_ENGINE`, `ENT_TIER_UP` or `ENT_ENFORCE`
+/// ([`ent_runtime::check_env_settings`]).
 pub fn parse_grid_args(default_value: u64) -> GridArgs {
     parse_grid_args_with(default_value, &[])
 }
@@ -109,14 +93,15 @@ pub fn parse_grid_args(default_value: u64) -> GridArgs {
 /// reads itself, so the grid parser skips the flag and its value instead
 /// of rejecting them.
 pub fn parse_grid_args_with(default_value: u64, own_flags: &[&str]) -> GridArgs {
+    if let Err(e) = ent_runtime::check_env_settings() {
+        eprintln!("{e}");
+        std::process::exit(1);
+    }
     let mut parsed = GridArgs {
         value: default_value,
         jobs: ent_workloads::default_jobs(),
         faults: None,
         fault_seed: 0,
-        engine: None,
-        tier_up: None,
-        enforce: None,
     };
     let mut args = std::env::args().skip(1);
     let set_faults = |spec: &str, parsed: &mut GridArgs| match FaultPlan::parse(spec) {
@@ -126,37 +111,6 @@ pub fn parse_grid_args_with(default_value: u64, own_flags: &[&str]) -> GridArgs 
             std::process::exit(1);
         }
     };
-    let set_engine = |name: &str, parsed: &mut GridArgs| match ent_runtime::Engine::parse(name) {
-        Some(engine) => {
-            ent_workloads::set_default_engine(engine);
-            parsed.engine = Some(engine);
-        }
-        None => {
-            eprintln!("invalid --engine value {name:?} (expected tree, bytecode, or threaded)");
-            std::process::exit(1);
-        }
-    };
-    let set_tier_up = |name: &str, parsed: &mut GridArgs| match ent_runtime::TierUp::parse(name) {
-        Some(tier_up) => {
-            ent_workloads::set_default_tier_up(tier_up);
-            parsed.tier_up = Some(tier_up);
-        }
-        None => {
-            eprintln!("invalid --tier-up value {name:?} (expected 0, off, or a count)");
-            std::process::exit(1);
-        }
-    };
-    let set_enforce =
-        |name: &str, parsed: &mut GridArgs| match ent_runtime::Enforcement::parse(name) {
-            Some(enforcement) => {
-                ent_workloads::set_default_enforcement(enforcement);
-                parsed.enforce = Some(enforcement);
-            }
-            None => {
-                eprintln!("invalid --enforce value {name:?} (expected guarded or transient)");
-                std::process::exit(1);
-            }
-        };
     let parse_jobs = |v: &str| -> usize {
         match v.parse::<usize>() {
             Ok(n) if n >= 1 => n,
@@ -184,24 +138,6 @@ pub fn parse_grid_args_with(default_value: u64, own_flags: &[&str]) -> GridArgs 
             parsed.fault_seed = parse_seed(&v);
         } else if let Some(v) = a.strip_prefix("--fault-seed=") {
             parsed.fault_seed = parse_seed(v);
-        } else if a == "--engine" {
-            let name = args.next().unwrap_or_default();
-            set_engine(&name, &mut parsed);
-        } else if let Some(name) = a.strip_prefix("--engine=") {
-            let name = name.to_string();
-            set_engine(&name, &mut parsed);
-        } else if a == "--tier-up" {
-            let name = args.next().unwrap_or_default();
-            set_tier_up(&name, &mut parsed);
-        } else if let Some(name) = a.strip_prefix("--tier-up=") {
-            let name = name.to_string();
-            set_tier_up(&name, &mut parsed);
-        } else if a == "--enforce" {
-            let name = args.next().unwrap_or_default();
-            set_enforce(&name, &mut parsed);
-        } else if let Some(name) = a.strip_prefix("--enforce=") {
-            let name = name.to_string();
-            set_enforce(&name, &mut parsed);
         } else if a.starts_with("--") {
             let name = a.split_once('=').map_or(a.as_str(), |(name, _)| name);
             if !own_flags.contains(&name) {
@@ -734,6 +670,8 @@ pub mod metrics {
     use std::io;
     use std::path::{Path, PathBuf};
 
+    use ent_runtime::{json_escape, json_f64};
+
     /// One benchmark/configuration row: a label plus named numeric values
     /// in presentation order.
     #[derive(Clone, Debug)]
@@ -761,41 +699,15 @@ pub mod metrics {
         }
     }
 
-    fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    fn num(x: f64) -> String {
-        // `Display` round-trips f64 and never uses an exponent JSON can't
-        // parse; non-finite values have no JSON literal.
-        if x.is_finite() {
-            format!("{x}")
-        } else {
-            "null".to_string()
-        }
-    }
-
     /// Renders rows as one `ent-bench-metrics/1` JSON document.
     pub fn to_json(suite: &str, rows: &[Row]) -> String {
         let mut out = String::from("{\n  \"schema\": \"ent-bench-metrics/1\",\n");
-        let _ = writeln!(out, "  \"suite\": \"{}\",", escape(suite));
+        let _ = writeln!(out, "  \"suite\": \"{}\",", json_escape(suite));
         out.push_str("  \"rows\": [\n");
         for (i, r) in rows.iter().enumerate() {
-            let _ = write!(out, "    {{\"name\": \"{}\"", escape(&r.name));
+            let _ = write!(out, "    {{\"name\": \"{}\"", json_escape(&r.name));
             for (k, v) in &r.values {
-                let _ = write!(out, ", \"{}\": {}", escape(k), num(*v));
+                let _ = write!(out, ", \"{}\": {}", json_escape(k), json_f64(*v));
             }
             out.push('}');
             out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
@@ -944,7 +856,7 @@ mod tests {
         // `ENT_ENFORCE=transient` the same violations raise, but blame
         // lands in the transient counters, so the guarded split is empty.
         let transient = matches!(
-            ent_workloads::default_enforcement(),
+            ent_runtime::Enforcement::from_env(),
             ent_runtime::Enforcement::Transient
         );
         for r in &rows {
@@ -983,7 +895,7 @@ mod tests {
             assert_eq!(get("snapshot_failures"), r.snapshot_failures as f64);
             assert_eq!(get("dfall_failures"), r.dfall_failures as f64);
             if matches!(
-                ent_workloads::default_enforcement(),
+                ent_runtime::Enforcement::from_env(),
                 ent_runtime::Enforcement::Guarded
             ) {
                 assert_eq!(get("exception") > 0.0, get("snapshot_failures") > 0.0);
@@ -1015,7 +927,7 @@ mod tests {
             // run it reports must have seen snapshot failures (guarded
             // blame; under a transient default the counter stays zero).
             if matches!(
-                ent_workloads::default_enforcement(),
+                ent_runtime::Enforcement::from_env(),
                 ent_runtime::Enforcement::Guarded
             ) {
                 assert!(get("snapshot_failures") > 0.0, "{}", m.name);

@@ -1,6 +1,7 @@
-//! The figure binaries' flag contract: a flag they do not know exits 1
-//! with a message naming it, before any grid runs. A skipped flag would
-//! have its value read as the positional repeat count.
+//! The figure binaries' flag contract: a flag they do not know, or a
+//! malformed engine setting in the environment, exits 1 with a message
+//! naming it, before any grid runs. A skipped flag would have its value
+//! read as the positional repeat count.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -16,9 +17,17 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn unknown_flags_exit_one_before_any_grid_runs() {
-    for (i, argv) in [["--adapt", "on"], ["--chunk", "2"], ["--bogus", "1"]]
-        .iter()
-        .enumerate()
+    // The engine settings are environment variables, not grid flags.
+    for (i, argv) in [
+        ["--adapt", "on"],
+        ["--chunk", "2"],
+        ["--bogus", "1"],
+        ["--engine", "tree"],
+        ["--tier-up", "0"],
+        ["--enforce", "guarded"],
+    ]
+    .iter()
+    .enumerate()
     {
         let dir = scratch_dir(&format!("fig9-{i}"));
         let out = Command::new(env!("CARGO_BIN_EXE_fig9_e1_all"))
@@ -36,6 +45,22 @@ fn unknown_flags_exit_one_before_any_grid_runs() {
         assert!(!dir.join("results").exists(), "{argv:?} wrote results/");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn a_malformed_engine_variable_exits_one_before_any_grid_runs() {
+    let dir = scratch_dir("fig9-env");
+    let out = Command::new(env!("CARGO_BIN_EXE_fig9_e1_all"))
+        .env("ENT_ENGINE", "threaded")
+        .current_dir(&dir)
+        .output()
+        .expect("spawn fig9_e1_all");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("ENT_ENGINE"), "got: {stderr}");
+    assert!(out.stdout.is_empty(), "the figure started");
+    assert!(!dir.join("results").exists(), "wrote results/");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

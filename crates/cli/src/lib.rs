@@ -96,16 +96,16 @@ pub struct Options {
     /// How long a last-known-good sensor reading may be served after a
     /// fault before decisions degrade (`None` = the runtime default).
     pub staleness_bound: Option<f64>,
-    /// Engine from `--engine` (`None` = the runtime default: bytecode,
-    /// overridable via the `ENT_ENGINE` environment variable).
+    /// Engine from `--engine` (`None` = [`Engine::from_env`]: the
+    /// `ENT_ENGINE` environment variable, else bytecode).
     pub engine: Option<Engine>,
-    /// Tier-up threshold from `--tier-up` (`None` = the runtime default:
-    /// 8 hot hits, overridable via the `ENT_TIER_UP` environment
-    /// variable). Only the threaded engine reads it.
+    /// Tier-up threshold from `--tier-up` (`None` = [`TierUp::from_env`]:
+    /// the `ENT_TIER_UP` environment variable, else off). Only the
+    /// bytecode engine reads it.
     pub tier_up: Option<TierUp>,
-    /// Enforcement strategy from `--enforce` (`None` = the runtime
-    /// default: guarded, overridable via the `ENT_ENFORCE` environment
-    /// variable).
+    /// Enforcement strategy from `--enforce` (`None` =
+    /// [`Enforcement::from_env`]: the `ENT_ENFORCE` environment variable,
+    /// else guarded).
     pub enforce: Option<Enforcement>,
 }
 
@@ -166,15 +166,13 @@ options:
                        after a fault before decisions degrade; must be a
                        positive number (default: 5)
   --engine <e>         method-body execution engine: bytecode (the register
-                       VM, default), tree (the recursive evaluator), or
-                       threaded (closure-threaded tier over the VM, with
-                       profile-guided tier-up and deopt back to bytecode);
-                       all produce bit-identical results (ENT_ENGINE env
-                       default)
-  --tier-up <n>        hot-body threshold before the threaded engine compiles
-                       a method body: 0 = compile immediately, off = never
-                       tier up, else the call count (default: 8; ENT_TIER_UP
-                       env default); ignored by the other engines
+                       VM, default) or tree (the recursive evaluator); both
+                       produce bit-identical results (ENT_ENGINE env default)
+  --tier-up <n>        when the bytecode engine compiles a hot method body to
+                       its closure-threaded tier (deopting back to bytecode
+                       where a guard fails): 0 = on first call, off = never,
+                       else after <n> calls (default: off; ENT_TIER_UP env
+                       default); results are bit-identical at every setting
   --enforce <s>        mode-check enforcement strategy: guarded (deep snapshot
                        boundaries + dynamic waterfall, the paper's semantics,
                        default) or transient (shallow first-order checks at
@@ -336,9 +334,12 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
             "--engine" => {
                 let v = it
                     .next()
-                    .ok_or("--engine needs a value (tree, bytecode, or threaded)")?;
+                    .ok_or("--engine needs a value (tree or bytecode)")?;
                 options.engine = Some(Engine::parse(v).ok_or_else(|| {
-                    format!("unknown engine `{v}` (expected tree, bytecode, or threaded)")
+                    format!(
+                        "unknown engine `{v}` (expected tree or bytecode; \
+                         the threaded tier is --tier-up <n>)"
+                    )
                 })?);
             }
             "--tier-up" => {
@@ -406,14 +407,8 @@ pub fn execute(options: &Options, src: &str) -> (i32, String) {
                     return (EXIT_COMPILE, out);
                 }
             };
-            let config = RuntimeConfig {
-                battery_level: options.battery,
-                seed: options.seed,
-                engine: options.engine.unwrap_or_default(),
-                tier_up: options.tier_up.unwrap_or_else(TierUp::from_env),
-                ..RuntimeConfig::default()
-            };
-            let result = run(&compiled, Platform::system_a(), config);
+            let (platform, config) = run_config(options);
+            let result = run(&compiled, platform, config);
             match &result.value {
                 Ok(_) => {
                     for line in &result.output {
@@ -524,34 +519,7 @@ pub struct RunOutcome {
 /// byte-identical to its one-shot equivalent by construction.
 pub fn run_prepared(options: &Options, lowered: &ent_runtime::LoweredProgram) -> RunOutcome {
     let mut out = String::new();
-    let platform = match options.platform.as_str() {
-        "b" => Platform::system_b(),
-        "c" => Platform::system_c(),
-        _ => Platform::system_a(),
-    };
-    let mut config = RuntimeConfig {
-        silent: options.silent,
-        battery_level: options.battery,
-        seed: options.seed,
-        trace_interval_s: options.trace.then_some(1.0),
-        record_events: options.events || options.metrics_json.is_some(),
-        profile: options.profile_mode(),
-        faults: options.faults.clone(),
-        fault_seed: options.fault_seed,
-        engine: options.engine.unwrap_or_default(),
-        tier_up: options.tier_up.unwrap_or_else(TierUp::from_env),
-        enforcement: options.enforce.unwrap_or_else(Enforcement::from_env),
-        ..RuntimeConfig::default()
-    };
-    if let Some(limit) = options.events_limit {
-        config.events_capacity = limit;
-    }
-    if let Some(stack) = options.stack_size {
-        config.stack_size = stack;
-    }
-    if let Some(bound) = options.staleness_bound {
-        config.staleness_bound_s = bound;
-    }
+    let (platform, config) = run_config(options);
     let result = run_lowered(lowered, platform, config);
     for line in &result.output {
         let _ = writeln!(out, "{line}");
@@ -639,6 +607,41 @@ pub fn run_prepared(options: &Options, lowered: &ent_runtime::LoweredProgram) ->
         sensor_faults: result.stats.sensor_faults,
         degraded_decisions: result.stats.degraded_decisions,
     }
+}
+
+/// The platform and runtime configuration `options` select — the one
+/// place a flag, else its environment default, becomes a run setting
+/// (`run` and `eval` both run under it).
+fn run_config(options: &Options) -> (Platform, RuntimeConfig) {
+    let platform = match options.platform.as_str() {
+        "b" => Platform::system_b(),
+        "c" => Platform::system_c(),
+        _ => Platform::system_a(),
+    };
+    let mut config = RuntimeConfig {
+        silent: options.silent,
+        battery_level: options.battery,
+        seed: options.seed,
+        trace_interval_s: options.trace.then_some(1.0),
+        record_events: options.events || options.metrics_json.is_some(),
+        profile: options.profile_mode(),
+        faults: options.faults.clone(),
+        fault_seed: options.fault_seed,
+        engine: options.engine.unwrap_or_else(Engine::from_env),
+        tier_up: options.tier_up.unwrap_or_else(TierUp::from_env),
+        enforcement: options.enforce.unwrap_or_else(Enforcement::from_env),
+        ..RuntimeConfig::default()
+    };
+    if let Some(limit) = options.events_limit {
+        config.events_capacity = limit;
+    }
+    if let Some(stack) = options.stack_size {
+        config.stack_size = stack;
+    }
+    if let Some(bound) = options.staleness_bound {
+        config.staleness_bound_s = bound;
+    }
+    (platform, config)
 }
 
 fn summarize_trace(temps: &[f64]) -> String {
@@ -931,26 +934,29 @@ mod tests {
         assert_eq!(o.engine, Some(Engine::Tree));
         let o = parse_args(&args(&["run", "x.ent", "--engine", "bytecode"])).unwrap();
         assert_eq!(o.engine, Some(Engine::Bytecode));
-        let o = parse_args(&args(&["run", "x.ent", "--engine", "threaded"])).unwrap();
-        assert_eq!(o.engine, Some(Engine::Threaded));
         assert!(parse_args(&args(&["run", "x.ent", "--engine", "jit"])).is_err());
         assert!(parse_args(&args(&["run", "x.ent", "--engine"])).is_err());
+        // The threaded tier is a tier-up setting of bytecode, not an
+        // engine, and the rejection says where it went.
+        let err = parse_args(&args(&["run", "x.ent", "--engine", "threaded"])).unwrap_err();
+        assert!(err.contains("--tier-up"), "{err}");
 
-        // The flag must not change a single output byte — including the
+        // The flags must not change a single output byte — including the
         // threaded tier forced to compile every body (`--tier-up 0`).
         let tree = parse_args(&args(&["run", "x.ent", "--engine", "tree"])).unwrap();
         let vm = parse_args(&args(&["run", "x.ent", "--engine", "bytecode"])).unwrap();
-        let th = parse_args(&args(&[
-            "run",
-            "x.ent",
-            "--engine",
-            "threaded",
-            "--tier-up",
-            "0",
-        ]))
-        .unwrap();
+        let th = parse_args(&args(&["run", "x.ent", "--tier-up", "0"])).unwrap();
         assert_eq!(execute(&tree, HELLO), execute(&vm, HELLO));
         assert_eq!(execute(&vm, HELLO), execute(&th, HELLO));
+    }
+
+    #[test]
+    fn eval_runs_under_the_run_options() {
+        // System B's ambient temperature is 45 °C, System A's 42 °C.
+        let o = parse_args(&args(&["eval", "Ext.temperature()", "--platform", "b"])).unwrap();
+        let (code, out) = execute(&o, &o.path);
+        assert_eq!(code, EXIT_OK, "{out}");
+        assert_eq!(out.trim(), "45");
     }
 
     #[test]

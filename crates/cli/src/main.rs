@@ -17,6 +17,10 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
+    if let Err(msg) = ent_runtime::check_env_settings() {
+        eprintln!("error: {msg}");
+        return ExitCode::from(1);
+    }
     // `eval` takes the expression text itself; the other commands read a
     // file.
     let src = if options.command == ent_cli::Command::Eval {

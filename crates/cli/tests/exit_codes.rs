@@ -2,10 +2,13 @@
 //! documented code, and the degraded-completion code is reachable only
 //! through `--faults`.
 
+use std::process::{Command, Output};
+
 use ent_cli::{
     execute, parse_args, EXIT_COMPILE, EXIT_DEGRADED, EXIT_OK, EXIT_REQUIRES_ENT, EXIT_RUNTIME,
     EXIT_USAGE,
 };
+use ent_runtime::json::{self, Json};
 
 fn cli(args: &[&str], src: &str) -> (i32, String) {
     let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -50,10 +53,11 @@ fn malformed_numeric_flags_exit_one_with_a_clear_message() {
         ("--staleness-bound", "0", "staleness bound"),
         ("--staleness-bound", "soon", "staleness bound"),
         ("--chunk", "2", "unknown option `--chunk`"),
+        ("--engine", "threaded", "unknown engine `threaded`"),
         ("--sample-period", "0", "sample period"),
         ("--sample-period", "often", "sample period"),
     ] {
-        let out = std::process::Command::new(ent)
+        let out = Command::new(ent)
             .args(["run", "x.ent", flag, value])
             .output()
             .expect("spawn ent");
@@ -68,6 +72,80 @@ fn malformed_numeric_flags_exit_one_with_a_clear_message() {
             "`{flag} {value}` message should mention `{named}`, got: {stderr}"
         );
     }
+}
+
+/// The engine settings' environment variables, cleared before each
+/// spawned run so the workspace test lanes that set them cannot leak in.
+const ENGINE_VARS: [&str; 3] = ["ENT_ENGINE", "ENT_TIER_UP", "ENT_ENFORCE"];
+
+/// Spawns `ent` with `args` under exactly the engine variables in `env`.
+fn spawn_ent(args: &[&str], env: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ent"));
+    for var in ENGINE_VARS {
+        cmd.env_remove(var);
+    }
+    cmd.args(args).envs(env.iter().copied());
+    cmd.output().expect("spawn ent")
+}
+
+#[test]
+fn tier_up_reaches_the_run_from_the_flag_and_the_environment() {
+    let crawler = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/ent/crawler.ent"
+    );
+    let dir = std::env::temp_dir().join(format!("ent-tier-up-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let threaded_entries = |tag: &str, flags: &[&str], env: &[(&str, &str)]| -> f64 {
+        let metrics = dir.join(format!("{tag}.json"));
+        let metrics = metrics.to_str().expect("utf-8 temp path");
+        let mut args = vec!["run", crawler, "--metrics-json", metrics];
+        args.extend(flags);
+        let out = spawn_ent(&args, env);
+        assert_eq!(out.status.code(), Some(EXIT_OK), "{tag}: {out:?}");
+        let doc = std::fs::read_to_string(metrics).expect("telemetry written");
+        let doc = json::parse(&doc).expect("telemetry parses");
+        doc.get("tier")
+            .and_then(|t| t.get("threaded_entries"))
+            .and_then(Json::as_f64)
+            .expect("tier.threaded_entries")
+    };
+    assert!(threaded_entries("flag", &["--tier-up", "0"], &[]) > 0.0);
+    assert!(threaded_entries("env", &[], &[("ENT_TIER_UP", "0")]) > 0.0);
+    assert_eq!(
+        threaded_entries("tree", &["--tier-up", "0"], &[("ENT_ENGINE", "tree")]),
+        0.0,
+        "the tree engine never tiers"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn malformed_engine_settings_in_the_environment_exit_one() {
+    // Checked before any file is read: the path does not exist, yet the
+    // message names the variable and what it accepts, not the file.
+    for (var, value, accepted) in [
+        (
+            "ENT_ENGINE",
+            "threaded",
+            "the threaded tier is a tier-up setting",
+        ),
+        ("ENT_TIER_UP", "soon", "0, off, or a count"),
+        ("ENT_ENFORCE", "eager", "guarded or transient"),
+    ] {
+        let out = spawn_ent(&["run", "no-such-file.ent"], &[(var, value)]);
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "{var}={value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for needle in [var, value, accepted] {
+            assert!(
+                stderr.contains(needle),
+                "{var}={value}: no {needle:?} in {stderr}"
+            );
+        }
+    }
+    // An empty value counts as unset.
+    let out = spawn_ent(&["eval", "1 + 2"], &[("ENT_ENGINE", "")]);
+    assert_eq!(out.status.code(), Some(EXIT_OK), "{out:?}");
 }
 
 #[test]

@@ -39,9 +39,9 @@ use crate::value::{ObjRef, Value};
 
 /// Which enforcement strategy discharges mode obligations at run time.
 ///
-/// Selected per run via [`crate::RuntimeConfig::enforcement`], the CLI
-/// `--enforce` flag, or the `ENT_ENFORCE` environment variable (workloads
-/// and harness layers only — like `ENT_ENGINE`, the env var never leaks
+/// Selected per run via [`crate::RuntimeConfig::enforcement`] or the CLI
+/// `--enforce` flag, else by the `ENT_ENFORCE` environment variable
+/// ([`Enforcement::from_env`]; like `ENT_ENGINE`, the env var never leaks
 /// into [`crate::RuntimeConfig::default`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Enforcement {
@@ -74,11 +74,12 @@ impl Enforcement {
     }
 
     /// The process-default strategy: `ENT_ENFORCE` (`guarded` |
-    /// `transient`), or `Guarded` when unset or unparseable.
+    /// `transient`), or `Guarded` when unset. Binaries reject a malformed
+    /// value at startup ([`crate::check_env_settings`]).
     pub fn from_env() -> Enforcement {
-        std::env::var("ENT_ENFORCE")
+        super::env_setting("ENT_ENFORCE", Self::parse)
             .ok()
-            .and_then(|v| Self::parse(&v))
+            .flatten()
             .unwrap_or_default()
     }
 }

@@ -32,9 +32,9 @@
 #[path = "vm.rs"]
 mod vm;
 
-// The tier-2 closure-threaded engine is likewise a child module: its ops
-// call straight into the same private `Interp` machinery the bytecode VM
-// uses, and deopt hands a live frame back to `vm::exec_from`.
+// The bytecode engine's closure-threaded tier is likewise a child module:
+// its ops call straight into the same private `Interp` machinery the
+// bytecode VM uses, and deopt hands a live frame back to `vm::exec_from`.
 #[path = "threaded/mod.rs"]
 pub(crate) mod threaded;
 
@@ -82,24 +82,21 @@ pub enum Engine {
     /// The flat register-bytecode VM: bodies are compiled lazily (once per
     /// program, cached on the lowered program so batch runs share them)
     /// into superinstruction-fused bytecode with mode-decision inline
-    /// caches. The default.
+    /// caches. Hot bodies (per [`RuntimeConfig::tier_up`]) are further
+    /// compiled into the closure-threaded tier: a flat array of
+    /// monomorphized fn-pointer ops with pre-resolved operands, whose
+    /// guarded ops deopt back to bytecode at the faulting site (see
+    /// [`TierStats`]). The default.
     #[default]
     Bytecode,
-    /// The tier-2 closure-threaded engine: hot bodies (per
-    /// [`RuntimeConfig::tier_up`]) are further compiled from bytecode into
-    /// a flat array of monomorphized fn-pointer ops with pre-resolved
-    /// operands; guarded ops deopt back to the bytecode VM at the faulting
-    /// site (see [`TierStats`]). Cold bodies run on the bytecode VM.
-    Threaded,
 }
 
 impl Engine {
-    /// Parses a CLI-facing engine name (`tree` | `bytecode` | `threaded`).
+    /// Parses a CLI-facing engine name (`tree` | `bytecode`).
     pub fn parse(s: &str) -> Option<Engine> {
         match s {
             "tree" => Some(Engine::Tree),
             "bytecode" => Some(Engine::Bytecode),
-            "threaded" => Some(Engine::Threaded),
             _ => None,
         }
     }
@@ -109,38 +106,37 @@ impl Engine {
         match self {
             Engine::Tree => "tree",
             Engine::Bytecode => "bytecode",
-            Engine::Threaded => "threaded",
         }
+    }
+
+    /// The process-default engine: `ENT_ENGINE` (`tree` | `bytecode`), or
+    /// bytecode when unset. Binaries reject a malformed value at startup
+    /// ([`check_env_settings`]).
+    pub fn from_env() -> Engine {
+        env_setting("ENT_ENGINE", Engine::parse)
+            .ok()
+            .flatten()
+            .unwrap_or_default()
     }
 }
 
-/// When the threaded engine promotes a body from bytecode to tier-2
-/// threaded code. Promotion is profile-guided: each body carries a hit
-/// counter and compiles (lazily, once per program — batch runs share the
-/// compiled tier like they share bytecode) when the counter crosses the
-/// threshold. Tier choice is perf-only and never observable: `--tier-up 0`
-/// and `--tier-up off` runs are byte-identical, which CI gates pin.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// When the bytecode engine promotes a body to the closure-threaded tier.
+/// Promotion is profile-guided: each body carries a hit counter and
+/// compiles (lazily, once per program — batch runs share the compiled tier
+/// like they share bytecode) when the counter crosses the threshold. Tier
+/// choice is perf-only and never observable: `--tier-up 0` and
+/// `--tier-up off` runs are byte-identical, which CI gates pin.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TierUp {
     /// Promote on the first invocation (`--tier-up 0`).
     Always,
-    /// Never promote; the threaded engine degenerates to pure bytecode
-    /// (`--tier-up off`).
+    /// Never promote: every body runs on bytecode (`--tier-up off`, the
+    /// default).
+    #[default]
     Never,
     /// Promote once a body has been invoked this many times.
     After(u32),
 }
-
-impl Default for TierUp {
-    fn default() -> Self {
-        TierUp::After(DEFAULT_TIER_UP_THRESHOLD)
-    }
-}
-
-/// Default hot-body threshold: low enough that every benchmark-relevant
-/// body tiers up within warmup, high enough that one-shot init bodies
-/// skip the compile.
-pub const DEFAULT_TIER_UP_THRESHOLD: u32 = 8;
 
 impl TierUp {
     /// Parses a CLI-facing threshold: `off` never promotes, `0` always
@@ -166,13 +162,54 @@ impl TierUp {
     }
 
     /// The process-default threshold: `ENT_TIER_UP` (`off` | `0` | `N`),
-    /// or the default threshold when unset or unparseable.
+    /// or `off` when unset. Binaries reject a malformed value at startup
+    /// ([`check_env_settings`]).
     pub fn from_env() -> TierUp {
-        std::env::var("ENT_TIER_UP")
+        env_setting("ENT_TIER_UP", TierUp::parse)
             .ok()
-            .and_then(|v| Self::parse(&v))
+            .flatten()
             .unwrap_or_default()
     }
+}
+
+/// Reads one engine setting from the environment: `Ok(None)` when `var`
+/// is unset or empty, `Err` naming the variable when its value does not
+/// parse.
+pub(crate) fn env_setting<T>(var: &str, parse: fn(&str) -> Option<T>) -> Result<Option<T>, String> {
+    let Some(value) = std::env::var_os(var) else {
+        return Ok(None);
+    };
+    let value = value.to_string_lossy();
+    let value = value.trim();
+    if value.is_empty() {
+        return Ok(None);
+    }
+    parse(value)
+        .map(Some)
+        .ok_or_else(|| format!("malformed {var} value `{value}`"))
+}
+
+/// Checks `ENT_ENGINE`, `ENT_TIER_UP` and `ENT_ENFORCE`, the environment
+/// defaults of [`RuntimeConfig`]'s engine settings. Binaries call this at
+/// startup and exit 1 on `Err`, so a malformed value fails loudly instead
+/// of [`Engine::from_env`], [`TierUp::from_env`] or
+/// [`Enforcement::from_env`] falling back to the default.
+///
+/// # Errors
+///
+/// A message naming the first variable whose value does not parse and
+/// the values it accepts.
+pub fn check_env_settings() -> Result<(), String> {
+    let hint = |e: String, expected: &str| format!("{e} (expected {expected})");
+    env_setting("ENT_ENGINE", Engine::parse).map_err(|e| {
+        hint(
+            e,
+            "tree or bytecode; the threaded tier is a tier-up setting, ENT_TIER_UP",
+        )
+    })?;
+    env_setting("ENT_TIER_UP", TierUp::parse).map_err(|e| hint(e, "0, off, or a count"))?;
+    env_setting("ENT_ENFORCE", Enforcement::parse).map_err(|e| hint(e, "guarded or transient"))?;
+    Ok(())
 }
 
 /// Configuration for a single program run.
@@ -245,8 +282,8 @@ pub struct RuntimeConfig {
     /// `transient` (shallow first-order checks with check-site blame —
     /// see [`Enforcement`]).
     pub enforcement: Enforcement,
-    /// Hot-body promotion threshold for the threaded engine (ignored by
-    /// the other engines). See [`TierUp`].
+    /// When the bytecode engine promotes a hot body to the threaded tier
+    /// (never by default; ignored by the tree engine). See [`TierUp`].
     pub tier_up: TierUp,
 }
 
@@ -346,12 +383,12 @@ pub enum DeoptReason {
     FaultEpoch,
 }
 
-/// Tiering counters for one run of the threaded engine (all zero on the
-/// other engines). Deliberately *not* part of [`RunStats`]: stats are part
-/// of the cross-engine bit-identical contract (the differential harness
-/// compares them verbatim), while tier choice is a perf-only detail that
-/// legitimately varies with `--tier-up`. Surfaced as the `tier` object in
-/// `ent-run-telemetry/1`.
+/// Tiering counters for one run (all zero unless the bytecode engine
+/// tiered a body up, which it never does by default). Deliberately *not*
+/// part of [`RunStats`]: stats are part of the cross-engine bit-identical
+/// contract (the differential harness compares them verbatim), while tier
+/// choice is a perf-only detail that legitimately varies with
+/// `--tier-up`. Surfaced as the `tier` object in `ent-run-telemetry/1`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TierStats {
     /// Bodies entered in tier-2 threaded code.
@@ -420,8 +457,8 @@ pub struct RunResult {
     /// The enforcement strategy the run executed under (mirrors
     /// [`RuntimeConfig::enforcement`]; surfaced in telemetry).
     pub enforcement: Enforcement,
-    /// Tier-up/deopt counters for the threaded engine (all zero on the
-    /// other engines; see [`TierStats`] for why they live outside
+    /// Tier-up/deopt counters of the threaded tier (all zero unless a
+    /// body tiered up; see [`TierStats`] for why they live outside
     /// [`RunStats`]).
     pub tier: TierStats,
 }
@@ -738,13 +775,13 @@ struct Interp<'p> {
     ic_arm: Vec<Option<vm::ArmIc>>,
     /// Per-run snapshot bounds-verdict caches (bytecode engine).
     ic_snap: Vec<Option<vm::SnapIc>>,
-    /// Per-run send-site polymorphism counters (threaded engine), indexed
+    /// Per-run send-site polymorphism counters (threaded tier), indexed
     /// like `ic_send`: each IC miss in threaded code bumps the site's
     /// count, and a site that transitions too often deopts as
     /// megamorphic. Saturating, never reset within a run — deterministic
     /// for a deterministic run.
     ic_poly: Vec<u8>,
-    /// Tiering counters for this run (threaded engine only).
+    /// Tiering counters for this run (threaded tier only).
     tier: TierStats,
 }
 
@@ -858,10 +895,10 @@ impl<'p> Interp<'p> {
     /// Executes one lowered body on the configured engine. The bytecode
     /// engine lazily compiles into `cell` (shared program-wide, so batch
     /// runs compile once) and resizes the frame's register file; `n_base`
-    /// is the body's parameter count (its fixed leading locals). The
-    /// threaded engine additionally consults the cell's hit counter and,
-    /// once hot (per [`RuntimeConfig::tier_up`]), compiles the bytecode to
-    /// tier-2 threaded code — also cached program-wide — and enters it.
+    /// is the body's parameter count (its fixed leading locals). Once the
+    /// body is hot (per [`RuntimeConfig::tier_up`]) it also compiles the
+    /// bytecode to the threaded tier — cached program-wide as well — and
+    /// enters that instead.
     fn run_body(
         &mut self,
         frame: &mut Frame,
@@ -869,39 +906,31 @@ impl<'p> Interp<'p> {
         cell: &'p BodyCell,
         n_base: u32,
     ) -> EvalResult {
-        match self.config.engine {
-            Engine::Tree => self.eval(frame, body),
-            Engine::Bytecode => {
-                let code = cell.code_or_compile(body, n_base, &self.prog.ic);
-                frame.locals.resize(code.frame_size as usize, Value::Unit);
-                self.exec(frame, code)
-            }
-            Engine::Threaded => {
-                let code = cell.code_or_compile(body, n_base, &self.prog.ic);
-                frame.locals.resize(code.frame_size as usize, Value::Unit);
-                let hot = match self.config.tier_up {
-                    TierUp::Never => false,
-                    TierUp::Always => true,
-                    // The counter is program-wide (shared by concurrent
-                    // runs) and drives a perf-only choice, so the benign
-                    // count race needs no stronger ordering.
-                    TierUp::After(n) => cell.hot_hit() >= n,
-                };
-                if hot {
-                    let mut fresh = false;
-                    let tcode = cell.threaded.get_or_init(|| {
-                        fresh = true;
-                        threaded::compile_threaded(code)
-                    });
-                    if fresh {
-                        self.tier.threaded_compiles += 1;
-                    }
-                    threaded::enter(self, frame, code, tcode)
-                } else {
-                    self.exec(frame, code)
-                }
-            }
+        if self.config.engine == Engine::Tree {
+            return self.eval(frame, body);
         }
+        let code = cell.code_or_compile(body, n_base, &self.prog.ic);
+        frame.locals.resize(code.frame_size as usize, Value::Unit);
+        let hot = match self.config.tier_up {
+            TierUp::Never => false,
+            TierUp::Always => true,
+            // The counter is program-wide (shared by concurrent runs) and
+            // drives a perf-only choice, so the benign count race needs no
+            // stronger ordering.
+            TierUp::After(n) => cell.hot_hit() >= n,
+        };
+        if !hot {
+            return self.exec(frame, code);
+        }
+        let mut fresh = false;
+        let tcode = cell.threaded.get_or_init(|| {
+            fresh = true;
+            threaded::compile_threaded(code)
+        });
+        if fresh {
+            self.tier.threaded_compiles += 1;
+        }
+        threaded::enter(self, frame, code, tcode)
     }
 
     /// The single "virtual time advanced" hook: every interpreter-driven

@@ -46,6 +46,7 @@ mod error;
 mod events;
 pub mod formal;
 mod interp;
+pub mod json;
 mod lower;
 mod profile;
 mod stack;
@@ -55,8 +56,8 @@ mod value;
 pub use error::{Flow, RtError};
 pub use events::{render_event, EnergyEvent, EventPayload, EventRing, FaultServe};
 pub use interp::{
-    run, run_lowered, DeoptReason, Enforcement, Engine, RunResult, RunStats, RuntimeConfig,
-    TierStats, TierUp, DEFAULT_TIER_UP_THRESHOLD,
+    check_env_settings, run, run_lowered, DeoptReason, Enforcement, Engine, RunResult, RunStats,
+    RuntimeConfig, TierStats, TierUp,
 };
 pub use lower::{lower_program, GMode, LoweredProgram};
 pub use profile::{

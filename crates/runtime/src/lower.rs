@@ -129,11 +129,11 @@ pub(crate) struct MParam {
 pub(crate) struct BodyCell {
     /// Lazily compiled bytecode (see [`crate::compile`]).
     code: OnceLock<crate::compile::Code>,
-    /// Invocation hit counter driving the threaded engine's
+    /// Invocation hit counter driving the bytecode engine's
     /// profile-guided tier-up. Program-wide and racy by design: tier
     /// choice is perf-only and never observable in results.
     hot: AtomicU32,
-    /// Lazily compiled tier-2 threaded code (threaded engine only).
+    /// Lazily compiled threaded-tier code (hot bodies only).
     pub(crate) threaded: OnceLock<crate::interp::threaded::TCode>,
 }
 

@@ -9,8 +9,8 @@
 //! patterns as hex strings so consumers can compare energy/time across
 //! configurations bit-for-bit, the same way the semantics fingerprints do.
 //!
-//! [`json_is_valid`] is a minimal syntax checker (not a parser) used by
-//! tests to guarantee every emitted document is well-formed without
+//! [`json_is_valid`] checks a document against [`crate::json`]'s grammar;
+//! tests use it to guarantee every emitted document is well-formed without
 //! pulling in a JSON crate.
 
 use std::fmt::Write as _;
@@ -169,10 +169,11 @@ impl RunResult {
             s.snapshot_failures,
         );
 
-        // Tiering counters. All-zero for the tree and bytecode engines
-        // (they never tier), so the object is byte-identical across
-        // engines unless the threaded tier actually ran — the sampled
-        // determinism gates diff full telemetry lines across engines.
+        // Tiering counters. All-zero unless the bytecode engine tiered a
+        // body up (it never does by default), so the object is
+        // byte-identical across engines unless the threaded tier actually
+        // ran — the sampled determinism gates diff full telemetry lines
+        // across engines.
         let t = &self.tier;
         let _ = write!(
             out,
@@ -198,190 +199,28 @@ impl RunResult {
     }
 }
 
-/// A minimal JSON well-formedness check — a recursive-descent scan over the
-/// grammar, accepting exactly one top-level value. Used by tests in place
-/// of a JSON crate; it validates syntax only and builds nothing.
+/// Whether `s` is exactly one well-formed JSON document — the grammar
+/// [`crate::json::parse`] reads.
 pub fn json_is_valid(s: &str) -> bool {
-    let b = s.as_bytes();
-    let mut i = 0;
-    if !scan_value(b, &mut i, 0) {
-        return false;
-    }
-    skip_ws(b, &mut i);
-    i == b.len()
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn scan_value(b: &[u8], i: &mut usize, depth: usize) -> bool {
-    if depth > 128 {
-        return false;
-    }
-    skip_ws(b, i);
-    match b.get(*i) {
-        Some(b'{') => scan_seq(b, i, depth, b'}', |b, i, depth| {
-            scan_string(b, i)
-                && {
-                    skip_ws(b, i);
-                    b.get(*i) == Some(&b':') && {
-                        *i += 1;
-                        true
-                    }
-                }
-                && scan_value(b, i, depth + 1)
-        }),
-        Some(b'[') => scan_seq(b, i, depth, b']', |b, i, depth| scan_value(b, i, depth + 1)),
-        Some(b'"') => scan_string(b, i),
-        Some(b't') => scan_lit(b, i, b"true"),
-        Some(b'f') => scan_lit(b, i, b"false"),
-        Some(b'n') => scan_lit(b, i, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => scan_number(b, i),
-        _ => false,
-    }
-}
-
-fn scan_seq(
-    b: &[u8],
-    i: &mut usize,
-    depth: usize,
-    close: u8,
-    item: impl Fn(&[u8], &mut usize, usize) -> bool,
-) -> bool {
-    *i += 1; // the opening bracket
-    skip_ws(b, i);
-    if b.get(*i) == Some(&close) {
-        *i += 1;
-        return true;
-    }
-    loop {
-        skip_ws(b, i);
-        if !item(b, i, depth) {
-            return false;
-        }
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(c) if *c == close => {
-                *i += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn scan_string(b: &[u8], i: &mut usize) -> bool {
-    if b.get(*i) != Some(&b'"') {
-        return false;
-    }
-    *i += 1;
-    while let Some(&c) = b.get(*i) {
-        match c {
-            b'"' => {
-                *i += 1;
-                return true;
-            }
-            b'\\' => {
-                *i += 1;
-                match b.get(*i) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *i += 1,
-                    Some(b'u') => {
-                        *i += 1;
-                        for _ in 0..4 {
-                            if !b.get(*i).is_some_and(u8::is_ascii_hexdigit) {
-                                return false;
-                            }
-                            *i += 1;
-                        }
-                    }
-                    _ => return false,
-                }
-            }
-            c if c < 0x20 => return false,
-            _ => *i += 1,
-        }
-    }
-    false
-}
-
-fn scan_lit(b: &[u8], i: &mut usize, lit: &[u8]) -> bool {
-    if b[*i..].starts_with(lit) {
-        *i += lit.len();
-        true
-    } else {
-        false
-    }
-}
-
-fn scan_number(b: &[u8], i: &mut usize) -> bool {
-    if b.get(*i) == Some(&b'-') {
-        *i += 1;
-    }
-    let digits = |b: &[u8], i: &mut usize| -> bool {
-        let start = *i;
-        while b.get(*i).is_some_and(u8::is_ascii_digit) {
-            *i += 1;
-        }
-        *i > start
-    };
-    if !digits(b, i) {
-        return false;
-    }
-    if b.get(*i) == Some(&b'.') {
-        *i += 1;
-        if !digits(b, i) {
-            return false;
-        }
-    }
-    if matches!(b.get(*i), Some(b'e' | b'E')) {
-        *i += 1;
-        if matches!(b.get(*i), Some(b'+' | b'-')) {
-            *i += 1;
-        }
-        if !digits(b, i) {
-            return false;
-        }
-    }
-    true
+    crate::json::parse(s).is_ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::tests::{malformed, well_formed};
 
     #[test]
     fn validator_accepts_well_formed_documents() {
-        for s in [
-            "{}",
-            "[]",
-            "null",
-            "-12.5e-3",
-            "\"a \\\"b\\\" \\u00e9\"",
-            "{\"a\": [1, 2.5, true, null], \"b\": {\"c\": \"d\"}}",
-        ] {
-            assert!(json_is_valid(s), "should accept: {s}");
+        for s in well_formed() {
+            assert!(json_is_valid(&s), "should accept: {s}");
         }
     }
 
     #[test]
     fn validator_rejects_malformed_documents() {
-        for s in [
-            "",
-            "{",
-            "{\"a\": }",
-            "[1, ]",
-            "{'a': 1}",
-            "NaN",
-            "01a",
-            "{} extra",
-            "\"unterminated",
-            "{\"a\" 1}",
-        ] {
-            assert!(!json_is_valid(s), "should reject: {s}");
+        for s in malformed() {
+            assert!(!json_is_valid(&s), "should reject: {s}");
         }
     }
 

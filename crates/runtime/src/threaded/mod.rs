@@ -1,5 +1,5 @@
-//! The tier-2 closure-threaded engine: compiles a body's bytecode
-//! ([`Code`]) into a flat array of monomorphized fn-pointer ops
+//! The bytecode engine's closure-threaded tier: compiles a hot body's
+//! bytecode ([`Code`]) into a flat array of monomorphized fn-pointer ops
 //! ([`TOp`]) with pre-resolved operands, replacing the VM's pc-driven
 //! `match` dispatch with one indirect call per op.
 //!

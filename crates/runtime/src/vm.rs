@@ -168,7 +168,7 @@ impl<'p> Interp<'p> {
     }
 
     /// Resumes bytecode execution of a live frame at an arbitrary `pc`
-    /// with an already-active `try`-handler stack — the threaded engine's
+    /// with an already-active `try`-handler stack — the threaded tier's
     /// deopt entry point. Sound because threaded code executes the same
     /// compiled `Code` against the same register layout, so the frame and
     /// handler stack carry over unchanged; the caller owns the

@@ -1,9 +1,10 @@
 //! The sampled profiler's contracts:
 //!
 //! * **Determinism** — same program + seed + period ⇒ byte-identical
-//!   telemetry across repeat runs and across both engines (the sampler
-//!   keys off the virtual step counter, which bytecode gas batching
-//!   keeps exact at every observable boundary).
+//!   telemetry across repeat runs, both engines and the bytecode
+//!   engine's threaded tier, tier counters aside (the sampler keys off
+//!   the virtual step counter, which bytecode gas batching keeps exact at
+//!   every observable boundary).
 //! * **Schema** — sampled reports self-describe with `"mode": "sampled"`
 //!   and carry `samples`/`est_*`/`ci_lo`/`ci_hi` fields; exact reports
 //!   keep their original schema byte-for-byte (no `mode` key); profiling
@@ -16,7 +17,8 @@
 use ent_core::compile;
 use ent_energy::Platform;
 use ent_runtime::{
-    json_is_valid, lower_program, run_lowered, Engine, LoweredProgram, ProfileMode, RuntimeConfig,
+    json_is_valid, lower_program, run_lowered, Engine, LoweredProgram, ProfileMode, RunResult,
+    RuntimeConfig, TierStats, TierUp,
 };
 
 /// Recursion, snapshots (one failing, caught), dynamic allocs, and sim
@@ -89,7 +91,16 @@ fn sampled_telemetry_is_byte_identical_across_runs_and_engines() {
     let tree_a = run_lowered(&prog, Platform::system_a(), config(Engine::Tree, mode));
     let tree_b = run_lowered(&prog, Platform::system_a(), config(Engine::Tree, mode));
     let vm = run_lowered(&prog, Platform::system_a(), config(Engine::Bytecode, mode));
+    let threaded = run_lowered(
+        &prog,
+        Platform::system_a(),
+        RuntimeConfig {
+            tier_up: TierUp::Always,
+            ..config(Engine::Bytecode, mode)
+        },
+    );
     assert!(tree_a.value.is_ok(), "workload runs clean: {tree_a:?}");
+    assert!(threaded.tier.threaded_entries > 0, "the threaded tier ran");
     let sampled = tree_a
         .profile
         .as_ref()
@@ -100,6 +111,16 @@ fn sampled_telemetry_is_byte_identical_across_runs_and_engines() {
     // and the profile object — is byte-stable.
     assert_eq!(tree_a.to_json(), tree_b.to_json(), "repeat run diverged");
     assert_eq!(tree_a.to_json(), vm.to_json(), "engines diverged");
+    // The tier counters are the threaded tier's one intended difference.
+    let untiered = RunResult {
+        tier: TierStats::default(),
+        ..threaded
+    };
+    assert_eq!(
+        tree_a.to_json(),
+        untiered.to_json(),
+        "threaded tier diverged"
+    );
 }
 
 #[test]

@@ -16,7 +16,8 @@ use ent_runtime::{
 };
 
 /// Every semantic observable, f64s by bit pattern (tier counters are
-/// deliberately excluded: they are *supposed* to differ between engines).
+/// deliberately excluded: they are *supposed* to differ between tier-up
+/// settings).
 fn observe(prog: &LoweredProgram, r: &RunResult) -> String {
     let mut out = String::new();
     let value = match &r.value {
@@ -42,27 +43,27 @@ fn observe(prog: &LoweredProgram, r: &RunResult) -> String {
     out
 }
 
-/// Runs `src` under the bytecode VM and the always-tiering threaded
-/// engine with the same config, asserts byte-identical observables, and
-/// returns the threaded run for deopt-counter assertions.
+/// Runs `src` on the bytecode VM, never tiering and always tiering, with
+/// the same config, asserts byte-identical observables, and returns the
+/// threaded-tier run for deopt-counter assertions.
 fn run_pair(src: &str, mutate: impl Fn(&mut RuntimeConfig)) -> RunResult {
     let compiled =
         compile(src).unwrap_or_else(|e| panic!("program fails to compile:\n{}", e.render(src)));
     let lowered = lower_program(&compiled);
-    let config = |engine| {
+    let config = |tier_up| {
         let mut c = RuntimeConfig {
-            engine,
+            engine: Engine::Bytecode,
             battery_level: 0.8,
             seed: 42,
             record_events: true,
-            tier_up: TierUp::Always,
+            tier_up,
             ..RuntimeConfig::default()
         };
         mutate(&mut c);
         c
     };
-    let vm = run_lowered(&lowered, Platform::system_a(), config(Engine::Bytecode));
-    let th = run_lowered(&lowered, Platform::system_a(), config(Engine::Threaded));
+    let vm = run_lowered(&lowered, Platform::system_a(), config(TierUp::Never));
+    let th = run_lowered(&lowered, Platform::system_a(), config(TierUp::Always));
     assert_eq!(
         observe(&lowered, &vm),
         observe(&lowered, &th),

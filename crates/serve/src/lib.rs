@@ -22,8 +22,8 @@
 //!   by source fingerprint) are shed, with decay-based strikes and
 //!   parole probes for release.
 //! * **Isolation** ([`server`]): a bounded work queue with backpressure,
-//!   and workers that reuse the batch engine's `catch_unwind` / retry /
-//!   backoff machinery and its compile-once sharded program cache.
+//!   and workers that reuse the batch engine's `catch_unwind` / retry
+//!   machinery and its compile-once sharded program cache.
 //! * **Soak harness** ([`soak`]): a deterministic in-process chaos soak
 //!   (faults + panics + overload) that asserts zero daemon crashes,
 //!   byte-identical replies vs. one-shot `ent run`, and the hysteresis
@@ -35,7 +35,6 @@
 //! construction.
 
 pub mod admission;
-pub mod json;
 pub mod modes;
 pub mod proto;
 pub mod quarantine;
@@ -44,6 +43,8 @@ pub mod soak;
 pub mod tcp;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionShed};
+/// The request parser: `ent-runtime`'s JSON reader.
+pub use ent_runtime::json;
 pub use modes::{check_hysteresis, ModeConfig, ModeController, Observation, SystemMode};
 pub use proto::{parse_request, ErrorKind, Op, Reply, Request, PROTO_SCHEMA, STATS_SCHEMA};
 pub use quarantine::{Quarantine, QuarantineConfig, Verdict};

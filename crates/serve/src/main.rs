@@ -19,6 +19,9 @@ options:
   --queue <n>          bounded work-queue capacity (default: 64)
   --retries <n>        per-job retry budget (default: 1)
   --tick-ms <n>        mode-controller tick period (default: 500)
+
+Runs use the ENT_ENGINE, ENT_TIER_UP and ENT_ENFORCE defaults, as
+`ent run` does; a malformed value exits 1 at startup.
 ";
 
 fn main() -> ExitCode {
@@ -75,6 +78,10 @@ fn main() -> ExitCode {
         }
     }
 
+    if let Err(msg) = ent_runtime::check_env_settings() {
+        eprintln!("error: {msg}");
+        return ExitCode::from(1);
+    }
     let listener = match TcpListener::bind(&addr) {
         Ok(l) => l,
         Err(e) => {

@@ -14,10 +14,10 @@
 //! Every gate that refuses a request sends a typed reply immediately —
 //! the queue is the only place a request waits, and it is bounded, so
 //! memory use is bounded by construction. Workers reuse the engine's
-//! [`run_job_isolated`] machinery (the same catch_unwind / retry /
-//! backoff policy as batch jobs) and the shared compile-once program
-//! cache ([`try_lowered_cached`]), so a hundred tenants submitting the
-//! same benchmark compile it once.
+//! [`run_job_isolated`] machinery (the same catch_unwind / retry policy
+//! as batch jobs) and the shared compile-once program cache
+//! ([`try_lowered_cached`]), so a hundred tenants submitting the same
+//! benchmark compile it once.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,8 +53,8 @@ pub struct ChaosPlan {
     pub transient_rate: f64,
 }
 
-/// splitmix64, as in the engine and the fault injector: a stateless
-/// mixer so chaos is a pure function of identity.
+/// splitmix64, as in the fault injector: a stateless mixer so chaos is a
+/// pure function of identity.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -90,8 +90,8 @@ pub struct ServerConfig {
     /// Bounded queue capacity under `normal` mode (degraded modes shrink
     /// the effective bound; see [`Server::effective_capacity`]).
     pub queue_capacity: usize,
-    /// Per-job isolation policy (retries, backoff, deadline) — the same
-    /// [`BatchPolicy`] the batch scheduler uses.
+    /// Per-job isolation policy (retries) — the same [`BatchPolicy`] the
+    /// batch scheduler uses.
     pub policy: BatchPolicy,
     /// Per-tenant admission policy.
     pub admission: AdmissionConfig,
@@ -101,14 +101,6 @@ pub struct ServerConfig {
     pub quarantine: QuarantineConfig,
     /// Deterministic panic injection (soak only; `None` in production).
     pub chaos: Option<ChaosPlan>,
-    /// Execution engine for served runs when the request does not pick
-    /// one (`None` = the one-shot CLI default). Engine choice is
-    /// value-neutral — all engines are bit-identical — so this knob can
-    /// only change the daemon's timing.
-    pub engine: Option<ent_runtime::Engine>,
-    /// Tier-up threshold for served runs under the threaded engine
-    /// (`None` = the runtime default).
-    pub tier_up: Option<ent_runtime::TierUp>,
 }
 
 impl Default for ServerConfig {
@@ -116,16 +108,11 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             queue_capacity: 64,
-            policy: BatchPolicy {
-                retries: 1,
-                ..BatchPolicy::default()
-            },
+            policy: BatchPolicy { retries: 1 },
             admission: AdmissionConfig::default(),
             modes: ModeConfig::default(),
             quarantine: QuarantineConfig::default(),
             chaos: None,
-            engine: None,
-            tier_up: None,
         }
     }
 }
@@ -301,16 +288,6 @@ impl Server {
                 payload: self.stats_json(),
             }),
             Op::Run | Op::Check => {
-                // The daemon-config engine applies below any per-request
-                // choice (requests cannot pick one today, so this is the
-                // daemon's engine whenever set).
-                let mut request = request;
-                if request.options.engine.is_none() {
-                    request.options.engine = inner.cfg.engine;
-                }
-                if request.options.tier_up.is_none() {
-                    request.options.tier_up = inner.cfg.tier_up;
-                }
                 let fingerprint = source_fingerprint(&request.src);
                 let mut st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
                 let mode = st.modes.mode();
@@ -856,10 +833,7 @@ mod tests {
                 poison_rate: 1.0,
                 transient_rate: 0.0,
             }),
-            policy: BatchPolicy {
-                retries: 1,
-                ..BatchPolicy::default()
-            },
+            policy: BatchPolicy { retries: 1 },
             ..ServerConfig::default()
         };
         let server = Server::start(cfg);
@@ -890,10 +864,7 @@ mod tests {
                 poison_rate: 0.0,
                 transient_rate: 1.0,
             }),
-            policy: BatchPolicy {
-                retries: 1,
-                ..BatchPolicy::default()
-            },
+            policy: BatchPolicy { retries: 1 },
             ..ServerConfig::default()
         };
         let server = Server::start(cfg);

@@ -57,20 +57,16 @@
 //!
 //! Under that contract `run_batch(n, jobs, f)` returns the same bytes for
 //! every `n`, which the `fig*` binaries' `--jobs` flag and the CI
-//! byte-equality check rely on. Wall-clock deadlines
-//! ([`BatchPolicy::deadline`]) are the one escape hatch: they depend on
-//! host timing, so the published-artifact configurations leave them off.
+//! byte-equality check rely on. Nothing in the engine reads the clock, so
+//! no host-timing effect can reach a result.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 use ent_core::compile;
-use ent_runtime::{
-    default_stack_size, with_interp_stack, Enforcement, Engine, LoweredProgram, TierUp,
-};
+use ent_runtime::{default_stack_size, with_interp_stack, LoweredProgram};
 
 /// Lock stripes in the lowered-program cache. Sized for the workloads the
 /// harness actually runs: enough stripes that an 8-worker batch preparing
@@ -244,114 +240,6 @@ pub fn try_lowered_cached(src: &str) -> Result<Arc<LoweredProgram>, String> {
     Ok(lowered)
 }
 
-/// Process-wide engine override: 0 = unset, 1 = tree, 2 = bytecode,
-/// 3 = threaded.
-static ENGINE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Selects the evaluation engine every subsequently-prepared program runs
-/// on (harness binaries call this from their `--engine` flag before any
-/// grid work starts). Programs already prepared keep the engine they were
-/// prepared with.
-pub fn set_default_engine(engine: Engine) {
-    let tag = match engine {
-        Engine::Tree => 1,
-        Engine::Bytecode => 2,
-        Engine::Threaded => 3,
-    };
-    ENGINE_OVERRIDE.store(tag, Ordering::Relaxed);
-}
-
-/// The engine newly-prepared programs run on: the [`set_default_engine`]
-/// override when one was installed, else the `ENT_ENGINE` environment
-/// variable (`tree`, `bytecode`, or `threaded`), else the runtime default
-/// (bytecode). Bytecode compiled for a cached program is part of the
-/// shared `LoweredProgram`, so switching engines never recompiles
-/// anything.
-#[must_use]
-pub fn default_engine() -> Engine {
-    match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Engine::Tree,
-        2 => Engine::Bytecode,
-        3 => Engine::Threaded,
-        _ => std::env::var("ENT_ENGINE")
-            .ok()
-            .and_then(|v| Engine::parse(v.trim()))
-            .unwrap_or_default(),
-    }
-}
-
-/// Process-wide tier-up override: `u32::MAX as usize + 1` = unset, else
-/// the packed [`TierUp`] (0 = always, `u32::MAX` = never, else the
-/// threshold).
-static TIER_UP_OVERRIDE: AtomicUsize = AtomicUsize::new(TIER_UP_UNSET);
-const TIER_UP_UNSET: usize = u32::MAX as usize + 1;
-
-fn pack_tier_up(t: TierUp) -> usize {
-    match t {
-        TierUp::Always => 0,
-        TierUp::Never => u32::MAX as usize,
-        TierUp::After(n) => n as usize,
-    }
-}
-
-fn unpack_tier_up(v: usize) -> TierUp {
-    match v {
-        0 => TierUp::Always,
-        v if v == u32::MAX as usize => TierUp::Never,
-        v => TierUp::After(v as u32),
-    }
-}
-
-/// Selects the tier-up threshold every subsequently-prepared program runs
-/// with (harness binaries call this from their `--tier-up` flag before
-/// any grid work starts). Only the threaded engine reads it.
-pub fn set_default_tier_up(tier_up: TierUp) {
-    TIER_UP_OVERRIDE.store(pack_tier_up(tier_up), Ordering::Relaxed);
-}
-
-/// The tier-up threshold newly-prepared programs run with: the
-/// [`set_default_tier_up`] override when one was installed, else the
-/// `ENT_TIER_UP` environment variable (`0` = always, `off` = never, else
-/// a hit count), else the runtime default.
-#[must_use]
-pub fn default_tier_up() -> TierUp {
-    match TIER_UP_OVERRIDE.load(Ordering::Relaxed) {
-        TIER_UP_UNSET => TierUp::from_env(),
-        v => unpack_tier_up(v),
-    }
-}
-
-/// Process-wide enforcement override: 0 = unset, 1 = guarded,
-/// 2 = transient.
-static ENFORCE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Selects the enforcement strategy every subsequently-prepared program
-/// runs under (harness binaries call this from their `--enforce` flag
-/// before any grid work starts). Programs already prepared keep the
-/// strategy they were prepared with.
-pub fn set_default_enforcement(enforcement: Enforcement) {
-    let tag = match enforcement {
-        Enforcement::Guarded => 1,
-        Enforcement::Transient => 2,
-    };
-    ENFORCE_OVERRIDE.store(tag, Ordering::Relaxed);
-}
-
-/// The enforcement strategy newly-prepared programs run under: the
-/// [`set_default_enforcement`] override when one was installed, else the
-/// `ENT_ENFORCE` environment variable (`guarded` or `transient`), else
-/// the runtime default (guarded). Like `ENT_ENGINE`, the env var is read
-/// only at this harness layer — it never leaks into
-/// [`RuntimeConfig::default`](ent_runtime::RuntimeConfig).
-#[must_use]
-pub fn default_enforcement() -> Enforcement {
-    match ENFORCE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Enforcement::Guarded,
-        2 => Enforcement::Transient,
-        _ => Enforcement::from_env(),
-    }
-}
-
 /// The default worker count for batch runs: the `ENT_JOBS` environment
 /// variable when set and positive, else 1 (sequential, the reproducible
 /// default for published artifacts).
@@ -379,63 +267,16 @@ pub fn resolve_jobs(requested: usize) -> usize {
 /// Per-job failure policy for [`run_batch_outcomes`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// How many times a panicking job is re-run before its failure is
-    /// recorded. `0` (the default) means one attempt, no retries.
+    /// How many times a panicking job is re-run, immediately, before its
+    /// failure is recorded. `0` (the default) means one attempt, no
+    /// retries.
     pub retries: u32,
-    /// Wall-clock budget per job attempt. An attempt that completes but
-    /// overran the budget is recorded as a failure (post-hoc: the engine
-    /// never kills a running interpreter mid-step, it judges the attempt
-    /// after it returns). `None` (the default) disables the check, which
-    /// published-artifact runs rely on for host-independence.
-    pub deadline: Option<Duration>,
-    /// Base delay of the jittered exponential backoff between retry
-    /// attempts. `None` (the default) retries immediately — the historical
-    /// behavior, and the right one for deterministic harness runs where a
-    /// retry exists only to absorb a panic. A server retrying against
-    /// transient contention sets a base; attempt `k` (1-based) then sleeps
-    /// `base * 2^(k-1)`, scaled by a seeded jitter factor in `[0.5, 1.0]`
-    /// — see [`retry_backoff`], which pins the schedule as a pure
-    /// function.
-    pub backoff_base: Option<Duration>,
-    /// Seed for the backoff jitter. The same `(seed, attempt)` pair always
-    /// produces the same delay, so retry schedules replay exactly.
-    pub backoff_seed: u64,
-}
-
-/// splitmix64 — the same stateless mixer the fault injector uses for
-/// window hashing; here it decorrelates backoff jitter across attempts.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// The delay a policy imposes before retry attempt `attempt` (1-based; the
-/// first attempt is 0 and never waits). Pure in `(policy, attempt)`:
-/// exponential doubling from `backoff_base`, capped at 16 doublings, times
-/// a jitter factor in `[0.5, 1.0]` drawn from `splitmix64(backoff_seed ^
-/// attempt)`. `None` when the policy has no base or `attempt` is 0.
-#[must_use]
-pub fn retry_backoff(policy: &BatchPolicy, attempt: u32) -> Option<Duration> {
-    let base = policy.backoff_base?;
-    if attempt == 0 {
-        return None;
-    }
-    let doublings = (attempt - 1).min(16);
-    let h = splitmix64(policy.backoff_seed ^ u64::from(attempt));
-    // Top 53 bits → a uniform fraction in [0, 1); jitter in [0.5, 1.0].
-    let fraction = (h >> 11) as f64 / (1u64 << 53) as f64;
-    let jitter = 0.5 + fraction / 2.0;
-    let nanos = base.as_nanos().saturating_mul(1u128 << doublings);
-    let nanos = u64::try_from(nanos).unwrap_or(u64::MAX);
-    Some(Duration::from_nanos((nanos as f64 * jitter) as u64))
 }
 
 /// Why a job in a batch produced no result.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobError {
-    /// The panic payload (or deadline report) of the final attempt.
+    /// The panic payload of the final attempt.
     pub message: String,
     /// How many attempts were made (always ≥ 1).
     pub attempts: u32,
@@ -457,8 +298,8 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one job under the policy: catch panics at the job boundary, retry
-/// up to `policy.retries` times, apply the post-hoc deadline check.
+/// Runs one job under the policy: catch panics at the job boundary and
+/// retry up to `policy.retries` times.
 fn run_job<J, R>(
     job: &J,
     policy: &BatchPolicy,
@@ -466,21 +307,8 @@ fn run_job<J, R>(
 ) -> Result<R, JobError> {
     let mut last = None;
     for attempt in 0..=policy.retries {
-        if let Some(delay) = retry_backoff(policy, attempt) {
-            std::thread::sleep(delay);
-        }
-        let started = Instant::now();
         match catch_unwind(AssertUnwindSafe(|| f(job, attempt))) {
-            Ok(r) => match policy.deadline {
-                Some(deadline) if started.elapsed() > deadline => {
-                    last = Some(format!(
-                        "job exceeded its {:?} deadline (took {:?})",
-                        deadline,
-                        started.elapsed()
-                    ));
-                }
-                _ => return Ok(r),
-            },
+            Ok(r) => return Ok(r),
             Err(panic) => last = Some(panic_message(panic)),
         }
     }
@@ -491,10 +319,10 @@ fn run_job<J, R>(
 }
 
 /// Runs one closure under a [`BatchPolicy`] — the same catch_unwind /
-/// retry / backoff / post-hoc-deadline machinery the batch scheduler
-/// applies per job, exposed for callers (like the resident server) that
-/// manage their own queues but want identical isolation semantics. The
-/// closure receives the 0-based attempt number.
+/// retry machinery the batch scheduler applies per job, exposed for
+/// callers (like the resident server) that manage their own queues but
+/// want identical isolation semantics. The closure receives the 0-based
+/// attempt number.
 pub fn run_job_isolated<R>(
     policy: &BatchPolicy,
     f: impl Fn(u32) -> R + Sync,
@@ -719,7 +547,7 @@ fn effective_chunk(jobs: usize, workers: usize) -> u32 {
 /// batch's scheduler telemetry.
 ///
 /// Each attempt runs inside `catch_unwind` at the job boundary: a
-/// panicking or deadline-blown job becomes `Err(JobError)` for that slot
+/// panicking job becomes `Err(JobError)` for that slot
 /// and every other job still runs to completion. `f` receives the attempt
 /// index (0 for the first try) so retry-aware jobs can vary their
 /// behavior; deterministic callers ignore it.
@@ -929,7 +757,7 @@ mod tests {
         let (outcomes, telemetry) =
             run_batch_outcomes_with_telemetry(4, &work, &BatchPolicy::default(), |&n, _| {
                 if n < 6 {
-                    std::thread::sleep(Duration::from_millis(20));
+                    std::thread::sleep(std::time::Duration::from_millis(20));
                 }
                 n * 3
             });
@@ -977,10 +805,7 @@ mod tests {
         // A job that fails on its first two attempts and succeeds on the
         // third; with one retry it still fails, with two it recovers.
         let tries = AtomicU32::new(0);
-        let policy = BatchPolicy {
-            retries: 1,
-            ..BatchPolicy::default()
-        };
+        let policy = BatchPolicy { retries: 1 };
         let outcomes = run_batch_outcomes(1, &[()], &policy, |_, _| {
             let t = tries.fetch_add(1, Ordering::Relaxed);
             assert!(t >= 2, "flaky");
@@ -991,37 +816,13 @@ mod tests {
         assert!(err.message.contains("flaky"));
 
         tries.store(0, Ordering::Relaxed);
-        let policy = BatchPolicy {
-            retries: 2,
-            ..BatchPolicy::default()
-        };
+        let policy = BatchPolicy { retries: 2 };
         let outcomes = run_batch_outcomes(1, &[()], &policy, |_, attempt| {
             let t = tries.fetch_add(1, Ordering::Relaxed);
             assert!(t >= 2, "flaky");
             attempt
         });
         assert_eq!(outcomes[0], Ok(2), "succeeds on the third attempt");
-    }
-
-    #[test]
-    fn a_blown_deadline_is_recorded_as_a_failure() {
-        let policy = BatchPolicy {
-            deadline: Some(Duration::ZERO),
-            ..BatchPolicy::default()
-        };
-        let outcomes = run_batch_outcomes(1, &[()], &policy, |_, _| {
-            std::thread::sleep(Duration::from_millis(2));
-        });
-        let err = outcomes[0].as_ref().unwrap_err();
-        assert!(err.message.contains("deadline"), "{err}");
-
-        // A generous deadline passes.
-        let policy = BatchPolicy {
-            deadline: Some(Duration::from_secs(3600)),
-            ..BatchPolicy::default()
-        };
-        let outcomes = run_batch_outcomes(1, &[()], &policy, |_, _| 5);
-        assert_eq!(outcomes[0], Ok(5));
     }
 
     #[test]
@@ -1130,60 +931,9 @@ mod tests {
     }
 
     #[test]
-    fn retry_backoff_schedule_is_pinned() {
-        // No base → immediate retries, the historical behavior.
-        let immediate = BatchPolicy {
-            retries: 3,
-            ..BatchPolicy::default()
-        };
-        assert_eq!(retry_backoff(&immediate, 1), None);
-
-        let policy = BatchPolicy {
-            retries: 4,
-            backoff_base: Some(Duration::from_millis(10)),
-            backoff_seed: 42,
-            ..BatchPolicy::default()
-        };
-        // Attempt 0 is the first try — never waits.
-        assert_eq!(retry_backoff(&policy, 0), None);
-        // The schedule is a pure function of (policy, attempt): pin it.
-        let schedule: Vec<u64> = (1..=4)
-            .map(|a| retry_backoff(&policy, a).unwrap().as_nanos() as u64)
-            .collect();
-        assert_eq!(
-            schedule,
-            vec![8_640_893, 12_133_587, 21_371_617, 69_207_970],
-            "jittered exponential schedule changed"
-        );
-        // Exponential envelope with jitter in [0.5, 1.0]: each delay sits
-        // inside [base * 2^(k-1) / 2, base * 2^(k-1)].
-        for (i, &nanos) in schedule.iter().enumerate() {
-            let ceiling = 10_000_000u64 << i;
-            assert!(nanos >= ceiling / 2 && nanos <= ceiling, "attempt {i}");
-        }
-        // Same seed → same schedule; different seed → different jitter.
-        let replay: Vec<u64> = (1..=4)
-            .map(|a| retry_backoff(&policy, a).unwrap().as_nanos() as u64)
-            .collect();
-        assert_eq!(schedule, replay);
-        let other = BatchPolicy {
-            backoff_seed: 43,
-            ..policy.clone()
-        };
-        assert_ne!(
-            retry_backoff(&other, 1),
-            retry_backoff(&policy, 1),
-            "seed participates in the jitter"
-        );
-    }
-
-    #[test]
     fn run_job_isolated_traps_panics_and_retries() {
         let calls = AtomicU64::new(0);
-        let policy = BatchPolicy {
-            retries: 2,
-            ..BatchPolicy::default()
-        };
+        let policy = BatchPolicy { retries: 2 };
         let out = run_job_isolated(&policy, |attempt| {
             calls.fetch_add(1, Ordering::Relaxed);
             if attempt < 2 {

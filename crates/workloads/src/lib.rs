@@ -34,12 +34,10 @@ pub use apps::{
     pagerank, showcase_apps, soundrecorder, sunflow, video, xalan,
 };
 pub use engine::{
-    cache_shard_of, default_enforcement, default_engine, default_jobs, default_tier_up,
-    lowered_cache_shard_entries, lowered_cache_stats, lowered_cached, resolve_jobs, retry_backoff,
-    run_batch, run_batch_outcomes, run_batch_outcomes_with_telemetry, run_job_isolated,
-    sched_totals, set_default_enforcement, set_default_engine, set_default_tier_up,
-    source_fingerprint, try_lowered_cached, BatchPolicy, BatchTelemetry, CacheStats, JobError,
-    SchedTotals, LOWERED_CACHE_CAP, LOWERED_CACHE_SHARDS,
+    cache_shard_of, default_jobs, lowered_cache_shard_entries, lowered_cache_stats, lowered_cached,
+    resolve_jobs, run_batch, run_batch_outcomes, run_batch_outcomes_with_telemetry,
+    run_job_isolated, sched_totals, source_fingerprint, try_lowered_cached, BatchPolicy,
+    BatchTelemetry, CacheStats, JobError, SchedTotals, LOWERED_CACHE_CAP, LOWERED_CACHE_SHARDS,
 };
 pub use programs::{
     e1_program, e2_program, e3_program, lattice_program, unit_scale, workload_duty_factor,

@@ -20,7 +20,7 @@ use ent_runtime::{
     run_lowered, Enforcement, Engine, LoweredProgram, RunResult, RuntimeConfig, TierUp,
 };
 
-use crate::engine::{default_enforcement, default_engine, default_tier_up, lowered_cached};
+use crate::engine::lowered_cached;
 use crate::programs::{e1_program, e2_program, e3_program};
 use crate::settings::{battery_for_boot, BenchmarkSpec, E3Settings};
 
@@ -62,16 +62,16 @@ pub struct PreparedProgram {
     /// The shared lowered program.
     pub lowered: Arc<LoweredProgram>,
     /// The evaluation engine every run of this program uses (captured
-    /// from [`crate::default_engine`] at prepare time). Bytecode lives in
-    /// the shared `LoweredProgram`, compiled at most once per method no
-    /// matter how many runs, threads, or engines touch the program.
+    /// from [`Engine::from_env`] at prepare time). Bytecode lives in the
+    /// shared `LoweredProgram`, compiled at most once per method no matter
+    /// how many runs, threads, or engines touch the program.
     pub engine: Engine,
     /// The tier-up threshold every run of this program uses (captured
-    /// from [`crate::default_tier_up`] at prepare time). Only the
-    /// threaded engine reads it.
+    /// from [`TierUp::from_env`] at prepare time). Only the bytecode
+    /// engine reads it.
     pub tier_up: TierUp,
     /// The enforcement strategy every run of this program uses (captured
-    /// from [`crate::default_enforcement`] at prepare time).
+    /// from [`Enforcement::from_env`] at prepare time).
     pub enforcement: Enforcement,
 }
 
@@ -83,8 +83,9 @@ impl PreparedProgram {
 
     /// Runs one configuration on an explicit platform (the Figure 6
     /// overhead pair runs the tagged leg on the base platform). The
-    /// prepared engine overrides whatever the config carries, so every
-    /// `run_e*_prepared` entry point honors the harness `--engine` flag.
+    /// prepared engine settings override whatever the config carries, so
+    /// every `run_e*_prepared` entry point honors `ENT_ENGINE`,
+    /// `ENT_TIER_UP` and `ENT_ENFORCE`.
     pub fn run_on(&self, platform: Platform, config: RuntimeConfig) -> RunResult {
         let config = RuntimeConfig {
             engine: self.engine,
@@ -93,14 +94,6 @@ impl PreparedProgram {
             ..config
         };
         run_lowered(&self.lowered, platform, config)
-    }
-
-    /// Returns the same prepared program pinned to an explicit engine
-    /// (the differential harness runs one program under both).
-    #[must_use]
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Returns the same prepared program pinned to an explicit enforcement
@@ -158,9 +151,9 @@ pub fn prepare_e1(spec: &BenchmarkSpec, system: PlatformKind, workload: usize) -
         name: spec.name,
         lowered: lowered_cached(spec.name, &src),
         platform,
-        engine: default_engine(),
-        tier_up: default_tier_up(),
-        enforcement: default_enforcement(),
+        engine: Engine::from_env(),
+        tier_up: TierUp::from_env(),
+        enforcement: Enforcement::from_env(),
     }
 }
 
@@ -269,9 +262,9 @@ pub fn prepare_e2(spec: &BenchmarkSpec, system: PlatformKind, workload: usize) -
         name: spec.name,
         lowered: lowered_cached(spec.name, &src),
         platform,
-        engine: default_engine(),
-        tier_up: default_tier_up(),
-        enforcement: default_enforcement(),
+        engine: Engine::from_env(),
+        tier_up: TierUp::from_env(),
+        enforcement: Enforcement::from_env(),
     }
 }
 
@@ -313,9 +306,9 @@ pub fn prepare_e3(
         name: spec.name,
         lowered: lowered_cached(spec.name, &src),
         platform,
-        engine: default_engine(),
-        tier_up: default_tier_up(),
-        enforcement: default_enforcement(),
+        engine: Engine::from_env(),
+        tier_up: TierUp::from_env(),
+        enforcement: Enforcement::from_env(),
     }
 }
 

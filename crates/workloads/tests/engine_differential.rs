@@ -1,10 +1,11 @@
-//! Differential fuzzing between the tree-walking evaluator and the
-//! register-bytecode VM.
+//! Differential fuzzing between the tree-walking evaluator, the
+//! register-bytecode VM, and the VM's closure-threaded tier.
 //!
-//! Every seeded program from [`ent_workloads::fuzzgen`] is run under both
-//! engines across a small grid of battery levels, fault regimes, and
-//! **enforcement strategies**, and the complete observable surface —
-//! result value (or error), pretty value, printed output, run
+//! Every seeded program from [`ent_workloads::fuzzgen`] is run on the tree
+//! walker, on bytecode, and on bytecode with every body tiered up
+//! (`TierUp::Always`), across a small grid of battery levels, fault
+//! regimes, and **enforcement strategies**, and the complete observable
+//! surface — result value (or error), pretty value, printed output, run
 //! statistics, energy/time bit patterns, and the rendered event stream —
 //! must match byte for byte. Guarded and transient check different
 //! things, but each strategy's checks are engine-independent: under
@@ -20,6 +21,7 @@ use ent_core::compile;
 use ent_energy::{FaultPlan, Platform};
 use ent_runtime::{
     lower_program, render_event, Enforcement, Engine, LoweredProgram, RunResult, RuntimeConfig,
+    TierUp,
 };
 use ent_workloads::fuzzgen;
 
@@ -59,14 +61,23 @@ fn observe(prog: &LoweredProgram, r: &RunResult) -> String {
     out
 }
 
+/// The three execution lanes: the tree walker, bytecode, and the threaded
+/// tier (bytecode with every body tiered up on first entry).
+const LANES: [(&str, Engine, TierUp); 3] = [
+    ("tree", Engine::Tree, TierUp::Never),
+    ("bytecode", Engine::Bytecode, TierUp::Never),
+    ("threaded", Engine::Bytecode, TierUp::Always),
+];
+
 fn config(
-    engine: Engine,
+    (_, engine, tier_up): (&str, Engine, TierUp),
     enforcement: Enforcement,
     battery: f64,
     faults: Option<FaultPlan>,
 ) -> RuntimeConfig {
     RuntimeConfig {
         engine,
+        tier_up,
         enforcement,
         battery_level: battery,
         seed: 7,
@@ -89,28 +100,30 @@ fn engines_agree_on_generated_programs() {
         for battery in [0.15, 0.55, 0.95] {
             for faults in [None, Some(FaultPlan::chaos())] {
                 for enforcement in [Enforcement::Guarded, Enforcement::Transient] {
-                    let tree = ent_runtime::run_lowered(
-                        &lowered,
-                        Platform::system_a(),
-                        config(Engine::Tree, enforcement, battery, faults.clone()),
-                    );
-                    let vm = ent_runtime::run_lowered(
-                        &lowered,
-                        Platform::system_a(),
-                        config(Engine::Bytecode, enforcement, battery, faults.clone()),
-                    );
+                    let run = |lane| {
+                        ent_runtime::run_lowered(
+                            &lowered,
+                            Platform::system_a(),
+                            config(lane, enforcement, battery, faults.clone()),
+                        )
+                    };
+                    let tree = run(LANES[0]);
                     if tree.value.is_err() {
                         error_runs += 1;
                     }
-                    let (a, b) = (observe(&lowered, &tree), observe(&lowered, &vm));
-                    assert_eq!(
-                        a,
-                        b,
-                        "engine divergence at seed {seed} battery {battery} faults {} \
-                         enforce {}\nprogram:\n{src}",
-                        faults.is_some(),
-                        enforcement.name(),
-                    );
+                    let a = observe(&lowered, &tree);
+                    for lane in &LANES[1..] {
+                        let b = observe(&lowered, &run(*lane));
+                        assert_eq!(
+                            a,
+                            b,
+                            "tree and {} diverge at seed {seed} battery {battery} faults {} \
+                             enforce {}\nprogram:\n{src}",
+                            lane.0,
+                            faults.is_some(),
+                            enforcement.name(),
+                        );
+                    }
                 }
             }
         }
@@ -136,27 +149,32 @@ fn profiler_parity_on_recursive_workload() {
         let src = fuzzgen::program(seed);
         let compiled = compile(&src).expect("generated program compiles");
         let lowered = lower_program(&compiled);
-        let run = |engine| {
-            ent_runtime::run_lowered(
+        let folded = |(name, engine, tier_up): (&str, Engine, TierUp)| {
+            let run = ent_runtime::run_lowered(
                 &lowered,
                 Platform::system_a(),
                 RuntimeConfig {
                     engine,
+                    tier_up,
                     battery_level: 0.6,
                     seed: 5,
                     profile: ent_runtime::ProfileMode::Exact,
                     ..RuntimeConfig::default()
                 },
-            )
+            );
+            run.profile
+                .unwrap_or_else(|| panic!("{name} profile"))
+                .folded_stacks()
         };
-        let tree = run(Engine::Tree);
-        let vm = run(Engine::Bytecode);
-        let tree_folded = tree.profile.expect("tree profile").folded_stacks();
-        let vm_folded = vm.profile.expect("vm profile").folded_stacks();
-        assert_eq!(
-            tree_folded, vm_folded,
-            "folded stacks diverge between engines at seed {seed}"
-        );
+        let tree_folded = folded(LANES[0]);
+        for lane in &LANES[1..] {
+            assert_eq!(
+                tree_folded,
+                folded(*lane),
+                "folded stacks diverge between tree and {} at seed {seed}",
+                lane.0
+            );
+        }
         assert!(
             tree_folded.contains("Main.main"),
             "profile must attribute to the call tree root"

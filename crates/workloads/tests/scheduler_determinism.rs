@@ -109,10 +109,7 @@ fn failures_attempts_and_messages_are_identical_under_stealing() {
     // failures must report attempts == 2 with identical messages at every
     // worker count, and the flaky job must succeed everywhere.
     let work: Vec<usize> = (0..40).collect();
-    let policy = BatchPolicy {
-        retries: 1,
-        ..BatchPolicy::default()
-    };
+    let policy = BatchPolicy { retries: 1 };
     let run = |jobs: usize| {
         run_batch_outcomes(jobs, &work, &policy, |&i, attempt| {
             if i == 5 || i == 13 || i == 21 {
@@ -178,10 +175,7 @@ fn attempt_counter_is_per_job_not_per_worker() {
     // run twice (first attempt + one retry).
     let calls = AtomicU32::new(0);
     let work: Vec<usize> = (0..24).collect();
-    let policy = BatchPolicy {
-        retries: 1,
-        ..BatchPolicy::default()
-    };
+    let policy = BatchPolicy { retries: 1 };
     let outcomes = run_batch_outcomes(8, &work, &policy, |&i, attempt| {
         calls.fetch_add(1, Ordering::Relaxed);
         assert!(attempt <= 1, "attempts never exceed retries + 1");
