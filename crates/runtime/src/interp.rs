@@ -513,9 +513,10 @@ pub fn run_lowered(prog: &LoweredProgram, platform: Platform, config: RuntimeCon
     // recursion into `RtError::StackOverflow` long before the big stack is
     // exhausted). `with_interp_stack` runs the evaluation on a scoped
     // big-stack worker — or directly, when the current thread already is
-    // one (the batch engine's pool workers, which amortize one spawn over
-    // many runs). Re-entrant and concurrency-safe: any number of threads
-    // may run the same `LoweredProgram` simultaneously.
+    // one (the batch engine's and `ent-serve`'s pool workers, which
+    // amortize one spawn over many runs). Re-entrant and concurrency-safe:
+    // any number of threads may run the same `LoweredProgram`
+    // simultaneously.
     let stack_size = config.stack_size;
     crate::stack::with_interp_stack(stack_size, move || {
         run_on_current_thread(prog, platform, config)

@@ -230,12 +230,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 return Err(format!("raw control byte 0x{c:02x} in string"));
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so the
-                // encoding is already valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad utf-8")?;
-                let ch = rest.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Consume the whole run up to the next quote, backslash
+                // or control byte. Those stop bytes are ASCII, so the run
+                // ends on a char boundary of the (valid UTF-8) input.
+                let start = *pos;
+                while bytes
+                    .get(*pos)
+                    .is_some_and(|&c| c != b'"' && c != b'\\' && c >= 0x20)
+                {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad utf-8")?;
+                out.push_str(run);
             }
         }
     }
@@ -338,6 +344,28 @@ pub(crate) mod tests {
         assert_eq!(parse(&doc).unwrap().as_str(), Some(nasty));
     }
 
+    #[test]
+    fn parses_a_mebibyte_string_in_linear_time() {
+        // Mixed ASCII, two- and four-byte scalars, and the three escape
+        // kinds, so the scan stops often and runs end next to multi-byte
+        // characters.
+        let unit = "plain ascii é 😀 line\nbreak \"quoted\" ctl\u{1} ";
+        let text = unit.repeat((1 << 20) / unit.len() + 1);
+        let doc = format!("\"{}\"", crate::json_escape(&text));
+        for escape in ["\\n", "\\\"", "\\u0001"] {
+            assert!(doc.contains(escape), "missing {escape}");
+        }
+        let started = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.as_str(), Some(text.as_str()));
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "a {}-byte string took {elapsed:?} to parse",
+            doc.len()
+        );
+    }
+
     /// Documents in RFC 8259's grammar, shared with the
     /// `json_is_valid` tests in `telemetry`.
     pub(crate) fn well_formed() -> Vec<String> {
@@ -394,6 +422,8 @@ pub(crate) mod tests {
         .map(String::from)
         .to_vec();
         docs.push("[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1));
+        // A raw control byte after a long unescaped run.
+        docs.push(format!("\"{}\u{1}\"", "é run ".repeat(4096)));
         docs
     }
 

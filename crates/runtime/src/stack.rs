@@ -15,13 +15,13 @@
 //!   thread is not already such a worker. Scoped spawning borrows freely
 //!   (no `'static`, no `unsafe`), and every call gets its own worker, so
 //!   any number of threads may run interpreters concurrently.
-//! * Callers that run *many* programs — the batch engine, the perf
-//!   harness — wrap their whole loop in one `with_interp_stack` call:
-//!   the worker is marked thread-local, nested calls (including every
-//!   [`crate::run_lowered`] inside) detect the mark and run directly on
-//!   the current thread, so the per-run cost is zero. That is the
-//!   "reusable big-stack worker" of the engine's pool: one scoped spawn
-//!   per worker lifetime, not per run.
+//! * Callers that run *many* programs — the batch engine's workers,
+//!   `ent-serve`'s workers, the perf harness — wrap their whole loop in
+//!   one `with_interp_stack` call: the worker is marked thread-local,
+//!   nested calls (including every [`crate::run_lowered`] inside) detect
+//!   the mark and run directly on the current thread, so the per-run
+//!   cost is zero. That is the "reusable big-stack worker" of the
+//!   engine's pool: one scoped spawn per worker lifetime, not per run.
 //!
 //! The default stack size is 512 MiB of (lazily committed) virtual
 //! memory, overridable per run via [`crate::RuntimeConfig::stack_size`]

@@ -26,7 +26,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use ent_cli::{run_prepared, Options, EXIT_DEGRADED, EXIT_OK, EXIT_RUNTIME};
-use ent_runtime::json_f64;
+use ent_runtime::{default_stack_size, json_f64, with_interp_stack};
 use ent_workloads::{
     lowered_cache_shard_entries, lowered_cache_stats, run_job_isolated, source_fingerprint,
     try_lowered_cached, BatchPolicy,
@@ -242,10 +242,25 @@ impl Server {
         let workers = (0..workers_n)
             .map(|i| {
                 let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
+                let (entered_tx, entered_rx) = channel();
+                // One interpreter-stack frame per worker lifetime: every
+                // compile and run the worker does then recurses in place.
+                let handle = std::thread::Builder::new()
                     .name(format!("ent-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    .expect("spawn worker")
+                    .spawn(move || {
+                        with_interp_stack(default_stack_size(), || {
+                            let _ = entered_tx.send(());
+                            worker_loop(&inner);
+                        });
+                    })
+                    .expect("spawn worker");
+                // A worker that cannot create its stack dies before serving;
+                // stop here rather than leave queued requests unanswered.
+                entered_rx.recv().expect(
+                    "an ent-serve worker could not create its interpreter stack \
+                     (ENT_STACK_SIZE too large for this host?)",
+                );
+                handle
             })
             .collect();
         Server { inner, workers }
@@ -268,14 +283,17 @@ impl Server {
     pub fn handle_line(&self, line: &str, now_ms: u64) -> Submission {
         match crate::proto::parse_request(line) {
             Ok(request) => self.submit(request, now_ms),
-            Err(message) => {
-                self.inner
-                    .counters
-                    .bad_requests
-                    .fetch_add(1, Ordering::Relaxed);
-                Submission::Immediate(Reply::error("", ErrorKind::BadRequest, message))
-            }
+            Err(message) => Submission::Immediate(self.bad_request(message)),
         }
+    }
+
+    /// Counts a line that is not a request and builds its typed reply.
+    pub(crate) fn bad_request(&self, message: impl Into<String>) -> Reply {
+        self.inner
+            .counters
+            .bad_requests
+            .fetch_add(1, Ordering::Relaxed);
+        Reply::error("", ErrorKind::BadRequest, message)
     }
 
     /// Submits a parsed request at `now_ms` virtual time.

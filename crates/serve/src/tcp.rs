@@ -45,14 +45,33 @@ fn handle_connection(stream: TcpStream, server: &Server, epoch: Instant) {
     let _ = stream.set_nodelay(true);
     let Ok(peer) = stream.try_clone() else { return };
     let mut writer = peer;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    // Lines are read as bytes, so a line that is not UTF-8 gets a typed
+    // reply instead of ending the connection.
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+        // Strip `\n` and `\r\n`, as `BufRead::lines` does.
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
         }
         let now_ms = epoch.elapsed().as_millis() as u64;
-        let reply = match server.handle_line(&line, now_ms) {
+        let submission = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => server.handle_line(line, now_ms),
+            Err(e) => Submission::Immediate(server.bad_request(format!(
+                "request line is not UTF-8 (invalid byte at {})",
+                e.valid_up_to()
+            ))),
+        };
+        let reply = match submission {
             Submission::Immediate(reply) => reply,
             Submission::Queued(rx) => match rx.recv() {
                 Ok(reply) => reply,
@@ -105,6 +124,40 @@ mod tests {
         assert!(lines[0].contains("result: 42"), "{}", lines[0]);
         assert!(lines[1].contains("\"ok\": true"), "{}", lines[1]);
         assert!(lines[2].contains("bad_request"), "{}", lines[2]);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_gets_a_typed_reply_and_keeps_the_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let addr = listener.local_addr().unwrap();
+        let server = Arc::new(Server::start(ServerConfig::default()));
+        std::thread::spawn({
+            let server = Arc::clone(&server);
+            move || serve(listener, server, 50)
+        });
+
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        writer
+            .write_all(
+                b"{\"op\": \"health\", \"id\": \"a\"}\n\xff\xfe\n{\"op\": \"health\", \"id\": \"b\"}\n",
+            )
+            .unwrap();
+        let mut lines = Vec::new();
+        for _ in 0..3 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(ent_runtime::json_is_valid(line.trim()), "{line:?}");
+            lines.push(line);
+        }
+        assert!(lines[0].contains("\"id\": \"a\""), "{}", lines[0]);
+        assert!(lines[0].contains("\"ok\": true"), "{}", lines[0]);
+        assert!(lines[1].contains("bad_request"), "{}", lines[1]);
+        assert!(lines[1].contains("not UTF-8"), "{}", lines[1]);
+        assert!(lines[2].contains("\"id\": \"b\""), "{}", lines[2]);
+        assert!(lines[2].contains("\"ok\": true"), "{}", lines[2]);
+        assert_eq!(server.counters().bad_requests, 1);
     }
 
     #[test]
