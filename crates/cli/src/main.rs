@@ -34,7 +34,15 @@ fn main() -> ExitCode {
             }
         }
     };
-    let (code, output) = ent_cli::execute(&options, &src);
+    // Compile and run on one interpreter stack, of the size the run's
+    // configuration gets: deeply nested sources do not overflow the main
+    // thread, the run inside executes in place, and its call-depth guard
+    // matches the stack it runs on.
+    let stack_size = options
+        .stack_size
+        .unwrap_or_else(ent_runtime::default_stack_size);
+    let (code, output) =
+        ent_runtime::with_interp_stack(stack_size, || ent_cli::execute(&options, &src));
     print!("{output}");
     ExitCode::from(code as u8)
 }

@@ -149,6 +149,31 @@ fn malformed_engine_settings_in_the_environment_exit_one() {
 }
 
 #[test]
+fn one_shot_commands_compile_deep_sources_on_the_interpreter_stack() {
+    // Nested far deeper than the main thread's stack holds in a debug
+    // build: `check`, `run` and `fmt` all compile on the interpreter
+    // stack.
+    let depth = 2000;
+    let src = format!(
+        "class Main {{ int main() {{ return {}1{}; }} }}",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    let path = std::env::temp_dir().join(format!("ent-deep-{}.ent", std::process::id()));
+    std::fs::write(&path, src).expect("write temp source");
+    let path_str = path.to_str().expect("utf-8 temp path");
+    for command in ["check", "run", "fmt"] {
+        let out = spawn_ent(&[command, path_str], &[]);
+        assert_eq!(out.status.code(), Some(EXIT_OK), "`ent {command}`: {out:?}");
+        if command == "run" {
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(stdout.contains("result: 1"), "{stdout}");
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn compile_errors_are_distinct_from_runtime_errors() {
     let (code, out) = cli(
         &["run", "x.ent"],

@@ -59,6 +59,13 @@ impl From<String> for ModeName {
     }
 }
 
+/// Shares an already-interned name without copying it.
+impl From<Arc<str>> for ModeName {
+    fn from(s: Arc<str>) -> Self {
+        ModeName(s)
+    }
+}
+
 /// A mode *type variable* `mt`, ranging over modes.
 ///
 /// Mode variables come from two places:
@@ -107,6 +114,13 @@ impl fmt::Debug for ModeVar {
 impl From<&str> for ModeVar {
     fn from(s: &str) -> Self {
         ModeVar::new(s)
+    }
+}
+
+/// Shares an already-interned name without copying it.
+impl From<Arc<str>> for ModeVar {
+    fn from(s: Arc<str>) -> Self {
+        ModeVar(s)
     }
 }
 

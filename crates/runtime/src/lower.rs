@@ -716,18 +716,17 @@ impl Lowerer<'_> {
     }
 
     fn lower_class(&mut self, ci: u32) -> ClassLayout {
+        // Declarations are borrowed from the table, not from `self`, so
+        // lowering can intern names while holding them.
+        let table = self.table;
         let cname = self.class_order[ci as usize].clone();
-        let decl = self
-            .table
-            .class(&cname)
-            .expect("lowered classes exist")
-            .clone();
-        let chain = self.table.superclass_chain(&cname);
+        let decl = table.class(&cname).expect("lowered classes exist");
+        let chain = table.superclass_chain(&cname);
 
         // Field layout: inherited first, first declaration wins the id slot.
         let mut field_order = Vec::new();
         for anc in &chain {
-            let adecl = self.table.class(anc).expect("validated chain");
+            let adecl = table.class(anc).expect("validated chain");
             for f in &adecl.fields {
                 field_order.push(f.name.clone());
             }
@@ -749,7 +748,7 @@ impl Lowerer<'_> {
         let mut inits = Vec::new();
         let mut slot = 0u32;
         for anc in &chain {
-            let adecl = self.table.class(anc).expect("validated chain").clone();
+            let adecl = table.class(anc).expect("validated chain");
             let aid = self.class_ids[anc];
             let owner_params = adecl.mode_params.params();
             for f in &adecl.fields {
@@ -774,7 +773,7 @@ impl Lowerer<'_> {
         let mut vtable: Vec<Option<MethodEntry>> =
             (0..self.method_names.len()).map(|_| None).collect();
         for anc in chain.iter().rev() {
-            let adecl = self.table.class(anc).expect("validated chain").clone();
+            let adecl = table.class(anc).expect("validated chain");
             let aid = self.class_ids[anc];
             for m in &adecl.methods {
                 let mid = self

@@ -7,12 +7,18 @@
 //! below this layer; the TCP front-end is deliberately the only place
 //! the wall clock enters.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::server::{Server, Submission};
+
+/// The most bytes a request line may hold before its `\n`: 8 MiB, well
+/// above any program the daemon is meant to serve. A longer line is
+/// discarded without being buffered and answered with a `bad_request`;
+/// the connection stays open.
+pub(crate) const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// Runs the accept loop forever, ticking the mode controller every
 /// `tick_ms` of wall time. Connection handler threads are detached; a
@@ -50,26 +56,22 @@ fn handle_connection(stream: TcpStream, server: &Server, epoch: Instant) {
     // reply instead of ending the connection.
     let mut buf = Vec::new();
     loop {
-        buf.clear();
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        // Strip `\n` and `\r\n`, as `BufRead::lines` does.
-        if buf.last() == Some(&b'\n') {
-            buf.pop();
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-        }
-        let now_ms = epoch.elapsed().as_millis() as u64;
-        let submission = match std::str::from_utf8(&buf) {
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => server.handle_line(line, now_ms),
-            Err(e) => Submission::Immediate(server.bad_request(format!(
-                "request line is not UTF-8 (invalid byte at {})",
-                e.valid_up_to()
+        let submission = match read_line(&mut reader, &mut buf) {
+            Ok(Line::Closed) | Err(_) => return,
+            Ok(Line::TooLong) => Submission::Immediate(server.bad_request(format!(
+                "request line is longer than {MAX_LINE_BYTES} bytes"
             ))),
+            Ok(Line::Read) => {
+                let now_ms = epoch.elapsed().as_millis() as u64;
+                match std::str::from_utf8(&buf) {
+                    Ok(line) if line.trim().is_empty() => continue,
+                    Ok(line) => server.handle_line(line, now_ms),
+                    Err(e) => Submission::Immediate(server.bad_request(format!(
+                        "request line is not UTF-8 (invalid byte at {})",
+                        e.valid_up_to()
+                    ))),
+                }
+            }
         };
         let reply = match submission {
             Submission::Immediate(reply) => reply,
@@ -86,6 +88,58 @@ fn handle_connection(stream: TcpStream, server: &Server, epoch: Instant) {
             return;
         }
     }
+}
+
+/// How [`read_line`] ended.
+enum Line {
+    /// The peer closed the connection before sending another byte.
+    Closed,
+    /// A line is in the buffer.
+    Read,
+    /// The line was longer than [`MAX_LINE_BYTES`] and was discarded.
+    TooLong,
+}
+
+/// Reads the next line into `buf` without its `\n` or `\r\n`, as
+/// `BufRead::lines` does. A line past [`MAX_LINE_BYTES`] is consumed up to
+/// its `\n` but not kept, so `buf` never grows past the cap.
+fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<Line> {
+    buf.clear();
+    // Bytes of this line so far; past the cap they are counted, not kept.
+    let mut len = 0usize;
+    let mut ended = false;
+    while !ended {
+        let chunk = match reader.fill_buf() {
+            Ok([]) => break,
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let body = match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                ended = true;
+                &chunk[..i]
+            }
+            None => chunk,
+        };
+        len = len.saturating_add(body.len());
+        if len <= MAX_LINE_BYTES {
+            buf.extend_from_slice(body);
+        }
+        let used = body.len() + usize::from(ended);
+        reader.consume(used);
+    }
+    Ok(if len == 0 && !ended {
+        Line::Closed
+    } else if len > MAX_LINE_BYTES {
+        buf.clear();
+        Line::TooLong
+    } else {
+        if ended && buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+        Line::Read
+    })
 }
 
 #[cfg(test)]
@@ -158,6 +212,68 @@ mod tests {
         assert!(lines[2].contains("\"id\": \"b\""), "{}", lines[2]);
         assert!(lines[2].contains("\"ok\": true"), "{}", lines[2]);
         assert_eq!(server.counters().bad_requests, 1);
+    }
+
+    #[test]
+    fn an_over_long_line_gets_a_typed_reply_and_keeps_the_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let addr = listener.local_addr().unwrap();
+        let server = Arc::new(Server::start(ServerConfig::default()));
+        std::thread::spawn({
+            let server = Arc::clone(&server);
+            move || serve(listener, server, 50)
+        });
+
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        // A valid `run` whose source carries more than the cap in comment.
+        let src = format!(
+            "class Main {{ int main() {{ return 42; }} }}\n//{}",
+            "x".repeat(MAX_LINE_BYTES)
+        );
+        let request = format!(
+            "{{\"op\": \"run\", \"id\": \"long\", \"tenant\": \"t\", \"src\": \"{}\"}}\n\
+             {{\"op\": \"health\", \"id\": \"after\"}}\n",
+            ent_runtime::json_escape(&src)
+        );
+        writer.write_all(request.as_bytes()).unwrap();
+        let mut lines = Vec::new();
+        for _ in 0..2 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(ent_runtime::json_is_valid(line.trim()), "{line:?}");
+            lines.push(line);
+        }
+        assert!(lines[0].contains("bad_request"), "{}", lines[0]);
+        assert!(
+            lines[0].contains(&MAX_LINE_BYTES.to_string()),
+            "the reply names the limit: {}",
+            lines[0]
+        );
+        assert!(lines[1].contains("\"id\": \"after\""), "{}", lines[1]);
+        assert!(lines[1].contains("\"ok\": true"), "{}", lines[1]);
+        assert_eq!(server.counters().bad_requests, 1);
+    }
+
+    #[test]
+    fn read_line_strips_line_endings_and_discards_over_long_lines() {
+        let long = "x".repeat(MAX_LINE_BYTES + 1);
+        let input = format!("a\r\n\n{long}\nb");
+        let mut reader = io::BufReader::with_capacity(4096, input.as_bytes());
+        let mut buf = Vec::new();
+        let mut next = || {
+            let line = read_line(&mut reader, &mut buf).expect("in-memory reads succeed");
+            assert!(buf.len() <= MAX_LINE_BYTES);
+            match line {
+                Line::Closed => "<closed>".to_string(),
+                Line::TooLong => "<too long>".to_string(),
+                Line::Read => String::from_utf8(buf.clone()).expect("utf-8 test input"),
+            }
+        };
+        for expected in ["a", "", "<too long>", "b", "<closed>"] {
+            assert_eq!(next(), expected);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! `IO`, `Arr`, `Str`, `Math`).
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use ent_modes::{Bounded, ClassModeParams, ModeArgs, ModeName, ModeTable, StaticMode};
 
@@ -25,9 +25,10 @@ impl ClassName {
         ClassName(Arc::from(name.as_ref()))
     }
 
-    /// The root of the inheritance hierarchy.
+    /// The root of the inheritance hierarchy (a clone of one shared name).
     pub fn object() -> Self {
-        ClassName::new("Object")
+        static OBJECT: LazyLock<ClassName> = LazyLock::new(|| ClassName::new("Object"));
+        OBJECT.clone()
     }
 
     /// The name as a string slice.
@@ -51,6 +52,13 @@ impl fmt::Debug for ClassName {
 impl From<&str> for ClassName {
     fn from(s: &str) -> Self {
         ClassName::new(s)
+    }
+}
+
+/// Shares an already-interned name without copying it.
+impl From<Arc<str>> for ClassName {
+    fn from(s: Arc<str>) -> Self {
+        ClassName(s)
     }
 }
 
@@ -85,6 +93,13 @@ impl fmt::Debug for Ident {
 impl From<&str> for Ident {
     fn from(s: &str) -> Self {
         Ident::new(s)
+    }
+}
+
+/// Shares an already-interned name without copying it.
+impl From<Arc<str>> for Ident {
+    fn from(s: Arc<str>) -> Self {
+        Ident(s)
     }
 }
 
@@ -576,14 +591,15 @@ impl ClassDecl {
 pub struct Program {
     /// The validated mode declaration `D`.
     pub mode_table: ModeTable,
-    /// The classes, in declaration order.
-    pub classes: Vec<ClassDecl>,
+    /// The classes, in declaration order. Shared, not copied, by the
+    /// [`crate::ClassTable`] built from this program.
+    pub classes: Vec<Arc<ClassDecl>>,
 }
 
 impl Program {
     /// Finds a class by name.
     pub fn class(&self, name: &ClassName) -> Option<&ClassDecl> {
-        self.classes.iter().find(|c| &c.name == name)
+        self.classes.iter().find(|c| &c.name == name).map(|c| &**c)
     }
 }
 

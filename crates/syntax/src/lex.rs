@@ -1,10 +1,16 @@
 //! The ENT lexer: source text to a token stream.
 
+use std::collections::HashSet;
+use std::sync::Arc;
+
 use crate::error::SyntaxError;
 use crate::token::{keyword, Token, TokenKind};
 use crate::Span;
 
 /// Lexes an entire source buffer into tokens (terminated by `Eof`).
+///
+/// Identifiers are interned: every token that spells the same name shares
+/// one `Arc<str>`, allocated once per call.
 ///
 /// # Errors
 ///
@@ -28,6 +34,8 @@ struct Lexer<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// The identifiers seen so far, one shared allocation each.
+    names: HashSet<Arc<str>>,
 }
 
 impl<'a> Lexer<'a> {
@@ -36,6 +44,7 @@ impl<'a> Lexer<'a> {
             src,
             bytes: src.as_bytes(),
             pos: 0,
+            names: HashSet::new(),
         }
     }
 
@@ -126,7 +135,18 @@ impl<'a> Lexer<'a> {
             self.pos += 1;
         }
         let text = &self.src[start..self.pos];
-        keyword(text).unwrap_or_else(|| TokenKind::Ident(text.to_string()))
+        if let Some(kw) = keyword(text) {
+            return kw;
+        }
+        let name = match self.names.get(text) {
+            Some(name) => Arc::clone(name),
+            None => {
+                let name: Arc<str> = Arc::from(text);
+                self.names.insert(Arc::clone(&name));
+                name
+            }
+        };
+        TokenKind::Ident(name)
     }
 
     fn number(&mut self, start: usize) -> Result<TokenKind, SyntaxError> {
@@ -391,6 +411,17 @@ mod tests {
                 TokenKind::Eof,
             ]
         );
+    }
+
+    #[test]
+    fn identifiers_share_one_name_per_spelling() {
+        let tokens = lex("a b a").unwrap();
+        let name = |i: usize| match &tokens[i].kind {
+            TokenKind::Ident(s) => Arc::clone(s),
+            other => panic!("expected an identifier, got {other:?}"),
+        };
+        assert!(Arc::ptr_eq(&name(0), &name(2)));
+        assert!(!Arc::ptr_eq(&name(0), &name(1)));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! elimination operator `<|`. See the crate docs for a grammar sketch.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use ent_modes::{
     Bounded, ClassModeParams, Mode, ModeArgs, ModeName, ModeTable, ModeVar, StaticMode,
@@ -52,16 +53,20 @@ pub fn parse_program(src: &str) -> Result<Program, SyntaxError> {
 pub fn parse_expr(src: &str, mode_names: &[&str]) -> Result<Expr, SyntaxError> {
     let tokens = lex(src)?;
     let mut parser = Parser::new(tokens);
-    parser.mode_names = mode_names.iter().map(|s| s.to_string()).collect();
+    parser.mode_names = mode_names.iter().map(|&s| Arc::from(s)).collect();
     let expr = parser.expr()?;
     parser.expect(TokenKind::Eof)?;
     Ok(expr)
 }
 
+/// The mode of a program without a `modes { ... }` block.
+const IMPLICIT_MODE: &str = "default";
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
-    mode_names: HashSet<String>,
+    /// The declared mode constants, sharing the lexer's names.
+    mode_names: HashSet<Arc<str>>,
 }
 
 impl Parser {
@@ -91,12 +96,10 @@ impl Parser {
         self.tokens[self.pos.saturating_sub(1)].span
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn eat(&mut self, kind: TokenKind) -> bool {
@@ -108,9 +111,10 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<Token, SyntaxError> {
+    fn expect(&mut self, kind: TokenKind) -> Result<(), SyntaxError> {
         if *self.peek() == kind {
-            Ok(self.bump())
+            self.bump();
+            Ok(())
         } else {
             Err(SyntaxError::new(
                 format!(
@@ -123,10 +127,12 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<(String, Span), SyntaxError> {
+    /// The next identifier: a clone of the lexer's shared name.
+    fn ident(&mut self) -> Result<(Arc<str>, Span), SyntaxError> {
         let span = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Ident(name) => {
+                let name = Arc::clone(name);
                 self.bump();
                 Ok((name, span))
             }
@@ -145,17 +151,13 @@ impl Parser {
         } else {
             // Programs that never mention modes still need a lattice; give
             // them a single implicit mode.
-            ModeTable::linear(["default"]).expect("singleton lattice is valid")
+            self.mode_names.insert(Arc::from(IMPLICIT_MODE));
+            ModeTable::linear([IMPLICIT_MODE]).expect("singleton lattice is valid")
         };
-        self.mode_names = mode_table
-            .modes()
-            .iter()
-            .map(|m| m.as_str().to_string())
-            .collect();
 
         let mut classes = Vec::new();
         while *self.peek() != TokenKind::Eof {
-            classes.push(self.class_decl()?);
+            classes.push(Arc::new(self.class_decl()?));
         }
         Ok(Program {
             mode_table,
@@ -163,6 +165,8 @@ impl Parser {
         })
     }
 
+    /// Parses the `modes { ... }` block, recording every mode it names in
+    /// `mode_names`.
     fn modes_block(&mut self) -> Result<ModeTable, SyntaxError> {
         let start = self.span();
         self.expect(TokenKind::Modes)?;
@@ -170,11 +174,13 @@ impl Parser {
         let mut builder = ModeTable::builder();
         while *self.peek() != TokenKind::RBrace {
             let (lo, _) = self.ident()?;
+            self.mode_names.insert(Arc::clone(&lo));
             if self.eat(TokenKind::Le) {
                 let (hi, _) = self.ident()?;
-                builder = builder.le(ModeName::new(lo), ModeName::new(hi));
+                self.mode_names.insert(Arc::clone(&hi));
+                builder = builder.le(ModeName::from(lo), ModeName::from(hi));
             } else {
-                builder = builder.mode(ModeName::new(lo));
+                builder = builder.mode(ModeName::from(lo));
             }
             self.expect(TokenKind::Semi)?;
         }
@@ -207,7 +213,7 @@ impl Parser {
             } else {
                 Vec::new()
             };
-            (ClassName::new(sup), args)
+            (ClassName::from(sup), args)
         } else {
             (ClassName::object(), Vec::new())
         };
@@ -232,7 +238,7 @@ impl Parser {
         self.expect(TokenKind::RBrace)?;
 
         Ok(ClassDecl {
-            name: ClassName::new(name),
+            name: ClassName::from(name),
             mode_params,
             superclass,
             super_args,
@@ -260,7 +266,7 @@ impl Parser {
                 } else {
                     StaticMode::Top
                 };
-                bounds.push(Bounded::new(StaticMode::Bot, ModeVar::new(var), hi));
+                bounds.push(Bounded::new(StaticMode::Bot, ModeVar::from(var), hi));
             } else {
                 bounds.push(Bounded::unconstrained(ModeVar::new(format!(
                     "Self_{class}"
@@ -293,7 +299,7 @@ impl Parser {
             }
             self.expect(TokenKind::Le)?;
             let hi = self.static_mode()?;
-            Ok(Bounded::new(first, ModeVar::new(var), hi))
+            Ok(Bounded::new(first, ModeVar::from(var), hi))
         } else {
             match first {
                 StaticMode::Var(v) => Ok(Bounded::unconstrained(v)),
@@ -320,28 +326,22 @@ impl Parser {
 
     /// A static mode: `bot`, `top`, a declared constant, or a variable.
     fn static_mode(&mut self) -> Result<StaticMode, SyntaxError> {
-        match self.peek().clone() {
-            TokenKind::Bot => {
-                self.bump();
-                Ok(StaticMode::Bot)
+        let mode = match self.peek() {
+            TokenKind::Bot => StaticMode::Bot,
+            TokenKind::Top => StaticMode::Top,
+            TokenKind::Ident(name) if self.mode_names.contains(name) => {
+                StaticMode::Const(ModeName::from(Arc::clone(name)))
             }
-            TokenKind::Top => {
-                self.bump();
-                Ok(StaticMode::Top)
+            TokenKind::Ident(name) => StaticMode::Var(ModeVar::from(Arc::clone(name))),
+            other => {
+                return Err(SyntaxError::new(
+                    format!("expected a mode, found {}", other.describe()),
+                    self.span(),
+                ))
             }
-            TokenKind::Ident(name) => {
-                self.bump();
-                if self.mode_names.contains(&name) {
-                    Ok(StaticMode::Const(ModeName::new(name)))
-                } else {
-                    Ok(StaticMode::Var(ModeVar::new(name)))
-                }
-            }
-            other => Err(SyntaxError::new(
-                format!("expected a mode, found {}", other.describe()),
-                self.span(),
-            )),
-        }
+        };
+        self.bump();
+        Ok(mode)
     }
 
     fn attributor(&mut self) -> Result<Attributor, SyntaxError> {
@@ -396,7 +396,7 @@ impl Parser {
                 loop {
                     let pty = self.ty()?;
                     let (pname, _) = self.ident()?;
-                    params.push((pty, Ident::new(pname)));
+                    params.push((pty, Ident::from(pname)));
                     if !self.eat(TokenKind::Comma) {
                         break;
                     }
@@ -413,7 +413,7 @@ impl Parser {
                 mode: method_mode,
                 mode_params,
                 ret: ty,
-                name: Ident::new(name),
+                name: Ident::from(name),
                 params,
                 attributor,
                 body,
@@ -435,7 +435,7 @@ impl Parser {
             self.expect(TokenKind::Semi)?;
             fields.push(FieldDecl {
                 ty,
-                name: Ident::new(name),
+                name: Ident::from(name),
                 init,
                 span: start.join(self.prev_span()),
             });
@@ -464,7 +464,7 @@ impl Parser {
             return Ok(Type::MCase(Box::new(inner)));
         }
         let (name, span) = self.ident()?;
-        match name.as_str() {
+        match &*name {
             "int" => return Ok(Type::INT),
             "double" => return Ok(Type::DOUBLE),
             "bool" => return Ok(Type::BOOL),
@@ -497,7 +497,7 @@ impl Parser {
             ModeArgs::of_static(StaticMode::Bot)
         };
         Ok(Type::Object {
-            class: ClassName::new(name),
+            class: ClassName::from(name),
             args,
         })
     }
@@ -519,7 +519,7 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, SyntaxError> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Let => {
                 self.bump();
                 // `let x = e;` or `let T x = e;`
@@ -538,7 +538,7 @@ impl Parser {
                 self.expect(TokenKind::Semi)?;
                 Ok(Stmt::Let {
                     ty,
-                    name: Ident::new(name),
+                    name: Ident::from(name),
                     value,
                 })
             }
@@ -755,7 +755,7 @@ impl Parser {
                             e = Expr::new(
                                 ExprKind::Builtin {
                                     ns: ns.clone(),
-                                    name: Ident::new(name),
+                                    name: Ident::from(name),
                                     args,
                                 },
                                 span,
@@ -766,7 +766,7 @@ impl Parser {
                     e = Expr::new(
                         ExprKind::Call {
                             recv: Box::new(e),
-                            method: Ident::new(name),
+                            method: Ident::from(name),
                             mode_args,
                             args,
                         },
@@ -780,7 +780,7 @@ impl Parser {
                     e = Expr::new(
                         ExprKind::Field {
                             recv: Box::new(e),
-                            name: Ident::new(name),
+                            name: Ident::from(name),
                         },
                         span,
                     );
@@ -822,45 +822,24 @@ impl Parser {
 
     fn primary_expr(&mut self) -> Result<Expr, SyntaxError> {
         let start = self.span();
-        match self.peek().clone() {
-            TokenKind::Int(n) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Lit(Lit::Int(n)), start))
+        // Single-token expressions fall through to one `bump`.
+        let kind = match self.peek() {
+            TokenKind::Int(n) => ExprKind::Lit(Lit::Int(*n)),
+            TokenKind::Double(x) => ExprKind::Lit(Lit::Double(*x)),
+            TokenKind::Str(s) => ExprKind::Lit(Lit::Str(s.clone())),
+            TokenKind::True => ExprKind::Lit(Lit::Bool(true)),
+            TokenKind::False => ExprKind::Lit(Lit::Bool(false)),
+            TokenKind::This => ExprKind::This,
+            TokenKind::Ident(name) if self.mode_names.contains(name) => {
+                ExprKind::ModeConst(ModeName::from(Arc::clone(name)))
             }
-            TokenKind::Double(x) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Lit(Lit::Double(x)), start))
-            }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Lit(Lit::Str(s)), start))
-            }
-            TokenKind::True => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Lit(Lit::Bool(true)), start))
-            }
-            TokenKind::False => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Lit(Lit::Bool(false)), start))
-            }
-            TokenKind::This => {
-                self.bump();
-                Ok(Expr::new(ExprKind::This, start))
-            }
-            TokenKind::Ident(name) => {
-                self.bump();
-                if self.mode_names.contains(&name) {
-                    Ok(Expr::new(ExprKind::ModeConst(ModeName::new(name)), start))
-                } else {
-                    Ok(Expr::new(ExprKind::Var(Ident::new(name)), start))
-                }
-            }
-            TokenKind::New => self.new_expr(),
-            TokenKind::Snapshot => self.snapshot_expr(),
-            TokenKind::MCase => self.mcase_expr(),
-            TokenKind::If => self.if_expr(),
-            TokenKind::Try => self.try_expr(),
-            TokenKind::LBrace => self.block(),
+            TokenKind::Ident(name) => ExprKind::Var(Ident::from(Arc::clone(name))),
+            TokenKind::New => return self.new_expr(),
+            TokenKind::Snapshot => return self.snapshot_expr(),
+            TokenKind::MCase => return self.mcase_expr(),
+            TokenKind::If => return self.if_expr(),
+            TokenKind::Try => return self.try_expr(),
+            TokenKind::LBrace => return self.block(),
             TokenKind::LBracket => {
                 self.bump();
                 let mut items = Vec::new();
@@ -873,17 +852,21 @@ impl Parser {
                     }
                 }
                 self.expect(TokenKind::RBracket)?;
-                Ok(Expr::new(
+                return Ok(Expr::new(
                     ExprKind::ArrayLit(items),
                     start.join(self.prev_span()),
+                ));
+            }
+            TokenKind::LParen => return self.paren_or_cast(),
+            other => {
+                return Err(SyntaxError::new(
+                    format!("expected an expression, found {}", other.describe()),
+                    start,
                 ))
             }
-            TokenKind::LParen => self.paren_or_cast(),
-            other => Err(SyntaxError::new(
-                format!("expected an expression, found {}", other.describe()),
-                start,
-            )),
-        }
+        };
+        self.bump();
+        Ok(Expr::new(kind, start))
     }
 
     fn new_expr(&mut self) -> Result<Expr, SyntaxError> {
@@ -909,7 +892,7 @@ impl Parser {
         let ctor_args = self.call_args()?;
         Ok(Expr::new(
             ExprKind::New {
-                class: ClassName::new(class),
+                class: ClassName::from(class),
                 args,
                 ctor_args,
             },
@@ -972,7 +955,7 @@ impl Parser {
             self.expect(TokenKind::Colon)?;
             let value = self.expr()?;
             self.expect(TokenKind::Semi)?;
-            arms.push((ModeName::new(mode), value));
+            arms.push((ModeName::from(mode), value));
         }
         self.expect(TokenKind::RBrace)?;
         Ok(Expr::new(
@@ -1037,7 +1020,7 @@ impl Parser {
         let looks_like_type = matches!(self.peek(), TokenKind::MCase)
             || matches!(self.peek(), TokenKind::Ident(name)
                 if name.chars().next().is_some_and(char::is_uppercase)
-                    || matches!(name.as_str(), "int" | "double" | "bool" | "string" | "unit"));
+                    || matches!(&**name, "int" | "double" | "bool" | "string" | "unit"));
         if looks_like_type {
             if let Ok(ty) = self.ty() {
                 if self.eat(TokenKind::RParen) && starts_expression(self.peek()) {

@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use ent_modes::{Mode, ModeArgs, StaticMode, Subst};
 
@@ -135,12 +136,14 @@ pub struct ResolvedMethod {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ClassTable {
-    classes: HashMap<ClassName, ClassDecl>,
+    /// The program's own declarations, shared rather than copied.
+    classes: HashMap<ClassName, Arc<ClassDecl>>,
     order: Vec<ClassName>,
 }
 
 impl ClassTable {
-    /// Builds and validates the class table for a program.
+    /// Builds and validates the class table for a program. The table
+    /// shares the program's class declarations; it copies no AST.
     ///
     /// # Errors
     ///
@@ -155,7 +158,7 @@ impl ClassTable {
             if c.name == ClassName::object() {
                 return Err(TableError::ReservedClass(c.name.clone()));
             }
-            if classes.insert(c.name.clone(), c.clone()).is_some() {
+            if classes.insert(c.name.clone(), Arc::clone(c)).is_some() {
                 return Err(TableError::DuplicateClass(c.name.clone()));
             }
             order.push(c.name.clone());
@@ -260,7 +263,7 @@ impl ClassTable {
 
     /// Looks up a class declaration.
     pub fn class(&self, name: &ClassName) -> Option<&ClassDecl> {
-        self.classes.get(name)
+        self.classes.get(name).map(|c| &**c)
     }
 
     /// Class names in declaration order.

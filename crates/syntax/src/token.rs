@@ -1,6 +1,7 @@
 //! Tokens produced by the ENT lexer.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::Span;
 
@@ -17,8 +18,9 @@ pub struct Token {
 #[derive(Clone, Debug, PartialEq)]
 pub enum TokenKind {
     // Literals and names
-    /// An identifier or non-keyword name.
-    Ident(String),
+    /// An identifier or non-keyword name, shared by every token that
+    /// spells it in one [`crate::lex`] call.
+    Ident(Arc<str>),
     /// An integer literal.
     Int(i64),
     /// A floating-point literal.
@@ -147,7 +149,7 @@ impl TokenKind {
 impl fmt::Display for TokenKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            TokenKind::Ident(s) => s.as_str(),
+            TokenKind::Ident(s) => s,
             TokenKind::Int(n) => return write!(f, "{n}"),
             TokenKind::Double(x) => return write!(f, "{x}"),
             TokenKind::Str(s) => return write!(f, "{s:?}"),

@@ -85,9 +85,9 @@ pub const LOWERED_CACHE_CAP: usize = 256;
 const PER_SHARD_CAP: usize = LOWERED_CACHE_CAP / LOWERED_CACHE_SHARDS;
 
 struct Shard {
-    map: HashMap<String, Arc<LoweredProgram>>,
-    /// Keys in insertion order, oldest first.
-    order: VecDeque<String>,
+    map: HashMap<Arc<str>, Arc<LoweredProgram>>,
+    /// Keys in insertion order, oldest first: the map's own keys, shared.
+    order: VecDeque<Arc<str>>,
 }
 
 fn shards() -> &'static [Mutex<Shard>] {
@@ -235,8 +235,9 @@ pub fn try_lowered_cached(src: &str) -> Result<Arc<LoweredProgram>, String> {
         s.map.remove(&oldest);
         CACHE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
     }
-    s.map.insert(src.to_string(), Arc::clone(&lowered));
-    s.order.push_back(src.to_string());
+    let key: Arc<str> = Arc::from(src);
+    s.map.insert(Arc::clone(&key), Arc::clone(&lowered));
+    s.order.push_back(key);
     Ok(lowered)
 }
 
