@@ -1,7 +1,7 @@
 //! The figure binaries' flag contract: a flag they do not know, or a
-//! malformed engine setting in the environment, exits 1 with a message
-//! naming it, before any grid runs. A skipped flag would have its value
-//! read as the positional repeat count.
+//! malformed engine setting or stack size in the environment, exits 1
+//! with a message naming it, before any grid runs. A skipped flag would
+//! have its value read as the positional repeat count.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -49,18 +49,25 @@ fn unknown_flags_exit_one_before_any_grid_runs() {
 
 #[test]
 fn a_malformed_engine_variable_exits_one_before_any_grid_runs() {
-    let dir = scratch_dir("fig9-env");
-    let out = Command::new(env!("CARGO_BIN_EXE_fig9_e1_all"))
-        .env("ENT_ENGINE", "threaded")
-        .current_dir(&dir)
-        .output()
-        .expect("spawn fig9_e1_all");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("ENT_ENGINE"), "got: {stderr}");
-    assert!(out.stdout.is_empty(), "the figure started");
-    assert!(!dir.join("results").exists(), "wrote results/");
-    let _ = std::fs::remove_dir_all(&dir);
+    // A repeat count of 1 keeps the grid short should a check be missing.
+    for (var, value) in [("ENT_ENGINE", "threaded"), ("ENT_STACK_SIZE", "huge")] {
+        let dir = scratch_dir(&format!("fig9-env-{var}"));
+        let out = Command::new(env!("CARGO_BIN_EXE_fig9_e1_all"))
+            .arg("1")
+            .env(var, value)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn fig9_e1_all");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{var}={value}: {stderr}");
+        assert!(stderr.contains(var), "{var}={value}: got {stderr}");
+        assert!(out.stdout.is_empty(), "{var}={value}: the figure started");
+        assert!(
+            !dir.join("results").exists(),
+            "{var}={value}: wrote results/"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

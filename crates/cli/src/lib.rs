@@ -9,7 +9,7 @@
 //!   platform, printing the program output, the result, and the energy
 //!   measurement. Options: `--platform a|b|c`, `--battery <0..1>`,
 //!   `--seed <n>`, `--silent`, `--trace`, `--events`, `--events-limit <n>`,
-//!   `--profile [exact|sampled|off]`, `--sample-period <n>`,
+//!   `--profile exact|sampled|off`, `--sample-period <n>`,
 //!   `--sample-seed <n>`, `--metrics-json <path>`, `--faults <spec>`,
 //!   `--fault-seed <n>`, `--staleness-bound <s>`.
 //!
@@ -71,10 +71,8 @@ pub struct Options {
     /// Ring-buffer capacity for event recording (`None` = the runtime
     /// default).
     pub events_limit: Option<usize>,
-    /// Profiling mode from `--profile [exact|sampled|off]` (`None` =
-    /// the `ENT_PROFILE` env default, else off). A bare `--profile` is a
-    /// deprecated alias for `--profile exact`.
-    pub profile: Option<ProfileMode>,
+    /// Profiling mode from `--profile exact|sampled|off` (default off).
+    pub profile: ProfileMode,
     /// Mean steps between stack samples, from `--sample-period`
     /// (sampled mode only; `None` = the mode default, 256).
     pub sample_period: Option<u64>,
@@ -141,12 +139,10 @@ options:
   --trace              print a temperature trace after the run
   --events             print the energy-event log (snapshots, modes, failures)
   --events-limit <n>   retain only the newest <n> events (ring buffer size)
-  --profile [mode]     collect and print per-method energy attribution:
+  --profile <mode>     collect and print per-method energy attribution:
                        exact (the shadow-call-tree ground truth), sampled
                        (periodic stack sampling, ~zero overhead, estimates
-                       with 95% confidence intervals), or off; a bare
-                       --profile is a deprecated alias for --profile exact
-                       (ENT_PROFILE env default)
+                       with 95% confidence intervals), or off (default)
   --sample-period <n>  sampled profile: mean steps between stack samples,
                        at least 1 (default: 256; requires sampled mode)
   --sample-seed <n>    sampled profile: seed for the jittered sample
@@ -196,7 +192,7 @@ exit codes:
 /// Returns a usage-style message for unknown commands or malformed
 /// options.
 pub fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     let command = match it.next().map(String::as_str) {
         Some("check") => Command::Check,
         Some("run") => Command::Run,
@@ -218,7 +214,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
         trace: false,
         events: false,
         events_limit: None,
-        profile: None,
+        profile: ProfileMode::Off,
         sample_period: None,
         sample_seed: None,
         metrics_json: None,
@@ -261,18 +257,15 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                 );
             }
             "--profile" => {
-                // Optional mode operand; a bare `--profile` (next token
-                // absent or another flag) is the deprecated exact alias.
-                options.profile = Some(match it.peek() {
-                    Some(v) if !v.starts_with("--") => {
-                        let m = ProfileMode::parse(v).ok_or_else(|| {
-                            format!("unknown profile mode `{v}` (expected exact, sampled, or off)")
-                        })?;
-                        it.next();
-                        m
-                    }
-                    _ => ProfileMode::Exact,
-                });
+                // A flag in the mode's place counts as a missing mode, so a
+                // bare `--profile` gets one message wherever it stands.
+                let v = it
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or("--profile needs a mode (exact, sampled, or off)")?;
+                options.profile = ProfileMode::parse(v).ok_or_else(|| {
+                    format!("unknown profile mode `{v}` (expected exact, sampled, or off)")
+                })?;
             }
             "--sample-period" => {
                 let v = it.next().ok_or("--sample-period needs a value in steps")?;
@@ -362,7 +355,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
         }
     }
     // The sampling knobs only mean something when a sampled profile is in
-    // force (the flag, or the ENT_PROFILE default).
+    // force.
     if (options.sample_period.is_some() || options.sample_seed.is_some())
         && !matches!(options.profile_mode(), ProfileMode::Sampled { .. })
     {
@@ -375,11 +368,10 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
 }
 
 impl Options {
-    /// The profiling mode in force: the `--profile` flag if given, else
-    /// the `ENT_PROFILE` environment default, with `--sample-period` /
-    /// `--sample-seed` folded into sampled mode.
+    /// The profiling mode in force: the `--profile` mode with
+    /// `--sample-period` / `--sample-seed` folded into sampled mode.
     pub fn profile_mode(&self) -> ProfileMode {
-        match self.profile.unwrap_or_else(ProfileMode::from_env) {
+        match self.profile {
             ProfileMode::Sampled { period, seed } => ProfileMode::Sampled {
                 period: self.sample_period.unwrap_or(period),
                 seed: self.sample_seed.unwrap_or(seed),
@@ -699,13 +691,13 @@ mod tests {
             "--events-limit",
             "64",
             "--profile",
+            "exact",
             "--metrics-json",
             "m.json",
         ]))
         .unwrap();
         assert!(o.events);
-        // Bare `--profile` is the deprecated alias for exact profiling.
-        assert_eq!(o.profile, Some(ProfileMode::Exact));
+        assert_eq!(o.profile, ProfileMode::Exact);
         assert_eq!(o.profile_mode(), ProfileMode::Exact);
         assert_eq!(o.events_limit, Some(64));
         assert_eq!(o.metrics_json.as_deref(), Some("m.json"));
@@ -716,12 +708,12 @@ mod tests {
     #[test]
     fn parse_args_profile_modes() {
         let o = parse_args(&args(&["run", "x.ent", "--profile", "exact"])).unwrap();
-        assert_eq!(o.profile, Some(ProfileMode::Exact));
+        assert_eq!(o.profile, ProfileMode::Exact);
         let o = parse_args(&args(&["run", "x.ent", "--profile", "off"])).unwrap();
-        assert_eq!(o.profile, Some(ProfileMode::Off));
+        assert_eq!(o.profile, ProfileMode::Off);
         assert_eq!(o.profile_mode(), ProfileMode::Off);
         let o = parse_args(&args(&["run", "x.ent", "--profile", "sampled"])).unwrap();
-        assert_eq!(o.profile, Some(ProfileMode::sampled_default()));
+        assert_eq!(o.profile, ProfileMode::sampled_default());
         // Period and seed knobs fold into the resolved mode.
         let o = parse_args(&args(&[
             "run",
@@ -741,10 +733,12 @@ mod tests {
                 seed: 7
             }
         );
-        // A bare `--profile` followed by another flag still means exact.
-        let o = parse_args(&args(&["run", "x.ent", "--profile", "--events"])).unwrap();
-        assert_eq!(o.profile, Some(ProfileMode::Exact));
-        assert!(o.events);
+        // A bare `--profile` is a missing mode, at the end or before
+        // another flag.
+        for tail in [&["--profile"][..], &["--profile", "--events"][..]] {
+            let err = parse_args(&args(&[&["run", "x.ent"][..], tail].concat())).unwrap_err();
+            assert!(err.contains("--profile needs a mode"), "{tail:?}: {err}");
+        }
         // Invalid combinations are usage errors (exit code 1 in main).
         assert!(parse_args(&args(&["run", "x.ent", "--profile", "fast"])).is_err());
         assert!(parse_args(&args(&["run", "x.ent", "--sample-period", "0"])).is_err());
@@ -761,8 +755,9 @@ mod tests {
     }
 
     #[test]
-    fn help_mentions_profile_deprecation() {
-        assert!(USAGE.contains("deprecated alias"));
+    fn help_offers_no_bare_profile_alias() {
+        assert!(USAGE.contains("--profile <mode>"));
+        assert!(!USAGE.contains("alias"));
         assert!(USAGE.contains("--sample-period"));
     }
 
@@ -773,6 +768,7 @@ mod tests {
             "run",
             "x.ent",
             "--profile",
+            "exact",
             "--metrics-json",
             path.to_str().unwrap(),
         ]))

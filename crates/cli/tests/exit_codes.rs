@@ -132,6 +132,7 @@ fn malformed_engine_settings_in_the_environment_exit_one() {
         ),
         ("ENT_TIER_UP", "soon", "0, off, or a count"),
         ("ENT_ENFORCE", "eager", "guarded or transient"),
+        ("ENT_STACK_SIZE", "huge", "k, m or g suffix"),
     ] {
         let out = spawn_ent(&["run", "no-such-file.ent"], &[(var, value)]);
         assert_eq!(out.status.code(), Some(EXIT_USAGE), "{var}={value}");

@@ -189,11 +189,12 @@ pub(crate) fn env_setting<T>(var: &str, parse: fn(&str) -> Option<T>) -> Result<
         .ok_or_else(|| format!("malformed {var} value `{value}`"))
 }
 
-/// Checks `ENT_ENGINE`, `ENT_TIER_UP` and `ENT_ENFORCE`, the environment
-/// defaults of [`RuntimeConfig`]'s engine settings. Binaries call this at
-/// startup and exit 1 on `Err`, so a malformed value fails loudly instead
-/// of [`Engine::from_env`], [`TierUp::from_env`] or
-/// [`Enforcement::from_env`] falling back to the default.
+/// Checks `ENT_ENGINE`, `ENT_TIER_UP`, `ENT_ENFORCE` and
+/// `ENT_STACK_SIZE`, the environment defaults of [`RuntimeConfig`]'s
+/// engine settings and stack size. Binaries call this at startup and exit
+/// 1 on `Err`, so a malformed value fails loudly instead of
+/// [`Engine::from_env`], [`TierUp::from_env`], [`Enforcement::from_env`]
+/// or [`crate::default_stack_size`] falling back to the default.
 ///
 /// # Errors
 ///
@@ -209,6 +210,8 @@ pub fn check_env_settings() -> Result<(), String> {
     })?;
     env_setting("ENT_TIER_UP", TierUp::parse).map_err(|e| hint(e, "0, off, or a count"))?;
     env_setting("ENT_ENFORCE", Enforcement::parse).map_err(|e| hint(e, "guarded or transient"))?;
+    env_setting("ENT_STACK_SIZE", crate::parse_stack_size)
+        .map_err(|e| hint(e, "bytes, or a number with a k, m or g suffix"))?;
     Ok(())
 }
 

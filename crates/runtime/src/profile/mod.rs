@@ -128,7 +128,7 @@ impl ProfileMode {
         !matches!(self, ProfileMode::Off)
     }
 
-    /// Parses a CLI/env mode name: `off`, `exact`, or `sampled` (with the
+    /// Parses a CLI mode name: `off`, `exact`, or `sampled` (with the
     /// default period/seed; `--sample-period`/`--sample-seed` override).
     pub fn parse(s: &str) -> Option<ProfileMode> {
         match s {
@@ -137,15 +137,6 @@ impl ProfileMode {
             "sampled" => Some(ProfileMode::sampled_default()),
             _ => None,
         }
-    }
-
-    /// The process-default mode: `ENT_PROFILE` (`off`/`exact`/`sampled`),
-    /// or `Off` when unset or unparseable.
-    pub fn from_env() -> ProfileMode {
-        std::env::var("ENT_PROFILE")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or(ProfileMode::Off)
     }
 }
 

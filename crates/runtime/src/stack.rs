@@ -27,11 +27,14 @@
 //! memory, overridable per run via [`crate::RuntimeConfig::stack_size`]
 //! or process-wide via the `ENT_STACK_SIZE` environment variable
 //! (plain bytes, or with a `k`/`m`/`g` suffix, e.g. `ENT_STACK_SIZE=256m`;
-//! values are clamped to at least 1 MiB).
+//! values are clamped to at least 1 MiB). Binaries reject a malformed
+//! value at startup ([`crate::check_env_settings`]).
 
 use std::cell::Cell;
 use std::panic::resume_unwind;
 use std::sync::OnceLock;
+
+use crate::interp::env_setting;
 
 /// The built-in interpreter stack size: 512 MiB, as the seed interpreter
 /// hardcoded. Virtual memory only — pages are committed on first touch.
@@ -73,15 +76,16 @@ pub fn parse_stack_size(s: &str) -> Option<usize> {
 }
 
 /// The process-wide default interpreter stack size: `ENT_STACK_SIZE` if
-/// set and well-formed (see [`parse_stack_size`]), else
-/// [`BUILTIN_STACK_SIZE`]. Read once and cached.
+/// set (see [`parse_stack_size`]), else [`BUILTIN_STACK_SIZE`]. Read once
+/// and cached. Binaries reject a malformed value at startup
+/// ([`crate::check_env_settings`]).
 #[must_use]
 pub fn default_stack_size() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        std::env::var("ENT_STACK_SIZE")
+        env_setting("ENT_STACK_SIZE", parse_stack_size)
             .ok()
-            .and_then(|v| parse_stack_size(&v))
+            .flatten()
             .unwrap_or(BUILTIN_STACK_SIZE)
             .max(MIN_STACK_SIZE)
     })

@@ -23,7 +23,7 @@
 //!   parole probes for release.
 //! * **Isolation** ([`server`]): a bounded work queue with backpressure,
 //!   and workers that reuse the batch engine's `catch_unwind` / retry
-//!   machinery and its compile-once sharded program cache.
+//!   machinery and its compile-once program cache.
 //! * **Soak harness** ([`soak`]): a deterministic in-process chaos soak
 //!   (faults + panics + overload) that asserts zero daemon crashes,
 //!   byte-identical replies vs. one-shot `ent run`, and the hysteresis

@@ -219,7 +219,7 @@ fn base_options() -> Options {
         trace: false,
         events: false,
         events_limit: None,
-        profile: Some(ent_runtime::ProfileMode::Off),
+        profile: ent_runtime::ProfileMode::Off,
         sample_period: None,
         sample_seed: None,
         metrics_json: None,

@@ -28,8 +28,7 @@ use std::thread::JoinHandle;
 use ent_cli::{run_prepared, Options, EXIT_DEGRADED, EXIT_OK, EXIT_RUNTIME};
 use ent_runtime::{default_stack_size, json_f64, with_interp_stack};
 use ent_workloads::{
-    lowered_cache_shard_entries, lowered_cache_stats, run_job_isolated, source_fingerprint,
-    try_lowered_cached, BatchPolicy,
+    lowered_cache_stats, run_job_isolated, source_fingerprint, try_lowered_cached, BatchPolicy,
 };
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionShed};
@@ -447,7 +446,7 @@ impl Server {
 
     /// Renders the `ent-serve-stats/1` document — the server-side twin
     /// of the batch sidecar, including the shared program cache's
-    /// counters and per-shard occupancy.
+    /// counters.
     #[must_use]
     pub fn stats_json(&self) -> String {
         let c = &self.inner.counters;
@@ -455,11 +454,6 @@ impl Server {
         let mode = st.modes.mode();
         let (fail_ewma, queue_ewma, fault_ewma) = st.modes.signals();
         let cache = lowered_cache_stats();
-        let shard_entries = lowered_cache_shard_entries()
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
         let transitions = st
             .modes
             .transitions()
@@ -484,8 +478,8 @@ impl Server {
              \"shed\": {{\"overloaded\": {}, \"rate_limited\": {}, \"energy_budget\": {}, \
              \"quarantined\": {}, \"fallback_only\": {}, \"bad_requests\": {}}}, \
              \"quarantine\": {{\"active\": {}, \"paroled\": {}, \"probes\": {}}}, \
-             \"cache\": {{\"shards\": {}, \"capacity\": {}, \"entries\": {}, \"hits\": {}, \
-             \"misses\": {}, \"evictions\": {}, \"shard_entries\": [{}]}}, \
+             \"cache\": {{\"capacity\": {}, \"entries\": {}, \"hits\": {}, \
+             \"misses\": {}, \"evictions\": {}}}, \
              \"transitions\": [{}]}}",
             mode.as_str(),
             json_f64(fail_ewma),
@@ -513,13 +507,11 @@ impl Server {
             st.quarantine.active(),
             st.quarantine.paroled(),
             load(&c.probes),
-            cache.shards,
             cache.capacity,
             cache.entries,
             cache.hits,
             cache.misses,
             cache.evictions,
-            shard_entries,
             transitions,
         )
     }
@@ -814,7 +806,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_document_is_valid_and_carries_cache_shards() {
+    fn stats_document_is_valid_and_carries_cache_counters() {
         let server = Server::start(ServerConfig::default());
         let _ = recv(server.handle_line(&run_line(HELLO, "t", "r"), 0));
         let Submission::Immediate(reply) = server.handle_line("{\"op\": \"stats\"}", 1) else {
@@ -833,7 +825,7 @@ mod tests {
             "\"shed\":",
             "\"quarantine\":",
             "\"cache\":",
-            "\"shard_entries\": [",
+            "\"entries\":",
             "\"transitions\":",
         ] {
             assert!(payload.contains(needle), "missing {needle} in {payload}");

@@ -1,20 +1,20 @@
-//! Adversarial determinism tests for the work-stealing batch scheduler:
-//! skewed job mixes (sleep-heavy and gas-heavy cells side by side) must
-//! produce byte-identical outcome vectors — values, error messages,
-//! attempt counts, ordering — at every worker count.
+//! Adversarial determinism tests for the batch scheduler: skewed job
+//! mixes (sleep-heavy and gas-heavy cells side by side) must produce
+//! byte-identical outcome vectors — values, error messages, attempt
+//! counts, ordering — at every worker count.
 //!
-//! The scheduler derives its chunk from the batch shape
-//! (`jobs / (workers * 8)`, clamped to `[1, 64]`), so the skewed batches
-//! here are small enough that the chunk is 1 at 8 workers and stealing
-//! is fine-grained.
+//! Workers claim shrinking blocks from one shared cursor
+//! (`(n - cur) / (2 * workers)` jobs, at least 1), so the tails of the
+//! small batches here are handed out one job at a time.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use ent_energy::PlatformKind;
 use ent_workloads::{
-    benchmark, prepare_e1, run_batch_outcomes, run_batch_outcomes_with_telemetry, run_e1_prepared,
-    BatchPolicy, JobError,
+    benchmark, prepare_e1, run_batch, run_batch_outcomes, run_e1_prepared, BatchPolicy, JobError,
 };
 
 /// FNV-1a over an outcome vector: values by exact bit pattern, errors by
@@ -47,7 +47,7 @@ fn fingerprint(outcomes: &[Result<Vec<u8>, JobError>]) -> u64 {
 fn skewed_interpreter_batches_are_byte_identical_across_worker_counts() {
     // A deliberately unbalanced mix: the front of the range is gas-heavy
     // (full_throttle workload cells) *and* sleep-padded, so the workers
-    // that drew light cells drain their ranges and steal the heavy tail.
+    // that drew light cells finish first and claim the rest.
     // Every job's behavior — benchmark, config, seed, even its sleep —
     // derives from its index, never from execution order.
     let heavy = prepare_e1(&benchmark("sunflow").unwrap(), PlatformKind::SystemA, 2);
@@ -82,28 +82,32 @@ fn skewed_interpreter_batches_are_byte_identical_across_worker_counts() {
 }
 
 #[test]
-fn stealing_actually_happens_in_the_skewed_mix() {
+fn more_than_one_worker_runs_the_skewed_mix() {
     // The companion to the test above: prove the byte-equality is not
-    // vacuous — 64 jobs on 8 workers derive chunk 1, and the skewed mix
-    // steals.
+    // vacuous. Job 0 holds its worker until the last job has finished,
+    // which only another worker can run; each job reports the worker
+    // thread it ran on.
+    let last_done = (Mutex::new(false), Condvar::new());
     let work: Vec<usize> = (0..64).collect();
-    let (_, telemetry) =
-        run_batch_outcomes_with_telemetry(8, &work, &BatchPolicy::default(), |&i, _| {
-            if i < 8 {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            i
-        });
-    assert_eq!(telemetry.chunk, 1);
-    assert!(
-        telemetry.steals > 0,
-        "expected steals in a skewed chunk-1 batch: {telemetry:?}"
-    );
-    assert!(telemetry.stolen_jobs >= telemetry.steals);
+    let threads = run_batch(8, &work, |&i| {
+        let (done, cv) = &last_done;
+        if i == 0 {
+            let guard = done.lock().unwrap();
+            let _ = cv
+                .wait_timeout_while(guard, Duration::from_secs(30), |d| !*d)
+                .unwrap();
+        } else if i == work.len() - 1 {
+            *done.lock().unwrap() = true;
+            cv.notify_all();
+        }
+        std::thread::current().id()
+    });
+    let workers: HashSet<_> = threads.into_iter().collect();
+    assert!(workers.len() > 1, "one worker ran every job");
 }
 
 #[test]
-fn failures_attempts_and_messages_are_identical_under_stealing() {
+fn failures_attempts_and_messages_are_identical_across_worker_counts() {
     // Jobs 5, 13, and 21 fail deterministically on every attempt; job 30
     // fails on its first attempt only. With one retry, the permanent
     // failures must report attempts == 2 with identical messages at every
@@ -138,39 +142,33 @@ fn failures_attempts_and_messages_are_identical_under_stealing() {
         assert_eq!(
             fingerprint(&run(jobs)),
             fp,
-            "jobs={jobs}: failure shape diverged under stealing"
+            "jobs={jobs}: failure shape diverged"
         );
     }
 }
 
 #[test]
-fn worker_counts_change_chunks_not_results() {
-    // 600 jobs derive a different chunk at every worker count (64, 37,
-    // 18, 9); the outcomes must stay byte-identical, and only the
-    // schedule may differ.
+fn worker_counts_do_not_change_results() {
+    // 600 jobs split into different blocks at every worker count; the
+    // outcomes must stay byte-identical, and only the schedule may differ.
     let work: Vec<usize> = (0..600).collect();
     let run = |jobs: usize| {
-        run_batch_outcomes_with_telemetry(jobs, &work, &BatchPolicy::default(), |&i, _| {
+        run_batch_outcomes(jobs, &work, &BatchPolicy::default(), |&i, _| {
             vec![(i * 31 % 251) as u8]
         })
     };
-    let (base, t1) = run(1);
+    let base = run(1);
     let fp = fingerprint(&base);
     assert_eq!(base.len(), work.len());
-    let mut chunks = vec![t1.chunk];
     for jobs in [2, 4, 8] {
-        let (outcomes, telemetry) = run(jobs);
-        assert_eq!(fingerprint(&outcomes), fp, "jobs={jobs} diverged");
-        assert_eq!(telemetry.workers, jobs as u64);
-        chunks.push(telemetry.chunk);
+        assert_eq!(fingerprint(&run(jobs)), fp, "jobs={jobs} diverged");
     }
-    assert_eq!(chunks, vec![64, 37, 18, 9]);
 }
 
 #[test]
 fn attempt_counter_is_per_job_not_per_worker() {
-    // A stolen job's retry happens on whichever worker holds it; the
-    // attempt index passed to the closure must still be per-job. Count
+    // A job's retry happens on whichever worker claimed it; the attempt
+    // index passed to the closure must still be per-job. Count
     // total invocations: 22 passing jobs run once, the two failing jobs
     // run twice (first attempt + one retry).
     let calls = AtomicU32::new(0);
