@@ -167,7 +167,7 @@ options:
   --tier-up <n>        when the bytecode engine compiles a hot method body to
                        its closure-threaded tier (deopting back to bytecode
                        where a guard fails): 0 = on first call, off = never,
-                       else after <n> calls (default: off; ENT_TIER_UP env
+                       else after <n> calls (default: 8; ENT_TIER_UP env
                        default); results are bit-identical at every setting
   --enforce <s>        mode-check enforcement strategy: guarded (deep snapshot
                        boundaries + dynamic waterfall, the paper's semantics,

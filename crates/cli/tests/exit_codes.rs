@@ -96,10 +96,19 @@ fn tier_up_reaches_the_run_from_the_flag_and_the_environment() {
     );
     let dir = std::env::temp_dir().join(format!("ent-tier-up-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let threaded_entries = |tag: &str, flags: &[&str], env: &[(&str, &str)]| -> f64 {
+    // `count` runs 21 times in one run, past the default threshold;
+    // crawler's bodies never reach it.
+    let hot = dir.join("hot.ent");
+    std::fs::write(
+        &hot,
+        "class Main {\n  int count(int i) { if (i <= 0) { return 0; } return 1 + this.count(i - 1); }\n  int main() { return this.count(20); }\n}\n",
+    )
+    .expect("write program");
+    let hot = hot.to_str().expect("utf-8 temp path");
+    let threaded_entries = |tag: &str, program: &str, flags: &[&str], env: &[(&str, &str)]| {
         let metrics = dir.join(format!("{tag}.json"));
         let metrics = metrics.to_str().expect("utf-8 temp path");
-        let mut args = vec!["run", crawler, "--metrics-json", metrics];
+        let mut args = vec!["run", program, "--metrics-json", metrics];
         args.extend(flags);
         let out = spawn_ent(&args, env);
         assert_eq!(out.status.code(), Some(EXIT_OK), "{tag}: {out:?}");
@@ -110,12 +119,26 @@ fn tier_up_reaches_the_run_from_the_flag_and_the_environment() {
             .and_then(Json::as_f64)
             .expect("tier.threaded_entries")
     };
-    assert!(threaded_entries("flag", &["--tier-up", "0"], &[]) > 0.0);
-    assert!(threaded_entries("env", &[], &[("ENT_TIER_UP", "0")]) > 0.0);
+    assert!(threaded_entries("flag", crawler, &["--tier-up", "0"], &[]) > 0.0);
+    assert!(threaded_entries("env", crawler, &[], &[("ENT_TIER_UP", "0")]) > 0.0);
     assert_eq!(
-        threaded_entries("tree", &["--tier-up", "0"], &[("ENT_ENGINE", "tree")]),
+        threaded_entries(
+            "tree",
+            crawler,
+            &["--tier-up", "0"],
+            &[("ENT_ENGINE", "tree")]
+        ),
         0.0,
         "the tree engine never tiers"
+    );
+    assert!(
+        threaded_entries("default", hot, &[], &[]) > 0.0,
+        "a hot body tiers up by default"
+    );
+    assert_eq!(
+        threaded_entries("off", hot, &["--tier-up", "off"], &[]),
+        0.0,
+        "`--tier-up off` never tiers"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -123,19 +123,30 @@ impl Engine {
 /// When the bytecode engine promotes a body to the closure-threaded tier.
 /// Promotion is profile-guided: each body carries a hit counter and
 /// compiles (lazily, once per program — batch runs share the compiled tier
-/// like they share bytecode) when the counter crosses the threshold. Tier
-/// choice is perf-only and never observable: `--tier-up 0` and
-/// `--tier-up off` runs are byte-identical, which CI gates pin.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// like they share bytecode) when the counter crosses the threshold; a
+/// body already promoted stops counting. Only guarded runs promote (the
+/// tier compiles the guarded strategy's semantics). Tier choice is
+/// perf-only and never observable: `--tier-up 0`, `--tier-up off` and the
+/// default are byte-identical, which CI gates pin.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TierUp {
     /// Promote on the first invocation (`--tier-up 0`).
     Always,
-    /// Never promote: every body runs on bytecode (`--tier-up off`, the
-    /// default).
-    #[default]
+    /// Never promote: every body runs on bytecode (`--tier-up off`).
     Never,
     /// Promote once a body has been invoked this many times.
     After(u32),
+}
+
+impl Default for TierUp {
+    /// `After(8)`: a body promotes on its 8th invocation over a lowered
+    /// program, counted across runs. Chosen over 2 and 32 by end-to-end
+    /// pairs (DESIGN §16.1); a program run once whose bodies are all
+    /// entered fewer than 8 times, like a never-seen daemon request,
+    /// compiles no threaded code.
+    fn default() -> Self {
+        TierUp::After(8)
+    }
 }
 
 impl TierUp {
@@ -162,8 +173,8 @@ impl TierUp {
     }
 
     /// The process-default threshold: `ENT_TIER_UP` (`off` | `0` | `N`),
-    /// or `off` when unset. Binaries reject a malformed value at startup
-    /// ([`check_env_settings`]).
+    /// or [`TierUp::default`] when unset. Binaries reject a malformed value
+    /// at startup ([`check_env_settings`]).
     pub fn from_env() -> TierUp {
         env_setting("ENT_TIER_UP", TierUp::parse)
             .ok()
@@ -286,7 +297,8 @@ pub struct RuntimeConfig {
     /// see [`Enforcement`]).
     pub enforcement: Enforcement,
     /// When the bytecode engine promotes a hot body to the threaded tier
-    /// (never by default; ignored by the tree engine). See [`TierUp`].
+    /// (after 8 invocations by default; ignored by the tree engine and by
+    /// transient runs). See [`TierUp`].
     pub tier_up: TierUp,
 }
 
@@ -368,10 +380,6 @@ pub struct RunStats {
 /// run, which the deopt-path tests pin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeoptReason {
-    /// The run's enforcement strategy is not the one the threaded tier
-    /// compiles against (`--enforce transient`): the body defers to
-    /// bytecode at entry.
-    Enforcement,
     /// The energy-decision window rolled mid-body (fault injection with a
     /// decision window): a pending mode decision (snapshot or `<|`) bails
     /// out before deciding.
@@ -387,11 +395,12 @@ pub enum DeoptReason {
 }
 
 /// Tiering counters for one run (all zero unless the bytecode engine
-/// tiered a body up, which it never does by default). Deliberately *not*
-/// part of [`RunStats`]: stats are part of the cross-engine bit-identical
-/// contract (the differential harness compares them verbatim), while tier
-/// choice is a perf-only detail that legitimately varies with
-/// `--tier-up`. Surfaced as the `tier` object in `ent-run-telemetry/1`.
+/// tiered a body up: by default, a body invoked 8 times in a guarded
+/// run). Deliberately *not* part of [`RunStats`]: stats are part of the
+/// cross-engine bit-identical contract (the differential harness compares
+/// them verbatim), while tier choice is a perf-only detail that
+/// legitimately varies with `--tier-up`. Surfaced as the `tier` object in
+/// `ent-run-telemetry/1`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TierStats {
     /// Bodies entered in tier-2 threaded code.
@@ -399,9 +408,8 @@ pub struct TierStats {
     /// Bodies compiled to threaded code during this run (program-wide
     /// caching makes this 0 for all but the first run over a program).
     pub threaded_compiles: u64,
-    /// Guard-triggered handoffs back to the bytecode VM, by reason.
-    pub deopt_enforcement: u64,
-    /// See [`DeoptReason::ModeWindow`].
+    /// Guard-triggered handoffs back to the bytecode VM, by reason. See
+    /// [`DeoptReason::ModeWindow`].
     pub deopt_mode_window: u64,
     /// See [`DeoptReason::IcMegamorphic`].
     pub deopt_ic_megamorphic: u64,
@@ -412,15 +420,11 @@ pub struct TierStats {
 impl TierStats {
     /// Total deopts across all reasons.
     pub fn deopts(&self) -> u64 {
-        self.deopt_enforcement
-            + self.deopt_mode_window
-            + self.deopt_ic_megamorphic
-            + self.deopt_fault_epoch
+        self.deopt_mode_window + self.deopt_ic_megamorphic + self.deopt_fault_epoch
     }
 
     pub(crate) fn deopt(&mut self, reason: DeoptReason) {
         match reason {
-            DeoptReason::Enforcement => self.deopt_enforcement += 1,
             DeoptReason::ModeWindow => self.deopt_mode_window += 1,
             DeoptReason::IcMegamorphic => self.deopt_ic_megamorphic += 1,
             DeoptReason::FaultEpoch => self.deopt_fault_epoch += 1,
@@ -900,9 +904,9 @@ impl<'p> Interp<'p> {
     /// engine lazily compiles into `cell` (shared program-wide, so batch
     /// runs compile once) and resizes the frame's register file; `n_base`
     /// is the body's parameter count (its fixed leading locals). Once the
-    /// body is hot (per [`RuntimeConfig::tier_up`]) it also compiles the
-    /// bytecode to the threaded tier — cached program-wide as well — and
-    /// enters that instead.
+    /// body is hot (per [`RuntimeConfig::tier_up`]) in a guarded run it
+    /// also compiles the bytecode to the threaded tier — cached
+    /// program-wide as well — and enters that instead.
     fn run_body(
         &mut self,
         frame: &mut Frame,
@@ -915,14 +919,18 @@ impl<'p> Interp<'p> {
         }
         let code = cell.code_or_compile(body, n_base, &self.prog.ic);
         frame.locals.resize(code.frame_size as usize, Value::Unit);
-        let hot = match self.config.tier_up {
-            TierUp::Never => false,
-            TierUp::Always => true,
-            // The counter is program-wide (shared by concurrent runs) and
-            // drives a perf-only choice, so the benign count race needs no
-            // stronger ordering.
-            TierUp::After(n) => cell.hot_hit() >= n,
-        };
+        // The threaded tier compiles the guarded strategy only, so a
+        // transient run stays on the VM and compiles nothing.
+        let hot = matches!(self.config.enforcement, Enforcement::Guarded)
+            && match self.config.tier_up {
+                TierUp::Never => false,
+                TierUp::Always => true,
+                // The counter is program-wide (shared by concurrent runs)
+                // and drives a perf-only choice, so the benign count race
+                // needs no stronger ordering. A promoted body skips it, so
+                // hot bodies do no shared read-modify-write.
+                TierUp::After(n) => cell.threaded.get().is_some() || cell.hot_hit() >= n,
+            };
         if !hot {
             return self.exec(frame, code);
         }

@@ -41,12 +41,15 @@
 //! hence every byte of the report) are engine-invariant even though the
 //! engines' accumulator readings at capture points are not.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use super::{key, splitmix64, StackShadow, ROOT_ID};
+use super::{splitmix64, StackShadow, ROOT_ID};
 use crate::lower::LoweredProgram;
 use crate::telemetry::{json_escape, json_f64};
+
+/// No node: an end of a sibling list, or a shadow frame no capture has
+/// resolved yet.
+const NO_NODE: u32 = u32::MAX;
 
 /// One node of the sampled call tree: a distinct stack path that was
 /// live at one or more captures (plus its ancestors).
@@ -57,6 +60,23 @@ struct SNode {
     method: u32,
     /// Sample hits attributed to this exact stack path.
     hits: u64,
+    /// First child, or [`NO_NODE`]; the children chain through `next`.
+    first_child: u32,
+    /// Next sibling, or [`NO_NODE`].
+    next: u32,
+}
+
+/// One shadow-stack frame.
+#[derive(Clone, Debug)]
+struct SFrame {
+    class: u32,
+    method: u32,
+    /// Run length of direct self-recursion.
+    repeat: u32,
+    /// This frame's sample-tree node, cached by the first capture that
+    /// resolves it ([`NO_NODE`] until then): frames below a live frame
+    /// never change, so neither does its path.
+    node: u32,
 }
 
 /// The in-run sampler: the flat frame array plus the (lazily grown)
@@ -77,9 +97,8 @@ struct SNode {
 pub(crate) struct Sampler {
     period: u64,
     seed: u64,
-    /// Live shadow stack of `(class, method, repeat)` frames (root
-    /// excluded); `repeat` run-length encodes direct self-recursion.
-    frames: Vec<(u32, u32, u32)>,
+    /// Live shadow stack (root excluded).
+    frames: Vec<SFrame>,
     /// Step threshold that triggers the next capture.
     next_at: u64,
     /// Sample index: drives the jitter stream.
@@ -87,8 +106,6 @@ pub(crate) struct Sampler {
     /// Total hits recorded.
     samples: u64,
     nodes: Vec<SNode>,
-    /// `(parent node, (class, method) key) → node`.
-    children: HashMap<(u32, u64), u32>,
 }
 
 impl Sampler {
@@ -105,8 +122,9 @@ impl Sampler {
                 class: ROOT_ID,
                 method: ROOT_ID,
                 hits: 0,
+                first_child: NO_NODE,
+                next: NO_NODE,
             }],
-            children: HashMap::new(),
         };
         s.next_at = s.gap();
         s
@@ -140,34 +158,44 @@ impl Sampler {
             let g = self.gap();
             self.next_at += g;
         }
+        // Only the frames pushed since the previous capture are
+        // unresolved, and they sit on top of the resolved ones.
         let mut node = 0u32;
-        for i in 0..self.frames.len() {
-            let (class, method, _) = self.frames[i];
-            node = self.child(node, class, method);
+        for f in &mut self.frames {
+            if f.node == NO_NODE {
+                f.node = child(&mut self.nodes, node, f.class, f.method);
+            }
+            node = f.node;
         }
         self.nodes[node as usize].hits += hits;
         self.samples += hits;
     }
+}
 
-    /// Finds or creates the child node for one frame of the captured
-    /// path. Parents are always created before their children, so node
-    /// indices are topologically ordered (the build sweep relies on it).
-    fn child(&mut self, parent: u32, class: u32, method: u32) -> u32 {
-        let k = key(class, method);
-        match self.children.entry((parent, k)) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let id = self.nodes.len() as u32;
-                self.nodes.push(SNode {
-                    parent,
-                    class,
-                    method,
-                    hits: 0,
-                });
-                *e.insert(id)
-            }
+/// Finds or creates `parent`'s child node for one frame of a captured
+/// path. Parents are always created before their children, so node
+/// indices are topologically ordered (the build sweep relies on it).
+fn child(nodes: &mut Vec<SNode>, parent: u32, class: u32, method: u32) -> u32 {
+    let mut c = nodes[parent as usize].first_child;
+    while c != NO_NODE {
+        let n = &nodes[c as usize];
+        if n.class == class && n.method == method {
+            return c;
         }
+        c = n.next;
     }
+    let id = nodes.len() as u32;
+    let next = nodes[parent as usize].first_child;
+    nodes.push(SNode {
+        parent,
+        class,
+        method,
+        hits: 0,
+        first_child: NO_NODE,
+        next,
+    });
+    nodes[parent as usize].first_child = id;
+    id
 }
 
 impl StackShadow for Sampler {
@@ -179,8 +207,13 @@ impl StackShadow for Sampler {
         match self.frames.last_mut() {
             // Direct self-recursion: bump the run length instead of
             // deepening the shadow stack.
-            Some((c, m, repeat)) if *c == class && *m == method => *repeat += 1,
-            _ => self.frames.push((class, method, 1)),
+            Some(f) if f.class == class && f.method == method => f.repeat += 1,
+            _ => self.frames.push(SFrame {
+                class,
+                method,
+                repeat: 1,
+                node: NO_NODE,
+            }),
         }
     }
 
@@ -188,9 +221,9 @@ impl StackShadow for Sampler {
     fn on_exit(&mut self, steps: u64) {
         // The interval ran in the callee — check before popping it.
         self.maybe_capture(steps);
-        if let Some((_, _, repeat)) = self.frames.last_mut() {
-            *repeat -= 1;
-            if *repeat == 0 {
+        if let Some(f) = self.frames.last_mut() {
+            f.repeat -= 1;
+            if f.repeat == 0 {
                 self.frames.pop();
             }
         }
@@ -322,51 +355,92 @@ impl SampledProfile {
             incl_hits[p] += incl_hits[i];
         }
 
-        let mut names: HashMap<u64, String> = HashMap::new();
-        for nd in nodes.iter() {
-            names.entry(key(nd.class, nd.method)).or_insert_with(|| {
-                if nd.class == ROOT_ID {
-                    "(root)".to_string()
-                } else {
-                    format!(
-                        "{}.{}",
-                        prog.class_name(nd.class),
-                        prog.method_name(nd.method)
-                    )
+        // One row per distinct (class, method), in first-seen node order,
+        // holding its resolved name and hit sums; `row[i]` is node `i`'s
+        // row. Each name is built once and later moved into its method
+        // entry. This build runs once per sampled run, so it avoids
+        // hashing and formatting: a run's captures name a handful of
+        // methods, and a scan over them is cheaper than a map.
+        struct Row {
+            class: u32,
+            method: u32,
+            name: String,
+            excl_hits: u64,
+            incl_hits: u64,
+        }
+        let mut rows: Vec<Row> = Vec::new();
+        let mut row: Vec<usize> = Vec::with_capacity(len);
+        for nd in nodes {
+            let r = match rows
+                .iter()
+                .position(|r| r.class == nd.class && r.method == nd.method)
+            {
+                Some(r) => r,
+                None => {
+                    let name = if nd.class == ROOT_ID {
+                        "(root)".to_string()
+                    } else {
+                        let (c, m) = (prog.class_name(nd.class), prog.method_name(nd.method));
+                        let mut name = String::with_capacity(c.len() + 1 + m.len());
+                        name.push_str(c);
+                        name.push('.');
+                        name.push_str(m);
+                        name
+                    };
+                    rows.push(Row {
+                        class: nd.class,
+                        method: nd.method,
+                        name,
+                        excl_hits: 0,
+                        incl_hits: 0,
+                    });
+                    rows.len() - 1
                 }
-            });
+            };
+            row.push(r);
         }
 
         // Aggregate per (class, method): exclusive sums every node;
         // inclusive sums only nodes with no ancestor of the same key, so
         // recursion is not double-counted (same walk as the exact build).
-        #[derive(Default)]
-        struct Agg {
-            excl_hits: u64,
-            incl_hits: u64,
-        }
-        let mut order: Vec<u64> = Vec::new();
-        let mut agg: HashMap<u64, Agg> = HashMap::new();
         for (i, nd) in nodes.iter().enumerate() {
-            let k = key(nd.class, nd.method);
-            let entry = agg.entry(k).or_insert_with(|| {
-                order.push(k);
-                Agg::default()
-            });
-            entry.excl_hits += nd.hits;
+            let r = row[i];
+            rows[r].excl_hits += nd.hits;
             let mut anc = nd.parent;
             let recursive = loop {
                 if anc == ROOT_ID {
                     break false;
                 }
-                let a = &nodes[anc as usize];
-                if key(a.class, a.method) == k {
+                if row[anc as usize] == r {
                     break true;
                 }
-                anc = a.parent;
+                anc = nodes[anc as usize].parent;
             };
             if !recursive {
-                entry.incl_hits += incl_hits[i];
+                rows[r].incl_hits += incl_hits[i];
+            }
+        }
+
+        // Folded stacks weighted by sample counts, paths built top-down.
+        // Every node's path sits in one buffer as a span, so a child
+        // extends its parent's span without a string of its own.
+        let mut paths = String::new();
+        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(len);
+        for (i, nd) in nodes.iter().enumerate() {
+            let start = paths.len();
+            if i > 0 {
+                let (ps, pe) = spans[nd.parent as usize];
+                paths.extend_from_within(ps..pe);
+                paths.push(';');
+            }
+            paths.push_str(&rows[row[i]].name);
+            spans.push((start, paths.len()));
+            if nd.hits > 0 {
+                let path = &paths[start..];
+                let mut line = String::with_capacity(path.len() + 22);
+                line.push_str(path);
+                let _ = write!(line, " {}", nd.hits);
+                report.folded.push(line);
             }
         }
 
@@ -377,15 +451,14 @@ impl SampledProfile {
         // module doc relies on).
         let steps_f = total_steps as f64;
         let nf = n as f64;
-        report.methods = order
+        report.methods = rows
             .into_iter()
-            .map(|k| {
-                let a = &agg[&k];
+            .map(|a| {
                 let (xlo, xhi) = wilson_ci(a.excl_hits, n);
                 let (ilo, ihi) = wilson_ci(a.incl_hits, n);
                 let (x_share, i_share) = (a.excl_hits as f64 / nf, a.incl_hits as f64 / nf);
                 SampledMethod {
-                    name: names[&k].clone(),
+                    name: a.name,
                     samples_excl: a.excl_hits,
                     samples_incl: a.incl_hits,
                     est_steps_excl: x_share * steps_f,
@@ -404,24 +477,6 @@ impl SampledProfile {
                 .total_cmp(&a.est_energy_j_incl)
                 .then_with(|| a.name.cmp(&b.name))
         });
-
-        // Folded stacks weighted by sample counts, paths built top-down.
-        let mut paths: Vec<String> = Vec::with_capacity(len);
-        for (i, nd) in nodes.iter().enumerate() {
-            let name = &names[&key(nd.class, nd.method)];
-            let path = if i == 0 {
-                name.clone()
-            } else {
-                format!("{};{}", paths[nd.parent as usize], name)
-            };
-            if nd.hits > 0 {
-                let mut line = String::with_capacity(path.len() + 22);
-                line.push_str(&path);
-                let _ = write!(line, " {}", nd.hits);
-                report.folded.push(line);
-            }
-            paths.push(path);
-        }
 
         report
     }

@@ -170,18 +170,17 @@ impl RunResult {
         );
 
         // Tiering counters. All-zero unless the bytecode engine tiered a
-        // body up (it never does by default), so the object is
-        // byte-identical across engines unless the threaded tier actually
-        // ran — the sampled determinism gates diff full telemetry lines
-        // across engines.
+        // body up (by default, one invoked 8 times in a guarded run), so
+        // the object is byte-identical across engines unless the threaded
+        // tier actually ran — the sampled determinism gates diff full
+        // telemetry lines across engines.
         let t = &self.tier;
         let _ = write!(
             out,
-            ", \"tier\": {{\"threaded_entries\": {}, \"threaded_compiles\": {}, \"deopts\": {}, \"deopt_enforcement\": {}, \"deopt_mode_window\": {}, \"deopt_ic_megamorphic\": {}, \"deopt_fault_epoch\": {}}}",
+            ", \"tier\": {{\"threaded_entries\": {}, \"threaded_compiles\": {}, \"deopts\": {}, \"deopt_mode_window\": {}, \"deopt_ic_megamorphic\": {}, \"deopt_fault_epoch\": {}}}",
             t.threaded_entries,
             t.threaded_compiles,
             t.deopts(),
-            t.deopt_enforcement,
             t.deopt_mode_window,
             t.deopt_ic_megamorphic,
             t.deopt_fault_epoch,

@@ -38,9 +38,11 @@
 //!
 //! # The guard set
 //!
-//! * **Enforcement** — bodies are compiled against the guarded strategy's
-//!   semantics (the only one that may elide tail self-sends); a transient
-//!   run deopts at body entry.
+//! Bodies are compiled against the guarded strategy's semantics (the
+//! only one that may elide tail self-sends), so a transient run never
+//! enters this tier: `run_body` keeps it on the VM before compiling
+//! anything. Within a guarded run:
+//!
 //! * **Mode window** — under fault injection with a decision window, a
 //!   pending mode decision (snapshot or `<|`) deopts when the window has
 //!   rolled since body entry, leaving window-sensitive slow paths to the
@@ -56,7 +58,7 @@ use ent_syntax::UnOp;
 use std::sync::Arc;
 
 use super::vm::{binop_fast, ArmIc};
-use super::{DeoptReason, Enforcement, Frame, Interp, RtTag};
+use super::{DeoptReason, Frame, Interp, RtTag};
 use crate::compile::{Code, Op, Opnd};
 use crate::error::{Flow, RtError};
 use crate::lower::BOp;
@@ -65,8 +67,11 @@ use crate::value::Value;
 
 /// One threaded op: the monomorphized handler plus its pre-resolved
 /// payload. Field meaning is per-handler (documented at each handler);
-/// broadly `a` is the destination register, `b`/`c` source indices, `d` a
-/// site index or jump target, and `k`/`k2` pre-resolved constants.
+/// broadly `a` is the destination register, `b`/`c` source indices (a
+/// constant operand's index into [`Code::consts`]), and `d` a site index,
+/// constant index or jump target. Constants stay in the bytecode's pool,
+/// which every handler receives, so an op is 32 bytes rather than
+/// carrying two inline [`Value`]s.
 pub(crate) struct TOp {
     run: TFn,
     gas: u16,
@@ -82,11 +87,9 @@ pub(crate) struct TOp {
     /// Interned-name index of the rhs slot operand.
     n2: u32,
     bin: ent_syntax::BinOp,
-    /// Pre-resolved lhs constant (also the `Const` payload).
-    k: Value,
-    /// Pre-resolved rhs constant.
-    k2: Value,
 }
+
+const _: () = assert!(std::mem::size_of::<TOp>() == 32);
 
 /// A compiled body: one [`TOp`] per bytecode instruction, pc-aligned
 /// (see the module docs for why alignment *is* the deopt contract).
@@ -272,9 +275,8 @@ macro_rules! forced {
     }};
 }
 
-/// Enters a compiled body. The enforcement guard lives here: only the
-/// guarded strategy's semantics are compiled, so a transient run counts
-/// an [`DeoptReason::Enforcement`] deopt and executes on the VM.
+/// Enters a compiled body. Only guarded runs get here (see the module
+/// docs on the guard set).
 pub(super) fn enter<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
@@ -282,10 +284,6 @@ pub(super) fn enter<'p>(
     tcode: &TCode,
 ) -> super::EvalResult {
     it.tier.threaded_entries += 1;
-    if !matches!(it.config.enforcement, Enforcement::Guarded) {
-        it.tier.deopt(DeoptReason::Enforcement);
-        return it.exec(frame, code);
-    }
     // Tail elision bumps `depth` per elided logical frame; all of them
     // pop together when this activation exits — including via deopt,
     // whose nested `exec_from` runs inside this save/restore.
@@ -306,7 +304,8 @@ fn run_loop<'p>(
         entry_window: it.decision_window(),
         out: Value::Unit,
         flow: None,
-        deopt: DeoptReason::Enforcement,
+        // Placeholder: `deopt_at` sets the reason before every R_DEOPT.
+        deopt: DeoptReason::ModeWindow,
         deopt_pc: 0,
     };
     let ops = &tcode.ops;
@@ -400,7 +399,6 @@ fn fetch_sc<const KIND: u8>(
     code: &Code,
     idx: u16,
     name: u32,
-    k: &Value,
 ) -> Result<Sc, Flow> {
     match KIND {
         K_REG => {
@@ -426,10 +424,10 @@ fn fetch_sc<const KIND: u8>(
                 v => Ok(Sc::V(v.clone())),
             }
         }
-        _ => match k {
+        _ => match &code.consts[idx as usize] {
             Value::Int(n) => Ok(Sc::I(*n)),
             Value::Double(x) => Ok(Sc::D(*x)),
-            _ => Ok(Sc::V(k.clone())),
+            k => Ok(Sc::V(k.clone())),
         },
     }
 }
@@ -517,12 +515,13 @@ macro_rules! forced_sc {
     }};
 }
 
-/// Pre-resolves a fused operand: `(kind, index, name, constant)`.
-fn pre_opnd(code: &Code, o: &Opnd) -> (u8, u16, u32, Value) {
+/// Pre-resolves a fused operand: `(kind, index, name)`, where a
+/// constant's index is its slot in [`Code::consts`].
+fn pre_opnd(o: &Opnd) -> (u8, u16, u32) {
     match *o {
-        Opnd::Reg(r) => (K_REG, r, 0, Value::Unit),
-        Opnd::Slot { slot, name } => (K_SLOT, slot, name, Value::Unit),
-        Opnd::Cst(k) => (K_CST, k, 0, code.consts[k as usize].clone()),
+        Opnd::Reg(r) => (K_REG, r, 0),
+        Opnd::Slot { slot, name } => (K_SLOT, slot, name),
+        Opnd::Cst(k) => (K_CST, k, 0),
     }
 }
 
@@ -664,14 +663,9 @@ pub(crate) fn compile_threaded(code: &Code) -> TCode {
             n1: 0,
             n2: 0,
             bin: ent_syntax::BinOp::Add,
-            k: Value::Unit,
-            k2: Value::Unit,
         };
         t.run = match i.op {
-            Op::Const => {
-                t.k = code.consts[i.d as usize].clone();
-                plain::<ConstB>
-            }
+            Op::Const => plain::<ConstB>,
             Op::Unit => plain::<UnitB>,
             Op::This => plain::<ThisB>,
             Op::Local => plain::<LocalB>,
@@ -711,14 +705,12 @@ pub(crate) fn compile_threaded(code: &Code) -> TCode {
                 let site = &code.fused[i.d as usize];
                 t.bin = site.op;
                 t.rgas = site.rgas;
-                let (lk, li, ln, lc) = pre_opnd(code, &site.lhs);
-                let (rk, ri, rn, rc) = pre_opnd(code, &site.rhs);
+                let (lk, li, ln) = pre_opnd(&site.lhs);
+                let (rk, ri, rn) = pre_opnd(&site.rhs);
                 t.b = li;
                 t.c = ri;
                 t.n1 = ln;
                 t.n2 = rn;
-                t.k = lc;
-                t.k2 = rc;
                 binf_fn(lk, rk, site.op)
             }
             Op::JmpBin => {
@@ -734,14 +726,12 @@ pub(crate) fn compile_threaded(code: &Code) -> TCode {
                 let site = &code.fused[i.a as usize];
                 t.bin = site.op;
                 t.rgas = site.rgas;
-                let (lk, li, ln, lc) = pre_opnd(code, &site.lhs);
-                let (rk, ri, rn, rc) = pre_opnd(code, &site.rhs);
+                let (lk, li, ln) = pre_opnd(&site.lhs);
+                let (rk, ri, rn) = pre_opnd(&site.rhs);
                 t.b = li;
                 t.c = ri;
                 t.n1 = ln;
                 t.n2 = rn;
-                t.k = lc;
-                t.k2 = rc;
                 jmp_binf_fn(lk, rk, site.op)
             }
             Op::Un => plain::<UnB>,
@@ -946,14 +936,14 @@ impl OpBody for ConstB {
     fn run<'p>(
         it: &mut Interp<'p>,
         frame: &mut Frame,
-        _code: &'p Code,
+        code: &'p Code,
         ops: &[TOp],
         st: &mut TState,
         pc: u32,
     ) -> u32 {
         let t = &ops[pc as usize];
         charge!(it, t, st);
-        frame.locals[t.a as usize] = t.k.clone();
+        frame.locals[t.a as usize] = code.consts[t.d as usize].clone();
         pc + 1
     }
 }
@@ -1226,9 +1216,8 @@ impl OpBody for CallMB {
 /// A send statically matching the VM's tail self-send shape. The runtime
 /// half of the elision guard mirrors the VM's exactly (the static half —
 /// `this` receiver, no mode arguments, gasless consuming `Ret` — was
-/// proven at compile time, and the enforcement guard at body entry
-/// proved the strategy is guarded); on failure the send takes the
-/// generic path.
+/// proven at compile time, and `run_body` enters this tier only in
+/// guarded runs); on failure the send takes the generic path.
 struct TailCallB;
 impl OpBody for TailCallB {
     fn run<'p>(
@@ -1509,8 +1498,8 @@ impl<const P: u8> OpBody for BinB<P> {
     ) -> u32 {
         let t = &ops[pc as usize];
         charge!(it, t, st);
-        let l = tt!(st, fetch_sc::<K_REG>(frame, code, t.b, 0, &t.k));
-        let r = tt!(st, fetch_sc::<K_REG>(frame, code, t.c, 0, &t.k));
+        let l = tt!(st, fetch_sc::<K_REG>(frame, code, t.b, 0));
+        let r = tt!(st, fetch_sc::<K_REG>(frame, code, t.c, 0));
         let r = forced_sc!(it, frame, st, r);
         let v = match bin_sc::<P>(&l, &r) {
             Some(v) => v,
@@ -1539,12 +1528,12 @@ impl<const L: u8, const R: u8, const P: u8> OpBody for BinFB<L, R, P> {
     ) -> u32 {
         let t = &ops[pc as usize];
         charge!(it, t, st);
-        let l = tt!(st, fetch_sc::<L>(frame, code, t.b, t.n1, &t.k));
+        let l = tt!(st, fetch_sc::<L>(frame, code, t.b, t.n1));
         let l = forced_sc!(it, frame, st, l);
         if t.rgas != 0 {
             tt!(st, it.gas_n(u64::from(t.rgas)));
         }
-        let r = tt!(st, fetch_sc::<R>(frame, code, t.c, t.n2, &t.k2));
+        let r = tt!(st, fetch_sc::<R>(frame, code, t.c, t.n2));
         let r = forced_sc!(it, frame, st, r);
         let v = match bin_sc::<P>(&l, &r) {
             Some(v) => v,
@@ -1573,8 +1562,8 @@ impl<const P: u8> OpBody for JmpBinB<P> {
     ) -> u32 {
         let t = &ops[pc as usize];
         charge!(it, t, st);
-        let l = tt!(st, fetch_sc::<K_REG>(frame, code, t.a, 0, &t.k));
-        let r = tt!(st, fetch_sc::<K_REG>(frame, code, t.b, 0, &t.k));
+        let l = tt!(st, fetch_sc::<K_REG>(frame, code, t.a, 0));
+        let r = tt!(st, fetch_sc::<K_REG>(frame, code, t.b, 0));
         let r = forced_sc!(it, frame, st, r);
         if let Some(b) = cmp_sc::<P>(&l, &r) {
             return if b { pc + 1 } else { t.d };
@@ -1607,12 +1596,12 @@ impl<const L: u8, const R: u8, const P: u8> OpBody for JmpBinFB<L, R, P> {
     ) -> u32 {
         let t = &ops[pc as usize];
         charge!(it, t, st);
-        let l = tt!(st, fetch_sc::<L>(frame, code, t.b, t.n1, &t.k));
+        let l = tt!(st, fetch_sc::<L>(frame, code, t.b, t.n1));
         let l = forced_sc!(it, frame, st, l);
         if t.rgas != 0 {
             tt!(st, it.gas_n(u64::from(t.rgas)));
         }
-        let r = tt!(st, fetch_sc::<R>(frame, code, t.c, t.n2, &t.k2));
+        let r = tt!(st, fetch_sc::<R>(frame, code, t.c, t.n2));
         let r = forced_sc!(it, frame, st, r);
         if let Some(b) = cmp_sc::<P>(&l, &r) {
             return if b { pc + 1 } else { t.d };

@@ -5,6 +5,8 @@
 //! observable surface — value, rendering, stats, output, energy/time
 //! bits, and the rendered event stream — is byte-identical to a pure
 //! bytecode run. Deopt is a performance event, never a semantic one.
+//! Also pinned here: when the tier is entered at all (transient runs
+//! never; default runs once a body is hot).
 
 use std::fmt::Write as _;
 
@@ -12,7 +14,7 @@ use ent_core::compile;
 use ent_energy::{FaultPlan, Platform};
 use ent_runtime::{
     lower_program, render_event, run_lowered, Enforcement, Engine, LoweredProgram, RunResult,
-    RuntimeConfig, TierUp,
+    RuntimeConfig, TierStats, TierUp,
 };
 
 /// Every semantic observable, f64s by bit pattern (tier counters are
@@ -44,9 +46,9 @@ fn observe(prog: &LoweredProgram, r: &RunResult) -> String {
 }
 
 /// Runs `src` on the bytecode VM, never tiering and always tiering, with
-/// the same config, asserts byte-identical observables, and returns the
-/// threaded-tier run for deopt-counter assertions.
-fn run_pair(src: &str, mutate: impl Fn(&mut RuntimeConfig)) -> RunResult {
+/// the same config, asserts byte-identical observables, and returns both
+/// runs, untiered first.
+fn run_both(src: &str, mutate: impl Fn(&mut RuntimeConfig)) -> (RunResult, RunResult) {
     let compiled =
         compile(src).unwrap_or_else(|e| panic!("program fails to compile:\n{}", e.render(src)));
     let lowered = lower_program(&compiled);
@@ -69,6 +71,13 @@ fn run_pair(src: &str, mutate: impl Fn(&mut RuntimeConfig)) -> RunResult {
         observe(&lowered, &th),
         "bytecode and threaded observables diverge"
     );
+    (vm, th)
+}
+
+/// [`run_both`], asserting the always-tiering run entered compiled code;
+/// returns that run for deopt-counter assertions.
+fn run_pair(src: &str, mutate: impl Fn(&mut RuntimeConfig)) -> RunResult {
+    let (vm, th) = run_both(src, mutate);
     assert_eq!(vm.tier.deopts(), 0, "the VM run must never count deopts");
     assert!(
         th.tier.threaded_entries > 0,
@@ -199,20 +208,50 @@ fn fault_epoch_deopt_is_semantically_invisible() {
 }
 
 #[test]
-fn transient_enforcement_deopts_at_entry() {
-    // Only guarded semantics are compiled; a transient run must count an
-    // enforcement deopt per entry and execute entirely on the VM.
-    let th = run_pair(MEGAMORPHIC_SEND, |c| {
+fn transient_runs_never_tier_up() {
+    // Only guarded semantics are compiled, so even `TierUp::Always` keeps
+    // a transient run on the VM without compiling threaded code.
+    let (vm, th) = run_both(MEGAMORPHIC_SEND, |c| {
         c.enforcement = Enforcement::Transient;
     });
-    assert!(
-        th.tier.deopt_enforcement > 0,
-        "enforcement guard never fired: {:?}",
-        th.tier
-    );
-    assert_eq!(
-        th.tier.deopt_enforcement, th.tier.threaded_entries,
-        "every transient entry must deopt exactly once"
-    );
+    assert_eq!(th.tier.threaded_entries, 0, "{:?}", th.tier);
+    assert_eq!(th.tier.threaded_compiles, 0, "{:?}", th.tier);
+    assert_eq!(vm.to_json(), th.to_json(), "telemetry diverged");
     assert!(th.stats.transient_checks > 0, "transient strategy was idle");
+}
+
+#[test]
+fn default_config_tiers_up_a_body_once_it_is_hot() {
+    // Each body runs once per run, so the hit counters, shared by every
+    // run over the lowered program, cross the default threshold on run N.
+    let TierUp::After(n) = TierUp::default() else {
+        panic!("the default tiers up after a threshold");
+    };
+    let src = r#"
+class Main {
+  int twice(int i) { return i + i; }
+  int main() { return this.twice(20) + 2; }
+}
+"#;
+    let lowered = lower_program(&compile(src).expect("program compiles"));
+    let run = || run_lowered(&lowered, Platform::system_a(), RuntimeConfig::default());
+    assert_eq!(run().tier, TierStats::default(), "a cold body tiered up");
+    for _ in 1..n {
+        run();
+    }
+    let last = run();
+    assert!(last.tier.threaded_entries > 0, "{:?}", last.tier);
+    let never = run_lowered(
+        &lowered,
+        Platform::system_a(),
+        RuntimeConfig {
+            tier_up: TierUp::Never,
+            ..RuntimeConfig::default()
+        },
+    );
+    let untiered = RunResult {
+        tier: TierStats::default(),
+        ..last
+    };
+    assert_eq!(untiered.to_json(), never.to_json(), "tier choice leaked");
 }
