@@ -13,7 +13,7 @@
 //! every call site.
 //!
 //! Usage:
-//!   cargo run -p ent-bench --release --bin migration_lattice [repeats]
+//!   cargo run -p ent-bench --release --bin migration_lattice \[repeats\]
 //!
 //! Defaults: 3 repeats averaged. Runs use the `ENT_ENGINE` and
 //! `ENT_TIER_UP` defaults; the strategy grid is swept explicitly, so

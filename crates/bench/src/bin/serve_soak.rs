@@ -22,7 +22,7 @@
 //! Exits 1 if any contract is violated.
 //!
 //! Usage:
-//!   cargo run -p ent-bench --release --bin serve_soak [seed]
+//!   cargo run -p ent-bench --release --bin serve_soak \[seed\]
 
 use std::path::PathBuf;
 

@@ -133,7 +133,7 @@ impl EnergySim {
     }
 
     /// Installs (or removes) a deterministic fault injector. Brownouts
-    /// drain real charge during [`advance`](Self::advance); sensor reads
+    /// drain real charge during `advance`; sensor reads
     /// through [`read_sensor`](Self::read_sensor) observe the injected
     /// dropout/stale/spike/burst regime; sampler ticks may stall. With a
     /// no-op plan (or `None`) every observable is bit-identical to an

@@ -266,8 +266,11 @@ pub(crate) struct Code {
 
 /// Compiles one lowered body (method, attributor, or field initializer)
 /// whose frame starts with `n_base` locals (the parameter count; zero for
-/// class attributors and initializers).
-pub(crate) fn compile_body(body: &LExpr, n_base: u32, ic: &IcCounters) -> Code {
+/// class attributors and initializers). `None` when the body does not fit
+/// the instruction format: a register, constant or site index, an
+/// argument or item count, or a gas batch beyond `u16`. Such a body runs
+/// on the tree walker instead.
+pub(crate) fn compile_body(body: &LExpr, n_base: u32, ic: &IcCounters) -> Option<Code> {
     // Pass 1: the deepest lexical `let` depth, mirroring the slot numbers
     // lowering assigned, fixes where scratch registers start.
     let mut max_locals = n_base;
@@ -279,12 +282,13 @@ pub(crate) fn compile_body(body: &LExpr, n_base: u32, ic: &IcCounters) -> Code {
         let_depth: n_base,
         scratch: max_locals,
         max_reg: max_locals,
+        overflow: false,
     };
     let dst = c.alloc_scratch();
     c.expr(body, dst);
     c.emit(Op::Halt, 0, dst, 0, 0);
     c.code.frame_size = c.max_reg;
-    c.code
+    (!c.overflow).then_some(c.code)
 }
 
 fn max_let_depth(e: &LExpr, cur: u32, max: &mut u32) {
@@ -345,12 +349,14 @@ struct Compiler<'a> {
     code: Code,
     /// Node-entry gas charges accumulated since the last emission; the
     /// next emitted instruction leads with them.
-    pending: u16,
+    pending: u32,
     /// Current lexical `let` depth = the slot the next `let` binds.
     let_depth: u32,
     /// Next free scratch register.
     scratch: u32,
     max_reg: u32,
+    /// Some operand word did not fit its `u16` field (see [`Compiler::narrow`]).
+    overflow: bool,
 }
 
 /// Comparison operators: safe to fuse into a branch (the result is always
@@ -397,9 +403,17 @@ fn fusable(e: &LExpr) -> bool {
 }
 
 impl Compiler<'_> {
-    fn reg(&self, r: u32) -> u16 {
-        debug_assert!(r <= u16::MAX as u32, "register file exceeds u16 range");
-        r as u16
+    /// Narrows an operand word to its `u16` field. A value that does not
+    /// fit marks the body as not compilable (see [`compile_body`]).
+    fn narrow(&mut self, n: usize) -> u16 {
+        u16::try_from(n).unwrap_or_else(|_| {
+            self.overflow = true;
+            0
+        })
+    }
+
+    fn reg(&mut self, r: u32) -> u16 {
+        self.narrow(r as usize)
     }
 
     fn alloc_scratch(&mut self) -> u16 {
@@ -411,7 +425,7 @@ impl Compiler<'_> {
 
     /// Emits one instruction, draining the pending node-entry gas into it.
     fn emit(&mut self, op: Op, a: u16, b: u16, c: u16, d: u32) -> usize {
-        let gas = self.pending;
+        let gas = self.narrow(self.pending as usize);
         self.pending = 0;
         let at = self.code.instrs.len();
         self.code.instrs.push(Instr {
@@ -432,8 +446,7 @@ impl Compiler<'_> {
     fn const_idx(&mut self, v: Value) -> u16 {
         let i = self.code.consts.len();
         self.code.consts.push(v);
-        debug_assert!(i <= u16::MAX as usize);
-        i as u16
+        self.narrow(i)
     }
 
     fn name_idx(&mut self, n: &Ident) -> u32 {
@@ -517,13 +530,15 @@ impl Compiler<'_> {
                     self.alloc_scratch();
                 }
                 for (i, a) in ctor_args.iter().enumerate() {
-                    self.expr(a, self.reg(base + i as u32));
+                    let r = self.reg(base + i as u32);
+                    self.expr(a, r);
                 }
                 let site = self.code.news.len() as u32;
+                let n_args = self.narrow(ctor_args.len());
                 self.code.news.push(NewSite {
                     class: *class,
                     plan: plan.clone(),
-                    n_args: ctor_args.len() as u16,
+                    n_args,
                 });
                 let base = self.reg(base);
                 self.emit(Op::NewObj, dst, base, 0, site);
@@ -557,16 +572,19 @@ impl Compiler<'_> {
                     self.pending += 1; // the fused `this` node
                     base
                 } else {
-                    self.expr(recv, self.reg(base));
+                    let r = self.reg(base);
+                    self.expr(recv, r);
                     base + 1
                 };
                 for (i, a) in args.iter().enumerate() {
-                    self.expr(a, self.reg(arg_base + i as u32));
+                    let r = self.reg(arg_base + i as u32);
+                    self.expr(a, r);
                 }
                 let site = self.code.calls.len() as u32;
+                let n_args = self.narrow(args.len());
                 self.code.calls.push(CallSite {
                     method: *method,
-                    n_args: args.len() as u16,
+                    n_args,
                     this_recv,
                     mode_args: mode_args.clone(),
                     ic: self.ic.send.fetch_add(1, Ordering::Relaxed),
@@ -597,11 +615,12 @@ impl Compiler<'_> {
                     }
                 }
                 let site = self.code.builtins.len() as u32;
+                let n_args = self.narrow(n);
                 self.code.builtins.push(BuiltinSite {
                     op: *op,
                     ns: ns.clone(),
                     name: name.clone(),
-                    n_args: n as u16,
+                    n_args,
                     force_last,
                 });
                 let base = self.reg(base);
@@ -631,7 +650,8 @@ impl Compiler<'_> {
                     self.alloc_scratch();
                 }
                 for (i, (_, a)) in arms.iter().enumerate() {
-                    self.expr(a, self.reg(base + i as u32));
+                    let r = self.reg(base + i as u32);
+                    self.expr(a, r);
                 }
                 let site = self.code.mcases.len() as u32;
                 self.code.mcases.push(McaseSite {
@@ -725,10 +745,12 @@ impl Compiler<'_> {
                     self.alloc_scratch();
                 }
                 for (i, item) in items.iter().enumerate() {
-                    self.expr(item, self.reg(base + i as u32));
+                    let r = self.reg(base + i as u32);
+                    self.expr(item, r);
                 }
                 let base = self.reg(base);
-                self.emit(Op::ArrLit, dst, base, items.len() as u16, 0);
+                let n = self.narrow(items.len());
+                self.emit(Op::ArrLit, dst, base, n, 0);
                 self.scratch = mark;
             }
         }
@@ -750,7 +772,8 @@ impl Compiler<'_> {
         if matches!(op, BinOp::And | BinOp::Or) {
             debug_assert!(branch_false.is_none());
             self.expr(lhs, dst);
-            let site = self.bin_idx(op) as u16;
+            let site = self.bin_idx(op);
+            let site = self.narrow(site);
             let sc = self.emit(Op::ScJump, 0, dst, site, 0);
             self.expr(rhs, dst);
             self.emit(Op::ScForce, 0, dst, site, 0);
@@ -786,8 +809,8 @@ impl Compiler<'_> {
             });
             return match branch_false {
                 Some(()) => {
-                    debug_assert!(site <= u32::from(u16::MAX));
-                    self.emit(Op::JmpBinF, site as u16, 0, 0, 0)
+                    let site = self.narrow(site as usize);
+                    self.emit(Op::JmpBinF, site, 0, 0, 0)
                 }
                 None => self.emit(Op::BinF, dst, 0, 0, site),
             };
@@ -807,8 +830,8 @@ impl Compiler<'_> {
         self.scratch = mark;
         match branch_false {
             Some(()) => {
-                debug_assert!(site <= u16::MAX as usize);
-                self.emit(Op::JmpBin, rl, rr, site as u16, 0)
+                let site = self.narrow(site);
+                self.emit(Op::JmpBin, rl, rr, site, 0)
             }
             None => self.emit(Op::Bin, dst, rl, rr, site as u32),
         }

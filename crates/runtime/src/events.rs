@@ -118,7 +118,7 @@ pub struct EventRing {
 
 impl EventRing {
     /// Creates a ring that retains at most `capacity` events. Storage is
-    /// allocated on demand by [`EventRing::push`], not here.
+    /// allocated on demand by `EventRing::push`, not here.
     pub fn with_capacity(capacity: usize) -> Self {
         EventRing {
             buf: Vec::new(),

@@ -84,9 +84,9 @@ pub enum Engine {
     /// into superinstruction-fused bytecode with mode-decision inline
     /// caches. Hot bodies (per [`RuntimeConfig::tier_up`]) are further
     /// compiled into the closure-threaded tier: a flat array of
-    /// monomorphized fn-pointer ops with pre-resolved operands, whose
-    /// guarded ops deopt back to bytecode at the faulting site (see
-    /// [`TierStats`]). The default.
+    /// fn-pointer ops with pre-resolved operands, whose guarded ops
+    /// deopt back to bytecode at the faulting site (see [`TierStats`]).
+    /// The default.
     #[default]
     Bytecode,
 }
@@ -917,7 +917,11 @@ impl<'p> Interp<'p> {
         if self.config.engine == Engine::Tree {
             return self.eval(frame, body);
         }
-        let code = cell.code_or_compile(body, n_base, &self.prog.ic);
+        // The engines are observationally identical, so a body too large
+        // for the bytecode format runs on the tree walker unnoticed.
+        let Some(code) = cell.code_or_compile(body, n_base, &self.prog.ic) else {
+            return self.eval(frame, body);
+        };
         frame.locals.resize(code.frame_size as usize, Value::Unit);
         // The threaded tier compiles the guarded strategy only, so a
         // transient run stays on the VM and compiles nothing.

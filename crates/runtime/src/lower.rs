@@ -52,13 +52,13 @@ pub enum GMode {
     Bot,
     /// `⊤`.
     Top,
-    /// A mode constant, by id in [`LoweredProgram::mode_names`].
+    /// A mode constant, by id in `LoweredProgram::mode_names`.
     Const(u32),
-    /// An unresolved mode variable, by id in [`LoweredProgram::mode_vars`]
+    /// An unresolved mode variable, by id in `LoweredProgram::mode_vars`
     /// (threads through superclass instantiations exactly as the old
     /// evaluator kept `StaticMode::Var` values in its environments).
     Var(u32),
-    /// No binding. Reading it through [`LMode::Param`] raises the
+    /// No binding. Reading it through `LMode::Param` raises the
     /// "unbound mode variable" error the absent hash-map key used to.
     Missing,
 }
@@ -127,8 +127,10 @@ pub(crate) struct MParam {
 /// attributors, and field initializers.
 #[derive(Debug, Default)]
 pub(crate) struct BodyCell {
-    /// Lazily compiled bytecode (see [`crate::compile`]).
-    code: OnceLock<crate::compile::Code>,
+    /// Lazily compiled bytecode (see [`crate::compile`]); `None` for a
+    /// body too large for the instruction format, which runs on the tree
+    /// walker.
+    code: OnceLock<Option<crate::compile::Code>>,
     /// Invocation hit counter driving the bytecode engine's
     /// profile-guided tier-up. Program-wide and racy by design: tier
     /// choice is perf-only and never observable in results.
@@ -141,19 +143,21 @@ impl BodyCell {
     /// The compiled bytecode, if any engine has compiled this body yet.
     #[inline]
     pub(crate) fn code(&self) -> Option<&crate::compile::Code> {
-        self.code.get()
+        self.code.get().and_then(Option::as_ref)
     }
 
-    /// The compiled bytecode, compiling it first if needed.
+    /// The compiled bytecode, compiling it first if needed; `None` when
+    /// the body does not fit the instruction format.
     #[inline]
     pub(crate) fn code_or_compile(
         &self,
         body: &LExpr,
         n_base: u32,
         ic: &crate::compile::IcCounters,
-    ) -> &crate::compile::Code {
+    ) -> Option<&crate::compile::Code> {
         self.code
             .get_or_init(|| crate::compile::compile_body(body, n_base, ic))
+            .as_ref()
     }
 
     /// Records one invocation and returns the new hit count (saturating).

@@ -1,7 +1,7 @@
 //! The bytecode engine's closure-threaded tier: compiles a hot body's
-//! bytecode ([`Code`]) into a flat array of monomorphized fn-pointer ops
-//! ([`TOp`]) with pre-resolved operands, replacing the VM's pc-driven
-//! `match` dispatch with one indirect call per op.
+//! bytecode ([`Code`]) into a flat array of fn-pointer ops ([`TOp`]) with
+//! pre-resolved operands, replacing the VM's pc-driven `match` dispatch
+//! with one indirect call per op.
 //!
 //! Declared as a child module of [`crate::interp`] — like the bytecode VM
 //! and the enforcement seam — so the ops call straight into the same
@@ -11,6 +11,17 @@
 //! same stats, same events; the only new observable is the perf-only
 //! [`crate::TierStats`] counters, which deliberately live outside
 //! [`crate::RunStats`].
+//!
+//! # Handlers
+//!
+//! Each bytecode instruction compiles to one plain handler function.
+//! Binop handlers are the one exception to "one per op": they are
+//! specialized on the site's static operator, so their int/double lanes
+//! are straight-line arithmetic. Operand kinds (register, slot, constant)
+//! are read at run time from the op's payload, and the tier fuses no ops
+//! of its own; its only multi-node shapes are the bytecode compiler's
+//! superinstructions (`BinF`, `JmpBinF`, `FieldThis`) and tail self-send
+//! elision.
 //!
 //! # Dispatch
 //!
@@ -25,16 +36,14 @@
 //! # The deopt contract
 //!
 //! Threaded ops stay **pc-aligned** with the bytecode stream: `ops[pc]`
-//! executes exactly `instrs[pc]` (fused *shapes* are inherited from the
-//! bytecode compiler's superinstructions — `BinF`, `JmpBinF`, tail
-//! self-send chaining — so alignment costs no fusion). Alignment is what
-//! makes deopt trivial and total: a guarded op that must bail hands its
-//! live frame, pc, and `try`-handler stack to [`Interp::exec_from`] with
-//! no side tables, reconstruction, or restrictions on where it may
-//! happen. Every guard bails *before* its op has any observable effect
-//! (or, for the fault-epoch guard, precisely after the op completed), so
-//! the bytecode VM re-executes from an interpreter state bit-identical to
-//! the one it would have reached on its own.
+//! executes exactly `instrs[pc]`. Alignment is what makes deopt trivial
+//! and total: a guarded op that must bail hands its live frame, pc, and
+//! `try`-handler stack to [`Interp::exec_from`] with no side tables,
+//! reconstruction, or restrictions on where it may happen. Every guard
+//! bails *before* its op has any observable effect (or, for the
+//! fault-epoch guard, precisely after the op completed), so the bytecode
+//! VM re-executes from an interpreter state bit-identical to the one it
+//! would have reached on its own.
 //!
 //! # The guard set
 //!
@@ -59,16 +68,16 @@ use std::sync::Arc;
 
 use super::vm::{binop_fast, ArmIc};
 use super::{DeoptReason, Frame, Interp, RtTag};
-use crate::compile::{Code, Op, Opnd};
+use crate::compile::{Code, FusedBin, Op, Opnd};
 use crate::error::{Flow, RtError};
 use crate::lower::BOp;
 use crate::profile::AnyProfiler;
 use crate::value::Value;
 
-/// One threaded op: the monomorphized handler plus its pre-resolved
-/// payload. Field meaning is per-handler (documented at each handler);
-/// broadly `a` is the destination register, `b`/`c` source indices (a
-/// constant operand's index into [`Code::consts`]), and `d` a site index,
+/// One threaded op: its handler plus its pre-resolved payload. Field
+/// meaning is per-handler (documented at each handler); broadly `a` is
+/// the destination register, `b`/`c` source indices (a constant
+/// operand's index into [`Code::consts`]), and `d` a site index,
 /// constant index or jump target. Constants stay in the bytecode's pool,
 /// which every handler receives, so an op is 32 bytes rather than
 /// carrying two inline [`Value`]s.
@@ -87,6 +96,9 @@ pub(crate) struct TOp {
     /// Interned-name index of the rhs slot operand.
     n2: u32,
     bin: ent_syntax::BinOp,
+    /// Fused-binop operand kinds: the lhs's `K_*` tag in the low nibble,
+    /// the rhs's in the high nibble.
+    kinds: u8,
 }
 
 const _: () = assert!(std::mem::size_of::<TOp>() == 32);
@@ -132,73 +144,8 @@ const R_RET: u32 = u32::MAX - 1;
 /// The body completed; the result is parked in [`TState::out`].
 const R_DONE: u32 = u32::MAX;
 
+/// An op handler: runs `ops[pc]` and returns the next pc or a sentinel.
 type TFn = for<'p> fn(&mut Interp<'p>, &mut Frame, &'p Code, &[TOp], &mut TState, u32) -> u32;
-
-/// One bytecode op's threaded behavior, as a zero-sized type so op
-/// *sequences* compose by monomorphization: [`plain`] wraps one body
-/// into a [`TFn`]; [`fused`] inlines two consecutive bodies into a
-/// single handler, eliminating the dispatch between them.
-trait OpBody {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32;
-}
-
-/// The single-op handler: runs `ops[pc]`'s body.
-fn plain<'p, B: OpBody>(
-    it: &mut Interp<'p>,
-    frame: &mut Frame,
-    code: &'p Code,
-    ops: &[TOp],
-    st: &mut TState,
-    pc: u32,
-) -> u32 {
-    B::run(it, frame, code, ops, st, pc)
-}
-
-/// The fused pair handler: runs `ops[pc]`'s body and, iff it falls
-/// through (returns `pc + 1` — whether as its static successor or as a
-/// branch that happens to target it), continues straight into
-/// `ops[pc + 1]`'s body without returning to the dispatch loop. Errors,
-/// deopts, and jumps elsewhere pass through unchanged, and the second
-/// body reports `pc + 1` as its own pc, so gas order, error sites, and
-/// deopt resume points are exactly the unfused sequence's.
-fn fused<'p, A: OpBody, B: OpBody>(
-    it: &mut Interp<'p>,
-    frame: &mut Frame,
-    code: &'p Code,
-    ops: &[TOp],
-    st: &mut TState,
-    pc: u32,
-) -> u32 {
-    Fused2::<A, B>::run(it, frame, code, ops, st, pc)
-}
-
-/// Two consecutive bodies as one body — itself an [`OpBody`], so pairs
-/// nest into triples (`Fused2<A, Fused2<B, C>>`) and beyond.
-struct Fused2<A, B>(std::marker::PhantomData<(A, B)>);
-
-impl<A: OpBody, B: OpBody> OpBody for Fused2<A, B> {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let r = A::run(it, frame, code, ops, st, pc);
-        if r != pc + 1 {
-            return r;
-        }
-        B::run(it, frame, code, ops, st, pc + 1)
-    }
-}
 
 /// Send-site IC misses tolerated per run before the site deopts as
 /// megamorphic. Small enough that a genuinely polymorphic site bails
@@ -206,7 +153,7 @@ impl<A: OpBody, B: OpBody> OpBody for Fused2<A, B> {
 /// of honest transitions keep the fast path.
 const MEGAMORPHIC_MISSES: u8 = 4;
 
-/// Parks an error for the driver; out-of-line so op bodies keep their
+/// Parks an error for the driver; out-of-line so handlers keep their
 /// fallible edges off the hot path.
 #[cold]
 #[inline(never)]
@@ -344,16 +291,16 @@ fn run_loop<'p>(
 
 // ---- compilation ----------------------------------------------------------
 
-/// Operand-kind tags for the monomorphized fused-binop variants.
+/// Fused-binop operand kinds, packed into [`TOp::kinds`].
 const K_REG: u8 = 0;
 const K_SLOT: u8 = 1;
 const K_CST: u8 = 2;
 
-/// Binop tags for the op-monomorphized binop variants: the compiler knows
-/// each site's [`ent_syntax::BinOp`], so the handler is selected with the
-/// operator baked in and the scalar lanes compile to straight-line
-/// arithmetic (no runtime operator dispatch). [`OP_GEN`] is the
-/// catch-all for operators without a scalar lane (`&&`, `||`, string
+/// Binop tags for the operator-specialized binop handlers: the compiler
+/// knows each site's [`ent_syntax::BinOp`], so the handler is selected
+/// with the operator baked in and the scalar lanes compile to
+/// straight-line arithmetic (no runtime operator dispatch). [`OP_GEN`] is
+/// the catch-all for operators without a scalar lane (`&&`, `||`, string
 /// concat), which run the generic [`binop_fast`] / `apply_binop` path.
 const OP_GEN: u8 = 0;
 const OP_ADD: u8 = 1;
@@ -388,19 +335,15 @@ impl Sc {
     }
 }
 
-/// Scalar-lane operand read, monomorphized per kind. Same error order as
-/// [`fetch`]; int/double reads skip the enum clone (and, for registers,
-/// the dead-store of `Unit` — a consumed temp register is never re-read,
-/// by the bytecode compiler's single-use discipline the VM's own
-/// take-and-replace relies on, and stale scalar bits carry no drop glue).
+/// Scalar-lane operand read of a `kind` operand. Same error order as the
+/// VM's `read_opnd`; int/double reads skip the enum clone (and, for
+/// registers, the dead-store of `Unit` — a consumed temp register is
+/// never re-read, by the bytecode compiler's single-use discipline the
+/// VM's own take-and-replace relies on, and stale scalar bits carry no
+/// drop glue).
 #[inline(always)]
-fn fetch_sc<const KIND: u8>(
-    frame: &mut Frame,
-    code: &Code,
-    idx: u16,
-    name: u32,
-) -> Result<Sc, Flow> {
-    match KIND {
+fn fetch_sc(frame: &mut Frame, code: &Code, kind: u8, idx: u16, name: u32) -> Result<Sc, Flow> {
+    match kind {
         K_REG => {
             let slot = &mut frame.locals[idx as usize];
             match &mut *slot {
@@ -432,8 +375,8 @@ fn fetch_sc<const KIND: u8>(
     }
 }
 
-/// The op-monomorphized scalar binop: `Some` on a fast lane, `None` to
-/// fall back to the generic path (which re-derives the same result —
+/// The operator-specialized scalar binop: `Some` on a fast lane, `None`
+/// to fall back to the generic path (which re-derives the same result —
 /// the lanes mirror [`binop_fast`]'s int/double arms exactly, including
 /// falling back on division by zero so the error site is unchanged).
 #[inline(always)]
@@ -525,94 +468,43 @@ fn pre_opnd(o: &Opnd) -> (u8, u16, u32) {
     }
 }
 
-/// Selects the monomorphized `BinF` (or `JmpBinF`) body for a site's
-/// operand kinds at a fixed op tag, and hands the concrete type to a
-/// caller-supplied wrapper macro — the one selection table serves every
-/// fusion shape (single op, pair, or triple, with the fused binop in any
-/// position).
-macro_rules! sel_binf {
-    ($base:ident, $lr:expr, $p:ident, $w:ident) => {
-        match $lr {
-            (K_REG, K_REG) => $w!($base<K_REG, K_REG, $p>),
-            (K_REG, K_SLOT) => $w!($base<K_REG, K_SLOT, $p>),
-            (K_REG, _) => $w!($base<K_REG, K_CST, $p>),
-            (K_SLOT, K_REG) => $w!($base<K_SLOT, K_REG, $p>),
-            (K_SLOT, K_SLOT) => $w!($base<K_SLOT, K_SLOT, $p>),
-            (K_SLOT, _) => $w!($base<K_SLOT, K_CST, $p>),
-            (_, K_REG) => $w!($base<K_CST, K_REG, $p>),
-            (_, K_SLOT) => $w!($base<K_CST, K_SLOT, $p>),
-            _ => $w!($base<K_CST, K_CST, $p>),
-        }
-    };
+/// Loads a `BinF` / `JmpBinF` site into `t`: operator, mid-op gas, and
+/// both operands' indices, names and kinds.
+fn pre_fused(t: &mut TOp, site: &FusedBin) {
+    let (lk, li, ln) = pre_opnd(&site.lhs);
+    let (rk, ri, rn) = pre_opnd(&site.rhs);
+    t.bin = site.op;
+    t.rgas = site.rgas;
+    t.b = li;
+    t.c = ri;
+    t.n1 = ln;
+    t.n2 = rn;
+    t.kinds = lk | rk << 4;
 }
 
-/// Maps a site's [`ent_syntax::BinOp`] to the matching op tag and
-/// dispatches to [`sel_binf`] — full (kinds × op) monomorphization.
-macro_rules! sel_op {
-    ($base:ident, $lr:expr, $op:expr, $w:ident) => {
-        match $op {
-            ent_syntax::BinOp::Add => sel_binf!($base, $lr, OP_ADD, $w),
-            ent_syntax::BinOp::Sub => sel_binf!($base, $lr, OP_SUB, $w),
-            ent_syntax::BinOp::Mul => sel_binf!($base, $lr, OP_MUL, $w),
-            ent_syntax::BinOp::Div => sel_binf!($base, $lr, OP_DIV, $w),
-            ent_syntax::BinOp::Rem => sel_binf!($base, $lr, OP_REM, $w),
-            ent_syntax::BinOp::Lt => sel_binf!($base, $lr, OP_LT, $w),
-            ent_syntax::BinOp::Le => sel_binf!($base, $lr, OP_LE, $w),
-            ent_syntax::BinOp::Gt => sel_binf!($base, $lr, OP_GT, $w),
-            ent_syntax::BinOp::Ge => sel_binf!($base, $lr, OP_GE, $w),
-            ent_syntax::BinOp::Eq => sel_binf!($base, $lr, OP_EQ, $w),
-            ent_syntax::BinOp::Ne => sel_binf!($base, $lr, OP_NE, $w),
-            _ => sel_binf!($base, $lr, OP_GEN, $w),
-        }
-    };
-}
-
-/// Op-tag selection for the register-operand binops (`Bin`, `JmpBin`),
-/// which have no operand-kind dimension.
+/// Selects a binop handler with the site's operator baked in.
 macro_rules! sel_bin {
-    ($base:ident, $op:expr, $w:ident) => {
+    ($handler:ident, $op:expr) => {
         match $op {
-            ent_syntax::BinOp::Add => $w!($base<OP_ADD>),
-            ent_syntax::BinOp::Sub => $w!($base<OP_SUB>),
-            ent_syntax::BinOp::Mul => $w!($base<OP_MUL>),
-            ent_syntax::BinOp::Div => $w!($base<OP_DIV>),
-            ent_syntax::BinOp::Rem => $w!($base<OP_REM>),
-            ent_syntax::BinOp::Lt => $w!($base<OP_LT>),
-            ent_syntax::BinOp::Le => $w!($base<OP_LE>),
-            ent_syntax::BinOp::Gt => $w!($base<OP_GT>),
-            ent_syntax::BinOp::Ge => $w!($base<OP_GE>),
-            ent_syntax::BinOp::Eq => $w!($base<OP_EQ>),
-            ent_syntax::BinOp::Ne => $w!($base<OP_NE>),
-            _ => $w!($base<OP_GEN>),
+            ent_syntax::BinOp::Add => $handler::<OP_ADD>,
+            ent_syntax::BinOp::Sub => $handler::<OP_SUB>,
+            ent_syntax::BinOp::Mul => $handler::<OP_MUL>,
+            ent_syntax::BinOp::Div => $handler::<OP_DIV>,
+            ent_syntax::BinOp::Rem => $handler::<OP_REM>,
+            ent_syntax::BinOp::Lt => $handler::<OP_LT>,
+            ent_syntax::BinOp::Le => $handler::<OP_LE>,
+            ent_syntax::BinOp::Gt => $handler::<OP_GT>,
+            ent_syntax::BinOp::Ge => $handler::<OP_GE>,
+            ent_syntax::BinOp::Eq => $handler::<OP_EQ>,
+            ent_syntax::BinOp::Ne => $handler::<OP_NE>,
+            _ => $handler::<OP_GEN>,
         }
     };
 }
 
-/// The monomorphized `BinF` single-op handler for a site's operand kinds
-/// and operator.
-fn binf_fn(l: u8, r: u8, op: ent_syntax::BinOp) -> TFn {
-    macro_rules! w {
-        ($t:ty) => {
-            plain::<$t>
-        };
-    }
-    sel_op!(BinFB, (l, r), op, w)
-}
-
-/// The monomorphized `JmpBinF` single-op handler for a site's operand
-/// kinds and operator.
-fn jmp_binf_fn(l: u8, r: u8, op: ent_syntax::BinOp) -> TFn {
-    macro_rules! w {
-        ($t:ty) => {
-            plain::<$t>
-        };
-    }
-    sel_op!(JmpBinFB, (l, r), op, w)
-}
-
-/// Whether the `CallM` at `pc` compiles to [`TailCallB`]: a
+/// Whether the `CallM` at `pc` compiles to [`op_tail_call`]: a
 /// `this`-receiver full-arity send whose result feeds a gasless `Ret`.
-/// The runtime half of the guard lives in `op_tail_call`.
+/// The runtime half of the guard lives in the handler.
 fn is_tail_shape(code: &Code, pc: usize) -> bool {
     let i = &code.instrs[pc];
     let site = &code.calls[i.d as usize];
@@ -624,23 +516,11 @@ fn is_tail_shape(code: &Code, pc: usize) -> bool {
             .is_some_and(|next| next.op == Op::Ret && next.b == i.a && next.gas == 0)
 }
 
-/// Whether the `CallB` at `pc` compiles to [`CallBSensorB`] (a sensor
+/// Whether the `CallB` at `pc` compiles to [`op_call_b_sensor`] (a sensor
 /// builtin carrying the fault-epoch deopt guard).
 fn is_sensor(code: &Code, pc: usize) -> bool {
     let site = &code.builtins[code.instrs[pc].d as usize];
     matches!(site.op, BOp::ExtBattery | BOp::ExtTemperature)
-}
-
-/// The operand kinds of a fused-binop site (for selecting monomorphized
-/// variants in the peephole pass).
-fn site_kinds(code: &Code, site: u32) -> (u8, u8) {
-    let site = &code.fused[site as usize];
-    let kind = |o: &Opnd| match o {
-        Opnd::Reg(_) => K_REG,
-        Opnd::Slot { .. } => K_SLOT,
-        Opnd::Cst(_) => K_CST,
-    };
-    (kind(&site.lhs), kind(&site.rhs))
 }
 
 /// Compiles a body's bytecode into pc-aligned threaded ops. Pure and
@@ -653,7 +533,7 @@ pub(crate) fn compile_threaded(code: &Code) -> TCode {
     let mut ops = Vec::with_capacity(code.instrs.len());
     for (pc, i) in code.instrs.iter().enumerate() {
         let mut t = TOp {
-            run: plain::<UnitB>,
+            run: op_unit,
             gas: i.gas,
             a: i.a,
             b: i.b,
@@ -663,265 +543,64 @@ pub(crate) fn compile_threaded(code: &Code) -> TCode {
             n1: 0,
             n2: 0,
             bin: ent_syntax::BinOp::Add,
+            kinds: 0,
         };
         t.run = match i.op {
-            Op::Const => plain::<ConstB>,
-            Op::Unit => plain::<UnitB>,
-            Op::This => plain::<ThisB>,
-            Op::Local => plain::<LocalB>,
-            Op::Unbound => plain::<UnboundB>,
-            Op::FieldGet => plain::<FieldGetB>,
-            Op::FieldThis => plain::<FieldThisB>,
-            Op::NewObj => plain::<NewObjB>,
-            Op::NewUnknown => plain::<NewUnknownB>,
-            Op::CallM => {
-                if is_tail_shape(code, pc) {
-                    plain::<TailCallB>
-                } else {
-                    plain::<CallMB>
-                }
-            }
-            Op::CallB => {
-                if is_sensor(code, pc) {
-                    plain::<CallBSensorB>
-                } else {
-                    plain::<CallBB>
-                }
-            }
-            Op::CastV => plain::<CastB>,
-            Op::Snap => plain::<SnapB>,
-            Op::MakeMCase => plain::<MakeMCaseB>,
-            Op::ElimV => plain::<ElimB>,
+            Op::Const => op_const,
+            Op::Unit => op_unit,
+            Op::This => op_this,
+            Op::Local => op_local,
+            Op::Unbound => op_unbound,
+            Op::FieldGet => op_field_get,
+            Op::FieldThis => op_field_this,
+            Op::NewObj => op_new_obj,
+            Op::NewUnknown => op_new_unknown,
+            Op::CallM if is_tail_shape(code, pc) => op_tail_call,
+            Op::CallM => op_call_m,
+            Op::CallB if is_sensor(code, pc) => op_call_b_sensor,
+            Op::CallB => op_call_b,
+            Op::CastV => op_cast,
+            Op::Snap => op_snap,
+            Op::MakeMCase => op_make_mcase,
+            Op::ElimV => op_elim,
             Op::Bin => {
                 t.bin = code.bins[i.d as usize];
-                macro_rules! w {
-                    ($t:ty) => {
-                        plain::<$t>
-                    };
-                }
-                sel_bin!(BinB, t.bin, w)
+                sel_bin!(op_bin, t.bin)
             }
             Op::BinF => {
-                let site = &code.fused[i.d as usize];
-                t.bin = site.op;
-                t.rgas = site.rgas;
-                let (lk, li, ln) = pre_opnd(&site.lhs);
-                let (rk, ri, rn) = pre_opnd(&site.rhs);
-                t.b = li;
-                t.c = ri;
-                t.n1 = ln;
-                t.n2 = rn;
-                binf_fn(lk, rk, site.op)
+                pre_fused(&mut t, &code.fused[i.d as usize]);
+                sel_bin!(op_bin_f, t.bin)
             }
             Op::JmpBin => {
                 t.bin = code.bins[i.c as usize];
-                macro_rules! w {
-                    ($t:ty) => {
-                        plain::<$t>
-                    };
-                }
-                sel_bin!(JmpBinB, t.bin, w)
+                sel_bin!(op_jmp_bin, t.bin)
             }
             Op::JmpBinF => {
-                let site = &code.fused[i.a as usize];
-                t.bin = site.op;
-                t.rgas = site.rgas;
-                let (lk, li, ln) = pre_opnd(&site.lhs);
-                let (rk, ri, rn) = pre_opnd(&site.rhs);
-                t.b = li;
-                t.c = ri;
-                t.n1 = ln;
-                t.n2 = rn;
-                jmp_binf_fn(lk, rk, site.op)
+                pre_fused(&mut t, &code.fused[i.a as usize]);
+                sel_bin!(op_jmp_bin_f, t.bin)
             }
-            Op::Un => plain::<UnB>,
-            Op::Jmp => plain::<JmpB>,
-            Op::JmpIfFalse => plain::<JmpIfFalseB>,
+            Op::Un => op_un,
+            Op::Jmp => op_jmp,
+            Op::JmpIfFalse => op_jmp_if_false,
             Op::ScJump => {
                 t.bin = code.bins[i.c as usize];
-                plain::<ScJumpB>
+                op_sc_jump
             }
             Op::ScForce => {
                 t.bin = code.bins[i.c as usize];
-                plain::<ScForceB>
+                op_sc_force
             }
-            Op::Force => plain::<ForceB>,
-            Op::ArrLit => plain::<ArrLitB>,
-            Op::Ret => plain::<RetB>,
-            Op::Halt => plain::<HaltB>,
-            Op::TryPush => plain::<TryPushB>,
-            Op::TryPop => plain::<TryPopB>,
+            Op::Force => op_force,
+            Op::ArrLit => op_arr_lit,
+            Op::Ret => op_ret,
+            Op::Halt => op_halt,
+            Op::TryPush => op_try_push,
+            Op::TryPop => op_try_pop,
         };
         ops.push(t);
     }
-    fuse_pairs(code, &mut ops);
     TCode {
         ops: ops.into_boxed_slice(),
-    }
-}
-
-/// The fusion peephole: rewrites an op's handler to a [`fused`] variant
-/// (or a nested [`Fused2`] triple) that falls straight through into its
-/// static successors' bodies, eliminating the dispatch between them.
-/// Fusion never changes *what* runs — each later body still executes
-/// against its own pc-aligned [`TOp`] payload and runs only when its
-/// predecessor returned exactly the fall-through pc, so gas order, error
-/// sites, deopt resume points, and jump targets (a branch *into* the
-/// middle of a chain runs that op's own handler) are exactly the unfused
-/// sequence's. The whitelist covers the hottest dynamic pairs and triples
-/// on the Figure-6 suite; heavyweight send bodies join a chain only as
-/// its last element, where the saved dispatch still pays.
-fn fuse_pairs(code: &Code, ops: &mut [TOp]) {
-    for pc in 0..ops.len().saturating_sub(1) {
-        let (i, j) = (&code.instrs[pc], &code.instrs[pc + 1]);
-        // Triples before pairs: the longer chain subsumes its prefix.
-        // Interior ops keep their own (possibly pair-fused) handlers, so
-        // a jump into the middle of a chain is still valid.
-        if pc + 2 < ops.len() {
-            let k = &code.instrs[pc + 2];
-            let run: Option<TFn> = match (i.op, j.op, k.op) {
-                (Op::JmpBinF, Op::Local, Op::Ret) => {
-                    let s = &code.fused[i.a as usize];
-                    macro_rules! w {
-                        ($t:ty) => {
-                            Some(fused::<$t, Fused2<LocalB, RetB>>)
-                        };
-                    }
-                    sel_op!(JmpBinFB, site_kinds(code, i.a as u32), s.op, w)
-                }
-                (Op::BinF, Op::Local, Op::Force) => {
-                    let s = &code.fused[i.d as usize];
-                    macro_rules! w {
-                        ($t:ty) => {
-                            Some(fused::<$t, Fused2<LocalB, ForceB>>)
-                        };
-                    }
-                    sel_op!(BinFB, site_kinds(code, i.d), s.op, w)
-                }
-                (Op::Unit, Op::BinF, Op::Local) => {
-                    let s = &code.fused[j.d as usize];
-                    macro_rules! w {
-                        ($t:ty) => {
-                            Some(fused::<UnitB, Fused2<$t, LocalB>>)
-                        };
-                    }
-                    sel_op!(BinFB, site_kinds(code, j.d), s.op, w)
-                }
-                (Op::Local, Op::Force, Op::BinF) => {
-                    let s = &code.fused[k.d as usize];
-                    macro_rules! w {
-                        ($t:ty) => {
-                            Some(fused::<LocalB, Fused2<ForceB, $t>>)
-                        };
-                    }
-                    sel_op!(BinFB, site_kinds(code, k.d), s.op, w)
-                }
-                (Op::Local, Op::Force, Op::Local) => Some(fused::<LocalB, Fused2<ForceB, LocalB>>),
-                (Op::Force, Op::Local, Op::CallB) => Some(if is_sensor(code, pc + 2) {
-                    fused::<ForceB, Fused2<LocalB, CallBSensorB>>
-                } else {
-                    fused::<ForceB, Fused2<LocalB, CallBB>>
-                }),
-                _ => None,
-            };
-            if let Some(run) = run {
-                ops[pc].run = run;
-                continue;
-            }
-        }
-        let run: TFn = match (i.op, j.op) {
-            (Op::Local, Op::Force) => fused::<LocalB, ForceB>,
-            (Op::Local, Op::Local) => fused::<LocalB, LocalB>,
-            (Op::Force, Op::Local) => fused::<ForceB, LocalB>,
-            (Op::Force, Op::Force) => fused::<ForceB, ForceB>,
-            (Op::Const, Op::Local) => fused::<ConstB, LocalB>,
-            (Op::Local, Op::Const) => fused::<LocalB, ConstB>,
-            (Op::Const, Op::Ret) => fused::<ConstB, RetB>,
-            (Op::Local, Op::Ret) => fused::<LocalB, RetB>,
-            // A fused tail self-send restarts the loop at pc 0 on
-            // elision (never pc + 1, bodies are non-empty), so the
-            // `Ret` half runs only on the non-elided fallback path —
-            // exactly the unfused sequence.
-            (Op::CallM, Op::Ret) => {
-                if is_tail_shape(code, pc) {
-                    fused::<TailCallB, RetB>
-                } else {
-                    fused::<CallMB, RetB>
-                }
-            }
-            (Op::Local, Op::CallB) => {
-                if is_sensor(code, pc + 1) {
-                    fused::<LocalB, CallBSensorB>
-                } else {
-                    fused::<LocalB, CallBB>
-                }
-            }
-            (Op::Local, Op::BinF) => {
-                let s = &code.fused[j.d as usize];
-                macro_rules! w {
-                    ($t:ty) => {
-                        fused::<LocalB, $t>
-                    };
-                }
-                sel_op!(BinFB, site_kinds(code, j.d), s.op, w)
-            }
-            (Op::Unit, Op::BinF) => {
-                let s = &code.fused[j.d as usize];
-                macro_rules! w {
-                    ($t:ty) => {
-                        fused::<UnitB, $t>
-                    };
-                }
-                sel_op!(BinFB, site_kinds(code, j.d), s.op, w)
-            }
-            (Op::Force, Op::BinF) => {
-                let s = &code.fused[j.d as usize];
-                macro_rules! w {
-                    ($t:ty) => {
-                        fused::<ForceB, $t>
-                    };
-                }
-                sel_op!(BinFB, site_kinds(code, j.d), s.op, w)
-            }
-            (Op::BinF, Op::Local) => {
-                let s = &code.fused[i.d as usize];
-                macro_rules! w {
-                    ($t:ty) => {
-                        fused::<$t, LocalB>
-                    };
-                }
-                sel_op!(BinFB, site_kinds(code, i.d), s.op, w)
-            }
-            (Op::BinF, Op::Force) => {
-                let s = &code.fused[i.d as usize];
-                macro_rules! w {
-                    ($t:ty) => {
-                        fused::<$t, ForceB>
-                    };
-                }
-                sel_op!(BinFB, site_kinds(code, i.d), s.op, w)
-            }
-            (Op::JmpBinF, Op::Local) => {
-                let s = &code.fused[i.a as usize];
-                macro_rules! w {
-                    ($t:ty) => {
-                        fused::<$t, LocalB>
-                    };
-                }
-                sel_op!(JmpBinFB, site_kinds(code, i.a as u32), s.op, w)
-            }
-            (Op::JmpBinF, Op::Const) => {
-                let s = &code.fused[i.a as usize];
-                macro_rules! w {
-                    ($t:ty) => {
-                        fused::<$t, ConstB>
-                    };
-                }
-                sel_op!(JmpBinFB, site_kinds(code, i.a as u32), s.op, w)
-            }
-            _ => continue,
-        };
-        ops[pc].run = run;
     }
 }
 
@@ -931,202 +610,175 @@ fn fuse_pairs(code: &Code, ops: &mut [TOp]) {
 // gas points, same error strings — with operand payloads pre-resolved
 // into the `TOp`. Handlers return the next pc (or a sentinel).
 
-struct ConstB;
-impl OpBody for ConstB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        frame.locals[t.a as usize] = code.consts[t.d as usize].clone();
-        pc + 1
-    }
+fn op_const<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    frame.locals[t.a as usize] = code.consts[t.d as usize].clone();
+    pc + 1
 }
 
-struct UnitB;
-impl OpBody for UnitB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        _code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        frame.locals[t.a as usize] = Value::Unit;
-        pc + 1
-    }
+fn op_unit<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    _code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    frame.locals[t.a as usize] = Value::Unit;
+    pc + 1
 }
 
-struct ThisB;
-impl OpBody for ThisB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        _code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let Some(r) = frame.this_ref else {
-            return throw(
-                st,
-                RtError::Native("`this` outside an object context".into()).into(),
-            );
-        };
-        frame.locals[t.a as usize] = Value::Obj(r);
-        pc + 1
-    }
+fn op_this<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    _code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let Some(r) = frame.this_ref else {
+        return throw(
+            st,
+            RtError::Native("`this` outside an object context".into()).into(),
+        );
+    };
+    frame.locals[t.a as usize] = Value::Obj(r);
+    pc + 1
 }
 
-struct LocalB;
-impl OpBody for LocalB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let slot = u32::from(t.b);
-        if slot >= frame.unbound_lo && slot < frame.n_params {
-            return throw(
-                st,
-                RtError::Native(format!("unbound variable `{}`", code.names[t.d as usize])).into(),
-            );
-        }
-        let v = frame.locals[t.b as usize].clone();
-        frame.locals[t.a as usize] = v;
-        pc + 1
-    }
-}
-
-struct UnboundB;
-impl OpBody for UnboundB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        _frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        throw(
+fn op_local<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let slot = u32::from(t.b);
+    if slot >= frame.unbound_lo && slot < frame.n_params {
+        return throw(
             st,
             RtError::Native(format!("unbound variable `{}`", code.names[t.d as usize])).into(),
-        )
+        );
     }
+    let v = frame.locals[t.b as usize].clone();
+    frame.locals[t.a as usize] = v;
+    pc + 1
 }
 
-struct FieldGetB;
-impl OpBody for FieldGetB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let site = &code.fields[t.d as usize];
-        let r = match &frame.locals[t.b as usize] {
-            Value::Obj(r) => *r,
-            other => {
-                return throw(
-                    st,
-                    RtError::Native(format!("field access on a {}", other.kind())).into(),
-                )
-            }
-        };
-        let v = tt!(st, it.read_field(frame, r, site.field, &site.name));
-        frame.locals[t.a as usize] = v;
-        pc + 1
-    }
+fn op_unbound<'p>(
+    it: &mut Interp<'p>,
+    _frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    throw(
+        st,
+        RtError::Native(format!("unbound variable `{}`", code.names[t.d as usize])).into(),
+    )
 }
 
-struct FieldThisB;
-impl OpBody for FieldThisB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let site = &code.fields[t.d as usize];
-        let Some(r) = frame.this_ref else {
+fn op_field_get<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let site = &code.fields[t.d as usize];
+    let r = match &frame.locals[t.b as usize] {
+        Value::Obj(r) => *r,
+        other => {
             return throw(
                 st,
-                RtError::Native("`this` outside an object context".into()).into(),
-            );
-        };
-        let v = tt!(st, it.read_field(frame, r, site.field, &site.name));
-        frame.locals[t.a as usize] = v;
-        pc + 1
-    }
+                RtError::Native(format!("field access on a {}", other.kind())).into(),
+            )
+        }
+    };
+    let v = tt!(st, it.read_field(frame, r, site.field, &site.name));
+    frame.locals[t.a as usize] = v;
+    pc + 1
 }
 
-struct NewObjB;
-impl OpBody for NewObjB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let site = &code.news[t.d as usize];
-        let vals = take_n!(frame, t.b, site.n_args);
-        let (mode, env) = tt!(st, it.resolve_new(frame, site.class, &site.plan));
-        let r = tt!(st, it.allocate(site.class, vals, mode, env));
-        frame.locals[t.a as usize] = Value::Obj(r);
-        pc + 1
-    }
-}
-
-struct NewUnknownB;
-impl OpBody for NewUnknownB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        _frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        throw(
+fn op_field_this<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let site = &code.fields[t.d as usize];
+    let Some(r) = frame.this_ref else {
+        return throw(
             st,
-            RtError::Native(format!(
-                "unknown class `{}`",
-                code.unknown_classes[t.d as usize]
-            ))
-            .into(),
-        )
-    }
+            RtError::Native("`this` outside an object context".into()).into(),
+        );
+    };
+    let v = tt!(st, it.read_field(frame, r, site.field, &site.name));
+    frame.locals[t.a as usize] = v;
+    pc + 1
+}
+
+fn op_new_obj<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let site = &code.news[t.d as usize];
+    let vals = take_n!(frame, t.b, site.n_args);
+    let (mode, env) = tt!(st, it.resolve_new(frame, site.class, &site.plan));
+    let r = tt!(st, it.allocate(site.class, vals, mode, env));
+    frame.locals[t.a as usize] = Value::Obj(r);
+    pc + 1
+}
+
+fn op_new_unknown<'p>(
+    it: &mut Interp<'p>,
+    _frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    throw(
+        st,
+        RtError::Native(format!(
+            "unknown class `{}`",
+            code.unknown_classes[t.d as usize]
+        ))
+        .into(),
+    )
 }
 
 /// Bumps a send site's per-run IC miss counter; true once the site has
@@ -1197,20 +849,17 @@ fn call_site<'p>(
     pc + 1
 }
 
-struct CallMB;
-impl OpBody for CallMB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        call_site(it, frame, code, t, st, pc)
-    }
+fn op_call_m<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    call_site(it, frame, code, t, st, pc)
 }
 
 /// A send statically matching the VM's tail self-send shape. The runtime
@@ -1218,60 +867,57 @@ impl OpBody for CallMB {
 /// `this` receiver, no mode arguments, gasless consuming `Ret` — was
 /// proven at compile time, and `run_body` enters this tier only in
 /// guarded runs); on failure the send takes the generic path.
-struct TailCallB;
-impl OpBody for TailCallB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        'tail: {
-            if it.profiler.as_ref().is_some_and(AnyProfiler::is_exact) || !st.tries.is_empty() {
-                break 'tail;
-            }
-            let site = &code.calls[t.d as usize];
-            let Some(recv) = frame.this_ref else {
-                break 'tail;
-            };
-            let Some(Some((cached_class, entry))) = it.ic_send.get(site.ic as usize) else {
-                break 'tail;
-            };
-            let (cached_class, entry) = (*cached_class, *entry);
-            let m = &entry.method;
-            if cached_class != it.heap[recv].class
-                || m.attributor.is_some()
-                || m.mode_override.is_some()
-                || !m.mode_params.is_empty()
-                || u32::from(site.n_args) != m.n_params
-                || !m.body_code.code().is_some_and(|c| std::ptr::eq(c, code))
-            {
-                break 'tail;
-            }
-            let dfall_clean = match it.heap[recv].mode {
-                RtTag::Dynamic => true,
-                RtTag::Ground(g) => g == frame.mode && it.prog.le(g, frame.mode),
-            };
-            if !dfall_clean {
-                break 'tail;
-            }
-            it.depth += 1;
-            if it.depth > it.max_depth {
-                return throw(st, RtError::StackOverflow.into());
-            }
-            let base = t.b as usize;
-            for k in 0..site.n_args as usize {
-                frame.locals[k] = take!(frame, base + k);
-            }
-            frame.unbound_lo = u32::MAX;
-            return 0;
+fn op_tail_call<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    'tail: {
+        if it.profiler.as_ref().is_some_and(AnyProfiler::is_exact) || !st.tries.is_empty() {
+            break 'tail;
         }
-        call_site(it, frame, code, t, st, pc)
+        let site = &code.calls[t.d as usize];
+        let Some(recv) = frame.this_ref else {
+            break 'tail;
+        };
+        let Some(Some((cached_class, entry))) = it.ic_send.get(site.ic as usize) else {
+            break 'tail;
+        };
+        let (cached_class, entry) = (*cached_class, *entry);
+        let m = &entry.method;
+        if cached_class != it.heap[recv].class
+            || m.attributor.is_some()
+            || m.mode_override.is_some()
+            || !m.mode_params.is_empty()
+            || u32::from(site.n_args) != m.n_params
+            || !m.body_code.code().is_some_and(|c| std::ptr::eq(c, code))
+        {
+            break 'tail;
+        }
+        let dfall_clean = match it.heap[recv].mode {
+            RtTag::Dynamic => true,
+            RtTag::Ground(g) => g == frame.mode && it.prog.le(g, frame.mode),
+        };
+        if !dfall_clean {
+            break 'tail;
+        }
+        it.depth += 1;
+        if it.depth > it.max_depth {
+            return throw(st, RtError::StackOverflow.into());
+        }
+        let base = t.b as usize;
+        for k in 0..site.n_args as usize {
+            frame.locals[k] = take!(frame, base + k);
+        }
+        frame.unbound_lo = u32::MAX;
+        return 0;
     }
+    call_site(it, frame, code, t, st, pc)
 }
 
 /// The builtin-call body shared by [`op_call_b`] and
@@ -1306,552 +952,489 @@ macro_rules! do_call_b {
     }};
 }
 
-struct CallBB;
-impl OpBody for CallBB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let site = &code.builtins[t.d as usize];
-        let v = do_call_b!(it, frame, site, t, st);
-        frame.locals[t.a as usize] = v;
-        pc + 1
-    }
+fn op_call_b<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let site = &code.builtins[t.d as usize];
+    let v = do_call_b!(it, frame, site, t, st);
+    frame.locals[t.a as usize] = v;
+    pc + 1
 }
 
 /// A sensor-reading builtin (`Ext.battery` / `Ext.temperature`): the
 /// fault-epoch guard. The read itself completed — identically to the VM,
 /// including the degradation ladder — but a faulted serve bumps the
 /// injector epoch, so the rest of the body defers to the VM.
-struct CallBSensorB;
-impl OpBody for CallBSensorB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let site = &code.builtins[t.d as usize];
-        let faults_before = it.stats.sensor_faults;
-        let v = do_call_b!(it, frame, site, t, st);
-        frame.locals[t.a as usize] = v;
-        if it.faults_on && it.stats.sensor_faults != faults_before {
-            return deopt_at(st, pc + 1, DeoptReason::FaultEpoch);
-        }
-        pc + 1
+fn op_call_b_sensor<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let site = &code.builtins[t.d as usize];
+    let faults_before = it.stats.sensor_faults;
+    let v = do_call_b!(it, frame, site, t, st);
+    frame.locals[t.a as usize] = v;
+    if it.faults_on && it.stats.sensor_faults != faults_before {
+        return deopt_at(st, pc + 1, DeoptReason::FaultEpoch);
     }
+    pc + 1
 }
 
-struct CastB;
-impl OpBody for CastB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let v = take!(frame, t.b);
-        tt!(st, it.check_cast(&v, &code.casts[t.d as usize]));
-        frame.locals[t.a as usize] = v;
-        pc + 1
-    }
+fn op_cast<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let v = take!(frame, t.b);
+    tt!(st, it.check_cast(&v, &code.casts[t.d as usize]));
+    frame.locals[t.a as usize] = v;
+    pc + 1
 }
 
-struct SnapB;
-impl OpBody for SnapB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        // Mode-window guard: a rolled decision window means the snapshot's
-        // window-keyed caches and fault interactions are stale territory;
-        // deopt before deciding (no state was touched, the VM replays the
-        // whole snapshot).
-        if it.faults_on && it.decision_window() != st.entry_window {
-            return deopt_at(st, pc, DeoptReason::ModeWindow);
-        }
-        let site = code.snaps[t.d as usize];
-        let v = take!(frame, t.b);
-        let Value::Obj(r) = v else {
-            return throw(
-                st,
-                RtError::Native(format!("snapshot of a {}", v.kind())).into(),
-            );
-        };
-        let v = tt!(st, it.snapshot(frame, r, &site.lo, &site.hi, Some(site.ic)));
-        frame.locals[t.a as usize] = v;
-        pc + 1
+fn op_snap<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    // Mode-window guard: a rolled decision window means the snapshot's
+    // window-keyed caches and fault interactions are stale territory;
+    // deopt before deciding (no state was touched, the VM replays the
+    // whole snapshot).
+    if it.faults_on && it.decision_window() != st.entry_window {
+        return deopt_at(st, pc, DeoptReason::ModeWindow);
     }
+    let site = code.snaps[t.d as usize];
+    let v = take!(frame, t.b);
+    let Value::Obj(r) = v else {
+        return throw(
+            st,
+            RtError::Native(format!("snapshot of a {}", v.kind())).into(),
+        );
+    };
+    let v = tt!(st, it.snapshot(frame, r, &site.lo, &site.hi, Some(site.ic)));
+    frame.locals[t.a as usize] = v;
+    pc + 1
 }
 
-struct MakeMCaseB;
-impl OpBody for MakeMCaseB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let site = &code.mcases[t.d as usize];
-        let base = t.b as usize;
-        let arms: Vec<(ent_modes::ModeName, Value)> = site
-            .modes
-            .iter()
-            .enumerate()
-            .map(|(k, m)| (m.clone(), take!(frame, base + k)))
-            .collect();
-        frame.locals[t.a as usize] = Value::MCase(Arc::new(arms));
-        pc + 1
-    }
+fn op_make_mcase<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let site = &code.mcases[t.d as usize];
+    let base = t.b as usize;
+    let arms: Vec<(ent_modes::ModeName, Value)> = site
+        .modes
+        .iter()
+        .enumerate()
+        .map(|(k, m)| (m.clone(), take!(frame, base + k)))
+        .collect();
+    frame.locals[t.a as usize] = Value::MCase(Arc::new(arms));
+    pc + 1
 }
 
-struct ElimB;
-impl OpBody for ElimB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        // Mode-window guard, as in `op_snap`.
-        if it.faults_on && it.decision_window() != st.entry_window {
-            return deopt_at(st, pc, DeoptReason::ModeWindow);
+fn op_elim<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    // Mode-window guard, as in `op_snap`.
+    if it.faults_on && it.decision_window() != st.entry_window {
+        return deopt_at(st, pc, DeoptReason::ModeWindow);
+    }
+    let site = code.elims[t.d as usize];
+    let v = take!(frame, t.b);
+    let Value::MCase(arms) = v else {
+        return throw(
+            st,
+            RtError::Native(format!("`<|` on a {}", v.kind())).into(),
+        );
+    };
+    let target = match site.mode {
+        Some(m) => tt!(st, it.resolve_mode(frame, &m)),
+        None => frame.mode,
+    };
+    let window = it.decision_window();
+    let s = site.ic as usize;
+    if it.ic_arm.len() <= s {
+        it.ic_arm.resize(s + 1, None);
+    }
+    let hit = match &it.ic_arm[s] {
+        Some(c) if Arc::ptr_eq(&c.arms, &arms) && c.target == target && c.window == window => {
+            Some(c.idx)
         }
-        let site = code.elims[t.d as usize];
-        let v = take!(frame, t.b);
-        let Value::MCase(arms) = v else {
-            return throw(
-                st,
-                RtError::Native(format!("`<|` on a {}", v.kind())).into(),
-            );
-        };
-        let target = match site.mode {
-            Some(m) => tt!(st, it.resolve_mode(frame, &m)),
-            None => frame.mode,
-        };
-        let window = it.decision_window();
-        let s = site.ic as usize;
-        if it.ic_arm.len() <= s {
-            it.ic_arm.resize(s + 1, None);
+        _ => None,
+    };
+    let out = match hit {
+        Some(idx) => arms[idx as usize].1.clone(),
+        None => {
+            let (idx, out) = tt!(st, it.eliminate_idx(&arms, target));
+            it.ic_arm[s] = Some(ArmIc {
+                arms: Arc::clone(&arms),
+                target,
+                window,
+                idx,
+            });
+            out
         }
-        let hit = match &it.ic_arm[s] {
-            Some(c) if Arc::ptr_eq(&c.arms, &arms) && c.target == target && c.window == window => {
-                Some(c.idx)
+    };
+    frame.locals[t.a as usize] = out;
+    pc + 1
+}
+
+fn op_bin<'p, const P: u8>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let l = tt!(st, fetch_sc(frame, code, K_REG, t.b, 0));
+    let r = tt!(st, fetch_sc(frame, code, K_REG, t.c, 0));
+    let r = forced_sc!(it, frame, st, r);
+    let v = match bin_sc::<P>(&l, &r) {
+        Some(v) => v,
+        None => {
+            let (l, r) = (l.into_value(), r.into_value());
+            match binop_fast(t.bin, &l, &r) {
+                Some(v) => v,
+                None => tt!(st, it.apply_binop(t.bin, &l, &r)),
             }
-            _ => None,
-        };
-        let out = match hit {
-            Some(idx) => arms[idx as usize].1.clone(),
-            None => {
-                let (idx, out) = tt!(st, it.eliminate_idx(&arms, target));
-                it.ic_arm[s] = Some(ArmIc {
-                    arms: Arc::clone(&arms),
-                    target,
-                    window,
-                    idx,
-                });
-                out
+        }
+    };
+    frame.locals[t.a as usize] = v;
+    pc + 1
+}
+
+fn op_bin_f<'p, const P: u8>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let l = tt!(st, fetch_sc(frame, code, t.kinds & 0xf, t.b, t.n1));
+    let l = forced_sc!(it, frame, st, l);
+    if t.rgas != 0 {
+        tt!(st, it.gas_n(u64::from(t.rgas)));
+    }
+    let r = tt!(st, fetch_sc(frame, code, t.kinds >> 4, t.c, t.n2));
+    let r = forced_sc!(it, frame, st, r);
+    let v = match bin_sc::<P>(&l, &r) {
+        Some(v) => v,
+        None => {
+            let (l, r) = (l.into_value(), r.into_value());
+            match binop_fast(t.bin, &l, &r) {
+                Some(v) => v,
+                None => tt!(st, it.apply_binop(t.bin, &l, &r)),
             }
-        };
-        frame.locals[t.a as usize] = out;
+        }
+    };
+    frame.locals[t.a as usize] = v;
+    pc + 1
+}
+
+fn op_jmp_bin<'p, const P: u8>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let l = tt!(st, fetch_sc(frame, code, K_REG, t.a, 0));
+    let r = tt!(st, fetch_sc(frame, code, K_REG, t.b, 0));
+    let r = forced_sc!(it, frame, st, r);
+    if let Some(b) = cmp_sc::<P>(&l, &r) {
+        return if b { pc + 1 } else { t.d };
+    }
+    let (l, r) = (l.into_value(), r.into_value());
+    let v = match binop_fast(t.bin, &l, &r) {
+        Some(v) => v,
+        None => tt!(st, it.apply_binop(t.bin, &l, &r)),
+    };
+    match v {
+        Value::Bool(true) => pc + 1,
+        Value::Bool(false) => t.d,
+        other => throw(
+            st,
+            RtError::Native(format!("if condition is a {}", other.kind())).into(),
+        ),
+    }
+}
+
+fn op_jmp_bin_f<'p, const P: u8>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let l = tt!(st, fetch_sc(frame, code, t.kinds & 0xf, t.b, t.n1));
+    let l = forced_sc!(it, frame, st, l);
+    if t.rgas != 0 {
+        tt!(st, it.gas_n(u64::from(t.rgas)));
+    }
+    let r = tt!(st, fetch_sc(frame, code, t.kinds >> 4, t.c, t.n2));
+    let r = forced_sc!(it, frame, st, r);
+    if let Some(b) = cmp_sc::<P>(&l, &r) {
+        return if b { pc + 1 } else { t.d };
+    }
+    let (l, r) = (l.into_value(), r.into_value());
+    let v = match binop_fast(t.bin, &l, &r) {
+        Some(v) => v,
+        None => tt!(st, it.apply_binop(t.bin, &l, &r)),
+    };
+    match v {
+        Value::Bool(true) => pc + 1,
+        Value::Bool(false) => t.d,
+        other => throw(
+            st,
+            RtError::Native(format!("if condition is a {}", other.kind())).into(),
+        ),
+    }
+}
+
+fn op_un<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    _code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let v = take!(frame, t.b);
+    let v = forced!(it, frame, st, v);
+    let op = if t.c == 0 { UnOp::Not } else { UnOp::Neg };
+    let out = tt!(st, Interp::apply_unop(op, v));
+    frame.locals[t.a as usize] = out;
+    pc + 1
+}
+
+fn op_jmp<'p>(
+    it: &mut Interp<'p>,
+    _frame: &mut Frame,
+    _code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    t.d
+}
+
+fn op_jmp_if_false<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    _code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let v = take!(frame, t.b);
+    let v = forced!(it, frame, st, v);
+    let Value::Bool(b) = v else {
+        return throw(
+            st,
+            RtError::Native(format!("if condition is a {}", v.kind())).into(),
+        );
+    };
+    if b {
         pc + 1
-    }
-}
-
-struct BinB<const P: u8>;
-impl<const P: u8> OpBody for BinB<P> {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let l = tt!(st, fetch_sc::<K_REG>(frame, code, t.b, 0));
-        let r = tt!(st, fetch_sc::<K_REG>(frame, code, t.c, 0));
-        let r = forced_sc!(it, frame, st, r);
-        let v = match bin_sc::<P>(&l, &r) {
-            Some(v) => v,
-            None => {
-                let (l, r) = (l.into_value(), r.into_value());
-                match binop_fast(t.bin, &l, &r) {
-                    Some(v) => v,
-                    None => tt!(st, it.apply_binop(t.bin, &l, &r)),
-                }
-            }
-        };
-        frame.locals[t.a as usize] = v;
-        pc + 1
-    }
-}
-
-struct BinFB<const L: u8, const R: u8, const P: u8>;
-impl<const L: u8, const R: u8, const P: u8> OpBody for BinFB<L, R, P> {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let l = tt!(st, fetch_sc::<L>(frame, code, t.b, t.n1));
-        let l = forced_sc!(it, frame, st, l);
-        if t.rgas != 0 {
-            tt!(st, it.gas_n(u64::from(t.rgas)));
-        }
-        let r = tt!(st, fetch_sc::<R>(frame, code, t.c, t.n2));
-        let r = forced_sc!(it, frame, st, r);
-        let v = match bin_sc::<P>(&l, &r) {
-            Some(v) => v,
-            None => {
-                let (l, r) = (l.into_value(), r.into_value());
-                match binop_fast(t.bin, &l, &r) {
-                    Some(v) => v,
-                    None => tt!(st, it.apply_binop(t.bin, &l, &r)),
-                }
-            }
-        };
-        frame.locals[t.a as usize] = v;
-        pc + 1
-    }
-}
-
-struct JmpBinB<const P: u8>;
-impl<const P: u8> OpBody for JmpBinB<P> {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let l = tt!(st, fetch_sc::<K_REG>(frame, code, t.a, 0));
-        let r = tt!(st, fetch_sc::<K_REG>(frame, code, t.b, 0));
-        let r = forced_sc!(it, frame, st, r);
-        if let Some(b) = cmp_sc::<P>(&l, &r) {
-            return if b { pc + 1 } else { t.d };
-        }
-        let (l, r) = (l.into_value(), r.into_value());
-        let v = match binop_fast(t.bin, &l, &r) {
-            Some(v) => v,
-            None => tt!(st, it.apply_binop(t.bin, &l, &r)),
-        };
-        match v {
-            Value::Bool(true) => pc + 1,
-            Value::Bool(false) => t.d,
-            other => throw(
-                st,
-                RtError::Native(format!("if condition is a {}", other.kind())).into(),
-            ),
-        }
-    }
-}
-
-struct JmpBinFB<const L: u8, const R: u8, const P: u8>;
-impl<const L: u8, const R: u8, const P: u8> OpBody for JmpBinFB<L, R, P> {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let l = tt!(st, fetch_sc::<L>(frame, code, t.b, t.n1));
-        let l = forced_sc!(it, frame, st, l);
-        if t.rgas != 0 {
-            tt!(st, it.gas_n(u64::from(t.rgas)));
-        }
-        let r = tt!(st, fetch_sc::<R>(frame, code, t.c, t.n2));
-        let r = forced_sc!(it, frame, st, r);
-        if let Some(b) = cmp_sc::<P>(&l, &r) {
-            return if b { pc + 1 } else { t.d };
-        }
-        let (l, r) = (l.into_value(), r.into_value());
-        let v = match binop_fast(t.bin, &l, &r) {
-            Some(v) => v,
-            None => tt!(st, it.apply_binop(t.bin, &l, &r)),
-        };
-        match v {
-            Value::Bool(true) => pc + 1,
-            Value::Bool(false) => t.d,
-            other => throw(
-                st,
-                RtError::Native(format!("if condition is a {}", other.kind())).into(),
-            ),
-        }
-    }
-}
-
-struct UnB;
-impl OpBody for UnB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        _code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let v = take!(frame, t.b);
-        let v = forced!(it, frame, st, v);
-        let op = if t.c == 0 { UnOp::Not } else { UnOp::Neg };
-        let out = tt!(st, Interp::apply_unop(op, v));
-        frame.locals[t.a as usize] = out;
-        pc + 1
-    }
-}
-
-struct JmpB;
-impl OpBody for JmpB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        _frame: &mut Frame,
-        _code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
+    } else {
         t.d
     }
 }
 
-struct JmpIfFalseB;
-impl OpBody for JmpIfFalseB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        _code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
+fn op_sc_jump<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    _code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let op = t.bin;
+    let v = take!(frame, t.b);
+    let v = forced!(it, frame, st, v);
+    let Value::Bool(b) = v else {
+        return throw(
+            st,
+            RtError::Native(format!("`{op}` on a {}", v.kind())).into(),
+        );
+    };
+    frame.locals[t.b as usize] = Value::Bool(b);
+    let short = match op {
+        ent_syntax::BinOp::And => !b,
+        _ => b,
+    };
+    if short {
+        t.d
+    } else {
+        pc + 1
+    }
+}
+
+fn op_sc_force<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    _code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let op = t.bin;
+    let v = take!(frame, t.b);
+    let v = forced!(it, frame, st, v);
+    let Value::Bool(b) = v else {
+        return throw(
+            st,
+            RtError::Native(format!("`{op}` on a {}", v.kind())).into(),
+        );
+    };
+    frame.locals[t.b as usize] = Value::Bool(b);
+    pc + 1
+}
+
+fn op_force<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    _code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    // Forcing anything but a mode case is the identity: skip the take
+    // and write-back entirely (the common case by far).
+    if matches!(frame.locals[t.b as usize], Value::MCase(_)) {
         let v = take!(frame, t.b);
-        let v = forced!(it, frame, st, v);
-        let Value::Bool(b) = v else {
-            return throw(
-                st,
-                RtError::Native(format!("if condition is a {}", v.kind())).into(),
-            );
-        };
-        if b {
-            pc + 1
-        } else {
-            t.d
-        }
+        let v = tt!(st, it.force(frame, v));
+        frame.locals[t.b as usize] = v;
     }
+    pc + 1
 }
 
-struct ScJumpB;
-impl OpBody for ScJumpB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        _code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let op = t.bin;
-        let v = take!(frame, t.b);
-        let v = forced!(it, frame, st, v);
-        let Value::Bool(b) = v else {
-            return throw(
-                st,
-                RtError::Native(format!("`{op}` on a {}", v.kind())).into(),
-            );
-        };
-        frame.locals[t.b as usize] = Value::Bool(b);
-        let short = match op {
-            ent_syntax::BinOp::And => !b,
-            _ => b,
-        };
-        if short {
-            t.d
-        } else {
-            pc + 1
-        }
-    }
+fn op_arr_lit<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    _code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    let vals = take_n!(frame, t.b, t.c);
+    frame.locals[t.a as usize] = Value::Array(Arc::new(vals));
+    pc + 1
 }
 
-struct ScForceB;
-impl OpBody for ScForceB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        _code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let op = t.bin;
-        let v = take!(frame, t.b);
-        let v = forced!(it, frame, st, v);
-        let Value::Bool(b) = v else {
-            return throw(
-                st,
-                RtError::Native(format!("`{op}` on a {}", v.kind())).into(),
-            );
-        };
-        frame.locals[t.b as usize] = Value::Bool(b);
-        pc + 1
-    }
+fn op_ret<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    _code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    st.out = take!(frame, t.b);
+    R_RET
 }
 
-struct ForceB;
-impl OpBody for ForceB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        _code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        // Forcing anything but a mode case is the identity: skip the take
-        // and write-back entirely (the common case by far).
-        if matches!(frame.locals[t.b as usize], Value::MCase(_)) {
-            let v = take!(frame, t.b);
-            let v = tt!(st, it.force(frame, v));
-            frame.locals[t.b as usize] = v;
-        }
-        pc + 1
-    }
+fn op_halt<'p>(
+    it: &mut Interp<'p>,
+    frame: &mut Frame,
+    _code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    st.out = take!(frame, t.b);
+    R_DONE
 }
 
-struct ArrLitB;
-impl OpBody for ArrLitB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        _code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        let vals = take_n!(frame, t.b, t.c);
-        frame.locals[t.a as usize] = Value::Array(Arc::new(vals));
-        pc + 1
-    }
+fn op_try_push<'p>(
+    it: &mut Interp<'p>,
+    _frame: &mut Frame,
+    _code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    st.tries.push(t.d);
+    pc + 1
 }
 
-struct RetB;
-impl OpBody for RetB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        _code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        st.out = take!(frame, t.b);
-        R_RET
-    }
-}
-
-struct HaltB;
-impl OpBody for HaltB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        frame: &mut Frame,
-        _code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        st.out = take!(frame, t.b);
-        R_DONE
-    }
-}
-
-struct TryPushB;
-impl OpBody for TryPushB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        _frame: &mut Frame,
-        _code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        st.tries.push(t.d);
-        pc + 1
-    }
-}
-
-struct TryPopB;
-impl OpBody for TryPopB {
-    fn run<'p>(
-        it: &mut Interp<'p>,
-        _frame: &mut Frame,
-        _code: &'p Code,
-        ops: &[TOp],
-        st: &mut TState,
-        pc: u32,
-    ) -> u32 {
-        let t = &ops[pc as usize];
-        charge!(it, t, st);
-        st.tries.pop();
-        pc + 1
-    }
+fn op_try_pop<'p>(
+    it: &mut Interp<'p>,
+    _frame: &mut Frame,
+    _code: &'p Code,
+    ops: &[TOp],
+    st: &mut TState,
+    pc: u32,
+) -> u32 {
+    let t = &ops[pc as usize];
+    charge!(it, t, st);
+    st.tries.pop();
+    pc + 1
 }

@@ -6,7 +6,8 @@
 //! bits, and the rendered event stream — is byte-identical to a pure
 //! bytecode run. Deopt is a performance event, never a semantic one.
 //! Also pinned here: when the tier is entered at all (transient runs
-//! never; default runs once a body is hot).
+//! never; default runs once a body is hot), and the binop handlers'
+//! scalar lanes against the VM.
 
 use std::fmt::Write as _;
 
@@ -124,7 +125,7 @@ class Main {
 fn mode_window_deopt_is_semantically_invisible() {
     // chaos() uses 0.5 s windows; each round sleeps 1.5 s before its
     // snapshot, so the window observed at body entry has always rolled
-    // by the time `SnapB` runs.
+    // by the time `op_snap` runs.
     let th = run_pair(SNAPSHOT_AFTER_SLEEP, |c| {
         c.faults = Some(FaultPlan::chaos());
         c.fault_seed = 7;
@@ -254,4 +255,102 @@ class Main {
         ..last
     };
     assert_eq!(untiered.to_json(), never.to_json(), "tier choice leaked");
+}
+
+/// Binop operand pairs over the `let` slots `a`/`b`, literals `k`/`k2`
+/// and a computed register `reg`, in both orders and literal with
+/// literal. Slot and literal operands (and a register lhs) fuse into
+/// `BinF`/`JmpBinF`; a register rhs compiles to plain `Bin`/`JmpBin`.
+fn operand_pairs<'a>(k: &'a str, k2: &'a str, reg: &'a str) -> [(&'a str, &'a str); 9] {
+    [
+        ("a", "b"),
+        ("a", k),
+        (k, "a"),
+        (k, k2),
+        (reg, "a"),
+        (reg, k),
+        ("a", reg),
+        (k, reg),
+        (reg, reg),
+    ]
+}
+
+/// Every arithmetic and comparison operator over every operand shape on
+/// int and double values, string concatenation and equality, and `if`
+/// conditions on int and double comparisons: the threaded tier's scalar
+/// lanes must print and count exactly what the VM does.
+#[test]
+fn scalar_binop_lanes_match_the_vm() {
+    use std::fmt::Write as _;
+    const ARITH: [&str; 5] = ["+", "-", "*", "/", "%"];
+    const CMP: [&str; 6] = ["<", "<=", ">", ">=", "==", "!="];
+    let mut body = String::new();
+    for (a, b, k, k2, reg) in [
+        ("17", "5", "3", "9", "this.i(7)"),
+        ("-7.5", "2.25", "0.5", "7.5", "this.d(-7.5)"),
+    ] {
+        let _ = writeln!(body, "    {{ let a = {a}; let b = {b};");
+        for op in ARITH.iter().chain(&CMP) {
+            for (l, r) in operand_pairs(k, k2, reg) {
+                let _ = writeln!(body, "      IO.print(\"\" + ({l} {op} {r}));");
+            }
+        }
+        for op in CMP {
+            for (l, r) in operand_pairs(k, k2, reg) {
+                let _ = writeln!(
+                    body,
+                    "      IO.print(if ({l} {op} {r}) {{ \"t\" }} else {{ \"f\" }});"
+                );
+            }
+        }
+        let _ = writeln!(body, "    }}");
+    }
+    let _ = writeln!(body, "    {{ let a = \"ab\"; let b = \"cd\";");
+    for op in ["+", "==", "!="] {
+        for (l, r) in operand_pairs("\"ab\"", "\"x\"", "this.s(\"cd\")") {
+            let _ = writeln!(body, "      IO.print(\"\" + ({l} {op} {r}));");
+        }
+    }
+    let _ = writeln!(body, "      IO.print(1 + a); IO.print(a + 2.5);\n    }}");
+    let src = format!(
+        "class Main {{
+  int i(int x) {{ return x; }}
+  double d(double x) {{ return x; }}
+  string s(string x) {{ return x; }}
+  int main() {{
+{body}    return 0;
+  }}
+}}
+"
+    );
+    let th = run_pair(&src, |_| {});
+    assert!(th.value.is_ok(), "{:?}", th.value);
+    assert_eq!(th.output.len(), 2 * (11 + 6) * 9 + 3 * 9 + 2);
+}
+
+/// Int `/` and `%` by a zero held in a variable, over each operand shape:
+/// the fast lane must fall back to the VM's error.
+#[test]
+fn int_division_by_a_zero_variable_errors_like_the_vm() {
+    for (op, msg) in [("/", "division by zero"), ("%", "remainder by zero")] {
+        for (l, r) in [
+            ("a", "z"),
+            ("7", "z"),
+            ("this.i(7)", "z"),
+            ("a", "this.i(z)"),
+        ] {
+            let src = format!(
+                "class Main {{
+  int i(int x) {{ return x; }}
+  int main() {{ let a = 7; let z = 0; return {l} {op} {r}; }}
+}}
+"
+            );
+            let th = run_pair(&src, |_| {});
+            match &th.value {
+                Err(e) => assert!(e.to_string().contains(msg), "{l} {op} {r}: {e}"),
+                Ok(v) => panic!("{l} {op} {r} returned {v:?}"),
+            }
+        }
+    }
 }

@@ -615,6 +615,9 @@ mod tests {
         }
     }
 
+    /// That failed compiles are never cached is pinned in
+    /// `tests/program_cache.rs`, whose one test owns the process-wide
+    /// cache: here, other tests insert programs concurrently.
     #[test]
     fn try_lowered_cached_shares_and_reports_errors() {
         let src = "class Main { int main() { return 7; } }";
@@ -622,15 +625,9 @@ mod tests {
         let b = try_lowered_cached(src).expect("second lookup hits");
         assert!(Arc::ptr_eq(&a, &b), "cache shares the lowered program");
 
-        let before = lowered_cache_stats();
         let err = try_lowered_cached("class Main { int main() { return x; } }")
             .expect_err("unbound variable should fail to compile");
         assert!(!err.is_empty(), "error is a rendered diagnostic");
-        let after = lowered_cache_stats();
-        assert_eq!(
-            before.entries, after.entries,
-            "failed compiles are never cached"
-        );
     }
 
     #[test]

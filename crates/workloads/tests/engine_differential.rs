@@ -181,3 +181,26 @@ fn profiler_parity_on_recursive_workload() {
         );
     }
 }
+
+/// A body too large for the bytecode's `u16` operand words (here an array
+/// literal of 65537 items) runs on the tree walker, so every lane sees
+/// the whole array rather than a count truncated to 16 bits.
+#[test]
+fn engines_agree_on_a_body_too_large_for_bytecode() {
+    let items = vec!["1"; 65537].join(", ");
+    let src = format!("class Main {{ int main() {{ return Arr.len([{items}]); }} }}");
+    let lowered = lower_program(&compile(&src).expect("program compiles"));
+    let run = |lane| {
+        let r = ent_runtime::run_lowered(
+            &lowered,
+            Platform::system_a(),
+            config(lane, Enforcement::Guarded, 0.9, None),
+        );
+        observe(&lowered, &r)
+    };
+    let tree = run(LANES[0]);
+    assert!(tree.contains("value=ok:Int(65537)"), "{tree}");
+    for lane in &LANES[1..] {
+        assert_eq!(tree, run(*lane), "tree and {} diverge", lane.0);
+    }
+}

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use ent_workloads::{lowered_cache_stats, lowered_cached, LOWERED_CACHE_CAP};
+use ent_workloads::{lowered_cache_stats, lowered_cached, try_lowered_cached, LOWERED_CACHE_CAP};
 
 fn source(n: usize) -> String {
     format!("class Main {{ int main() {{ return {n}; }} }}")
@@ -11,6 +11,14 @@ fn source(n: usize) -> String {
 
 #[test]
 fn the_cache_fills_to_its_cap_then_evicts_the_oldest_program() {
+    try_lowered_cached("class Main { int main() { return x; } }")
+        .expect_err("unbound variable should fail to compile");
+    let empty = lowered_cache_stats();
+    assert_eq!(
+        empty.entries, 0,
+        "failed compiles are never cached: {empty:?}"
+    );
+
     let programs: Vec<_> = (0..LOWERED_CACHE_CAP)
         .map(|n| lowered_cached("cache-test", &source(n)))
         .collect();
