@@ -161,6 +161,7 @@ fn repo_root() -> PathBuf {
 }
 
 fn main() {
+    ent_bench::check_env_or_exit();
     eprintln!("chaos resilience: zero-overhead-when-off check...");
     let suite = e1_suite();
     let zero_overhead = check_zero_overhead(&suite);

@@ -9,6 +9,7 @@ use ent_energy::PlatformKind;
 use ent_workloads::run_e2;
 
 fn main() {
+    ent_bench::check_env_or_exit();
     let repeats: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())

@@ -75,6 +75,18 @@ pub struct GridArgs {
     pub fault_seed: u64,
 }
 
+/// Exits with status 1, naming the variable, when `ENT_ENGINE`,
+/// `ENT_TIER_UP`, `ENT_ENFORCE` or `ENT_STACK_SIZE` is malformed
+/// ([`ent_runtime::check_env_settings`]); otherwise the runs would
+/// silently fall back to the defaults. Every binary calls it before it
+/// runs anything, most through [`parse_grid_args`].
+pub fn check_env_or_exit() {
+    if let Err(e) = ent_runtime::check_env_settings() {
+        eprintln!("{e}");
+        std::process::exit(1);
+    }
+}
+
 /// Parses `std::env::args()` as
 /// `[<value>] [--jobs N] [--faults <spec>] [--fault-seed N]`. `--jobs`
 /// defaults to 1; figure output is bit-identical at every jobs count, so
@@ -93,10 +105,7 @@ pub fn parse_grid_args(default_value: u64) -> GridArgs {
 /// reads itself, so the grid parser skips the flag and its value instead
 /// of rejecting them.
 pub fn parse_grid_args_with(default_value: u64, own_flags: &[&str]) -> GridArgs {
-    if let Err(e) = ent_runtime::check_env_settings() {
-        eprintln!("{e}");
-        std::process::exit(1);
-    }
+    check_env_or_exit();
     let mut parsed = GridArgs {
         value: default_value,
         jobs: 1,

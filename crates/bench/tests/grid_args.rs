@@ -1,7 +1,8 @@
 //! The figure binaries' flag contract: a flag they do not know, or a
 //! malformed engine setting or stack size in the environment, exits 1
-//! with a message naming it, before any grid runs. A skipped flag would
-//! have its value read as the positional repeat count.
+//! with a message naming it, before any grid runs; the environment half
+//! holds for `chaos_resilience` and `data_collection_rsd` too. A skipped
+//! flag would have its value read as the positional repeat count.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -49,24 +50,46 @@ fn unknown_flags_exit_one_before_any_grid_runs() {
 
 #[test]
 fn a_malformed_engine_variable_exits_one_before_any_grid_runs() {
-    // A repeat count of 1 keeps the grid short should a check be missing.
-    for (var, value) in [("ENT_ENGINE", "threaded"), ("ENT_STACK_SIZE", "huge")] {
-        let dir = scratch_dir(&format!("fig9-env-{var}"));
-        let out = Command::new(env!("CARGO_BIN_EXE_fig9_e1_all"))
-            .arg("1")
-            .env(var, value)
-            .current_dir(&dir)
-            .output()
-            .expect("spawn fig9_e1_all");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{var}={value}: {stderr}");
-        assert!(stderr.contains(var), "{var}={value}: got {stderr}");
-        assert!(out.stdout.is_empty(), "{var}={value}: the figure started");
-        assert!(
-            !dir.join("results").exists(),
-            "{var}={value}: wrote results/"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+    // The two binaries that take no grid flags check the environment
+    // themselves. A repeat count of 1 keeps a run short should a check be
+    // missing (`chaos_resilience` takes no count and writes
+    // `BENCH_chaos.json` beside the workspace manifest).
+    let binaries = [
+        ("fig9_e1_all", env!("CARGO_BIN_EXE_fig9_e1_all"), &["1"][..]),
+        (
+            "chaos_resilience",
+            env!("CARGO_BIN_EXE_chaos_resilience"),
+            &[][..],
+        ),
+        (
+            "data_collection_rsd",
+            env!("CARGO_BIN_EXE_data_collection_rsd"),
+            &["1"][..],
+        ),
+    ];
+    let settings = [
+        ("ENT_ENGINE", "threaded"),
+        ("ENT_TIER_UP", "sometimes"),
+        ("ENT_ENFORCE", "lax"),
+        ("ENT_STACK_SIZE", "huge"),
+    ];
+    for (name, bin, args) in binaries {
+        for (var, value) in settings {
+            let dir = scratch_dir(&format!("{name}-env-{var}"));
+            let out = Command::new(bin)
+                .args(args)
+                .env(var, value)
+                .current_dir(&dir)
+                .output()
+                .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let row = format!("{name} {var}={value}");
+            assert_eq!(out.status.code(), Some(1), "{row}: {stderr}");
+            assert!(stderr.contains(var), "{row}: got {stderr}");
+            assert!(out.stdout.is_empty(), "{row}: the run started");
+            assert!(!dir.join("results").exists(), "{row}: wrote results/");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 

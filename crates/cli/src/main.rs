@@ -47,8 +47,11 @@ fn main() -> ExitCode {
     ExitCode::from(code as u8)
 }
 
-/// Re-execs `ent-serve` (expected next to the current executable, as
-/// cargo lays workspace binaries out) with the remaining arguments.
+/// Execs `ent-serve` (expected next to the current executable, as cargo
+/// lays workspace binaries out) with the remaining arguments. On Unix the
+/// daemon replaces this process, so a signal sent to `ent serve` reaches
+/// the daemon itself; elsewhere the daemon runs as a child and its exit
+/// code is passed on.
 fn serve_shim(rest: &[String]) -> ExitCode {
     let sibling = std::env::current_exe()
         .ok()
@@ -57,14 +60,19 @@ fn serve_shim(rest: &[String]) -> ExitCode {
         Some(p) if p.exists() => p,
         _ => std::path::PathBuf::from("ent-serve"),
     };
-    match std::process::Command::new(&program).args(rest).status() {
-        Ok(status) => ExitCode::from(status.code().unwrap_or(1) as u8),
-        Err(e) => {
-            eprintln!(
-                "error: cannot launch `{}`: {e} (build it with `cargo build -p ent-serve`)",
-                program.display()
-            );
-            ExitCode::from(1)
-        }
-    }
+    let mut daemon = std::process::Command::new(&program);
+    daemon.args(rest);
+    // `exec` returns only when the process could not be replaced.
+    #[cfg(unix)]
+    let e = std::os::unix::process::CommandExt::exec(&mut daemon);
+    #[cfg(not(unix))]
+    let e = match daemon.status() {
+        Ok(status) => return ExitCode::from(status.code().unwrap_or(1) as u8),
+        Err(e) => e,
+    };
+    eprintln!(
+        "error: cannot launch `{}`: {e} (build it with `cargo build -p ent-serve`)",
+        program.display()
+    );
+    ExitCode::from(1)
 }

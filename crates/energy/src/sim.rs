@@ -74,6 +74,11 @@ struct Sampler {
 #[derive(Clone, Debug)]
 pub struct EnergySim {
     platform: Platform,
+    /// `platform.power_at(0.0)` and `power_at(1.0)`, computed once: every
+    /// `sleep_ms` and `do_work` draws one of the two, and the platform
+    /// cannot change after construction.
+    idle_watts: f64,
+    busy_watts: f64,
     time_s: f64,
     energy_j: f64,
     battery: BatteryModel,
@@ -96,6 +101,8 @@ impl EnergySim {
         let thermal = ThermalModel::new(platform.thermal);
         let peak = thermal.temperature_c();
         EnergySim {
+            idle_watts: platform.power_at(0.0),
+            busy_watts: platform.power_at(1.0),
             platform,
             time_s: 0.0,
             energy_j: 0.0,
@@ -192,19 +199,19 @@ impl EnergySim {
     /// Executes `units` of work of the given kind at full utilization.
     pub fn do_work(&mut self, kind: WorkKind, units: f64) {
         let dt = self.platform.seconds_for(kind, units);
-        self.advance(dt, 1.0);
+        self.advance(dt, self.busy_watts);
     }
 
     /// Idles for a number of milliseconds (the ENT `Sim.sleepMs` builtin).
     pub fn sleep_ms(&mut self, ms: f64) {
-        self.advance(ms.max(0.0) / 1000.0, 0.0);
+        self.advance(ms.max(0.0) / 1000.0, self.idle_watts);
     }
 
     /// Runs for `duration_s` at a fractional utilization — the model for
     /// time-fixed workloads (video capture, emulation, Apps) whose energy
     /// differences come from *power*, not runtime.
     pub fn run_duty_cycle(&mut self, duration_s: f64, utilization: f64) {
-        self.advance(duration_s, utilization);
+        self.advance(duration_s, self.platform.power_at(utilization));
     }
 
     /// A uniform random double in `[0, 1)` (the ENT `Sim.rand` builtin) —
@@ -218,16 +225,15 @@ impl EnergySim {
     /// 0.25 s sub-step loop effectively forever.
     const MAX_ADVANCE_S: f64 = 1.0e6;
 
-    /// Advances the clock by `dt` seconds at the given utilization,
-    /// integrating power, battery, temperature, and the trace.
-    fn advance(&mut self, dt: f64, utilization: f64) {
+    /// Advances the clock by `dt` seconds drawing `watts`, integrating
+    /// power, battery, temperature, and the trace.
+    fn advance(&mut self, dt: f64, watts: f64) {
         // NaN returns here rather than reaching the clamp below —
         // NaN.min(x) is x in Rust.
         if dt.is_nan() || dt <= 0.0 {
             return;
         }
         let dt = dt.min(Self::MAX_ADVANCE_S);
-        let watts = self.platform.power_at(utilization);
         // Integrate in sub-steps so traces and thermal dynamics resolve.
         let mut remaining = dt;
         while remaining > 0.0 {

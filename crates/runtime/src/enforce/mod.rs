@@ -163,7 +163,7 @@ impl<'p> Interp<'p> {
         // Field ids interned after this layout was built are names no
         // class declares: out-of-range reads report them absent.
         match layout.field_slot.get(field as usize) {
-            Some(&s) if s != u32::MAX => Ok(data.fields[s as usize].clone()),
+            Some(&s) if s != u32::MAX => Ok(data.fields[s as usize].dup()),
             _ => Err(
                 RtError::Native(format!("class `{}` has no field `{name}`", layout.name)).into(),
             ),

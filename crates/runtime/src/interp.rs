@@ -57,6 +57,7 @@ use ent_energy::{
 use ent_modes::ModeName;
 use ent_syntax::{BinOp, Symbol};
 
+use crate::compile::BuiltinSite;
 use crate::error::{Flow, RtError};
 use crate::events::{EnergyEvent, EventPayload, EventRing, FaultServe};
 use crate::lower::{
@@ -66,7 +67,7 @@ use crate::lower::{
 use crate::profile::{
     AnyProfiler, Profile, ProfileMode, ProfileReport, SampledProfile, StackShadow,
 };
-use crate::value::{ObjRef, Value};
+use crate::value::{discard, put, ObjRef, Value};
 
 /// Which evaluation engine executes method bodies.
 ///
@@ -710,6 +711,15 @@ struct Frame {
     n_params: u32,
 }
 
+impl Frame {
+    /// Writes register `r` through [`put`]: a plain old value is
+    /// overwritten without running drop glue.
+    #[inline(always)]
+    fn set(&mut self, r: usize, v: Value) {
+        put(&mut self.locals[r], v);
+    }
+}
+
 /// Pads or truncates call arguments to the declared parameter count,
 /// returning the slot-indexed locals and the first unbound parameter slot
 /// (`u32::MAX` when fully applied).
@@ -859,14 +869,15 @@ impl<'p> Interp<'p> {
     }
 
     /// Parks a finished frame's register file for reuse. Values were
-    /// already drained or are dropped here; only the allocation survives.
+    /// already drained or are dropped here, plain ones without drop glue
+    /// (see [`put`]); only the allocation survives.
     #[inline]
     fn recycle_locals(&mut self, mut locals: Vec<Value>) {
         // A small cap bounds retained memory; one entry per live call
         // depth is the steady-state need, and deep recursion past the cap
         // simply falls back to fresh allocations.
         if self.locals_pool.len() < 64 {
-            locals.clear();
+            locals.drain(..).for_each(discard);
             self.locals_pool.push(locals);
         }
     }
@@ -1890,12 +1901,39 @@ impl<'p> Interp<'p> {
         self.builtin_slice(op, ns, name, &mut args)
     }
 
+    /// Calls a compiled builtin site on its argument registers in place,
+    /// `frame.locals[base..base + n_args]` — the one builtin path of the
+    /// bytecode VM and the threaded tier. Forces the last argument first
+    /// when the site says so. On every exit (value, builtin error or
+    /// force error) the window is reset to `Unit` before returning, which
+    /// is where the take-based form left those registers: every argument
+    /// dies where it died when the call owned a vector of them.
+    #[inline]
+    fn call_builtin(&mut self, frame: &mut Frame, site: &BuiltinSite, base: usize) -> EvalResult {
+        let end = base + usize::from(site.n_args);
+        let out = 'call: {
+            if site.force_last && matches!(frame.locals[end - 1], Value::MCase(_)) {
+                let last = std::mem::replace(&mut frame.locals[end - 1], Value::Unit);
+                match self.force(frame, last) {
+                    Ok(v) => frame.locals[end - 1] = v,
+                    Err(f) => break 'call Err(f),
+                }
+            }
+            self.builtin_slice(site.op, &site.ns, &site.name, &mut frame.locals[base..end])
+        };
+        frame.locals[base..end]
+            .iter_mut()
+            .for_each(|v| put(v, Value::Unit));
+        out
+    }
+
     /// The slice-based builtin core: callers keep ownership of the
-    /// argument storage (the threaded tier recycles a pooled register
-    /// file through it; the VM path funnels in via [`Self::builtin`]).
-    /// Arms that need owned values take them out of the slice, leaving
-    /// `Unit` — indistinguishable from the by-value form since the
-    /// caller drops or clears the storage without reading it back.
+    /// argument storage (the bytecode engines pass their argument
+    /// registers through [`Self::call_builtin`]; the tree walker funnels
+    /// in via [`Self::builtin`]). Arms that need owned values take them
+    /// out of the slice, leaving `Unit` — indistinguishable from the
+    /// by-value form since the caller resets or drops the storage
+    /// without reading it back.
     fn builtin_slice(
         &mut self,
         op: BOp,
@@ -2015,7 +2053,8 @@ impl<'p> Interp<'p> {
 // The clone audit (DESIGN.md §11): hot-loop value movement must be refcount
 // bumps on the shared `Arc`, never deep copies of the payload. These tests
 // pin that for array indexing, mode-case arm selection, and the unique-`Arc`
-// buffer reuse in `Arr.push`.
+// buffer reuse in `Arr.push`, on the tree walker's by-value path and on the
+// bytecode engines' in-place register window.
 #[cfg(test)]
 mod clone_audit {
     use super::*;
@@ -2117,6 +2156,79 @@ mod clone_audit {
             assert_eq!(out.len(), 3);
             // The uniquely-owned buffer was grown in place, not re-copied.
             assert_eq!(out.as_ptr(), buf);
+        });
+    }
+
+    /// A frame whose registers are `args`, and a compiled builtin site
+    /// over all of them, for [`Interp::call_builtin`].
+    fn window(op: BOp, name: &str, args: Vec<Value>) -> (Frame, BuiltinSite) {
+        let site = BuiltinSite {
+            op,
+            ns: "Arr".into(),
+            name: name.into(),
+            n_args: args.len() as u16,
+            force_last: true,
+        };
+        let frame = Frame {
+            locals: args,
+            this_ref: None,
+            mode: GMode::Top,
+            env: Vec::new(),
+            unbound_lo: u32::MAX,
+            n_params: 0,
+        };
+        (frame, site)
+    }
+
+    #[test]
+    fn call_builtin_resets_its_window() {
+        with_interp(MODES_MAIN, |it| {
+            let inner: Arc<Vec<Value>> = Arc::new(vec![Value::Int(7)]);
+            let items = Arc::new(vec![Value::Array(inner.clone()), Value::Int(2)]);
+            let (mut frame, site) = window(
+                BOp::ArrGet,
+                "get",
+                vec![Value::Array(items.clone()), Value::Int(0)],
+            );
+            let got = it.call_builtin(&mut frame, &site, 0).unwrap();
+            // The registers were reset, so the outer array is back to one
+            // owner and the element is shared, not copied.
+            assert_eq!(frame.locals, [Value::Unit, Value::Unit]);
+            assert_eq!(Arc::strong_count(&items), 1);
+            assert_eq!(Arc::strong_count(&inner), 3);
+            let Value::Array(got) = got else {
+                panic!("expected array element")
+            };
+            assert!(Arc::ptr_eq(&got, &inner));
+            // An error resets the window too.
+            let (mut frame, site) = window(
+                BOp::ArrGet,
+                "get",
+                vec![Value::Array(items.clone()), Value::Int(5)],
+            );
+            assert!(it.call_builtin(&mut frame, &site, 0).is_err());
+            assert_eq!(frame.locals, [Value::Unit, Value::Unit]);
+            assert_eq!(Arc::strong_count(&items), 1);
+        });
+    }
+
+    #[test]
+    fn call_builtin_push_grows_a_unique_buffer_in_place() {
+        with_interp(MODES_MAIN, |it| {
+            let mut v = Vec::with_capacity(8);
+            v.extend([Value::Int(1), Value::Int(2)]);
+            let buf = v.as_ptr();
+            let (mut frame, site) = window(
+                BOp::ArrPush,
+                "push",
+                vec![Value::Array(Arc::new(v)), Value::Int(3)],
+            );
+            let Value::Array(out) = it.call_builtin(&mut frame, &site, 0).unwrap() else {
+                panic!("expected array")
+            };
+            assert_eq!(out.len(), 3);
+            assert_eq!(out.as_ptr(), buf);
+            assert_eq!(frame.locals, [Value::Unit, Value::Unit]);
         });
     }
 

@@ -63,6 +63,9 @@ pub use lower::{lower_program, GMode, LoweredProgram};
 pub use profile::{
     Costs, MethodProfile, Profile, ProfileMode, ProfileReport, SampledMethod, SampledProfile,
 };
-pub use stack::{default_stack_size, parse_stack_size, with_interp_stack, BUILTIN_STACK_SIZE};
+pub use stack::{
+    default_stack_size, parse_stack_size, spawn_interp_scoped, with_interp_stack,
+    BUILTIN_STACK_SIZE,
+};
 pub use telemetry::{json_escape, json_f64, json_is_valid};
 pub use value::{ObjRef, RtMode, Value};

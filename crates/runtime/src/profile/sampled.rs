@@ -110,21 +110,26 @@ pub(crate) struct Sampler {
 
 impl Sampler {
     pub(crate) fn new(period: u64, seed: u64) -> Sampler {
+        // Room for a typical run's frames and captured paths up front: a
+        // sampled run is often tens of microseconds, so growth reallocs
+        // are a visible share of its cost.
+        let mut nodes = Vec::with_capacity(16);
+        nodes.push(SNode {
+            parent: ROOT_ID,
+            class: ROOT_ID,
+            method: ROOT_ID,
+            hits: 0,
+            first_child: NO_NODE,
+            next: NO_NODE,
+        });
         let mut s = Sampler {
             period: period.max(1),
             seed,
-            frames: Vec::new(),
+            frames: Vec::with_capacity(16),
             next_at: 0,
             tick: 0,
             samples: 0,
-            nodes: vec![SNode {
-                parent: ROOT_ID,
-                class: ROOT_ID,
-                method: ROOT_ID,
-                hits: 0,
-                first_child: NO_NODE,
-                next: NO_NODE,
-            }],
+            nodes,
         };
         s.next_at = s.gap();
         s
@@ -347,20 +352,12 @@ impl SampledProfile {
         let nodes = &s.nodes;
         let len = nodes.len();
 
-        // Per-node inclusive hit tallies: parents precede children in
-        // index order, so one reverse sweep folds the tree bottom-up.
-        let mut incl_hits: Vec<u64> = nodes.iter().map(|nd| nd.hits).collect();
-        for i in (1..len).rev() {
-            let p = nodes[i].parent as usize;
-            incl_hits[p] += incl_hits[i];
-        }
-
         // One row per distinct (class, method), in first-seen node order,
-        // holding its resolved name and hit sums; `row[i]` is node `i`'s
-        // row. Each name is built once and later moved into its method
-        // entry. This build runs once per sampled run, so it avoids
-        // hashing and formatting: a run's captures name a handful of
-        // methods, and a scan over them is cheaper than a map.
+        // holding its resolved name and hit sums. Each name is built once
+        // and later moved into its method entry. This build runs once per
+        // sampled run, so it avoids hashing, formatting and growth
+        // reallocs: a run's captures name a handful of methods, and a
+        // scan over them is cheaper than a map.
         struct Row {
             class: u32,
             method: u32,
@@ -368,9 +365,18 @@ impl SampledProfile {
             excl_hits: u64,
             incl_hits: u64,
         }
-        let mut rows: Vec<Row> = Vec::new();
-        let mut row: Vec<usize> = Vec::with_capacity(len);
-        for nd in nodes {
+        // Per node: its row, its inclusive hit tally, and its folded
+        // path's length and span in the `paths` buffer below.
+        struct Per {
+            row: usize,
+            incl_hits: u64,
+            path_len: usize,
+            span: (usize, usize),
+        }
+        let mut rows: Vec<Row> = Vec::with_capacity(len);
+        let mut per: Vec<Per> = Vec::with_capacity(len);
+        let (mut paths_len, mut hit_nodes) = (0, 0);
+        for (i, nd) in nodes.iter().enumerate() {
             let r = match rows
                 .iter()
                 .position(|r| r.class == nd.class && r.method == nd.method)
@@ -397,44 +403,65 @@ impl SampledProfile {
                     rows.len() - 1
                 }
             };
-            row.push(r);
+            // Parents precede children in index order.
+            let path_len = rows[r].name.len()
+                + if i > 0 {
+                    per[nd.parent as usize].path_len + 1
+                } else {
+                    0
+                };
+            paths_len += path_len;
+            hit_nodes += usize::from(nd.hits > 0);
+            per.push(Per {
+                row: r,
+                incl_hits: nd.hits,
+                path_len,
+                span: (0, 0),
+            });
+        }
+
+        // Inclusive hit tallies: one reverse sweep folds the tree
+        // bottom-up.
+        for i in (1..len).rev() {
+            let p = nodes[i].parent as usize;
+            per[p].incl_hits += per[i].incl_hits;
         }
 
         // Aggregate per (class, method): exclusive sums every node;
         // inclusive sums only nodes with no ancestor of the same key, so
         // recursion is not double-counted (same walk as the exact build).
         for (i, nd) in nodes.iter().enumerate() {
-            let r = row[i];
+            let r = per[i].row;
             rows[r].excl_hits += nd.hits;
             let mut anc = nd.parent;
             let recursive = loop {
                 if anc == ROOT_ID {
                     break false;
                 }
-                if row[anc as usize] == r {
+                if per[anc as usize].row == r {
                     break true;
                 }
                 anc = nodes[anc as usize].parent;
             };
             if !recursive {
-                rows[r].incl_hits += incl_hits[i];
+                rows[r].incl_hits += per[i].incl_hits;
             }
         }
 
         // Folded stacks weighted by sample counts, paths built top-down.
         // Every node's path sits in one buffer as a span, so a child
         // extends its parent's span without a string of its own.
-        let mut paths = String::new();
-        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(len);
+        let mut paths = String::with_capacity(paths_len);
+        report.folded.reserve_exact(hit_nodes);
         for (i, nd) in nodes.iter().enumerate() {
             let start = paths.len();
             if i > 0 {
-                let (ps, pe) = spans[nd.parent as usize];
+                let (ps, pe) = per[nd.parent as usize].span;
                 paths.extend_from_within(ps..pe);
                 paths.push(';');
             }
-            paths.push_str(&rows[row[i]].name);
-            spans.push((start, paths.len()));
+            paths.push_str(&rows[per[i].row].name);
+            per[i].span = (start, paths.len());
             if nd.hits > 0 {
                 let path = &paths[start..];
                 let mut line = String::with_capacity(path.len() + 22);

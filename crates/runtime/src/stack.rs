@@ -15,13 +15,15 @@
 //!   thread is not already such a worker. Scoped spawning borrows freely
 //!   (no `'static`, no `unsafe`), and every call gets its own worker, so
 //!   any number of threads may run interpreters concurrently.
-//! * Callers that run *many* programs — the batch engine's workers,
-//!   `ent-serve`'s workers, the perf harness — wrap their whole loop in
-//!   one `with_interp_stack` call: the worker is marked thread-local,
-//!   nested calls (including every [`crate::run_lowered`] inside) detect
-//!   the mark and run directly on the current thread, so the per-run
-//!   cost is zero. That is the "reusable big-stack worker" of the
-//!   engine's pool: one scoped spawn per worker lifetime, not per run.
+//! * Callers that run *many* programs — `ent-serve`'s workers, the perf
+//!   harness — wrap their whole loop in one `with_interp_stack` call:
+//!   the worker is marked thread-local, nested calls (including every
+//!   [`crate::run_lowered`] inside) detect the mark and run directly on
+//!   the current thread, so the per-run cost is zero.
+//! * A caller that starts its own threads — the batch engine's parallel
+//!   pool — spawns each one with [`spawn_interp_scoped`]: the thread
+//!   gets the big stack and the mark itself, so every worker costs one
+//!   spawn per batch, not a plain thread plus a big-stack one.
 //!
 //! The default stack size is 512 MiB of (lazily committed) virtual
 //! memory, overridable per run via [`crate::RuntimeConfig::stack_size`]
@@ -33,6 +35,7 @@
 use std::cell::Cell;
 use std::panic::resume_unwind;
 use std::sync::OnceLock;
+use std::thread::{Scope, ScopedJoinHandle};
 
 use crate::interp::env_setting;
 
@@ -108,19 +111,35 @@ where
     if ON_INTERP_STACK.with(Cell::get) {
         return f();
     }
-    let stack_size = stack_size.max(MIN_STACK_SIZE);
-    std::thread::scope(|s| {
-        let handle = std::thread::Builder::new()
-            .name("ent-interp".into())
-            .stack_size(stack_size)
-            .spawn_scoped(s, move || {
-                ON_INTERP_STACK.with(|flag| flag.set(true));
-                f()
-            })
-            .expect("spawning an interpreter worker thread");
-        handle.join()
-    })
-    .unwrap_or_else(|panic| resume_unwind(panic))
+    std::thread::scope(|s| spawn_interp_scoped(s, stack_size, f).join())
+        .unwrap_or_else(|panic| resume_unwind(panic))
+}
+
+/// Spawns an interpreter worker in scope `s`: a thread whose stack is at
+/// least `stack_size` bytes, marked so that every [`with_interp_stack`]
+/// inside it runs in place. For pools that start their own threads; the
+/// caller joins the handle.
+///
+/// # Panics
+///
+/// If the operating system refuses the thread.
+pub fn spawn_interp_scoped<'scope, R, F>(
+    s: &'scope Scope<'scope, '_>,
+    stack_size: usize,
+    f: F,
+) -> ScopedJoinHandle<'scope, R>
+where
+    R: Send + 'scope,
+    F: FnOnce() -> R + Send + 'scope,
+{
+    std::thread::Builder::new()
+        .name("ent-interp".into())
+        .stack_size(stack_size.max(MIN_STACK_SIZE))
+        .spawn_scoped(s, move || {
+            ON_INTERP_STACK.with(|flag| flag.set(true));
+            f()
+        })
+        .expect("spawning an interpreter worker thread")
 }
 
 #[cfg(test)]
@@ -147,6 +166,22 @@ mod tests {
             (outer_id, inner_id)
         });
         assert_eq!(outer.0, outer.1, "nested call must not respawn");
+    }
+
+    #[test]
+    fn a_spawned_worker_runs_nested_calls_in_place() {
+        let (outer_id, inner_id) = std::thread::scope(|s| {
+            spawn_interp_scoped(s, MIN_STACK_SIZE, || {
+                let outer_id = std::thread::current().id();
+                let inner_id =
+                    with_interp_stack(BUILTIN_STACK_SIZE, || std::thread::current().id());
+                (outer_id, inner_id)
+            })
+            .join()
+            .expect("worker panicked")
+        });
+        assert_eq!(outer_id, inner_id, "a spawned worker must not respawn");
+        assert_ne!(outer_id, std::thread::current().id());
     }
 
     #[test]

@@ -364,13 +364,13 @@ fn fetch_sc(frame: &mut Frame, code: &Code, kind: u8, idx: u16, name: u32) -> Re
             match &frame.locals[idx as usize] {
                 Value::Int(n) => Ok(Sc::I(*n)),
                 Value::Double(x) => Ok(Sc::D(*x)),
-                v => Ok(Sc::V(v.clone())),
+                v => Ok(Sc::V(v.dup())),
             }
         }
         _ => match &code.consts[idx as usize] {
             Value::Int(n) => Ok(Sc::I(*n)),
             Value::Double(x) => Ok(Sc::D(*x)),
-            k => Ok(Sc::V(k.clone())),
+            k => Ok(Sc::V(k.dup())),
         },
     }
 }
@@ -620,7 +620,7 @@ fn op_const<'p>(
 ) -> u32 {
     let t = &ops[pc as usize];
     charge!(it, t, st);
-    frame.locals[t.a as usize] = code.consts[t.d as usize].clone();
+    frame.set(t.a as usize, code.consts[t.d as usize].dup());
     pc + 1
 }
 
@@ -634,7 +634,7 @@ fn op_unit<'p>(
 ) -> u32 {
     let t = &ops[pc as usize];
     charge!(it, t, st);
-    frame.locals[t.a as usize] = Value::Unit;
+    frame.set(t.a as usize, Value::Unit);
     pc + 1
 }
 
@@ -654,7 +654,7 @@ fn op_this<'p>(
             RtError::Native("`this` outside an object context".into()).into(),
         );
     };
-    frame.locals[t.a as usize] = Value::Obj(r);
+    frame.set(t.a as usize, Value::Obj(r));
     pc + 1
 }
 
@@ -675,8 +675,8 @@ fn op_local<'p>(
             RtError::Native(format!("unbound variable `{}`", code.names[t.d as usize])).into(),
         );
     }
-    let v = frame.locals[t.b as usize].clone();
-    frame.locals[t.a as usize] = v;
+    let v = frame.locals[t.b as usize].dup();
+    frame.set(t.a as usize, v);
     pc + 1
 }
 
@@ -717,7 +717,7 @@ fn op_field_get<'p>(
         }
     };
     let v = tt!(st, it.read_field(frame, r, site.field, &site.name));
-    frame.locals[t.a as usize] = v;
+    frame.set(t.a as usize, v);
     pc + 1
 }
 
@@ -739,7 +739,7 @@ fn op_field_this<'p>(
         );
     };
     let v = tt!(st, it.read_field(frame, r, site.field, &site.name));
-    frame.locals[t.a as usize] = v;
+    frame.set(t.a as usize, v);
     pc + 1
 }
 
@@ -757,7 +757,7 @@ fn op_new_obj<'p>(
     let vals = take_n!(frame, t.b, site.n_args);
     let (mode, env) = tt!(st, it.resolve_new(frame, site.class, &site.plan));
     let r = tt!(st, it.allocate(site.class, vals, mode, env));
-    frame.locals[t.a as usize] = Value::Obj(r);
+    frame.set(t.a as usize, Value::Obj(r));
     pc + 1
 }
 
@@ -845,7 +845,7 @@ fn call_site<'p>(
         st,
         it.invoke(recv, site.method, vals, &gmodes, frame.mode, Some(site.ic))
     );
-    frame.locals[t.a as usize] = v;
+    frame.set(t.a as usize, v);
     pc + 1
 }
 
@@ -912,44 +912,13 @@ fn op_tail_call<'p>(
         }
         let base = t.b as usize;
         for k in 0..site.n_args as usize {
-            frame.locals[k] = take!(frame, base + k);
+            let v = take!(frame, base + k);
+            frame.set(k, v);
         }
         frame.unbound_lo = u32::MAX;
         return 0;
     }
     call_site(it, frame, code, t, st, pc)
-}
-
-/// The builtin-call body shared by [`op_call_b`] and
-/// [`op_call_b_sensor`]: argument marshaling into a pooled register
-/// file (the VM allocates a fresh vector per call; the threaded tier
-/// recycles through [`Interp::grab_locals`], which the values' strict
-/// take-force-call order makes unobservable), the `force_last`
-/// coercion, and the slice-based builtin dispatch.
-macro_rules! do_call_b {
-    ($it:ident, $frame:ident, $site:ident, $t:ident, $st:ident) => {{
-        let mut vals = $it.grab_locals($site.n_args as usize);
-        let base = $t.b as usize;
-        for r in base..base + $site.n_args as usize {
-            vals.push(take!($frame, r));
-        }
-        if $site.force_last {
-            let last = vals.pop().expect("force_last implies an argument");
-            match $it.force($frame, last) {
-                Ok(v) => vals.push(v),
-                Err(f) => {
-                    $it.recycle_locals(vals);
-                    return throw($st, f);
-                }
-            }
-        }
-        let out = $it.builtin_slice($site.op, &$site.ns, &$site.name, &mut vals);
-        $it.recycle_locals(vals);
-        match out {
-            Ok(v) => v,
-            Err(f) => return throw($st, f),
-        }
-    }};
 }
 
 fn op_call_b<'p>(
@@ -963,8 +932,8 @@ fn op_call_b<'p>(
     let t = &ops[pc as usize];
     charge!(it, t, st);
     let site = &code.builtins[t.d as usize];
-    let v = do_call_b!(it, frame, site, t, st);
-    frame.locals[t.a as usize] = v;
+    let v = tt!(st, it.call_builtin(frame, site, t.b as usize));
+    frame.set(t.a as usize, v);
     pc + 1
 }
 
@@ -984,8 +953,8 @@ fn op_call_b_sensor<'p>(
     charge!(it, t, st);
     let site = &code.builtins[t.d as usize];
     let faults_before = it.stats.sensor_faults;
-    let v = do_call_b!(it, frame, site, t, st);
-    frame.locals[t.a as usize] = v;
+    let v = tt!(st, it.call_builtin(frame, site, t.b as usize));
+    frame.set(t.a as usize, v);
     if it.faults_on && it.stats.sensor_faults != faults_before {
         return deopt_at(st, pc + 1, DeoptReason::FaultEpoch);
     }
@@ -1004,7 +973,7 @@ fn op_cast<'p>(
     charge!(it, t, st);
     let v = take!(frame, t.b);
     tt!(st, it.check_cast(&v, &code.casts[t.d as usize]));
-    frame.locals[t.a as usize] = v;
+    frame.set(t.a as usize, v);
     pc + 1
 }
 
@@ -1034,7 +1003,7 @@ fn op_snap<'p>(
         );
     };
     let v = tt!(st, it.snapshot(frame, r, &site.lo, &site.hi, Some(site.ic)));
-    frame.locals[t.a as usize] = v;
+    frame.set(t.a as usize, v);
     pc + 1
 }
 
@@ -1056,7 +1025,7 @@ fn op_make_mcase<'p>(
         .enumerate()
         .map(|(k, m)| (m.clone(), take!(frame, base + k)))
         .collect();
-    frame.locals[t.a as usize] = Value::MCase(Arc::new(arms));
+    frame.set(t.a as usize, Value::MCase(Arc::new(arms)));
     pc + 1
 }
 
@@ -1098,7 +1067,7 @@ fn op_elim<'p>(
         _ => None,
     };
     let out = match hit {
-        Some(idx) => arms[idx as usize].1.clone(),
+        Some(idx) => arms[idx as usize].1.dup(),
         None => {
             let (idx, out) = tt!(st, it.eliminate_idx(&arms, target));
             it.ic_arm[s] = Some(ArmIc {
@@ -1110,7 +1079,7 @@ fn op_elim<'p>(
             out
         }
     };
-    frame.locals[t.a as usize] = out;
+    frame.set(t.a as usize, out);
     pc + 1
 }
 
@@ -1137,7 +1106,7 @@ fn op_bin<'p, const P: u8>(
             }
         }
     };
-    frame.locals[t.a as usize] = v;
+    frame.set(t.a as usize, v);
     pc + 1
 }
 
@@ -1168,7 +1137,7 @@ fn op_bin_f<'p, const P: u8>(
             }
         }
     };
-    frame.locals[t.a as usize] = v;
+    frame.set(t.a as usize, v);
     pc + 1
 }
 
@@ -1252,7 +1221,7 @@ fn op_un<'p>(
     let v = forced!(it, frame, st, v);
     let op = if t.c == 0 { UnOp::Not } else { UnOp::Neg };
     let out = tt!(st, Interp::apply_unop(op, v));
-    frame.locals[t.a as usize] = out;
+    frame.set(t.a as usize, out);
     pc + 1
 }
 
@@ -1313,7 +1282,7 @@ fn op_sc_jump<'p>(
             RtError::Native(format!("`{op}` on a {}", v.kind())).into(),
         );
     };
-    frame.locals[t.b as usize] = Value::Bool(b);
+    frame.set(t.b as usize, Value::Bool(b));
     let short = match op {
         ent_syntax::BinOp::And => !b,
         _ => b,
@@ -1344,7 +1313,7 @@ fn op_sc_force<'p>(
             RtError::Native(format!("`{op}` on a {}", v.kind())).into(),
         );
     };
-    frame.locals[t.b as usize] = Value::Bool(b);
+    frame.set(t.b as usize, Value::Bool(b));
     pc + 1
 }
 
@@ -1363,7 +1332,7 @@ fn op_force<'p>(
     if matches!(frame.locals[t.b as usize], Value::MCase(_)) {
         let v = take!(frame, t.b);
         let v = tt!(st, it.force(frame, v));
-        frame.locals[t.b as usize] = v;
+        frame.set(t.b as usize, v);
     }
     pc + 1
 }
@@ -1379,7 +1348,7 @@ fn op_arr_lit<'p>(
     let t = &ops[pc as usize];
     charge!(it, t, st);
     let vals = take_n!(frame, t.b, t.c);
-    frame.locals[t.a as usize] = Value::Array(Arc::new(vals));
+    frame.set(t.a as usize, Value::Array(Arc::new(vals)));
     pc + 1
 }
 

@@ -59,6 +59,41 @@ impl Value {
             other => other.to_string(),
         }
     }
+
+    /// [`Clone::clone`] with the plain variants copied inline; only
+    /// `Str`, `Mode`, `Array` and `MCase` take the out-of-line clone.
+    #[inline(always)]
+    pub(crate) fn dup(&self) -> Value {
+        match *self {
+            Value::Int(n) => Value::Int(n),
+            Value::Double(x) => Value::Double(x),
+            Value::Bool(b) => Value::Bool(b),
+            Value::Unit => Value::Unit,
+            Value::Obj(r) => Value::Obj(r),
+            _ => self.clone(),
+        }
+    }
+}
+
+/// Drops `v`, running `Value`'s drop glue only when it owns something:
+/// a plain value (int, double, bool, unit, object reference) owns no
+/// heap data and no refcount, so forgetting it leaks nothing.
+#[inline(always)]
+pub(crate) fn discard(v: Value) {
+    if matches!(
+        v,
+        Value::Int(_) | Value::Double(_) | Value::Bool(_) | Value::Unit | Value::Obj(_)
+    ) {
+        std::mem::forget(v);
+    }
+}
+
+/// A register write: `*slot = v`, except that a plain old value is
+/// forgotten instead of dropped, so drop glue runs only for `Str`,
+/// `Mode`, `Array` and `MCase`.
+#[inline(always)]
+pub(crate) fn put(slot: &mut Value, v: Value) {
+    discard(std::mem::replace(slot, v));
 }
 
 impl fmt::Display for Value {

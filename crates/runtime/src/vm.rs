@@ -145,9 +145,9 @@ impl<'p> Interp<'p> {
                     ))
                     .into());
                 }
-                Ok(frame.locals[slot as usize].clone())
+                Ok(frame.locals[slot as usize].dup())
             }
-            Opnd::Cst(k) => Ok(code.consts[k as usize].clone()),
+            Opnd::Cst(k) => Ok(code.consts[k as usize].dup()),
         }
     }
 
@@ -235,10 +235,10 @@ impl<'p> Interp<'p> {
             }
             match i.op {
                 Op::Const => {
-                    frame.locals[i.a as usize] = code.consts[i.d as usize].clone();
+                    frame.set(i.a as usize, code.consts[i.d as usize].dup());
                 }
                 Op::Unit => {
-                    frame.locals[i.a as usize] = Value::Unit;
+                    frame.set(i.a as usize, Value::Unit);
                 }
                 Op::This => {
                     let Some(r) = frame.this_ref else {
@@ -246,7 +246,7 @@ impl<'p> Interp<'p> {
                             RtError::Native("`this` outside an object context".into()).into()
                         );
                     };
-                    frame.locals[i.a as usize] = Value::Obj(r);
+                    frame.set(i.a as usize, Value::Obj(r));
                 }
                 Op::Local => {
                     let slot = u32::from(i.b);
@@ -257,8 +257,8 @@ impl<'p> Interp<'p> {
                         ))
                         .into());
                     }
-                    let v = frame.locals[i.b as usize].clone();
-                    frame.locals[i.a as usize] = v;
+                    let v = frame.locals[i.b as usize].dup();
+                    frame.set(i.a as usize, v);
                 }
                 Op::Unbound => {
                     return Err(RtError::Native(format!(
@@ -289,14 +289,14 @@ impl<'p> Interp<'p> {
                         }
                     };
                     let v = vtry!('run, self.read_field(frame, r, site.field, &site.name));
-                    frame.locals[i.a as usize] = v;
+                    frame.set(i.a as usize, v);
                 }
                 Op::NewObj => {
                     let site = &code.news[i.d as usize];
                     let vals = take_n!(i.b, site.n_args);
                     let (mode, env) = vtry!('run, self.resolve_new(frame, site.class, &site.plan));
                     let r = vtry!('run, self.allocate(site.class, vals, mode, env));
-                    frame.locals[i.a as usize] = Value::Obj(r);
+                    frame.set(i.a as usize, Value::Obj(r));
                 }
                 Op::NewUnknown => {
                     return Err(RtError::Native(format!(
@@ -377,7 +377,8 @@ impl<'p> Interp<'p> {
                         }
                         let base = i.b as usize;
                         for k in 0..site.n_args as usize {
-                            frame.locals[k] = take!(base + k);
+                            let v = take!(base + k);
+                            frame.set(k, v);
                         }
                         frame.unbound_lo = u32::MAX;
                         pc = 0;
@@ -418,22 +419,17 @@ impl<'p> Interp<'p> {
                         frame.mode,
                         Some(site.ic)
                     ));
-                    frame.locals[i.a as usize] = v;
+                    frame.set(i.a as usize, v);
                 }
                 Op::CallB => {
                     let site = &code.builtins[i.d as usize];
-                    let mut vals = take_n!(i.b, site.n_args);
-                    if site.force_last {
-                        let last = vals.pop().expect("force_last implies an argument");
-                        vals.push(vtry!('run, self.force(frame, last)));
-                    }
-                    let v = vtry!('run, self.builtin(site.op, &site.ns, &site.name, vals));
-                    frame.locals[i.a as usize] = v;
+                    let v = vtry!('run, self.call_builtin(frame, site, i.b as usize));
+                    frame.set(i.a as usize, v);
                 }
                 Op::CastV => {
                     let v = take!(i.b);
                     vtry!('run, self.check_cast(&v, &code.casts[i.d as usize]));
-                    frame.locals[i.a as usize] = v;
+                    frame.set(i.a as usize, v);
                 }
                 Op::Snap => {
                     let site = code.snaps[i.d as usize];
@@ -442,7 +438,7 @@ impl<'p> Interp<'p> {
                         return Err(RtError::Native(format!("snapshot of a {}", v.kind())).into());
                     };
                     let v = vtry!('run, self.snapshot(frame, r, &site.lo, &site.hi, Some(site.ic)));
-                    frame.locals[i.a as usize] = v;
+                    frame.set(i.a as usize, v);
                 }
                 Op::MakeMCase => {
                     let site = &code.mcases[i.d as usize];
@@ -453,7 +449,7 @@ impl<'p> Interp<'p> {
                         .enumerate()
                         .map(|(k, m)| (m.clone(), take!(base + k)))
                         .collect();
-                    frame.locals[i.a as usize] = Value::MCase(Arc::new(arms));
+                    frame.set(i.a as usize, Value::MCase(Arc::new(arms)));
                 }
                 Op::ElimV => {
                     let site = code.elims[i.d as usize];
@@ -481,7 +477,7 @@ impl<'p> Interp<'p> {
                         _ => None,
                     };
                     let out = match hit {
-                        Some(idx) => arms[idx as usize].1.clone(),
+                        Some(idx) => arms[idx as usize].1.dup(),
                         None => {
                             let (idx, out) = vtry!('run, self.eliminate_idx(&arms, target));
                             self.ic_arm[s] = Some(ArmIc {
@@ -493,7 +489,7 @@ impl<'p> Interp<'p> {
                             out
                         }
                     };
-                    frame.locals[i.a as usize] = out;
+                    frame.set(i.a as usize, out);
                 }
                 Op::Bin => {
                     let l = take!(i.b);
@@ -507,7 +503,7 @@ impl<'p> Interp<'p> {
                         Some(v) => v,
                         None => vtry!('run, self.apply_binop(code.bins[i.d as usize], &l, &r)),
                     };
-                    frame.locals[i.a as usize] = v;
+                    frame.set(i.a as usize, v);
                 }
                 Op::BinF => {
                     let site = &code.fused[i.d as usize];
@@ -530,7 +526,7 @@ impl<'p> Interp<'p> {
                         Some(v) => v,
                         None => vtry!('run, self.apply_binop(site.op, &l, &r)),
                     };
-                    frame.locals[i.a as usize] = v;
+                    frame.set(i.a as usize, v);
                 }
                 Op::JmpBin => {
                     let l = take!(i.a);
@@ -603,7 +599,7 @@ impl<'p> Interp<'p> {
                     let v = vtry!('run, self.force(frame, v));
                     let op = if i.c == 0 { UnOp::Not } else { UnOp::Neg };
                     let out = vtry!('run, Interp::apply_unop(op, v));
-                    frame.locals[i.a as usize] = out;
+                    frame.set(i.a as usize, out);
                 }
                 Op::Jmp => {
                     pc = i.d as usize;
@@ -629,7 +625,7 @@ impl<'p> Interp<'p> {
                     let Value::Bool(b) = v else {
                         return Err(RtError::Native(format!("`{op}` on a {}", v.kind())).into());
                     };
-                    frame.locals[i.b as usize] = Value::Bool(b);
+                    frame.set(i.b as usize, Value::Bool(b));
                     let short = match op {
                         ent_syntax::BinOp::And => !b,
                         _ => b,
@@ -646,16 +642,16 @@ impl<'p> Interp<'p> {
                     let Value::Bool(b) = v else {
                         return Err(RtError::Native(format!("`{op}` on a {}", v.kind())).into());
                     };
-                    frame.locals[i.b as usize] = Value::Bool(b);
+                    frame.set(i.b as usize, Value::Bool(b));
                 }
                 Op::Force => {
                     let v = take!(i.b);
                     let v = vtry!('run, self.force(frame, v));
-                    frame.locals[i.b as usize] = v;
+                    frame.set(i.b as usize, v);
                 }
                 Op::ArrLit => {
                     let vals = take_n!(i.b, i.c);
-                    frame.locals[i.a as usize] = Value::Array(Arc::new(vals));
+                    frame.set(i.a as usize, Value::Array(Arc::new(vals)));
                 }
                 Op::Ret => {
                     return Err(Flow::Return(take!(i.b)));

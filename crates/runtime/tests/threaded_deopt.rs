@@ -46,33 +46,73 @@ fn observe(prog: &LoweredProgram, r: &RunResult) -> String {
     out
 }
 
+fn lower(src: &str) -> LoweredProgram {
+    let compiled =
+        compile(src).unwrap_or_else(|e| panic!("program fails to compile:\n{}", e.render(src)));
+    lower_program(&compiled)
+}
+
+/// The tests' run configuration on `engine` at `tier_up`, then `mutate`d.
+fn config(engine: Engine, tier_up: TierUp, mutate: impl Fn(&mut RuntimeConfig)) -> RuntimeConfig {
+    let mut c = RuntimeConfig {
+        engine,
+        battery_level: 0.8,
+        seed: 42,
+        record_events: true,
+        tier_up,
+        ..RuntimeConfig::default()
+    };
+    mutate(&mut c);
+    c
+}
+
 /// Runs `src` on the bytecode VM, never tiering and always tiering, with
 /// the same config, asserts byte-identical observables, and returns both
 /// runs, untiered first.
 fn run_both(src: &str, mutate: impl Fn(&mut RuntimeConfig)) -> (RunResult, RunResult) {
-    let compiled =
-        compile(src).unwrap_or_else(|e| panic!("program fails to compile:\n{}", e.render(src)));
-    let lowered = lower_program(&compiled);
-    let config = |tier_up| {
-        let mut c = RuntimeConfig {
-            engine: Engine::Bytecode,
-            battery_level: 0.8,
-            seed: 42,
-            record_events: true,
-            tier_up,
-            ..RuntimeConfig::default()
-        };
-        mutate(&mut c);
-        c
+    run_both_lowered(&lower(src), mutate)
+}
+
+/// [`run_both`] on a lowered program.
+fn run_both_lowered(
+    lowered: &LoweredProgram,
+    mutate: impl Fn(&mut RuntimeConfig),
+) -> (RunResult, RunResult) {
+    let run = |tier_up| {
+        run_lowered(
+            lowered,
+            Platform::system_a(),
+            config(Engine::Bytecode, tier_up, &mutate),
+        )
     };
-    let vm = run_lowered(&lowered, Platform::system_a(), config(TierUp::Never));
-    let th = run_lowered(&lowered, Platform::system_a(), config(TierUp::Always));
+    let (vm, th) = (run(TierUp::Never), run(TierUp::Always));
     assert_eq!(
-        observe(&lowered, &vm),
-        observe(&lowered, &th),
+        observe(lowered, &vm),
+        observe(lowered, &th),
         "bytecode and threaded observables diverge"
     );
     (vm, th)
+}
+
+/// [`run_pair`] on a lowered program, and the tree walker must observe
+/// exactly what the VM does.
+fn run_all_engines(lowered: &LoweredProgram, mutate: impl Fn(&mut RuntimeConfig)) -> RunResult {
+    let (vm, th) = run_both_lowered(lowered, &mutate);
+    assert!(
+        th.tier.threaded_entries > 0,
+        "threaded run never entered compiled code"
+    );
+    let tree = run_lowered(
+        lowered,
+        Platform::system_a(),
+        config(Engine::Tree, TierUp::Never, mutate),
+    );
+    assert_eq!(
+        observe(lowered, &tree),
+        observe(lowered, &vm),
+        "tree-walker and bytecode observables diverge"
+    );
+    th
 }
 
 /// [`run_both`], asserting the always-tiering run entered compiled code;
@@ -353,4 +393,225 @@ fn int_division_by_a_zero_variable_errors_like_the_vm() {
             }
         }
     }
+}
+
+/// Argument types of the builtin table below, each with the identity
+/// method that makes a computed-register operand of it.
+fn ident_method(ty: &str) -> &'static str {
+    match ty {
+        "int" => "i",
+        "double" => "d",
+        "string" => "s",
+        _ => "a",
+    }
+}
+
+/// A builtin's arguments: each one's type and source text.
+type Args = &'static [(&'static str, &'static str)];
+
+/// Every builtin with its arguments, and whether it returns a value
+/// (unit builtins run as statements).
+const BUILTINS: &[(&str, Args, bool)] = &[
+    ("Ext.battery", &[], true),
+    ("Ext.temperature", &[], true),
+    ("Ext.timeMs", &[], true),
+    ("Sim.rand", &[], true),
+    (
+        "Sim.work",
+        &[("string", "\"cpu\""), ("double", "2.0e8")],
+        false,
+    ),
+    (
+        "Sim.work",
+        &[("string", "\"io\""), ("double", "3.0e7")],
+        false,
+    ),
+    ("Sim.sleepMs", &[("int", "20")], false),
+    ("IO.print", &[("string", "\"héllo\"")], false),
+    ("Str.len", &[("string", "\"héllo\"")], true),
+    ("Str.ofInt", &[("int", "42")], true),
+    ("Str.ofDouble", &[("double", "2.5")], true),
+    (
+        "Str.sub",
+        &[("string", "\"abcdef\""), ("int", "1"), ("int", "4")],
+        true,
+    ),
+    ("Math.floor", &[("double", "3.99")], true),
+    ("Math.toDouble", &[("int", "7")], true),
+    ("Math.min", &[("int", "3"), ("int", "7")], true),
+    ("Math.max", &[("int", "3"), ("int", "7")], true),
+    ("Math.fmin", &[("double", "1.5"), ("double", "2.5")], true),
+    ("Math.fmax", &[("double", "1.5"), ("double", "2.5")], true),
+    ("Math.abs", &[("int", "9")], true),
+    ("Math.sqrt", &[("double", "81.0")], true),
+    ("Math.pow", &[("double", "2.0"), ("double", "10.0")], true),
+    ("Arr.range", &[("int", "2"), ("int", "6")], true),
+    ("Arr.len", &[("int[]", "[1, 2, 3]")], true),
+    ("Arr.get", &[("int[]", "[10, 20, 30]"), ("int", "1")], true),
+    (
+        "Arr.sub",
+        &[("int[]", "[1, 2, 3, 4, 5]"), ("int", "1"), ("int", "4")],
+        true,
+    ),
+    (
+        "Arr.concat",
+        &[("int[]", "[1, 2]"), ("int[]", "[3, 4, 5]")],
+        true,
+    ),
+    ("Arr.push", &[("int[]", "[1, 2]"), ("int", "7")], true),
+    ("Arr.make", &[("int", "3"), ("int", "0")], true),
+];
+
+/// Every builtin, each argument from a `let` slot, a literal or a
+/// computed register, in every combination: the in-place builtin call
+/// must print, count and charge exactly what the VM and the tree walker
+/// do.
+#[test]
+fn every_builtin_matches_the_vm_and_the_tree_walker() {
+    use std::fmt::Write as _;
+    let mut body = String::new();
+    let mut calls = 0;
+    for (callee, params, returns) in BUILTINS {
+        let _ = write!(body, "    {{");
+        for (j, (_, v)) in params.iter().enumerate() {
+            let _ = write!(body, " let p{j} = {v};");
+        }
+        let _ = writeln!(body);
+        for combo in 0..3usize.pow(params.len() as u32) {
+            let args: Vec<String> = params
+                .iter()
+                .enumerate()
+                .map(|(j, (ty, v))| match combo / 3usize.pow(j as u32) % 3 {
+                    0 => format!("p{j}"),
+                    1 => (*v).to_string(),
+                    _ => format!("this.{}({v})", ident_method(ty)),
+                })
+                .collect();
+            let call = format!("{callee}({})", args.join(", "));
+            if *returns {
+                let _ = writeln!(body, "      IO.print(\"\" + {call});");
+            } else {
+                let _ = writeln!(body, "      {call};");
+                let _ = writeln!(body, "      IO.print(\"\" + Ext.timeMs());");
+            }
+            calls += 1;
+        }
+        let _ = writeln!(body, "    }}");
+    }
+    let src = format!(
+        "class Main {{
+  int i(int x) {{ return x; }}
+  double d(double x) {{ return x; }}
+  string s(string x) {{ return x; }}
+  int[] a(int[] x) {{ return x; }}
+  int main() {{
+{body}    return 0;
+  }}
+}}
+"
+    );
+    let th = run_all_engines(&lower(&src), |_| {});
+    assert!(th.value.is_ok(), "{:?}", th.value);
+    // Each call prints one line; `IO.print` calls print theirs and the
+    // clock line.
+    assert_eq!(th.output.len(), calls + 3);
+}
+
+/// A mode case as a builtin's last argument is forced at call time
+/// (`force_last`); an earlier one by its own `Force`. From a slot, as a
+/// literal, and from a call, on both sides of the mode lattice.
+#[test]
+fn a_mode_case_last_argument_is_forced_like_the_vm() {
+    let src = r#"
+modes { low <= high; }
+class Work@mode<? <= X> {
+  attributor {
+    if (Ext.battery() >= 0.5) { return high; } else { return low; }
+  }
+  int pick() { return mcase{ low: 2; high: 9; } <| X; }
+  mcase<int> both() { return mcase{ low: 1; high: 4; }; }
+  int run(int i) {
+    let m = mcase{ low: 5; high: 50; };
+    IO.print("" + Math.min(40, m));
+    IO.print("" + Math.max(1, mcase{ low: 2; high: 9; }));
+    IO.print("" + Math.min(mcase{ low: 2; high: 9; }, 7));
+    IO.print("" + Arr.get([10, 20, 30, 40, 50], this.both()));
+    Sim.sleepMs(m);
+    IO.print("" + Ext.timeMs());
+    if (i <= 0) { return this.pick(); }
+    return this.run(i - 1);
+  }
+}
+class Main {
+  int main() {
+    let dw = new Work();
+    let Work w = snapshot dw [low, high];
+    return w.run(3);
+  }
+}
+"#;
+    let lowered = lower(src);
+    for battery in [0.2, 0.8] {
+        let th = run_all_engines(&lowered, |c| c.battery_level = battery);
+        assert!(th.value.is_ok(), "battery {battery}: {:?}", th.value);
+        // Five lines from each of `run(3)` … `run(0)`.
+        assert_eq!(th.output.len(), 20, "{:?}", th.output);
+    }
+}
+
+/// A builtin the typechecker would reject, run anyway: the error names
+/// the argument count on every engine, and the call leaves nothing
+/// behind in its registers that changes what follows.
+#[test]
+fn a_misapplied_builtin_errors_like_the_vm() {
+    for (call, named) in [
+        ("Sim.work(1, 2)", "`Sim.work` with 2 args"),
+        ("Math.min(this.i(1))", "`Math.min` with 1 args"),
+        ("Arr.get([1], \"x\")", "`Arr.get` with 2 args"),
+        ("Math.nothing(1, 2, 3)", "`Math.nothing` with 3 args"),
+    ] {
+        let src = format!(
+            "class Main {{
+  int i(int x) {{ return x; }}
+  int main() {{ let a = [1, 2]; IO.print(\"\" + Arr.len(a)); {call}; return 0; }}
+}}
+"
+        );
+        let compiled = ent_core::compile_unchecked(&src).expect("program parses");
+        let th = run_all_engines(&lower_program(&compiled), |_| {});
+        match &th.value {
+            Err(e) => assert!(
+                e.to_string()
+                    .contains(&format!("misapplied builtin {named}")),
+                "{call}: {e}"
+            ),
+            Ok(v) => panic!("{call} returned {v:?}"),
+        }
+        assert_eq!(th.output, ["2"], "{call}");
+    }
+}
+
+/// `Arr.push` and `Arr.concat` over an accumulator threaded through a
+/// tail self-send: the argument registers are moved, the accumulator is
+/// grown, and every engine ends with the same array.
+#[test]
+fn array_growth_in_a_loop_matches_the_vm() {
+    let src = r#"
+class Main {
+  int[] grow(int[] xs, int i) {
+    if (i <= 0) { return xs; }
+    let ys = Arr.push(xs, i);
+    return this.grow(Arr.concat(ys, [i * 10, i * 100]), i - 1);
+  }
+  int main() {
+    let xs = this.grow([0], 40);
+    IO.print("" + Arr.len(xs));
+    IO.print("" + xs);
+    return Arr.get(xs, 5);
+  }
+}
+"#;
+    let th = run_all_engines(&lower(src), |_| {});
+    assert_eq!(th.value.as_ref().ok(), Some(&ent_runtime::Value::Int(390)));
+    assert_eq!(th.output[0], "121");
 }

@@ -42,9 +42,9 @@
 //! * the engine's half: every job index is claimed by exactly one worker
 //!   (a block is claimed by one compare-exchange on the one cursor word,
 //!   so blocks are disjoint), results are tagged with their job index
-//!   and assembled in job order after the batch, each worker wraps one
-//!   [`ent_runtime::with_interp_stack`] frame around its whole loop, and
-//!   nothing about a run depends on which worker picks it up;
+//!   and assembled in job order after the batch, each worker runs its
+//!   whole loop on one interpreter stack, and nothing about a run
+//!   depends on which worker picks it up;
 //! * the caller's half: each job's behavior — in particular its RNG seed —
 //!   must derive from the job's *identity* (its position in the
 //!   enumerated grid), never from execution order or shared mutable
@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use ent_core::compile;
-use ent_runtime::{default_stack_size, with_interp_stack, LoweredProgram};
+use ent_runtime::{default_stack_size, spawn_interp_scoped, with_interp_stack, LoweredProgram};
 
 /// The most distinct programs the cache retains at once. Past it the
 /// oldest entry is evicted (insertion order); the figure suite uses a few
@@ -366,10 +366,10 @@ fn claim(cursor: &AtomicUsize, n: usize, workers: usize) -> Option<Range<usize>>
 /// index (0 for the first try) so retry-aware jobs can vary their
 /// behavior; deterministic callers ignore it.
 ///
-/// Each worker executes inside a single [`with_interp_stack`] frame, so
-/// every `run_lowered` a job makes runs directly on the worker's (already
-/// big) stack — the pool reuses one spawned worker per thread, not one
-/// per run. The pool is `jobs` workers, at least 1 and at most one per
+/// Each worker is one big-stack thread ([`spawn_interp_scoped`]; a
+/// single worker runs in one [`with_interp_stack`] frame), so every
+/// `run_lowered` a job makes runs directly on the worker's stack — the
+/// pool spawns once per worker per batch, not once per run. The pool is `jobs` workers, at least 1 and at most one per
 /// job. With one worker the batch runs sequentially; under the
 /// module-level determinism contract the results are bit-identical
 /// either way.
@@ -400,17 +400,15 @@ where
     let mut indexed: Vec<(usize, Result<R, JobError>)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                s.spawn(|| {
-                    with_interp_stack(stack_size, || {
-                        let mut mine = Vec::new();
-                        while let Some(block) = claim(&cursor, n, workers) {
-                            claims.fetch_add(1, Ordering::Relaxed);
-                            for i in block {
-                                mine.push((i, run_job(&work[i], policy, &f)));
-                            }
+                spawn_interp_scoped(s, stack_size, || {
+                    let mut mine = Vec::new();
+                    while let Some(block) = claim(&cursor, n, workers) {
+                        claims.fetch_add(1, Ordering::Relaxed);
+                        for i in block {
+                            mine.push((i, run_job(&work[i], policy, &f)));
                         }
-                        mine
-                    })
+                    }
+                    mine
                 })
             })
             .collect();
