@@ -9,6 +9,7 @@ use ent_runtime::{run, RuntimeConfig};
 use ent_workloads::{battery_for_boot, benchmark, e2_program};
 
 fn main() {
+    ent_bench::check_env_or_exit();
     let spec = benchmark("video").expect("video benchmark exists");
     let base = Platform::system_b();
     let src = e2_program(&spec, &base, 2);

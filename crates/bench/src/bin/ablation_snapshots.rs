@@ -41,6 +41,7 @@ class Main {{
 }
 
 fn main() {
+    ent_bench::check_env_or_exit();
     let snapshots = 50;
     let chain = 8;
     let src = workload(snapshots, chain);

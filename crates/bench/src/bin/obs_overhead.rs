@@ -285,6 +285,7 @@ fn repo_root() -> PathBuf {
 }
 
 fn main() {
+    ent_bench::check_env_or_exit();
     eprintln!("measuring observability overhead (Figure-6 E2 suite)...");
     let samples = measure();
 

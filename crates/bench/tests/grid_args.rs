@@ -1,8 +1,9 @@
 //! The figure binaries' flag contract: a flag they do not know, or a
 //! malformed engine setting or stack size in the environment, exits 1
 //! with a message naming it, before any grid runs; the environment half
-//! holds for `chaos_resilience` and `data_collection_rsd` too. A skipped
-//! flag would have its value read as the positional repeat count.
+//! holds for `chaos_resilience`, `data_collection_rsd`, the two ablations
+//! and `obs_overhead` too. A skipped flag would have its value read as
+//! the positional repeat count.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -50,10 +51,11 @@ fn unknown_flags_exit_one_before_any_grid_runs() {
 
 #[test]
 fn a_malformed_engine_variable_exits_one_before_any_grid_runs() {
-    // The two binaries that take no grid flags check the environment
+    // The binaries that take no grid flags check the environment
     // themselves. A repeat count of 1 keeps a run short should a check be
-    // missing (`chaos_resilience` takes no count and writes
-    // `BENCH_chaos.json` beside the workspace manifest).
+    // missing (`chaos_resilience`, the ablations and `obs_overhead` take
+    // no count; `chaos_resilience` and `obs_overhead` write their
+    // `BENCH_*.json` beside the workspace manifest).
     let binaries = [
         ("fig9_e1_all", env!("CARGO_BIN_EXE_fig9_e1_all"), &["1"][..]),
         (
@@ -66,6 +68,17 @@ fn a_malformed_engine_variable_exits_one_before_any_grid_runs() {
             env!("CARGO_BIN_EXE_data_collection_rsd"),
             &["1"][..],
         ),
+        (
+            "ablation_governor",
+            env!("CARGO_BIN_EXE_ablation_governor"),
+            &[][..],
+        ),
+        (
+            "ablation_snapshots",
+            env!("CARGO_BIN_EXE_ablation_snapshots"),
+            &[][..],
+        ),
+        ("obs_overhead", env!("CARGO_BIN_EXE_obs_overhead"), &[][..]),
     ];
     let settings = [
         ("ENT_ENGINE", "threaded"),

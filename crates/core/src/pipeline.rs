@@ -216,8 +216,8 @@ mod tests {
             .iter()
             .find(|o| o.kind == ObligationKind::Boundary)
             .unwrap();
-        assert_eq!(snap.class, "Probe");
-        assert_eq!(snap.member, "snapshot");
+        assert_eq!(snap.class.as_str(), "Probe");
+        assert_eq!(snap.member.as_str(), "snapshot");
         // `compile_unchecked` performs no classification at all.
         assert!(compile_unchecked(src).unwrap().obligations.is_empty());
     }

@@ -15,6 +15,8 @@
 //! * **T-MCase** / **T-ElimCase** — mode cases must cover every declared
 //!   mode and eliminate at a mode constant or an in-scope mode variable.
 
+use std::sync::LazyLock;
+
 use ent_modes::{Bounded, ConstraintSet, Mode, ModeArgs, ModeTable, ModeVar, StaticMode, Subst};
 use ent_syntax::{
     BinOp, ClassDecl, ClassName, ClassTable, Expr, ExprKind, Ident, MethodDecl, PrimType, Program,
@@ -62,16 +64,17 @@ impl ObligationKind {
 }
 
 /// One enforcement obligation: a program point the runtime must check,
-/// with enough provenance (class, member, span) to blame the site.
+/// with enough provenance (class, member, span) to blame the site. The
+/// names share the program's spellings; an obligation allocates none.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Obligation {
     /// Which check the runtime owes at this point.
     pub kind: ObligationKind,
     /// The class the checked object belongs to.
-    pub class: String,
+    pub class: ClassName,
     /// The member involved: the invoked method, the read field, or
-    /// `"snapshot"` for a boundary.
-    pub member: String,
+    /// `snapshot` for a boundary.
+    pub member: Ident,
     /// The source location of the check site (for blame).
     pub span: Span,
 }
@@ -172,11 +175,11 @@ impl<'a> Typechecker<'a> {
         Type::Error
     }
 
-    fn oblige(&mut self, kind: ObligationKind, class: &str, member: &str, span: Span) {
+    fn oblige(&mut self, kind: ObligationKind, class: &ClassName, member: &Ident, span: Span) {
         self.obligations.push(Obligation {
             kind,
-            class: class.to_string(),
-            member: member.to_string(),
+            class: class.clone(),
+            member: member.clone(),
             span,
         });
     }
@@ -603,7 +606,7 @@ impl<'a> Typechecker<'a> {
             } => self.infer_call(ctx, recv, method, mode_args, args, e.span),
             ExprKind::Builtin { ns, name, args } => self.infer_builtin(ctx, ns, name, args, e.span),
             ExprKind::Cast { ty, expr } => {
-                let target = self.wf_type(&ctx.mode_vars.clone(), ty, e.span, false);
+                let target = self.wf_type(&ctx.mode_vars, ty, e.span, false);
                 let source = self.infer(ctx, expr);
                 let up = is_subtype(self.table, self.modes, &ctx.k, &source, &target);
                 let down = is_subtype(self.table, self.modes, &ctx.k, &target, &source);
@@ -619,7 +622,7 @@ impl<'a> Typechecker<'a> {
             ExprKind::Snapshot { expr, lo, hi } => self.infer_snapshot(ctx, expr, lo, hi, e.span),
             ExprKind::MCase { ty, arms } => {
                 let elem = match ty {
-                    Some(t) => self.wf_type(&ctx.mode_vars.clone(), t, e.span, false),
+                    Some(t) => self.wf_type(&ctx.mode_vars, t, e.span, false),
                     None => {
                         let Some((_, first)) = arms.first() else {
                             return self.err(TypeErrorKind::BadModeCase, "empty mode case", e.span);
@@ -644,7 +647,7 @@ impl<'a> Typechecker<'a> {
                 };
                 match mode {
                     Some(m) => {
-                        self.wf_mode(&ctx.mode_vars.clone(), m, e.span);
+                        self.wf_mode(&ctx.mode_vars, m, e.span);
                         if let StaticMode::Const(c) = m {
                             if !self.modes.contains(c) {
                                 return self.err(
@@ -757,7 +760,7 @@ impl<'a> Typechecker<'a> {
                 Stmt::Let { ty, name, value } => {
                     let bty = match ty {
                         Some(ann) => {
-                            let norm = self.wf_type(&ctx.mode_vars.clone(), ann, value.span, true);
+                            let norm = self.wf_type(&ctx.mode_vars, ann, value.span, true);
                             // A bare moded-class annotation adopts the
                             // value's type (paper: `Site s = snapshot ...`).
                             if let Type::Object { class, args } = &norm {
@@ -877,15 +880,9 @@ impl<'a> Typechecker<'a> {
                 span,
             );
         }
-        let fields = self.table.fields(class, args);
-        match fields.into_iter().find(|f| &f.name == name) {
+        match self.table.field(class, args, name) {
             Some(f) => {
-                self.oblige(
-                    ObligationKind::FieldRead,
-                    class.as_str(),
-                    name.as_str(),
-                    span,
-                );
+                self.oblige(ObligationKind::FieldRead, class, name, span);
                 f.ty
             }
             None => self.err(
@@ -967,10 +964,10 @@ impl<'a> Typechecker<'a> {
             );
         }
         if let Mode::Static(m) = &args.mode {
-            self.wf_mode(&ctx.mode_vars.clone(), m, span);
+            self.wf_mode(&ctx.mode_vars, m, span);
         }
         for m in &args.rest {
-            self.wf_mode(&ctx.mode_vars.clone(), m, span);
+            self.wf_mode(&ctx.mode_vars, m, span);
         }
 
         // K ⊨ cons(∆{ι/param(∆)}): the instantiated bounds must be entailed.
@@ -1077,12 +1074,7 @@ impl<'a> Typechecker<'a> {
         };
         // Every send owes the runtime a waterfall re-check: attributed
         // modes and opened existentials are only known dynamically.
-        self.oblige(
-            ObligationKind::CallSite,
-            class.as_str(),
-            method.as_str(),
-            span,
-        );
+        self.oblige(ObligationKind::CallSite, class, method, span);
 
         // Generic method-mode instantiation: explicit or inferred by
         // matching declared parameter types against argument types.
@@ -1103,7 +1095,7 @@ impl<'a> Typechecker<'a> {
                     );
                 }
                 for (b, m) in resolved.mode_params.iter().zip(mode_args) {
-                    self.wf_mode(&ctx.mode_vars.clone(), m, span);
+                    self.wf_mode(&ctx.mode_vars, m, span);
                     msubst.insert(b.var.clone(), m.clone());
                 }
             } else {
@@ -1227,11 +1219,12 @@ impl<'a> Typechecker<'a> {
                 span,
             );
         }
-        self.wf_mode(&ctx.mode_vars.clone(), lo, span);
-        self.wf_mode(&ctx.mode_vars.clone(), hi, span);
+        self.wf_mode(&ctx.mode_vars, lo, span);
+        self.wf_mode(&ctx.mode_vars, hi, span);
         // The boundary itself is the archetypal obligation: the runtime
         // must attribute a mode and prove it lands in [lo, hi].
-        self.oblige(ObligationKind::Boundary, class.as_str(), "snapshot", span);
+        static SNAPSHOT: LazyLock<Ident> = LazyLock::new(|| Ident::new("snapshot"));
+        self.oblige(ObligationKind::Boundary, class, &SNAPSHOT, span);
         // T-Snapshot: ∃(lo ≤ mt ≤ hi). c⟨mt, ι⟩, opened eagerly with a
         // fresh variable.
         let fresh = self.fresh_var();

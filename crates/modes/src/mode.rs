@@ -1,6 +1,5 @@
 //! Mode expressions: the `η`, `µ`, `ω`, `∆` and `ι` forms of Figure 2.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::{ModeName, ModeVar};
@@ -435,9 +434,14 @@ impl fmt::Display for ModeArgs {
 /// let x = StaticMode::Var(ModeVar::new("X"));
 /// assert_eq!(x.apply(&s), StaticMode::Const(ModeName::new("managed")));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// The bindings live in one small vector searched linearly: a
+/// substitution binds one class's or one method's mode parameters, and
+/// the parser bounds each such list (`ent_syntax::MAX_MODE_PARAMS`).
+#[derive(Clone, Debug, Default)]
 pub struct Subst {
-    map: HashMap<ModeVar, StaticMode>,
+    /// Each bound variable once, in first-binding order.
+    pairs: Vec<(ModeVar, StaticMode)>,
 }
 
 impl Subst {
@@ -448,38 +452,58 @@ impl Subst {
 
     /// Creates a substitution binding each variable in `vars` to the
     /// corresponding mode in `args` (pairs beyond the shorter list are
-    /// ignored).
+    /// ignored; a repeated variable keeps its last binding).
     pub fn bind(vars: &[ModeVar], args: &[StaticMode]) -> Self {
-        let map = vars.iter().cloned().zip(args.iter().cloned()).collect();
-        Subst { map }
+        vars.iter().cloned().zip(args.iter().cloned()).collect()
     }
 
     /// Adds a binding, returning the previous binding for the variable.
     pub fn insert(&mut self, var: ModeVar, mode: StaticMode) -> Option<StaticMode> {
-        self.map.insert(var, mode)
+        match self.pairs.iter_mut().find(|(v, _)| *v == var) {
+            Some((_, old)) => Some(std::mem::replace(old, mode)),
+            None => {
+                self.pairs.push((var, mode));
+                None
+            }
+        }
     }
 
     /// Looks up the binding for a variable.
     pub fn get(&self, var: &ModeVar) -> Option<&StaticMode> {
-        self.map.get(var)
+        self.pairs.iter().find(|(v, _)| v == var).map(|(_, m)| m)
     }
 
     /// Returns `true` if the substitution binds no variables.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.pairs.is_empty()
     }
 
     /// Number of bindings.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.pairs.len()
     }
 }
 
+/// Two substitutions are equal when they bind the same variables to the
+/// same modes, in any order.
+impl PartialEq for Subst {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.pairs.iter().all(|(v, m)| other.get(v) == Some(m))
+    }
+}
+
+impl Eq for Subst {}
+
 impl FromIterator<(ModeVar, StaticMode)> for Subst {
     fn from_iter<I: IntoIterator<Item = (ModeVar, StaticMode)>>(iter: I) -> Self {
-        Subst {
-            map: iter.into_iter().collect(),
+        let iter = iter.into_iter();
+        let mut subst = Subst {
+            pairs: Vec::with_capacity(iter.size_hint().0),
+        };
+        for (var, mode) in iter {
+            subst.insert(var, mode);
         }
+        subst
     }
 }
 
@@ -527,6 +551,21 @@ mod tests {
         assert_eq!(v("X").apply(&s), c("a"));
         assert_eq!(v("Y").apply(&s), c("b"));
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn subst_rebinding_keeps_the_last_mode_and_equality_ignores_order() {
+        let s = Subst::bind(&[ModeVar::new("X"), ModeVar::new("X")], &[c("a"), c("b")]);
+        assert_eq!(s.len(), 1);
+        assert_eq!(v("X").apply(&s), c("b"));
+        let xy: Subst = [(ModeVar::new("X"), c("a")), (ModeVar::new("Y"), c("b"))]
+            .into_iter()
+            .collect();
+        let yx: Subst = [(ModeVar::new("Y"), c("b")), (ModeVar::new("X"), c("a"))]
+            .into_iter()
+            .collect();
+        assert_eq!(xy, yx);
+        assert_ne!(xy, s);
     }
 
     #[test]

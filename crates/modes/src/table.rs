@@ -1,6 +1,6 @@
 //! The validated mode declaration `D`: a finite lattice of mode constants.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::{ModeName, ModeTableError, StaticMode};
@@ -229,6 +229,10 @@ impl fmt::Display for ModeTable {
 }
 
 /// Incrementally collects `≤` pairs and validates them into a [`ModeTable`].
+///
+/// Declaring a mode scans the modes so far, and [`ModeTableBuilder::build`]
+/// takes time cubic in their number; `ent_syntax` refuses a `modes` block
+/// with more than `ent_syntax::MAX_MODES` of them before building one.
 #[derive(Clone, Debug, Default)]
 pub struct ModeTableBuilder {
     modes: Vec<ModeName>,
@@ -321,14 +325,12 @@ impl ModeTableBuilder {
         };
 
         // Lattice check over the ⊥/⊤-completion: every pair of declared
-        // constants must have a unique lub and glb.
-        let names: Vec<ModeName> = table.modes.clone();
-        let mut seen = HashSet::new();
-        for a in &names {
-            for b in &names {
-                if a == b || !seen.insert((a.clone(), b.clone())) {
-                    continue;
-                }
+        // constants must have a unique lub and glb. Both are symmetric, so
+        // each unordered pair is checked once, in the order that reports
+        // the same first failure as checking every ordered pair.
+        let modes = &table.modes;
+        for (i, a) in modes.iter().enumerate() {
+            for b in &modes[i + 1..] {
                 let (sa, sb) = (StaticMode::Const(a.clone()), StaticMode::Const(b.clone()));
                 if table.lub(&sa, &sb).is_none() {
                     return Err(ModeTableError::NoLub(a.clone(), b.clone()));

@@ -103,13 +103,13 @@ pub(crate) enum Op {
     MakeMCase,
     /// `dst=a ← eliminate(regs[b])` via `elims[d]`.
     ElimV,
-    /// `dst=a ← regs[b] ⊕ regs[c]` with `⊕ = bins[d]` (rhs forced here;
+    /// `dst=a ← regs[b] ⊕ regs[c]` with `⊕ = bin_op(d)` (rhs forced here;
     /// an explicit [`Op::Force`] precedes the rhs code when the lhs may be
     /// a mode case).
     Bin,
     /// Fused binop: `dst=a`, operands described by `fused[d]`.
     BinF,
-    /// Fused compare+branch: `regs[a] ⊕ regs[b]` with `⊕ = bins[c]`;
+    /// Fused compare+branch: `regs[a] ⊕ regs[b]` with `⊕ = bin_op(c)`;
     /// jump to `d` when false.
     JmpBin,
     /// Fused-operand compare+branch: operands from `fused[a]`; jump to
@@ -123,10 +123,10 @@ pub(crate) enum Op {
     /// Force `regs[b]`; jump to `d` unless it is `true` (the `if` guard).
     JmpIfFalse,
     /// Short-circuit guard: force `regs[b]` to a bool (op for the error
-    /// message in `bins[c]`), store it back, jump to `d` when the op
+    /// message is `bin_op(c)`), store it back, jump to `d` when the op
     /// short-circuits (`&&` on false, `||` on true).
     ScJump,
-    /// Force `regs[b]` to a bool (op in `bins[c]`) and store it back (the
+    /// Force `regs[b]` to a bool (op `bin_op(c)`) and store it back (the
     /// non-short-circuit tail of `&&`/`||`).
     ScForce,
     /// Force `regs[b]` in place (auto-eliminate a mode case at the frame
@@ -248,7 +248,6 @@ pub(crate) struct Code {
     pub(crate) consts: Vec<Value>,
     /// Names for unbound-variable diagnostics, by `names` index.
     pub(crate) names: Vec<Ident>,
-    pub(crate) bins: Vec<BinOp>,
     pub(crate) fused: Vec<FusedBin>,
     pub(crate) fields: Vec<FieldSite>,
     pub(crate) news: Vec<NewSite>,
@@ -264,6 +263,28 @@ pub(crate) struct Code {
     pub(crate) frame_size: u32,
 }
 
+impl Code {
+    /// Empty tables with room for exactly the counted entries.
+    fn with_sizes(s: &Sizes) -> Code {
+        Code {
+            instrs: Vec::with_capacity(s.instrs),
+            consts: Vec::with_capacity(s.consts),
+            names: Vec::with_capacity(s.names),
+            fused: Vec::with_capacity(s.fused),
+            fields: Vec::with_capacity(s.fields),
+            news: Vec::with_capacity(s.news),
+            calls: Vec::with_capacity(s.calls),
+            builtins: Vec::with_capacity(s.builtins),
+            casts: Vec::with_capacity(s.casts),
+            snaps: Vec::with_capacity(s.snaps),
+            elims: Vec::with_capacity(s.elims),
+            mcases: Vec::with_capacity(s.mcases),
+            unknown_classes: Vec::with_capacity(s.unknown_classes),
+            frame_size: 0,
+        }
+    }
+}
+
 /// Compiles one lowered body (method, attributor, or field initializer)
 /// whose frame starts with `n_base` locals (the parameter count; zero for
 /// class attributors and initializers). `None` when the body does not fit
@@ -271,75 +292,263 @@ pub(crate) struct Code {
 /// argument or item count, or a gas batch beyond `u16`. Such a body runs
 /// on the tree walker instead.
 pub(crate) fn compile_body(body: &LExpr, n_base: u32, ic: &IcCounters) -> Option<Code> {
-    // Pass 1: the deepest lexical `let` depth, mirroring the slot numbers
-    // lowering assigned, fixes where scratch registers start.
-    let mut max_locals = n_base;
-    max_let_depth(body, n_base, &mut max_locals);
+    // Pass 1 counts every table's entries and the deepest lexical `let`
+    // depth, which fixes where scratch registers start; pass 2 fills the
+    // tables, each allocated once at its final size.
+    let sizes = Sizes::of(body, n_base);
     let mut c = Compiler {
         ic,
-        code: Code::default(),
+        code: Code::with_sizes(&sizes),
         pending: 0,
         let_depth: n_base,
-        scratch: max_locals,
-        max_reg: max_locals,
+        scratch: sizes.max_locals,
+        max_reg: sizes.max_locals,
         overflow: false,
     };
     let dst = c.alloc_scratch();
     c.expr(body, dst);
     c.emit(Op::Halt, 0, dst, 0, 0);
     c.code.frame_size = c.max_reg;
+    debug_assert!(
+        sizes.matches(&c.code),
+        "the counting pass disagrees with the compiler"
+    );
     (!c.overflow).then_some(c.code)
 }
 
-fn max_let_depth(e: &LExpr, cur: u32, max: &mut u32) {
-    let mut walk = |e: &LExpr| max_let_depth(e, cur, max);
-    match e {
-        LExpr::Lit(_) | LExpr::ModeConst(_) | LExpr::This | LExpr::Var { .. } => {}
-        LExpr::UnboundVar(_) => {}
-        LExpr::Field { recv, .. } => walk(recv),
-        LExpr::New { ctor_args, .. } | LExpr::NewUnknown { ctor_args, .. } => {
-            ctor_args.iter().for_each(walk)
-        }
-        LExpr::Call { recv, args, .. } => {
-            walk(recv);
-            args.iter().for_each(walk);
-        }
-        LExpr::Builtin { args, .. } => args.iter().for_each(walk),
-        LExpr::Cast { expr, .. }
-        | LExpr::Snapshot { expr, .. }
-        | LExpr::Elim { expr, .. }
-        | LExpr::Unary { expr, .. } => walk(expr),
-        LExpr::MCase(arms) => arms.iter().for_each(|(_, a)| walk(a)),
-        LExpr::Binary { lhs, rhs, .. } => {
-            walk(lhs);
-            walk(rhs);
-        }
-        LExpr::If { cond, then, els } => {
-            walk(cond);
-            walk(then);
-            if let Some(els) = els {
-                walk(els);
+/// How many entries each [`Code`] table of one body receives, and the
+/// body's deepest `let` slot. [`Sizes::of`] mirrors [`Compiler::expr`]'s
+/// emissions node for node.
+#[derive(Debug, Default)]
+struct Sizes {
+    instrs: usize,
+    consts: usize,
+    names: usize,
+    fused: usize,
+    fields: usize,
+    news: usize,
+    calls: usize,
+    builtins: usize,
+    casts: usize,
+    snaps: usize,
+    elims: usize,
+    mcases: usize,
+    unknown_classes: usize,
+    /// Locals the frame needs: parameters plus the deepest `let` nesting.
+    max_locals: u32,
+}
+
+impl Sizes {
+    fn of(body: &LExpr, n_base: u32) -> Sizes {
+        let mut sizes = Sizes {
+            max_locals: n_base,
+            ..Sizes::default()
+        };
+        sizes.expr(body, n_base);
+        sizes.instrs += 1; // Halt
+        sizes
+    }
+
+    /// Whether `code` holds exactly the counted entries.
+    fn matches(&self, code: &Code) -> bool {
+        let counted = [
+            self.instrs,
+            self.consts,
+            self.names,
+            self.fused,
+            self.fields,
+            self.news,
+            self.calls,
+            self.builtins,
+            self.casts,
+            self.snaps,
+            self.elims,
+            self.mcases,
+            self.unknown_classes,
+        ];
+        let filled = [
+            code.instrs.len(),
+            code.consts.len(),
+            code.names.len(),
+            code.fused.len(),
+            code.fields.len(),
+            code.news.len(),
+            code.calls.len(),
+            code.builtins.len(),
+            code.casts.len(),
+            code.snaps.len(),
+            code.elims.len(),
+            code.mcases.len(),
+            code.unknown_classes.len(),
+        ];
+        counted == filled
+    }
+
+    /// Counts `e` at lexical `let` depth `depth`.
+    fn expr(&mut self, e: &LExpr, depth: u32) {
+        match e {
+            LExpr::Lit(_) | LExpr::ModeConst(_) => {
+                self.consts += 1;
+                self.instrs += 1;
             }
-        }
-        LExpr::Try { body, handler } => {
-            walk(body);
-            walk(handler);
-        }
-        LExpr::ArrayLit(items) => items.iter().for_each(walk),
-        LExpr::Block(stmts) => {
-            // Mirrors lowering: each `let` claims the next slot for the
-            // rest of the block; sibling blocks reuse the same depths.
-            let mut d = cur;
-            for stmt in stmts {
-                match stmt {
-                    LStmt::Let(v) => {
-                        max_let_depth(v, d, max);
-                        d += 1;
-                        *max = (*max).max(d);
-                    }
-                    LStmt::Expr(e) | LStmt::Return(e) => max_let_depth(e, d, max),
+            LExpr::This => self.instrs += 1,
+            LExpr::Var { .. } | LExpr::UnboundVar(_) => {
+                self.names += 1;
+                self.instrs += 1;
+            }
+            LExpr::Field { recv, .. } => {
+                self.fields += 1;
+                self.instrs += 1;
+                if !matches!(**recv, LExpr::This) {
+                    self.expr(recv, depth);
                 }
             }
+            LExpr::New { ctor_args, .. } => {
+                self.news += 1;
+                self.instrs += 1;
+                self.all(ctor_args, depth);
+            }
+            LExpr::NewUnknown { ctor_args, .. } => {
+                self.unknown_classes += 1;
+                self.instrs += 1;
+                self.all(ctor_args, depth);
+            }
+            LExpr::Call { recv, args, .. } => {
+                self.calls += 1;
+                self.instrs += 1;
+                if !matches!(**recv, LExpr::This) {
+                    self.expr(recv, depth);
+                }
+                self.all(args, depth);
+            }
+            LExpr::Builtin { args, .. } => {
+                self.builtins += 1;
+                self.instrs += 1;
+                for (i, a) in args.iter().enumerate() {
+                    self.expr(a, depth);
+                    if i + 1 < args.len() && maybe_mcase(a) {
+                        self.instrs += 1; // Force
+                    }
+                }
+            }
+            LExpr::Cast { expr, .. } => {
+                self.casts += 1;
+                self.instrs += 1;
+                self.expr(expr, depth);
+            }
+            LExpr::Snapshot { expr, .. } => {
+                self.snaps += 1;
+                self.instrs += 1;
+                self.expr(expr, depth);
+            }
+            LExpr::Elim { expr, .. } => {
+                self.elims += 1;
+                self.instrs += 1;
+                self.expr(expr, depth);
+            }
+            LExpr::Unary { expr, .. } => {
+                self.instrs += 1;
+                self.expr(expr, depth);
+            }
+            LExpr::MCase(arms) => {
+                self.mcases += 1;
+                self.instrs += 1;
+                for (_, a) in arms {
+                    self.expr(a, depth);
+                }
+            }
+            LExpr::Binary { op, lhs, rhs } => self.binary(*op, lhs, rhs, depth),
+            LExpr::If { cond, then, els } => {
+                match &**cond {
+                    LExpr::Binary { op, lhs, rhs } if is_cmp(*op) => {
+                        self.binary(*op, lhs, rhs, depth)
+                    }
+                    cond => {
+                        self.expr(cond, depth);
+                        self.instrs += 1; // JmpIfFalse
+                    }
+                }
+                self.expr(then, depth);
+                self.instrs += 1; // Jmp
+                match els {
+                    Some(els) => self.expr(els, depth),
+                    None => self.instrs += 1, // Unit
+                }
+            }
+            LExpr::Block(stmts) => {
+                // Mirrors lowering: each `let` claims the next slot for the
+                // rest of the block; sibling blocks reuse the same depths.
+                let mut d = depth;
+                for stmt in stmts {
+                    match stmt {
+                        LStmt::Let(v) => {
+                            self.expr(v, d);
+                            d += 1;
+                            self.max_locals = self.max_locals.max(d);
+                        }
+                        LStmt::Expr(e) => self.expr(e, d),
+                        LStmt::Return(e) => {
+                            self.expr(e, d);
+                            self.instrs += 1; // Ret
+                        }
+                    }
+                }
+                if !matches!(stmts.last(), Some(LStmt::Expr(_))) {
+                    self.instrs += 1; // Unit
+                }
+            }
+            LExpr::Try { body, handler } => {
+                self.instrs += 3; // TryPush, TryPop, Jmp
+                self.expr(body, depth);
+                self.expr(handler, depth);
+            }
+            LExpr::ArrayLit(items) => {
+                self.instrs += 1;
+                self.all(items, depth);
+            }
+        }
+    }
+
+    fn all(&mut self, es: &[LExpr], depth: u32) {
+        for e in es {
+            self.expr(e, depth);
+        }
+    }
+
+    /// Counts a binary operator as [`Compiler::binary`] compiles it, its
+    /// branch form included.
+    fn binary(&mut self, op: BinOp, lhs: &LExpr, rhs: &LExpr, depth: u32) {
+        if matches!(op, BinOp::And | BinOp::Or) {
+            self.instrs += 2; // ScJump, ScForce
+            self.expr(lhs, depth);
+            self.expr(rhs, depth);
+            return;
+        }
+        let lhs_fusable = fusable(lhs);
+        if fusable(rhs) && (lhs_fusable || !matches!(lhs, LExpr::Binary { .. })) {
+            self.fused += 1;
+            self.instrs += 1; // BinF or JmpBinF
+            if lhs_fusable {
+                self.operand(lhs);
+            } else {
+                self.expr(lhs, depth);
+            }
+            self.operand(rhs);
+            return;
+        }
+        self.instrs += 1; // Bin or JmpBin
+        self.expr(lhs, depth);
+        if maybe_mcase(lhs) {
+            self.instrs += 1; // Force
+        }
+        self.expr(rhs, depth);
+    }
+
+    /// Counts a fused operand: a name or a constant, no op.
+    fn operand(&mut self, e: &LExpr) {
+        match e {
+            LExpr::Var { .. } => self.names += 1,
+            _ => self.consts += 1,
         }
     }
 }
@@ -357,6 +566,35 @@ struct Compiler<'a> {
     max_reg: u32,
     /// Some operand word did not fit its `u16` field (see [`Compiler::narrow`]).
     overflow: bool,
+}
+
+/// Every binary operator, in declaration order: [`Op::Bin`],
+/// [`Op::JmpBin`], [`Op::ScJump`] and [`Op::ScForce`] name their operator
+/// by its index here.
+const BIN_OPS: [BinOp; 13] = [
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Mul,
+    BinOp::Div,
+    BinOp::Rem,
+    BinOp::Eq,
+    BinOp::Ne,
+    BinOp::Lt,
+    BinOp::Le,
+    BinOp::Gt,
+    BinOp::Ge,
+    BinOp::And,
+    BinOp::Or,
+];
+
+/// The operand word naming `op`.
+fn bin_word(op: BinOp) -> u16 {
+    op as u16
+}
+
+/// The operator an operand word names.
+pub(crate) fn bin_op(word: impl Into<u32>) -> BinOp {
+    BIN_OPS[word.into() as usize]
 }
 
 /// Comparison operators: safe to fuse into a branch (the result is always
@@ -453,12 +691,6 @@ impl Compiler<'_> {
         let i = self.code.names.len();
         self.code.names.push(n.clone());
         i as u32
-    }
-
-    fn bin_idx(&mut self, op: BinOp) -> usize {
-        let i = self.code.bins.len();
-        self.code.bins.push(op);
-        i
     }
 
     /// Builds the operand descriptor for a fusable leaf, accounting its
@@ -772,11 +1004,9 @@ impl Compiler<'_> {
         if matches!(op, BinOp::And | BinOp::Or) {
             debug_assert!(branch_false.is_none());
             self.expr(lhs, dst);
-            let site = self.bin_idx(op);
-            let site = self.narrow(site);
-            let sc = self.emit(Op::ScJump, 0, dst, site, 0);
+            let sc = self.emit(Op::ScJump, 0, dst, bin_word(op), 0);
             self.expr(rhs, dst);
-            self.emit(Op::ScForce, 0, dst, site, 0);
+            self.emit(Op::ScForce, 0, dst, bin_word(op), 0);
             self.patch(sc);
             return sc;
         }
@@ -826,14 +1056,10 @@ impl Compiler<'_> {
             self.emit(Op::Force, 0, rl, 0, 0);
         }
         self.expr(rhs, rr);
-        let site = self.bin_idx(op);
         self.scratch = mark;
         match branch_false {
-            Some(()) => {
-                let site = self.narrow(site);
-                self.emit(Op::JmpBin, rl, rr, site, 0)
-            }
-            None => self.emit(Op::Bin, dst, rl, rr, site as u32),
+            Some(()) => self.emit(Op::JmpBin, rl, rr, bin_word(op), 0),
+            None => self.emit(Op::Bin, dst, rl, rr, u32::from(bin_word(op))),
         }
     }
 
@@ -852,5 +1078,18 @@ impl Compiler<'_> {
         self.expr(cond, r);
         self.scratch = mark;
         self.emit(Op::JmpIfFalse, 0, r, 0, 0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_operator_round_trips_through_its_operand_word() {
+        for (i, &op) in BIN_OPS.iter().enumerate() {
+            assert_eq!(usize::from(bin_word(op)), i, "{op}");
+            assert_eq!(bin_op(bin_word(op)), op);
+        }
     }
 }

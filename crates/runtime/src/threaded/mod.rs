@@ -68,7 +68,7 @@ use std::sync::Arc;
 
 use super::vm::{binop_fast, ArmIc};
 use super::{DeoptReason, Frame, Interp, RtTag};
-use crate::compile::{Code, FusedBin, Op, Opnd};
+use crate::compile::{bin_op, Code, FusedBin, Op, Opnd};
 use crate::error::{Flow, RtError};
 use crate::lower::BOp;
 use crate::profile::AnyProfiler;
@@ -564,7 +564,7 @@ pub(crate) fn compile_threaded(code: &Code) -> TCode {
             Op::MakeMCase => op_make_mcase,
             Op::ElimV => op_elim,
             Op::Bin => {
-                t.bin = code.bins[i.d as usize];
+                t.bin = bin_op(i.d);
                 sel_bin!(op_bin, t.bin)
             }
             Op::BinF => {
@@ -572,7 +572,7 @@ pub(crate) fn compile_threaded(code: &Code) -> TCode {
                 sel_bin!(op_bin_f, t.bin)
             }
             Op::JmpBin => {
-                t.bin = code.bins[i.c as usize];
+                t.bin = bin_op(i.c);
                 sel_bin!(op_jmp_bin, t.bin)
             }
             Op::JmpBinF => {
@@ -583,11 +583,11 @@ pub(crate) fn compile_threaded(code: &Code) -> TCode {
             Op::Jmp => op_jmp,
             Op::JmpIfFalse => op_jmp_if_false,
             Op::ScJump => {
-                t.bin = code.bins[i.c as usize];
+                t.bin = bin_op(i.c);
                 op_sc_jump
             }
             Op::ScForce => {
-                t.bin = code.bins[i.c as usize];
+                t.bin = bin_op(i.c);
                 op_sc_force
             }
             Op::Force => op_force,

@@ -45,7 +45,7 @@ use std::sync::Arc;
 use ent_syntax::{BinOp, UnOp};
 
 use super::{Enforcement, Frame, Interp, RtTag};
-use crate::compile::{Code, Op, Opnd};
+use crate::compile::{bin_op, Code, Op, Opnd};
 use crate::error::{Flow, RtError};
 use crate::lower::{GMode, MethodEntry};
 use crate::profile::AnyProfiler;
@@ -499,9 +499,9 @@ impl<'p> Interp<'p> {
                     } else {
                         r
                     };
-                    let v = match binop_fast(code.bins[i.d as usize], &l, &r) {
+                    let v = match binop_fast(bin_op(i.d), &l, &r) {
                         Some(v) => v,
-                        None => vtry!('run, self.apply_binop(code.bins[i.d as usize], &l, &r)),
+                        None => vtry!('run, self.apply_binop(bin_op(i.d), &l, &r)),
                     };
                     frame.set(i.a as usize, v);
                 }
@@ -536,7 +536,7 @@ impl<'p> Interp<'p> {
                     } else {
                         r
                     };
-                    let op = code.bins[i.c as usize];
+                    let op = bin_op(i.c);
                     let v = match binop_fast(op, &l, &r) {
                         Some(v) => v,
                         None => vtry!('run, self.apply_binop(op, &l, &r)),
@@ -619,7 +619,7 @@ impl<'p> Interp<'p> {
                     }
                 }
                 Op::ScJump => {
-                    let op = code.bins[i.c as usize];
+                    let op = bin_op(i.c);
                     let v = take!(i.b);
                     let v = vtry!('run, self.force(frame, v));
                     let Value::Bool(b) = v else {
@@ -636,7 +636,7 @@ impl<'p> Interp<'p> {
                     }
                 }
                 Op::ScForce => {
-                    let op = code.bins[i.c as usize];
+                    let op = bin_op(i.c);
                     let v = take!(i.b);
                     let v = vtry!('run, self.force(frame, v));
                     let Value::Bool(b) = v else {

@@ -76,8 +76,8 @@ fn sum(terms: usize) -> String {
 #[test]
 fn lexing_allocates_each_distinct_name_once() {
     let src = "x ".repeat(10_000);
-    let (n, tokens) = allocations_during(|| lex(&src).expect("lexes"));
-    assert_eq!(tokens.len(), 10_001, "10000 names and end of input");
+    let (n, lexed) = allocations_during(|| lex(&src).expect("lexes"));
+    assert_eq!(lexed.tokens.len(), 10_001, "10000 names and end of input");
     assert!(
         n < 100,
         "lexing 10000 uses of one name made {n} allocations"

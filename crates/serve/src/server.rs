@@ -757,6 +757,31 @@ mod tests {
     }
 
     #[test]
+    fn a_modes_block_past_the_limit_is_refused_typed() {
+        let server = Server::start(ServerConfig::default());
+        let modes: String = (0..5000).map(|i| format!("m{i}; ")).collect();
+        let src = format!("modes {{ {modes}}} class Main {{ int main() {{ return 0; }} }}");
+        // The parser's limit, `ent_syntax::MAX_MODES`.
+        let limit = "declares more than 64 modes";
+        match recv(server.handle_line(&run_line(&src, "t", "r"), 0)) {
+            Reply::Error { kind, message, .. } => {
+                assert_eq!(kind, ErrorKind::CompileError);
+                assert!(message.contains(limit), "{message}");
+            }
+            other => panic!("expected a compile error, got {other:?}"),
+        }
+        let check = run_line(&src, "t", "c").replacen("\"run\"", "\"check\"", 1);
+        match recv(server.handle_line(&check, 1)) {
+            Reply::Done { code, output, .. } => {
+                assert_eq!(code, ent_cli::EXIT_COMPILE);
+                assert!(output.contains(limit), "{output}");
+            }
+            other => panic!("expected a finished check, got {other:?}"),
+        }
+        server.shutdown();
+    }
+
+    #[test]
     fn bad_lines_get_bad_request_replies() {
         let server = Server::start(ServerConfig::default());
         for line in ["junk", "{\"op\": \"fly\"}", "{\"op\": \"run\"}"] {

@@ -13,8 +13,9 @@ use ent_runtime::{default_stack_size, json_escape, with_interp_stack};
 use ent_serve::{parse_request, Reply, Server, ServerConfig, Submission};
 
 /// Parenthesis levels around the returned literal. Debug builds use
-/// roughly 14–27 KiB of native stack per level, so this fits the 512 MiB
-/// interpreter stack but not a plain thread's 2 MiB.
+/// about 11 KiB of native stack per level, most of it in the parser, so
+/// this fits the 512 MiB interpreter stack but not a plain thread's
+/// 2 MiB.
 const DEPTH: usize = 5000;
 
 fn nested_program(depth: usize) -> String {

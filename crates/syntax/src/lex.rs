@@ -1,16 +1,30 @@
 //! The ENT lexer: source text to a token stream.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::SyntaxError;
 use crate::token::{keyword, Token, TokenKind};
 use crate::Span;
 
+/// A lexed source buffer: its tokens (terminated by `Eof`) and the tables
+/// their ids index.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Lexed {
+    /// The token stream, ending with one `Eof`.
+    pub tokens: Vec<Token>,
+    /// Each distinct identifier spelling, by [`TokenKind::Ident`] id, in
+    /// order of first appearance.
+    pub names: Vec<Arc<str>>,
+    /// Each string literal's unescaped contents, by [`TokenKind::Str`] id.
+    pub strings: Vec<String>,
+}
+
 /// Lexes an entire source buffer into tokens (terminated by `Eof`).
 ///
-/// Identifiers are interned: every token that spells the same name shares
-/// one `Arc<str>`, allocated once per call.
+/// Identifiers are interned: every token that spells the same name
+/// carries the same id, and each distinct name is allocated once per
+/// call.
 ///
 /// # Errors
 ///
@@ -20,13 +34,15 @@ use crate::Span;
 /// # Example
 ///
 /// ```
-/// use ent_syntax::lex;
+/// use ent_syntax::{lex, TokenKind};
 ///
-/// let tokens = lex("class Main { }")?;
-/// assert_eq!(tokens.len(), 5); // class, Main, {, }, eof
+/// let lexed = lex("class Main { }")?;
+/// assert_eq!(lexed.tokens.len(), 5); // class, Main, {, }, eof
+/// assert_eq!(lexed.tokens[1].kind, TokenKind::Ident(0));
+/// assert_eq!(&*lexed.names[0], "Main");
 /// # Ok::<(), ent_syntax::SyntaxError>(())
 /// ```
-pub fn lex(src: &str) -> Result<Vec<Token>, SyntaxError> {
+pub fn lex(src: &str) -> Result<Lexed, SyntaxError> {
     Lexer::new(src).run()
 }
 
@@ -34,8 +50,9 @@ struct Lexer<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    /// The identifiers seen so far, one shared allocation each.
-    names: HashSet<Arc<str>>,
+    /// The id of each identifier spelling seen so far.
+    ids: HashMap<&'a str, u32>,
+    out: Lexed,
 }
 
 impl<'a> Lexer<'a> {
@@ -44,21 +61,26 @@ impl<'a> Lexer<'a> {
             src,
             bytes: src.as_bytes(),
             pos: 0,
-            names: HashSet::new(),
+            ids: HashMap::new(),
+            out: Lexed {
+                // Generated programs average a token per three source
+                // bytes, so one allocation usually holds them all.
+                tokens: Vec::with_capacity(src.len() / 3 + 1),
+                ..Lexed::default()
+            },
         }
     }
 
-    fn run(mut self) -> Result<Vec<Token>, SyntaxError> {
-        let mut tokens = Vec::new();
+    fn run(mut self) -> Result<Lexed, SyntaxError> {
         loop {
             self.skip_trivia()?;
             let start = self.pos;
             let Some(b) = self.peek() else {
-                tokens.push(Token {
+                self.out.tokens.push(Token {
                     kind: TokenKind::Eof,
                     span: Span::new(start as u32, start as u32),
                 });
-                return Ok(tokens);
+                return Ok(self.out);
             };
             let kind = match b {
                 b'a'..=b'z' | b'A'..=b'Z' => self.word(),
@@ -79,7 +101,7 @@ impl<'a> Lexer<'a> {
                 b'"' => self.string(start)?,
                 _ => self.operator(start)?,
             };
-            tokens.push(Token {
+            self.out.tokens.push(Token {
                 kind,
                 span: Span::new(start as u32, self.pos as u32),
             });
@@ -138,15 +160,12 @@ impl<'a> Lexer<'a> {
         if let Some(kw) = keyword(text) {
             return kw;
         }
-        let name = match self.names.get(text) {
-            Some(name) => Arc::clone(name),
-            None => {
-                let name: Arc<str> = Arc::from(text);
-                self.names.insert(Arc::clone(&name));
-                name
-            }
-        };
-        TokenKind::Ident(name)
+        let names = &mut self.out.names;
+        let id = *self.ids.entry(text).or_insert_with(|| {
+            names.push(Arc::from(text));
+            (names.len() - 1) as u32
+        });
+        TokenKind::Ident(id)
     }
 
     fn number(&mut self, start: usize) -> Result<TokenKind, SyntaxError> {
@@ -201,7 +220,8 @@ impl<'a> Lexer<'a> {
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(TokenKind::Str(out));
+                    self.out.strings.push(out);
+                    return Ok(TokenKind::Str((self.out.strings.len() - 1) as u32));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -290,8 +310,25 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
-        lex(src).unwrap().into_iter().map(|t| t.kind).collect()
+    /// A token kind with its name or string literal resolved.
+    #[derive(Debug, PartialEq)]
+    enum Kind {
+        Ident(String),
+        Str(String),
+        Other(TokenKind),
+    }
+
+    fn kinds(src: &str) -> Vec<Kind> {
+        let lexed = lex(src).unwrap();
+        lexed
+            .tokens
+            .iter()
+            .map(|t| match t.kind {
+                TokenKind::Ident(id) => Kind::Ident(lexed.names[id as usize].to_string()),
+                TokenKind::Str(id) => Kind::Str(lexed.strings[id as usize].clone()),
+                other => Kind::Other(other),
+            })
+            .collect()
     }
 
     #[test]
@@ -299,11 +336,11 @@ mod tests {
         assert_eq!(
             kinds("class Agent extends Object"),
             vec![
-                TokenKind::Class,
-                TokenKind::Ident("Agent".into()),
-                TokenKind::Extends,
-                TokenKind::Ident("Object".into()),
-                TokenKind::Eof,
+                Kind::Other(TokenKind::Class),
+                Kind::Ident("Agent".into()),
+                Kind::Other(TokenKind::Extends),
+                Kind::Ident("Object".into()),
+                Kind::Other(TokenKind::Eof),
             ]
         );
     }
@@ -313,14 +350,14 @@ mod tests {
         assert_eq!(
             kinds("@mode<? <= X>"),
             vec![
-                TokenKind::At,
-                TokenKind::Mode,
-                TokenKind::Lt,
-                TokenKind::Question,
-                TokenKind::Le,
-                TokenKind::Ident("X".into()),
-                TokenKind::Gt,
-                TokenKind::Eof,
+                Kind::Other(TokenKind::At),
+                Kind::Other(TokenKind::Mode),
+                Kind::Other(TokenKind::Lt),
+                Kind::Other(TokenKind::Question),
+                Kind::Other(TokenKind::Le),
+                Kind::Ident("X".into()),
+                Kind::Other(TokenKind::Gt),
+                Kind::Other(TokenKind::Eof),
             ]
         );
     }
@@ -330,11 +367,11 @@ mod tests {
         assert_eq!(
             kinds("42 3.25 1e3 7"),
             vec![
-                TokenKind::Int(42),
-                TokenKind::Double(3.25),
-                TokenKind::Double(1000.0),
-                TokenKind::Int(7),
-                TokenKind::Eof,
+                Kind::Other(TokenKind::Int(42)),
+                Kind::Other(TokenKind::Double(3.25)),
+                Kind::Other(TokenKind::Double(1000.0)),
+                Kind::Other(TokenKind::Int(7)),
+                Kind::Other(TokenKind::Eof),
             ]
         );
     }
@@ -345,10 +382,10 @@ mod tests {
         assert_eq!(
             kinds("2.x"),
             vec![
-                TokenKind::Int(2),
-                TokenKind::Dot,
-                TokenKind::Ident("x".into()),
-                TokenKind::Eof,
+                Kind::Other(TokenKind::Int(2)),
+                Kind::Other(TokenKind::Dot),
+                Kind::Ident("x".into()),
+                Kind::Other(TokenKind::Eof),
             ]
         );
     }
@@ -357,7 +394,10 @@ mod tests {
     fn lexes_strings_with_escapes() {
         assert_eq!(
             kinds(r#""hi\n\"there\"""#),
-            vec![TokenKind::Str("hi\n\"there\"".into()), TokenKind::Eof]
+            vec![
+                Kind::Str("hi\n\"there\"".into()),
+                Kind::Other(TokenKind::Eof)
+            ]
         );
     }
 
@@ -371,10 +411,10 @@ mod tests {
         assert_eq!(
             kinds("a // line\n b /* block\n more */ c"),
             vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Ident("c".into()),
-                TokenKind::Eof,
+                Kind::Ident("a".into()),
+                Kind::Ident("b".into()),
+                Kind::Ident("c".into()),
+                Kind::Other(TokenKind::Eof),
             ]
         );
     }
@@ -389,14 +429,14 @@ mod tests {
         assert_eq!(
             kinds("a <| b < c <= d"),
             vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::TriangleLeft,
-                TokenKind::Ident("b".into()),
-                TokenKind::Lt,
-                TokenKind::Ident("c".into()),
-                TokenKind::Le,
-                TokenKind::Ident("d".into()),
-                TokenKind::Eof,
+                Kind::Ident("a".into()),
+                Kind::Other(TokenKind::TriangleLeft),
+                Kind::Ident("b".into()),
+                Kind::Other(TokenKind::Lt),
+                Kind::Ident("c".into()),
+                Kind::Other(TokenKind::Le),
+                Kind::Ident("d".into()),
+                Kind::Other(TokenKind::Eof),
             ]
         );
     }
@@ -406,27 +446,28 @@ mod tests {
         assert_eq!(
             kinds("_ _x"),
             vec![
-                TokenKind::Underscore,
-                TokenKind::Ident("_x".into()),
-                TokenKind::Eof,
+                Kind::Other(TokenKind::Underscore),
+                Kind::Ident("_x".into()),
+                Kind::Other(TokenKind::Eof),
             ]
         );
     }
 
     #[test]
     fn identifiers_share_one_name_per_spelling() {
-        let tokens = lex("a b a").unwrap();
-        let name = |i: usize| match &tokens[i].kind {
-            TokenKind::Ident(s) => Arc::clone(s),
+        let lexed = lex("a b a").unwrap();
+        let name = |i: usize| match lexed.tokens[i].kind {
+            TokenKind::Ident(id) => id,
             other => panic!("expected an identifier, got {other:?}"),
         };
-        assert!(Arc::ptr_eq(&name(0), &name(2)));
-        assert!(!Arc::ptr_eq(&name(0), &name(1)));
+        assert_eq!(name(0), name(2));
+        assert_ne!(name(0), name(1));
+        assert_eq!(lexed.names.len(), 2, "one name per spelling");
     }
 
     #[test]
     fn spans_cover_token_text() {
-        let tokens = lex("let xy = 5;").unwrap();
+        let tokens = lex("let xy = 5;").unwrap().tokens;
         assert_eq!(tokens[1].span, Span::new(4, 6));
         assert_eq!(tokens[3].span, Span::new(9, 10));
     }

@@ -65,8 +65,8 @@ pub use ast::{
 };
 pub use error::SyntaxError;
 pub use intern::{Interner, Symbol};
-pub use lex::lex;
-pub use parse::{parse_expr, parse_program};
+pub use lex::{lex, Lexed};
+pub use parse::{parse_expr, parse_program, MAX_MODES, MAX_MODE_PARAMS};
 pub use pretty::{mode_args_string, print_expr_string, print_program};
 pub use span::{LineMap, Span};
 pub use table::{ClassTable, ResolvedField, ResolvedMethod, TableError};

@@ -5,7 +5,6 @@
 //! qualifiers, attributors, `snapshot e [lo, hi]`, `mcase` literals, and the
 //! elimination operator `<|`. See the crate docs for a grammar sketch.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use ent_modes::{
@@ -14,7 +13,7 @@ use ent_modes::{
 
 use crate::ast::*;
 use crate::error::SyntaxError;
-use crate::lex::lex;
+use crate::lex::{lex, Lexed};
 use crate::token::{Token, TokenKind};
 use crate::Span;
 
@@ -22,9 +21,10 @@ use crate::Span;
 ///
 /// # Errors
 ///
-/// Returns the first lexing or parsing error encountered, or a mode-table
-/// validation error (cyclic or non-lattice `modes` block) re-wrapped as a
-/// [`SyntaxError`].
+/// Returns the first lexing or parsing error encountered, a `modes` block
+/// with more than [`MAX_MODES`] modes or a class or method with more than
+/// [`MAX_MODE_PARAMS`] mode parameters, or a mode-table validation error
+/// (cyclic or non-lattice `modes` block) re-wrapped as a [`SyntaxError`].
 ///
 /// # Example
 ///
@@ -39,8 +39,7 @@ use crate::Span;
 /// # Ok::<(), ent_syntax::SyntaxError>(())
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, SyntaxError> {
-    let tokens = lex(src)?;
-    Parser::new(tokens).program()
+    Parser::new(lex(src)?).program()
 }
 
 /// Parses a single expression (useful in tests and the REPL-style examples).
@@ -51,41 +50,92 @@ pub fn parse_program(src: &str) -> Result<Program, SyntaxError> {
 ///
 /// Returns the first lexing or parsing error encountered.
 pub fn parse_expr(src: &str, mode_names: &[&str]) -> Result<Expr, SyntaxError> {
-    let tokens = lex(src)?;
-    let mut parser = Parser::new(tokens);
-    parser.mode_names = mode_names.iter().map(|&s| Arc::from(s)).collect();
+    let mut parser = Parser::new(lex(src)?);
+    for name in mode_names {
+        parser.mark_mode(name);
+    }
     let expr = parser.expr()?;
     parser.expect(TokenKind::Eof)?;
     Ok(expr)
 }
+
+/// The most distinct modes a `modes { ... }` block may declare. The
+/// mode table's construction and its lattice check grow with the cube of
+/// the mode count, so the parser refuses a larger block.
+pub const MAX_MODES: usize = 64;
+
+/// The most mode parameters one class or method may declare.
+pub const MAX_MODE_PARAMS: usize = 64;
 
 /// The mode of a program without a `modes { ... }` block.
 const IMPLICIT_MODE: &str = "default";
 
 struct Parser {
     tokens: Vec<Token>,
+    /// Identifier spellings, by token id.
+    names: Vec<Arc<str>>,
+    /// String literal contents, by token id; each is moved into the one
+    /// literal that spells it.
+    strings: Vec<String>,
     pos: usize,
-    /// The declared mode constants, sharing the lexer's names.
-    mode_names: HashSet<Arc<str>>,
+    /// Whether each name id is a declared mode constant.
+    is_mode: Vec<bool>,
+    /// Distinct modes the `modes` block has declared so far.
+    n_modes: usize,
 }
 
 impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
+    fn new(lexed: Lexed) -> Self {
         Parser {
-            tokens,
+            is_mode: vec![false; lexed.names.len()],
+            tokens: lexed.tokens,
+            names: lexed.names,
+            strings: lexed.strings,
             pos: 0,
-            mode_names: HashSet::new(),
+            n_modes: 0,
         }
+    }
+
+    /// Marks `name` as a mode constant, if the source spells it at all.
+    fn mark_mode(&mut self, name: &str) {
+        if let Some(id) = self.names.iter().position(|n| &**n == name) {
+            self.is_mode[id] = true;
+        }
+    }
+
+    /// Declares the mode named by `id` in the `modes` block, refusing a
+    /// block with more than [`MAX_MODES`] distinct modes.
+    fn declare_mode(&mut self, id: u32, span: Span) -> Result<ModeName, SyntaxError> {
+        if !self.is_mode[id as usize] {
+            self.is_mode[id as usize] = true;
+            self.n_modes += 1;
+            if self.n_modes > MAX_MODES {
+                return Err(SyntaxError::new(
+                    format!("the `modes` block declares more than {MAX_MODES} modes"),
+                    span,
+                ));
+            }
+        }
+        Ok(ModeName::from(self.name(id)))
     }
 
     // ---- token plumbing -------------------------------------------------
 
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+    fn peek(&self) -> TokenKind {
+        self.tokens[self.pos].kind
     }
 
-    fn peek2(&self) -> &TokenKind {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
+    fn peek2(&self) -> TokenKind {
+        self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
+    }
+
+    /// The shared spelling of name `id`.
+    fn name(&self, id: u32) -> Arc<str> {
+        Arc::clone(&self.names[id as usize])
+    }
+
+    fn describe(&self, kind: TokenKind) -> String {
+        kind.describe(&self.names)
     }
 
     fn span(&self) -> Span {
@@ -103,7 +153,7 @@ impl Parser {
     }
 
     fn eat(&mut self, kind: TokenKind) -> bool {
-        if *self.peek() == kind {
+        if self.peek() == kind {
             self.bump();
             true
         } else {
@@ -112,51 +162,56 @@ impl Parser {
     }
 
     fn expect(&mut self, kind: TokenKind) -> Result<(), SyntaxError> {
-        if *self.peek() == kind {
+        if self.peek() == kind {
             self.bump();
             Ok(())
         } else {
             Err(SyntaxError::new(
                 format!(
                     "expected {}, found {}",
-                    kind.describe(),
-                    self.peek().describe()
+                    self.describe(kind),
+                    self.describe(self.peek())
                 ),
                 self.span(),
             ))
         }
     }
 
-    /// The next identifier: a clone of the lexer's shared name.
-    fn ident(&mut self) -> Result<(Arc<str>, Span), SyntaxError> {
+    /// The next identifier's name id.
+    fn ident_id(&mut self) -> Result<(u32, Span), SyntaxError> {
         let span = self.span();
         match self.peek() {
-            TokenKind::Ident(name) => {
-                let name = Arc::clone(name);
+            TokenKind::Ident(id) => {
                 self.bump();
-                Ok((name, span))
+                Ok((id, span))
             }
             other => Err(SyntaxError::new(
-                format!("expected identifier, found {}", other.describe()),
+                format!("expected identifier, found {}", self.describe(other)),
                 span,
             )),
         }
     }
 
+    /// The next identifier: a clone of the lexer's shared name.
+    fn ident(&mut self) -> Result<(Arc<str>, Span), SyntaxError> {
+        let (id, span) = self.ident_id()?;
+        Ok((self.name(id), span))
+    }
+
     // ---- program structure ----------------------------------------------
 
     fn program(&mut self) -> Result<Program, SyntaxError> {
-        let mode_table = if *self.peek() == TokenKind::Modes {
+        let mode_table = if self.peek() == TokenKind::Modes {
             self.modes_block()?
         } else {
             // Programs that never mention modes still need a lattice; give
             // them a single implicit mode.
-            self.mode_names.insert(Arc::from(IMPLICIT_MODE));
+            self.mark_mode(IMPLICIT_MODE);
             ModeTable::linear([IMPLICIT_MODE]).expect("singleton lattice is valid")
         };
 
         let mut classes = Vec::new();
-        while *self.peek() != TokenKind::Eof {
+        while self.peek() != TokenKind::Eof {
             classes.push(Arc::new(self.class_decl()?));
         }
         Ok(Program {
@@ -165,22 +220,22 @@ impl Parser {
         })
     }
 
-    /// Parses the `modes { ... }` block, recording every mode it names in
-    /// `mode_names`.
+    /// Parses the `modes { ... }` block, marking every mode it names in
+    /// `is_mode`.
     fn modes_block(&mut self) -> Result<ModeTable, SyntaxError> {
         let start = self.span();
         self.expect(TokenKind::Modes)?;
         self.expect(TokenKind::LBrace)?;
         let mut builder = ModeTable::builder();
-        while *self.peek() != TokenKind::RBrace {
-            let (lo, _) = self.ident()?;
-            self.mode_names.insert(Arc::clone(&lo));
+        while self.peek() != TokenKind::RBrace {
+            let (lo, span) = self.ident_id()?;
+            let lo = self.declare_mode(lo, span)?;
             if self.eat(TokenKind::Le) {
-                let (hi, _) = self.ident()?;
-                self.mode_names.insert(Arc::clone(&hi));
-                builder = builder.le(ModeName::from(lo), ModeName::from(hi));
+                let (hi, span) = self.ident_id()?;
+                let hi = self.declare_mode(hi, span)?;
+                builder = builder.le(lo, hi);
             } else {
-                builder = builder.mode(ModeName::from(lo));
+                builder = builder.mode(lo);
             }
             self.expect(TokenKind::Semi)?;
         }
@@ -194,7 +249,7 @@ impl Parser {
         let start = self.span();
         self.expect(TokenKind::Class)?;
         let (name, _) = self.ident()?;
-        let mode_params = if *self.peek() == TokenKind::At {
+        let mode_params = if self.peek() == TokenKind::At {
             self.class_mode_params(&name)?
         } else {
             ClassModeParams::neutral()
@@ -202,7 +257,7 @@ impl Parser {
 
         let (superclass, super_args) = if self.eat(TokenKind::Extends) {
             let (sup, _) = self.ident()?;
-            let args = if *self.peek() == TokenKind::At {
+            let args = if self.peek() == TokenKind::At {
                 self.at_mode_open()?;
                 let mut args = vec![self.static_mode()?];
                 while self.eat(TokenKind::Comma) {
@@ -222,8 +277,8 @@ impl Parser {
         let mut fields = Vec::new();
         let mut methods = Vec::new();
         let mut attributor = None;
-        while *self.peek() != TokenKind::RBrace {
-            if *self.peek() == TokenKind::Attributor {
+        while self.peek() != TokenKind::RBrace {
+            if self.peek() == TokenKind::Attributor {
                 let a = self.attributor()?;
                 if attributor.replace(a).is_some() {
                     return Err(SyntaxError::new(
@@ -251,6 +306,7 @@ impl Parser {
 
     /// Parses `@mode<...>` after a class name into a `ClassModeParams`.
     fn class_mode_params(&mut self, class: &str) -> Result<ClassModeParams, SyntaxError> {
+        let start = self.span();
         self.at_mode_open()?;
         let mut dynamic = false;
         let mut bounds: Vec<Bounded> = Vec::new();
@@ -279,6 +335,7 @@ impl Parser {
             bounds.push(self.bounded_param(class)?);
         }
         self.expect(TokenKind::Gt)?;
+        self.check_mode_params("class", class, bounds.len(), start)?;
         Ok(if dynamic {
             ClassModeParams::dynamic(bounds)
         } else {
@@ -286,20 +343,42 @@ impl Parser {
         })
     }
 
+    /// Refuses a class or method that declares more than
+    /// [`MAX_MODE_PARAMS`] mode parameters in the list that began at
+    /// `start`.
+    fn check_mode_params(
+        &self,
+        what: &str,
+        owner: &str,
+        count: usize,
+        start: Span,
+    ) -> Result<(), SyntaxError> {
+        if count > MAX_MODE_PARAMS {
+            return Err(SyntaxError::new(
+                format!("{what} `{owner}` declares more than {MAX_MODE_PARAMS} mode parameters"),
+                start.join(self.prev_span()),
+            ));
+        }
+        Ok(())
+    }
+
     /// One static mode parameter: `X`, `m` (pinned), or `lo <= X <= hi`.
     fn bounded_param(&mut self, class: &str) -> Result<Bounded, SyntaxError> {
         let first = self.static_mode()?;
         if self.eat(TokenKind::Le) {
-            let (var, span) = self.ident()?;
-            if self.mode_names.contains(&var) {
+            let (var, span) = self.ident_id()?;
+            if self.is_mode[var as usize] {
                 return Err(SyntaxError::new(
-                    format!("`{var}` is a mode constant, not a parameter name"),
+                    format!(
+                        "`{}` is a mode constant, not a parameter name",
+                        self.name(var)
+                    ),
                     span,
                 ));
             }
             self.expect(TokenKind::Le)?;
             let hi = self.static_mode()?;
-            Ok(Bounded::new(first, ModeVar::from(var), hi))
+            Ok(Bounded::new(first, ModeVar::from(self.name(var)), hi))
         } else {
             match first {
                 StaticMode::Var(v) => Ok(Bounded::unconstrained(v)),
@@ -329,13 +408,13 @@ impl Parser {
         let mode = match self.peek() {
             TokenKind::Bot => StaticMode::Bot,
             TokenKind::Top => StaticMode::Top,
-            TokenKind::Ident(name) if self.mode_names.contains(name) => {
-                StaticMode::Const(ModeName::from(Arc::clone(name)))
+            TokenKind::Ident(id) if self.is_mode[id as usize] => {
+                StaticMode::Const(ModeName::from(self.name(id)))
             }
-            TokenKind::Ident(name) => StaticMode::Var(ModeVar::from(Arc::clone(name))),
+            TokenKind::Ident(id) => StaticMode::Var(ModeVar::from(self.name(id))),
             other => {
                 return Err(SyntaxError::new(
-                    format!("expected a mode, found {}", other.describe()),
+                    format!("expected a mode, found {}", self.describe(other)),
                     self.span(),
                 ))
             }
@@ -363,7 +442,7 @@ impl Parser {
         let start = self.span();
 
         // Optional method-level mode override `@mode<η>`.
-        let method_mode = if *self.peek() == TokenKind::At {
+        let method_mode = if self.peek() == TokenKind::At {
             self.at_mode_open()?;
             let m = self.static_mode()?;
             self.expect(TokenKind::Gt)?;
@@ -377,7 +456,8 @@ impl Parser {
 
         // Generic method-mode parameters `<X, lo <= Y <= hi>`.
         let mut mode_params = Vec::new();
-        if *self.peek() == TokenKind::Lt {
+        if self.peek() == TokenKind::Lt {
+            let start = self.span();
             self.bump();
             loop {
                 mode_params.push(self.bounded_param(&name)?);
@@ -386,13 +466,14 @@ impl Parser {
                 }
             }
             self.expect(TokenKind::Gt)?;
+            self.check_mode_params("method", &name, mode_params.len(), start)?;
         }
 
-        if *self.peek() == TokenKind::LParen {
+        if self.peek() == TokenKind::LParen {
             // Method.
             self.bump();
             let mut params = Vec::new();
-            if *self.peek() != TokenKind::RParen {
+            if self.peek() != TokenKind::RParen {
                 loop {
                     let pty = self.ty()?;
                     let (pname, _) = self.ident()?;
@@ -403,7 +484,7 @@ impl Parser {
                 }
             }
             self.expect(TokenKind::RParen)?;
-            let attributor = if *self.peek() == TokenKind::Attributor {
+            let attributor = if self.peek() == TokenKind::Attributor {
                 Some(self.attributor()?)
             } else {
                 None
@@ -447,7 +528,7 @@ impl Parser {
 
     fn ty(&mut self) -> Result<Type, SyntaxError> {
         let mut base = self.base_ty()?;
-        while *self.peek() == TokenKind::LBracket && *self.peek2() == TokenKind::RBracket {
+        while self.peek() == TokenKind::LBracket && self.peek2() == TokenKind::RBracket {
             self.bump();
             self.bump();
             base = Type::Array(Box::new(base));
@@ -456,7 +537,7 @@ impl Parser {
     }
 
     fn base_ty(&mut self) -> Result<Type, SyntaxError> {
-        if *self.peek() == TokenKind::MCase {
+        if self.peek() == TokenKind::MCase {
             self.bump();
             self.expect(TokenKind::Lt)?;
             let inner = self.ty()?;
@@ -478,7 +559,7 @@ impl Parser {
                 span,
             ));
         }
-        let args = if *self.peek() == TokenKind::At {
+        let args = if self.peek() == TokenKind::At {
             self.at_mode_open()?;
             let mode = if self.eat(TokenKind::Question) {
                 Mode::Dynamic
@@ -508,7 +589,7 @@ impl Parser {
         let start = self.span();
         self.expect(TokenKind::LBrace)?;
         let mut stmts = Vec::new();
-        while *self.peek() != TokenKind::RBrace {
+        while self.peek() != TokenKind::RBrace {
             stmts.push(self.stmt()?);
         }
         self.expect(TokenKind::RBrace)?;
@@ -524,7 +605,7 @@ impl Parser {
                 self.bump();
                 // `let x = e;` or `let T x = e;`
                 let (ty, name) = if matches!(self.peek(), TokenKind::Ident(_))
-                    && *self.peek2() == TokenKind::Eq
+                    && self.peek2() == TokenKind::Eq
                 {
                     let (name, _) = self.ident()?;
                     (None, name)
@@ -544,7 +625,7 @@ impl Parser {
             }
             TokenKind::Return => {
                 self.bump();
-                let value = if *self.peek() == TokenKind::Semi {
+                let value = if self.peek() == TokenKind::Semi {
                     Expr::new(ExprKind::Lit(Lit::Unit), self.span())
                 } else {
                     self.expr()?
@@ -569,125 +650,21 @@ impl Parser {
     // ---- expressions ---------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, SyntaxError> {
-        self.or_expr()
+        self.binary_expr(0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, SyntaxError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(TokenKind::OrOr) {
-            let rhs = self.and_expr()?;
-            let span = lhs.span.join(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op: BinOp::Or,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, SyntaxError> {
-        let mut lhs = self.eq_expr()?;
-        while self.eat(TokenKind::AndAnd) {
-            let rhs = self.eq_expr()?;
-            let span = lhs.span.join(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op: BinOp::And,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
-        }
-        Ok(lhs)
-    }
-
-    fn eq_expr(&mut self) -> Result<Expr, SyntaxError> {
-        let mut lhs = self.rel_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::EqEq => BinOp::Eq,
-                TokenKind::NotEq => BinOp::Ne,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.rel_expr()?;
-            let span = lhs.span.join(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
-        }
-        Ok(lhs)
-    }
-
-    fn rel_expr(&mut self) -> Result<Expr, SyntaxError> {
-        let mut lhs = self.add_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::Le => BinOp::Le,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::Ge => BinOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.add_expr()?;
-            let span = lhs.span.join(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
-        }
-        Ok(lhs)
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, SyntaxError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            let span = lhs.span.join(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, SyntaxError> {
+    /// Precedence climbing over the binary operators: parses an operand,
+    /// then every operator that binds at least as tightly as `min`, each
+    /// with a right operand of strictly tighter operators. Every level is
+    /// left-associative.
+    fn binary_expr(&mut self, min: u8) -> Result<Expr, SyntaxError> {
         let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => break,
-            };
+        while let Some((op, prec)) = binary_op(self.peek()) {
+            if prec < min {
+                break;
+            }
             self.bump();
-            let rhs = self.unary_expr()?;
+            let rhs = self.binary_expr(prec + 1)?;
             let span = lhs.span.join(rhs.span);
             lhs = Expr::new(
                 ExprKind::Binary {
@@ -734,7 +711,7 @@ impl Parser {
             if self.eat(TokenKind::Dot) {
                 let (name, nspan) = self.ident()?;
                 // Method-mode instantiation `.md@mode<η, ...>(args)`.
-                let mode_args = if *self.peek() == TokenKind::At {
+                let mode_args = if self.peek() == TokenKind::At {
                     self.at_mode_open()?;
                     let mut args = vec![self.static_mode()?];
                     while self.eat(TokenKind::Comma) {
@@ -745,7 +722,7 @@ impl Parser {
                 } else {
                     Vec::new()
                 };
-                if *self.peek() == TokenKind::LParen {
+                if self.peek() == TokenKind::LParen {
                     let args = self.call_args()?;
                     let span = e.span.join(self.prev_span());
                     // Calls on a builtin namespace identifier become
@@ -808,7 +785,7 @@ impl Parser {
     fn call_args(&mut self) -> Result<Vec<Expr>, SyntaxError> {
         self.expect(TokenKind::LParen)?;
         let mut args = Vec::new();
-        if *self.peek() != TokenKind::RParen {
+        if self.peek() != TokenKind::RParen {
             loop {
                 args.push(self.expr()?);
                 if !self.eat(TokenKind::Comma) {
@@ -824,16 +801,20 @@ impl Parser {
         let start = self.span();
         // Single-token expressions fall through to one `bump`.
         let kind = match self.peek() {
-            TokenKind::Int(n) => ExprKind::Lit(Lit::Int(*n)),
-            TokenKind::Double(x) => ExprKind::Lit(Lit::Double(*x)),
-            TokenKind::Str(s) => ExprKind::Lit(Lit::Str(s.clone())),
+            TokenKind::Int(n) => ExprKind::Lit(Lit::Int(n)),
+            TokenKind::Double(x) => ExprKind::Lit(Lit::Double(x)),
+            // The cast lookahead never reaches a string literal, so each
+            // is parsed exactly once.
+            TokenKind::Str(id) => {
+                ExprKind::Lit(Lit::Str(std::mem::take(&mut self.strings[id as usize])))
+            }
             TokenKind::True => ExprKind::Lit(Lit::Bool(true)),
             TokenKind::False => ExprKind::Lit(Lit::Bool(false)),
             TokenKind::This => ExprKind::This,
-            TokenKind::Ident(name) if self.mode_names.contains(name) => {
-                ExprKind::ModeConst(ModeName::from(Arc::clone(name)))
+            TokenKind::Ident(id) if self.is_mode[id as usize] => {
+                ExprKind::ModeConst(ModeName::from(self.name(id)))
             }
-            TokenKind::Ident(name) => ExprKind::Var(Ident::from(Arc::clone(name))),
+            TokenKind::Ident(id) => ExprKind::Var(Ident::from(self.name(id))),
             TokenKind::New => return self.new_expr(),
             TokenKind::Snapshot => return self.snapshot_expr(),
             TokenKind::MCase => return self.mcase_expr(),
@@ -843,7 +824,7 @@ impl Parser {
             TokenKind::LBracket => {
                 self.bump();
                 let mut items = Vec::new();
-                if *self.peek() != TokenKind::RBracket {
+                if self.peek() != TokenKind::RBracket {
                     loop {
                         items.push(self.expr()?);
                         if !self.eat(TokenKind::Comma) {
@@ -860,7 +841,7 @@ impl Parser {
             TokenKind::LParen => return self.paren_or_cast(),
             other => {
                 return Err(SyntaxError::new(
-                    format!("expected an expression, found {}", other.describe()),
+                    format!("expected an expression, found {}", self.describe(other)),
                     start,
                 ))
             }
@@ -873,7 +854,7 @@ impl Parser {
         let start = self.span();
         self.expect(TokenKind::New)?;
         let (class, _) = self.ident()?;
-        let args = if *self.peek() == TokenKind::At {
+        let args = if self.peek() == TokenKind::At {
             self.at_mode_open()?;
             let mode = if self.eat(TokenKind::Question) {
                 Mode::Dynamic
@@ -934,7 +915,7 @@ impl Parser {
     fn mcase_expr(&mut self) -> Result<Expr, SyntaxError> {
         let start = self.span();
         self.expect(TokenKind::MCase)?;
-        let ty = if *self.peek() == TokenKind::Lt {
+        let ty = if self.peek() == TokenKind::Lt {
             self.bump();
             let t = self.ty()?;
             self.expect(TokenKind::Gt)?;
@@ -944,18 +925,18 @@ impl Parser {
         };
         self.expect(TokenKind::LBrace)?;
         let mut arms = Vec::new();
-        while *self.peek() != TokenKind::RBrace {
-            let (mode, mspan) = self.ident()?;
-            if !self.mode_names.contains(&mode) {
+        while self.peek() != TokenKind::RBrace {
+            let (mode, mspan) = self.ident_id()?;
+            if !self.is_mode[mode as usize] {
                 return Err(SyntaxError::new(
-                    format!("`{mode}` is not a declared mode"),
+                    format!("`{}` is not a declared mode", self.name(mode)),
                     mspan,
                 ));
             }
             self.expect(TokenKind::Colon)?;
             let value = self.expr()?;
             self.expect(TokenKind::Semi)?;
-            arms.push((ModeName::from(mode), value));
+            arms.push((ModeName::from(self.name(mode)), value));
         }
         self.expect(TokenKind::RBrace)?;
         Ok(Expr::new(
@@ -972,7 +953,7 @@ impl Parser {
         self.expect(TokenKind::RParen)?;
         let then = self.block()?;
         let els = if self.eat(TokenKind::Else) {
-            if *self.peek() == TokenKind::If {
+            if self.peek() == TokenKind::If {
                 Some(Box::new(self.if_expr()?))
             } else {
                 Some(Box::new(self.block()?))
@@ -1017,10 +998,15 @@ impl Parser {
         self.expect(TokenKind::LParen)?;
 
         // Attempt a cast parse.
-        let looks_like_type = matches!(self.peek(), TokenKind::MCase)
-            || matches!(self.peek(), TokenKind::Ident(name)
-                if name.chars().next().is_some_and(char::is_uppercase)
-                    || matches!(&**name, "int" | "double" | "bool" | "string" | "unit"));
+        let looks_like_type = match self.peek() {
+            TokenKind::MCase => true,
+            TokenKind::Ident(id) => {
+                let name = &*self.names[id as usize];
+                name.chars().next().is_some_and(char::is_uppercase)
+                    || matches!(name, "int" | "double" | "bool" | "string" | "unit")
+            }
+            _ => false,
+        };
         if looks_like_type {
             if let Ok(ty) = self.ty() {
                 if self.eat(TokenKind::RParen) && starts_expression(self.peek()) {
@@ -1045,11 +1031,32 @@ impl Parser {
     }
 }
 
+/// A binary operator token's operator and precedence, loosest first:
+/// `||`, `&&`, equality, comparison, additive, multiplicative.
+fn binary_op(kind: TokenKind) -> Option<(BinOp, u8)> {
+    Some(match kind {
+        TokenKind::OrOr => (BinOp::Or, 0),
+        TokenKind::AndAnd => (BinOp::And, 1),
+        TokenKind::EqEq => (BinOp::Eq, 2),
+        TokenKind::NotEq => (BinOp::Ne, 2),
+        TokenKind::Lt => (BinOp::Lt, 3),
+        TokenKind::Le => (BinOp::Le, 3),
+        TokenKind::Gt => (BinOp::Gt, 3),
+        TokenKind::Ge => (BinOp::Ge, 3),
+        TokenKind::Plus => (BinOp::Add, 4),
+        TokenKind::Minus => (BinOp::Sub, 4),
+        TokenKind::Star => (BinOp::Mul, 5),
+        TokenKind::Slash => (BinOp::Div, 5),
+        TokenKind::Percent => (BinOp::Rem, 5),
+        _ => return None,
+    })
+}
+
 fn is_builtin_ns(name: &str) -> bool {
     matches!(name, "Ext" | "Sim" | "IO" | "Arr" | "Str" | "Math")
 }
 
-fn starts_expression(kind: &TokenKind) -> bool {
+fn starts_expression(kind: TokenKind) -> bool {
     matches!(
         kind,
         TokenKind::Ident(_)

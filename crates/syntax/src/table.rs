@@ -102,8 +102,6 @@ pub struct ResolvedMethod {
     pub owner: ClassName,
     /// Parameter types after class-level substitution.
     pub params: Vec<Type>,
-    /// Parameter names.
-    pub param_names: Vec<Ident>,
     /// Return type after class-level substitution.
     pub ret: Type,
     /// Method-level mode override, substituted.
@@ -317,63 +315,101 @@ impl ClassTable {
         let Some(decl) = self.classes.get(class) else {
             return Subst::new();
         };
-        let params = decl.mode_params.params();
-        let mut flat: Vec<StaticMode> = Vec::new();
-        if let Mode::Static(m) = &args.mode {
-            flat.push(m.clone());
-        } else if !params.is_empty() {
-            // Dynamic instantiation: keep the internal variable.
-            flat.push(StaticMode::Var(params[0].clone()));
+        let bounds = &decl.mode_params.bounds;
+        let own = bounds.first().map(|b| {
+            let mode = match &args.mode {
+                Mode::Static(m) => m.clone(),
+                // Dynamic instantiation: keep the internal variable.
+                Mode::Dynamic => StaticMode::Var(b.var.clone()),
+            };
+            (b.var.clone(), mode)
+        });
+        let rest = bounds.iter().skip(1).zip(&args.rest);
+        own.into_iter()
+            .chain(rest.map(|(b, m)| (b.var.clone(), m.clone())))
+            .collect()
+    }
+
+    /// The substitution for `decl`'s superclass, given `subst` for `decl`:
+    /// its super arguments, in terms of `decl`'s own parameters, or the
+    /// superclass's pinned modes when it passes none.
+    fn super_subst(&self, decl: &ClassDecl, subst: &Subst) -> Subst {
+        let bounds = &self.classes[&decl.superclass].mode_params.bounds;
+        if decl.super_args.is_empty() {
+            bounds
+                .iter()
+                .map(|b| (b.var.clone(), b.lo.clone()))
+                .collect()
+        } else {
+            bounds
+                .iter()
+                .zip(&decl.super_args)
+                .map(|(b, m)| (b.var.clone(), m.apply(subst)))
+                .collect()
         }
-        flat.extend(args.rest.iter().cloned());
-        Subst::bind(&params, &flat)
     }
 
     /// The paper's `fields(T)`: every field of `class` and its ancestors,
     /// inherited first, with mode parameters substituted per `args`.
     pub fn fields(&self, class: &ClassName, args: &ModeArgs) -> Vec<ResolvedField> {
-        let mut out = Vec::new();
-        self.fields_rec(class, &self.class_subst(class, args), &mut out);
-        out
+        self.collect_fields(class, args, &|_| true)
     }
 
-    fn fields_rec(&self, class: &ClassName, subst: &Subst, out: &mut Vec<ResolvedField>) {
-        let Some(decl) = self.classes.get(class) else {
-            return;
-        };
-        if decl.superclass != ClassName::object() {
-            // Compose: super args are in terms of this class's vars.
-            let sup = &self.classes[&decl.superclass];
-            let sup_params = sup.mode_params.params();
-            let sup_args: Vec<StaticMode> = if decl.super_args.is_empty() {
-                sup.mode_params
-                    .bounds
-                    .iter()
-                    .map(|b| b.lo.clone())
-                    .collect()
-            } else {
-                decl.super_args.iter().map(|m| m.apply(subst)).collect()
-            };
-            let sup_subst = Subst::bind(&sup_params, &sup_args);
-            self.fields_rec(&decl.superclass, &sup_subst, out);
-        }
-        for fd in &decl.fields {
-            out.push(ResolvedField {
-                owner: class.clone(),
-                name: fd.name.clone(),
-                ty: fd.ty.apply(subst),
-                has_init: fd.init.is_some(),
-            });
+    /// The field `name` of `class` or an ancestor, with mode parameters
+    /// substituted per `args`: the one entry of [`ClassTable::fields`]
+    /// with that name, resolved without building the others.
+    pub fn field(&self, class: &ClassName, args: &ModeArgs, name: &Ident) -> Option<ResolvedField> {
+        let mut decl = self.classes.get(class)?;
+        let mut subst = self.class_subst(class, args);
+        loop {
+            if let Some(fd) = decl.fields.iter().find(|f| &f.name == name) {
+                return Some(resolve_field(decl, fd, &subst));
+            }
+            if decl.superclass == ClassName::object() {
+                return None;
+            }
+            subst = self.super_subst(decl, &subst);
+            decl = &self.classes[&decl.superclass];
         }
     }
 
     /// The constructor parameters of a class instantiation: all fields
     /// without initializers, inherited first.
     pub fn ctor_params(&self, class: &ClassName, args: &ModeArgs) -> Vec<ResolvedField> {
-        self.fields(class, args)
-            .into_iter()
-            .filter(|f| !f.has_init)
-            .collect()
+        self.collect_fields(class, args, &|f| f.init.is_none())
+    }
+
+    fn collect_fields(
+        &self,
+        class: &ClassName,
+        args: &ModeArgs,
+        keep: &dyn Fn(&FieldDecl) -> bool,
+    ) -> Vec<ResolvedField> {
+        let mut out = Vec::new();
+        if let Some(decl) = self.classes.get(class) {
+            self.fields_rec(decl, &self.class_subst(class, args), keep, &mut out);
+        }
+        out
+    }
+
+    fn fields_rec(
+        &self,
+        decl: &ClassDecl,
+        subst: &Subst,
+        keep: &dyn Fn(&FieldDecl) -> bool,
+        out: &mut Vec<ResolvedField>,
+    ) {
+        if decl.superclass != ClassName::object() {
+            // Compose: super args are in terms of this class's vars.
+            let sup = &self.classes[&decl.superclass];
+            self.fields_rec(sup, &self.super_subst(decl, subst), keep, out);
+        }
+        out.extend(
+            decl.fields
+                .iter()
+                .filter(|fd| keep(fd))
+                .map(|fd| resolve_field(decl, fd, subst)),
+        );
     }
 
     /// The paper's `mtype`/`mbody`: resolves a method through the chain,
@@ -384,15 +420,13 @@ impl ClassTable {
         args: &ModeArgs,
         name: &Ident,
     ) -> Option<ResolvedMethod> {
-        let mut cur = class.clone();
+        let mut decl = self.classes.get(class)?;
         let mut subst = self.class_subst(class, args);
         loop {
-            let decl = self.classes.get(&cur)?;
             if let Some(m) = decl.method(name) {
                 return Some(ResolvedMethod {
-                    owner: cur,
+                    owner: decl.name.clone(),
                     params: m.params.iter().map(|(t, _)| t.apply(&subst)).collect(),
-                    param_names: m.params.iter().map(|(_, x)| x.clone()).collect(),
                     ret: m.ret.apply(&subst),
                     mode: m.mode.as_ref().map(|mo| mo.apply(&subst)),
                     mode_params: m
@@ -407,25 +441,25 @@ impl ClassTable {
             if decl.superclass == ClassName::object() {
                 return None;
             }
-            let sup = &self.classes[&decl.superclass];
-            let sup_params = sup.mode_params.params();
-            let sup_args: Vec<StaticMode> = if decl.super_args.is_empty() {
-                sup.mode_params
-                    .bounds
-                    .iter()
-                    .map(|b| b.lo.clone())
-                    .collect()
-            } else {
-                decl.super_args.iter().map(|m| m.apply(&subst)).collect()
-            };
-            subst = Subst::bind(&sup_params, &sup_args);
-            cur = decl.superclass.clone();
+            subst = self.super_subst(decl, &subst);
+            decl = &self.classes[&decl.superclass];
         }
     }
 
     /// The paper's `abody`: the class-level attributor of a class.
     pub fn abody(&self, class: &ClassName) -> Option<&Attributor> {
         self.classes.get(class)?.attributor.as_ref()
+    }
+}
+
+/// One declared field of `decl`, with `decl`'s mode parameters
+/// substituted per `subst`.
+fn resolve_field(decl: &ClassDecl, fd: &FieldDecl, subst: &Subst) -> ResolvedField {
+    ResolvedField {
+        owner: decl.name.clone(),
+        name: fd.name.clone(),
+        ty: fd.ty.apply(subst),
+        has_init: fd.init.is_some(),
     }
 }
 
@@ -479,6 +513,25 @@ mod tests {
         let args = ModeArgs::of_static(StaticMode::Const(ModeName::new("low")));
         let fields = t.fields(&"SubBox".into(), &args);
         assert_eq!(fields[0].ty.to_string(), "Box@mode<low>");
+    }
+
+    #[test]
+    fn field_lookup_resolves_one_field_like_the_full_list() {
+        let t = table(
+            "modes { low <= high; }
+             class Box@mode<B> { Box@mode<B> next; int n = 1; }
+             class SubBox@mode<S> extends Box@mode<S> { SubBox@mode<S> peer; }",
+        );
+        let args = ModeArgs::of_static(StaticMode::Const(ModeName::new("low")));
+        let class = ClassName::new("SubBox");
+        for f in t.fields(&class, &args) {
+            assert_eq!(t.field(&class, &args, &f.name), Some(f));
+        }
+        let next = t.field(&class, &args, &Ident::new("next")).unwrap();
+        assert_eq!(next.owner, ClassName::new("Box"));
+        assert_eq!(next.ty.to_string(), "Box@mode<low>");
+        assert_eq!(t.field(&class, &args, &Ident::new("nope")), None);
+        assert_eq!(t.field(&"Nope".into(), &args, &Ident::new("next")), None);
     }
 
     #[test]

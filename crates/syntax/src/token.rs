@@ -1,12 +1,11 @@
 //! Tokens produced by the ENT lexer.
 
 use std::fmt;
-use std::sync::Arc;
 
 use crate::Span;
 
 /// A lexed token: a [`TokenKind`] plus its source [`Span`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Token {
     /// What kind of token this is.
     pub kind: TokenKind,
@@ -14,19 +13,21 @@ pub struct Token {
     pub span: Span,
 }
 
-/// The kinds of tokens in ENT's concrete syntax.
-#[derive(Clone, Debug, PartialEq)]
+/// The kinds of tokens in ENT's concrete syntax. Names and string
+/// literals are ids into the tables of the [`crate::Lexed`] that holds the
+/// token, so every kind is `Copy`.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TokenKind {
     // Literals and names
-    /// An identifier or non-keyword name, shared by every token that
-    /// spells it in one [`crate::lex`] call.
-    Ident(Arc<str>),
+    /// An identifier or non-keyword name: its index in
+    /// [`crate::Lexed::names`], one per distinct spelling.
+    Ident(u32),
     /// An integer literal.
     Int(i64),
     /// A floating-point literal.
     Double(f64),
-    /// A string literal (contents, unescaped).
-    Str(String),
+    /// A string literal: its index in [`crate::Lexed::strings`].
+    Str(u32),
 
     // Keywords
     /// `class`
@@ -133,10 +134,12 @@ pub enum TokenKind {
 }
 
 impl TokenKind {
-    /// A short human-readable description used in parse errors.
-    pub fn describe(&self) -> String {
+    /// A short human-readable description used in parse errors. An
+    /// identifier is described by its spelling, looked up in `names`
+    /// ([`crate::Lexed::names`]).
+    pub fn describe(&self, names: &[std::sync::Arc<str>]) -> String {
         match self {
-            TokenKind::Ident(s) => format!("identifier `{s}`"),
+            TokenKind::Ident(id) => format!("identifier `{}`", names[*id as usize]),
             TokenKind::Int(n) => format!("integer `{n}`"),
             TokenKind::Double(x) => format!("double `{x}`"),
             TokenKind::Str(_) => "string literal".to_string(),
@@ -146,13 +149,15 @@ impl TokenKind {
     }
 }
 
+/// Keywords and punctuation print as written; a name or string literal,
+/// whose text lives in its [`crate::Lexed`], prints as its table id.
 impl fmt::Display for TokenKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            TokenKind::Ident(s) => s,
+            TokenKind::Ident(id) => return write!(f, "name#{id}"),
             TokenKind::Int(n) => return write!(f, "{n}"),
             TokenKind::Double(x) => return write!(f, "{x}"),
-            TokenKind::Str(s) => return write!(f, "{s:?}"),
+            TokenKind::Str(id) => return write!(f, "string#{id}"),
             TokenKind::Class => "class",
             TokenKind::Extends => "extends",
             TokenKind::Modes => "modes",
@@ -245,6 +250,13 @@ mod tests {
     }
 
     #[test]
+    fn tokens_are_small_copies() {
+        // A name or string is a table id, so a token carries at most an
+        // 8-byte literal beside its span.
+        assert_eq!(std::mem::size_of::<Token>(), 24);
+    }
+
+    #[test]
     fn display_for_operators() {
         assert_eq!(TokenKind::TriangleLeft.to_string(), "<|");
         assert_eq!(TokenKind::Le.to_string(), "<=");
@@ -253,7 +265,8 @@ mod tests {
 
     #[test]
     fn describe_wraps_punctuation_in_backticks() {
-        assert_eq!(TokenKind::Comma.describe(), "`,`");
-        assert_eq!(TokenKind::Ident("x".into()).describe(), "identifier `x`");
+        let names = ["x".into()];
+        assert_eq!(TokenKind::Comma.describe(&names), "`,`");
+        assert_eq!(TokenKind::Ident(0).describe(&names), "identifier `x`");
     }
 }
