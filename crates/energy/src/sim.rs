@@ -234,44 +234,72 @@ impl EnergySim {
             return;
         }
         let dt = dt.min(Self::MAX_ADVANCE_S);
-        // Integrate in sub-steps so traces and thermal dynamics resolve.
+        // Integrate in sub-steps so traces and thermal dynamics resolve. A
+        // sub-step is at most 0.25 s, so its thermal update is exactly one
+        // of `ThermalModel::step`'s Euler steps. The integration state
+        // stays in locals across the loop; brownouts and sampling run out
+        // of line, only when installed, on the state stored back first.
+        let hooks = self.faults.is_some() || self.sampler.interval_s.is_some();
+        let heating = self.thermal.heating(watts);
+        let mut temp_c = self.thermal.temperature_c();
+        let mut peak_temp_c = self.peak_temp_c;
+        let mut energy_j = self.energy_j;
+        let mut time_s = self.time_s;
         let mut remaining = dt;
         while remaining > 0.0 {
             let h = remaining.min(0.25);
-            let step_start_s = self.time_s;
-            self.thermal.step(watts, h);
-            self.peak_temp_c = self.peak_temp_c.max(self.thermal.temperature_c());
-            self.energy_j += watts * h;
-            self.battery.drain(watts * h);
-            self.time_s += h;
-            if let Some(inj) = &self.faults {
-                // Brownout steps scheduled inside this sub-step drain real
-                // charge (fraction of capacity), beyond the consumed energy.
-                let drop = inj.brownout_drop(step_start_s, self.time_s);
-                if drop > 0.0 {
-                    self.battery.drain(drop * self.battery.capacity_joules());
-                }
-            }
-            if let Some(interval) = self.sampler.interval_s {
-                while self.time_s >= self.sampler.next_s {
-                    let stalled = self
-                        .faults
-                        .as_ref()
-                        .is_some_and(|inj| inj.sampler_stalled(self.sampler.next_s));
-                    if stalled {
-                        self.sampler.stalled += 1;
-                    } else {
-                        self.sampler.points.push(Sample {
-                            t_s: self.sampler.next_s,
-                            temp_c: self.thermal.temperature_c(),
-                            battery: self.battery.level(),
-                            energy_j: self.energy_j,
-                        });
-                    }
-                    self.sampler.next_s += interval;
-                }
+            let step_start_s = time_s;
+            temp_c = self.thermal.euler(temp_c, heating, h);
+            peak_temp_c = peak_temp_c.max(temp_c);
+            let joules = watts * h;
+            energy_j += joules;
+            self.battery.drain(joules);
+            time_s += h;
+            if hooks {
+                self.thermal.set_temperature_c(temp_c);
+                self.energy_j = energy_j;
+                self.time_s = time_s;
+                self.sub_step_hooks(step_start_s);
             }
             remaining -= h;
+        }
+        self.thermal.set_temperature_c(temp_c);
+        self.peak_temp_c = peak_temp_c;
+        self.energy_j = energy_j;
+        self.time_s = time_s;
+    }
+
+    /// The brownout and sampling work at the end of a sub-step that began
+    /// at `step_start_s`, for a simulator with a fault injector or the
+    /// sampler installed.
+    #[inline(never)]
+    fn sub_step_hooks(&mut self, step_start_s: f64) {
+        if let Some(inj) = &self.faults {
+            // Brownout steps scheduled inside this sub-step drain real
+            // charge (fraction of capacity), beyond the consumed energy.
+            let drop = inj.brownout_drop(step_start_s, self.time_s);
+            if drop > 0.0 {
+                self.battery.drain(drop * self.battery.capacity_joules());
+            }
+        }
+        if let Some(interval) = self.sampler.interval_s {
+            while self.time_s >= self.sampler.next_s {
+                let stalled = self
+                    .faults
+                    .as_ref()
+                    .is_some_and(|inj| inj.sampler_stalled(self.sampler.next_s));
+                if stalled {
+                    self.sampler.stalled += 1;
+                } else {
+                    self.sampler.points.push(Sample {
+                        t_s: self.sampler.next_s,
+                        temp_c: self.thermal.temperature_c(),
+                        battery: self.battery.level(),
+                        energy_j: self.energy_j,
+                    });
+                }
+                self.sampler.next_s += interval;
+            }
         }
     }
 
@@ -566,5 +594,153 @@ mod tests {
             sim.read_sensor(SensorKind::Temperature),
             SensorRead::Dropped
         );
+    }
+
+    /// The sub-step loop as it read before its state moved into locals,
+    /// `ThermalModel::step` inlined: the oracle for
+    /// `the_sub_step_loop_replays_the_reference_loop_bit_for_bit`.
+    fn reference_advance(sim: &mut EnergySim, dt: f64, watts: f64) {
+        if dt.is_nan() || dt <= 0.0 {
+            return;
+        }
+        let dt = dt.min(EnergySim::MAX_ADVANCE_S);
+        let params = sim.platform.thermal;
+        let mut remaining = dt;
+        while remaining > 0.0 {
+            let h = remaining.min(0.25);
+            let step_start_s = sim.time_s;
+            let mut temp_c = sim.thermal.temperature_c();
+            let mut thermal_left = h.max(0.0);
+            while thermal_left > 0.0 {
+                let th = thermal_left.min(0.5);
+                let d = params.heat * watts - params.cool * (temp_c - params.ambient_c);
+                temp_c += d * th;
+                thermal_left -= th;
+            }
+            sim.thermal.set_temperature_c(temp_c);
+            sim.peak_temp_c = sim.peak_temp_c.max(sim.thermal.temperature_c());
+            sim.energy_j += watts * h;
+            sim.battery.drain(watts * h);
+            sim.time_s += h;
+            if let Some(inj) = &sim.faults {
+                let drop = inj.brownout_drop(step_start_s, sim.time_s);
+                if drop > 0.0 {
+                    sim.battery.drain(drop * sim.battery.capacity_joules());
+                }
+            }
+            if let Some(interval) = sim.sampler.interval_s {
+                while sim.time_s >= sim.sampler.next_s {
+                    let stalled = sim
+                        .faults
+                        .as_ref()
+                        .is_some_and(|inj| inj.sampler_stalled(sim.sampler.next_s));
+                    if stalled {
+                        sim.sampler.stalled += 1;
+                    } else {
+                        sim.sampler.points.push(Sample {
+                            t_s: sim.sampler.next_s,
+                            temp_c: sim.thermal.temperature_c(),
+                            battery: sim.battery.level(),
+                            energy_j: sim.energy_j,
+                        });
+                    }
+                    sim.sampler.next_s += interval;
+                }
+            }
+            remaining -= h;
+        }
+    }
+
+    /// Every observable of a simulator, as bits.
+    fn state_bits(sim: &EnergySim) -> Vec<u64> {
+        let mut bits = vec![
+            sim.time_s.to_bits(),
+            sim.energy_j.to_bits(),
+            sim.battery.charge_joules().to_bits(),
+            sim.thermal.temperature_c().to_bits(),
+            sim.peak_temp_c.to_bits(),
+            sim.sampler.next_s.to_bits(),
+            sim.sampler.stalled,
+        ];
+        for p in &sim.sampler.points {
+            bits.extend([
+                p.t_s.to_bits(),
+                p.temp_c.to_bits(),
+                p.battery.to_bits(),
+                p.energy_j.to_bits(),
+            ]);
+        }
+        bits
+    }
+
+    #[test]
+    fn the_sub_step_loop_replays_the_reference_loop_bit_for_bit() {
+        use crate::fault::{FaultInjector, FaultPlan};
+        const KINDS: [WorkKind; 6] = [
+            WorkKind::Cpu,
+            WorkKind::Io,
+            WorkKind::Net,
+            WorkKind::Render,
+            WorkKind::Encode,
+            WorkKind::Crypto,
+        ];
+        let plan = FaultPlan {
+            brownouts: 6,
+            brownout_drop: 0.03,
+            stall_rate: 0.3,
+            horizon_s: 30.0,
+            ..FaultPlan::default()
+        };
+        for seed in 0..64u64 {
+            let (faults, sampling) = (seed % 2 == 1, seed / 2 % 2 == 1);
+            let platform = if seed / 4 % 2 == 0 {
+                Platform::system_a()
+            } else {
+                Platform::system_b()
+            };
+            let mut sim = EnergySim::new(platform, seed);
+            sim.set_battery_level(0.9);
+            if faults {
+                sim.set_fault_injector(Some(FaultInjector::new(plan.clone(), seed)));
+            }
+            if sampling {
+                sim.enable_sampling(0.3);
+            }
+            let mut reference = sim.clone();
+            let mut ops = StdRng::seed_from_u64(seed);
+            // Uniform in `[lo, hi)`, and an index below `n`.
+            let mut uniform = |lo: f64, hi: f64| lo + (hi - lo) * ops.gen::<f64>();
+            for _ in 0..40 {
+                match uniform(0.0, 3.0) as usize {
+                    0 => {
+                        let kind = KINDS[uniform(0.0, KINDS.len() as f64) as usize];
+                        let units = uniform(-1.0e8, 6.0e9);
+                        sim.do_work(kind, units);
+                        let dt = reference.platform.seconds_for(kind, units);
+                        let watts = reference.busy_watts;
+                        reference_advance(&mut reference, dt, watts);
+                    }
+                    1 => {
+                        let ms = uniform(-50.0, 2500.0);
+                        sim.sleep_ms(ms);
+                        let watts = reference.idle_watts;
+                        reference_advance(&mut reference, ms.max(0.0) / 1000.0, watts);
+                    }
+                    _ => {
+                        let (duration, utilization) = (uniform(0.0, 3.0), uniform(0.0, 1.0));
+                        sim.run_duty_cycle(duration, utilization);
+                        let watts = reference.platform.power_at(utilization);
+                        reference_advance(&mut reference, duration, watts);
+                    }
+                }
+                assert_eq!(state_bits(&sim), state_bits(&reference), "seed {seed}");
+            }
+            let (m, r) = (sim.finish(), reference.finish());
+            assert_eq!(
+                [m.energy_j, m.time_s, m.peak_temp_c, m.battery_level].map(f64::to_bits),
+                [r.energy_j, r.time_s, r.peak_temp_c, r.battery_level].map(f64::to_bits),
+                "seed {seed}"
+            );
+        }
     }
 }

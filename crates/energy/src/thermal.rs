@@ -50,15 +50,35 @@ impl ThermalModel {
     /// Advances the model by `dt` seconds at dissipated power `watts`,
     /// integrating in sub-steps for stability on long intervals.
     pub fn step(&mut self, watts: f64, dt: f64) {
+        let heating = self.heating(watts);
         let mut remaining = dt.max(0.0);
         // Sub-step at most 0.5 s to keep the explicit Euler update stable.
         while remaining > 0.0 {
             let h = remaining.min(0.5);
-            let d =
-                self.params.heat * watts - self.params.cool * (self.temp_c - self.params.ambient_c);
-            self.temp_c += d * h;
+            self.temp_c = self.euler(self.temp_c, heating, h);
             remaining -= h;
         }
+    }
+
+    /// The heating term `heat · watts` of the update at power `watts`.
+    #[inline]
+    pub(crate) fn heating(&self, watts: f64) -> f64 {
+        self.params.heat * watts
+    }
+
+    /// One explicit Euler step of `h` seconds from `temp_c` with heating
+    /// term `heating` ([`Self::heating`]): for `0 < h ≤ 0.5` exactly the
+    /// update [`Self::step`] makes.
+    #[inline]
+    pub(crate) fn euler(&self, temp_c: f64, heating: f64, h: f64) -> f64 {
+        temp_c + (heating - self.params.cool * (temp_c - self.params.ambient_c)) * h
+    }
+
+    /// Sets the current temperature, for callers that integrate with
+    /// [`Self::euler`].
+    #[inline]
+    pub(crate) fn set_temperature_c(&mut self, temp_c: f64) {
+        self.temp_c = temp_c;
     }
 
     /// The temperature the model converges to at constant power.

@@ -1,10 +1,10 @@
-//! Bytecode compilation: flattens lowered [`LExpr`] trees into the flat
+//! Bytecode compilation: flattens lowered [`Node`] trees into the flat
 //! register-machine code the [`crate::vm`] dispatch loop executes.
 //!
 //! The tree IR of [`crate::lower`] already resolved every name to a dense
 //! index; what remains on the tree-walker's hot path is the *shape* of the
-//! tree itself — one recursive `eval` activation, one `Box` dereference and
-//! one `Result` unwind per node. This pass linearizes each body once, on
+//! tree itself — one recursive `eval` activation, one node fetch and one
+//! `Result` unwind per node. This pass linearizes each body once, on
 //! first execution, into:
 //!
 //! * a flat `Vec<Instr>` of fixed-width instructions (a `u8` opcode plus
@@ -51,10 +51,9 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use ent_modes::ModeName;
 use ent_syntax::{BinOp, ClassName, Ident};
 
-use crate::lower::{BOp, CastCheck, LExpr, LMode, LStmt, NewPlan};
+use crate::lower::{else_branch, BOp, CastCheck, Ir, LMode, LStmt, NewPlan, Node, NodeId, Seq};
 use crate::value::Value;
 
 /// Per-program inline-cache site counters; compiled bodies allocate their
@@ -198,7 +197,8 @@ pub(crate) struct CallSite {
     pub(crate) n_args: u16,
     /// The receiver is `this` (fused; no receiver register).
     pub(crate) this_recv: bool,
-    pub(crate) mode_args: Vec<LMode>,
+    /// The program's [`Ir::modes`] run.
+    pub(crate) mode_args: Seq,
     /// Send inline-cache slot.
     pub(crate) ic: u32,
 }
@@ -235,13 +235,14 @@ pub(crate) struct ElimSite {
 /// Site data for mode-case construction.
 #[derive(Clone, Debug)]
 pub(crate) struct McaseSite {
-    pub(crate) modes: Vec<ModeName>,
+    /// The arms' modes, the program's [`Ir::arm_modes`] run.
+    pub(crate) modes: Seq,
 }
 
 /// A compiled body: the instruction stream plus its side tables. Owned by
-/// the lowered unit it was compiled from (shared program-wide through the
-/// `OnceLock` cells on [`crate::lower::LMethod`] and friends, so the batch
-/// engine's program cache amortizes compilation exactly once).
+/// the lowered body it was compiled from (shared program-wide through the
+/// `OnceLock` cell on [`crate::lower::Body`], so the batch engine's
+/// program cache amortizes compilation exactly once).
 #[derive(Debug, Default)]
 pub(crate) struct Code {
     pub(crate) instrs: Vec<Instr>,
@@ -285,18 +286,20 @@ impl Code {
     }
 }
 
-/// Compiles one lowered body (method, attributor, or field initializer)
-/// whose frame starts with `n_base` locals (the parameter count; zero for
-/// class attributors and initializers). `None` when the body does not fit
-/// the instruction format: a register, constant or site index, an
-/// argument or item count, or a gas batch beyond `u16`. Such a body runs
-/// on the tree walker instead.
-pub(crate) fn compile_body(body: &LExpr, n_base: u32, ic: &IcCounters) -> Option<Code> {
+/// Compiles one lowered body (method, attributor, or field initializer),
+/// the tree rooted at `root` in `ir`, whose frame starts with `n_base`
+/// locals (the parameter count; zero for class attributors and
+/// initializers). `None` when the body does not fit the instruction
+/// format: a register, constant or site index, an argument or item count,
+/// or a gas batch beyond `u16`. Such a body runs on the tree walker
+/// instead.
+pub(crate) fn compile_body(ir: &Ir, root: NodeId, n_base: u32, ic: &IcCounters) -> Option<Code> {
     // Pass 1 counts every table's entries and the deepest lexical `let`
     // depth, which fixes where scratch registers start; pass 2 fills the
     // tables, each allocated once at its final size.
-    let sizes = Sizes::of(body, n_base);
+    let sizes = Sizes::of(ir, root, n_base);
     let mut c = Compiler {
+        ir,
         ic,
         code: Code::with_sizes(&sizes),
         pending: 0,
@@ -306,7 +309,7 @@ pub(crate) fn compile_body(body: &LExpr, n_base: u32, ic: &IcCounters) -> Option
         overflow: false,
     };
     let dst = c.alloc_scratch();
-    c.expr(body, dst);
+    c.expr(root, dst);
     c.emit(Op::Halt, 0, dst, 0, 0);
     c.code.frame_size = c.max_reg;
     debug_assert!(
@@ -339,12 +342,12 @@ struct Sizes {
 }
 
 impl Sizes {
-    fn of(body: &LExpr, n_base: u32) -> Sizes {
+    fn of(ir: &Ir, root: NodeId, n_base: u32) -> Sizes {
         let mut sizes = Sizes {
             max_locals: n_base,
             ..Sizes::default()
         };
-        sizes.expr(body, n_base);
+        sizes.expr(ir, root, n_base);
         sizes.instrs += 1; // Halt
         sizes
     }
@@ -384,111 +387,117 @@ impl Sizes {
         counted == filled
     }
 
-    /// Counts `e` at lexical `let` depth `depth`.
-    fn expr(&mut self, e: &LExpr, depth: u32) {
-        match e {
-            LExpr::Lit(_) | LExpr::ModeConst(_) => {
+    /// Counts node `e` at lexical `let` depth `depth`.
+    fn expr(&mut self, ir: &Ir, e: NodeId, depth: u32) {
+        match ir.node(e) {
+            Node::Lit(_) | Node::ModeConst(_) => {
                 self.consts += 1;
                 self.instrs += 1;
             }
-            LExpr::This => self.instrs += 1,
-            LExpr::Var { .. } | LExpr::UnboundVar(_) => {
+            Node::This => self.instrs += 1,
+            Node::Var { .. } | Node::UnboundVar(_) => {
                 self.names += 1;
                 self.instrs += 1;
             }
-            LExpr::Field { recv, .. } => {
+            Node::Field { recv, .. } => {
                 self.fields += 1;
                 self.instrs += 1;
-                if !matches!(**recv, LExpr::This) {
-                    self.expr(recv, depth);
+                if !matches!(ir.node(recv), Node::This) {
+                    self.expr(ir, recv, depth);
                 }
             }
-            LExpr::New { ctor_args, .. } => {
+            Node::New { ctor_args, .. } => {
                 self.news += 1;
                 self.instrs += 1;
-                self.all(ctor_args, depth);
+                self.all(ir, ctor_args, depth);
             }
-            LExpr::NewUnknown { ctor_args, .. } => {
+            Node::NewUnknown { ctor_args, .. } => {
                 self.unknown_classes += 1;
                 self.instrs += 1;
-                self.all(ctor_args, depth);
+                self.all(ir, ctor_args, depth);
             }
-            LExpr::Call { recv, args, .. } => {
+            Node::Call { recv_args, .. } => {
                 self.calls += 1;
                 self.instrs += 1;
-                if !matches!(**recv, LExpr::This) {
-                    self.expr(recv, depth);
+                let (&recv, args) = ir
+                    .kids(recv_args)
+                    .split_first()
+                    .expect("a call has a receiver");
+                if !matches!(ir.node(recv), Node::This) {
+                    self.expr(ir, recv, depth);
                 }
-                self.all(args, depth);
+                for &a in args {
+                    self.expr(ir, a, depth);
+                }
             }
-            LExpr::Builtin { args, .. } => {
+            Node::Builtin { args, .. } => {
                 self.builtins += 1;
                 self.instrs += 1;
-                for (i, a) in args.iter().enumerate() {
-                    self.expr(a, depth);
-                    if i + 1 < args.len() && maybe_mcase(a) {
+                let args = ir.kids(args);
+                for (i, &a) in args.iter().enumerate() {
+                    self.expr(ir, a, depth);
+                    if i + 1 < args.len() && maybe_mcase(ir, a) {
                         self.instrs += 1; // Force
                     }
                 }
             }
-            LExpr::Cast { expr, .. } => {
+            Node::Cast { expr, .. } => {
                 self.casts += 1;
                 self.instrs += 1;
-                self.expr(expr, depth);
+                self.expr(ir, expr, depth);
             }
-            LExpr::Snapshot { expr, .. } => {
+            Node::Snapshot { expr, .. } => {
                 self.snaps += 1;
                 self.instrs += 1;
-                self.expr(expr, depth);
+                self.expr(ir, expr, depth);
             }
-            LExpr::Elim { expr, .. } => {
+            Node::Elim { expr, .. } => {
                 self.elims += 1;
                 self.instrs += 1;
-                self.expr(expr, depth);
+                self.expr(ir, expr, depth);
             }
-            LExpr::Unary { expr, .. } => {
+            Node::Unary { expr, .. } => {
                 self.instrs += 1;
-                self.expr(expr, depth);
+                self.expr(ir, expr, depth);
             }
-            LExpr::MCase(arms) => {
+            Node::MCase { arms, .. } => {
                 self.mcases += 1;
                 self.instrs += 1;
-                for (_, a) in arms {
-                    self.expr(a, depth);
-                }
+                self.all(ir, arms, depth);
             }
-            LExpr::Binary { op, lhs, rhs } => self.binary(*op, lhs, rhs, depth),
-            LExpr::If { cond, then, els } => {
-                match &**cond {
-                    LExpr::Binary { op, lhs, rhs } if is_cmp(*op) => {
-                        self.binary(*op, lhs, rhs, depth)
+            Node::Binary { op, lhs, rhs } => self.binary(ir, op, lhs, rhs, depth),
+            Node::If { cond, then, els } => {
+                match ir.node(cond) {
+                    Node::Binary { op, lhs, rhs } if is_cmp(op) => {
+                        self.binary(ir, op, lhs, rhs, depth)
                     }
-                    cond => {
-                        self.expr(cond, depth);
+                    _ => {
+                        self.expr(ir, cond, depth);
                         self.instrs += 1; // JmpIfFalse
                     }
                 }
-                self.expr(then, depth);
+                self.expr(ir, then, depth);
                 self.instrs += 1; // Jmp
-                match els {
-                    Some(els) => self.expr(els, depth),
+                match else_branch(els) {
+                    Some(els) => self.expr(ir, els, depth),
                     None => self.instrs += 1, // Unit
                 }
             }
-            LExpr::Block(stmts) => {
+            Node::Block(stmts) => {
                 // Mirrors lowering: each `let` claims the next slot for the
                 // rest of the block; sibling blocks reuse the same depths.
+                let stmts = ir.stmts(stmts);
                 let mut d = depth;
-                for stmt in stmts {
+                for &stmt in stmts {
                     match stmt {
                         LStmt::Let(v) => {
-                            self.expr(v, d);
+                            self.expr(ir, v, d);
                             d += 1;
                             self.max_locals = self.max_locals.max(d);
                         }
-                        LStmt::Expr(e) => self.expr(e, d),
+                        LStmt::Expr(e) => self.expr(ir, e, d),
                         LStmt::Return(e) => {
-                            self.expr(e, d);
+                            self.expr(ir, e, d);
                             self.instrs += 1; // Ret
                         }
                     }
@@ -497,63 +506,64 @@ impl Sizes {
                     self.instrs += 1; // Unit
                 }
             }
-            LExpr::Try { body, handler } => {
+            Node::Try { body, handler } => {
                 self.instrs += 3; // TryPush, TryPop, Jmp
-                self.expr(body, depth);
-                self.expr(handler, depth);
+                self.expr(ir, body, depth);
+                self.expr(ir, handler, depth);
             }
-            LExpr::ArrayLit(items) => {
+            Node::ArrayLit(items) => {
                 self.instrs += 1;
-                self.all(items, depth);
+                self.all(ir, items, depth);
             }
         }
     }
 
-    fn all(&mut self, es: &[LExpr], depth: u32) {
-        for e in es {
-            self.expr(e, depth);
+    fn all(&mut self, ir: &Ir, es: Seq, depth: u32) {
+        for &e in ir.kids(es) {
+            self.expr(ir, e, depth);
         }
     }
 
     /// Counts a binary operator as [`Compiler::binary`] compiles it, its
     /// branch form included.
-    fn binary(&mut self, op: BinOp, lhs: &LExpr, rhs: &LExpr, depth: u32) {
+    fn binary(&mut self, ir: &Ir, op: BinOp, lhs: NodeId, rhs: NodeId, depth: u32) {
         if matches!(op, BinOp::And | BinOp::Or) {
             self.instrs += 2; // ScJump, ScForce
-            self.expr(lhs, depth);
-            self.expr(rhs, depth);
+            self.expr(ir, lhs, depth);
+            self.expr(ir, rhs, depth);
             return;
         }
-        let lhs_fusable = fusable(lhs);
-        if fusable(rhs) && (lhs_fusable || !matches!(lhs, LExpr::Binary { .. })) {
+        let lhs_fusable = fusable(ir, lhs);
+        if fusable(ir, rhs) && (lhs_fusable || !matches!(ir.node(lhs), Node::Binary { .. })) {
             self.fused += 1;
             self.instrs += 1; // BinF or JmpBinF
             if lhs_fusable {
-                self.operand(lhs);
+                self.operand(ir, lhs);
             } else {
-                self.expr(lhs, depth);
+                self.expr(ir, lhs, depth);
             }
-            self.operand(rhs);
+            self.operand(ir, rhs);
             return;
         }
         self.instrs += 1; // Bin or JmpBin
-        self.expr(lhs, depth);
-        if maybe_mcase(lhs) {
+        self.expr(ir, lhs, depth);
+        if maybe_mcase(ir, lhs) {
             self.instrs += 1; // Force
         }
-        self.expr(rhs, depth);
+        self.expr(ir, rhs, depth);
     }
 
     /// Counts a fused operand: a name or a constant, no op.
-    fn operand(&mut self, e: &LExpr) {
-        match e {
-            LExpr::Var { .. } => self.names += 1,
+    fn operand(&mut self, ir: &Ir, e: NodeId) {
+        match ir.node(e) {
+            Node::Var { .. } => self.names += 1,
             _ => self.consts += 1,
         }
     }
 }
 
 struct Compiler<'a> {
+    ir: &'a Ir,
     ic: &'a IcCounters,
     code: Code,
     /// Node-entry gas charges accumulated since the last emission; the
@@ -609,23 +619,25 @@ fn is_cmp(op: BinOp) -> bool {
 /// Whether an expression's value can be a mode case, used to place the
 /// implicit-projection forces the tree-walker applies to binop operands
 /// and builtin arguments. Conservative: unknown shapes answer `true`.
-fn maybe_mcase(e: &LExpr) -> bool {
-    match e {
-        LExpr::Lit(_)
-        | LExpr::ModeConst(_)
-        | LExpr::This
-        | LExpr::New { .. }
-        | LExpr::NewUnknown { .. }
-        | LExpr::Snapshot { .. }
-        | LExpr::Binary { .. }
-        | LExpr::Unary { .. }
-        | LExpr::ArrayLit(_)
-        | LExpr::UnboundVar(_) => false,
-        LExpr::Cast { expr, .. } => maybe_mcase(expr),
-        LExpr::If { then, els, .. } => maybe_mcase(then) || els.as_deref().is_some_and(maybe_mcase),
-        LExpr::Try { body, handler } => maybe_mcase(body) || maybe_mcase(handler),
-        LExpr::Block(stmts) => match stmts.last() {
-            Some(LStmt::Expr(e)) => maybe_mcase(e),
+fn maybe_mcase(ir: &Ir, e: NodeId) -> bool {
+    match ir.node(e) {
+        Node::Lit(_)
+        | Node::ModeConst(_)
+        | Node::This
+        | Node::New { .. }
+        | Node::NewUnknown { .. }
+        | Node::Snapshot { .. }
+        | Node::Binary { .. }
+        | Node::Unary { .. }
+        | Node::ArrayLit(_)
+        | Node::UnboundVar(_) => false,
+        Node::Cast { expr, .. } => maybe_mcase(ir, expr),
+        Node::If { then, els, .. } => {
+            maybe_mcase(ir, then) || else_branch(els).is_some_and(|els| maybe_mcase(ir, els))
+        }
+        Node::Try { body, handler } => maybe_mcase(ir, body) || maybe_mcase(ir, handler),
+        Node::Block(stmts) => match ir.stmts(stmts).last() {
+            Some(&LStmt::Expr(e)) => maybe_mcase(ir, e),
             _ => false,
         },
         // Var, Field, Call, Builtin (Arr.get of mode cases), Elim (nested
@@ -636,8 +648,8 @@ fn maybe_mcase(e: &LExpr) -> bool {
 
 /// Whether an expression is a fusable binop operand (a leaf that costs
 /// exactly one gas charge and cannot have side effects).
-fn fusable(e: &LExpr) -> bool {
-    matches!(e, LExpr::Var { .. } | LExpr::Lit(_))
+fn fusable(ir: &Ir, e: NodeId) -> bool {
+    matches!(ir.node(e), Node::Var { .. } | Node::Lit(_))
 }
 
 impl Compiler<'_> {
@@ -681,66 +693,65 @@ impl Compiler<'_> {
         self.code.instrs[at].d = self.code.instrs.len() as u32;
     }
 
-    fn const_idx(&mut self, v: Value) -> u16 {
+    /// Pools the literal `lit` (an [`Ir::lits`] index).
+    fn const_idx(&mut self, lit: u32) -> u16 {
         let i = self.code.consts.len();
-        self.code.consts.push(v);
+        self.code.consts.push(self.ir.lits[lit as usize].clone());
         self.narrow(i)
     }
 
-    fn name_idx(&mut self, n: &Ident) -> u32 {
+    /// Pools the name `name` (an [`Ir::names`] index).
+    fn name_idx(&mut self, name: u32) -> u32 {
         let i = self.code.names.len();
-        self.code.names.push(n.clone());
+        self.code.names.push(self.ir.names[name as usize].clone());
         i as u32
     }
 
     /// Builds the operand descriptor for a fusable leaf, accounting its
     /// one gas charge to the caller's chosen position.
-    fn make_opnd(&mut self, e: &LExpr) -> Opnd {
-        match e {
-            LExpr::Var { slot, name } => Opnd::Slot {
-                slot: self.reg(*slot),
+    fn make_opnd(&mut self, e: NodeId) -> Opnd {
+        match self.ir.node(e) {
+            Node::Var { slot, name } => Opnd::Slot {
+                slot: self.reg(slot),
                 name: self.name_idx(name),
             },
-            LExpr::Lit(v) => Opnd::Cst(self.const_idx(v.clone())),
+            Node::Lit(v) => Opnd::Cst(self.const_idx(v)),
             _ => unreachable!("fusable() guards operand shapes"),
         }
     }
 
-    /// Compiles `e`, leaving its value in register `dst`. `dst` is written
-    /// only as the final action on every path, so it may alias a live
-    /// `let` slot.
-    fn expr(&mut self, e: &LExpr, dst: u16) {
+    /// Compiles node `e`, leaving its value in register `dst`. `dst` is
+    /// written only as the final action on every path, so it may alias a
+    /// live `let` slot.
+    fn expr(&mut self, e: NodeId, dst: u16) {
         // The tree-walker charges one gas at every node entry; the first
         // instruction this subtree emits carries it.
         self.pending += 1;
-        match e {
-            LExpr::Lit(v) => {
-                let k = self.const_idx(v.clone());
+        let ir = self.ir;
+        match ir.node(e) {
+            Node::Lit(v) | Node::ModeConst(v) => {
+                let k = self.const_idx(v);
                 self.emit(Op::Const, dst, 0, 0, u32::from(k));
             }
-            LExpr::ModeConst(m) => {
-                let k = self.const_idx(Value::Mode(m.clone()));
-                self.emit(Op::Const, dst, 0, 0, u32::from(k));
-            }
-            LExpr::This => {
+            Node::This => {
                 self.emit(Op::This, dst, 0, 0, 0);
             }
-            LExpr::Var { slot, name } => {
+            Node::Var { slot, name } => {
                 let n = self.name_idx(name);
-                let slot = self.reg(*slot);
+                let slot = self.reg(slot);
                 self.emit(Op::Local, dst, slot, 0, n);
             }
-            LExpr::UnboundVar(name) => {
+            Node::UnboundVar(name) => {
                 let n = self.name_idx(name);
                 self.emit(Op::Unbound, 0, 0, 0, n);
             }
-            LExpr::Field { recv, field, name } => {
+            Node::Field { recv, field, name } => {
                 let site = self.code.fields.len() as u32;
                 self.code.fields.push(FieldSite {
-                    field: *field,
-                    name: name.clone(),
+                    field,
+                    name: ir.names[name as usize].clone(),
                 });
-                if matches!(**recv, LExpr::This) {
+                if matches!(ir.node(recv), Node::This) {
                     self.pending += 1; // the fused `this` node
                     self.emit(Op::FieldThis, dst, 0, 0, site);
                 } else {
@@ -751,50 +762,41 @@ impl Compiler<'_> {
                     self.scratch = mark;
                 }
             }
-            LExpr::New {
-                class,
-                plan,
-                ctor_args,
-            } => {
+            Node::New { new, ctor_args } => {
                 let mark = self.scratch;
-                let base = self.scratch;
-                for _ in ctor_args {
-                    self.alloc_scratch();
-                }
-                for (i, a) in ctor_args.iter().enumerate() {
-                    let r = self.reg(base + i as u32);
-                    self.expr(a, r);
-                }
+                let base = self.args_into_scratch(ctor_args);
                 let site = self.code.news.len() as u32;
                 let n_args = self.narrow(ctor_args.len());
+                let new = ir.news[new as usize];
                 self.code.news.push(NewSite {
-                    class: *class,
-                    plan: plan.clone(),
+                    class: new.class,
+                    plan: new.plan,
                     n_args,
                 });
                 let base = self.reg(base);
                 self.emit(Op::NewObj, dst, base, 0, site);
                 self.scratch = mark;
             }
-            LExpr::NewUnknown { class, ctor_args } => {
+            Node::NewUnknown { class, ctor_args } => {
                 let mark = self.scratch;
-                for a in ctor_args {
+                for &a in ir.kids(ctor_args) {
                     let r = self.alloc_scratch();
                     self.expr(a, r);
                 }
                 let site = self.code.unknown_classes.len() as u32;
-                self.code.unknown_classes.push(class.clone());
+                self.code
+                    .unknown_classes
+                    .push(ir.unknown_classes[class as usize].clone());
                 self.emit(Op::NewUnknown, 0, 0, 0, site);
                 self.scratch = mark;
             }
-            LExpr::Call {
-                recv,
-                method,
-                mode_args,
-                args,
-            } => {
+            Node::Call { send, recv_args } => {
                 let mark = self.scratch;
-                let this_recv = matches!(**recv, LExpr::This);
+                let (&recv, args) = ir
+                    .kids(recv_args)
+                    .split_first()
+                    .expect("a call has a receiver");
+                let this_recv = matches!(ir.node(recv), Node::This);
                 let base = self.scratch;
                 let n_regs = args.len() as u32 + u32::from(!this_recv);
                 for _ in 0..n_regs {
@@ -808,35 +810,40 @@ impl Compiler<'_> {
                     self.expr(recv, r);
                     base + 1
                 };
-                for (i, a) in args.iter().enumerate() {
+                for (i, &a) in args.iter().enumerate() {
                     let r = self.reg(arg_base + i as u32);
                     self.expr(a, r);
                 }
                 let site = self.code.calls.len() as u32;
                 let n_args = self.narrow(args.len());
+                let send = ir.sends[send as usize];
                 self.code.calls.push(CallSite {
-                    method: *method,
+                    method: send.method,
                     n_args,
                     this_recv,
-                    mode_args: mode_args.clone(),
+                    mode_args: send.mode_args,
                     ic: self.ic.send.fetch_add(1, Ordering::Relaxed),
                 });
                 let base = self.reg(base);
                 self.emit(Op::CallM, dst, base, 0, site);
                 self.scratch = mark;
             }
-            LExpr::Builtin { op, ns, name, args } => {
+            Node::Builtin { op, name, args } => {
                 let mark = self.scratch;
                 let base = self.scratch;
+                let args = ir.kids(args);
                 for _ in args {
                     self.alloc_scratch();
                 }
+                if matches!(op, BOp::SimWorkKind(_)) {
+                    self.pending += 1; // the resolved kind literal
+                }
                 let n = args.len();
                 let mut force_last = false;
-                for (i, a) in args.iter().enumerate() {
+                for (i, &a) in args.iter().enumerate() {
                     let r = self.reg(base + i as u32);
                     self.expr(a, r);
-                    if maybe_mcase(a) {
+                    if maybe_mcase(ir, a) {
                         if i + 1 == n {
                             // Nothing observable sits between the last
                             // argument's force and the builtin itself.
@@ -848,8 +855,9 @@ impl Compiler<'_> {
                 }
                 let site = self.code.builtins.len() as u32;
                 let n_args = self.narrow(n);
+                let (ns, name) = ir.builtin_name(name);
                 self.code.builtins.push(BuiltinSite {
-                    op: *op,
+                    op,
                     ns: ns.clone(),
                     name: name.clone(),
                     n_args,
@@ -859,53 +867,47 @@ impl Compiler<'_> {
                 self.emit(Op::CallB, dst, base, 0, site);
                 self.scratch = mark;
             }
-            LExpr::Cast { check, expr } => {
+            Node::Cast { check, expr } => {
                 self.expr(expr, dst);
                 let site = self.code.casts.len() as u32;
-                self.code.casts.push(check.clone());
+                self.code.casts.push(check);
                 self.emit(Op::CastV, dst, dst, 0, site);
             }
-            LExpr::Snapshot { expr, lo, hi } => {
+            Node::Snapshot { expr, bounds } => {
                 self.expr(expr, dst);
                 let site = self.code.snaps.len() as u32;
+                let b = bounds as usize;
                 self.code.snaps.push(SnapSite {
-                    lo: *lo,
-                    hi: *hi,
+                    lo: ir.modes[b],
+                    hi: ir.modes[b + 1],
                     ic: self.ic.snap.fetch_add(1, Ordering::Relaxed),
                 });
                 self.emit(Op::Snap, dst, dst, 0, site);
             }
-            LExpr::MCase(arms) => {
+            Node::MCase { arms, modes } => {
                 let mark = self.scratch;
-                let base = self.scratch;
-                for _ in arms {
-                    self.alloc_scratch();
-                }
-                for (i, (_, a)) in arms.iter().enumerate() {
-                    let r = self.reg(base + i as u32);
-                    self.expr(a, r);
-                }
+                let base = self.args_into_scratch(arms);
                 let site = self.code.mcases.len() as u32;
                 self.code.mcases.push(McaseSite {
-                    modes: arms.iter().map(|(m, _)| m.clone()).collect(),
+                    modes: Seq::new(modes, arms.len()),
                 });
                 let base = self.reg(base);
                 self.emit(Op::MakeMCase, dst, base, 0, site);
                 self.scratch = mark;
             }
-            LExpr::Elim { expr, mode } => {
+            Node::Elim { expr, mode } => {
                 self.expr(expr, dst);
                 let site = self.code.elims.len() as u32;
                 self.code.elims.push(ElimSite {
-                    mode: *mode,
+                    mode: mode.map(|m| ir.modes[m as usize]),
                     ic: self.ic.arm.fetch_add(1, Ordering::Relaxed),
                 });
                 self.emit(Op::ElimV, dst, dst, 0, site);
             }
-            LExpr::Binary { op, lhs, rhs } => {
-                self.binary(*op, lhs, rhs, dst, None);
+            Node::Binary { op, lhs, rhs } => {
+                self.binary(op, lhs, rhs, dst, None);
             }
-            LExpr::Unary { op, expr } => {
+            Node::Unary { op, expr } => {
                 self.expr(expr, dst);
                 let c = match op {
                     ent_syntax::UnOp::Not => 0,
@@ -913,12 +915,12 @@ impl Compiler<'_> {
                 };
                 self.emit(Op::Un, dst, dst, c, 0);
             }
-            LExpr::If { cond, then, els } => {
+            Node::If { cond, then, els } => {
                 let to_else = self.cond_jump(cond);
                 self.expr(then, dst);
                 let to_end = self.emit(Op::Jmp, 0, 0, 0, 0);
                 self.patch(to_else);
-                match els {
+                match else_branch(els) {
                     Some(els) => self.expr(els, dst),
                     None => {
                         self.emit(Op::Unit, dst, 0, 0, 0);
@@ -926,11 +928,12 @@ impl Compiler<'_> {
                 }
                 self.patch(to_end);
             }
-            LExpr::Block(stmts) => {
+            Node::Block(stmts) => {
                 let depth_mark = self.let_depth;
+                let stmts = ir.stmts(stmts);
                 let last_is_expr = matches!(stmts.last(), Some(LStmt::Expr(_)));
                 let n = stmts.len();
-                for (i, stmt) in stmts.iter().enumerate() {
+                for (i, &stmt) in stmts.iter().enumerate() {
                     match stmt {
                         LStmt::Let(v) => {
                             let slot = self.reg(self.let_depth);
@@ -961,7 +964,7 @@ impl Compiler<'_> {
                 }
                 self.let_depth = depth_mark;
             }
-            LExpr::Try { body, handler } => {
+            Node::Try { body, handler } => {
                 let push_at = self.emit(Op::TryPush, 0, 0, 0, 0);
                 self.expr(body, dst);
                 self.emit(Op::TryPop, 0, 0, 0, 0);
@@ -970,22 +973,29 @@ impl Compiler<'_> {
                 self.expr(handler, dst);
                 self.patch(to_end);
             }
-            LExpr::ArrayLit(items) => {
+            Node::ArrayLit(items) => {
                 let mark = self.scratch;
-                let base = self.scratch;
-                for _ in items {
-                    self.alloc_scratch();
-                }
-                for (i, item) in items.iter().enumerate() {
-                    let r = self.reg(base + i as u32);
-                    self.expr(item, r);
-                }
+                let base = self.args_into_scratch(items);
                 let base = self.reg(base);
                 let n = self.narrow(items.len());
                 self.emit(Op::ArrLit, dst, base, n, 0);
                 self.scratch = mark;
             }
         }
+    }
+
+    /// Claims one scratch register per item of `items`, then compiles each
+    /// item into its register, in order; returns the first register.
+    fn args_into_scratch(&mut self, items: Seq) -> u32 {
+        let base = self.scratch;
+        for _ in 0..items.len() {
+            self.alloc_scratch();
+        }
+        for (i, &a) in self.ir.kids(items).iter().enumerate() {
+            let r = self.reg(base + i as u32);
+            self.expr(a, r);
+        }
+        base
     }
 
     /// Compiles a binary operator. With `branch_false: Some(..)` the op is
@@ -996,8 +1006,8 @@ impl Compiler<'_> {
     fn binary(
         &mut self,
         op: BinOp,
-        lhs: &LExpr,
-        rhs: &LExpr,
+        lhs: NodeId,
+        rhs: NodeId,
         dst: u16,
         branch_false: Option<()>,
     ) -> usize {
@@ -1011,12 +1021,13 @@ impl Compiler<'_> {
             return sc;
         }
 
-        let lhs_fusable = fusable(lhs);
-        let rhs_fusable = fusable(rhs);
+        let ir = self.ir;
+        let lhs_fusable = fusable(ir, lhs);
+        let rhs_fusable = fusable(ir, rhs);
         // Fused operands evaluate *inside* the instruction; the lhs must
         // never execute after the rhs, so a fused lhs pairs only with a
         // fused rhs.
-        if rhs_fusable && (lhs_fusable || !matches!(lhs, LExpr::Binary { .. })) {
+        if rhs_fusable && (lhs_fusable || !matches!(ir.node(lhs), Node::Binary { .. })) {
             let (l, rgas) = if lhs_fusable {
                 self.pending += 1; // the fused lhs leaf's gas, charged up front
                 (self.make_opnd(lhs), 1)
@@ -1052,7 +1063,7 @@ impl Compiler<'_> {
         let rl = self.alloc_scratch();
         let rr = self.alloc_scratch();
         self.expr(lhs, rl);
-        if maybe_mcase(lhs) {
+        if maybe_mcase(ir, lhs) {
             self.emit(Op::Force, 0, rl, 0, 0);
         }
         self.expr(rhs, rr);
@@ -1066,11 +1077,11 @@ impl Compiler<'_> {
     /// Compiles an `if` condition, returning the branch instruction to
     /// patch to the else target. Comparisons fuse into the branch; other
     /// shapes materialize and test.
-    fn cond_jump(&mut self, cond: &LExpr) -> usize {
-        if let LExpr::Binary { op, lhs, rhs } = cond {
-            if is_cmp(*op) {
+    fn cond_jump(&mut self, cond: NodeId) -> usize {
+        if let Node::Binary { op, lhs, rhs } = self.ir.node(cond) {
+            if is_cmp(op) {
                 self.pending += 1; // the condition binop's node gas
-                return self.binary(*op, lhs, rhs, 0, Some(()));
+                return self.binary(op, lhs, rhs, 0, Some(()));
             }
         }
         let mark = self.scratch;

@@ -171,7 +171,7 @@ impl<'p> Interp<'p> {
     }
 
     /// Resolves a `new` site's lowered plan to the allocation's mode tag
-    /// and mode environment — shared by `LExpr::New` and `Op::NewObj`.
+    /// and mode environment — shared by `Node::New` and `Op::NewObj`.
     pub(super) fn resolve_new(
         &self,
         frame: &Frame,
@@ -179,19 +179,20 @@ impl<'p> Interp<'p> {
         plan: &NewPlan,
     ) -> Result<(RtTag, Vec<GMode>), Flow> {
         use crate::lower::DefaultNew;
-        let layout = &self.prog.classes[class as usize];
+        let prog = self.prog;
+        let layout = &prog.classes[class as usize];
         let n = layout.n_mode_params as usize;
-        Ok(match plan {
+        Ok(match *plan {
             NewPlan::Dynamic { rest } => {
                 let mut env = vec![GMode::Missing; n];
-                for (i, m) in rest.iter().enumerate() {
+                for (i, m) in prog.ir.modes(rest).iter().enumerate() {
                     env[1 + i] = self.resolve_mode(frame, m)?;
                 }
                 (RtTag::Dynamic, env)
             }
             NewPlan::Static { flat } => {
                 let mut resolved = Vec::with_capacity(flat.len());
-                for m in flat {
+                for m in prog.ir.modes(flat) {
                     resolved.push(self.resolve_mode(frame, m)?);
                 }
                 let mode = resolved.first().copied().unwrap_or(GMode::Bot);
@@ -204,6 +205,7 @@ impl<'p> Interp<'p> {
             NewPlan::Default => match &layout.default_new {
                 DefaultNew::Dynamic => (RtTag::Dynamic, vec![GMode::Missing; n]),
                 DefaultNew::Fixed { env } => {
+                    let env = &prog.default_envs[env.range()];
                     let mode = env.first().copied().unwrap_or(GMode::Bot);
                     (RtTag::Ground(mode), env.to_vec())
                 }
@@ -211,7 +213,7 @@ impl<'p> Interp<'p> {
         })
     }
 
-    /// Validates an object downcast — shared by `LExpr::Cast` and
+    /// Validates an object downcast — shared by `Node::Cast` and
     /// `Op::CastV`. Non-object values and upcasts pass unchecked.
     pub(super) fn check_cast(&self, v: &Value, check: &Option<CastCheck>) -> Result<(), Flow> {
         let (Value::Obj(r), Some(check)) = (v, check) else {
@@ -220,26 +222,27 @@ impl<'p> Interp<'p> {
         let prog = self.prog;
         let actual = self.heap[*r].class;
         let actual_name = &prog.classes[actual as usize].name;
-        match check {
+        match *check {
             CastCheck::Class(cid) => {
-                if !prog.is_subclass_id(actual, *cid) {
+                if !prog.is_subclass_id(actual, cid) {
                     return Err(RtError::BadCast(format!(
                         "object of class `{actual_name}` is not a `{}`",
-                        prog.classes[*cid as usize].name
+                        prog.classes[cid as usize].name
                     ))
                     .into());
                 }
                 Ok(())
             }
             CastCheck::Unknown(class) => Err(RtError::BadCast(format!(
-                "object of class `{actual_name}` is not a `{class}`"
+                "object of class `{actual_name}` is not a `{}`",
+                prog.ir.unknown_classes[class as usize]
             ))
             .into()),
         }
     }
 
     /// Applies a unary operator to a forced operand — shared by
-    /// `LExpr::Unary` and `Op::Un`.
+    /// `Node::Unary` and `Op::Un`.
     pub(super) fn apply_unop(op: UnOp, v: Value) -> EvalResult {
         match (op, v) {
             (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
@@ -255,7 +258,7 @@ impl<'p> Interp<'p> {
     /// register file — the half of a send that executes *after* the
     /// enforcement prologue ([`Interp::invoke_prologue`]).
     pub(super) fn invoke_body(&mut self, m: &'p LMethod, mut frame: Frame) -> EvalResult {
-        let out = match self.run_body(&mut frame, &m.body, &m.body_code, m.n_params) {
+        let out = match self.run_body(&mut frame, &self.prog.bodies[m.body as usize]) {
             Ok(v) => Ok(v),
             Err(Flow::Return(v)) => Ok(v),
             Err(e) => Err(e),

@@ -61,8 +61,8 @@ use crate::compile::BuiltinSite;
 use crate::error::{Flow, RtError};
 use crate::events::{EnergyEvent, EventPayload, EventRing, FaultServe};
 use crate::lower::{
-    lower_program, BOp, BodyCell, EnvSrc, GMode, LExpr, LMethod, LMode, LOverride, LStmt,
-    LoweredProgram, MDefault, MethodEntry,
+    else_branch, lower_program, BOp, Body, EnvSrc, GMode, LMethod, LMode, LOverride, LStmt,
+    LoweredProgram, MDefault, MethodEntry, Node, NodeId,
 };
 use crate::profile::{
     AnyProfiler, Profile, ProfileMode, ProfileReport, SampledProfile, StackShadow,
@@ -78,7 +78,7 @@ use crate::value::{discard, put, ObjRef, Value};
 /// harness pin under both settings.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// The recursive tree-walking evaluator over the lowered `LExpr` IR.
+    /// The recursive tree-walking evaluator over the lowered node IR.
     Tree,
     /// The flat register-bytecode VM: bodies are compiled lazily (once per
     /// program, cached on the lowered program so batch runs share them)
@@ -912,26 +912,19 @@ impl<'p> Interp<'p> {
     }
 
     /// Executes one lowered body on the configured engine. The bytecode
-    /// engine lazily compiles into `cell` (shared program-wide, so batch
-    /// runs compile once) and resizes the frame's register file; `n_base`
-    /// is the body's parameter count (its fixed leading locals). Once the
-    /// body is hot (per [`RuntimeConfig::tier_up`]) in a guarded run it
-    /// also compiles the bytecode to the threaded tier — cached
-    /// program-wide as well — and enters that instead.
-    fn run_body(
-        &mut self,
-        frame: &mut Frame,
-        body: &'p LExpr,
-        cell: &'p BodyCell,
-        n_base: u32,
-    ) -> EvalResult {
+    /// engine lazily compiles it (once per program, so batch runs compile
+    /// once) and resizes the frame's register file. Once the body is hot
+    /// (per [`RuntimeConfig::tier_up`]) in a guarded run it also compiles
+    /// the bytecode to the threaded tier — cached program-wide as well —
+    /// and enters that instead.
+    fn run_body(&mut self, frame: &mut Frame, body: &'p Body) -> EvalResult {
         if self.config.engine == Engine::Tree {
-            return self.eval(frame, body);
+            return self.eval(frame, body.root);
         }
         // The engines are observationally identical, so a body too large
         // for the bytecode format runs on the tree walker unnoticed.
-        let Some(code) = cell.code_or_compile(body, n_base, &self.prog.ic) else {
-            return self.eval(frame, body);
+        let Some(code) = body.code_or_compile(&self.prog.ir, &self.prog.ic) else {
+            return self.eval(frame, body.root);
         };
         frame.locals.resize(code.frame_size as usize, Value::Unit);
         // The threaded tier compiles the guarded strategy only, so a
@@ -944,13 +937,13 @@ impl<'p> Interp<'p> {
                 // and drives a perf-only choice, so the benign count race
                 // needs no stronger ordering. A promoted body skips it, so
                 // hot bodies do no shared read-modify-write.
-                TierUp::After(n) => cell.threaded.get().is_some() || cell.hot_hit() >= n,
+                TierUp::After(n) => body.threaded.get().is_some() || body.hot_hit() >= n,
             };
         if !hot {
             return self.exec(frame, code);
         }
         let mut fresh = false;
-        let tcode = cell.threaded.get_or_init(|| {
+        let tcode = body.threaded.get_or_init(|| {
             fresh = true;
             threaded::compile_threaded(code)
         });
@@ -1172,7 +1165,11 @@ impl<'p> Interp<'p> {
         }
         for job in &layout.ctor.inits {
             let mut env = self.grab_env();
-            apply_env_into(&self.heap[obj_ref].mode_env, &job.env_map, &mut env);
+            apply_env_into(
+                &self.heap[obj_ref].mode_env,
+                &prog.env_srcs[job.env_map.range()],
+                &mut env,
+            );
             let mode = match self.heap[obj_ref].mode {
                 RtTag::Ground(m) => m,
                 RtTag::Dynamic => GMode::Top,
@@ -1185,7 +1182,7 @@ impl<'p> Interp<'p> {
                 unbound_lo: u32::MAX,
                 n_params: 0,
             };
-            let v = self.run_body(&mut frame, &job.body, &job.code, 0)?;
+            let v = self.run_body(&mut frame, &prog.bodies[job.body as usize])?;
             self.recycle_locals(frame.locals);
             self.recycle_env(frame.env);
             self.heap[obj_ref].fields[job.slot as usize] = v;
@@ -1297,10 +1294,10 @@ impl<'p> Interp<'p> {
         let prog = self.prog;
         let class = self.heap[recv].class;
         let layout = &prog.classes[class as usize];
-        // Method ids interned after this class's vtable was sized are names
-        // no class declares: `get` correctly reports them absent.
+        // Method ids past the declared names are names no class declares:
+        // the lookup correctly reports them absent.
         let lookup = || -> Result<&'p MethodEntry, Flow> {
-            match layout.vtable.get(method as usize).and_then(|e| e.as_ref()) {
+            match prog.method_entry(class, method) {
                 Some(e) => Ok(e),
                 None => Err(RtError::Native(format!(
                     "class `{}` has no method `{}`",
@@ -1330,9 +1327,13 @@ impl<'p> Interp<'p> {
             }
             None => lookup()?,
         };
-        let m: &'p LMethod = &entry.method;
+        let m: &'p LMethod = &prog.methods[entry.method as usize];
         let mut env = self.grab_env();
-        apply_env_into(&self.heap[recv].mode_env, &entry.env_map, &mut env);
+        apply_env_into(
+            &self.heap[recv].mode_env,
+            &prog.env_srcs[entry.env_map.range()],
+            &mut env,
+        );
         let n0 = env.len();
 
         // Bind generic method-mode parameters: explicit arguments first,
@@ -1355,7 +1356,7 @@ impl<'p> Interp<'p> {
 
         // Receiver-side mode for dfall: the object's tag, overridden by a
         // method-level mode or attributor.
-        let receiver_mode = if let Some(attr_body) = &m.attributor {
+        let receiver_mode = if let Some(attr_body) = m.attributor {
             // Method-level attributor: evaluate it now to characterize
             // this invocation.
             let mut aframe = Frame {
@@ -1373,7 +1374,7 @@ impl<'p> Interp<'p> {
             let outer_degraded = self.degraded;
             self.degraded = false;
             let attributed =
-                self.eval_attributor_body(&mut aframe, attr_body, &m.attr_code, m.n_params)?;
+                self.eval_attributor_body(&mut aframe, &prog.bodies[attr_body as usize])?;
             // Reclaim the frame pieces: the tree engine's block scoping
             // leaves exactly the parameters; the bytecode engine may have
             // grown the register file, truncated back here.
@@ -1427,14 +1428,8 @@ impl<'p> Interp<'p> {
     }
 
     /// Evaluates an attributor body to a mode constant.
-    fn eval_attributor_body(
-        &mut self,
-        frame: &mut Frame,
-        body: &'p LExpr,
-        cell: &'p BodyCell,
-        n_base: u32,
-    ) -> Result<GMode, Flow> {
-        let v = match self.run_body(frame, body, cell, n_base) {
+    fn eval_attributor_body(&mut self, frame: &mut Frame, body: &'p Body) -> Result<GMode, Flow> {
+        let v = match self.run_body(frame, body) {
             Ok(v) => v,
             Err(Flow::Return(v)) => v,
             Err(e) => return Err(e),
@@ -1502,7 +1497,7 @@ impl<'p> Interp<'p> {
         let outer_degraded = self.degraded;
         self.degraded = false;
         let attributed =
-            self.eval_attributor_body(&mut aframe, &attributor.body, &attributor.code, 0)?;
+            self.eval_attributor_body(&mut aframe, &prog.bodies[attributor.body as usize])?;
         let attr_degraded = self.degraded;
         self.degraded = outer_degraded;
         self.recycle_locals(aframe.locals);
@@ -1640,119 +1635,136 @@ impl<'p> Interp<'p> {
 
     // ---- evaluation ---------------------------------------------------------------
 
-    fn eval(&mut self, frame: &mut Frame, e: &'p LExpr) -> EvalResult {
+    fn eval(&mut self, frame: &mut Frame, e: NodeId) -> EvalResult {
         self.gas()?;
-        match e {
-            LExpr::Lit(v) => Ok(v.clone()),
-            LExpr::ModeConst(m) => Ok(Value::Mode(m.clone())),
-            LExpr::This => match frame.this_ref {
+        let prog = self.prog;
+        let ir = &prog.ir;
+        // Matched in place rather than through a copy of the node: the
+        // smaller frame keeps the nesting depth a stack size allows.
+        match ir.nodes[e as usize] {
+            Node::Lit(v) | Node::ModeConst(v) => Ok(ir.lits[v as usize].clone()),
+            Node::This => match frame.this_ref {
                 Some(r) => Ok(Value::Obj(r)),
                 None => Err(RtError::Native("`this` outside an object context".into()).into()),
             },
-            LExpr::Var { slot, name } => {
-                if *slot >= frame.unbound_lo && *slot < frame.n_params {
-                    return Err(RtError::Native(format!("unbound variable `{name}`")).into());
+            Node::Var { slot, name } => {
+                let unbound = || -> Flow {
+                    RtError::Native(format!("unbound variable `{}`", ir.names[name as usize]))
+                        .into()
+                };
+                if slot >= frame.unbound_lo && slot < frame.n_params {
+                    return Err(unbound());
                 }
-                match frame.locals.get(*slot as usize) {
+                match frame.locals.get(slot as usize) {
                     Some(v) => Ok(v.clone()),
-                    None => Err(RtError::Native(format!("unbound variable `{name}`")).into()),
+                    None => Err(unbound()),
                 }
             }
-            LExpr::UnboundVar(name) => {
-                Err(RtError::Native(format!("unbound variable `{name}`")).into())
-            }
-            LExpr::Field { recv, field, name } => {
+            Node::UnboundVar(name) => Err(RtError::Native(format!(
+                "unbound variable `{}`",
+                ir.names[name as usize]
+            ))
+            .into()),
+            Node::Field { recv, field, name } => {
                 let rv = self.eval(frame, recv)?;
                 let Value::Obj(r) = rv else {
                     return Err(RtError::Native(format!("field access on a {}", rv.kind())).into());
                 };
-                self.read_field(frame, r, *field, name)
+                self.read_field(frame, r, field, &ir.names[name as usize])
             }
-            LExpr::New {
-                class,
-                plan,
-                ctor_args,
-            } => {
+            Node::New { new, ctor_args } => {
                 let mut vals = Vec::with_capacity(ctor_args.len());
-                for a in ctor_args {
+                for &a in ir.kids(ctor_args) {
                     vals.push(self.eval(frame, a)?);
                 }
-                let (mode, env) = self.resolve_new(frame, *class, plan)?;
-                let r = self.allocate(*class, vals, mode, env)?;
+                let new = &ir.news[new as usize];
+                let (mode, env) = self.resolve_new(frame, new.class, &new.plan)?;
+                let r = self.allocate(new.class, vals, mode, env)?;
                 Ok(Value::Obj(r))
             }
-            LExpr::NewUnknown { class, ctor_args } => {
-                for a in ctor_args {
+            Node::NewUnknown { class, ctor_args } => {
+                for &a in ir.kids(ctor_args) {
                     self.eval(frame, a)?;
                 }
-                Err(RtError::Native(format!("unknown class `{class}`")).into())
+                Err(RtError::Native(format!(
+                    "unknown class `{}`",
+                    ir.unknown_classes[class as usize]
+                ))
+                .into())
             }
-            LExpr::Call {
-                recv,
-                method,
-                mode_args,
-                args,
-            } => {
+            Node::Call { send, recv_args } => {
+                let (&recv, args) = ir
+                    .kids(recv_args)
+                    .split_first()
+                    .expect("a call has a receiver");
                 let rv = self.eval(frame, recv)?;
                 let Value::Obj(r) = rv else {
                     return Err(RtError::Native(format!("method call on a {}", rv.kind())).into());
                 };
                 let mut vals = Vec::with_capacity(args.len());
-                for a in args {
+                for &a in args {
                     vals.push(self.eval(frame, a)?);
                 }
-                let mut gmodes = Vec::with_capacity(mode_args.len());
-                for m in mode_args {
+                let send = &ir.sends[send as usize];
+                let mut gmodes = Vec::with_capacity(send.mode_args.len());
+                for m in ir.modes(send.mode_args) {
                     gmodes.push(self.resolve_mode(frame, m)?);
                 }
-                self.invoke(r, *method, vals, &gmodes, frame.mode, None)
+                self.invoke(r, send.method, vals, &gmodes, frame.mode, None)
             }
-            LExpr::Builtin { op, ns, name, args } => {
+            Node::Builtin { op, name, args } => {
+                if matches!(op, BOp::SimWorkKind(_)) {
+                    // The resolved kind literal's step, at its tree position.
+                    self.gas()?;
+                }
                 let mut vals = Vec::with_capacity(args.len());
-                for a in args {
+                for &a in ir.kids(args) {
                     let v = self.eval(frame, a)?;
                     vals.push(self.force(frame, v)?);
                 }
-                self.builtin(*op, ns, name, vals)
+                let (ns, name) = ir.builtin_name(name);
+                self.builtin(op, ns, name, vals)
             }
-            LExpr::Cast { check, expr } => {
+            Node::Cast { check, expr } => {
                 let v = self.eval(frame, expr)?;
                 // Only object downcasts can fail at run time.
-                self.check_cast(&v, check)?;
+                self.check_cast(&v, &check)?;
                 Ok(v)
             }
-            LExpr::Snapshot { expr, lo, hi } => {
+            Node::Snapshot { expr, bounds } => {
                 let v = self.eval(frame, expr)?;
                 let Value::Obj(r) = v else {
                     return Err(RtError::Native(format!("snapshot of a {}", v.kind())).into());
                 };
-                self.snapshot(frame, r, lo, hi, None)
+                let b = bounds as usize;
+                self.snapshot(frame, r, &ir.modes[b], &ir.modes[b + 1], None)
             }
-            LExpr::MCase(arms) => {
+            Node::MCase { arms, modes } => {
                 let mut vals = Vec::with_capacity(arms.len());
-                for (m, arm) in arms {
+                let modes = &ir.arm_modes[modes as usize..modes as usize + arms.len()];
+                for (m, &arm) in modes.iter().zip(ir.kids(arms)) {
                     vals.push((m.clone(), self.eval(frame, arm)?));
                 }
                 Ok(Value::MCase(Arc::new(vals)))
             }
-            LExpr::Elim { expr, mode } => {
+            Node::Elim { expr, mode } => {
                 let v = self.eval(frame, expr)?;
                 let Value::MCase(arms) = v else {
                     return Err(RtError::Native(format!("`<|` on a {}", v.kind())).into());
                 };
                 let target = match mode {
-                    Some(m) => self.resolve_mode(frame, m)?,
+                    Some(m) => self.resolve_mode(frame, &ir.modes[m as usize])?,
                     None => frame.mode,
                 };
                 self.eliminate(&arms, target)
             }
-            LExpr::Binary { op, lhs, rhs } => self.binary(frame, *op, lhs, rhs),
-            LExpr::Unary { op, expr } => {
+            Node::Binary { op, lhs, rhs } => self.binary(frame, op, lhs, rhs),
+            Node::Unary { op, expr } => {
                 let v = self.eval(frame, expr)?;
                 let v = self.force(frame, v)?;
-                Self::apply_unop(*op, v)
+                Self::apply_unop(op, v)
             }
-            LExpr::If { cond, then, els } => {
+            Node::If { cond, then, els } => {
                 let c = self.eval(frame, cond)?;
                 let c = self.force(frame, c)?;
                 let Value::Bool(b) = c else {
@@ -1761,16 +1773,16 @@ impl<'p> Interp<'p> {
                 if b {
                     self.eval(frame, then)
                 } else {
-                    match els {
+                    match else_branch(els) {
                         Some(els) => self.eval(frame, els),
                         None => Ok(Value::Unit),
                     }
                 }
             }
-            LExpr::Block(stmts) => {
+            Node::Block(stmts) => {
                 let depth = frame.locals.len();
                 let mut last = Value::Unit;
-                for stmt in stmts {
+                for &stmt in ir.stmts(stmts) {
                     match stmt {
                         LStmt::Let(value) => {
                             let v = self.eval(frame, value)?;
@@ -1790,7 +1802,7 @@ impl<'p> Interp<'p> {
                 frame.locals.truncate(depth);
                 Ok(last)
             }
-            LExpr::Try { body, handler } => {
+            Node::Try { body, handler } => {
                 // A failing body may leave partially-pushed block locals on
                 // the frame; restore the handler's lowered slot layout.
                 let depth = frame.locals.len();
@@ -1802,9 +1814,9 @@ impl<'p> Interp<'p> {
                     other => other,
                 }
             }
-            LExpr::ArrayLit(items) => {
+            Node::ArrayLit(items) => {
                 let mut vals = Vec::with_capacity(items.len());
-                for item in items {
+                for &item in ir.kids(items) {
                     vals.push(self.eval(frame, item)?);
                 }
                 Ok(Value::Array(Arc::new(vals)))
@@ -1812,13 +1824,7 @@ impl<'p> Interp<'p> {
         }
     }
 
-    fn binary(
-        &mut self,
-        frame: &mut Frame,
-        op: BinOp,
-        lhs: &'p LExpr,
-        rhs: &'p LExpr,
-    ) -> EvalResult {
+    fn binary(&mut self, frame: &mut Frame, op: BinOp, lhs: NodeId, rhs: NodeId) -> EvalResult {
         // Short-circuit && / ||.
         if matches!(op, BinOp::And | BinOp::Or) {
             let l = self.eval(frame, lhs)?;
@@ -1980,6 +1986,11 @@ impl<'p> Interp<'p> {
                 self.advance_sim(|sim| sim.do_work(kind, units));
                 Ok(Value::Unit)
             }
+            (BOp::SimWorkKind(kind), [Value::Double(units)]) => {
+                let units = *units;
+                self.advance_sim(|sim| sim.do_work(kind, units));
+                Ok(Value::Unit)
+            }
             (BOp::SimSleepMs, [Value::Int(ms)]) => {
                 let ms = *ms as f64;
                 self.advance_sim(|sim| sim.sleep_ms(ms));
@@ -2044,7 +2055,7 @@ impl<'p> Interp<'p> {
             }
             _ => Err(native(format!(
                 "unknown or misapplied builtin `{ns}.{name}` with {} args",
-                args.len()
+                op.written_args(args.len())
             ))),
         }
     }
@@ -2229,6 +2240,24 @@ mod clone_audit {
             assert_eq!(out.len(), 3);
             assert_eq!(out.as_ptr(), buf);
             assert_eq!(frame.locals, [Value::Unit, Value::Unit]);
+        });
+    }
+
+    #[test]
+    fn a_misapplied_resolved_work_call_counts_its_kind_argument() {
+        with_interp(MODES_MAIN, |it| {
+            let err = it
+                .builtin(
+                    BOp::SimWorkKind(WorkKind::Net),
+                    &"Sim".into(),
+                    &"work".into(),
+                    vec![Value::Int(3)],
+                )
+                .unwrap_err();
+            let Flow::Error(RtError::Native(msg)) = err else {
+                panic!("expected a native error, got {err:?}")
+            };
+            assert_eq!(msg, "unknown or misapplied builtin `Sim.work` with 2 args");
         });
     }
 

@@ -10,7 +10,7 @@
 //! of that resolution once, at load time:
 //!
 //! * Every name is interned to a dense `u32` (see [`ent_syntax::intern`]).
-//! * Variables become frame-slot indices ([`LExpr::Var`]); frames hold a
+//! * Variables become frame-slot indices ([`Node::Var`]); frames hold a
 //!   flat `Vec<Value>` scoped by push/truncate.
 //! * Field accesses become per-class slot offsets resolved through a
 //!   field-id-indexed table ([`ClassLayout::field_slot`]).
@@ -19,6 +19,14 @@
 //!   each (class, ancestor) environment projection pre-compiled into an
 //!   [`EnvSrc`] map.
 //!
+//! The lowered code of a whole program is one [`Ir`]: `Copy` [`Node`]s
+//! in one array, addressed by `u32`, with child lists as runs of a second
+//! array and the payloads that own heap memory — literal values, names,
+//! mode lists, `new` plans — in side tables. A body is a root index
+//! ([`Body`]). Lowering a program therefore makes a handful of
+//! allocations rather than one per node, and dropping it frees those few
+//! arrays without walking a tree.
+//!
 //! Lowering is semantics-preserving bit for bit: the interpreter over this
 //! IR produces identical [`crate::RunStats`], output, value renderings and
 //! energy measurements for fixed seeds (enforced by the golden suite in
@@ -26,16 +34,18 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use ent_core::CompiledProgram;
-use ent_modes::{Mode, ModeVar, StaticMode};
+use ent_energy::WorkKind;
+use ent_modes::{Mode, ModeName, ModeVar, StaticMode};
 use ent_syntax::{
-    BinOp, ClassName, ClassTable, Expr, ExprKind, Ident, Interner, Lit, MethodDecl, Stmt, Type,
-    UnOp,
+    BinOp, ClassDecl, ClassName, Expr, ExprKind, Ident, Interner, Lit, MethodDecl, Stmt, Type, UnOp,
 };
 
+use crate::compile::Code;
 use crate::value::Value;
 
 /// A ground-ish runtime mode: the `Copy` mirror of [`StaticMode`] with
@@ -121,16 +131,60 @@ pub(crate) struct MParam {
     pub(crate) default: MDefault,
 }
 
-/// Per-body compilation state, shared program-wide (every concurrent run
-/// over a lowered program sees the same cells, so each tier compiles at
-/// most once per program). One cell per compilable body: method bodies,
-/// attributors, and field initializers.
-#[derive(Debug, Default)]
-pub(crate) struct BodyCell {
+/// A node's index in [`Ir::nodes`].
+pub(crate) type NodeId = u32;
+
+/// A run of consecutive entries in one of the [`Ir`] tables: a node's
+/// children in [`Ir::kids`], a block's statements in [`Ir::stmts`], a
+/// mode list in [`Ir::modes`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Seq {
+    start: u32,
+    len: u32,
+}
+
+impl Seq {
+    /// The `len` entries starting at `start`.
+    pub(crate) fn new(start: u32, len: usize) -> Seq {
+        Seq {
+            start,
+            len: index(len),
+        }
+    }
+
+    /// The entries' indices in their table.
+    #[inline]
+    pub(crate) fn range(self) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+
+    #[inline]
+    pub(crate) fn len(self) -> usize {
+        self.len as usize
+    }
+
+    #[inline]
+    pub(crate) fn is_empty(self) -> bool {
+        self.len == 0
+    }
+}
+
+/// One compilable body — a method body, an attributor, or a field
+/// initializer — as a root node of the program's [`Ir`], with its
+/// compilation state. Shared program-wide: every concurrent run over a
+/// lowered program sees the same cells, so each tier compiles at most once
+/// per program.
+#[derive(Debug)]
+pub(crate) struct Body {
+    pub(crate) root: NodeId,
+    /// Locals the body's frame starts with: the method's parameter count,
+    /// zero for class attributors and field initializers.
+    pub(crate) n_base: u32,
     /// Lazily compiled bytecode (see [`crate::compile`]); `None` for a
     /// body too large for the instruction format, which runs on the tree
     /// walker.
-    code: OnceLock<Option<crate::compile::Code>>,
+    code: OnceLock<Option<Code>>,
     /// Invocation hit counter driving the bytecode engine's
     /// profile-guided tier-up. Program-wide and racy by design: tier
     /// choice is perf-only and never observable in results.
@@ -139,24 +193,33 @@ pub(crate) struct BodyCell {
     pub(crate) threaded: OnceLock<crate::interp::threaded::TCode>,
 }
 
-impl BodyCell {
+impl Body {
+    fn new(root: NodeId, n_base: u32) -> Body {
+        Body {
+            root,
+            n_base,
+            code: OnceLock::new(),
+            hot: AtomicU32::new(0),
+            threaded: OnceLock::new(),
+        }
+    }
+
     /// The compiled bytecode, if any engine has compiled this body yet.
     #[inline]
-    pub(crate) fn code(&self) -> Option<&crate::compile::Code> {
+    pub(crate) fn code(&self) -> Option<&Code> {
         self.code.get().and_then(Option::as_ref)
     }
 
-    /// The compiled bytecode, compiling it first if needed; `None` when
-    /// the body does not fit the instruction format.
+    /// The compiled bytecode, compiling it from `ir` first if needed;
+    /// `None` when the body does not fit the instruction format.
     #[inline]
     pub(crate) fn code_or_compile(
         &self,
-        body: &LExpr,
-        n_base: u32,
+        ir: &Ir,
         ic: &crate::compile::IcCounters,
-    ) -> Option<&crate::compile::Code> {
+    ) -> Option<&Code> {
         self.code
-            .get_or_init(|| crate::compile::compile_body(body, n_base, ic))
+            .get_or_init(|| crate::compile::compile_body(ir, self.root, self.n_base, ic))
             .as_ref()
     }
 
@@ -171,41 +234,41 @@ impl BodyCell {
     }
 }
 
-/// A lowered method body, shared by every class that inherits it.
+/// A lowered method, shared by every class that inherits it.
 #[derive(Debug)]
 pub(crate) struct LMethod {
     /// Declared value-parameter count; the frame's locals are padded or
     /// truncated to exactly this many slots.
     pub(crate) n_params: u32,
     pub(crate) mode_params: Vec<MParam>,
-    /// Method-level attributor body, if any.
-    pub(crate) attributor: Option<LExpr>,
+    /// Method-level attributor, if any, by [`LoweredProgram::bodies`]
+    /// index.
+    pub(crate) attributor: Option<u32>,
     /// Method-level `@mode<η>` override, if any.
     pub(crate) mode_override: Option<LOverride>,
-    pub(crate) body: LExpr,
-    /// Compilation state for `body` (bytecode + threaded tiers).
-    pub(crate) body_code: BodyCell,
-    /// Compilation state for `attributor`.
-    pub(crate) attr_code: BodyCell,
+    /// The body, by [`LoweredProgram::bodies`] index.
+    pub(crate) body: u32,
 }
 
 /// A vtable entry: the lowered method plus the environment projection from
 /// the receiver's class to the method's declaring owner.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct MethodEntry {
-    pub(crate) env_map: Arc<[EnvSrc]>,
-    pub(crate) method: Arc<LMethod>,
+    /// A [`LoweredProgram::env_srcs`] run.
+    pub(crate) env_map: Seq,
+    /// The method, by [`LoweredProgram::methods`] index.
+    pub(crate) method: u32,
 }
 
 /// A field initializer, evaluated after positional constructor arguments.
 #[derive(Debug)]
 pub(crate) struct InitJob {
     pub(crate) slot: u32,
-    /// Projection onto the declaring class's mode parameters.
-    pub(crate) env_map: Arc<[EnvSrc]>,
-    pub(crate) body: LExpr,
-    /// Compilation state for `body`.
-    pub(crate) code: BodyCell,
+    /// Projection onto the declaring class's mode parameters, a
+    /// [`LoweredProgram::env_srcs`] run.
+    pub(crate) env_map: Seq,
+    /// The initializer, by [`LoweredProgram::bodies`] index.
+    pub(crate) body: u32,
 }
 
 /// The constructor protocol for a class: positional fields in chain order,
@@ -221,12 +284,11 @@ pub(crate) struct CtorPlan {
 /// A lowered class-level attributor.
 #[derive(Debug)]
 pub(crate) struct ClassAttributor {
-    pub(crate) body: LExpr,
+    /// The attributor, by [`LoweredProgram::bodies`] index.
+    pub(crate) body: u32,
     /// Whether the class has an internal mode parameter (slot 0) to bind
     /// to the snapshot-produced mode.
     pub(crate) has_internal: bool,
-    /// Compilation state for `body`.
-    pub(crate) code: BodyCell,
 }
 
 /// Instantiation when `new C(...)` is written without mode arguments.
@@ -235,8 +297,9 @@ pub(crate) enum DefaultNew {
     /// Dynamic class: untagged, all parameters unbound.
     Dynamic,
     /// Static class: mode `env[0]` (or `⊥` when mode-neutral), parameters
-    /// pinned to their declared lower bounds verbatim.
-    Fixed { env: Arc<[GMode]> },
+    /// pinned to their declared lower bounds verbatim; `env` is a
+    /// [`LoweredProgram::default_envs`] run.
+    Fixed { env: Seq },
 }
 
 /// Everything the interpreter needs to know about one class, computed at
@@ -250,36 +313,36 @@ pub(crate) struct ClassLayout {
     /// Global field id → slot, `u32::MAX` when the class lacks the field.
     /// Ids interned after this layout was built simply index out of range.
     pub(crate) field_slot: Vec<u32>,
-    /// Global method id → resolved entry (most-derived declaration wins).
-    pub(crate) vtable: Vec<Option<MethodEntry>>,
     pub(crate) ctor: CtorPlan,
     pub(crate) attributor: Option<ClassAttributor>,
     pub(crate) default_new: DefaultNew,
 }
 
-/// How a `new` expression instantiates its class's mode parameters.
-#[derive(Clone, Debug)]
+/// How a `new` expression instantiates its class's mode parameters. The
+/// mode lists are [`Ir::modes`] runs.
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum NewPlan {
     /// `new C@mode<?, …>(…)`: untagged; `rest` binds parameter slots
     /// `1..=rest.len()` (already truncated to the parameter count, matching
     /// the old zip semantics — surplus arguments are never even resolved).
-    Dynamic { rest: Vec<LMode> },
+    Dynamic { rest: Seq },
     /// `new C@mode<m, …>(…)`: every element is resolved, in order (even
     /// surplus ones — resolution errors must still fire), then zipped onto
     /// the parameter slots; the object's mode is `flat[0]` (or `⊥`).
-    Static { flat: Vec<LMode> },
+    Static { flat: Seq },
     /// No mode arguments: use the class's [`DefaultNew`].
     Default,
 }
 
 /// The target of a checked cast.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum CastCheck {
-    /// A known class, checked against the subclass matrix.
+    /// A known class, checked against the subclass relation.
     Class(u32),
-    /// An undeclared class name: the cast always fails (as the old
-    /// chain-walk did), with this name in the message.
-    Unknown(ClassName),
+    /// An undeclared class name, by [`Ir::unknown_classes`] index: the
+    /// cast always fails (as the old chain-walk did), with this name in
+    /// the message.
+    Unknown(u32),
 }
 
 /// A builtin, pre-dispatched from its `(namespace, name)` pair.
@@ -289,6 +352,9 @@ pub(crate) enum BOp {
     ExtTemperature,
     ExtTimeMs,
     SimWork,
+    /// `Sim.work` whose kind was a string literal, parsed while lowering:
+    /// the call keeps only its units argument.
+    SimWorkKind(WorkKind),
     SimSleepMs,
     SimRand,
     IoPrint,
@@ -315,95 +381,198 @@ pub(crate) enum BOp {
     Unknown,
 }
 
-/// A lowered statement.
-#[derive(Debug)]
+impl BOp {
+    /// Arguments the call was written with: a resolved `Sim.work` also
+    /// counts its elided kind literal.
+    pub(crate) fn written_args(self, passed: usize) -> usize {
+        passed + usize::from(matches!(self, BOp::SimWorkKind(_)))
+    }
+}
+
+/// A `new` of a declared class: the class and how it instantiates the
+/// class's mode parameters.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LNew {
+    pub(crate) class: u32,
+    pub(crate) plan: NewPlan,
+}
+
+/// A send's method and its explicit mode arguments.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LSend {
+    /// Global method id, looked up in the receiver's vtable.
+    pub(crate) method: u32,
+    /// An [`Ir::modes`] run.
+    pub(crate) mode_args: Seq,
+}
+
+/// The absent else branch of a [`Node::If`].
+pub(crate) const NO_NODE: NodeId = u32::MAX;
+
+/// An `if`'s else branch, if it has one.
+#[inline]
+pub(crate) fn else_branch(els: NodeId) -> Option<NodeId> {
+    (els != NO_NODE).then_some(els)
+}
+
+/// A lowered statement of a [`Node::Block`].
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum LStmt {
     /// Pushes one frame slot (the let's name was resolved away).
-    Let(LExpr),
-    Expr(LExpr),
-    Return(LExpr),
+    Let(NodeId),
+    Expr(NodeId),
+    Return(NodeId),
 }
 
 /// A lowered expression. Every node corresponds 1:1 to a surface
-/// [`ExprKind`] node, so gas accounting is unchanged.
-#[derive(Debug)]
-pub(crate) enum LExpr {
-    /// A literal, pre-converted to its runtime value.
-    Lit(Value),
-    ModeConst(ent_modes::ModeName),
+/// [`ExprKind`] node, so gas accounting is unchanged; the one exception
+/// is the kind literal of a resolved `Sim.work` ([`BOp::SimWorkKind`]),
+/// whose step the engines still charge at its tree position. Children
+/// are node ids, lists are [`Seq`]s, and heap-owning payloads are indices
+/// into the [`Ir`]'s side tables, so a node is `Copy`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Node {
+    /// A literal, pre-converted to its runtime value in [`Ir::lits`].
+    Lit(u32),
+    /// A mode constant, as a `Value::Mode` in [`Ir::lits`].
+    ModeConst(u32),
     This,
-    /// A frame-slot read; `name` only feeds the unbound-parameter error.
+    /// A frame-slot read; `name` ([`Ir::names`]) only feeds the
+    /// unbound-parameter error.
     Var {
         slot: u32,
-        name: Ident,
+        name: u32,
     },
     /// A variable with no binding in scope: always errors.
-    UnboundVar(Ident),
+    UnboundVar(u32),
     Field {
-        recv: Box<LExpr>,
+        recv: NodeId,
         /// Global field id, looked up in the receiver's
         /// [`ClassLayout::field_slot`].
         field: u32,
-        name: Ident,
+        name: u32,
     },
     New {
-        class: u32,
-        plan: NewPlan,
-        ctor_args: Vec<LExpr>,
+        /// The [`Ir::news`] entry.
+        new: u32,
+        ctor_args: Seq,
     },
-    /// `new` of an undeclared class: arguments evaluate, then it errors.
+    /// `new` of an undeclared class ([`Ir::unknown_classes`]): arguments
+    /// evaluate, then it errors.
     NewUnknown {
-        class: ClassName,
-        ctor_args: Vec<LExpr>,
+        class: u32,
+        ctor_args: Seq,
     },
     Call {
-        recv: Box<LExpr>,
-        /// Global method id, looked up in the receiver's vtable.
-        method: u32,
-        mode_args: Vec<LMode>,
-        args: Vec<LExpr>,
+        /// The [`Ir::sends`] entry.
+        send: u32,
+        /// The receiver, then the arguments.
+        recv_args: Seq,
     },
     Builtin {
         op: BOp,
-        /// Kept for the unknown/misapplied-builtin message.
-        ns: Ident,
-        name: Ident,
-        args: Vec<LExpr>,
+        /// The namespace at this [`Ir::names`] index and the name at the
+        /// next, kept for the unknown/misapplied-builtin message.
+        name: u32,
+        args: Seq,
     },
     Cast {
         check: Option<CastCheck>,
-        expr: Box<LExpr>,
+        expr: NodeId,
     },
     Snapshot {
-        expr: Box<LExpr>,
-        lo: LMode,
-        hi: LMode,
+        expr: NodeId,
+        /// The lower bound at this [`Ir::modes`] index, the upper bound at
+        /// the next.
+        bounds: u32,
     },
-    MCase(Vec<(ent_modes::ModeName, LExpr)>),
+    /// The arms in [`Ir::kids`]; their modes are the [`Ir::arm_modes`]
+    /// run of the same length starting at `modes`.
+    MCase {
+        arms: Seq,
+        modes: u32,
+    },
     Elim {
-        expr: Box<LExpr>,
-        mode: Option<LMode>,
+        expr: NodeId,
+        /// The explicit mode, an [`Ir::modes`] index.
+        mode: Option<u32>,
     },
     Binary {
         op: BinOp,
-        lhs: Box<LExpr>,
-        rhs: Box<LExpr>,
+        lhs: NodeId,
+        rhs: NodeId,
     },
     Unary {
         op: UnOp,
-        expr: Box<LExpr>,
+        expr: NodeId,
     },
     If {
-        cond: Box<LExpr>,
-        then: Box<LExpr>,
-        els: Option<Box<LExpr>>,
+        cond: NodeId,
+        then: NodeId,
+        /// [`NO_NODE`] when absent (see [`else_branch`]).
+        els: NodeId,
     },
-    Block(Vec<LStmt>),
+    Block(Seq),
     Try {
-        body: Box<LExpr>,
-        handler: Box<LExpr>,
+        body: NodeId,
+        handler: NodeId,
     },
-    ArrayLit(Vec<LExpr>),
+    ArrayLit(Seq),
+}
+
+// Nodes are the bulk of a cached program; keep them small.
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
+
+/// The lowered code of one program: every body's nodes in one array, with
+/// their lists and heap-owning payloads in side tables. A program is a
+/// handful of allocations however many nodes it has, and dropping it
+/// walks no tree.
+#[derive(Debug, Default)]
+pub(crate) struct Ir {
+    pub(crate) nodes: Vec<Node>,
+    /// Child lists: call receivers and arguments, constructor and builtin
+    /// arguments, mode-case arms, array items.
+    pub(crate) kids: Vec<NodeId>,
+    pub(crate) stmts: Vec<LStmt>,
+    /// Literal values, mode constants included.
+    pub(crate) lits: Vec<Value>,
+    /// Names kept for diagnostics: variables, fields, builtins.
+    pub(crate) names: Vec<Ident>,
+    /// Static mode expressions: call mode arguments, `new` plans,
+    /// snapshot bounds and explicit `<|` modes.
+    pub(crate) modes: Vec<LMode>,
+    pub(crate) news: Vec<LNew>,
+    pub(crate) sends: Vec<LSend>,
+    pub(crate) arm_modes: Vec<ModeName>,
+    pub(crate) unknown_classes: Vec<ClassName>,
+}
+
+impl Ir {
+    #[inline]
+    pub(crate) fn node(&self, id: NodeId) -> Node {
+        self.nodes[id as usize]
+    }
+
+    #[inline]
+    pub(crate) fn kids(&self, s: Seq) -> &[NodeId] {
+        &self.kids[s.range()]
+    }
+
+    #[inline]
+    pub(crate) fn stmts(&self, s: Seq) -> &[LStmt] {
+        &self.stmts[s.range()]
+    }
+
+    #[inline]
+    pub(crate) fn modes(&self, s: Seq) -> &[LMode] {
+        &self.modes[s.range()]
+    }
+
+    /// The builtin namespace and name a [`Node::Builtin`] keeps.
+    pub(crate) fn builtin_name(&self, name: u32) -> (&Ident, &Ident) {
+        let i = name as usize;
+        (&self.names[i], &self.names[i + 1])
+    }
 }
 
 /// A program compiled to the indexed runtime IR. Build one with
@@ -423,11 +592,32 @@ pub struct LoweredProgram {
     pub(crate) method_names: Interner,
     /// Class layouts in declaration order.
     pub(crate) classes: Vec<ClassLayout>,
-    /// `n × n` nominal-subtyping matrix, row-major (`subclass[c * n + d]`).
-    pub(crate) subclass: Vec<bool>,
+    /// Every class's vtable, `n_methods` entries per class in class
+    /// order: global method id → resolved entry (most-derived declaration
+    /// wins).
+    pub(crate) vtables: Vec<Option<MethodEntry>>,
+    /// Declared method names, which take the first method ids: the
+    /// vtable stride. Higher ids are names no class declares.
+    pub(crate) n_methods: u32,
+    /// Environment projections, by [`MethodEntry::env_map`] and
+    /// [`InitJob::env_map`] run.
+    pub(crate) env_srcs: Vec<EnvSrc>,
+    /// Default instantiations, by [`DefaultNew::Fixed`] run.
+    pub(crate) default_envs: Vec<GMode>,
+    /// Each class's pre-order interval `[start, end)` in the inheritance
+    /// forest: `d`'s subclasses are exactly the classes whose `start`
+    /// falls in `d`'s interval.
+    pub(crate) subclass: Vec<(u32, u32)>,
     /// `(class id, method id)` of `Main.main`, when `Main` declares it
     /// directly.
     pub(crate) main: Option<(u32, u32)>,
+    /// Every body's lowered code.
+    pub(crate) ir: Ir,
+    /// Method bodies, attributors and field initializers.
+    pub(crate) bodies: Vec<Body>,
+    /// One lowered method per declaring `(owner, method)` pair, shared by
+    /// every inheriting class's vtable.
+    pub(crate) methods: Vec<LMethod>,
     /// Inline-cache site-id counters for lazily compiled bytecode bodies.
     pub(crate) ic: crate::compile::IcCounters,
 }
@@ -450,9 +640,23 @@ impl LoweredProgram {
         }
     }
 
+    /// `class`'s vtable entry for method id `method`, if the class has
+    /// the method.
+    #[inline]
+    pub(crate) fn method_entry(&self, class: u32, method: u32) -> Option<&MethodEntry> {
+        if method >= self.n_methods {
+            return None;
+        }
+        let at = class as usize * self.n_methods as usize + method as usize;
+        self.vtables[at].as_ref()
+    }
+
+    /// Nominal subclassing between class ids: is `c` equal to or a
+    /// subclass of `d`?
     pub(crate) fn is_subclass_id(&self, c: u32, d: u32) -> bool {
-        let n = self.classes.len();
-        self.subclass[c as usize * n + d as usize]
+        let (start, end) = self.subclass[d as usize];
+        let at = self.subclass[c as usize].0;
+        start <= at && at < end
     }
 
     /// Displays a mode exactly as the old evaluator's `StaticMode` did.
@@ -510,6 +714,9 @@ impl fmt::Display for DispMode<'_> {
     }
 }
 
+/// The parent id of a root class (one that extends `Object`).
+const NO_CLASS: u32 = u32::MAX;
+
 /// Lowers a compiled program into the indexed runtime IR. Infallible:
 /// names that cannot be resolved statically lower to nodes that reproduce
 /// the original evaluator's runtime errors.
@@ -530,35 +737,60 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
         }
     }
 
-    let class_order: Vec<ClassName> = table.names().to_vec();
-    let mut class_ids = HashMap::new();
-    for (i, c) in class_order.iter().enumerate() {
-        class_ids.insert(c.clone(), i as u32);
-    }
+    let class_order = table.names();
     let nc = class_order.len();
-    let mut subclass = vec![false; nc * nc];
-    for (ci, c) in class_order.iter().enumerate() {
-        for (di, d) in class_order.iter().enumerate() {
-            subclass[ci * nc + di] = table.is_subclass(c, d);
-        }
+    let mut class_ids = HashMap::with_capacity(nc);
+    for (i, c) in class_order.iter().enumerate() {
+        class_ids.insert(c, index(i));
     }
+    let decls: Vec<&ClassDecl> = class_order
+        .iter()
+        .map(|c| table.class(c).expect("ordered classes exist"))
+        .collect();
+    // The table is validated: every superclass is declared and no chain
+    // cycles.
+    let parent: Vec<u32> = decls
+        .iter()
+        .map(|d| match class_ids.get(&d.superclass) {
+            Some(&p) => p,
+            None => NO_CLASS,
+        })
+        .collect();
+    let subclass = subclass_intervals(&parent);
 
     let mut lowerer = Lowerer {
-        table,
+        decls,
+        parent,
+        class_ids,
         mode_names,
         mode_vars: Interner::new(),
         method_names: Interner::new(),
         field_names: Interner::new(),
-        class_ids,
-        class_order,
+        ir: Ir::default(),
+        bodies: Vec::new(),
+        methods: Vec::new(),
+        vtables: Vec::new(),
+        n_methods: 0,
+        env_srcs: Vec::new(),
+        default_envs: Vec::new(),
         method_cache: HashMap::new(),
-        env_cache: HashMap::new(),
+        env_memo: vec![(NO_CLASS, Seq::default()); nc],
+        env: Vec::new(),
+        locals: Vec::new(),
+        pending: Vec::new(),
+        pending_stmts: Vec::new(),
+        chain: Vec::with_capacity(nc),
     };
+
+    let sizes = lowerer.count_program(&subclass);
+    lowerer.ir = Ir::with_sizes(&sizes);
+    lowerer.bodies.reserve_exact(sizes.bodies);
+    lowerer.methods.reserve_exact(sizes.methods);
+    lowerer.method_cache.reserve(sizes.methods);
 
     // Pre-intern every declared method and field name so vtables and field
     // tables built early still cover names declared in later classes.
-    for cname in table.names() {
-        let decl = table.class(cname).expect("ordered classes exist");
+    for decl in &lowerer.decls {
         for f in &decl.fields {
             lowerer.field_names.intern(f.name.as_str());
         }
@@ -566,9 +798,12 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
             lowerer.method_names.intern(m.name.as_str());
         }
     }
+    lowerer.n_methods = lowerer.method_names.len();
+    lowerer.vtables = vec![None; nc * lowerer.n_methods];
+    let n_methods = index(lowerer.n_methods);
 
     let mut classes = Vec::with_capacity(nc);
-    for ci in 0..nc as u32 {
+    for ci in 0..index(nc) {
         classes.push(lowerer.lower_class(ci));
     }
 
@@ -583,42 +818,348 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
         Some((cid, mid))
     });
 
+    let Lowerer {
+        mode_names,
+        mode_vars,
+        method_names,
+        ir,
+        bodies,
+        methods,
+        vtables,
+        env_srcs,
+        default_envs,
+        ..
+    } = lowerer;
+    debug_assert_eq!(
+        IrSizes::of(&ir, bodies.len(), methods.len()),
+        sizes,
+        "the counting pass disagrees with lowering"
+    );
     LoweredProgram {
-        mode_names: lowerer.mode_names,
+        mode_names,
         n_declared,
         mode_le,
-        mode_vars: lowerer.mode_vars,
-        method_names: lowerer.method_names,
+        mode_vars,
+        method_names,
         classes,
+        vtables,
+        n_methods,
+        env_srcs,
+        default_envs,
         subclass,
         main,
+        ir,
+        bodies,
+        methods,
         ic: crate::compile::IcCounters::default(),
     }
 }
 
+/// A table index as a `u32` id.
+fn index(i: usize) -> u32 {
+    u32::try_from(i).expect("lowered program exceeds u32 indexing")
+}
+
+/// Each class's pre-order interval `[start, end)` in the inheritance
+/// forest `parent` describes ([`NO_CLASS`] marks a root): one depth-first
+/// walk, so deep chains cost linear time and memory.
+fn subclass_intervals(parent: &[u32]) -> Vec<(u32, u32)> {
+    let n = parent.len();
+    // Children in compressed rows: `child[first[p]..first[p + 1]]`.
+    let mut first = vec![0u32; n + 1];
+    for &p in parent {
+        if p != NO_CLASS {
+            first[p as usize + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        first[i + 1] += first[i];
+    }
+    let mut fill = first.clone();
+    let mut child = vec![0u32; n];
+    for (c, &p) in parent.iter().enumerate() {
+        if p != NO_CLASS {
+            child[fill[p as usize] as usize] = index(c);
+            fill[p as usize] += 1;
+        }
+    }
+    let mut span = vec![(0u32, 0u32); n];
+    let mut next = 0u32;
+    // `(class, its next child's position in `child`)`.
+    let mut stack: Vec<(u32, u32)> = Vec::new();
+    for root in (0..n).filter(|&c| parent[c] == NO_CLASS) {
+        span[root].0 = next;
+        next += 1;
+        stack.push((index(root), first[root]));
+        while let Some(top) = stack.last_mut() {
+            let (c, k) = (top.0 as usize, top.1);
+            if k < first[c + 1] {
+                top.1 += 1;
+                let d = child[k as usize];
+                span[d as usize].0 = next;
+                next += 1;
+                stack.push((d, first[d as usize]));
+            } else {
+                span[c].1 = next;
+                stack.pop();
+            }
+        }
+    }
+    span
+}
+
+/// How many entries each [`Ir`] table of a program receives.
+/// [`Lowerer::count`] mirrors [`Lowerer::lower_expr`]'s pushes node for
+/// node, so every table is allocated once, at its final size.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct IrSizes {
+    nodes: usize,
+    kids: usize,
+    stmts: usize,
+    lits: usize,
+    names: usize,
+    modes: usize,
+    news: usize,
+    sends: usize,
+    arm_modes: usize,
+    unknown_classes: usize,
+    bodies: usize,
+    methods: usize,
+}
+
+impl IrSizes {
+    /// What `ir` and the body and method tables hold.
+    fn of(ir: &Ir, bodies: usize, methods: usize) -> IrSizes {
+        IrSizes {
+            nodes: ir.nodes.len(),
+            kids: ir.kids.len(),
+            stmts: ir.stmts.len(),
+            lits: ir.lits.len(),
+            names: ir.names.len(),
+            modes: ir.modes.len(),
+            news: ir.news.len(),
+            sends: ir.sends.len(),
+            arm_modes: ir.arm_modes.len(),
+            unknown_classes: ir.unknown_classes.len(),
+            bodies,
+            methods,
+        }
+    }
+}
+
+impl Ir {
+    /// Empty tables with room for exactly the counted entries.
+    fn with_sizes(s: &IrSizes) -> Ir {
+        Ir {
+            nodes: Vec::with_capacity(s.nodes),
+            kids: Vec::with_capacity(s.kids),
+            stmts: Vec::with_capacity(s.stmts),
+            lits: Vec::with_capacity(s.lits),
+            names: Vec::with_capacity(s.names),
+            modes: Vec::with_capacity(s.modes),
+            news: Vec::with_capacity(s.news),
+            sends: Vec::with_capacity(s.sends),
+            arm_modes: Vec::with_capacity(s.arm_modes),
+            unknown_classes: Vec::with_capacity(s.unknown_classes),
+        }
+    }
+}
+
+/// The kind literal of `Sim.work("<literal>", e)`, which lowering
+/// resolves ([`BOp::SimWorkKind`]).
+fn literal_work_kind(op: BOp, args: &[Expr]) -> Option<WorkKind> {
+    match (op, args) {
+        (
+            BOp::SimWork,
+            [Expr {
+                kind: ExprKind::Lit(Lit::Str(kind)),
+                ..
+            }, _],
+        ) => Some(WorkKind::parse(kind)),
+        _ => None,
+    }
+}
+
 struct Lowerer<'a> {
-    table: &'a ClassTable,
+    /// Class declarations by class id.
+    decls: Vec<&'a ClassDecl>,
+    /// Superclass id by class id; [`NO_CLASS`] for `Object`.
+    parent: Vec<u32>,
+    class_ids: HashMap<&'a ClassName, u32>,
     mode_names: Interner,
     mode_vars: Interner,
     method_names: Interner,
     field_names: Interner,
-    class_ids: HashMap<ClassName, u32>,
-    class_order: Vec<ClassName>,
-    /// One lowered body per declaring `(owner, method)` pair, shared by
-    /// every inheriting class's vtable.
-    method_cache: HashMap<(u32, u32), Arc<LMethod>>,
-    /// One environment projection per `(class, owner)` pair.
-    env_cache: HashMap<(u32, u32), Arc<[EnvSrc]>>,
-}
-
-/// Lexical scope threaded through expression lowering: the mode-variable
-/// slot layout of the enclosing frame plus the stack of local names.
-struct ExprCtx<'e> {
-    env: &'e [ModeVar],
+    ir: Ir,
+    bodies: Vec<Body>,
+    methods: Vec<LMethod>,
+    vtables: Vec<Option<MethodEntry>>,
+    /// The vtable stride ([`LoweredProgram::n_methods`]).
+    n_methods: usize,
+    env_srcs: Vec<EnvSrc>,
+    default_envs: Vec<GMode>,
+    /// `(owner, method id)` → index in `methods`.
+    method_cache: HashMap<(u32, u32), u32>,
+    /// By owner: the class whose projection onto that owner was last
+    /// compiled, and the projection. Classes lower one at a time, so this
+    /// shares one projection per `(class, owner)` pair.
+    env_memo: Vec<(u32, Seq)>,
+    /// The mode-environment slot layout of the body being lowered.
+    env: Vec<ModeVar>,
+    /// The local names in scope in the body being lowered, innermost last.
     locals: Vec<Ident>,
+    /// Ids of list items lowered but not yet moved into `ir.kids`; nested
+    /// lists push and drain above their parent's mark.
+    pending: Vec<NodeId>,
+    /// Statements of the blocks being lowered, likewise.
+    pending_stmts: Vec<LStmt>,
+    /// A class's inheritance chain, root first (reused across classes).
+    chain: Vec<u32>,
 }
 
 impl Lowerer<'_> {
+    /// Counts what lowering the program pushes: every declared method
+    /// (body and attributor) and class attributor once, and each field
+    /// initializer once per class that inherits it (`subclass`
+    /// intervals give that count).
+    fn count_program(&self, subclass: &[(u32, u32)]) -> IrSizes {
+        let mut s = IrSizes::default();
+        for (decl, &(start, end)) in self.decls.iter().zip(subclass) {
+            for init in decl.fields.iter().filter_map(|f| f.init.as_ref()) {
+                for _ in start..end {
+                    s.bodies += 1;
+                    self.count(&mut s, init);
+                }
+            }
+            for m in &decl.methods {
+                s.methods += 1;
+                s.bodies += 1;
+                self.count(&mut s, &m.body);
+                if let Some(a) = &m.attributor {
+                    s.bodies += 1;
+                    self.count(&mut s, &a.body);
+                }
+            }
+            if let Some(a) = &decl.attributor {
+                s.bodies += 1;
+                self.count(&mut s, &a.body);
+            }
+        }
+        s
+    }
+
+    /// Counts the table entries [`Lowerer::lower_expr`] pushes for `e`.
+    fn count(&self, s: &mut IrSizes, e: &Expr) {
+        s.nodes += 1;
+        match &e.kind {
+            ExprKind::Lit(_) | ExprKind::ModeConst(_) => s.lits += 1,
+            ExprKind::This => {}
+            ExprKind::Var(_) => s.names += 1,
+            ExprKind::Field { recv, .. } => {
+                s.names += 1;
+                self.count(s, recv);
+            }
+            ExprKind::New {
+                class,
+                args,
+                ctor_args,
+            } => {
+                self.count_list(s, ctor_args);
+                match self.class_ids.get(class) {
+                    None => s.unknown_classes += 1,
+                    Some(&cid) => {
+                        s.news += 1;
+                        let n_params = self.decls[cid as usize].mode_params.bounds.len();
+                        s.modes += match args {
+                            Some(m) if m.is_dynamic() => {
+                                n_params.saturating_sub(1).min(m.rest.len())
+                            }
+                            Some(m) => 1 + m.rest.len(),
+                            None => 0,
+                        };
+                    }
+                }
+            }
+            ExprKind::Call {
+                recv,
+                mode_args,
+                args,
+                ..
+            } => {
+                s.sends += 1;
+                s.modes += mode_args.len();
+                s.kids += 1;
+                self.count(s, recv);
+                self.count_list(s, args);
+            }
+            ExprKind::Builtin { ns, name, args } => {
+                s.names += 2;
+                let op = builtin_op(ns.as_str(), name.as_str());
+                match literal_work_kind(op, args) {
+                    Some(_) => self.count_list(s, &args[1..]),
+                    None => self.count_list(s, args),
+                }
+            }
+            ExprKind::Cast { ty, expr } => {
+                if let Type::Object { class, .. } = ty {
+                    if *class != ClassName::object() && !self.class_ids.contains_key(class) {
+                        s.unknown_classes += 1;
+                    }
+                }
+                self.count(s, expr);
+            }
+            ExprKind::Snapshot { expr, .. } => {
+                s.modes += 2;
+                self.count(s, expr);
+            }
+            ExprKind::MCase { arms, .. } => {
+                s.kids += arms.len();
+                s.arm_modes += arms.len();
+                for (_, a) in arms {
+                    self.count(s, a);
+                }
+            }
+            ExprKind::Elim { expr, mode } => {
+                s.modes += usize::from(mode.is_some());
+                self.count(s, expr);
+            }
+            ExprKind::Binary { lhs, rhs, .. } => {
+                self.count(s, lhs);
+                self.count(s, rhs);
+            }
+            ExprKind::Unary { expr, .. } => self.count(s, expr),
+            ExprKind::If { cond, then, els } => {
+                self.count(s, cond);
+                self.count(s, then);
+                if let Some(e) = els {
+                    self.count(s, e);
+                }
+            }
+            ExprKind::Block(stmts) => {
+                s.stmts += stmts.len();
+                for stmt in stmts {
+                    match stmt {
+                        Stmt::Let { value: e, .. } | Stmt::Expr(e) | Stmt::Return(e) => {
+                            self.count(s, e)
+                        }
+                    }
+                }
+            }
+            ExprKind::Try { body, handler } => {
+                self.count(s, body);
+                self.count(s, handler);
+            }
+            ExprKind::ArrayLit(items) => self.count_list(s, items),
+        }
+    }
+
+    fn count_list(&self, s: &mut IrSizes, items: &[Expr]) {
+        s.kids += items.len();
+        for e in items {
+            self.count(s, e);
+        }
+    }
+
     fn ground_verbatim(&mut self, m: &StaticMode) -> GMode {
         match m {
             StaticMode::Bot => GMode::Bot,
@@ -628,14 +1169,14 @@ impl Lowerer<'_> {
         }
     }
 
-    /// Lowers a static mode in a frame whose mode-environment layout is
-    /// `env`. Name lookup takes the *last* matching slot, replicating the
-    /// old hash map's insert-overwrites behavior.
-    fn lower_static(&mut self, env: &[ModeVar], m: &StaticMode) -> LMode {
+    /// Lowers a static mode in the frame whose mode-environment layout is
+    /// `self.env`. Name lookup takes the *last* matching slot, replicating
+    /// the old hash map's insert-overwrites behavior.
+    fn lower_static(&mut self, m: &StaticMode) -> LMode {
         match m {
             StaticMode::Var(v) => {
                 let var = self.mode_vars.intern(v.as_str()).raw();
-                match env.iter().rposition(|p| p == v) {
+                match self.env.iter().rposition(|p| p == v) {
                     Some(j) => LMode::Param {
                         slot: j as u32,
                         var,
@@ -647,30 +1188,33 @@ impl Lowerer<'_> {
         }
     }
 
+    /// Lowers a mode list into one [`Ir::modes`] run.
+    fn lower_modes<'m>(&mut self, modes: impl IntoIterator<Item = &'m StaticMode>) -> Seq {
+        let start = self.ir.modes.len();
+        for m in modes {
+            let lowered = self.lower_static(m);
+            self.ir.modes.push(lowered);
+        }
+        seq(start, self.ir.modes.len())
+    }
+
     /// The environment projection from `class` onto an ancestor `owner`:
     /// a symbolic replay of the old evaluator's `owner_mode_env` walk over
     /// superclass instantiations, compiled to per-slot [`EnvSrc`]s.
-    fn env_map(&mut self, class: u32, owner: u32) -> Arc<[EnvSrc]> {
-        if let Some(m) = self.env_cache.get(&(class, owner)) {
-            return Arc::clone(m);
+    fn env_map(&mut self, class: u32, owner: u32) -> Seq {
+        let (memo_class, memo) = self.env_memo[owner as usize];
+        if memo_class == class {
+            return memo;
         }
-        let owner_name = self.class_order[owner as usize].clone();
-        let mut cur = self.class_order[class as usize].clone();
-        let mut params: Vec<ModeVar> = self
-            .table
-            .class(&cur)
-            .expect("lowered classes exist")
-            .mode_params
-            .params();
+        let mut cur = class;
         // `None` models a parameter with no entry in the runtime map.
-        let mut abs: Vec<Option<EnvSrc>> = (0..params.len())
+        let mut abs: Vec<Option<EnvSrc>> = (0..self.decls[cur as usize].mode_params.bounds.len())
             .map(|i| Some(EnvSrc::Copy(i as u32)))
             .collect();
-        while cur != owner_name {
-            let decl = self.table.class(&cur).expect("validated chain");
-            let sup = decl.superclass.clone();
-            let sup_decl = self.table.class(&sup).expect("validated chain");
-            let sup_params = sup_decl.mode_params.params();
+        while cur != owner {
+            let decl = self.decls[cur as usize];
+            let sup = self.parent[cur as usize];
+            let sup_decl = self.decls[sup as usize];
             let args: Vec<Option<EnvSrc>> = if decl.super_args.is_empty() {
                 sup_decl
                     .mode_params
@@ -682,13 +1226,14 @@ impl Lowerer<'_> {
                     })
                     .collect()
             } else {
+                let params = &decl.mode_params.bounds;
                 decl.super_args
                     .iter()
                     .map(|m| {
                         Some(match m {
                             StaticMode::Var(v) => {
                                 let var = self.mode_vars.intern(v.as_str()).raw();
-                                match params.iter().rposition(|p| p == v) {
+                                match params.iter().rposition(|p| p.var == *v) {
                                     Some(j) => match abs[j] {
                                         Some(EnvSrc::Copy(i)) => EnvSrc::SlotOrVar { slot: i, var },
                                         Some(src) => src,
@@ -705,33 +1250,38 @@ impl Lowerer<'_> {
                     })
                     .collect()
             };
-            abs = (0..sup_params.len())
+            abs = (0..sup_decl.mode_params.bounds.len())
                 .map(|k| args.get(k).copied().flatten())
                 .collect();
-            params = sup_params;
             cur = sup;
         }
-        let map: Arc<[EnvSrc]> = abs
-            .into_iter()
-            .map(|o| o.unwrap_or(EnvSrc::Ground(GMode::Missing)))
-            .collect();
-        self.env_cache.insert((class, owner), Arc::clone(&map));
+        let start = self.env_srcs.len();
+        self.env_srcs.extend(
+            abs.into_iter()
+                .map(|o| o.unwrap_or(EnvSrc::Ground(GMode::Missing))),
+        );
+        let map = seq(start, self.env_srcs.len());
+        self.env_memo[owner as usize] = (class, map);
         map
     }
 
     fn lower_class(&mut self, ci: u32) -> ClassLayout {
         // Declarations are borrowed from the table, not from `self`, so
         // lowering can intern names while holding them.
-        let table = self.table;
-        let cname = self.class_order[ci as usize].clone();
-        let decl = table.class(&cname).expect("lowered classes exist");
-        let chain = table.superclass_chain(&cname);
+        let decl = self.decls[ci as usize];
+        let mut chain = std::mem::take(&mut self.chain);
+        chain.clear();
+        let mut c = ci;
+        while c != NO_CLASS {
+            chain.push(c);
+            c = self.parent[c as usize];
+        }
+        chain.reverse();
 
         // Field layout: inherited first, first declaration wins the id slot.
         let mut field_order = Vec::new();
-        for anc in &chain {
-            let adecl = table.class(anc).expect("validated chain");
-            for f in &adecl.fields {
+        for &anc in &chain {
+            for f in &self.decls[anc as usize].fields {
                 field_order.push(f.name.clone());
             }
         }
@@ -751,19 +1301,17 @@ impl Lowerer<'_> {
         let mut positional = Vec::new();
         let mut inits = Vec::new();
         let mut slot = 0u32;
-        for anc in &chain {
-            let adecl = table.class(anc).expect("validated chain");
-            let aid = self.class_ids[anc];
-            let owner_params = adecl.mode_params.params();
+        for &anc in &chain {
+            let adecl = self.decls[anc as usize];
             for f in &adecl.fields {
                 if let Some(init) = &f.init {
-                    let env_map = self.env_map(ci, aid);
-                    let body = self.lower_expr_in(&owner_params, &[], init);
+                    let env_map = self.env_map(ci, anc);
+                    self.set_scope(adecl, None, &[]);
+                    let body = self.lower_body(0, init);
                     inits.push(InitJob {
                         slot,
                         env_map,
                         body,
-                        code: BodyCell::default(),
                     });
                 } else {
                     positional.push((slot, f.name.clone()));
@@ -774,89 +1322,110 @@ impl Lowerer<'_> {
 
         // Vtable: walk the chain most-derived first; the first declaration
         // of each method id wins, exactly like the old chain-walk cache.
-        let mut vtable: Vec<Option<MethodEntry>> =
-            (0..self.method_names.len()).map(|_| None).collect();
-        for anc in chain.iter().rev() {
-            let adecl = table.class(anc).expect("validated chain");
-            let aid = self.class_ids[anc];
+        let vtable = ci as usize * self.n_methods;
+        for &anc in chain.iter().rev() {
+            let adecl = self.decls[anc as usize];
             for m in &adecl.methods {
                 let mid = self
                     .method_names
                     .get(m.name.as_str())
                     .expect("declared method names are pre-interned")
                     .index();
-                if vtable[mid].is_none() {
-                    let env_map = self.env_map(ci, aid);
-                    let method = self.lower_method(aid, m);
-                    vtable[mid] = Some(MethodEntry { env_map, method });
+                if self.vtables[vtable + mid].is_none() {
+                    let env_map = self.env_map(ci, anc);
+                    let method = self.lower_method(anc, m);
+                    self.vtables[vtable + mid] = Some(MethodEntry { env_map, method });
                 }
             }
         }
+        self.chain = chain;
 
-        let class_params = decl.mode_params.params();
-        let attributor = decl.attributor.as_ref().map(|a| ClassAttributor {
-            body: self.lower_expr_in(&class_params, &[], &a.body),
-            has_internal: !decl.mode_params.bounds.is_empty(),
-            code: BodyCell::default(),
+        let attributor = decl.attributor.as_ref().map(|a| {
+            self.set_scope(decl, None, &[]);
+            ClassAttributor {
+                body: self.lower_body(0, &a.body),
+                has_internal: !decl.mode_params.bounds.is_empty(),
+            }
         });
 
         let default_new = if decl.mode_params.dynamic {
             DefaultNew::Dynamic
         } else {
-            let env: Arc<[GMode]> = decl
-                .mode_params
-                .bounds
-                .iter()
-                .map(|b| self.ground_verbatim(&b.lo))
-                .collect();
-            DefaultNew::Fixed { env }
+            let start = self.default_envs.len();
+            for b in &decl.mode_params.bounds {
+                let g = self.ground_verbatim(&b.lo);
+                self.default_envs.push(g);
+            }
+            DefaultNew::Fixed {
+                env: seq(start, self.default_envs.len()),
+            }
         };
 
         ClassLayout {
-            name: cname,
+            name: self.decls[ci as usize].name.clone(),
             n_mode_params: decl.mode_params.bounds.len() as u32,
             field_order,
             field_slot,
-            vtable,
             ctor: CtorPlan { positional, inits },
             attributor,
             default_new,
         }
     }
 
-    fn lower_method(&mut self, owner: u32, mdecl: &MethodDecl) -> Arc<LMethod> {
-        let mid = self.method_names.intern(mdecl.name.as_str()).raw();
-        if let Some(cached) = self.method_cache.get(&(owner, mid)) {
-            return Arc::clone(cached);
+    /// Sets the scope a body lowers in: the mode-environment layout of
+    /// `owner`'s parameters, then `method`'s own; and `params` as the
+    /// locals.
+    fn set_scope(
+        &mut self,
+        owner: &ClassDecl,
+        method: Option<&MethodDecl>,
+        params: &[(Type, Ident)],
+    ) {
+        self.env.clear();
+        self.env
+            .extend(owner.mode_params.bounds.iter().map(|b| b.var.clone()));
+        if let Some(m) = method {
+            self.env.extend(m.mode_params.iter().map(|b| b.var.clone()));
         }
-        let odecl = self
-            .table
-            .class(&self.class_order[owner as usize])
-            .expect("lowered classes exist");
+        self.locals.clear();
+        self.locals.extend(params.iter().map(|(_, n)| n.clone()));
+    }
+
+    /// Lowers one body in the current scope and returns its
+    /// [`LoweredProgram::bodies`] index.
+    fn lower_body(&mut self, n_base: u32, e: &Expr) -> u32 {
+        let root = self.lower_expr(e);
+        self.bodies.push(Body::new(root, n_base));
+        index(self.bodies.len() - 1)
+    }
+
+    fn lower_method(&mut self, owner: u32, mdecl: &MethodDecl) -> u32 {
+        let mid = self.method_names.intern(mdecl.name.as_str()).raw();
+        if let Some(&cached) = self.method_cache.get(&(owner, mid)) {
+            return cached;
+        }
+        let odecl = self.decls[owner as usize];
         // Frame mode-environment layout: owner class parameters, then the
         // method's own mode parameters.
-        let mut env_layout: Vec<ModeVar> = odecl.mode_params.params();
-        let n0 = env_layout.len();
-        for b in &mdecl.mode_params {
-            env_layout.push(b.var.clone());
-        }
+        self.set_scope(odecl, Some(mdecl), &mdecl.params);
+        let n0 = odecl.mode_params.bounds.len();
         let mut mode_params = Vec::with_capacity(mdecl.mode_params.len());
         for (k, b) in mdecl.mode_params.iter().enumerate() {
-            let default = match env_layout[..n0 + k].iter().rposition(|v| v == &b.var) {
+            let default = match self.env[..n0 + k].iter().rposition(|v| v == &b.var) {
                 Some(j) => MDefault::FromSlot(j as u32),
                 None => MDefault::Missing,
             };
             mode_params.push(MParam { default });
         }
-        let locals: Vec<Ident> = mdecl.params.iter().map(|(_, n)| n.clone()).collect();
+        let n_params = mdecl.params.len() as u32;
         let attributor = mdecl
             .attributor
             .as_ref()
-            .map(|a| self.lower_expr_in(&env_layout, &locals, &a.body));
+            .map(|a| self.lower_body(n_params, &a.body));
         let mode_override = mdecl.mode.as_ref().map(|m| match m {
             StaticMode::Var(v) => {
                 let var = self.mode_vars.intern(v.as_str()).raw();
-                match env_layout.iter().rposition(|p| p == v) {
+                match self.env.iter().rposition(|p| p == v) {
                     Some(j) => LOverride::Param {
                         slot: j as u32,
                         var,
@@ -866,102 +1435,117 @@ impl Lowerer<'_> {
             }
             g => LOverride::Ground(self.ground_verbatim(g)),
         });
-        let body = self.lower_expr_in(&env_layout, &locals, &mdecl.body);
-        let method = Arc::new(LMethod {
-            n_params: mdecl.params.len() as u32,
+        let body = self.lower_body(n_params, &mdecl.body);
+        self.methods.push(LMethod {
+            n_params,
             mode_params,
             attributor,
             mode_override,
             body,
-            body_code: BodyCell::default(),
-            attr_code: BodyCell::default(),
         });
-        self.method_cache.insert((owner, mid), Arc::clone(&method));
+        let method = index(self.methods.len() - 1);
+        self.method_cache.insert((owner, mid), method);
         method
     }
 
-    fn lower_expr_in(&mut self, env: &[ModeVar], locals: &[Ident], e: &Expr) -> LExpr {
-        let mut ctx = ExprCtx {
-            env,
-            locals: locals.to_vec(),
-        };
-        self.lower_expr(&mut ctx, e)
+    fn push(&mut self, node: Node) -> NodeId {
+        self.ir.nodes.push(node);
+        index(self.ir.nodes.len() - 1)
     }
 
-    fn lower_expr(&mut self, ctx: &mut ExprCtx<'_>, e: &Expr) -> LExpr {
-        match &e.kind {
-            ExprKind::Lit(l) => LExpr::Lit(match l {
+    fn lit(&mut self, v: Value) -> u32 {
+        self.ir.lits.push(v);
+        index(self.ir.lits.len() - 1)
+    }
+
+    fn name(&mut self, n: &Ident) -> u32 {
+        self.ir.names.push(n.clone());
+        index(self.ir.names.len() - 1)
+    }
+
+    /// Moves the list items pending above `mark` into one [`Ir::kids`]
+    /// run.
+    fn take_pending(&mut self, mark: usize) -> Seq {
+        let start = self.ir.kids.len();
+        self.ir.kids.extend(self.pending.drain(mark..));
+        seq(start, self.ir.kids.len())
+    }
+
+    fn lower_list(&mut self, items: &[Expr]) -> Seq {
+        let mark = self.pending.len();
+        for e in items {
+            let id = self.lower_expr(e);
+            self.pending.push(id);
+        }
+        self.take_pending(mark)
+    }
+
+    fn lower_expr(&mut self, e: &Expr) -> NodeId {
+        let node = match &e.kind {
+            ExprKind::Lit(l) => Node::Lit(self.lit(match l {
                 Lit::Int(n) => Value::Int(*n),
                 Lit::Double(x) => Value::Double(*x),
                 Lit::Bool(b) => Value::Bool(*b),
                 Lit::Str(s) => Value::str(s),
                 Lit::Unit => Value::Unit,
-            }),
+            })),
             ExprKind::ModeConst(m) => {
                 // Interned so snapshot/eliminate can map the produced
                 // `Value::Mode` back to a dense id.
                 self.mode_names.intern(m.as_str());
-                LExpr::ModeConst(m.clone())
+                Node::ModeConst(self.lit(Value::Mode(m.clone())))
             }
-            ExprKind::This => LExpr::This,
-            ExprKind::Var(x) => match ctx.locals.iter().rposition(|n| n == x) {
-                Some(i) => LExpr::Var {
+            ExprKind::This => Node::This,
+            ExprKind::Var(x) => match self.locals.iter().rposition(|n| n == x) {
+                Some(i) => Node::Var {
                     slot: i as u32,
-                    name: x.clone(),
+                    name: self.name(x),
                 },
-                None => LExpr::UnboundVar(x.clone()),
+                None => Node::UnboundVar(self.name(x)),
             },
-            ExprKind::Field { recv, name } => LExpr::Field {
-                recv: Box::new(self.lower_expr(ctx, recv)),
+            ExprKind::Field { recv, name } => Node::Field {
+                recv: self.lower_expr(recv),
                 field: self.field_names.intern(name.as_str()).raw(),
-                name: name.clone(),
+                name: self.name(name),
             },
             ExprKind::New {
                 class,
                 args,
                 ctor_args,
             } => {
-                let lowered_args: Vec<LExpr> =
-                    ctor_args.iter().map(|a| self.lower_expr(ctx, a)).collect();
+                let ctor_args = self.lower_list(ctor_args);
                 let Some(&cid) = self.class_ids.get(class) else {
-                    return LExpr::NewUnknown {
-                        class: class.clone(),
-                        ctor_args: lowered_args,
-                    };
+                    self.ir.unknown_classes.push(class.clone());
+                    return self.push(Node::NewUnknown {
+                        class: index(self.ir.unknown_classes.len() - 1),
+                        ctor_args,
+                    });
                 };
-                let n_params = self
-                    .table
-                    .class(class)
-                    .expect("id implies presence")
-                    .mode_params
-                    .bounds
-                    .len();
+                let n_params = self.decls[cid as usize].mode_params.bounds.len();
                 let plan = match args {
                     Some(margs) if margs.is_dynamic() => {
                         // Zip semantics: surplus arguments are dropped
                         // without ever being resolved.
                         let take = n_params.saturating_sub(1).min(margs.rest.len());
                         NewPlan::Dynamic {
-                            rest: margs.rest[..take]
-                                .iter()
-                                .map(|m| self.lower_static(ctx.env, m))
-                                .collect(),
+                            rest: self.lower_modes(&margs.rest[..take]),
                         }
                     }
                     Some(margs) => {
-                        let mut flat = Vec::with_capacity(1 + margs.rest.len());
-                        if let Mode::Static(m) = &margs.mode {
-                            flat.push(self.lower_static(ctx.env, m));
+                        let own = match &margs.mode {
+                            Mode::Static(m) => Some(m),
+                            Mode::Dynamic => None,
+                        };
+                        NewPlan::Static {
+                            flat: self.lower_modes(own.into_iter().chain(&margs.rest)),
                         }
-                        flat.extend(margs.rest.iter().map(|m| self.lower_static(ctx.env, m)));
-                        NewPlan::Static { flat }
                     }
                     None => NewPlan::Default,
                 };
-                LExpr::New {
-                    class: cid,
-                    plan,
-                    ctor_args: lowered_args,
+                self.ir.news.push(LNew { class: cid, plan });
+                Node::New {
+                    new: index(self.ir.news.len() - 1),
+                    ctor_args,
                 }
             }
             ExprKind::Call {
@@ -969,93 +1553,135 @@ impl Lowerer<'_> {
                 method,
                 mode_args,
                 args,
-            } => LExpr::Call {
-                recv: Box::new(self.lower_expr(ctx, recv)),
-                method: self.method_names.intern(method.as_str()).raw(),
-                mode_args: mode_args
-                    .iter()
-                    .map(|m| self.lower_static(ctx.env, m))
-                    .collect(),
-                args: args.iter().map(|a| self.lower_expr(ctx, a)).collect(),
-            },
-            ExprKind::Builtin { ns, name, args } => LExpr::Builtin {
-                op: builtin_op(ns.as_str(), name.as_str()),
-                ns: ns.clone(),
-                name: name.clone(),
-                args: args.iter().map(|a| self.lower_expr(ctx, a)).collect(),
-            },
+            } => {
+                let mark = self.pending.len();
+                let recv = self.lower_expr(recv);
+                self.pending.push(recv);
+                let method = self.method_names.intern(method.as_str()).raw();
+                let mode_args = self.lower_modes(mode_args);
+                for a in args {
+                    let id = self.lower_expr(a);
+                    self.pending.push(id);
+                }
+                self.ir.sends.push(LSend { method, mode_args });
+                Node::Call {
+                    send: index(self.ir.sends.len() - 1),
+                    recv_args: self.take_pending(mark),
+                }
+            }
+            ExprKind::Builtin { ns, name, args } => {
+                let mut op = builtin_op(ns.as_str(), name.as_str());
+                let mut args = &args[..];
+                // `WorkKind::parse` is total, so a literal kind resolves
+                // now and the call keeps only its units argument.
+                if let Some(kind) = literal_work_kind(op, args) {
+                    op = BOp::SimWorkKind(kind);
+                    args = &args[1..];
+                }
+                let name_at = self.name(ns);
+                self.name(name);
+                Node::Builtin {
+                    op,
+                    name: name_at,
+                    args: self.lower_list(args),
+                }
+            }
             ExprKind::Cast { ty, expr } => {
                 let check = match ty {
                     Type::Object { class, .. } if *class != ClassName::object() => {
                         Some(match self.class_ids.get(class) {
                             Some(&cid) => CastCheck::Class(cid),
-                            None => CastCheck::Unknown(class.clone()),
+                            None => {
+                                self.ir.unknown_classes.push(class.clone());
+                                CastCheck::Unknown(index(self.ir.unknown_classes.len() - 1))
+                            }
                         })
                     }
                     _ => None,
                 };
-                LExpr::Cast {
+                Node::Cast {
                     check,
-                    expr: Box::new(self.lower_expr(ctx, expr)),
+                    expr: self.lower_expr(expr),
                 }
             }
-            ExprKind::Snapshot { expr, lo, hi } => LExpr::Snapshot {
-                expr: Box::new(self.lower_expr(ctx, expr)),
-                lo: self.lower_static(ctx.env, lo),
-                hi: self.lower_static(ctx.env, hi),
+            ExprKind::Snapshot { expr, lo, hi } => {
+                let expr = self.lower_expr(expr);
+                let bounds = self.lower_modes([lo, hi]);
+                Node::Snapshot {
+                    expr,
+                    bounds: bounds.start,
+                }
+            }
+            ExprKind::MCase { ty: _, arms } => {
+                let mark = self.pending.len();
+                for (m, a) in arms {
+                    self.mode_names.intern(m.as_str());
+                    let id = self.lower_expr(a);
+                    self.pending.push(id);
+                }
+                let modes = index(self.ir.arm_modes.len());
+                self.ir
+                    .arm_modes
+                    .extend(arms.iter().map(|(m, _)| m.clone()));
+                Node::MCase {
+                    arms: self.take_pending(mark),
+                    modes,
+                }
+            }
+            ExprKind::Elim { expr, mode } => Node::Elim {
+                expr: self.lower_expr(expr),
+                mode: mode.as_ref().map(|m| self.lower_modes([m]).start),
             },
-            ExprKind::MCase { ty: _, arms } => LExpr::MCase(
-                arms.iter()
-                    .map(|(m, a)| {
-                        self.mode_names.intern(m.as_str());
-                        (m.clone(), self.lower_expr(ctx, a))
-                    })
-                    .collect(),
-            ),
-            ExprKind::Elim { expr, mode } => LExpr::Elim {
-                expr: Box::new(self.lower_expr(ctx, expr)),
-                mode: mode.as_ref().map(|m| self.lower_static(ctx.env, m)),
-            },
-            ExprKind::Binary { op, lhs, rhs } => LExpr::Binary {
+            ExprKind::Binary { op, lhs, rhs } => Node::Binary {
                 op: *op,
-                lhs: Box::new(self.lower_expr(ctx, lhs)),
-                rhs: Box::new(self.lower_expr(ctx, rhs)),
+                lhs: self.lower_expr(lhs),
+                rhs: self.lower_expr(rhs),
             },
-            ExprKind::Unary { op, expr } => LExpr::Unary {
+            ExprKind::Unary { op, expr } => Node::Unary {
                 op: *op,
-                expr: Box::new(self.lower_expr(ctx, expr)),
+                expr: self.lower_expr(expr),
             },
-            ExprKind::If { cond, then, els } => LExpr::If {
-                cond: Box::new(self.lower_expr(ctx, cond)),
-                then: Box::new(self.lower_expr(ctx, then)),
-                els: els.as_ref().map(|e| Box::new(self.lower_expr(ctx, e))),
+            ExprKind::If { cond, then, els } => Node::If {
+                cond: self.lower_expr(cond),
+                then: self.lower_expr(then),
+                els: match els {
+                    Some(e) => self.lower_expr(e),
+                    None => NO_NODE,
+                },
             },
             ExprKind::Block(stmts) => {
-                let depth = ctx.locals.len();
-                let mut out = Vec::with_capacity(stmts.len());
+                let depth = self.locals.len();
+                let mark = self.pending_stmts.len();
                 for stmt in stmts {
-                    out.push(match stmt {
+                    let lowered = match stmt {
                         Stmt::Let { name, value, .. } => {
-                            let v = self.lower_expr(ctx, value);
-                            ctx.locals.push(name.clone());
+                            let v = self.lower_expr(value);
+                            self.locals.push(name.clone());
                             LStmt::Let(v)
                         }
-                        Stmt::Expr(e) => LStmt::Expr(self.lower_expr(ctx, e)),
-                        Stmt::Return(e) => LStmt::Return(self.lower_expr(ctx, e)),
-                    });
+                        Stmt::Expr(e) => LStmt::Expr(self.lower_expr(e)),
+                        Stmt::Return(e) => LStmt::Return(self.lower_expr(e)),
+                    };
+                    self.pending_stmts.push(lowered);
                 }
-                ctx.locals.truncate(depth);
-                LExpr::Block(out)
+                self.locals.truncate(depth);
+                let start = self.ir.stmts.len();
+                self.ir.stmts.extend(self.pending_stmts.drain(mark..));
+                Node::Block(seq(start, self.ir.stmts.len()))
             }
-            ExprKind::Try { body, handler } => LExpr::Try {
-                body: Box::new(self.lower_expr(ctx, body)),
-                handler: Box::new(self.lower_expr(ctx, handler)),
+            ExprKind::Try { body, handler } => Node::Try {
+                body: self.lower_expr(body),
+                handler: self.lower_expr(handler),
             },
-            ExprKind::ArrayLit(items) => {
-                LExpr::ArrayLit(items.iter().map(|i| self.lower_expr(ctx, i)).collect())
-            }
-        }
+            ExprKind::ArrayLit(items) => Node::ArrayLit(self.lower_list(items)),
+        };
+        self.push(node)
     }
+}
+
+/// The run of table entries `start..end`.
+fn seq(start: usize, end: usize) -> Seq {
+    Seq::new(index(start), end - start)
 }
 
 fn builtin_op(ns: &str, name: &str) -> BOp {
@@ -1088,5 +1714,51 @@ fn builtin_op(ns: &str, name: &str) -> BOp {
         ("Arr", "push") => BOp::ArrPush,
         ("Arr", "make") => BOp::ArrMake,
         _ => BOp::Unknown,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::lower_program;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// On random class forests, declared in random order so a subclass
+        /// may come before its superclass, the pre-order intervals answer
+        /// exactly what the class table's chain walk answers.
+        #[test]
+        fn subclass_intervals_agree_with_the_class_table(
+            (picks, keys) in (1usize..24).prop_flat_map(|n| (
+                proptest::collection::vec(any::<usize>(), n),
+                proptest::collection::vec(any::<u32>(), n),
+            ))
+        ) {
+            // Declaration order: the classes sorted by a random key.
+            let mut order: Vec<usize> = (0..picks.len()).collect();
+            order.sort_by_key(|&k| keys[k]);
+            let mut src = String::new();
+            for &k in &order {
+                // Class `k` extends a lower-numbered class or `Object`.
+                match picks[k] % (k + 1) {
+                    p if p == k => src.push_str(&format!("class K{k} {{ }}\n")),
+                    p => src.push_str(&format!("class K{k} extends K{p} {{ }}\n")),
+                }
+            }
+            let compiled = ent_core::compile(&src).expect("class forests compile");
+            let lowered = lower_program(&compiled);
+            let names = compiled.table.names();
+            for (ci, c) in names.iter().enumerate() {
+                for (di, d) in names.iter().enumerate() {
+                    prop_assert_eq!(
+                        lowered.is_subclass_id(ci as u32, di as u32),
+                        compiled.table.is_subclass(c, d),
+                        "{} <: {} in\n{}", c, d, src
+                    );
+                }
+            }
+        }
     }
 }

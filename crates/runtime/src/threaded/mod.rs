@@ -838,7 +838,7 @@ fn call_site<'p>(
         vals.push(take!(frame, r));
     }
     let mut gmodes = Vec::with_capacity(site.mode_args.len());
-    for m in &site.mode_args {
+    for m in it.prog.ir.modes(site.mode_args) {
         gmodes.push(tt!(st, it.resolve_mode(frame, m)));
     }
     let v = tt!(
@@ -889,13 +889,15 @@ fn op_tail_call<'p>(
             break 'tail;
         };
         let (cached_class, entry) = (*cached_class, *entry);
-        let m = &entry.method;
+        let m = &it.prog.methods[entry.method as usize];
         if cached_class != it.heap[recv].class
             || m.attributor.is_some()
             || m.mode_override.is_some()
             || !m.mode_params.is_empty()
             || u32::from(site.n_args) != m.n_params
-            || !m.body_code.code().is_some_and(|c| std::ptr::eq(c, code))
+            || !it.prog.bodies[m.body as usize]
+                .code()
+                .is_some_and(|c| std::ptr::eq(c, code))
         {
             break 'tail;
         }
@@ -1019,8 +1021,7 @@ fn op_make_mcase<'p>(
     charge!(it, t, st);
     let site = &code.mcases[t.d as usize];
     let base = t.b as usize;
-    let arms: Vec<(ent_modes::ModeName, Value)> = site
-        .modes
+    let arms: Vec<(ent_modes::ModeName, Value)> = it.prog.ir.arm_modes[site.modes.range()]
         .iter()
         .enumerate()
         .map(|(k, m)| (m.clone(), take!(frame, base + k)))

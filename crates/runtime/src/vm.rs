@@ -354,13 +354,15 @@ impl<'p> Interp<'p> {
                             break 'tail;
                         };
                         let (cached_class, entry) = (*cached_class, *entry);
-                        let m = &entry.method;
+                        let m = &self.prog.methods[entry.method as usize];
                         if cached_class != self.heap[recv].class
                             || m.attributor.is_some()
                             || m.mode_override.is_some()
                             || !m.mode_params.is_empty()
                             || u32::from(site.n_args) != m.n_params
-                            || !m.body_code.code().is_some_and(|c| std::ptr::eq(c, code))
+                            || !self.prog.bodies[m.body as usize]
+                                .code()
+                                .is_some_and(|c| std::ptr::eq(c, code))
                         {
                             break 'tail;
                         }
@@ -408,7 +410,7 @@ impl<'p> Interp<'p> {
                         vals.push(take!(r));
                     }
                     let mut gmodes = Vec::with_capacity(site.mode_args.len());
-                    for m in &site.mode_args {
+                    for m in self.prog.ir.modes(site.mode_args) {
                         gmodes.push(vtry!('run, self.resolve_mode(frame, m)));
                     }
                     let v = vtry!('run, self.invoke(
@@ -443,12 +445,12 @@ impl<'p> Interp<'p> {
                 Op::MakeMCase => {
                     let site = &code.mcases[i.d as usize];
                     let base = i.b as usize;
-                    let arms: Vec<(ent_modes::ModeName, Value)> = site
-                        .modes
-                        .iter()
-                        .enumerate()
-                        .map(|(k, m)| (m.clone(), take!(base + k)))
-                        .collect();
+                    let arms: Vec<(ent_modes::ModeName, Value)> = self.prog.ir.arm_modes
+                        [site.modes.range()]
+                    .iter()
+                    .enumerate()
+                    .map(|(k, m)| (m.clone(), take!(base + k)))
+                    .collect();
                     frame.set(i.a as usize, Value::MCase(Arc::new(arms)));
                 }
                 Op::ElimV => {

@@ -3,7 +3,10 @@
 
 use ent_core::compile;
 use ent_energy::Platform;
-use ent_runtime::{run, RtError, RunResult, RuntimeConfig, Value};
+use ent_runtime::{
+    lower_program, run, run_lowered, Enforcement, Engine, RtError, RunResult, RuntimeConfig,
+    TierUp, Value,
+};
 
 fn eval_int(expr: &str) -> Value {
     let src = format!("class Main {{ int main() {{ return {expr}; }} }}");
@@ -189,4 +192,89 @@ fn hostile_sleep_durations_terminate() {
     let r = run_src(src);
     assert!(r.value.is_ok(), "{:?}", r.value);
     assert!(r.measurement.time_s <= 1.0e6 + 1.0);
+}
+
+/// Runs `src` under `gas_limit` on the tree walker, the bytecode VM and
+/// the threaded tier (every body tiered up on its first entry).
+fn on_every_engine(src: &str, gas_limit: u64) -> Vec<RunResult> {
+    let compiled = compile(src).unwrap_or_else(|e| panic!("{}", e.render(src)));
+    let lowered = lower_program(&compiled);
+    [
+        (Engine::Tree, TierUp::Never),
+        (Engine::Bytecode, TierUp::Never),
+        (Engine::Bytecode, TierUp::Always),
+    ]
+    .into_iter()
+    .map(|(engine, tier_up)| {
+        let config = RuntimeConfig {
+            engine,
+            tier_up,
+            enforcement: Enforcement::Guarded,
+            gas_limit,
+            ..RuntimeConfig::default()
+        };
+        run_lowered(&lowered, Platform::system_a(), config)
+    })
+    .collect()
+}
+
+#[test]
+fn a_gas_limit_on_a_resolved_work_kind_stops_every_engine_alike() {
+    // Lowering resolves the literal kind and drops its node; every engine
+    // still charges its step between the call's own step and the units
+    // argument, whose evaluation prints.
+    let src = r#"class Main {
+        double units() { IO.print("units"); return 1000.0; }
+        int main() { Sim.work("net", this.units()); return 1; }
+      }"#;
+    let observe = |limit| {
+        on_every_engine(src, limit)
+            .iter()
+            .map(|r| {
+                let energy = r.measurement.energy_j.to_bits();
+                (
+                    format!("{:?}", r.value),
+                    r.stats.steps,
+                    r.output.clone(),
+                    energy,
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    let total = observe(u64::MAX)[0].1;
+    for limit in 0..=total {
+        let seen = observe(limit);
+        assert!(
+            seen.iter().all(|s| *s == seen[0]),
+            "limit {limit}: {seen:?}"
+        );
+    }
+    // Steps 1 and 2 are `main`'s block and the call; a limit of 2 runs out
+    // on the kind, before the units argument runs.
+    let stopped = &observe(2)[0];
+    assert_eq!(stopped.0, "Err(OutOfGas)");
+    assert_eq!(stopped.1, 3);
+    assert!(stopped.2.is_empty(), "{stopped:?}");
+}
+
+#[test]
+fn a_work_kind_held_in_a_variable_runs_unresolved_at_the_same_cost() {
+    let literal = r#"class Main { int main() { Sim.work("crypto", 5.0e8); return 1; } }"#;
+    let variable =
+        r#"class Main { int main() { let k = "crypto"; Sim.work(k, 5.0e8); return 1; } }"#;
+    let cpu = r#"class Main { int main() { Sim.work("cpu", 5.0e8); return 1; } }"#;
+    let unknown = r#"class Main { int main() { Sim.work("warp", 5.0e8); return 1; } }"#;
+    let cost = |src| {
+        on_every_engine(src, u64::MAX)
+            .iter()
+            .map(|r| {
+                assert_eq!(r.value, Ok(Value::Int(1)));
+                [r.measurement.energy_j, r.measurement.time_s].map(f64::to_bits)
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(cost(literal), cost(variable));
+    assert_ne!(cost(literal), cost(cpu));
+    // An unknown kind parses as CPU work, resolved or not.
+    assert_eq!(cost(unknown), cost(cpu));
 }

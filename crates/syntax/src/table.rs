@@ -139,6 +139,86 @@ pub struct ClassTable {
     order: Vec<ClassName>,
 }
 
+/// A class's superclass, by position in the table's declaration order.
+#[derive(Clone, Copy, Debug)]
+enum Parent {
+    Object,
+    Class(usize),
+    /// A superclass no class declares.
+    Unknown,
+}
+
+/// For each class whose chain reaches `Object`, the first field of the
+/// chain, walked root first, that repeats an earlier one: the field the
+/// duplicate-field check reports. One depth-first pass over the
+/// inheritance forest, counting the field names of the current root path,
+/// so a deep chain costs linear time. Classes off the forest (an unknown
+/// superclass or a cycle above them) get `None`; the chain check rejects
+/// them first.
+fn first_duplicate_fields<'d>(decls: &[&'d ClassDecl], parent: &[Parent]) -> Vec<Option<Ident>> {
+    let n = decls.len();
+    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut roots = Vec::new();
+    for (c, p) in parent.iter().enumerate() {
+        match *p {
+            Parent::Object => roots.push(c),
+            Parent::Class(p) => children[p].push(c),
+            Parent::Unknown => {}
+        }
+    }
+    let mut first_dup: Vec<Option<Ident>> = vec![None; n];
+    // How often each field name occurs on the current root path.
+    let mut on_path: HashMap<&'d Ident, u32> = HashMap::new();
+    // `(class, fields it added to on_path, its next child)`.
+    let mut stack: Vec<(usize, usize, usize)> = Vec::new();
+    for root in roots {
+        let added = enter_fields(decls[root], None, &mut on_path, &mut first_dup[root]);
+        stack.push((root, added, 0));
+        while let Some(top) = stack.last_mut() {
+            let (c, added, next) = *top;
+            if let Some(&child) = children[c].get(next) {
+                top.2 += 1;
+                let inherited = first_dup[c].clone();
+                let added =
+                    enter_fields(decls[child], inherited, &mut on_path, &mut first_dup[child]);
+                stack.push((child, added, 0));
+            } else {
+                for fd in &decls[c].fields[..added] {
+                    *on_path.get_mut(&fd.name).expect("added on entry") -= 1;
+                }
+                stack.pop();
+            }
+        }
+    }
+    first_dup
+}
+
+/// Enters `decl` on the root path. Its first repeated field `dup` is
+/// `inherited` when its superclass's chain already repeats one, else the
+/// first of its own fields already on the path or earlier among its own.
+/// Adds its fields up to that repeat to `on_path`, and returns how many
+/// it added.
+fn enter_fields<'d>(
+    decl: &'d ClassDecl,
+    inherited: Option<Ident>,
+    on_path: &mut HashMap<&'d Ident, u32>,
+    dup: &mut Option<Ident>,
+) -> usize {
+    if inherited.is_some() {
+        *dup = inherited;
+        return 0;
+    }
+    for (i, fd) in decl.fields.iter().enumerate() {
+        let count = on_path.entry(&fd.name).or_insert(0);
+        if *count > 0 {
+            *dup = Some(fd.name.clone());
+            return i;
+        }
+        *count += 1;
+    }
+    decl.fields.len()
+}
+
 impl ClassTable {
     /// Builds and validates the class table for a program. The table
     /// shares the program's class declarations; it copies no AST.
@@ -167,20 +247,49 @@ impl ClassTable {
     }
 
     fn validate(&self) -> Result<(), TableError> {
-        for name in &self.order {
-            let c = &self.classes[name];
+        let decls: Vec<&ClassDecl> = self.order.iter().map(|n| &*self.classes[n]).collect();
+        let parent = self.parents(&decls);
+        let first_dup = first_duplicate_fields(&decls, &parent);
+        // Per class: `UNCHECKED`, `CHAIN_OK`, or `k` while the walk that
+        // started at class `k` is on it. A walk stops at a checked class,
+        // so each chain link is followed once over the whole table.
+        const UNCHECKED: usize = usize::MAX;
+        const CHAIN_OK: usize = usize::MAX - 1;
+        let mut state = vec![UNCHECKED; decls.len()];
+        for (k, name) in self.order.iter().enumerate() {
+            let c = decls[k];
 
             // Superclass existence + acyclicity.
-            let mut seen = vec![name.clone()];
-            let mut cur = c;
-            while cur.superclass != ClassName::object() {
-                if seen.contains(&cur.superclass) {
-                    return Err(TableError::InheritanceCycle(name.clone()));
+            if state[k] != CHAIN_OK {
+                state[k] = k;
+                let mut cur = k;
+                loop {
+                    match parent[cur] {
+                        Parent::Object => break,
+                        Parent::Unknown => {
+                            return Err(TableError::UnknownSuperclass(
+                                decls[cur].name.clone(),
+                                decls[cur].superclass.clone(),
+                            ))
+                        }
+                        Parent::Class(p) if state[p] == k => {
+                            return Err(TableError::InheritanceCycle(name.clone()))
+                        }
+                        Parent::Class(p) if state[p] == CHAIN_OK => break,
+                        Parent::Class(p) => {
+                            state[p] = k;
+                            cur = p;
+                        }
+                    }
                 }
-                seen.push(cur.superclass.clone());
-                cur = self.classes.get(&cur.superclass).ok_or_else(|| {
-                    TableError::UnknownSuperclass(cur.name.clone(), cur.superclass.clone())
-                })?;
+                let mut cur = k;
+                while state[cur] == k {
+                    state[cur] = CHAIN_OK;
+                    match parent[cur] {
+                        Parent::Class(p) => cur = p,
+                        _ => break,
+                    }
+                }
             }
 
             // Superclass instantiation arity + own-mode preservation.
@@ -224,15 +333,8 @@ impl ClassTable {
             }
 
             // Member uniqueness (fields also against inherited ones).
-            let mut field_names: Vec<Ident> = Vec::new();
-            for anc in self.superclass_chain(name) {
-                let decl = self.classes.get(&anc).expect("chain is validated");
-                for fd in &decl.fields {
-                    if field_names.contains(&fd.name) {
-                        return Err(TableError::DuplicateField(name.clone(), fd.name.clone()));
-                    }
-                    field_names.push(fd.name.clone());
-                }
+            if let Some(field) = &first_dup[k] {
+                return Err(TableError::DuplicateField(name.clone(), field.clone()));
             }
             let mut method_names: Vec<Ident> = Vec::new();
             for m in &c.methods {
@@ -257,6 +359,24 @@ impl ClassTable {
             }
         }
         Ok(())
+    }
+
+    /// Each class's superclass, by position in `order`.
+    fn parents(&self, decls: &[&ClassDecl]) -> Vec<Parent> {
+        let index: HashMap<&ClassName, usize> =
+            self.order.iter().enumerate().map(|(i, n)| (n, i)).collect();
+        decls
+            .iter()
+            .map(|c| {
+                if c.superclass == ClassName::object() {
+                    Parent::Object
+                } else {
+                    index
+                        .get(&c.superclass)
+                        .map_or(Parent::Unknown, |&p| Parent::Class(p))
+                }
+            })
+            .collect()
     }
 
     /// Looks up a class declaration.
@@ -685,5 +805,81 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, TableError::SuperArgArity { .. }));
+    }
+
+    /// The chain and duplicate-field checks as `validate` made them before
+    /// it memoized chains: every class's whole chain walked with a `seen`
+    /// list, then rebuilt for the field check.
+    fn chain_and_field_oracle(t: &ClassTable) -> Result<(), TableError> {
+        for name in &t.order {
+            let mut seen = vec![name.clone()];
+            let mut cur = &t.classes[name];
+            while cur.superclass != ClassName::object() {
+                if seen.contains(&cur.superclass) {
+                    return Err(TableError::InheritanceCycle(name.clone()));
+                }
+                seen.push(cur.superclass.clone());
+                cur = t.classes.get(&cur.superclass).ok_or_else(|| {
+                    TableError::UnknownSuperclass(cur.name.clone(), cur.superclass.clone())
+                })?;
+            }
+            let mut field_names: Vec<Ident> = Vec::new();
+            for anc in t.superclass_chain(name) {
+                for fd in &t.classes[&anc].fields {
+                    if field_names.contains(&fd.name) {
+                        return Err(TableError::DuplicateField(name.clone(), fd.name.clone()));
+                    }
+                    field_names.push(fd.name.clone());
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Random class graphs — chains, forests, cycles, undeclared
+        /// superclasses, fields repeated along a chain or within a class —
+        /// get the same verdict, and the same first error, as the walk
+        /// per class did.
+        #[test]
+        fn memoized_validation_reports_what_the_walk_per_class_did(
+            classes in proptest::collection::vec(
+                (0usize..12, proptest::collection::vec(0usize..4, 0..3)),
+                1..10,
+            )
+        ) {
+            let n = classes.len();
+            let mut src = String::new();
+            for (k, (sup, fields)) in classes.iter().enumerate() {
+                src.push_str(&format!("class K{k}"));
+                match *sup {
+                    s if s < n => src.push_str(&format!(" extends K{s}")),
+                    s if s == n => src.push_str(" extends Nowhere"),
+                    _ => {}
+                }
+                src.push_str(" {");
+                for f in fields {
+                    src.push_str(&format!(" int f{f};"));
+                }
+                src.push_str(" }\n");
+            }
+            let program = parse_program(&src).expect("generated classes parse");
+            let unchecked = ClassTable {
+                classes: program
+                    .classes
+                    .iter()
+                    .map(|c| (c.name.clone(), Arc::clone(c)))
+                    .collect(),
+                order: program.classes.iter().map(|c| c.name.clone()).collect(),
+            };
+            proptest::prop_assert_eq!(
+                ClassTable::new(&program).map(|_| ()),
+                chain_and_field_oracle(&unchecked),
+                "{}",
+                src
+            );
+        }
     }
 }

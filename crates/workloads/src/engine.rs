@@ -11,9 +11,10 @@
 //!   `Arc<LoweredProgram>` across every run, thread, and figure that
 //!   needs them (`LoweredProgram` is `Send + Sync`, asserted at compile
 //!   time in `ent-runtime`). One mutex guards one map and its insertion
-//!   order; compiles run outside it, and eviction is bounded FIFO at
-//!   [`LOWERED_CACHE_CAP`] programs, so long-lived processes sweeping
-//!   many generated programs cannot grow it without limit.
+//!   order; compiles, and freeing evicted programs, run outside it, and
+//!   eviction is bounded FIFO at [`LOWERED_CACHE_CAP`] programs, so
+//!   long-lived processes sweeping many generated programs cannot grow it
+//!   without limit.
 //! * **A batch executor** ([`run_batch_outcomes`] and the infallible
 //!   wrapper [`run_batch`]): enumerates jobs up front, fans them out
 //!   across `jobs` reusable big-stack workers that claim blocks of job
@@ -177,6 +178,9 @@ pub fn try_lowered_cached(src: &str) -> Result<Arc<LoweredProgram>, String> {
     CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
     let compiled = compile(src).map_err(|e| e.render(src))?;
     let lowered = Arc::new(ent_runtime::lower_program(&compiled));
+    let key: Arc<str> = Arc::from(src);
+    // Evicted entries are freed after the lock is released.
+    let mut evicted = Vec::new();
     let mut guard = lock_cache();
     let cache = &mut *guard;
     if let Some(raced) = cache.map.get(src) {
@@ -187,12 +191,13 @@ pub fn try_lowered_cached(src: &str) -> Result<Arc<LoweredProgram>, String> {
         let Some(oldest) = cache.order.pop_front() else {
             break;
         };
-        cache.map.remove(&oldest);
+        evicted.extend(cache.map.remove_entry(&oldest));
         CACHE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
     }
-    let key: Arc<str> = Arc::from(src);
     cache.map.insert(Arc::clone(&key), Arc::clone(&lowered));
     cache.order.push_back(key);
+    drop(guard);
+    drop(evicted);
     Ok(lowered)
 }
 

@@ -76,7 +76,7 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 const PROGRAMS: u64 = 100;
 
 /// Mean allocations of `compile` + `lower_program` per program.
-const COMPILE_CEILING: f64 = 860.0;
+const COMPILE_CEILING: f64 = 605.0;
 
 /// Mean allocations of the first `run_lowered` per program.
 const FIRST_RUN_CEILING: f64 = 150.0;
