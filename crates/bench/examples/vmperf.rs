@@ -1,6 +1,6 @@
-//! Engine microbenchmarks: tree walker vs. bytecode VM vs. the VM's
-//! threaded tier (every body tiered up on first entry) on isolated
-//! interpreter shapes, away from the energy sim and the fig-suite setup.
+//! Engine microbenchmarks: the tree walker vs. the closure-threaded
+//! bytecode engine on isolated interpreter shapes, away from the energy
+//! sim and the fig-suite setup.
 //!
 //!   cargo run -p ent-bench --release --example vmperf
 //!
@@ -9,7 +9,7 @@
 //! * `straight` — a 400-`let` arithmetic chain, pure fused-binop dispatch
 //!   (body larger than L1, so both engines are partly memory-bound);
 //! * `fib` — non-tail recursion, exercises the full invoke path;
-//! * `tailloop` — tail self-send recursion, exercises the VM's tail-call
+//! * `tailloop` — tail self-send recursion, exercises bytecode's tail-call
 //!   elision against the tree walker's per-call frame machinery;
 //! * `arr` — `Arr.push` accumulation (the parameter slot keeps the array
 //!   `Arc` shared, so both engines deep-copy: a worst case, not a win).
@@ -22,7 +22,6 @@ use std::time::Instant;
 use ent_energy::Platform;
 use ent_runtime::{
     default_stack_size, lower_program, run_lowered, with_interp_stack, Engine, RuntimeConfig,
-    TierUp,
 };
 
 const BUDGET_S: f64 = 0.7;
@@ -32,14 +31,9 @@ fn bench(name: &str, src: &str) {
     let lowered = lower_program(&compiled);
     let mut sps = Vec::new();
     with_interp_stack(default_stack_size(), || {
-        for (lane, engine, tier_up) in [
-            ("tree", Engine::Tree, TierUp::Never),
-            ("bytecode", Engine::Bytecode, TierUp::Never),
-            ("threaded", Engine::Bytecode, TierUp::Always),
-        ] {
+        for (lane, engine) in [("tree", Engine::Tree), ("bytecode", Engine::Bytecode)] {
             let cfg = || RuntimeConfig {
                 engine,
-                tier_up,
                 gas_limit: 4_000_000_000,
                 ..Default::default()
             };
@@ -63,8 +57,7 @@ fn bench(name: &str, src: &str) {
             );
         }
     });
-    println!("{name:<10} vm/tree    {:>12.2}x", sps[1] / sps[0]);
-    println!("{name:<10} thr/vm     {:>12.2}x", sps[2] / sps[1]);
+    println!("{name:<10} bc/tree    {:>12.2}x", sps[1] / sps[0]);
 }
 
 fn main() {

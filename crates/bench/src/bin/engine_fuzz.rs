@@ -7,12 +7,11 @@
 //!   cargo run -p ent-bench --release --bin engine_fuzz -- [--fuzz-iters N] [--jobs N]
 //!
 //! Every seeded program from `ent_workloads::fuzzgen` is executed on the
-//! tree walker, the bytecode VM, and the VM's closure-threaded tier (at
-//! `TierUp::Always`, so every body actually tiers) across a grid of
-//! battery levels, fault regimes, and enforcement strategies; any
-//! observable divergence between any pair — value, output, stats,
-//! energy/time bits, or the rendered event stream — aborts with the
-//! offending seed and program source.
+//! tree walker and on bytecode across a grid of battery levels, fault
+//! regimes, and enforcement strategies; any observable divergence
+//! between the pair — value, output, stats, energy/time bits, or the
+//! rendered event stream — aborts with the offending seed and program
+//! source.
 //! Under transient the full-surface comparison subsumes the
 //! accept/reject verdict and the check counters. Exit status 0 means
 //! the corpus agreed everywhere.
@@ -24,7 +23,7 @@ use ent_core::compile;
 use ent_energy::{FaultPlan, Platform};
 use ent_runtime::{
     lower_program, render_event, run_lowered, Enforcement, Engine, LoweredProgram, RunResult,
-    RuntimeConfig, TierUp,
+    RuntimeConfig,
 };
 use ent_workloads::{fuzzgen, run_batch};
 
@@ -83,10 +82,9 @@ fn fuzz_seed(seed: u64) -> SeedReport {
     for battery in BATTERIES {
         for faults in [None, Some(FaultPlan::chaos())] {
             for enforcement in [Enforcement::Guarded, Enforcement::Transient] {
-                let run = |engine, tier_up| {
+                let run = |engine| {
                     let config = RuntimeConfig {
                         engine,
-                        tier_up,
                         enforcement,
                         battery_level: battery,
                         seed: 7,
@@ -97,26 +95,21 @@ fn fuzz_seed(seed: u64) -> SeedReport {
                     };
                     run_lowered(&lowered, Platform::system_a(), config)
                 };
-                let tree = run(Engine::Tree, TierUp::Never);
-                let vm = run(Engine::Bytecode, TierUp::Never);
-                // Tier every body immediately so the threaded leg
-                // exercises compiled code, not its bytecode warm-up.
-                let th = run(Engine::Bytecode, TierUp::Always);
+                let tree = run(Engine::Tree);
+                let bytecode = run(Engine::Bytecode);
                 report.runs += 1;
                 if tree.value.is_err() {
                     report.errors += 1;
                 }
                 let a = observe(&lowered, &tree);
-                for (name, r) in [("bytecode", &vm), ("threaded", &th)] {
-                    let b = observe(&lowered, r);
-                    if a != b {
-                        report.divergence = Some(format!(
-                            "seed {seed} battery {battery} faults {} enforce {}:\n--- tree\n{a}\n--- {name}\n{b}\n--- program\n{src}",
-                            faults.is_some(),
-                            enforcement.name()
-                        ));
-                        return report;
-                    }
+                let b = observe(&lowered, &bytecode);
+                if a != b {
+                    report.divergence = Some(format!(
+                        "seed {seed} battery {battery} faults {} enforce {}:\n--- tree\n{a}\n--- bytecode\n{b}\n--- program\n{src}",
+                        faults.is_some(),
+                        enforcement.name()
+                    ));
+                    return report;
                 }
             }
         }
@@ -139,7 +132,7 @@ fn main() {
     }
     let jobs = ent_bench::parse_grid_args_with(0, &["--fuzz-iters"]).jobs;
 
-    eprintln!("fuzzing {iters} seeds on tree, bytecode and threaded ({jobs} jobs)...");
+    eprintln!("fuzzing {iters} seeds on tree and bytecode ({jobs} jobs)...");
     let start = Instant::now();
     let seeds: Vec<u64> = (0..iters).collect();
     let reports = run_batch(jobs, &seeds, |&seed| fuzz_seed(seed));
@@ -155,7 +148,7 @@ fn main() {
         }
     }
     eprintln!(
-        "ok: {iters} seeds, {runs} run triples agreed ({errors} error runs exercised) in {:.1}s",
+        "ok: {iters} seeds, {runs} run pairs agreed ({errors} error runs exercised) in {:.1}s",
         start.elapsed().as_secs_f64()
     );
     if iters >= 100 && errors == 0 {

@@ -15,17 +15,16 @@
 //! Usage:
 //!   cargo run -p ent-bench --release --bin migration_lattice \[repeats\]
 //!
-//! Defaults: 3 repeats averaged. Runs use the `ENT_ENGINE` and
-//! `ENT_TIER_UP` defaults; the strategy grid is swept explicitly, so
-//! `ENT_ENFORCE` does not apply. Writes `BENCH_lattice.json` at the
-//! workspace root.
+//! Defaults: 3 repeats averaged. Runs use the `ENT_ENGINE` default; the
+//! strategy grid is swept explicitly, so `ENT_ENFORCE` does not apply.
+//! Writes `BENCH_lattice.json` at the workspace root.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use ent_bench::{parse_grid_args, render_table};
 use ent_energy::PlatformKind;
-use ent_runtime::{run_lowered, Enforcement, Engine, RuntimeConfig, TierUp};
+use ent_runtime::{run_lowered, Enforcement, Engine, RuntimeConfig};
 use ent_workloads::{benchmark, lattice_program, lowered_cached, platform_for, LATTICE_CHUNKS};
 
 /// Batch benchmarks swept (each must have `Shape::Batch`).
@@ -78,7 +77,6 @@ fn run_cell(
     for r in 0..repeats {
         let config = RuntimeConfig {
             engine: Engine::from_env(),
-            tier_up: TierUp::from_env(),
             enforcement: strategy,
             seed: SEED + r,
             ..RuntimeConfig::default()

@@ -1,19 +1,18 @@
 //! Interpreter perf baseline over the Figure-6 benchmark suite.
 //!
 //! Measures raw interpreter throughput (`RunStats::steps` per wall-clock
-//! second) for every benchmark's E2 program at a fixed seed, in three
-//! lanes (the recursive tree walker, the register-bytecode VM, and the
-//! VM's closure-threaded tier with every body tiered up), plus a
-//! semantics fingerprint (stats, output, pretty value, energy bits) so
-//! the faster lanes can prove they compute *exactly* the same thing —
-//! with fault injection on as well as off.
+//! second) for every benchmark's E2 program at a fixed seed, in two
+//! lanes (the recursive tree walker and the closure-threaded bytecode
+//! engine), plus a semantics fingerprint (stats, output, pretty value,
+//! energy bits) so the faster lane can prove it computes *exactly* the
+//! same thing — with fault injection on as well as off.
 //!
 //! Usage:
 //!   cargo run -p ent-bench --release --bin perf_baseline -- --phase baseline
 //!     captures the reference numbers (tree engine) into
 //!     crates/bench/data/perf_baseline.txt
 //!   cargo run -p ent-bench --release --bin perf_baseline [-- --jobs N]
-//!     measures all three lanes, compares against the stored baseline,
+//!     measures both lanes, compares against the stored baseline,
 //!     and writes BENCH_interp.json at the workspace root.
 //!
 //! `--jobs` parallelizes the compile + fingerprint-verification phase; the
@@ -21,7 +20,7 @@
 //! shared machine would measure contention, not the interpreter). Timing
 //! runs in rounds after a *time-bounded* warmup (at least
 //! [`WARMUP_RUNS`] runs and [`WARMUP_S`] seconds — long enough to settle
-//! caches, branch predictors, and the threaded tier's hot counters); the
+//! caches and branch predictors, and to compile every body); the
 //! reported throughput is the **median** round, which shrugs off the
 //! one-off scheduling hiccups that used to push findbugs/sunflow past 10%
 //! RSD, and each benchmark still reports the honest relative standard
@@ -33,7 +32,7 @@ use std::time::Instant;
 
 use ent_energy::{FaultPlan, PlatformKind};
 use ent_runtime::{
-    default_stack_size, run_lowered, with_interp_stack, Engine, RunResult, RuntimeConfig, TierUp,
+    default_stack_size, run_lowered, with_interp_stack, Engine, RunResult, RuntimeConfig,
 };
 use ent_workloads::{all_benchmarks, prepare_e2, run_batch};
 
@@ -50,33 +49,23 @@ const WARMUP_RUNS: u32 = 3;
 /// Minimum untimed warmup wall time per lane, seconds.
 const WARMUP_S: f64 = 0.05;
 
-/// One measured configuration: its key in BENCH_interp.json, the
-/// engine, and the tier-up policy.
+/// One measured configuration: its key in BENCH_interp.json and its
+/// engine.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct Lane {
     name: &'static str,
     engine: Engine,
-    tier_up: TierUp,
 }
 
 const TREE: Lane = Lane {
     name: "tree",
     engine: Engine::Tree,
-    tier_up: TierUp::Never,
 };
 const BYTECODE: Lane = Lane {
     name: "bytecode",
     engine: Engine::Bytecode,
-    tier_up: TierUp::Never,
 };
-/// The threaded tier itself, not its bytecode warm-up laps: every body
-/// compiles on first entry.
-const THREADED: Lane = Lane {
-    name: "threaded",
-    engine: Engine::Bytecode,
-    tier_up: TierUp::Always,
-};
-const LANES: [Lane; 3] = [TREE, BYTECODE, THREADED];
+const LANES: [Lane; 2] = [TREE, BYTECODE];
 
 struct LaneSample {
     steps_per_sec: f64,
@@ -100,7 +89,6 @@ fn config(lane: Lane) -> RuntimeConfig {
         battery_level: BATTERY,
         seed: SEED,
         engine: lane.engine,
-        tier_up: lane.tier_up,
         ..RuntimeConfig::default()
     }
 }
@@ -384,10 +372,9 @@ fn main() {
     let _ = writeln!(json, "  \"benchmarks\": [");
     let mut speedups = Vec::new();
     let mut engine_speedups = Vec::new();
-    let mut threaded_speedups = Vec::new();
     let mut mismatches = Vec::new();
     for (i, s) in samples.iter().enumerate() {
-        // The headline number is the last lane probed (threaded in the
+        // The headline number is the last lane probed (bytecode in the
         // default sweep).
         let fastest = s.by_lane.last().expect("lane measured").1.steps_per_sec;
         let (base_sps, speedup, semantics_match) =
@@ -432,11 +419,6 @@ fn main() {
             engine_speedups.push(ratio);
             let _ = write!(json, ", \"bytecode_over_tree\": {ratio:.3}");
         }
-        if let (Some(vm), Some(th)) = (sps_of(BYTECODE), sps_of(THREADED)) {
-            let ratio = th / vm;
-            threaded_speedups.push(ratio);
-            let _ = write!(json, ", \"threaded_over_bytecode\": {ratio:.3}");
-        }
         let _ = write!(
             json,
             ", \"baseline_steps_per_sec\": {base_sps:.1}, \"speedup\": {speedup:.3}, \"semantics_match\": {semantics_match}}}"
@@ -456,13 +438,6 @@ fn main() {
             json,
             "  \"bytecode_over_tree_geomean\": {:.3},",
             geomean(engine_speedups.iter().copied())
-        );
-    }
-    if !threaded_speedups.is_empty() {
-        let _ = writeln!(
-            json,
-            "  \"threaded_over_bytecode_geomean\": {:.3},",
-            geomean(threaded_speedups.iter().copied())
         );
     }
     let _ = writeln!(
@@ -506,12 +481,6 @@ fn main() {
         eprintln!(
             "bytecode over tree geomean: {:.2}x",
             geomean(engine_speedups.iter().copied())
-        );
-    }
-    if !threaded_speedups.is_empty() {
-        eprintln!(
-            "threaded over bytecode geomean: {:.2}x",
-            geomean(threaded_speedups.iter().copied())
         );
     }
     eprintln!(

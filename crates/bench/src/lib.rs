@@ -58,10 +58,9 @@ pub fn average_runs(repeats: usize, mut f: impl FnMut(u64) -> f64) -> f64 {
 /// Command-line arguments shared by the figure binaries:
 /// `[<value>] [--jobs N] [--faults <spec>] [--fault-seed N]`, where the
 /// positional value is the repeat count (the seed, for
-/// `fig11_e3_thermal`). The engine, tier-up and enforcement settings are
-/// not flags: every prepared program reads `ENT_ENGINE`, `ENT_TIER_UP`
-/// and `ENT_ENFORCE` (see `ent_workloads::prepare_e1`), which child
-/// processes inherit.
+/// `fig11_e3_thermal`). The engine and enforcement settings are not
+/// flags: every prepared program reads `ENT_ENGINE` and `ENT_ENFORCE`
+/// (see `ent_workloads::prepare_e1`), which child processes inherit.
 #[derive(Clone, Debug)]
 pub struct GridArgs {
     /// The positional value (repeats or seed).
@@ -76,7 +75,7 @@ pub struct GridArgs {
 }
 
 /// Exits with status 1, naming the variable, when `ENT_ENGINE`,
-/// `ENT_TIER_UP`, `ENT_ENFORCE` or `ENT_STACK_SIZE` is malformed
+/// `ENT_ENFORCE` or `ENT_STACK_SIZE` is malformed
 /// ([`ent_runtime::check_env_settings`]); otherwise the runs would
 /// silently fall back to the defaults. Every binary calls it before it
 /// runs anything, most through [`parse_grid_args`].
@@ -93,8 +92,8 @@ pub fn check_env_or_exit() {
 /// that flag only changes speed. A malformed `--faults` value exits with
 /// status 1, as does a zero or non-numeric `--jobs` or `--fault-seed`,
 /// any other `--flag` (its value would otherwise be read as the
-/// positional count), and a malformed `ENT_ENGINE`, `ENT_TIER_UP`,
-/// `ENT_ENFORCE` or `ENT_STACK_SIZE`
+/// positional count), and a malformed `ENT_ENGINE`, `ENT_ENFORCE` or
+/// `ENT_STACK_SIZE`
 /// ([`ent_runtime::check_env_settings`]).
 pub fn parse_grid_args(default_value: u64) -> GridArgs {
     parse_grid_args_with(default_value, &[])

@@ -82,7 +82,6 @@ fn a_malformed_engine_variable_exits_one_before_any_grid_runs() {
     ];
     let settings = [
         ("ENT_ENGINE", "threaded"),
-        ("ENT_TIER_UP", "sometimes"),
         ("ENT_ENFORCE", "lax"),
         ("ENT_STACK_SIZE", "huge"),
     ];

@@ -97,9 +97,9 @@ pub struct Options {
     /// Engine from `--engine` (`None` = [`Engine::from_env`]: the
     /// `ENT_ENGINE` environment variable, else bytecode).
     pub engine: Option<Engine>,
-    /// Tier-up threshold from `--tier-up` (`None` = [`TierUp::from_env`]:
-    /// the `ENT_TIER_UP` environment variable, else off). Only the
-    /// bytecode engine reads it.
+    /// Selects nothing: the bytecode engine has one executor. Kept only
+    /// for the benchmark in `perfbench/`, which ROADMAP item 9 changes
+    /// (see [`TierUp`]).
     pub tier_up: Option<TierUp>,
     /// Enforcement strategy from `--enforce` (`None` =
     /// [`Enforcement::from_env`]: the `ENT_ENFORCE` environment variable,
@@ -161,14 +161,10 @@ options:
   --staleness-bound <s> seconds a last-known-good sensor reading may be served
                        after a fault before decisions degrade; must be a
                        positive number (default: 5)
-  --engine <e>         method-body execution engine: bytecode (the register
-                       VM, default) or tree (the recursive evaluator); both
-                       produce bit-identical results (ENT_ENGINE env default)
-  --tier-up <n>        when the bytecode engine compiles a hot method body to
-                       its closure-threaded tier (deopting back to bytecode
-                       where a guard fails): 0 = on first call, off = never,
-                       else after <n> calls (default: 8; ENT_TIER_UP env
-                       default); results are bit-identical at every setting
+  --engine <e>         method-body execution engine: bytecode (closure-threaded
+                       register code, default) or tree (the recursive
+                       evaluator); both produce bit-identical results
+                       (ENT_ENGINE env default)
   --enforce <s>        mode-check enforcement strategy: guarded (deep snapshot
                        boundaries + dynamic waterfall, the paper's semantics,
                        default) or transient (shallow first-order checks at
@@ -328,20 +324,10 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                 let v = it
                     .next()
                     .ok_or("--engine needs a value (tree or bytecode)")?;
-                options.engine = Some(Engine::parse(v).ok_or_else(|| {
-                    format!(
-                        "unknown engine `{v}` (expected tree or bytecode; \
-                         the threaded tier is --tier-up <n>)"
-                    )
-                })?);
-            }
-            "--tier-up" => {
-                let v = it
-                    .next()
-                    .ok_or("--tier-up needs a value (0, off, or a count)")?;
-                options.tier_up = Some(TierUp::parse(v).ok_or_else(|| {
-                    format!("malformed tier-up threshold `{v}` (expected 0, off, or a count)")
-                })?);
+                options.engine =
+                    Some(Engine::parse(v).ok_or_else(|| {
+                        format!("unknown engine `{v}` (expected tree or bytecode)")
+                    })?);
             }
             "--enforce" => {
                 let v = it
@@ -620,7 +606,6 @@ fn run_config(options: &Options) -> (Platform, RuntimeConfig) {
         faults: options.faults.clone(),
         fault_seed: options.fault_seed,
         engine: options.engine.unwrap_or_else(Engine::from_env),
-        tier_up: options.tier_up.unwrap_or_else(TierUp::from_env),
         enforcement: options.enforce.unwrap_or_else(Enforcement::from_env),
         ..RuntimeConfig::default()
     };
@@ -932,18 +917,15 @@ mod tests {
         assert_eq!(o.engine, Some(Engine::Bytecode));
         assert!(parse_args(&args(&["run", "x.ent", "--engine", "jit"])).is_err());
         assert!(parse_args(&args(&["run", "x.ent", "--engine"])).is_err());
-        // The threaded tier is a tier-up setting of bytecode, not an
-        // engine, and the rejection says where it went.
+        // The threaded executor is the bytecode engine, not an engine of
+        // its own.
         let err = parse_args(&args(&["run", "x.ent", "--engine", "threaded"])).unwrap_err();
-        assert!(err.contains("--tier-up"), "{err}");
+        assert!(err.contains("tree or bytecode"), "{err}");
 
-        // The flags must not change a single output byte — including the
-        // threaded tier forced to compile every body (`--tier-up 0`).
+        // The flag must not change a single output byte.
         let tree = parse_args(&args(&["run", "x.ent", "--engine", "tree"])).unwrap();
-        let vm = parse_args(&args(&["run", "x.ent", "--engine", "bytecode"])).unwrap();
-        let th = parse_args(&args(&["run", "x.ent", "--tier-up", "0"])).unwrap();
-        assert_eq!(execute(&tree, HELLO), execute(&vm, HELLO));
-        assert_eq!(execute(&vm, HELLO), execute(&th, HELLO));
+        let bytecode = parse_args(&args(&["run", "x.ent", "--engine", "bytecode"])).unwrap();
+        assert_eq!(execute(&tree, HELLO), execute(&bytecode, HELLO));
     }
 
     #[test]

@@ -8,7 +8,6 @@ use ent_cli::{
     execute, parse_args, EXIT_COMPILE, EXIT_DEGRADED, EXIT_OK, EXIT_REQUIRES_ENT, EXIT_RUNTIME,
     EXIT_USAGE,
 };
-use ent_runtime::json::{self, Json};
 
 fn cli(args: &[&str], src: &str) -> (i32, String) {
     let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -76,7 +75,7 @@ fn malformed_numeric_flags_exit_one_with_a_clear_message() {
 
 /// The engine settings' environment variables, cleared before each
 /// spawned run so the workspace test lanes that set them cannot leak in.
-const ENGINE_VARS: [&str; 3] = ["ENT_ENGINE", "ENT_TIER_UP", "ENT_ENFORCE"];
+const ENGINE_VARS: [&str; 2] = ["ENT_ENGINE", "ENT_ENFORCE"];
 
 /// Spawns `ent` with `args` under exactly the engine variables in `env`.
 fn spawn_ent(args: &[&str], env: &[(&str, &str)]) -> Output {
@@ -89,58 +88,31 @@ fn spawn_ent(args: &[&str], env: &[(&str, &str)]) -> Output {
 }
 
 #[test]
-fn tier_up_reaches_the_run_from_the_flag_and_the_environment() {
-    let crawler = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../examples/ent/crawler.ent"
-    );
-    let dir = std::env::temp_dir().join(format!("ent-tier-up-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    // `count` runs 21 times in one run, past the default threshold;
-    // crawler's bodies never reach it.
-    let hot = dir.join("hot.ent");
+fn deep_recursion_stops_at_the_call_depth_guard_on_both_engines() {
+    // 100000 non-tail self-calls on a 16 MiB interpreter stack: the depth
+    // guard derived from the stack size must stop the run with a runtime
+    // error before the native stack overflows and aborts the process, on
+    // the tree walker as on bytecode, in debug builds as in release.
+    let path = std::env::temp_dir().join(format!("ent-recurse-{}.ent", std::process::id()));
     std::fs::write(
-        &hot,
-        "class Main {\n  int count(int i) { if (i <= 0) { return 0; } return 1 + this.count(i - 1); }\n  int main() { return this.count(20); }\n}\n",
+        &path,
+        "class Main {\n  int go(int n) { if (n <= 0) { return 0; } return 1 + this.go(n - 1); }\n  int main() { return this.go(100000); }\n}\n",
     )
-    .expect("write program");
-    let hot = hot.to_str().expect("utf-8 temp path");
-    let threaded_entries = |tag: &str, program: &str, flags: &[&str], env: &[(&str, &str)]| {
-        let metrics = dir.join(format!("{tag}.json"));
-        let metrics = metrics.to_str().expect("utf-8 temp path");
-        let mut args = vec!["run", program, "--metrics-json", metrics];
-        args.extend(flags);
-        let out = spawn_ent(&args, env);
-        assert_eq!(out.status.code(), Some(EXIT_OK), "{tag}: {out:?}");
-        let doc = std::fs::read_to_string(metrics).expect("telemetry written");
-        let doc = json::parse(&doc).expect("telemetry parses");
-        doc.get("tier")
-            .and_then(|t| t.get("threaded_entries"))
-            .and_then(Json::as_f64)
-            .expect("tier.threaded_entries")
-    };
-    assert!(threaded_entries("flag", crawler, &["--tier-up", "0"], &[]) > 0.0);
-    assert!(threaded_entries("env", crawler, &[], &[("ENT_TIER_UP", "0")]) > 0.0);
-    assert_eq!(
-        threaded_entries(
-            "tree",
-            crawler,
-            &["--tier-up", "0"],
-            &[("ENT_ENGINE", "tree")]
-        ),
-        0.0,
-        "the tree engine never tiers"
-    );
-    assert!(
-        threaded_entries("default", hot, &[], &[]) > 0.0,
-        "a hot body tiers up by default"
-    );
-    assert_eq!(
-        threaded_entries("off", hot, &["--tier-up", "off"], &[]),
-        0.0,
-        "`--tier-up off` never tiers"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    .expect("write temp source");
+    let path_str = path.to_str().expect("utf-8 temp path");
+    for engine in ["tree", "bytecode"] {
+        let out = spawn_ent(
+            &["run", path_str, "--stack-size", "16m", "--engine", engine],
+            &[],
+        );
+        assert_eq!(out.status.code(), Some(EXIT_RUNTIME), "{engine}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("call depth exceeded the interpreter limit"),
+            "{engine}: {stdout}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -148,12 +120,7 @@ fn malformed_engine_settings_in_the_environment_exit_one() {
     // Checked before any file is read: the path does not exist, yet the
     // message names the variable and what it accepts, not the file.
     for (var, value, accepted) in [
-        (
-            "ENT_ENGINE",
-            "threaded",
-            "the threaded tier is a tier-up setting",
-        ),
-        ("ENT_TIER_UP", "soon", "0, off, or a count"),
+        ("ENT_ENGINE", "threaded", "tree or bytecode"),
         ("ENT_ENFORCE", "eager", "guarded or transient"),
         ("ENT_STACK_SIZE", "huge", "k, m or g suffix"),
     ] {

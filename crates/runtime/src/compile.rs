@@ -1,5 +1,6 @@
-//! Bytecode compilation: flattens lowered [`Node`] trees into the flat
-//! register-machine code the [`crate::vm`] dispatch loop executes.
+//! Bytecode compilation: flattens a lowered body's [`Node`] tree, once,
+//! into the flat array of threaded ops ([`TOp`]) that the executor in
+//! `crate::interp::threaded` runs.
 //!
 //! The tree IR of [`crate::lower`] already resolved every name to a dense
 //! index; what remains on the tree-walker's hot path is the *shape* of the
@@ -7,52 +8,62 @@
 //! `Result` unwind per node. This pass linearizes each body once, on
 //! first execution, into:
 //!
-//! * a flat `Vec<Instr>` of fixed-width instructions (a `u8` opcode plus
-//!   `u16`/`u32` operand words) addressing a single per-frame register
-//!   file: parameter and `let` slots first (the same slot numbers lowering
-//!   assigned), scratch registers above them;
+//! * [`Code::ops`], one 24-byte op per action: the handler that performs
+//!   it, chosen here at emit time, plus `u16`/`u32` operand words
+//!   addressing a single per-frame register file (parameter and `let`
+//!   slots first, at the slot numbers lowering assigned, scratch
+//!   registers above them);
 //! * a constant pool ([`Code::consts`]) holding literal values;
 //! * side tables of per-site metadata (call sites, snapshot bounds, field
-//!   ids, builtin descriptors), so the instruction stream itself stays
-//!   small and cache-friendly.
+//!   ids, builtin descriptors), so the op array itself stays small and
+//!   cache-friendly.
 //!
 //! **Gas exactness.** The tree-walker charges one gas unit at every node
 //! *entry*, pre-order, and the step counter is observable (it is part of
 //! [`crate::RunStats`], of telemetry, and of the error state when a run
 //! dies). The compiler therefore threads a `pending` gas account: entering
-//! a node increments it, and the first instruction emitted for that
-//! node's subtree carries the accumulated charges in [`Instr::gas`].
-//! Because consecutive pending charges correspond to consecutive charges
-//! in the tree-walker (nothing observable happens between a parent's
-//! entry and its first child's entry), batching them preserves the step
-//! counter exactly at every observable point — including the out-of-gas
+//! a node increments it, and the first op emitted for that node's
+//! subtree carries the accumulated charges in [`TOp::gas`]. Because
+//! consecutive pending charges correspond to consecutive charges in the
+//! tree-walker (nothing observable happens between a parent's entry and
+//! its first child's entry), batching them preserves the step counter
+//! exactly at every observable point — including the out-of-gas
 //! boundary, where [`crate::interp`]'s batched checker clamps to
 //! `gas_limit + 1` exactly as the one-at-a-time checker would have
 //! reported. Charges that straddle an observable action (an operand read,
-//! a force, a side effect) are *never* batched across it: fused
-//! superinstructions carry a separate mid-instruction charge
-//! ([`FusedBin::rgas`]) applied at the exact tree position.
+//! a force, a side effect) are *never* batched across it: a fused binop
+//! charges its rhs leaf's one unit between its operand reads, the exact
+//! tree position.
 //!
-//! **Superinstructions.** Three fusions cover the measured hot pairs:
+//! **Superinstructions.** Four shapes run as one op:
 //!
-//! * [`Op::BinF`] — load-slot/load-const + binop: a binary whose operands
-//!   are frame slots or literals executes as one instruction (the operand
-//!   descriptors live in a [`FusedBin`] site).
-//! * [`Op::JmpBin`] / [`Op::JmpBinF`] — compare + branch: an `if` whose
-//!   condition is a comparison branches directly on the comparison result
-//!   without materializing the boolean or re-checking its type.
-//! * [`Op::FieldThis`] / the `this_recv` call flavor — field-get and send
-//!   on `this` skip the receiver register round-trip entirely.
+//! * fused binops — a binary whose operands are frame slots or literals
+//!   reads them inside the op (their kinds packed in [`TOp::kinds`],
+//!   their names for error messages in [`Code::fused`]);
+//! * compare + branch — an `if` whose condition is a comparison branches
+//!   directly on the comparison result without materializing the boolean
+//!   or re-checking its type;
+//! * field reads and sends on `this` skip the receiver register;
+//! * a tail self-send — a `this` send with no mode arguments whose result
+//!   a gasless `return` consumes — gets the eliding send handler, decided
+//!   when the `return` is emitted.
 //!
 //! Inline-cache site ids are allocated from per-program atomic counters
 //! ([`IcCounters`]) so every send / `mcase` / snapshot site owns one slot
-//! in the per-run cache vectors (see `crate::vm`); ids only need to be
-//! unique, not dense, so racing lazy compilations stay correct.
+//! in the per-run cache vectors; ids only need to be unique, not dense,
+//! so racing lazy compilations stay correct.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use ent_syntax::{BinOp, ClassName, Ident};
 
+use crate::interp::threaded::{
+    op_arr_lit, op_bin_f_for, op_bin_for, op_call_b, op_call_m, op_cast, op_const, op_elim,
+    op_field_get, op_field_this, op_force, op_halt, op_jmp, op_jmp_bin_f_for, op_jmp_bin_for,
+    op_jmp_if_false, op_local, op_make_mcase, op_new_obj, op_new_unknown, op_ret, op_sc_force,
+    op_sc_jump, op_snap, op_tail_call, op_this, op_try_pop, op_try_push, op_un, op_unbound,
+    op_unit, TFn, TOp, K_CST, K_REG, K_SLOT,
+};
 use crate::lower::{else_branch, BOp, CastCheck, Ir, LMode, LStmt, NewPlan, Node, NodeId, Seq};
 use crate::value::Value;
 
@@ -64,115 +75,6 @@ pub(crate) struct IcCounters {
     pub(crate) send: AtomicU32,
     pub(crate) arm: AtomicU32,
     pub(crate) snap: AtomicU32,
-}
-
-/// Opcodes. Operand conventions are given as `a`/`b`/`c` (`u16` words) and
-/// `d` (`u32` word) of [`Instr`]; `dst`, `src`, and register operands index
-/// the frame's register file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Op {
-    /// `dst=a ← consts[d]`.
-    Const,
-    /// `dst=a ← unit`.
-    Unit,
-    /// `dst=a ← this`.
-    This,
-    /// `dst=a ← locals[b]` (unbound-parameter check; name in `names[d]`).
-    Local,
-    /// Always errors: unbound variable `names[d]`.
-    Unbound,
-    /// `dst=a ← (regs[b]).field` via `fields[d]`.
-    FieldGet,
-    /// `dst=a ← this.field` via `fields[d]` (fused this + field-get).
-    FieldThis,
-    /// `dst=a ← new` with ctor args at `regs[b..]`, site `news[d]`.
-    NewObj,
-    /// Always errors: unknown class `unknown_classes[d]` (ctor args were
-    /// evaluated into scratch first, as the tree-walker does).
-    NewUnknown,
-    /// `dst=a ← send` with receiver/args at `regs[b..]`, site `calls[d]`.
-    CallM,
-    /// `dst=a ← builtin` with args at `regs[b..]`, site `builtins[d]`.
-    CallB,
-    /// `dst=a ← cast(regs[b])` via `casts[d]`.
-    CastV,
-    /// `dst=a ← snapshot(regs[b])` via `snaps[d]`.
-    Snap,
-    /// `dst=a ← mcase` of arms at `regs[b..]`, site `mcases[d]`.
-    MakeMCase,
-    /// `dst=a ← eliminate(regs[b])` via `elims[d]`.
-    ElimV,
-    /// `dst=a ← regs[b] ⊕ regs[c]` with `⊕ = bin_op(d)` (rhs forced here;
-    /// an explicit [`Op::Force`] precedes the rhs code when the lhs may be
-    /// a mode case).
-    Bin,
-    /// Fused binop: `dst=a`, operands described by `fused[d]`.
-    BinF,
-    /// Fused compare+branch: `regs[a] ⊕ regs[b]` with `⊕ = bin_op(c)`;
-    /// jump to `d` when false.
-    JmpBin,
-    /// Fused-operand compare+branch: operands from `fused[a]`; jump to
-    /// `d` when false.
-    JmpBinF,
-    /// `dst=a ← ⊖ regs[b]` with `⊖` = `!` when `c == 0`, unary `-` when
-    /// `c == 1`.
-    Un,
-    /// Unconditional jump to `d`.
-    Jmp,
-    /// Force `regs[b]`; jump to `d` unless it is `true` (the `if` guard).
-    JmpIfFalse,
-    /// Short-circuit guard: force `regs[b]` to a bool (op for the error
-    /// message is `bin_op(c)`), store it back, jump to `d` when the op
-    /// short-circuits (`&&` on false, `||` on true).
-    ScJump,
-    /// Force `regs[b]` to a bool (op `bin_op(c)`) and store it back (the
-    /// non-short-circuit tail of `&&`/`||`).
-    ScForce,
-    /// Force `regs[b]` in place (auto-eliminate a mode case at the frame
-    /// mode).
-    Force,
-    /// `dst=a ← [regs[b..b+c]]`.
-    ArrLit,
-    /// `return regs[b]` (unwinds to the method boundary).
-    Ret,
-    /// End of body: yield `regs[b]` as the body's value.
-    Halt,
-    /// Push an exception handler at pc `d`.
-    TryPush,
-    /// Pop the innermost handler (body completed without throwing).
-    TryPop,
-}
-
-/// One fixed-width instruction. `gas` counts the pre-order node-entry
-/// charges this instruction leads with (see the module docs).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Instr {
-    pub(crate) op: Op,
-    pub(crate) gas: u16,
-    pub(crate) a: u16,
-    pub(crate) b: u16,
-    pub(crate) c: u16,
-    pub(crate) d: u32,
-}
-
-/// A fused binop operand: an already-materialized register, a frame slot
-/// (read + unbound check + force in place), or a pool constant.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Opnd {
-    Reg(u16),
-    Slot { slot: u16, name: u32 },
-    Cst(u16),
-}
-
-/// Site data for [`Op::BinF`] / [`Op::JmpBinF`]. `rgas` is the gas charge
-/// for a fused rhs operand, applied *after* the lhs force (its exact
-/// tree-walker position).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct FusedBin {
-    pub(crate) op: BinOp,
-    pub(crate) lhs: Opnd,
-    pub(crate) rhs: Opnd,
-    pub(crate) rgas: u16,
 }
 
 /// Site data for field reads.
@@ -211,7 +113,7 @@ pub(crate) struct BuiltinSite {
     pub(crate) name: Ident,
     pub(crate) n_args: u16,
     /// Force the last argument at call time (earlier arguments get
-    /// explicit [`Op::Force`] instructions at their exact tree position).
+    /// explicit force ops at their exact tree position).
     pub(crate) force_last: bool,
 }
 
@@ -239,36 +141,57 @@ pub(crate) struct McaseSite {
     pub(crate) modes: Seq,
 }
 
-/// A compiled body: the instruction stream plus its side tables. Owned by
-/// the lowered body it was compiled from (shared program-wide through the
+/// A compiled body: the op array plus its side tables. Owned by the
+/// lowered body it was compiled from (shared program-wide through the
 /// `OnceLock` cell on [`crate::lower::Body`], so the batch engine's
-/// program cache amortizes compilation exactly once).
-#[derive(Debug, Default)]
+/// program cache amortizes compilation exactly once). Every table is
+/// allocated at its exact size, so each is a boxed slice: 16 bytes inline
+/// where a `Vec` takes 24.
+#[derive(Debug)]
 pub(crate) struct Code {
-    pub(crate) instrs: Vec<Instr>,
-    pub(crate) consts: Vec<Value>,
+    pub(crate) ops: Box<[TOp]>,
+    pub(crate) consts: Box<[Value]>,
     /// Names for unbound-variable diagnostics, by `names` index.
-    pub(crate) names: Vec<Ident>,
-    pub(crate) fused: Vec<FusedBin>,
-    pub(crate) fields: Vec<FieldSite>,
-    pub(crate) news: Vec<NewSite>,
-    pub(crate) calls: Vec<CallSite>,
-    pub(crate) builtins: Vec<BuiltinSite>,
-    pub(crate) casts: Vec<Option<CastCheck>>,
-    pub(crate) snaps: Vec<SnapSite>,
-    pub(crate) elims: Vec<ElimSite>,
-    pub(crate) mcases: Vec<McaseSite>,
-    pub(crate) unknown_classes: Vec<ClassName>,
+    pub(crate) names: Box<[Ident]>,
+    /// A fused binop's lhs and rhs operand names, as `names` indices
+    /// (meaningful for slot operands only).
+    pub(crate) fused: Box<[[u32; 2]]>,
+    pub(crate) fields: Box<[FieldSite]>,
+    pub(crate) news: Box<[NewSite]>,
+    pub(crate) calls: Box<[CallSite]>,
+    pub(crate) builtins: Box<[BuiltinSite]>,
+    pub(crate) casts: Box<[Option<CastCheck>]>,
+    pub(crate) snaps: Box<[SnapSite]>,
+    pub(crate) elims: Box<[ElimSite]>,
+    pub(crate) mcases: Box<[McaseSite]>,
+    pub(crate) unknown_classes: Box<[ClassName]>,
     /// Registers the frame needs: locals (parameters + deepest `let`
     /// nesting, at the slot numbers lowering assigned) then scratch.
     pub(crate) frame_size: u32,
 }
 
-impl Code {
+/// [`Code`]'s tables while the compiler fills them.
+struct Tables {
+    ops: Vec<TOp>,
+    consts: Vec<Value>,
+    names: Vec<Ident>,
+    fused: Vec<[u32; 2]>,
+    fields: Vec<FieldSite>,
+    news: Vec<NewSite>,
+    calls: Vec<CallSite>,
+    builtins: Vec<BuiltinSite>,
+    casts: Vec<Option<CastCheck>>,
+    snaps: Vec<SnapSite>,
+    elims: Vec<ElimSite>,
+    mcases: Vec<McaseSite>,
+    unknown_classes: Vec<ClassName>,
+}
+
+impl Tables {
     /// Empty tables with room for exactly the counted entries.
-    fn with_sizes(s: &Sizes) -> Code {
-        Code {
-            instrs: Vec::with_capacity(s.instrs),
+    fn with_sizes(s: &Sizes) -> Tables {
+        Tables {
+            ops: Vec::with_capacity(s.ops),
             consts: Vec::with_capacity(s.consts),
             names: Vec::with_capacity(s.names),
             fused: Vec::with_capacity(s.fused),
@@ -281,7 +204,27 @@ impl Code {
             elims: Vec::with_capacity(s.elims),
             mcases: Vec::with_capacity(s.mcases),
             unknown_classes: Vec::with_capacity(s.unknown_classes),
-            frame_size: 0,
+        }
+    }
+
+    /// The finished body. A table filled to its counted size converts
+    /// without reallocating.
+    fn finish(self, frame_size: u32) -> Code {
+        Code {
+            ops: self.ops.into_boxed_slice(),
+            consts: self.consts.into_boxed_slice(),
+            names: self.names.into_boxed_slice(),
+            fused: self.fused.into_boxed_slice(),
+            fields: self.fields.into_boxed_slice(),
+            news: self.news.into_boxed_slice(),
+            calls: self.calls.into_boxed_slice(),
+            builtins: self.builtins.into_boxed_slice(),
+            casts: self.casts.into_boxed_slice(),
+            snaps: self.snaps.into_boxed_slice(),
+            elims: self.elims.into_boxed_slice(),
+            mcases: self.mcases.into_boxed_slice(),
+            unknown_classes: self.unknown_classes.into_boxed_slice(),
+            frame_size,
         }
     }
 }
@@ -289,10 +232,9 @@ impl Code {
 /// Compiles one lowered body (method, attributor, or field initializer),
 /// the tree rooted at `root` in `ir`, whose frame starts with `n_base`
 /// locals (the parameter count; zero for class attributors and
-/// initializers). `None` when the body does not fit the instruction
-/// format: a register, constant or site index, an argument or item count,
-/// or a gas batch beyond `u16`. Such a body runs on the tree walker
-/// instead.
+/// initializers). `None` when the body does not fit the op format: a
+/// register, constant or site index, an argument or item count, or a gas
+/// batch beyond `u16`. Such a body runs on the tree walker instead.
 pub(crate) fn compile_body(ir: &Ir, root: NodeId, n_base: u32, ic: &IcCounters) -> Option<Code> {
     // Pass 1 counts every table's entries and the deepest lexical `let`
     // depth, which fixes where scratch registers start; pass 2 fills the
@@ -301,22 +243,23 @@ pub(crate) fn compile_body(ir: &Ir, root: NodeId, n_base: u32, ic: &IcCounters) 
     let mut c = Compiler {
         ir,
         ic,
-        code: Code::with_sizes(&sizes),
+        code: Tables::with_sizes(&sizes),
         pending: 0,
         let_depth: n_base,
         scratch: sizes.max_locals,
         max_reg: sizes.max_locals,
         overflow: false,
+        tail_send: None,
     };
     let dst = c.alloc_scratch();
     c.expr(root, dst);
-    c.emit(Op::Halt, 0, dst, 0, 0);
-    c.code.frame_size = c.max_reg;
+    c.emit(op_halt, 0, dst, 0, 0);
+    let code = c.code.finish(c.max_reg);
     debug_assert!(
-        sizes.matches(&c.code),
+        sizes.matches(&code),
         "the counting pass disagrees with the compiler"
     );
-    (!c.overflow).then_some(c.code)
+    (!c.overflow).then_some(code)
 }
 
 /// How many entries each [`Code`] table of one body receives, and the
@@ -324,7 +267,7 @@ pub(crate) fn compile_body(ir: &Ir, root: NodeId, n_base: u32, ic: &IcCounters) 
 /// emissions node for node.
 #[derive(Debug, Default)]
 struct Sizes {
-    instrs: usize,
+    ops: usize,
     consts: usize,
     names: usize,
     fused: usize,
@@ -348,14 +291,14 @@ impl Sizes {
             ..Sizes::default()
         };
         sizes.expr(ir, root, n_base);
-        sizes.instrs += 1; // Halt
+        sizes.ops += 1; // halt
         sizes
     }
 
     /// Whether `code` holds exactly the counted entries.
     fn matches(&self, code: &Code) -> bool {
         let counted = [
-            self.instrs,
+            self.ops,
             self.consts,
             self.names,
             self.fused,
@@ -370,7 +313,7 @@ impl Sizes {
             self.unknown_classes,
         ];
         let filled = [
-            code.instrs.len(),
+            code.ops.len(),
             code.consts.len(),
             code.names.len(),
             code.fused.len(),
@@ -392,33 +335,33 @@ impl Sizes {
         match ir.node(e) {
             Node::Lit(_) | Node::ModeConst(_) => {
                 self.consts += 1;
-                self.instrs += 1;
+                self.ops += 1;
             }
-            Node::This => self.instrs += 1,
+            Node::This => self.ops += 1,
             Node::Var { .. } | Node::UnboundVar(_) => {
                 self.names += 1;
-                self.instrs += 1;
+                self.ops += 1;
             }
             Node::Field { recv, .. } => {
                 self.fields += 1;
-                self.instrs += 1;
+                self.ops += 1;
                 if !matches!(ir.node(recv), Node::This) {
                     self.expr(ir, recv, depth);
                 }
             }
             Node::New { ctor_args, .. } => {
                 self.news += 1;
-                self.instrs += 1;
+                self.ops += 1;
                 self.all(ir, ctor_args, depth);
             }
             Node::NewUnknown { ctor_args, .. } => {
                 self.unknown_classes += 1;
-                self.instrs += 1;
+                self.ops += 1;
                 self.all(ir, ctor_args, depth);
             }
             Node::Call { recv_args, .. } => {
                 self.calls += 1;
-                self.instrs += 1;
+                self.ops += 1;
                 let (&recv, args) = ir
                     .kids(recv_args)
                     .split_first()
@@ -432,37 +375,37 @@ impl Sizes {
             }
             Node::Builtin { args, .. } => {
                 self.builtins += 1;
-                self.instrs += 1;
+                self.ops += 1;
                 let args = ir.kids(args);
                 for (i, &a) in args.iter().enumerate() {
                     self.expr(ir, a, depth);
                     if i + 1 < args.len() && maybe_mcase(ir, a) {
-                        self.instrs += 1; // Force
+                        self.ops += 1; // force
                     }
                 }
             }
             Node::Cast { expr, .. } => {
                 self.casts += 1;
-                self.instrs += 1;
+                self.ops += 1;
                 self.expr(ir, expr, depth);
             }
             Node::Snapshot { expr, .. } => {
                 self.snaps += 1;
-                self.instrs += 1;
+                self.ops += 1;
                 self.expr(ir, expr, depth);
             }
             Node::Elim { expr, .. } => {
                 self.elims += 1;
-                self.instrs += 1;
+                self.ops += 1;
                 self.expr(ir, expr, depth);
             }
             Node::Unary { expr, .. } => {
-                self.instrs += 1;
+                self.ops += 1;
                 self.expr(ir, expr, depth);
             }
             Node::MCase { arms, .. } => {
                 self.mcases += 1;
-                self.instrs += 1;
+                self.ops += 1;
                 self.all(ir, arms, depth);
             }
             Node::Binary { op, lhs, rhs } => self.binary(ir, op, lhs, rhs, depth),
@@ -473,14 +416,14 @@ impl Sizes {
                     }
                     _ => {
                         self.expr(ir, cond, depth);
-                        self.instrs += 1; // JmpIfFalse
+                        self.ops += 1; // jump if false
                     }
                 }
                 self.expr(ir, then, depth);
-                self.instrs += 1; // Jmp
+                self.ops += 1; // jump
                 match else_branch(els) {
                     Some(els) => self.expr(ir, els, depth),
-                    None => self.instrs += 1, // Unit
+                    None => self.ops += 1, // unit
                 }
             }
             Node::Block(stmts) => {
@@ -498,21 +441,21 @@ impl Sizes {
                         LStmt::Expr(e) => self.expr(ir, e, d),
                         LStmt::Return(e) => {
                             self.expr(ir, e, d);
-                            self.instrs += 1; // Ret
+                            self.ops += 1; // return
                         }
                     }
                 }
                 if !matches!(stmts.last(), Some(LStmt::Expr(_))) {
-                    self.instrs += 1; // Unit
+                    self.ops += 1; // unit
                 }
             }
             Node::Try { body, handler } => {
-                self.instrs += 3; // TryPush, TryPop, Jmp
+                self.ops += 3; // try push, try pop, jump
                 self.expr(ir, body, depth);
                 self.expr(ir, handler, depth);
             }
             Node::ArrayLit(items) => {
-                self.instrs += 1;
+                self.ops += 1;
                 self.all(ir, items, depth);
             }
         }
@@ -528,7 +471,7 @@ impl Sizes {
     /// branch form included.
     fn binary(&mut self, ir: &Ir, op: BinOp, lhs: NodeId, rhs: NodeId, depth: u32) {
         if matches!(op, BinOp::And | BinOp::Or) {
-            self.instrs += 2; // ScJump, ScForce
+            self.ops += 2; // short-circuit jump and force
             self.expr(ir, lhs, depth);
             self.expr(ir, rhs, depth);
             return;
@@ -536,7 +479,7 @@ impl Sizes {
         let lhs_fusable = fusable(ir, lhs);
         if fusable(ir, rhs) && (lhs_fusable || !matches!(ir.node(lhs), Node::Binary { .. })) {
             self.fused += 1;
-            self.instrs += 1; // BinF or JmpBinF
+            self.ops += 1;
             if lhs_fusable {
                 self.operand(ir, lhs);
             } else {
@@ -545,10 +488,10 @@ impl Sizes {
             self.operand(ir, rhs);
             return;
         }
-        self.instrs += 1; // Bin or JmpBin
+        self.ops += 1;
         self.expr(ir, lhs, depth);
         if maybe_mcase(ir, lhs) {
-            self.instrs += 1; // Force
+            self.ops += 1; // force
         }
         self.expr(ir, rhs, depth);
     }
@@ -565,9 +508,9 @@ impl Sizes {
 struct Compiler<'a> {
     ir: &'a Ir,
     ic: &'a IcCounters,
-    code: Code,
+    code: Tables,
     /// Node-entry gas charges accumulated since the last emission; the
-    /// next emitted instruction leads with them.
+    /// next emitted op leads with them.
     pending: u32,
     /// Current lexical `let` depth = the slot the next `let` binds.
     let_depth: u32,
@@ -576,11 +519,14 @@ struct Compiler<'a> {
     max_reg: u32,
     /// Some operand word did not fit its `u16` field (see [`Compiler::narrow`]).
     overflow: bool,
+    /// The last send emitted with a tail-call shape (`this` receiver, no
+    /// mode arguments), by op index: a `return` emitted right after it,
+    /// consuming its result with no gas of its own, makes it a tail call.
+    tail_send: Option<usize>,
 }
 
-/// Every binary operator, in declaration order: [`Op::Bin`],
-/// [`Op::JmpBin`], [`Op::ScJump`] and [`Op::ScForce`] name their operator
-/// by its index here.
+/// Every binary operator, in declaration order: an operand word names an
+/// operator by its index here.
 const BIN_OPS: [BinOp; 13] = [
     BinOp::Add,
     BinOp::Sub,
@@ -673,24 +619,27 @@ impl Compiler<'_> {
         self.reg(r)
     }
 
-    /// Emits one instruction, draining the pending node-entry gas into it.
-    fn emit(&mut self, op: Op, a: u16, b: u16, c: u16, d: u32) -> usize {
+    /// Emits one op run by `run`, draining the pending node-entry gas
+    /// into it.
+    fn emit(&mut self, run: TFn, a: u16, b: u16, c: u16, d: u32) -> usize {
         let gas = self.narrow(self.pending as usize);
         self.pending = 0;
-        let at = self.code.instrs.len();
-        self.code.instrs.push(Instr {
-            op,
+        let at = self.code.ops.len();
+        self.code.ops.push(TOp {
+            run,
             gas,
             a,
             b,
             c,
+            kinds: 0,
             d,
         });
         at
     }
 
+    /// Points the jump at `at` to the next op.
     fn patch(&mut self, at: usize) {
-        self.code.instrs[at].d = self.code.instrs.len() as u32;
+        self.code.ops[at].d = self.code.ops.len() as u32;
     }
 
     /// Pools the literal `lit` (an [`Ir::lits`] index).
@@ -707,15 +656,12 @@ impl Compiler<'_> {
         i as u32
     }
 
-    /// Builds the operand descriptor for a fusable leaf, accounting its
-    /// one gas charge to the caller's chosen position.
-    fn make_opnd(&mut self, e: NodeId) -> Opnd {
+    /// A fusable leaf's operand: its kind, its index (a slot or a pool
+    /// constant) and, for a slot, its name.
+    fn operand(&mut self, e: NodeId) -> (u8, u16, u32) {
         match self.ir.node(e) {
-            Node::Var { slot, name } => Opnd::Slot {
-                slot: self.reg(slot),
-                name: self.name_idx(name),
-            },
-            Node::Lit(v) => Opnd::Cst(self.const_idx(v)),
+            Node::Var { slot, name } => (K_SLOT, self.reg(slot), self.name_idx(name)),
+            Node::Lit(v) => (K_CST, self.const_idx(v), 0),
             _ => unreachable!("fusable() guards operand shapes"),
         }
     }
@@ -725,25 +671,25 @@ impl Compiler<'_> {
     /// live `let` slot.
     fn expr(&mut self, e: NodeId, dst: u16) {
         // The tree-walker charges one gas at every node entry; the first
-        // instruction this subtree emits carries it.
+        // op this subtree emits carries it.
         self.pending += 1;
         let ir = self.ir;
         match ir.node(e) {
             Node::Lit(v) | Node::ModeConst(v) => {
                 let k = self.const_idx(v);
-                self.emit(Op::Const, dst, 0, 0, u32::from(k));
+                self.emit(op_const, dst, 0, 0, u32::from(k));
             }
             Node::This => {
-                self.emit(Op::This, dst, 0, 0, 0);
+                self.emit(op_this, dst, 0, 0, 0);
             }
             Node::Var { slot, name } => {
                 let n = self.name_idx(name);
                 let slot = self.reg(slot);
-                self.emit(Op::Local, dst, slot, 0, n);
+                self.emit(op_local, dst, slot, 0, n);
             }
             Node::UnboundVar(name) => {
                 let n = self.name_idx(name);
-                self.emit(Op::Unbound, 0, 0, 0, n);
+                self.emit(op_unbound, 0, 0, 0, n);
             }
             Node::Field { recv, field, name } => {
                 let site = self.code.fields.len() as u32;
@@ -753,12 +699,12 @@ impl Compiler<'_> {
                 });
                 if matches!(ir.node(recv), Node::This) {
                     self.pending += 1; // the fused `this` node
-                    self.emit(Op::FieldThis, dst, 0, 0, site);
+                    self.emit(op_field_this, dst, 0, 0, site);
                 } else {
                     let mark = self.scratch;
                     let r = self.alloc_scratch();
                     self.expr(recv, r);
-                    self.emit(Op::FieldGet, dst, r, 0, site);
+                    self.emit(op_field_get, dst, r, 0, site);
                     self.scratch = mark;
                 }
             }
@@ -774,7 +720,7 @@ impl Compiler<'_> {
                     n_args,
                 });
                 let base = self.reg(base);
-                self.emit(Op::NewObj, dst, base, 0, site);
+                self.emit(op_new_obj, dst, base, 0, site);
                 self.scratch = mark;
             }
             Node::NewUnknown { class, ctor_args } => {
@@ -787,7 +733,7 @@ impl Compiler<'_> {
                 self.code
                     .unknown_classes
                     .push(ir.unknown_classes[class as usize].clone());
-                self.emit(Op::NewUnknown, 0, 0, 0, site);
+                self.emit(op_new_unknown, 0, 0, 0, site);
                 self.scratch = mark;
             }
             Node::Call { send, recv_args } => {
@@ -825,7 +771,10 @@ impl Compiler<'_> {
                     ic: self.ic.send.fetch_add(1, Ordering::Relaxed),
                 });
                 let base = self.reg(base);
-                self.emit(Op::CallM, dst, base, 0, site);
+                let at = self.emit(op_call_m, dst, base, 0, site);
+                if this_recv && send.mode_args.is_empty() {
+                    self.tail_send = Some(at);
+                }
                 self.scratch = mark;
             }
             Node::Builtin { op, name, args } => {
@@ -849,7 +798,7 @@ impl Compiler<'_> {
                             // argument's force and the builtin itself.
                             force_last = true;
                         } else {
-                            self.emit(Op::Force, 0, r, 0, 0);
+                            self.emit(op_force, 0, r, 0, 0);
                         }
                     }
                 }
@@ -864,14 +813,14 @@ impl Compiler<'_> {
                     force_last,
                 });
                 let base = self.reg(base);
-                self.emit(Op::CallB, dst, base, 0, site);
+                self.emit(op_call_b, dst, base, 0, site);
                 self.scratch = mark;
             }
             Node::Cast { check, expr } => {
                 self.expr(expr, dst);
                 let site = self.code.casts.len() as u32;
                 self.code.casts.push(check);
-                self.emit(Op::CastV, dst, dst, 0, site);
+                self.emit(op_cast, dst, dst, 0, site);
             }
             Node::Snapshot { expr, bounds } => {
                 self.expr(expr, dst);
@@ -882,7 +831,7 @@ impl Compiler<'_> {
                     hi: ir.modes[b + 1],
                     ic: self.ic.snap.fetch_add(1, Ordering::Relaxed),
                 });
-                self.emit(Op::Snap, dst, dst, 0, site);
+                self.emit(op_snap, dst, dst, 0, site);
             }
             Node::MCase { arms, modes } => {
                 let mark = self.scratch;
@@ -892,7 +841,7 @@ impl Compiler<'_> {
                     modes: Seq::new(modes, arms.len()),
                 });
                 let base = self.reg(base);
-                self.emit(Op::MakeMCase, dst, base, 0, site);
+                self.emit(op_make_mcase, dst, base, 0, site);
                 self.scratch = mark;
             }
             Node::Elim { expr, mode } => {
@@ -902,10 +851,10 @@ impl Compiler<'_> {
                     mode: mode.map(|m| ir.modes[m as usize]),
                     ic: self.ic.arm.fetch_add(1, Ordering::Relaxed),
                 });
-                self.emit(Op::ElimV, dst, dst, 0, site);
+                self.emit(op_elim, dst, dst, 0, site);
             }
             Node::Binary { op, lhs, rhs } => {
-                self.binary(op, lhs, rhs, dst, None);
+                self.binary(op, lhs, rhs, dst, false);
             }
             Node::Unary { op, expr } => {
                 self.expr(expr, dst);
@@ -913,17 +862,17 @@ impl Compiler<'_> {
                     ent_syntax::UnOp::Not => 0,
                     ent_syntax::UnOp::Neg => 1,
                 };
-                self.emit(Op::Un, dst, dst, c, 0);
+                self.emit(op_un, dst, dst, c, 0);
             }
             Node::If { cond, then, els } => {
                 let to_else = self.cond_jump(cond);
                 self.expr(then, dst);
-                let to_end = self.emit(Op::Jmp, 0, 0, 0, 0);
+                let to_end = self.emit(op_jmp, 0, 0, 0, 0);
                 self.patch(to_else);
                 match else_branch(els) {
                     Some(els) => self.expr(els, dst),
                     None => {
-                        self.emit(Op::Unit, dst, 0, 0, 0);
+                        self.emit(op_unit, dst, 0, 0, 0);
                     }
                 }
                 self.patch(to_end);
@@ -954,21 +903,21 @@ impl Compiler<'_> {
                             let mark = self.scratch;
                             let r = self.alloc_scratch();
                             self.expr(e, r);
-                            self.emit(Op::Ret, 0, r, 0, 0);
+                            self.ret(r);
                             self.scratch = mark;
                         }
                     }
                 }
                 if !last_is_expr {
-                    self.emit(Op::Unit, dst, 0, 0, 0);
+                    self.emit(op_unit, dst, 0, 0, 0);
                 }
                 self.let_depth = depth_mark;
             }
             Node::Try { body, handler } => {
-                let push_at = self.emit(Op::TryPush, 0, 0, 0, 0);
+                let push_at = self.emit(op_try_push, 0, 0, 0, 0);
                 self.expr(body, dst);
-                self.emit(Op::TryPop, 0, 0, 0, 0);
-                let to_end = self.emit(Op::Jmp, 0, 0, 0, 0);
+                self.emit(op_try_pop, 0, 0, 0, 0);
+                let to_end = self.emit(op_jmp, 0, 0, 0, 0);
                 self.patch(push_at); // handler starts here
                 self.expr(handler, dst);
                 self.patch(to_end);
@@ -978,9 +927,21 @@ impl Compiler<'_> {
                 let base = self.args_into_scratch(items);
                 let base = self.reg(base);
                 let n = self.narrow(items.len());
-                self.emit(Op::ArrLit, dst, base, n, 0);
+                self.emit(op_arr_lit, dst, base, n, 0);
                 self.scratch = mark;
             }
+        }
+    }
+
+    /// Emits `return regs[r]`. When the op just before it is a send of
+    /// tail-call shape whose result lands in `r`, and the `return` carries
+    /// no gas of its own (so nothing observable separates the two), the
+    /// send becomes [`op_tail_call`].
+    fn ret(&mut self, r: u16) {
+        let at = self.emit(op_ret, 0, r, 0, 0);
+        let ops = &mut self.code.ops;
+        if ops[at].gas == 0 && at > 0 && self.tail_send == Some(at - 1) && ops[at - 1].a == r {
+            ops[at - 1].run = op_tail_call;
         }
     }
 
@@ -998,25 +959,18 @@ impl Compiler<'_> {
         base
     }
 
-    /// Compiles a binary operator. With `branch_false: Some(..)` the op is
-    /// a comparison compiled as a fused compare+branch; the returned index
-    /// is then the branch instruction to patch. The caller has already
+    /// Compiles a binary operator. With `branch` the op is a comparison
+    /// compiled as a fused compare+branch; the returned index is then the
+    /// branch op to patch to the else target. The caller has already
     /// accounted the *enclosing* node's gas; this accounts the binop node
     /// and its fused operands.
-    fn binary(
-        &mut self,
-        op: BinOp,
-        lhs: NodeId,
-        rhs: NodeId,
-        dst: u16,
-        branch_false: Option<()>,
-    ) -> usize {
+    fn binary(&mut self, op: BinOp, lhs: NodeId, rhs: NodeId, dst: u16, branch: bool) -> usize {
         if matches!(op, BinOp::And | BinOp::Or) {
-            debug_assert!(branch_false.is_none());
+            debug_assert!(!branch);
             self.expr(lhs, dst);
-            let sc = self.emit(Op::ScJump, 0, dst, bin_word(op), 0);
+            let sc = self.emit(op_sc_jump, 0, dst, bin_word(op), 0);
             self.expr(rhs, dst);
-            self.emit(Op::ScForce, 0, dst, bin_word(op), 0);
+            self.emit(op_sc_force, 0, dst, bin_word(op), 0);
             self.patch(sc);
             return sc;
         }
@@ -1024,37 +978,33 @@ impl Compiler<'_> {
         let ir = self.ir;
         let lhs_fusable = fusable(ir, lhs);
         let rhs_fusable = fusable(ir, rhs);
-        // Fused operands evaluate *inside* the instruction; the lhs must
-        // never execute after the rhs, so a fused lhs pairs only with a
-        // fused rhs.
+        // Fused operands evaluate *inside* the op; the lhs must never
+        // execute after the rhs, so a fused lhs pairs only with a fused
+        // rhs.
         if rhs_fusable && (lhs_fusable || !matches!(ir.node(lhs), Node::Binary { .. })) {
-            let (l, rgas) = if lhs_fusable {
+            let (lk, li, ln) = if lhs_fusable {
                 self.pending += 1; // the fused lhs leaf's gas, charged up front
-                (self.make_opnd(lhs), 1)
+                self.operand(lhs)
             } else {
                 let mark = self.scratch;
                 let r = self.alloc_scratch();
                 self.expr(lhs, r);
                 self.scratch = mark;
-                // The lhs force happens inside the fused instruction,
-                // before the rhs gas — its exact tree position.
-                (Opnd::Reg(r), 1)
+                // The lhs force happens inside the fused op, before the
+                // rhs gas — its exact tree position.
+                (K_REG, r, 0)
             };
-            let r = self.make_opnd(rhs);
-            let site = self.code.fused.len() as u32;
-            self.code.fused.push(FusedBin {
-                op,
-                lhs: l,
-                rhs: r,
-                rgas,
-            });
-            return match branch_false {
-                Some(()) => {
-                    let site = self.narrow(site as usize);
-                    self.emit(Op::JmpBinF, site, 0, 0, 0)
-                }
-                None => self.emit(Op::BinF, dst, 0, 0, site),
+            let (rk, ri, rn) = self.operand(rhs);
+            let site = self.code.fused.len();
+            self.code.fused.push([ln, rn]);
+            let at = if branch {
+                let site = self.narrow(site);
+                self.emit(op_jmp_bin_f_for(op), site, li, ri, 0)
+            } else {
+                self.emit(op_bin_f_for(op), dst, li, ri, site as u32)
             };
+            self.code.ops[at].kinds = lk | rk << 4;
+            return at;
         }
 
         // General form: both operands materialize into registers; the lhs
@@ -1064,31 +1014,32 @@ impl Compiler<'_> {
         let rr = self.alloc_scratch();
         self.expr(lhs, rl);
         if maybe_mcase(ir, lhs) {
-            self.emit(Op::Force, 0, rl, 0, 0);
+            self.emit(op_force, 0, rl, 0, 0);
         }
         self.expr(rhs, rr);
         self.scratch = mark;
-        match branch_false {
-            Some(()) => self.emit(Op::JmpBin, rl, rr, bin_word(op), 0),
-            None => self.emit(Op::Bin, dst, rl, rr, u32::from(bin_word(op))),
+        if branch {
+            self.emit(op_jmp_bin_for(op), rl, rr, 0, 0)
+        } else {
+            self.emit(op_bin_for(op), dst, rl, rr, 0)
         }
     }
 
-    /// Compiles an `if` condition, returning the branch instruction to
-    /// patch to the else target. Comparisons fuse into the branch; other
-    /// shapes materialize and test.
+    /// Compiles an `if` condition, returning the branch op to patch to the
+    /// else target. Comparisons fuse into the branch; other shapes
+    /// materialize and test.
     fn cond_jump(&mut self, cond: NodeId) -> usize {
         if let Node::Binary { op, lhs, rhs } = self.ir.node(cond) {
             if is_cmp(op) {
                 self.pending += 1; // the condition binop's node gas
-                return self.binary(op, lhs, rhs, 0, Some(()));
+                return self.binary(op, lhs, rhs, 0, true);
             }
         }
         let mark = self.scratch;
         let r = self.alloc_scratch();
         self.expr(cond, r);
         self.scratch = mark;
-        self.emit(Op::JmpIfFalse, 0, r, 0, 0)
+        self.emit(op_jmp_if_false, 0, r, 0, 0)
     }
 }
 

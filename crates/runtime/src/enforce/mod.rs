@@ -3,10 +3,10 @@
 //! field reads.
 //!
 //! Declared as a child module of the interpreter (exactly like the
-//! bytecode VM) so both strategies operate on the same private machinery —
-//! heap, stats, events, profiler — and both engines funnel every check
-//! through the single implementation here. The strategy is selected per
-//! run by [`crate::RuntimeConfig::enforcement`]:
+//! bytecode executor) so both strategies operate on the same private
+//! machinery — heap, stats, events, profiler — and both engines funnel
+//! every check through the single implementation here. The strategy is
+//! selected per run by [`crate::RuntimeConfig::enforcement`]:
 //!
 //! * **guarded** — the paper's semantics: deep snapshot checks at
 //!   boundaries (attributor + bounds + lazy copy) and the dynamic
@@ -19,9 +19,9 @@
 //!   the boundary. Counted in [`crate::RunStats::transient_checks`] /
 //!   [`crate::RunStats::transient_failures`].
 //!
-//! The dispatch methods in this file are the only places the interpreter
-//! and VM consult the strategy; the strategy-specific behavior lives in
-//! [`guarded`] and [`transient`]. The shared check-site helpers
+//! The dispatch methods in this file are where both engines consult the
+//! strategy; the strategy-specific behavior lives in [`guarded`] and
+//! [`transient`]. The shared check-site helpers
 //! ([`Interp::read_field`], [`Interp::resolve_new`],
 //! [`Interp::check_cast`], [`Interp::apply_unop`]) also live here so the
 //! two engines share one copy of each site's semantics instead of the

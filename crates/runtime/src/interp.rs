@@ -25,16 +25,10 @@
 //!   message send; for well-typed programs it never fires (Corollary 1),
 //!   which the soundness tests verify.
 
-// The bytecode dispatch loop lives in its own file but is a child module
-// of the interpreter, sharing all of the private machinery below (heap,
-// invoke, snapshot, builtins, events, profiler) so both engines observe
-// identical semantics structurally.
-#[path = "vm.rs"]
-mod vm;
-
-// The bytecode engine's closure-threaded tier is likewise a child module:
-// its ops call straight into the same private `Interp` machinery the
-// bytecode VM uses, and deopt hands a live frame back to `vm::exec_from`.
+// The bytecode engine's executor lives in its own file but is a child
+// module of the interpreter: its op handlers call straight into the
+// private machinery below (heap, invoke, snapshot, builtins, events,
+// profiler), so both engines observe identical semantics structurally.
 #[path = "threaded/mod.rs"]
 pub(crate) mod threaded;
 
@@ -55,14 +49,14 @@ use ent_energy::{
     WorkKind,
 };
 use ent_modes::ModeName;
-use ent_syntax::{BinOp, Symbol};
+use ent_syntax::{BinOp, Symbol, UnOp};
 
 use crate::compile::BuiltinSite;
 use crate::error::{Flow, RtError};
 use crate::events::{EnergyEvent, EventPayload, EventRing, FaultServe};
 use crate::lower::{
-    else_branch, lower_program, BOp, Body, EnvSrc, GMode, LMethod, LMode, LOverride, LStmt,
-    LoweredProgram, MDefault, MethodEntry, Node, NodeId,
+    else_branch, lower_program, BOp, Body, CastCheck, EnvSrc, GMode, LMethod, LMode, LOverride,
+    LStmt, LoweredProgram, MDefault, MethodEntry, Node, NodeId, Seq,
 };
 use crate::profile::{
     AnyProfiler, Profile, ProfileMode, ProfileReport, SampledProfile, StackShadow,
@@ -80,14 +74,12 @@ use crate::value::{discard, put, ObjRef, Value};
 pub enum Engine {
     /// The recursive tree-walking evaluator over the lowered node IR.
     Tree,
-    /// The flat register-bytecode VM: bodies are compiled lazily (once per
-    /// program, cached on the lowered program so batch runs share them)
-    /// into superinstruction-fused bytecode with mode-decision inline
-    /// caches. Hot bodies (per [`RuntimeConfig::tier_up`]) are further
-    /// compiled into the closure-threaded tier: a flat array of
-    /// fn-pointer ops with pre-resolved operands, whose guarded ops
-    /// deopt back to bytecode at the faulting site (see [`TierStats`]).
-    /// The default.
+    /// Closure-threaded register bytecode: each body is compiled lazily
+    /// (once per program, cached on the lowered program so batch runs
+    /// share it) into a flat array of fn-pointer ops with pre-resolved
+    /// operands, superinstructions and mode-decision inline caches. A
+    /// body too large for the op format runs on the tree walker. The
+    /// default.
     #[default]
     Bytecode,
 }
@@ -121,66 +113,19 @@ impl Engine {
     }
 }
 
-/// When the bytecode engine promotes a body to the closure-threaded tier.
-/// Promotion is profile-guided: each body carries a hit counter and
-/// compiles (lazily, once per program — batch runs share the compiled tier
-/// like they share bytecode) when the counter crosses the threshold; a
-/// body already promoted stops counting. Only guarded runs promote (the
-/// tier compiles the guarded strategy's semantics). Tier choice is
-/// perf-only and never observable: `--tier-up 0`, `--tier-up off` and the
-/// default are byte-identical, which CI gates pin.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TierUp {
-    /// Promote on the first invocation (`--tier-up 0`).
-    Always,
-    /// Never promote: every body runs on bytecode (`--tier-up off`).
-    Never,
-    /// Promote once a body has been invoked this many times.
-    After(u32),
-}
-
-impl Default for TierUp {
-    /// `After(8)`: a body promotes on its 8th invocation over a lowered
-    /// program, counted across runs. Chosen over 2 and 32 by end-to-end
-    /// pairs (DESIGN §16.1); a program run once whose bodies are all
-    /// entered fewer than 8 times, like a never-seen daemon request,
-    /// compiles no threaded code.
-    fn default() -> Self {
-        TierUp::After(8)
-    }
-}
+/// A one-valued placeholder that selects nothing: the bytecode engine
+/// has one executor, so there is no tier to choose. It exists only
+/// because the benchmark in `perfbench/` names it, with
+/// [`RuntimeConfig::tier_up`] and `ent_cli::Options::tier_up`; ROADMAP
+/// item 9 deletes all three with the benchmark's next change.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TierUp;
 
 impl TierUp {
-    /// Parses a CLI-facing threshold: `off` never promotes, `0` always
-    /// promotes, `N` promotes after `N` invocations.
-    pub fn parse(s: &str) -> Option<TierUp> {
-        match s {
-            "off" => Some(TierUp::Never),
-            _ => match s.parse::<u32>() {
-                Ok(0) => Some(TierUp::Always),
-                Ok(n) => Some(TierUp::After(n)),
-                Err(_) => None,
-            },
-        }
-    }
-
-    /// The CLI-facing spelling of this threshold.
-    pub fn display(self) -> String {
-        match self {
-            TierUp::Always => "0".to_string(),
-            TierUp::Never => "off".to_string(),
-            TierUp::After(n) => n.to_string(),
-        }
-    }
-
-    /// The process-default threshold: `ENT_TIER_UP` (`off` | `0` | `N`),
-    /// or [`TierUp::default`] when unset. Binaries reject a malformed value
-    /// at startup ([`check_env_settings`]).
+    /// Returns [`TierUp`] and reads no environment variable (kept for
+    /// `perfbench/`, ROADMAP item 9).
     pub fn from_env() -> TierUp {
-        env_setting("ENT_TIER_UP", TierUp::parse)
-            .ok()
-            .flatten()
-            .unwrap_or_default()
+        TierUp
     }
 }
 
@@ -201,12 +146,12 @@ pub(crate) fn env_setting<T>(var: &str, parse: fn(&str) -> Option<T>) -> Result<
         .ok_or_else(|| format!("malformed {var} value `{value}`"))
 }
 
-/// Checks `ENT_ENGINE`, `ENT_TIER_UP`, `ENT_ENFORCE` and
-/// `ENT_STACK_SIZE`, the environment defaults of [`RuntimeConfig`]'s
-/// engine settings and stack size. Binaries call this at startup and exit
-/// 1 on `Err`, so a malformed value fails loudly instead of
-/// [`Engine::from_env`], [`TierUp::from_env`], [`Enforcement::from_env`]
-/// or [`crate::default_stack_size`] falling back to the default.
+/// Checks `ENT_ENGINE`, `ENT_ENFORCE` and `ENT_STACK_SIZE`, the
+/// environment defaults of [`RuntimeConfig`]'s engine settings and stack
+/// size. Binaries call this at startup and exit 1 on `Err`, so a
+/// malformed value fails loudly instead of [`Engine::from_env`],
+/// [`Enforcement::from_env`] or [`crate::default_stack_size`] falling
+/// back to the default.
 ///
 /// # Errors
 ///
@@ -214,13 +159,7 @@ pub(crate) fn env_setting<T>(var: &str, parse: fn(&str) -> Option<T>) -> Result<
 /// the values it accepts.
 pub fn check_env_settings() -> Result<(), String> {
     let hint = |e: String, expected: &str| format!("{e} (expected {expected})");
-    env_setting("ENT_ENGINE", Engine::parse).map_err(|e| {
-        hint(
-            e,
-            "tree or bytecode; the threaded tier is a tier-up setting, ENT_TIER_UP",
-        )
-    })?;
-    env_setting("ENT_TIER_UP", TierUp::parse).map_err(|e| hint(e, "0, off, or a count"))?;
+    env_setting("ENT_ENGINE", Engine::parse).map_err(|e| hint(e, "tree or bytecode"))?;
     env_setting("ENT_ENFORCE", Enforcement::parse).map_err(|e| hint(e, "guarded or transient"))?;
     env_setting("ENT_STACK_SIZE", crate::parse_stack_size)
         .map_err(|e| hint(e, "bytes, or a number with a k, m or g suffix"))?;
@@ -297,9 +236,8 @@ pub struct RuntimeConfig {
     /// `transient` (shallow first-order checks with check-site blame —
     /// see [`Enforcement`]).
     pub enforcement: Enforcement,
-    /// When the bytecode engine promotes a hot body to the threaded tier
-    /// (after 8 invocations by default; ignored by the tree engine and by
-    /// transient runs). See [`TierUp`].
+    /// Selects nothing; kept for `perfbench/` until ROADMAP item 9 (see
+    /// [`TierUp`]).
     pub tier_up: TierUp,
 }
 
@@ -323,7 +261,7 @@ impl Default for RuntimeConfig {
             staleness_bound_s: 5.0,
             engine: Engine::default(),
             enforcement: Enforcement::default(),
-            tier_up: TierUp::default(),
+            tier_up: TierUp,
         }
     }
 }
@@ -372,64 +310,23 @@ pub struct RunStats {
     pub transient_failures: u64,
 }
 
-/// Why a threaded body abandoned tier-2 execution and resumed on the
-/// bytecode VM. Each compiled body carries guards for exactly these
-/// conditions; a deopt re-enters the bytecode interpreter *at the
-/// faulting instruction* (the threaded ops stay pc-aligned with the
-/// bytecode stream, so the handoff needs no side tables) and the rest of
-/// the body runs to completion there — byte-identical to a pure-bytecode
-/// run, which the deopt-path tests pin.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeoptReason {
-    /// The energy-decision window rolled mid-body (fault injection with a
-    /// decision window): a pending mode decision (snapshot or `<|`) bails
-    /// out before deciding.
-    ModeWindow,
-    /// A send site's inline cache went megamorphic — too many receiver
-    ///-class transitions this run for the monomorphic fast path to be
-    /// worth guarding.
-    IcMegamorphic,
-    /// A sensor read came back faulted, bumping the injector epoch: the
-    /// remainder of the body defers to bytecode, which owns the
-    /// degradation ladder's slow paths.
-    FaultEpoch,
-}
-
-/// Tiering counters for one run (all zero unless the bytecode engine
-/// tiered a body up: by default, a body invoked 8 times in a guarded
-/// run). Deliberately *not* part of [`RunStats`]: stats are part of the
-/// cross-engine bit-identical contract (the differential harness compares
-/// them verbatim), while tier choice is a perf-only detail that
-/// legitimately varies with `--tier-up`. Surfaced as the `tier` object in
-/// `ent-run-telemetry/1`.
+/// Bytecode compiles for one run, kept only because the benchmark in
+/// `perfbench/` reads them; ROADMAP item 9 deletes this with the
+/// benchmark's next change. Not part of [`RunStats`] or of any telemetry:
+/// a run over a cached program compiles nothing, so the counts differ
+/// between two runs of one program.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TierStats {
-    /// Bodies entered in tier-2 threaded code.
-    pub threaded_entries: u64,
-    /// Bodies compiled to threaded code during this run (program-wide
-    /// caching makes this 0 for all but the first run over a program).
+    /// Bodies compiled to threaded ops during this run (program-wide
+    /// caching makes this 0 once every body a run enters was compiled).
     pub threaded_compiles: u64,
-    /// Guard-triggered handoffs back to the bytecode VM, by reason. See
-    /// [`DeoptReason::ModeWindow`].
-    pub deopt_mode_window: u64,
-    /// See [`DeoptReason::IcMegamorphic`].
-    pub deopt_ic_megamorphic: u64,
-    /// See [`DeoptReason::FaultEpoch`].
-    pub deopt_fault_epoch: u64,
 }
 
 impl TierStats {
-    /// Total deopts across all reasons.
+    /// Always 0: nothing deopts, as there is one executor (kept for
+    /// `perfbench/`, ROADMAP item 9).
     pub fn deopts(&self) -> u64 {
-        self.deopt_mode_window + self.deopt_ic_megamorphic + self.deopt_fault_epoch
-    }
-
-    pub(crate) fn deopt(&mut self, reason: DeoptReason) {
-        match reason {
-            DeoptReason::ModeWindow => self.deopt_mode_window += 1,
-            DeoptReason::IcMegamorphic => self.deopt_ic_megamorphic += 1,
-            DeoptReason::FaultEpoch => self.deopt_fault_epoch += 1,
-        }
+        0
     }
 }
 
@@ -465,9 +362,7 @@ pub struct RunResult {
     /// The enforcement strategy the run executed under (mirrors
     /// [`RuntimeConfig::enforcement`]; surfaced in telemetry).
     pub enforcement: Enforcement,
-    /// Tier-up/deopt counters of the threaded tier (all zero unless a
-    /// body tiered up; see [`TierStats`] for why they live outside
-    /// [`RunStats`]).
+    /// Bodies this run compiled (see [`TierStats`]).
     pub tier: TierStats,
 }
 
@@ -581,8 +476,7 @@ fn run_on_current_thread(
         ic_send: Vec::new(),
         ic_arm: Vec::new(),
         ic_snap: Vec::new(),
-        ic_poly: Vec::new(),
-        tier: TierStats::default(),
+        compiles: 0,
         config,
     };
     let value = interp.run_main();
@@ -619,7 +513,9 @@ fn run_on_current_thread(
         events: interp.events,
         profile,
         enforcement: interp.config.enforcement,
-        tier: interp.tier,
+        tier: TierStats {
+            threaded_compiles: interp.compiles,
+        },
     }
 }
 
@@ -627,16 +523,23 @@ fn run_on_current_thread(
 const MAX_CALL_DEPTH: usize = 50_000;
 
 /// Native stack budgeted per ENT call frame when deriving the depth limit
-/// from a configured stack size. Measured usage is ~2.5 KiB per frame;
-/// the 3x headroom absorbs expression-nesting frames that add native
-/// depth without ENT depth. At the default 512 MiB stack the derived
-/// limit exceeds `MAX_CALL_DEPTH`, so default behavior is unchanged.
+/// from a configured stack size. Measured the same way as the debug
+/// budget below: the tree walker takes 1.9 KiB per plain self-call and
+/// 3.3 KiB under four more binary operators, bytecode 1.1 KiB. The
+/// headroom absorbs expression-nesting frames that add native depth
+/// without ENT depth. At the default 512 MiB stack the derived limit
+/// exceeds `MAX_CALL_DEPTH`, so default behavior is unchanged.
 #[cfg(not(debug_assertions))]
 const STACK_BYTES_PER_FRAME: usize = 8 * 1024;
-/// Unoptimized evaluator frames are several times larger than release
-/// frames; without the bigger budget a debug-build run with a small
-/// configured stack overflows the native stack (aborting the process)
-/// before the depth guard can return [`RtError::StackOverflow`].
+/// Unoptimized frames are several times larger than release frames.
+/// Measured on a debug `ent` by bisecting the deepest self-call that
+/// completes on a 64 MiB stack: the tree walker takes 7.8 KiB per call of
+/// `return 1 + this.go(n - 1)` and 16.4 KiB when the call sits under four
+/// more binary operators; bytecode takes 3.8 KiB. So a debug run with a
+/// small configured stack stops at [`RtError::StackOverflow`] instead of
+/// overflowing the native stack and aborting the process. (With every
+/// arm's locals in one `eval` frame, the tree walker took 29.4 and
+/// 61.7 KiB, past this budget.)
 #[cfg(debug_assertions)]
 const STACK_BYTES_PER_FRAME: usize = 24 * 1024;
 
@@ -696,7 +599,7 @@ struct ObjData {
 
 /// A call frame.
 #[derive(Debug)]
-struct Frame {
+pub(crate) struct Frame {
     /// Slot-indexed locals: parameters first, then block-scoped lets.
     locals: Vec<Value>,
     this_ref: Option<ObjRef>,
@@ -748,7 +651,7 @@ fn apply_env_into(obj_env: &[GMode], map: &[EnvSrc], out: &mut Vec<GMode>) {
     }));
 }
 
-struct Interp<'p> {
+pub(crate) struct Interp<'p> {
     prog: &'p LoweredProgram,
     heap: Vec<ObjData>,
     sim: EnergySim,
@@ -788,19 +691,13 @@ struct Interp<'p> {
     /// program-wide site ids allocated during lazy compilation. Grown on
     /// demand; never shared across runs, so no cross-run or cross-thread
     /// contamination is possible.
-    ic_send: Vec<Option<vm::SendIc<'p>>>,
+    ic_send: Vec<Option<threaded::SendIc<'p>>>,
     /// Per-run `<|` arm-selection caches (bytecode engine).
-    ic_arm: Vec<Option<vm::ArmIc>>,
+    ic_arm: Vec<Option<threaded::ArmIc>>,
     /// Per-run snapshot bounds-verdict caches (bytecode engine).
-    ic_snap: Vec<Option<vm::SnapIc>>,
-    /// Per-run send-site polymorphism counters (threaded tier), indexed
-    /// like `ic_send`: each IC miss in threaded code bumps the site's
-    /// count, and a site that transitions too often deopts as
-    /// megamorphic. Saturating, never reset within a run — deterministic
-    /// for a deterministic run.
-    ic_poly: Vec<u8>,
-    /// Tiering counters for this run (threaded tier only).
-    tier: TierStats,
+    ic_snap: Vec<Option<threaded::SnapIc>>,
+    /// Bodies this run compiled ([`TierStats::threaded_compiles`]).
+    compiles: u64,
 }
 
 type EvalResult = Result<Value, Flow>;
@@ -913,44 +810,19 @@ impl<'p> Interp<'p> {
 
     /// Executes one lowered body on the configured engine. The bytecode
     /// engine lazily compiles it (once per program, so batch runs compile
-    /// once) and resizes the frame's register file. Once the body is hot
-    /// (per [`RuntimeConfig::tier_up`]) in a guarded run it also compiles
-    /// the bytecode to the threaded tier — cached program-wide as well —
-    /// and enters that instead.
+    /// once), resizes the frame's register file and runs the ops.
     fn run_body(&mut self, frame: &mut Frame, body: &'p Body) -> EvalResult {
         if self.config.engine == Engine::Tree {
             return self.eval(frame, body.root);
         }
         // The engines are observationally identical, so a body too large
-        // for the bytecode format runs on the tree walker unnoticed.
-        let Some(code) = body.code_or_compile(&self.prog.ir, &self.prog.ic) else {
+        // for the op format runs on the tree walker unnoticed.
+        let Some(code) = body.code_or_compile(&self.prog.ir, &self.prog.ic, &mut self.compiles)
+        else {
             return self.eval(frame, body.root);
         };
         frame.locals.resize(code.frame_size as usize, Value::Unit);
-        // The threaded tier compiles the guarded strategy only, so a
-        // transient run stays on the VM and compiles nothing.
-        let hot = matches!(self.config.enforcement, Enforcement::Guarded)
-            && match self.config.tier_up {
-                TierUp::Never => false,
-                TierUp::Always => true,
-                // The counter is program-wide (shared by concurrent runs)
-                // and drives a perf-only choice, so the benign count race
-                // needs no stronger ordering. A promoted body skips it, so
-                // hot bodies do no shared read-modify-write.
-                TierUp::After(n) => body.threaded.get().is_some() || body.hot_hit() >= n,
-            };
-        if !hot {
-            return self.exec(frame, code);
-        }
-        let mut fresh = false;
-        let tcode = body.threaded.get_or_init(|| {
-            fresh = true;
-            threaded::compile_threaded(code)
-        });
-        if fresh {
-            self.tier.threaded_compiles += 1;
-        }
-        threaded::enter(self, frame, code, tcode)
+        threaded::enter(self, frame, code)
     }
 
     /// The single "virtual time advanced" hook: every interpreter-driven
@@ -1207,7 +1079,7 @@ impl<'p> Interp<'p> {
     /// both orderings the step counter is read before the frame push/pop,
     /// so a pending sample interval lands on the frame that actually
     /// executed it — at identical `(stack, step)` points in both engines,
-    /// since the bytecode tier's gas batching is exact at these
+    /// since the bytecode engine's gas batching is exact at these
     /// boundaries.
     fn invoke(
         &mut self,
@@ -1537,7 +1409,7 @@ impl<'p> Interp<'p> {
                     }
                     _ => {
                         let failed = !(prog.le(lo, mode) && prog.le(mode, hi));
-                        self.ic_snap[site] = Some(vm::SnapIc {
+                        self.ic_snap[site] = Some(threaded::SnapIc {
                             class,
                             mode,
                             lo,
@@ -1635,10 +1507,13 @@ impl<'p> Interp<'p> {
 
     // ---- evaluation ---------------------------------------------------------------
 
+    /// Evaluates node `e`. Every arm with locals of its own runs in a
+    /// function of its own, so an unoptimized `eval` frame holds only the
+    /// dispatch: a nested expression or call costs the native stack of
+    /// the arm it takes, not of every arm (see `STACK_BYTES_PER_FRAME`).
     fn eval(&mut self, frame: &mut Frame, e: NodeId) -> EvalResult {
         self.gas()?;
-        let prog = self.prog;
-        let ir = &prog.ir;
+        let ir = &self.prog.ir;
         // Matched in place rather than through a copy of the node: the
         // smaller frame keeps the nesting depth a stack size allows.
         match ir.nodes[e as usize] {
@@ -1647,181 +1522,229 @@ impl<'p> Interp<'p> {
                 Some(r) => Ok(Value::Obj(r)),
                 None => Err(RtError::Native("`this` outside an object context".into()).into()),
             },
-            Node::Var { slot, name } => {
-                let unbound = || -> Flow {
-                    RtError::Native(format!("unbound variable `{}`", ir.names[name as usize]))
-                        .into()
-                };
-                if slot >= frame.unbound_lo && slot < frame.n_params {
-                    return Err(unbound());
-                }
-                match frame.locals.get(slot as usize) {
-                    Some(v) => Ok(v.clone()),
-                    None => Err(unbound()),
-                }
-            }
-            Node::UnboundVar(name) => Err(RtError::Native(format!(
-                "unbound variable `{}`",
-                ir.names[name as usize]
-            ))
-            .into()),
-            Node::Field { recv, field, name } => {
-                let rv = self.eval(frame, recv)?;
-                let Value::Obj(r) = rv else {
-                    return Err(RtError::Native(format!("field access on a {}", rv.kind())).into());
-                };
-                self.read_field(frame, r, field, &ir.names[name as usize])
-            }
-            Node::New { new, ctor_args } => {
-                let mut vals = Vec::with_capacity(ctor_args.len());
-                for &a in ir.kids(ctor_args) {
-                    vals.push(self.eval(frame, a)?);
-                }
-                let new = &ir.news[new as usize];
-                let (mode, env) = self.resolve_new(frame, new.class, &new.plan)?;
-                let r = self.allocate(new.class, vals, mode, env)?;
-                Ok(Value::Obj(r))
-            }
-            Node::NewUnknown { class, ctor_args } => {
-                for &a in ir.kids(ctor_args) {
-                    self.eval(frame, a)?;
-                }
-                Err(RtError::Native(format!(
-                    "unknown class `{}`",
-                    ir.unknown_classes[class as usize]
-                ))
-                .into())
-            }
-            Node::Call { send, recv_args } => {
-                let (&recv, args) = ir
-                    .kids(recv_args)
-                    .split_first()
-                    .expect("a call has a receiver");
-                let rv = self.eval(frame, recv)?;
-                let Value::Obj(r) = rv else {
-                    return Err(RtError::Native(format!("method call on a {}", rv.kind())).into());
-                };
-                let mut vals = Vec::with_capacity(args.len());
-                for &a in args {
-                    vals.push(self.eval(frame, a)?);
-                }
-                let send = &ir.sends[send as usize];
-                let mut gmodes = Vec::with_capacity(send.mode_args.len());
-                for m in ir.modes(send.mode_args) {
-                    gmodes.push(self.resolve_mode(frame, m)?);
-                }
-                self.invoke(r, send.method, vals, &gmodes, frame.mode, None)
-            }
-            Node::Builtin { op, name, args } => {
-                if matches!(op, BOp::SimWorkKind(_)) {
-                    // The resolved kind literal's step, at its tree position.
-                    self.gas()?;
-                }
-                let mut vals = Vec::with_capacity(args.len());
-                for &a in ir.kids(args) {
-                    let v = self.eval(frame, a)?;
-                    vals.push(self.force(frame, v)?);
-                }
-                let (ns, name) = ir.builtin_name(name);
-                self.builtin(op, ns, name, vals)
-            }
-            Node::Cast { check, expr } => {
-                let v = self.eval(frame, expr)?;
-                // Only object downcasts can fail at run time.
-                self.check_cast(&v, &check)?;
-                Ok(v)
-            }
-            Node::Snapshot { expr, bounds } => {
-                let v = self.eval(frame, expr)?;
-                let Value::Obj(r) = v else {
-                    return Err(RtError::Native(format!("snapshot of a {}", v.kind())).into());
-                };
-                let b = bounds as usize;
-                self.snapshot(frame, r, &ir.modes[b], &ir.modes[b + 1], None)
-            }
-            Node::MCase { arms, modes } => {
-                let mut vals = Vec::with_capacity(arms.len());
-                let modes = &ir.arm_modes[modes as usize..modes as usize + arms.len()];
-                for (m, &arm) in modes.iter().zip(ir.kids(arms)) {
-                    vals.push((m.clone(), self.eval(frame, arm)?));
-                }
-                Ok(Value::MCase(Arc::new(vals)))
-            }
-            Node::Elim { expr, mode } => {
-                let v = self.eval(frame, expr)?;
-                let Value::MCase(arms) = v else {
-                    return Err(RtError::Native(format!("`<|` on a {}", v.kind())).into());
-                };
-                let target = match mode {
-                    Some(m) => self.resolve_mode(frame, &ir.modes[m as usize])?,
-                    None => frame.mode,
-                };
-                self.eliminate(&arms, target)
-            }
+            Node::Var { slot, name } => self.eval_var(frame, slot, name),
+            Node::UnboundVar(name) => Err(self.unbound(name)),
+            Node::Field { recv, field, name } => self.eval_field(frame, recv, field, name),
+            Node::New { new, ctor_args } => self.eval_new(frame, new, ctor_args),
+            Node::NewUnknown { class, ctor_args } => self.eval_new_unknown(frame, class, ctor_args),
+            Node::Call { send, recv_args } => self.eval_call(frame, send, recv_args),
+            Node::Builtin { op, name, args } => self.eval_builtin(frame, op, name, args),
+            Node::Cast { check, expr } => self.eval_cast(frame, check, expr),
+            Node::Snapshot { expr, bounds } => self.eval_snapshot(frame, expr, bounds),
+            Node::MCase { arms, modes } => self.eval_mcase(frame, arms, modes),
+            Node::Elim { expr, mode } => self.eval_elim(frame, expr, mode),
             Node::Binary { op, lhs, rhs } => self.binary(frame, op, lhs, rhs),
-            Node::Unary { op, expr } => {
-                let v = self.eval(frame, expr)?;
-                let v = self.force(frame, v)?;
-                Self::apply_unop(op, v)
-            }
-            Node::If { cond, then, els } => {
-                let c = self.eval(frame, cond)?;
-                let c = self.force(frame, c)?;
-                let Value::Bool(b) = c else {
-                    return Err(RtError::Native(format!("if condition is a {}", c.kind())).into());
-                };
-                if b {
-                    self.eval(frame, then)
-                } else {
-                    match else_branch(els) {
-                        Some(els) => self.eval(frame, els),
-                        None => Ok(Value::Unit),
-                    }
-                }
-            }
-            Node::Block(stmts) => {
-                let depth = frame.locals.len();
-                let mut last = Value::Unit;
-                for &stmt in ir.stmts(stmts) {
-                    match stmt {
-                        LStmt::Let(value) => {
-                            let v = self.eval(frame, value)?;
-                            frame.locals.push(v);
-                            last = Value::Unit;
-                        }
-                        LStmt::Expr(e) => {
-                            last = self.eval(frame, e)?;
-                        }
-                        LStmt::Return(e) => {
-                            let v = self.eval(frame, e)?;
-                            frame.locals.truncate(depth);
-                            return Err(Flow::Return(v));
-                        }
-                    }
-                }
-                frame.locals.truncate(depth);
-                Ok(last)
-            }
-            Node::Try { body, handler } => {
-                // A failing body may leave partially-pushed block locals on
-                // the frame; restore the handler's lowered slot layout.
-                let depth = frame.locals.len();
-                match self.eval(frame, body) {
-                    Err(Flow::Error(RtError::EnergyException(_))) => {
-                        frame.locals.truncate(depth);
-                        self.eval(frame, handler)
-                    }
-                    other => other,
-                }
-            }
-            Node::ArrayLit(items) => {
-                let mut vals = Vec::with_capacity(items.len());
-                for &item in ir.kids(items) {
-                    vals.push(self.eval(frame, item)?);
-                }
-                Ok(Value::Array(Arc::new(vals)))
+            Node::Unary { op, expr } => self.eval_unary(frame, op, expr),
+            Node::If { cond, then, els } => self.eval_if(frame, cond, then, els),
+            Node::Block(stmts) => self.eval_block(frame, stmts),
+            Node::Try { body, handler } => self.eval_try(frame, body, handler),
+            Node::ArrayLit(items) => self.eval_array(frame, items),
+        }
+    }
+
+    /// The error of reading the unbound variable `names[name]`.
+    fn unbound(&self, name: u32) -> Flow {
+        RtError::Native(format!(
+            "unbound variable `{}`",
+            self.prog.ir.names[name as usize]
+        ))
+        .into()
+    }
+
+    fn eval_var(&mut self, frame: &mut Frame, slot: u32, name: u32) -> EvalResult {
+        if slot >= frame.unbound_lo && slot < frame.n_params {
+            return Err(self.unbound(name));
+        }
+        match frame.locals.get(slot as usize) {
+            Some(v) => Ok(v.clone()),
+            None => Err(self.unbound(name)),
+        }
+    }
+
+    fn eval_field(&mut self, frame: &mut Frame, recv: NodeId, field: u32, name: u32) -> EvalResult {
+        let rv = self.eval(frame, recv)?;
+        let Value::Obj(r) = rv else {
+            return Err(RtError::Native(format!("field access on a {}", rv.kind())).into());
+        };
+        self.read_field(frame, r, field, &self.prog.ir.names[name as usize])
+    }
+
+    fn eval_new(&mut self, frame: &mut Frame, new: u32, ctor_args: Seq) -> EvalResult {
+        let ir = &self.prog.ir;
+        let mut vals = Vec::with_capacity(ctor_args.len());
+        for &a in ir.kids(ctor_args) {
+            vals.push(self.eval(frame, a)?);
+        }
+        let new = &ir.news[new as usize];
+        let (mode, env) = self.resolve_new(frame, new.class, &new.plan)?;
+        let r = self.allocate(new.class, vals, mode, env)?;
+        Ok(Value::Obj(r))
+    }
+
+    fn eval_new_unknown(&mut self, frame: &mut Frame, class: u32, ctor_args: Seq) -> EvalResult {
+        let ir = &self.prog.ir;
+        for &a in ir.kids(ctor_args) {
+            self.eval(frame, a)?;
+        }
+        Err(RtError::Native(format!(
+            "unknown class `{}`",
+            ir.unknown_classes[class as usize]
+        ))
+        .into())
+    }
+
+    fn eval_call(&mut self, frame: &mut Frame, send: u32, recv_args: Seq) -> EvalResult {
+        let ir = &self.prog.ir;
+        let (&recv, args) = ir
+            .kids(recv_args)
+            .split_first()
+            .expect("a call has a receiver");
+        let rv = self.eval(frame, recv)?;
+        let Value::Obj(r) = rv else {
+            return Err(RtError::Native(format!("method call on a {}", rv.kind())).into());
+        };
+        let mut vals = Vec::with_capacity(args.len());
+        for &a in args {
+            vals.push(self.eval(frame, a)?);
+        }
+        let send = &ir.sends[send as usize];
+        let mut gmodes = Vec::with_capacity(send.mode_args.len());
+        for m in ir.modes(send.mode_args) {
+            gmodes.push(self.resolve_mode(frame, m)?);
+        }
+        self.invoke(r, send.method, vals, &gmodes, frame.mode, None)
+    }
+
+    fn eval_builtin(&mut self, frame: &mut Frame, op: BOp, name: u32, args: Seq) -> EvalResult {
+        if matches!(op, BOp::SimWorkKind(_)) {
+            // The resolved kind literal's step, at its tree position.
+            self.gas()?;
+        }
+        let ir = &self.prog.ir;
+        let mut vals = Vec::with_capacity(args.len());
+        for &a in ir.kids(args) {
+            let v = self.eval(frame, a)?;
+            vals.push(self.force(frame, v)?);
+        }
+        let (ns, name) = ir.builtin_name(name);
+        self.builtin(op, ns, name, vals)
+    }
+
+    fn eval_cast(
+        &mut self,
+        frame: &mut Frame,
+        check: Option<CastCheck>,
+        expr: NodeId,
+    ) -> EvalResult {
+        let v = self.eval(frame, expr)?;
+        // Only object downcasts can fail at run time.
+        self.check_cast(&v, &check)?;
+        Ok(v)
+    }
+
+    fn eval_snapshot(&mut self, frame: &mut Frame, expr: NodeId, bounds: u32) -> EvalResult {
+        let v = self.eval(frame, expr)?;
+        let Value::Obj(r) = v else {
+            return Err(RtError::Native(format!("snapshot of a {}", v.kind())).into());
+        };
+        let modes = &self.prog.ir.modes;
+        let b = bounds as usize;
+        self.snapshot(frame, r, &modes[b], &modes[b + 1], None)
+    }
+
+    fn eval_mcase(&mut self, frame: &mut Frame, arms: Seq, modes: u32) -> EvalResult {
+        let ir = &self.prog.ir;
+        let mut vals = Vec::with_capacity(arms.len());
+        let modes = &ir.arm_modes[modes as usize..modes as usize + arms.len()];
+        for (m, &arm) in modes.iter().zip(ir.kids(arms)) {
+            vals.push((m.clone(), self.eval(frame, arm)?));
+        }
+        Ok(Value::MCase(Arc::new(vals)))
+    }
+
+    fn eval_elim(&mut self, frame: &mut Frame, expr: NodeId, mode: Option<u32>) -> EvalResult {
+        let v = self.eval(frame, expr)?;
+        let Value::MCase(arms) = v else {
+            return Err(RtError::Native(format!("`<|` on a {}", v.kind())).into());
+        };
+        let target = match mode {
+            Some(m) => self.resolve_mode(frame, &self.prog.ir.modes[m as usize])?,
+            None => frame.mode,
+        };
+        self.eliminate(&arms, target)
+    }
+
+    fn eval_unary(&mut self, frame: &mut Frame, op: UnOp, expr: NodeId) -> EvalResult {
+        let v = self.eval(frame, expr)?;
+        let v = self.force(frame, v)?;
+        Self::apply_unop(op, v)
+    }
+
+    fn eval_if(
+        &mut self,
+        frame: &mut Frame,
+        cond: NodeId,
+        then: NodeId,
+        els: NodeId,
+    ) -> EvalResult {
+        let c = self.eval(frame, cond)?;
+        let c = self.force(frame, c)?;
+        let Value::Bool(b) = c else {
+            return Err(RtError::Native(format!("if condition is a {}", c.kind())).into());
+        };
+        if b {
+            self.eval(frame, then)
+        } else {
+            match else_branch(els) {
+                Some(els) => self.eval(frame, els),
+                None => Ok(Value::Unit),
             }
         }
+    }
+
+    fn eval_block(&mut self, frame: &mut Frame, stmts: Seq) -> EvalResult {
+        let depth = frame.locals.len();
+        let mut last = Value::Unit;
+        for &stmt in self.prog.ir.stmts(stmts) {
+            match stmt {
+                LStmt::Let(value) => {
+                    let v = self.eval(frame, value)?;
+                    frame.locals.push(v);
+                    last = Value::Unit;
+                }
+                LStmt::Expr(e) => {
+                    last = self.eval(frame, e)?;
+                }
+                LStmt::Return(e) => {
+                    let v = self.eval(frame, e)?;
+                    frame.locals.truncate(depth);
+                    return Err(Flow::Return(v));
+                }
+            }
+        }
+        frame.locals.truncate(depth);
+        Ok(last)
+    }
+
+    fn eval_try(&mut self, frame: &mut Frame, body: NodeId, handler: NodeId) -> EvalResult {
+        // A failing body may leave partially-pushed block locals on the
+        // frame; restore the handler's lowered slot layout.
+        let depth = frame.locals.len();
+        match self.eval(frame, body) {
+            Err(Flow::Error(RtError::EnergyException(_))) => {
+                frame.locals.truncate(depth);
+                self.eval(frame, handler)
+            }
+            other => other,
+        }
+    }
+
+    fn eval_array(&mut self, frame: &mut Frame, items: Seq) -> EvalResult {
+        let mut vals = Vec::with_capacity(items.len());
+        for &item in self.prog.ir.kids(items) {
+            vals.push(self.eval(frame, item)?);
+        }
+        Ok(Value::Array(Arc::new(vals)))
     }
 
     fn binary(&mut self, frame: &mut Frame, op: BinOp, lhs: NodeId, rhs: NodeId) -> EvalResult {
@@ -1909,8 +1832,8 @@ impl<'p> Interp<'p> {
 
     /// Calls a compiled builtin site on its argument registers in place,
     /// `frame.locals[base..base + n_args]` — the one builtin path of the
-    /// bytecode VM and the threaded tier. Forces the last argument first
-    /// when the site says so. On every exit (value, builtin error or
+    /// bytecode engine. Forces the last argument first when the site says
+    /// so. On every exit (value, builtin error or
     /// force error) the window is reset to `Unit` before returning, which
     /// is where the take-based form left those registers: every argument
     /// dies where it died when the call owned a vector of them.
@@ -1934,7 +1857,7 @@ impl<'p> Interp<'p> {
     }
 
     /// The slice-based builtin core: callers keep ownership of the
-    /// argument storage (the bytecode engines pass their argument
+    /// argument storage (the bytecode engine passes its argument
     /// registers through [`Self::call_builtin`]; the tree walker funnels
     /// in via [`Self::builtin`]). Arms that need owned values take them
     /// out of the slice, leaving `Unit` — indistinguishable from the
@@ -2065,7 +1988,7 @@ impl<'p> Interp<'p> {
 // bumps on the shared `Arc`, never deep copies of the payload. These tests
 // pin that for array indexing, mode-case arm selection, and the unique-`Arc`
 // buffer reuse in `Arr.push`, on the tree walker's by-value path and on the
-// bytecode engines' in-place register window.
+// bytecode engine's in-place register window.
 #[cfg(test)]
 mod clone_audit {
     use super::*;
@@ -2093,8 +2016,7 @@ mod clone_audit {
             ic_send: Vec::new(),
             ic_arm: Vec::new(),
             ic_snap: Vec::new(),
-            ic_poly: Vec::new(),
-            tier: TierStats::default(),
+            compiles: 0,
             config,
         };
         f(&mut interp)

@@ -56,8 +56,8 @@ mod value;
 pub use error::{Flow, RtError};
 pub use events::{render_event, EnergyEvent, EventPayload, EventRing, FaultServe};
 pub use interp::{
-    check_env_settings, run, run_lowered, DeoptReason, Enforcement, Engine, RunResult, RunStats,
-    RuntimeConfig, TierStats, TierUp,
+    check_env_settings, run, run_lowered, Enforcement, Engine, RunResult, RunStats, RuntimeConfig,
+    TierStats, TierUp,
 };
 pub use lower::{lower_program, GMode, LoweredProgram};
 pub use profile::{

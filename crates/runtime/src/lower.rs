@@ -35,7 +35,6 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
 use ent_core::CompiledProgram;
@@ -172,8 +171,8 @@ impl Seq {
 
 /// One compilable body — a method body, an attributor, or a field
 /// initializer — as a root node of the program's [`Ir`], with its
-/// compilation state. Shared program-wide: every concurrent run over a
-/// lowered program sees the same cells, so each tier compiles at most once
+/// compiled code. Shared program-wide: every concurrent run over a
+/// lowered program sees the same cell, so each body compiles at most once
 /// per program.
 #[derive(Debug)]
 pub(crate) struct Body {
@@ -181,16 +180,9 @@ pub(crate) struct Body {
     /// Locals the body's frame starts with: the method's parameter count,
     /// zero for class attributors and field initializers.
     pub(crate) n_base: u32,
-    /// Lazily compiled bytecode (see [`crate::compile`]); `None` for a
-    /// body too large for the instruction format, which runs on the tree
-    /// walker.
+    /// Lazily compiled ops (see [`crate::compile`]); `None` for a body
+    /// too large for the op format, which runs on the tree walker.
     code: OnceLock<Option<Code>>,
-    /// Invocation hit counter driving the bytecode engine's
-    /// profile-guided tier-up. Program-wide and racy by design: tier
-    /// choice is perf-only and never observable in results.
-    hot: AtomicU32,
-    /// Lazily compiled threaded-tier code (hot bodies only).
-    pub(crate) threaded: OnceLock<crate::interp::threaded::TCode>,
 }
 
 impl Body {
@@ -199,38 +191,33 @@ impl Body {
             root,
             n_base,
             code: OnceLock::new(),
-            hot: AtomicU32::new(0),
-            threaded: OnceLock::new(),
         }
     }
 
-    /// The compiled bytecode, if any engine has compiled this body yet.
+    /// The compiled code, if the bytecode engine has compiled this body
+    /// yet.
     #[inline]
     pub(crate) fn code(&self) -> Option<&Code> {
         self.code.get().and_then(Option::as_ref)
     }
 
-    /// The compiled bytecode, compiling it from `ir` first if needed;
-    /// `None` when the body does not fit the instruction format.
+    /// The compiled code, compiling it from `ir` first if needed and
+    /// counting that compile in `compiles`; `None` when the body does not
+    /// fit the op format.
     #[inline]
     pub(crate) fn code_or_compile(
         &self,
         ir: &Ir,
         ic: &crate::compile::IcCounters,
+        compiles: &mut u64,
     ) -> Option<&Code> {
         self.code
-            .get_or_init(|| crate::compile::compile_body(ir, self.root, self.n_base, ic))
+            .get_or_init(|| {
+                let code = crate::compile::compile_body(ir, self.root, self.n_base, ic);
+                *compiles += u64::from(code.is_some());
+                code
+            })
             .as_ref()
-    }
-
-    /// Records one invocation and returns the new hit count (saturating).
-    #[inline]
-    pub(crate) fn hot_hit(&self) -> u32 {
-        let c = self.hot.load(Ordering::Relaxed);
-        if c == u32::MAX {
-            return c;
-        }
-        self.hot.fetch_add(1, Ordering::Relaxed).saturating_add(1)
     }
 }
 
@@ -774,7 +761,10 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
         env_srcs: Vec::new(),
         default_envs: Vec::new(),
         method_cache: HashMap::new(),
-        env_memo: vec![(NO_CLASS, Seq::default()); nc],
+        walk: Vec::new(),
+        walk_runs: Vec::with_capacity(nc),
+        walk_at: NO_CLASS,
+        env_maps: Vec::with_capacity(nc),
         env: Vec::new(),
         locals: Vec::new(),
         pending: Vec::new(),
@@ -1000,10 +990,17 @@ struct Lowerer<'a> {
     default_envs: Vec<GMode>,
     /// `(owner, method id)` → index in `methods`.
     method_cache: HashMap<(u32, u32), u32>,
-    /// By owner: the class whose projection onto that owner was last
-    /// compiled, and the projection. Classes lower one at a time, so this
-    /// shares one projection per `(class, owner)` pair.
-    env_memo: Vec<(u32, Seq)>,
+    /// The walk up the chain of the class being lowered (see
+    /// [`Lowerer::env_map`]): its environment projected onto each
+    /// ancestor walked so far, as runs of `walk` by distance up the chain
+    /// (`walk_runs[0]` is the class itself), and the ancestor at the
+    /// walk's far end.
+    walk: Vec<Option<EnvSrc>>,
+    walk_runs: Vec<Range<usize>>,
+    walk_at: u32,
+    /// The projections of the class being lowered that are already in
+    /// `env_srcs`, by distance up its chain.
+    env_maps: Vec<Option<Seq>>,
     /// The mode-environment slot layout of the body being lowered.
     env: Vec<ModeVar>,
     /// The local names in scope in the body being lowered, innermost last.
@@ -1198,71 +1195,83 @@ impl Lowerer<'_> {
         seq(start, self.ir.modes.len())
     }
 
-    /// The environment projection from `class` onto an ancestor `owner`:
-    /// a symbolic replay of the old evaluator's `owner_mode_env` walk over
-    /// superclass instantiations, compiled to per-slot [`EnvSrc`]s.
-    fn env_map(&mut self, class: u32, owner: u32) -> Seq {
-        let (memo_class, memo) = self.env_memo[owner as usize];
-        if memo_class == class {
-            return memo;
+    /// The environment projection from `class`, the class being lowered,
+    /// onto its ancestor `dist` links up its chain, as an `env_srcs` run:
+    /// a symbolic replay of the old evaluator's `owner_mode_env` walk
+    /// over superclass instantiations, compiled to per-slot [`EnvSrc`]s.
+    /// One walk per class serves every ancestor: each link is followed
+    /// once, as far up as a request needs, and only the projections
+    /// asked for are copied into `env_srcs`, once each.
+    fn env_map(&mut self, class: u32, dist: usize) -> Seq {
+        if let Some(map) = self.env_maps[dist] {
+            return map;
         }
-        let mut cur = class;
-        // `None` models a parameter with no entry in the runtime map.
-        let mut abs: Vec<Option<EnvSrc>> = (0..self.decls[cur as usize].mode_params.bounds.len())
-            .map(|i| Some(EnvSrc::Copy(i as u32)))
-            .collect();
-        while cur != owner {
-            let decl = self.decls[cur as usize];
-            let sup = self.parent[cur as usize];
-            let sup_decl = self.decls[sup as usize];
-            let args: Vec<Option<EnvSrc>> = if decl.super_args.is_empty() {
-                sup_decl
-                    .mode_params
-                    .bounds
-                    .iter()
-                    .map(|b| {
-                        let g = self.ground_verbatim(&b.lo);
-                        Some(EnvSrc::Ground(g))
-                    })
-                    .collect()
-            } else {
-                let params = &decl.mode_params.bounds;
-                decl.super_args
-                    .iter()
-                    .map(|m| {
-                        Some(match m {
-                            StaticMode::Var(v) => {
-                                let var = self.mode_vars.intern(v.as_str()).raw();
-                                match params.iter().rposition(|p| p.var == *v) {
-                                    Some(j) => match abs[j] {
-                                        Some(EnvSrc::Copy(i)) => EnvSrc::SlotOrVar { slot: i, var },
-                                        Some(src) => src,
-                                        None => EnvSrc::Ground(GMode::Var(var)),
-                                    },
-                                    None => EnvSrc::Ground(GMode::Var(var)),
-                                }
-                            }
-                            g => {
-                                let g = self.ground_verbatim(g);
-                                EnvSrc::Ground(g)
-                            }
-                        })
-                    })
-                    .collect()
-            };
-            abs = (0..sup_decl.mode_params.bounds.len())
-                .map(|k| args.get(k).copied().flatten())
-                .collect();
-            cur = sup;
+        while self.walk_runs.len() <= dist {
+            self.walk_link(class);
         }
         let start = self.env_srcs.len();
-        self.env_srcs.extend(
-            abs.into_iter()
-                .map(|o| o.unwrap_or(EnvSrc::Ground(GMode::Missing))),
-        );
+        for k in self.walk_runs[dist].clone() {
+            let src = self.walk[k].unwrap_or(EnvSrc::Ground(GMode::Missing));
+            self.env_srcs.push(src);
+        }
         let map = seq(start, self.env_srcs.len());
-        self.env_memo[owner as usize] = (class, map);
+        self.env_maps[dist] = Some(map);
         map
+    }
+
+    /// Extends [`Lowerer::env_map`]'s walk by one link: the projection of
+    /// `class` onto the next ancestor, from its projection onto the
+    /// current one. `None` models a parameter with no entry in the
+    /// runtime map.
+    fn walk_link(&mut self, class: u32) {
+        let start = self.walk.len();
+        let Some(cur_run) = self.walk_runs.last().cloned() else {
+            let n = self.decls[class as usize].mode_params.bounds.len();
+            self.walk
+                .extend((0..n).map(|i| Some(EnvSrc::Copy(i as u32))));
+            self.walk_at = class;
+            self.walk_runs.push(start..self.walk.len());
+            return;
+        };
+        let cur = self.walk_at;
+        let decl = self.decls[cur as usize];
+        let sup = self.parent[cur as usize];
+        let sup_decl = self.decls[sup as usize];
+        let n_sup = sup_decl.mode_params.bounds.len();
+        if decl.super_args.is_empty() {
+            for b in &sup_decl.mode_params.bounds {
+                let g = self.ground_verbatim(&b.lo);
+                self.walk.push(Some(EnvSrc::Ground(g)));
+            }
+        } else {
+            let params = &decl.mode_params.bounds;
+            for (k, m) in decl.super_args.iter().enumerate() {
+                // Arguments past the superclass's parameters are
+                // resolved (their names interned) and dropped.
+                let src = match m {
+                    StaticMode::Var(v) => {
+                        let var = self.mode_vars.intern(v.as_str()).raw();
+                        match params.iter().rposition(|p| p.var == *v) {
+                            Some(j) => match self.walk[cur_run.start + j] {
+                                Some(EnvSrc::Copy(i)) => EnvSrc::SlotOrVar { slot: i, var },
+                                Some(src) => src,
+                                None => EnvSrc::Ground(GMode::Var(var)),
+                            },
+                            None => EnvSrc::Ground(GMode::Var(var)),
+                        }
+                    }
+                    g => EnvSrc::Ground(self.ground_verbatim(g)),
+                };
+                if k < n_sup {
+                    self.walk.push(Some(src));
+                }
+            }
+            for _ in decl.super_args.len()..n_sup {
+                self.walk.push(None);
+            }
+        }
+        self.walk_at = sup;
+        self.walk_runs.push(start..self.walk.len());
     }
 
     fn lower_class(&mut self, ci: u32) -> ClassLayout {
@@ -1277,6 +1286,10 @@ impl Lowerer<'_> {
             c = self.parent[c as usize];
         }
         chain.reverse();
+        self.walk.clear();
+        self.walk_runs.clear();
+        self.env_maps.clear();
+        self.env_maps.resize(chain.len(), None);
 
         // Field layout: inherited first, first declaration wins the id slot.
         let mut field_order = Vec::new();
@@ -1301,11 +1314,11 @@ impl Lowerer<'_> {
         let mut positional = Vec::new();
         let mut inits = Vec::new();
         let mut slot = 0u32;
-        for &anc in &chain {
+        for (pos, &anc) in chain.iter().enumerate() {
             let adecl = self.decls[anc as usize];
             for f in &adecl.fields {
                 if let Some(init) = &f.init {
-                    let env_map = self.env_map(ci, anc);
+                    let env_map = self.env_map(ci, chain.len() - 1 - pos);
                     self.set_scope(adecl, None, &[]);
                     let body = self.lower_body(0, init);
                     inits.push(InitJob {
@@ -1323,7 +1336,7 @@ impl Lowerer<'_> {
         // Vtable: walk the chain most-derived first; the first declaration
         // of each method id wins, exactly like the old chain-walk cache.
         let vtable = ci as usize * self.n_methods;
-        for &anc in chain.iter().rev() {
+        for (dist, &anc) in chain.iter().rev().enumerate() {
             let adecl = self.decls[anc as usize];
             for m in &adecl.methods {
                 let mid = self
@@ -1332,7 +1345,7 @@ impl Lowerer<'_> {
                     .expect("declared method names are pre-interned")
                     .index();
                 if self.vtables[vtable + mid].is_none() {
-                    let env_map = self.env_map(ci, anc);
+                    let env_map = self.env_map(ci, dist);
                     let method = self.lower_method(anc, m);
                     self.vtables[vtable + mid] = Some(MethodEntry { env_map, method });
                 }

@@ -16,7 +16,7 @@
 //!
 //! Both modes observe frame transitions through the [`StackShadow`]
 //! trait, at identical program points in both engines: the tree walker
-//! and the bytecode VM funnel every send through the shared `invoke`
+//! and the bytecode engine funnel every send through the shared `invoke`
 //! path, and bytecode gas batching is exact at observable boundaries, so
 //! the `(stack, step-count)` pairs the sampler sees — and therefore every
 //! sampled report byte — are identical across `--engine tree|bytecode`

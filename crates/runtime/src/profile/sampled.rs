@@ -11,7 +11,7 @@
 //! crosses `k` thresholds contributes exactly `k` hits to the one frame
 //! that executed it. Step attribution is therefore an unbiased
 //! frame-granular estimator. Bytecode gas batching is exact at observable
-//! boundaries (see `compile.rs`), and the one place the VM *removes*
+//! boundaries (see `compile.rs`), and the one place bytecode *removes*
 //! boundaries — tail self-send elision, which it keeps enabled under
 //! sampling — only ever collapses a direct self-recursive chain whose
 //! consuming `Ret` carries zero gas. No steps accrue between the chain's
@@ -35,7 +35,7 @@
 //! `h/n` of its energy and time. That assumes energy-per-step is uniform
 //! at the sampling quantum (the exact profiler remains the ground truth
 //! when per-method power skews), and it is what makes the report a pure
-//! function of the hit counts — which in turn is what lets the VM keep
+//! function of the hit counts — which in turn is what lets bytecode keep
 //! its tail self-send elision under sampling: elision moves *frame
 //! boundaries*, never step counts at boundaries, so hit tallies (and
 //! hence every byte of the report) are engine-invariant even though the

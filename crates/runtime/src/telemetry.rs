@@ -169,23 +169,6 @@ impl RunResult {
             s.snapshot_failures,
         );
 
-        // Tiering counters. All-zero unless the bytecode engine tiered a
-        // body up (by default, one invoked 8 times in a guarded run), so
-        // the object is byte-identical across engines unless the threaded
-        // tier actually ran — the sampled determinism gates diff full
-        // telemetry lines across engines.
-        let t = &self.tier;
-        let _ = write!(
-            out,
-            ", \"tier\": {{\"threaded_entries\": {}, \"threaded_compiles\": {}, \"deopts\": {}, \"deopt_mode_window\": {}, \"deopt_ic_megamorphic\": {}, \"deopt_fault_epoch\": {}}}",
-            t.threaded_entries,
-            t.threaded_compiles,
-            t.deopts(),
-            t.deopt_mode_window,
-            t.deopt_ic_megamorphic,
-            t.deopt_fault_epoch,
-        );
-
         match &self.profile {
             Some(p) => {
                 let _ = write!(out, ", \"profile\": {}", p.to_json());

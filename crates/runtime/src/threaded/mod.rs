@@ -1,157 +1,155 @@
-//! The bytecode engine's closure-threaded tier: compiles a hot body's
-//! bytecode ([`Code`]) into a flat array of fn-pointer ops ([`TOp`]) with
-//! pre-resolved operands, replacing the VM's pc-driven `match` dispatch
-//! with one indirect call per op.
+//! The bytecode engine's executor: a compiled body ([`Code`]) is a flat
+//! array of fn-pointer ops ([`TOp`]) with pre-resolved operands, run by
+//! one indirect call per op.
 //!
-//! Declared as a child module of [`crate::interp`] — like the bytecode VM
-//! and the enforcement seam — so the ops call straight into the same
-//! private machinery (heap, invoke, snapshot, builtins, inline caches,
-//! events, profiler). Threaded execution is *observationally identical*
-//! to the bytecode VM: same gas charges in the same order, same errors,
-//! same stats, same events; the only new observable is the perf-only
-//! [`crate::TierStats`] counters, which deliberately live outside
-//! [`crate::RunStats`].
+//! Declared as a child module of [`crate::interp`], like the enforcement
+//! seam, so the handlers call straight into the same private machinery
+//! the tree walker uses: heap, invoke, snapshot, builtins, events and
+//! profiler. Every observable action funnels through those functions,
+//! which makes the bit-identical contract with the tree walker
+//! structural: same gas charges in the same order, same errors, same
+//! stats, same events.
 //!
 //! # Handlers
 //!
-//! Each bytecode instruction compiles to one plain handler function.
-//! Binop handlers are the one exception to "one per op": they are
-//! specialized on the site's static operator, so their int/double lanes
-//! are straight-line arithmetic. Operand kinds (register, slot, constant)
-//! are read at run time from the op's payload, and the tier fuses no ops
-//! of its own; its only multi-node shapes are the bytecode compiler's
-//! superinstructions (`BinF`, `JmpBinF`, `FieldThis`) and tail self-send
-//! elision.
+//! [`crate::compile`] emits each op with its handler already chosen: one
+//! plain function per operation, documented at each handler with the
+//! meaning of its `a`/`b`/`c`/`d` words. Binop handlers are the one
+//! exception to "one per operation": they are specialized on the site's
+//! static operator, so their int/double lanes are straight-line
+//! arithmetic. Operand kinds (register, slot, constant) are read at run
+//! time from the op's payload. The only multi-node shapes are the
+//! compiler's superinstructions (fused binops, compare-and-branch, field
+//! reads and sends on `this`) and tail self-send elision.
 //!
 //! # Dispatch
 //!
-//! Every op returns the next pc as a bare `u32` — the hot loop is one
-//! indirect call, one compare against [`R_DEOPT`], one assignment. The
-//! four rare continuations (deopt, error, `return`, done) are folded
-//! into the top of the `u32` range as sentinels, with their payloads
-//! parked in the activation's [`TState`]; returning a scalar keeps the
-//! common path free of the by-memory enum returns a `Ctl`-style control
-//! type would force.
+//! Every op returns the next pc as a bare `u32`: the hot loop is one
+//! indirect call, one compare against [`R_ERR`], one assignment. The
+//! three rare continuations (error, `return`, done) are folded into the
+//! top of the `u32` range as sentinels, with their payloads parked in the
+//! activation's [`TState`]; returning a scalar keeps the common path free
+//! of the by-memory enum returns a `Ctl`-style control type would force.
 //!
-//! # The deopt contract
+//! # Inline caches
 //!
-//! Threaded ops stay **pc-aligned** with the bytecode stream: `ops[pc]`
-//! executes exactly `instrs[pc]`. Alignment is what makes deopt trivial
-//! and total: a guarded op that must bail hands its live frame, pc, and
-//! `try`-handler stack to [`Interp::exec_from`] with no side tables,
-//! reconstruction, or restrictions on where it may happen. Every guard
-//! bails *before* its op has any observable effect (or, for the
-//! fault-epoch guard, precisely after the op completed), so the bytecode
-//! VM re-executes from an interpreter state bit-identical to the one it
-//! would have reached on its own.
+//! Per-run caches (vectors on [`Interp`], indexed by program-wide site
+//! ids) accelerate the three mode-decision sites:
 //!
-//! # The guard set
+//! * **Sends** ([`op_call_m`]): receiver-class guard → cached vtable
+//!   entry; any other class falls back to the vtable and re-caches
+//!   (monomorphic, last class wins). A megamorphic site simply keeps
+//!   missing.
+//! * **Eliminations** ([`op_elim`]): `(arms identity, target mode,
+//!   energy window)` → selected arm index. The cache holds a strong `Arc`
+//!   to the cached arms so pointer identity cannot be recycled.
+//! * **Snapshots** ([`op_snap`] via [`Interp::snapshot`]): `(class,
+//!   produced mode, bounds, energy window)` → bounds-check verdict.
 //!
-//! Bodies are compiled against the guarded strategy's semantics (the
-//! only one that may elide tail self-sends), so a transient run never
-//! enters this tier: `run_body` keeps it on the VM before compiling
-//! anything. Within a guarded run:
-//!
-//! * **Mode window** — under fault injection with a decision window, a
-//!   pending mode decision (snapshot or `<|`) deopts when the window has
-//!   rolled since body entry, leaving window-sensitive slow paths to the
-//!   VM.
-//! * **IC monomorphism** — a send site whose inline cache keeps missing
-//!   deopts as megamorphic once its per-run miss counter crosses
-//!   [`MEGAMORPHIC_MISSES`].
-//! * **Fault epoch** — a sensor read that came back faulted bumps the
-//!   injector epoch; the rest of the body defers to the VM, which owns
-//!   the degradation ladder.
+//! The energy window is `floor(virtual time / FaultPlan::window_s)` when
+//! fault injection is on (0 otherwise), so a cached decision is never
+//! reused across a window roll: the first decision in a new window
+//! misses and decides afresh. The caches only memoize *pure lattice
+//! decisions*: attributors, and therefore sensor reads, fault injection,
+//! staleness degradation, events and profiler attribution, run on every
+//! evaluation, hit or miss. So no handler needs a guard or a fallback
+//! executor: a faulted sensor read runs the degradation ladder inside
+//! [`Interp::call_builtin`] and the body carries on.
 
-use ent_syntax::UnOp;
 use std::sync::Arc;
 
-use super::vm::{binop_fast, ArmIc};
-use super::{DeoptReason, Frame, Interp, RtTag};
-use crate::compile::{bin_op, Code, FusedBin, Op, Opnd};
+use ent_syntax::{BinOp, UnOp};
+
+use super::{Enforcement, Frame, Interp, RtTag};
+use crate::compile::{bin_op, Code};
 use crate::error::{Flow, RtError};
-use crate::lower::BOp;
+use crate::lower::{GMode, MethodEntry};
 use crate::profile::AnyProfiler;
 use crate::value::Value;
 
-/// One threaded op: its handler plus its pre-resolved payload. Field
-/// meaning is per-handler (documented at each handler); broadly `a` is
-/// the destination register, `b`/`c` source indices (a constant
-/// operand's index into [`Code::consts`]), and `d` a site index,
-/// constant index or jump target. Constants stay in the bytecode's pool,
-/// which every handler receives, so an op is 32 bytes rather than
-/// carrying two inline [`Value`]s.
+/// One op: its handler plus its pre-resolved payload. Word meanings are
+/// per handler (documented at each); broadly `a` is the destination
+/// register, `b`/`c` source indices (a constant operand's index into
+/// [`Code::consts`]), and `d` a site index, constant index or jump
+/// target. Constants stay in the body's pool and a fused binop's
+/// operand names in [`Code::fused`], both read through the [`Code`]
+/// every handler receives, so an op is 24 bytes.
 pub(crate) struct TOp {
-    run: TFn,
-    gas: u16,
-    a: u16,
-    b: u16,
-    c: u16,
-    /// Mid-op gas for fused binops (charged between the operand reads,
-    /// exactly like the VM).
-    rgas: u16,
-    d: u32,
-    /// Interned-name index of the lhs slot operand (error messages).
-    n1: u32,
-    /// Interned-name index of the rhs slot operand.
-    n2: u32,
-    bin: ent_syntax::BinOp,
+    pub(crate) run: TFn,
+    /// Pre-order node-entry gas this op leads with (see
+    /// [`crate::compile`]'s gas exactness).
+    pub(crate) gas: u16,
+    pub(crate) a: u16,
+    pub(crate) b: u16,
+    pub(crate) c: u16,
     /// Fused-binop operand kinds: the lhs's `K_*` tag in the low nibble,
     /// the rhs's in the high nibble.
-    kinds: u8,
+    pub(crate) kinds: u8,
+    pub(crate) d: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<TOp>() == 32);
+const _: () = assert!(std::mem::size_of::<TOp>() == 24);
 
-/// A compiled body: one [`TOp`] per bytecode instruction, pc-aligned
-/// (see the module docs for why alignment *is* the deopt contract).
-pub(crate) struct TCode {
-    ops: Box<[TOp]>,
-}
-
-impl std::fmt::Debug for TCode {
+impl std::fmt::Debug for TOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TCode({} ops)", self.ops.len())
+        write!(
+            f,
+            "TOp(gas {} a {} b {} c {} d {} kinds {:#x})",
+            self.gas, self.a, self.b, self.c, self.d, self.kinds
+        )
     }
 }
 
-/// Per-activation threaded state: the live `try`-handler stack (bytecode
-/// pcs, handed to the VM verbatim on deopt), the energy-decision window
-/// observed at body entry (the mode-window guard's baseline), and the
-/// parking slots for sentinel-return payloads (see the module docs on
-/// dispatch).
-struct TState {
+/// Per-activation state: the live `try`-handler stack (handler pcs) and
+/// the parking slots for sentinel-return payloads (see the module docs
+/// on dispatch).
+pub(crate) struct TState {
     tries: Vec<u32>,
-    entry_window: u64,
     /// `return`/completion value ([`R_RET`] / [`R_DONE`]).
     out: Value,
     /// Error or energy exception ([`R_ERR`]).
     flow: Option<Flow>,
-    /// Why the body is bailing ([`R_DEOPT`]).
-    deopt: DeoptReason,
-    /// Bytecode pc the VM resumes at ([`R_DEOPT`]).
-    deopt_pc: u32,
 }
 
-/// An op's `u32` return is the next pc when below [`R_DEOPT`]; the top
-/// four values are reserved as sentinels (bodies are bounded far below
-/// by [`compile_threaded`]'s length assertion).
-const R_DEOPT: u32 = u32::MAX - 3;
-/// An error or energy exception is parked in [`TState::flow`].
+/// An op's `u32` return is the next pc when below [`R_ERR`]; the top
+/// three values are sentinels (bodies are bounded far below by the
+/// compiler's `u16` operand words). An error or energy exception is
+/// parked in [`TState::flow`].
 const R_ERR: u32 = u32::MAX - 2;
 /// A `return` value is parked in [`TState::out`].
 const R_RET: u32 = u32::MAX - 1;
 /// The body completed; the result is parked in [`TState::out`].
 const R_DONE: u32 = u32::MAX;
 
-/// An op handler: runs `ops[pc]` and returns the next pc or a sentinel.
-type TFn = for<'p> fn(&mut Interp<'p>, &mut Frame, &'p Code, &[TOp], &mut TState, u32) -> u32;
+/// An op handler: runs `code.ops[pc]` and returns the next pc or a
+/// sentinel.
+pub(crate) type TFn = for<'p> fn(&mut Interp<'p>, &mut Frame, &'p Code, &mut TState, u32) -> u32;
 
-/// Send-site IC misses tolerated per run before the site deopts as
-/// megamorphic. Small enough that a genuinely polymorphic site bails
-/// within a few calls; large enough that the one cold miss plus a couple
-/// of honest transitions keep the fast path.
-const MEGAMORPHIC_MISSES: u8 = 4;
+/// Send-site inline cache: receiver class → resolved vtable entry.
+pub(crate) type SendIc<'p> = (u32, &'p MethodEntry);
+
+/// Elimination-site inline cache (see the module docs).
+#[derive(Clone, Debug)]
+pub(crate) struct ArmIc {
+    /// Strong reference: while cached, the allocation cannot be freed and
+    /// its address reused, so `Arc::ptr_eq` identity is sound.
+    arms: Arc<Vec<(ent_modes::ModeName, Value)>>,
+    target: GMode,
+    window: u64,
+    idx: u32,
+}
+
+/// Snapshot-site mode-decision cache: the bounds-check verdict for one
+/// `(class, produced mode, lo, hi)` within one energy window.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SnapIc {
+    pub(crate) class: u32,
+    pub(crate) mode: GMode,
+    pub(crate) lo: GMode,
+    pub(crate) hi: GMode,
+    pub(crate) window: u64,
+    pub(crate) failed: bool,
+}
 
 /// Parks an error for the driver; out-of-line so handlers keep their
 /// fallible edges off the hot path.
@@ -162,13 +160,19 @@ fn throw(st: &mut TState, f: Flow) -> u32 {
     R_ERR
 }
 
-/// Parks a deopt request: the VM resumes at `pc`.
+/// The error of reading an unbound variable, named by [`Code::names`]
+/// index `name`.
 #[cold]
 #[inline(never)]
-fn deopt_at(st: &mut TState, pc: u32, r: DeoptReason) -> u32 {
-    st.deopt = r;
-    st.deopt_pc = pc;
-    R_DEOPT
+fn unbound(code: &Code, name: u32) -> Flow {
+    RtError::Native(format!("unbound variable `{}`", code.names[name as usize])).into()
+}
+
+/// The error of reading `this` outside an object.
+#[cold]
+#[inline(never)]
+fn no_this() -> Flow {
+    RtError::Native("`this` outside an object context".into()).into()
 }
 
 /// Routes an op's fallible step to the driver as [`R_ERR`].
@@ -181,9 +185,8 @@ macro_rules! tt {
     };
 }
 
-/// Charges the op's head gas (the VM charges per instruction head; the
-/// threaded tier charges identically so step counts — and therefore
-/// out-of-gas points and profiler attribution — never diverge).
+/// Charges the op's head gas, so step counts (and therefore out-of-gas
+/// points and profiler attribution) match the tree walker's.
 macro_rules! charge {
     ($it:ident, $t:ident, $st:ident) => {
         if $t.gas != 0 {
@@ -210,7 +213,7 @@ macro_rules! take_n {
 }
 
 /// Forces a mode case to its arm at the frame's mode; any other value
-/// passes through (the VM's `matches!(v, MCase(_))` pattern).
+/// passes through.
 macro_rules! forced {
     ($it:ident, $frame:ident, $st:ident, $v:expr) => {{
         let v = $v;
@@ -222,44 +225,29 @@ macro_rules! forced {
     }};
 }
 
-/// Enters a compiled body. Only guarded runs get here (see the module
-/// docs on the guard set).
+/// Runs a compiled body to completion. Mirrors `eval` exactly: `Ok` is
+/// the body's value, `Err(Flow::Return)` a `return` unwinding to the
+/// method boundary, `Err(Flow::Error)` a runtime error. A raised
+/// [`RtError::EnergyException`] unwinds to the innermost active `try`
+/// handler (exactly the only error the tree walker's `Try` catches).
 pub(super) fn enter<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    tcode: &TCode,
 ) -> super::EvalResult {
-    it.tier.threaded_entries += 1;
-    // Tail elision bumps `depth` per elided logical frame; all of them
-    // pop together when this activation exits — including via deopt,
-    // whose nested `exec_from` runs inside this save/restore.
+    // Tail elision bumps `depth` once per elided logical frame; all of
+    // them pop together when this activation exits, on any path.
     let depth_on_entry = it.depth;
-    let result = run_loop(it, frame, code, tcode);
-    it.depth = depth_on_entry;
-    result
-}
-
-fn run_loop<'p>(
-    it: &mut Interp<'p>,
-    frame: &mut Frame,
-    code: &'p Code,
-    tcode: &TCode,
-) -> super::EvalResult {
     let mut st = TState {
         tries: Vec::new(),
-        entry_window: it.decision_window(),
         out: Value::Unit,
         flow: None,
-        // Placeholder: `deopt_at` sets the reason before every R_DEOPT.
-        deopt: DeoptReason::ModeWindow,
-        deopt_pc: 0,
     };
-    let ops = &tcode.ops;
+    let ops = &code.ops;
     let mut pc: u32 = 0;
-    loop {
-        let next = (ops[pc as usize].run)(it, frame, code, ops, &mut st, pc);
-        if next < R_DEOPT {
+    let result = loop {
+        let next = (ops[pc as usize].run)(it, frame, code, &mut st, pc);
+        if next < R_ERR {
             pc = next;
             continue;
         }
@@ -272,48 +260,122 @@ fn run_loop<'p>(
                         continue;
                     }
                 }
-                return Err(f);
+                break Err(f);
             }
-            R_RET => return Err(Flow::Return(std::mem::replace(&mut st.out, Value::Unit))),
-            R_DONE => return Ok(std::mem::replace(&mut st.out, Value::Unit)),
-            _ => {
-                it.tier.deopt(st.deopt);
-                return it.exec_from(
-                    frame,
-                    code,
-                    st.deopt_pc as usize,
-                    std::mem::take(&mut st.tries),
-                );
-            }
+            R_RET => break Err(Flow::Return(std::mem::replace(&mut st.out, Value::Unit))),
+            _ => break Ok(std::mem::replace(&mut st.out, Value::Unit)),
         }
-    }
+    };
+    it.depth = depth_on_entry;
+    result
 }
 
-// ---- compilation ----------------------------------------------------------
+// ---- binop lanes ------------------------------------------------------------
 
 /// Fused-binop operand kinds, packed into [`TOp::kinds`].
-const K_REG: u8 = 0;
-const K_SLOT: u8 = 1;
-const K_CST: u8 = 2;
+pub(crate) const K_REG: u8 = 0;
+pub(crate) const K_SLOT: u8 = 1;
+pub(crate) const K_CST: u8 = 2;
 
-/// Binop tags for the operator-specialized binop handlers: the compiler
-/// knows each site's [`ent_syntax::BinOp`], so the handler is selected
-/// with the operator baked in and the scalar lanes compile to
-/// straight-line arithmetic (no runtime operator dispatch). [`OP_GEN`] is
-/// the catch-all for operators without a scalar lane (`&&`, `||`, string
-/// concat), which run the generic [`binop_fast`] / `apply_binop` path.
-const OP_GEN: u8 = 0;
-const OP_ADD: u8 = 1;
-const OP_SUB: u8 = 2;
-const OP_MUL: u8 = 3;
-const OP_DIV: u8 = 4;
-const OP_REM: u8 = 5;
-const OP_LT: u8 = 6;
-const OP_LE: u8 = 7;
-const OP_GT: u8 = 8;
-const OP_GE: u8 = 9;
-const OP_EQ: u8 = 10;
-const OP_NE: u8 = 11;
+/// The operator tags binop handlers are specialized on: each is the
+/// operator's [`BinOp`] discriminant, so [`bin_op`] recovers the operator
+/// for the generic path. `&&` and `||` have none; they compile to
+/// short-circuit jumps.
+const ADD: u8 = BinOp::Add as u8;
+const SUB: u8 = BinOp::Sub as u8;
+const MUL: u8 = BinOp::Mul as u8;
+const DIV: u8 = BinOp::Div as u8;
+const REM: u8 = BinOp::Rem as u8;
+const EQ: u8 = BinOp::Eq as u8;
+const NE: u8 = BinOp::Ne as u8;
+const LT: u8 = BinOp::Lt as u8;
+const LE: u8 = BinOp::Le as u8;
+const GT: u8 = BinOp::Gt as u8;
+const GE: u8 = BinOp::Ge as u8;
+
+/// Selects a binop handler with the site's operator baked in.
+macro_rules! sel_bin {
+    ($handler:ident, $op:expr) => {
+        match $op {
+            BinOp::Add => $handler::<ADD>,
+            BinOp::Sub => $handler::<SUB>,
+            BinOp::Mul => $handler::<MUL>,
+            BinOp::Div => $handler::<DIV>,
+            BinOp::Rem => $handler::<REM>,
+            BinOp::Eq => $handler::<EQ>,
+            BinOp::Ne => $handler::<NE>,
+            BinOp::Lt => $handler::<LT>,
+            BinOp::Le => $handler::<LE>,
+            BinOp::Gt => $handler::<GT>,
+            BinOp::Ge => $handler::<GE>,
+            BinOp::And | BinOp::Or => {
+                unreachable!("`&&` and `||` compile to short-circuit jumps")
+            }
+        }
+    };
+}
+
+/// [`op_bin`] for operator `op`.
+pub(crate) fn op_bin_for(op: BinOp) -> TFn {
+    sel_bin!(op_bin, op)
+}
+
+/// [`op_bin_f`] for operator `op`.
+pub(crate) fn op_bin_f_for(op: BinOp) -> TFn {
+    sel_bin!(op_bin_f, op)
+}
+
+/// [`op_jmp_bin`] for comparison `op`.
+pub(crate) fn op_jmp_bin_for(op: BinOp) -> TFn {
+    sel_bin!(op_jmp_bin, op)
+}
+
+/// [`op_jmp_bin_f`] for comparison `op`.
+pub(crate) fn op_jmp_bin_f_for(op: BinOp) -> TFn {
+    sel_bin!(op_jmp_bin_f, op)
+}
+
+/// Unboxed arithmetic/comparison on boxed operands: the `Int⊕Int` and
+/// `Double⊕Double` cases inline. Everything else (string concatenation,
+/// mixed operands, division or remainder by zero, type errors) returns
+/// `None` and falls back to [`Interp::apply_binop`], which stays the
+/// single source of truth for those semantics; this function must agree
+/// with it exactly on the cases it handles.
+#[inline(always)]
+fn binop_fast(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
+    use BinOp::*;
+    Some(match (l, r) {
+        (Value::Int(a), Value::Int(b)) => match op {
+            Add => Value::Int(a.wrapping_add(*b)),
+            Sub => Value::Int(a.wrapping_sub(*b)),
+            Mul => Value::Int(a.wrapping_mul(*b)),
+            Div if *b != 0 => Value::Int(a.wrapping_div(*b)),
+            Rem if *b != 0 => Value::Int(a.wrapping_rem(*b)),
+            Lt => Value::Bool(a < b),
+            Le => Value::Bool(a <= b),
+            Gt => Value::Bool(a > b),
+            Ge => Value::Bool(a >= b),
+            Eq => Value::Bool(a == b),
+            Ne => Value::Bool(a != b),
+            _ => return None,
+        },
+        (Value::Double(a), Value::Double(b)) => match op {
+            Add => Value::Double(a + b),
+            Sub => Value::Double(a - b),
+            Mul => Value::Double(a * b),
+            Div => Value::Double(a / b),
+            Rem => Value::Double(a % b),
+            Lt => Value::Bool(a < b),
+            Le => Value::Bool(a <= b),
+            Gt => Value::Bool(a > b),
+            Ge => Value::Bool(a >= b),
+            Eq => Value::Bool(a == b),
+            Ne => Value::Bool(a != b),
+            _ => return None,
+        },
+        _ => return None,
+    })
+}
 
 /// A scalar-decoded operand: the int/double fast lanes carry the bare
 /// machine value (no 24-byte `Value` round trip through the register
@@ -335,14 +397,22 @@ impl Sc {
     }
 }
 
-/// Scalar-lane operand read of a `kind` operand. Same error order as the
-/// VM's `read_opnd`; int/double reads skip the enum clone (and, for
-/// registers, the dead-store of `Unit` — a consumed temp register is
-/// never re-read, by the bytecode compiler's single-use discipline the
-/// VM's own take-and-replace relies on, and stale scalar bits carry no
-/// drop glue).
+/// Scalar-lane read of an operand of `kind` at `idx`: a register, a
+/// frame slot (an unbound parameter errors with the operand's name,
+/// [`Code::fused`] entry `site`, column `side`), or a pool constant.
+/// Int/double reads skip the enum clone and, for registers, the dead
+/// store of `Unit`: a consumed temporary register is never re-read (the
+/// compiler's single-use discipline for scratch), and stale scalar bits
+/// carry no drop glue. Any other register value is taken out.
 #[inline(always)]
-fn fetch_sc(frame: &mut Frame, code: &Code, kind: u8, idx: u16, name: u32) -> Result<Sc, Flow> {
+fn fetch_sc(
+    frame: &mut Frame,
+    code: &Code,
+    kind: u8,
+    idx: u16,
+    site: u32,
+    side: usize,
+) -> Result<Sc, Flow> {
     match kind {
         K_REG => {
             let slot = &mut frame.locals[idx as usize];
@@ -355,11 +425,7 @@ fn fetch_sc(frame: &mut Frame, code: &Code, kind: u8, idx: u16, name: u32) -> Re
         K_SLOT => {
             let slot = u32::from(idx);
             if slot >= frame.unbound_lo && slot < frame.n_params {
-                return Err(RtError::Native(format!(
-                    "unbound variable `{}`",
-                    code.names[name as usize]
-                ))
-                .into());
+                return Err(unbound(code, code.fused[site as usize][side]));
             }
             match &frame.locals[idx as usize] {
                 Value::Int(n) => Ok(Sc::I(*n)),
@@ -376,7 +442,7 @@ fn fetch_sc(frame: &mut Frame, code: &Code, kind: u8, idx: u16, name: u32) -> Re
 }
 
 /// The operator-specialized scalar binop: `Some` on a fast lane, `None`
-/// to fall back to the generic path (which re-derives the same result —
+/// to fall back to the generic path (which re-derives the same result;
 /// the lanes mirror [`binop_fast`]'s int/double arms exactly, including
 /// falling back on division by zero so the error site is unchanged).
 #[inline(always)]
@@ -385,34 +451,34 @@ fn bin_sc<const P: u8>(l: &Sc, r: &Sc) -> Option<Value> {
         (Sc::I(a), Sc::I(b)) => {
             let (a, b) = (*a, *b);
             Some(match P {
-                OP_ADD => Value::Int(a.wrapping_add(b)),
-                OP_SUB => Value::Int(a.wrapping_sub(b)),
-                OP_MUL => Value::Int(a.wrapping_mul(b)),
-                OP_DIV if b != 0 => Value::Int(a.wrapping_div(b)),
-                OP_REM if b != 0 => Value::Int(a.wrapping_rem(b)),
-                OP_LT => Value::Bool(a < b),
-                OP_LE => Value::Bool(a <= b),
-                OP_GT => Value::Bool(a > b),
-                OP_GE => Value::Bool(a >= b),
-                OP_EQ => Value::Bool(a == b),
-                OP_NE => Value::Bool(a != b),
+                ADD => Value::Int(a.wrapping_add(b)),
+                SUB => Value::Int(a.wrapping_sub(b)),
+                MUL => Value::Int(a.wrapping_mul(b)),
+                DIV if b != 0 => Value::Int(a.wrapping_div(b)),
+                REM if b != 0 => Value::Int(a.wrapping_rem(b)),
+                LT => Value::Bool(a < b),
+                LE => Value::Bool(a <= b),
+                GT => Value::Bool(a > b),
+                GE => Value::Bool(a >= b),
+                EQ => Value::Bool(a == b),
+                NE => Value::Bool(a != b),
                 _ => return None,
             })
         }
         (Sc::D(a), Sc::D(b)) => {
             let (a, b) = (*a, *b);
             Some(match P {
-                OP_ADD => Value::Double(a + b),
-                OP_SUB => Value::Double(a - b),
-                OP_MUL => Value::Double(a * b),
-                OP_DIV => Value::Double(a / b),
-                OP_REM => Value::Double(a % b),
-                OP_LT => Value::Bool(a < b),
-                OP_LE => Value::Bool(a <= b),
-                OP_GT => Value::Bool(a > b),
-                OP_GE => Value::Bool(a >= b),
-                OP_EQ => Value::Bool(a == b),
-                OP_NE => Value::Bool(a != b),
+                ADD => Value::Double(a + b),
+                SUB => Value::Double(a - b),
+                MUL => Value::Double(a * b),
+                DIV => Value::Double(a / b),
+                REM => Value::Double(a % b),
+                LT => Value::Bool(a < b),
+                LE => Value::Bool(a <= b),
+                GT => Value::Bool(a > b),
+                GE => Value::Bool(a >= b),
+                EQ => Value::Bool(a == b),
+                NE => Value::Bool(a != b),
                 _ => return None,
             })
         }
@@ -420,27 +486,27 @@ fn bin_sc<const P: u8>(l: &Sc, r: &Sc) -> Option<Value> {
     }
 }
 
-/// The comparison lanes as a bare `bool` — guard ops branch directly on
-/// the machine compare without materializing a `Value::Bool`.
+/// The comparison lanes as a bare `bool`: branch ops test the machine
+/// compare without materializing a `Value::Bool`.
 #[inline(always)]
 fn cmp_sc<const P: u8>(l: &Sc, r: &Sc) -> Option<bool> {
     match (l, r) {
         (Sc::I(a), Sc::I(b)) => Some(match P {
-            OP_LT => a < b,
-            OP_LE => a <= b,
-            OP_GT => a > b,
-            OP_GE => a >= b,
-            OP_EQ => a == b,
-            OP_NE => a != b,
+            LT => a < b,
+            LE => a <= b,
+            GT => a > b,
+            GE => a >= b,
+            EQ => a == b,
+            NE => a != b,
             _ => return None,
         }),
         (Sc::D(a), Sc::D(b)) => Some(match P {
-            OP_LT => a < b,
-            OP_LE => a <= b,
-            OP_GT => a > b,
-            OP_GE => a >= b,
-            OP_EQ => a == b,
-            OP_NE => a != b,
+            LT => a < b,
+            LE => a <= b,
+            GT => a > b,
+            GE => a >= b,
+            EQ => a == b,
+            NE => a != b,
             _ => return None,
         }),
         _ => None,
@@ -458,253 +524,98 @@ macro_rules! forced_sc {
     }};
 }
 
-/// Pre-resolves a fused operand: `(kind, index, name)`, where a
-/// constant's index is its slot in [`Code::consts`].
-fn pre_opnd(o: &Opnd) -> (u8, u16, u32) {
-    match *o {
-        Opnd::Reg(r) => (K_REG, r, 0),
-        Opnd::Slot { slot, name } => (K_SLOT, slot, name),
-        Opnd::Cst(k) => (K_CST, k, 0),
-    }
-}
-
-/// Loads a `BinF` / `JmpBinF` site into `t`: operator, mid-op gas, and
-/// both operands' indices, names and kinds.
-fn pre_fused(t: &mut TOp, site: &FusedBin) {
-    let (lk, li, ln) = pre_opnd(&site.lhs);
-    let (rk, ri, rn) = pre_opnd(&site.rhs);
-    t.bin = site.op;
-    t.rgas = site.rgas;
-    t.b = li;
-    t.c = ri;
-    t.n1 = ln;
-    t.n2 = rn;
-    t.kinds = lk | rk << 4;
-}
-
-/// Selects a binop handler with the site's operator baked in.
-macro_rules! sel_bin {
-    ($handler:ident, $op:expr) => {
-        match $op {
-            ent_syntax::BinOp::Add => $handler::<OP_ADD>,
-            ent_syntax::BinOp::Sub => $handler::<OP_SUB>,
-            ent_syntax::BinOp::Mul => $handler::<OP_MUL>,
-            ent_syntax::BinOp::Div => $handler::<OP_DIV>,
-            ent_syntax::BinOp::Rem => $handler::<OP_REM>,
-            ent_syntax::BinOp::Lt => $handler::<OP_LT>,
-            ent_syntax::BinOp::Le => $handler::<OP_LE>,
-            ent_syntax::BinOp::Gt => $handler::<OP_GT>,
-            ent_syntax::BinOp::Ge => $handler::<OP_GE>,
-            ent_syntax::BinOp::Eq => $handler::<OP_EQ>,
-            ent_syntax::BinOp::Ne => $handler::<OP_NE>,
-            _ => $handler::<OP_GEN>,
-        }
-    };
-}
-
-/// Whether the `CallM` at `pc` compiles to [`op_tail_call`]: a
-/// `this`-receiver full-arity send whose result feeds a gasless `Ret`.
-/// The runtime half of the guard lives in the handler.
-fn is_tail_shape(code: &Code, pc: usize) -> bool {
-    let i = &code.instrs[pc];
-    let site = &code.calls[i.d as usize];
-    site.this_recv
-        && site.mode_args.is_empty()
-        && code
-            .instrs
-            .get(pc + 1)
-            .is_some_and(|next| next.op == Op::Ret && next.b == i.a && next.gas == 0)
-}
-
-/// Whether the `CallB` at `pc` compiles to [`op_call_b_sensor`] (a sensor
-/// builtin carrying the fault-epoch deopt guard).
-fn is_sensor(code: &Code, pc: usize) -> bool {
-    let site = &code.builtins[code.instrs[pc].d as usize];
-    matches!(site.op, BOp::ExtBattery | BOp::ExtTemperature)
-}
-
-/// Compiles a body's bytecode into pc-aligned threaded ops. Pure and
-/// deterministic: payloads are pre-resolved from `code` alone, so the
-/// result is shared program-wide exactly like the bytecode it mirrors.
-pub(crate) fn compile_threaded(code: &Code) -> TCode {
-    // Next-pc returns share the u32 range with the four sentinels; real
-    // bodies are nowhere near 4 billion ops.
-    assert!(code.instrs.len() < R_DEOPT as usize);
-    let mut ops = Vec::with_capacity(code.instrs.len());
-    for (pc, i) in code.instrs.iter().enumerate() {
-        let mut t = TOp {
-            run: op_unit,
-            gas: i.gas,
-            a: i.a,
-            b: i.b,
-            c: i.c,
-            rgas: 0,
-            d: i.d,
-            n1: 0,
-            n2: 0,
-            bin: ent_syntax::BinOp::Add,
-            kinds: 0,
-        };
-        t.run = match i.op {
-            Op::Const => op_const,
-            Op::Unit => op_unit,
-            Op::This => op_this,
-            Op::Local => op_local,
-            Op::Unbound => op_unbound,
-            Op::FieldGet => op_field_get,
-            Op::FieldThis => op_field_this,
-            Op::NewObj => op_new_obj,
-            Op::NewUnknown => op_new_unknown,
-            Op::CallM if is_tail_shape(code, pc) => op_tail_call,
-            Op::CallM => op_call_m,
-            Op::CallB if is_sensor(code, pc) => op_call_b_sensor,
-            Op::CallB => op_call_b,
-            Op::CastV => op_cast,
-            Op::Snap => op_snap,
-            Op::MakeMCase => op_make_mcase,
-            Op::ElimV => op_elim,
-            Op::Bin => {
-                t.bin = bin_op(i.d);
-                sel_bin!(op_bin, t.bin)
-            }
-            Op::BinF => {
-                pre_fused(&mut t, &code.fused[i.d as usize]);
-                sel_bin!(op_bin_f, t.bin)
-            }
-            Op::JmpBin => {
-                t.bin = bin_op(i.c);
-                sel_bin!(op_jmp_bin, t.bin)
-            }
-            Op::JmpBinF => {
-                pre_fused(&mut t, &code.fused[i.a as usize]);
-                sel_bin!(op_jmp_bin_f, t.bin)
-            }
-            Op::Un => op_un,
-            Op::Jmp => op_jmp,
-            Op::JmpIfFalse => op_jmp_if_false,
-            Op::ScJump => {
-                t.bin = bin_op(i.c);
-                op_sc_jump
-            }
-            Op::ScForce => {
-                t.bin = bin_op(i.c);
-                op_sc_force
-            }
-            Op::Force => op_force,
-            Op::ArrLit => op_arr_lit,
-            Op::Ret => op_ret,
-            Op::Halt => op_halt,
-            Op::TryPush => op_try_push,
-            Op::TryPop => op_try_pop,
-        };
-        ops.push(t);
-    }
-    TCode {
-        ops: ops.into_boxed_slice(),
-    }
-}
-
-// ---- handlers -------------------------------------------------------------
+// ---- handlers ---------------------------------------------------------------
 //
-// Each handler mirrors its VM arm action for action — same reads, same
-// gas points, same error strings — with operand payloads pre-resolved
-// into the `TOp`. Handlers return the next pc (or a sentinel).
+// Each handler charges its op's head gas, then performs the tree
+// walker's action for the node (or superinstruction) it was compiled
+// from: same reads, same gas points, same error strings.
 
-fn op_const<'p>(
+/// `a ← consts[d]`.
+pub(crate) fn op_const<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     frame.set(t.a as usize, code.consts[t.d as usize].dup());
     pc + 1
 }
 
-fn op_unit<'p>(
+/// `a ← unit`.
+pub(crate) fn op_unit<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
-    _code: &'p Code,
-    ops: &[TOp],
+    code: &'p Code,
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     frame.set(t.a as usize, Value::Unit);
     pc + 1
 }
 
-fn op_this<'p>(
+/// `a ← this`.
+pub(crate) fn op_this<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
-    _code: &'p Code,
-    ops: &[TOp],
+    code: &'p Code,
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     let Some(r) = frame.this_ref else {
-        return throw(
-            st,
-            RtError::Native("`this` outside an object context".into()).into(),
-        );
+        return throw(st, no_this());
     };
     frame.set(t.a as usize, Value::Obj(r));
     pc + 1
 }
 
-fn op_local<'p>(
+/// `a ← locals[b]`, after the unbound-parameter check (name `names[d]`).
+pub(crate) fn op_local<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     let slot = u32::from(t.b);
     if slot >= frame.unbound_lo && slot < frame.n_params {
-        return throw(
-            st,
-            RtError::Native(format!("unbound variable `{}`", code.names[t.d as usize])).into(),
-        );
+        return throw(st, unbound(code, t.d));
     }
     let v = frame.locals[t.b as usize].dup();
     frame.set(t.a as usize, v);
     pc + 1
 }
 
-fn op_unbound<'p>(
+/// Always errors: unbound variable `names[d]`.
+pub(crate) fn op_unbound<'p>(
     it: &mut Interp<'p>,
     _frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
-    throw(
-        st,
-        RtError::Native(format!("unbound variable `{}`", code.names[t.d as usize])).into(),
-    )
+    throw(st, unbound(code, t.d))
 }
 
-fn op_field_get<'p>(
+/// `a ← regs[b].field` via `fields[d]`.
+pub(crate) fn op_field_get<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     let site = &code.fields[t.d as usize];
     let r = match &frame.locals[t.b as usize] {
@@ -721,37 +632,35 @@ fn op_field_get<'p>(
     pc + 1
 }
 
-fn op_field_this<'p>(
+/// `a ← this.field` via `fields[d]` (fused `this` and field read).
+pub(crate) fn op_field_this<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     let site = &code.fields[t.d as usize];
     let Some(r) = frame.this_ref else {
-        return throw(
-            st,
-            RtError::Native("`this` outside an object context".into()).into(),
-        );
+        return throw(st, no_this());
     };
     let v = tt!(st, it.read_field(frame, r, site.field, &site.name));
     frame.set(t.a as usize, v);
     pc + 1
 }
 
-fn op_new_obj<'p>(
+/// `a ← new` with the constructor arguments at `regs[b..]`, site
+/// `news[d]`.
+pub(crate) fn op_new_obj<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     let site = &code.news[t.d as usize];
     let vals = take_n!(frame, t.b, site.n_args);
@@ -761,15 +670,17 @@ fn op_new_obj<'p>(
     pc + 1
 }
 
-fn op_new_unknown<'p>(
+/// Always errors: unknown class `unknown_classes[d]` (the constructor
+/// arguments were evaluated into scratch first, as the tree walker
+/// does).
+pub(crate) fn op_new_unknown<'p>(
     it: &mut Interp<'p>,
     _frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     throw(
         st,
@@ -781,22 +692,9 @@ fn op_new_unknown<'p>(
     )
 }
 
-/// Bumps a send site's per-run IC miss counter; true once the site has
-/// transitioned often enough to count as megamorphic.
-fn poly_miss(it: &mut Interp<'_>, ic: u32) -> bool {
-    let i = ic as usize;
-    if it.ic_poly.len() <= i {
-        it.ic_poly.resize(i + 1, 0);
-    }
-    let c = it.ic_poly[i].saturating_add(1);
-    it.ic_poly[i] = c;
-    c >= MEGAMORPHIC_MISSES
-}
-
-/// The generic send: resolves the receiver, applies the megamorphic
-/// guard (before any register is consumed, so a deopt replays the site
-/// on the VM from an untouched frame), then funnels through
-/// [`Interp::invoke`] exactly like the VM.
+/// The generic send of [`op_call_m`] (head gas already charged):
+/// resolves the receiver and funnels through [`Interp::invoke`], which
+/// consults the site's inline cache.
 fn call_site<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
@@ -808,10 +706,7 @@ fn call_site<'p>(
     let site = &code.calls[t.d as usize];
     let (recv, arg_base) = if site.this_recv {
         let Some(r) = frame.this_ref else {
-            return throw(
-                st,
-                RtError::Native("`this` outside an object context".into()).into(),
-            );
+            return throw(st, no_this());
         };
         (r, u32::from(t.b))
     } else {
@@ -825,14 +720,6 @@ fn call_site<'p>(
             }
         }
     };
-    let class = it.heap[recv].class;
-    let hit = it
-        .ic_send
-        .get(site.ic as usize)
-        .is_some_and(|e| e.is_some_and(|(c, _)| c == class));
-    if !hit && poly_miss(it, site.ic) {
-        return deopt_at(st, pc, DeoptReason::IcMegamorphic);
-    }
     let mut vals = it.grab_locals(site.n_args as usize);
     for r in arg_base as usize..(arg_base + u32::from(site.n_args)) as usize {
         vals.push(take!(frame, r));
@@ -849,36 +736,55 @@ fn call_site<'p>(
     pc + 1
 }
 
-fn op_call_m<'p>(
+/// `a ← send` with the receiver and arguments at `regs[b..]` (no
+/// receiver register when the site's receiver is `this`), site
+/// `calls[d]`.
+pub(crate) fn op_call_m<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     call_site(it, frame, code, t, st, pc)
 }
 
-/// A send statically matching the VM's tail self-send shape. The runtime
-/// half of the elision guard mirrors the VM's exactly (the static half —
-/// `this` receiver, no mode arguments, gasless consuming `Ret` — was
-/// proven at compile time, and `run_body` enters this tier only in
-/// guarded runs); on failure the send takes the generic path.
-fn op_tail_call<'p>(
+/// [`op_call_m`] at a tail self-send: a `this`-receiver send with no
+/// mode arguments whose result a gasless `return` consumes (the compiler
+/// checks that shape when it emits the `return`). When the send resolves
+/// through its inline cache to the body already running, it reuses this
+/// frame: the arguments move into the parameter slots and the body
+/// restarts at pc 0, instead of recursing through [`Interp::invoke`].
+///
+/// Elision is taken only when the full path would have been pure frame
+/// bookkeeping: full arity; a callee with no attributor, mode override
+/// or mode parameters (so the mode environment and frame mode are
+/// provably unchanged); a receiver tag that passes the dfall check
+/// without side effects; no live `try` handler in this frame (its slots
+/// would be clobbered); no exact profiler, which charges costs to the
+/// innermost frame as they happen and so needs every logical enter and
+/// exit. The sampler keeps elision on: the consuming `return` is
+/// gasless, so no steps separate the elided chain's end from its exit
+/// hook, and per-path hit counts (the sampled report's only input) are
+/// identical either way. And only the guarded strategy elides: transient
+/// counts a check per send, and a skipped frame would skip its check.
+/// The stack guard still counts each elided frame through `depth`.
+pub(crate) fn op_tail_call<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     'tail: {
-        if it.profiler.as_ref().is_some_and(AnyProfiler::is_exact) || !st.tries.is_empty() {
+        if !matches!(it.config.enforcement, Enforcement::Guarded)
+            || it.profiler.as_ref().is_some_and(AnyProfiler::is_exact)
+            || !st.tries.is_empty()
+        {
             break 'tail;
         }
         let site = &code.calls[t.d as usize];
@@ -923,15 +829,17 @@ fn op_tail_call<'p>(
     call_site(it, frame, code, t, st, pc)
 }
 
-fn op_call_b<'p>(
+/// `a ← builtin` on the argument registers `regs[b..]` in place, site
+/// `builtins[d]`. A sensor read that comes back faulted runs the
+/// degradation ladder inside the call and the body carries on.
+pub(crate) fn op_call_b<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     let site = &code.builtins[t.d as usize];
     let v = tt!(st, it.call_builtin(frame, site, t.b as usize));
@@ -939,39 +847,15 @@ fn op_call_b<'p>(
     pc + 1
 }
 
-/// A sensor-reading builtin (`Ext.battery` / `Ext.temperature`): the
-/// fault-epoch guard. The read itself completed — identically to the VM,
-/// including the degradation ladder — but a faulted serve bumps the
-/// injector epoch, so the rest of the body defers to the VM.
-fn op_call_b_sensor<'p>(
+/// `a ← cast(regs[b])` via `casts[d]`.
+pub(crate) fn op_cast<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
-    charge!(it, t, st);
-    let site = &code.builtins[t.d as usize];
-    let faults_before = it.stats.sensor_faults;
-    let v = tt!(st, it.call_builtin(frame, site, t.b as usize));
-    frame.set(t.a as usize, v);
-    if it.faults_on && it.stats.sensor_faults != faults_before {
-        return deopt_at(st, pc + 1, DeoptReason::FaultEpoch);
-    }
-    pc + 1
-}
-
-fn op_cast<'p>(
-    it: &mut Interp<'p>,
-    frame: &mut Frame,
-    code: &'p Code,
-    ops: &[TOp],
-    st: &mut TState,
-    pc: u32,
-) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     let v = take!(frame, t.b);
     tt!(st, it.check_cast(&v, &code.casts[t.d as usize]));
@@ -979,23 +863,16 @@ fn op_cast<'p>(
     pc + 1
 }
 
-fn op_snap<'p>(
+/// `a ← snapshot(regs[b])` via `snaps[d]`.
+pub(crate) fn op_snap<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
-    // Mode-window guard: a rolled decision window means the snapshot's
-    // window-keyed caches and fault interactions are stale territory;
-    // deopt before deciding (no state was touched, the VM replays the
-    // whole snapshot).
-    if it.faults_on && it.decision_window() != st.entry_window {
-        return deopt_at(st, pc, DeoptReason::ModeWindow);
-    }
     let site = code.snaps[t.d as usize];
     let v = take!(frame, t.b);
     let Value::Obj(r) = v else {
@@ -1009,15 +886,15 @@ fn op_snap<'p>(
     pc + 1
 }
 
-fn op_make_mcase<'p>(
+/// `a ← mcase` of the arms at `regs[b..]`, site `mcases[d]`.
+pub(crate) fn op_make_mcase<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     let site = &code.mcases[t.d as usize];
     let base = t.b as usize;
@@ -1030,20 +907,16 @@ fn op_make_mcase<'p>(
     pc + 1
 }
 
-fn op_elim<'p>(
+/// `a ← regs[b] <| mode` via `elims[d]`, through the site's arm cache.
+pub(crate) fn op_elim<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
-    // Mode-window guard, as in `op_snap`.
-    if it.faults_on && it.decision_window() != st.entry_window {
-        return deopt_at(st, pc, DeoptReason::ModeWindow);
-    }
     let site = code.elims[t.d as usize];
     let v = take!(frame, t.b);
     let Value::MCase(arms) = v else {
@@ -1084,26 +957,27 @@ fn op_elim<'p>(
     pc + 1
 }
 
+/// `a ← regs[b] P regs[c]`; the rhs is forced here (a separate
+/// [`op_force`] precedes the rhs code when the lhs may be a mode case).
 fn op_bin<'p, const P: u8>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
-    let l = tt!(st, fetch_sc(frame, code, K_REG, t.b, 0));
-    let r = tt!(st, fetch_sc(frame, code, K_REG, t.c, 0));
+    let l = tt!(st, fetch_sc(frame, code, K_REG, t.b, 0, 0));
+    let r = tt!(st, fetch_sc(frame, code, K_REG, t.c, 0, 0));
     let r = forced_sc!(it, frame, st, r);
     let v = match bin_sc::<P>(&l, &r) {
         Some(v) => v,
         None => {
-            let (l, r) = (l.into_value(), r.into_value());
-            match binop_fast(t.bin, &l, &r) {
+            let (op, l, r) = (bin_op(P), l.into_value(), r.into_value());
+            match binop_fast(op, &l, &r) {
                 Some(v) => v,
-                None => tt!(st, it.apply_binop(t.bin, &l, &r)),
+                None => tt!(st, it.apply_binop(op, &l, &r)),
             }
         }
     };
@@ -1111,30 +985,31 @@ fn op_bin<'p, const P: u8>(
     pc + 1
 }
 
+/// `a ← lhs P rhs` on fused operands: the lhs at `b` and the rhs at `c`,
+/// of the kinds packed in `kinds`, named at `fused[d]`. The rhs leaf's
+/// one gas charge falls between the lhs force and the rhs read, its tree
+/// position.
 fn op_bin_f<'p, const P: u8>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
-    let l = tt!(st, fetch_sc(frame, code, t.kinds & 0xf, t.b, t.n1));
+    let l = tt!(st, fetch_sc(frame, code, t.kinds & 0xf, t.b, t.d, 0));
     let l = forced_sc!(it, frame, st, l);
-    if t.rgas != 0 {
-        tt!(st, it.gas_n(u64::from(t.rgas)));
-    }
-    let r = tt!(st, fetch_sc(frame, code, t.kinds >> 4, t.c, t.n2));
+    tt!(st, it.gas());
+    let r = tt!(st, fetch_sc(frame, code, t.kinds >> 4, t.c, t.d, 1));
     let r = forced_sc!(it, frame, st, r);
     let v = match bin_sc::<P>(&l, &r) {
         Some(v) => v,
         None => {
-            let (l, r) = (l.into_value(), r.into_value());
-            match binop_fast(t.bin, &l, &r) {
+            let (op, l, r) = (bin_op(P), l.into_value(), r.into_value());
+            match binop_fast(op, &l, &r) {
                 Some(v) => v,
-                None => tt!(st, it.apply_binop(t.bin, &l, &r)),
+                None => tt!(st, it.apply_binop(op, &l, &r)),
             }
         }
     };
@@ -1142,81 +1017,88 @@ fn op_bin_f<'p, const P: u8>(
     pc + 1
 }
 
+/// A comparison's `if` guard when it is not a bool: comparisons only
+/// ever produce booleans, but the guard keeps its shape rather than
+/// panic.
+#[cold]
+#[inline(never)]
+fn not_a_condition(st: &mut TState, v: &Value) -> u32 {
+    throw(
+        st,
+        RtError::Native(format!("if condition is a {}", v.kind())).into(),
+    )
+}
+
+/// Compare and branch: `regs[a] P regs[b]`, jumping to `d` when false.
 fn op_jmp_bin<'p, const P: u8>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
-    let l = tt!(st, fetch_sc(frame, code, K_REG, t.a, 0));
-    let r = tt!(st, fetch_sc(frame, code, K_REG, t.b, 0));
+    let l = tt!(st, fetch_sc(frame, code, K_REG, t.a, 0, 0));
+    let r = tt!(st, fetch_sc(frame, code, K_REG, t.b, 0, 0));
     let r = forced_sc!(it, frame, st, r);
     if let Some(b) = cmp_sc::<P>(&l, &r) {
         return if b { pc + 1 } else { t.d };
     }
-    let (l, r) = (l.into_value(), r.into_value());
-    let v = match binop_fast(t.bin, &l, &r) {
+    let (op, l, r) = (bin_op(P), l.into_value(), r.into_value());
+    let v = match binop_fast(op, &l, &r) {
         Some(v) => v,
-        None => tt!(st, it.apply_binop(t.bin, &l, &r)),
+        None => tt!(st, it.apply_binop(op, &l, &r)),
     };
     match v {
         Value::Bool(true) => pc + 1,
         Value::Bool(false) => t.d,
-        other => throw(
-            st,
-            RtError::Native(format!("if condition is a {}", other.kind())).into(),
-        ),
+        other => not_a_condition(st, &other),
     }
 }
 
+/// Compare and branch on fused operands (`b`, `c` and `kinds` as in
+/// [`op_bin_f`], named at `fused[a]`), jumping to `d` when false.
 fn op_jmp_bin_f<'p, const P: u8>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
     code: &'p Code,
-    ops: &[TOp],
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
-    let l = tt!(st, fetch_sc(frame, code, t.kinds & 0xf, t.b, t.n1));
+    let site = u32::from(t.a);
+    let l = tt!(st, fetch_sc(frame, code, t.kinds & 0xf, t.b, site, 0));
     let l = forced_sc!(it, frame, st, l);
-    if t.rgas != 0 {
-        tt!(st, it.gas_n(u64::from(t.rgas)));
-    }
-    let r = tt!(st, fetch_sc(frame, code, t.kinds >> 4, t.c, t.n2));
+    tt!(st, it.gas());
+    let r = tt!(st, fetch_sc(frame, code, t.kinds >> 4, t.c, site, 1));
     let r = forced_sc!(it, frame, st, r);
     if let Some(b) = cmp_sc::<P>(&l, &r) {
         return if b { pc + 1 } else { t.d };
     }
-    let (l, r) = (l.into_value(), r.into_value());
-    let v = match binop_fast(t.bin, &l, &r) {
+    let (op, l, r) = (bin_op(P), l.into_value(), r.into_value());
+    let v = match binop_fast(op, &l, &r) {
         Some(v) => v,
-        None => tt!(st, it.apply_binop(t.bin, &l, &r)),
+        None => tt!(st, it.apply_binop(op, &l, &r)),
     };
     match v {
         Value::Bool(true) => pc + 1,
         Value::Bool(false) => t.d,
-        other => throw(
-            st,
-            RtError::Native(format!("if condition is a {}", other.kind())).into(),
-        ),
+        other => not_a_condition(st, &other),
     }
 }
 
-fn op_un<'p>(
+/// `a ← ⊖ regs[b]`, with `⊖` = `!` when `c == 0` and unary `-` when
+/// `c == 1`.
+pub(crate) fn op_un<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
-    _code: &'p Code,
-    ops: &[TOp],
+    code: &'p Code,
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     let v = take!(frame, t.b);
     let v = forced!(it, frame, st, v);
@@ -1226,28 +1108,29 @@ fn op_un<'p>(
     pc + 1
 }
 
-fn op_jmp<'p>(
+/// Jumps to `d`.
+pub(crate) fn op_jmp<'p>(
     it: &mut Interp<'p>,
     _frame: &mut Frame,
-    _code: &'p Code,
-    ops: &[TOp],
+    code: &'p Code,
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     t.d
 }
 
-fn op_jmp_if_false<'p>(
+/// The `if` guard: forces `regs[b]` and jumps to `d` unless it is
+/// `true`.
+pub(crate) fn op_jmp_if_false<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
-    _code: &'p Code,
-    ops: &[TOp],
+    code: &'p Code,
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     let v = take!(frame, t.b);
     let v = forced!(it, frame, st, v);
@@ -1264,28 +1147,43 @@ fn op_jmp_if_false<'p>(
     }
 }
 
-fn op_sc_jump<'p>(
+/// Forces `regs[b]` to a bool for operator `bin_op(c)` and stores it
+/// back.
+fn sc_bool(it: &mut Interp<'_>, frame: &mut Frame, t: &TOp, st: &mut TState) -> Result<bool, u32> {
+    let v = take!(frame, t.b);
+    let v = match v {
+        Value::MCase(_) => it.force(frame, v).map_err(|f| throw(st, f))?,
+        v => v,
+    };
+    let Value::Bool(b) = v else {
+        let op = bin_op(t.c);
+        return Err(throw(
+            st,
+            RtError::Native(format!("`{op}` on a {}", v.kind())).into(),
+        ));
+    };
+    frame.set(t.b as usize, Value::Bool(b));
+    Ok(b)
+}
+
+/// The short-circuit guard of `&&`/`||` (operator `bin_op(c)`): forces
+/// `regs[b]` to a bool, stores it back, and jumps to `d` when the
+/// operator short-circuits (`&&` on false, `||` on true).
+pub(crate) fn op_sc_jump<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
-    _code: &'p Code,
-    ops: &[TOp],
+    code: &'p Code,
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
-    let op = t.bin;
-    let v = take!(frame, t.b);
-    let v = forced!(it, frame, st, v);
-    let Value::Bool(b) = v else {
-        return throw(
-            st,
-            RtError::Native(format!("`{op}` on a {}", v.kind())).into(),
-        );
+    let b = match sc_bool(it, frame, t, st) {
+        Ok(b) => b,
+        Err(sentinel) => return sentinel,
     };
-    frame.set(t.b as usize, Value::Bool(b));
-    let short = match op {
-        ent_syntax::BinOp::And => !b,
+    let short = match bin_op(t.c) {
+        BinOp::And => !b,
         _ => b,
     };
     if short {
@@ -1295,38 +1193,33 @@ fn op_sc_jump<'p>(
     }
 }
 
-fn op_sc_force<'p>(
+/// The non-short-circuit tail of `&&`/`||`: forces `regs[b]` to a bool
+/// for operator `bin_op(c)` and stores it back.
+pub(crate) fn op_sc_force<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
-    _code: &'p Code,
-    ops: &[TOp],
+    code: &'p Code,
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
-    let op = t.bin;
-    let v = take!(frame, t.b);
-    let v = forced!(it, frame, st, v);
-    let Value::Bool(b) = v else {
-        return throw(
-            st,
-            RtError::Native(format!("`{op}` on a {}", v.kind())).into(),
-        );
-    };
-    frame.set(t.b as usize, Value::Bool(b));
-    pc + 1
+    match sc_bool(it, frame, t, st) {
+        Ok(_) => pc + 1,
+        Err(sentinel) => sentinel,
+    }
 }
 
-fn op_force<'p>(
+/// Forces `regs[b]` in place (eliminates a mode case at the frame's
+/// mode).
+pub(crate) fn op_force<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
-    _code: &'p Code,
-    ops: &[TOp],
+    code: &'p Code,
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     // Forcing anything but a mode case is the identity: skip the take
     // and write-back entirely (the common case by far).
@@ -1338,72 +1231,72 @@ fn op_force<'p>(
     pc + 1
 }
 
-fn op_arr_lit<'p>(
+/// `a ← [regs[b..b + c]]`.
+pub(crate) fn op_arr_lit<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
-    _code: &'p Code,
-    ops: &[TOp],
+    code: &'p Code,
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     let vals = take_n!(frame, t.b, t.c);
     frame.set(t.a as usize, Value::Array(Arc::new(vals)));
     pc + 1
 }
 
-fn op_ret<'p>(
+/// `return regs[b]` (unwinds to the method boundary).
+pub(crate) fn op_ret<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
-    _code: &'p Code,
-    ops: &[TOp],
+    code: &'p Code,
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     st.out = take!(frame, t.b);
     R_RET
 }
 
-fn op_halt<'p>(
+/// End of body: yields `regs[b]` as the body's value.
+pub(crate) fn op_halt<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
-    _code: &'p Code,
-    ops: &[TOp],
+    code: &'p Code,
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     st.out = take!(frame, t.b);
     R_DONE
 }
 
-fn op_try_push<'p>(
+/// Pushes an exception handler at pc `d`.
+pub(crate) fn op_try_push<'p>(
     it: &mut Interp<'p>,
     _frame: &mut Frame,
-    _code: &'p Code,
-    ops: &[TOp],
+    code: &'p Code,
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     st.tries.push(t.d);
     pc + 1
 }
 
-fn op_try_pop<'p>(
+/// Pops the innermost handler (its body completed without throwing).
+pub(crate) fn op_try_pop<'p>(
     it: &mut Interp<'p>,
     _frame: &mut Frame,
-    _code: &'p Code,
-    ops: &[TOp],
+    code: &'p Code,
     st: &mut TState,
     pc: u32,
 ) -> u32 {
-    let t = &ops[pc as usize];
+    let t = &code.ops[pc as usize];
     charge!(it, t, st);
     st.tries.pop();
     pc + 1

@@ -4,8 +4,7 @@
 use ent_core::compile;
 use ent_energy::Platform;
 use ent_runtime::{
-    lower_program, run, run_lowered, Enforcement, Engine, RtError, RunResult, RuntimeConfig,
-    TierUp, Value,
+    lower_program, run, run_lowered, Enforcement, Engine, RtError, RunResult, RuntimeConfig, Value,
 };
 
 fn eval_int(expr: &str) -> Value {
@@ -194,28 +193,22 @@ fn hostile_sleep_durations_terminate() {
     assert!(r.measurement.time_s <= 1.0e6 + 1.0);
 }
 
-/// Runs `src` under `gas_limit` on the tree walker, the bytecode VM and
-/// the threaded tier (every body tiered up on its first entry).
+/// Runs `src` under `gas_limit` on the tree walker and on bytecode.
 fn on_every_engine(src: &str, gas_limit: u64) -> Vec<RunResult> {
     let compiled = compile(src).unwrap_or_else(|e| panic!("{}", e.render(src)));
     let lowered = lower_program(&compiled);
-    [
-        (Engine::Tree, TierUp::Never),
-        (Engine::Bytecode, TierUp::Never),
-        (Engine::Bytecode, TierUp::Always),
-    ]
-    .into_iter()
-    .map(|(engine, tier_up)| {
-        let config = RuntimeConfig {
-            engine,
-            tier_up,
-            enforcement: Enforcement::Guarded,
-            gas_limit,
-            ..RuntimeConfig::default()
-        };
-        run_lowered(&lowered, Platform::system_a(), config)
-    })
-    .collect()
+    [Engine::Tree, Engine::Bytecode]
+        .into_iter()
+        .map(|engine| {
+            let config = RuntimeConfig {
+                engine,
+                enforcement: Enforcement::Guarded,
+                gas_limit,
+                ..RuntimeConfig::default()
+            };
+            run_lowered(&lowered, Platform::system_a(), config)
+        })
+        .collect()
 }
 
 #[test]

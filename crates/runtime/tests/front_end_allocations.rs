@@ -126,3 +126,35 @@ fn lowering_cost_does_not_grow_with_the_inheritance_chain() {
         "lowering made {shallow} allocations under 1 subclass and {deep} under 8"
     );
 }
+
+#[test]
+fn lowering_a_chain_of_method_declaring_classes_stays_linear() {
+    // Class `Ck` declares `mk` and inherits one method from each
+    // ancestor, so lowering projects its mode environment onto every
+    // ancestor on its chain. One walk up the chain per class keeps the
+    // allocations linear in the chain's length; a walk per projection,
+    // each link building its projection afresh, made them cubic.
+    let lowering_allocations = |len: usize| {
+        let mut src = String::from("class C0@mode<X> { int m0() { return 0; } }\n");
+        for k in 1..len {
+            src.push_str(&format!(
+                "class C{k}@mode<X> extends C{}@mode<X> {{ int m{k}() {{ return {k}; }} }}\n",
+                k - 1
+            ));
+        }
+        src.push_str("class Main { int main() { return 0; } }");
+        with_interp_stack(default_stack_size(), || {
+            let compiled = compile(&src).expect("compiles");
+            let (n, lowered) = allocations_during(|| lower_program(&compiled));
+            assert_eq!(lowered.n_classes() as usize, len + 1);
+            drop(lowered);
+            n
+        })
+    };
+    let short = lowering_allocations(50);
+    let long = lowering_allocations(100);
+    assert!(
+        long * 10 <= short * 25,
+        "lowering made {short} allocations for 50 classes and {long} for 100"
+    );
+}

@@ -1,8 +1,7 @@
 //! The sampled profiler's contracts:
 //!
 //! * **Determinism** — same program + seed + period ⇒ byte-identical
-//!   telemetry across repeat runs, both engines and the bytecode
-//!   engine's threaded tier, tier counters aside (the sampler keys off
+//!   telemetry across repeat runs and both engines (the sampler keys off
 //!   the virtual step counter, which bytecode gas batching keeps exact at
 //!   every observable boundary).
 //! * **Schema** — sampled reports self-describe with `"mode": "sampled"`
@@ -17,8 +16,7 @@
 use ent_core::compile;
 use ent_energy::Platform;
 use ent_runtime::{
-    json_is_valid, lower_program, run_lowered, Engine, LoweredProgram, ProfileMode, RunResult,
-    RuntimeConfig, TierStats, TierUp,
+    json_is_valid, lower_program, run_lowered, Engine, LoweredProgram, ProfileMode, RuntimeConfig,
 };
 
 /// Recursion, snapshots (one failing, caught), dynamic allocs, and sim
@@ -90,17 +88,8 @@ fn sampled_telemetry_is_byte_identical_across_runs_and_engines() {
     };
     let tree_a = run_lowered(&prog, Platform::system_a(), config(Engine::Tree, mode));
     let tree_b = run_lowered(&prog, Platform::system_a(), config(Engine::Tree, mode));
-    let vm = run_lowered(&prog, Platform::system_a(), config(Engine::Bytecode, mode));
-    let threaded = run_lowered(
-        &prog,
-        Platform::system_a(),
-        RuntimeConfig {
-            tier_up: TierUp::Always,
-            ..config(Engine::Bytecode, mode)
-        },
-    );
+    let bytecode = run_lowered(&prog, Platform::system_a(), config(Engine::Bytecode, mode));
     assert!(tree_a.value.is_ok(), "workload runs clean: {tree_a:?}");
-    assert!(threaded.tier.threaded_entries > 0, "the threaded tier ran");
     let sampled = tree_a
         .profile
         .as_ref()
@@ -110,17 +99,7 @@ fn sampled_telemetry_is_byte_identical_across_runs_and_engines() {
     // The whole telemetry document — stats, measurement bit patterns,
     // and the profile object — is byte-stable.
     assert_eq!(tree_a.to_json(), tree_b.to_json(), "repeat run diverged");
-    assert_eq!(tree_a.to_json(), vm.to_json(), "engines diverged");
-    // The tier counters are the threaded tier's one intended difference.
-    let untiered = RunResult {
-        tier: TierStats::default(),
-        ..threaded
-    };
-    assert_eq!(
-        tree_a.to_json(),
-        untiered.to_json(),
-        "threaded tier diverged"
-    );
+    assert_eq!(tree_a.to_json(), bytecode.to_json(), "engines diverged");
 }
 
 #[test]

@@ -1,13 +1,16 @@
-//! Every deopt guard in the closure-threaded tier, exercised end to end:
-//! each test forces one [`DeoptReason`] to fire under `--tier-up 0`,
-//! asserts the matching counter is nonzero (the guard actually tripped,
-//! the test is not vacuously passing on the VM), and asserts the full
-//! observable surface — value, rendering, stats, output, energy/time
-//! bits, and the rendered event stream — is byte-identical to a pure
-//! bytecode run. Deopt is a performance event, never a semantic one.
-//! Also pinned here: when the tier is entered at all (transient runs
-//! never; default runs once a body is hot), and the binop handlers'
-//! scalar lanes against the VM.
+//! The bytecode engine against the tree walker, on the full observable
+//! surface — value, rendering, stats, output, energy/time bits, and the
+//! rendered event stream.
+//!
+//! The three `*_deopt_*` scenarios are the ones that once sent a body
+//! from the closure-threaded tier back to a separate bytecode VM: a mode
+//! decision after the fault window rolled, a megamorphic send, and a
+//! faulted sensor read. Nothing deopts now, since each handler owns its
+//! slow path; the tests keep their names and check that the scenario
+//! runs exactly as on the tree walker. The rest pin the executor's binop
+//! lanes and builtin calls. Names ending in `the_vm` also predate the
+//! single executor: the behavior they pinned, the VM's, is the tree
+//! walker's, which they now compare with.
 
 use std::fmt::Write as _;
 
@@ -15,12 +18,10 @@ use ent_core::compile;
 use ent_energy::{FaultPlan, Platform};
 use ent_runtime::{
     lower_program, render_event, run_lowered, Enforcement, Engine, LoweredProgram, RunResult,
-    RuntimeConfig, TierStats, TierUp,
+    RuntimeConfig, Value,
 };
 
-/// Every semantic observable, f64s by bit pattern (tier counters are
-/// deliberately excluded: they are *supposed* to differ between tier-up
-/// settings).
+/// Every semantic observable, f64s by bit pattern.
 fn observe(prog: &LoweredProgram, r: &RunResult) -> String {
     let mut out = String::new();
     let value = match &r.value {
@@ -52,84 +53,38 @@ fn lower(src: &str) -> LoweredProgram {
     lower_program(&compiled)
 }
 
-/// The tests' run configuration on `engine` at `tier_up`, then `mutate`d.
-fn config(engine: Engine, tier_up: TierUp, mutate: impl Fn(&mut RuntimeConfig)) -> RuntimeConfig {
-    let mut c = RuntimeConfig {
-        engine,
-        battery_level: 0.8,
-        seed: 42,
-        record_events: true,
-        tier_up,
-        ..RuntimeConfig::default()
-    };
-    mutate(&mut c);
-    c
-}
-
-/// Runs `src` on the bytecode VM, never tiering and always tiering, with
-/// the same config, asserts byte-identical observables, and returns both
-/// runs, untiered first.
-fn run_both(src: &str, mutate: impl Fn(&mut RuntimeConfig)) -> (RunResult, RunResult) {
-    run_both_lowered(&lower(src), mutate)
-}
-
-/// [`run_both`] on a lowered program.
-fn run_both_lowered(
-    lowered: &LoweredProgram,
-    mutate: impl Fn(&mut RuntimeConfig),
-) -> (RunResult, RunResult) {
-    let run = |tier_up| {
-        run_lowered(
-            lowered,
-            Platform::system_a(),
-            config(Engine::Bytecode, tier_up, &mutate),
-        )
-    };
-    let (vm, th) = (run(TierUp::Never), run(TierUp::Always));
-    assert_eq!(
-        observe(lowered, &vm),
-        observe(lowered, &th),
-        "bytecode and threaded observables diverge"
-    );
-    (vm, th)
-}
-
-/// [`run_pair`] on a lowered program, and the tree walker must observe
-/// exactly what the VM does.
+/// Runs a lowered program on both engines with the same configuration,
+/// `mutate`d, asserts byte-identical observables, and returns the
+/// bytecode run.
 fn run_all_engines(lowered: &LoweredProgram, mutate: impl Fn(&mut RuntimeConfig)) -> RunResult {
-    let (vm, th) = run_both_lowered(lowered, &mutate);
-    assert!(
-        th.tier.threaded_entries > 0,
-        "threaded run never entered compiled code"
-    );
-    let tree = run_lowered(
-        lowered,
-        Platform::system_a(),
-        config(Engine::Tree, TierUp::Never, mutate),
-    );
+    let run = |engine| {
+        let mut c = RuntimeConfig {
+            engine,
+            battery_level: 0.8,
+            seed: 42,
+            record_events: true,
+            ..RuntimeConfig::default()
+        };
+        mutate(&mut c);
+        run_lowered(lowered, Platform::system_a(), c)
+    };
+    let (tree, bytecode) = (run(Engine::Tree), run(Engine::Bytecode));
     assert_eq!(
         observe(lowered, &tree),
-        observe(lowered, &vm),
+        observe(lowered, &bytecode),
         "tree-walker and bytecode observables diverge"
     );
-    th
+    bytecode
 }
 
-/// [`run_both`], asserting the always-tiering run entered compiled code;
-/// returns that run for deopt-counter assertions.
+/// [`run_all_engines`] on a source.
 fn run_pair(src: &str, mutate: impl Fn(&mut RuntimeConfig)) -> RunResult {
-    let (vm, th) = run_both(src, mutate);
-    assert_eq!(vm.tier.deopts(), 0, "the VM run must never count deopts");
-    assert!(
-        th.tier.threaded_entries > 0,
-        "threaded run never entered compiled code"
-    );
-    th
+    run_all_engines(&lower(src), mutate)
 }
 
-/// A snapshot taken after the virtual clock has moved well past a fault
-/// window boundary: the mode-window guard must bail to the VM rather
-/// than decide against stale window-keyed state.
+/// A snapshot and an elimination taken after the virtual clock has moved
+/// well past a fault window boundary: the window-keyed decision caches
+/// must miss and decide afresh, never reuse a stale window's verdict.
 const SNAPSHOT_AFTER_SLEEP: &str = r#"
 modes { low <= mid; mid <= high; }
 class App@mode<? <= X> {
@@ -164,21 +119,17 @@ class Main {
 #[test]
 fn mode_window_deopt_is_semantically_invisible() {
     // chaos() uses 0.5 s windows; each round sleeps 1.5 s before its
-    // snapshot, so the window observed at body entry has always rolled
-    // by the time `op_snap` runs.
-    let th = run_pair(SNAPSHOT_AFTER_SLEEP, |c| {
+    // snapshot, so the window has always rolled since the site's last
+    // decision.
+    let r = run_pair(SNAPSHOT_AFTER_SLEEP, |c| {
         c.faults = Some(FaultPlan::chaos());
         c.fault_seed = 7;
     });
-    assert!(
-        th.tier.deopt_mode_window > 0,
-        "mode-window guard never fired: {:?}",
-        th.tier
-    );
+    assert_eq!(r.stats.snapshots, 10, "{:?}", r.stats);
 }
 
-/// One static call site fed five receiver classes: the send IC goes
-/// megamorphic and the site must deopt instead of thrashing.
+/// One static call site fed five receiver classes: the send IC misses on
+/// every class change and re-caches, under a tail self-send loop.
 const MEGAMORPHIC_SEND: &str = r#"
 modes { low <= high; }
 class Shape { int sides() { return 0; } }
@@ -206,17 +157,20 @@ class Main {
 
 #[test]
 fn megamorphic_ic_deopt_is_semantically_invisible() {
-    let th = run_pair(MEGAMORPHIC_SEND, |_| {});
-    assert!(
-        th.tier.deopt_ic_megamorphic > 0,
-        "megamorphic guard never fired: {:?}",
-        th.tier
-    );
+    // Transient counts a check per send, so its run also pins that the
+    // tail self-send in `loop` is not elided there.
+    let lowered = lower(MEGAMORPHIC_SEND);
+    for strategy in [Enforcement::Guarded, Enforcement::Transient] {
+        let r = run_all_engines(&lowered, |c| c.enforcement = strategy);
+        assert_eq!(r.value.as_ref().ok(), Some(&Value::Int(90)), "{strategy:?}");
+        if strategy == Enforcement::Transient {
+            assert!(r.stats.transient_checks > 0, "transient strategy was idle");
+        }
+    }
 }
 
-/// A hot body that reads a sensor under total dropout: every read
-/// faults, bumping the injector epoch, and the fault-epoch guard must
-/// hand the rest of the body to the VM.
+/// A body that reads a sensor under total dropout: every read faults and
+/// runs the degradation ladder, and the body carries on.
 const SENSOR_UNDER_DROPOUT: &str = r#"
 modes { low <= high; }
 class Main {
@@ -233,68 +187,14 @@ class Main {
 
 #[test]
 fn fault_epoch_deopt_is_semantically_invisible() {
-    let th = run_pair(SENSOR_UNDER_DROPOUT, |c| {
+    let r = run_pair(SENSOR_UNDER_DROPOUT, |c| {
         c.faults = Some(FaultPlan {
             dropout_rate: 1.0,
             ..FaultPlan::default()
         });
         c.fault_seed = 3;
     });
-    assert!(
-        th.tier.deopt_fault_epoch > 0,
-        "fault-epoch guard never fired: {:?}",
-        th.tier
-    );
-    assert!(th.stats.sensor_faults > 0, "dropout plan never faulted");
-}
-
-#[test]
-fn transient_runs_never_tier_up() {
-    // Only guarded semantics are compiled, so even `TierUp::Always` keeps
-    // a transient run on the VM without compiling threaded code.
-    let (vm, th) = run_both(MEGAMORPHIC_SEND, |c| {
-        c.enforcement = Enforcement::Transient;
-    });
-    assert_eq!(th.tier.threaded_entries, 0, "{:?}", th.tier);
-    assert_eq!(th.tier.threaded_compiles, 0, "{:?}", th.tier);
-    assert_eq!(vm.to_json(), th.to_json(), "telemetry diverged");
-    assert!(th.stats.transient_checks > 0, "transient strategy was idle");
-}
-
-#[test]
-fn default_config_tiers_up_a_body_once_it_is_hot() {
-    // Each body runs once per run, so the hit counters, shared by every
-    // run over the lowered program, cross the default threshold on run N.
-    let TierUp::After(n) = TierUp::default() else {
-        panic!("the default tiers up after a threshold");
-    };
-    let src = r#"
-class Main {
-  int twice(int i) { return i + i; }
-  int main() { return this.twice(20) + 2; }
-}
-"#;
-    let lowered = lower_program(&compile(src).expect("program compiles"));
-    let run = || run_lowered(&lowered, Platform::system_a(), RuntimeConfig::default());
-    assert_eq!(run().tier, TierStats::default(), "a cold body tiered up");
-    for _ in 1..n {
-        run();
-    }
-    let last = run();
-    assert!(last.tier.threaded_entries > 0, "{:?}", last.tier);
-    let never = run_lowered(
-        &lowered,
-        Platform::system_a(),
-        RuntimeConfig {
-            tier_up: TierUp::Never,
-            ..RuntimeConfig::default()
-        },
-    );
-    let untiered = RunResult {
-        tier: TierStats::default(),
-        ..last
-    };
-    assert_eq!(untiered.to_json(), never.to_json(), "tier choice leaked");
+    assert!(r.stats.sensor_faults > 0, "dropout plan never faulted");
 }
 
 /// Binop operand pairs over the `let` slots `a`/`b`, literals `k`/`k2`
@@ -317,8 +217,8 @@ fn operand_pairs<'a>(k: &'a str, k2: &'a str, reg: &'a str) -> [(&'a str, &'a st
 
 /// Every arithmetic and comparison operator over every operand shape on
 /// int and double values, string concatenation and equality, and `if`
-/// conditions on int and double comparisons: the threaded tier's scalar
-/// lanes must print and count exactly what the VM does.
+/// conditions on int and double comparisons: the executor's scalar lanes
+/// must print and count exactly what the tree walker does.
 #[test]
 fn scalar_binop_lanes_match_the_vm() {
     use std::fmt::Write as _;
@@ -369,7 +269,7 @@ fn scalar_binop_lanes_match_the_vm() {
 }
 
 /// Int `/` and `%` by a zero held in a variable, over each operand shape:
-/// the fast lane must fall back to the VM's error.
+/// the fast lane must fall back to the tree walker's error.
 #[test]
 fn int_division_by_a_zero_variable_errors_like_the_vm() {
     for (op, msg) in [("/", "division by zero"), ("%", "remainder by zero")] {
@@ -464,8 +364,7 @@ const BUILTINS: &[(&str, Args, bool)] = &[
 
 /// Every builtin, each argument from a `let` slot, a literal or a
 /// computed register, in every combination: the in-place builtin call
-/// must print, count and charge exactly what the VM and the tree walker
-/// do.
+/// must print, count and charge exactly what the tree walker does.
 #[test]
 fn every_builtin_matches_the_vm_and_the_tree_walker() {
     use std::fmt::Write as _;
@@ -518,7 +417,7 @@ fn every_builtin_matches_the_vm_and_the_tree_walker() {
 }
 
 /// A mode case as a builtin's last argument is forced at call time
-/// (`force_last`); an earlier one by its own `Force`. From a slot, as a
+/// (`force_last`); an earlier one by its own force op. From a slot, as a
 /// literal, and from a call, on both sides of the mode lattice.
 #[test]
 fn a_mode_case_last_argument_is_forced_like_the_vm() {
@@ -612,6 +511,37 @@ class Main {
 }
 "#;
     let th = run_all_engines(&lower(src), |_| {});
-    assert_eq!(th.value.as_ref().ok(), Some(&ent_runtime::Value::Int(390)));
+    assert_eq!(th.value.as_ref().ok(), Some(&Value::Int(390)));
     assert_eq!(th.output[0], "121");
+}
+
+/// A parameter that an arity-mismatched call (which the typechecker would
+/// reject) leaves unbound, read as either operand of a fused binop and of
+/// a fused compare-and-branch: the error names the parameter on every
+/// engine.
+#[test]
+fn an_unbound_parameter_in_a_fused_operand_is_named_like_the_tree_walker() {
+    for body in [
+        "return a + b;",
+        "return b * a;",
+        "if (b < a) { return 1; } return 0;",
+        "if (a >= b) { return 1; } return 0;",
+    ] {
+        let src = format!(
+            "class Main {{
+  int f(int a, int b) {{ {body} }}
+  int main() {{ return this.f(1); }}
+}}
+"
+        );
+        let compiled = ent_core::compile_unchecked(&src).expect("program parses");
+        let r = run_all_engines(&lower_program(&compiled), |_| {});
+        match &r.value {
+            Err(e) => assert!(
+                e.to_string().contains("unbound variable `b`"),
+                "{body}: {e}"
+            ),
+            Ok(v) => panic!("{body} returned {v:?}"),
+        }
+    }
 }

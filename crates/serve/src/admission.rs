@@ -13,6 +13,12 @@
 //! budget. Time is **caller-supplied virtual milliseconds**, so the soak
 //! harness replays admission decisions exactly; the TCP front-end feeds
 //! wall-clock.
+//!
+//! The tenant table is bounded ([`MAX_TENANTS`]), so a client rotating
+//! tenant names cannot grow the daemon without bound. At capacity, one
+//! pass drops every tenant that is indistinguishable from a fresh one: a
+//! full bucket and no recorded spend. A tenant with recorded spend is
+//! never dropped, or a client could reset its own energy budget that way.
 
 use std::collections::HashMap;
 
@@ -41,6 +47,10 @@ impl Default for AdmissionConfig {
     }
 }
 
+/// Tenants the table holds at most: far above the 512 tenants the
+/// benchmark drives, and a few MiB of entries at most.
+pub const MAX_TENANTS: usize = 1 << 16;
+
 /// Why admission shed a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionShed {
@@ -48,6 +58,9 @@ pub enum AdmissionShed {
     RateLimited,
     /// The tenant has spent its energy budget.
     EnergyBudget,
+    /// A tenant not yet in the table arrived while it was full and no
+    /// entry could be dropped.
+    TenantTableFull,
 }
 
 #[derive(Clone, Debug)]
@@ -57,11 +70,27 @@ struct Tenant {
     energy_spent_j: f64,
 }
 
+impl Tenant {
+    /// The bucket's tokens at `now_ms`, refilled at `rate` tokens per
+    /// second since the last refill and capped at `burst`.
+    fn tokens_at(&self, now_ms: u64, rate: f64, burst: f64) -> f64 {
+        if now_ms > self.last_refill_ms {
+            let elapsed_s = (now_ms - self.last_refill_ms) as f64 / 1000.0;
+            (self.tokens + elapsed_s * rate).min(burst)
+        } else {
+            self.tokens
+        }
+    }
+}
+
 /// The admission controller: one bucket + energy account per tenant.
 #[derive(Clone, Debug)]
 pub struct Admission {
     config: AdmissionConfig,
     tenants: HashMap<String, Tenant>,
+    /// The earliest time a pass over the full table is worth making
+    /// again (see [`Admission::make_room`]).
+    next_sweep_ms: u64,
 }
 
 impl Admission {
@@ -72,6 +101,7 @@ impl Admission {
         Admission {
             config,
             tenants: HashMap::new(),
+            next_sweep_ms: 0,
         }
     }
 
@@ -110,18 +140,21 @@ impl Admission {
         let rate = self.refill_rate(mode);
         let budget = self.energy_budget(mode);
         let burst = self.config.burst;
-        let t = self
-            .tenants
-            .entry(tenant.to_string())
-            .or_insert_with(|| Tenant {
-                tokens: burst,
-                last_refill_ms: now_ms,
-                energy_spent_j: 0.0,
-            });
-        if now_ms > t.last_refill_ms {
-            let elapsed_s = (now_ms - t.last_refill_ms) as f64 / 1000.0;
-            t.tokens = (t.tokens + elapsed_s * rate).min(burst);
+        if !self.tenants.contains_key(tenant) {
+            if !self.make_room(now_ms, rate) {
+                return Err(AdmissionShed::TenantTableFull);
+            }
+            self.tenants.insert(
+                tenant.to_string(),
+                Tenant {
+                    tokens: burst,
+                    last_refill_ms: now_ms,
+                    energy_spent_j: 0.0,
+                },
+            );
         }
+        let t = self.tenants.get_mut(tenant).expect("present or inserted");
+        t.tokens = t.tokens_at(now_ms, rate, burst);
         t.last_refill_ms = t.last_refill_ms.max(now_ms);
         if t.energy_spent_j >= budget {
             return Err(AdmissionShed::EnergyBudget);
@@ -133,10 +166,50 @@ impl Admission {
         Ok(())
     }
 
-    /// Charges a completed job's simulated energy to its tenant.
+    /// Whether the table has room for one more tenant at `now_ms`, under
+    /// refill `rate`. At capacity it drops, in one pass, every tenant with
+    /// a full bucket and no recorded spend: a fresh entry would start the
+    /// same way, so no decision changes. The pass runs at most once per
+    /// time an empty bucket takes to refill, so its cost is amortized
+    /// over the requests in between, and a full table of tenants that
+    /// cannot be dropped costs one map lookup per new name.
+    fn make_room(&mut self, now_ms: u64, rate: f64) -> bool {
+        if self.tenants.len() < MAX_TENANTS {
+            return true;
+        }
+        if now_ms < self.next_sweep_ms {
+            return false;
+        }
+        let burst = self.config.burst;
+        self.tenants
+            .retain(|_, t| t.energy_spent_j > 0.0 || t.tokens_at(now_ms, rate, burst) < burst);
+        // Any tenant untouched from now until an empty bucket has had
+        // time to refill will be droppable then, unless it records spend.
+        let refill_ms = burst / rate * 1000.0;
+        self.next_sweep_ms = if refill_ms.is_finite() {
+            now_ms.saturating_add(refill_ms.ceil() as u64)
+        } else {
+            u64::MAX
+        };
+        self.tenants.len() < MAX_TENANTS
+    }
+
+    /// Charges a completed job's simulated energy to its tenant. A tenant
+    /// dropped from the table while its job ran (its bucket refilled and
+    /// it had no spend yet) comes back with a full bucket, as it left,
+    /// and the spend.
     pub fn record_energy(&mut self, tenant: &str, joules: f64) {
         if let Some(t) = self.tenants.get_mut(tenant) {
             t.energy_spent_j += joules;
+        } else if joules > 0.0 {
+            self.tenants.insert(
+                tenant.to_string(),
+                Tenant {
+                    tokens: self.config.burst,
+                    last_refill_ms: 0,
+                    energy_spent_j: joules,
+                },
+            );
         }
     }
 
@@ -146,7 +219,7 @@ impl Admission {
         self.tenants.get(tenant).map_or(0.0, |t| t.energy_spent_j)
     }
 
-    /// Tenants seen so far.
+    /// Tenants in the table.
     #[must_use]
     pub fn tenant_count(&self) -> u64 {
         self.tenants.len() as u64
@@ -230,6 +303,64 @@ mod tests {
             Err(AdmissionShed::EnergyBudget)
         );
         assert_eq!(a.energy_spent("t"), 110.0);
+    }
+
+    #[test]
+    fn rotating_tenant_names_keeps_the_table_bounded() {
+        let mut a = controller(16.0, 50.0, f64::INFINITY);
+        for i in 0..100_000u64 {
+            let _ = a.admit(&format!("t{i}"), i, SystemMode::Normal);
+            assert!(a.tenant_count() <= MAX_TENANTS as u64, "request {i}");
+        }
+    }
+
+    #[test]
+    fn a_tenant_with_spend_outlives_the_churn() {
+        let mut a = controller(16.0, 50.0, 100.0);
+        assert!(a.admit("spender", 0, SystemMode::Normal).is_ok());
+        a.record_energy("spender", 150.0);
+        for i in 0..100_000u64 {
+            let _ = a.admit(&format!("t{i}"), 1 + i, SystemMode::Normal);
+        }
+        assert_eq!(
+            a.admit("spender", 200_000, SystemMode::Normal),
+            Err(AdmissionShed::EnergyBudget)
+        );
+        assert_eq!(a.energy_spent("spender"), 150.0);
+    }
+
+    #[test]
+    fn a_full_table_sheds_new_names_until_buckets_refill() {
+        let mut a = controller(16.0, 50.0, f64::INFINITY);
+        for i in 0..MAX_TENANTS {
+            assert!(a.admit(&format!("t{i}"), 0, SystemMode::Normal).is_ok());
+        }
+        // Every entry spent a token at 0, so none is droppable yet.
+        assert_eq!(
+            a.admit("late", 0, SystemMode::Normal),
+            Err(AdmissionShed::TenantTableFull)
+        );
+        assert_eq!(a.tenant_count(), MAX_TENANTS as u64);
+        assert!(a.admit("t0", 0, SystemMode::Normal).is_ok());
+        // A second past it every bucket is full again: the pass drops
+        // them all and the new name gets a fresh entry.
+        assert!(a.admit("late", 1_000, SystemMode::Normal).is_ok());
+        assert_eq!(a.tenant_count(), 1);
+    }
+
+    #[test]
+    fn spend_recorded_after_a_drop_is_kept() {
+        let mut a = controller(16.0, 50.0, 100.0);
+        for i in 0..MAX_TENANTS {
+            assert!(a.admit(&format!("t{i}"), 0, SystemMode::Normal).is_ok());
+        }
+        // "t0" is dropped with the rest while its job still runs.
+        assert!(a.admit("late", 1_000, SystemMode::Normal).is_ok());
+        a.record_energy("t0", 150.0);
+        assert_eq!(
+            a.admit("t0", 1_001, SystemMode::Normal),
+            Err(AdmissionShed::EnergyBudget)
+        );
     }
 
     #[test]

@@ -20,8 +20,8 @@ options:
   --retries <n>        per-job retry budget (default: 1)
   --tick-ms <n>        mode-controller tick period (default: 500)
 
-Runs use the ENT_ENGINE, ENT_TIER_UP and ENT_ENFORCE defaults, as
-`ent run` does; a malformed value exits 1 at startup.
+Runs use the ENT_ENGINE and ENT_ENFORCE defaults, as `ent run` does;
+a malformed value exits 1 at startup.
 ";
 
 fn main() -> ExitCode {

@@ -30,6 +30,9 @@ use crate::json::{self, Json};
 pub const PROTO_SCHEMA: &str = "ent-serve-proto/1";
 /// The stats document schema stamp.
 pub const STATS_SCHEMA: &str = "ent-serve-stats/1";
+/// The longest tenant name a request may carry, in bytes: names key the
+/// daemon's admission table.
+pub const MAX_TENANT_BYTES: usize = 256;
 
 /// Request operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -263,6 +266,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     };
     let tenant = match doc.get("tenant") {
         None => "anonymous".to_string(),
+        Some(Json::Str(s)) if s.len() > MAX_TENANT_BYTES => {
+            return Err(format!("`tenant` is longer than {MAX_TENANT_BYTES} bytes"))
+        }
         Some(Json::Str(s)) if !s.is_empty() => s.clone(),
         Some(_) => return Err("`tenant` must be a non-empty string".to_string()),
     };
@@ -353,6 +359,19 @@ mod tests {
         assert_eq!(r.options.seed, 0);
         assert!(!r.options.silent);
         assert!(r.options.faults.is_none());
+    }
+
+    #[test]
+    fn an_over_long_tenant_name_is_a_bad_request() {
+        let line = |n: usize| {
+            format!(
+                r#"{{"op": "run", "tenant": "{}", "src": "class Main {{}}"}}"#,
+                "t".repeat(n)
+            )
+        };
+        assert!(parse_request(&line(MAX_TENANT_BYTES)).is_ok());
+        let err = parse_request(&line(MAX_TENANT_BYTES + 1)).unwrap_err();
+        assert!(err.contains(&MAX_TENANT_BYTES.to_string()), "{err}");
     }
 
     #[test]

@@ -372,6 +372,11 @@ impl Server {
                             ErrorKind::EnergyBudget,
                             "tenant energy budget spent",
                         ),
+                        AdmissionShed::TenantTableFull => (
+                            &inner.counters.shed_overloaded,
+                            ErrorKind::Overloaded,
+                            "tenant table full; retry later",
+                        ),
                     };
                     counter.fetch_add(1, Ordering::Relaxed);
                     return Submission::Immediate(Reply::error(&request.id, kind, msg));

@@ -16,9 +16,7 @@
 use std::sync::Arc;
 
 use ent_energy::{FaultPlan, Platform, PlatformKind};
-use ent_runtime::{
-    run_lowered, Enforcement, Engine, LoweredProgram, RunResult, RuntimeConfig, TierUp,
-};
+use ent_runtime::{run_lowered, Enforcement, Engine, LoweredProgram, RunResult, RuntimeConfig};
 
 use crate::engine::lowered_cached;
 use crate::programs::{e1_program, e2_program, e3_program};
@@ -66,10 +64,6 @@ pub struct PreparedProgram {
     /// shared `LoweredProgram`, compiled at most once per method no matter
     /// how many runs, threads, or engines touch the program.
     pub engine: Engine,
-    /// The tier-up threshold every run of this program uses (captured
-    /// from [`TierUp::from_env`] at prepare time). Only the bytecode
-    /// engine reads it.
-    pub tier_up: TierUp,
     /// The enforcement strategy every run of this program uses (captured
     /// from [`Enforcement::from_env`] at prepare time).
     pub enforcement: Enforcement,
@@ -84,13 +78,12 @@ impl PreparedProgram {
     /// Runs one configuration on an explicit platform (the Figure 6
     /// overhead pair runs the tagged leg on the base platform). The
     /// prepared engine settings override whatever the config carries, so
-    /// every `run_e*_prepared` entry point honors `ENT_ENGINE`,
-    /// `ENT_TIER_UP` and `ENT_ENFORCE`.
+    /// every `run_e*_prepared` entry point honors `ENT_ENGINE` and
+    /// `ENT_ENFORCE`.
     pub fn run_on(&self, platform: Platform, config: RuntimeConfig) -> RunResult {
         let config = RuntimeConfig {
             engine: self.engine,
             enforcement: self.enforcement,
-            tier_up: self.tier_up,
             ..config
         };
         run_lowered(&self.lowered, platform, config)
@@ -152,7 +145,6 @@ pub fn prepare_e1(spec: &BenchmarkSpec, system: PlatformKind, workload: usize) -
         lowered: lowered_cached(spec.name, &src),
         platform,
         engine: Engine::from_env(),
-        tier_up: TierUp::from_env(),
         enforcement: Enforcement::from_env(),
     }
 }
@@ -263,7 +255,6 @@ pub fn prepare_e2(spec: &BenchmarkSpec, system: PlatformKind, workload: usize) -
         lowered: lowered_cached(spec.name, &src),
         platform,
         engine: Engine::from_env(),
-        tier_up: TierUp::from_env(),
         enforcement: Enforcement::from_env(),
     }
 }
@@ -307,7 +298,6 @@ pub fn prepare_e3(
         lowered: lowered_cached(spec.name, &src),
         platform,
         engine: Engine::from_env(),
-        tier_up: TierUp::from_env(),
         enforcement: Enforcement::from_env(),
     }
 }

@@ -13,7 +13,7 @@ use ent_core::compile;
 use ent_energy::Platform;
 use ent_runtime::{
     default_stack_size, lower_program, run_lowered, with_interp_stack, Enforcement, Engine,
-    RuntimeConfig, TierUp,
+    RuntimeConfig,
 };
 use ent_workloads::fuzzgen;
 
@@ -88,7 +88,6 @@ fn a_fresh_program_compiles_and_first_runs_within_its_allocation_budget() {
     let config = RuntimeConfig {
         engine: Engine::Bytecode,
         enforcement: Enforcement::Guarded,
-        tier_up: TierUp::default(),
         ..RuntimeConfig::default()
     };
     // On an interpreter stack, `run_lowered` runs on this thread, where

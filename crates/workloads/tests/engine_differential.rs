@@ -1,9 +1,8 @@
-//! Differential fuzzing between the tree-walking evaluator, the
-//! register-bytecode VM, and the VM's closure-threaded tier.
+//! Differential fuzzing between the tree-walking evaluator and the
+//! closure-threaded bytecode engine.
 //!
 //! Every seeded program from [`ent_workloads::fuzzgen`] is run on the tree
-//! walker, on bytecode, and on bytecode with every body tiered up
-//! (`TierUp::Always`), across a small grid of battery levels, fault
+//! walker and on bytecode, across a small grid of battery levels, fault
 //! regimes, and **enforcement strategies**, and the complete observable
 //! surface — result value (or error), pretty value, printed output, run
 //! statistics, energy/time bit patterns, and the rendered event stream —
@@ -21,7 +20,6 @@ use ent_core::compile;
 use ent_energy::{FaultPlan, Platform};
 use ent_runtime::{
     lower_program, render_event, Enforcement, Engine, LoweredProgram, RunResult, RuntimeConfig,
-    TierUp,
 };
 use ent_workloads::fuzzgen;
 
@@ -61,23 +59,14 @@ fn observe(prog: &LoweredProgram, r: &RunResult) -> String {
     out
 }
 
-/// The three execution lanes: the tree walker, bytecode, and the threaded
-/// tier (bytecode with every body tiered up on first entry).
-const LANES: [(&str, Engine, TierUp); 3] = [
-    ("tree", Engine::Tree, TierUp::Never),
-    ("bytecode", Engine::Bytecode, TierUp::Never),
-    ("threaded", Engine::Bytecode, TierUp::Always),
-];
-
 fn config(
-    (_, engine, tier_up): (&str, Engine, TierUp),
+    engine: Engine,
     enforcement: Enforcement,
     battery: f64,
     faults: Option<FaultPlan>,
 ) -> RuntimeConfig {
     RuntimeConfig {
         engine,
-        tier_up,
         enforcement,
         battery_level: battery,
         seed: 7,
@@ -100,30 +89,25 @@ fn engines_agree_on_generated_programs() {
         for battery in [0.15, 0.55, 0.95] {
             for faults in [None, Some(FaultPlan::chaos())] {
                 for enforcement in [Enforcement::Guarded, Enforcement::Transient] {
-                    let run = |lane| {
+                    let run = |engine| {
                         ent_runtime::run_lowered(
                             &lowered,
                             Platform::system_a(),
-                            config(lane, enforcement, battery, faults.clone()),
+                            config(engine, enforcement, battery, faults.clone()),
                         )
                     };
-                    let tree = run(LANES[0]);
+                    let tree = run(Engine::Tree);
                     if tree.value.is_err() {
                         error_runs += 1;
                     }
-                    let a = observe(&lowered, &tree);
-                    for lane in &LANES[1..] {
-                        let b = observe(&lowered, &run(*lane));
-                        assert_eq!(
-                            a,
-                            b,
-                            "tree and {} diverge at seed {seed} battery {battery} faults {} \
-                             enforce {}\nprogram:\n{src}",
-                            lane.0,
-                            faults.is_some(),
-                            enforcement.name(),
-                        );
-                    }
+                    assert_eq!(
+                        observe(&lowered, &tree),
+                        observe(&lowered, &run(Engine::Bytecode)),
+                        "tree and bytecode diverge at seed {seed} battery {battery} faults {} \
+                         enforce {}\nprogram:\n{src}",
+                        faults.is_some(),
+                        enforcement.name(),
+                    );
                 }
             }
         }
@@ -149,13 +133,12 @@ fn profiler_parity_on_recursive_workload() {
         let src = fuzzgen::program(seed);
         let compiled = compile(&src).expect("generated program compiles");
         let lowered = lower_program(&compiled);
-        let folded = |(name, engine, tier_up): (&str, Engine, TierUp)| {
+        let folded = |engine: Engine| {
             let run = ent_runtime::run_lowered(
                 &lowered,
                 Platform::system_a(),
                 RuntimeConfig {
                     engine,
-                    tier_up,
                     battery_level: 0.6,
                     seed: 5,
                     profile: ent_runtime::ProfileMode::Exact,
@@ -163,18 +146,15 @@ fn profiler_parity_on_recursive_workload() {
                 },
             );
             run.profile
-                .unwrap_or_else(|| panic!("{name} profile"))
+                .unwrap_or_else(|| panic!("{} profile", engine.name()))
                 .folded_stacks()
         };
-        let tree_folded = folded(LANES[0]);
-        for lane in &LANES[1..] {
-            assert_eq!(
-                tree_folded,
-                folded(*lane),
-                "folded stacks diverge between tree and {} at seed {seed}",
-                lane.0
-            );
-        }
+        let tree_folded = folded(Engine::Tree);
+        assert_eq!(
+            tree_folded,
+            folded(Engine::Bytecode),
+            "folded stacks diverge between tree and bytecode at seed {seed}"
+        );
         assert!(
             tree_folded.contains("Main.main"),
             "profile must attribute to the call tree root"
@@ -183,24 +163,22 @@ fn profiler_parity_on_recursive_workload() {
 }
 
 /// A body too large for the bytecode's `u16` operand words (here an array
-/// literal of 65537 items) runs on the tree walker, so every lane sees
+/// literal of 65537 items) runs on the tree walker, so both engines see
 /// the whole array rather than a count truncated to 16 bits.
 #[test]
 fn engines_agree_on_a_body_too_large_for_bytecode() {
     let items = vec!["1"; 65537].join(", ");
     let src = format!("class Main {{ int main() {{ return Arr.len([{items}]); }} }}");
     let lowered = lower_program(&compile(&src).expect("program compiles"));
-    let run = |lane| {
+    let run = |engine| {
         let r = ent_runtime::run_lowered(
             &lowered,
             Platform::system_a(),
-            config(lane, Enforcement::Guarded, 0.9, None),
+            config(engine, Enforcement::Guarded, 0.9, None),
         );
         observe(&lowered, &r)
     };
-    let tree = run(LANES[0]);
+    let tree = run(Engine::Tree);
     assert!(tree.contains("value=ok:Int(65537)"), "{tree}");
-    for lane in &LANES[1..] {
-        assert_eq!(tree, run(*lane), "tree and {} diverge", lane.0);
-    }
+    assert_eq!(tree, run(Engine::Bytecode), "tree and bytecode diverge");
 }

@@ -13,7 +13,7 @@ use ent_core::compile;
 use ent_energy::Platform;
 use ent_runtime::{
     default_stack_size, lower_program, run_lowered, with_interp_stack, Enforcement, Engine,
-    RuntimeConfig, TierUp,
+    RuntimeConfig,
 };
 use ent_workloads::fuzzgen;
 
@@ -90,7 +90,6 @@ fn a_cached_program_after_its_first_run_fits_its_footprint() {
     let config = RuntimeConfig {
         engine: Engine::Bytecode,
         enforcement: Enforcement::Guarded,
-        tier_up: TierUp::default(),
         ..RuntimeConfig::default()
     };
     // On an interpreter stack, `run_lowered` runs on this thread, where
