@@ -4,8 +4,7 @@
 //! within 2 % for all, and System C noisier (2 % for 84.3 %, 3 % for
 //! 91.5 %, 5 % for 94.7 %).
 
-use ent_bench::e_benchmarks;
-use ent_energy::PlatformKind;
+use ent_bench::{e_benchmarks, system_label, SYSTEMS};
 use ent_workloads::run_e2;
 
 fn main() {
@@ -23,11 +22,7 @@ fn main() {
     );
     println!("{}", "-".repeat(58));
 
-    for system in [
-        PlatformKind::SystemA,
-        PlatformKind::SystemB,
-        PlatformKind::SystemC,
-    ] {
+    for system in SYSTEMS {
         let mut rsds = Vec::new();
         for spec in e_benchmarks(system) {
             for boot in 0..3 {
@@ -46,11 +41,7 @@ fn main() {
             format!("{:.1}%", n as f64 / total as f64 * 100.0)
         };
         let max = rsds.iter().copied().fold(0.0f64, f64::max);
-        let label = match system {
-            PlatformKind::SystemA => "A",
-            PlatformKind::SystemB => "B",
-            PlatformKind::SystemC => "C",
-        };
+        let label = system_label(system);
         println!(
             "{label:<6} {:>12} {:>12} {:>12} {max:>9.2}%",
             frac(2.0),

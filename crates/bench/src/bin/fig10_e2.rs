@@ -9,20 +9,7 @@ fn main() {
     let repeats = args.value as usize;
     println!("Figure 10: battery-casing (E2) runs ({repeats} runs averaged)\n");
     let data = fig10::rows(repeats, args.jobs);
-    let metric_rows: Vec<metrics::Row> = data
-        .iter()
-        .map(|r| {
-            metrics::Row::new(format!(
-                "{}/{}/{}",
-                system_label(r.system),
-                r.benchmark,
-                mode_name(r.boot)
-            ))
-            .with("energy_j", r.energy_j)
-            .with("normalized", r.normalized)
-            .with("savings_pct", r.savings_pct)
-        })
-        .collect();
+    let metric_rows = fig10::metric_rows(&data);
     let rows: Vec<Vec<String>> = data
         .into_iter()
         .map(|r| {
@@ -50,12 +37,5 @@ fn main() {
             &rows,
         )
     );
-    match metrics::write("fig10_e2", "fig10_e2", &metric_rows) {
-        Ok(path) => eprintln!("metrics written to {}", path.display()),
-        Err(e) => eprintln!("could not write metrics json: {e}"),
-    }
-    match metrics::write_sched("fig10_e2") {
-        Ok(path) => eprintln!("scheduler telemetry written to {}", path.display()),
-        Err(e) => eprintln!("could not write scheduler telemetry: {e}"),
-    }
+    metrics::write_figure("fig10_e2", &metric_rows);
 }

@@ -8,10 +8,7 @@ fn main() {
     let repeats = args.value as usize;
     println!("Figure 6: ENT benchmark descriptions and statistics ({repeats} runs averaged)\n");
     let data = fig6::rows(repeats, args.jobs);
-    let metric_rows: Vec<metrics::Row> = data
-        .iter()
-        .map(|r| metrics::Row::new(r.name).with("overhead_pct", r.overhead_pct))
-        .collect();
+    let metric_rows = fig6::metric_rows(&data);
     let rows: Vec<Vec<String>> = data
         .into_iter()
         .map(|r| {
@@ -41,12 +38,5 @@ fn main() {
     );
     println!("(CLOC and ENT-change counts reproduce the paper's table for context;");
     println!(" the overhead column is measured on this reproduction's runtime.)");
-    match metrics::write("fig6_overhead", "fig6_overhead", &metric_rows) {
-        Ok(path) => eprintln!("metrics written to {}", path.display()),
-        Err(e) => eprintln!("could not write metrics json: {e}"),
-    }
-    match metrics::write_sched("fig6_overhead") {
-        Ok(path) => eprintln!("scheduler telemetry written to {}", path.display()),
-        Err(e) => eprintln!("could not write scheduler telemetry: {e}"),
-    }
+    metrics::write_figure("fig6_overhead", &metric_rows);
 }

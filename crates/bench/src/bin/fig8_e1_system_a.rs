@@ -40,14 +40,7 @@ fn main() {
     if !table.is_empty() {
         print_benchmark(current, &table);
     }
-    match metrics::write("fig8_e1_system_a", "fig8_e1_system_a", &metric_rows) {
-        Ok(path) => eprintln!("metrics written to {}", path.display()),
-        Err(e) => eprintln!("could not write metrics json: {e}"),
-    }
-    match metrics::write_sched("fig8_e1_system_a") {
-        Ok(path) => eprintln!("scheduler telemetry written to {}", path.display()),
-        Err(e) => eprintln!("could not write scheduler telemetry: {e}"),
-    }
+    metrics::write_figure("fig8_e1_system_a", &metric_rows);
 }
 
 fn run_chaos(plan: &ent_energy::FaultPlan, fault_seed: u64, jobs: usize) {
@@ -89,14 +82,7 @@ fn run_chaos(plan: &ent_energy::FaultPlan, fault_seed: u64, jobs: usize) {
     );
     let failed = rows.iter().filter(|r| r.error.is_some()).count();
     println!("cells failed: {failed} of {}", rows.len());
-    match metrics::write("fig8_chaos", "fig8_chaos", &metric_rows) {
-        Ok(path) => eprintln!("metrics written to {}", path.display()),
-        Err(e) => eprintln!("could not write metrics json: {e}"),
-    }
-    match metrics::write_sched("fig8_chaos") {
-        Ok(path) => eprintln!("scheduler telemetry written to {}", path.display()),
-        Err(e) => eprintln!("could not write scheduler telemetry: {e}"),
-    }
+    metrics::write_figure("fig8_chaos", &metric_rows);
 }
 
 fn print_benchmark(name: &str, table: &[Vec<String>]) {

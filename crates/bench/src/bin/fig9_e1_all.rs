@@ -38,12 +38,5 @@ fn main() {
             &rows,
         )
     );
-    match metrics::write("fig9_e1_all", "fig9_e1_all", &metric_rows) {
-        Ok(path) => eprintln!("metrics written to {}", path.display()),
-        Err(e) => eprintln!("could not write metrics json: {e}"),
-    }
-    match metrics::write_sched("fig9_e1_all") {
-        Ok(path) => eprintln!("scheduler telemetry written to {}", path.display()),
-        Err(e) => eprintln!("could not write scheduler telemetry: {e}"),
-    }
+    metrics::write_figure("fig9_e1_all", &metric_rows);
 }

@@ -9,8 +9,8 @@
 //!
 //! `--jobs` is forwarded to the measuring figure binaries; their output is
 //! bit-identical at every jobs count, so it only changes wall-clock time.
-//! `ENT_ENGINE` and `ENT_ENFORCE` reach every figure binary through the
-//! environment it inherits.
+//! At `1` repeat the outputs are the committed `results/`, which
+//! `crates/bench/tests/determinism.rs` checks in process.
 
 use std::fs;
 use std::process::Command;

@@ -15,9 +15,8 @@
 //! Usage:
 //!   cargo run -p ent-bench --release --bin migration_lattice \[repeats\]
 //!
-//! Defaults: 3 repeats averaged. Runs use the `ENT_ENGINE` default; the
-//! strategy grid is swept explicitly, so `ENT_ENFORCE` does not apply.
-//! Writes `BENCH_lattice.json` at the workspace root.
+//! Defaults: 3 repeats averaged, on the default (bytecode) engine. Writes
+//! `BENCH_lattice.json` at the workspace root.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -76,7 +75,6 @@ fn run_cell(
     let mut last = None;
     for r in 0..repeats {
         let config = RuntimeConfig {
-            engine: Engine::from_env(),
             enforcement: strategy,
             seed: SEED + r,
             ..RuntimeConfig::default()
@@ -201,7 +199,7 @@ fn main() {
     let _ = writeln!(json, "  \"chunks_per_stage\": {LATTICE_CHUNKS},");
     let _ = writeln!(json, "  \"repeats\": {repeats},");
     let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"engine\": \"{}\",", Engine::from_env().name());
+    let _ = writeln!(json, "  \"engine\": \"{}\",", Engine::default().name());
     json.push_str("  \"programs\": [\n");
     for (bi, s) in sweeps.iter().enumerate() {
         let _ = writeln!(json, "    {{\"name\": \"{}\", \"points\": [", s.name);

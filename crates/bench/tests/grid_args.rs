@@ -1,9 +1,9 @@
 //! The figure binaries' flag contract: a flag they do not know, or a
-//! malformed engine setting or stack size in the environment, exits 1
-//! with a message naming it, before any grid runs; the environment half
-//! holds for `chaos_resilience`, `data_collection_rsd`, the two ablations
-//! and `obs_overhead` too. A skipped flag would have its value read as
-//! the positional repeat count.
+//! malformed stack size in the environment, exits 1 with a message naming
+//! it, before any grid runs; the environment half holds for
+//! `chaos_resilience`, `data_collection_rsd`, the two ablations and
+//! `obs_overhead` too. A skipped flag would have its value read as the
+//! positional repeat count.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -19,7 +19,8 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn unknown_flags_exit_one_before_any_grid_runs() {
-    // The engine settings are environment variables, not grid flags.
+    // The grids run on the default engine and strategy: neither is a
+    // grid flag.
     for (i, argv) in [
         ["--adapt", "on"],
         ["--chunk", "2"],
@@ -50,7 +51,7 @@ fn unknown_flags_exit_one_before_any_grid_runs() {
 }
 
 #[test]
-fn a_malformed_engine_variable_exits_one_before_any_grid_runs() {
+fn a_malformed_stack_size_exits_one_before_any_grid_runs() {
     // The binaries that take no grid flags check the environment
     // themselves. A repeat count of 1 keeps a run short should a check be
     // missing (`chaos_resilience`, the ablations and `obs_overhead` take
@@ -80,28 +81,20 @@ fn a_malformed_engine_variable_exits_one_before_any_grid_runs() {
         ),
         ("obs_overhead", env!("CARGO_BIN_EXE_obs_overhead"), &[][..]),
     ];
-    let settings = [
-        ("ENT_ENGINE", "threaded"),
-        ("ENT_ENFORCE", "lax"),
-        ("ENT_STACK_SIZE", "huge"),
-    ];
     for (name, bin, args) in binaries {
-        for (var, value) in settings {
-            let dir = scratch_dir(&format!("{name}-env-{var}"));
-            let out = Command::new(bin)
-                .args(args)
-                .env(var, value)
-                .current_dir(&dir)
-                .output()
-                .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            let row = format!("{name} {var}={value}");
-            assert_eq!(out.status.code(), Some(1), "{row}: {stderr}");
-            assert!(stderr.contains(var), "{row}: got {stderr}");
-            assert!(out.stdout.is_empty(), "{row}: the run started");
-            assert!(!dir.join("results").exists(), "{row}: wrote results/");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let dir = scratch_dir(&format!("{name}-env"));
+        let out = Command::new(bin)
+            .args(args)
+            .env("ENT_STACK_SIZE", "huge")
+            .current_dir(&dir)
+            .output()
+            .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains("ENT_STACK_SIZE"), "{name}: got {stderr}");
+        assert!(out.stdout.is_empty(), "{name}: the run started");
+        assert!(!dir.join("results").exists(), "{name}: wrote results/");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -94,16 +94,13 @@ pub struct Options {
     /// How long a last-known-good sensor reading may be served after a
     /// fault before decisions degrade (`None` = the runtime default).
     pub staleness_bound: Option<f64>,
-    /// Engine from `--engine` (`None` = [`Engine::from_env`]: the
-    /// `ENT_ENGINE` environment variable, else bytecode).
+    /// Engine from `--engine` (`None` = bytecode).
     pub engine: Option<Engine>,
     /// Selects nothing: the bytecode engine has one executor. Kept only
     /// for the benchmark in `perfbench/`, which ROADMAP item 9 changes
     /// (see [`TierUp`]).
     pub tier_up: Option<TierUp>,
-    /// Enforcement strategy from `--enforce` (`None` =
-    /// [`Enforcement::from_env`]: the `ENT_ENFORCE` environment variable,
-    /// else guarded).
+    /// Enforcement strategy from `--enforce` (`None` = guarded).
     pub enforce: Option<Enforcement>,
 }
 
@@ -164,12 +161,11 @@ options:
   --engine <e>         method-body execution engine: bytecode (closure-threaded
                        register code, default) or tree (the recursive
                        evaluator); both produce bit-identical results
-                       (ENT_ENGINE env default)
   --enforce <s>        mode-check enforcement strategy: guarded (deep snapshot
                        boundaries + dynamic waterfall, the paper's semantics,
                        default) or transient (shallow first-order checks at
                        boundaries, call sites, and field reads; never copies;
-                       failures blame the check site) (ENT_ENFORCE env default)
+                       failures blame the check site)
 
 exit codes:
   0  success
@@ -588,8 +584,8 @@ pub fn run_prepared(options: &Options, lowered: &ent_runtime::LoweredProgram) ->
 }
 
 /// The platform and runtime configuration `options` select — the one
-/// place a flag, else its environment default, becomes a run setting
-/// (`run` and `eval` both run under it).
+/// place a flag, else its default, becomes a run setting (`run` and
+/// `eval` both run under it).
 fn run_config(options: &Options) -> (Platform, RuntimeConfig) {
     let platform = match options.platform.as_str() {
         "b" => Platform::system_b(),
@@ -605,8 +601,8 @@ fn run_config(options: &Options) -> (Platform, RuntimeConfig) {
         profile: options.profile_mode(),
         faults: options.faults.clone(),
         fault_seed: options.fault_seed,
-        engine: options.engine.unwrap_or_else(Engine::from_env),
-        enforcement: options.enforce.unwrap_or_else(Enforcement::from_env),
+        engine: options.engine.unwrap_or_default(),
+        enforcement: options.enforce.unwrap_or_default(),
         ..RuntimeConfig::default()
     };
     if let Some(limit) = options.events_limit {

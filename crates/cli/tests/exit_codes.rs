@@ -73,18 +73,21 @@ fn malformed_numeric_flags_exit_one_with_a_clear_message() {
     }
 }
 
-/// The engine settings' environment variables, cleared before each
-/// spawned run so the workspace test lanes that set them cannot leak in.
-const ENGINE_VARS: [&str; 2] = ["ENT_ENGINE", "ENT_ENFORCE"];
-
-/// Spawns `ent` with `args` under exactly the engine variables in `env`.
+/// Spawns `ent` with `args`, adding the variables in `env`.
 fn spawn_ent(args: &[&str], env: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ent"));
-    for var in ENGINE_VARS {
-        cmd.env_remove(var);
-    }
-    cmd.args(args).envs(env.iter().copied());
-    cmd.output().expect("spawn ent")
+    Command::new(env!("CARGO_BIN_EXE_ent"))
+        .args(args)
+        .envs(env.iter().copied())
+        .output()
+        .expect("spawn ent")
+}
+
+/// Writes `src` to a temporary file named after `tag` and returns its
+/// path.
+fn temp_source(tag: &str, src: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("ent-{tag}-{}.ent", std::process::id()));
+    std::fs::write(&path, src).expect("write temp source");
+    path
 }
 
 #[test]
@@ -93,49 +96,47 @@ fn deep_recursion_stops_at_the_call_depth_guard_on_both_engines() {
     // guard derived from the stack size must stop the run with a runtime
     // error before the native stack overflows and aborts the process, on
     // the tree walker as on bytecode, in debug builds as in release.
-    let path = std::env::temp_dir().join(format!("ent-recurse-{}.ent", std::process::id()));
-    std::fs::write(
-        &path,
-        "class Main {\n  int go(int n) { if (n <= 0) { return 0; } return 1 + this.go(n - 1); }\n  int main() { return this.go(100000); }\n}\n",
-    )
-    .expect("write temp source");
-    let path_str = path.to_str().expect("utf-8 temp path");
-    for engine in ["tree", "bytecode"] {
-        let out = spawn_ent(
-            &["run", path_str, "--stack-size", "16m", "--engine", engine],
-            &[],
+    // Under eight additions per call the tree walker's native frames
+    // outgrow the guard's budget in a debug build, and its stack-left
+    // backstop must stop the run with the same error instead.
+    for additions in [1, 8] {
+        let call = (0..additions).fold("this.go(n - 1)".to_string(), |e, _| format!("1 + ({e})"));
+        let path = temp_source(
+            &format!("recurse-{additions}"),
+            &format!(
+                "class Main {{\n  int go(int n) {{ if (n <= 0) {{ return 0; }} return {call}; }}\n  int main() {{ return this.go(100000); }}\n}}\n"
+            ),
         );
-        assert_eq!(out.status.code(), Some(EXIT_RUNTIME), "{engine}: {out:?}");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            stdout.contains("call depth exceeded the interpreter limit"),
-            "{engine}: {stdout}"
-        );
+        let path_str = path.to_str().expect("utf-8 temp path");
+        for engine in ["tree", "bytecode"] {
+            let out = spawn_ent(
+                &["run", path_str, "--stack-size", "16m", "--engine", engine],
+                &[],
+            );
+            let case = format!("{engine}, {additions} additions");
+            assert_eq!(out.status.code(), Some(EXIT_RUNTIME), "{case}: {out:?}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                stdout.contains("call depth exceeded the interpreter limit"),
+                "{case}: {stdout}"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn malformed_engine_settings_in_the_environment_exit_one() {
     // Checked before any file is read: the path does not exist, yet the
     // message names the variable and what it accepts, not the file.
-    for (var, value, accepted) in [
-        ("ENT_ENGINE", "threaded", "tree or bytecode"),
-        ("ENT_ENFORCE", "eager", "guarded or transient"),
-        ("ENT_STACK_SIZE", "huge", "k, m or g suffix"),
-    ] {
-        let out = spawn_ent(&["run", "no-such-file.ent"], &[(var, value)]);
-        assert_eq!(out.status.code(), Some(EXIT_USAGE), "{var}={value}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        for needle in [var, value, accepted] {
-            assert!(
-                stderr.contains(needle),
-                "{var}={value}: no {needle:?} in {stderr}"
-            );
-        }
+    let out = spawn_ent(&["run", "no-such-file.ent"], &[("ENT_STACK_SIZE", "huge")]);
+    assert_eq!(out.status.code(), Some(EXIT_USAGE), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for needle in ["ENT_STACK_SIZE", "huge", "k, m or g suffix"] {
+        assert!(stderr.contains(needle), "no {needle:?} in {stderr}");
     }
     // An empty value counts as unset.
-    let out = spawn_ent(&["eval", "1 + 2"], &[("ENT_ENGINE", "")]);
+    let out = spawn_ent(&["eval", "1 + 2"], &[("ENT_STACK_SIZE", "")]);
     assert_eq!(out.status.code(), Some(EXIT_OK), "{out:?}");
 }
 
@@ -150,8 +151,7 @@ fn one_shot_commands_compile_deep_sources_on_the_interpreter_stack() {
         "(".repeat(depth),
         ")".repeat(depth)
     );
-    let path = std::env::temp_dir().join(format!("ent-deep-{}.ent", std::process::id()));
-    std::fs::write(&path, src).expect("write temp source");
+    let path = temp_source("deep", &src);
     let path_str = path.to_str().expect("utf-8 temp path");
     for command in ["check", "run", "fmt"] {
         let out = spawn_ent(&[command, path_str], &[]);

@@ -40,9 +40,7 @@ use crate::value::{ObjRef, Value};
 /// Which enforcement strategy discharges mode obligations at run time.
 ///
 /// Selected per run via [`crate::RuntimeConfig::enforcement`] or the CLI
-/// `--enforce` flag, else by the `ENT_ENFORCE` environment variable
-/// ([`Enforcement::from_env`]; like `ENT_ENGINE`, the env var never leaks
-/// into [`crate::RuntimeConfig::default`]).
+/// `--enforce` flag; guarded when neither names one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Enforcement {
     /// Deep guarded boundaries: snapshot attributor + bounds check + lazy
@@ -73,14 +71,11 @@ impl Enforcement {
         }
     }
 
-    /// The process-default strategy: `ENT_ENFORCE` (`guarded` |
-    /// `transient`), or `Guarded` when unset. Binaries reject a malformed
-    /// value at startup ([`crate::check_env_settings`]).
+    /// Returns [`Enforcement::Guarded`] and reads no environment
+    /// variable (kept for `perfbench/`, which names it; ROADMAP item 9
+    /// deletes it with the benchmark's next change).
     pub fn from_env() -> Enforcement {
-        super::env_setting("ENT_ENFORCE", Self::parse)
-            .ok()
-            .flatten()
-            .unwrap_or_default()
+        Enforcement::Guarded
     }
 }
 

@@ -68,8 +68,9 @@ use crate::value::{discard, put, ObjRef, Value};
 /// Both engines run the same lowered IR through the same runtime machinery
 /// (heap, snapshots, dfall checks, builtins, events, profiler) and are
 /// bit-identical in every observable — output, `RunStats`, event stream,
-/// telemetry, errors — which the golden suite and the differential fuzz
-/// harness pin under both settings.
+/// telemetry, errors — which the differential fuzz harness and the
+/// committed-figures test (`crates/bench/tests/determinism.rs`) pin under
+/// both settings.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
     /// The recursive tree-walking evaluator over the lowered node IR.
@@ -101,16 +102,6 @@ impl Engine {
             Engine::Bytecode => "bytecode",
         }
     }
-
-    /// The process-default engine: `ENT_ENGINE` (`tree` | `bytecode`), or
-    /// bytecode when unset. Binaries reject a malformed value at startup
-    /// ([`check_env_settings`]).
-    pub fn from_env() -> Engine {
-        env_setting("ENT_ENGINE", Engine::parse)
-            .ok()
-            .flatten()
-            .unwrap_or_default()
-    }
 }
 
 /// A one-valued placeholder that selects nothing: the bytecode engine
@@ -127,43 +118,6 @@ impl TierUp {
     pub fn from_env() -> TierUp {
         TierUp
     }
-}
-
-/// Reads one engine setting from the environment: `Ok(None)` when `var`
-/// is unset or empty, `Err` naming the variable when its value does not
-/// parse.
-pub(crate) fn env_setting<T>(var: &str, parse: fn(&str) -> Option<T>) -> Result<Option<T>, String> {
-    let Some(value) = std::env::var_os(var) else {
-        return Ok(None);
-    };
-    let value = value.to_string_lossy();
-    let value = value.trim();
-    if value.is_empty() {
-        return Ok(None);
-    }
-    parse(value)
-        .map(Some)
-        .ok_or_else(|| format!("malformed {var} value `{value}`"))
-}
-
-/// Checks `ENT_ENGINE`, `ENT_ENFORCE` and `ENT_STACK_SIZE`, the
-/// environment defaults of [`RuntimeConfig`]'s engine settings and stack
-/// size. Binaries call this at startup and exit 1 on `Err`, so a
-/// malformed value fails loudly instead of [`Engine::from_env`],
-/// [`Enforcement::from_env`] or [`crate::default_stack_size`] falling
-/// back to the default.
-///
-/// # Errors
-///
-/// A message naming the first variable whose value does not parse and
-/// the values it accepts.
-pub fn check_env_settings() -> Result<(), String> {
-    let hint = |e: String, expected: &str| format!("{e} (expected {expected})");
-    env_setting("ENT_ENGINE", Engine::parse).map_err(|e| hint(e, "tree or bytecode"))?;
-    env_setting("ENT_ENFORCE", Enforcement::parse).map_err(|e| hint(e, "guarded or transient"))?;
-    env_setting("ENT_STACK_SIZE", crate::parse_stack_size)
-        .map_err(|e| hint(e, "bytes, or a number with a k, m or g suffix"))?;
-    Ok(())
 }
 
 /// Configuration for a single program run.
@@ -462,6 +416,10 @@ fn run_on_current_thread(
         stats: RunStats::default(),
         depth: 0,
         max_depth: max_call_depth(config.stack_size),
+        stack_floor: match crate::stack::STACK_LOW.with(std::cell::Cell::get) {
+            0 => 0,
+            low => low + STACK_RESERVE,
+        },
         events: if config.record_events {
             EventRing::with_capacity(config.events_capacity)
         } else {
@@ -542,6 +500,19 @@ const STACK_BYTES_PER_FRAME: usize = 8 * 1024;
 /// 61.7 KiB, past this budget.)
 #[cfg(debug_assertions)]
 const STACK_BYTES_PER_FRAME: usize = 24 * 1024;
+
+/// Native stack the tree walker leaves unused: [`Interp::eval`] stops
+/// with [`RtError::StackOverflow`] once it runs within this many bytes of
+/// the worker's estimated stack end. The depth limit alone cannot stop a
+/// body that nests expressions around its recursive call, because each
+/// level adds native frames without adding ENT depth. Measured with
+/// `ent run --engine tree` on self-calls 100000 deep under 1, 4, 8, 40
+/// and 200 nested additions, and under a snapshot and a send per level,
+/// on 1 MiB and 16 MiB stacks: the smallest reserve that turns every
+/// abort into exit 3 is 16 KiB in debug builds and 8 KiB in release
+/// (it covers the estimate's error and the deepest native path from one
+/// check to the next). This keeps four times the larger.
+const STACK_RESERVE: usize = 64 * 1024;
 
 /// The ENT call-depth limit for a given interpreter stack size: small
 /// configured stacks must fail with [`RtError::StackOverflow`] rather
@@ -662,6 +633,10 @@ pub(crate) struct Interp<'p> {
     depth: usize,
     /// Depth limit derived from the configured stack size.
     max_depth: usize,
+    /// The tree walker stops with [`RtError::StackOverflow`] when the
+    /// native stack reaches below this address: the worker's stack end
+    /// plus [`STACK_RESERVE`], or 0 off an interpreter worker.
+    stack_floor: usize,
     /// Structured event ring (only fed when `record_events` is on).
     events: EventRing,
     /// The attribution profiler — exact or sampled — when `profile` is
@@ -1511,8 +1486,13 @@ impl<'p> Interp<'p> {
     /// function of its own, so an unoptimized `eval` frame holds only the
     /// dispatch: a nested expression or call costs the native stack of
     /// the arm it takes, not of every arm (see `STACK_BYTES_PER_FRAME`).
+    /// Within [`STACK_RESERVE`] of the stack's end it stops with
+    /// [`RtError::StackOverflow`] instead.
     fn eval(&mut self, frame: &mut Frame, e: NodeId) -> EvalResult {
         self.gas()?;
+        if crate::stack::stack_address() < self.stack_floor {
+            return Err(RtError::StackOverflow.into());
+        }
         let ir = &self.prog.ir;
         // Matched in place rather than through a copy of the node: the
         // smaller frame keeps the nesting depth a stack size allows.
@@ -2006,6 +1986,7 @@ mod clone_audit {
             stats: RunStats::default(),
             depth: 0,
             max_depth: MAX_CALL_DEPTH,
+            stack_floor: 0,
             events: EventRing::default(),
             profiler: None,
             faults_on: false,

@@ -56,16 +56,15 @@ mod value;
 pub use error::{Flow, RtError};
 pub use events::{render_event, EnergyEvent, EventPayload, EventRing, FaultServe};
 pub use interp::{
-    check_env_settings, run, run_lowered, Enforcement, Engine, RunResult, RunStats, RuntimeConfig,
-    TierStats, TierUp,
+    run, run_lowered, Enforcement, Engine, RunResult, RunStats, RuntimeConfig, TierStats, TierUp,
 };
 pub use lower::{lower_program, GMode, LoweredProgram};
 pub use profile::{
     Costs, MethodProfile, Profile, ProfileMode, ProfileReport, SampledMethod, SampledProfile,
 };
 pub use stack::{
-    default_stack_size, parse_stack_size, spawn_interp_scoped, with_interp_stack,
-    BUILTIN_STACK_SIZE,
+    check_env_settings, default_stack_size, parse_stack_size, spawn_interp_scoped,
+    with_interp_stack, BUILTIN_STACK_SIZE,
 };
 pub use telemetry::{json_escape, json_f64, json_is_valid};
 pub use value::{ObjRef, RtMode, Value};

@@ -30,14 +30,12 @@
 //! or process-wide via the `ENT_STACK_SIZE` environment variable
 //! (plain bytes, or with a `k`/`m`/`g` suffix, e.g. `ENT_STACK_SIZE=256m`;
 //! values are clamped to at least 1 MiB). Binaries reject a malformed
-//! value at startup ([`crate::check_env_settings`]).
+//! value at startup ([`check_env_settings`]).
 
 use std::cell::Cell;
 use std::panic::resume_unwind;
 use std::sync::OnceLock;
 use std::thread::{Scope, ScopedJoinHandle};
-
-use crate::interp::env_setting;
 
 /// The built-in interpreter stack size: 512 MiB, as the seed interpreter
 /// hardcoded. Virtual memory only — pages are committed on first touch.
@@ -48,9 +46,20 @@ pub const BUILTIN_STACK_SIZE: usize = 512 * 1024 * 1024;
 const MIN_STACK_SIZE: usize = 1024 * 1024;
 
 thread_local! {
-    /// Whether the current thread is an interpreter worker: its stack was
-    /// sized by [`with_interp_stack`], so nested runs may recurse in place.
-    static ON_INTERP_STACK: Cell<bool> = const { Cell::new(false) };
+    /// Where the current thread's stack ends when it is an interpreter
+    /// worker ([`spawn_interp_scoped`]; nested runs recurse in place on
+    /// it), else 0. Stacks grow down on every supported target, so this is
+    /// the worker's first frame address minus its size: an estimate off
+    /// by the few KiB its start-up frames and thread-local block take.
+    pub(crate) static STACK_LOW: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The address of a local in the caller's frame: where the native stack
+/// is now.
+#[inline(always)]
+pub(crate) fn stack_address() -> usize {
+    let probe = 0u8;
+    std::ptr::addr_of!(probe) as usize
 }
 
 /// Parses a stack-size string: plain bytes, or a number with a `k`, `m`,
@@ -78,15 +87,44 @@ pub fn parse_stack_size(s: &str) -> Option<usize> {
     n.checked_shl(shift)
 }
 
+/// `ENT_STACK_SIZE` as set: `Ok(None)` when unset or empty, `Err` naming
+/// the variable and the values it accepts when its value does not parse.
+fn env_stack_size() -> Result<Option<usize>, String> {
+    let value = std::env::var_os("ENT_STACK_SIZE").unwrap_or_default();
+    let value = value.to_string_lossy();
+    let value = value.trim();
+    if value.is_empty() {
+        return Ok(None);
+    }
+    parse_stack_size(value).map(Some).ok_or_else(|| {
+        format!(
+            "malformed ENT_STACK_SIZE value `{value}` \
+             (expected bytes, or a number with a k, m or g suffix)"
+        )
+    })
+}
+
+/// Checks `ENT_STACK_SIZE`, the one environment setting the runtime
+/// reads. Binaries call this at startup and exit 1 on `Err`, so a
+/// malformed value fails loudly instead of [`default_stack_size`]
+/// falling back to the default.
+///
+/// # Errors
+///
+/// A message naming the variable and the values it accepts.
+pub fn check_env_settings() -> Result<(), String> {
+    env_stack_size().map(drop)
+}
+
 /// The process-wide default interpreter stack size: `ENT_STACK_SIZE` if
 /// set (see [`parse_stack_size`]), else [`BUILTIN_STACK_SIZE`]. Read once
 /// and cached. Binaries reject a malformed value at startup
-/// ([`crate::check_env_settings`]).
+/// ([`check_env_settings`]).
 #[must_use]
 pub fn default_stack_size() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        env_setting("ENT_STACK_SIZE", parse_stack_size)
+        env_stack_size()
             .ok()
             .flatten()
             .unwrap_or(BUILTIN_STACK_SIZE)
@@ -108,7 +146,7 @@ where
     R: Send,
     F: FnOnce() -> R + Send,
 {
-    if ON_INTERP_STACK.with(Cell::get) {
+    if STACK_LOW.with(Cell::get) != 0 {
         return f();
     }
     std::thread::scope(|s| spawn_interp_scoped(s, stack_size, f).join())
@@ -116,9 +154,9 @@ where
 }
 
 /// Spawns an interpreter worker in scope `s`: a thread whose stack is at
-/// least `stack_size` bytes, marked so that every [`with_interp_stack`]
-/// inside it runs in place. For pools that start their own threads; the
-/// caller joins the handle.
+/// least `stack_size` bytes, marked with where that stack ends so that
+/// every [`with_interp_stack`] inside it runs in place. For pools that
+/// start their own threads; the caller joins the handle.
 ///
 /// # Panics
 ///
@@ -132,11 +170,12 @@ where
     R: Send + 'scope,
     F: FnOnce() -> R + Send + 'scope,
 {
+    let stack_size = stack_size.max(MIN_STACK_SIZE);
     std::thread::Builder::new()
         .name("ent-interp".into())
-        .stack_size(stack_size.max(MIN_STACK_SIZE))
+        .stack_size(stack_size)
         .spawn_scoped(s, move || {
-            ON_INTERP_STACK.with(|flag| flag.set(true));
+            STACK_LOW.with(|low| low.set(stack_address().saturating_sub(stack_size)));
             f()
         })
         .expect("spawning an interpreter worker thread")

@@ -20,7 +20,8 @@ options:
   --retries <n>        per-job retry budget (default: 1)
   --tick-ms <n>        mode-controller tick period (default: 500)
 
-Runs use the ENT_ENGINE and ENT_ENFORCE defaults, as `ent run` does;
+Runs use the bytecode engine and guarded enforcement, as `ent run`
+does by default. ENT_STACK_SIZE sizes each worker's interpreter stack;
 a malformed value exits 1 at startup.
 ";
 

@@ -59,17 +59,30 @@ pub struct PreparedProgram {
     pub platform: Platform,
     /// The shared lowered program.
     pub lowered: Arc<LoweredProgram>,
-    /// The evaluation engine every run of this program uses (captured
-    /// from [`Engine::from_env`] at prepare time). Bytecode lives in the
-    /// shared `LoweredProgram`, compiled at most once per method no matter
-    /// how many runs, threads, or engines touch the program.
+    /// The evaluation engine every run of this program uses: bytecode
+    /// from `prepare_e*`; a differential test sets it to compare engines.
+    /// Bytecode lives in the shared `LoweredProgram`, compiled at most
+    /// once per method no matter how many runs, threads, or engines touch
+    /// the program.
     pub engine: Engine,
-    /// The enforcement strategy every run of this program uses (captured
-    /// from [`Enforcement::from_env`] at prepare time).
+    /// The enforcement strategy every run of this program uses: guarded
+    /// from `prepare_e*` (see [`PreparedProgram::with_enforcement`]).
     pub enforcement: Enforcement,
 }
 
 impl PreparedProgram {
+    /// Compiles `src` (or fetches it from the compile-once cache) to run
+    /// on `platform` with the default engine and strategy.
+    fn new(name: &'static str, src: &str, platform: Platform) -> Self {
+        PreparedProgram {
+            name,
+            lowered: lowered_cached(name, src),
+            platform,
+            engine: Engine::default(),
+            enforcement: Enforcement::default(),
+        }
+    }
+
     /// Runs one configuration on the prepared program's own platform.
     pub fn run(&self, config: RuntimeConfig) -> RunResult {
         self.run_on(self.platform.clone(), config)
@@ -78,8 +91,8 @@ impl PreparedProgram {
     /// Runs one configuration on an explicit platform (the Figure 6
     /// overhead pair runs the tagged leg on the base platform). The
     /// prepared engine settings override whatever the config carries, so
-    /// every `run_e*_prepared` entry point honors `ENT_ENGINE` and
-    /// `ENT_ENFORCE`.
+    /// every `run_e*_prepared` entry point runs on [`Self::engine`] under
+    /// [`Self::enforcement`].
     pub fn run_on(&self, platform: Platform, config: RuntimeConfig) -> RunResult {
         let config = RuntimeConfig {
             engine: self.engine,
@@ -121,10 +134,8 @@ pub struct Outcome {
     pub transient_failures: u64,
 }
 
-fn to_outcome(name: &str, result: RunResult) -> Outcome {
-    if let Err(e) = &result.value {
-        panic!("benchmark `{name}` failed at runtime: {e}");
-    }
+/// The measurement and failure split of a finished run.
+fn outcome(result: &RunResult) -> Outcome {
     Outcome {
         energy_j: result.measurement.energy_j,
         time_s: result.measurement.time_s,
@@ -135,18 +146,19 @@ fn to_outcome(name: &str, result: RunResult) -> Outcome {
     }
 }
 
+fn to_outcome(name: &str, result: RunResult) -> Outcome {
+    if let Err(e) = &result.value {
+        panic!("benchmark `{name}` failed at runtime: {e}");
+    }
+    outcome(&result)
+}
+
 /// Prepares a benchmark's E1 "battery-exception" program for a system and
 /// workload mode (compile-once cached).
 pub fn prepare_e1(spec: &BenchmarkSpec, system: PlatformKind, workload: usize) -> PreparedProgram {
     let platform = platform_for(spec, system);
     let src = e1_program(spec, &platform, workload);
-    PreparedProgram {
-        name: spec.name,
-        lowered: lowered_cached(spec.name, &src),
-        platform,
-        engine: Engine::from_env(),
-        enforcement: Enforcement::from_env(),
-    }
+    PreparedProgram::new(spec.name, &src, platform)
 }
 
 /// Runs one E1 configuration against a prepared program: a boot mode
@@ -186,14 +198,7 @@ pub struct ChaosOutcome {
 fn to_chaos_outcome(result: RunResult) -> ChaosOutcome {
     ChaosOutcome {
         result: match &result.value {
-            Ok(_) => Ok(Outcome {
-                energy_j: result.measurement.energy_j,
-                time_s: result.measurement.time_s,
-                exception: result.stats.energy_exceptions > 0,
-                snapshot_failures: result.stats.snapshot_failures,
-                dfall_failures: result.stats.dfall_failures,
-                transient_failures: result.stats.transient_failures,
-            }),
+            Ok(_) => Ok(outcome(&result)),
             Err(e) => Err(e.to_string()),
         },
         sensor_faults: result.stats.sensor_faults,
@@ -250,13 +255,7 @@ pub fn run_e1(
 pub fn prepare_e2(spec: &BenchmarkSpec, system: PlatformKind, workload: usize) -> PreparedProgram {
     let platform = platform_for(spec, system);
     let src = e2_program(spec, &platform, workload);
-    PreparedProgram {
-        name: spec.name,
-        lowered: lowered_cached(spec.name, &src),
-        platform,
-        engine: Engine::from_env(),
-        enforcement: Enforcement::from_env(),
-    }
+    PreparedProgram::new(spec.name, &src, platform)
 }
 
 /// Runs one E2 configuration against a prepared program: the boot mode
@@ -293,13 +292,7 @@ pub fn prepare_e3(
     let platform = platform_of(PlatformKind::SystemA);
     let settings = E3Settings::default();
     let src = e3_program(spec, &platform, &settings, tasks, task_seconds, ent);
-    PreparedProgram {
-        name: spec.name,
-        lowered: lowered_cached(spec.name, &src),
-        platform,
-        engine: Engine::from_env(),
-        enforcement: Enforcement::from_env(),
-    }
+    PreparedProgram::new(spec.name, &src, platform)
 }
 
 /// Runs a prepared E3 program and returns the sampled `(time, °C)` trace.
@@ -373,22 +366,34 @@ mod tests {
 
     #[test]
     fn e1_exceptions_fire_exactly_when_workload_exceeds_boot() {
+        // Under both strategies, checked and silent: an exception is
+        // raised (or, silent, would be) exactly when the workload exceeds
+        // the boot mode, and the split counters agree with the collapsed
+        // flag. Transient blame lands in its own counter, so the guarded
+        // split stays empty, even where a silent guarded run records
+        // dfall failures.
         let spec = benchmark("jspider").unwrap();
-        for boot in 0..3 {
+        for strategy in [Enforcement::Guarded, Enforcement::Transient] {
             for workload in 0..3 {
-                let out = run_e1(&spec, SystemA, boot, workload, false, 7);
-                assert_eq!(
-                    out.exception,
-                    workload > boot,
-                    "boot {boot}, workload {workload}"
-                );
-                // The split counters must agree with the collapsed flag,
-                // whichever strategy's counters carry the blame.
-                assert_eq!(
-                    out.exception,
-                    out.snapshot_failures + out.dfall_failures + out.transient_failures > 0,
-                    "boot {boot}, workload {workload}: {out:?}"
-                );
+                let prog = prepare_e1(&spec, SystemA, workload).with_enforcement(strategy);
+                for boot in 0..3 {
+                    for silent in [false, true] {
+                        let out = run_e1_prepared(&prog, boot, silent, 7);
+                        let cell = format!(
+                            "{} boot {boot}, workload {workload}, silent {silent}: {out:?}",
+                            strategy.name()
+                        );
+                        assert_eq!(out.exception, workload > boot, "{cell}");
+                        assert_eq!(
+                            out.exception,
+                            out.snapshot_failures + out.dfall_failures + out.transient_failures > 0,
+                            "{cell}"
+                        );
+                        if strategy == Enforcement::Transient {
+                            assert_eq!(out.snapshot_failures + out.dfall_failures, 0, "{cell}");
+                        }
+                    }
+                }
             }
         }
     }
@@ -400,8 +405,7 @@ mod tests {
         // (Corollary 1). A silent run suppresses the check and carries
         // the over-mode object forward, so later sends may additionally
         // record dfall failures — but the snapshot counter still leads.
-        // This is guarded blame by definition, so the strategy is pinned
-        // rather than inherited from `ENT_ENFORCE`.
+        // This is guarded blame by definition, so the strategy is pinned.
         let spec = benchmark("sunflow").unwrap();
         let prog = prepare_e1(&spec, SystemA, 2).with_enforcement(Enforcement::Guarded);
         let checked = run_e1_prepared(&prog, 0, false, 9);
