@@ -125,6 +125,83 @@ fn deep_recursion_stops_at_the_call_depth_guard_on_both_engines() {
     }
 }
 
+/// Spawns `ent` with `args` under a `limit_kb` address-space limit, so a
+/// run that would allocate past it aborts (exit 134) instead of taking
+/// the host's memory.
+fn spawn_ent_limited(limit_kb: u64, args: &[&str]) -> Output {
+    Command::new("sh")
+        .arg("-c")
+        .arg(format!("ulimit -v {limit_kb} && exec \"$0\" \"$@\""))
+        .arg(env!("CARGO_BIN_EXE_ent"))
+        .args(args)
+        .output()
+        .expect("spawn ent under ulimit")
+}
+
+/// The address space the register-file runs get, in KiB: room for `ent`
+/// and its interpreter stack, far from what unbounded register files
+/// take (each program below asked for gigabytes before the bound).
+const REGISTER_RUN_LIMIT_KB: u64 = 600_000;
+
+#[test]
+fn register_files_stop_at_the_stack_bound_on_both_engines() {
+    // `r` recurses under a 30000-term left-nested sum (120 KB of source)
+    // or a 60000-item array literal (180 KB). Each bytecode frame of the
+    // sum once took two registers per term, and each frame of the array
+    // one per item: 1.4 MB a frame, so the recursion's register files
+    // outgrew the address space before any guard stopped it. The sum now
+    // compiles into two scratch registers and runs into the gas limit;
+    // the array's frames stop at the register bound (stack size /
+    // `Value` size live slots), within a dozen frames on 16 MiB. The
+    // tree walker's native-stack backstop or depth guard stops both. The
+    // sum's front end nests 30000 deep and needs more than 16 MiB of
+    // stack in a debug build, so it runs on 256 MiB.
+    let chain = vec!["0"; 30_000].join(" + ");
+    let items = vec!["0"; 60_000].join(", ");
+    for (tag, value, stack) in [
+        ("chain", chain, "256m"),
+        ("array", format!("Arr.len([{items}])"), "16m"),
+    ] {
+        let path = temp_source(
+            &format!("registers-{tag}"),
+            &format!(
+                "class Main {{\n  int r(int n) {{ if (n <= 0) {{ return 0; }} return this.r(n - 1) + {value}; }}\n  int main() {{ return this.r(20000); }}\n}}\n"
+            ),
+        );
+        let path_str = path.to_str().expect("utf-8 temp path");
+        for engine in ["tree", "bytecode"] {
+            let out = spawn_ent_limited(
+                REGISTER_RUN_LIMIT_KB,
+                &["run", path_str, "--stack-size", stack, "--engine", engine],
+            );
+            let case = format!("{tag} on {engine}");
+            assert_eq!(out.status.code(), Some(EXIT_RUNTIME), "{case}: {out:?}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let want = match (tag, engine) {
+                ("chain", "bytecode") => "execution exceeded the gas limit",
+                _ => "call depth exceeded the interpreter limit",
+            };
+            assert!(stdout.contains(want), "{case}: {stdout}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
+fn arr_concat_past_the_array_limit_is_a_runtime_error_on_both_engines() {
+    // One shared array of 2^23 + 1 elements (about 200 MB) concatenated
+    // with itself: the length check runs before anything is copied.
+    let src = "class Main { int main() { let a = Arr.make(8388609, 0); return Arr.len(Arr.concat(a, a)); } }";
+    for engine in ["tree", "bytecode"] {
+        let (code, out) = cli(&["run", "x.ent", "--engine", engine], src);
+        assert_eq!(code, EXIT_RUNTIME, "{engine}: {out}");
+        assert!(
+            out.contains("Arr.concat of 16777218 elements exceeds the limit of 16777216"),
+            "{engine}: {out}"
+        );
+    }
+}
+
 #[test]
 fn malformed_engine_settings_in_the_environment_exit_one() {
     // Checked before any file is read: the path does not exist, yet the

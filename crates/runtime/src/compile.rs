@@ -8,15 +8,26 @@
 //! `Result` unwind per node. This pass linearizes each body once, on
 //! first execution, into:
 //!
-//! * [`Code::ops`], one 24-byte op per action: the handler that performs
-//!   it, chosen here at emit time, plus `u16`/`u32` operand words
-//!   addressing a single per-frame register file (parameter and `let`
-//!   slots first, at the slot numbers lowering assigned, scratch
-//!   registers above them);
+//! * [`Code::ops`], one 32-byte op per action: the handler that performs
+//!   it, chosen here at emit time, plus `u32` operand words addressing a
+//!   single per-frame register file (parameter and `let` slots first, at
+//!   the slot numbers lowering assigned, scratch registers above them);
 //! * a constant pool ([`Code::consts`]) holding literal values;
 //! * side tables of per-site metadata (call sites, snapshot bounds, field
 //!   ids, builtin descriptors), so the op array itself stays small and
 //!   cache-friendly.
+//!
+//! Every body compiles: each operand word is as wide as the index it
+//! holds (registers, pool and site indices, counts and gas batches all
+//! count nodes of one body, which [`crate::lower`] addresses with `u32`).
+//! Names stay in the program's [`Ir::names`]; ops and sites carry their
+//! indices, which only error messages resolve.
+//!
+//! **Registers.** A left-nested operator chain (`a + b + c + …`, the
+//! shape the parser builds for a long sum) compiles its lhs straight
+//! into the destination when that is a scratch register, and claims the
+//! rhs register only after the lhs is compiled, so the chain needs two
+//! scratch registers however long it is.
 //!
 //! **Gas exactness.** The tree-walker charges one gas unit at every node
 //! *entry*, pre-order, and the step counter is observable (it is part of
@@ -39,7 +50,7 @@
 //!
 //! * fused binops — a binary whose operands are frame slots or literals
 //!   reads them inside the op (their kinds packed in [`TOp::kinds`],
-//!   their names for error messages in [`Code::fused`]);
+//!   their [`Ir::names`] indices for error messages in [`Code::fused`]);
 //! * compare + branch — an `if` whose condition is a comparison branches
 //!   directly on the comparison result without materializing the boolean
 //!   or re-checking its type;
@@ -55,7 +66,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use ent_syntax::{BinOp, ClassName, Ident};
+use ent_syntax::{BinOp, ClassName};
 
 use crate::interp::threaded::{
     op_arr_lit, op_bin_f_for, op_bin_for, op_call_b, op_call_m, op_cast, op_const, op_elim,
@@ -78,10 +89,11 @@ pub(crate) struct IcCounters {
 }
 
 /// Site data for field reads.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct FieldSite {
     pub(crate) field: u32,
-    pub(crate) name: Ident,
+    /// The field's name, an [`Ir::names`] index.
+    pub(crate) name: u32,
 }
 
 /// Site data for `new` expressions.
@@ -89,14 +101,14 @@ pub(crate) struct FieldSite {
 pub(crate) struct NewSite {
     pub(crate) class: u32,
     pub(crate) plan: NewPlan,
-    pub(crate) n_args: u16,
+    pub(crate) n_args: u32,
 }
 
 /// Site data for sends.
 #[derive(Debug)]
 pub(crate) struct CallSite {
     pub(crate) method: u32,
-    pub(crate) n_args: u16,
+    pub(crate) n_args: u32,
     /// The receiver is `this` (fused; no receiver register).
     pub(crate) this_recv: bool,
     /// The program's [`Ir::modes`] run.
@@ -106,12 +118,13 @@ pub(crate) struct CallSite {
 }
 
 /// Site data for builtin calls.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct BuiltinSite {
     pub(crate) op: BOp,
-    pub(crate) ns: Ident,
-    pub(crate) name: Ident,
-    pub(crate) n_args: u16,
+    /// The builtin's namespace and name, as [`Ir::builtin_name`] reads
+    /// them.
+    pub(crate) name: u32,
+    pub(crate) n_args: u32,
     /// Force the last argument at call time (earlier arguments get
     /// explicit force ops at their exact tree position).
     pub(crate) force_last: bool,
@@ -151,10 +164,8 @@ pub(crate) struct McaseSite {
 pub(crate) struct Code {
     pub(crate) ops: Box<[TOp]>,
     pub(crate) consts: Box<[Value]>,
-    /// Names for unbound-variable diagnostics, by `names` index.
-    pub(crate) names: Box<[Ident]>,
-    /// A fused binop's lhs and rhs operand names, as `names` indices
-    /// (meaningful for slot operands only).
+    /// A fused binop's lhs and rhs operand names, as [`Ir::names`]
+    /// indices (meaningful for slot operands only).
     pub(crate) fused: Box<[[u32; 2]]>,
     pub(crate) fields: Box<[FieldSite]>,
     pub(crate) news: Box<[NewSite]>,
@@ -174,7 +185,6 @@ pub(crate) struct Code {
 struct Tables {
     ops: Vec<TOp>,
     consts: Vec<Value>,
-    names: Vec<Ident>,
     fused: Vec<[u32; 2]>,
     fields: Vec<FieldSite>,
     news: Vec<NewSite>,
@@ -193,7 +203,6 @@ impl Tables {
         Tables {
             ops: Vec::with_capacity(s.ops),
             consts: Vec::with_capacity(s.consts),
-            names: Vec::with_capacity(s.names),
             fused: Vec::with_capacity(s.fused),
             fields: Vec::with_capacity(s.fields),
             news: Vec::with_capacity(s.news),
@@ -213,7 +222,6 @@ impl Tables {
         Code {
             ops: self.ops.into_boxed_slice(),
             consts: self.consts.into_boxed_slice(),
-            names: self.names.into_boxed_slice(),
             fused: self.fused.into_boxed_slice(),
             fields: self.fields.into_boxed_slice(),
             news: self.news.into_boxed_slice(),
@@ -232,10 +240,8 @@ impl Tables {
 /// Compiles one lowered body (method, attributor, or field initializer),
 /// the tree rooted at `root` in `ir`, whose frame starts with `n_base`
 /// locals (the parameter count; zero for class attributors and
-/// initializers). `None` when the body does not fit the op format: a
-/// register, constant or site index, an argument or item count, or a gas
-/// batch beyond `u16`. Such a body runs on the tree walker instead.
-pub(crate) fn compile_body(ir: &Ir, root: NodeId, n_base: u32, ic: &IcCounters) -> Option<Code> {
+/// initializers). Every body compiles, whatever its size.
+pub(crate) fn compile_body(ir: &Ir, root: NodeId, n_base: u32, ic: &IcCounters) -> Code {
     // Pass 1 counts every table's entries and the deepest lexical `let`
     // depth, which fixes where scratch registers start; pass 2 fills the
     // tables, each allocated once at its final size.
@@ -246,9 +252,9 @@ pub(crate) fn compile_body(ir: &Ir, root: NodeId, n_base: u32, ic: &IcCounters) 
         code: Tables::with_sizes(&sizes),
         pending: 0,
         let_depth: n_base,
+        scratch_lo: sizes.max_locals,
         scratch: sizes.max_locals,
         max_reg: sizes.max_locals,
-        overflow: false,
         tail_send: None,
     };
     let dst = c.alloc_scratch();
@@ -259,7 +265,7 @@ pub(crate) fn compile_body(ir: &Ir, root: NodeId, n_base: u32, ic: &IcCounters) 
         sizes.matches(&code),
         "the counting pass disagrees with the compiler"
     );
-    (!c.overflow).then_some(code)
+    code
 }
 
 /// How many entries each [`Code`] table of one body receives, and the
@@ -269,7 +275,6 @@ pub(crate) fn compile_body(ir: &Ir, root: NodeId, n_base: u32, ic: &IcCounters) 
 struct Sizes {
     ops: usize,
     consts: usize,
-    names: usize,
     fused: usize,
     fields: usize,
     news: usize,
@@ -300,7 +305,6 @@ impl Sizes {
         let counted = [
             self.ops,
             self.consts,
-            self.names,
             self.fused,
             self.fields,
             self.news,
@@ -315,7 +319,6 @@ impl Sizes {
         let filled = [
             code.ops.len(),
             code.consts.len(),
-            code.names.len(),
             code.fused.len(),
             code.fields.len(),
             code.news.len(),
@@ -337,11 +340,7 @@ impl Sizes {
                 self.consts += 1;
                 self.ops += 1;
             }
-            Node::This => self.ops += 1,
-            Node::Var { .. } | Node::UnboundVar(_) => {
-                self.names += 1;
-                self.ops += 1;
-            }
+            Node::This | Node::Var { .. } | Node::UnboundVar(_) => self.ops += 1,
             Node::Field { recv, .. } => {
                 self.fields += 1;
                 self.ops += 1;
@@ -496,11 +495,11 @@ impl Sizes {
         self.expr(ir, rhs, depth);
     }
 
-    /// Counts a fused operand: a name or a constant, no op.
+    /// Counts a fused operand: a constant for a literal, nothing for a
+    /// slot; no op.
     fn operand(&mut self, ir: &Ir, e: NodeId) {
-        match ir.node(e) {
-            Node::Var { .. } => self.names += 1,
-            _ => self.consts += 1,
+        if matches!(ir.node(e), Node::Lit(_)) {
+            self.consts += 1;
         }
     }
 }
@@ -514,11 +513,11 @@ struct Compiler<'a> {
     pending: u32,
     /// Current lexical `let` depth = the slot the next `let` binds.
     let_depth: u32,
+    /// The first scratch register: `let` slots sit below it.
+    scratch_lo: u32,
     /// Next free scratch register.
     scratch: u32,
     max_reg: u32,
-    /// Some operand word did not fit its `u16` field (see [`Compiler::narrow`]).
-    overflow: bool,
     /// The last send emitted with a tail-call shape (`this` receiver, no
     /// mode arguments), by op index: a `return` emitted right after it,
     /// consuming its result with no gas of its own, makes it a tail call.
@@ -544,8 +543,8 @@ const BIN_OPS: [BinOp; 13] = [
 ];
 
 /// The operand word naming `op`.
-fn bin_word(op: BinOp) -> u16 {
-    op as u16
+fn bin_word(op: BinOp) -> u32 {
+    op as u32
 }
 
 /// The operator an operand word names.
@@ -599,30 +598,17 @@ fn fusable(ir: &Ir, e: NodeId) -> bool {
 }
 
 impl Compiler<'_> {
-    /// Narrows an operand word to its `u16` field. A value that does not
-    /// fit marks the body as not compilable (see [`compile_body`]).
-    fn narrow(&mut self, n: usize) -> u16 {
-        u16::try_from(n).unwrap_or_else(|_| {
-            self.overflow = true;
-            0
-        })
-    }
-
-    fn reg(&mut self, r: u32) -> u16 {
-        self.narrow(r as usize)
-    }
-
-    fn alloc_scratch(&mut self) -> u16 {
+    fn alloc_scratch(&mut self) -> u32 {
         let r = self.scratch;
         self.scratch += 1;
         self.max_reg = self.max_reg.max(self.scratch);
-        self.reg(r)
+        r
     }
 
     /// Emits one op run by `run`, draining the pending node-entry gas
     /// into it.
-    fn emit(&mut self, run: TFn, a: u16, b: u16, c: u16, d: u32) -> usize {
-        let gas = self.narrow(self.pending as usize);
+    fn emit(&mut self, run: TFn, a: u32, b: u32, c: u32, d: u32) -> usize {
+        let gas = self.pending;
         self.pending = 0;
         let at = self.code.ops.len();
         self.code.ops.push(TOp {
@@ -643,33 +629,27 @@ impl Compiler<'_> {
     }
 
     /// Pools the literal `lit` (an [`Ir::lits`] index).
-    fn const_idx(&mut self, lit: u32) -> u16 {
-        let i = self.code.consts.len();
+    fn const_idx(&mut self, lit: u32) -> u32 {
+        let i = self.code.consts.len() as u32;
         self.code.consts.push(self.ir.lits[lit as usize].clone());
-        self.narrow(i)
-    }
-
-    /// Pools the name `name` (an [`Ir::names`] index).
-    fn name_idx(&mut self, name: u32) -> u32 {
-        let i = self.code.names.len();
-        self.code.names.push(self.ir.names[name as usize].clone());
-        i as u32
+        i
     }
 
     /// A fusable leaf's operand: its kind, its index (a slot or a pool
-    /// constant) and, for a slot, its name.
-    fn operand(&mut self, e: NodeId) -> (u8, u16, u32) {
+    /// constant) and, for a slot, its name (an [`Ir::names`] index).
+    fn operand(&mut self, e: NodeId) -> (u8, u32, u32) {
         match self.ir.node(e) {
-            Node::Var { slot, name } => (K_SLOT, self.reg(slot), self.name_idx(name)),
+            Node::Var { slot, name } => (K_SLOT, slot, name),
             Node::Lit(v) => (K_CST, self.const_idx(v), 0),
             _ => unreachable!("fusable() guards operand shapes"),
         }
     }
 
-    /// Compiles node `e`, leaving its value in register `dst`. `dst` is
-    /// written only as the final action on every path, so it may alias a
-    /// live `let` slot.
-    fn expr(&mut self, e: NodeId, dst: u16) {
+    /// Compiles node `e`, leaving its value in register `dst`. When `dst`
+    /// is a `let` slot it is written only as the final action on every
+    /// path, so it may alias a live slot; a scratch `dst` may also hold a
+    /// binary's lhs (see [`Compiler::binary`]).
+    fn expr(&mut self, e: NodeId, dst: u32) {
         // The tree-walker charges one gas at every node entry; the first
         // op this subtree emits carries it.
         self.pending += 1;
@@ -677,26 +657,20 @@ impl Compiler<'_> {
         match ir.node(e) {
             Node::Lit(v) | Node::ModeConst(v) => {
                 let k = self.const_idx(v);
-                self.emit(op_const, dst, 0, 0, u32::from(k));
+                self.emit(op_const, dst, 0, 0, k);
             }
             Node::This => {
                 self.emit(op_this, dst, 0, 0, 0);
             }
             Node::Var { slot, name } => {
-                let n = self.name_idx(name);
-                let slot = self.reg(slot);
-                self.emit(op_local, dst, slot, 0, n);
+                self.emit(op_local, dst, slot, 0, name);
             }
             Node::UnboundVar(name) => {
-                let n = self.name_idx(name);
-                self.emit(op_unbound, 0, 0, 0, n);
+                self.emit(op_unbound, 0, 0, 0, name);
             }
             Node::Field { recv, field, name } => {
                 let site = self.code.fields.len() as u32;
-                self.code.fields.push(FieldSite {
-                    field,
-                    name: ir.names[name as usize].clone(),
-                });
+                self.code.fields.push(FieldSite { field, name });
                 if matches!(ir.node(recv), Node::This) {
                     self.pending += 1; // the fused `this` node
                     self.emit(op_field_this, dst, 0, 0, site);
@@ -712,14 +686,12 @@ impl Compiler<'_> {
                 let mark = self.scratch;
                 let base = self.args_into_scratch(ctor_args);
                 let site = self.code.news.len() as u32;
-                let n_args = self.narrow(ctor_args.len());
                 let new = ir.news[new as usize];
                 self.code.news.push(NewSite {
                     class: new.class,
                     plan: new.plan,
-                    n_args,
+                    n_args: ctor_args.len() as u32,
                 });
-                let base = self.reg(base);
                 self.emit(op_new_obj, dst, base, 0, site);
                 self.scratch = mark;
             }
@@ -752,25 +724,21 @@ impl Compiler<'_> {
                     self.pending += 1; // the fused `this` node
                     base
                 } else {
-                    let r = self.reg(base);
-                    self.expr(recv, r);
+                    self.expr(recv, base);
                     base + 1
                 };
                 for (i, &a) in args.iter().enumerate() {
-                    let r = self.reg(arg_base + i as u32);
-                    self.expr(a, r);
+                    self.expr(a, arg_base + i as u32);
                 }
                 let site = self.code.calls.len() as u32;
-                let n_args = self.narrow(args.len());
                 let send = ir.sends[send as usize];
                 self.code.calls.push(CallSite {
                     method: send.method,
-                    n_args,
+                    n_args: args.len() as u32,
                     this_recv,
                     mode_args: send.mode_args,
                     ic: self.ic.send.fetch_add(1, Ordering::Relaxed),
                 });
-                let base = self.reg(base);
                 let at = self.emit(op_call_m, dst, base, 0, site);
                 if this_recv && send.mode_args.is_empty() {
                     self.tail_send = Some(at);
@@ -790,7 +758,7 @@ impl Compiler<'_> {
                 let n = args.len();
                 let mut force_last = false;
                 for (i, &a) in args.iter().enumerate() {
-                    let r = self.reg(base + i as u32);
+                    let r = base + i as u32;
                     self.expr(a, r);
                     if maybe_mcase(ir, a) {
                         if i + 1 == n {
@@ -803,16 +771,12 @@ impl Compiler<'_> {
                     }
                 }
                 let site = self.code.builtins.len() as u32;
-                let n_args = self.narrow(n);
-                let (ns, name) = ir.builtin_name(name);
                 self.code.builtins.push(BuiltinSite {
                     op,
-                    ns: ns.clone(),
-                    name: name.clone(),
-                    n_args,
+                    name,
+                    n_args: n as u32,
                     force_last,
                 });
-                let base = self.reg(base);
                 self.emit(op_call_b, dst, base, 0, site);
                 self.scratch = mark;
             }
@@ -840,7 +804,6 @@ impl Compiler<'_> {
                 self.code.mcases.push(McaseSite {
                     modes: Seq::new(modes, arms.len()),
                 });
-                let base = self.reg(base);
                 self.emit(op_make_mcase, dst, base, 0, site);
                 self.scratch = mark;
             }
@@ -885,8 +848,7 @@ impl Compiler<'_> {
                 for (i, &stmt) in stmts.iter().enumerate() {
                     match stmt {
                         LStmt::Let(v) => {
-                            let slot = self.reg(self.let_depth);
-                            self.expr(v, slot);
+                            self.expr(v, self.let_depth);
                             self.let_depth += 1;
                         }
                         LStmt::Expr(e) => {
@@ -925,9 +887,7 @@ impl Compiler<'_> {
             Node::ArrayLit(items) => {
                 let mark = self.scratch;
                 let base = self.args_into_scratch(items);
-                let base = self.reg(base);
-                let n = self.narrow(items.len());
-                self.emit(op_arr_lit, dst, base, n, 0);
+                self.emit(op_arr_lit, dst, base, items.len() as u32, 0);
                 self.scratch = mark;
             }
         }
@@ -937,7 +897,7 @@ impl Compiler<'_> {
     /// tail-call shape whose result lands in `r`, and the `return` carries
     /// no gas of its own (so nothing observable separates the two), the
     /// send becomes [`op_tail_call`].
-    fn ret(&mut self, r: u16) {
+    fn ret(&mut self, r: u32) {
         let at = self.emit(op_ret, 0, r, 0, 0);
         let ops = &mut self.code.ops;
         if ops[at].gas == 0 && at > 0 && self.tail_send == Some(at - 1) && ops[at - 1].a == r {
@@ -953,10 +913,22 @@ impl Compiler<'_> {
             self.alloc_scratch();
         }
         for (i, &a) in self.ir.kids(items).iter().enumerate() {
-            let r = self.reg(base + i as u32);
-            self.expr(a, r);
+            self.expr(a, base + i as u32);
         }
         base
+    }
+
+    /// The register a binary's materialized lhs compiles into: the
+    /// binary's own destination when that is a scratch register, which
+    /// nothing reads before the binary's op writes it; otherwise (a `let`
+    /// slot the rhs may read, or a branch with no destination) a fresh
+    /// scratch register.
+    fn lhs_reg(&mut self, dst: u32, branch: bool) -> u32 {
+        if !branch && dst >= self.scratch_lo {
+            dst
+        } else {
+            self.alloc_scratch()
+        }
     }
 
     /// Compiles a binary operator. With `branch` the op is a comparison
@@ -964,7 +936,7 @@ impl Compiler<'_> {
     /// branch op to patch to the else target. The caller has already
     /// accounted the *enclosing* node's gas; this accounts the binop node
     /// and its fused operands.
-    fn binary(&mut self, op: BinOp, lhs: NodeId, rhs: NodeId, dst: u16, branch: bool) -> usize {
+    fn binary(&mut self, op: BinOp, lhs: NodeId, rhs: NodeId, dst: u32, branch: bool) -> usize {
         if matches!(op, BinOp::And | BinOp::Or) {
             debug_assert!(!branch);
             self.expr(lhs, dst);
@@ -987,7 +959,7 @@ impl Compiler<'_> {
                 self.operand(lhs)
             } else {
                 let mark = self.scratch;
-                let r = self.alloc_scratch();
+                let r = self.lhs_reg(dst, branch);
                 self.expr(lhs, r);
                 self.scratch = mark;
                 // The lhs force happens inside the fused op, before the
@@ -995,27 +967,28 @@ impl Compiler<'_> {
                 (K_REG, r, 0)
             };
             let (rk, ri, rn) = self.operand(rhs);
-            let site = self.code.fused.len();
+            let site = self.code.fused.len() as u32;
             self.code.fused.push([ln, rn]);
             let at = if branch {
-                let site = self.narrow(site);
                 self.emit(op_jmp_bin_f_for(op), site, li, ri, 0)
             } else {
-                self.emit(op_bin_f_for(op), dst, li, ri, site as u32)
+                self.emit(op_bin_f_for(op), dst, li, ri, site)
             };
             self.code.ops[at].kinds = lk | rk << 4;
             return at;
         }
 
         // General form: both operands materialize into registers; the lhs
-        // force precedes the rhs code when the lhs may be a mode case.
+        // force precedes the rhs code when the lhs may be a mode case. The
+        // rhs register is claimed after the lhs is compiled, so a
+        // left-nested chain reuses one rhs register at every level.
         let mark = self.scratch;
-        let rl = self.alloc_scratch();
-        let rr = self.alloc_scratch();
+        let rl = self.lhs_reg(dst, branch);
         self.expr(lhs, rl);
         if maybe_mcase(ir, lhs) {
             self.emit(op_force, 0, rl, 0, 0);
         }
+        let rr = self.alloc_scratch();
         self.expr(rhs, rr);
         self.scratch = mark;
         if branch {
@@ -1046,12 +1019,78 @@ impl Compiler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lower::Body;
+    use crate::{lower_program, run_lowered, with_interp_stack, Engine, RuntimeConfig};
+    use ent_energy::Platform;
 
     #[test]
     fn every_operator_round_trips_through_its_operand_word() {
         for (i, &op) in BIN_OPS.iter().enumerate() {
-            assert_eq!(usize::from(bin_word(op)), i, "{op}");
+            assert_eq!(bin_word(op) as usize, i, "{op}");
             assert_eq!(bin_op(bin_word(op)), op);
         }
+    }
+
+    /// Runs `Main.main() { <body> }` on both engines, which must agree on
+    /// the value (`want`) and the steps, then hands `main`'s bytecode to
+    /// `check`.
+    fn runs_like_the_tree_walker(body: &str, want: Value, check: impl FnOnce(&Code) + Send) {
+        let src = format!("class Main {{ int main() {{ {body} }} }}");
+        // Compiling, lowering and tree-walking a 70000-deep operator
+        // chain recurses, so all of it runs on an interpreter stack.
+        with_interp_stack(crate::default_stack_size(), || {
+            let lowered = lower_program(&ent_core::compile(&src).expect("compiles"));
+            let run = |engine| {
+                let config = RuntimeConfig {
+                    engine,
+                    ..RuntimeConfig::default()
+                };
+                run_lowered(&lowered, Platform::system_a(), config)
+            };
+            let tree = run(Engine::Tree);
+            let bytecode = run(Engine::Bytecode);
+            assert_eq!(tree.value, Ok(want));
+            assert_eq!(bytecode.value, tree.value);
+            assert_eq!(bytecode.stats.steps, tree.stats.steps);
+            let main = lowered.bodies.iter().find_map(Body::code);
+            check(main.expect("bytecode compiled `main`"));
+        });
+    }
+
+    /// Each body here needs some operand word wider than 16 bits: it
+    /// compiles all the same and runs as on the tree walker.
+    #[test]
+    fn bodies_past_every_u16_word_compile_and_run_like_the_tree_walker() {
+        let n = 70_000;
+        // A left-nested sum: its first op leads with the gas of every
+        // operator node, and it needs two scratch registers, not two per
+        // term.
+        let sum = vec!["1"; n].join(" + ");
+        runs_like_the_tree_walker(&format!("return {sum};"), Value::Int(n as i64), |code| {
+            assert!(code.ops[0].gas > 65_535, "{:?}", code.ops[0]);
+            assert!(code.frame_size <= 4, "frame_size {}", code.frame_size);
+        });
+        let items = vec!["1"; 65_537].join(", ");
+        runs_like_the_tree_walker(
+            &format!("return Arr.len([{items}]);"),
+            Value::Int(65_537),
+            |code| assert!(code.frame_size > 65_537),
+        );
+        // Distinct constants: a truncated pool index would change the sum.
+        let terms: Vec<String> = (0..n).map(|k| k.to_string()).collect();
+        runs_like_the_tree_walker(
+            &format!("return {};", terms.join(" + ")),
+            Value::Int((n * (n - 1) / 2) as i64),
+            |code| assert_eq!(code.consts.len(), n),
+        );
+        // Each `let` reads the one before it, so every slot index counts.
+        let lets: String = (1..n)
+            .map(|k| format!("let x{k} = x{} + 1; ", k - 1))
+            .collect();
+        runs_like_the_tree_walker(
+            &format!("let x0 = 1; {lets}return x{};", n - 1),
+            Value::Int(n as i64),
+            |code| assert!(code.frame_size > n as u32),
+        );
     }
 }

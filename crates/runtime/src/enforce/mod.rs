@@ -30,7 +30,7 @@
 mod guarded;
 mod transient;
 
-use ent_syntax::{Ident, UnOp};
+use ent_syntax::UnOp;
 
 use super::{EvalResult, Frame, Interp, RtTag};
 use crate::error::{Flow, RtError};
@@ -140,12 +140,14 @@ impl<'p> Interp<'p> {
     /// check site (a dynamic, never-snapshotted view must not be read
     /// through, mirroring the typechecker's static rule); guarded relies
     /// on that static rule and performs no runtime check.
+    /// `name` is the field's [`crate::lower::Ir::names`] index, resolved
+    /// only for an error.
     pub(super) fn read_field(
         &mut self,
         frame: &Frame,
         r: ObjRef,
         field: u32,
-        name: &Ident,
+        name: u32,
     ) -> Result<Value, Flow> {
         // The tag check precedes the member lookup, in the same order the
         // typechecker rejects (MessagedDynamic before UnknownMember).
@@ -159,9 +161,11 @@ impl<'p> Interp<'p> {
         // class declares: out-of-range reads report them absent.
         match layout.field_slot.get(field as usize) {
             Some(&s) if s != u32::MAX => Ok(data.fields[s as usize].dup()),
-            _ => Err(
-                RtError::Native(format!("class `{}` has no field `{name}`", layout.name)).into(),
-            ),
+            _ => Err(RtError::Native(format!(
+                "class `{}` has no field `{}`",
+                layout.name, prog.ir.names[name as usize]
+            ))
+            .into()),
         }
     }
 

@@ -24,7 +24,7 @@
 //! the two strategies are value- and energy-identical — the
 //! `enforcement_differential` suite pins this on the lattice corners.
 
-use ent_syntax::{Ident, Symbol};
+use ent_syntax::Symbol;
 
 use super::super::{Frame, Interp, RtTag};
 use crate::error::{Flow, RtError};
@@ -89,7 +89,7 @@ impl<'p> Interp<'p> {
         &mut self,
         frame: &Frame,
         r: ObjRef,
-        name: &Ident,
+        name: u32,
     ) -> Result<(), Flow> {
         self.stats.transient_checks += 1;
         if matches!(self.heap[r].mode, RtTag::Dynamic) && frame.this_ref != Some(r) {
@@ -99,7 +99,7 @@ impl<'p> Interp<'p> {
                 let class = self.heap[r].class;
                 return Err(RtError::EnergyException(format!(
                     "transient check failed at field read: `{}` read on a dynamic object of class `{}`; snapshot it first",
-                    name,
+                    self.prog.ir.names[name as usize],
                     self.prog.classes[class as usize].name
                 ))
                 .into());

@@ -78,8 +78,8 @@ pub enum Engine {
     /// Closure-threaded register bytecode: each body is compiled lazily
     /// (once per program, cached on the lowered program so batch runs
     /// share it) into a flat array of fn-pointer ops with pre-resolved
-    /// operands, superinstructions and mode-decision inline caches. A
-    /// body too large for the op format runs on the tree walker. The
+    /// operands, superinstructions and mode-decision inline caches. Every
+    /// body compiles, so this engine never runs the tree walker. The
     /// default.
     #[default]
     Bytecode,
@@ -416,6 +416,8 @@ fn run_on_current_thread(
         stats: RunStats::default(),
         depth: 0,
         max_depth: max_call_depth(config.stack_size),
+        live_slots: 0,
+        max_slots: max_live_slots(config.stack_size),
         stack_floor: match crate::stack::STACK_LOW.with(std::cell::Cell::get) {
             0 => 0,
             low => low + STACK_RESERVE,
@@ -523,9 +525,28 @@ fn max_call_depth(stack_size: usize) -> usize {
         .max(64)
 }
 
-/// Largest array a single `Arr.make`/`Arr.range` may allocate (16M
-/// elements ≈ 0.5 GiB of `Value`s): a hostile `Arr.make(9e18, v)` must
-/// surface as a runtime error, not an allocator abort.
+/// The most register slots a run's live frames may hold together: as
+/// many `Value`s as would fill the interpreter stack the run is on (at
+/// least the 1 MiB every worker gets). Bytecode frames count their
+/// `frame_size`, tree-walked frames their parameters and `let`s; past
+/// the bound the run stops with [`RtError::StackOverflow`], as the depth
+/// guard does, so register files cannot take the host's memory where
+/// native frames cannot take its stack.
+fn max_live_slots(stack_size: usize) -> usize {
+    stack_size.max(crate::stack::MIN_STACK_SIZE) / std::mem::size_of::<Value>()
+}
+
+/// The largest register file (in slots) [`Interp::recycle_locals`] keeps
+/// for reuse. A recycled file keeps its capacity, and a frame counts only
+/// its `frame_size`, so a pooled file past this size would let small
+/// frames hold large files uncounted. Figure programs' frames hold a few
+/// dozen registers.
+const MAX_POOLED_SLOTS: usize = 256;
+
+/// Largest array a single `Arr.make`/`Arr.range`/`Arr.concat` may
+/// allocate (16M elements ≈ 0.5 GiB of `Value`s): a hostile
+/// `Arr.make(9e18, v)` must surface as a runtime error, not an allocator
+/// abort.
 const MAX_ARRAY_LEN: i64 = 1 << 24;
 
 /// Simulator work charged per snapshot (attributor dispatch + metadata).
@@ -633,6 +654,10 @@ pub(crate) struct Interp<'p> {
     depth: usize,
     /// Depth limit derived from the configured stack size.
     max_depth: usize,
+    /// Register slots the live frames hold ([`max_live_slots`]).
+    live_slots: usize,
+    /// The bound on `live_slots`, derived from the configured stack size.
+    max_slots: usize,
     /// The tree walker stops with [`RtError::StackOverflow`] when the
     /// native stack reaches below this address: the worker's stack end
     /// plus [`STACK_RESERVE`], or 0 off an interpreter worker.
@@ -748,7 +773,7 @@ impl<'p> Interp<'p> {
         // A small cap bounds retained memory; one entry per live call
         // depth is the steady-state need, and deep recursion past the cap
         // simply falls back to fresh allocations.
-        if self.locals_pool.len() < 64 {
+        if self.locals_pool.len() < 64 && locals.capacity() <= MAX_POOLED_SLOTS {
             locals.drain(..).for_each(discard);
             self.locals_pool.push(locals);
         }
@@ -783,21 +808,37 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Executes one lowered body on the configured engine. The bytecode
-    /// engine lazily compiles it (once per program, so batch runs compile
-    /// once), resizes the frame's register file and runs the ops.
+    /// Executes one lowered body on the configured engine: the tree
+    /// walker only under [`Engine::Tree`]; otherwise the body's bytecode,
+    /// compiled on its first execution (once per program, so batch runs
+    /// compile once), in a register file resized to its `frame_size`.
+    /// Either way the frame's slots count against [`Self::max_slots`]
+    /// until the body returns.
     fn run_body(&mut self, frame: &mut Frame, body: &'p Body) -> EvalResult {
-        if self.config.engine == Engine::Tree {
-            return self.eval(frame, body.root);
-        }
-        // The engines are observationally identical, so a body too large
-        // for the op format runs on the tree walker unnoticed.
-        let Some(code) = body.code_or_compile(&self.prog.ir, &self.prog.ic, &mut self.compiles)
-        else {
-            return self.eval(frame, body.root);
+        let live = self.live_slots;
+        let out = if self.config.engine == Engine::Tree {
+            // `let`s claim their slots as `eval_block` binds them.
+            self.claim_slots(frame.locals.len())?;
+            self.eval(frame, body.root)
+        } else {
+            let code = body.code_or_compile(&self.prog.ir, &self.prog.ic, &mut self.compiles);
+            self.claim_slots(code.frame_size as usize)?;
+            frame.locals.resize(code.frame_size as usize, Value::Unit);
+            threaded::enter(self, frame, code)
         };
-        frame.locals.resize(code.frame_size as usize, Value::Unit);
-        threaded::enter(self, frame, code)
+        self.live_slots = live;
+        out
+    }
+
+    /// Counts `n` more live register slots, or stops the run with
+    /// [`RtError::StackOverflow`] when they would pass the bound.
+    #[inline]
+    fn claim_slots(&mut self, n: usize) -> Result<(), Flow> {
+        if n > self.max_slots - self.live_slots {
+            return Err(RtError::StackOverflow.into());
+        }
+        self.live_slots += n;
+        Ok(())
     }
 
     /// The single "virtual time advanced" hook: every interpreter-driven
@@ -1522,7 +1563,10 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// The error of reading the unbound variable `names[name]`.
+    /// The error of reading the unbound variable `names[name]`, for both
+    /// engines.
+    #[cold]
+    #[inline(never)]
     fn unbound(&self, name: u32) -> Flow {
         RtError::Native(format!(
             "unbound variable `{}`",
@@ -1546,7 +1590,7 @@ impl<'p> Interp<'p> {
         let Value::Obj(r) = rv else {
             return Err(RtError::Native(format!("field access on a {}", rv.kind())).into());
         };
-        self.read_field(frame, r, field, &self.prog.ir.names[name as usize])
+        self.read_field(frame, r, field, name)
     }
 
     fn eval_new(&mut self, frame: &mut Frame, new: u32, ctor_args: Seq) -> EvalResult {
@@ -1600,14 +1644,12 @@ impl<'p> Interp<'p> {
             // The resolved kind literal's step, at its tree position.
             self.gas()?;
         }
-        let ir = &self.prog.ir;
         let mut vals = Vec::with_capacity(args.len());
-        for &a in ir.kids(args) {
+        for &a in self.prog.ir.kids(args) {
             let v = self.eval(frame, a)?;
             vals.push(self.force(frame, v)?);
         }
-        let (ns, name) = ir.builtin_name(name);
-        self.builtin(op, ns, name, vals)
+        self.builtin(op, name, vals)
     }
 
     fn eval_cast(
@@ -1689,6 +1731,7 @@ impl<'p> Interp<'p> {
             match stmt {
                 LStmt::Let(value) => {
                     let v = self.eval(frame, value)?;
+                    self.claim_slots(1)?;
                     frame.locals.push(v);
                     last = Value::Unit;
                 }
@@ -1697,13 +1740,20 @@ impl<'p> Interp<'p> {
                 }
                 LStmt::Return(e) => {
                     let v = self.eval(frame, e)?;
-                    frame.locals.truncate(depth);
+                    self.pop_locals(frame, depth);
                     return Err(Flow::Return(v));
                 }
             }
         }
-        frame.locals.truncate(depth);
+        self.pop_locals(frame, depth);
         Ok(last)
+    }
+
+    /// Unbinds the tree walker's block locals above `depth`, releasing
+    /// their slots.
+    fn pop_locals(&mut self, frame: &mut Frame, depth: usize) {
+        self.live_slots -= frame.locals.len() - depth;
+        frame.locals.truncate(depth);
     }
 
     fn eval_try(&mut self, frame: &mut Frame, body: NodeId, handler: NodeId) -> EvalResult {
@@ -1712,7 +1762,7 @@ impl<'p> Interp<'p> {
         let depth = frame.locals.len();
         match self.eval(frame, body) {
             Err(Flow::Error(RtError::EnergyException(_))) => {
-                frame.locals.truncate(depth);
+                self.pop_locals(frame, depth);
                 self.eval(frame, handler)
             }
             other => other,
@@ -1800,14 +1850,10 @@ impl<'p> Interp<'p> {
 
     // ---- builtins --------------------------------------------------------------
 
-    fn builtin(
-        &mut self,
-        op: BOp,
-        ns: &ent_syntax::Ident,
-        name: &ent_syntax::Ident,
-        mut args: Vec<Value>,
-    ) -> EvalResult {
-        self.builtin_slice(op, ns, name, &mut args)
+    /// The tree walker's builtin call on owned arguments; `name` is the
+    /// site's [`crate::lower::Ir::builtin_name`] index.
+    fn builtin(&mut self, op: BOp, name: u32, mut args: Vec<Value>) -> EvalResult {
+        self.builtin_slice(op, name, &mut args)
     }
 
     /// Calls a compiled builtin site on its argument registers in place,
@@ -1819,7 +1865,7 @@ impl<'p> Interp<'p> {
     /// dies where it died when the call owned a vector of them.
     #[inline]
     fn call_builtin(&mut self, frame: &mut Frame, site: &BuiltinSite, base: usize) -> EvalResult {
-        let end = base + usize::from(site.n_args);
+        let end = base + site.n_args as usize;
         let out = 'call: {
             if site.force_last && matches!(frame.locals[end - 1], Value::MCase(_)) {
                 let last = std::mem::replace(&mut frame.locals[end - 1], Value::Unit);
@@ -1828,7 +1874,7 @@ impl<'p> Interp<'p> {
                     Err(f) => break 'call Err(f),
                 }
             }
-            self.builtin_slice(site.op, &site.ns, &site.name, &mut frame.locals[base..end])
+            self.builtin_slice(site.op, site.name, &mut frame.locals[base..end])
         };
         frame.locals[base..end]
             .iter_mut()
@@ -1842,14 +1888,9 @@ impl<'p> Interp<'p> {
     /// in via [`Self::builtin`]). Arms that need owned values take them
     /// out of the slice, leaving `Unit` — indistinguishable from the
     /// by-value form since the caller resets or drops the storage
-    /// without reading it back.
-    fn builtin_slice(
-        &mut self,
-        op: BOp,
-        ns: &ent_syntax::Ident,
-        name: &ent_syntax::Ident,
-        args: &mut [Value],
-    ) -> EvalResult {
+    /// without reading it back. `name` (an [`crate::lower::Ir::builtin_name`] index)
+    /// is resolved only for a misapplied call's error.
+    fn builtin_slice(&mut self, op: BOp, name: u32, args: &mut [Value]) -> EvalResult {
         let native = |msg: String| -> Flow { RtError::Native(msg).into() };
         // Growth builtins take their array argument by value: when the `Arc`
         // is the last reference (the common `a = Arr.push(a, x);` loop shape
@@ -1865,7 +1906,13 @@ impl<'p> Interp<'p> {
                 out.push(v);
                 return Ok(Value::Array(Arc::new(out)));
             }
-            (BOp::ArrConcat, [Value::Array(_), Value::Array(_)]) => {
+            (BOp::ArrConcat, [Value::Array(a), Value::Array(b)]) => {
+                let len = a.len() as i64 + b.len() as i64;
+                if len > MAX_ARRAY_LEN {
+                    return Err(native(format!(
+                        "Arr.concat of {len} elements exceeds the limit of {MAX_ARRAY_LEN}"
+                    )));
+                }
                 let Value::Array(a) = std::mem::replace(&mut args[0], Value::Unit) else {
                     unreachable!("shape checked above")
                 };
@@ -1956,10 +2003,13 @@ impl<'p> Interp<'p> {
                 }
                 Ok(Value::Array(Arc::new(vec![v.clone(); n as usize])))
             }
-            _ => Err(native(format!(
-                "unknown or misapplied builtin `{ns}.{name}` with {} args",
-                op.written_args(args.len())
-            ))),
+            _ => {
+                let (ns, name) = self.prog.ir.builtin_name(name);
+                Err(native(format!(
+                    "unknown or misapplied builtin `{ns}.{name}` with {} args",
+                    op.written_args(args.len())
+                )))
+            }
         }
     }
 }
@@ -1973,7 +2023,7 @@ impl<'p> Interp<'p> {
 mod clone_audit {
     use super::*;
 
-    fn with_interp<R>(src: &str, f: impl for<'p> FnOnce(&mut Interp<'p>) -> R) -> R {
+    pub(super) fn with_interp<R>(src: &str, f: impl for<'p> FnOnce(&mut Interp<'p>) -> R) -> R {
         let compiled = ent_core::compile(src).unwrap();
         let lowered = lower_program(&compiled);
         let config = RuntimeConfig::default();
@@ -1986,6 +2036,8 @@ mod clone_audit {
             stats: RunStats::default(),
             depth: 0,
             max_depth: MAX_CALL_DEPTH,
+            live_slots: 0,
+            max_slots: max_live_slots(config.stack_size),
             stack_floor: 0,
             events: EventRing::default(),
             profiler: None,
@@ -2003,18 +2055,40 @@ mod clone_audit {
         f(&mut interp)
     }
 
-    const MODES_MAIN: &str = "modes { low <= high; } class Main { int main() { return 0; } }";
+    /// A program that names every builtin these tests call, so each call
+    /// can pass a site name the program really holds.
+    pub(super) const MODES_MAIN: &str = "modes { low <= high; } class Main { int main() {
+        Sim.work(\"net\", 1.0);
+        return Arr.get(Arr.push([1], 2), 0);
+    } }";
+
+    /// The [`Ir::builtin_name`] index of the program's `ns.name` call.
+    ///
+    /// [`Ir::builtin_name`]: crate::lower::Ir::builtin_name
+    fn site_name(it: &Interp<'_>, ns: &str, name: &str) -> u32 {
+        let ir = &it.prog.ir;
+        ir.nodes
+            .iter()
+            .find_map(|node| match *node {
+                Node::Builtin { name: n, .. } => {
+                    let (n_ns, n_name) = ir.builtin_name(n);
+                    (n_ns.as_str() == ns && n_name.as_str() == name).then_some(n)
+                }
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("the program calls no `{ns}.{name}`"))
+    }
 
     #[test]
     fn array_get_is_refcount_bump() {
         with_interp(MODES_MAIN, |it| {
             let inner: Arc<Vec<Value>> = Arc::new(vec![Value::Int(7)]);
             let items = Arc::new(vec![Value::Array(inner.clone()), Value::Int(2)]);
+            let name = site_name(it, "Arr", "get");
             let got = it
                 .builtin(
                     BOp::ArrGet,
-                    &"Arr".into(),
-                    &"get".into(),
+                    name,
                     vec![Value::Array(items.clone()), Value::Int(0)],
                 )
                 .unwrap();
@@ -2056,11 +2130,11 @@ mod clone_audit {
             let mut v = Vec::with_capacity(8);
             v.extend([Value::Int(1), Value::Int(2)]);
             let buf = v.as_ptr();
+            let name = site_name(it, "Arr", "push");
             let out = it
                 .builtin(
                     BOp::ArrPush,
-                    &"Arr".into(),
-                    &"push".into(),
+                    name,
                     vec![Value::Array(Arc::new(v)), Value::Int(3)],
                 )
                 .unwrap();
@@ -2074,13 +2148,13 @@ mod clone_audit {
     }
 
     /// A frame whose registers are `args`, and a compiled builtin site
-    /// over all of them, for [`Interp::call_builtin`].
-    fn window(op: BOp, name: &str, args: Vec<Value>) -> (Frame, BuiltinSite) {
+    /// over all of them (the program's `Arr.name` call), for
+    /// [`Interp::call_builtin`].
+    fn window(it: &Interp<'_>, op: BOp, name: &str, args: Vec<Value>) -> (Frame, BuiltinSite) {
         let site = BuiltinSite {
             op,
-            ns: "Arr".into(),
-            name: name.into(),
-            n_args: args.len() as u16,
+            name: site_name(it, "Arr", name),
+            n_args: args.len() as u32,
             force_last: true,
         };
         let frame = Frame {
@@ -2100,6 +2174,7 @@ mod clone_audit {
             let inner: Arc<Vec<Value>> = Arc::new(vec![Value::Int(7)]);
             let items = Arc::new(vec![Value::Array(inner.clone()), Value::Int(2)]);
             let (mut frame, site) = window(
+                it,
                 BOp::ArrGet,
                 "get",
                 vec![Value::Array(items.clone()), Value::Int(0)],
@@ -2116,6 +2191,7 @@ mod clone_audit {
             assert!(Arc::ptr_eq(&got, &inner));
             // An error resets the window too.
             let (mut frame, site) = window(
+                it,
                 BOp::ArrGet,
                 "get",
                 vec![Value::Array(items.clone()), Value::Int(5)],
@@ -2133,6 +2209,7 @@ mod clone_audit {
             v.extend([Value::Int(1), Value::Int(2)]);
             let buf = v.as_ptr();
             let (mut frame, site) = window(
+                it,
                 BOp::ArrPush,
                 "push",
                 vec![Value::Array(Arc::new(v)), Value::Int(3)],
@@ -2149,13 +2226,9 @@ mod clone_audit {
     #[test]
     fn a_misapplied_resolved_work_call_counts_its_kind_argument() {
         with_interp(MODES_MAIN, |it| {
+            let name = site_name(it, "Sim", "work");
             let err = it
-                .builtin(
-                    BOp::SimWorkKind(WorkKind::Net),
-                    &"Sim".into(),
-                    &"work".into(),
-                    vec![Value::Int(3)],
-                )
+                .builtin(BOp::SimWorkKind(WorkKind::Net), name, vec![Value::Int(3)])
                 .unwrap_err();
             let Flow::Error(RtError::Native(msg)) = err else {
                 panic!("expected a native error, got {err:?}")
@@ -2168,11 +2241,11 @@ mod clone_audit {
     fn arr_push_copies_shared_buffer() {
         with_interp(MODES_MAIN, |it| {
             let shared = Arc::new(vec![Value::Int(1)]);
+            let name = site_name(it, "Arr", "push");
             let out = it
                 .builtin(
                     BOp::ArrPush,
-                    &"Arr".into(),
-                    &"push".into(),
+                    name,
                     vec![Value::Array(shared.clone()), Value::Int(2)],
                 )
                 .unwrap();
@@ -2183,6 +2256,39 @@ mod clone_audit {
                 panic!("expected array")
             };
             assert_eq!(out.len(), 2);
+        });
+    }
+}
+
+#[cfg(test)]
+mod register_files {
+    use super::clone_audit::{with_interp, MODES_MAIN};
+    use super::*;
+
+    #[test]
+    fn only_small_register_files_are_pooled() {
+        with_interp(MODES_MAIN, |it| {
+            // A frame counts only its `frame_size`, so a pooled file must
+            // not carry a larger capacity into the next frame.
+            it.recycle_locals(Vec::with_capacity(MAX_POOLED_SLOTS + 1));
+            assert!(it.locals_pool.is_empty());
+            it.recycle_locals(Vec::with_capacity(MAX_POOLED_SLOTS));
+            assert_eq!(it.locals_pool.len(), 1);
+        });
+    }
+
+    #[test]
+    fn live_slots_stop_at_the_bound() {
+        with_interp(MODES_MAIN, |it| {
+            let max = it.max_slots;
+            assert_eq!(max, max_live_slots(it.config.stack_size));
+            assert!(it.claim_slots(max).is_ok());
+            let err = it.claim_slots(1).unwrap_err();
+            assert!(
+                matches!(err, Flow::Error(RtError::StackOverflow)),
+                "{err:?}"
+            );
+            assert_eq!(it.live_slots, max, "a refused claim counts nothing");
         });
     }
 }

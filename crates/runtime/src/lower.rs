@@ -180,9 +180,10 @@ pub(crate) struct Body {
     /// Locals the body's frame starts with: the method's parameter count,
     /// zero for class attributors and field initializers.
     pub(crate) n_base: u32,
-    /// Lazily compiled ops (see [`crate::compile`]); `None` for a body
-    /// too large for the op format, which runs on the tree walker.
-    code: OnceLock<Option<Code>>,
+    /// The ops the bytecode engine runs (see [`crate::compile`]),
+    /// compiled on the body's first bytecode execution. The tree walker
+    /// (`--engine tree`) runs [`Body::root`] and never fills the cell.
+    code: OnceLock<Code>,
 }
 
 impl Body {
@@ -198,26 +199,22 @@ impl Body {
     /// yet.
     #[inline]
     pub(crate) fn code(&self) -> Option<&Code> {
-        self.code.get().and_then(Option::as_ref)
+        self.code.get()
     }
 
     /// The compiled code, compiling it from `ir` first if needed and
-    /// counting that compile in `compiles`; `None` when the body does not
-    /// fit the op format.
+    /// counting that compile in `compiles`.
     #[inline]
     pub(crate) fn code_or_compile(
         &self,
         ir: &Ir,
         ic: &crate::compile::IcCounters,
         compiles: &mut u64,
-    ) -> Option<&Code> {
-        self.code
-            .get_or_init(|| {
-                let code = crate::compile::compile_body(ir, self.root, self.n_base, ic);
-                *compiles += u64::from(code.is_some());
-                code
-            })
-            .as_ref()
+    ) -> &Code {
+        self.code.get_or_init(|| {
+            *compiles += 1;
+            crate::compile::compile_body(ir, self.root, self.n_base, ic)
+        })
     }
 }
 

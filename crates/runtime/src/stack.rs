@@ -43,7 +43,7 @@ pub const BUILTIN_STACK_SIZE: usize = 512 * 1024 * 1024;
 
 /// The floor applied to configured stack sizes; smaller values would make
 /// the evaluator overflow the host stack before `MAX_CALL_DEPTH` fires.
-const MIN_STACK_SIZE: usize = 1024 * 1024;
+pub(crate) const MIN_STACK_SIZE: usize = 1024 * 1024;
 
 thread_local! {
     /// Where the current thread's stack ends when it is an interpreter

@@ -71,24 +71,25 @@ use crate::value::Value;
 /// per handler (documented at each); broadly `a` is the destination
 /// register, `b`/`c` source indices (a constant operand's index into
 /// [`Code::consts`]), and `d` a site index, constant index or jump
-/// target. Constants stay in the body's pool and a fused binop's
-/// operand names in [`Code::fused`], both read through the [`Code`]
-/// every handler receives, so an op is 24 bytes.
+/// target. Every word is a `u32`, so any body fits the format.
+/// Constants stay in the body's pool and a fused binop's operand names
+/// in [`Code::fused`], both read through the [`Code`] every handler
+/// receives, so an op is 32 bytes.
 pub(crate) struct TOp {
     pub(crate) run: TFn,
     /// Pre-order node-entry gas this op leads with (see
     /// [`crate::compile`]'s gas exactness).
-    pub(crate) gas: u16,
-    pub(crate) a: u16,
-    pub(crate) b: u16,
-    pub(crate) c: u16,
+    pub(crate) gas: u32,
+    pub(crate) a: u32,
+    pub(crate) b: u32,
+    pub(crate) c: u32,
     /// Fused-binop operand kinds: the lhs's `K_*` tag in the low nibble,
     /// the rhs's in the high nibble.
     pub(crate) kinds: u8,
     pub(crate) d: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<TOp>() == 24);
+const _: () = assert!(std::mem::size_of::<TOp>() == 32);
 
 impl std::fmt::Debug for TOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -112,9 +113,9 @@ pub(crate) struct TState {
 }
 
 /// An op's `u32` return is the next pc when below [`R_ERR`]; the top
-/// three values are sentinels (bodies are bounded far below by the
-/// compiler's `u16` operand words). An error or energy exception is
-/// parked in [`TState::flow`].
+/// three values are sentinels (a body emits a few ops per node, and a
+/// program's nodes are `u32`-indexed, so no pc comes near them). An
+/// error or energy exception is parked in [`TState::flow`].
 const R_ERR: u32 = u32::MAX - 2;
 /// A `return` value is parked in [`TState::out`].
 const R_RET: u32 = u32::MAX - 1;
@@ -158,14 +159,6 @@ pub(crate) struct SnapIc {
 fn throw(st: &mut TState, f: Flow) -> u32 {
     st.flow = Some(f);
     R_ERR
-}
-
-/// The error of reading an unbound variable, named by [`Code::names`]
-/// index `name`.
-#[cold]
-#[inline(never)]
-fn unbound(code: &Code, name: u32) -> Flow {
-    RtError::Native(format!("unbound variable `{}`", code.names[name as usize])).into()
 }
 
 /// The error of reading `this` outside an object.
@@ -399,17 +392,19 @@ impl Sc {
 
 /// Scalar-lane read of an operand of `kind` at `idx`: a register, a
 /// frame slot (an unbound parameter errors with the operand's name,
-/// [`Code::fused`] entry `site`, column `side`), or a pool constant.
+/// [`Code::fused`] entry `site`, column `side`, which only that cold path
+/// resolves through `it`), or a pool constant.
 /// Int/double reads skip the enum clone and, for registers, the dead
 /// store of `Unit`: a consumed temporary register is never re-read (the
 /// compiler's single-use discipline for scratch), and stale scalar bits
 /// carry no drop glue. Any other register value is taken out.
 #[inline(always)]
 fn fetch_sc(
+    it: &Interp<'_>,
     frame: &mut Frame,
     code: &Code,
     kind: u8,
-    idx: u16,
+    idx: u32,
     site: u32,
     side: usize,
 ) -> Result<Sc, Flow> {
@@ -423,9 +418,8 @@ fn fetch_sc(
             }
         }
         K_SLOT => {
-            let slot = u32::from(idx);
-            if slot >= frame.unbound_lo && slot < frame.n_params {
-                return Err(unbound(code, code.fused[site as usize][side]));
+            if idx >= frame.unbound_lo && idx < frame.n_params {
+                return Err(it.unbound(code.fused[site as usize][side]));
             }
             match &frame.locals[idx as usize] {
                 Value::Int(n) => Ok(Sc::I(*n)),
@@ -575,7 +569,8 @@ pub(crate) fn op_this<'p>(
     pc + 1
 }
 
-/// `a ← locals[b]`, after the unbound-parameter check (name `names[d]`).
+/// `a ← locals[b]`, after the unbound-parameter check (name `d`, an
+/// `Ir::names` index).
 pub(crate) fn op_local<'p>(
     it: &mut Interp<'p>,
     frame: &mut Frame,
@@ -585,16 +580,15 @@ pub(crate) fn op_local<'p>(
 ) -> u32 {
     let t = &code.ops[pc as usize];
     charge!(it, t, st);
-    let slot = u32::from(t.b);
-    if slot >= frame.unbound_lo && slot < frame.n_params {
-        return throw(st, unbound(code, t.d));
+    if t.b >= frame.unbound_lo && t.b < frame.n_params {
+        return throw(st, it.unbound(t.d));
     }
     let v = frame.locals[t.b as usize].dup();
     frame.set(t.a as usize, v);
     pc + 1
 }
 
-/// Always errors: unbound variable `names[d]`.
+/// Always errors: unbound variable `d` (an `Ir::names` index).
 pub(crate) fn op_unbound<'p>(
     it: &mut Interp<'p>,
     _frame: &mut Frame,
@@ -604,7 +598,7 @@ pub(crate) fn op_unbound<'p>(
 ) -> u32 {
     let t = &code.ops[pc as usize];
     charge!(it, t, st);
-    throw(st, unbound(code, t.d))
+    throw(st, it.unbound(t.d))
 }
 
 /// `a ← regs[b].field` via `fields[d]`.
@@ -627,7 +621,7 @@ pub(crate) fn op_field_get<'p>(
             )
         }
     };
-    let v = tt!(st, it.read_field(frame, r, site.field, &site.name));
+    let v = tt!(st, it.read_field(frame, r, site.field, site.name));
     frame.set(t.a as usize, v);
     pc + 1
 }
@@ -646,7 +640,7 @@ pub(crate) fn op_field_this<'p>(
     let Some(r) = frame.this_ref else {
         return throw(st, no_this());
     };
-    let v = tt!(st, it.read_field(frame, r, site.field, &site.name));
+    let v = tt!(st, it.read_field(frame, r, site.field, site.name));
     frame.set(t.a as usize, v);
     pc + 1
 }
@@ -708,10 +702,10 @@ fn call_site<'p>(
         let Some(r) = frame.this_ref else {
             return throw(st, no_this());
         };
-        (r, u32::from(t.b))
+        (r, t.b)
     } else {
         match &frame.locals[t.b as usize] {
-            Value::Obj(r) => (*r, u32::from(t.b) + 1),
+            Value::Obj(r) => (*r, t.b + 1),
             other => {
                 return throw(
                     st,
@@ -721,7 +715,7 @@ fn call_site<'p>(
         }
     };
     let mut vals = it.grab_locals(site.n_args as usize);
-    for r in arg_base as usize..(arg_base + u32::from(site.n_args)) as usize {
+    for r in arg_base as usize..(arg_base + site.n_args) as usize {
         vals.push(take!(frame, r));
     }
     let mut gmodes = Vec::with_capacity(site.mode_args.len());
@@ -800,7 +794,7 @@ pub(crate) fn op_tail_call<'p>(
             || m.attributor.is_some()
             || m.mode_override.is_some()
             || !m.mode_params.is_empty()
-            || u32::from(site.n_args) != m.n_params
+            || site.n_args != m.n_params
             || !it.prog.bodies[m.body as usize]
                 .code()
                 .is_some_and(|c| std::ptr::eq(c, code))
@@ -968,8 +962,8 @@ fn op_bin<'p, const P: u8>(
 ) -> u32 {
     let t = &code.ops[pc as usize];
     charge!(it, t, st);
-    let l = tt!(st, fetch_sc(frame, code, K_REG, t.b, 0, 0));
-    let r = tt!(st, fetch_sc(frame, code, K_REG, t.c, 0, 0));
+    let l = tt!(st, fetch_sc(it, frame, code, K_REG, t.b, 0, 0));
+    let r = tt!(st, fetch_sc(it, frame, code, K_REG, t.c, 0, 0));
     let r = forced_sc!(it, frame, st, r);
     let v = match bin_sc::<P>(&l, &r) {
         Some(v) => v,
@@ -998,10 +992,10 @@ fn op_bin_f<'p, const P: u8>(
 ) -> u32 {
     let t = &code.ops[pc as usize];
     charge!(it, t, st);
-    let l = tt!(st, fetch_sc(frame, code, t.kinds & 0xf, t.b, t.d, 0));
+    let l = tt!(st, fetch_sc(it, frame, code, t.kinds & 0xf, t.b, t.d, 0));
     let l = forced_sc!(it, frame, st, l);
     tt!(st, it.gas());
-    let r = tt!(st, fetch_sc(frame, code, t.kinds >> 4, t.c, t.d, 1));
+    let r = tt!(st, fetch_sc(it, frame, code, t.kinds >> 4, t.c, t.d, 1));
     let r = forced_sc!(it, frame, st, r);
     let v = match bin_sc::<P>(&l, &r) {
         Some(v) => v,
@@ -1039,8 +1033,8 @@ fn op_jmp_bin<'p, const P: u8>(
 ) -> u32 {
     let t = &code.ops[pc as usize];
     charge!(it, t, st);
-    let l = tt!(st, fetch_sc(frame, code, K_REG, t.a, 0, 0));
-    let r = tt!(st, fetch_sc(frame, code, K_REG, t.b, 0, 0));
+    let l = tt!(st, fetch_sc(it, frame, code, K_REG, t.a, 0, 0));
+    let r = tt!(st, fetch_sc(it, frame, code, K_REG, t.b, 0, 0));
     let r = forced_sc!(it, frame, st, r);
     if let Some(b) = cmp_sc::<P>(&l, &r) {
         return if b { pc + 1 } else { t.d };
@@ -1068,11 +1062,11 @@ fn op_jmp_bin_f<'p, const P: u8>(
 ) -> u32 {
     let t = &code.ops[pc as usize];
     charge!(it, t, st);
-    let site = u32::from(t.a);
-    let l = tt!(st, fetch_sc(frame, code, t.kinds & 0xf, t.b, site, 0));
+    let site = t.a;
+    let l = tt!(st, fetch_sc(it, frame, code, t.kinds & 0xf, t.b, site, 0));
     let l = forced_sc!(it, frame, st, l);
     tt!(st, it.gas());
-    let r = tt!(st, fetch_sc(frame, code, t.kinds >> 4, t.c, site, 1));
+    let r = tt!(st, fetch_sc(it, frame, code, t.kinds >> 4, t.c, site, 1));
     let r = forced_sc!(it, frame, st, r);
     if let Some(b) = cmp_sc::<P>(&l, &r) {
         return if b { pc + 1 } else { t.d };

@@ -162,23 +162,29 @@ fn profiler_parity_on_recursive_workload() {
     }
 }
 
-/// A body too large for the bytecode's `u16` operand words (here an array
-/// literal of 65537 items) runs on the tree walker, so both engines see
-/// the whole array rather than a count truncated to 16 bits.
+/// An array literal of 65537 items takes more registers than a 16-bit
+/// operand word can name. The op's words are 32 bits, so the body runs on
+/// bytecode, and both engines see the whole array rather than a count
+/// truncated to 16 bits.
 #[test]
-fn engines_agree_on_a_body_too_large_for_bytecode() {
+fn engines_agree_on_an_array_literal_past_16_bit_operands() {
     let items = vec!["1"; 65537].join(", ");
     let src = format!("class Main {{ int main() {{ return Arr.len([{items}]); }} }}");
     let lowered = lower_program(&compile(&src).expect("program compiles"));
     let run = |engine| {
-        let r = ent_runtime::run_lowered(
+        ent_runtime::run_lowered(
             &lowered,
             Platform::system_a(),
             config(engine, Enforcement::Guarded, 0.9, None),
-        );
-        observe(&lowered, &r)
+        )
     };
-    let tree = run(Engine::Tree);
+    let bytecode = run(Engine::Bytecode);
+    assert_eq!(bytecode.tier.threaded_compiles, 1, "`main` ran on bytecode");
+    let tree = observe(&lowered, &run(Engine::Tree));
     assert!(tree.contains("value=ok:Int(65537)"), "{tree}");
-    assert_eq!(tree, run(Engine::Bytecode), "tree and bytecode diverge");
+    assert_eq!(
+        tree,
+        observe(&lowered, &bytecode),
+        "tree and bytecode diverge"
+    );
 }
