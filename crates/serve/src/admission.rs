@@ -88,6 +88,8 @@ impl Tenant {
 pub struct Admission {
     config: AdmissionConfig,
     tenants: HashMap<String, Tenant>,
+    /// [`MAX_TENANTS`], or less in tests that fill the table.
+    max_tenants: usize,
     /// The earliest time a pass over the full table is worth making
     /// again (see [`Admission::make_room`]).
     next_sweep_ms: u64,
@@ -101,6 +103,7 @@ impl Admission {
         Admission {
             config,
             tenants: HashMap::new(),
+            max_tenants: MAX_TENANTS,
             next_sweep_ms: 0,
         }
     }
@@ -174,7 +177,7 @@ impl Admission {
     /// over the requests in between, and a full table of tenants that
     /// cannot be dropped costs one map lookup per new name.
     fn make_room(&mut self, now_ms: u64, rate: f64) -> bool {
-        if self.tenants.len() < MAX_TENANTS {
+        if self.tenants.len() < self.max_tenants {
             return true;
         }
         if now_ms < self.next_sweep_ms {
@@ -191,7 +194,7 @@ impl Admission {
         } else {
             u64::MAX
         };
-        self.tenants.len() < MAX_TENANTS
+        self.tenants.len() < self.max_tenants
     }
 
     /// Charges a completed job's simulated energy to its tenant. A tenant
@@ -229,6 +232,28 @@ impl Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Admission {
+        /// A controller whose table holds at most `max_tenants` tenants.
+        pub(crate) fn with_tenant_cap(config: AdmissionConfig, max_tenants: usize) -> Self {
+            Admission {
+                max_tenants,
+                ..Admission::new(config)
+            }
+        }
+
+        /// Every field that decides a request: each tenant's tokens,
+        /// last refill and spend (unordered), and the next sweep.
+        pub(crate) fn state_key(&self) -> (Vec<(&str, [u64; 3])>, u64) {
+            let tenants = (self.tenants.iter())
+                .map(|(name, t)| {
+                    let (tokens, spent) = (t.tokens.to_bits(), t.energy_spent_j.to_bits());
+                    (name.as_str(), [tokens, t.last_refill_ms, spent])
+                })
+                .collect();
+            (tenants, self.next_sweep_ms)
+        }
+    }
 
     fn controller(burst: f64, refill: f64, budget: f64) -> Admission {
         Admission::new(AdmissionConfig {

@@ -21,6 +21,9 @@
 //! * **Quarantine** ([`quarantine`]): repeatedly-failing programs (keyed
 //!   by source fingerprint) are shed, with decay-based strikes and
 //!   parole probes for release.
+//! * **One control plane** (`gates`): the gates, the completion
+//!   bookkeeping and the counters as one plain value, which the server
+//!   holds under the same lock as its queue.
 //! * **Isolation** ([`server`]): a bounded work queue with backpressure,
 //!   and workers that reuse the batch engine's `catch_unwind` / retry
 //!   machinery and its compile-once program cache.
@@ -35,6 +38,7 @@
 //! construction.
 
 pub mod admission;
+mod gates;
 pub mod modes;
 pub mod proto;
 pub mod quarantine;

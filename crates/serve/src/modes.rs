@@ -259,6 +259,16 @@ impl ModeController {
     }
 }
 
+/// Renders a transition log as the items of a JSON array, as the stats
+/// document and the soak report carry it.
+pub(crate) fn transitions_json(transitions: &[Transition]) -> String {
+    let item = |&(tick, from, to): &Transition| {
+        let (from, to) = (from.as_str(), to.as_str());
+        format!("{{\"tick\": {tick}, \"from\": \"{from}\", \"to\": \"{to}\"}}")
+    };
+    transitions.iter().map(item).collect::<Vec<_>>().join(", ")
+}
+
 /// Checks a transition log against the hysteresis invariants; returns a
 /// description of the first violation, if any. Shared by the soak
 /// harness, the bench bin, and the test suite so "the log respects
@@ -291,6 +301,17 @@ pub fn check_hysteresis(transitions: &[Transition]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ModeController {
+        /// Everything the controller's next decisions depend on: not its
+        /// tick count or its log.
+        pub(crate) fn state_key(&self) -> [u64; 5] {
+            let [fail, queue, fault] =
+                [self.fail_ewma, self.queue_ewma, self.fault_ewma].map(f64::to_bits);
+            let severity = u64::from(self.mode.severity());
+            [severity, fail, queue, fault, u64::from(self.clean_ticks)]
+        }
+    }
 
     fn obs(completions: u64, failures: u64, depth: u64, cap: u64) -> Observation {
         Observation {

@@ -2,9 +2,10 @@
 //!
 //! A multi-tenant daemon cannot let one poisoned program burn worker
 //! time forever: a program (keyed by its [`source fingerprint`]
-//! [`ent_workloads::source_fingerprint`], so no tenant source text is
-//! retained) accumulates a **strike** per failed job. Strikes decay by
-//! halving every [`QuarantineConfig::decay_interval_ms`] of virtual
+//! [`ent_workloads::source_fingerprint`] alone, so no tenant source text
+//! is retained, and one tenant's failures quarantine that source for
+//! every tenant) accumulates a **strike** per failed job. Strikes decay
+//! by halving every [`QuarantineConfig::decay_interval_ms`] of virtual
 //! time, so an old bad patch doesn't condemn a program forever; crossing
 //! [`QuarantineConfig::strike_threshold`] quarantines it.
 //!
@@ -12,8 +13,13 @@
 //! [`QuarantineConfig::probe_every`]-th submission is admitted as a
 //! probe (the rest are shed with a typed reply), and only
 //! [`QuarantineConfig::parole_probes`] *consecutive* clean probes lift
-//! the quarantine. One failed probe resets the count — mirroring the
+//! the quarantine. One failed run resets the count — mirroring the
 //! mode controller's fast-degrade / slow-recover asymmetry.
+//!
+//! The table holds at most [`MAX_PROGRAMS`] programs. At capacity, one
+//! pass drops every program that is not quarantined (they hold only
+//! decaying strikes); a quarantined program stays until parole, so a
+//! table full of quarantined programs records no new ones.
 //!
 //! The table is a pure function of the `(event, now_ms)` sequence it is
 //! fed; virtual time makes soak runs replayable.
@@ -44,13 +50,16 @@ impl Default for QuarantineConfig {
     }
 }
 
+/// Programs the table holds at most: a few MiB of entries.
+pub const MAX_PROGRAMS: usize = 1 << 16;
+
 /// The verdict for one submission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
     /// Not quarantined: run normally.
     Admit,
     /// Quarantined, but this submission is the parole probe: run it, and
-    /// report the outcome back via `note_success` / `note_failure`.
+    /// report the outcome back via `note_probe_ok` / `note_failure`.
     Probe,
     /// Quarantined: shed with a typed `quarantined` reply.
     Reject,
@@ -85,6 +94,8 @@ pub struct Quarantine {
     entries: HashMap<u64, Entry>,
     /// Programs ever released on parole (monotone counter).
     paroled: u64,
+    /// Programs quarantined now.
+    active: u64,
 }
 
 impl Quarantine {
@@ -95,6 +106,7 @@ impl Quarantine {
             config,
             entries: HashMap::new(),
             paroled: 0,
+            active: 0,
         }
     }
 
@@ -118,36 +130,48 @@ impl Quarantine {
 
     /// Records a failed job (panic, runtime error, or compile error).
     pub fn note_failure(&mut self, fingerprint: u64, now_ms: u64) {
+        if !self.entries.contains_key(&fingerprint) && !self.make_room() {
+            return;
+        }
         let half_life = self.config.decay_interval_ms;
         let threshold = self.config.strike_threshold;
         let entry = self.entries.entry(fingerprint).or_default();
         entry.decay(now_ms, half_life);
         entry.strikes += 1.0;
-        // A failed parole probe resets the clean streak; crossing the
+        // A failure resets the clean-probe streak; crossing the
         // threshold (re-)quarantines.
         entry.clean_probes = 0;
-        if entry.strikes >= threshold {
+        if entry.strikes >= threshold && !entry.quarantined {
             entry.quarantined = true;
+            self.active += 1;
         }
     }
 
-    /// Records a clean job. For a quarantined program this is a clean
-    /// parole probe; enough of them in a row lift the quarantine and
-    /// clear the strikes.
-    pub fn note_success(&mut self, fingerprint: u64, now_ms: u64) {
+    /// Whether the table has room for one more program. At capacity it
+    /// drops, in one pass, every program that is not quarantined. The
+    /// pass runs only when it frees a slot.
+    fn make_room(&mut self) -> bool {
+        if self.entries.len() >= MAX_PROGRAMS && (self.active as usize) < self.entries.len() {
+            self.entries.retain(|_, e| e.quarantined);
+        }
+        self.entries.len() < MAX_PROGRAMS
+    }
+
+    /// Records a clean parole probe: a job admitted on
+    /// [`Verdict::Probe`] that ran clean. Enough of them in a row release
+    /// the program with its strikes cleared. A clean job that was not the
+    /// probe must not report here: it was admitted before the quarantine.
+    pub fn note_probe_ok(&mut self, fingerprint: u64, now_ms: u64) {
         let half_life = self.config.decay_interval_ms;
-        let parole_probes = self.config.parole_probes;
         let Some(entry) = self.entries.get_mut(&fingerprint) else {
             return;
         };
         entry.decay(now_ms, half_life);
         if entry.quarantined {
             entry.clean_probes += 1;
-            if entry.clean_probes >= parole_probes {
-                entry.quarantined = false;
-                entry.strikes = 0.0;
-                entry.held = 0;
-                entry.clean_probes = 0;
+            if entry.clean_probes >= self.config.parole_probes {
+                self.entries.remove(&fingerprint);
+                self.active -= 1;
                 self.paroled += 1;
             }
         }
@@ -156,7 +180,7 @@ impl Quarantine {
     /// Programs currently quarantined.
     #[must_use]
     pub fn active(&self) -> u64 {
-        self.entries.values().filter(|e| e.quarantined).count() as u64
+        self.active
     }
 
     /// Programs ever released on parole.
@@ -169,6 +193,36 @@ impl Quarantine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Quarantine {
+        /// Whether `fingerprint` is quarantined now.
+        pub(crate) fn is_quarantined(&self, fingerprint: u64) -> bool {
+            self.entries
+                .get(&fingerprint)
+                .is_some_and(|e| e.quarantined)
+        }
+
+        /// The table in fingerprint order: every field that decides a
+        /// submission.
+        pub(crate) fn state_key(&self) -> Vec<[u64; 6]> {
+            let mut entries: Vec<_> = (self.entries.iter())
+                .map(|(&fp, e)| {
+                    let flag = u64::from(e.quarantined);
+                    let clean = u64::from(e.clean_probes);
+                    [
+                        fp,
+                        e.strikes.to_bits(),
+                        e.last_update_ms,
+                        flag,
+                        e.held,
+                        clean,
+                    ]
+                })
+                .collect();
+            entries.sort_unstable();
+            entries
+        }
+    }
 
     fn table() -> Quarantine {
         Quarantine::new(QuarantineConfig {
@@ -202,14 +256,14 @@ mod tests {
         }
         assert_eq!(q.active(), 1);
         // One clean probe is not enough…
-        q.note_success(9, 10);
+        q.note_probe_ok(9, 10);
         assert_eq!(q.active(), 1);
         // …and a failed probe resets the streak entirely.
         q.note_failure(9, 20);
-        q.note_success(9, 30);
+        q.note_probe_ok(9, 30);
         assert_eq!(q.active(), 1, "streak was reset by the failed probe");
         // Two consecutive clean probes release.
-        q.note_success(9, 40);
+        q.note_probe_ok(9, 40);
         assert_eq!(q.active(), 0);
         assert_eq!(q.paroled(), 1);
         assert_eq!(q.check(9, 50), Verdict::Admit);
@@ -228,6 +282,22 @@ mod tests {
         q.note_failure(5, 2000);
         q.note_failure(5, 2000);
         assert_eq!(q.active(), 1);
+    }
+
+    #[test]
+    fn distinct_failing_programs_keep_the_table_bounded() {
+        let mut q = table();
+        for _ in 0..3 {
+            q.note_failure(7, 0);
+        }
+        let programs = 2 * MAX_PROGRAMS as u64;
+        for i in 0..programs {
+            q.note_failure(1_000 + i, i);
+            assert!(q.entries.len() <= MAX_PROGRAMS, "failure {i}");
+        }
+        assert_eq!(q.active(), 1);
+        // Still quarantined: shed until its probe comes round.
+        assert_eq!(q.check(7, programs), Verdict::Reject);
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! The resident server core: bounded queue, worker pool, admission,
-//! modes, quarantine.
-//!
-//! The TCP front-end ([`crate::tcp`]) and the deterministic soak harness
+//! The resident server: a bounded queue, a worker pool and the reply
+//! channels around the control plane (`gates`). The TCP front-end ([`crate::tcp`]) and the deterministic soak harness
 //! ([`crate::soak`]) both drive this same object — the only difference
 //! is where requests and the virtual clock come from. The pipeline for
 //! one `run` request:
 //!
 //! ```text
-//! parse → mode gate → quarantine gate → queue bound → token/energy gate
-//!       → bounded queue → worker: catch_unwind(run_prepared) → reply
+//! parse → decide: mode → quarantine → queue bound → token/energy
+//!       → bounded queue → worker: catch_unwind(run_prepared) → complete → reply
 //! ```
 //!
 //! Every gate that refuses a request sends a typed reply immediately —
@@ -20,21 +18,21 @@
 //! benchmark compile it once.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use ent_cli::{run_prepared, Options, EXIT_DEGRADED, EXIT_OK, EXIT_RUNTIME};
+use ent_cli::run_prepared;
 use ent_runtime::{default_stack_size, json_f64, with_interp_stack};
 use ent_workloads::{
     lowered_cache_stats, run_job_isolated, source_fingerprint, try_lowered_cached, BatchPolicy,
 };
 
-use crate::admission::{Admission, AdmissionConfig, AdmissionShed};
-use crate::modes::{ModeConfig, ModeController, Observation, SystemMode, Transition};
+use crate::admission::AdmissionConfig;
+use crate::gates::{Admitted, Gates, Outcome};
+use crate::modes::{transitions_json, ModeConfig, SystemMode, Transition};
 use crate::proto::{ErrorKind, Op, Reply, Request, STATS_SCHEMA};
-use crate::quarantine::{Quarantine, QuarantineConfig, Verdict};
+use crate::quarantine::QuarantineConfig;
 
 /// Deterministic chaos injection for the soak: panics keyed by job
 /// identity, the worker-pool analogue of the energy layer's
@@ -87,7 +85,7 @@ pub struct ServerConfig {
     /// Worker threads executing jobs.
     pub workers: usize,
     /// Bounded queue capacity under `normal` mode (degraded modes shrink
-    /// the effective bound; see [`Server::effective_capacity`]).
+    /// the bound in force: half under `degraded`, a quarter below).
     pub queue_capacity: usize,
     /// Per-job isolation policy (retries) — the same [`BatchPolicy`] the
     /// batch scheduler uses.
@@ -116,62 +114,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotone counters, all relaxed — they are telemetry, not
-/// synchronization.
-#[derive(Debug, Default)]
-struct Counters {
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    ok_runs: AtomicU64,
-    degraded_runs: AtomicU64,
-    runtime_errors: AtomicU64,
-    compile_errors: AtomicU64,
-    panics: AtomicU64,
-    checks: AtomicU64,
-    probes: AtomicU64,
-    shed_overloaded: AtomicU64,
-    shed_rate_limited: AtomicU64,
-    shed_energy_budget: AtomicU64,
-    shed_quarantined: AtomicU64,
-    shed_fallback: AtomicU64,
-    bad_requests: AtomicU64,
-    // Drained by each controller tick.
-    tick_completions: AtomicU64,
-    tick_failures: AtomicU64,
-    tick_faults: AtomicU64,
-}
-
-/// A queued job.
-struct Job {
-    seq: u64,
-    request: Request,
-    fingerprint: u64,
-    is_probe: bool,
-    now_ms: u64,
-    reply_tx: Sender<Reply>,
-}
-
-/// Mutable control state under one lock: the queue and the three
-/// controllers move together, so a submission sees one consistent
-/// admission decision.
-struct State {
-    queue: VecDeque<Job>,
-    modes: ModeController,
-    admission: Admission,
-    quarantine: Quarantine,
-}
-
-struct Inner {
-    cfg: ServerConfig,
-    state: Mutex<State>,
-    available: Condvar,
-    counters: Counters,
-    shutdown: AtomicBool,
-    seq: AtomicU64,
-}
-
-/// A point-in-time copy of the server's monotone counters. Field names
-/// match the `ent-serve-stats/1` document.
+/// The server's monotone counters. Field names match the
+/// `ent-serve-stats/1` document.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Requests that passed every gate and entered the queue.
@@ -192,7 +136,7 @@ pub struct CounterSnapshot {
     pub checks: u64,
     /// Quarantine parole probes admitted.
     pub probes: u64,
-    /// Sheds: bounded queue full.
+    /// Sheds: bounded queue or tenant table full.
     pub shed_overloaded: u64,
     /// Sheds: tenant token bucket empty.
     pub shed_rate_limited: u64,
@@ -204,6 +148,32 @@ pub struct CounterSnapshot {
     pub shed_fallback: u64,
     /// Lines that failed to parse or validate.
     pub bad_requests: u64,
+}
+
+/// A queued job.
+struct Job {
+    request: Request,
+    admitted: Admitted,
+    reply_tx: Sender<Reply>,
+}
+
+/// Everything that changes, under one lock.
+struct State {
+    queue: VecDeque<Job>,
+    gates: Gates,
+    shutdown: bool,
+}
+
+struct Inner {
+    cfg: ServerConfig,
+    state: Mutex<State>,
+    available: Condvar,
+}
+
+impl Inner {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// What a submission produced.
@@ -228,15 +198,11 @@ impl Server {
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
-                modes: ModeController::new(cfg.modes.clone()),
-                admission: Admission::new(cfg.admission.clone()),
-                quarantine: Quarantine::new(cfg.quarantine.clone()),
+                gates: Gates::new(&cfg),
+                shutdown: false,
             }),
             cfg,
             available: Condvar::new(),
-            counters: Counters::default(),
-            shutdown: AtomicBool::new(false),
-            seq: AtomicU64::new(0),
         });
         let workers = (0..workers_n)
             .map(|i| {
@@ -265,19 +231,6 @@ impl Server {
         Server { inner, workers }
     }
 
-    /// The queue bound in force under `mode`: degraded halves it,
-    /// energy_saver (and the fallback floor) quarters it — load is shed
-    /// earlier exactly when the system is least able to absorb it.
-    #[must_use]
-    pub fn effective_capacity(cfg: &ServerConfig, mode: SystemMode) -> usize {
-        let cap = cfg.queue_capacity.max(1);
-        match mode.severity() {
-            0 => cap,
-            1 => (cap / 2).max(1),
-            _ => (cap / 4).max(1),
-        }
-    }
-
     /// Parses and submits one wire line at `now_ms` virtual time.
     pub fn handle_line(&self, line: &str, now_ms: u64) -> Submission {
         match crate::proto::parse_request(line) {
@@ -288,191 +241,74 @@ impl Server {
 
     /// Counts a line that is not a request and builds its typed reply.
     pub(crate) fn bad_request(&self, message: impl Into<String>) -> Reply {
-        self.inner
-            .counters
-            .bad_requests
-            .fetch_add(1, Ordering::Relaxed);
+        self.inner.lock().gates.bad_request();
         Reply::error("", ErrorKind::BadRequest, message)
     }
 
     /// Submits a parsed request at `now_ms` virtual time.
     pub fn submit(&self, request: Request, now_ms: u64) -> Submission {
-        let inner = &self.inner;
-        match request.op {
-            Op::Health => Submission::Immediate(self.health_reply(&request.id)),
-            Op::Stats => Submission::Immediate(Reply::Doc {
-                id: request.id.clone(),
-                payload: self.stats_json(),
-            }),
+        let fingerprint = source_fingerprint(&request.src);
+        let mut st = self.inner.lock();
+        let depth = st.queue.len();
+        let decision = st
+            .gates
+            .decide(request.op, &request.tenant, fingerprint, now_ms, depth);
+        let admitted = match decision {
+            Ok(admitted) => admitted,
+            Err(shed) => return Submission::Immediate(shed.reply(&request.id)),
+        };
+        let payload = match request.op {
+            Op::Health => {
+                let mode = st.gates.modes.mode().as_str();
+                format!("{{\"ok\": true, \"mode\": \"{mode}\"}}")
+            }
+            Op::Stats => self.stats_json(&st),
             Op::Run | Op::Check => {
-                let fingerprint = source_fingerprint(&request.src);
-                let mut st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-                let mode = st.modes.mode();
-                // Gate 1: mode. The conservative floor sheds run work
-                // outright; `check` is a static path and stays served.
-                if mode == SystemMode::FallbackOnly && request.op == Op::Run {
-                    inner.counters.shed_fallback.fetch_add(1, Ordering::Relaxed);
-                    return Submission::Immediate(Reply::error(
-                        &request.id,
-                        ErrorKind::FallbackOnly,
-                        "server is in fallback_only mode; run work is shed",
-                    ));
-                }
-                // Gate 2: quarantine (run only — a quarantined program
-                // may still be type-checked).
-                let mut is_probe = false;
-                if request.op == Op::Run {
-                    match st.quarantine.check(fingerprint, now_ms) {
-                        Verdict::Admit => {}
-                        Verdict::Probe => {
-                            is_probe = true;
-                            inner.counters.probes.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Verdict::Reject => {
-                            inner
-                                .counters
-                                .shed_quarantined
-                                .fetch_add(1, Ordering::Relaxed);
-                            return Submission::Immediate(Reply::error(
-                                &request.id,
-                                ErrorKind::Quarantined,
-                                "program is quarantined after repeated failures; \
-                                 periodic parole probes will release it once it runs clean",
-                            ));
-                        }
-                    }
-                }
-                // Gate 3: the bounded queue (before spending a token, so
-                // overload does not also drain the tenant's bucket).
-                let capacity = Self::effective_capacity(&inner.cfg, mode);
-                if st.queue.len() >= capacity {
-                    inner
-                        .counters
-                        .shed_overloaded
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Submission::Immediate(Reply::error(
-                        &request.id,
-                        ErrorKind::Overloaded,
-                        format!(
-                            "work queue full ({capacity} deep in {} mode)",
-                            mode.as_str()
-                        ),
-                    ));
-                }
-                // Gate 4: per-tenant tokens and energy budget.
-                if let Err(shed) = st.admission.admit(&request.tenant, now_ms, mode) {
-                    let (counter, kind, msg) = match shed {
-                        AdmissionShed::RateLimited => (
-                            &inner.counters.shed_rate_limited,
-                            ErrorKind::RateLimited,
-                            "tenant request budget exhausted; retry later",
-                        ),
-                        AdmissionShed::EnergyBudget => (
-                            &inner.counters.shed_energy_budget,
-                            ErrorKind::EnergyBudget,
-                            "tenant energy budget spent",
-                        ),
-                        AdmissionShed::TenantTableFull => (
-                            &inner.counters.shed_overloaded,
-                            ErrorKind::Overloaded,
-                            "tenant table full; retry later",
-                        ),
-                    };
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    return Submission::Immediate(Reply::error(&request.id, kind, msg));
-                }
                 let (reply_tx, reply_rx) = channel();
                 st.queue.push_back(Job {
-                    seq: inner.seq.fetch_add(1, Ordering::Relaxed),
                     request,
-                    fingerprint,
-                    is_probe,
-                    now_ms,
+                    admitted,
                     reply_tx,
                 });
-                inner.counters.accepted.fetch_add(1, Ordering::Relaxed);
                 drop(st);
-                inner.available.notify_one();
-                Submission::Queued(reply_rx)
+                self.inner.available.notify_one();
+                return Submission::Queued(reply_rx);
             }
-        }
+        };
+        Submission::Immediate(Reply::Doc {
+            id: request.id,
+            payload,
+        })
     }
 
-    /// Runs one mode-controller tick: drains the since-last-tick
-    /// counters into an [`Observation`] and lets the controller move.
-    /// The TCP front-end calls this on a timer; the soak calls it at
+    /// Runs one mode-controller tick on what completed since the last
+    /// one. The TCP front-end calls this on a timer; the soak calls it at
     /// deterministic points.
     pub fn tick(&self) -> SystemMode {
-        let c = &self.inner.counters;
-        let completions = c.tick_completions.swap(0, Ordering::Relaxed);
-        let failures = c.tick_failures.swap(0, Ordering::Relaxed);
-        let sensor_faults = c.tick_faults.swap(0, Ordering::Relaxed);
-        let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        let obs = Observation {
-            completions,
-            failures,
-            sensor_faults,
-            queue_depth: st.queue.len() as u64,
-            queue_capacity: Self::effective_capacity(&self.inner.cfg, st.modes.mode()) as u64,
-        };
-        st.modes.observe(&obs)
+        let st = &mut *self.inner.lock();
+        st.gates.tick(st.queue.len())
     }
 
     /// The current system mode.
     #[must_use]
     pub fn mode(&self) -> SystemMode {
-        self.inner
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .modes
-            .mode()
+        self.inner.lock().gates.modes.mode()
     }
 
     /// The mode-transition log so far.
     #[must_use]
     pub fn transitions(&self) -> Vec<Transition> {
-        self.inner
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .modes
-            .transitions()
-            .to_vec()
-    }
-
-    fn health_reply(&self, id: &str) -> Reply {
-        let mode = self.mode();
-        Reply::Doc {
-            id: id.to_string(),
-            payload: format!("{{\"ok\": true, \"mode\": \"{}\"}}", mode.as_str()),
-        }
+        self.inner.lock().gates.modes.transitions().to_vec()
     }
 
     /// Renders the `ent-serve-stats/1` document — the server-side twin
     /// of the batch sidecar, including the shared program cache's
     /// counters.
-    #[must_use]
-    pub fn stats_json(&self) -> String {
-        let c = &self.inner.counters;
-        let st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mode = st.modes.mode();
-        let (fail_ewma, queue_ewma, fault_ewma) = st.modes.signals();
+    fn stats_json(&self, st: &State) -> String {
+        let g = &st.gates;
+        let c = &g.counters;
+        let (fail_ewma, queue_ewma, fault_ewma) = g.modes.signals();
         let cache = lowered_cache_stats();
-        let transitions = st
-            .modes
-            .transitions()
-            .iter()
-            .map(|(tick, from, to)| {
-                format!(
-                    "{{\"tick\": {tick}, \"from\": \"{}\", \"to\": \"{}\"}}",
-                    from.as_str(),
-                    to.as_str()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         format!(
             "{{\"schema\": \"{STATS_SCHEMA}\", \"mode\": \"{}\", \
              \"signals\": {{\"failure_ewma\": {}, \"queue_ewma\": {}, \"fault_ewma\": {}}}, \
@@ -486,38 +322,38 @@ impl Server {
              \"cache\": {{\"capacity\": {}, \"entries\": {}, \"hits\": {}, \
              \"misses\": {}, \"evictions\": {}}}, \
              \"transitions\": [{}]}}",
-            mode.as_str(),
+            g.modes.mode().as_str(),
             json_f64(fail_ewma),
             json_f64(queue_ewma),
             json_f64(fault_ewma),
             self.workers.len(),
-            st.admission.tenant_count(),
+            g.admission.tenant_count(),
             st.queue.len(),
             self.inner.cfg.queue_capacity,
-            Self::effective_capacity(&self.inner.cfg, mode),
-            load(&c.accepted),
-            load(&c.completed),
-            load(&c.ok_runs),
-            load(&c.degraded_runs),
-            load(&c.runtime_errors),
-            load(&c.compile_errors),
-            load(&c.panics),
-            load(&c.checks),
-            load(&c.shed_overloaded),
-            load(&c.shed_rate_limited),
-            load(&c.shed_energy_budget),
-            load(&c.shed_quarantined),
-            load(&c.shed_fallback),
-            load(&c.bad_requests),
-            st.quarantine.active(),
-            st.quarantine.paroled(),
-            load(&c.probes),
+            g.capacity(),
+            c.accepted,
+            c.completed,
+            c.ok_runs,
+            c.degraded_runs,
+            c.runtime_errors,
+            c.compile_errors,
+            c.panics,
+            c.checks,
+            c.shed_overloaded,
+            c.shed_rate_limited,
+            c.shed_energy_budget,
+            c.shed_quarantined,
+            c.shed_fallback,
+            c.bad_requests,
+            g.quarantine.active(),
+            g.quarantine.paroled(),
+            c.probes,
             cache.capacity,
             cache.entries,
             cache.hits,
             cache.misses,
             cache.evictions,
-            transitions,
+            transitions_json(g.modes.transitions()),
         )
     }
 
@@ -526,48 +362,24 @@ impl Server {
     /// numbers for wire clients).
     #[must_use]
     pub fn counters(&self) -> CounterSnapshot {
-        let c = &self.inner.counters;
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        CounterSnapshot {
-            accepted: load(&c.accepted),
-            completed: load(&c.completed),
-            ok_runs: load(&c.ok_runs),
-            degraded_runs: load(&c.degraded_runs),
-            runtime_errors: load(&c.runtime_errors),
-            compile_errors: load(&c.compile_errors),
-            panics: load(&c.panics),
-            checks: load(&c.checks),
-            probes: load(&c.probes),
-            shed_overloaded: load(&c.shed_overloaded),
-            shed_rate_limited: load(&c.shed_rate_limited),
-            shed_energy_budget: load(&c.shed_energy_budget),
-            shed_quarantined: load(&c.shed_quarantined),
-            shed_fallback: load(&c.shed_fallback),
-            bad_requests: load(&c.bad_requests),
-        }
+        self.inner.lock().gates.counters
     }
 
     /// `(active, paroled)` quarantine counts.
     #[must_use]
     pub fn quarantine_counts(&self) -> (u64, u64) {
-        let st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        (st.quarantine.active(), st.quarantine.paroled())
+        let q = &self.inner.lock().gates.quarantine;
+        (q.active(), q.paroled())
     }
 
     /// Stops accepting queue pops and joins the workers. Jobs still in
     /// the queue are drained first (their submitters hold receivers).
-    pub fn shutdown(mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.available.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
+    pub fn shutdown(self) {}
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.lock().shutdown = true;
         self.inner.available.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -575,19 +387,13 @@ impl Drop for Server {
     }
 }
 
-fn worker_loop(inner: &Arc<Inner>) {
+fn worker_loop(inner: &Inner) {
     loop {
-        let job = {
-            let mut st: MutexGuard<State> = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(job) = st.queue.pop_front() {
-                    break job;
-                }
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                st = inner.available.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
+        let waiting = |st: &mut State| st.queue.is_empty() && !st.shutdown;
+        let woken = inner.available.wait_while(inner.lock(), waiting);
+        // The queue is empty only at shutdown: queued jobs drain first.
+        let Some(job) = woken.unwrap_or_else(|e| e.into_inner()).queue.pop_front() else {
+            return;
         };
         let reply = process_job(inner, &job);
         // A submitter that gave up and dropped its receiver is fine.
@@ -595,43 +401,44 @@ fn worker_loop(inner: &Arc<Inner>) {
     }
 }
 
-/// Executes one job with full isolation and does the post-completion
-/// bookkeeping (counters, quarantine strikes/parole, energy accounting,
-/// tick signals).
-fn process_job(inner: &Arc<Inner>, job: &Job) -> Reply {
-    let c = &inner.counters;
-    if job.request.op == Op::Check {
+/// Executes one job with full isolation and books it before the reply
+/// goes out, so a submitter holding every reply of a wave knows the
+/// whole wave is counted.
+fn process_job(inner: &Inner, job: &Job) -> Reply {
+    let request = &job.request;
+    let id = &request.id;
+    let book = |outcome: Outcome<'_>| {
+        let tenant = &request.tenant;
+        inner.lock().gates.complete(tenant, &job.admitted, outcome);
+    };
+    let failed = |outcome, kind, message: String| {
+        book(outcome);
+        Reply::error(id, kind, message)
+    };
+    if request.op == Op::Check {
         // A static path: compile + typecheck, no energy spent. Still
         // isolated — a compiler panic must not take a worker down.
-        let result = run_job_isolated(&inner.cfg.policy, |_| {
-            ent_cli::execute(&job.request.options, &job.request.src)
+        let checked = run_job_isolated(&inner.cfg.policy, |_| {
+            ent_cli::execute(&request.options, &request.src)
         });
-        c.checks.fetch_add(1, Ordering::Relaxed);
-        c.completed.fetch_add(1, Ordering::Relaxed);
-        c.tick_completions.fetch_add(1, Ordering::Relaxed);
-        return match result {
-            Ok((code, output)) => Reply::Done {
-                id: job.request.id.clone(),
-                code,
-                output,
-                energy_j: 0.0,
-                time_s: 0.0,
-                attempts: 1,
-            },
-            Err(e) => {
-                c.panics.fetch_add(1, Ordering::Relaxed);
-                c.tick_failures.fetch_add(1, Ordering::Relaxed);
-                Reply::error(&job.request.id, ErrorKind::Panic, e.message)
+        return match checked {
+            Ok((code, output)) => {
+                book(Outcome::Checked);
+                Reply::Done {
+                    id: id.clone(),
+                    code,
+                    output,
+                    energy_j: 0.0,
+                    time_s: 0.0,
+                    attempts: 1,
+                }
             }
+            Err(e) => failed(Outcome::Panicked, ErrorKind::Panic, e.message),
         };
     }
 
-    let chaos = inner.cfg.chaos;
-    let fingerprint = job.fingerprint;
-    let seq = job.seq;
-    let src = &job.request.src;
-    let options: &Options = &job.request.options;
-    let result = run_job_isolated(&inner.cfg.policy, move |attempt| {
+    let (chaos, fingerprint, seq) = (inner.cfg.chaos, job.admitted.fingerprint, job.admitted.seq);
+    let result = run_job_isolated(&inner.cfg.policy, |attempt| {
         if let Some(plan) = &chaos {
             if plan.poisons(fingerprint) {
                 panic!("chaos: poisoned program {fingerprint:#x}");
@@ -642,67 +449,22 @@ fn process_job(inner: &Arc<Inner>, job: &Job) -> Reply {
         }
         // Compile through the shared cache; run through the same
         // rendering path as `ent run` — byte-identity by construction.
-        match try_lowered_cached(src) {
-            Ok(lowered) => (attempt + 1, Ok(run_prepared(options, &lowered))),
+        match try_lowered_cached(&request.src) {
+            Ok(lowered) => (attempt + 1, Ok(run_prepared(&request.options, &lowered))),
             Err(diagnostic) => (attempt + 1, Err(diagnostic)),
         }
     });
-
-    c.completed.fetch_add(1, Ordering::Relaxed);
-    c.tick_completions.fetch_add(1, Ordering::Relaxed);
     match result {
-        Ok((attempts, Ok(outcome))) => {
-            let failed = outcome.code == EXIT_RUNTIME;
-            match outcome.code {
-                EXIT_OK => {
-                    c.ok_runs.fetch_add(1, Ordering::Relaxed);
-                }
-                EXIT_DEGRADED => {
-                    c.degraded_runs.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {
-                    c.runtime_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if failed {
-                c.tick_failures.fetch_add(1, Ordering::Relaxed);
-            }
-            c.tick_faults
-                .fetch_add(outcome.sensor_faults, Ordering::Relaxed);
-            let mut st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.admission
-                .record_energy(&job.request.tenant, outcome.energy_j);
-            if failed {
-                st.quarantine.note_failure(fingerprint, job.now_ms);
-            } else {
-                st.quarantine.note_success(fingerprint, job.now_ms);
-            }
-            drop(st);
-            let _ = job.is_probe; // probe outcome feeds parole via note_*
-            Reply::done(&job.request.id, &outcome, attempts)
+        Ok((attempts, Ok(run))) => {
+            book(Outcome::Ran(&run));
+            Reply::done(id, &run, attempts)
         }
         Ok((_, Err(diagnostic))) => {
-            c.compile_errors.fetch_add(1, Ordering::Relaxed);
-            c.tick_failures.fetch_add(1, Ordering::Relaxed);
-            let mut st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.quarantine.note_failure(fingerprint, job.now_ms);
-            drop(st);
-            Reply::error(&job.request.id, ErrorKind::CompileError, diagnostic)
+            failed(Outcome::CompileError, ErrorKind::CompileError, diagnostic)
         }
-        Err(job_error) => {
-            c.panics.fetch_add(1, Ordering::Relaxed);
-            c.tick_failures.fetch_add(1, Ordering::Relaxed);
-            let mut st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.quarantine.note_failure(fingerprint, job.now_ms);
-            drop(st);
-            Reply::error(
-                &job.request.id,
-                ErrorKind::Panic,
-                format!(
-                    "job panicked on all {} attempts: {}",
-                    job_error.attempts, job_error.message
-                ),
-            )
+        Err(e) => {
+            let message = format!("job panicked on all {} attempts: {}", e.attempts, e.message);
+            failed(Outcome::Panicked, ErrorKind::Panic, message)
         }
     }
 }
@@ -911,7 +673,7 @@ mod tests {
         let reply = recv(server.handle_line(&run_line(HELLO, "t", "flaky"), 0));
         match reply {
             Reply::Done { code, attempts, .. } => {
-                assert_eq!(code, EXIT_OK);
+                assert_eq!(code, ent_cli::EXIT_OK);
                 assert_eq!(attempts, 2, "first attempt panicked, retry ran");
             }
             other => panic!("expected Done, got {other:?}"),

@@ -32,7 +32,7 @@ use ent_runtime::{json_escape, json_f64};
 use ent_workloads::source_fingerprint;
 
 use crate::admission::AdmissionConfig;
-use crate::modes::{check_hysteresis, SystemMode, Transition};
+use crate::modes::{check_hysteresis, transitions_json, SystemMode, Transition};
 use crate::proto::{parse_request, ErrorKind, Reply};
 use crate::server::{ChaosPlan, CounterSnapshot, Server, ServerConfig, Submission};
 
@@ -117,18 +117,6 @@ impl SoakReport {
     #[must_use]
     pub fn to_json(&self) -> String {
         let c = &self.counters;
-        let transitions = self
-            .transitions
-            .iter()
-            .map(|(tick, from, to)| {
-                format!(
-                    "{{\"tick\": {tick}, \"from\": \"{}\", \"to\": \"{}\"}}",
-                    from.as_str(),
-                    to.as_str()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
         let log = self
             .determinism_log
             .iter()
@@ -175,7 +163,7 @@ impl SoakReport {
             json_f64(self.req_per_s),
             json_f64(self.p99_ms),
             self.wall_ms,
-            transitions,
+            transitions_json(&self.transitions),
             log,
         )
     }

@@ -189,14 +189,14 @@ fn parole_requires_the_configured_consecutive_clean_probes() {
     }
     assert_eq!(q.active(), 1);
     // N-1 clean probes are not release; a dirty probe resets the streak.
-    q.note_success(11, 10);
-    q.note_success(11, 20);
+    q.note_probe_ok(11, 10);
+    q.note_probe_ok(11, 20);
     assert_eq!(q.active(), 1, "two of three clean probes is not parole");
     q.note_failure(11, 30);
-    q.note_success(11, 40);
-    q.note_success(11, 50);
+    q.note_probe_ok(11, 40);
+    q.note_probe_ok(11, 50);
     assert_eq!(q.active(), 1, "the dirty probe reset the streak");
-    q.note_success(11, 60);
+    q.note_probe_ok(11, 60);
     assert_eq!(q.active(), 0, "three consecutive clean probes release");
     assert_eq!(q.paroled(), 1);
     assert_eq!(q.check(11, 70), Verdict::Admit);
