@@ -4,51 +4,9 @@
 //!   (§2's "Bob"): ENT minus attributors, `snapshot`, and dynamic modes.
 //! * [`untyped_e2_program`] — §2's "Alice": ad-hoc if-then-else battery
 //!   adaptation with no mode types.
-//! * [`silent_config`] / [`java_config`] — runtime presets for the paper's
-//!   "silent" E1 counterpart (exceptions suppressed, tagging kept) and the
-//!   Figure 6 no-op baseline (no tagging, no modeled snapshot cost).
 
 mod energy_types;
 mod untyped;
 
-use ent_runtime::RuntimeConfig;
-
 pub use energy_types::{check_energy_types, dynamic_features, DynamicFeature, EnergyTypesResult};
 pub use untyped::untyped_e2_program;
-
-/// The paper's "silent" configuration: the runtime type system never
-/// throws, but mode tagging stays in place (§6.2, E1).
-pub fn silent_config(battery_level: f64, seed: u64) -> RuntimeConfig {
-    RuntimeConfig {
-        silent: true,
-        battery_level,
-        seed,
-        ..RuntimeConfig::default()
-    }
-}
-
-/// The Figure 6 overhead baseline: no runtime tagging, snapshots cost
-/// nothing.
-pub fn java_config(battery_level: f64, seed: u64) -> RuntimeConfig {
-    RuntimeConfig {
-        silent: true,
-        tagging: false,
-        battery_level,
-        seed,
-        ..RuntimeConfig::default()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn presets_have_expected_flags() {
-        let s = silent_config(0.5, 1);
-        assert!(s.silent && s.tagging);
-        assert_eq!(s.battery_level, 0.5);
-        let j = java_config(0.9, 2);
-        assert!(j.silent && !j.tagging);
-    }
-}

@@ -20,7 +20,7 @@ use std::path::PathBuf;
 
 use ent_bench::fig8;
 use ent_energy::{FaultPlan, PlatformKind};
-use ent_runtime::{RunResult, RuntimeConfig};
+use ent_runtime::{json, json_fields, RunResult, RuntimeConfig};
 use ent_workloads::{
     e1_program, lowered_cached, platform_for, prepare_e1, run_batch_outcomes, BatchPolicy,
     BenchmarkSpec, PreparedProgram,
@@ -192,27 +192,20 @@ fn main() {
     let stale_reads: u64 = rows_a.iter().map(|r| r.stale_reads).sum();
     let degraded: u64 = rows_a.iter().map(|r| r.degraded_decisions).sum();
 
-    let mut json = String::from("{\n  \"suite\": \"fig8_e1_system_a\",\n");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"fault_seed\": {FAULT_SEED},");
-    let _ = writeln!(json, "  \"plan\": \"chaos\",");
-    let _ = writeln!(json, "  \"zero_overhead_when_off\": {zero_overhead},");
-    let _ = writeln!(json, "  \"deterministic_per_fault_seed\": {deterministic},");
-    let _ = writeln!(json, "  \"fault_seed_sensitive\": {seed_sensitive},");
-    let _ = writeln!(json, "  \"batch_isolation\": {isolated},");
-    let _ = writeln!(json, "  \"cells\": {cells},");
-    let _ = writeln!(json, "  \"failed_cells\": {failed_cells},");
-    let _ = writeln!(json, "  \"sensor_faults\": {sensor_faults},");
-    let _ = writeln!(json, "  \"stale_reads\": {stale_reads},");
-    let _ = writeln!(json, "  \"degraded_decisions\": {degraded},");
-    let _ = writeln!(
-        json,
-        "  \"note\": \"Counters are totals over one deterministic fault-injected sweep of the Figure-8 grid. The three booleans are the fault layer's contracts; any false fails this bench.\""
-    );
-    json.push_str("}\n");
+    let note = "Counters are totals over one deterministic fault-injected sweep of the \
+                Figure-8 grid. The three booleans are the fault layer's contracts; any \
+                false fails this bench.";
+    let doc = json::object(|o| {
+        json_fields!(o; suite = "fig8_e1_system_a", seed = SEED, fault_seed = FAULT_SEED,
+            plan = "chaos", zero_overhead_when_off = zero_overhead,
+            deterministic_per_fault_seed = deterministic, fault_seed_sensitive = seed_sensitive,
+            batch_isolation = isolated, cells = cells, failed_cells = failed_cells,
+            sensor_faults = sensor_faults, stale_reads = stale_reads,
+            degraded_decisions = degraded, note = note);
+    });
 
     let path = repo_root().join("BENCH_chaos.json");
-    std::fs::write(&path, &json).unwrap();
+    std::fs::write(&path, json::to_string(doc.lines()) + "\n").unwrap();
     eprintln!("wrote {}", path.display());
     eprintln!(
         "cells {cells}, failed {failed_cells}, sensor faults {sensor_faults}, stale {stale_reads}, degraded {degraded}"

@@ -18,12 +18,12 @@
 //! Defaults: 3 repeats averaged, on the default (bytecode) engine. Writes
 //! `BENCH_lattice.json` at the workspace root.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use ent_bench::{parse_grid_args, render_table};
 use ent_energy::PlatformKind;
-use ent_runtime::{run_lowered, Enforcement, Engine, RuntimeConfig};
+use ent_runtime::json::{self, Fixed, ToJson};
+use ent_runtime::{json_fields, run_lowered, Enforcement, Engine, RuntimeConfig};
 use ent_workloads::{benchmark, lattice_program, lowered_cached, platform_for, LATTICE_CHUNKS};
 
 /// Batch benchmarks swept (each must have `Shape::Batch`).
@@ -128,19 +128,13 @@ fn sweep(name: &'static str, repeats: u64) -> ProgramSweep {
     ProgramSweep { name, points }
 }
 
-fn cell_json(c: &Cell) -> String {
-    format!(
-        "{{\"energy_j\": {:.6}, \"time_s\": {:.6}, \"overhead_pct\": {:.4}, \
-         \"snapshots\": {}, \"copies\": {}, \"transient_checks\": {}, \
-         \"transient_failures\": {}}}",
-        c.energy_j,
-        c.time_s,
-        c.overhead_pct,
-        c.snapshots,
-        c.copies,
-        c.transient_checks,
-        c.transient_failures
-    )
+/// One strategy's cell, on one line.
+fn cell(c: &Cell) -> impl ToJson + '_ {
+    json::object(|o| {
+        json_fields!(o; energy_j = Fixed(c.energy_j, 6), time_s = Fixed(c.time_s, 6),
+            overhead_pct = Fixed(c.overhead_pct, 4));
+        json_fields!(o, c; snapshots, copies, transient_checks, transient_failures);
+    })
 }
 
 fn main() {
@@ -194,43 +188,25 @@ fn main() {
         );
     }
 
-    let mut json = String::from("{\n  \"schema\": \"ent-lattice/1\",\n");
-    let _ = writeln!(json, "  \"components\": {COMPONENTS},");
-    let _ = writeln!(json, "  \"chunks_per_stage\": {LATTICE_CHUNKS},");
-    let _ = writeln!(json, "  \"repeats\": {repeats},");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"engine\": \"{}\",", Engine::default().name());
-    json.push_str("  \"programs\": [\n");
-    for (bi, s) in sweeps.iter().enumerate() {
-        let _ = writeln!(json, "    {{\"name\": \"{}\", \"points\": [", s.name);
-        for (pi, p) in s.points.iter().enumerate() {
-            let _ = write!(
-                json,
-                "      {{\"mask\": {}, \"typed_stages\": {}, \"guarded\": {}, \"transient\": {}}}",
-                p.mask,
-                p.mask.count_ones(),
-                cell_json(&p.guarded),
-                cell_json(&p.transient)
-            );
-            json.push_str(if pi + 1 == s.points.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        json.push_str("    ]}");
-        json.push_str(if bi + 1 == sweeps.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"note\": \"overhead_pct is each strategy's energy vs its own fully-typed \
-         corner; every point performs the identical work sequence, so the overhead \
-         isolates enforcement cost.\""
-    );
-    json.push_str("}\n");
+    let programs = json::list(sweeps.iter().map(|s| {
+        let points = json::list(s.points.iter().map(|p| {
+            json::object(move |o| {
+                json_fields!(o; mask = p.mask, typed_stages = p.mask.count_ones(),
+                    guarded = cell(&p.guarded), transient = cell(&p.transient));
+            })
+        }));
+        json::object(move |o| json_fields!(o; name = s.name, points = points.lines()))
+    }));
+    let note = "overhead_pct is each strategy's energy vs its own fully-typed corner; every \
+                point performs the identical work sequence, so the overhead isolates \
+                enforcement cost.";
+    let doc = json::object(|o| {
+        json_fields!(o; schema = "ent-lattice/1", components = COMPONENTS,
+            chunks_per_stage = LATTICE_CHUNKS, repeats = repeats, seed = SEED,
+            engine = Engine::default().name(), programs = programs.lines(), note = note);
+    });
 
     let path = repo_root().join("BENCH_lattice.json");
-    std::fs::write(&path, &json).unwrap();
+    std::fs::write(&path, json::to_string(doc.lines()) + "\n").unwrap();
     eprintln!("wrote {}", path.display());
 }

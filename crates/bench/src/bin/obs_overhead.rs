@@ -18,11 +18,12 @@
 //!   cargo run -p ent-bench --release --bin obs_overhead
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use ent_energy::PlatformKind;
+use ent_runtime::json::{self, Fixed};
+use ent_runtime::json_fields;
 use ent_runtime::{
     default_stack_size, run_lowered, with_interp_stack, ProfileMode, RunResult, RuntimeConfig,
 };
@@ -312,79 +313,26 @@ fn main() {
         );
     }
 
-    let mut json = String::from("{\n  \"suite\": \"fig6_e2_system_a\",\n  \"seed\": 42,\n");
-    let _ = writeln!(
-        json,
-        "  \"configurations\": [\"off\", \"events\", \"profile\", \"both\", \"sampled\", \"sampled_events\"],"
-    );
-    let _ = writeln!(
-        json,
-        "  \"sample_period\": {},",
-        ProfileMode::DEFAULT_SAMPLE_PERIOD
-    );
-    let _ = writeln!(json, "  \"benchmarks\": [");
-    for (i, s) in samples.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{}\", \"steps\": {}, \"off_steps_per_sec\": {:.1}, \"events_steps_per_sec\": {:.1}, \"profile_steps_per_sec\": {:.1}, \"both_steps_per_sec\": {:.1}, \"sampled_steps_per_sec\": {:.1}, \"sampled_events_steps_per_sec\": {:.1}, \"events_overhead_pct\": {:.3}, \"profile_overhead_pct\": {:.3}, \"both_overhead_pct\": {:.3}, \"sampled_overhead_pct\": {:.3}, \"sampled_events_overhead_pct\": {:.3}, \"semantics_match\": {}}}",
-            s.name,
-            s.steps,
-            s.sps[0],
-            s.sps[1],
-            s.sps[2],
-            s.sps[3],
-            s.sps[4],
-            s.sps[5],
-            overhead_pct(s.sps[0], s.sps[1]),
-            overhead_pct(s.sps[0], s.sps[2]),
-            overhead_pct(s.sps[0], s.sps[3]),
-            overhead_pct(s.sps[0], s.sps[4]),
-            overhead_pct(s.sps[0], s.sps[5]),
-            s.semantics_match
-        );
-        json.push_str(if i + 1 == samples.len() { "\n" } else { ",\n" });
-    }
-    let _ = writeln!(json, "  ],");
+    let benchmarks = json::array(|a| {
+        for s in &samples {
+            a.item(json::object(|o| {
+                json_fields!(o; name = &s.name, steps = s.steps);
+                for (i, (label, ..)) in configs().iter().enumerate() {
+                    o.field(&format!("{label}_steps_per_sec"), Fixed(s.sps[i], 1));
+                }
+                for (i, (label, ..)) in configs().iter().enumerate().skip(1) {
+                    let overhead = overhead_pct(s.sps[0], s.sps[i]);
+                    o.field(&format!("{label}_overhead_pct"), Fixed(overhead, 3));
+                }
+                o.field("semantics_match", s.semantics_match);
+            }));
+        }
+    });
     let off_geo = geomean(samples.iter().map(|s| s.sps[0]));
     // Geomean of throughput ratios, reported as a percentage slowdown.
     let geo_overhead =
         |cfg: usize| (geomean(samples.iter().map(|s| s.sps[0] / s.sps[cfg])) - 1.0) * 100.0;
     let identical = samples.iter().all(|s| s.semantics_match);
-    let _ = writeln!(json, "  \"off_steps_per_sec_geomean\": {off_geo:.1},");
-    let _ = writeln!(
-        json,
-        "  \"events_overhead_pct_geomean\": {:.3},",
-        geo_overhead(1)
-    );
-    let _ = writeln!(
-        json,
-        "  \"profile_overhead_pct_geomean\": {:.3},",
-        geo_overhead(2)
-    );
-    let _ = writeln!(
-        json,
-        "  \"both_overhead_pct_geomean\": {:.3},",
-        geo_overhead(3)
-    );
-    let _ = writeln!(
-        json,
-        "  \"sampled_overhead_pct_geomean\": {:.3},",
-        geo_overhead(4)
-    );
-    let _ = writeln!(
-        json,
-        "  \"sampled_events_overhead_pct_geomean\": {:.3},",
-        geo_overhead(5)
-    );
-    let _ = writeln!(json, "  \"semantics_identical\": {identical},");
-    let _ = write!(json, "  \"overhead_anomalies\": [");
-    for (i, s) in anomalies.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        let _ = write!(json, "\"{}\"", s.name);
-    }
-    let _ = writeln!(json, "],");
 
     // Sampled-vs-exact agreement section.
     let overlap_mean = samples
@@ -394,29 +342,42 @@ fn main() {
         / samples.len() as f64;
     let coverage_mean =
         samples.iter().map(|s| s.agreement.ci_coverage).sum::<f64>() / samples.len() as f64;
-    let _ = writeln!(json, "  \"agreement\": {{");
-    let _ = writeln!(json, "    \"sample_period\": {AGREEMENT_PERIOD},");
-    let _ = writeln!(json, "    \"benchmarks\": [");
-    for (i, s) in samples.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"name\": \"{}\", \"samples\": {}, \"top5_overlap\": {:.3}, \"ci_coverage\": {:.3}}}",
-            s.name, s.agreement.samples, s.agreement.top5_overlap, s.agreement.ci_coverage
-        );
-        json.push_str(if i + 1 == samples.len() { "\n" } else { ",\n" });
-    }
-    let _ = writeln!(json, "    ],");
-    let _ = writeln!(json, "    \"top5_overlap_mean\": {overlap_mean:.3},");
-    let _ = writeln!(json, "    \"ci_coverage_mean\": {coverage_mean:.3}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(
-        json,
-        "  \"note\": \"The E2 programs run in tens of microseconds, so the exact-profile columns are dominated by the fixed per-run report construction (~20us), not by interpreter slowdown; the off and events columns are the zero-overhead-when-off contract. The sampled columns use the default period; the agreement pass uses a finer period so every benchmark takes enough samples to rank.\""
-    );
-    json.push_str("}\n");
+    let agreement = json::array(|a| {
+        for s in &samples {
+            let g = &s.agreement;
+            a.item(json::object(|o| {
+                json_fields!(o; name = &s.name, samples = g.samples,
+                    top5_overlap = Fixed(g.top5_overlap, 3), ci_coverage = Fixed(g.ci_coverage, 3));
+            }));
+        }
+    });
+    let note = "The E2 programs run in tens of microseconds, so the exact-profile columns are \
+                dominated by the fixed per-run report construction (~20us), not by \
+                interpreter slowdown; the off and events columns are the \
+                zero-overhead-when-off contract. The sampled columns use the default period; \
+                the agreement pass uses a finer period so every benchmark takes enough \
+                samples to rank.";
+    let doc = json::object(|o| {
+        let labels = json::list(configs().map(|(label, ..)| label));
+        json_fields!(o; suite = "fig6_e2_system_a", seed = SEED, configurations = labels,
+            sample_period = ProfileMode::DEFAULT_SAMPLE_PERIOD, benchmarks = benchmarks.lines(),
+            off_steps_per_sec_geomean = Fixed(off_geo, 1));
+        for (i, (label, ..)) in configs().iter().enumerate().skip(1) {
+            let key = format!("{label}_overhead_pct_geomean");
+            o.field(&key, Fixed(geo_overhead(i), 3));
+        }
+        let flagged = json::list(anomalies.iter().map(|s| &s.name));
+        json_fields!(o; semantics_identical = identical, overhead_anomalies = flagged);
+        let agreement = json::object(|o| {
+            json_fields!(o; sample_period = AGREEMENT_PERIOD, benchmarks = agreement.lines(),
+                top5_overlap_mean = Fixed(overlap_mean, 3),
+                ci_coverage_mean = Fixed(coverage_mean, 3));
+        });
+        json_fields!(o; agreement = agreement.lines(), note = note);
+    });
 
     let path = repo_root().join("BENCH_obs.json");
-    std::fs::write(&path, &json).unwrap();
+    std::fs::write(&path, json::to_string(doc.lines()) + "\n").unwrap();
     eprintln!("wrote {}", path.display());
     eprintln!(
         "geomean overhead: events {:+.2}%  profile {:+.2}%  both {:+.2}%  sampled {:+.2}%  sampled+events {:+.2}%",

@@ -31,6 +31,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use ent_energy::{FaultPlan, PlatformKind};
+use ent_runtime::json::{self, Fixed};
+use ent_runtime::json_fields;
 use ent_runtime::{
     default_stack_size, run_lowered, with_interp_stack, Engine, RunResult, RuntimeConfig,
 };
@@ -82,6 +84,14 @@ struct Sample {
     /// Plain-run fingerprint (identical across lanes by construction:
     /// verification asserts it, faults off and on, before timing starts).
     fingerprint: String,
+}
+
+impl Sample {
+    /// Throughput in `lane`, if it was measured.
+    fn sps(&self, lane: Lane) -> Option<f64> {
+        let (_, m) = self.by_lane.iter().find(|(e, _)| *e == lane)?;
+        Some(m.steps_per_sec)
+    }
 }
 
 fn config(lane: Lane) -> RuntimeConfig {
@@ -368,92 +378,70 @@ fn main() {
     }
 
     let baseline = read_baseline();
-    let mut json = String::from("{\n  \"suite\": \"fig6_e2_system_a\",\n  \"seed\": 42,\n");
-    let _ = writeln!(json, "  \"benchmarks\": [");
     let mut speedups = Vec::new();
     let mut engine_speedups = Vec::new();
     let mut mismatches = Vec::new();
-    for (i, s) in samples.iter().enumerate() {
-        // The headline number is the last lane probed (bytecode in the
-        // default sweep).
-        let fastest = s.by_lane.last().expect("lane measured").1.steps_per_sec;
-        let (base_sps, speedup, semantics_match) =
-            match baseline.as_ref().and_then(|b| b.get(&s.name)) {
-                Some(b) => {
-                    let matches = b.fingerprint == s.fingerprint;
-                    if !matches {
-                        mismatches.push(s.name.clone());
-                    }
-                    (b.steps_per_sec, fastest / b.steps_per_sec, matches)
-                }
-                None => (0.0, 0.0, true),
-            };
-        if speedup > 0.0 {
-            speedups.push(speedup);
-        }
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{}\", \"steps\": {}, \"engines\": {{",
-            s.name, s.steps
-        );
-        for (j, (lane, e)) in s.by_lane.iter().enumerate() {
-            let _ = write!(
-                json,
-                "{}\"{}\": {{\"steps_per_sec\": {:.1}, \"wall_ms_per_run\": {:.4}, \"rsd_pct\": {:.2}}}",
-                if j == 0 { "" } else { ", " },
-                lane.name,
-                e.steps_per_sec,
-                e.wall_ms_per_run,
-                e.rsd_pct
-            );
-        }
-        let _ = write!(json, "}}");
-        let sps_of = |lane: Lane| {
-            s.by_lane
-                .iter()
-                .find(|(e, _)| *e == lane)
-                .map(|(_, m)| m.steps_per_sec)
-        };
-        if let (Some(tree), Some(vm)) = (sps_of(TREE), sps_of(BYTECODE)) {
-            let ratio = vm / tree;
-            engine_speedups.push(ratio);
-            let _ = write!(json, ", \"bytecode_over_tree\": {ratio:.3}");
-        }
-        let _ = write!(
-            json,
-            ", \"baseline_steps_per_sec\": {base_sps:.1}, \"speedup\": {speedup:.3}, \"semantics_match\": {semantics_match}}}"
-        );
-        json.push_str(if i + 1 == samples.len() { "\n" } else { ",\n" });
-    }
-    let _ = writeln!(json, "  ],");
     let current_geo = geomean(
         samples
             .iter()
             .map(|s| s.by_lane.last().unwrap().1.steps_per_sec),
     );
-    let speedup_geo = geomean(speedups.iter().copied());
-    let _ = writeln!(json, "  \"steps_per_sec_geomean\": {current_geo:.1},");
-    if !engine_speedups.is_empty() {
-        let _ = writeln!(
-            json,
-            "  \"bytecode_over_tree_geomean\": {:.3},",
-            geomean(engine_speedups.iter().copied())
-        );
-    }
-    let _ = writeln!(
-        json,
-        "  \"speedup_geomean\": {:.3},",
-        if speedups.is_empty() {
-            0.0
-        } else {
-            speedup_geo
+    // Writing the benchmarks fills the three lists the summary reads.
+    let doc = json::object(|o| {
+        json_fields!(o; suite = "fig6_e2_system_a", seed = SEED);
+        let benchmarks = json::array(|a| {
+            for s in &samples {
+                // The headline number is the last lane probed (bytecode
+                // in the default sweep).
+                let fastest = s.by_lane.last().expect("lane measured").1.steps_per_sec;
+                let (base_sps, speedup, semantics_match) =
+                    match baseline.as_ref().and_then(|b| b.get(&s.name)) {
+                        Some(b) => {
+                            let matches = b.fingerprint == s.fingerprint;
+                            if !matches {
+                                mismatches.push(s.name.clone());
+                            }
+                            (b.steps_per_sec, fastest / b.steps_per_sec, matches)
+                        }
+                        None => (0.0, 0.0, true),
+                    };
+                if speedup > 0.0 {
+                    speedups.push(speedup);
+                }
+                a.item(json::object(|o| {
+                    json_fields!(o; name = &s.name, steps = s.steps);
+                    o.object("engines", |o| {
+                        for (lane, e) in &s.by_lane {
+                            o.object(lane.name, |o| {
+                                json_fields!(o; steps_per_sec = Fixed(e.steps_per_sec, 1),
+                                    wall_ms_per_run = Fixed(e.wall_ms_per_run, 4),
+                                    rsd_pct = Fixed(e.rsd_pct, 2));
+                            });
+                        }
+                    });
+                    if let (Some(tree), Some(vm)) = (s.sps(TREE), s.sps(BYTECODE)) {
+                        engine_speedups.push(vm / tree);
+                        o.field("bytecode_over_tree", Fixed(vm / tree, 3));
+                    }
+                    json_fields!(o; baseline_steps_per_sec = Fixed(base_sps, 1),
+                        speedup = Fixed(speedup, 3), semantics_match = semantics_match);
+                }));
+            }
+        });
+        json_fields!(o; benchmarks = benchmarks.lines(),
+            steps_per_sec_geomean = Fixed(current_geo, 1));
+        if !engine_speedups.is_empty() {
+            let ratio = geomean(engine_speedups.iter().copied());
+            o.field("bytecode_over_tree_geomean", Fixed(ratio, 3));
         }
-    );
-    let _ = writeln!(json, "  \"semantics_identical\": {}", mismatches.is_empty());
-    json.push_str("}\n");
+        let speedup = Fixed(geomean(speedups.iter().copied()), 3);
+        json_fields!(o; speedup_geomean = speedup, semantics_identical = mismatches.is_empty());
+    });
+    let text = json::to_string(doc.lines()) + "\n";
+    let speedup_geo = geomean(speedups.iter().copied());
 
     let path = repo_root().join("BENCH_interp.json");
-    std::fs::write(&path, &json).unwrap();
+    std::fs::write(&path, text).unwrap();
     eprintln!("wrote {}", path.display());
 
     let metric_rows: Vec<ent_bench::metrics::Row> = samples

@@ -27,6 +27,7 @@
 use std::path::PathBuf;
 
 use ent_bench::parse_grid_args;
+use ent_runtime::{json, json_fields};
 use ent_serve::modes::SystemMode;
 use ent_serve::soak::{run_soak, SoakConfig};
 
@@ -90,17 +91,15 @@ fn main() {
         .iter()
         .any(|(_, _, to)| *to == SystemMode::FallbackOnly);
 
-    let json = format!(
-        "{{\n  \"bench\": \"serve_soak\",\n  \"survived\": {survived},\n  \
-         \"byte_identical\": {byte_identical},\n  \"typed_sheds\": {typed_sheds},\n  \
-         \"hysteresis_ok\": {},\n  \"deterministic_replay\": {deterministic},\n  \
-         \"worker_count_independent\": {worker_independent},\n  \
-         \"reached_fallback_only\": {reached_floor},\n  \"report\": {}\n}}\n",
-        report.hysteresis_ok && replay.hysteresis_ok && solo.hysteresis_ok,
-        report.to_json(),
-    );
+    let hysteresis_ok = report.hysteresis_ok && replay.hysteresis_ok && solo.hysteresis_ok;
+    let doc = json::object(|o| {
+        json_fields!(o; bench = "serve_soak", survived = survived, byte_identical = byte_identical,
+            typed_sheds = typed_sheds, hysteresis_ok = hysteresis_ok,
+            deterministic_replay = deterministic, worker_count_independent = worker_independent,
+            reached_fallback_only = reached_floor, report = report.json());
+    });
     let path = repo_root().join("BENCH_serve.json");
-    std::fs::write(&path, &json).unwrap();
+    std::fs::write(&path, json::to_string(doc.lines()) + "\n").unwrap();
     eprintln!("wrote {}", path.display());
     eprintln!(
         "sustained {:.0} req/s, p99 {:.2} ms, shed {} (overloaded {}, rate_limited {}, \

@@ -739,11 +739,10 @@ pub mod fig11 {
 /// this module, drops the same numbers as `results/<bin>.json`, so
 /// downstream tooling reads structured rows instead of scraping tables.
 pub mod metrics {
-    use std::fmt::Write as _;
     use std::io;
     use std::path::{Path, PathBuf};
 
-    use ent_runtime::{json_escape, json_f64};
+    use ent_runtime::{json, json_fields};
 
     /// One benchmark/configuration row: a label plus named numeric values
     /// in presentation order.
@@ -772,21 +771,21 @@ pub mod metrics {
         }
     }
 
-    /// Renders rows as one `ent-bench-metrics/1` JSON document.
+    /// Renders rows as one `ent-bench-metrics/1` JSON document, one
+    /// member per line and one row per line.
     pub fn to_json(suite: &str, rows: &[Row]) -> String {
-        let mut out = String::from("{\n  \"schema\": \"ent-bench-metrics/1\",\n");
-        let _ = writeln!(out, "  \"suite\": \"{}\",", json_escape(suite));
-        out.push_str("  \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            let _ = write!(out, "    {{\"name\": \"{}\"", json_escape(&r.name));
-            for (k, v) in &r.values {
-                let _ = write!(out, ", \"{}\": {}", json_escape(k), json_f64(*v));
-            }
-            out.push('}');
-            out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let rows = json::list(rows.iter().map(|row| {
+            json::object(move |o| {
+                o.field("name", &row.name);
+                for &(key, value) in &row.values {
+                    o.field(key, value);
+                }
+            })
+        }));
+        let doc = json::object(|o| {
+            json_fields!(o; schema = "ent-bench-metrics/1", suite = suite, rows = rows.lines());
+        });
+        json::to_string(doc.lines()) + "\n"
     }
 
     /// Writes `contents` to `<dir>/results/<name>`, creating `results/` if

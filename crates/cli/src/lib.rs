@@ -196,29 +196,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
     let Some(path) = it.next() else {
         return Err(format!("missing <file.ent>\n\n{USAGE}"));
     };
-    let mut options = Options {
-        command,
-        path: path.clone(),
-        platform: "a".to_string(),
-        battery: 1.0,
-        seed: 0,
-        silent: false,
-        trace: false,
-        events: false,
-        events_limit: None,
-        profile: ProfileMode::Off,
-        sample_period: None,
-        sample_seed: None,
-        metrics_json: None,
-        energy_types: false,
-        stack_size: None,
-        faults: None,
-        fault_seed: 0,
-        staleness_bound: None,
-        engine: None,
-        tier_up: None,
-        enforce: None,
-    };
+    let mut options = Options::new(command, path.clone());
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--platform" => {
@@ -232,7 +210,11 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                 let v = it.next().ok_or("--battery needs a value")?;
                 options.battery = v
                     .parse()
-                    .map_err(|_| format!("malformed battery level `{v}`"))?;
+                    .ok()
+                    .filter(|b| (0.0..=1.0).contains(b))
+                    .ok_or_else(|| {
+                        format!("battery level must be a number in [0, 1], got `{v}`")
+                    })?;
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
@@ -350,6 +332,37 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
 }
 
 impl Options {
+    /// The options before any flag: `command` on `path`, platform `a`, a
+    /// full battery, seed 0, and every other setting off or unset. The
+    /// daemon builds each served job from these too, so a served run and
+    /// `ent run` share their defaults.
+    #[must_use]
+    pub fn new(command: Command, path: String) -> Options {
+        Options {
+            command,
+            path,
+            platform: "a".to_string(),
+            battery: 1.0,
+            seed: 0,
+            silent: false,
+            trace: false,
+            events: false,
+            events_limit: None,
+            profile: ProfileMode::Off,
+            sample_period: None,
+            sample_seed: None,
+            metrics_json: None,
+            energy_types: false,
+            stack_size: None,
+            faults: None,
+            fault_seed: 0,
+            staleness_bound: None,
+            engine: None,
+            tier_up: None,
+            enforce: None,
+        }
+    }
+
     /// The profiling mode in force: the `--profile` mode with
     /// `--sample-period` / `--sample-seed` folded into sampled mode.
     pub fn profile_mode(&self) -> ProfileMode {

@@ -1,6 +1,7 @@
 //! Drives the CLI against the on-disk `.ent` example programs.
 
 use ent_cli::{execute, parse_args};
+use ent_runtime::json::{self, Json};
 
 fn example(name: &str) -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/ent/");
@@ -30,6 +31,66 @@ fn crawler_checks_and_runs_at_every_battery_level() {
     let (code, out) = cli(&["run", "crawler.ent", "--battery", "0.3"], &src);
     assert_eq!(code, 0, "{out}");
     assert!(out.contains("EnergyException"), "{out}");
+}
+
+/// Runs `ent run crawler.ent` with `flags` and `--metrics-json`, and
+/// parses the telemetry it wrote.
+fn crawler_telemetry(flags: &[&str], name: &str) -> Json {
+    let path = std::env::temp_dir().join(format!("ent-cli-{}-{name}", std::process::id()));
+    let path_arg = path.to_str().expect("a UTF-8 temp path");
+    let mut args = vec!["run", "crawler.ent", "--metrics-json", path_arg];
+    args.extend_from_slice(flags);
+    let (code, out) = cli(&args, &example("crawler.ent"));
+    assert_eq!(code, 0, "{out}");
+    let text = std::fs::read_to_string(&path).expect("telemetry written");
+    let _ = std::fs::remove_file(&path);
+    json::parse(&text).expect("telemetry parses")
+}
+
+fn methods(profile: &Json) -> &[Json] {
+    match profile.get("methods") {
+        Some(Json::Arr(methods)) => methods,
+        other => panic!("profile without methods: {other:?}"),
+    }
+}
+
+#[test]
+fn metrics_json_carries_the_exact_and_the_sampled_profile() {
+    let num = |v: &Json, key: &str| v.get(key).and_then(Json::as_f64);
+    let d = crawler_telemetry(&["--profile", "exact"], "exact.json");
+    let schema = d.get("schema").and_then(Json::as_str);
+    assert_eq!(schema, Some("ent-run-telemetry/1"));
+    for key in ["status", "stats", "measurement", "profile", "events"] {
+        assert!(d.get(key).is_some(), "telemetry missing {key:?}");
+    }
+    assert_eq!(d.get("status").and_then(Json::as_str), Some("ok"));
+    let p = d.get("profile").filter(|p| **p != Json::Null);
+    let p = p.expect("profile was requested");
+    let name = |m: &Json| m.get("name").and_then(Json::as_str) == Some("Main.main");
+    assert!(methods(p).iter().any(name), "{p:?}");
+
+    let flags = [
+        "--profile",
+        "sampled",
+        "--sample-period",
+        "64",
+        "--sample-seed",
+        "3",
+    ];
+    let d = crawler_telemetry(&flags, "sampled.json");
+    let p = d.get("profile").expect("profile was requested");
+    assert_eq!(p.get("mode").and_then(Json::as_str), Some("sampled"));
+    assert_eq!((num(p, "period"), num(p, "seed")), (Some(64.0), Some(3.0)));
+    assert!(
+        num(p, "samples") > Some(0.0),
+        "crawler is long enough to sample"
+    );
+    let m = &methods(p)[0];
+    for key in ["est_steps_excl", "ci_lo", "ci_hi", "est_energy_j_excl"] {
+        assert!(m.get(key).is_some(), "sampled method row missing {key:?}");
+    }
+    let [lo, est, hi] = ["ci_lo", "est_steps_excl", "ci_hi"].map(|k| num(m, k).expect(k));
+    assert!(lo <= est && est <= hi, "{m:?}");
 }
 
 #[test]

@@ -42,11 +42,11 @@ fn success_is_zero() {
 
 #[test]
 fn malformed_numeric_flags_exit_one_with_a_clear_message() {
-    // The full process contract: a zero or non-numeric value for a
-    // numeric knob exits 1 (usage) with a message naming the problem —
-    // never a panic, never a silent default. A flag the CLI does not
-    // know (the scheduler's chunk is derived, not set) is the same
-    // usage error.
+    // The full process contract: a zero, out-of-range or non-numeric
+    // value for a numeric knob exits 1 (usage) with a message naming
+    // the problem — never a panic, never a silent default. A flag the
+    // CLI does not know (the scheduler's chunk is derived, not set) is
+    // the same usage error.
     let ent = env!("CARGO_BIN_EXE_ent");
     for (flag, value, named) in [
         ("--staleness-bound", "0", "staleness bound"),
@@ -55,6 +55,9 @@ fn malformed_numeric_flags_exit_one_with_a_clear_message() {
         ("--engine", "threaded", "unknown engine `threaded`"),
         ("--sample-period", "0", "sample period"),
         ("--sample-period", "often", "sample period"),
+        ("--battery", "7", "battery level"),
+        ("--battery", "-3", "battery level"),
+        ("--battery", "nan", "battery level"),
     ] {
         let out = Command::new(ent)
             .args(["run", "x.ent", flag, value])

@@ -1,14 +1,27 @@
-//! The workspace's one JSON reader: a strict recursive-descent parser
-//! over the RFC 8259 grammar — objects, arrays, strings with the standard
-//! escapes, numbers, booleans, null.
+//! The workspace's one JSON codec (no serde: the build is offline and
+//! vendored). Every document the workspace writes, and every one it
+//! reads, goes through this module.
 //!
-//! The workspace emits JSON by hand (no serde; see [`crate::json_escape`]
-//! and [`crate::json_f64`]). This parser reads it back: `ent-serve` parses
-//! tenant requests with it (re-exported as `ent_serve::json`), and
-//! [`crate::json_is_valid`], which the tests use to check every emitted
-//! document, is `parse(s).is_ok()`, so both agree on one grammar. Nesting
-//! is bounded ([`MAX_DEPTH`]) so a hostile document cannot blow the
-//! parser's stack, and numbers must be finite doubles.
+//! *Reading* is a strict recursive-descent parser over the RFC 8259
+//! grammar: objects, arrays, strings with the standard escapes, numbers,
+//! booleans, null. `ent-serve` parses tenant requests with it
+//! (re-exported as `ent_serve::json`), and [`crate::json_is_valid`],
+//! which the tests use to check every emitted document, is
+//! `parse(s).is_ok()`, so reader and writer agree on one grammar.
+//! Nesting is bounded ([`MAX_DEPTH`]) so a hostile document cannot blow
+//! the parser's stack, and numbers must be finite doubles.
+//!
+//! *Writing* streams into a `String`: [`object`], [`array()`] and [`list`]
+//! build containers whose members a closure writes, and [`ToJson`]
+//! renders each value by one set of rules. Strings are escaped straight
+//! into the buffer; an `f64` prints its shortest round-trip decimal
+//! (`null` if not finite), [`Fixed`] a set number of decimal places and
+//! [`Bits`] the bit pattern as 16 hex digits. A container takes one line,
+//! or one member per line ([`Container::lines`]) indented two spaces per
+//! enclosing such container: the layout of `results/*.json` and the
+//! `BENCH_*.json` files.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value. Object fields keep arrival order; duplicate keys
 /// keep the last value, like every mainstream parser.
@@ -310,6 +323,240 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
     }
 }
 
+/// Renders `value` as one document.
+#[must_use]
+pub fn to_string(value: impl ToJson) -> String {
+    let mut out = String::new();
+    value.write_json(&mut out, 0);
+    out
+}
+
+/// Escapes `s` for the inside of a JSON string literal (no quotes).
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` with `"`, `\\` and the control characters escaped.
+fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if u32::from(c) < 0x20 => write!(out, "\\u{:04x}", u32::from(c)).unwrap_or(()),
+            c => out.push(c),
+        }
+    }
+}
+
+/// A value the writer renders.
+pub trait ToJson {
+    /// Appends `self` to `out` inside `level` line-per-member containers.
+    fn write_json(self, out: &mut String, level: usize);
+}
+
+impl ToJson for &str {
+    fn write_json(self, out: &mut String, _: usize) {
+        out.push('"');
+        escape_into(out, self);
+        out.push('"');
+    }
+}
+
+impl ToJson for &String {
+    fn write_json(self, out: &mut String, level: usize) {
+        self.as_str().write_json(out, level);
+    }
+}
+
+/// The shortest decimal that reads back as the same double (`Display`
+/// never uses an exponent), or `null` when not finite.
+impl ToJson for f64 {
+    fn write_json(self, out: &mut String, _: usize) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+macro_rules! display_to_json {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(self, out: &mut String, _: usize) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+display_to_json!(bool, i32, u32, u64, usize);
+
+/// `null` for `None`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(self, out: &mut String, level: usize) {
+        match self {
+            Some(value) => value.write_json(out, level),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+/// A double with a set number of decimal places, or `null` when not
+/// finite.
+pub struct Fixed(pub f64, pub usize);
+
+impl ToJson for Fixed {
+    fn write_json(self, out: &mut String, _: usize) {
+        let Fixed(x, places) = self;
+        if x.is_finite() {
+            let _ = write!(out, "{x:.places$}");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+/// The exact bit pattern of a double, as a string of 16 hex digits.
+pub struct Bits(pub f64);
+
+impl ToJson for Bits {
+    fn write_json(self, out: &mut String, _: usize) {
+        let _ = write!(out, "\"{:016x}\"", self.0.to_bits());
+    }
+}
+
+/// A document rendered already, spliced in as it is.
+pub struct Raw<'a>(pub &'a str);
+
+impl ToJson for Raw<'_> {
+    fn write_json(self, out: &mut String, _: usize) {
+        out.push_str(self.0);
+    }
+}
+
+/// Writes members into the object `$object`: one per `key = value`
+/// pair, or one per named field of `$value`, keyed by the field's name.
+/// `json_fields!(o; a = 1, b = x)` writes `"a": 1, "b": x`, and
+/// `json_fields!(o, s; steps, copies)` writes `"steps": s.steps,
+/// "copies": s.copies`.
+#[macro_export]
+macro_rules! json_fields {
+    ($object:expr; $($key:ident = $value:expr),+ $(,)?) => {{
+        $($object.field(stringify!($key), $value);)+
+    }};
+    ($object:expr, $value:expr; $($field:ident),+ $(,)?) => {{
+        $($object.field(stringify!($field), $value.$field);)+
+    }};
+}
+
+/// The members of an open object or array: an object's [`field`]s or
+/// an array's [`item`]s.
+///
+/// [`field`]: Members::field
+/// [`item`]: Members::item
+pub struct Members<'a> {
+    out: &'a mut String,
+    /// Line-per-member containers around the members, this one included.
+    level: usize,
+    lines: bool,
+}
+
+impl Members<'_> {
+    /// Places the separator before the next member. No value ends in an
+    /// open bracket, so one just before means no member yet.
+    fn next(&mut self) -> &mut String {
+        if !self.out.ends_with(['{', '[']) {
+            self.out.push_str(if self.lines { "," } else { ", " });
+        }
+        if self.lines {
+            newline(self.out, self.level);
+        }
+        self.out
+    }
+
+    /// Writes the next array item.
+    pub fn item(&mut self, value: impl ToJson) -> &mut Self {
+        let level = self.level;
+        value.write_json(self.next(), level);
+        self
+    }
+
+    /// Writes object member `key` with `value`.
+    pub fn field(&mut self, key: &str, value: impl ToJson) -> &mut Self {
+        let level = self.level;
+        let out = self.next();
+        key.write_json(out, level);
+        out.push_str(": ");
+        value.write_json(out, level);
+        self
+    }
+
+    /// Writes member `key`: an object on one line that `body` fills.
+    pub fn object(&mut self, key: &str, body: impl FnOnce(&mut Members)) -> &mut Self {
+        self.field(key, object(body))
+    }
+}
+
+fn newline(out: &mut String, level: usize) {
+    out.push('\n');
+    out.push_str(&"  ".repeat(level));
+}
+
+/// An object or array whose members a closure writes: its brackets,
+/// whether it takes one line per member, and the closure.
+pub struct Container<F>([char; 2], bool, F);
+
+/// An object, on one line, whose fields `body` writes.
+pub fn object<F: FnOnce(&mut Members)>(body: F) -> Container<F> {
+    Container(['{', '}'], false, body)
+}
+
+/// An array, on one line, whose items `body` writes.
+pub fn array<F: FnOnce(&mut Members)>(body: F) -> Container<F> {
+    Container(['[', ']'], false, body)
+}
+
+/// An array, on one line, of `items`.
+pub fn list<I>(items: I) -> Container<impl FnOnce(&mut Members)>
+where
+    I: IntoIterator,
+    I::Item: ToJson,
+{
+    array(|a| {
+        for item in items {
+            a.item(item);
+        }
+    })
+}
+
+impl<F> Container<F> {
+    /// Lays the container out one member per line.
+    #[must_use]
+    pub fn lines(self) -> Self {
+        Container(self.0, true, self.2)
+    }
+}
+
+impl<F: FnOnce(&mut Members)> ToJson for Container<F> {
+    fn write_json(self, out: &mut String, level: usize) {
+        let Container([open, close], lines, body) = self;
+        out.push(open);
+        let level = level + usize::from(lines);
+        let mut members = Members { out, level, lines };
+        body(&mut members);
+        if lines {
+            newline(members.out, level - 1);
+        }
+        members.out.push(close);
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -342,6 +589,41 @@ pub(crate) mod tests {
         let nasty = "line1\nline2\t\"quoted\" \\slash\u{1} 😀";
         let doc = format!("\"{}\"", crate::json_escape(nasty));
         assert_eq!(parse(&doc).unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn writes_one_line_and_line_per_member_layouts() {
+        let nested = array(|a| {
+            a.item(object(|o| {
+                o.field("d", list(["x"]).lines());
+            }));
+        });
+        let doc = object(|o| {
+            o.field("a", list([1, 2])).field("b", array(|_| {}).lines());
+            o.field("c", nested.lines());
+            o.field(
+                "e",
+                object(|o| json_fields!(o; f = Fixed(0.5, 3), g = f64::NAN)).lines(),
+            );
+        });
+        let want = concat!(
+            "{\n",
+            "  \"a\": [1, 2],\n",
+            "  \"b\": [\n",
+            "  ],\n",
+            "  \"c\": [\n",
+            "    {\"d\": [\n",
+            "      \"x\"\n",
+            "    ]}\n",
+            "  ],\n",
+            "  \"e\": {\n",
+            "    \"f\": 0.500,\n",
+            "    \"g\": null\n",
+            "  }\n",
+            "}"
+        );
+        assert_eq!(to_string(doc.lines()), want);
+        assert!(parse(want).is_ok());
     }
 
     #[test]

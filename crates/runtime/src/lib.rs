@@ -58,6 +58,7 @@ pub use events::{render_event, EnergyEvent, EventPayload, EventRing, FaultServe}
 pub use interp::{
     run, run_lowered, Enforcement, Engine, RunResult, RunStats, RuntimeConfig, TierStats, TierUp,
 };
+pub use json::json_escape;
 pub use lower::{lower_program, GMode, LoweredProgram};
 pub use profile::{
     Costs, MethodProfile, Profile, ProfileMode, ProfileReport, SampledMethod, SampledProfile,
@@ -66,5 +67,5 @@ pub use stack::{
     check_env_settings, default_stack_size, parse_stack_size, spawn_interp_scoped,
     with_interp_stack, BUILTIN_STACK_SIZE,
 };
-pub use telemetry::{json_escape, json_f64, json_is_valid};
+pub use telemetry::json_is_valid;
 pub use value::{ObjRef, RtMode, Value};

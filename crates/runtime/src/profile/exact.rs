@@ -29,8 +29,9 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use super::{key, Costs, StackShadow, ROOT_ID};
+use crate::json::{self, Members, ToJson};
+use crate::json_fields;
 use crate::lower::LoweredProgram;
-use crate::telemetry::{json_escape, json_f64};
 
 /// One node of the call tree: a distinct stack path.
 #[derive(Clone, Debug)]
@@ -380,43 +381,26 @@ impl Profile {
     /// unchanged: consumers of exact-mode telemetry see identical bytes
     /// before and after the sampled mode existed.
     pub fn to_json(&self) -> String {
-        let costs = |c: &Costs| -> String {
-            format!(
-                "{{\"steps\": {}, \"energy_j\": {}, \"time_s\": {}, \"snapshots\": {}, \"copies\": {}, \"snapshot_failures\": {}, \"dfall_failures\": {}, \"dynamic_allocs\": {}, \"sensor_faults\": {}}}",
-                c.steps,
-                json_f64(c.energy_j),
-                json_f64(c.time_s),
-                c.snapshots,
-                c.copies,
-                c.snapshot_failures,
-                c.dfall_failures,
-                c.dynamic_allocs,
-                c.sensor_faults,
-            )
+        json::to_string(self.json())
+    }
+
+    /// The report as a JSON object, for embedding in run telemetry.
+    pub(crate) fn json(&self) -> impl ToJson + '_ {
+        let costs = |o: &mut Members, c: &Costs| {
+            json_fields!(o, c; steps, energy_j, time_s, snapshots, copies, snapshot_failures,
+                dfall_failures, dynamic_allocs, sensor_faults);
         };
-        let mut out = String::from("{\"methods\": [");
-        for (i, m) in self.methods.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"name\": \"{}\", \"calls\": {}, \"inclusive\": {}, \"exclusive\": {}}}",
-                json_escape(&m.name),
-                m.calls,
-                costs(&m.inclusive),
-                costs(&m.exclusive),
-            );
-        }
-        out.push_str("], \"folded\": [");
-        for (i, line) in self.folded.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\"", json_escape(line));
-        }
-        out.push_str("]}");
-        out
+        json::object(move |o| {
+            let methods = self.methods.iter().map(|m| {
+                json::object(move |o| {
+                    o.field("name", &m.name).field("calls", m.calls);
+                    o.object("inclusive", |o| costs(o, &m.inclusive));
+                    o.object("exclusive", |o| costs(o, &m.exclusive));
+                })
+            });
+            o.field("methods", json::list(methods));
+            o.field("folded", json::list(&self.folded));
+        })
     }
 }
 

@@ -44,8 +44,9 @@
 use std::fmt::Write as _;
 
 use super::{splitmix64, StackShadow, ROOT_ID};
+use crate::json::{self, ToJson};
+use crate::json_fields;
 use crate::lower::LoweredProgram;
-use crate::telemetry::{json_escape, json_f64};
 
 /// No node: an end of a sibling list, or a shadow frame no capture has
 /// resolved yet.
@@ -550,41 +551,28 @@ impl SampledProfile {
     /// `ci_lo`/`ci_hi` bounds (exclusive steps; inclusive under the
     /// `_incl` suffix).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"mode\": \"sampled\", \"period\": {}, \"seed\": {}, \"samples\": {}, \"total_steps\": {}, \"methods\": [",
-            self.period, self.seed, self.samples, self.total_steps,
-        );
-        for (i, m) in self.methods.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"name\": \"{}\", \"samples\": {}, \"samples_incl\": {}, \"est_steps_excl\": {}, \"ci_lo\": {}, \"ci_hi\": {}, \"est_steps_incl\": {}, \"ci_lo_incl\": {}, \"ci_hi_incl\": {}, \"est_energy_j_excl\": {}, \"est_energy_j_incl\": {}, \"est_time_s_excl\": {}, \"est_time_s_incl\": {}}}",
-                json_escape(&m.name),
-                m.samples_excl,
-                m.samples_incl,
-                json_f64(m.est_steps_excl),
-                json_f64(m.ci_steps_excl.0),
-                json_f64(m.ci_steps_excl.1),
-                json_f64(m.est_steps_incl),
-                json_f64(m.ci_steps_incl.0),
-                json_f64(m.ci_steps_incl.1),
-                json_f64(m.est_energy_j_excl),
-                json_f64(m.est_energy_j_incl),
-                json_f64(m.est_time_s_excl),
-                json_f64(m.est_time_s_incl),
-            );
-        }
-        out.push_str("], \"folded\": [");
-        for (i, line) in self.folded.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\"", json_escape(line));
-        }
-        out.push_str("]}");
-        out
+        json::to_string(self.json())
+    }
+
+    /// The report as a JSON object, for embedding in run telemetry.
+    pub(crate) fn json(&self) -> impl ToJson + '_ {
+        json::object(move |o| {
+            o.field("mode", "sampled");
+            json_fields!(o, self; period, seed, samples, total_steps);
+            let methods = self.methods.iter().map(|m| {
+                json::object(move |o| {
+                    let ((lo, hi), (lo_incl, hi_incl)) = (m.ci_steps_excl, m.ci_steps_incl);
+                    json_fields!(o; name = &m.name, samples = m.samples_excl,
+                        samples_incl = m.samples_incl, est_steps_excl = m.est_steps_excl,
+                        ci_lo = lo, ci_hi = hi, est_steps_incl = m.est_steps_incl,
+                        ci_lo_incl = lo_incl, ci_hi_incl = hi_incl);
+                    json_fields!(o, m; est_energy_j_excl, est_energy_j_incl, est_time_s_excl,
+                        est_time_s_incl);
+                })
+            });
+            o.field("methods", json::list(methods));
+            o.field("folded", json::list(&self.folded));
+        })
     }
 }
 

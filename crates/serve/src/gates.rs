@@ -157,15 +157,22 @@ impl Gates {
         }
         // Before a token is spent: overload must not drain the bucket.
         let capacity = self.capacity();
-        if queue_depth >= capacity {
-            return Err(self.count(Shed::Overloaded { capacity, mode }));
-        }
-        if let Err(shed) = self.admission.admit(tenant, now_ms, mode) {
-            return Err(self.count(match shed {
+        let passed = if queue_depth >= capacity {
+            Err(Shed::Overloaded { capacity, mode })
+        } else {
+            let admission = self.admission.admit(tenant, now_ms, mode);
+            admission.map_err(|shed| match shed {
                 AdmissionShed::RateLimited => Shed::RateLimited,
                 AdmissionShed::EnergyBudget => Shed::EnergyBudget,
                 AdmissionShed::TenantTableFull => Shed::TenantTableFull,
-            }));
+            })
+        };
+        if let Err(shed) = passed {
+            // A shed probe tested nothing: the next submission is the probe.
+            if admitted.probe {
+                self.quarantine.return_probe(fingerprint);
+            }
+            return Err(self.count(shed));
         }
         self.counters.accepted += 1;
         self.counters.probes += u64::from(admitted.probe);
@@ -323,20 +330,23 @@ mod tests {
         g.complete("a", &failing, Outcome::CompileError);
         admit(&mut g, "spent", GOOD);
         admit(&mut g, "spent", GOOD);
-        let probes = |g: &mut Gates, tenant: &str, queue_depth: usize| {
-            let shed = g.decide(Op::Run, tenant, POISON, 0, queue_depth);
-            assert_eq!(shed, Err(Shed::Quarantined));
-            g.decide(Op::Run, tenant, POISON, 0, queue_depth)
-        };
+        let shed = g.decide(Op::Run, "c", POISON, 0, 0);
+        assert_eq!(shed, Err(Shed::Quarantined));
+        // The probe's turn: a full queue, then an empty bucket, shed it,
+        // and each time the next submission is the probe again.
         let full = Shed::Overloaded {
             capacity: 2,
             mode: SystemMode::Normal,
         };
-        assert_eq!(probes(&mut g, "c", 2), Err(full));
-        assert_eq!(probes(&mut g, "spent", 0), Err(Shed::RateLimited));
+        assert_eq!(g.decide(Op::Run, "c", POISON, 0, 2), Err(full));
+        let shed = g.decide(Op::Run, "spent", POISON, 0, 0);
+        assert_eq!(shed, Err(Shed::RateLimited));
         assert_eq!(g.counters.probes, 0);
-        assert!(probes(&mut g, "c", 0).expect("admitted").probe);
+        assert!(admit(&mut g, "c", POISON).probe);
         assert_eq!(g.counters.probes, 1);
+        // Then the cadence resumes.
+        let shed = g.decide(Op::Run, "c", POISON, 0, 0);
+        assert_eq!(shed, Err(Shed::Quarantined));
     }
 
     /// How an admitted job ends in the explorer.
@@ -477,6 +487,11 @@ mod tests {
         rows.map(row).fold(0, u64::wrapping_add)
     }
 
+    /// Submissions counted toward the probe cadence, over all programs.
+    fn held(quarantine: &Quarantine) -> u64 {
+        quarantine.state_key().iter().map(|entry| entry[4]).sum()
+    }
+
     /// A set of keys that are already hashes.
     #[derive(Default)]
     struct Keys(u64);
@@ -539,6 +554,7 @@ mod tests {
                 let quarantined = g.quarantine.is_quarantined(fingerprint);
                 let over_budget = g.admission.energy_spent(TENANTS[t]) >= budget(mode);
                 let (tokens, probes) = (table(&g.admission), g.counters.probes);
+                let cadence = held(&g.quarantine);
                 let depth = next.jobs.len();
                 let decision = g.decide(op, TENANTS[t], fingerprint, next.now_ms, depth);
                 let probe = matches!(decision, Ok(job) if job.probe);
@@ -560,6 +576,10 @@ mod tests {
                         if matches!(shed, Shed::Overloaded { .. } | Shed::TenantTableFull) {
                             let after = table(&g.admission);
                             assert_eq!(tokens, after, "an overloaded shed spent a token");
+                        }
+                        if !matches!(shed, Shed::FallbackOnly | Shed::Quarantined) {
+                            let after = held(&g.quarantine);
+                            assert_eq!(cadence, after, "a later gate's shed took a probe slot");
                         }
                         reached.sheds.insert(discriminant(&shed));
                     }

@@ -25,6 +25,10 @@
 //! transition log on any machine with any worker count — which is what
 //! lets the chaos soak assert hysteresis invariants exactly.
 
+use ent_runtime::json_fields;
+
+use crate::json::{self, ToJson};
+
 /// The system mode lattice, least to most severe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SystemMode {
@@ -259,14 +263,12 @@ impl ModeController {
     }
 }
 
-/// Renders a transition log as the items of a JSON array, as the stats
-/// document and the soak report carry it.
-pub(crate) fn transitions_json(transitions: &[Transition]) -> String {
-    let item = |&(tick, from, to): &Transition| {
-        let (from, to) = (from.as_str(), to.as_str());
-        format!("{{\"tick\": {tick}, \"from\": \"{from}\", \"to\": \"{to}\"}}")
-    };
-    transitions.iter().map(item).collect::<Vec<_>>().join(", ")
+/// A transition log as a JSON array, as the stats document and the soak
+/// report carry it.
+pub(crate) fn transitions(log: &[Transition]) -> impl ToJson + '_ {
+    json::list(log.iter().map(|&(tick, from, to)| {
+        json::object(move |o| json_fields!(o; tick = tick, from = from.as_str(), to = to.as_str()))
+    }))
 }
 
 /// Checks a transition log against the hysteresis invariants; returns a

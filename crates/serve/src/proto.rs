@@ -22,9 +22,9 @@
 
 use ent_cli::{Command, Options, RunOutcome};
 use ent_energy::FaultPlan;
-use ent_runtime::{json_escape, json_f64};
+use ent_runtime::json_fields;
 
-use crate::json::{self, Json};
+use crate::json::{self, Json, Raw, ToJson};
 
 /// The protocol schema stamp.
 pub const PROTO_SCHEMA: &str = "ent-serve-proto/1";
@@ -152,36 +152,29 @@ impl Reply {
     /// Renders the single-line wire form.
     #[must_use]
     pub fn to_json(&self) -> String {
-        match self {
-            Reply::Done {
-                id,
-                code,
-                output,
-                energy_j,
-                time_s,
-                attempts,
-            } => format!(
-                "{{\"schema\": \"{PROTO_SCHEMA}\", \"id\": \"{}\", \"status\": \"ok\", \
-                 \"code\": {code}, \"output\": \"{}\", \"energy_j\": {}, \"time_s\": {}, \
-                 \"attempts\": {attempts}}}",
-                json_escape(id),
-                json_escape(output),
-                json_f64(*energy_j),
-                json_f64(*time_s),
-            ),
-            Reply::Error { id, kind, message } => format!(
-                "{{\"schema\": \"{PROTO_SCHEMA}\", \"id\": \"{}\", \"status\": \"error\", \
-                 \"error\": \"{}\", \"message\": \"{}\"}}",
-                json_escape(id),
-                kind.as_str(),
-                json_escape(message),
-            ),
-            Reply::Doc { id, payload } => format!(
-                "{{\"schema\": \"{PROTO_SCHEMA}\", \"id\": \"{}\", \"status\": \"ok\", \
-                 \"doc\": {payload}}}",
-                json_escape(id),
-            ),
-        }
+        json::to_string(self.json())
+    }
+
+    /// The wire form, for writing straight into a buffer.
+    pub(crate) fn json(&self) -> impl ToJson + '_ {
+        json::object(move |o| {
+            json_fields!(o; schema = PROTO_SCHEMA, id = self.id());
+            match self {
+                Reply::Done {
+                    code,
+                    output,
+                    energy_j,
+                    time_s,
+                    attempts,
+                    ..
+                } => json_fields!(o; status = "ok", code = *code, output = output,
+                    energy_j = *energy_j, time_s = *time_s, attempts = *attempts),
+                Reply::Error { kind, message, .. } => {
+                    json_fields!(o; status = "error", error = kind.as_str(), message = message);
+                }
+                Reply::Doc { payload, .. } => json_fields!(o; status = "ok", doc = Raw(payload)),
+            }
+        })
     }
 
     /// Builds the `Done` reply for a finished run.
@@ -205,35 +198,6 @@ impl Reply {
             kind,
             message: message.into(),
         }
-    }
-}
-
-/// Default one-shot options for a served job; request knobs override
-/// individual fields. Everything not exposed over the wire keeps its CLI
-/// default, so the served run equals `ent run <file> [flags]` exactly.
-fn base_options() -> Options {
-    Options {
-        command: Command::Run,
-        path: String::new(),
-        platform: "a".to_string(),
-        battery: 1.0,
-        seed: 0,
-        silent: false,
-        trace: false,
-        events: false,
-        events_limit: None,
-        profile: ent_runtime::ProfileMode::Off,
-        sample_period: None,
-        sample_seed: None,
-        metrics_json: None,
-        energy_types: false,
-        stack_size: None,
-        faults: None,
-        fault_seed: 0,
-        staleness_bound: None,
-        engine: None,
-        tier_up: None,
-        enforce: None,
     }
 }
 
@@ -281,7 +245,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         Some(_) => return Err("`src` must be a string".to_string()),
     };
 
-    let mut options = base_options();
+    // Everything not exposed over the wire keeps its CLI default, so the
+    // served run equals `ent run <file> [flags]` exactly.
+    let mut options = Options::new(Command::Run, String::new());
     if matches!(op, Op::Check) {
         options.command = Command::Check;
     }

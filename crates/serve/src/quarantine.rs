@@ -128,6 +128,14 @@ impl Quarantine {
         }
     }
 
+    /// Gives back the slot of a [`Verdict::Probe`] that a later gate
+    /// shed, so the next submission of `fingerprint` is the probe.
+    pub(crate) fn return_probe(&mut self, fingerprint: u64) {
+        if let Some(entry) = self.entries.get_mut(&fingerprint) {
+            entry.held -= 1;
+        }
+    }
+
     /// Records a failed job (panic, runtime error, or compile error).
     pub fn note_failure(&mut self, fingerprint: u64, now_ms: u64) {
         if !self.entries.contains_key(&fingerprint) && !self.make_room() {

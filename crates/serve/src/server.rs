@@ -23,14 +23,15 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use ent_cli::run_prepared;
-use ent_runtime::{default_stack_size, json_f64, with_interp_stack};
+use ent_runtime::{default_stack_size, json_fields, with_interp_stack};
 use ent_workloads::{
     lowered_cache_stats, run_job_isolated, source_fingerprint, try_lowered_cached, BatchPolicy,
 };
 
 use crate::admission::AdmissionConfig;
 use crate::gates::{Admitted, Gates, Outcome};
-use crate::modes::{transitions_json, ModeConfig, SystemMode, Transition};
+use crate::json::{self, Members};
+use crate::modes::{transitions, ModeConfig, SystemMode, Transition};
 use crate::proto::{ErrorKind, Op, Reply, Request, STATS_SCHEMA};
 use crate::quarantine::QuarantineConfig;
 
@@ -150,6 +151,16 @@ pub struct CounterSnapshot {
     pub bad_requests: u64,
 }
 
+impl CounterSnapshot {
+    /// The `shed` object's members, as the stats document and the soak
+    /// report spell them.
+    pub(crate) fn write_sheds(&self, o: &mut Members) {
+        json_fields!(o; overloaded = self.shed_overloaded, rate_limited = self.shed_rate_limited,
+            energy_budget = self.shed_energy_budget, quarantined = self.shed_quarantined,
+            fallback_only = self.shed_fallback, bad_requests = self.bad_requests);
+    }
+}
+
 /// A queued job.
 struct Job {
     request: Request,
@@ -260,7 +271,7 @@ impl Server {
         let payload = match request.op {
             Op::Health => {
                 let mode = st.gates.modes.mode().as_str();
-                format!("{{\"ok\": true, \"mode\": \"{mode}\"}}")
+                json::to_string(json::object(|o| json_fields!(o; ok = true, mode = mode)))
             }
             Op::Stats => self.stats_json(&st),
             Op::Run | Op::Check => {
@@ -309,52 +320,32 @@ impl Server {
         let c = &g.counters;
         let (fail_ewma, queue_ewma, fault_ewma) = g.modes.signals();
         let cache = lowered_cache_stats();
-        format!(
-            "{{\"schema\": \"{STATS_SCHEMA}\", \"mode\": \"{}\", \
-             \"signals\": {{\"failure_ewma\": {}, \"queue_ewma\": {}, \"fault_ewma\": {}}}, \
-             \"workers\": {}, \"tenants\": {}, \
-             \"queue\": {{\"depth\": {}, \"capacity\": {}, \"effective_capacity\": {}}}, \
-             \"jobs\": {{\"accepted\": {}, \"completed\": {}, \"ok\": {}, \"degraded\": {}, \
-             \"runtime_errors\": {}, \"compile_errors\": {}, \"panics\": {}, \"checks\": {}}}, \
-             \"shed\": {{\"overloaded\": {}, \"rate_limited\": {}, \"energy_budget\": {}, \
-             \"quarantined\": {}, \"fallback_only\": {}, \"bad_requests\": {}}}, \
-             \"quarantine\": {{\"active\": {}, \"paroled\": {}, \"probes\": {}}}, \
-             \"cache\": {{\"capacity\": {}, \"entries\": {}, \"hits\": {}, \
-             \"misses\": {}, \"evictions\": {}}}, \
-             \"transitions\": [{}]}}",
-            g.modes.mode().as_str(),
-            json_f64(fail_ewma),
-            json_f64(queue_ewma),
-            json_f64(fault_ewma),
-            self.workers.len(),
-            g.admission.tenant_count(),
-            st.queue.len(),
-            self.inner.cfg.queue_capacity,
-            g.capacity(),
-            c.accepted,
-            c.completed,
-            c.ok_runs,
-            c.degraded_runs,
-            c.runtime_errors,
-            c.compile_errors,
-            c.panics,
-            c.checks,
-            c.shed_overloaded,
-            c.shed_rate_limited,
-            c.shed_energy_budget,
-            c.shed_quarantined,
-            c.shed_fallback,
-            c.bad_requests,
-            g.quarantine.active(),
-            g.quarantine.paroled(),
-            c.probes,
-            cache.capacity,
-            cache.entries,
-            cache.hits,
-            cache.misses,
-            cache.evictions,
-            transitions_json(g.modes.transitions()),
-        )
+        json::to_string(json::object(|o| {
+            json_fields!(o; schema = STATS_SCHEMA, mode = g.modes.mode().as_str());
+            o.object("signals", |o| {
+                json_fields!(o; failure_ewma = fail_ewma, queue_ewma = queue_ewma,
+                    fault_ewma = fault_ewma);
+            });
+            json_fields!(o; workers = self.workers.len(), tenants = g.admission.tenant_count());
+            o.object("queue", |o| {
+                json_fields!(o; depth = st.queue.len(), capacity = self.inner.cfg.queue_capacity,
+                    effective_capacity = g.capacity());
+            });
+            o.object("jobs", |o| {
+                json_fields!(o; accepted = c.accepted, completed = c.completed, ok = c.ok_runs,
+                    degraded = c.degraded_runs, runtime_errors = c.runtime_errors,
+                    compile_errors = c.compile_errors, panics = c.panics, checks = c.checks);
+            });
+            o.object("shed", |o| c.write_sheds(o));
+            o.object("quarantine", |o| {
+                json_fields!(o; active = g.quarantine.active(), paroled = g.quarantine.paroled(),
+                    probes = c.probes);
+            });
+            o.object("cache", |o| {
+                json_fields!(o, cache; capacity, entries, hits, misses, evictions);
+            });
+            o.field("transitions", transitions(g.modes.transitions()));
+        }))
     }
 
     /// A point-in-time copy of every monotone counter, for the soak

@@ -28,11 +28,12 @@ use std::sync::mpsc::Receiver;
 use std::time::{Duration, Instant};
 
 use ent_cli::EXIT_COMPILE;
-use ent_runtime::{json_escape, json_f64};
+use ent_runtime::json_fields;
 use ent_workloads::source_fingerprint;
 
 use crate::admission::AdmissionConfig;
-use crate::modes::{check_hysteresis, transitions_json, SystemMode, Transition};
+use crate::json::{self, Members, ToJson};
+use crate::modes::{check_hysteresis, transitions, SystemMode, Transition};
 use crate::proto::{parse_request, ErrorKind, Reply};
 use crate::server::{ChaosPlan, CounterSnapshot, Server, ServerConfig, Submission};
 
@@ -116,56 +117,28 @@ impl SoakReport {
     /// Renders the report as the `BENCH_serve.json` document body.
     #[must_use]
     pub fn to_json(&self) -> String {
+        json::to_string(self.json())
+    }
+
+    /// The `ent-serve-soak/1` document, on one line.
+    pub fn json(&self) -> impl ToJson + '_ {
         let c = &self.counters;
-        let log = self
-            .determinism_log
-            .iter()
-            .map(|l| format!("\"{}\"", json_escape(l)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"schema\": \"ent-serve-soak/1\", \"seed\": {}, \"workers\": {}, \
-             \"submitted\": {}, \"accepted\": {}, \"completed\": {}, \
-             \"ok_runs\": {}, \"degraded_runs\": {}, \"runtime_errors\": {}, \
-             \"compile_errors\": {}, \"panics\": {}, \"checks\": {}, \"probes\": {}, \
-             \"shed\": {{\"overloaded\": {}, \"rate_limited\": {}, \"energy_budget\": {}, \
-             \"quarantined\": {}, \"fallback_only\": {}, \"bad_requests\": {}}}, \
-             \"quarantine\": {{\"active\": {}, \"paroled\": {}}}, \
-             \"byte_identical\": {}, \"mismatches\": {}, \"daemon_errors\": {}, \
-             \"hysteresis_ok\": {}, \"final_mode\": \"{}\", \
-             \"req_per_s\": {}, \"p99_ms\": {}, \"wall_ms\": {}, \
-             \"transitions\": [{}], \"determinism_log\": [{}]}}",
-            self.seed,
-            self.workers,
-            self.submitted,
-            c.accepted,
-            c.completed,
-            c.ok_runs,
-            c.degraded_runs,
-            c.runtime_errors,
-            c.compile_errors,
-            c.panics,
-            c.checks,
-            c.probes,
-            c.shed_overloaded,
-            c.shed_rate_limited,
-            c.shed_energy_budget,
-            c.shed_quarantined,
-            c.shed_fallback,
-            c.bad_requests,
-            self.quarantine_active,
-            self.quarantine_paroled,
-            self.byte_identical,
-            self.mismatches.len(),
-            self.daemon_errors,
-            self.hysteresis_ok,
-            self.final_mode.as_str(),
-            json_f64(self.req_per_s),
-            json_f64(self.p99_ms),
-            self.wall_ms,
-            transitions_json(&self.transitions),
-            log,
-        )
+        json::object(move |o| {
+            o.field("schema", "ent-serve-soak/1");
+            json_fields!(o, self; seed, workers, submitted);
+            json_fields!(o, c; accepted, completed, ok_runs, degraded_runs, runtime_errors,
+                compile_errors, panics, checks, probes);
+            o.object("shed", |o| c.write_sheds(o));
+            o.object("quarantine", |o| {
+                json_fields!(o; active = self.quarantine_active, paroled = self.quarantine_paroled);
+            });
+            json_fields!(o; byte_identical = self.byte_identical, mismatches = self.mismatches.len(),
+                daemon_errors = self.daemon_errors, hysteresis_ok = self.hysteresis_ok,
+                final_mode = self.final_mode.as_str());
+            json_fields!(o, self; req_per_s, p99_ms, wall_ms);
+            json_fields!(o; transitions = transitions(&self.transitions),
+                determinism_log = json::list(&self.determinism_log));
+        })
     }
 }
 
@@ -270,6 +243,22 @@ fn program_pool(plan: &ChaosPlan, n: usize, want_poisoned: bool) -> Vec<String> 
     panic!("program pool scan exhausted");
 }
 
+/// A request line of `op`; `knobs` writes its knobs after `src`.
+fn request(op: &str, id: &str, tenant: &str, src: &str, knobs: impl Fn(&mut Members)) -> String {
+    json::to_string(json::object(|o| {
+        json_fields!(o; op = op, id = id, tenant = tenant, src = src);
+        knobs(o);
+    }))
+}
+
+/// The knob that sets the battery level.
+fn battery(level: f64) -> impl Fn(&mut Members) {
+    move |o| json_fields!(o; battery = level)
+}
+
+/// No request knobs.
+fn plain(_: &mut Members) {}
+
 /// A job waiting on its worker reply, with everything needed to replay
 /// it one-shot for the byte-identity check.
 struct PendingJob {
@@ -300,17 +289,9 @@ impl Harness {
         self.now_ms += ms;
     }
 
-    fn line(id: &str, tenant: &str, src: &str, extras: &str) -> String {
-        let extras = if extras.is_empty() {
-            String::new()
-        } else {
-            format!(", {extras}")
-        };
-        format!(
-            "{{\"op\": \"run\", \"id\": \"{id}\", \"tenant\": \"{tenant}\", \
-             \"src\": \"{}\"{extras}}}",
-            json_escape(src)
-        )
+    /// A `run` request line; `knobs` writes its knobs after `src`.
+    fn line(id: &str, tenant: &str, src: &str, knobs: impl Fn(&mut Members)) -> String {
+        request("run", id, tenant, src, knobs)
     }
 
     /// Submits one line; queued work becomes a [`PendingJob`].
@@ -461,7 +442,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let lines: Vec<String> = (0..8)
         .map(|i| {
             let tenant = ["alice", "bob", "carol", "dave"][i % 4];
-            Harness::line(&format!("warm-{i}"), tenant, &clean[i], "")
+            Harness::line(&format!("warm-{i}"), tenant, &clean[i], plain)
         })
         .collect();
     let (replies, mode) = h.wave_and_tick(&lines);
@@ -474,9 +455,11 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     // Wave 2 — sensor-fault pressure: every job completes degraded with
     // three faults, so the fault EWMA alone demands `degraded`.
     h.advance(1000);
-    let extras = "\"battery\": 0.9, \"faults\": \"dropout=1.0\", \"fault_seed\": 1";
+    let dropout = |o: &mut Members| {
+        json_fields!(o; battery = 0.9, faults = "dropout=1.0", fault_seed = 1);
+    };
     let lines: Vec<String> = (0..4)
-        .map(|i| Harness::line(&format!("fault-{i}"), "chaos", &three_fault, extras))
+        .map(|i| Harness::line(&format!("fault-{i}"), "chaos", &three_fault, dropout))
         .collect();
     let (replies, mode) = h.wave_and_tick(&lines);
     h.log(format!(
@@ -490,11 +473,11 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     // job, against four clean jobs.
     h.advance(1000);
     let mut lines: Vec<String> = (0..3)
-        .map(|i| Harness::line(&format!("strike-{i}"), "chaos", &parole, "\"battery\": 0.3"))
+        .map(|i| Harness::line(&format!("strike-{i}"), "chaos", &parole, battery(0.3)))
         .collect();
-    lines.push(Harness::line("poison-0", "chaos", &poisoned[0], ""));
+    lines.push(Harness::line("poison-0", "chaos", &poisoned[0], plain));
     for (i, src) in clean.iter().take(4).enumerate() {
-        lines.push(Harness::line(&format!("mid-{i}"), "chaos", src, ""));
+        lines.push(Harness::line(&format!("mid-{i}"), "chaos", src, plain));
     }
     let (replies, mode) = h.wave_and_tick(&lines);
     let (active, _) = h.server.quarantine_counts();
@@ -508,10 +491,10 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     // Wave 4 — total failure: poisoned panics and compile errors only.
     h.advance(1000);
     let lines = vec![
-        Harness::line("poison-1a", "chaos", &poisoned[1], ""),
-        Harness::line("poison-1b", "chaos", &poisoned[1], ""),
-        Harness::line("bad-0", "chaos", &bad_syntax, ""),
-        Harness::line("bad-1", "chaos", &bad_syntax, ""),
+        Harness::line("poison-1a", "chaos", &poisoned[1], plain),
+        Harness::line("poison-1b", "chaos", &poisoned[1], plain),
+        Harness::line("bad-0", "chaos", &bad_syntax, plain),
+        Harness::line("bad-1", "chaos", &bad_syntax, plain),
     ];
     let (replies, mode) = h.wave_and_tick(&lines);
     h.log(format!(
@@ -527,10 +510,10 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     // enough — two more each is).
     h.advance(1000);
     let lines = vec![
-        Harness::line("poison-1c", "chaos", &poisoned[1], ""),
-        Harness::line("poison-1d", "chaos", &poisoned[1], ""),
-        Harness::line("bad-2", "chaos", &bad_syntax, ""),
-        Harness::line("bad-3", "chaos", &bad_syntax, ""),
+        Harness::line("poison-1c", "chaos", &poisoned[1], plain),
+        Harness::line("poison-1d", "chaos", &poisoned[1], plain),
+        Harness::line("bad-2", "chaos", &bad_syntax, plain),
+        Harness::line("bad-3", "chaos", &bad_syntax, plain),
     ];
     let (_, mode) = h.wave_and_tick(&lines);
     let (active, _) = h.server.quarantine_counts();
@@ -549,16 +532,13 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             &format!("floor-{i}"),
             "alice",
             &clean[0],
-            "",
+            plain,
         )) {
             assert_eq!(kind, ErrorKind::FallbackOnly, "floor sheds are typed");
             fallback_sheds += 1;
         }
     }
-    let check_line = format!(
-        "{{\"op\": \"check\", \"id\": \"floor-check\", \"tenant\": \"alice\", \"src\": \"{}\"}}",
-        json_escape(&clean[0])
-    );
+    let check_line = request("check", "floor-check", "alice", &clean[0], plain);
     let check_ok = matches!(
         h.submit_and_wait(&check_line),
         Served::Done(Reply::Done { code: 0, .. })
@@ -601,7 +581,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     // so the split is exactly 16 accepted / 24 rate-limited.
     h.advance(1000);
     let lines: Vec<String> = (0..40)
-        .map(|i| Harness::line(&format!("burst-{i}"), "bursty", &clean[i % 8], ""))
+        .map(|i| Harness::line(&format!("burst-{i}"), "bursty", &clean[i % 8], plain))
         .collect();
     let (replies, mode) = h.wave_and_tick(&lines);
     h.log(format!(
@@ -622,7 +602,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             &format!("joule-{i}"),
             "greedy",
             &expensive,
-            "",
+            plain,
         )) {
             Served::Done(Reply::Done { code, .. }) => energy_record.push(format!("ran({code})")),
             Served::Shed(kind) => energy_record.push(format!("shed({})", kind.as_str())),
@@ -644,7 +624,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let mut pending = Vec::new();
     for i in 0..cfg.flood_jobs {
         h.advance(20);
-        if let Ok(job) = h.submit(&Harness::line(&format!("flood-{i}"), "flood", &spin, "")) {
+        if let Ok(job) = h.submit(&Harness::line(&format!("flood-{i}"), "flood", &spin, plain)) {
             pending.push(job);
         }
     }
@@ -665,7 +645,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             &format!("parole-{i}"),
             "chaos",
             &parole,
-            "\"battery\": 0.9",
+            battery(0.9),
         )) {
             Served::Shed(ErrorKind::Quarantined) => parole_record.push("shed"),
             Served::Done(Reply::Done { code: 0, .. }) => parole_record.push("probe-ok"),
@@ -678,7 +658,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             "parole-free",
             "chaos",
             &parole,
-            "\"battery\": 0.9"
+            battery(0.9)
         )),
         Served::Done(Reply::Done { code: 0, .. })
     );
@@ -695,7 +675,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     // Wave 12 — service restored: clean traffic at normal admission.
     h.advance(1000);
     let lines: Vec<String> = (0..4)
-        .map(|i| Harness::line(&format!("post-{i}"), "alice", &clean[i], ""))
+        .map(|i| Harness::line(&format!("post-{i}"), "alice", &clean[i], plain))
         .collect();
     let (replies, mode) = h.wave_and_tick(&lines);
     h.log(format!(

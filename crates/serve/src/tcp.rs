@@ -12,6 +12,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::json::ToJson;
 use crate::server::{Server, Submission};
 
 /// The most bytes a request line may hold before its `\n`: 8 MiB, well
@@ -55,6 +56,8 @@ fn handle_connection(stream: TcpStream, server: &Server, epoch: Instant) {
     // Lines are read as bytes, so a line that is not UTF-8 gets a typed
     // reply instead of ending the connection.
     let mut buf = Vec::new();
+    // Each reply and its `\n` are written into this one buffer.
+    let mut line = String::new();
     loop {
         let submission = match read_line(&mut reader, &mut buf) {
             Ok(Line::Closed) | Err(_) => return,
@@ -81,10 +84,10 @@ fn handle_connection(stream: TcpStream, server: &Server, epoch: Instant) {
                 Err(_) => return,
             },
         };
-        if writer
-            .write_all(format!("{}\n", reply.to_json()).as_bytes())
-            .is_err()
-        {
+        line.clear();
+        reply.json().write_json(&mut line, 0);
+        line.push('\n');
+        if writer.write_all(line.as_bytes()).is_err() {
             return;
         }
     }

@@ -64,7 +64,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use ent_core::compile;
-use ent_runtime::{default_stack_size, spawn_interp_scoped, with_interp_stack, LoweredProgram};
+use ent_runtime::{
+    default_stack_size, json, json_fields, spawn_interp_scoped, with_interp_stack, LoweredProgram,
+};
 
 /// The most distinct programs the cache retains at once. Past it the
 /// oldest entry is evicted (insertion order); the figure suite uses a few
@@ -318,26 +320,16 @@ pub fn sched_totals() -> SchedTotals {
 }
 
 impl SchedTotals {
-    /// Renders the totals as one `ent-batch-telemetry/1` JSON document
-    /// (hand-emitted; the workspace has no serde). Every field is a
-    /// counter or a fixed-vocabulary string, so no escaping is needed.
+    /// Renders the totals as one `ent-batch-telemetry/1` JSON document.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema\": \"ent-batch-telemetry/1\", \
-             \"batches\": {}, \"jobs\": {}, \"max_workers\": {}, \"chunks_claimed\": {}, \
-             \"cache\": {{\"capacity\": {}, \"hits\": {}, \"misses\": {}, \
-             \"evictions\": {}, \"entries\": {}}}}}",
-            self.batches,
-            self.jobs,
-            self.max_workers,
-            self.chunks_claimed,
-            self.cache.capacity,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.evictions,
-            self.cache.entries,
-        )
+        json::to_string(json::object(|o| {
+            o.field("schema", "ent-batch-telemetry/1");
+            json_fields!(o, self; batches, jobs, max_workers, chunks_claimed);
+            o.object("cache", |o| {
+                json_fields!(o, self.cache; capacity, hits, misses, evictions, entries);
+            });
+        }))
     }
 }
 
