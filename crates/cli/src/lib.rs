@@ -501,8 +501,8 @@ pub struct RunOutcome {
 
 /// Runs an already-lowered program under `options` and renders the full
 /// `ent run` report. This is the single rendering path: the CLI `run`
-/// subcommand calls it after compiling, and the `ent-serve` workers call
-/// it against cache-shared programs — which is what makes a served reply
+/// subcommand calls it after compiling, and `ent-serve` calls it against
+/// cache-shared programs — which is what makes a served reply
 /// byte-identical to its one-shot equivalent by construction.
 pub fn run_prepared(options: &Options, lowered: &ent_runtime::LoweredProgram) -> RunOutcome {
     let mut out = String::new();

@@ -265,7 +265,10 @@ fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
         .get(at..at + 4)
         .ok_or_else(|| "truncated \\u escape".to_string())?;
     let text = std::str::from_utf8(slice).map_err(|_| "bad utf-8 in \\u escape")?;
-    u32::from_str_radix(text, 16).map_err(|_| format!("bad \\u escape `{text}`"))
+    // Four hex digits: `from_str_radix` alone also takes a `+` sign.
+    let digits = slice.iter().all(u8::is_ascii_hexdigit);
+    let code = u32::from_str_radix(text, 16).ok().filter(|_| digits);
+    code.ok_or_else(|| format!("bad \\u escape `{text}`"))
 }
 
 fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
@@ -685,6 +688,7 @@ pub(crate) mod tests {
             "{\"a\": 1} trailing",
             "\"unterminated",
             "\"bad \\q escape\"",
+            "\"\\u+041\"",
             "nul",
             "NaN",
             "01",

@@ -15,8 +15,8 @@
 //!   thread is not already such a worker. Scoped spawning borrows freely
 //!   (no `'static`, no `unsafe`), and every call gets its own worker, so
 //!   any number of threads may run interpreters concurrently.
-//! * Callers that run *many* programs — `ent-serve`'s workers, the perf
-//!   harness — wrap their whole loop in one `with_interp_stack` call:
+//! * Callers that run *many* programs — the perf harness — wrap their
+//!   whole loop in one `with_interp_stack` call:
 //!   the worker is marked thread-local, nested calls (including every
 //!   [`crate::run_lowered`] inside) detect the mark and run directly on
 //!   the current thread, so the per-run cost is zero.
@@ -24,6 +24,10 @@
 //!   pool — spawns each one with [`spawn_interp_scoped`]: the thread
 //!   gets the big stack and the mark itself, so every worker costs one
 //!   spawn per batch, not a plain thread plus a big-stack one.
+//!   [`spawn_interp`] is its detached twin, for threads that outlive
+//!   their spawner (`ent-serve`'s connection threads). A long-lived
+//!   thread keeps every stack page its deepest run touched until it
+//!   calls [`release_idle_stack`].
 //!
 //! The default stack size is 512 MiB of (lazily committed) virtual
 //! memory, overridable per run via [`crate::RuntimeConfig::stack_size`]
@@ -33,9 +37,10 @@
 //! value at startup ([`check_env_settings`]).
 
 use std::cell::Cell;
+use std::io;
 use std::panic::resume_unwind;
 use std::sync::OnceLock;
-use std::thread::{Scope, ScopedJoinHandle};
+use std::thread::{Builder, JoinHandle, Scope, ScopedJoinHandle};
 
 /// The built-in interpreter stack size: 512 MiB, as the seed interpreter
 /// hardcoded. Virtual memory only — pages are committed on first touch.
@@ -170,15 +175,86 @@ where
     R: Send + 'scope,
     F: FnOnce() -> R + Send + 'scope,
 {
-    let stack_size = stack_size.max(MIN_STACK_SIZE);
-    std::thread::Builder::new()
-        .name("ent-interp".into())
-        .stack_size(stack_size)
-        .spawn_scoped(s, move || {
-            STACK_LOW.with(|low| low.set(stack_address().saturating_sub(stack_size)));
-            f()
-        })
+    let (builder, stack_size) = interp_builder(stack_size);
+    builder
+        .spawn_scoped(s, move || enter_interp(stack_size, f))
         .expect("spawning an interpreter worker thread")
+}
+
+/// Spawns a detached interpreter worker: a thread whose stack is at least
+/// `stack_size` bytes, marked as [`spawn_interp_scoped`] marks its
+/// threads. For threads that outlive their spawner.
+///
+/// # Errors
+///
+/// If the operating system refuses the thread, for example because it
+/// cannot reserve a stack that large.
+pub fn spawn_interp<R, F>(stack_size: usize, f: F) -> io::Result<JoinHandle<R>>
+where
+    R: Send + 'static,
+    F: FnOnce() -> R + Send + 'static,
+{
+    let (builder, stack_size) = interp_builder(stack_size);
+    builder.spawn(move || enter_interp(stack_size, f))
+}
+
+/// A thread builder for an interpreter worker, and the stack size it
+/// gets (at least [`MIN_STACK_SIZE`]).
+fn interp_builder(stack_size: usize) -> (Builder, usize) {
+    let stack_size = stack_size.max(MIN_STACK_SIZE);
+    let builder = Builder::new()
+        .name("ent-interp".into())
+        .stack_size(stack_size);
+    (builder, stack_size)
+}
+
+/// Runs `f` as the first frame of a fresh `stack_size`-byte thread,
+/// marking where that stack ends.
+fn enter_interp<R>(stack_size: usize, f: impl FnOnce() -> R) -> R {
+    STACK_LOW.with(|low| low.set(stack_address().saturating_sub(stack_size)));
+    f()
+}
+
+/// How far [`release_idle_stack`] stays above [`STACK_LOW`] and below the
+/// caller's frame. `STACK_LOW` can sit below the thread's own stack by
+/// its TLS block and start-up frames; the top of the stack is where every
+/// run works, so it stays resident.
+const RELEASE_MARGIN: usize = 1 << 20;
+
+/// Hands the pages of this interpreter thread's stack that lie more than
+/// a margin below the caller's frame back to the host (Linux only). A
+/// deep run touched them and nothing live sits there now; they read as
+/// zero when touched again, as fresh stack pages do. Does nothing off an
+/// interpreter thread or on a stack under two margins deep.
+pub fn release_idle_stack() {
+    #[cfg(target_os = "linux")]
+    {
+        use std::ffi::{c_int, c_void};
+        extern "C" {
+            fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        }
+        const MADV_DONTNEED: c_int = 4;
+        // A multiple of every page size Linux uses.
+        const ALIGN: usize = 64 << 10;
+        let low = STACK_LOW.with(Cell::get);
+        if low == 0 {
+            return;
+        }
+        let start = (low + RELEASE_MARGIN).next_multiple_of(ALIGN);
+        let end = stack_address().saturating_sub(RELEASE_MARGIN) / ALIGN * ALIGN;
+        if start < end {
+            // SAFETY: `[start, end)` lies inside this thread's own stack
+            // mapping: a margin above `STACK_LOW`, which is at most the TLS
+            // block and start-up frames below the stack's real end, and a
+            // margin below this frame, under which only this call's own
+            // frames are live. Frames that have returned hold nothing a
+            // reference can reach, so discarding their pages loses no data.
+            // A failed call (an error return) changes nothing.
+            unsafe {
+                madvise(start as *mut c_void, end - start, MADV_DONTNEED);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -221,6 +297,47 @@ mod tests {
         });
         assert_eq!(outer_id, inner_id, "a spawned worker must not respawn");
         assert_ne!(outer_id, std::thread::current().id());
+    }
+
+    #[test]
+    fn a_detached_worker_runs_nested_calls_in_place() {
+        let handle = spawn_interp(MIN_STACK_SIZE, || {
+            let outer_id = std::thread::current().id();
+            let inner_id = with_interp_stack(BUILTIN_STACK_SIZE, || std::thread::current().id());
+            (outer_id, inner_id)
+        });
+        let (outer_id, inner_id) = handle
+            .expect("spawn a worker")
+            .join()
+            .expect("worker panicked");
+        assert_eq!(outer_id, inner_id, "a spawned worker must not respawn");
+        assert_ne!(outer_id, std::thread::current().id());
+    }
+
+    /// Burns about `depth` KiB of stack and returns a value every frame
+    /// contributed to.
+    fn deep(depth: u32) -> u64 {
+        let frame = std::hint::black_box([depth as u8; 1024]);
+        if depth == 0 {
+            return 1;
+        }
+        deep(depth - 1) + u64::from(frame[depth as usize % 1024])
+    }
+
+    #[test]
+    fn a_released_stack_runs_deep_again() {
+        let sums = spawn_interp(32 << 20, || {
+            let first = deep(8 << 10);
+            release_idle_stack();
+            (first, deep(8 << 10))
+        });
+        let (first, again) = sums
+            .expect("spawn a worker")
+            .join()
+            .expect("worker panicked");
+        assert_eq!(first, again);
+        // Off an interpreter thread there is nothing to release.
+        release_idle_stack();
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! * **Wire protocol** ([`proto`]): newline-delimited JSON
 //!   (`ent-serve-proto/1`) over `std::net::TcpListener` ([`tcp`]) — no
-//!   dependencies, one request line in, one reply line out.
+//!   dependencies, one request line in, one reply line out, one thread
+//!   per connection.
 //! * **Admission control** ([`admission`]): per-tenant token buckets and
 //!   energy budgets; a tenant over budget gets a typed reply, not a slow
 //!   server.
@@ -23,10 +24,12 @@
 //!   parole probes for release.
 //! * **One control plane** (`gates`): the gates, the completion
 //!   bookkeeping and the counters as one plain value, which the server
-//!   holds under the same lock as its queue.
-//! * **Isolation** ([`server`]): a bounded work queue with backpressure,
-//!   and workers that reuse the batch engine's `catch_unwind` / retry
-//!   machinery and its compile-once program cache.
+//!   holds under the same lock as its permits.
+//! * **Isolation** ([`server`]): each admitted job runs on the thread
+//!   that read it, under one of a fixed number of permits; the jobs
+//!   waiting for one are a bounded queue with backpressure. Jobs reuse
+//!   the batch engine's `catch_unwind` / retry machinery and its
+//!   compile-once program cache.
 //! * **Soak harness** ([`soak`]): a deterministic in-process chaos soak
 //!   (faults + panics + overload) that asserts zero daemon crashes,
 //!   byte-identical replies vs. one-shot `ent run`, and the hysteresis
@@ -34,7 +37,7 @@
 //!
 //! Modes and admission only ever decide *whether* a job runs, never
 //! *how*: an admitted job's `RuntimeConfig` is exactly its one-shot
-//! equivalent's, which is why byte-identity holds at any worker count by
+//! equivalent's, which is why byte-identity holds at any permit count by
 //! construction.
 
 pub mod admission;

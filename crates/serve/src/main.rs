@@ -15,14 +15,16 @@ A resident multi-tenant ENT daemon speaking newline-delimited JSON
 
 options:
   --addr <host:port>   listen address (default: 127.0.0.1:7474)
-  --workers <n>        worker threads (default: 4)
-  --queue <n>          bounded work-queue capacity (default: 64)
+  --workers <n>        jobs that run at once (default: 4)
+  --queue <n>          jobs that may wait to run (default: 64)
   --retries <n>        per-job retry budget (default: 1)
   --tick-ms <n>        mode-controller tick period (default: 500)
 
-Runs use the bytecode engine and guarded enforcement, as `ent run`
-does by default. ENT_STACK_SIZE sizes each worker's interpreter stack;
-a malformed value exits 1 at startup.
+Each connection is served on its own thread, which runs the jobs it
+reads. Runs use the bytecode engine and guarded enforcement, as `ent
+run` does by default. ENT_STACK_SIZE sizes each connection's
+interpreter stack; a malformed value, or one the host cannot create,
+exits 1 at startup.
 ";
 
 fn main() -> ExitCode {
@@ -81,6 +83,12 @@ fn main() -> ExitCode {
 
     if let Err(msg) = ent_runtime::check_env_settings() {
         eprintln!("error: {msg}");
+        return ExitCode::from(1);
+    }
+    // Every connection thread gets this stack: fail here, not per client.
+    let stack = ent_runtime::default_stack_size();
+    if let Err(e) = ent_runtime::spawn_interp(stack, || ()).map(|probe| probe.join()) {
+        eprintln!("error: cannot create a {stack}-byte interpreter stack (ENT_STACK_SIZE): {e}");
         return ExitCode::from(1);
     }
     let listener = match TcpListener::bind(&addr) {

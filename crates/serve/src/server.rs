@@ -1,26 +1,26 @@
-//! The resident server: a bounded queue, a worker pool and the reply
-//! channels around the control plane (`gates`). The TCP front-end ([`crate::tcp`]) and the deterministic soak harness
-//! ([`crate::soak`]) both drive this same object — the only difference
-//! is where requests and the virtual clock come from. The pipeline for
-//! one `run` request:
+//! The resident server: the control plane (`gates`) and the permits
+//! that bound how many admitted jobs run at once. The TCP front-end
+//! ([`crate::tcp`]) and the deterministic soak harness ([`crate::soak`])
+//! both drive this same object — the only difference is where requests
+//! and the virtual clock come from. The pipeline for one `run` request:
 //!
 //! ```text
 //! parse → decide: mode → quarantine → queue bound → token/energy
-//!       → bounded queue → worker: catch_unwind(run_prepared) → complete → reply
+//!       → wait for a permit → catch_unwind(run_prepared) → complete → reply
 //! ```
 //!
-//! Every gate that refuses a request sends a typed reply immediately —
-//! the queue is the only place a request waits, and it is bounded, so
-//! memory use is bounded by construction. Workers reuse the engine's
-//! [`run_job_isolated`] machinery (the same catch_unwind / retry policy
-//! as batch jobs) and the shared compile-once program cache
+//! Every step runs on the thread that read the request. A job that finds
+//! none of the `workers` permits free waits; waiters start in admission
+//! order and are the queue whose bound sheds `overloaded`, so memory use
+//! is bounded by construction. Jobs reuse the engine's
+//! [`run_job_isolated`] machinery (the batch jobs' catch_unwind / retry
+//! policy) and the shared compile-once program cache
 //! ([`try_lowered_cached`]), so a hundred tenants submitting the same
 //! benchmark compile it once.
 
-use std::collections::VecDeque;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::mpsc::Receiver;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use ent_cli::run_prepared;
 use ent_runtime::{default_stack_size, json_fields, with_interp_stack};
@@ -32,11 +32,11 @@ use crate::admission::AdmissionConfig;
 use crate::gates::{Admitted, Gates, Outcome};
 use crate::json::{self, Members};
 use crate::modes::{transitions, ModeConfig, SystemMode, Transition};
-use crate::proto::{ErrorKind, Op, Reply, Request, STATS_SCHEMA};
+use crate::proto::{parse_request, ErrorKind, Op, Reply, Request, STATS_SCHEMA};
 use crate::quarantine::QuarantineConfig;
 
 /// Deterministic chaos injection for the soak: panics keyed by job
-/// identity, the worker-pool analogue of the energy layer's
+/// identity, the daemon's analogue of the energy layer's
 /// `FaultInjector` (a pure function of seed and identity, never of
 /// timing).
 #[derive(Clone, Copy, Debug)]
@@ -83,10 +83,11 @@ impl ChaosPlan {
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads executing jobs.
+    /// Permits: how many admitted jobs run at once.
     pub workers: usize,
-    /// Bounded queue capacity under `normal` mode (degraded modes shrink
-    /// the bound in force: half under `degraded`, a quarter below).
+    /// How many admitted jobs may wait for a permit under `normal` mode
+    /// (degraded modes shrink the bound in force: half under `degraded`,
+    /// a quarter below).
     pub queue_capacity: usize,
     /// Per-job isolation policy (retries) — the same [`BatchPolicy`] the
     /// batch scheduler uses.
@@ -119,9 +120,9 @@ impl Default for ServerConfig {
 /// `ent-serve-stats/1` document.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
-    /// Requests that passed every gate and entered the queue.
+    /// Requests that passed every gate.
     pub accepted: u64,
-    /// Jobs a worker finished (any outcome).
+    /// Jobs that finished (any outcome).
     pub completed: u64,
     /// Runs that exited 0.
     pub ok_runs: u64,
@@ -137,7 +138,7 @@ pub struct CounterSnapshot {
     pub checks: u64,
     /// Quarantine parole probes admitted.
     pub probes: u64,
-    /// Sheds: bounded queue or tenant table full.
+    /// Sheds: too many jobs waiting for a permit, or tenant table full.
     pub shed_overloaded: u64,
     /// Sheds: tenant token bucket empty.
     pub shed_rate_limited: u64,
@@ -161,112 +162,117 @@ impl CounterSnapshot {
     }
 }
 
-/// A queued job.
-struct Job {
-    request: Request,
+/// A `run` or `check` that passed every gate; [`Server::execute`] runs it.
+pub(crate) struct Job {
+    pub(crate) request: Request,
     admitted: Admitted,
-    reply_tx: Sender<Reply>,
 }
 
 /// Everything that changes, under one lock.
 struct State {
-    queue: VecDeque<Job>,
     gates: Gates,
-    shutdown: bool,
+    /// Jobs that have taken a permit. Admission numbers jobs by `accepted`
+    /// (`Admitted::seq`), so job number `started` is the next to start.
+    started: u64,
+    /// Permits held by running jobs.
+    running: usize,
 }
 
-struct Inner {
-    cfg: ServerConfig,
-    state: Mutex<State>,
-    available: Condvar,
-}
+impl State {
+    /// Admitted jobs waiting for a permit: the queue the bound counts.
+    fn waiting(&self) -> usize {
+        (self.gates.counters.accepted - self.started) as usize
+    }
 
-impl Inner {
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    /// Job `seq` starts after every earlier one, on a free permit.
+    fn may_start(&self, seq: u64, permits: usize) -> bool {
+        self.started == seq && self.running < permits
     }
 }
 
 /// What a submission produced.
 pub enum Submission {
-    /// Decided synchronously (stats, health, every shed, bad requests).
+    /// The reply: an admitted job runs before the submission returns.
     Immediate(Reply),
-    /// Queued; the reply arrives on this channel when a worker finishes.
+    /// Never built: every submission is answered before it returns. Kept
+    /// because `perfbench/` matches on it (ROADMAP item 9 deletes it).
     Queued(Receiver<Reply>),
 }
 
-/// The resident server. Dropping it shuts the worker pool down.
+/// The resident server. It starts no thread: jobs run on their submitters'.
 pub struct Server {
-    inner: Arc<Inner>,
-    workers: Vec<JoinHandle<()>>,
+    cfg: ServerConfig,
+    state: Mutex<State>,
+    /// Signalled when a permit frees or a waiter starts.
+    permits: Condvar,
 }
 
 impl Server {
-    /// Starts the worker pool.
+    /// Builds the server.
     #[must_use]
-    pub fn start(cfg: ServerConfig) -> Server {
-        let workers_n = cfg.workers.max(1);
-        let inner = Arc::new(Inner {
+    pub fn start(mut cfg: ServerConfig) -> Server {
+        cfg.workers = cfg.workers.max(1);
+        Server {
             state: Mutex::new(State {
-                queue: VecDeque::new(),
                 gates: Gates::new(&cfg),
-                shutdown: false,
+                started: 0,
+                running: 0,
             }),
             cfg,
-            available: Condvar::new(),
-        });
-        let workers = (0..workers_n)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                let (entered_tx, entered_rx) = channel();
-                // One interpreter-stack frame per worker lifetime: every
-                // compile and run the worker does then recurses in place.
-                let handle = std::thread::Builder::new()
-                    .name(format!("ent-serve-worker-{i}"))
-                    .spawn(move || {
-                        with_interp_stack(default_stack_size(), || {
-                            let _ = entered_tx.send(());
-                            worker_loop(&inner);
-                        });
-                    })
-                    .expect("spawn worker");
-                // A worker that cannot create its stack dies before serving;
-                // stop here rather than leave queued requests unanswered.
-                entered_rx.recv().expect(
-                    "an ent-serve worker could not create its interpreter stack \
-                     (ENT_STACK_SIZE too large for this host?)",
-                );
-                handle
-            })
-            .collect();
-        Server { inner, workers }
+            permits: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Parses and submits one wire line at `now_ms` virtual time.
     pub fn handle_line(&self, line: &str, now_ms: u64) -> Submission {
-        match crate::proto::parse_request(line) {
-            Ok(request) => self.submit(request, now_ms),
-            Err(message) => Submission::Immediate(self.bad_request(message)),
+        Submission::Immediate(self.serve_line(line, now_ms).0)
+    }
+
+    /// Answers one wire line at `now_ms` virtual time, with how long its
+    /// job held a permit.
+    pub(crate) fn serve_line(&self, line: &str, now_ms: u64) -> (Reply, Duration) {
+        match parse_request(line) {
+            Ok(request) => self.serve(request, now_ms),
+            Err(message) => (self.bad_request(message), Duration::ZERO),
         }
     }
 
     /// Counts a line that is not a request and builds its typed reply.
     pub(crate) fn bad_request(&self, message: impl Into<String>) -> Reply {
-        self.inner.lock().gates.bad_request();
+        self.lock().gates.bad_request();
         Reply::error("", ErrorKind::BadRequest, message)
     }
 
-    /// Submits a parsed request at `now_ms` virtual time.
+    /// Submits a parsed request at `now_ms` virtual time. An admitted job
+    /// runs on this thread, on an interpreter stack (scoped, if need be).
     pub fn submit(&self, request: Request, now_ms: u64) -> Submission {
+        Submission::Immediate(self.serve(request, now_ms).0)
+    }
+
+    fn serve(&self, request: Request, now_ms: u64) -> (Reply, Duration) {
+        match self.admit(request, now_ms) {
+            Ok(job) => with_interp_stack(default_stack_size(), || self.execute(&job)),
+            Err(reply) => (reply, Duration::ZERO),
+        }
+    }
+
+    /// Runs the gates on `request` at `now_ms`: `stats`, `health` and every
+    /// shed are answered here. A job must go to [`Server::execute`], as
+    /// every job admitted after it waits until it starts.
+    pub(crate) fn admit(&self, request: Request, now_ms: u64) -> Result<Job, Reply> {
         let fingerprint = source_fingerprint(&request.src);
-        let mut st = self.inner.lock();
-        let depth = st.queue.len();
+        let mut st = self.lock();
+        let depth = st.waiting();
         let decision = st
             .gates
             .decide(request.op, &request.tenant, fingerprint, now_ms, depth);
         let admitted = match decision {
             Ok(admitted) => admitted,
-            Err(shed) => return Submission::Immediate(shed.reply(&request.id)),
+            Err(shed) => return Err(shed.reply(&request.id)),
         };
         let payload = match request.op {
             Op::Health => {
@@ -274,42 +280,127 @@ impl Server {
                 json::to_string(json::object(|o| json_fields!(o; ok = true, mode = mode)))
             }
             Op::Stats => self.stats_json(&st),
-            Op::Run | Op::Check => {
-                let (reply_tx, reply_rx) = channel();
-                st.queue.push_back(Job {
-                    request,
-                    admitted,
-                    reply_tx,
-                });
-                drop(st);
-                self.inner.available.notify_one();
-                return Submission::Queued(reply_rx);
-            }
+            Op::Run | Op::Check => return Ok(Job { request, admitted }),
         };
-        Submission::Immediate(Reply::Doc {
+        Err(Reply::Doc {
             id: request.id,
             payload,
         })
+    }
+
+    /// Runs `job` on this thread once it may take a permit; returns the
+    /// reply and how long the job held the permit.
+    pub(crate) fn execute(&self, job: &Job) -> (Reply, Duration) {
+        let (seq, permits) = (job.admitted.seq, self.cfg.workers);
+        let mut st = self
+            .permits
+            .wait_while(self.lock(), |st| !st.may_start(seq, permits))
+            .unwrap_or_else(PoisonError::into_inner);
+        st.started += 1;
+        st.running += 1;
+        self.wake(&st);
+        drop(st);
+        let held = Instant::now();
+        (self.process(job), held.elapsed())
+    }
+
+    /// Executes one job with full isolation. It is booked, and its permit
+    /// freed, under one lock before the reply goes out, so a submitter
+    /// holding every reply of a wave knows the whole wave is counted.
+    fn process(&self, job: &Job) -> Reply {
+        let request = &job.request;
+        let id = &request.id;
+        let book = |outcome: Outcome<'_>| {
+            let mut st = self.lock();
+            st.gates.complete(&request.tenant, &job.admitted, outcome);
+            st.running -= 1;
+            self.wake(&st);
+        };
+        let failed = |outcome, kind, message: String| {
+            book(outcome);
+            Reply::error(id, kind, message)
+        };
+        if request.op == Op::Check {
+            // A static path: compile + typecheck, no energy spent. Still
+            // isolated — a compiler panic must not take the daemon down.
+            let checked = run_job_isolated(&self.cfg.policy, |_| {
+                ent_cli::execute(&request.options, &request.src)
+            });
+            return match checked {
+                Ok((code, output)) => {
+                    book(Outcome::Checked);
+                    Reply::Done {
+                        id: id.clone(),
+                        code,
+                        output,
+                        energy_j: 0.0,
+                        time_s: 0.0,
+                        attempts: 1,
+                    }
+                }
+                Err(e) => failed(Outcome::Panicked, ErrorKind::Panic, e.message),
+            };
+        }
+
+        let (chaos, fingerprint, seq) =
+            (self.cfg.chaos, job.admitted.fingerprint, job.admitted.seq);
+        let result = run_job_isolated(&self.cfg.policy, |attempt| {
+            if let Some(plan) = &chaos {
+                if plan.poisons(fingerprint) {
+                    panic!("chaos: poisoned program {fingerprint:#x}");
+                }
+                if attempt == 0 && plan.transient(fingerprint, seq) {
+                    panic!("chaos: transient worker fault on job {seq}");
+                }
+            }
+            // Compile through the shared cache; run through the same
+            // rendering path as `ent run` — byte-identity by construction.
+            match try_lowered_cached(&request.src) {
+                Ok(lowered) => (attempt + 1, Ok(run_prepared(&request.options, &lowered))),
+                Err(diagnostic) => (attempt + 1, Err(diagnostic)),
+            }
+        });
+        match result {
+            Ok((attempts, Ok(run))) => {
+                book(Outcome::Ran(&run));
+                Reply::done(id, &run, attempts)
+            }
+            Ok((_, Err(diagnostic))) => {
+                failed(Outcome::CompileError, ErrorKind::CompileError, diagnostic)
+            }
+            Err(e) => {
+                let message = format!("job panicked on all {} attempts: {}", e.attempts, e.message);
+                failed(Outcome::Panicked, ErrorKind::Panic, message)
+            }
+        }
+    }
+
+    /// Wakes the waiters when a permit is free for one of them.
+    fn wake(&self, st: &State) {
+        if st.waiting() > 0 && st.running < self.cfg.workers {
+            self.permits.notify_all();
+        }
     }
 
     /// Runs one mode-controller tick on what completed since the last
     /// one. The TCP front-end calls this on a timer; the soak calls it at
     /// deterministic points.
     pub fn tick(&self) -> SystemMode {
-        let st = &mut *self.inner.lock();
-        st.gates.tick(st.queue.len())
+        let st = &mut *self.lock();
+        let depth = st.waiting();
+        st.gates.tick(depth)
     }
 
     /// The current system mode.
     #[must_use]
     pub fn mode(&self) -> SystemMode {
-        self.inner.lock().gates.modes.mode()
+        self.lock().gates.modes.mode()
     }
 
     /// The mode-transition log so far.
     #[must_use]
     pub fn transitions(&self) -> Vec<Transition> {
-        self.inner.lock().gates.modes.transitions().to_vec()
+        self.lock().gates.modes.transitions().to_vec()
     }
 
     /// Renders the `ent-serve-stats/1` document — the server-side twin
@@ -326,9 +417,9 @@ impl Server {
                 json_fields!(o; failure_ewma = fail_ewma, queue_ewma = queue_ewma,
                     fault_ewma = fault_ewma);
             });
-            json_fields!(o; workers = self.workers.len(), tenants = g.admission.tenant_count());
+            json_fields!(o; workers = self.cfg.workers, tenants = g.admission.tenant_count());
             o.object("queue", |o| {
-                json_fields!(o; depth = st.queue.len(), capacity = self.inner.cfg.queue_capacity,
+                json_fields!(o; depth = st.waiting(), capacity = self.cfg.queue_capacity,
                     effective_capacity = g.capacity());
             });
             o.object("jobs", |o| {
@@ -353,111 +444,18 @@ impl Server {
     /// numbers for wire clients).
     #[must_use]
     pub fn counters(&self) -> CounterSnapshot {
-        self.inner.lock().gates.counters
+        self.lock().gates.counters
     }
 
     /// `(active, paroled)` quarantine counts.
     #[must_use]
     pub fn quarantine_counts(&self) -> (u64, u64) {
-        let q = &self.inner.lock().gates.quarantine;
+        let q = &self.lock().gates.quarantine;
         (q.active(), q.paroled())
     }
 
-    /// Stops accepting queue pops and joins the workers. Jobs still in
-    /// the queue are drained first (their submitters hold receivers).
+    /// Drops the server: every submission was answered as it returned.
     pub fn shutdown(self) {}
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.inner.lock().shutdown = true;
-        self.inner.available.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(inner: &Inner) {
-    loop {
-        let waiting = |st: &mut State| st.queue.is_empty() && !st.shutdown;
-        let woken = inner.available.wait_while(inner.lock(), waiting);
-        // The queue is empty only at shutdown: queued jobs drain first.
-        let Some(job) = woken.unwrap_or_else(|e| e.into_inner()).queue.pop_front() else {
-            return;
-        };
-        let reply = process_job(inner, &job);
-        // A submitter that gave up and dropped its receiver is fine.
-        let _ = job.reply_tx.send(reply);
-    }
-}
-
-/// Executes one job with full isolation and books it before the reply
-/// goes out, so a submitter holding every reply of a wave knows the
-/// whole wave is counted.
-fn process_job(inner: &Inner, job: &Job) -> Reply {
-    let request = &job.request;
-    let id = &request.id;
-    let book = |outcome: Outcome<'_>| {
-        let tenant = &request.tenant;
-        inner.lock().gates.complete(tenant, &job.admitted, outcome);
-    };
-    let failed = |outcome, kind, message: String| {
-        book(outcome);
-        Reply::error(id, kind, message)
-    };
-    if request.op == Op::Check {
-        // A static path: compile + typecheck, no energy spent. Still
-        // isolated — a compiler panic must not take a worker down.
-        let checked = run_job_isolated(&inner.cfg.policy, |_| {
-            ent_cli::execute(&request.options, &request.src)
-        });
-        return match checked {
-            Ok((code, output)) => {
-                book(Outcome::Checked);
-                Reply::Done {
-                    id: id.clone(),
-                    code,
-                    output,
-                    energy_j: 0.0,
-                    time_s: 0.0,
-                    attempts: 1,
-                }
-            }
-            Err(e) => failed(Outcome::Panicked, ErrorKind::Panic, e.message),
-        };
-    }
-
-    let (chaos, fingerprint, seq) = (inner.cfg.chaos, job.admitted.fingerprint, job.admitted.seq);
-    let result = run_job_isolated(&inner.cfg.policy, |attempt| {
-        if let Some(plan) = &chaos {
-            if plan.poisons(fingerprint) {
-                panic!("chaos: poisoned program {fingerprint:#x}");
-            }
-            if attempt == 0 && plan.transient(fingerprint, seq) {
-                panic!("chaos: transient worker fault on job {seq}");
-            }
-        }
-        // Compile through the shared cache; run through the same
-        // rendering path as `ent run` — byte-identity by construction.
-        match try_lowered_cached(&request.src) {
-            Ok(lowered) => (attempt + 1, Ok(run_prepared(&request.options, &lowered))),
-            Err(diagnostic) => (attempt + 1, Err(diagnostic)),
-        }
-    });
-    match result {
-        Ok((attempts, Ok(run))) => {
-            book(Outcome::Ran(&run));
-            Reply::done(id, &run, attempts)
-        }
-        Ok((_, Err(diagnostic))) => {
-            failed(Outcome::CompileError, ErrorKind::CompileError, diagnostic)
-        }
-        Err(e) => {
-            let message = format!("job panicked on all {} attempts: {}", e.attempts, e.message);
-            failed(Outcome::Panicked, ErrorKind::Panic, message)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -475,10 +473,10 @@ mod tests {
     }
 
     fn recv(sub: Submission) -> Reply {
-        match sub {
-            Submission::Immediate(r) => r,
-            Submission::Queued(rx) => rx.recv().expect("worker replies"),
-        }
+        let Submission::Immediate(reply) = sub else {
+            panic!("every submission is answered before it returns")
+        };
+        reply
     }
 
     #[test]
@@ -565,25 +563,24 @@ mod tests {
         };
         let server = Server::start(cfg);
         let mut shed = 0;
-        let mut queued = Vec::new();
+        let mut replies = Vec::new();
         for i in 0..5 {
-            match server.handle_line(&run_line(HELLO, "bursty", &format!("r{i}")), 0) {
-                Submission::Immediate(Reply::Error { kind, .. }) => {
+            match recv(server.handle_line(&run_line(HELLO, "bursty", &format!("r{i}")), 0)) {
+                Reply::Error { kind, .. } => {
                     assert_eq!(kind, ErrorKind::RateLimited);
                     shed += 1;
                 }
-                Submission::Queued(rx) => queued.push(rx),
-                Submission::Immediate(other) => panic!("unexpected {other:?}"),
+                reply => replies.push(reply),
             }
         }
         assert_eq!(shed, 3, "burst of 2 admits 2 of 5");
         // Another tenant at the same instant is untouched.
         assert!(matches!(
-            server.handle_line(&run_line(HELLO, "quiet", "q"), 0),
-            Submission::Queued(_)
+            recv(server.handle_line(&run_line(HELLO, "quiet", "q"), 0)),
+            Reply::Done { .. }
         ));
-        for rx in queued {
-            assert!(matches!(rx.recv().unwrap(), Reply::Done { .. }));
+        for reply in replies {
+            assert!(matches!(reply, Reply::Done { .. }), "{reply:?}");
         }
         server.shutdown();
     }
@@ -670,5 +667,55 @@ mod tests {
             other => panic!("expected Done, got {other:?}"),
         }
         server.shutdown();
+    }
+
+    /// The jobs waiting for a permit are the queue: the bound counts
+    /// them, `stats` reports them, and they start in admission order.
+    #[test]
+    fn waiters_for_a_permit_are_the_bounded_queue() {
+        let one_permit = |queue_capacity| ServerConfig {
+            workers: 1,
+            queue_capacity,
+            ..ServerConfig::default()
+        };
+        let admit = |server: &Server, id: &str| {
+            let request = parse_request(&run_line(HELLO, "t", id)).unwrap();
+            server.admit(request, 0).expect("admitted")
+        };
+        let server = Server::start(one_permit(1));
+        let waiter = admit(&server, "w");
+        match recv(server.handle_line(&run_line(HELLO, "t", "shed"), 0)) {
+            Reply::Error { kind, message, .. } => {
+                assert_eq!(kind, ErrorKind::Overloaded);
+                assert_eq!(message, "work queue full (1 deep in normal mode)");
+            }
+            other => panic!("expected an overloaded shed, got {other:?}"),
+        }
+        let Reply::Doc { payload, .. } = recv(server.handle_line("{\"op\": \"stats\"}", 0)) else {
+            panic!("stats is a doc")
+        };
+        assert!(payload.contains("\"depth\": 1"), "{payload}");
+        assert!(matches!(server.execute(&waiter).0, Reply::Done { .. }));
+        let again = recv(server.handle_line(&run_line(HELLO, "t", "again"), 0));
+        assert!(matches!(again, Reply::Done { .. }), "{again:?}");
+
+        // Two waiters: the later one may not start before the earlier.
+        let server = Server::start(one_permit(2));
+        let (first, second) = (admit(&server, "first"), admit(&server, "second"));
+        {
+            let st = server.lock();
+            assert_eq!(st.waiting(), 2);
+            assert!(!st.may_start(second.admitted.seq, 1));
+            assert!(st.may_start(first.admitted.seq, 1));
+        }
+        std::thread::scope(|s| {
+            // Started first, the later waiter blocks until the earlier one
+            // has run.
+            let later = s.spawn(|| server.execute(&second).0);
+            assert!(matches!(server.execute(&first).0, Reply::Done { .. }));
+            assert!(matches!(later.join().unwrap(), Reply::Done { .. }));
+        });
+        assert_eq!(server.lock().waiting(), 0);
+        assert_eq!(server.counters().completed, 2);
     }
 }

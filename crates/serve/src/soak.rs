@@ -8,34 +8,35 @@
 //!
 //! Determinism is by construction, not by luck:
 //!
-//! * Work arrives in **waves**, and every wave is fully drained (all
-//!   queued replies received, hence all completion bookkeeping done —
-//!   workers record strikes and tick signals *before* replying) before
-//!   the controller ticks. A tick therefore observes an exact function
-//!   of the wave's composition, independent of worker count and OS
-//!   scheduling.
+//! * Work arrives in **waves**. The harness admits a whole wave in
+//!   order, then runs its admitted jobs on `workers` interpreter threads
+//!   and drains every reply (each job records its strikes and tick
+//!   signals *before* replying) before the controller ticks. A tick
+//!   therefore observes an exact function of the wave's composition,
+//!   independent of worker count and OS scheduling.
 //! * Chaos panics are a pure function of `(seed, fingerprint, seq)`
-//!   ([`ChaosPlan`]), and submission order fixes `seq`.
+//!   ([`ChaosPlan`]), and admission order fixes `seq`.
 //! * Admission and quarantine run on harness-supplied virtual
 //!   milliseconds.
 //!
-//! The only timing-dependent numbers are the overload flood's shed/accept
-//! split and the wall-clock throughput/latency figures; everything in
+//! The only numbers left out of the record are the overload flood's
+//! shed/accept split and the wall-clock throughput/latency figures;
+//! everything in
 //! [`SoakReport::determinism_log`] and the transition log is exact, and
 //! the integration tests replay the soak to prove it.
 
-use std::sync::mpsc::Receiver;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 use ent_cli::EXIT_COMPILE;
-use ent_runtime::json_fields;
+use ent_runtime::{default_stack_size, json_fields, spawn_interp_scoped};
 use ent_workloads::source_fingerprint;
 
 use crate::admission::AdmissionConfig;
 use crate::json::{self, Members, ToJson};
 use crate::modes::{check_hysteresis, transitions, SystemMode, Transition};
-use crate::proto::{parse_request, ErrorKind, Reply};
-use crate::server::{ChaosPlan, CounterSnapshot, Server, ServerConfig, Submission};
+use crate::proto::{parse_request, ErrorKind, Reply, Request};
+use crate::server::{ChaosPlan, CounterSnapshot, Job, Server, ServerConfig, Submission};
 
 /// Soak parameters. Everything that affects the deterministic record is
 /// here; the defaults are what `BENCH_serve.json` is generated with.
@@ -43,7 +44,8 @@ use crate::server::{ChaosPlan, CounterSnapshot, Server, ServerConfig, Submission
 pub struct SoakConfig {
     /// Chaos seed (panic injection plan).
     pub seed: u64,
-    /// Worker threads — the determinism log must not depend on this.
+    /// Permits, and the threads that run each wave's jobs — the
+    /// determinism log must not depend on this.
     pub workers: usize,
     /// Jobs hurled at the bounded queue in the overload wave.
     pub flood_jobs: usize,
@@ -64,7 +66,7 @@ impl Default for SoakConfig {
 pub struct SoakReport {
     /// The configuration that produced this report.
     pub seed: u64,
-    /// Worker threads used.
+    /// Permits (and threads per wave) used.
     pub workers: usize,
     /// Total request lines submitted (including shed and bad ones).
     pub submitted: u64,
@@ -82,12 +84,12 @@ pub struct SoakReport {
     pub quarantine_active: u64,
     /// Programs released on parole during the soak.
     pub quarantine_paroled: u64,
-    /// Reply channels that died or timed out — a worker crash would show
-    /// here. The acceptance bar is zero.
+    /// Admitted jobs that never replied — a crashed job thread would
+    /// show here. The acceptance bar is zero.
     pub daemon_errors: u64,
     /// Completed jobs per wall-clock second (informational).
     pub req_per_s: f64,
-    /// 99th-percentile submit-to-reply latency of queued jobs in
+    /// 99th-percentile admission-to-reply latency of admitted jobs in
     /// milliseconds (informational).
     pub p99_ms: f64,
     /// Wall-clock duration of the whole soak in milliseconds.
@@ -194,8 +196,7 @@ const EXPENSIVE: &str = "class Main {
   }
 }";
 
-/// Thousands of interpreter steps per run: enough wall-clock weight that
-/// a rapid flood outruns the worker pool and hits the queue bound.
+/// Thousands of interpreter steps per run: the flood's heavy job.
 const SPIN: &str = "class W {
   int spin(int n) {
     if (n <= 0) { return 0; }
@@ -259,17 +260,15 @@ fn battery(level: f64) -> impl Fn(&mut Members) {
 /// No request knobs.
 fn plain(_: &mut Members) {}
 
-/// A job waiting on its worker reply, with everything needed to replay
-/// it one-shot for the byte-identity check.
+/// An admitted job and when it was admitted.
 struct PendingJob {
-    id: String,
-    line: String,
-    rx: Receiver<Reply>,
+    job: Job,
     t0: Instant,
 }
 
 struct Harness {
     server: Server,
+    workers: usize,
     now_ms: u64,
     submitted: u64,
     latencies_ms: Vec<f64>,
@@ -294,87 +293,104 @@ impl Harness {
         request("run", id, tenant, src, knobs)
     }
 
-    /// Submits one line; queued work becomes a [`PendingJob`].
-    fn submit(&mut self, line: &str) -> Result<PendingJob, Reply> {
+    /// Admits one line; an admitted job waits for [`Harness::execute`],
+    /// anything else is answered here.
+    fn admit(&mut self, line: &str) -> Result<PendingJob, Reply> {
         self.submitted += 1;
-        let id = parse_request(line).map_or(String::new(), |r| r.id);
-        match self.server.handle_line(line, self.now_ms) {
-            Submission::Immediate(reply) => Err(reply),
-            Submission::Queued(rx) => Ok(PendingJob {
-                id,
-                line: line.to_string(),
-                rx,
-                t0: Instant::now(),
-            }),
-        }
+        let request = match parse_request(line) {
+            Ok(request) => request,
+            Err(message) => return Err(self.server.bad_request(message)),
+        };
+        let job = self.server.admit(request, self.now_ms)?;
+        Ok(PendingJob {
+            job,
+            t0: Instant::now(),
+        })
     }
 
-    /// Receives a pending job's reply and replays it one-shot to verify
-    /// byte identity. Chaos-injected panics have no one-shot analogue
-    /// and are skipped.
-    fn drain(&mut self, job: PendingJob) -> Option<Reply> {
-        match job.rx.recv_timeout(Duration::from_secs(120)) {
-            Err(_) => {
-                self.daemon_errors += 1;
-                None
+    /// Runs admitted jobs on `workers` interpreter threads (they start
+    /// in admission order), then checks each reply against one-shot
+    /// `ent`. Chaos-injected panics have no one-shot analogue and are
+    /// skipped.
+    fn execute(&mut self, jobs: Vec<PendingJob>) -> Vec<Reply> {
+        let cursor = AtomicUsize::new(0);
+        let run = || {
+            let mut done = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(pending) = jobs.get(i) else {
+                    return done;
+                };
+                let (reply, _) = self.server.execute(&pending.job);
+                done.push((i, reply, pending.t0.elapsed().as_secs_f64() * 1000.0));
             }
-            Ok(reply) => {
-                self.latencies_ms
-                    .push(job.t0.elapsed().as_secs_f64() * 1000.0);
-                let request = parse_request(&job.line).expect("pending jobs parsed once already");
-                match &reply {
-                    Reply::Done { code, output, .. } => {
-                        let one_shot = ent_cli::execute(&request.options, &request.src);
-                        if one_shot != (*code, output.clone()) {
-                            self.mismatches.push(job.id);
-                        }
-                    }
-                    Reply::Error {
-                        kind: ErrorKind::CompileError,
-                        message,
-                        ..
-                    } => {
-                        let (code, output) = ent_cli::execute(&request.options, &request.src);
-                        if code != EXIT_COMPILE || output != format!("error: {message}\n") {
-                            self.mismatches.push(job.id);
-                        }
-                    }
-                    _ => {}
-                }
-                Some(reply)
+        };
+        let mut done: Vec<_> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..self.workers.min(jobs.len()))
+                .map(|_| spawn_interp_scoped(s, default_stack_size(), run))
+                .collect();
+            // A thread that panicked loses its replies: daemon errors.
+            let joined = threads.into_iter().map(|t| t.join().unwrap_or_default());
+            joined.flatten().collect()
+        });
+        done.sort_by_key(|(i, ..)| *i);
+        self.daemon_errors += (jobs.len() - done.len()) as u64;
+        let mut out = Vec::with_capacity(done.len());
+        for (i, reply, ms) in done {
+            self.latencies_ms.push(ms);
+            self.check_one_shot(&jobs[i].job.request, &reply);
+            out.push(reply);
+        }
+        out
+    }
+
+    /// Records a mismatch if `reply` differs from one-shot `ent` on
+    /// `request`.
+    fn check_one_shot(&mut self, request: &Request, reply: &Reply) {
+        let matches = match reply {
+            Reply::Done { code, output, .. } => {
+                ent_cli::execute(&request.options, &request.src) == (*code, output.clone())
             }
+            Reply::Error {
+                kind: ErrorKind::CompileError,
+                message,
+                ..
+            } => {
+                let (code, output) = ent_cli::execute(&request.options, &request.src);
+                code == EXIT_COMPILE && output == format!("error: {message}\n")
+            }
+            _ => true,
+        };
+        if !matches {
+            self.mismatches.push(request.id.clone());
         }
     }
 
     /// Submit-and-wait: the sequential path for waves whose bookkeeping
     /// order matters (parole probes, energy accounting).
     fn submit_and_wait(&mut self, line: &str) -> Served {
-        match self.submit(line) {
+        match self.admit(line) {
             Err(Reply::Error { kind, .. }) => Served::Shed(kind),
             Err(reply) => Served::Done(reply),
-            Ok(job) => match self.drain(job) {
+            Ok(job) => match self.execute(vec![job]).pop() {
                 Some(reply) => Served::Done(reply),
                 None => Served::Shed(ErrorKind::Panic),
             },
         }
     }
 
-    /// Submits a whole wave, drains every reply, then ticks — the drain
-    /// barrier that makes the tick observation exact.
+    /// Admits a whole wave, runs and drains every admitted job, then
+    /// ticks — the drain barrier that makes the tick observation exact.
     fn wave_and_tick(&mut self, lines: &[String]) -> (Vec<Reply>, SystemMode) {
         let mut pending = Vec::new();
         let mut replies = Vec::new();
         for line in lines {
-            match self.submit(line) {
+            match self.admit(line) {
                 Ok(job) => pending.push(job),
                 Err(reply) => replies.push(reply),
             }
         }
-        for job in pending {
-            if let Some(reply) = self.drain(job) {
-                replies.push(reply);
-            }
-        }
+        replies.extend(self.execute(pending));
         let mode = self.server.tick();
         (replies, mode)
     }
@@ -422,6 +438,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let started = Instant::now();
     let mut h = Harness {
         server,
+        workers: cfg.workers.max(1),
         now_ms: 0,
         submitted: 0,
         latencies_ms: Vec::new(),
@@ -616,21 +633,19 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         mode.as_str()
     ));
 
-    // Wave 10 — overload flood: rapid heavy jobs outrun the worker pool
-    // and hit the queue bound. The shed/accept split is timing-dependent
-    // (excluded from the log); the tick is clean either way, because the
-    // wave drains before it and every accepted job succeeds.
+    // Wave 10 — overload flood: rapid heavy jobs, all admitted before
+    // any runs, hit the queue bound. The shed/accept split is left out
+    // of the log; the tick is clean either way, because the wave drains
+    // before it and every accepted job succeeds.
     h.advance(1000);
     let mut pending = Vec::new();
     for i in 0..cfg.flood_jobs {
         h.advance(20);
-        if let Ok(job) = h.submit(&Harness::line(&format!("flood-{i}"), "flood", &spin, plain)) {
+        if let Ok(job) = h.admit(&Harness::line(&format!("flood-{i}"), "flood", &spin, plain)) {
             pending.push(job);
         }
     }
-    for job in pending {
-        let _ = h.drain(job);
-    }
+    h.execute(pending);
     let mode = h.server.tick();
     h.log(format!("flood: drained, mode {}", mode.as_str()));
 

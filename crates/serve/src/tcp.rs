@@ -1,19 +1,23 @@
 //! The TCP front-end: newline-delimited JSON over `std::net`.
 //!
-//! One thread per connection (the daemon's concurrency is bounded by the
-//! worker pool and the bounded queue, not by connection count — a
-//! connection is just a reply pipe), plus a ticker thread driving the
-//! mode controller off wall-clock. All virtual-time determinism lives
-//! below this layer; the TCP front-end is deliberately the only place
-//! the wall clock enters.
+//! One thread per connection, started directly on an interpreter stack
+//! ([`spawn_interp`]): it reads a line, runs the job it admits in place
+//! and writes the reply, so a request never changes threads. The
+//! server's permits and queue bound, not the connection count, bound
+//! how much runs and waits. A ticker thread drives the mode controller
+//! off wall-clock. All virtual-time determinism lives below this layer;
+//! the TCP front-end is deliberately the only place the wall clock
+//! enters.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ent_runtime::{default_stack_size, release_idle_stack, spawn_interp};
+
 use crate::json::ToJson;
-use crate::server::{Server, Submission};
+use crate::server::Server;
 
 /// The most bytes a request line may hold before its `\n`: 8 MiB, well
 /// above any program the daemon is meant to serve. A longer line is
@@ -21,9 +25,15 @@ use crate::server::{Server, Submission};
 /// the connection stays open.
 pub(crate) const MAX_LINE_BYTES: usize = 8 << 20;
 
+/// After a job that held its permit this long, the connection thread
+/// hands the stack pages the job touched back to the host, so an idle
+/// connection does not keep them. Served `run`s of cached programs take
+/// tens of microseconds; a deep compile takes milliseconds.
+const RELEASE_AFTER: Duration = Duration::from_millis(1);
+
 /// Runs the accept loop forever, ticking the mode controller every
-/// `tick_ms` of wall time. Connection handler threads are detached; a
-/// client that disconnects mid-job only loses its reply pipe.
+/// `tick_ms` of wall time. Connection threads are detached; a client
+/// that disconnects mid-job only loses its reply.
 pub fn serve(listener: TcpListener, server: Arc<Server>, tick_ms: u64) {
     let epoch = Instant::now();
     {
@@ -39,9 +49,10 @@ pub fn serve(listener: TcpListener, server: Arc<Server>, tick_ms: u64) {
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
         let server = Arc::clone(&server);
-        let _ = std::thread::Builder::new()
-            .name("ent-serve-conn".to_string())
-            .spawn(move || handle_connection(stream, &server, epoch));
+        // A connection the host cannot give a thread is dropped.
+        let _ = spawn_interp(default_stack_size(), move || {
+            handle_connection(stream, &server, epoch);
+        });
     }
 }
 
@@ -50,45 +61,42 @@ fn handle_connection(stream: TcpStream, server: &Server, epoch: Instant) {
     // second of two pipelined replies waits for the client's delayed ACK
     // of the first (about 40 ms on Linux).
     let _ = stream.set_nodelay(true);
-    let Ok(peer) = stream.try_clone() else { return };
-    let mut writer = peer;
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
+    };
     let mut reader = BufReader::new(stream);
     // Lines are read as bytes, so a line that is not UTF-8 gets a typed
     // reply instead of ending the connection.
     let mut buf = Vec::new();
     // Each reply and its `\n` are written into this one buffer.
     let mut line = String::new();
+    let refuse = |message: String| (server.bad_request(message), Duration::ZERO);
     loop {
-        let submission = match read_line(&mut reader, &mut buf) {
+        let (reply, held) = match read_line(&mut reader, &mut buf) {
             Ok(Line::Closed) | Err(_) => return,
-            Ok(Line::TooLong) => Submission::Immediate(server.bad_request(format!(
+            Ok(Line::TooLong) => refuse(format!(
                 "request line is longer than {MAX_LINE_BYTES} bytes"
-            ))),
+            )),
             Ok(Line::Read) => {
                 let now_ms = epoch.elapsed().as_millis() as u64;
                 match std::str::from_utf8(&buf) {
                     Ok(line) if line.trim().is_empty() => continue,
-                    Ok(line) => server.handle_line(line, now_ms),
-                    Err(e) => Submission::Immediate(server.bad_request(format!(
+                    Ok(line) => server.serve_line(line, now_ms),
+                    Err(e) => refuse(format!(
                         "request line is not UTF-8 (invalid byte at {})",
                         e.valid_up_to()
-                    ))),
+                    )),
                 }
             }
-        };
-        let reply = match submission {
-            Submission::Immediate(reply) => reply,
-            Submission::Queued(rx) => match rx.recv() {
-                Ok(reply) => reply,
-                // The worker pool is shutting down.
-                Err(_) => return,
-            },
         };
         line.clear();
         reply.json().write_json(&mut line, 0);
         line.push('\n');
         if writer.write_all(line.as_bytes()).is_err() {
             return;
+        }
+        if held >= RELEASE_AFTER {
+            release_idle_stack();
         }
     }
 }

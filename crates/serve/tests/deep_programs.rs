@@ -61,12 +61,12 @@ fn deeply_nested_run_and_check_are_served_like_one_shot() {
     server.shutdown();
 }
 
-/// Submits `line` and waits for the worker's reply.
+/// Submits `line` and returns the reply of the job it ran.
 fn reply_to(server: &Server, line: &str) -> Reply {
-    match server.handle_line(line, 0) {
-        Submission::Queued(rx) => rx.recv().expect("worker replies"),
-        Submission::Immediate(reply) => panic!("expected a queued job, got {reply:?}"),
-    }
+    let Submission::Immediate(reply) = server.handle_line(line, 0) else {
+        panic!("every submission is answered before it returns")
+    };
+    reply
 }
 
 /// A `run` request line for `src`.
