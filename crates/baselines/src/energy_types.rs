@@ -8,7 +8,7 @@
 //! expressible proactively and which require ENT's adaptive features.
 
 use ent_core::{compile, CompileError, CompiledProgram};
-use ent_syntax::{Expr, ExprKind, Program, Stmt};
+use ent_syntax::{Ast, ExprId, ExprKind, ExprList, Program, Stmt};
 
 /// A dynamic feature found by the Energy Types restriction check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,8 +89,9 @@ pub fn check_energy_types(src: &str) -> EnergyTypesResult {
 
 /// Collects every use of a dynamic feature in a program.
 pub fn dynamic_features(program: &Program) -> Vec<DynamicFeature> {
+    let ast = program.ast();
     let mut found = Vec::new();
-    for class in &program.classes {
+    for class in program.classes.iter() {
         if class.mode_params.dynamic {
             found.push(DynamicFeature::DynamicClass(
                 class.name.as_str().to_string(),
@@ -103,61 +104,71 @@ pub fn dynamic_features(program: &Program) -> Vec<DynamicFeature> {
                     class.name, method.name
                 )));
             }
-            scan_expr(&method.body, &mut found);
+            scan_expr(ast, method.body, &mut found);
         }
         for field in &class.fields {
-            if let Some(init) = &field.init {
-                scan_expr(init, &mut found);
+            if let Some(init) = field.init {
+                scan_expr(ast, init, &mut found);
             }
         }
         if let Some(attributor) = &class.attributor {
-            scan_expr(&attributor.body, &mut found);
+            scan_expr(ast, attributor.body, &mut found);
         }
     }
     found
 }
 
-fn scan_expr(e: &Expr, found: &mut Vec<DynamicFeature>) {
-    match &e.kind {
+fn scan_expr(ast: &Ast, e: ExprId, found: &mut Vec<DynamicFeature>) {
+    let scan_all = |items: ExprList, found: &mut Vec<DynamicFeature>| {
+        for &a in &ast[items] {
+            scan_expr(ast, a, found);
+        }
+    };
+    match &ast[e].kind {
         ExprKind::Snapshot { expr, .. } => {
             found.push(DynamicFeature::Snapshot);
-            scan_expr(expr, found);
+            scan_expr(ast, *expr, found);
         }
-        ExprKind::Field { recv, .. } => scan_expr(recv, found),
-        ExprKind::New { ctor_args, .. } => ctor_args.iter().for_each(|a| scan_expr(a, found)),
+        ExprKind::Field { recv, .. } => scan_expr(ast, *recv, found),
+        ExprKind::New { ctor_args, .. } => scan_all(*ctor_args, found),
         ExprKind::Call { recv, args, .. } => {
-            scan_expr(recv, found);
-            args.iter().for_each(|a| scan_expr(a, found));
+            scan_expr(ast, *recv, found);
+            scan_all(*args, found);
         }
-        ExprKind::Builtin { args, .. } => args.iter().for_each(|a| scan_expr(a, found)),
+        ExprKind::Builtin { args, .. } => scan_all(*args, found),
         ExprKind::Cast { expr, .. }
         | ExprKind::Unary { expr, .. }
-        | ExprKind::Elim { expr, .. } => scan_expr(expr, found),
-        ExprKind::MCase { arms, .. } => arms.iter().for_each(|(_, a)| scan_expr(a, found)),
+        | ExprKind::Elim { expr, .. } => scan_expr(ast, *expr, found),
+        ExprKind::MCase { arms, .. } => {
+            for &(_, a) in &ast[*arms] {
+                scan_expr(ast, a, found);
+            }
+        }
         ExprKind::Binary { lhs, rhs, .. } => {
-            scan_expr(lhs, found);
-            scan_expr(rhs, found);
+            scan_expr(ast, *lhs, found);
+            scan_expr(ast, *rhs, found);
         }
         ExprKind::If { cond, then, els } => {
-            scan_expr(cond, found);
-            scan_expr(then, found);
-            if let Some(els) = els {
-                scan_expr(els, found);
+            scan_expr(ast, *cond, found);
+            scan_expr(ast, *then, found);
+            if let Some(els) = *els {
+                scan_expr(ast, els, found);
             }
         }
         ExprKind::Block(stmts) => {
-            for s in stmts {
-                match s {
-                    Stmt::Let { value, .. } => scan_expr(value, found),
-                    Stmt::Expr(e) | Stmt::Return(e) => scan_expr(e, found),
+            for s in &ast[*stmts] {
+                match *s {
+                    Stmt::Let { value: e, .. } | Stmt::Expr(e) | Stmt::Return(e) => {
+                        scan_expr(ast, e, found)
+                    }
                 }
             }
         }
         ExprKind::Try { body, handler } => {
-            scan_expr(body, found);
-            scan_expr(handler, found);
+            scan_expr(ast, *body, found);
+            scan_expr(ast, *handler, found);
         }
-        ExprKind::ArrayLit(items) => items.iter().for_each(|a| scan_expr(a, found)),
+        ExprKind::ArrayLit(items) => scan_all(*items, found),
         ExprKind::Var(_) | ExprKind::This | ExprKind::Lit(_) | ExprKind::ModeConst(_) => {}
     }
 }

@@ -19,8 +19,8 @@ use std::sync::LazyLock;
 
 use ent_modes::{Bounded, ConstraintSet, Mode, ModeArgs, ModeTable, ModeVar, StaticMode, Subst};
 use ent_syntax::{
-    BinOp, ClassDecl, ClassName, ClassTable, Expr, ExprKind, Ident, MethodDecl, PrimType, Program,
-    Span, Stmt, Type, UnOp,
+    Arm, Ast, BinOp, ClassDecl, ClassName, ClassTable, ExprId, ExprKind, Ident, MethodDecl,
+    PrimType, Program, Span, Stmt, Type, UnOp,
 };
 
 use crate::diag::{TypeError, TypeErrorKind};
@@ -114,13 +114,14 @@ pub fn typecheck_obligations(
     table: &ClassTable,
 ) -> Result<Vec<Obligation>, Vec<TypeError>> {
     let mut tc = Typechecker {
+        ast: program.ast(),
         table,
         modes: &program.mode_table,
         errors: Vec::new(),
         obligations: Vec::new(),
         fresh: 0,
     };
-    for class in &program.classes {
+    for class in program.classes.iter() {
         tc.check_class(class);
     }
     if tc.errors.is_empty() {
@@ -162,6 +163,8 @@ impl Ctx {
 }
 
 struct Typechecker<'a> {
+    /// The tree the checked bodies live in.
+    ast: &'a Ast,
     table: &'a ClassTable,
     modes: &'a ModeTable,
     errors: Vec<TypeError>,
@@ -202,7 +205,7 @@ impl<'a> Typechecker<'a> {
         // Field types and initializers.
         for field in &class.fields {
             let fty = self.wf_type(&mode_vars, &field.ty, field.span, false);
-            if let Some(init) = &field.init {
+            if let Some(init) = field.init {
                 let mut ctx = Ctx {
                     vars: Vec::new(),
                     k: base_k.clone(),
@@ -232,7 +235,7 @@ impl<'a> Typechecker<'a> {
                 ret: Type::ModeValue,
                 class: class.name.clone(),
             };
-            self.check_expr(&mut ctx, &attributor.body, &Type::ModeValue);
+            self.check_expr(&mut ctx, attributor.body, &Type::ModeValue);
         }
 
         for method in &class.methods {
@@ -339,7 +342,7 @@ impl<'a> Typechecker<'a> {
                 ret: Type::ModeValue,
                 class: class.name.clone(),
             };
-            self.check_expr(&mut ctx, &attributor.body, &Type::ModeValue);
+            self.check_expr(&mut ctx, attributor.body, &Type::ModeValue);
         }
 
         let mut ctx = Ctx {
@@ -352,7 +355,7 @@ impl<'a> Typechecker<'a> {
             ret: ret.clone(),
             class: class.name.clone(),
         };
-        self.check_expr(&mut ctx, &method.body, &ret);
+        self.check_expr(&mut ctx, method.body, &ret);
     }
 
     /// Overriding methods must preserve the overridden signature (FJ-style
@@ -503,16 +506,18 @@ impl<'a> Typechecker<'a> {
     /// coercions of the surface language: mcase auto-elimination (a
     /// `mcase<T>` used where `T` is expected) and array-literal element
     /// propagation.
-    fn check_expr(&mut self, ctx: &mut Ctx, e: &Expr, expected: &Type) -> Type {
-        match (&e.kind, expected) {
+    fn check_expr(&mut self, ctx: &mut Ctx, e: ExprId, expected: &Type) -> Type {
+        let ast = self.ast;
+        let span = ast[e].span;
+        match (&ast[e].kind, expected) {
             (ExprKind::ArrayLit(items), Type::Array(elem)) => {
-                for item in items {
+                for &item in &ast[*items] {
                     self.check_expr(ctx, item, elem);
                 }
                 expected.clone()
             }
             (ExprKind::MCase { ty: None, arms }, Type::MCase(elem)) => {
-                self.check_mcase_arms(ctx, arms, elem, e.span);
+                self.check_mcase_arms(ctx, &ast[*arms], elem, span);
                 expected.clone()
             }
             // Mode-argument inference at `new`: an uninstantiated creation
@@ -534,25 +539,25 @@ impl<'a> Typechecker<'a> {
                     !d.mode_params.dynamic && !d.mode_params.bounds.is_empty()
                 }) =>
             {
-                self.infer_new(ctx, class, Some(expected_args), ctor_args, e.span);
+                self.infer_new(ctx, class, Some(expected_args), &ast[*ctor_args], span);
                 expected.clone()
             }
             (ExprKind::If { cond, then, els }, _) if els.is_some() => {
-                self.check_expr(ctx, cond, &Type::BOOL);
-                self.check_expr(ctx, then, expected);
-                if let Some(els) = els {
+                self.check_expr(ctx, *cond, &Type::BOOL);
+                self.check_expr(ctx, *then, expected);
+                if let Some(els) = *els {
                     self.check_expr(ctx, els, expected);
                 }
                 expected.clone()
             }
             (ExprKind::Block(_), _) => {
                 let t = self.infer_block(ctx, e, Some(expected));
-                self.coerce(ctx, &t, expected, e.span);
+                self.coerce(ctx, &t, expected, span);
                 expected.clone()
             }
             _ => {
                 let t = self.infer(ctx, e);
-                self.coerce(ctx, &t, expected, e.span);
+                self.coerce(ctx, &t, expected, span);
                 expected.clone()
             }
         }
@@ -579,8 +584,10 @@ impl<'a> Typechecker<'a> {
 }
 
 impl<'a> Typechecker<'a> {
-    fn infer_expr(&mut self, ctx: &mut Ctx, e: &Expr) -> Type {
-        match &e.kind {
+    fn infer_expr(&mut self, ctx: &mut Ctx, e: ExprId) -> Type {
+        let ast = self.ast;
+        let span = ast[e].span;
+        match &ast[e].kind {
             ExprKind::Lit(l) => l.ty(),
             ExprKind::ModeConst(_) => Type::ModeValue,
             ExprKind::This => ctx.this_ty.clone(),
@@ -589,52 +596,55 @@ impl<'a> Typechecker<'a> {
                 None => self.err(
                     TypeErrorKind::UnknownMember,
                     format!("unknown variable `{x}`"),
-                    e.span,
+                    span,
                 ),
             },
-            ExprKind::Field { recv, name } => self.infer_field(ctx, recv, name, e.span),
+            ExprKind::Field { recv, name } => self.infer_field(ctx, *recv, name, span),
             ExprKind::New {
                 class,
                 args,
                 ctor_args,
-            } => self.infer_new(ctx, class, args.as_ref(), ctor_args, e.span),
+            } => self.infer_new(ctx, class, args.map(|a| &ast[a]), &ast[*ctor_args], span),
             ExprKind::Call {
                 recv,
                 method,
                 mode_args,
                 args,
-            } => self.infer_call(ctx, recv, method, mode_args, args, e.span),
-            ExprKind::Builtin { ns, name, args } => self.infer_builtin(ctx, ns, name, args, e.span),
+            } => self.infer_call(ctx, *recv, method, mode_args, &ast[*args], span),
+            ExprKind::Builtin { ns, name, args } => {
+                self.infer_builtin(ctx, ns, name, &ast[*args], span)
+            }
             ExprKind::Cast { ty, expr } => {
-                let target = self.wf_type(&ctx.mode_vars, ty, e.span, false);
-                let source = self.infer(ctx, expr);
+                let target = self.wf_type(&ctx.mode_vars, &ast[*ty], span, false);
+                let source = self.infer(ctx, *expr);
                 let up = is_subtype(self.table, self.modes, &ctx.k, &source, &target);
                 let down = is_subtype(self.table, self.modes, &ctx.k, &target, &source);
                 if !up && !down {
                     return self.err(
                         TypeErrorKind::BadCast,
                         format!("cast between unrelated types `{source}` and `{target}`"),
-                        e.span,
+                        span,
                     );
                 }
                 target
             }
-            ExprKind::Snapshot { expr, lo, hi } => self.infer_snapshot(ctx, expr, lo, hi, e.span),
+            ExprKind::Snapshot { expr, lo, hi } => self.infer_snapshot(ctx, *expr, lo, hi, span),
             ExprKind::MCase { ty, arms } => {
-                let elem = match ty {
-                    Some(t) => self.wf_type(&ctx.mode_vars, t, e.span, false),
+                let arms = &ast[*arms];
+                let elem = match *ty {
+                    Some(t) => self.wf_type(&ctx.mode_vars, &ast[t], span, false),
                     None => {
-                        let Some((_, first)) = arms.first() else {
-                            return self.err(TypeErrorKind::BadModeCase, "empty mode case", e.span);
+                        let Some(&(_, first)) = arms.first() else {
+                            return self.err(TypeErrorKind::BadModeCase, "empty mode case", span);
                         };
                         self.infer(ctx, first)
                     }
                 };
-                self.check_mcase_arms(ctx, arms, &elem, e.span);
+                self.check_mcase_arms(ctx, arms, &elem, span);
                 Type::MCase(Box::new(elem))
             }
             ExprKind::Elim { expr, mode } => {
-                let t = self.infer(ctx, expr);
+                let t = self.infer(ctx, *expr);
                 let Type::MCase(inner) = t else {
                     if t == Type::Error {
                         return Type::Error;
@@ -642,18 +652,18 @@ impl<'a> Typechecker<'a> {
                     return self.err(
                         TypeErrorKind::BadModeCase,
                         format!("`<|` applies to mode cases, found `{t}`"),
-                        e.span,
+                        span,
                     );
                 };
                 match mode {
                     Some(m) => {
-                        self.wf_mode(&ctx.mode_vars, m, e.span);
+                        self.wf_mode(&ctx.mode_vars, m, span);
                         if let StaticMode::Const(c) = m {
                             if !self.modes.contains(c) {
                                 return self.err(
                                     TypeErrorKind::BadModeCase,
                                     format!("`{c}` is not a declared mode"),
-                                    e.span,
+                                    span,
                                 );
                             }
                         }
@@ -663,19 +673,19 @@ impl<'a> Typechecker<'a> {
                             return self.err(
                                 TypeErrorKind::BadModeCase,
                                 "implicit elimination `<| _` requires an enclosing mode-carrying class",
-                                e.span,
+                                span,
                             );
                         }
                     }
                 }
                 *inner
             }
-            ExprKind::Binary { op, lhs, rhs } => self.infer_binary(ctx, *op, lhs, rhs, e.span),
+            ExprKind::Binary { op, lhs, rhs } => self.infer_binary(ctx, *op, *lhs, *rhs, span),
             ExprKind::Unary { op, expr } => {
-                let t = self.infer(ctx, expr);
+                let t = self.infer(ctx, *expr);
                 match op {
                     UnOp::Not => {
-                        self.coerce(ctx, &t, &Type::BOOL, e.span);
+                        self.coerce(ctx, &t, &Type::BOOL, span);
                         Type::BOOL
                     }
                     UnOp::Neg => {
@@ -688,41 +698,42 @@ impl<'a> Typechecker<'a> {
                             self.err(
                                 TypeErrorKind::Mismatch,
                                 format!("cannot negate `{t}`"),
-                                e.span,
+                                span,
                             )
                         }
                     }
                 }
             }
             ExprKind::If { cond, then, els } => {
-                self.check_expr(ctx, cond, &Type::BOOL);
-                let t1 = self.infer(ctx, then);
-                match els {
+                self.check_expr(ctx, *cond, &Type::BOOL);
+                let t1 = self.infer(ctx, *then);
+                match *els {
                     None => Type::UNIT,
                     Some(els) => {
                         let t2 = self.infer(ctx, els);
-                        self.join(ctx, &t1, &t2, e.span)
+                        self.join(ctx, &t1, &t2, span)
                     }
                 }
             }
             ExprKind::Block(_) => self.infer_block(ctx, e, None),
             ExprKind::Try { body, handler } => {
-                let t1 = self.infer(ctx, body);
-                let t2 = self.infer(ctx, handler);
-                self.join(ctx, &t1, &t2, e.span)
+                let t1 = self.infer(ctx, *body);
+                let t2 = self.infer(ctx, *handler);
+                self.join(ctx, &t1, &t2, span)
             }
             ExprKind::ArrayLit(items) => {
+                let items = &ast[*items];
                 if items.is_empty() {
                     return self.err(
                         TypeErrorKind::Mismatch,
                         "cannot infer the element type of an empty array; annotate the binding",
-                        e.span,
+                        span,
                     );
                 }
-                let mut elem = self.infer(ctx, &items[0]);
-                for item in &items[1..] {
+                let mut elem = self.infer(ctx, items[0]);
+                for &item in &items[1..] {
                     let t = self.infer(ctx, item);
-                    elem = self.join(ctx, &elem, &t, item.span);
+                    elem = self.join(ctx, &elem, &t, ast[item].span);
                 }
                 Type::Array(Box::new(elem))
             }
@@ -730,7 +741,7 @@ impl<'a> Typechecker<'a> {
     }
 
     /// Entry point used throughout: `Γ; K ⊢ e : τ`.
-    fn infer(&mut self, ctx: &mut Ctx, e: &Expr) -> Type {
+    fn infer(&mut self, ctx: &mut Ctx, e: ExprId) -> Type {
         self.infer_expr(ctx, e)
     }
 
@@ -748,19 +759,22 @@ impl<'a> Typechecker<'a> {
         )
     }
 
-    fn infer_block(&mut self, ctx: &mut Ctx, e: &Expr, expected: Option<&Type>) -> Type {
-        let ExprKind::Block(stmts) = &e.kind else {
+    fn infer_block(&mut self, ctx: &mut Ctx, e: ExprId, expected: Option<&Type>) -> Type {
+        let ast = self.ast;
+        let ExprKind::Block(stmts) = ast[e].kind else {
             unreachable!("infer_block on non-block");
         };
+        let stmts = &ast[stmts];
         let scope_depth = ctx.vars.len();
         let mut last_ty = Type::UNIT;
         for (i, stmt) in stmts.iter().enumerate() {
             let is_last = i + 1 == stmts.len();
             match stmt {
                 Stmt::Let { ty, name, value } => {
-                    let bty = match ty {
+                    let value = *value;
+                    let bty = match ty.map(|t| &ast[t]) {
                         Some(ann) => {
-                            let norm = self.wf_type(&ctx.mode_vars, ann, value.span, true);
+                            let norm = self.wf_type(&ctx.mode_vars, ann, ast[value].span, true);
                             // A bare moded-class annotation adopts the
                             // value's type (paper: `Site s = snapshot ...`).
                             if let Type::Object { class, args } = &norm {
@@ -791,7 +805,7 @@ impl<'a> Typechecker<'a> {
                                                 format!(
                                                     "expected an object of class `{class}`, found `{vty}`"
                                                 ),
-                                                value.span,
+                                                ast[value].span,
                                             );
                                             ctx.vars.push((name.clone(), Type::Error));
                                             last_ty = Type::UNIT;
@@ -811,16 +825,16 @@ impl<'a> Typechecker<'a> {
                 Stmt::Expr(inner) => {
                     last_ty = if is_last {
                         match expected {
-                            Some(t) => self.check_expr(ctx, inner, t),
-                            None => self.infer(ctx, inner),
+                            Some(t) => self.check_expr(ctx, *inner, t),
+                            None => self.infer(ctx, *inner),
                         }
                     } else {
-                        self.infer(ctx, inner)
+                        self.infer(ctx, *inner)
                     };
                 }
                 Stmt::Return(inner) => {
                     let ret = ctx.ret.clone();
-                    self.check_expr(ctx, inner, &ret);
+                    self.check_expr(ctx, *inner, &ret);
                     last_ty = ret;
                 }
             }
@@ -829,13 +843,7 @@ impl<'a> Typechecker<'a> {
         last_ty
     }
 
-    fn check_mcase_arms(
-        &mut self,
-        ctx: &mut Ctx,
-        arms: &[(ent_modes::ModeName, Expr)],
-        elem: &Type,
-        span: Span,
-    ) {
+    fn check_mcase_arms(&mut self, ctx: &mut Ctx, arms: &[Arm], elem: &Type, span: Span) {
         // T-MCase: the arms must cover modes(P), each exactly once.
         let declared = self.modes.modes();
         for m in declared {
@@ -854,12 +862,12 @@ impl<'a> Typechecker<'a> {
                 );
             }
         }
-        for (_, arm) in arms {
+        for &(_, arm) in arms {
             self.check_expr(ctx, arm, elem);
         }
     }
 
-    fn infer_field(&mut self, ctx: &mut Ctx, recv: &Expr, name: &Ident, span: Span) -> Type {
+    fn infer_field(&mut self, ctx: &mut Ctx, recv: ExprId, name: &Ident, span: Span) -> Type {
         let rty = self.infer(ctx, recv);
         let Type::Object { class, args } = &rty else {
             if rty == Type::Error {
@@ -871,7 +879,7 @@ impl<'a> Typechecker<'a> {
                 span,
             );
         };
-        if args.is_dynamic() && !matches!(recv.kind, ExprKind::This) {
+        if args.is_dynamic() && !matches!(self.ast[recv].kind, ExprKind::This) {
             return self.err(
                 TypeErrorKind::MessagedDynamic,
                 format!(
@@ -898,7 +906,7 @@ impl<'a> Typechecker<'a> {
         ctx: &mut Ctx,
         class: &ClassName,
         args: Option<&ModeArgs>,
-        ctor_args: &[Expr],
+        ctor_args: &[ExprId],
         span: Span,
     ) -> Type {
         let Some(decl) = self.table.class(class) else {
@@ -1008,7 +1016,7 @@ impl<'a> Typechecker<'a> {
             );
         }
         let internal_var = mp.bounds.first().map(|b| b.var.clone());
-        for (param, arg) in params.iter().zip(ctor_args) {
+        for (param, &arg) in params.iter().zip(ctor_args) {
             if mp.dynamic {
                 if let Some(v) = &internal_var {
                     if type_mentions_var(&param.ty, v) {
@@ -1036,10 +1044,10 @@ impl<'a> Typechecker<'a> {
     fn infer_call(
         &mut self,
         ctx: &mut Ctx,
-        recv: &Expr,
+        recv: ExprId,
         method: &Ident,
         mode_args: &[StaticMode],
-        args: &[Expr],
+        args: &[ExprId],
         span: Span,
     ) -> Type {
         let rty = self.infer(ctx, recv);
@@ -1056,7 +1064,7 @@ impl<'a> Typechecker<'a> {
         // T-Msg premise: the receiver type must not be dynamic. `this` is
         // exempt because it carries the internal (static) view inside
         // method bodies; the dynamic view only appears externally.
-        if rargs.is_dynamic() && !matches!(recv.kind, ExprKind::This) {
+        if rargs.is_dynamic() && !matches!(self.ast[recv].kind, ExprKind::This) {
             return self.err(
                 TypeErrorKind::MessagedDynamic,
                 format!(
@@ -1102,7 +1110,7 @@ impl<'a> Typechecker<'a> {
                 // Infer from argument types.
                 let method_vars: Vec<ModeVar> =
                     resolved.mode_params.iter().map(|b| b.var.clone()).collect();
-                let arg_tys: Vec<Type> = args.iter().map(|a| self.infer(ctx, a)).collect();
+                let arg_tys: Vec<Type> = args.iter().map(|&a| self.infer(ctx, a)).collect();
                 for (pty, aty) in resolved.params.iter().zip(&arg_tys) {
                     unify_modes(pty, aty, &method_vars, &mut msubst);
                 }
@@ -1186,7 +1194,7 @@ impl<'a> Typechecker<'a> {
                 span,
             );
         }
-        for (pty, arg) in resolved.params.iter().zip(args) {
+        for (pty, &arg) in resolved.params.iter().zip(args) {
             let pty = pty.apply(&msubst);
             self.check_expr(ctx, arg, &pty);
         }
@@ -1196,7 +1204,7 @@ impl<'a> Typechecker<'a> {
     fn infer_snapshot(
         &mut self,
         ctx: &mut Ctx,
-        expr: &Expr,
+        expr: ExprId,
         lo: &StaticMode,
         hi: &StaticMode,
         span: Span,
@@ -1241,8 +1249,8 @@ impl<'a> Typechecker<'a> {
         &mut self,
         ctx: &mut Ctx,
         op: BinOp,
-        lhs: &Expr,
-        rhs: &Expr,
+        lhs: ExprId,
+        rhs: ExprId,
         span: Span,
     ) -> Type {
         let lt = self.infer(ctx, lhs);
@@ -1308,8 +1316,8 @@ impl<'a> Typechecker<'a> {
                 Type::BOOL
             }
             And | Or => {
-                self.coerce(ctx, &lt, &Type::BOOL, lhs.span);
-                self.coerce(ctx, &rt, &Type::BOOL, rhs.span);
+                self.coerce(ctx, &lt, &Type::BOOL, self.ast[lhs].span);
+                self.coerce(ctx, &rt, &Type::BOOL, self.ast[rhs].span);
                 Type::BOOL
             }
         }
@@ -1328,12 +1336,12 @@ impl<'a> Typechecker<'a> {
         ctx: &mut Ctx,
         ns: &Ident,
         name: &Ident,
-        args: &[Expr],
+        args: &[ExprId],
         span: Span,
     ) -> Type {
         let arg_tys: Vec<Type> = args
             .iter()
-            .map(|a| {
+            .map(|&a| {
                 let t = self.infer(ctx, a);
                 self.unwrap_mcase(t)
             })

@@ -821,22 +821,28 @@ pub mod build {
 /// extensions outside the core (primitives, blocks with `let`, builtins,
 /// `try`, method-level modes, field initializers).
 pub fn lower(program: &ent_syntax::Program) -> Option<FProgram> {
-    use ent_syntax::{ExprKind, Stmt};
+    use ent_syntax::{Ast, ExprId, ExprKind, Stmt};
 
-    fn lower_expr(e: &ent_syntax::Expr) -> Option<Term> {
-        Some(match &e.kind {
+    fn lower_expr(ast: &Ast, e: ExprId) -> Option<Term> {
+        let list = |items: ent_syntax::ExprList| {
+            ast[items]
+                .iter()
+                .map(|&a| lower_expr(ast, a))
+                .collect::<Option<Vec<_>>>()
+        };
+        Some(match &ast[e].kind {
             ExprKind::Var(x) => Term::Var(x.clone()),
             ExprKind::This => Term::Var(Ident::new("this")),
             ExprKind::ModeConst(m) => Term::ModeV(m.clone()),
             ExprKind::Field { recv, name } => {
-                Term::Field(Box::new(lower_expr(recv)?), name.clone())
+                Term::Field(Box::new(lower_expr(ast, *recv)?), name.clone())
             }
             ExprKind::New {
                 class,
                 args,
                 ctor_args,
             } => {
-                let (mode, extra) = match args {
+                let (mode, extra) = match args.map(|a| &ast[a]) {
                     Some(a) if a.is_dynamic() => (FMode::Dynamic, a.rest.clone()),
                     Some(a) => match a.mode.as_static() {
                         Some(m) => (FMode::Ground(m.clone()), a.rest.clone()),
@@ -848,10 +854,7 @@ pub fn lower(program: &ent_syntax::Program) -> Option<FProgram> {
                     class: class.clone(),
                     mode,
                     extra,
-                    args: ctor_args
-                        .iter()
-                        .map(lower_expr)
-                        .collect::<Option<Vec<_>>>()?,
+                    args: list(*ctor_args)?,
                 }
             }
             ExprKind::Call {
@@ -860,52 +863,54 @@ pub fn lower(program: &ent_syntax::Program) -> Option<FProgram> {
                 mode_args,
                 args,
             } if mode_args.is_empty() => Term::Call(
-                Box::new(lower_expr(recv)?),
+                Box::new(lower_expr(ast, *recv)?),
                 method.clone(),
-                args.iter().map(lower_expr).collect::<Option<Vec<_>>>()?,
+                list(*args)?,
             ),
             ExprKind::Cast { ty, expr } => {
-                let ent_syntax::Type::Object { class, .. } = ty else {
+                let ent_syntax::Type::Object { class, .. } = &ast[*ty] else {
                     return None;
                 };
-                Term::Cast(class.clone(), Box::new(lower_expr(expr)?))
+                Term::Cast(class.clone(), Box::new(lower_expr(ast, *expr)?))
             }
             ExprKind::Snapshot { expr, lo, hi } => {
-                Term::Snapshot(Box::new(lower_expr(expr)?), lo.clone(), hi.clone())
+                Term::Snapshot(Box::new(lower_expr(ast, *expr)?), lo.clone(), hi.clone())
             }
             ExprKind::MCase { arms, .. } => Term::MCase(
-                arms.iter()
-                    .map(|(m, a)| Some((m.clone(), lower_expr(a)?)))
+                ast[*arms]
+                    .iter()
+                    .map(|(m, a)| Some((m.clone(), lower_expr(ast, *a)?)))
                     .collect::<Option<Vec<_>>>()?,
             ),
             ExprKind::Elim {
                 expr,
                 mode: Some(m),
-            } => Term::Elim(Box::new(lower_expr(expr)?), m.clone()),
+            } => Term::Elim(Box::new(lower_expr(ast, *expr)?), m.clone()),
             // Blocks lower to nested lets; the trailing statement is the
             // result.
-            ExprKind::Block(stmts) => lower_block(stmts)?,
+            ExprKind::Block(stmts) => lower_block(ast, &ast[*stmts])?,
             _ => return None,
         })
     }
 
-    fn lower_block(stmts: &[Stmt]) -> Option<Term> {
+    fn lower_block(ast: &Ast, stmts: &[Stmt]) -> Option<Term> {
         match stmts {
-            [Stmt::Return(inner)] | [Stmt::Expr(inner)] => lower_expr(inner),
+            [Stmt::Return(inner)] | [Stmt::Expr(inner)] => lower_expr(ast, *inner),
             [Stmt::Let { name, value, .. }, rest @ ..] if !rest.is_empty() => Some(Term::Let(
                 name.clone(),
-                Box::new(lower_expr(value)?),
-                Box::new(lower_block(rest)?),
+                Box::new(lower_expr(ast, *value)?),
+                Box::new(lower_block(ast, rest)?),
             )),
             [Stmt::Expr(inner), rest @ ..] if !rest.is_empty() => Some(Term::Let(
                 Ident::new("$ignored"),
-                Box::new(lower_expr(inner)?),
-                Box::new(lower_block(rest)?),
+                Box::new(lower_expr(ast, *inner)?),
+                Box::new(lower_block(ast, rest)?),
             )),
             _ => None,
         }
     }
 
+    let ast = program.ast();
     let classes = program
         .classes
         .iter()
@@ -929,12 +934,12 @@ pub fn lower(program: &ent_syntax::Program) -> Option<FProgram> {
                         Some(FMethod {
                             name: m.name.clone(),
                             params: m.params.iter().map(|(_, x)| x.clone()).collect(),
-                            body: lower_expr(&m.body)?,
+                            body: lower_expr(ast, m.body)?,
                         })
                     })
                     .collect::<Option<Vec<_>>>()?,
                 attributor: match &c.attributor {
-                    Some(a) => Some(lower_expr(&a.body)?),
+                    Some(a) => Some(lower_expr(ast, a.body)?),
                     None => None,
                 },
             })

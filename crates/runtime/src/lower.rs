@@ -41,7 +41,8 @@ use ent_core::CompiledProgram;
 use ent_energy::WorkKind;
 use ent_modes::{Mode, ModeName, ModeVar, StaticMode};
 use ent_syntax::{
-    BinOp, ClassDecl, ClassName, Expr, ExprKind, Ident, Interner, Lit, MethodDecl, Stmt, Type, UnOp,
+    Ast, BinOp, ClassDecl, ClassName, ExprId, ExprKind, Ident, Interner, Lit, MethodDecl, Stmt,
+    Type, UnOp,
 };
 
 use crate::compile::Code;
@@ -743,6 +744,7 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
     let subclass = subclass_intervals(&parent);
 
     let mut lowerer = Lowerer {
+        ast: program.ast(),
         decls,
         parent,
         class_ids,
@@ -954,20 +956,19 @@ impl Ir {
 
 /// The kind literal of `Sim.work("<literal>", e)`, which lowering
 /// resolves ([`BOp::SimWorkKind`]).
-fn literal_work_kind(op: BOp, args: &[Expr]) -> Option<WorkKind> {
+fn literal_work_kind(ast: &Ast, op: BOp, args: &[ExprId]) -> Option<WorkKind> {
     match (op, args) {
-        (
-            BOp::SimWork,
-            [Expr {
-                kind: ExprKind::Lit(Lit::Str(kind)),
-                ..
-            }, _],
-        ) => Some(WorkKind::parse(kind)),
+        (BOp::SimWork, &[kind, _]) => match &ast[kind].kind {
+            ExprKind::Lit(Lit::Str(kind)) => Some(WorkKind::parse(kind)),
+            _ => None,
+        },
         _ => None,
     }
 }
 
 struct Lowerer<'a> {
+    /// The tree the lowered bodies live in.
+    ast: &'a Ast,
     /// Class declarations by class id.
     decls: Vec<&'a ClassDecl>,
     /// Superclass id by class id; [`NO_CLASS`] for `Object`.
@@ -1019,7 +1020,7 @@ impl Lowerer<'_> {
     fn count_program(&self, subclass: &[(u32, u32)]) -> IrSizes {
         let mut s = IrSizes::default();
         for (decl, &(start, end)) in self.decls.iter().zip(subclass) {
-            for init in decl.fields.iter().filter_map(|f| f.init.as_ref()) {
+            for init in decl.fields.iter().filter_map(|f| f.init) {
                 for _ in start..end {
                     s.bodies += 1;
                     self.count(&mut s, init);
@@ -1028,43 +1029,44 @@ impl Lowerer<'_> {
             for m in &decl.methods {
                 s.methods += 1;
                 s.bodies += 1;
-                self.count(&mut s, &m.body);
+                self.count(&mut s, m.body);
                 if let Some(a) = &m.attributor {
                     s.bodies += 1;
-                    self.count(&mut s, &a.body);
+                    self.count(&mut s, a.body);
                 }
             }
             if let Some(a) = &decl.attributor {
                 s.bodies += 1;
-                self.count(&mut s, &a.body);
+                self.count(&mut s, a.body);
             }
         }
         s
     }
 
     /// Counts the table entries [`Lowerer::lower_expr`] pushes for `e`.
-    fn count(&self, s: &mut IrSizes, e: &Expr) {
+    fn count(&self, s: &mut IrSizes, e: ExprId) {
+        let ast = self.ast;
         s.nodes += 1;
-        match &e.kind {
+        match &ast[e].kind {
             ExprKind::Lit(_) | ExprKind::ModeConst(_) => s.lits += 1,
             ExprKind::This => {}
             ExprKind::Var(_) => s.names += 1,
             ExprKind::Field { recv, .. } => {
                 s.names += 1;
-                self.count(s, recv);
+                self.count(s, *recv);
             }
             ExprKind::New {
                 class,
                 args,
                 ctor_args,
             } => {
-                self.count_list(s, ctor_args);
+                self.count_list(s, &ast[*ctor_args]);
                 match self.class_ids.get(class) {
                     None => s.unknown_classes += 1,
                     Some(&cid) => {
                         s.news += 1;
                         let n_params = self.decls[cid as usize].mode_params.bounds.len();
-                        s.modes += match args {
+                        s.modes += match args.map(|a| &ast[a]) {
                             Some(m) if m.is_dynamic() => {
                                 n_params.saturating_sub(1).min(m.rest.len())
                             }
@@ -1083,56 +1085,57 @@ impl Lowerer<'_> {
                 s.sends += 1;
                 s.modes += mode_args.len();
                 s.kids += 1;
-                self.count(s, recv);
-                self.count_list(s, args);
+                self.count(s, *recv);
+                self.count_list(s, &ast[*args]);
             }
             ExprKind::Builtin { ns, name, args } => {
                 s.names += 2;
                 let op = builtin_op(ns.as_str(), name.as_str());
-                match literal_work_kind(op, args) {
+                let args = &ast[*args];
+                match literal_work_kind(ast, op, args) {
                     Some(_) => self.count_list(s, &args[1..]),
                     None => self.count_list(s, args),
                 }
             }
             ExprKind::Cast { ty, expr } => {
-                if let Type::Object { class, .. } = ty {
+                if let Type::Object { class, .. } = &ast[*ty] {
                     if *class != ClassName::object() && !self.class_ids.contains_key(class) {
                         s.unknown_classes += 1;
                     }
                 }
-                self.count(s, expr);
+                self.count(s, *expr);
             }
             ExprKind::Snapshot { expr, .. } => {
                 s.modes += 2;
-                self.count(s, expr);
+                self.count(s, *expr);
             }
             ExprKind::MCase { arms, .. } => {
                 s.kids += arms.len();
                 s.arm_modes += arms.len();
-                for (_, a) in arms {
+                for &(_, a) in &ast[*arms] {
                     self.count(s, a);
                 }
             }
             ExprKind::Elim { expr, mode } => {
                 s.modes += usize::from(mode.is_some());
-                self.count(s, expr);
+                self.count(s, *expr);
             }
             ExprKind::Binary { lhs, rhs, .. } => {
-                self.count(s, lhs);
-                self.count(s, rhs);
+                self.count(s, *lhs);
+                self.count(s, *rhs);
             }
-            ExprKind::Unary { expr, .. } => self.count(s, expr),
+            ExprKind::Unary { expr, .. } => self.count(s, *expr),
             ExprKind::If { cond, then, els } => {
-                self.count(s, cond);
-                self.count(s, then);
-                if let Some(e) = els {
+                self.count(s, *cond);
+                self.count(s, *then);
+                if let Some(e) = *els {
                     self.count(s, e);
                 }
             }
             ExprKind::Block(stmts) => {
                 s.stmts += stmts.len();
-                for stmt in stmts {
-                    match stmt {
+                for stmt in &ast[*stmts] {
+                    match *stmt {
                         Stmt::Let { value: e, .. } | Stmt::Expr(e) | Stmt::Return(e) => {
                             self.count(s, e)
                         }
@@ -1140,16 +1143,16 @@ impl Lowerer<'_> {
                 }
             }
             ExprKind::Try { body, handler } => {
-                self.count(s, body);
-                self.count(s, handler);
+                self.count(s, *body);
+                self.count(s, *handler);
             }
-            ExprKind::ArrayLit(items) => self.count_list(s, items),
+            ExprKind::ArrayLit(items) => self.count_list(s, &ast[*items]),
         }
     }
 
-    fn count_list(&self, s: &mut IrSizes, items: &[Expr]) {
+    fn count_list(&self, s: &mut IrSizes, items: &[ExprId]) {
         s.kids += items.len();
-        for e in items {
+        for &e in items {
             self.count(s, e);
         }
     }
@@ -1314,7 +1317,7 @@ impl Lowerer<'_> {
         for (pos, &anc) in chain.iter().enumerate() {
             let adecl = self.decls[anc as usize];
             for f in &adecl.fields {
-                if let Some(init) = &f.init {
+                if let Some(init) = f.init {
                     let env_map = self.env_map(ci, chain.len() - 1 - pos);
                     self.set_scope(adecl, None, &[]);
                     let body = self.lower_body(0, init);
@@ -1353,7 +1356,7 @@ impl Lowerer<'_> {
         let attributor = decl.attributor.as_ref().map(|a| {
             self.set_scope(decl, None, &[]);
             ClassAttributor {
-                body: self.lower_body(0, &a.body),
+                body: self.lower_body(0, a.body),
                 has_internal: !decl.mode_params.bounds.is_empty(),
             }
         });
@@ -1403,7 +1406,7 @@ impl Lowerer<'_> {
 
     /// Lowers one body in the current scope and returns its
     /// [`LoweredProgram::bodies`] index.
-    fn lower_body(&mut self, n_base: u32, e: &Expr) -> u32 {
+    fn lower_body(&mut self, n_base: u32, e: ExprId) -> u32 {
         let root = self.lower_expr(e);
         self.bodies.push(Body::new(root, n_base));
         index(self.bodies.len() - 1)
@@ -1431,7 +1434,7 @@ impl Lowerer<'_> {
         let attributor = mdecl
             .attributor
             .as_ref()
-            .map(|a| self.lower_body(n_params, &a.body));
+            .map(|a| self.lower_body(n_params, a.body));
         let mode_override = mdecl.mode.as_ref().map(|m| match m {
             StaticMode::Var(v) => {
                 let var = self.mode_vars.intern(v.as_str()).raw();
@@ -1445,7 +1448,7 @@ impl Lowerer<'_> {
             }
             g => LOverride::Ground(self.ground_verbatim(g)),
         });
-        let body = self.lower_body(n_params, &mdecl.body);
+        let body = self.lower_body(n_params, mdecl.body);
         self.methods.push(LMethod {
             n_params,
             mode_params,
@@ -1481,17 +1484,18 @@ impl Lowerer<'_> {
         seq(start, self.ir.kids.len())
     }
 
-    fn lower_list(&mut self, items: &[Expr]) -> Seq {
+    fn lower_list(&mut self, items: &[ExprId]) -> Seq {
         let mark = self.pending.len();
-        for e in items {
+        for &e in items {
             let id = self.lower_expr(e);
             self.pending.push(id);
         }
         self.take_pending(mark)
     }
 
-    fn lower_expr(&mut self, e: &Expr) -> NodeId {
-        let node = match &e.kind {
+    fn lower_expr(&mut self, e: ExprId) -> NodeId {
+        let ast = self.ast;
+        let node = match &ast[e].kind {
             ExprKind::Lit(l) => Node::Lit(self.lit(match l {
                 Lit::Int(n) => Value::Int(*n),
                 Lit::Double(x) => Value::Double(*x),
@@ -1514,7 +1518,7 @@ impl Lowerer<'_> {
                 None => Node::UnboundVar(self.name(x)),
             },
             ExprKind::Field { recv, name } => Node::Field {
-                recv: self.lower_expr(recv),
+                recv: self.lower_expr(*recv),
                 field: self.field_names.intern(name.as_str()).raw(),
                 name: self.name(name),
             },
@@ -1523,7 +1527,7 @@ impl Lowerer<'_> {
                 args,
                 ctor_args,
             } => {
-                let ctor_args = self.lower_list(ctor_args);
+                let ctor_args = self.lower_list(&ast[*ctor_args]);
                 let Some(&cid) = self.class_ids.get(class) else {
                     self.ir.unknown_classes.push(class.clone());
                     return self.push(Node::NewUnknown {
@@ -1532,7 +1536,7 @@ impl Lowerer<'_> {
                     });
                 };
                 let n_params = self.decls[cid as usize].mode_params.bounds.len();
-                let plan = match args {
+                let plan = match args.map(|a| &ast[a]) {
                     Some(margs) if margs.is_dynamic() => {
                         // Zip semantics: surplus arguments are dropped
                         // without ever being resolved.
@@ -1565,11 +1569,11 @@ impl Lowerer<'_> {
                 args,
             } => {
                 let mark = self.pending.len();
-                let recv = self.lower_expr(recv);
+                let recv = self.lower_expr(*recv);
                 self.pending.push(recv);
                 let method = self.method_names.intern(method.as_str()).raw();
                 let mode_args = self.lower_modes(mode_args);
-                for a in args {
+                for &a in &ast[*args] {
                     let id = self.lower_expr(a);
                     self.pending.push(id);
                 }
@@ -1581,10 +1585,10 @@ impl Lowerer<'_> {
             }
             ExprKind::Builtin { ns, name, args } => {
                 let mut op = builtin_op(ns.as_str(), name.as_str());
-                let mut args = &args[..];
+                let mut args = &ast[*args];
                 // `WorkKind::parse` is total, so a literal kind resolves
                 // now and the call keeps only its units argument.
-                if let Some(kind) = literal_work_kind(op, args) {
+                if let Some(kind) = literal_work_kind(ast, op, args) {
                     op = BOp::SimWorkKind(kind);
                     args = &args[1..];
                 }
@@ -1597,7 +1601,7 @@ impl Lowerer<'_> {
                 }
             }
             ExprKind::Cast { ty, expr } => {
-                let check = match ty {
+                let check = match &ast[*ty] {
                     Type::Object { class, .. } if *class != ClassName::object() => {
                         Some(match self.class_ids.get(class) {
                             Some(&cid) => CastCheck::Class(cid),
@@ -1611,11 +1615,11 @@ impl Lowerer<'_> {
                 };
                 Node::Cast {
                     check,
-                    expr: self.lower_expr(expr),
+                    expr: self.lower_expr(*expr),
                 }
             }
             ExprKind::Snapshot { expr, lo, hi } => {
-                let expr = self.lower_expr(expr);
+                let expr = self.lower_expr(*expr);
                 let bounds = self.lower_modes([lo, hi]);
                 Node::Snapshot {
                     expr,
@@ -1623,10 +1627,11 @@ impl Lowerer<'_> {
                 }
             }
             ExprKind::MCase { ty: _, arms } => {
+                let arms = &ast[*arms];
                 let mark = self.pending.len();
                 for (m, a) in arms {
                     self.mode_names.intern(m.as_str());
-                    let id = self.lower_expr(a);
+                    let id = self.lower_expr(*a);
                     self.pending.push(id);
                 }
                 let modes = index(self.ir.arm_modes.len());
@@ -1639,22 +1644,22 @@ impl Lowerer<'_> {
                 }
             }
             ExprKind::Elim { expr, mode } => Node::Elim {
-                expr: self.lower_expr(expr),
+                expr: self.lower_expr(*expr),
                 mode: mode.as_ref().map(|m| self.lower_modes([m]).start),
             },
             ExprKind::Binary { op, lhs, rhs } => Node::Binary {
                 op: *op,
-                lhs: self.lower_expr(lhs),
-                rhs: self.lower_expr(rhs),
+                lhs: self.lower_expr(*lhs),
+                rhs: self.lower_expr(*rhs),
             },
             ExprKind::Unary { op, expr } => Node::Unary {
                 op: *op,
-                expr: self.lower_expr(expr),
+                expr: self.lower_expr(*expr),
             },
             ExprKind::If { cond, then, els } => Node::If {
-                cond: self.lower_expr(cond),
-                then: self.lower_expr(then),
-                els: match els {
+                cond: self.lower_expr(*cond),
+                then: self.lower_expr(*then),
+                els: match *els {
                     Some(e) => self.lower_expr(e),
                     None => NO_NODE,
                 },
@@ -1662,15 +1667,15 @@ impl Lowerer<'_> {
             ExprKind::Block(stmts) => {
                 let depth = self.locals.len();
                 let mark = self.pending_stmts.len();
-                for stmt in stmts {
+                for stmt in &ast[*stmts] {
                     let lowered = match stmt {
                         Stmt::Let { name, value, .. } => {
-                            let v = self.lower_expr(value);
+                            let v = self.lower_expr(*value);
                             self.locals.push(name.clone());
                             LStmt::Let(v)
                         }
-                        Stmt::Expr(e) => LStmt::Expr(self.lower_expr(e)),
-                        Stmt::Return(e) => LStmt::Return(self.lower_expr(e)),
+                        Stmt::Expr(e) => LStmt::Expr(self.lower_expr(*e)),
+                        Stmt::Return(e) => LStmt::Return(self.lower_expr(*e)),
                     };
                     self.pending_stmts.push(lowered);
                 }
@@ -1680,10 +1685,10 @@ impl Lowerer<'_> {
                 Node::Block(seq(start, self.ir.stmts.len()))
             }
             ExprKind::Try { body, handler } => Node::Try {
-                body: self.lower_expr(body),
-                handler: self.lower_expr(handler),
+                body: self.lower_expr(*body),
+                handler: self.lower_expr(*handler),
             },
-            ExprKind::ArrayLit(items) => Node::ArrayLit(self.lower_list(items)),
+            ExprKind::ArrayLit(items) => Node::ArrayLit(self.lower_list(&ast[*items])),
         };
         self.push(node)
     }

@@ -9,6 +9,8 @@
 //! `IO`, `Arr`, `Str`, `Math`).
 
 use std::fmt;
+use std::marker::PhantomData;
+use std::ops::{Deref, Index, Range};
 use std::sync::{Arc, LazyLock};
 
 use ent_modes::{Bounded, ClassModeParams, ModeArgs, ModeName, ModeTable, StaticMode};
@@ -350,7 +352,88 @@ impl fmt::Display for UnOp {
     }
 }
 
-/// An expression.
+/// An expression's id: its index in the [`Ast`] that holds it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ExprId(u32);
+
+impl ExprId {
+    /// The id's index in its tree's expression array.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// A type annotation's id: its index in the [`Ast`] that holds it. Casts,
+/// mode-case annotations and `let` annotations keep their types beside
+/// the nodes, so a node stays small.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct TypeId(u32);
+
+/// The id of the mode arguments written in a `new`, in the [`Ast`] that
+/// holds them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct ModeArgsId(u32);
+
+/// A run of consecutive entries in one of an [`Ast`]'s arrays: an
+/// [`ExprList`] (call and constructor arguments, array items), a
+/// [`StmtList`] (a block's statements) or an [`ArmList`] (a mode case's
+/// arms). Indexing the tree with it gives the slice.
+pub struct List<T> {
+    start: u32,
+    len: u32,
+    of: PhantomData<fn() -> T>,
+}
+
+impl<T> List<T> {
+    /// How many entries the run holds.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the run is empty.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    fn range(self) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+}
+
+impl<T> Clone for List<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for List<T> {}
+
+impl<T> PartialEq for List<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.start, self.len) == (other.start, other.len)
+    }
+}
+
+impl<T> fmt::Debug for List<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "List({:?})", self.range())
+    }
+}
+
+/// Expressions in a row: arguments or array items.
+pub type ExprList = List<ExprId>;
+
+/// A block's statements.
+pub type StmtList = List<Stmt>;
+
+/// One arm of a mode case: its mode and its value.
+pub type Arm = (ModeName, ExprId);
+
+/// A mode case's arms.
+pub type ArmList = List<Arm>;
+
+/// An expression node.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Expr {
     /// What the expression is.
@@ -366,7 +449,8 @@ impl Expr {
     }
 }
 
-/// The kinds of expressions.
+/// The kinds of expressions. A child is an [`ExprId`] into the same
+/// [`Ast`], and a list of children is a run of that tree's arrays.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ExprKind {
     /// A variable reference `x`.
@@ -381,7 +465,7 @@ pub enum ExprKind {
     /// typechecker when needed).
     Field {
         /// The receiver.
-        recv: Box<Expr>,
+        recv: ExprId,
         /// The field name.
         name: Ident,
     },
@@ -392,21 +476,21 @@ pub enum ExprKind {
         /// The class to instantiate.
         class: ClassName,
         /// Explicit mode arguments, if written.
-        args: Option<ModeArgs>,
+        args: Option<ModeArgsId>,
         /// Constructor arguments (positional field values).
-        ctor_args: Vec<Expr>,
+        ctor_args: ExprList,
     },
     /// Method invocation `e.md@mode<η...>(e...)`; `mode_args` instantiate
     /// generic method modes (usually empty and inferred).
     Call {
         /// The receiver.
-        recv: Box<Expr>,
+        recv: ExprId,
         /// The method name.
         method: Ident,
         /// Explicit generic-mode instantiations.
         mode_args: Vec<StaticMode>,
         /// The arguments.
-        args: Vec<Expr>,
+        args: ExprList,
     },
     /// A call into a builtin namespace, e.g. `Ext.battery()`.
     Builtin {
@@ -415,19 +499,19 @@ pub enum ExprKind {
         /// The operation name.
         name: Ident,
         /// The arguments.
-        args: Vec<Expr>,
+        args: ExprList,
     },
     /// A cast `(T)e`.
     Cast {
         /// The target type.
-        ty: Type,
+        ty: TypeId,
         /// The operand.
-        expr: Box<Expr>,
+        expr: ExprId,
     },
     /// `snapshot e [lo, hi]` — bounds default to `⊥`/`⊤` when omitted.
     Snapshot {
         /// The dynamic object being snapshotted.
-        expr: Box<Expr>,
+        expr: ExprId,
         /// The lower bound on the resulting mode.
         lo: StaticMode,
         /// The upper bound on the resulting mode.
@@ -437,15 +521,15 @@ pub enum ExprKind {
     /// optional in surface syntax and inferred when absent.
     MCase {
         /// The optional element type annotation.
-        ty: Option<Type>,
+        ty: Option<TypeId>,
         /// The arms, one per declared mode.
-        arms: Vec<(ModeName, Expr)>,
+        arms: ArmList,
     },
     /// Mode case elimination `e <| η` (`η == None` means "the enclosing
     /// object's internal mode", written `e <| _`).
     Elim {
         /// The mode case being eliminated.
-        expr: Box<Expr>,
+        expr: ExprId,
         /// The mode to project, if explicit.
         mode: Option<StaticMode>,
     },
@@ -454,39 +538,39 @@ pub enum ExprKind {
         /// The operator.
         op: BinOp,
         /// Left operand.
-        lhs: Box<Expr>,
+        lhs: ExprId,
         /// Right operand.
-        rhs: Box<Expr>,
+        rhs: ExprId,
     },
     /// A unary operation.
     Unary {
         /// The operator.
         op: UnOp,
         /// The operand.
-        expr: Box<Expr>,
+        expr: ExprId,
     },
     /// `if (c) { .. } else { .. }`; a missing else-branch is `unit`.
     If {
         /// The condition.
-        cond: Box<Expr>,
+        cond: ExprId,
         /// The then-branch.
-        then: Box<Expr>,
+        then: ExprId,
         /// The else-branch.
-        els: Option<Box<Expr>>,
+        els: Option<ExprId>,
     },
     /// A block `{ stmt* }`; evaluates to its last expression statement, or
     /// unit.
-    Block(Vec<Stmt>),
+    Block(StmtList),
     /// `try { e } catch { e }` — catches `EnergyException` (a failed
     /// snapshot bound check).
     Try {
         /// The protected body.
-        body: Box<Expr>,
+        body: ExprId,
         /// The handler.
-        handler: Box<Expr>,
+        handler: ExprId,
     },
     /// An array literal `[e, ...]`.
-    ArrayLit(Vec<Expr>),
+    ArrayLit(ExprList),
 }
 
 /// A statement inside a block.
@@ -495,16 +579,408 @@ pub enum Stmt {
     /// `let x = e;` or `let T x = e;`
     Let {
         /// Optional type annotation.
-        ty: Option<Type>,
+        ty: Option<TypeId>,
         /// The bound variable.
         name: Ident,
         /// The initializer.
-        value: Expr,
+        value: ExprId,
     },
     /// An expression statement `e;` (or a trailing expression).
-    Expr(Expr),
+    Expr(ExprId),
     /// `return e;` — exits the enclosing method or attributor.
-    Return(Expr),
+    Return(ExprId),
+}
+
+/// The flat syntax tree of a program's bodies: every expression node,
+/// statement, argument list, mode-case arm, type annotation and written
+/// `new` instantiation, each kind in one array.
+///
+/// Nodes refer to their children by id and to their lists by run, so
+/// parsing grows a few vectors instead of allocating a box per node and a
+/// vector per list, and dropping the tree frees those vectors without
+/// recursing, however deep the expressions nest. Index the tree with an
+/// [`ExprId`], [`TypeId`] or [`ModeArgsId`] for the entry, or with a
+/// [`List`] for the slice.
+///
+/// # Example
+///
+/// ```
+/// use ent_syntax::{parse_expr, BinOp, ExprKind, Lit};
+///
+/// let (ast, root) = parse_expr("1 + 2", &[])?;
+/// let ExprKind::Binary { op: BinOp::Add, lhs, .. } = ast[root].kind else {
+///     panic!("an addition");
+/// };
+/// assert_eq!(ast[lhs].kind, ExprKind::Lit(Lit::Int(1)));
+/// assert_eq!(ast.len(), 3);
+/// # Ok::<(), ent_syntax::SyntaxError>(())
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct Ast {
+    exprs: Vec<Expr>,
+    stmts: Vec<Stmt>,
+    lists: Vec<ExprId>,
+    arms: Vec<Arm>,
+    types: Vec<Type>,
+    mode_args: Vec<ModeArgs>,
+}
+
+impl Ast {
+    /// An empty tree.
+    pub fn new() -> Self {
+        Ast::default()
+    }
+
+    /// An empty tree with room for the nodes of a source of `tokens`
+    /// tokens. Generated programs hold about one expression per three
+    /// tokens, so the arrays rarely grow.
+    pub(crate) fn for_tokens(tokens: usize) -> Self {
+        Ast {
+            exprs: Vec::with_capacity(tokens / 2 + 1),
+            stmts: Vec::with_capacity(tokens / 16 + 1),
+            lists: Vec::with_capacity(tokens / 8 + 1),
+            arms: Vec::new(),
+            types: Vec::new(),
+            mode_args: Vec::new(),
+        }
+    }
+
+    /// Adds an expression node and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX` nodes.
+    pub fn push(&mut self, expr: Expr) -> ExprId {
+        self.exprs.push(expr);
+        ExprId(last_index(self.exprs.len()))
+    }
+
+    /// Removes node `id`, which must be the last one pushed.
+    pub(crate) fn pop(&mut self, id: ExprId) {
+        assert_eq!(
+            id.index() + 1,
+            self.exprs.len(),
+            "only the last node is removed"
+        );
+        self.exprs.pop();
+    }
+
+    /// Adds a type annotation and returns its id.
+    pub(crate) fn push_type(&mut self, ty: Type) -> TypeId {
+        self.types.push(ty);
+        TypeId(last_index(self.types.len()))
+    }
+
+    /// Adds the mode arguments of a `new` and returns their id.
+    pub(crate) fn push_mode_args(&mut self, args: ModeArgs) -> ModeArgsId {
+        self.mode_args.push(args);
+        ModeArgsId(last_index(self.mode_args.len()))
+    }
+
+    /// Adds a run of expression ids.
+    pub fn push_exprs(&mut self, ids: impl IntoIterator<Item = ExprId>) -> ExprList {
+        extend(&mut self.lists, ids)
+    }
+
+    /// Adds a run of statements.
+    pub(crate) fn push_stmts(&mut self, stmts: impl IntoIterator<Item = Stmt>) -> StmtList {
+        extend(&mut self.stmts, stmts)
+    }
+
+    /// Adds a run of mode-case arms.
+    pub(crate) fn push_arms(&mut self, arms: impl IntoIterator<Item = Arm>) -> ArmList {
+        extend(&mut self.arms, arms)
+    }
+
+    /// How many expression nodes the tree holds.
+    pub fn len(&self) -> usize {
+        self.exprs.len()
+    }
+
+    /// Whether the tree holds no expression.
+    pub fn is_empty(&self) -> bool {
+        self.exprs.is_empty()
+    }
+
+    /// `item` beside this tree, for `Debug`: see [`Shown`].
+    pub fn show<T>(&self, item: T) -> Shown<'_, T> {
+        Shown { ast: self, item }
+    }
+}
+
+/// The index of the last of `len` entries, as a `u32`.
+fn last_index(len: usize) -> u32 {
+    u32::try_from(len - 1).expect("a syntax tree holds at most u32::MAX entries")
+}
+
+/// Appends `items` to `array` and returns their run.
+fn extend<T>(array: &mut Vec<T>, items: impl IntoIterator<Item = T>) -> List<T> {
+    let start = array.len();
+    array.extend(items);
+    let len = array.len() - start;
+    List {
+        start: u32::try_from(start).expect("a syntax tree holds at most u32::MAX entries"),
+        len: u32::try_from(len).expect("a syntax tree holds at most u32::MAX entries"),
+        of: PhantomData,
+    }
+}
+
+impl Index<ExprId> for Ast {
+    type Output = Expr;
+
+    fn index(&self, id: ExprId) -> &Expr {
+        &self.exprs[id.index()]
+    }
+}
+
+impl Index<TypeId> for Ast {
+    type Output = Type;
+
+    fn index(&self, id: TypeId) -> &Type {
+        &self.types[id.0 as usize]
+    }
+}
+
+impl Index<ModeArgsId> for Ast {
+    type Output = ModeArgs;
+
+    fn index(&self, id: ModeArgsId) -> &ModeArgs {
+        &self.mode_args[id.0 as usize]
+    }
+}
+
+impl Index<ExprList> for Ast {
+    type Output = [ExprId];
+
+    fn index(&self, list: ExprList) -> &[ExprId] {
+        &self.lists[list.range()]
+    }
+}
+
+impl Index<StmtList> for Ast {
+    type Output = [Stmt];
+
+    fn index(&self, list: StmtList) -> &[Stmt] {
+        &self.stmts[list.range()]
+    }
+}
+
+impl Index<ArmList> for Ast {
+    type Output = [Arm];
+
+    fn index(&self, list: ArmList) -> &[Arm] {
+        &self.arms[list.range()]
+    }
+}
+
+/// A tree item beside the [`Ast`] it lives in, made by [`Ast::show`].
+///
+/// Its `Debug` renders the item with each child id replaced by the
+/// child's own rendering: a body prints as the nested tree, in exactly
+/// the text the derived `Debug` of a boxed tree printed (`Expr { kind:
+/// Binary { op: Add, lhs: Expr { .. }, .. }, span: .. }`).
+pub struct Shown<'a, T> {
+    ast: &'a Ast,
+    item: T,
+}
+
+impl<T> Shown<'_, T> {
+    fn show<U>(&self, item: U) -> Shown<'_, U> {
+        self.ast.show(item)
+    }
+}
+
+impl fmt::Debug for Shown<'_, ExprId> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let e = &self.ast[self.item];
+        f.debug_struct("Expr")
+            .field("kind", &self.show(&e.kind))
+            .field("span", &e.span)
+            .finish()
+    }
+}
+
+impl fmt::Debug for Shown<'_, Option<ExprId>> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.item.map(|e| self.show(e)), f)
+    }
+}
+
+impl fmt::Debug for Shown<'_, ExprList> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let items = &self.ast[self.item];
+        f.debug_list()
+            .entries(items.iter().map(|&e| self.show(e)))
+            .finish()
+    }
+}
+
+impl fmt::Debug for Shown<'_, &ExprKind> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.item {
+            ExprKind::Var(x) => f.debug_tuple("Var").field(x).finish(),
+            ExprKind::This => f.write_str("This"),
+            ExprKind::Lit(l) => f.debug_tuple("Lit").field(l).finish(),
+            ExprKind::ModeConst(m) => f.debug_tuple("ModeConst").field(m).finish(),
+            ExprKind::Field { recv, name } => f
+                .debug_struct("Field")
+                .field("recv", &self.show(*recv))
+                .field("name", name)
+                .finish(),
+            ExprKind::New {
+                class,
+                args,
+                ctor_args,
+            } => f
+                .debug_struct("New")
+                .field("class", class)
+                .field("args", &args.map(|a| &self.ast[a]))
+                .field("ctor_args", &self.show(*ctor_args))
+                .finish(),
+            ExprKind::Call {
+                recv,
+                method,
+                mode_args,
+                args,
+            } => f
+                .debug_struct("Call")
+                .field("recv", &self.show(*recv))
+                .field("method", method)
+                .field("mode_args", mode_args)
+                .field("args", &self.show(*args))
+                .finish(),
+            ExprKind::Builtin { ns, name, args } => f
+                .debug_struct("Builtin")
+                .field("ns", ns)
+                .field("name", name)
+                .field("args", &self.show(*args))
+                .finish(),
+            ExprKind::Cast { ty, expr } => f
+                .debug_struct("Cast")
+                .field("ty", &self.ast[*ty])
+                .field("expr", &self.show(*expr))
+                .finish(),
+            ExprKind::Snapshot { expr, lo, hi } => f
+                .debug_struct("Snapshot")
+                .field("expr", &self.show(*expr))
+                .field("lo", lo)
+                .field("hi", hi)
+                .finish(),
+            ExprKind::MCase { ty, arms } => {
+                let arms = &self.ast[*arms];
+                let arms: Vec<_> = arms.iter().map(|(m, e)| (m, self.show(*e))).collect();
+                f.debug_struct("MCase")
+                    .field("ty", &ty.map(|t| &self.ast[t]))
+                    .field("arms", &arms)
+                    .finish()
+            }
+            ExprKind::Elim { expr, mode } => f
+                .debug_struct("Elim")
+                .field("expr", &self.show(*expr))
+                .field("mode", mode)
+                .finish(),
+            ExprKind::Binary { op, lhs, rhs } => f
+                .debug_struct("Binary")
+                .field("op", op)
+                .field("lhs", &self.show(*lhs))
+                .field("rhs", &self.show(*rhs))
+                .finish(),
+            ExprKind::Unary { op, expr } => f
+                .debug_struct("Unary")
+                .field("op", op)
+                .field("expr", &self.show(*expr))
+                .finish(),
+            ExprKind::If { cond, then, els } => f
+                .debug_struct("If")
+                .field("cond", &self.show(*cond))
+                .field("then", &self.show(*then))
+                .field("els", &self.show(*els))
+                .finish(),
+            ExprKind::Block(stmts) => {
+                let stmts = &self.ast[*stmts];
+                let stmts: Vec<_> = stmts.iter().map(|s| self.show(s)).collect();
+                f.debug_tuple("Block").field(&stmts).finish()
+            }
+            ExprKind::Try { body, handler } => f
+                .debug_struct("Try")
+                .field("body", &self.show(*body))
+                .field("handler", &self.show(*handler))
+                .finish(),
+            ExprKind::ArrayLit(items) => {
+                f.debug_tuple("ArrayLit").field(&self.show(*items)).finish()
+            }
+        }
+    }
+}
+
+impl fmt::Debug for Shown<'_, &Stmt> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.item {
+            Stmt::Let { ty, name, value } => f
+                .debug_struct("Let")
+                .field("ty", &ty.map(|t| &self.ast[t]))
+                .field("name", name)
+                .field("value", &self.show(*value))
+                .finish(),
+            Stmt::Expr(e) => f.debug_tuple("Expr").field(&self.show(*e)).finish(),
+            Stmt::Return(e) => f.debug_tuple("Return").field(&self.show(*e)).finish(),
+        }
+    }
+}
+
+impl fmt::Debug for Shown<'_, &FieldDecl> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fd = self.item;
+        f.debug_struct("FieldDecl")
+            .field("ty", &fd.ty)
+            .field("name", &fd.name)
+            .field("init", &self.show(fd.init))
+            .field("span", &fd.span)
+            .finish()
+    }
+}
+
+impl fmt::Debug for Shown<'_, &Attributor> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Attributor")
+            .field("body", &self.show(self.item.body))
+            .field("span", &self.item.span)
+            .finish()
+    }
+}
+
+impl fmt::Debug for Shown<'_, &MethodDecl> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let m = self.item;
+        f.debug_struct("MethodDecl")
+            .field("mode", &m.mode)
+            .field("mode_params", &m.mode_params)
+            .field("ret", &m.ret)
+            .field("name", &m.name)
+            .field("params", &m.params)
+            .field("attributor", &m.attributor.as_ref().map(|a| self.show(a)))
+            .field("body", &self.show(m.body))
+            .field("span", &m.span)
+            .finish()
+    }
+}
+
+impl fmt::Debug for Shown<'_, &ClassDecl> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let c = self.item;
+        let fields: Vec<_> = c.fields.iter().map(|fd| self.show(fd)).collect();
+        let methods: Vec<_> = c.methods.iter().map(|m| self.show(m)).collect();
+        f.debug_struct("ClassDecl")
+            .field("name", &c.name)
+            .field("mode_params", &c.mode_params)
+            .field("superclass", &c.superclass)
+            .field("super_args", &c.super_args)
+            .field("fields", &fields)
+            .field("methods", &methods)
+            .field("attributor", &c.attributor.as_ref().map(|a| self.show(a)))
+            .field("span", &c.span)
+            .finish()
+    }
 }
 
 /// A field declaration.
@@ -516,7 +992,7 @@ pub struct FieldDecl {
     pub name: Ident,
     /// Optional initializer; fields without initializers are set
     /// positionally by `new`, in declaration order, inherited fields first.
-    pub init: Option<Expr>,
+    pub init: Option<ExprId>,
     /// Source location.
     pub span: Span,
 }
@@ -538,7 +1014,7 @@ pub struct MethodDecl {
     /// A method-level attributor, making the method's mode dynamic.
     pub attributor: Option<Attributor>,
     /// The body.
-    pub body: Expr,
+    pub body: ExprId,
     /// Source location.
     pub span: Span,
 }
@@ -547,12 +1023,13 @@ pub struct MethodDecl {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Attributor {
     /// The body, evaluating to a mode value.
-    pub body: Expr,
+    pub body: ExprId,
     /// Source location.
     pub span: Span,
 }
 
-/// A class declaration.
+/// A class declaration. Its bodies live in the [`Ast`] of the
+/// [`Classes`] that holds it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClassDecl {
     /// The class name.
@@ -585,21 +1062,65 @@ impl ClassDecl {
     }
 }
 
+/// A program's class declarations, in declaration order, with the
+/// [`Ast`] their bodies, field initializers and attributors live in.
+///
+/// It dereferences to the declarations. Its `Debug` prints each body as
+/// a nested tree (see [`Shown`]).
+pub struct Classes {
+    decls: Vec<ClassDecl>,
+    ast: Ast,
+}
+
+impl Classes {
+    /// The declarations `decls`, whose bodies are in `ast`.
+    pub(crate) fn new(decls: Vec<ClassDecl>, ast: Ast) -> Self {
+        Classes { decls, ast }
+    }
+
+    /// The tree the declarations' bodies live in.
+    pub fn ast(&self) -> &Ast {
+        &self.ast
+    }
+}
+
+impl Deref for Classes {
+    type Target = [ClassDecl];
+
+    fn deref(&self) -> &[ClassDecl] {
+        &self.decls
+    }
+}
+
+impl fmt::Debug for Classes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(self.decls.iter().map(|c| self.ast.show(c)))
+            .finish()
+    }
+}
+
 /// A whole program `P = D C`: the validated mode table plus class
 /// declarations.
 #[derive(Clone, Debug)]
 pub struct Program {
     /// The validated mode declaration `D`.
     pub mode_table: ModeTable,
-    /// The classes, in declaration order. Shared, not copied, by the
-    /// [`crate::ClassTable`] built from this program.
-    pub classes: Vec<Arc<ClassDecl>>,
+    /// The classes, in declaration order, and the tree of their bodies.
+    /// Shared, not copied, by the [`crate::ClassTable`] built from this
+    /// program.
+    pub classes: Arc<Classes>,
 }
 
 impl Program {
     /// Finds a class by name.
     pub fn class(&self, name: &ClassName) -> Option<&ClassDecl> {
-        self.classes.iter().find(|c| &c.name == name).map(|c| &**c)
+        self.classes.iter().find(|c| &c.name == name)
+    }
+
+    /// The tree the classes' bodies live in.
+    pub fn ast(&self) -> &Ast {
+        self.classes.ast()
     }
 }
 

@@ -30,6 +30,12 @@ impl SyntaxError {
         }
     }
 
+    /// A new error at `span`, boxed: the lexer and the parser carry errors
+    /// boxed, so each successful step returns its result in registers.
+    pub(crate) fn boxed(message: impl Into<String>, span: Span) -> Box<Self> {
+        Box::new(SyntaxError::new(message, span))
+    }
+
     /// The error message (no location).
     pub fn message(&self) -> &str {
         &self.message
@@ -54,6 +60,9 @@ impl fmt::Display for SyntaxError {
 }
 
 impl Error for SyntaxError {}
+
+/// The result of one lexing or parsing step.
+pub(crate) type Fallible<T> = Result<T, Box<SyntaxError>>;
 
 #[cfg(test)]
 mod tests {

@@ -1,10 +1,11 @@
 //! The ENT lexer: source text to a token stream.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::hash::BuildHasher;
+use std::sync::{Arc, LazyLock};
 
-use crate::error::SyntaxError;
-use crate::token::{keyword, Token, TokenKind};
+use crate::ast::PrimType;
+use crate::error::{Fallible, SyntaxError};
+use crate::token::{Token, TokenKind, KEYWORDS};
 use crate::Span;
 
 /// A lexed source buffer: its tokens (terminated by `Eof`) and the tables
@@ -18,13 +19,25 @@ pub struct Lexed {
     pub names: Vec<Arc<str>>,
     /// Each string literal's unescaped contents, by [`TokenKind::Str`] id.
     pub strings: Vec<String>,
+    /// What is known of each name beyond its spelling, by name id.
+    pub(crate) info: Vec<NameInfo>,
+}
+
+/// What the parser knows of a name id beyond its spelling.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct NameInfo {
+    /// The primitive type the name spells, if any (found by the lexer).
+    pub(crate) prim: Option<PrimType>,
+    /// Whether the `modes` block declares the name (set by the parser).
+    pub(crate) is_mode: bool,
 }
 
 /// Lexes an entire source buffer into tokens (terminated by `Eof`).
 ///
 /// Identifiers are interned: every token that spells the same name
-/// carries the same id, and each distinct name is allocated once per
-/// call.
+/// carries the same id, and each distinct name is allocated at most once
+/// per call (a name the language predeclares, such as `int` or `Math`,
+/// shares one allocation made once per process).
 ///
 /// # Errors
 ///
@@ -43,35 +56,279 @@ pub struct Lexed {
 /// # Ok::<(), ent_syntax::SyntaxError>(())
 /// ```
 pub fn lex(src: &str) -> Result<Lexed, SyntaxError> {
-    Lexer::new(src).run()
+    Lexer::new(src).run().map_err(|e| *e)
+}
+
+/// The primitive type names.
+const PRIMS: [(&str, PrimType); 5] = [
+    ("int", PrimType::Int),
+    ("double", PrimType::Double),
+    ("bool", PrimType::Bool),
+    ("string", PrimType::Str),
+    ("unit", PrimType::Unit),
+];
+
+/// The root and entry classes, the builtin namespaces and their
+/// operations.
+const BUILTIN_NAMES: &str = "Object Main main Ext Sim IO Arr Str Math battery temperature \
+    timeMs work sleepMs rand print len ofInt ofDouble sub floor toDouble min max fmin fmax \
+    abs sqrt pow range get concat push make";
+
+/// The names the language itself gives meaning to, [`PRIMS`] first, with
+/// what is known of each. Nearly every program spells several of them,
+/// and each is allocated once per process: a source that spells one
+/// shares it.
+static PREDECLARED: LazyLock<Vec<(Arc<str>, NameInfo)>> = LazyLock::new(|| {
+    let prims = PRIMS.iter().map(|&(name, prim)| (name, Some(prim)));
+    let builtins = BUILTIN_NAMES.split_whitespace().map(|name| (name, None));
+    prims
+        .chain(builtins)
+        .map(|(name, prim)| {
+            (
+                Arc::from(name),
+                NameInfo {
+                    prim,
+                    is_mode: false,
+                },
+            )
+        })
+        .collect()
+});
+
+/// Whether each byte may continue an identifier.
+const IDENT: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = (b as u8).is_ascii_alphanumeric() || b as u8 == b'_';
+        b += 1;
+    }
+    table
+};
+
+/// The table every lex starts from: the keywords and the predeclared
+/// names, under this process's hash key.
+static SEEDED: LazyLock<Words<'static>> = LazyLock::new(Words::seeded);
+
+/// What a word in the [`Words`] table stands for.
+#[derive(Clone, Copy, Debug)]
+enum Meaning {
+    /// A keyword, or a name this source has already spelled (its
+    /// [`TokenKind::Ident`]).
+    Token(TokenKind),
+    /// [`PREDECLARED`]`[k]`, not yet spelled by this source.
+    Predeclared(u32),
+}
+
+/// One word of the table: its spelling, its [`short_key`] and its
+/// meaning.
+#[derive(Clone, Copy, Debug)]
+struct Word<'a> {
+    key: (u64, u64),
+    text: &'a str,
+    meaning: Meaning,
+}
+
+/// Every keyword and every name seen so far, found with one lookup per
+/// identifier: an open-addressing table (linear probing, at most half
+/// full) keyed by the word's spelling. The hash is keyed per process,
+/// with keys drawn from [`std::hash::RandomState`], so which names
+/// collide depends on a key no source can see.
+#[derive(Debug)]
+struct Words<'a> {
+    /// The hash key.
+    key: [u64; 2],
+    /// Indices into `words`; [`EMPTY`] marks a free slot. A power of two
+    /// long.
+    slots: Vec<u32>,
+    words: Vec<Word<'a>>,
+}
+
+/// A free slot of [`Words::slots`].
+const EMPTY: u32 = u32::MAX;
+
+/// A word being looked up: its spelling, its hash, and the
+/// [`short_key`] of its last 16-byte block (of the whole word when it is
+/// no longer than that).
+struct Probe<'t> {
+    text: &'t str,
+    hash: u64,
+    key: (u64, u64),
+}
+
+impl Probe<'_> {
+    /// Whether `word` is the probed spelling. A word of at most 16 bytes
+    /// compares as its length and key, without reading its text.
+    fn spells(&self, word: &Word) -> bool {
+        word.key == self.key
+            && word.text.len() == self.text.len()
+            && (word.text.len() <= 16 || word.text == self.text)
+    }
+}
+
+impl Words<'static> {
+    /// The keywords and the predeclared names under a fresh key, in a
+    /// table with room for as many words again.
+    fn seeded() -> Self {
+        let keys = std::hash::RandomState::new();
+        let mut words = Words {
+            key: [keys.hash_one(0u64), keys.hash_one(1u64)],
+            slots: vec![EMPTY; 256],
+            words: Vec::with_capacity(KEYWORDS.len() + PREDECLARED.len()),
+        };
+        let entries = KEYWORDS.iter().map(|&(w, kind)| (w, Meaning::Token(kind)));
+        let names = (0u32..)
+            .zip(PREDECLARED.iter())
+            .map(|(k, (name, _))| (&**name, Meaning::Predeclared(k)));
+        for (text, meaning) in entries.chain(names) {
+            let probe = words.probe(text);
+            let slot = words.find(&probe).expect_err("each word is seeded once");
+            words.insert(slot, probe, meaning);
+        }
+        words
+    }
+}
+
+impl<'a> Words<'a> {
+    /// A copy of [`SEEDED`] with room for `names` more words.
+    fn with_room(names: usize) -> Self {
+        let mut words = Vec::with_capacity(SEEDED.words.len() + names);
+        words.extend_from_slice(&SEEDED.words);
+        Words {
+            key: SEEDED.key,
+            slots: SEEDED.slots.clone(),
+            words,
+        }
+    }
+
+    /// `text` with its keyed hash: each 16-byte block but the last is
+    /// mixed in with a folded 64×64→128-bit multiply, then the last
+    /// block's [`short_key`].
+    fn probe<'t>(&self, text: &'t str) -> Probe<'t> {
+        let [mut a, mut b] = self.key;
+        b ^= text.len() as u64;
+        let mut rest = text.as_bytes();
+        while rest.len() > 16 {
+            let (block, tail) = rest.split_at(16);
+            a = fold(a ^ le_u64(&block[..8]), b ^ le_u64(&block[8..]));
+            b = b.rotate_left(23) ^ a;
+            rest = tail;
+        }
+        let key = short_key(rest);
+        Probe {
+            text,
+            hash: fold(a ^ key.0, b ^ key.1),
+            key,
+        }
+    }
+
+    /// The index in `words` of the probed word, or else the free slot
+    /// where it belongs.
+    fn find(&self, probe: &Probe) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = probe.hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(slot),
+                i => {
+                    if probe.spells(&self.words[i as usize]) {
+                        return Ok(i as usize);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Adds the probed word at the free `slot` [`Words::find`] gave,
+    /// doubling the table when it passes half full.
+    fn insert(&mut self, slot: usize, probe: Probe<'a>, meaning: Meaning) {
+        let i = u32::try_from(self.words.len()).expect("fewer than u32::MAX words");
+        self.words.push(Word {
+            key: probe.key,
+            text: probe.text,
+            meaning,
+        });
+        self.slots[slot] = i;
+        if self.words.len() * 2 > self.slots.len() {
+            let mut slots = vec![EMPTY; self.slots.len() * 2];
+            let mask = slots.len() - 1;
+            for (i, w) in self.words.iter().enumerate() {
+                let mut slot = self.probe(w.text).hash as usize & mask;
+                while slots[slot] != EMPTY {
+                    slot = (slot + 1) & mask;
+                }
+                slots[slot] = i as u32;
+            }
+            self.slots = slots;
+        }
+    }
+}
+
+/// A word of at most 16 bytes as two integers. Two overlapping reads
+/// cover every byte, so two words of one length differ exactly when
+/// their keys do.
+fn short_key(bytes: &[u8]) -> (u64, u64) {
+    let n = bytes.len();
+    if n >= 8 {
+        (le_u64(&bytes[..8]), le_u64(&bytes[n - 8..]))
+    } else if n >= 4 {
+        (le_u32(&bytes[..4]), le_u32(&bytes[n - 4..]))
+    } else if n > 0 {
+        let x = u64::from(bytes[0]) | u64::from(bytes[n / 2]) << 8 | u64::from(bytes[n - 1]) << 16;
+        (x, 0)
+    } else {
+        (0, 0)
+    }
+}
+
+/// The high and low halves of the 128-bit product `a * b`, xor-ed.
+fn fold(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p as u64) ^ (p >> 64) as u64
+}
+
+/// The little-endian `u64` in `bytes`, which holds exactly eight.
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("eight bytes"))
+}
+
+/// The little-endian `u32` in `bytes`, which holds exactly four.
+fn le_u32(bytes: &[u8]) -> u64 {
+    u64::from(u32::from_le_bytes(bytes.try_into().expect("four bytes")))
 }
 
 struct Lexer<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    /// The id of each identifier spelling seen so far.
-    ids: HashMap<&'a str, u32>,
+    /// The keywords and every identifier spelling seen so far.
+    words: Words<'a>,
     out: Lexed,
 }
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
+        // Generated programs average a token per three source bytes and a
+        // distinct name per 40, so one allocation usually holds each
+        // table. The name tables start with room for at most about a
+        // thousand names, however large the source.
+        let names = (src.len() / 32).min(1 << 10) + 1;
         Lexer {
             src,
             bytes: src.as_bytes(),
             pos: 0,
-            ids: HashMap::new(),
+            words: Words::with_room(names),
             out: Lexed {
-                // Generated programs average a token per three source
-                // bytes, so one allocation usually holds them all.
                 tokens: Vec::with_capacity(src.len() / 3 + 1),
-                ..Lexed::default()
+                names: Vec::with_capacity(names),
+                info: Vec::with_capacity(names),
+                strings: Vec::new(),
             },
         }
     }
 
-    fn run(mut self) -> Result<Lexed, SyntaxError> {
+    fn run(mut self) -> Fallible<Lexed> {
         loop {
             self.skip_trivia()?;
             let start = self.pos;
@@ -112,7 +369,7 @@ impl<'a> Lexer<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn skip_trivia(&mut self) -> Result<(), SyntaxError> {
+    fn skip_trivia(&mut self) -> Fallible<()> {
         loop {
             match self.peek() {
                 Some(b) if b.is_ascii_whitespace() => self.pos += 1,
@@ -135,7 +392,7 @@ impl<'a> Lexer<'a> {
                             }
                             (Some(_), _) => self.pos += 1,
                             (None, _) => {
-                                return Err(SyntaxError::new(
+                                return Err(SyntaxError::boxed(
                                     "unterminated block comment",
                                     Span::new(start as u32, self.pos as u32),
                                 ))
@@ -150,25 +407,42 @@ impl<'a> Lexer<'a> {
 
     fn word(&mut self) -> TokenKind {
         let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_')
-        {
-            self.pos += 1;
-        }
+        let rest = &self.bytes[start..];
+        self.pos += rest
+            .iter()
+            .position(|&b| !IDENT[usize::from(b)])
+            .unwrap_or(rest.len());
         let text = &self.src[start..self.pos];
-        if let Some(kw) = keyword(text) {
-            return kw;
+        let probe = self.words.probe(text);
+        let out = &mut self.out;
+        let mut add_name = |name: Arc<str>, info: NameInfo| {
+            out.names.push(name);
+            out.info.push(info);
+            let id = out.names.len() - 1;
+            TokenKind::Ident(u32::try_from(id).expect("fewer than u32::MAX names"))
+        };
+        match self.words.find(&probe) {
+            Ok(i) => {
+                let word = &mut self.words.words[i];
+                match word.meaning {
+                    Meaning::Token(kind) => kind,
+                    Meaning::Predeclared(k) => {
+                        let (name, info) = &PREDECLARED[k as usize];
+                        let kind = add_name(Arc::clone(name), *info);
+                        word.meaning = Meaning::Token(kind);
+                        kind
+                    }
+                }
+            }
+            Err(slot) => {
+                let kind = add_name(Arc::from(text), NameInfo::default());
+                self.words.insert(slot, probe, Meaning::Token(kind));
+                kind
+            }
         }
-        let names = &mut self.out.names;
-        let id = *self.ids.entry(text).or_insert_with(|| {
-            names.push(Arc::from(text));
-            (names.len() - 1) as u32
-        });
-        TokenKind::Ident(id)
     }
 
-    fn number(&mut self, start: usize) -> Result<TokenKind, SyntaxError> {
+    fn number(&mut self, start: usize) -> Fallible<TokenKind> {
         while self.peek().is_some_and(|b| b.is_ascii_digit()) {
             self.pos += 1;
         }
@@ -205,28 +479,37 @@ impl<'a> Lexer<'a> {
         if is_double {
             text.parse::<f64>()
                 .map(TokenKind::Double)
-                .map_err(|_| SyntaxError::new(format!("malformed double `{text}`"), span))
+                .map_err(|_| SyntaxError::boxed(format!("malformed double `{text}`"), span))
         } else {
             text.parse::<i64>()
                 .map(TokenKind::Int)
-                .map_err(|_| SyntaxError::new(format!("integer `{text}` is out of range"), span))
+                .map_err(|_| SyntaxError::boxed(format!("integer `{text}` is out of range"), span))
         }
     }
 
-    fn string(&mut self, start: usize) -> Result<TokenKind, SyntaxError> {
+    fn string(&mut self, start: usize) -> Fallible<TokenKind> {
         self.pos += 1; // opening quote
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or escape in one piece.
+            // Both are ASCII, so the run ends on a character boundary.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
                     self.out.strings.push(out);
                     return Ok(TokenKind::Str((self.out.strings.len() - 1) as u32));
                 }
-                Some(b'\\') => {
+                Some(_) => {
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| {
-                        SyntaxError::new(
+                        SyntaxError::boxed(
                             "unterminated string literal",
                             Span::new(start as u32, self.pos as u32),
                         )
@@ -237,7 +520,7 @@ impl<'a> Lexer<'a> {
                         b'\\' => '\\',
                         b'"' => '"',
                         other => {
-                            return Err(SyntaxError::new(
+                            return Err(SyntaxError::boxed(
                                 format!("unknown escape `\\{}`", other as char),
                                 Span::new(self.pos as u32 - 1, self.pos as u32 + 1),
                             ))
@@ -245,15 +528,8 @@ impl<'a> Lexer<'a> {
                     });
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Strings are UTF-8; step over a full scalar value.
-                    let rest = &self.src[self.pos..];
-                    let ch = rest.chars().next().expect("peeked byte implies a char");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
                 None => {
-                    return Err(SyntaxError::new(
+                    return Err(SyntaxError::boxed(
                         "unterminated string literal",
                         Span::new(start as u32, self.pos as u32),
                     ))
@@ -262,7 +538,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn operator(&mut self, start: usize) -> Result<TokenKind, SyntaxError> {
+    fn operator(&mut self, start: usize) -> Fallible<TokenKind> {
         let b = self.bytes[self.pos];
         let two = self.bytes.get(self.pos + 1).copied();
         let (kind, width) = match (b, two) {
@@ -295,7 +571,7 @@ impl<'a> Lexer<'a> {
             (b'!', _) => (TokenKind::Bang, 1),
             (b'?', _) => (TokenKind::Question, 1),
             _ => {
-                return Err(SyntaxError::new(
+                return Err(SyntaxError::boxed(
                     format!("unexpected character `{}`", b as char),
                     Span::new(start as u32, start as u32 + 1),
                 ))
@@ -463,6 +739,18 @@ mod tests {
         assert_eq!(name(0), name(2));
         assert_ne!(name(0), name(1));
         assert_eq!(lexed.names.len(), 2, "one name per spelling");
+    }
+
+    #[test]
+    fn predeclared_names_are_shared_across_sources() {
+        let a = lex("Math int x").unwrap();
+        let b = lex("x int Math").unwrap();
+        assert!(Arc::ptr_eq(&a.names[0], &b.names[2]), "`Math`");
+        assert!(Arc::ptr_eq(&a.names[1], &b.names[1]), "`int`");
+        // A source's own names are its own.
+        assert!(!Arc::ptr_eq(&a.names[2], &b.names[0]), "`x`");
+        assert_eq!(a.info[1].prim, Some(PrimType::Int));
+        assert_eq!(a.info[0].prim, None);
     }
 
     #[test]

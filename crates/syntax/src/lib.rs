@@ -1,6 +1,6 @@
 //! Syntax of the ENT energy-aware programming language.
 //!
-//! This crate provides the abstract syntax tree, lexer, parser,
+//! This crate provides the abstract syntax tree (a flat one: see [`Ast`]), lexer, parser,
 //! pretty-printer, and class table for ENT, the language of
 //! "Proactive and Adaptive Energy-Aware Programming with Mixed Typechecking"
 //! (Canino & Liu, PLDI 2017).
@@ -60,8 +60,9 @@ mod table;
 mod token;
 
 pub use ast::{
-    Attributor, BinOp, ClassDecl, ClassName, Expr, ExprKind, FieldDecl, Ident, Lit, MethodDecl,
-    PrimType, Program, Stmt, Type, UnOp,
+    Arm, ArmList, Ast, Attributor, BinOp, ClassDecl, ClassName, Classes, Expr, ExprId, ExprKind,
+    ExprList, FieldDecl, Ident, List, Lit, MethodDecl, ModeArgsId, PrimType, Program, Shown, Stmt,
+    StmtList, Type, TypeId, UnOp,
 };
 pub use error::SyntaxError;
 pub use intern::{Interner, Symbol};

@@ -12,9 +12,9 @@ use ent_modes::{
 };
 
 use crate::ast::*;
-use crate::error::SyntaxError;
+use crate::error::{Fallible, SyntaxError};
 use crate::lex::{lex, Lexed};
-use crate::token::{Token, TokenKind};
+use crate::token::TokenKind;
 use crate::Span;
 
 /// Parses a complete ENT program.
@@ -39,24 +39,28 @@ use crate::Span;
 /// # Ok::<(), ent_syntax::SyntaxError>(())
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, SyntaxError> {
-    Parser::new(lex(src)?).program()
+    Parser::new(lex(src)?).program().map_err(|e| *e)
 }
 
-/// Parses a single expression (useful in tests and the REPL-style examples).
+/// Parses a single expression (useful in tests and the REPL-style
+/// examples) into a tree of its own, and returns the tree with the
+/// expression's id.
 ///
 /// Mode-name resolution uses the given mode names as constants.
 ///
 /// # Errors
 ///
 /// Returns the first lexing or parsing error encountered.
-pub fn parse_expr(src: &str, mode_names: &[&str]) -> Result<Expr, SyntaxError> {
+pub fn parse_expr(src: &str, mode_names: &[&str]) -> Result<(Ast, ExprId), SyntaxError> {
     let mut parser = Parser::new(lex(src)?);
     for name in mode_names {
         parser.mark_mode(name);
     }
-    let expr = parser.expr()?;
-    parser.expect(TokenKind::Eof)?;
-    Ok(expr)
+    let expr = parser.expr().and_then(|expr| {
+        parser.expect(TokenKind::Eof)?;
+        Ok(expr)
+    });
+    Ok((parser.ast, expr.map_err(|e| *e)?))
 }
 
 /// The most distinct modes a `modes { ... }` block may declare. The
@@ -71,46 +75,63 @@ pub const MAX_MODE_PARAMS: usize = 64;
 const IMPLICIT_MODE: &str = "default";
 
 struct Parser {
-    tokens: Vec<Token>,
-    /// Identifier spellings, by token id.
-    names: Vec<Arc<str>>,
-    /// String literal contents, by token id; each is moved into the one
-    /// literal that spells it.
-    strings: Vec<String>,
+    /// The tokens and the tables their ids index. Each string literal is
+    /// moved into the one literal node that spells it; `info` records
+    /// which names are declared mode constants.
+    lexed: Lexed,
     pos: usize,
-    /// Whether each name id is a declared mode constant.
-    is_mode: Vec<bool>,
     /// Distinct modes the `modes` block has declared so far.
     n_modes: usize,
+    /// The tree the parsed expressions go into.
+    ast: Ast,
+    /// List items parsed but not yet moved into `ast`: a list pushes its
+    /// items above a mark and moves them as one run when it closes, so
+    /// nested lists share this one stack.
+    items: Vec<ExprId>,
+    /// Statements of the open blocks, likewise.
+    stmts: Vec<Stmt>,
+    /// Arms of the open mode cases, likewise.
+    arms: Vec<Arm>,
 }
 
 impl Parser {
     fn new(lexed: Lexed) -> Self {
         Parser {
-            is_mode: vec![false; lexed.names.len()],
-            tokens: lexed.tokens,
-            names: lexed.names,
-            strings: lexed.strings,
+            ast: Ast::for_tokens(lexed.tokens.len()),
+            lexed,
             pos: 0,
             n_modes: 0,
+            items: Vec::with_capacity(16),
+            stmts: Vec::with_capacity(16),
+            arms: Vec::new(),
         }
+    }
+
+    /// Adds an expression node to the tree.
+    fn push(&mut self, kind: ExprKind, span: Span) -> ExprId {
+        self.ast.push(Expr::new(kind, span))
+    }
+
+    /// The span of node `id`.
+    fn span_of(&self, id: ExprId) -> Span {
+        self.ast[id].span
     }
 
     /// Marks `name` as a mode constant, if the source spells it at all.
     fn mark_mode(&mut self, name: &str) {
-        if let Some(id) = self.names.iter().position(|n| &**n == name) {
-            self.is_mode[id] = true;
+        if let Some(id) = self.lexed.names.iter().position(|n| &**n == name) {
+            self.lexed.info[id].is_mode = true;
         }
     }
 
     /// Declares the mode named by `id` in the `modes` block, refusing a
     /// block with more than [`MAX_MODES`] distinct modes.
-    fn declare_mode(&mut self, id: u32, span: Span) -> Result<ModeName, SyntaxError> {
-        if !self.is_mode[id as usize] {
-            self.is_mode[id as usize] = true;
+    fn declare_mode(&mut self, id: u32, span: Span) -> Fallible<ModeName> {
+        if !self.lexed.info[id as usize].is_mode {
+            self.lexed.info[id as usize].is_mode = true;
             self.n_modes += 1;
             if self.n_modes > MAX_MODES {
-                return Err(SyntaxError::new(
+                return Err(SyntaxError::boxed(
                     format!("the `modes` block declares more than {MAX_MODES} modes"),
                     span,
                 ));
@@ -122,32 +143,32 @@ impl Parser {
     // ---- token plumbing -------------------------------------------------
 
     fn peek(&self) -> TokenKind {
-        self.tokens[self.pos].kind
+        self.lexed.tokens[self.pos].kind
     }
 
     fn peek2(&self) -> TokenKind {
-        self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
+        self.lexed.tokens[(self.pos + 1).min(self.lexed.tokens.len() - 1)].kind
     }
 
     /// The shared spelling of name `id`.
     fn name(&self, id: u32) -> Arc<str> {
-        Arc::clone(&self.names[id as usize])
+        Arc::clone(&self.lexed.names[id as usize])
     }
 
     fn describe(&self, kind: TokenKind) -> String {
-        kind.describe(&self.names)
+        kind.describe(&self.lexed.names)
     }
 
     fn span(&self) -> Span {
-        self.tokens[self.pos].span
+        self.lexed.tokens[self.pos].span
     }
 
     fn prev_span(&self) -> Span {
-        self.tokens[self.pos.saturating_sub(1)].span
+        self.lexed.tokens[self.pos.saturating_sub(1)].span
     }
 
     fn bump(&mut self) {
-        if self.pos + 1 < self.tokens.len() {
+        if self.pos + 1 < self.lexed.tokens.len() {
             self.pos += 1;
         }
     }
@@ -161,12 +182,12 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<(), SyntaxError> {
+    fn expect(&mut self, kind: TokenKind) -> Fallible<()> {
         if self.peek() == kind {
             self.bump();
             Ok(())
         } else {
-            Err(SyntaxError::new(
+            Err(SyntaxError::boxed(
                 format!(
                     "expected {}, found {}",
                     self.describe(kind),
@@ -178,14 +199,14 @@ impl Parser {
     }
 
     /// The next identifier's name id.
-    fn ident_id(&mut self) -> Result<(u32, Span), SyntaxError> {
+    fn ident_id(&mut self) -> Fallible<(u32, Span)> {
         let span = self.span();
         match self.peek() {
             TokenKind::Ident(id) => {
                 self.bump();
                 Ok((id, span))
             }
-            other => Err(SyntaxError::new(
+            other => Err(SyntaxError::boxed(
                 format!("expected identifier, found {}", self.describe(other)),
                 span,
             )),
@@ -193,14 +214,14 @@ impl Parser {
     }
 
     /// The next identifier: a clone of the lexer's shared name.
-    fn ident(&mut self) -> Result<(Arc<str>, Span), SyntaxError> {
+    fn ident(&mut self) -> Fallible<(Arc<str>, Span)> {
         let (id, span) = self.ident_id()?;
         Ok((self.name(id), span))
     }
 
     // ---- program structure ----------------------------------------------
 
-    fn program(&mut self) -> Result<Program, SyntaxError> {
+    fn program(&mut self) -> Fallible<Program> {
         let mode_table = if self.peek() == TokenKind::Modes {
             self.modes_block()?
         } else {
@@ -212,17 +233,18 @@ impl Parser {
 
         let mut classes = Vec::new();
         while self.peek() != TokenKind::Eof {
-            classes.push(Arc::new(self.class_decl()?));
+            classes.push(self.class_decl()?);
         }
+        let ast = std::mem::take(&mut self.ast);
         Ok(Program {
             mode_table,
-            classes,
+            classes: Arc::new(Classes::new(classes, ast)),
         })
     }
 
     /// Parses the `modes { ... }` block, marking every mode it names in
-    /// `is_mode`.
-    fn modes_block(&mut self) -> Result<ModeTable, SyntaxError> {
+    /// `info`.
+    fn modes_block(&mut self) -> Fallible<ModeTable> {
         let start = self.span();
         self.expect(TokenKind::Modes)?;
         self.expect(TokenKind::LBrace)?;
@@ -242,10 +264,10 @@ impl Parser {
         self.expect(TokenKind::RBrace)?;
         builder
             .build()
-            .map_err(|e| SyntaxError::new(e.to_string(), start.join(self.prev_span())))
+            .map_err(|e| SyntaxError::boxed(e.to_string(), start.join(self.prev_span())))
     }
 
-    fn class_decl(&mut self) -> Result<ClassDecl, SyntaxError> {
+    fn class_decl(&mut self) -> Fallible<ClassDecl> {
         let start = self.span();
         self.expect(TokenKind::Class)?;
         let (name, _) = self.ident()?;
@@ -281,7 +303,7 @@ impl Parser {
             if self.peek() == TokenKind::Attributor {
                 let a = self.attributor()?;
                 if attributor.replace(a).is_some() {
-                    return Err(SyntaxError::new(
+                    return Err(SyntaxError::boxed(
                         "class has more than one attributor",
                         self.prev_span(),
                     ));
@@ -305,7 +327,7 @@ impl Parser {
     }
 
     /// Parses `@mode<...>` after a class name into a `ClassModeParams`.
-    fn class_mode_params(&mut self, class: &str) -> Result<ClassModeParams, SyntaxError> {
+    fn class_mode_params(&mut self, class: &str) -> Fallible<ClassModeParams> {
         let start = self.span();
         self.at_mode_open()?;
         let mut dynamic = false;
@@ -352,9 +374,9 @@ impl Parser {
         owner: &str,
         count: usize,
         start: Span,
-    ) -> Result<(), SyntaxError> {
+    ) -> Fallible<()> {
         if count > MAX_MODE_PARAMS {
-            return Err(SyntaxError::new(
+            return Err(SyntaxError::boxed(
                 format!("{what} `{owner}` declares more than {MAX_MODE_PARAMS} mode parameters"),
                 start.join(self.prev_span()),
             ));
@@ -363,12 +385,12 @@ impl Parser {
     }
 
     /// One static mode parameter: `X`, `m` (pinned), or `lo <= X <= hi`.
-    fn bounded_param(&mut self, class: &str) -> Result<Bounded, SyntaxError> {
+    fn bounded_param(&mut self, class: &str) -> Fallible<Bounded> {
         let first = self.static_mode()?;
         if self.eat(TokenKind::Le) {
             let (var, span) = self.ident_id()?;
-            if self.is_mode[var as usize] {
-                return Err(SyntaxError::new(
+            if self.lexed.info[var as usize].is_mode {
+                return Err(SyntaxError::boxed(
                     format!(
                         "`{}` is a mode constant, not a parameter name",
                         self.name(var)
@@ -396,7 +418,7 @@ impl Parser {
     }
 
     /// Consumes the tokens `@ mode <`.
-    fn at_mode_open(&mut self) -> Result<(), SyntaxError> {
+    fn at_mode_open(&mut self) -> Fallible<()> {
         self.expect(TokenKind::At)?;
         self.expect(TokenKind::Mode)?;
         self.expect(TokenKind::Lt)?;
@@ -404,16 +426,16 @@ impl Parser {
     }
 
     /// A static mode: `bot`, `top`, a declared constant, or a variable.
-    fn static_mode(&mut self) -> Result<StaticMode, SyntaxError> {
+    fn static_mode(&mut self) -> Fallible<StaticMode> {
         let mode = match self.peek() {
             TokenKind::Bot => StaticMode::Bot,
             TokenKind::Top => StaticMode::Top,
-            TokenKind::Ident(id) if self.is_mode[id as usize] => {
+            TokenKind::Ident(id) if self.lexed.info[id as usize].is_mode => {
                 StaticMode::Const(ModeName::from(self.name(id)))
             }
             TokenKind::Ident(id) => StaticMode::Var(ModeVar::from(self.name(id))),
             other => {
-                return Err(SyntaxError::new(
+                return Err(SyntaxError::boxed(
                     format!("expected a mode, found {}", self.describe(other)),
                     self.span(),
                 ))
@@ -423,7 +445,7 @@ impl Parser {
         Ok(mode)
     }
 
-    fn attributor(&mut self) -> Result<Attributor, SyntaxError> {
+    fn attributor(&mut self) -> Fallible<Attributor> {
         let start = self.span();
         self.expect(TokenKind::Attributor)?;
         let body = self.block()?;
@@ -438,7 +460,7 @@ impl Parser {
         &mut self,
         fields: &mut Vec<FieldDecl>,
         methods: &mut Vec<MethodDecl>,
-    ) -> Result<(), SyntaxError> {
+    ) -> Fallible<()> {
         let start = self.span();
 
         // Optional method-level mode override `@mode<η>`.
@@ -503,7 +525,7 @@ impl Parser {
         } else {
             // Field.
             if method_mode.is_some() || !mode_params.is_empty() {
-                return Err(SyntaxError::new(
+                return Err(SyntaxError::boxed(
                     "mode annotations are not allowed on fields",
                     start,
                 ));
@@ -526,7 +548,7 @@ impl Parser {
 
     // ---- types ------------------------------------------------------------
 
-    fn ty(&mut self) -> Result<Type, SyntaxError> {
+    fn ty(&mut self) -> Fallible<Type> {
         let mut base = self.base_ty()?;
         while self.peek() == TokenKind::LBracket && self.peek2() == TokenKind::RBracket {
             self.bump();
@@ -536,7 +558,7 @@ impl Parser {
         Ok(base)
     }
 
-    fn base_ty(&mut self) -> Result<Type, SyntaxError> {
+    fn base_ty(&mut self) -> Fallible<Type> {
         if self.peek() == TokenKind::MCase {
             self.bump();
             self.expect(TokenKind::Lt)?;
@@ -544,17 +566,13 @@ impl Parser {
             self.expect(TokenKind::Gt)?;
             return Ok(Type::MCase(Box::new(inner)));
         }
-        let (name, span) = self.ident()?;
-        match &*name {
-            "int" => return Ok(Type::INT),
-            "double" => return Ok(Type::DOUBLE),
-            "bool" => return Ok(Type::BOOL),
-            "string" => return Ok(Type::STR),
-            "unit" => return Ok(Type::UNIT),
-            _ => {}
+        let (id, span) = self.ident_id()?;
+        if let Some(prim) = self.lexed.info[id as usize].prim {
+            return Ok(Type::Prim(prim));
         }
+        let name = self.name(id);
         if !name.chars().next().is_some_and(char::is_uppercase) {
-            return Err(SyntaxError::new(
+            return Err(SyntaxError::boxed(
                 format!("class names must start uppercase: `{name}`"),
                 span,
             ));
@@ -585,21 +603,20 @@ impl Parser {
 
     // ---- statements and blocks ---------------------------------------------
 
-    fn block(&mut self) -> Result<Expr, SyntaxError> {
+    fn block(&mut self) -> Fallible<ExprId> {
         let start = self.span();
         self.expect(TokenKind::LBrace)?;
-        let mut stmts = Vec::new();
+        let mark = self.stmts.len();
         while self.peek() != TokenKind::RBrace {
-            stmts.push(self.stmt()?);
+            let stmt = self.stmt()?;
+            self.stmts.push(stmt);
         }
         self.expect(TokenKind::RBrace)?;
-        Ok(Expr::new(
-            ExprKind::Block(stmts),
-            start.join(self.prev_span()),
-        ))
+        let stmts = self.ast.push_stmts(self.stmts.drain(mark..));
+        Ok(self.push(ExprKind::Block(stmts), start.join(self.prev_span())))
     }
 
-    fn stmt(&mut self) -> Result<Stmt, SyntaxError> {
+    fn stmt(&mut self) -> Fallible<Stmt> {
         match self.peek() {
             TokenKind::Let => {
                 self.bump();
@@ -617,6 +634,7 @@ impl Parser {
                 self.expect(TokenKind::Eq)?;
                 let value = self.expr()?;
                 self.expect(TokenKind::Semi)?;
+                let ty = ty.map(|t| self.ast.push_type(t));
                 Ok(Stmt::Let {
                     ty,
                     name: Ident::from(name),
@@ -626,7 +644,7 @@ impl Parser {
             TokenKind::Return => {
                 self.bump();
                 let value = if self.peek() == TokenKind::Semi {
-                    Expr::new(ExprKind::Lit(Lit::Unit), self.span())
+                    self.push(ExprKind::Lit(Lit::Unit), self.span())
                 } else {
                     self.expr()?
                 };
@@ -649,7 +667,7 @@ impl Parser {
 
     // ---- expressions ---------------------------------------------------------
 
-    fn expr(&mut self) -> Result<Expr, SyntaxError> {
+    fn expr(&mut self) -> Fallible<ExprId> {
         self.binary_expr(0)
     }
 
@@ -657,7 +675,7 @@ impl Parser {
     /// then every operator that binds at least as tightly as `min`, each
     /// with a right operand of strictly tighter operators. Every level is
     /// left-associative.
-    fn binary_expr(&mut self, min: u8) -> Result<Expr, SyntaxError> {
+    fn binary_expr(&mut self, min: u8) -> Fallible<ExprId> {
         let mut lhs = self.unary_expr()?;
         while let Some((op, prec)) = binary_op(self.peek()) {
             if prec < min {
@@ -665,47 +683,27 @@ impl Parser {
             }
             self.bump();
             let rhs = self.binary_expr(prec + 1)?;
-            let span = lhs.span.join(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                span,
-            );
+            let span = self.span_of(lhs).join(self.span_of(rhs));
+            lhs = self.push(ExprKind::Binary { op, lhs, rhs }, span);
         }
         Ok(lhs)
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, SyntaxError> {
+    fn unary_expr(&mut self) -> Fallible<ExprId> {
         let start = self.span();
-        if self.eat(TokenKind::Bang) {
-            let e = self.unary_expr()?;
-            let span = start.join(e.span);
-            return Ok(Expr::new(
-                ExprKind::Unary {
-                    op: UnOp::Not,
-                    expr: Box::new(e),
-                },
-                span,
-            ));
-        }
-        if self.eat(TokenKind::Minus) {
-            let e = self.unary_expr()?;
-            let span = start.join(e.span);
-            return Ok(Expr::new(
-                ExprKind::Unary {
-                    op: UnOp::Neg,
-                    expr: Box::new(e),
-                },
-                span,
-            ));
-        }
-        self.postfix_expr()
+        let op = if self.eat(TokenKind::Bang) {
+            UnOp::Not
+        } else if self.eat(TokenKind::Minus) {
+            UnOp::Neg
+        } else {
+            return self.postfix_expr();
+        };
+        let expr = self.unary_expr()?;
+        let span = start.join(self.span_of(expr));
+        Ok(self.push(ExprKind::Unary { op, expr }, span))
     }
 
-    fn postfix_expr(&mut self) -> Result<Expr, SyntaxError> {
+    fn postfix_expr(&mut self) -> Fallible<ExprId> {
         let mut e = self.primary_expr()?;
         loop {
             if self.eat(TokenKind::Dot) {
@@ -723,44 +721,37 @@ impl Parser {
                     Vec::new()
                 };
                 if self.peek() == TokenKind::LParen {
-                    let args = self.call_args()?;
-                    let span = e.span.join(self.prev_span());
-                    // Calls on a builtin namespace identifier become
-                    // Builtin expressions.
-                    if let ExprKind::Var(ns) = &e.kind {
-                        if is_builtin_ns(ns.as_str()) {
-                            e = Expr::new(
-                                ExprKind::Builtin {
-                                    ns: ns.clone(),
-                                    name: Ident::from(name),
-                                    args,
-                                },
-                                span,
-                            );
-                            continue;
-                        }
+                    // A call on a builtin namespace's name is a builtin
+                    // call: the name's `Var` node, the last one pushed,
+                    // gives way to it.
+                    let ns = match &self.ast[e].kind {
+                        ExprKind::Var(ns) if is_builtin_ns(ns.as_str()) => Some(ns.clone()),
+                        _ => None,
+                    };
+                    let start = self.span_of(e);
+                    if ns.is_some() {
+                        self.ast.pop(e);
                     }
-                    e = Expr::new(
-                        ExprKind::Call {
-                            recv: Box::new(e),
-                            method: Ident::from(name),
+                    let args = self.call_args()?;
+                    let span = start.join(self.prev_span());
+                    let name = Ident::from(name);
+                    let kind = match ns {
+                        Some(ns) => ExprKind::Builtin { ns, name, args },
+                        None => ExprKind::Call {
+                            recv: e,
+                            method: name,
                             mode_args,
                             args,
                         },
-                        span,
-                    );
+                    };
+                    e = self.push(kind, span);
                 } else {
                     if !mode_args.is_empty() {
-                        return Err(SyntaxError::new("mode arguments require a call", nspan));
+                        return Err(SyntaxError::boxed("mode arguments require a call", nspan));
                     }
-                    let span = e.span.join(nspan);
-                    e = Expr::new(
-                        ExprKind::Field {
-                            recv: Box::new(e),
-                            name: Ident::from(name),
-                        },
-                        span,
-                    );
+                    let span = self.span_of(e).join(nspan);
+                    let name = Ident::from(name);
+                    e = self.push(ExprKind::Field { recv: e, name }, span);
                 }
             } else if self.eat(TokenKind::TriangleLeft) {
                 let mode = if self.eat(TokenKind::Underscore) {
@@ -768,36 +759,37 @@ impl Parser {
                 } else {
                     Some(self.static_mode()?)
                 };
-                let span = e.span.join(self.prev_span());
-                e = Expr::new(
-                    ExprKind::Elim {
-                        expr: Box::new(e),
-                        mode,
-                    },
-                    span,
-                );
+                let span = self.span_of(e).join(self.prev_span());
+                e = self.push(ExprKind::Elim { expr: e, mode }, span);
             } else {
                 return Ok(e);
             }
         }
     }
 
-    fn call_args(&mut self) -> Result<Vec<Expr>, SyntaxError> {
+    fn call_args(&mut self) -> Fallible<ExprList> {
         self.expect(TokenKind::LParen)?;
-        let mut args = Vec::new();
-        if self.peek() != TokenKind::RParen {
+        let list = self.expr_list(TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
+        Ok(list)
+    }
+
+    /// Comma-separated expressions up to (not including) `close`.
+    fn expr_list(&mut self, close: TokenKind) -> Fallible<ExprList> {
+        let mark = self.items.len();
+        if self.peek() != close {
             loop {
-                args.push(self.expr()?);
+                let item = self.expr()?;
+                self.items.push(item);
                 if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
         }
-        self.expect(TokenKind::RParen)?;
-        Ok(args)
+        Ok(self.ast.push_exprs(self.items.drain(mark..)))
     }
 
-    fn primary_expr(&mut self) -> Result<Expr, SyntaxError> {
+    fn primary_expr(&mut self) -> Fallible<ExprId> {
         let start = self.span();
         // Single-token expressions fall through to one `bump`.
         let kind = match self.peek() {
@@ -805,13 +797,13 @@ impl Parser {
             TokenKind::Double(x) => ExprKind::Lit(Lit::Double(x)),
             // The cast lookahead never reaches a string literal, so each
             // is parsed exactly once.
-            TokenKind::Str(id) => {
-                ExprKind::Lit(Lit::Str(std::mem::take(&mut self.strings[id as usize])))
-            }
+            TokenKind::Str(id) => ExprKind::Lit(Lit::Str(std::mem::take(
+                &mut self.lexed.strings[id as usize],
+            ))),
             TokenKind::True => ExprKind::Lit(Lit::Bool(true)),
             TokenKind::False => ExprKind::Lit(Lit::Bool(false)),
             TokenKind::This => ExprKind::This,
-            TokenKind::Ident(id) if self.is_mode[id as usize] => {
+            TokenKind::Ident(id) if self.lexed.info[id as usize].is_mode => {
                 ExprKind::ModeConst(ModeName::from(self.name(id)))
             }
             TokenKind::Ident(id) => ExprKind::Var(Ident::from(self.name(id))),
@@ -823,34 +815,24 @@ impl Parser {
             TokenKind::LBrace => return self.block(),
             TokenKind::LBracket => {
                 self.bump();
-                let mut items = Vec::new();
-                if self.peek() != TokenKind::RBracket {
-                    loop {
-                        items.push(self.expr()?);
-                        if !self.eat(TokenKind::Comma) {
-                            break;
-                        }
-                    }
-                }
+                let items = self.expr_list(TokenKind::RBracket)?;
                 self.expect(TokenKind::RBracket)?;
-                return Ok(Expr::new(
-                    ExprKind::ArrayLit(items),
-                    start.join(self.prev_span()),
-                ));
+                let span = start.join(self.prev_span());
+                return Ok(self.push(ExprKind::ArrayLit(items), span));
             }
             TokenKind::LParen => return self.paren_or_cast(),
             other => {
-                return Err(SyntaxError::new(
+                return Err(SyntaxError::boxed(
                     format!("expected an expression, found {}", self.describe(other)),
                     start,
                 ))
             }
         };
         self.bump();
-        Ok(Expr::new(kind, start))
+        Ok(self.push(kind, start))
     }
 
-    fn new_expr(&mut self) -> Result<Expr, SyntaxError> {
+    fn new_expr(&mut self) -> Fallible<ExprId> {
         let start = self.span();
         self.expect(TokenKind::New)?;
         let (class, _) = self.ident()?;
@@ -866,22 +848,20 @@ impl Parser {
                 rest.push(self.static_mode()?);
             }
             self.expect(TokenKind::Gt)?;
-            Some(ModeArgs::new(mode, rest))
+            Some(self.ast.push_mode_args(ModeArgs::new(mode, rest)))
         } else {
             None
         };
         let ctor_args = self.call_args()?;
-        Ok(Expr::new(
-            ExprKind::New {
-                class: ClassName::from(class),
-                args,
-                ctor_args,
-            },
-            start.join(self.prev_span()),
-        ))
+        let new = ExprKind::New {
+            class: ClassName::from(class),
+            args,
+            ctor_args,
+        };
+        Ok(self.push(new, start.join(self.prev_span())))
     }
 
-    fn snapshot_expr(&mut self) -> Result<Expr, SyntaxError> {
+    fn snapshot_expr(&mut self) -> Fallible<ExprId> {
         let start = self.span();
         self.expect(TokenKind::Snapshot)?;
         let expr = self.postfix_expr()?;
@@ -902,33 +882,27 @@ impl Parser {
         } else {
             (StaticMode::Bot, StaticMode::Top)
         };
-        Ok(Expr::new(
-            ExprKind::Snapshot {
-                expr: Box::new(expr),
-                lo,
-                hi,
-            },
-            start.join(self.prev_span()),
-        ))
+        let span = start.join(self.prev_span());
+        Ok(self.push(ExprKind::Snapshot { expr, lo, hi }, span))
     }
 
-    fn mcase_expr(&mut self) -> Result<Expr, SyntaxError> {
+    fn mcase_expr(&mut self) -> Fallible<ExprId> {
         let start = self.span();
         self.expect(TokenKind::MCase)?;
         let ty = if self.peek() == TokenKind::Lt {
             self.bump();
             let t = self.ty()?;
             self.expect(TokenKind::Gt)?;
-            Some(t)
+            Some(self.ast.push_type(t))
         } else {
             None
         };
         self.expect(TokenKind::LBrace)?;
-        let mut arms = Vec::new();
+        let mark = self.arms.len();
         while self.peek() != TokenKind::RBrace {
             let (mode, mspan) = self.ident_id()?;
-            if !self.is_mode[mode as usize] {
-                return Err(SyntaxError::new(
+            if !self.lexed.info[mode as usize].is_mode {
+                return Err(SyntaxError::boxed(
                     format!("`{}` is not a declared mode", self.name(mode)),
                     mspan,
                 ));
@@ -936,16 +910,14 @@ impl Parser {
             self.expect(TokenKind::Colon)?;
             let value = self.expr()?;
             self.expect(TokenKind::Semi)?;
-            arms.push((ModeName::from(self.name(mode)), value));
+            self.arms.push((ModeName::from(self.name(mode)), value));
         }
         self.expect(TokenKind::RBrace)?;
-        Ok(Expr::new(
-            ExprKind::MCase { ty, arms },
-            start.join(self.prev_span()),
-        ))
+        let arms = self.ast.push_arms(self.arms.drain(mark..));
+        Ok(self.push(ExprKind::MCase { ty, arms }, start.join(self.prev_span())))
     }
 
-    fn if_expr(&mut self) -> Result<Expr, SyntaxError> {
+    fn if_expr(&mut self) -> Fallible<ExprId> {
         let start = self.span();
         self.expect(TokenKind::If)?;
         self.expect(TokenKind::LParen)?;
@@ -954,36 +926,25 @@ impl Parser {
         let then = self.block()?;
         let els = if self.eat(TokenKind::Else) {
             if self.peek() == TokenKind::If {
-                Some(Box::new(self.if_expr()?))
+                Some(self.if_expr()?)
             } else {
-                Some(Box::new(self.block()?))
+                Some(self.block()?)
             }
         } else {
             None
         };
-        Ok(Expr::new(
-            ExprKind::If {
-                cond: Box::new(cond),
-                then: Box::new(then),
-                els,
-            },
-            start.join(self.prev_span()),
-        ))
+        let span = start.join(self.prev_span());
+        Ok(self.push(ExprKind::If { cond, then, els }, span))
     }
 
-    fn try_expr(&mut self) -> Result<Expr, SyntaxError> {
+    fn try_expr(&mut self) -> Fallible<ExprId> {
         let start = self.span();
         self.expect(TokenKind::Try)?;
         let body = self.block()?;
         self.expect(TokenKind::Catch)?;
         let handler = self.block()?;
-        Ok(Expr::new(
-            ExprKind::Try {
-                body: Box::new(body),
-                handler: Box::new(handler),
-            },
-            start.join(self.prev_span()),
-        ))
+        let span = start.join(self.prev_span());
+        Ok(self.push(ExprKind::Try { body, handler }, span))
     }
 
     /// Disambiguates `(expr)` from a cast `(T)e`.
@@ -992,7 +953,7 @@ impl Parser {
     /// that is not a bare lowercase identifier, and the token after `)`
     /// starts an expression. Class names are uppercase by convention, which
     /// is what makes `(Rule)r` parse as a cast but `(x) + 1` as grouping.
-    fn paren_or_cast(&mut self) -> Result<Expr, SyntaxError> {
+    fn paren_or_cast(&mut self) -> Fallible<ExprId> {
         let start = self.span();
         let save = self.pos;
         self.expect(TokenKind::LParen)?;
@@ -1001,9 +962,9 @@ impl Parser {
         let looks_like_type = match self.peek() {
             TokenKind::MCase => true,
             TokenKind::Ident(id) => {
-                let name = &*self.names[id as usize];
+                let name = &*self.lexed.names[id as usize];
                 name.chars().next().is_some_and(char::is_uppercase)
-                    || matches!(name, "int" | "double" | "bool" | "string" | "unit")
+                    || self.lexed.info[id as usize].prim.is_some()
             }
             _ => false,
         };
@@ -1011,14 +972,9 @@ impl Parser {
             if let Ok(ty) = self.ty() {
                 if self.eat(TokenKind::RParen) && starts_expression(self.peek()) {
                     let expr = self.unary_expr()?;
-                    let span = start.join(expr.span);
-                    return Ok(Expr::new(
-                        ExprKind::Cast {
-                            ty,
-                            expr: Box::new(expr),
-                        },
-                        span,
-                    ));
+                    let span = start.join(self.span_of(expr));
+                    let ty = self.ast.push_type(ty);
+                    return Ok(self.push(ExprKind::Cast { ty, expr }, span));
                 }
             }
             self.pos = save;
@@ -1078,20 +1034,26 @@ fn starts_expression(kind: TokenKind) -> bool {
 mod tests {
     use super::*;
 
-    fn expr(src: &str) -> Expr {
-        parse_expr(src, &["energy_saver", "managed", "full_throttle"]).unwrap()
+    /// The tree of `src` and the kind of its root.
+    fn expr(src: &str) -> (Ast, ExprKind) {
+        let (ast, root) = parse_expr(src, &["energy_saver", "managed", "full_throttle"]).unwrap();
+        let kind = ast[root].kind.clone();
+        (ast, kind)
     }
 
     #[test]
     fn parses_arithmetic_with_precedence() {
-        let e = expr("1 + 2 * 3");
-        match e.kind {
+        let (ast, e) = expr("1 + 2 * 3");
+        match e {
             ExprKind::Binary {
                 op: BinOp::Add,
                 rhs,
                 ..
             } => {
-                assert!(matches!(rhs.kind, ExprKind::Binary { op: BinOp::Mul, .. }));
+                assert!(matches!(
+                    ast[rhs].kind,
+                    ExprKind::Binary { op: BinOp::Mul, .. }
+                ));
             }
             other => panic!("expected addition, got {other:?}"),
         }
@@ -1099,8 +1061,8 @@ mod tests {
 
     #[test]
     fn parses_snapshot_with_bounds() {
-        let e = expr("snapshot ds [_, X]");
-        match e.kind {
+        let (_, e) = expr("snapshot ds [_, X]");
+        match e {
             ExprKind::Snapshot { lo, hi, .. } => {
                 assert_eq!(lo, StaticMode::Bot);
                 assert_eq!(hi, StaticMode::Var(ModeVar::new("X")));
@@ -1111,8 +1073,8 @@ mod tests {
 
     #[test]
     fn parses_snapshot_without_bounds() {
-        let e = expr("snapshot da");
-        match e.kind {
+        let (_, e) = expr("snapshot da");
+        match e {
             ExprKind::Snapshot { lo, hi, .. } => {
                 assert_eq!(lo, StaticMode::Bot);
                 assert_eq!(hi, StaticMode::Top);
@@ -1123,12 +1085,12 @@ mod tests {
 
     #[test]
     fn parses_mcase_literal() {
-        let e = expr("mcase<int>{ energy_saver: 1; managed: 2; full_throttle: 3; }");
-        match e.kind {
+        let (ast, e) = expr("mcase<int>{ energy_saver: 1; managed: 2; full_throttle: 3; }");
+        match e {
             ExprKind::MCase { ty, arms } => {
-                assert_eq!(ty, Some(Type::INT));
+                assert_eq!(ty.map(|t| &ast[t]), Some(&Type::INT));
                 assert_eq!(arms.len(), 3);
-                assert_eq!(arms[1].0, ModeName::new("managed"));
+                assert_eq!(ast[arms][1].0, ModeName::new("managed"));
             }
             other => panic!("expected mcase, got {other:?}"),
         }
@@ -1142,54 +1104,54 @@ mod tests {
 
     #[test]
     fn parses_elimination_operator() {
-        let e = expr("this.depth <| managed");
-        match e.kind {
+        let (_, e) = expr("this.depth <| managed");
+        match e {
             ExprKind::Elim { mode, .. } => {
                 assert_eq!(mode, Some(StaticMode::Const(ModeName::new("managed"))));
             }
             other => panic!("expected elim, got {other:?}"),
         }
-        let e = expr("this.depth <| _");
-        assert!(matches!(e.kind, ExprKind::Elim { mode: None, .. }));
+        let (_, e) = expr("this.depth <| _");
+        assert!(matches!(e, ExprKind::Elim { mode: None, .. }));
     }
 
     #[test]
     fn mode_constants_resolve_in_expressions() {
-        let e = expr("managed");
-        assert!(matches!(e.kind, ExprKind::ModeConst(_)));
-        let e = expr("notamode");
-        assert!(matches!(e.kind, ExprKind::Var(_)));
+        let (_, e) = expr("managed");
+        assert!(matches!(e, ExprKind::ModeConst(_)));
+        let (_, e) = expr("notamode");
+        assert!(matches!(e, ExprKind::Var(_)));
     }
 
     #[test]
     fn builtin_namespaces_become_builtin_calls() {
-        let e = expr("Ext.battery()");
-        assert!(matches!(e.kind, ExprKind::Builtin { .. }));
-        let e = expr("foo.bar()");
-        assert!(matches!(e.kind, ExprKind::Call { .. }));
+        let (_, e) = expr("Ext.battery()");
+        assert!(matches!(e, ExprKind::Builtin { .. }));
+        let (_, e) = expr("foo.bar()");
+        assert!(matches!(e, ExprKind::Call { .. }));
     }
 
     #[test]
     fn cast_vs_grouping() {
-        let e = expr("(Site)s");
-        assert!(matches!(e.kind, ExprKind::Cast { .. }));
-        let e = expr("(x)");
-        assert!(matches!(e.kind, ExprKind::Var(_)));
-        let e = expr("(1 + 2) * 3");
-        assert!(matches!(e.kind, ExprKind::Binary { op: BinOp::Mul, .. }));
+        let (_, e) = expr("(Site)s");
+        assert!(matches!(e, ExprKind::Cast { .. }));
+        let (_, e) = expr("(x)");
+        assert!(matches!(e, ExprKind::Var(_)));
+        let (_, e) = expr("(1 + 2) * 3");
+        assert!(matches!(e, ExprKind::Binary { op: BinOp::Mul, .. }));
     }
 
     #[test]
     fn parses_new_with_mode_instantiation() {
-        let e = expr("new Site@mode<full_throttle>(url)");
-        match e.kind {
+        let (ast, e) = expr("new Site@mode<full_throttle>(url)");
+        match e {
             ExprKind::New {
                 class,
                 args,
                 ctor_args,
             } => {
                 assert_eq!(class, ClassName::new("Site"));
-                let args = args.unwrap();
+                let args = &ast[args.unwrap()];
                 assert_eq!(
                     args.mode,
                     Mode::Static(StaticMode::Const(ModeName::new("full_throttle")))
@@ -1202,8 +1164,8 @@ mod tests {
 
     #[test]
     fn parses_new_without_mode() {
-        let e = expr("new Rule()");
-        assert!(matches!(e.kind, ExprKind::New { args: None, .. }));
+        let (_, e) = expr("new Rule()");
+        assert!(matches!(e, ExprKind::New { args: None, .. }));
     }
 
     #[test]
@@ -1221,6 +1183,22 @@ mod tests {
         assert!(agent.mode_params.dynamic);
         assert!(agent.attributor.is_some());
         assert_eq!(agent.methods.len(), 1);
+    }
+
+    #[test]
+    fn debug_renders_bodies_as_nested_trees() {
+        let p = parse_program("class M { int f(int x) { return -x + 1; } }").unwrap();
+        let text = format!("{:?}", p.classes);
+        let body = "body: Expr { kind: Block([Return(Expr { kind: Binary { op: Add, \
+            lhs: Expr { kind: Unary { op: Neg, expr: Expr { kind: Var(Ident(x)), \
+            span: Span { lo: 33, hi: 34 } } }, span: Span { lo: 32, hi: 34 } }, \
+            rhs: Expr { kind: Lit(Int(1)), span: Span { lo: 37, hi: 38 } } }, \
+            span: Span { lo: 32, hi: 38 } })]), span: Span { lo: 23, hi: 41 } }";
+        assert!(
+            text.starts_with("[ClassDecl { name: ClassName(M), "),
+            "{text}"
+        );
+        assert!(text.contains(body), "{text}");
     }
 
     #[test]
@@ -1290,10 +1268,10 @@ mod tests {
 
     #[test]
     fn parses_try_catch_and_if_else_chain() {
-        let e = expr(
+        let (_, e) = expr(
             "try { if (Ext.battery() >= 0.75) { 1 } else if (x) { 2 } else { 3 } } catch { 0 }",
         );
-        assert!(matches!(e.kind, ExprKind::Try { .. }));
+        assert!(matches!(e, ExprKind::Try { .. }));
     }
 
     #[test]
@@ -1347,17 +1325,15 @@ mod tests {
 
     #[test]
     fn let_with_and_without_annotation() {
-        let e = expr("{ let x = 1; let int y = 2; x + y }");
-        match e.kind {
+        let (ast, e) = expr("{ let x = 1; let int y = 2; x + y }");
+        match e {
             ExprKind::Block(stmts) => {
+                let stmts = &ast[stmts];
                 assert!(matches!(&stmts[0], Stmt::Let { ty: None, .. }));
-                assert!(matches!(
-                    &stmts[1],
-                    Stmt::Let {
-                        ty: Some(Type::Prim(PrimType::Int)),
-                        ..
-                    }
-                ));
+                let Stmt::Let { ty: Some(ty), .. } = stmts[1] else {
+                    panic!("an annotated let, got {:?}", stmts[1]);
+                };
+                assert_eq!(ast[ty], Type::Prim(PrimType::Int));
                 assert!(matches!(&stmts[2], Stmt::Expr(_)));
             }
             other => panic!("expected block, got {other:?}"),
@@ -1366,11 +1342,11 @@ mod tests {
 
     #[test]
     fn return_without_value_is_unit() {
-        let e = expr("{ return; }");
-        match e.kind {
+        let (ast, e) = expr("{ return; }");
+        match e {
             ExprKind::Block(stmts) => {
                 assert!(
-                    matches!(&stmts[0], Stmt::Return(e) if matches!(e.kind, ExprKind::Lit(Lit::Unit)))
+                    matches!(ast[stmts][0], Stmt::Return(e) if matches!(ast[e].kind, ExprKind::Lit(Lit::Unit)))
                 );
             }
             other => panic!("expected block, got {other:?}"),

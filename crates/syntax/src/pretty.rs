@@ -65,7 +65,10 @@ mod ent_syntax_types {
 /// # Ok::<(), ent_syntax::SyntaxError>(())
 /// ```
 pub fn print_program(p: &Program) -> String {
-    let mut out = String::new();
+    let mut out = Printer {
+        ast: p.ast(),
+        out: String::new(),
+    };
     out.push_str("modes {\n");
     // Print the full declared order (covering edges via Display plus
     // isolated modes); simplest faithful encoding: every ordered pair.
@@ -86,67 +89,21 @@ pub fn print_program(p: &Program) -> String {
         }
     }
     out.push_str("}\n\n");
-    for c in &p.classes {
-        print_class(&mut out, c);
+    for c in p.classes.iter() {
+        out.class(c);
         out.push('\n');
     }
-    out
+    out.out
 }
 
-fn print_class(out: &mut String, c: &ClassDecl) {
-    let _ = write!(out, "class {}", c.name);
-    print_class_mode_params(out, c);
-    if c.superclass != ClassName::object() {
-        let _ = write!(out, " extends {}", c.superclass);
-        if !c.super_args.is_empty() {
-            let args: Vec<String> = c.super_args.iter().map(src_mode).collect();
-            let _ = write!(out, "@mode<{}>", args.join(", "));
-        }
-    }
-    out.push_str(" {\n");
-    if let Some(a) = &c.attributor {
-        out.push_str("  attributor ");
-        print_expr(out, &a.body, 1);
-        out.push('\n');
-    }
-    for f in &c.fields {
-        let _ = write!(out, "  {} {}", src_type(&f.ty), f.name);
-        if let Some(init) = &f.init {
-            out.push_str(" = ");
-            print_expr(out, init, 1);
-        }
-        out.push_str(";\n");
-    }
-    for m in &c.methods {
-        print_method(out, m);
-    }
-    out.push_str("}\n");
-}
-
-fn print_class_mode_params(out: &mut String, c: &ClassDecl) {
-    let mp = &c.mode_params;
-    if !mp.dynamic && mp.bounds.is_empty() {
-        return;
-    }
-    out.push_str("@mode<");
-    let mut parts = Vec::new();
-    let mut bounds = mp.bounds.iter();
-    if mp.dynamic {
-        let first = bounds
-            .next()
-            .expect("dynamic class has an internal parameter");
-        if first.var.as_str().starts_with("Self_") {
-            parts.push("?".to_string());
-        } else if first.hi == StaticMode::Top {
-            parts.push(format!("? <= {}", first.var));
-        } else {
-            parts.push(format!("? <= {} <= {}", first.var, src_mode(&first.hi)));
-        }
-    }
-    for b in bounds {
-        parts.push(print_bounded(b));
-    }
-    let _ = write!(out, "{}>", parts.join(", "));
+/// Pretty-prints expression `e` of tree `ast`.
+pub fn print_expr_string(ast: &Ast, e: ExprId) -> String {
+    let mut out = Printer {
+        ast,
+        out: String::new(),
+    };
+    out.expr(e, 0);
+    out.out
 }
 
 fn print_bounded(b: &ent_modes::Bounded) -> String {
@@ -160,265 +117,342 @@ fn print_bounded(b: &ent_modes::Bounded) -> String {
     }
 }
 
-fn print_method(out: &mut String, m: &MethodDecl) {
-    out.push_str("  ");
-    if let Some(mode) = &m.mode {
-        let _ = write!(out, "@mode<{}> ", src_mode(mode));
-    }
-    let _ = write!(out, "{} {}", src_type(&m.ret), m.name);
-    if !m.mode_params.is_empty() {
-        let parts: Vec<String> = m.mode_params.iter().map(print_bounded).collect();
-        let _ = write!(out, "<{}>", parts.join(", "));
-    }
-    out.push('(');
-    let params: Vec<String> = m
-        .params
-        .iter()
-        .map(|(t, x)| format!("{} {x}", src_type(t)))
-        .collect();
-    let _ = write!(out, "{}) ", params.join(", "));
-    if let Some(a) = &m.attributor {
-        out.push_str("attributor ");
-        print_expr(out, &a.body, 1);
-        out.push(' ');
-    }
-    print_expr(out, &m.body, 1);
-    out.push('\n');
+/// The text printed so far, and the tree it prints from.
+struct Printer<'a> {
+    ast: &'a Ast,
+    out: String,
 }
 
-/// Pretty-prints a single expression.
-pub fn print_expr_string(e: &Expr) -> String {
-    let mut out = String::new();
-    print_expr(&mut out, e, 0);
-    out
-}
+impl std::ops::Deref for Printer<'_> {
+    type Target = String;
 
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
+    fn deref(&self) -> &String {
+        &self.out
     }
 }
 
-fn print_expr(out: &mut String, e: &Expr, depth: usize) {
-    match &e.kind {
-        ExprKind::Var(x) => {
-            let _ = write!(out, "{x}");
-        }
-        ExprKind::This => out.push_str("this"),
-        ExprKind::Lit(l) => {
-            let _ = write!(out, "{l}");
-        }
-        ExprKind::ModeConst(m) => {
-            let _ = write!(out, "{m}");
-        }
-        ExprKind::Field { recv, name } => {
-            print_postfix_operand(out, recv, depth);
-            let _ = write!(out, ".{name}");
-        }
-        ExprKind::New {
-            class,
-            args,
-            ctor_args,
-        } => {
-            let _ = write!(out, "new {class}");
-            if let Some(args) = args {
-                let _ = write!(out, "@mode<{}>", src_margs(args));
+impl std::ops::DerefMut for Printer<'_> {
+    fn deref_mut(&mut self) -> &mut String {
+        &mut self.out
+    }
+}
+
+impl Printer<'_> {
+    fn class(&mut self, c: &ClassDecl) {
+        let _ = write!(self, "class {}", c.name);
+        self.class_mode_params(c);
+        if c.superclass != ClassName::object() {
+            let _ = write!(self, " extends {}", c.superclass);
+            if !c.super_args.is_empty() {
+                let args: Vec<String> = c.super_args.iter().map(src_mode).collect();
+                let _ = write!(self, "@mode<{}>", args.join(", "));
             }
-            out.push('(');
-            print_comma(out, ctor_args, depth);
-            out.push(')');
         }
-        ExprKind::Call {
-            recv,
-            method,
-            mode_args,
-            args,
-        } => {
-            print_postfix_operand(out, recv, depth);
-            let _ = write!(out, ".{method}");
-            if !mode_args.is_empty() {
-                let parts: Vec<String> = mode_args.iter().map(src_mode).collect();
-                let _ = write!(out, "@mode<{}>", parts.join(", "));
+        self.push_str(" {\n");
+        if let Some(a) = &c.attributor {
+            self.push_str("  attributor ");
+            self.expr(a.body, 1);
+            self.push('\n');
+        }
+        for f in &c.fields {
+            let _ = write!(self, "  {} {}", src_type(&f.ty), f.name);
+            if let Some(init) = f.init {
+                self.push_str(" = ");
+                self.expr(init, 1);
             }
-            out.push('(');
-            print_comma(out, args, depth);
-            out.push(')');
+            self.push_str(";\n");
         }
-        ExprKind::Builtin { ns, name, args } => {
-            let _ = write!(out, "{ns}.{name}(");
-            print_comma(out, args, depth);
-            out.push(')');
+        for m in &c.methods {
+            self.method(m);
         }
-        ExprKind::Cast { ty, expr } => {
-            let _ = write!(out, "({})", src_type(ty));
-            print_expr(out, expr, depth);
+        self.push_str("}\n");
+    }
+
+    fn class_mode_params(&mut self, c: &ClassDecl) {
+        let mp = &c.mode_params;
+        if !mp.dynamic && mp.bounds.is_empty() {
+            return;
         }
-        ExprKind::Snapshot { expr, lo, hi } => {
-            out.push_str("snapshot ");
-            // The snapshot operand is parsed at postfix precedence; wrap
-            // anything looser in parentheses.
-            let simple = matches!(
-                expr.kind,
-                ExprKind::Var(_)
-                    | ExprKind::This
-                    | ExprKind::Lit(_)
-                    | ExprKind::Field { .. }
-                    | ExprKind::Call { .. }
-                    | ExprKind::Builtin { .. }
-                    | ExprKind::New { .. }
-            );
-            if simple {
-                print_expr(out, expr, depth);
+        self.push_str("@mode<");
+        let mut parts = Vec::new();
+        let mut bounds = mp.bounds.iter();
+        if mp.dynamic {
+            let first = bounds
+                .next()
+                .expect("dynamic class has an internal parameter");
+            if first.var.as_str().starts_with("Self_") {
+                parts.push("?".to_string());
+            } else if first.hi == StaticMode::Top {
+                parts.push(format!("? <= {}", first.var));
             } else {
-                out.push('(');
-                print_expr(out, expr, depth);
-                out.push(')');
+                parts.push(format!("? <= {} <= {}", first.var, src_mode(&first.hi)));
             }
-            let lo_s = if *lo == StaticMode::Bot {
-                "_".to_string()
-            } else {
-                src_mode(lo)
-            };
-            let hi_s = if *hi == StaticMode::Top {
-                "_".to_string()
-            } else {
-                src_mode(hi)
-            };
-            let _ = write!(out, " [{lo_s}, {hi_s}]");
         }
-        ExprKind::MCase { ty, arms } => {
-            out.push_str("mcase");
-            if let Some(t) = ty {
-                let _ = write!(out, "<{}>", src_type(t));
-            }
-            out.push_str("{ ");
-            for (m, v) in arms {
-                let _ = write!(out, "{m}: ");
-                print_expr(out, v, depth);
-                out.push_str("; ");
-            }
-            out.push('}');
+        for b in bounds {
+            parts.push(print_bounded(b));
         }
-        ExprKind::Elim { expr, mode } => {
-            print_expr(out, expr, depth);
-            match mode {
-                Some(m) => {
-                    let _ = write!(out, " <| {}", src_mode(m));
+        let _ = write!(self, "{}>", parts.join(", "));
+    }
+
+    fn method(&mut self, m: &MethodDecl) {
+        self.push_str("  ");
+        if let Some(mode) = &m.mode {
+            let _ = write!(self, "@mode<{}> ", src_mode(mode));
+        }
+        let _ = write!(self, "{} {}", src_type(&m.ret), m.name);
+        if !m.mode_params.is_empty() {
+            let parts: Vec<String> = m.mode_params.iter().map(print_bounded).collect();
+            let _ = write!(self, "<{}>", parts.join(", "));
+        }
+        self.push('(');
+        let params: Vec<String> = m
+            .params
+            .iter()
+            .map(|(t, x)| format!("{} {x}", src_type(t)))
+            .collect();
+        let _ = write!(self, "{}) ", params.join(", "));
+        if let Some(a) = &m.attributor {
+            self.push_str("attributor ");
+            self.expr(a.body, 1);
+            self.push(' ');
+        }
+        self.expr(m.body, 1);
+        self.push('\n');
+    }
+
+    fn indent(&mut self, depth: usize) {
+        for _ in 0..depth {
+            self.push_str("  ");
+        }
+    }
+
+    fn expr(&mut self, e: ExprId, depth: usize) {
+        let ast = self.ast;
+        match &ast[e].kind {
+            ExprKind::Var(x) => {
+                let _ = write!(self, "{x}");
+            }
+            ExprKind::This => self.push_str("this"),
+            ExprKind::Lit(l) => {
+                let _ = write!(self, "{l}");
+            }
+            ExprKind::ModeConst(m) => {
+                let _ = write!(self, "{m}");
+            }
+            ExprKind::Field { recv, name } => {
+                self.postfix_operand(*recv, depth);
+                let _ = write!(self, ".{name}");
+            }
+            ExprKind::New {
+                class,
+                args,
+                ctor_args,
+            } => {
+                let _ = write!(self, "new {class}");
+                if let Some(args) = args {
+                    let _ = write!(self, "@mode<{}>", src_margs(&ast[*args]));
                 }
-                None => out.push_str(" <| _"),
+                self.push('(');
+                self.comma(*ctor_args, depth);
+                self.push(')');
             }
-        }
-        ExprKind::Binary { op, lhs, rhs } => {
-            out.push('(');
-            print_expr(out, lhs, depth);
-            let _ = write!(out, " {op} ");
-            print_expr(out, rhs, depth);
-            out.push(')');
-        }
-        ExprKind::Unary { op, expr } => {
-            let _ = write!(out, "{op}");
-            out.push('(');
-            print_expr(out, expr, depth);
-            out.push(')');
-        }
-        ExprKind::If { cond, then, els } => {
-            out.push_str("if (");
-            print_expr(out, cond, depth);
-            out.push_str(") ");
-            print_block_like(out, then, depth);
-            if let Some(els) = els {
-                out.push_str(" else ");
-                if matches!(els.kind, ExprKind::If { .. }) {
-                    print_expr(out, els, depth);
+            ExprKind::Call {
+                recv,
+                method,
+                mode_args,
+                args,
+            } => {
+                self.postfix_operand(*recv, depth);
+                let _ = write!(self, ".{method}");
+                if !mode_args.is_empty() {
+                    let parts: Vec<String> = mode_args.iter().map(src_mode).collect();
+                    let _ = write!(self, "@mode<{}>", parts.join(", "));
+                }
+                self.push('(');
+                self.comma(*args, depth);
+                self.push(')');
+            }
+            ExprKind::Builtin { ns, name, args } => {
+                let _ = write!(self, "{ns}.{name}(");
+                self.comma(*args, depth);
+                self.push(')');
+            }
+            ExprKind::Cast { ty, expr } => {
+                let _ = write!(self, "({})", src_type(&ast[*ty]));
+                self.expr(*expr, depth);
+            }
+            ExprKind::Snapshot { expr, lo, hi } => {
+                self.push_str("snapshot ");
+                // The snapshot operand is parsed at postfix precedence; wrap
+                // anything looser in parentheses.
+                let simple = matches!(
+                    ast[*expr].kind,
+                    ExprKind::Var(_)
+                        | ExprKind::This
+                        | ExprKind::Lit(_)
+                        | ExprKind::Field { .. }
+                        | ExprKind::Call { .. }
+                        | ExprKind::Builtin { .. }
+                        | ExprKind::New { .. }
+                );
+                if simple {
+                    self.expr(*expr, depth);
                 } else {
-                    print_block_like(out, els, depth);
+                    self.push('(');
+                    self.expr(*expr, depth);
+                    self.push(')');
+                }
+                let lo_s = if *lo == StaticMode::Bot {
+                    "_".to_string()
+                } else {
+                    src_mode(lo)
+                };
+                let hi_s = if *hi == StaticMode::Top {
+                    "_".to_string()
+                } else {
+                    src_mode(hi)
+                };
+                let _ = write!(self, " [{lo_s}, {hi_s}]");
+            }
+            ExprKind::MCase { ty, arms } => {
+                self.push_str("mcase");
+                if let Some(t) = ty {
+                    let _ = write!(self, "<{}>", src_type(&ast[*t]));
+                }
+                self.push_str("{ ");
+                for (m, v) in &ast[*arms] {
+                    let _ = write!(self, "{m}: ");
+                    self.expr(*v, depth);
+                    self.push_str("; ");
+                }
+                self.push('}');
+            }
+            ExprKind::Elim { expr, mode } => {
+                self.expr(*expr, depth);
+                match mode {
+                    Some(m) => {
+                        let _ = write!(self, " <| {}", src_mode(m));
+                    }
+                    None => self.push_str(" <| _"),
                 }
             }
-        }
-        ExprKind::Block(stmts) => {
-            out.push_str("{\n");
-            for s in stmts {
-                indent(out, depth + 1);
-                match s {
-                    Stmt::Let { ty, name, value } => {
-                        out.push_str("let ");
-                        if let Some(t) = ty {
-                            let _ = write!(out, "{} ", src_type(t));
+            ExprKind::Binary { op, lhs, rhs } => {
+                self.push('(');
+                self.expr(*lhs, depth);
+                let _ = write!(self, " {op} ");
+                self.expr(*rhs, depth);
+                self.push(')');
+            }
+            ExprKind::Unary { op, expr } => {
+                let _ = write!(self, "{op}");
+                self.push('(');
+                self.expr(*expr, depth);
+                self.push(')');
+            }
+            ExprKind::If { cond, then, els } => {
+                self.push_str("if (");
+                self.expr(*cond, depth);
+                self.push_str(") ");
+                self.block_like(*then, depth);
+                if let Some(els) = *els {
+                    self.push_str(" else ");
+                    if matches!(ast[els].kind, ExprKind::If { .. }) {
+                        self.expr(els, depth);
+                    } else {
+                        self.block_like(els, depth);
+                    }
+                }
+            }
+            ExprKind::Block(stmts) => {
+                self.push_str("{\n");
+                for s in &ast[*stmts] {
+                    self.indent(depth + 1);
+                    match s {
+                        Stmt::Let { ty, name, value } => {
+                            self.push_str("let ");
+                            if let Some(t) = ty {
+                                let _ = write!(self, "{} ", src_type(&ast[*t]));
+                            }
+                            let _ = write!(self, "{name} = ");
+                            self.expr(*value, depth + 1);
+                            self.push_str(";\n");
                         }
-                        let _ = write!(out, "{name} = ");
-                        print_expr(out, value, depth + 1);
-                        out.push_str(";\n");
-                    }
-                    Stmt::Expr(e) => {
-                        print_expr(out, e, depth + 1);
-                        out.push_str(";\n");
-                    }
-                    Stmt::Return(e) => {
-                        out.push_str("return ");
-                        print_expr(out, e, depth + 1);
-                        out.push_str(";\n");
+                        Stmt::Expr(e) => {
+                            self.expr(*e, depth + 1);
+                            self.push_str(";\n");
+                        }
+                        Stmt::Return(e) => {
+                            self.push_str("return ");
+                            self.expr(*e, depth + 1);
+                            self.push_str(";\n");
+                        }
                     }
                 }
+                self.indent(depth);
+                self.push('}');
             }
-            indent(out, depth);
-            out.push('}');
-        }
-        ExprKind::Try { body, handler } => {
-            out.push_str("try ");
-            print_block_like(out, body, depth);
-            out.push_str(" catch ");
-            print_block_like(out, handler, depth);
-        }
-        ExprKind::ArrayLit(items) => {
-            out.push('[');
-            print_comma(out, items, depth);
-            out.push(']');
+            ExprKind::Try { body, handler } => {
+                self.push_str("try ");
+                self.block_like(*body, depth);
+                self.push_str(" catch ");
+                self.block_like(*handler, depth);
+            }
+            ExprKind::ArrayLit(items) => {
+                self.push('[');
+                self.comma(*items, depth);
+                self.push(']');
+            }
         }
     }
-}
 
-/// Prints an expression in a postfix-operand position (`.field`, `.call()`,
-/// `<|`), parenthesizing anything looser than postfix precedence.
-fn print_postfix_operand(out: &mut String, e: &Expr, depth: usize) {
-    let simple = matches!(
-        e.kind,
-        ExprKind::Var(_)
-            | ExprKind::This
-            | ExprKind::Lit(_)
-            | ExprKind::ModeConst(_)
-            | ExprKind::Field { .. }
-            | ExprKind::Call { .. }
-            | ExprKind::Builtin { .. }
-            | ExprKind::New { .. }
-            | ExprKind::ArrayLit(_)
-            | ExprKind::Binary { .. } // printed parenthesized already
-    );
-    if simple {
-        print_expr(out, e, depth);
-    } else {
-        out.push('(');
-        print_expr(out, e, depth);
-        out.push(')');
-    }
-}
-
-fn print_block_like(out: &mut String, e: &Expr, depth: usize) {
-    if matches!(e.kind, ExprKind::Block(_)) {
-        print_expr(out, e, depth);
-    } else {
-        // Canonicalize to a one-statement block so print∘parse∘print is a
-        // fixpoint (the parser represents `{ e }` as a Block).
-        let block = Expr::new(ExprKind::Block(vec![Stmt::Expr(e.clone())]), e.span);
-        print_expr(out, &block, depth);
-    }
-}
-
-fn print_comma(out: &mut String, items: &[Expr], depth: usize) {
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+    /// Prints an expression in a postfix-operand position (`.field`,
+    /// `.call()`, `<|`), parenthesizing anything looser than postfix
+    /// precedence.
+    fn postfix_operand(&mut self, e: ExprId, depth: usize) {
+        let simple = matches!(
+            self.ast[e].kind,
+            ExprKind::Var(_)
+                | ExprKind::This
+                | ExprKind::Lit(_)
+                | ExprKind::ModeConst(_)
+                | ExprKind::Field { .. }
+                | ExprKind::Call { .. }
+                | ExprKind::Builtin { .. }
+                | ExprKind::New { .. }
+                | ExprKind::ArrayLit(_)
+                | ExprKind::Binary { .. } // printed parenthesized already
+        );
+        if simple {
+            self.expr(e, depth);
+        } else {
+            self.push('(');
+            self.expr(e, depth);
+            self.push(')');
         }
-        print_expr(out, item, depth);
+    }
+
+    fn block_like(&mut self, e: ExprId, depth: usize) {
+        if matches!(self.ast[e].kind, ExprKind::Block(_)) {
+            self.expr(e, depth);
+        } else {
+            // Canonicalize to a one-statement block so print∘parse∘print
+            // is a fixpoint (the parser represents `{ e }` as a Block).
+            self.push_str("{\n");
+            self.indent(depth + 1);
+            self.expr(e, depth + 1);
+            self.push_str(";\n");
+            self.indent(depth);
+            self.push('}');
+        }
+    }
+
+    fn comma(&mut self, items: ExprList, depth: usize) {
+        for (i, &item) in self.ast[items].iter().enumerate() {
+            if i > 0 {
+                self.push_str(", ");
+            }
+            self.expr(item, depth);
+        }
     }
 }
 
@@ -462,17 +496,17 @@ mod tests {
 
     #[test]
     fn expression_printing_is_parseable() {
-        let e1 = parse_expr("1 + 2 * -x", &[]).unwrap();
-        let s = print_expr_string(&e1);
-        let e2 = parse_expr(&s, &[]).unwrap();
+        let (ast1, e1) = parse_expr("1 + 2 * -x", &[]).unwrap();
+        let s = print_expr_string(&ast1, e1);
+        let (ast2, e2) = parse_expr(&s, &[]).unwrap();
         // Printed form is fully parenthesized; compare printed forms.
-        assert_eq!(s, print_expr_string(&e2));
+        assert_eq!(s, print_expr_string(&ast2, e2));
     }
 
     #[test]
     fn snapshot_bounds_print_with_holes() {
-        let e = parse_expr("snapshot x", &[]).unwrap();
-        assert_eq!(print_expr_string(&e), "snapshot x [_, _]");
+        let (ast, e) = parse_expr("snapshot x", &[]).unwrap();
+        assert_eq!(print_expr_string(&ast, e), "snapshot x [_, _]");
     }
 
     #[test]

@@ -135,7 +135,10 @@ pub struct ResolvedMethod {
 #[derive(Clone, Debug)]
 pub struct ClassTable {
     /// The program's own declarations, shared rather than copied.
-    classes: HashMap<ClassName, Arc<ClassDecl>>,
+    classes: Arc<Classes>,
+    /// Each class's position in `classes`, by name.
+    index: HashMap<ClassName, usize>,
+    /// Class names in declaration order.
     order: Vec<ClassName>,
 }
 
@@ -155,7 +158,7 @@ enum Parent {
 /// so a deep chain costs linear time. Classes off the forest (an unknown
 /// superclass or a cycle above them) get `None`; the chain check rejects
 /// them first.
-fn first_duplicate_fields<'d>(decls: &[&'d ClassDecl], parent: &[Parent]) -> Vec<Option<Ident>> {
+fn first_duplicate_fields<'d>(decls: &'d [ClassDecl], parent: &[Parent]) -> Vec<Option<Ident>> {
     let n = decls.len();
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut roots = Vec::new();
@@ -172,15 +175,19 @@ fn first_duplicate_fields<'d>(decls: &[&'d ClassDecl], parent: &[Parent]) -> Vec
     // `(class, fields it added to on_path, its next child)`.
     let mut stack: Vec<(usize, usize, usize)> = Vec::new();
     for root in roots {
-        let added = enter_fields(decls[root], None, &mut on_path, &mut first_dup[root]);
+        let added = enter_fields(&decls[root], None, &mut on_path, &mut first_dup[root]);
         stack.push((root, added, 0));
         while let Some(top) = stack.last_mut() {
             let (c, added, next) = *top;
             if let Some(&child) = children[c].get(next) {
                 top.2 += 1;
                 let inherited = first_dup[c].clone();
-                let added =
-                    enter_fields(decls[child], inherited, &mut on_path, &mut first_dup[child]);
+                let added = enter_fields(
+                    &decls[child],
+                    inherited,
+                    &mut on_path,
+                    &mut first_dup[child],
+                );
                 stack.push((child, added, 0));
             } else {
                 for fd in &decls[c].fields[..added] {
@@ -230,26 +237,36 @@ impl ClassTable {
     /// mismatches (a dynamic class must have an attributor; a non-dynamic
     /// class must not).
     pub fn new(program: &Program) -> Result<Self, TableError> {
-        let mut classes = HashMap::new();
-        let mut order = Vec::new();
-        for c in &program.classes {
+        let classes = Arc::clone(&program.classes);
+        let mut index = HashMap::with_capacity(classes.len());
+        let mut order = Vec::with_capacity(classes.len());
+        for (i, c) in classes.iter().enumerate() {
             if c.name == ClassName::object() {
                 return Err(TableError::ReservedClass(c.name.clone()));
             }
-            if classes.insert(c.name.clone(), Arc::clone(c)).is_some() {
+            if index.insert(c.name.clone(), i).is_some() {
                 return Err(TableError::DuplicateClass(c.name.clone()));
             }
             order.push(c.name.clone());
         }
-        let table = ClassTable { classes, order };
+        let table = ClassTable {
+            classes,
+            index,
+            order,
+        };
         table.validate()?;
         Ok(table)
     }
 
+    /// The declaration named `name`.
+    fn decl(&self, name: &ClassName) -> Option<&ClassDecl> {
+        self.index.get(name).map(|&i| &self.classes[i])
+    }
+
     fn validate(&self) -> Result<(), TableError> {
-        let decls: Vec<&ClassDecl> = self.order.iter().map(|n| &*self.classes[n]).collect();
-        let parent = self.parents(&decls);
-        let first_dup = first_duplicate_fields(&decls, &parent);
+        let decls: &[ClassDecl] = &self.classes;
+        let parent = self.parents();
+        let first_dup = first_duplicate_fields(decls, &parent);
         // Per class: `UNCHECKED`, `CHAIN_OK`, or `k` while the walk that
         // started at class `k` is on it. A walk stops at a checked class,
         // so each chain link is followed once over the whole table.
@@ -257,7 +274,7 @@ impl ClassTable {
         const CHAIN_OK: usize = usize::MAX - 1;
         let mut state = vec![UNCHECKED; decls.len()];
         for (k, name) in self.order.iter().enumerate() {
-            let c = decls[k];
+            let c = &decls[k];
 
             // Superclass existence + acyclicity.
             if state[k] != CHAIN_OK {
@@ -294,7 +311,7 @@ impl ClassTable {
 
             // Superclass instantiation arity + own-mode preservation.
             if c.superclass != ClassName::object() {
-                let sup = &self.classes[&c.superclass];
+                let sup = &decls[self.index[&c.superclass]];
                 if sup.mode_params.dynamic {
                     // Extending a dynamic class is out of scope for the
                     // reproduction (as in the paper's examples).
@@ -362,16 +379,14 @@ impl ClassTable {
     }
 
     /// Each class's superclass, by position in `order`.
-    fn parents(&self, decls: &[&ClassDecl]) -> Vec<Parent> {
-        let index: HashMap<&ClassName, usize> =
-            self.order.iter().enumerate().map(|(i, n)| (n, i)).collect();
-        decls
+    fn parents(&self) -> Vec<Parent> {
+        self.classes
             .iter()
             .map(|c| {
                 if c.superclass == ClassName::object() {
                     Parent::Object
                 } else {
-                    index
+                    self.index
                         .get(&c.superclass)
                         .map_or(Parent::Unknown, |&p| Parent::Class(p))
                 }
@@ -381,7 +396,7 @@ impl ClassTable {
 
     /// Looks up a class declaration.
     pub fn class(&self, name: &ClassName) -> Option<&ClassDecl> {
-        self.classes.get(name).map(|c| &**c)
+        self.decl(name)
     }
 
     /// Class names in declaration order.
@@ -396,7 +411,7 @@ impl ClassTable {
         let mut cur = name.clone();
         while cur != ClassName::object() {
             chain.push(cur.clone());
-            match self.classes.get(&cur) {
+            match self.decl(&cur) {
                 Some(c) => cur = c.superclass.clone(),
                 None => break,
             }
@@ -418,7 +433,7 @@ impl ClassTable {
             if cur == ClassName::object() {
                 return false;
             }
-            match self.classes.get(&cur) {
+            match self.decl(&cur) {
                 Some(decl) => cur = decl.superclass.clone(),
                 None => return false,
             }
@@ -432,7 +447,7 @@ impl ClassTable {
     /// first bound variable when that mode is static; a dynamic `?` leaves
     /// the internal variable unsubstituted (the internal view).
     pub fn class_subst(&self, class: &ClassName, args: &ModeArgs) -> Subst {
-        let Some(decl) = self.classes.get(class) else {
+        let Some(decl) = self.decl(class) else {
             return Subst::new();
         };
         let bounds = &decl.mode_params.bounds;
@@ -454,7 +469,7 @@ impl ClassTable {
     /// its super arguments, in terms of `decl`'s own parameters, or the
     /// superclass's pinned modes when it passes none.
     fn super_subst(&self, decl: &ClassDecl, subst: &Subst) -> Subst {
-        let bounds = &self.classes[&decl.superclass].mode_params.bounds;
+        let bounds = &self.superclass(decl).mode_params.bounds;
         if decl.super_args.is_empty() {
             bounds
                 .iter()
@@ -479,7 +494,7 @@ impl ClassTable {
     /// substituted per `args`: the one entry of [`ClassTable::fields`]
     /// with that name, resolved without building the others.
     pub fn field(&self, class: &ClassName, args: &ModeArgs, name: &Ident) -> Option<ResolvedField> {
-        let mut decl = self.classes.get(class)?;
+        let mut decl = self.decl(class)?;
         let mut subst = self.class_subst(class, args);
         loop {
             if let Some(fd) = decl.fields.iter().find(|f| &f.name == name) {
@@ -489,7 +504,7 @@ impl ClassTable {
                 return None;
             }
             subst = self.super_subst(decl, &subst);
-            decl = &self.classes[&decl.superclass];
+            decl = self.superclass(decl);
         }
     }
 
@@ -506,7 +521,7 @@ impl ClassTable {
         keep: &dyn Fn(&FieldDecl) -> bool,
     ) -> Vec<ResolvedField> {
         let mut out = Vec::new();
-        if let Some(decl) = self.classes.get(class) {
+        if let Some(decl) = self.decl(class) {
             self.fields_rec(decl, &self.class_subst(class, args), keep, &mut out);
         }
         out
@@ -521,7 +536,7 @@ impl ClassTable {
     ) {
         if decl.superclass != ClassName::object() {
             // Compose: super args are in terms of this class's vars.
-            let sup = &self.classes[&decl.superclass];
+            let sup = self.superclass(decl);
             self.fields_rec(sup, &self.super_subst(decl, subst), keep, out);
         }
         out.extend(
@@ -540,7 +555,7 @@ impl ClassTable {
         args: &ModeArgs,
         name: &Ident,
     ) -> Option<ResolvedMethod> {
-        let mut decl = self.classes.get(class)?;
+        let mut decl = self.decl(class)?;
         let mut subst = self.class_subst(class, args);
         loop {
             if let Some(m) = decl.method(name) {
@@ -562,13 +577,19 @@ impl ClassTable {
                 return None;
             }
             subst = self.super_subst(decl, &subst);
-            decl = &self.classes[&decl.superclass];
+            decl = self.superclass(decl);
         }
     }
 
     /// The paper's `abody`: the class-level attributor of a class.
     pub fn abody(&self, class: &ClassName) -> Option<&Attributor> {
-        self.classes.get(class)?.attributor.as_ref()
+        self.decl(class)?.attributor.as_ref()
+    }
+
+    /// The declaration of `decl`'s superclass, which the validated table
+    /// holds.
+    fn superclass(&self, decl: &ClassDecl) -> &ClassDecl {
+        &self.classes[self.index[&decl.superclass]]
     }
 }
 
@@ -813,19 +834,19 @@ mod tests {
     fn chain_and_field_oracle(t: &ClassTable) -> Result<(), TableError> {
         for name in &t.order {
             let mut seen = vec![name.clone()];
-            let mut cur = &t.classes[name];
+            let mut cur = t.class(name).expect("a declared class");
             while cur.superclass != ClassName::object() {
                 if seen.contains(&cur.superclass) {
                     return Err(TableError::InheritanceCycle(name.clone()));
                 }
                 seen.push(cur.superclass.clone());
-                cur = t.classes.get(&cur.superclass).ok_or_else(|| {
+                cur = t.class(&cur.superclass).ok_or_else(|| {
                     TableError::UnknownSuperclass(cur.name.clone(), cur.superclass.clone())
                 })?;
             }
             let mut field_names: Vec<Ident> = Vec::new();
             for anc in t.superclass_chain(name) {
-                for fd in &t.classes[&anc].fields {
+                for fd in &t.class(&anc).expect("a chain class").fields {
                     if field_names.contains(&fd.name) {
                         return Err(TableError::DuplicateField(name.clone(), fd.name.clone()));
                     }
@@ -867,10 +888,12 @@ mod tests {
             }
             let program = parse_program(&src).expect("generated classes parse");
             let unchecked = ClassTable {
-                classes: program
+                classes: Arc::clone(&program.classes),
+                index: program
                     .classes
                     .iter()
-                    .map(|c| (c.name.clone(), Arc::clone(c)))
+                    .enumerate()
+                    .map(|(i, c)| (c.name.clone(), i))
                     .collect(),
                 order: program.classes.iter().map(|c| c.name.clone()).collect(),
             };

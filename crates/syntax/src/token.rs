@@ -212,31 +212,30 @@ impl fmt::Display for TokenKind {
     }
 }
 
-/// Resolves a word to its keyword token, or `None` for plain identifiers.
-pub(crate) fn keyword(word: &str) -> Option<TokenKind> {
-    Some(match word {
-        "class" => TokenKind::Class,
-        "extends" => TokenKind::Extends,
-        "modes" => TokenKind::Modes,
-        "mode" => TokenKind::Mode,
-        "attributor" => TokenKind::Attributor,
-        "snapshot" => TokenKind::Snapshot,
-        "mcase" => TokenKind::MCase,
-        "new" => TokenKind::New,
-        "let" => TokenKind::Let,
-        "if" => TokenKind::If,
-        "else" => TokenKind::Else,
-        "return" => TokenKind::Return,
-        "try" => TokenKind::Try,
-        "catch" => TokenKind::Catch,
-        "this" => TokenKind::This,
-        "true" => TokenKind::True,
-        "false" => TokenKind::False,
-        "bot" => TokenKind::Bot,
-        "top" => TokenKind::Top,
-        _ => return None,
-    })
-}
+/// Every keyword with its token. The lexer's name table is seeded with
+/// these, so telling a keyword from a name is the same lookup that
+/// interns the name.
+pub(crate) const KEYWORDS: &[(&str, TokenKind)] = &[
+    ("class", TokenKind::Class),
+    ("extends", TokenKind::Extends),
+    ("modes", TokenKind::Modes),
+    ("mode", TokenKind::Mode),
+    ("attributor", TokenKind::Attributor),
+    ("snapshot", TokenKind::Snapshot),
+    ("mcase", TokenKind::MCase),
+    ("new", TokenKind::New),
+    ("let", TokenKind::Let),
+    ("if", TokenKind::If),
+    ("else", TokenKind::Else),
+    ("return", TokenKind::Return),
+    ("try", TokenKind::Try),
+    ("catch", TokenKind::Catch),
+    ("this", TokenKind::This),
+    ("true", TokenKind::True),
+    ("false", TokenKind::False),
+    ("bot", TokenKind::Bot),
+    ("top", TokenKind::Top),
+];
 
 #[cfg(test)]
 mod tests {
@@ -244,9 +243,13 @@ mod tests {
 
     #[test]
     fn keywords_resolve() {
-        assert_eq!(keyword("class"), Some(TokenKind::Class));
-        assert_eq!(keyword("snapshot"), Some(TokenKind::Snapshot));
-        assert_eq!(keyword("agent"), None);
+        // The lexer's word table is seeded with `KEYWORDS`.
+        for (word, kind) in KEYWORDS {
+            assert_eq!(crate::lex(word).unwrap().tokens[0].kind, *kind);
+            assert_eq!(kind.to_string(), *word);
+        }
+        let agent = crate::lex("agent").unwrap().tokens[0].kind;
+        assert_eq!(agent, TokenKind::Ident(0));
     }
 
     #[test]

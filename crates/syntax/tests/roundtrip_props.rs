@@ -1,20 +1,81 @@
 //! Property tests: pretty-printed expressions re-parse to the same tree
 //! (compared via their printed normal form, since spans differ).
 
-use ent_syntax::{parse_expr, print_expr_string, Expr, ExprKind, Ident, Lit};
+use ent_syntax::{
+    parse_expr, print_expr_string, Ast, BinOp, Expr, ExprId, ExprKind, Ident, Lit, Span,
+};
 use proptest::prelude::*;
 
 const MODES: &[&str] = &["energy_saver", "managed", "full_throttle"];
 
-fn leaf() -> impl Strategy<Value = Expr> {
+/// An expression's shape, which [`build`] adds to a tree.
+#[derive(Clone, Debug)]
+enum Shape {
+    Leaf(ExprKind),
+    Binary(BinOp, Box<Shape>, Box<Shape>),
+    Field(Box<Shape>, Ident),
+    Call(Box<Shape>, Vec<Shape>),
+    Not(Box<Shape>),
+    If(Box<Shape>, Box<Shape>, Box<Shape>),
+    Array(Vec<Shape>),
+    Snapshot(Box<Shape>),
+}
+
+/// Adds `shape` to `ast`, children first, and returns its root.
+fn build(ast: &mut Ast, shape: &Shape) -> ExprId {
+    let mut sub = |s: &Shape| build(ast, s);
+    let kind = match shape {
+        Shape::Leaf(kind) => kind.clone(),
+        Shape::Binary(op, l, r) => ExprKind::Binary {
+            op: *op,
+            lhs: sub(l),
+            rhs: sub(r),
+        },
+        Shape::Field(e, name) => ExprKind::Field {
+            recv: sub(e),
+            name: name.clone(),
+        },
+        Shape::Call(e, args) => {
+            let recv = sub(e);
+            let args: Vec<ExprId> = args.iter().map(&mut sub).collect();
+            ExprKind::Call {
+                recv,
+                method: Ident::new("work"),
+                mode_args: vec![],
+                args: ast.push_exprs(args),
+            }
+        }
+        Shape::Not(e) => ExprKind::Unary {
+            op: ent_syntax::UnOp::Not,
+            expr: sub(e),
+        },
+        Shape::If(c, t, e) => ExprKind::If {
+            cond: sub(c),
+            then: sub(t),
+            els: Some(sub(e)),
+        },
+        Shape::Array(items) => {
+            let items: Vec<ExprId> = items.iter().map(&mut sub).collect();
+            ExprKind::ArrayLit(ast.push_exprs(items))
+        }
+        Shape::Snapshot(e) => ExprKind::Snapshot {
+            expr: sub(e),
+            lo: ent_modes::StaticMode::Bot,
+            hi: ent_modes::StaticMode::Top,
+        },
+    };
+    ast.push(Expr::new(kind, Span::DUMMY))
+}
+
+fn leaf() -> impl Strategy<Value = Shape> {
     prop_oneof![
-        (0i64..1000).prop_map(|n| mk(ExprKind::Lit(Lit::Int(n)))),
-        any::<bool>().prop_map(|b| mk(ExprKind::Lit(Lit::Bool(b)))),
+        (0i64..1000).prop_map(|n| Shape::Leaf(ExprKind::Lit(Lit::Int(n)))),
+        any::<bool>().prop_map(|b| Shape::Leaf(ExprKind::Lit(Lit::Bool(b)))),
         "[a-z][a-z0-9_]{0,5}"
             .prop_filter("not a keyword or mode", |s| { !is_reserved(s) })
-            .prop_map(|s| mk(ExprKind::Var(Ident::new(s)))),
-        Just(mk(ExprKind::This)),
-        "[a-z ]{0,8}".prop_map(|s| mk(ExprKind::Lit(Lit::Str(s)))),
+            .prop_map(|s| Shape::Leaf(ExprKind::Var(Ident::new(s)))),
+        Just(Shape::Leaf(ExprKind::This)),
+        "[a-z ]{0,8}".prop_map(|s| Shape::Leaf(ExprKind::Lit(Lit::Str(s)))),
     ]
 }
 
@@ -49,65 +110,39 @@ fn is_reserved(s: &str) -> bool {
         )
 }
 
-fn mk(kind: ExprKind) -> Expr {
-    Expr::new(kind, ent_syntax::Span::DUMMY)
-}
-
-fn arb_expr() -> impl Strategy<Value = Expr> {
+fn arb_expr() -> impl Strategy<Value = Shape> {
     leaf().prop_recursive(4, 32, 4, |inner| {
         prop_oneof![
             // Binary operations
             (inner.clone(), inner.clone(), 0usize..6).prop_map(|(l, r, op)| {
                 use ent_syntax::BinOp::*;
                 let op = [Add, Sub, Mul, Lt, Eq, And][op];
-                mk(ExprKind::Binary {
-                    op,
-                    lhs: Box::new(l),
-                    rhs: Box::new(r),
-                })
+                Shape::Binary(op, Box::new(l), Box::new(r))
             }),
             // Field access
             (
                 inner.clone(),
                 "[a-z][a-z0-9]{0,4}".prop_filter("reserved", |s| !is_reserved(s))
             )
-                .prop_map(|(e, f)| mk(ExprKind::Field {
-                    recv: Box::new(e),
-                    name: Ident::new(f),
-                })),
+                .prop_map(|(e, f)| Shape::Field(Box::new(e), Ident::new(f))),
             // Method call
             (
                 inner.clone(),
                 proptest::collection::vec(inner.clone(), 0..3)
             )
-                .prop_map(|(e, args)| mk(ExprKind::Call {
-                    recv: Box::new(e),
-                    method: Ident::new("work"),
-                    mode_args: vec![],
-                    args,
-                })),
+                .prop_map(|(e, args)| Shape::Call(Box::new(e), args)),
             // Unary
-            inner.clone().prop_map(|e| mk(ExprKind::Unary {
-                op: ent_syntax::UnOp::Not,
-                expr: Box::new(e),
-            })),
+            inner.clone().prop_map(|e| Shape::Not(Box::new(e))),
             // If
-            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, t, e)| {
-                mk(ExprKind::If {
-                    cond: Box::new(c),
-                    then: Box::new(t),
-                    els: Some(Box::new(e)),
-                })
-            }),
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, t, e)| Shape::If(
+                Box::new(c),
+                Box::new(t),
+                Box::new(e)
+            )),
             // Array literal
-            proptest::collection::vec(inner.clone(), 0..4)
-                .prop_map(|items| mk(ExprKind::ArrayLit(items))),
+            proptest::collection::vec(inner.clone(), 0..4).prop_map(Shape::Array),
             // Snapshot (unbounded)
-            inner.clone().prop_map(|e| mk(ExprKind::Snapshot {
-                expr: Box::new(e),
-                lo: ent_modes::StaticMode::Bot,
-                hi: ent_modes::StaticMode::Top,
-            })),
+            inner.clone().prop_map(|e| Shape::Snapshot(Box::new(e))),
         ]
     })
 }
@@ -117,10 +152,12 @@ proptest! {
 
     /// print → parse → print is a fixpoint.
     #[test]
-    fn printed_expressions_reparse(e in arb_expr()) {
-        let printed = print_expr_string(&e);
-        let reparsed = parse_expr(&printed, MODES)
+    fn printed_expressions_reparse(shape in arb_expr()) {
+        let mut ast = Ast::new();
+        let e = build(&mut ast, &shape);
+        let printed = print_expr_string(&ast, e);
+        let (reparsed, root) = parse_expr(&printed, MODES)
             .unwrap_or_else(|err| panic!("printed `{printed}` failed to parse: {err}"));
-        prop_assert_eq!(printed.clone(), print_expr_string(&reparsed));
+        prop_assert_eq!(printed.clone(), print_expr_string(&reparsed, root));
     }
 }

@@ -1,6 +1,6 @@
-//! The allocation budget of a never-seen program: compiling and lowering
-//! a `fuzzgen` program, then its first run, which compiles each body it
-//! enters to bytecode.
+//! The allocation budget of a never-seen program: parsing a `fuzzgen`
+//! program (lexing included), compiling and lowering it, then its first
+//! run, which compiles each body it enters to bytecode.
 //!
 //! Its own test binary because it installs a counting global allocator.
 //! The count is per thread, so tests running in parallel do not mix their
@@ -15,6 +15,7 @@ use ent_runtime::{
     default_stack_size, lower_program, run_lowered, with_interp_stack, Enforcement, Engine,
     RuntimeConfig,
 };
+use ent_syntax::parse_program;
 use ent_workloads::fuzzgen;
 
 thread_local! {
@@ -75,8 +76,11 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// Programs in the sample.
 const PROGRAMS: u64 = 100;
 
+/// Mean allocations of `parse_program` per program, lexing included.
+const PARSE_CEILING: f64 = 95.0;
+
 /// Mean allocations of `compile` + `lower_program` per program.
-const COMPILE_CEILING: f64 = 605.0;
+const COMPILE_CEILING: f64 = 355.0;
 
 /// Mean allocations of the first `run_lowered` per program.
 const FIRST_RUN_CEILING: f64 = 150.0;
@@ -92,10 +96,12 @@ fn a_fresh_program_compiles_and_first_runs_within_its_allocation_budget() {
     };
     // On an interpreter stack, `run_lowered` runs on this thread, where
     // the count is kept.
-    let (compiling, first_runs) = with_interp_stack(default_stack_size(), || {
-        let (mut compiling, mut first_runs) = (0, 0);
+    let (parsing, compiling, first_runs) = with_interp_stack(default_stack_size(), || {
+        let (mut parsing, mut compiling, mut first_runs) = (0, 0, 0);
         for seed in 0..PROGRAMS {
             let src = fuzzgen::program(seed);
+            let (n, _program) = allocations_during(|| parse_program(&src));
+            parsing += n;
             let (n, lowered) = allocations_during(|| {
                 let compiled = compile(&src).expect("fuzzgen programs compile");
                 lower_program(&compiled)
@@ -105,15 +111,21 @@ fn a_fresh_program_compiles_and_first_runs_within_its_allocation_budget() {
             let (n, _result) = allocations_during(|| run_lowered(&lowered, platform, config));
             first_runs += n;
         }
-        (compiling, first_runs)
+        (parsing, compiling, first_runs)
     });
     let per_program = |n: u64| n as f64 / PROGRAMS as f64;
-    let (compiling, first_runs) = (per_program(compiling), per_program(first_runs));
+    let (parsing, compiling, first_runs) = (
+        per_program(parsing),
+        per_program(compiling),
+        per_program(first_runs),
+    );
     let report = format!(
-        "per program: compile + lower {compiling:.1} allocations (ceiling {COMPILE_CEILING}), \
+        "per program: parse {parsing:.1} allocations (ceiling {PARSE_CEILING}), \
+         compile + lower {compiling:.1} (ceiling {COMPILE_CEILING}), \
          first run {first_runs:.1} (ceiling {FIRST_RUN_CEILING})"
     );
     eprintln!("{report}");
+    assert!(parsing <= PARSE_CEILING, "{report}");
     assert!(compiling <= COMPILE_CEILING, "{report}");
     assert!(first_runs <= FIRST_RUN_CEILING, "{report}");
 }
