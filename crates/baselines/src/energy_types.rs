@@ -89,19 +89,18 @@ pub fn check_energy_types(src: &str) -> EnergyTypesResult {
 
 /// Collects every use of a dynamic feature in a program.
 pub fn dynamic_features(program: &Program) -> Vec<DynamicFeature> {
-    let ast = program.ast();
+    let (ast, names) = (program.ast(), program.names());
     let mut found = Vec::new();
     for class in program.classes.iter() {
+        let class_name = names.get(class.name.symbol());
         if class.mode_params.dynamic {
-            found.push(DynamicFeature::DynamicClass(
-                class.name.as_str().to_string(),
-            ));
+            found.push(DynamicFeature::DynamicClass(class_name.to_string()));
         }
         for method in &class.methods {
             if method.attributor.is_some() {
                 found.push(DynamicFeature::MethodAttributor(format!(
-                    "{}::{}",
-                    class.name, method.name
+                    "{class_name}::{}",
+                    names.get(method.name.symbol())
                 )));
             }
             scan_expr(ast, method.body, &mut found);

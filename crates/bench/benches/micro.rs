@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ent_core::compile;
 use ent_energy::Platform;
-use ent_modes::{ConstraintSet, ModeName, ModeTable, ModeVar, StaticMode};
+use ent_modes::{ConstraintSet, ModeName, ModeTable, ModeVar, StaticMode, Symbol};
 use ent_runtime::{run, RuntimeConfig};
 use ent_workloads::{benchmark, e1_program, e2_program};
 
@@ -27,11 +27,11 @@ fn bench_entailment(c: &mut Criterion) {
     let mut k = ConstraintSet::new();
     for i in 0..6 {
         k.push(
-            StaticMode::Var(ModeVar::new(format!("X{i}"))),
+            StaticMode::Var(ModeVar::named(Symbol::from_raw(i))),
             StaticMode::Const(ModeName::new("c")),
         );
     }
-    let lo = StaticMode::Var(ModeVar::new("X0"));
+    let lo = StaticMode::Var(ModeVar::named(Symbol::from_raw(0)));
     let hi = StaticMode::Const(ModeName::new("f"));
     c.bench_function("modes/entailment_query", |b| {
         b.iter(|| k.entails(&table, std::hint::black_box(&lo), std::hint::black_box(&hi)))

@@ -41,10 +41,16 @@ fn main() -> ExitCode {
     let stack_size = options
         .stack_size
         .unwrap_or_else(ent_runtime::default_stack_size);
-    let (code, output) =
-        ent_runtime::with_interp_stack(stack_size, || ent_cli::execute(&options, &src));
-    print!("{output}");
-    ExitCode::from(code as u8)
+    match ent_runtime::try_with_interp_stack(stack_size, || ent_cli::execute(&options, &src)) {
+        Ok((code, output)) => {
+            print!("{output}");
+            ExitCode::from(code as u8)
+        }
+        Err(e) => {
+            eprintln!("error: cannot start the interpreter on a {stack_size}-byte stack: {e}");
+            ExitCode::from(1)
+        }
+    }
 }
 
 /// Execs `ent-serve` (expected next to the current executable, as cargo

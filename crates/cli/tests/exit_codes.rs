@@ -221,6 +221,44 @@ fn malformed_engine_settings_in_the_environment_exit_one() {
 }
 
 #[test]
+fn stack_sizes_past_the_address_space_are_malformed() {
+    // 2^64 bytes, and one GiB more: a size whose suffix overflows is
+    // malformed, as the variable's other bad values are, instead of
+    // wrapping to 0 or 1 GiB.
+    for value in ["17179869184g", "17179869185g", "18014398509481984k"] {
+        let out = spawn_ent(&["eval", "1 + 2"], &[("ENT_STACK_SIZE", value)]);
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "{value}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for needle in ["ENT_STACK_SIZE", value] {
+            assert!(stderr.contains(needle), "no {needle:?} in {stderr}");
+        }
+        let out = spawn_ent(&["eval", "1 + 2", "--stack-size", value], &[]);
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "{value}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("malformed stack size"));
+    }
+}
+
+#[test]
+fn a_stack_the_host_refuses_is_an_error_not_a_panic() {
+    // A stack larger than a 47-bit address space, and the default 512 MiB
+    // one under a 400 MB address-space limit: the host refuses the
+    // interpreter thread, and `ent` says so and exits 1.
+    let refused = [
+        spawn_ent(&["eval", "1 + 2"], &[("ENT_STACK_SIZE", "200000g")]),
+        spawn_ent_limited(400_000, &["eval", "1 + 2"]),
+    ];
+    for out in refused {
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("error: cannot start the interpreter"),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
+#[test]
 fn one_shot_commands_compile_deep_sources_on_the_interpreter_stack() {
     // Nested far deeper than the main thread's stack holds in a debug
     // build: `check`, `run` and `fmt` all compile on the interpreter

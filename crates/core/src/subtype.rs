@@ -55,7 +55,7 @@ pub fn is_subtype(
         (Type::Object { class: c, args: ai }, Type::Object { class: d, args: bi }) => {
             // Everything is a subtype of Object at its own mode (and Object
             // is mode-transparent).
-            if d == &ClassName::object() {
+            if d == &ClassName::OBJECT {
                 return true;
             }
             if !table.is_subclass(c, d) {
@@ -81,15 +81,15 @@ pub fn ancestor_args(
     args: &ModeArgs,
     d: &ClassName,
 ) -> Option<ModeArgs> {
-    let mut cur = c.clone();
+    let mut cur = *c;
     let mut cur_args = args.clone();
     loop {
         if &cur == d {
             return Some(cur_args);
         }
         let decl = table.class(&cur)?;
-        let sup_name = decl.superclass.clone();
-        if sup_name == ClassName::object() {
+        let sup_name = decl.superclass;
+        if sup_name == ClassName::OBJECT {
             return None;
         }
         let subst = table.class_subst(&cur, &cur_args);
@@ -163,8 +163,13 @@ mod tests {
         (t, p.mode_table)
     }
 
-    fn obj(class: &str, mode: StaticMode) -> Type {
-        Type::object(class, ModeArgs::of_static(mode))
+    /// The class spelled `name` in `t`'s program.
+    fn class(t: &ClassTable, name: &str) -> ClassName {
+        ClassName::new(t.names().find(name).expect("a class of the program"))
+    }
+
+    fn obj(t: &ClassTable, name: &str, mode: StaticMode) -> Type {
+        Type::object(class(t, name), ModeArgs::of_static(mode))
     }
 
     fn low() -> StaticMode {
@@ -179,7 +184,7 @@ mod tests {
     fn reflexivity() {
         let (t, m) = setup();
         let k = ConstraintSet::new();
-        let ty = obj("Rule", low());
+        let ty = obj(&t, "Rule", low());
         assert!(is_subtype(&t, &m, &k, &ty, &ty));
         assert!(is_subtype(&t, &m, &k, &Type::INT, &Type::INT));
     }
@@ -192,32 +197,32 @@ mod tests {
             &t,
             &m,
             &k,
-            &obj("DepthRule", low()),
-            &obj("Rule", low())
+            &obj(&t, "DepthRule", low()),
+            &obj(&t, "Rule", low())
         ));
         // Mode is invariant:
         assert!(!is_subtype(
             &t,
             &m,
             &k,
-            &obj("DepthRule", low()),
-            &obj("Rule", high())
+            &obj(&t, "DepthRule", low()),
+            &obj(&t, "Rule", high())
         ));
         // And not the other direction:
         assert!(!is_subtype(
             &t,
             &m,
             &k,
-            &obj("Rule", low()),
-            &obj("DepthRule", low())
+            &obj(&t, "Rule", low()),
+            &obj(&t, "DepthRule", low())
         ));
         // Siblings unrelated:
         assert!(!is_subtype(
             &t,
             &m,
             &k,
-            &obj("DepthRule", low()),
-            &obj("MaxRule", low())
+            &obj(&t, "DepthRule", low()),
+            &obj(&t, "MaxRule", low())
         ));
     }
 
@@ -225,13 +230,13 @@ mod tests {
     fn everything_is_an_object() {
         let (t, m) = setup();
         let k = ConstraintSet::new();
-        let object = Type::object("Object", ModeArgs::of_static(StaticMode::Bot));
-        assert!(is_subtype(&t, &m, &k, &obj("Rule", high()), &object));
+        let object = Type::object(ClassName::OBJECT, ModeArgs::of_static(StaticMode::Bot));
+        assert!(is_subtype(&t, &m, &k, &obj(&t, "Rule", high()), &object));
         assert!(is_subtype(
             &t,
             &m,
             &k,
-            &obj("Plain", StaticMode::Bot),
+            &obj(&t, "Plain", StaticMode::Bot),
             &object
         ));
     }
@@ -244,8 +249,8 @@ mod tests {
             &t,
             &m,
             &k,
-            &obj("SubPlain", StaticMode::Bot),
-            &obj("Plain", StaticMode::Bot)
+            &obj(&t, "SubPlain", StaticMode::Bot),
+            &obj(&t, "Plain", StaticMode::Bot)
         ));
     }
 
@@ -253,8 +258,8 @@ mod tests {
     fn mcase_is_covariant() {
         let (t, m) = setup();
         let k = ConstraintSet::new();
-        let sub = Type::MCase(Box::new(obj("DepthRule", low())));
-        let sup = Type::MCase(Box::new(obj("Rule", low())));
+        let sub = Type::MCase(Box::new(obj(&t, "DepthRule", low())));
+        let sup = Type::MCase(Box::new(obj(&t, "Rule", low())));
         assert!(is_subtype(&t, &m, &k, &sub, &sup));
         assert!(!is_subtype(&t, &m, &k, &sup, &sub));
     }
@@ -263,8 +268,8 @@ mod tests {
     fn arrays_are_covariant() {
         let (t, m) = setup();
         let k = ConstraintSet::new();
-        let sub = Type::Array(Box::new(obj("DepthRule", low())));
-        let sup = Type::Array(Box::new(obj("Rule", low())));
+        let sub = Type::Array(Box::new(obj(&t, "DepthRule", low())));
+        let sup = Type::Array(Box::new(obj(&t, "Rule", low())));
         assert!(is_subtype(&t, &m, &k, &sub, &sup));
         assert!(!is_subtype(
             &t,
@@ -278,7 +283,7 @@ mod tests {
     #[test]
     fn mode_equality_uses_constraints() {
         let (t, m) = setup();
-        let x = StaticMode::Var(ModeVar::new("X"));
+        let x = StaticMode::Var(ModeVar::named(t.names().find("X").unwrap()));
         let mut k = ConstraintSet::new();
         k.push(x.clone(), low());
         k.push(low(), x.clone());
@@ -286,8 +291,8 @@ mod tests {
             &t,
             &m,
             &k,
-            &obj("DepthRule", x.clone()),
-            &obj("Rule", low())
+            &obj(&t, "DepthRule", x.clone()),
+            &obj(&t, "Rule", low())
         ));
         // Without both directions, not equal:
         let mut k1 = ConstraintSet::new();
@@ -296,8 +301,8 @@ mod tests {
             &t,
             &m,
             &k1,
-            &obj("DepthRule", x),
-            &obj("Rule", low())
+            &obj(&t, "DepthRule", x),
+            &obj(&t, "Rule", low())
         ));
     }
 
@@ -305,12 +310,12 @@ mod tests {
     fn dynamic_modes_match_dynamic_only() {
         let (t, m) = setup();
         let k = ConstraintSet::new();
-        let dyn_depth = Type::object("DepthRule", ModeArgs::of_dynamic());
-        let dyn_rule = Type::object("Rule", ModeArgs::of_dynamic());
+        let dyn_depth = Type::object(class(&t, "DepthRule"), ModeArgs::of_dynamic());
+        let dyn_rule = Type::object(class(&t, "Rule"), ModeArgs::of_dynamic());
         // (No dynamic classes in this table, but the judgment itself is
         // structural.)
         assert!(is_subtype(&t, &m, &k, &dyn_depth, &dyn_rule));
-        assert!(!is_subtype(&t, &m, &k, &dyn_depth, &obj("Rule", low())));
+        assert!(!is_subtype(&t, &m, &k, &dyn_depth, &obj(&t, "Rule", low())));
     }
 
     #[test]
@@ -318,6 +323,6 @@ mod tests {
         let (t, m) = setup();
         let k = ConstraintSet::new();
         assert!(!is_subtype(&t, &m, &k, &Type::INT, &Type::DOUBLE));
-        assert!(!is_subtype(&t, &m, &k, &Type::STR, &obj("Rule", low())));
+        assert!(!is_subtype(&t, &m, &k, &Type::STR, &obj(&t, "Rule", low())));
     }
 }

@@ -15,12 +15,12 @@
 //! * **T-MCase** / **T-ElimCase** — mode cases must cover every declared
 //!   mode and eliminate at a mode constant or an in-scope mode variable.
 
-use std::sync::LazyLock;
-
-use ent_modes::{Bounded, ConstraintSet, Mode, ModeArgs, ModeTable, ModeVar, StaticMode, Subst};
+use ent_modes::{
+    Bounded, ConstraintSet, Mode, ModeArgs, ModeTable, ModeVar, Names, StaticMode, Subst,
+};
 use ent_syntax::{
     Arm, Ast, BinOp, ClassDecl, ClassName, ClassTable, ExprId, ExprKind, Ident, MethodDecl,
-    PrimType, Program, Span, Stmt, Type, UnOp,
+    PrimType, Program, Span, Spelling, Stmt, Type, UnOp,
 };
 
 use crate::diag::{TypeError, TypeErrorKind};
@@ -65,16 +65,17 @@ impl ObligationKind {
 
 /// One enforcement obligation: a program point the runtime must check,
 /// with enough provenance (class, member, span) to blame the site. The
-/// names share the program's spellings; an obligation allocates none.
+/// names carry the program's name table, so an obligation prints without
+/// a current table and allocates nothing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Obligation {
     /// Which check the runtime owes at this point.
     pub kind: ObligationKind,
     /// The class the checked object belongs to.
-    pub class: ClassName,
+    pub class: Spelling,
     /// The member involved: the invoked method, the read field, or
     /// `snapshot` for a boundary.
-    pub member: Ident,
+    pub member: Spelling,
     /// The source location of the check site (for blame).
     pub span: Span,
 }
@@ -115,15 +116,19 @@ pub fn typecheck_obligations(
 ) -> Result<Vec<Obligation>, Vec<TypeError>> {
     let mut tc = Typechecker {
         ast: program.ast(),
+        names: program.names(),
         table,
         modes: &program.mode_table,
         errors: Vec::new(),
         obligations: Vec::new(),
         fresh: 0,
     };
-    for class in program.classes.iter() {
-        tc.check_class(class);
-    }
+    // Diagnostics print the program's names.
+    program.names().enter(|| {
+        for class in program.classes.iter() {
+            tc.check_class(class);
+        }
+    });
     if tc.errors.is_empty() {
         Ok(tc.obligations)
     } else {
@@ -165,11 +170,13 @@ impl Ctx {
 struct Typechecker<'a> {
     /// The tree the checked bodies live in.
     ast: &'a Ast,
+    /// The names the program's ids index.
+    names: &'a Names,
     table: &'a ClassTable,
     modes: &'a ModeTable,
     errors: Vec<TypeError>,
     obligations: Vec<Obligation>,
-    fresh: usize,
+    fresh: u32,
 }
 
 impl<'a> Typechecker<'a> {
@@ -178,18 +185,18 @@ impl<'a> Typechecker<'a> {
         Type::Error
     }
 
-    fn oblige(&mut self, kind: ObligationKind, class: &ClassName, member: &Ident, span: Span) {
+    fn oblige(&mut self, kind: ObligationKind, class: &ClassName, member: Ident, span: Span) {
         self.obligations.push(Obligation {
             kind,
-            class: class.clone(),
-            member: member.clone(),
+            class: self.names.spelling(class.symbol()),
+            member: self.names.spelling(member.symbol()),
             span,
         });
     }
 
     fn fresh_var(&mut self) -> ModeVar {
         self.fresh += 1;
-        ModeVar::new(format!("$snap{}", self.fresh))
+        ModeVar::fresh(self.fresh)
     }
 
     // ---- declarations ------------------------------------------------------
@@ -214,7 +221,7 @@ impl<'a> Typechecker<'a> {
                     sender_mode: internal.clone(),
                     internal_mode: internal.clone(),
                     ret: fty.clone(),
-                    class: class.name.clone(),
+                    class: class.name,
                 };
                 self.check_expr(&mut ctx, init, &fty);
             }
@@ -233,7 +240,7 @@ impl<'a> Typechecker<'a> {
                 sender_mode: StaticMode::Top,
                 internal_mode: internal.clone(),
                 ret: Type::ModeValue,
-                class: class.name.clone(),
+                class: class.name,
             };
             self.check_expr(&mut ctx, attributor.body, &Type::ModeValue);
         }
@@ -267,7 +274,7 @@ impl<'a> Typechecker<'a> {
                 );
                 continue;
             }
-            mode_vars.push(bound.var.clone());
+            mode_vars.push(bound.var);
             k.extend_pairs(bound.cons());
         }
 
@@ -299,12 +306,12 @@ impl<'a> Typechecker<'a> {
                             method.span,
                         );
                     }
-                    b.var.clone()
+                    b.var
                 }
                 None => {
-                    let var = ModeVar::new(format!("SelfM_{}", method.name));
-                    mode_vars.push(var.clone());
-                    k.extend_pairs(Bounded::unconstrained(var.clone()).cons());
+                    let var = ModeVar::sender_mode(method.name.symbol());
+                    mode_vars.push(var);
+                    k.extend_pairs(Bounded::unconstrained(var).cons());
                     var
                 }
             };
@@ -317,7 +324,7 @@ impl<'a> Typechecker<'a> {
         };
 
         // Main.main boots the program under ⊤ (boot(P) = cl(⊤, e)).
-        let sender_mode = if class.name.as_str() == "Main" && method.name.as_str() == "main" {
+        let sender_mode = if class.name == ClassName::MAIN && method.name == Ident::MAIN {
             StaticMode::Top
         } else {
             sender_mode
@@ -327,7 +334,7 @@ impl<'a> Typechecker<'a> {
         let mut vars = Vec::new();
         for (ty, name) in &method.params {
             let pty = self.wf_type(&mode_vars, ty, method.span, false);
-            vars.push((name.clone(), pty));
+            vars.push((*name, pty));
         }
 
         // The method-level attributor body must produce a mode value.
@@ -340,7 +347,7 @@ impl<'a> Typechecker<'a> {
                 sender_mode: StaticMode::Top,
                 internal_mode: internal.clone(),
                 ret: Type::ModeValue,
-                class: class.name.clone(),
+                class: class.name,
             };
             self.check_expr(&mut ctx, attributor.body, &Type::ModeValue);
         }
@@ -353,7 +360,7 @@ impl<'a> Typechecker<'a> {
             sender_mode,
             internal_mode: internal.clone(),
             ret: ret.clone(),
-            class: class.name.clone(),
+            class: class.name,
         };
         self.check_expr(&mut ctx, method.body, &ret);
     }
@@ -361,7 +368,7 @@ impl<'a> Typechecker<'a> {
     /// Overriding methods must preserve the overridden signature (FJ-style
     /// invariant overriding, including the method-level mode).
     fn check_override(&mut self, class: &ClassDecl, method: &MethodDecl) {
-        if class.superclass == ClassName::object() {
+        if class.superclass == ClassName::OBJECT {
             return;
         }
         let own_args = internal_args_of(class);
@@ -404,7 +411,7 @@ impl<'a> Typechecker<'a> {
 
     fn wf_mode(&mut self, scope: &[ModeVar], mode: &StaticMode, span: Span) {
         if let StaticMode::Var(v) = mode {
-            if !scope.contains(v) && !v.as_str().starts_with("$snap") {
+            if !scope.contains(v) && !v.is_fresh() {
                 self.err(
                     TypeErrorKind::BadModeInstantiation,
                     format!("mode variable `{v}` is not in scope"),
@@ -425,7 +432,7 @@ impl<'a> Typechecker<'a> {
             Type::MCase(t) => Type::MCase(Box::new(self.wf_type(scope, t, span, false))),
             Type::Exists { .. } => ty.clone(),
             Type::Object { class, args } => {
-                if class == &ClassName::object() {
+                if class == &ClassName::OBJECT {
                     return ty.clone();
                 }
                 let Some(decl) = self.table.class(class) else {
@@ -457,7 +464,7 @@ impl<'a> Typechecker<'a> {
                         let mode = mp.bounds[0].lo.clone();
                         let rest = mp.bounds[1..].iter().map(|b| b.lo.clone()).collect();
                         return Type::Object {
-                            class: class.clone(),
+                            class: *class,
                             args: ModeArgs::new(Mode::Static(mode), rest),
                         };
                     }
@@ -790,12 +797,12 @@ impl<'a> Typechecker<'a> {
                                         Type::Object { class: vc, .. }
                                             if self.table.is_subclass(vc, class) =>
                                         {
-                                            ctx.vars.push((name.clone(), vty));
+                                            ctx.vars.push((*name, vty));
                                             last_ty = Type::UNIT;
                                             continue;
                                         }
                                         Type::Error => {
-                                            ctx.vars.push((name.clone(), Type::Error));
+                                            ctx.vars.push((*name, Type::Error));
                                             last_ty = Type::UNIT;
                                             continue;
                                         }
@@ -807,7 +814,7 @@ impl<'a> Typechecker<'a> {
                                                 ),
                                                 ast[value].span,
                                             );
-                                            ctx.vars.push((name.clone(), Type::Error));
+                                            ctx.vars.push((*name, Type::Error));
                                             last_ty = Type::UNIT;
                                             continue;
                                         }
@@ -819,7 +826,7 @@ impl<'a> Typechecker<'a> {
                         }
                         None => self.infer(ctx, value),
                     };
-                    ctx.vars.push((name.clone(), bty));
+                    ctx.vars.push((*name, bty));
                     last_ty = Type::UNIT;
                 }
                 Stmt::Expr(inner) => {
@@ -890,7 +897,7 @@ impl<'a> Typechecker<'a> {
         }
         match self.table.field(class, args, name) {
             Some(f) => {
-                self.oblige(ObligationKind::FieldRead, class, name, span);
+                self.oblige(ObligationKind::FieldRead, class, *name, span);
                 f.ty
             }
             None => self.err(
@@ -987,7 +994,7 @@ impl<'a> Typechecker<'a> {
             if skip_first && i == 0 {
                 continue;
             }
-            let inst = StaticMode::Var(bound.var.clone()).apply(&subst);
+            let inst = StaticMode::Var(bound.var).apply(&subst);
             let lo = bound.lo.apply(&subst);
             let hi = bound.hi.apply(&subst);
             if !ctx.k.entails(self.modes, &lo, &inst) || !ctx.k.entails(self.modes, &inst, &hi) {
@@ -1015,7 +1022,7 @@ impl<'a> Typechecker<'a> {
                 span,
             );
         }
-        let internal_var = mp.bounds.first().map(|b| b.var.clone());
+        let internal_var = mp.bounds.first().map(|b| b.var);
         for (param, &arg) in params.iter().zip(ctor_args) {
             if mp.dynamic {
                 if let Some(v) = &internal_var {
@@ -1036,7 +1043,7 @@ impl<'a> Typechecker<'a> {
         }
 
         Type::Object {
-            class: class.clone(),
+            class: *class,
             args,
         }
     }
@@ -1082,7 +1089,7 @@ impl<'a> Typechecker<'a> {
         };
         // Every send owes the runtime a waterfall re-check: attributed
         // modes and opened existentials are only known dynamically.
-        self.oblige(ObligationKind::CallSite, class, method, span);
+        self.oblige(ObligationKind::CallSite, class, *method, span);
 
         // Generic method-mode instantiation: explicit or inferred by
         // matching declared parameter types against argument types.
@@ -1104,12 +1111,12 @@ impl<'a> Typechecker<'a> {
                 }
                 for (b, m) in resolved.mode_params.iter().zip(mode_args) {
                     self.wf_mode(&ctx.mode_vars, m, span);
-                    msubst.insert(b.var.clone(), m.clone());
+                    msubst.insert(b.var, m.clone());
                 }
             } else {
                 // Infer from argument types.
                 let method_vars: Vec<ModeVar> =
-                    resolved.mode_params.iter().map(|b| b.var.clone()).collect();
+                    resolved.mode_params.iter().map(|b| b.var).collect();
                 let arg_tys: Vec<Type> = args.iter().map(|&a| self.infer(ctx, a)).collect();
                 for (pty, aty) in resolved.params.iter().zip(&arg_tys) {
                     unify_modes(pty, aty, &method_vars, &mut msubst);
@@ -1121,13 +1128,13 @@ impl<'a> Typechecker<'a> {
                             format!("cannot infer method mode parameter `{v}` of `{method}`"),
                             span,
                         );
-                        msubst.insert(v.clone(), StaticMode::Bot);
+                        msubst.insert(*v, StaticMode::Bot);
                     }
                 }
             }
             // Bounds of the instantiation must be entailed.
             for b in &resolved.mode_params {
-                let inst = StaticMode::Var(b.var.clone()).apply(&msubst);
+                let inst = StaticMode::Var(b.var).apply(&msubst);
                 let lo = b.lo.apply(&msubst);
                 let hi = b.hi.apply(&msubst);
                 if !ctx.k.entails(self.modes, &lo, &inst) || !ctx.k.entails(self.modes, &inst, &hi)
@@ -1165,7 +1172,7 @@ impl<'a> Typechecker<'a> {
                         self.table
                             .class(class)
                             .and_then(|d| d.mode_params.bounds.first())
-                            .map(|b| StaticMode::Var(b.var.clone()))
+                            .map(|b| StaticMode::Var(b.var))
                     }
                 },
             };
@@ -1231,16 +1238,15 @@ impl<'a> Typechecker<'a> {
         self.wf_mode(&ctx.mode_vars, hi, span);
         // The boundary itself is the archetypal obligation: the runtime
         // must attribute a mode and prove it lands in [lo, hi].
-        static SNAPSHOT: LazyLock<Ident> = LazyLock::new(|| Ident::new("snapshot"));
-        self.oblige(ObligationKind::Boundary, class, &SNAPSHOT, span);
+        self.oblige(ObligationKind::Boundary, class, Ident::SNAPSHOT, span);
         // T-Snapshot: ∃(lo ≤ mt ≤ hi). c⟨mt, ι⟩, opened eagerly with a
         // fresh variable.
         let fresh = self.fresh_var();
-        ctx.mode_vars.push(fresh.clone());
-        ctx.k.push(lo.clone(), StaticMode::Var(fresh.clone()));
-        ctx.k.push(StaticMode::Var(fresh.clone()), hi.clone());
+        ctx.mode_vars.push(fresh);
+        ctx.k.push(lo.clone(), StaticMode::Var(fresh));
+        ctx.k.push(StaticMode::Var(fresh), hi.clone());
         Type::Object {
-            class: class.clone(),
+            class: *class,
             args: ModeArgs::new(Mode::Static(StaticMode::Var(fresh)), args.rest.clone()),
         }
     }
@@ -1369,7 +1375,7 @@ impl<'a> Typechecker<'a> {
             }
             ret
         };
-        match (ns.as_str(), name.as_str()) {
+        match (self.names.get(ns.symbol()), self.names.get(name.symbol())) {
             ("Ext", "battery") => check(self, &[], Type::DOUBLE),
             ("Ext", "temperature") => check(self, &[], Type::DOUBLE),
             ("Ext", "timeMs") => check(self, &[], Type::DOUBLE),
@@ -1462,7 +1468,7 @@ impl<'a> Typechecker<'a> {
 /// neutral classes.
 pub(crate) fn internal_mode_of(class: &ClassDecl) -> StaticMode {
     match class.mode_params.bounds.first() {
-        Some(b) => StaticMode::Var(b.var.clone()),
+        Some(b) => StaticMode::Var(b.var),
         None => StaticMode::Bot,
     }
 }
@@ -1480,7 +1486,7 @@ pub(crate) fn internal_args_of(class: &ClassDecl) -> ModeArgs {
 
 fn internal_this_type(class: &ClassDecl) -> Type {
     Type::Object {
-        class: class.name.clone(),
+        class: class.name,
         args: internal_args_of(class),
     }
 }
@@ -1524,7 +1530,7 @@ fn unify_modes(pattern: &Type, actual: &Type, vars: &[ModeVar], out: &mut Subst)
 fn bind_mode(pattern: &StaticMode, actual: &StaticMode, vars: &[ModeVar], out: &mut Subst) {
     if let StaticMode::Var(v) = pattern {
         if vars.contains(v) && out.get(v).is_none() {
-            out.insert(v.clone(), actual.clone());
+            out.insert(*v, actual.clone());
         }
     }
 }

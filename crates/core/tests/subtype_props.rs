@@ -4,7 +4,7 @@
 
 use ent_core::is_subtype;
 use ent_modes::{ConstraintSet, Mode, ModeArgs, ModeName, StaticMode};
-use ent_syntax::{parse_program, ClassTable, Type};
+use ent_syntax::{parse_program, ClassName, ClassTable, Type};
 use proptest::prelude::*;
 
 /// Builds a random single-parent class chain `C0 <: C1 <: … <: Object`,
@@ -26,9 +26,14 @@ fn hierarchy(depth: usize) -> (ClassTable, ent_modes::ModeTable) {
     (table, program.mode_table)
 }
 
-fn obj(i: usize, mode: &str) -> Type {
+/// `C{i}@mode<mode>` in `table`'s program.
+fn obj(table: &ClassTable, i: usize, mode: &str) -> Type {
+    let class = table
+        .names()
+        .find(&format!("C{i}"))
+        .expect("a class of the chain");
     Type::object(
-        format!("C{i}").as_str(),
+        ClassName::new(class),
         ModeArgs::new(Mode::Static(StaticMode::Const(ModeName::new(mode))), vec![]),
     )
 }
@@ -45,10 +50,10 @@ proptest! {
         let k = ConstraintSet::new();
         let mode = MODES[m];
         for i in 0..depth {
-            let ti = obj(i, mode);
+            let ti = obj(&table, i, mode);
             prop_assert!(is_subtype(&table, &modes, &k, &ti, &ti));
             for j in i..depth {
-                let tj = obj(j, mode);
+                let tj = obj(&table, j, mode);
                 prop_assert!(is_subtype(&table, &modes, &k, &ti, &tj), "C{i} <: C{j}");
                 if i != j {
                     prop_assert!(!is_subtype(&table, &modes, &k, &tj, &ti), "C{j} </: C{i}");
@@ -64,8 +69,8 @@ proptest! {
         prop_assume!(a != b);
         let (table, modes) = hierarchy(depth);
         let k = ConstraintSet::new();
-        let sub = obj(0, MODES[a]);
-        let sup = obj(depth - 1, MODES[b]);
+        let sub = obj(&table, 0, MODES[a]);
+        let sup = obj(&table, depth - 1, MODES[b]);
         prop_assert!(!is_subtype(&table, &modes, &k, &sub, &sup));
     }
 
@@ -75,8 +80,8 @@ proptest! {
     fn constructors_are_covariant_and_compose(depth in 2usize..5, m in 0usize..3) {
         let (table, modes) = hierarchy(depth);
         let k = ConstraintSet::new();
-        let sub = obj(0, MODES[m]);
-        let sup = obj(depth - 1, MODES[m]);
+        let sub = obj(&table, 0, MODES[m]);
+        let sup = obj(&table, depth - 1, MODES[m]);
         let wrap = |t: Type, i: usize| -> Type {
             match i % 2 {
                 0 => Type::MCase(Box::new(t)),
@@ -99,8 +104,8 @@ proptest! {
         let (table, modes) = hierarchy(depth);
         let k = ConstraintSet::new();
         let i = i % depth;
-        let t = obj(i, MODES[m]);
-        let object = Type::object("Object", ModeArgs::of_static(StaticMode::Bot));
+        let t = obj(&table, i, MODES[m]);
+        let object = Type::object(ClassName::OBJECT, ModeArgs::of_static(StaticMode::Bot));
         prop_assert!(is_subtype(&table, &modes, &k, &t, &object));
         prop_assert!(!is_subtype(&table, &modes, &k, &object, &t));
     }

@@ -48,11 +48,11 @@ impl From<(StaticMode, StaticMode)> for Constraint {
 /// # Example
 ///
 /// ```
-/// use ent_modes::{ConstraintSet, ModeTable, ModeName, ModeVar, StaticMode};
+/// use ent_modes::{ConstraintSet, ModeTable, ModeName, ModeVar, StaticMode, Symbol};
 ///
 /// # fn main() -> Result<(), ent_modes::ModeTableError> {
 /// let table = ModeTable::linear(["low", "high"])?;
-/// let x = StaticMode::Var(ModeVar::new("X"));
+/// let x = StaticMode::Var(ModeVar::named(Symbol::from_raw(0)));
 /// let low = StaticMode::Const(ModeName::new("low"));
 /// let high = StaticMode::Const(ModeName::new("high"));
 ///
@@ -210,7 +210,9 @@ mod tests {
     }
 
     fn v(name: &str) -> StaticMode {
-        StaticMode::Var(ModeVar::new(name))
+        StaticMode::Var(ModeVar::named(crate::Symbol::from_raw(u32::from(
+            name.as_bytes()[0],
+        ))))
     }
 
     fn table() -> ModeTable {
@@ -299,7 +301,11 @@ mod tests {
     fn display_shows_constraints() {
         let mut k = ConstraintSet::new();
         k.push(v("X"), c("managed"));
-        assert_eq!(k.to_string(), "{X ≤ managed}");
+        // `v` names a variable by its spelling's first byte.
+        let mut spellings = vec![""; usize::from(b'X')];
+        spellings.push("X");
+        let names = crate::Names::new(&[], &spellings);
+        assert_eq!(names.enter(|| k.to_string()), "{X ≤ managed}");
     }
 
     #[test]

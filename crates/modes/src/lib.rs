@@ -10,8 +10,9 @@
 //!
 //! # Overview
 //!
-//! * [`ModeName`] / [`ModeVar`] — interned names for mode constants and mode
-//!   type variables.
+//! * [`ModeName`] / [`ModeVar`] — names for mode constants and mode type
+//!   variables; a mode variable, like every name but a mode constant, is an
+//!   id into the compile's [`Names`].
 //! * [`StaticMode`] — the paper's `η ::= m | mt | ⊤ | ⊥`.
 //! * [`Mode`] — the paper's `µ ::= η | ?`, i.e. a static mode or the dynamic
 //!   mode `?` whose concrete value is determined at run time by an attributor.
@@ -55,5 +56,5 @@ mod table;
 pub use constraint::{Constraint, ConstraintSet};
 pub use error::ModeTableError;
 pub use mode::{Bounded, ClassModeParams, Mode, ModeArgs, StaticMode, Subst};
-pub use name::{ModeName, ModeVar};
+pub use name::{write_name, ModeName, ModeVar, Names, Spelling, Symbol, MAX_NAMES};
 pub use table::{ModeTable, ModeTableBuilder};

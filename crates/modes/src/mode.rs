@@ -15,10 +15,10 @@ use crate::{ModeName, ModeVar};
 /// # Example
 ///
 /// ```
-/// use ent_modes::{ModeName, ModeVar, StaticMode};
+/// use ent_modes::{ModeName, ModeVar, StaticMode, Symbol};
 ///
 /// let m = StaticMode::Const(ModeName::new("managed"));
-/// let x = StaticMode::Var(ModeVar::new("X"));
+/// let x = StaticMode::Var(ModeVar::named(Symbol::from_raw(0)));
 /// assert!(m.is_ground());
 /// assert!(!x.is_ground());
 /// assert_eq!(StaticMode::Top.to_string(), "⊤");
@@ -71,7 +71,7 @@ impl StaticMode {
     pub fn collect_vars(&self, out: &mut Vec<ModeVar>) {
         if let StaticMode::Var(v) = self {
             if !out.contains(v) {
-                out.push(v.clone());
+                out.push(*v);
             }
         }
     }
@@ -170,12 +170,13 @@ impl From<StaticMode> for Mode {
 /// # Example
 ///
 /// ```
-/// use ent_modes::{Bounded, ModeVar, StaticMode};
+/// use ent_modes::{Bounded, ModeVar, Names, StaticMode, Symbol};
 ///
-/// let w = Bounded::unconstrained(ModeVar::new("X"));
+/// let names = Names::new(&[], &["X"]);
+/// let w = Bounded::unconstrained(ModeVar::named(Symbol::from_raw(0)));
 /// assert_eq!(w.lo, StaticMode::Bot);
 /// assert_eq!(w.hi, StaticMode::Top);
-/// assert_eq!(w.to_string(), "⊥ ≤ X ≤ ⊤");
+/// assert_eq!(names.enter(|| w.to_string()), "⊥ ≤ X ≤ ⊤");
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Bounded {
@@ -204,7 +205,7 @@ impl Bounded {
 
     /// The paper's `cons(ω)`: the pair of constraints `{η ≤ mt, mt ≤ η'}`.
     pub fn cons(&self) -> [(StaticMode, StaticMode); 2] {
-        let v = StaticMode::Var(self.var.clone());
+        let v = StaticMode::Var(self.var);
         [(self.lo.clone(), v.clone()), (v, self.hi.clone())]
     }
 
@@ -212,7 +213,7 @@ impl Bounded {
     pub fn apply_bounds(&self, subst: &Subst) -> Bounded {
         Bounded {
             lo: self.lo.apply(subst),
-            var: self.var.clone(),
+            var: self.var,
             hi: self.hi.apply(subst),
         }
     }
@@ -236,12 +237,13 @@ impl fmt::Display for Bounded {
 /// # Example
 ///
 /// ```
-/// use ent_modes::{Bounded, ClassModeParams, Mode, ModeVar};
+/// use ent_modes::{Bounded, ClassModeParams, Mode, ModeVar, Symbol};
 ///
 /// // class Agent@mode<? <= X>
-/// let delta = ClassModeParams::dynamic(vec![Bounded::unconstrained(ModeVar::new("X"))]);
+/// let x = ModeVar::named(Symbol::from_raw(0));
+/// let delta = ClassModeParams::dynamic(vec![Bounded::unconstrained(x)]);
 /// assert_eq!(delta.cmode(), Mode::Dynamic);
-/// assert_eq!(delta.params(), vec![ModeVar::new("X")]);
+/// assert_eq!(delta.params(), vec![x]);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClassModeParams {
@@ -290,7 +292,7 @@ impl ClassModeParams {
         if self.dynamic {
             Mode::Dynamic
         } else if let Some(first) = self.bounds.first() {
-            Mode::Static(StaticMode::Var(first.var.clone()))
+            Mode::Static(StaticMode::Var(first.var))
         } else {
             Mode::Static(StaticMode::Bot)
         }
@@ -298,7 +300,7 @@ impl ClassModeParams {
 
     /// The paper's `param(∆)`: the list of bound mode variables, in order.
     pub fn params(&self) -> Vec<ModeVar> {
-        self.bounds.iter().map(|b| b.var.clone()).collect()
+        self.bounds.iter().map(|b| b.var).collect()
     }
 
     /// The paper's `cons(∆)`: the constraints generated by all bounds.
@@ -427,11 +429,12 @@ impl fmt::Display for ModeArgs {
 /// # Example
 ///
 /// ```
-/// use ent_modes::{ModeName, ModeVar, StaticMode, Subst};
+/// use ent_modes::{ModeName, ModeVar, StaticMode, Subst, Symbol};
 ///
 /// let mut s = Subst::new();
-/// s.insert(ModeVar::new("X"), StaticMode::Const(ModeName::new("managed")));
-/// let x = StaticMode::Var(ModeVar::new("X"));
+/// let var = ModeVar::named(Symbol::from_raw(0));
+/// s.insert(var, StaticMode::Const(ModeName::new("managed")));
+/// let x = StaticMode::Var(var);
 /// assert_eq!(x.apply(&s), StaticMode::Const(ModeName::new("managed")));
 /// ```
 ///
@@ -515,8 +518,14 @@ mod tests {
         StaticMode::Const(ModeName::new(name))
     }
 
+    /// A variable named by `name`'s first letter, for tests that do not
+    /// print it.
+    fn var(name: &str) -> ModeVar {
+        ModeVar::named(crate::Symbol::from_raw(u32::from(name.as_bytes()[0])))
+    }
+
     fn v(name: &str) -> StaticMode {
-        StaticMode::Var(ModeVar::new(name))
+        StaticMode::Var(var(name))
     }
 
     #[test]
@@ -532,13 +541,15 @@ mod tests {
         assert_eq!(StaticMode::Bot.to_string(), "⊥");
         assert_eq!(StaticMode::Top.to_string(), "⊤");
         assert_eq!(c("m").to_string(), "m");
-        assert_eq!(v("X").to_string(), "X");
+        let names = crate::Names::new(&[], &["X"]);
+        let x = StaticMode::Var(ModeVar::named(crate::Symbol::from_raw(0)));
+        assert_eq!(names.enter(|| x.to_string()), "X");
     }
 
     #[test]
     fn substitution_replaces_bound_vars_only() {
         let mut s = Subst::new();
-        s.insert(ModeVar::new("X"), c("m"));
+        s.insert(var("X"), c("m"));
         assert_eq!(v("X").apply(&s), c("m"));
         assert_eq!(v("Y").apply(&s), v("Y"));
         assert_eq!(c("m").apply(&s), c("m"));
@@ -547,7 +558,7 @@ mod tests {
 
     #[test]
     fn subst_bind_pairs_vars_with_args() {
-        let s = Subst::bind(&[ModeVar::new("X"), ModeVar::new("Y")], &[c("a"), c("b")]);
+        let s = Subst::bind(&[var("X"), var("Y")], &[c("a"), c("b")]);
         assert_eq!(v("X").apply(&s), c("a"));
         assert_eq!(v("Y").apply(&s), c("b"));
         assert_eq!(s.len(), 2);
@@ -555,13 +566,13 @@ mod tests {
 
     #[test]
     fn subst_rebinding_keeps_the_last_mode_and_equality_ignores_order() {
-        let s = Subst::bind(&[ModeVar::new("X"), ModeVar::new("X")], &[c("a"), c("b")]);
+        let s = Subst::bind(&[var("X"), var("X")], &[c("a"), c("b")]);
         assert_eq!(s.len(), 1);
         assert_eq!(v("X").apply(&s), c("b"));
-        let xy: Subst = [(ModeVar::new("X"), c("a")), (ModeVar::new("Y"), c("b"))]
+        let xy: Subst = [(var("X"), c("a")), (var("Y"), c("b"))]
             .into_iter()
             .collect();
-        let yx: Subst = [(ModeVar::new("Y"), c("b")), (ModeVar::new("X"), c("a"))]
+        let yx: Subst = [(var("Y"), c("b")), (var("X"), c("a"))]
             .into_iter()
             .collect();
         assert_eq!(xy, yx);
@@ -571,14 +582,14 @@ mod tests {
     #[test]
     fn mode_dynamic_is_preserved_by_substitution() {
         let mut s = Subst::new();
-        s.insert(ModeVar::new("X"), c("m"));
+        s.insert(var("X"), c("m"));
         assert_eq!(Mode::Dynamic.apply(&s), Mode::Dynamic);
         assert_eq!(Mode::Static(v("X")).apply(&s), Mode::Static(c("m")));
     }
 
     #[test]
     fn bounded_cons_produces_both_constraints() {
-        let w = Bounded::new(c("lo"), ModeVar::new("X"), c("hi"));
+        let w = Bounded::new(c("lo"), var("X"), c("hi"));
         let [l, r] = w.cons();
         assert_eq!(l, (c("lo"), v("X")));
         assert_eq!(r, (v("X"), c("hi")));
@@ -591,21 +602,21 @@ mod tests {
             Mode::Static(StaticMode::Bot)
         );
 
-        let dynamic = ClassModeParams::dynamic(vec![Bounded::unconstrained(ModeVar::new("X"))]);
+        let dynamic = ClassModeParams::dynamic(vec![Bounded::unconstrained(var("X"))]);
         assert_eq!(dynamic.cmode(), Mode::Dynamic);
 
-        let generic = ClassModeParams::with_bounds(vec![Bounded::unconstrained(ModeVar::new("X"))]);
+        let generic = ClassModeParams::with_bounds(vec![Bounded::unconstrained(var("X"))]);
         assert_eq!(generic.cmode(), Mode::Static(v("X")));
     }
 
     #[test]
     fn class_params_cons_flattens_all_bounds() {
         let delta = ClassModeParams::dynamic(vec![
-            Bounded::new(StaticMode::Bot, ModeVar::new("X"), c("hi")),
-            Bounded::unconstrained(ModeVar::new("Y")),
+            Bounded::new(StaticMode::Bot, var("X"), c("hi")),
+            Bounded::unconstrained(var("Y")),
         ]);
         assert_eq!(delta.cons().len(), 4);
-        assert_eq!(delta.params(), vec![ModeVar::new("X"), ModeVar::new("Y")]);
+        assert_eq!(delta.params(), vec![var("X"), var("Y")]);
         assert_eq!(delta.extra_arity(), 1);
     }
 
@@ -624,13 +635,13 @@ mod tests {
         let args = ModeArgs::new(Mode::Static(v("X")), vec![v("X"), v("Y")]);
         let mut vars = Vec::new();
         args.collect_vars(&mut vars);
-        assert_eq!(vars, vec![ModeVar::new("X"), ModeVar::new("Y")]);
+        assert_eq!(vars, vec![var("X"), var("Y")]);
     }
 
     #[test]
     fn mode_args_apply_substitutes_pointwise() {
         let mut s = Subst::new();
-        s.insert(ModeVar::new("X"), c("m"));
+        s.insert(var("X"), c("m"));
         let args = ModeArgs::new(Mode::Static(v("X")), vec![v("X")]);
         let applied = args.apply(&s);
         assert_eq!(applied.mode, Mode::Static(c("m")));

@@ -1,6 +1,5 @@
 //! The validated mode declaration `D`: a finite lattice of mode constants.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::{ModeName, ModeTableError, StaticMode};
@@ -30,10 +29,9 @@ use crate::{ModeName, ModeTableError, StaticMode};
 pub struct ModeTable {
     /// Declared mode constants in declaration order.
     modes: Vec<ModeName>,
-    /// Index of each mode in `modes`.
-    index: HashMap<ModeName, usize>,
-    /// `le[a][b]` = `a ≤ b` over declared constants (reflexive–transitive).
-    le: Vec<Vec<bool>>,
+    /// `le[a * n + b]` = `a ≤ b` over the `n` declared constants
+    /// (reflexive–transitive), by position in `modes`.
+    le: Vec<bool>,
 }
 
 impl ModeTable {
@@ -74,7 +72,25 @@ impl ModeTable {
 
     /// Returns `true` if `name` is a declared mode constant.
     pub fn contains(&self, name: &ModeName) -> bool {
-        self.index.contains_key(name)
+        self.position(name).is_some()
+    }
+
+    /// The position of `name` in [`ModeTable::modes`], if declared. A
+    /// scan: a block holds at most a few dozen modes, and names of one
+    /// compile compare by pointer.
+    pub fn position(&self, name: &ModeName) -> Option<usize> {
+        self.modes.iter().position(|m| m == name)
+    }
+
+    /// Orders two declared constants by position in [`ModeTable::modes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if either position is out of range.
+    pub fn le_at(&self, a: usize, b: usize) -> bool {
+        let n = self.modes.len();
+        assert!(a < n && b < n, "mode position out of range");
+        self.le[a * n + b]
     }
 
     /// Orders two declared constants: `a ≤ b` under the declared order.
@@ -84,8 +100,8 @@ impl ModeTable {
         if a == b {
             return true;
         }
-        match (self.index.get(a), self.index.get(b)) {
-            (Some(&i), Some(&j)) => self.le[i][j],
+        match (self.position(a), self.position(b)) {
+            (Some(i), Some(j)) => self.le_at(i, j),
             _ => false,
         }
     }
@@ -119,14 +135,14 @@ impl ModeTable {
             (StaticMode::Const(x), StaticMode::Const(y)) => (x, y),
             _ => unreachable!("non-const ground modes are always comparable"),
         };
-        let (&i, &j) = (self.index.get(x)?, self.index.get(y)?);
+        let (i, j) = (self.position(x)?, self.position(y)?);
         let uppers: Vec<usize> = (0..self.modes.len())
-            .filter(|&k| self.le[i][k] && self.le[j][k])
+            .filter(|&k| self.le_at(i, k) && self.le_at(j, k))
             .collect();
         let minimal: Vec<usize> = uppers
             .iter()
             .copied()
-            .filter(|&k| uppers.iter().all(|&u| !self.le[u][k] || u == k))
+            .filter(|&k| uppers.iter().all(|&u| !self.le_at(u, k) || u == k))
             .collect();
         match minimal.as_slice() {
             [only] => Some(StaticMode::Const(self.modes[*only].clone())),
@@ -151,14 +167,14 @@ impl ModeTable {
             (StaticMode::Const(x), StaticMode::Const(y)) => (x, y),
             _ => unreachable!("non-const ground modes are always comparable"),
         };
-        let (&i, &j) = (self.index.get(x)?, self.index.get(y)?);
+        let (i, j) = (self.position(x)?, self.position(y)?);
         let lowers: Vec<usize> = (0..self.modes.len())
-            .filter(|&k| self.le[k][i] && self.le[k][j])
+            .filter(|&k| self.le_at(k, i) && self.le_at(k, j))
             .collect();
         let maximal: Vec<usize> = lowers
             .iter()
             .copied()
-            .filter(|&k| lowers.iter().all(|&l| !self.le[k][l] || l == k))
+            .filter(|&k| lowers.iter().all(|&l| !self.le_at(k, l) || l == k))
             .collect();
         match maximal.as_slice() {
             [only] => Some(StaticMode::Const(self.modes[*only].clone())),
@@ -181,15 +197,15 @@ impl ModeTable {
         let n = self.modes.len();
         let covering = |i: usize, j: usize| {
             i != j
-                && self.le[i][j]
-                && !(0..n).any(|k| k != i && k != j && self.le[i][k] && self.le[k][j])
+                && self.le_at(i, j)
+                && !(0..n).any(|k| k != i && k != j && self.le_at(i, k) && self.le_at(k, j))
         };
         for (i, a) in self.modes.iter().enumerate() {
             // bot -> minimal elements; maximal elements -> top.
-            if !(0..n).any(|k| k != i && self.le[k][i]) {
+            if !(0..n).any(|k| k != i && self.le_at(k, i)) {
                 out.push_str(&format!("  bot -> {a};\n"));
             }
-            if !(0..n).any(|k| k != i && self.le[i][k]) {
+            if !(0..n).any(|k| k != i && self.le_at(i, k)) {
                 out.push_str(&format!("  {a} -> top;\n"));
             }
             for (j, b) in self.modes.iter().enumerate() {
@@ -204,7 +220,6 @@ impl ModeTable {
 }
 
 impl fmt::Display for ModeTable {
-    #[allow(clippy::needless_range_loop)]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "modes {{ ")?;
         let mut first = true;
@@ -212,9 +227,9 @@ impl fmt::Display for ModeTable {
             for (j, b) in self.modes.iter().enumerate() {
                 // Print only covering edges (transitive reduction).
                 if i != j
-                    && self.le[i][j]
+                    && self.le_at(i, j)
                     && !(0..self.modes.len())
-                        .any(|k| k != i && k != j && self.le[i][k] && self.le[k][j])
+                        .any(|k| k != i && k != j && self.le_at(i, k) && self.le_at(k, j))
                 {
                     if !first {
                         write!(f, "; ")?;
@@ -281,28 +296,28 @@ impl ModeTableBuilder {
             }
         }
         let n = self.modes.len();
-        let index: HashMap<ModeName, usize> = self
-            .modes
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, m)| (m, i))
-            .collect();
+        let at = |m: &ModeName| {
+            self.modes
+                .iter()
+                .position(|d| d == m)
+                .expect("every paired mode is declared")
+        };
 
-        // Reflexive–transitive closure via Floyd–Warshall.
-        let mut le = vec![vec![false; n]; n];
-        for (i, row) in le.iter_mut().enumerate() {
-            row[i] = true;
+        // Reflexive–transitive closure via Floyd–Warshall, over one
+        // row-major `n × n` matrix.
+        let mut le = vec![false; n * n];
+        for i in 0..n {
+            le[i * n + i] = true;
         }
         for (a, b) in &self.pairs {
-            le[index[a]][index[b]] = true;
+            le[at(a) * n + at(b)] = true;
         }
         for k in 0..n {
             for i in 0..n {
-                if le[i][k] {
+                if le[i * n + k] {
                     for j in 0..n {
-                        if le[k][j] {
-                            le[i][j] = true;
+                        if le[k * n + j] {
+                            le[i * n + j] = true;
                         }
                     }
                 }
@@ -312,7 +327,7 @@ impl ModeTableBuilder {
         // Antisymmetry: a cycle makes two distinct modes mutually ≤.
         for i in 0..n {
             for j in 0..n {
-                if i != j && le[i][j] && le[j][i] {
+                if i != j && le[i * n + j] && le[j * n + i] {
                     return Err(ModeTableError::Cycle(self.modes[i].clone()));
                 }
             }
@@ -320,7 +335,6 @@ impl ModeTableBuilder {
 
         let table = ModeTable {
             modes: self.modes,
-            index,
             le,
         };
 
@@ -476,7 +490,7 @@ mod tests {
     #[test]
     fn lub_of_variables_is_none() {
         let t = three();
-        let x = StaticMode::Var(crate::ModeVar::new("X"));
+        let x = StaticMode::Var(crate::ModeVar::named(crate::Symbol::from_raw(0)));
         assert_eq!(t.lub(&x, &c("managed")), None);
         assert_eq!(t.glb(&c("managed"), &x), None);
         assert!(!t.le_ground(&x, &c("managed")));

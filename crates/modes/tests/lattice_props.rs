@@ -1,6 +1,6 @@
 //! Property-based tests for the mode lattice and constraint entailment.
 
-use ent_modes::{ConstraintSet, ModeName, ModeTable, ModeVar, StaticMode};
+use ent_modes::{ConstraintSet, ModeName, ModeTable, ModeVar, StaticMode, Symbol};
 use proptest::prelude::*;
 
 /// Generates a random mode table: a random DAG over up to 6 named modes.
@@ -129,8 +129,8 @@ proptest! {
     /// Entailment is monotone: adding constraints never removes entailments.
     #[test]
     fn entailment_is_monotone(table in arb_table()) {
-        let x = StaticMode::Var(ModeVar::new("X"));
-        let y = StaticMode::Var(ModeVar::new("Y"));
+        let x = StaticMode::Var(ModeVar::named(Symbol::from_raw(0)));
+        let y = StaticMode::Var(ModeVar::named(Symbol::from_raw(1)));
         let modes: Vec<StaticMode> = table
             .modes()
             .iter()

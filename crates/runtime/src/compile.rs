@@ -704,7 +704,7 @@ impl Compiler<'_> {
                 let site = self.code.unknown_classes.len() as u32;
                 self.code
                     .unknown_classes
-                    .push(ir.unknown_classes[class as usize].clone());
+                    .push(ir.unknown_classes[class as usize]);
                 self.emit(op_new_unknown, 0, 0, 0, site);
                 self.scratch = mark;
             }

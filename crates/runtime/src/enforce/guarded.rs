@@ -12,7 +12,6 @@
 use std::collections::HashMap;
 
 use ent_energy::WorkKind;
-use ent_syntax::Symbol;
 
 use super::super::{EvalResult, Interp, RtTag, COPY_OVERHEAD_OPS};
 use crate::error::{Flow, RtError};
@@ -55,8 +54,8 @@ impl<'p> Interp<'p> {
                     if !self.config.silent {
                         return Err(RtError::EnergyException(format!(
                             "dynamic waterfall violation: `{}.{}` runs at mode `{}` but the caller is at `{}`",
-                            prog.classes[class as usize].name,
-                            prog.method_names.resolve(Symbol::from_raw(method)),
+                            prog.class_name(class),
+                            prog.method_name(method),
                             prog.mode_disp(rm),
                             prog.mode_disp(sender_mode)
                         ))
@@ -86,7 +85,7 @@ impl<'p> Interp<'p> {
         if !self.config.silent {
             return Err(RtError::EnergyException(format!(
                 "snapshot of `{}` produced mode `{}` outside bounds [{}, {}]",
-                prog.classes[class as usize].name,
+                prog.class_name(class),
                 prog.mode_disp(mode),
                 prog.mode_disp(lo),
                 prog.mode_disp(hi)

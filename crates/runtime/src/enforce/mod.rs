@@ -157,13 +157,14 @@ impl<'p> Interp<'p> {
         let prog = self.prog;
         let data = &self.heap[r];
         let layout = &prog.classes[data.class as usize];
-        // Field ids interned after this layout was built are names no
-        // class declares: out-of-range reads report them absent.
+        // Field ids past the declared names are names no class declares:
+        // out-of-range reads report them absent.
         match layout.field_slot.get(field as usize) {
             Some(&s) if s != u32::MAX => Ok(data.fields[s as usize].dup()),
             _ => Err(RtError::Native(format!(
                 "class `{}` has no field `{}`",
-                layout.name, prog.ir.names[name as usize]
+                prog.spell(layout.name),
+                prog.spell(prog.ir.names[name as usize])
             ))
             .into()),
         }
@@ -220,13 +221,13 @@ impl<'p> Interp<'p> {
         };
         let prog = self.prog;
         let actual = self.heap[*r].class;
-        let actual_name = &prog.classes[actual as usize].name;
+        let actual_name = prog.class_name(actual);
         match *check {
             CastCheck::Class(cid) => {
                 if !prog.is_subclass_id(actual, cid) {
                     return Err(RtError::BadCast(format!(
                         "object of class `{actual_name}` is not a `{}`",
-                        prog.classes[cid as usize].name
+                        prog.class_name(cid)
                     ))
                     .into());
                 }
@@ -234,7 +235,7 @@ impl<'p> Interp<'p> {
             }
             CastCheck::Unknown(class) => Err(RtError::BadCast(format!(
                 "object of class `{actual_name}` is not a `{}`",
-                prog.ir.unknown_classes[class as usize]
+                prog.spell(prog.ir.unknown_classes[class as usize])
             ))
             .into()),
         }

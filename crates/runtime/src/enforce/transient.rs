@@ -24,8 +24,6 @@
 //! the two strategies are value- and energy-identical — the
 //! `enforcement_differential` suite pins this on the lattice corners.
 
-use ent_syntax::Symbol;
-
 use super::super::{Frame, Interp, RtTag};
 use crate::error::{Flow, RtError};
 use crate::events::{EnergyEvent, EventPayload};
@@ -65,8 +63,8 @@ impl<'p> Interp<'p> {
                         let prog = self.prog;
                         return Err(RtError::EnergyException(format!(
                             "transient check failed at call site: `{}.{}` runs at mode `{}` but the caller is at `{}`",
-                            prog.classes[class as usize].name,
-                            prog.method_names.resolve(Symbol::from_raw(method)),
+                            prog.class_name(class),
+                            prog.method_name(method),
                             prog.mode_disp(rm),
                             prog.mode_disp(sender_mode)
                         ))
@@ -99,8 +97,8 @@ impl<'p> Interp<'p> {
                 let class = self.heap[r].class;
                 return Err(RtError::EnergyException(format!(
                     "transient check failed at field read: `{}` read on a dynamic object of class `{}`; snapshot it first",
-                    self.prog.ir.names[name as usize],
-                    self.prog.classes[class as usize].name
+                    self.prog.spell(self.prog.ir.names[name as usize]),
+                    self.prog.class_name(class)
                 ))
                 .into());
             }
@@ -124,7 +122,7 @@ impl<'p> Interp<'p> {
         if !self.config.silent {
             return Err(RtError::EnergyException(format!(
                 "transient check failed at boundary: snapshot of `{}` produced mode `{}` outside bounds [{}, {}]",
-                prog.classes[class as usize].name,
+                prog.class_name(class),
                 prog.mode_disp(mode),
                 prog.mode_disp(lo),
                 prog.mode_disp(hi)

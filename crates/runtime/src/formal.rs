@@ -17,9 +17,56 @@
 //!   semantics (see `lower` and the equivalence tests).
 
 use std::fmt;
+use std::sync::Arc;
 
 use ent_modes::{ClassModeParams, ModeName, ModeTable, StaticMode, Subst};
-use ent_syntax::{ClassName, Ident};
+
+/// A class, field, method or variable name of the formal core: its
+/// spelling. The machine is an oracle kept apart from the compiler, so
+/// its terms carry text, not ids into a compile's name table; [`lower`]
+/// spells a program's names out.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Name(Arc<str>);
+
+/// A class name of the formal core.
+pub type ClassName = Name;
+
+/// A field, method or variable name of the formal core.
+pub type Ident = Name;
+
+impl Name {
+    /// The name spelled `name`.
+    pub fn new(name: impl AsRef<str>) -> Self {
+        Name(Arc::from(name.as_ref()))
+    }
+
+    /// The root of the class hierarchy.
+    pub fn object() -> Self {
+        Name::new("Object")
+    }
+
+    /// Whether this is the root class `Object`.
+    pub fn is_object(&self) -> bool {
+        &*self.0 == "Object"
+    }
+
+    /// The spelling.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Name({})", self.0)
+    }
+}
 
 /// A runtime mode tag: dynamic objects are untagged.
 #[derive(Clone, Debug, PartialEq)]
@@ -286,7 +333,7 @@ impl FProgram {
     pub fn fields(&self, class: &ClassName) -> Vec<Ident> {
         let mut chain = Vec::new();
         let mut cur = class.clone();
-        while cur != ClassName::object() {
+        while !cur.is_object() {
             let Some(decl) = self.class(&cur) else { break };
             chain.push(decl);
             cur = decl.superclass.clone();
@@ -310,7 +357,7 @@ impl FProgram {
         if let Some(m) = decl.methods.iter().find(|m| &m.name == method) {
             return Some((m.clone(), subst));
         }
-        if decl.superclass == ClassName::object() {
+        if decl.superclass.is_object() {
             return None;
         }
         let sup = self.class(&decl.superclass)?;
@@ -687,14 +734,14 @@ impl<'a> Machine<'a> {
         if let FMode::Ground(m) = &o.mode {
             flat.push(m.clone());
         } else if let Some(first) = params.first() {
-            flat.push(StaticMode::Var(first.clone()));
+            flat.push(StaticMode::Var(*first));
         }
         flat.extend(o.extra.iter().cloned());
         Subst::bind(&params, &flat)
     }
 
     fn is_subclass(&self, c: &ClassName, d: &ClassName) -> bool {
-        if d == &ClassName::object() {
+        if d.is_object() {
             return true;
         }
         let mut cur = c.clone();
@@ -703,7 +750,7 @@ impl<'a> Machine<'a> {
                 return true;
             }
             match self.program.class(&cur) {
-                Some(decl) if decl.superclass != ClassName::object() => {
+                Some(decl) if !decl.superclass.is_object() => {
                     cur = decl.superclass.clone();
                 }
                 Some(_) => return false,
@@ -821,22 +868,29 @@ pub mod build {
 /// extensions outside the core (primitives, blocks with `let`, builtins,
 /// `try`, method-level modes, field initializers).
 pub fn lower(program: &ent_syntax::Program) -> Option<FProgram> {
+    use ent_modes::{Names, Symbol};
     use ent_syntax::{Ast, ExprId, ExprKind, Stmt};
 
-    fn lower_expr(ast: &Ast, e: ExprId) -> Option<Term> {
+    /// The spelling of `name` in `names`.
+    fn spell(names: &Names, name: impl Into<Symbol>) -> Name {
+        Name::new(names.get(name.into()))
+    }
+
+    fn lower_expr(ast: &Ast, names: &Names, e: ExprId) -> Option<Term> {
         let list = |items: ent_syntax::ExprList| {
             ast[items]
                 .iter()
-                .map(|&a| lower_expr(ast, a))
+                .map(|&a| lower_expr(ast, names, a))
                 .collect::<Option<Vec<_>>>()
         };
         Some(match &ast[e].kind {
-            ExprKind::Var(x) => Term::Var(x.clone()),
+            ExprKind::Var(x) => Term::Var(spell(names, *x)),
             ExprKind::This => Term::Var(Ident::new("this")),
             ExprKind::ModeConst(m) => Term::ModeV(m.clone()),
-            ExprKind::Field { recv, name } => {
-                Term::Field(Box::new(lower_expr(ast, *recv)?), name.clone())
-            }
+            ExprKind::Field { recv, name } => Term::Field(
+                Box::new(lower_expr(ast, names, *recv)?),
+                spell(names, *name),
+            ),
             ExprKind::New {
                 class,
                 args,
@@ -851,7 +905,7 @@ pub fn lower(program: &ent_syntax::Program) -> Option<FProgram> {
                     None => (FMode::Dynamic, Vec::new()),
                 };
                 Term::New {
-                    class: class.clone(),
+                    class: spell(names, *class),
                     mode,
                     extra,
                     args: list(*ctor_args)?,
@@ -863,54 +917,59 @@ pub fn lower(program: &ent_syntax::Program) -> Option<FProgram> {
                 mode_args,
                 args,
             } if mode_args.is_empty() => Term::Call(
-                Box::new(lower_expr(ast, *recv)?),
-                method.clone(),
+                Box::new(lower_expr(ast, names, *recv)?),
+                spell(names, *method),
                 list(*args)?,
             ),
             ExprKind::Cast { ty, expr } => {
                 let ent_syntax::Type::Object { class, .. } = &ast[*ty] else {
                     return None;
                 };
-                Term::Cast(class.clone(), Box::new(lower_expr(ast, *expr)?))
+                Term::Cast(
+                    spell(names, *class),
+                    Box::new(lower_expr(ast, names, *expr)?),
+                )
             }
-            ExprKind::Snapshot { expr, lo, hi } => {
-                Term::Snapshot(Box::new(lower_expr(ast, *expr)?), lo.clone(), hi.clone())
-            }
+            ExprKind::Snapshot { expr, lo, hi } => Term::Snapshot(
+                Box::new(lower_expr(ast, names, *expr)?),
+                lo.clone(),
+                hi.clone(),
+            ),
             ExprKind::MCase { arms, .. } => Term::MCase(
                 ast[*arms]
                     .iter()
-                    .map(|(m, a)| Some((m.clone(), lower_expr(ast, *a)?)))
+                    .map(|(m, a)| Some((m.clone(), lower_expr(ast, names, *a)?)))
                     .collect::<Option<Vec<_>>>()?,
             ),
             ExprKind::Elim {
                 expr,
                 mode: Some(m),
-            } => Term::Elim(Box::new(lower_expr(ast, *expr)?), m.clone()),
+            } => Term::Elim(Box::new(lower_expr(ast, names, *expr)?), m.clone()),
             // Blocks lower to nested lets; the trailing statement is the
             // result.
-            ExprKind::Block(stmts) => lower_block(ast, &ast[*stmts])?,
+            ExprKind::Block(stmts) => lower_block(ast, names, &ast[*stmts])?,
             _ => return None,
         })
     }
 
-    fn lower_block(ast: &Ast, stmts: &[Stmt]) -> Option<Term> {
+    fn lower_block(ast: &Ast, names: &Names, stmts: &[Stmt]) -> Option<Term> {
         match stmts {
-            [Stmt::Return(inner)] | [Stmt::Expr(inner)] => lower_expr(ast, *inner),
+            [Stmt::Return(inner)] | [Stmt::Expr(inner)] => lower_expr(ast, names, *inner),
             [Stmt::Let { name, value, .. }, rest @ ..] if !rest.is_empty() => Some(Term::Let(
-                name.clone(),
-                Box::new(lower_expr(ast, *value)?),
-                Box::new(lower_block(ast, rest)?),
+                spell(names, *name),
+                Box::new(lower_expr(ast, names, *value)?),
+                Box::new(lower_block(ast, names, rest)?),
             )),
             [Stmt::Expr(inner), rest @ ..] if !rest.is_empty() => Some(Term::Let(
                 Ident::new("$ignored"),
-                Box::new(lower_expr(ast, *inner)?),
-                Box::new(lower_block(ast, rest)?),
+                Box::new(lower_expr(ast, names, *inner)?),
+                Box::new(lower_block(ast, names, rest)?),
             )),
             _ => None,
         }
     }
 
-    let ast = program.ast();
+    let (ast, names) = (program.ast(), program.names());
     let classes = program
         .classes
         .iter()
@@ -919,11 +978,11 @@ pub fn lower(program: &ent_syntax::Program) -> Option<FProgram> {
                 return None;
             }
             Some(FClass {
-                name: c.name.clone(),
+                name: spell(names, c.name),
                 mode_params: c.mode_params.clone(),
-                superclass: c.superclass.clone(),
+                superclass: spell(names, c.superclass),
                 super_args: c.super_args.clone(),
-                fields: c.fields.iter().map(|f| f.name.clone()).collect(),
+                fields: c.fields.iter().map(|f| spell(names, f.name)).collect(),
                 methods: c
                     .methods
                     .iter()
@@ -932,14 +991,14 @@ pub fn lower(program: &ent_syntax::Program) -> Option<FProgram> {
                             return None;
                         }
                         Some(FMethod {
-                            name: m.name.clone(),
-                            params: m.params.iter().map(|(_, x)| x.clone()).collect(),
-                            body: lower_expr(ast, m.body)?,
+                            name: spell(names, m.name),
+                            params: m.params.iter().map(|&(_, x)| spell(names, x)).collect(),
+                            body: lower_expr(ast, names, m.body)?,
                         })
                     })
                     .collect::<Option<Vec<_>>>()?,
                 attributor: match &c.attributor {
-                    Some(a) => Some(lower_expr(ast, a.body)?),
+                    Some(a) => Some(lower_expr(ast, names, a.body)?),
                     None => None,
                 },
             })
@@ -980,7 +1039,7 @@ pub fn describe_value(program: &FProgram, term: &Term) -> String {
 mod tests {
     use super::build::*;
     use super::*;
-    use ent_modes::ModeVar;
+    use ent_modes::{ModeVar, Symbol};
 
     fn two_mode_table() -> ModeTable {
         ModeTable::linear(["low", "high"]).unwrap()
@@ -995,7 +1054,7 @@ mod tests {
                 FClass {
                     name: ClassName::new("Probe"),
                     mode_params: ClassModeParams::dynamic(vec![ent_modes::Bounded::unconstrained(
-                        ModeVar::new("P"),
+                        ModeVar::named(Symbol::from_raw(0)),
                     )]),
                     superclass: ClassName::object(),
                     super_args: vec![],
@@ -1003,7 +1062,10 @@ mod tests {
                     methods: vec![method(
                         "read",
                         &[],
-                        elim(field(this(), "tag"), StaticMode::Var(ModeVar::new("P"))),
+                        elim(
+                            field(this(), "tag"),
+                            StaticMode::Var(ModeVar::named(Symbol::from_raw(0))),
+                        ),
                     )],
                     attributor: Some(field(this(), "level")),
                 },
@@ -1109,7 +1171,7 @@ mod tests {
             classes: vec![FClass {
                 name: ClassName::new("W"),
                 mode_params: ClassModeParams::with_bounds(vec![ent_modes::Bounded::unconstrained(
-                    ModeVar::new("X"),
+                    ModeVar::named(Symbol::from_raw(0)),
                 )]),
                 superclass: ClassName::object(),
                 super_args: vec![],
@@ -1166,7 +1228,7 @@ mod tests {
             classes: vec![FClass {
                 name: ClassName::new("W"),
                 mode_params: ClassModeParams::with_bounds(vec![ent_modes::Bounded::unconstrained(
-                    ModeVar::new("X"),
+                    ModeVar::named(Symbol::from_raw(0)),
                 )]),
                 superclass: ClassName::object(),
                 super_args: vec![],

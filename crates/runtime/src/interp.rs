@@ -49,7 +49,7 @@ use ent_energy::{
     WorkKind,
 };
 use ent_modes::ModeName;
-use ent_syntax::{BinOp, Symbol, UnOp};
+use ent_syntax::{BinOp, UnOp};
 
 use crate::compile::BuiltinSite;
 use crate::error::{Flow, RtError};
@@ -942,9 +942,15 @@ impl<'p> Interp<'p> {
                     .field_order
                     .iter()
                     .zip(&data.fields)
-                    .map(|(n, fv)| format!("{n}={}", self.render_deep(fv, depth + 1)))
+                    .map(|(&n, fv)| {
+                        format!("{}={}", self.prog.spell(n), self.render_deep(fv, depth + 1))
+                    })
                     .collect();
-                format!("{}@{mode}{{{}}}", layout.name, parts.join(","))
+                format!(
+                    "{}@{mode}{{{}}}",
+                    self.prog.spell(layout.name),
+                    parts.join(",")
+                )
             }
             Value::MCase(arms) => {
                 let parts: Vec<String> = arms
@@ -982,7 +988,7 @@ impl<'p> Interp<'p> {
     fn unbound_mode_var(&self, var: u32) -> Flow {
         RtError::Native(format!(
             "unbound mode variable `{}`",
-            self.prog.mode_vars.resolve(Symbol::from_raw(var))
+            self.prog.mode_disp(GMode::Var(var))
         ))
         .into()
     }
@@ -994,8 +1000,8 @@ impl<'p> Interp<'p> {
     /// still surfaced as a structured runtime error rather than a panic so
     /// a hand-assembled or corrupted IR degrades instead of aborting.
     fn mode_const(&self, m: &ModeName) -> Result<GMode, Flow> {
-        match self.prog.mode_names.get(m.as_str()) {
-            Some(sym) => Ok(GMode::Const(sym.raw())),
+        match self.prog.mode_id(m) {
+            Some(id) => Ok(GMode::Const(id)),
             None => {
                 Err(RtError::Native(format!("mode `{m}` is not declared by this program")).into())
             }
@@ -1042,14 +1048,15 @@ impl<'p> Interp<'p> {
         // declaration order; initializer fields are evaluated afterwards,
         // each in its owning class's context.
         let mut ctor_iter = ctor_vals.into_iter();
-        for (slot, name) in &layout.ctor.positional {
+        for &(slot, name) in &layout.ctor.positional {
             let v = ctor_iter.next().ok_or_else(|| {
                 Flow::Error(RtError::Native(format!(
-                    "missing constructor argument for field `{name}` of `{}`",
-                    layout.name
+                    "missing constructor argument for field `{}` of `{}`",
+                    self.prog.spell(name),
+                    self.prog.spell(layout.name)
                 )))
             })?;
-            self.heap[obj_ref].fields[*slot as usize] = v;
+            self.heap[obj_ref].fields[slot as usize] = v;
         }
         for job in &layout.ctor.inits {
             let mut env = self.grab_env();
@@ -1189,8 +1196,8 @@ impl<'p> Interp<'p> {
                 Some(e) => Ok(e),
                 None => Err(RtError::Native(format!(
                     "class `{}` has no method `{}`",
-                    layout.name,
-                    prog.method_names.resolve(Symbol::from_raw(method))
+                    prog.spell(layout.name),
+                    prog.method_name(method)
                 ))
                 .into()),
             }
@@ -1366,7 +1373,7 @@ impl<'p> Interp<'p> {
         let Some(attributor) = &layout.attributor else {
             return Err(RtError::Native(format!(
                 "class `{}` has no attributor; only dynamic objects can be snapshotted",
-                layout.name
+                prog.spell(layout.name)
             ))
             .into());
         };
@@ -1570,7 +1577,7 @@ impl<'p> Interp<'p> {
     fn unbound(&self, name: u32) -> Flow {
         RtError::Native(format!(
             "unbound variable `{}`",
-            self.prog.ir.names[name as usize]
+            self.prog.spell(self.prog.ir.names[name as usize])
         ))
         .into()
     }
@@ -1612,7 +1619,7 @@ impl<'p> Interp<'p> {
         }
         Err(RtError::Native(format!(
             "unknown class `{}`",
-            ir.unknown_classes[class as usize]
+            self.prog.spell(ir.unknown_classes[class as usize])
         ))
         .into())
     }
@@ -2005,6 +2012,7 @@ impl<'p> Interp<'p> {
             }
             _ => {
                 let (ns, name) = self.prog.ir.builtin_name(name);
+                let (ns, name) = (self.prog.spell(*ns), self.prog.spell(*name));
                 Err(native(format!(
                     "unknown or misapplied builtin `{ns}.{name}` with {} args",
                     op.written_args(args.len())
@@ -2072,7 +2080,8 @@ mod clone_audit {
             .find_map(|node| match *node {
                 Node::Builtin { name: n, .. } => {
                     let (n_ns, n_name) = ir.builtin_name(n);
-                    (n_ns.as_str() == ns && n_name.as_str() == name).then_some(n)
+                    let prog = it.prog;
+                    (prog.spell(*n_ns) == ns && prog.spell(*n_name) == name).then_some(n)
                 }
                 _ => None,
             })

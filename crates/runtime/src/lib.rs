@@ -65,7 +65,7 @@ pub use profile::{
 };
 pub use stack::{
     check_env_settings, default_stack_size, parse_stack_size, release_idle_stack, spawn_interp,
-    spawn_interp_scoped, with_interp_stack, BUILTIN_STACK_SIZE,
+    spawn_interp_scoped, try_with_interp_stack, with_interp_stack, BUILTIN_STACK_SIZE,
 };
 pub use telemetry::json_is_valid;
 pub use value::{ObjRef, RtMode, Value};

@@ -9,7 +9,10 @@
 //! `HashMap<ModeVar, StaticMode>` per call frame. This module performs all
 //! of that resolution once, at load time:
 //!
-//! * Every name is interned to a dense `u32` (see [`ent_syntax::intern`]).
+//! * Names arrive as ids into the program's name table
+//!   ([`ent_modes::Names`]); methods and fields get dense ids of their
+//!   own, declared names first, so vtables and field tables are as wide
+//!   as the names the program declares.
 //! * Variables become frame-slot indices ([`Node::Var`]); frames hold a
 //!   flat `Vec<Value>` scoped by push/truncate.
 //! * Field accesses become per-class slot offsets resolved through a
@@ -39,9 +42,9 @@ use std::sync::OnceLock;
 
 use ent_core::CompiledProgram;
 use ent_energy::WorkKind;
-use ent_modes::{Mode, ModeName, ModeVar, StaticMode};
+use ent_modes::{Mode, ModeName, ModeVar, Names, StaticMode, Symbol};
 use ent_syntax::{
-    Ast, BinOp, ClassDecl, ClassName, ExprId, ExprKind, Ident, Interner, Lit, MethodDecl, Stmt,
+    Ast, BinOp, ClassDecl, ClassName, ClassTable, ExprId, ExprKind, Ident, Lit, MethodDecl, Stmt,
     Type, UnOp,
 };
 
@@ -64,9 +67,9 @@ pub enum GMode {
     Top,
     /// A mode constant, by id in `LoweredProgram::mode_names`.
     Const(u32),
-    /// An unresolved mode variable, by id in `LoweredProgram::mode_vars`
-    /// (threads through superclass instantiations exactly as the old
-    /// evaluator kept `StaticMode::Var` values in its environments).
+    /// An unresolved mode variable, by its [`ModeVar::raw`] id (threads
+    /// through superclass instantiations exactly as the old evaluator kept
+    /// `StaticMode::Var` values in its environments).
     Var(u32),
     /// No binding. Reading it through `LMode::Param` raises the
     /// "unbound mode variable" error the absent hash-map key used to.
@@ -295,8 +298,9 @@ pub(crate) struct ClassLayout {
     pub(crate) n_mode_params: u32,
     /// Field names in slot order (inherited first), for rendering.
     pub(crate) field_order: Vec<Ident>,
-    /// Global field id → slot, `u32::MAX` when the class lacks the field.
-    /// Ids interned after this layout was built simply index out of range.
+    /// Field id → slot, `u32::MAX` when the class lacks the field: one
+    /// entry per distinct declared field name. Ids of names no class
+    /// declares index out of range.
     pub(crate) field_slot: Vec<u32>,
     pub(crate) ctor: CtorPlan,
     pub(crate) attributor: Option<ClassAttributor>,
@@ -565,16 +569,18 @@ impl Ir {
 /// [`crate::run_lowered`].
 #[derive(Debug)]
 pub struct LoweredProgram {
+    /// The program's name table: every [`ClassName`], [`Ident`] and
+    /// [`ModeVar`] in the lowered program is an id into it.
+    pub(crate) names: Names,
     /// Mode constants; the first `n_declared` are the `modes { … }` block
     /// in declaration order, the rest were merely mentioned.
-    pub(crate) mode_names: Interner,
+    pub(crate) mode_names: Vec<ModeName>,
     pub(crate) n_declared: u32,
     /// `n_declared × n_declared` partial-order matrix, row-major.
     pub(crate) mode_le: Vec<bool>,
-    /// Mode variables (display names for diagnostics).
-    pub(crate) mode_vars: Interner,
-    /// Global method-name table.
-    pub(crate) method_names: Interner,
+    /// Each method id's name: the declared names first (the vtable
+    /// stride), then names only called.
+    pub(crate) method_names: Vec<Ident>,
     /// Class layouts in declaration order.
     pub(crate) classes: Vec<ClassLayout>,
     /// Every class's vtable, `n_methods` entries per class in class
@@ -653,13 +659,25 @@ impl LoweredProgram {
 
     /// The name of a class id, as carried by [`crate::EnergyEvent`]s.
     pub fn class_name(&self, id: u32) -> &str {
-        self.classes[id as usize].name.as_str()
+        self.spell(self.classes[id as usize].name)
     }
 
     /// The name of a global method id, as carried by
     /// [`crate::EnergyEvent`]s and profile frames.
     pub fn method_name(&self, id: u32) -> &str {
-        self.method_names.resolve(ent_syntax::Symbol::from_raw(id))
+        self.spell(self.method_names[id as usize])
+    }
+
+    /// The spelling of a class, member or variable name of the program.
+    pub(crate) fn spell(&self, name: impl Into<Symbol>) -> &str {
+        self.names.get(name.into())
+    }
+
+    /// The mode id of constant `m`, if the program mentions it. A scan:
+    /// a program mentions a few modes, and its mode values share their
+    /// spellings' allocations, so they compare by pointer.
+    pub(crate) fn mode_id(&self, m: &ModeName) -> Option<u32> {
+        self.mode_names.iter().position(|n| n == m).map(index)
     }
 
     /// Renders an interned mode back through the interner (`⊥`, `⊤`,
@@ -686,13 +704,9 @@ impl fmt::Display for DispMode<'_> {
         match self.g {
             GMode::Bot => f.write_str("⊥"),
             GMode::Top => f.write_str("⊤"),
-            GMode::Const(i) => f.write_str(
-                self.prog
-                    .mode_names
-                    .resolve(ent_syntax::Symbol::from_raw(i)),
-            ),
-            GMode::Var(i) => {
-                f.write_str(self.prog.mode_vars.resolve(ent_syntax::Symbol::from_raw(i)))
+            GMode::Const(i) => f.write_str(self.prog.mode_names[i as usize].as_str()),
+            GMode::Var(v) => {
+                ModeVar::from_raw(v).write_with(f, |f, name| f.write_str(self.prog.names.get(name)))
             }
             GMode::Missing => f.write_str("<unbound>"),
         }
@@ -709,25 +723,18 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
     let program = &compiled.program;
     let table = &compiled.table;
 
-    let mut mode_names = Interner::new();
-    for m in program.mode_table.modes() {
-        mode_names.intern(m.as_str());
-    }
-    let n_declared = mode_names.len() as u32;
-    let n = n_declared as usize;
+    let declared = program.mode_table.modes();
+    let n = declared.len();
+    let n_declared = index(n);
     let mut mode_le = vec![false; n * n];
-    for (i, a) in program.mode_table.modes().iter().enumerate() {
-        for (j, b) in program.mode_table.modes().iter().enumerate() {
-            mode_le[i * n + j] = program.mode_table.le_const(a, b);
+    for i in 0..n {
+        for j in 0..n {
+            mode_le[i * n + j] = program.mode_table.le_at(i, j);
         }
     }
 
-    let class_order = table.names();
+    let class_order = table.class_names();
     let nc = class_order.len();
-    let mut class_ids = HashMap::with_capacity(nc);
-    for (i, c) in class_order.iter().enumerate() {
-        class_ids.insert(c, index(i));
-    }
     let decls: Vec<&ClassDecl> = class_order
         .iter()
         .map(|c| table.class(c).expect("ordered classes exist"))
@@ -736,22 +743,22 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
     // cycles.
     let parent: Vec<u32> = decls
         .iter()
-        .map(|d| match class_ids.get(&d.superclass) {
-            Some(&p) => p,
-            None => NO_CLASS,
-        })
+        .map(|d| table.position(&d.superclass).map_or(NO_CLASS, index))
         .collect();
     let subclass = subclass_intervals(&parent);
 
+    let n_names = program.names().len();
     let mut lowerer = Lowerer {
         ast: program.ast(),
+        table,
         decls,
         parent,
-        class_ids,
-        mode_names,
-        mode_vars: Interner::new(),
-        method_names: Interner::new(),
-        field_names: Interner::new(),
+        mode_names: declared.to_vec(),
+        method_ids: vec![NO_ID; n_names],
+        method_names: Vec::new(),
+        field_ids: vec![NO_ID; n_names],
+        n_field_ids: 0,
+        n_fields: 0,
         ir: Ir::default(),
         bodies: Vec::new(),
         methods: Vec::new(),
@@ -777,16 +784,19 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
     lowerer.methods.reserve_exact(sizes.methods);
     lowerer.method_cache.reserve(sizes.methods);
 
-    // Pre-intern every declared method and field name so vtables and field
-    // tables built early still cover names declared in later classes.
-    for decl in &lowerer.decls {
+    // Number every declared method and field name first, so vtables and
+    // field tables built early still cover names declared in later
+    // classes, and are exactly as wide as the declared names.
+    for ci in 0..nc {
+        let decl = lowerer.decls[ci];
         for f in &decl.fields {
-            lowerer.field_names.intern(f.name.as_str());
+            lowerer.field_id(f.name);
         }
         for m in &decl.methods {
-            lowerer.method_names.intern(m.name.as_str());
+            lowerer.method_id(m.name);
         }
     }
+    lowerer.n_fields = lowerer.n_field_ids as usize;
     lowerer.n_methods = lowerer.method_names.len();
     lowerer.vtables = vec![None; nc * lowerer.n_methods];
     let n_methods = index(lowerer.n_methods);
@@ -796,20 +806,14 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
         classes.push(lowerer.lower_class(ci));
     }
 
-    let main = table.class(&ClassName::new("Main")).and_then(|decl| {
-        decl.method(&Ident::new("main"))?;
-        let cid = lowerer.class_ids[&ClassName::new("Main")];
-        let mid = lowerer
-            .method_names
-            .get("main")
-            .expect("declared method names are pre-interned")
-            .raw();
-        Some((cid, mid))
+    let main = table.class(&ClassName::MAIN).and_then(|decl| {
+        decl.method(&Ident::MAIN)?;
+        let cid = table.position(&ClassName::MAIN)?;
+        Some((index(cid), lowerer.method_ids[Ident::MAIN.symbol().index()]))
     });
 
     let Lowerer {
         mode_names,
-        mode_vars,
         method_names,
         ir,
         bodies,
@@ -825,10 +829,10 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
         "the counting pass disagrees with lowering"
     );
     LoweredProgram {
+        names: program.names().clone(),
         mode_names,
         n_declared,
         mode_le,
-        mode_vars,
         method_names,
         classes,
         vtables,
@@ -843,6 +847,10 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
         ic: crate::compile::IcCounters::default(),
     }
 }
+
+/// An unassigned entry of [`Lowerer::method_ids`] or
+/// [`Lowerer::field_ids`].
+const NO_ID: u32 = u32::MAX;
 
 /// A table index as a `u32` id.
 fn index(i: usize) -> u32 {
@@ -971,13 +979,23 @@ struct Lowerer<'a> {
     ast: &'a Ast,
     /// Class declarations by class id.
     decls: Vec<&'a ClassDecl>,
+    /// The validated class table: class ids are its declaration order.
+    table: &'a ClassTable,
     /// Superclass id by class id; [`NO_CLASS`] for `Object`.
     parent: Vec<u32>,
-    class_ids: HashMap<&'a ClassName, u32>,
-    mode_names: Interner,
-    mode_vars: Interner,
-    method_names: Interner,
-    field_names: Interner,
+    /// [`LoweredProgram::mode_names`] so far.
+    mode_names: Vec<ModeName>,
+    /// Method id by name id ([`NO_ID`] until the name is numbered), and
+    /// each method id's name.
+    method_ids: Vec<u32>,
+    method_names: Vec<Ident>,
+    /// Field id by name id ([`NO_ID`] until the name is numbered), and
+    /// how many ids are given.
+    field_ids: Vec<u32>,
+    n_field_ids: u32,
+    /// Distinct declared field names: the width of each class's
+    /// [`ClassLayout::field_slot`].
+    n_fields: usize,
     ir: Ir,
     bodies: Vec<Body>,
     methods: Vec<LMethod>,
@@ -1013,6 +1031,47 @@ struct Lowerer<'a> {
 }
 
 impl Lowerer<'_> {
+    /// The class id of `class`, if the program declares it.
+    fn class_id(&self, class: &ClassName) -> Option<u32> {
+        self.table.position(class).map(index)
+    }
+
+    /// The method id of `name`, numbering it if new.
+    fn method_id(&mut self, name: Ident) -> u32 {
+        let id = &mut self.method_ids[name.symbol().index()];
+        if *id == NO_ID {
+            *id = index(self.method_names.len());
+            self.method_names.push(name);
+        }
+        *id
+    }
+
+    /// The field id of `name`, numbering it if new.
+    fn field_id(&mut self, name: Ident) -> u32 {
+        let id = &mut self.field_ids[name.symbol().index()];
+        if *id == NO_ID {
+            *id = self.n_field_ids;
+            self.n_field_ids += 1;
+        }
+        *id
+    }
+
+    /// The mode id of constant `m`, numbering it if new.
+    fn mode_id(&mut self, m: &ModeName) -> u32 {
+        match self.mode_names.iter().position(|n| n == m) {
+            Some(i) => index(i),
+            None => {
+                self.mode_names.push(m.clone());
+                index(self.mode_names.len() - 1)
+            }
+        }
+    }
+
+    /// The spelling of `name`.
+    fn spell(&self, name: impl Into<Symbol>) -> &str {
+        self.table.names().get(name.into())
+    }
+
     /// Counts what lowering the program pushes: every declared method
     /// (body and attributor) and class attributor once, and each field
     /// initializer once per class that inherits it (`subclass`
@@ -1061,9 +1120,9 @@ impl Lowerer<'_> {
                 ctor_args,
             } => {
                 self.count_list(s, &ast[*ctor_args]);
-                match self.class_ids.get(class) {
+                match self.class_id(class) {
                     None => s.unknown_classes += 1,
-                    Some(&cid) => {
+                    Some(cid) => {
                         s.news += 1;
                         let n_params = self.decls[cid as usize].mode_params.bounds.len();
                         s.modes += match args.map(|a| &ast[a]) {
@@ -1090,7 +1149,7 @@ impl Lowerer<'_> {
             }
             ExprKind::Builtin { ns, name, args } => {
                 s.names += 2;
-                let op = builtin_op(ns.as_str(), name.as_str());
+                let op = builtin_op(self.spell(*ns), self.spell(*name));
                 let args = &ast[*args];
                 match literal_work_kind(ast, op, args) {
                     Some(_) => self.count_list(s, &args[1..]),
@@ -1099,7 +1158,7 @@ impl Lowerer<'_> {
             }
             ExprKind::Cast { ty, expr } => {
                 if let Type::Object { class, .. } = &ast[*ty] {
-                    if *class != ClassName::object() && !self.class_ids.contains_key(class) {
+                    if *class != ClassName::OBJECT && self.class_id(class).is_none() {
                         s.unknown_classes += 1;
                     }
                 }
@@ -1161,8 +1220,8 @@ impl Lowerer<'_> {
         match m {
             StaticMode::Bot => GMode::Bot,
             StaticMode::Top => GMode::Top,
-            StaticMode::Const(c) => GMode::Const(self.mode_names.intern(c.as_str()).raw()),
-            StaticMode::Var(v) => GMode::Var(self.mode_vars.intern(v.as_str()).raw()),
+            StaticMode::Const(c) => GMode::Const(self.mode_id(c)),
+            StaticMode::Var(v) => GMode::Var(v.raw()),
         }
     }
 
@@ -1172,7 +1231,7 @@ impl Lowerer<'_> {
     fn lower_static(&mut self, m: &StaticMode) -> LMode {
         match m {
             StaticMode::Var(v) => {
-                let var = self.mode_vars.intern(v.as_str()).raw();
+                let var = v.raw();
                 match self.env.iter().rposition(|p| p == v) {
                     Some(j) => LMode::Param {
                         slot: j as u32,
@@ -1247,10 +1306,10 @@ impl Lowerer<'_> {
             let params = &decl.mode_params.bounds;
             for (k, m) in decl.super_args.iter().enumerate() {
                 // Arguments past the superclass's parameters are
-                // resolved (their names interned) and dropped.
+                // resolved and dropped.
                 let src = match m {
                     StaticMode::Var(v) => {
-                        let var = self.mode_vars.intern(v.as_str()).raw();
+                        let var = v.raw();
                         match params.iter().rposition(|p| p.var == *v) {
                             Some(j) => match self.walk[cur_run.start + j] {
                                 Some(EnvSrc::Copy(i)) => EnvSrc::SlotOrVar { slot: i, var },
@@ -1276,7 +1335,7 @@ impl Lowerer<'_> {
 
     fn lower_class(&mut self, ci: u32) -> ClassLayout {
         // Declarations are borrowed from the table, not from `self`, so
-        // lowering can intern names while holding them.
+        // lowering can number names while holding them.
         let decl = self.decls[ci as usize];
         let mut chain = std::mem::take(&mut self.chain);
         chain.clear();
@@ -1295,15 +1354,12 @@ impl Lowerer<'_> {
         let mut field_order = Vec::new();
         for &anc in &chain {
             for f in &self.decls[anc as usize].fields {
-                field_order.push(f.name.clone());
+                field_order.push(f.name);
             }
         }
-        let mut field_slot = vec![u32::MAX; self.field_names.len()];
-        for (i, name) in field_order.iter().enumerate() {
-            let fid = self.field_names.intern(name.as_str()).index();
-            if field_slot.len() <= fid {
-                field_slot.resize(fid + 1, u32::MAX);
-            }
+        let mut field_slot = vec![u32::MAX; self.n_fields];
+        for (i, &name) in field_order.iter().enumerate() {
+            let fid = self.field_id(name) as usize;
             if field_slot[fid] == u32::MAX {
                 field_slot[fid] = i as u32;
             }
@@ -1327,7 +1383,7 @@ impl Lowerer<'_> {
                         body,
                     });
                 } else {
-                    positional.push((slot, f.name.clone()));
+                    positional.push((slot, f.name));
                 }
                 slot += 1;
             }
@@ -1339,11 +1395,7 @@ impl Lowerer<'_> {
         for (dist, &anc) in chain.iter().rev().enumerate() {
             let adecl = self.decls[anc as usize];
             for m in &adecl.methods {
-                let mid = self
-                    .method_names
-                    .get(m.name.as_str())
-                    .expect("declared method names are pre-interned")
-                    .index();
+                let mid = self.method_id(m.name) as usize;
                 if self.vtables[vtable + mid].is_none() {
                     let env_map = self.env_map(ci, dist);
                     let method = self.lower_method(anc, m);
@@ -1375,7 +1427,7 @@ impl Lowerer<'_> {
         };
 
         ClassLayout {
-            name: self.decls[ci as usize].name.clone(),
+            name: self.decls[ci as usize].name,
             n_mode_params: decl.mode_params.bounds.len() as u32,
             field_order,
             field_slot,
@@ -1396,12 +1448,12 @@ impl Lowerer<'_> {
     ) {
         self.env.clear();
         self.env
-            .extend(owner.mode_params.bounds.iter().map(|b| b.var.clone()));
+            .extend(owner.mode_params.bounds.iter().map(|b| b.var));
         if let Some(m) = method {
-            self.env.extend(m.mode_params.iter().map(|b| b.var.clone()));
+            self.env.extend(m.mode_params.iter().map(|b| b.var));
         }
         self.locals.clear();
-        self.locals.extend(params.iter().map(|(_, n)| n.clone()));
+        self.locals.extend(params.iter().map(|&(_, n)| n));
     }
 
     /// Lowers one body in the current scope and returns its
@@ -1413,7 +1465,7 @@ impl Lowerer<'_> {
     }
 
     fn lower_method(&mut self, owner: u32, mdecl: &MethodDecl) -> u32 {
-        let mid = self.method_names.intern(mdecl.name.as_str()).raw();
+        let mid = self.method_id(mdecl.name);
         if let Some(&cached) = self.method_cache.get(&(owner, mid)) {
             return cached;
         }
@@ -1437,7 +1489,7 @@ impl Lowerer<'_> {
             .map(|a| self.lower_body(n_params, a.body));
         let mode_override = mdecl.mode.as_ref().map(|m| match m {
             StaticMode::Var(v) => {
-                let var = self.mode_vars.intern(v.as_str()).raw();
+                let var = v.raw();
                 match self.env.iter().rposition(|p| p == v) {
                     Some(j) => LOverride::Param {
                         slot: j as u32,
@@ -1472,7 +1524,7 @@ impl Lowerer<'_> {
     }
 
     fn name(&mut self, n: &Ident) -> u32 {
-        self.ir.names.push(n.clone());
+        self.ir.names.push(*n);
         index(self.ir.names.len() - 1)
     }
 
@@ -1504,9 +1556,9 @@ impl Lowerer<'_> {
                 Lit::Unit => Value::Unit,
             })),
             ExprKind::ModeConst(m) => {
-                // Interned so snapshot/eliminate can map the produced
+                // Numbered so snapshot/eliminate can map the produced
                 // `Value::Mode` back to a dense id.
-                self.mode_names.intern(m.as_str());
+                self.mode_id(m);
                 Node::ModeConst(self.lit(Value::Mode(m.clone())))
             }
             ExprKind::This => Node::This,
@@ -1519,7 +1571,7 @@ impl Lowerer<'_> {
             },
             ExprKind::Field { recv, name } => Node::Field {
                 recv: self.lower_expr(*recv),
-                field: self.field_names.intern(name.as_str()).raw(),
+                field: self.field_id(*name),
                 name: self.name(name),
             },
             ExprKind::New {
@@ -1528,8 +1580,8 @@ impl Lowerer<'_> {
                 ctor_args,
             } => {
                 let ctor_args = self.lower_list(&ast[*ctor_args]);
-                let Some(&cid) = self.class_ids.get(class) else {
-                    self.ir.unknown_classes.push(class.clone());
+                let Some(cid) = self.class_id(class) else {
+                    self.ir.unknown_classes.push(*class);
                     return self.push(Node::NewUnknown {
                         class: index(self.ir.unknown_classes.len() - 1),
                         ctor_args,
@@ -1571,7 +1623,7 @@ impl Lowerer<'_> {
                 let mark = self.pending.len();
                 let recv = self.lower_expr(*recv);
                 self.pending.push(recv);
-                let method = self.method_names.intern(method.as_str()).raw();
+                let method = self.method_id(*method);
                 let mode_args = self.lower_modes(mode_args);
                 for &a in &ast[*args] {
                     let id = self.lower_expr(a);
@@ -1584,7 +1636,7 @@ impl Lowerer<'_> {
                 }
             }
             ExprKind::Builtin { ns, name, args } => {
-                let mut op = builtin_op(ns.as_str(), name.as_str());
+                let mut op = builtin_op(self.spell(*ns), self.spell(*name));
                 let mut args = &ast[*args];
                 // `WorkKind::parse` is total, so a literal kind resolves
                 // now and the call keeps only its units argument.
@@ -1602,11 +1654,11 @@ impl Lowerer<'_> {
             }
             ExprKind::Cast { ty, expr } => {
                 let check = match &ast[*ty] {
-                    Type::Object { class, .. } if *class != ClassName::object() => {
-                        Some(match self.class_ids.get(class) {
-                            Some(&cid) => CastCheck::Class(cid),
+                    Type::Object { class, .. } if *class != ClassName::OBJECT => {
+                        Some(match self.class_id(class) {
+                            Some(cid) => CastCheck::Class(cid),
                             None => {
-                                self.ir.unknown_classes.push(class.clone());
+                                self.ir.unknown_classes.push(*class);
                                 CastCheck::Unknown(index(self.ir.unknown_classes.len() - 1))
                             }
                         })
@@ -1630,7 +1682,7 @@ impl Lowerer<'_> {
                 let arms = &ast[*arms];
                 let mark = self.pending.len();
                 for (m, a) in arms {
-                    self.mode_names.intern(m.as_str());
+                    self.mode_id(m);
                     let id = self.lower_expr(*a);
                     self.pending.push(id);
                 }
@@ -1671,7 +1723,7 @@ impl Lowerer<'_> {
                     let lowered = match stmt {
                         Stmt::Let { name, value, .. } => {
                             let v = self.lower_expr(*value);
-                            self.locals.push(name.clone());
+                            self.locals.push(*name);
                             LStmt::Let(v)
                         }
                         Stmt::Expr(e) => LStmt::Expr(self.lower_expr(*e)),
@@ -1738,6 +1790,37 @@ mod tests {
 
     use super::lower_program;
 
+    /// Vtables and field tables are as wide as the method and field names
+    /// the program declares, whatever else its name table holds: locals,
+    /// parameters, classes, builtins, and names only called or read.
+    #[test]
+    fn table_strides_are_the_declared_member_names() {
+        // `Main` comes first, so its reads and calls of undeclared names
+        // are lowered before the other classes' tables are laid out.
+        let src = "modes { low <= high; }
+            class Main {
+              int main() {
+                let a = new A(1, 2);
+                let unrelated = Math.max(3, 4);
+                return a.get(unrelated) + a.missing(5) + a.nofield;
+              }
+            }
+            class A { int x; int y; int get(int n) { return n + this.x; } int put(int v) { return v; } }
+            class B extends A { int z; int get(int n) { return this.y + this.z; } int extra() { return 1; } }
+            class C { int x; int w; int put(int v) { return v + this.w; } }";
+        let compiled = ent_core::compile_unchecked(src).expect("the program parses");
+        let lowered = lower_program(&compiled);
+        // Declared: methods get, put, extra, main; fields x, y, z, w.
+        assert_eq!(lowered.n_methods, 4);
+        for layout in &lowered.classes {
+            assert_eq!(layout.field_slot.len(), 4);
+        }
+        assert_eq!(lowered.vtables.len(), 4 * lowered.classes.len());
+        assert!(compiled.program.names().len() > 4 + 4 + 10);
+        // A name only called has an id past the stride.
+        assert!(lowered.method_names.len() > 4);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1764,7 +1847,7 @@ mod tests {
             }
             let compiled = ent_core::compile(&src).expect("class forests compile");
             let lowered = lower_program(&compiled);
-            let names = compiled.table.names();
+            let names = compiled.table.class_names();
             for (ci, c) in names.iter().enumerate() {
                 for (di, d) in names.iter().enumerate() {
                     prop_assert_eq!(

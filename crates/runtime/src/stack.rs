@@ -68,7 +68,8 @@ pub(crate) fn stack_address() -> usize {
 }
 
 /// Parses a stack-size string: plain bytes, or a number with a `k`, `m`,
-/// or `g` suffix (case-insensitive, powers of 1024).
+/// or `g` suffix (case-insensitive, powers of 1024). A size past
+/// `usize::MAX` bytes is malformed, not wrapped.
 ///
 /// # Example
 ///
@@ -78,6 +79,7 @@ pub(crate) fn stack_address() -> usize {
 /// assert_eq!(parse_stack_size("256m"), Some(256 * 1024 * 1024));
 /// assert_eq!(parse_stack_size("1G"), Some(1024 * 1024 * 1024));
 /// assert_eq!(parse_stack_size("watermelon"), None);
+/// assert_eq!(parse_stack_size("17179869184g"), None); // 2^64 bytes
 /// ```
 #[must_use]
 pub fn parse_stack_size(s: &str) -> Option<usize> {
@@ -89,7 +91,7 @@ pub fn parse_stack_size(s: &str) -> Option<usize> {
         _ => (s, 0),
     };
     let n: usize = digits.trim().parse().ok()?;
-    n.checked_shl(shift)
+    n.checked_mul(1 << shift)
 }
 
 /// `ENT_STACK_SIZE` as set: `Ok(None)` when unset or empty, `Err` naming
@@ -151,11 +153,29 @@ where
     R: Send,
     F: FnOnce() -> R + Send,
 {
+    try_with_interp_stack(stack_size, f).expect("spawning an interpreter worker thread")
+}
+
+/// [`with_interp_stack`], but a host that refuses the worker thread (for
+/// example, one that cannot reserve a stack that large) is an error, not
+/// a panic.
+///
+/// # Errors
+///
+/// If the operating system refuses the thread.
+pub fn try_with_interp_stack<R, F>(stack_size: usize, f: F) -> io::Result<R>
+where
+    R: Send,
+    F: FnOnce() -> R + Send,
+{
     if STACK_LOW.with(Cell::get) != 0 {
-        return f();
+        return Ok(f());
     }
-    std::thread::scope(|s| spawn_interp_scoped(s, stack_size, f).join())
-        .unwrap_or_else(|panic| resume_unwind(panic))
+    let (builder, stack_size) = interp_builder(stack_size);
+    std::thread::scope(|s| {
+        let worker = builder.spawn_scoped(s, move || enter_interp(stack_size, f))?;
+        Ok(worker.join().unwrap_or_else(|panic| resume_unwind(panic)))
+    })
 }
 
 /// Spawns an interpreter worker in scope `s`: a thread whose stack is at

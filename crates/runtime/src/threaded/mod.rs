@@ -680,7 +680,7 @@ pub(crate) fn op_new_unknown<'p>(
         st,
         RtError::Native(format!(
             "unknown class `{}`",
-            code.unknown_classes[t.d as usize]
+            it.prog.spell(code.unknown_classes[t.d as usize])
         ))
         .into(),
     )

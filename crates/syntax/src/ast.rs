@@ -11,99 +11,138 @@
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Deref, Index, Range};
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
-use ent_modes::{Bounded, ClassModeParams, ModeArgs, ModeName, ModeTable, StaticMode};
+use ent_modes::{
+    write_name, Bounded, ClassModeParams, ModeArgs, ModeName, ModeTable, Names, StaticMode, Symbol,
+};
 
 use crate::Span;
 
-/// A class name (interned, cheap to clone).
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ClassName(Arc<str>);
+/// A class name: a 4-byte id into its program's [`Names`]. It prints
+/// through the table current on the thread ([`Names::enter`]).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ClassName(Symbol);
 
 impl ClassName {
-    /// Creates a class name.
-    pub fn new(name: impl AsRef<str>) -> Self {
-        ClassName(Arc::from(name.as_ref()))
+    /// The root of the inheritance hierarchy, at its fixed id.
+    pub const OBJECT: ClassName = ClassName(Symbol::from_raw(PREDECLARED_OBJECT));
+    /// The entry class, at its fixed id.
+    pub const MAIN: ClassName = ClassName(Symbol::from_raw(PREDECLARED_OBJECT + 1));
+
+    /// The class spelled by name `sym`.
+    pub const fn new(sym: Symbol) -> Self {
+        ClassName(sym)
     }
 
-    /// The root of the inheritance hierarchy (a clone of one shared name).
-    pub fn object() -> Self {
-        static OBJECT: LazyLock<ClassName> = LazyLock::new(|| ClassName::new("Object"));
-        OBJECT.clone()
-    }
-
-    /// The name as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
+    /// The name's id.
+    pub const fn symbol(self) -> Symbol {
+        self.0
     }
 }
 
 impl fmt::Display for ClassName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        write_name(f, self.0)
     }
 }
 
 impl fmt::Debug for ClassName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ClassName({})", self.0)
+        f.write_str("ClassName(")?;
+        write_name(f, self.0)?;
+        f.write_str(")")
     }
 }
 
-impl From<&str> for ClassName {
-    fn from(s: &str) -> Self {
-        ClassName::new(s)
+impl From<ClassName> for Symbol {
+    fn from(name: ClassName) -> Symbol {
+        name.0
     }
 }
 
-/// Shares an already-interned name without copying it.
-impl From<Arc<str>> for ClassName {
-    fn from(s: Arc<str>) -> Self {
-        ClassName(s)
-    }
-}
-
-/// A variable, field, or method name (interned, cheap to clone).
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Ident(Arc<str>);
+/// A variable, field, or method name: a 4-byte id into its program's
+/// [`Names`]. It prints through the table current on the thread
+/// ([`Names::enter`]).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Ident(Symbol);
 
 impl Ident {
-    /// Creates an identifier.
-    pub fn new(name: impl AsRef<str>) -> Self {
-        Ident(Arc::from(name.as_ref()))
+    /// The entry method, at its fixed id.
+    pub const MAIN: Ident = Ident(Symbol::from_raw(PREDECLARED_OBJECT + 2));
+    /// The member a boundary obligation names, at its fixed id: the
+    /// keyword `snapshot`, which no source spells as a name.
+    pub const SNAPSHOT: Ident = Ident(Symbol::from_raw(SPELLABLE as u32));
+
+    /// The identifier spelled by name `sym`.
+    pub const fn new(sym: Symbol) -> Self {
+        Ident(sym)
     }
 
-    /// The identifier as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
+    /// The name's id.
+    pub const fn symbol(self) -> Symbol {
+        self.0
     }
 }
 
 impl fmt::Display for Ident {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        write_name(f, self.0)
     }
 }
 
 impl fmt::Debug for Ident {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Ident({})", self.0)
+        f.write_str("Ident(")?;
+        write_name(f, self.0)?;
+        f.write_str(")")
     }
 }
 
-impl From<&str> for Ident {
-    fn from(s: &str) -> Self {
-        Ident::new(s)
+impl From<Ident> for Symbol {
+    fn from(name: Ident) -> Symbol {
+        name.0
     }
 }
 
-/// Shares an already-interned name without copying it.
-impl From<Arc<str>> for Ident {
-    fn from(s: Arc<str>) -> Self {
-        Ident(s)
-    }
-}
+// Names are 4-byte `Copy` ids: a node, type or substitution that spells
+// one copies four bytes, with no reference count.
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<ClassName>();
+    copy::<Ident>();
+    assert!(std::mem::size_of::<ClassName>() == 4);
+    assert!(std::mem::size_of::<Ident>() == 4);
+};
+
+/// The names the language itself gives meaning to, at the same ids in
+/// every program's [`Names`]: the primitive types first (in
+/// [`PrimType`] order), then the root and entry names, then the builtin
+/// namespaces and their operations, and last the keyword `snapshot`
+/// ([`Ident::SNAPSHOT`]).
+#[rustfmt::skip]
+pub(crate) const PREDECLARED: [&str; SPELLABLE + 1] = [
+    "int", "double", "bool", "string", "unit", "Object", "Main", "main", "Ext", "Sim", "IO",
+    "Arr", "Str", "Math", "battery", "temperature", "timeMs", "work", "sleepMs", "rand", "print",
+    "len", "ofInt", "ofDouble", "sub", "floor", "toDouble", "min", "max", "fmin", "fmax", "abs",
+    "sqrt", "pow", "range", "get", "concat", "push", "make", "snapshot",
+];
+
+/// How many of [`PREDECLARED`] a source spells as names: all but the
+/// keyword.
+pub(crate) const SPELLABLE: usize = 39;
+
+/// `Object`'s id in [`PREDECLARED`]; `Main` and `main` follow it.
+const PREDECLARED_OBJECT: u32 = 5;
+
+/// The primitive types, by id in [`PREDECLARED`].
+pub(crate) const PRIMS: [PrimType; 5] = [
+    PrimType::Int,
+    PrimType::Double,
+    PrimType::Bool,
+    PrimType::Str,
+    PrimType::Unit,
+];
 
 /// Primitive (non-object) types — a practical extension over the formal FJ
 /// core, needed by the benchmark programs.
@@ -168,11 +207,8 @@ pub enum Type {
 
 impl Type {
     /// An object type with the given class and mode arguments.
-    pub fn object(class: impl Into<ClassName>, args: ModeArgs) -> Type {
-        Type::Object {
-            class: class.into(),
-            args,
-        }
+    pub fn object(class: ClassName, args: ModeArgs) -> Type {
+        Type::Object { class, args }
     }
 
     /// The `int` type.
@@ -190,7 +226,7 @@ impl Type {
     pub fn apply(&self, subst: &ent_modes::Subst) -> Type {
         match self {
             Type::Object { class, args } => Type::Object {
-                class: class.clone(),
+                class: *class,
                 args: args.apply(subst),
             },
             Type::MCase(t) => Type::MCase(Box::new(t.apply(subst))),
@@ -607,7 +643,7 @@ pub enum Stmt {
 /// ```
 /// use ent_syntax::{parse_expr, BinOp, ExprKind, Lit};
 ///
-/// let (ast, root) = parse_expr("1 + 2", &[])?;
+/// let (ast, root, _names) = parse_expr("1 + 2", &[])?;
 /// let ExprKind::Binary { op: BinOp::Add, lhs, .. } = ast[root].kind else {
 ///     panic!("an addition");
 /// };
@@ -1063,24 +1099,32 @@ impl ClassDecl {
 }
 
 /// A program's class declarations, in declaration order, with the
-/// [`Ast`] their bodies, field initializers and attributors live in.
+/// [`Ast`] their bodies, field initializers and attributors live in and
+/// the [`Names`] every name in them is an id into.
 ///
 /// It dereferences to the declarations. Its `Debug` prints each body as
-/// a nested tree (see [`Shown`]).
+/// a nested tree (see [`Shown`]) and each name as its spelling.
 pub struct Classes {
     decls: Vec<ClassDecl>,
     ast: Ast,
+    names: Names,
 }
 
 impl Classes {
-    /// The declarations `decls`, whose bodies are in `ast`.
-    pub(crate) fn new(decls: Vec<ClassDecl>, ast: Ast) -> Self {
-        Classes { decls, ast }
+    /// The declarations `decls`, whose bodies are in `ast` and whose
+    /// names are in `names`.
+    pub(crate) fn new(decls: Vec<ClassDecl>, ast: Ast, names: Names) -> Self {
+        Classes { decls, ast, names }
     }
 
     /// The tree the declarations' bodies live in.
     pub fn ast(&self) -> &Ast {
         &self.ast
+    }
+
+    /// The program's name table.
+    pub fn names(&self) -> &Names {
+        &self.names
     }
 }
 
@@ -1094,9 +1138,11 @@ impl Deref for Classes {
 
 impl fmt::Debug for Classes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list()
-            .entries(self.decls.iter().map(|c| self.ast.show(c)))
-            .finish()
+        self.names.enter(|| {
+            f.debug_list()
+                .entries(self.decls.iter().map(|c| self.ast.show(c)))
+                .finish()
+        })
     }
 }
 
@@ -1122,26 +1168,57 @@ impl Program {
     pub fn ast(&self) -> &Ast {
         self.classes.ast()
     }
+
+    /// The name table every name in the program is an id into.
+    pub fn names(&self) -> &Names {
+        self.classes.names()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ent_modes::Mode;
+    use ent_modes::{Mode, ModeVar};
+
+    /// A table of `own` names after the predeclared ones, and its ids.
+    fn names(own: &[&str]) -> (Names, Vec<Symbol>) {
+        let table = Names::new(&PREDECLARED, own);
+        let ids = own.iter().map(|n| table.find(n).unwrap()).collect();
+        (table, ids)
+    }
+
+    #[test]
+    fn predeclared_names_sit_at_their_fixed_ids() {
+        let (table, _) = names(&[]);
+        assert_eq!(table.get(ClassName::OBJECT.symbol()), "Object");
+        assert_eq!(table.get(ClassName::MAIN.symbol()), "Main");
+        assert_eq!(table.get(Ident::MAIN.symbol()), "main");
+        assert_eq!(table.get(Ident::SNAPSHOT.symbol()), "snapshot");
+        for (i, prim) in PRIMS.iter().enumerate() {
+            assert_eq!(PREDECLARED[i], prim.to_string());
+        }
+    }
 
     #[test]
     fn type_display_forms() {
-        let neutral = Type::object("Rule", ModeArgs::of_static(StaticMode::Bot));
-        assert_eq!(neutral.to_string(), "Rule");
+        let (table, ids) = names(&["Rule", "Site", "Agent"]);
+        let class = |i: usize| ClassName::new(ids[i]);
+        table.enter(|| {
+            let neutral = Type::object(class(0), ModeArgs::of_static(StaticMode::Bot));
+            assert_eq!(neutral.to_string(), "Rule");
 
-        let site = Type::object(
-            "Site",
-            ModeArgs::of_static(StaticMode::Const(ModeName::new("managed"))),
-        );
-        assert_eq!(site.to_string(), "Site@mode<managed>");
+            let site = Type::object(
+                class(1),
+                ModeArgs::of_static(StaticMode::Const(ModeName::new("managed"))),
+            );
+            assert_eq!(site.to_string(), "Site@mode<managed>");
 
-        let dynamic = Type::object("Agent", ModeArgs::of_dynamic());
-        assert_eq!(dynamic.to_string(), "Agent@mode<?>");
+            let dynamic = Type::object(class(2), ModeArgs::of_dynamic());
+            assert_eq!(dynamic.to_string(), "Agent@mode<?>");
+        });
+        // Outside its table a name prints as its id.
+        let rule = Type::object(class(0), ModeArgs::of_static(StaticMode::Bot));
+        assert_eq!(rule.to_string(), format!("name#{}", PREDECLARED.len()));
 
         assert_eq!(Type::MCase(Box::new(Type::INT)).to_string(), "mcase<int>");
         assert_eq!(Type::Array(Box::new(Type::STR)).to_string(), "string[]");
@@ -1149,7 +1226,7 @@ mod tests {
 
     #[test]
     fn type_omode_and_dynamicness() {
-        let dynamic = Type::object("Agent", ModeArgs::of_dynamic());
+        let dynamic = Type::object(ClassName::MAIN, ModeArgs::of_dynamic());
         assert!(dynamic.is_dynamic_object());
         assert_eq!(dynamic.omode(), Some(&Mode::Dynamic));
         assert!(Type::INT.omode().is_none());
@@ -1164,26 +1241,29 @@ mod tests {
 
     #[test]
     fn type_substitution_reaches_nested_positions() {
-        use ent_modes::{ModeVar, Subst};
+        use ent_modes::Subst;
+        let (table, ids) = names(&["X", "Site"]);
+        let x = ModeVar::named(ids[0]);
         let mut s = Subst::new();
-        s.insert(ModeVar::new("X"), StaticMode::Const(ModeName::new("m")));
+        s.insert(x, StaticMode::Const(ModeName::new("m")));
         let t = Type::Array(Box::new(Type::object(
-            "Site",
-            ModeArgs::of_static(StaticMode::Var(ModeVar::new("X"))),
+            ClassName::new(ids[1]),
+            ModeArgs::of_static(StaticMode::Var(x)),
         )));
-        assert_eq!(t.apply(&s).to_string(), "Site@mode<m>[]");
+        assert_eq!(table.enter(|| t.apply(&s).to_string()), "Site@mode<m>[]");
     }
 
     #[test]
     fn class_decl_lookup() {
+        let (_, ids) = names(&["C", "x", "y", "m"]);
         let decl = ClassDecl {
-            name: ClassName::new("C"),
+            name: ClassName::new(ids[0]),
             mode_params: ClassModeParams::neutral(),
-            superclass: ClassName::object(),
+            superclass: ClassName::OBJECT,
             super_args: vec![],
             fields: vec![FieldDecl {
                 ty: Type::INT,
-                name: Ident::new("x"),
+                name: Ident::new(ids[1]),
                 init: None,
                 span: Span::DUMMY,
             }],
@@ -1191,8 +1271,8 @@ mod tests {
             attributor: None,
             span: Span::DUMMY,
         };
-        assert!(decl.field(&Ident::new("x")).is_some());
-        assert!(decl.field(&Ident::new("y")).is_none());
-        assert!(decl.method(&Ident::new("m")).is_none());
+        assert!(decl.field(&Ident::new(ids[1])).is_some());
+        assert!(decl.field(&Ident::new(ids[2])).is_none());
+        assert!(decl.method(&Ident::new(ids[3])).is_none());
     }
 }

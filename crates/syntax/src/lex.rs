@@ -1,48 +1,52 @@
 //! The ENT lexer: source text to a token stream.
 
 use std::hash::BuildHasher;
-use std::sync::{Arc, LazyLock};
+use std::sync::LazyLock;
 
-use crate::ast::PrimType;
+use ent_modes::{Names, MAX_NAMES};
+
+use crate::ast::{PrimType, PREDECLARED, PRIMS, SPELLABLE};
 use crate::error::{Fallible, SyntaxError};
 use crate::token::{Token, TokenKind, KEYWORDS};
 use crate::Span;
 
 /// A lexed source buffer: its tokens (terminated by `Eof`) and the tables
 /// their ids index.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct Lexed {
     /// The token stream, ending with one `Eof`.
     pub tokens: Vec<Token>,
-    /// Each distinct identifier spelling, by [`TokenKind::Ident`] id, in
-    /// order of first appearance.
-    pub names: Vec<Arc<str>>,
+    /// Each name's spelling, by [`TokenKind::Ident`] id: the names the
+    /// language predeclares at their fixed ids, then each distinct
+    /// identifier of the source in order of first appearance. It becomes
+    /// the parsed program's name table.
+    pub names: Names,
     /// Each string literal's unescaped contents, by [`TokenKind::Str`] id.
     pub strings: Vec<String>,
-    /// What is known of each name beyond its spelling, by name id.
-    pub(crate) info: Vec<NameInfo>,
+    /// Whether the `modes` block declares each name id (set by the
+    /// parser).
+    pub(crate) is_mode: Vec<bool>,
 }
 
-/// What the parser knows of a name id beyond its spelling.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub(crate) struct NameInfo {
-    /// The primitive type the name spells, if any (found by the lexer).
-    pub(crate) prim: Option<PrimType>,
-    /// Whether the `modes` block declares the name (set by the parser).
-    pub(crate) is_mode: bool,
+impl Lexed {
+    /// The primitive type name id `id` spells, if any.
+    pub(crate) fn prim(id: u32) -> Option<PrimType> {
+        PRIMS.get(id as usize).copied()
+    }
 }
 
 /// Lexes an entire source buffer into tokens (terminated by `Eof`).
 ///
 /// Identifiers are interned: every token that spells the same name
 /// carries the same id, and each distinct name is allocated at most once
-/// per call (a name the language predeclares, such as `int` or `Math`,
-/// shares one allocation made once per process).
+/// per call. A name the language predeclares, such as `int` or `Math`,
+/// has the same id in every source and is not copied at all.
 ///
 /// # Errors
 ///
-/// Returns a [`SyntaxError`] for unterminated strings, malformed numbers, or
-/// characters outside the language's alphabet.
+/// Returns a [`SyntaxError`] for unterminated strings, malformed numbers,
+/// characters outside the language's alphabet, or more than
+/// [`MAX_NAMES`] distinct names.
 ///
 /// # Example
 ///
@@ -51,49 +55,13 @@ pub(crate) struct NameInfo {
 ///
 /// let lexed = lex("class Main { }")?;
 /// assert_eq!(lexed.tokens.len(), 5); // class, Main, {, }, eof
-/// assert_eq!(lexed.tokens[1].kind, TokenKind::Ident(0));
-/// assert_eq!(&*lexed.names[0], "Main");
+/// let TokenKind::Ident(id) = lexed.tokens[1].kind else { panic!() };
+/// assert_eq!(lexed.names.get(ent_modes::Symbol::from_raw(id)), "Main");
 /// # Ok::<(), ent_syntax::SyntaxError>(())
 /// ```
 pub fn lex(src: &str) -> Result<Lexed, SyntaxError> {
     Lexer::new(src).run().map_err(|e| *e)
 }
-
-/// The primitive type names.
-const PRIMS: [(&str, PrimType); 5] = [
-    ("int", PrimType::Int),
-    ("double", PrimType::Double),
-    ("bool", PrimType::Bool),
-    ("string", PrimType::Str),
-    ("unit", PrimType::Unit),
-];
-
-/// The root and entry classes, the builtin namespaces and their
-/// operations.
-const BUILTIN_NAMES: &str = "Object Main main Ext Sim IO Arr Str Math battery temperature \
-    timeMs work sleepMs rand print len ofInt ofDouble sub floor toDouble min max fmin fmax \
-    abs sqrt pow range get concat push make";
-
-/// The names the language itself gives meaning to, [`PRIMS`] first, with
-/// what is known of each. Nearly every program spells several of them,
-/// and each is allocated once per process: a source that spells one
-/// shares it.
-static PREDECLARED: LazyLock<Vec<(Arc<str>, NameInfo)>> = LazyLock::new(|| {
-    let prims = PRIMS.iter().map(|&(name, prim)| (name, Some(prim)));
-    let builtins = BUILTIN_NAMES.split_whitespace().map(|name| (name, None));
-    prims
-        .chain(builtins)
-        .map(|(name, prim)| {
-            (
-                Arc::from(name),
-                NameInfo {
-                    prim,
-                    is_mode: false,
-                },
-            )
-        })
-        .collect()
-});
 
 /// Whether each byte may continue an identifier.
 const IDENT: [bool; 256] = {
@@ -110,23 +78,13 @@ const IDENT: [bool; 256] = {
 /// names, under this process's hash key.
 static SEEDED: LazyLock<Words<'static>> = LazyLock::new(Words::seeded);
 
-/// What a word in the [`Words`] table stands for.
-#[derive(Clone, Copy, Debug)]
-enum Meaning {
-    /// A keyword, or a name this source has already spelled (its
-    /// [`TokenKind::Ident`]).
-    Token(TokenKind),
-    /// [`PREDECLARED`]`[k]`, not yet spelled by this source.
-    Predeclared(u32),
-}
-
-/// One word of the table: its spelling, its [`short_key`] and its
-/// meaning.
+/// One word of the table: its spelling, its [`short_key`] and its token:
+/// a keyword, or a name's [`TokenKind::Ident`].
 #[derive(Clone, Copy, Debug)]
 struct Word<'a> {
     key: (u64, u64),
     text: &'a str,
-    meaning: Meaning,
+    kind: TokenKind,
 }
 
 /// Every keyword and every name seen so far, found with one lookup per
@@ -167,8 +125,8 @@ impl Probe<'_> {
 }
 
 impl Words<'static> {
-    /// The keywords and the predeclared names under a fresh key, in a
-    /// table with room for as many words again.
+    /// The keywords and the predeclared names (at their fixed ids) under
+    /// a fresh key, in a table with room for as many words again.
     fn seeded() -> Self {
         let keys = std::hash::RandomState::new();
         let mut words = Words {
@@ -176,14 +134,13 @@ impl Words<'static> {
             slots: vec![EMPTY; 256],
             words: Vec::with_capacity(KEYWORDS.len() + PREDECLARED.len()),
         };
-        let entries = KEYWORDS.iter().map(|&(w, kind)| (w, Meaning::Token(kind)));
         let names = (0u32..)
-            .zip(PREDECLARED.iter())
-            .map(|(k, (name, _))| (&**name, Meaning::Predeclared(k)));
-        for (text, meaning) in entries.chain(names) {
+            .zip(&PREDECLARED[..SPELLABLE])
+            .map(|(id, &name)| (name, TokenKind::Ident(id)));
+        for (text, kind) in KEYWORDS.iter().copied().chain(names) {
             let probe = words.probe(text);
             let slot = words.find(&probe).expect_err("each word is seeded once");
-            words.insert(slot, probe, meaning);
+            words.insert(slot, probe, kind);
         }
         words
     }
@@ -242,12 +199,12 @@ impl<'a> Words<'a> {
 
     /// Adds the probed word at the free `slot` [`Words::find`] gave,
     /// doubling the table when it passes half full.
-    fn insert(&mut self, slot: usize, probe: Probe<'a>, meaning: Meaning) {
+    fn insert(&mut self, slot: usize, probe: Probe<'a>, kind: TokenKind) {
         let i = u32::try_from(self.words.len()).expect("fewer than u32::MAX words");
         self.words.push(Word {
             key: probe.key,
             text: probe.text,
-            meaning,
+            kind,
         });
         self.slots[slot] = i;
         if self.words.len() * 2 > self.slots.len() {
@@ -304,7 +261,10 @@ struct Lexer<'a> {
     pos: usize,
     /// The keywords and every identifier spelling seen so far.
     words: Words<'a>,
-    out: Lexed,
+    tokens: Vec<Token>,
+    /// The predeclared names, then each of the source's own so far.
+    names: Names,
+    strings: Vec<String>,
 }
 
 impl<'a> Lexer<'a> {
@@ -319,12 +279,10 @@ impl<'a> Lexer<'a> {
             bytes: src.as_bytes(),
             pos: 0,
             words: Words::with_room(names),
-            out: Lexed {
-                tokens: Vec::with_capacity(src.len() / 3 + 1),
-                names: Vec::with_capacity(names),
-                info: Vec::with_capacity(names),
-                strings: Vec::new(),
-            },
+            tokens: Vec::with_capacity(src.len() / 3 + 1),
+            // Names average about eight bytes.
+            names: Names::with_capacity(&PREDECLARED, names, names * 8),
+            strings: Vec::new(),
         }
     }
 
@@ -333,14 +291,19 @@ impl<'a> Lexer<'a> {
             self.skip_trivia()?;
             let start = self.pos;
             let Some(b) = self.peek() else {
-                self.out.tokens.push(Token {
+                self.tokens.push(Token {
                     kind: TokenKind::Eof,
                     span: Span::new(start as u32, start as u32),
                 });
-                return Ok(self.out);
+                return Ok(Lexed {
+                    tokens: self.tokens,
+                    is_mode: vec![false; self.names.len()],
+                    names: self.names,
+                    strings: self.strings,
+                });
             };
             let kind = match b {
-                b'a'..=b'z' | b'A'..=b'Z' => self.word(),
+                b'a'..=b'z' | b'A'..=b'Z' => self.word(start)?,
                 b'_' => {
                     // `_` alone is a hole; `_foo` is an identifier.
                     if self
@@ -348,7 +311,7 @@ impl<'a> Lexer<'a> {
                         .get(self.pos + 1)
                         .is_some_and(|c| c.is_ascii_alphanumeric() || *c == b'_')
                     {
-                        self.word()
+                        self.word(start)?
                     } else {
                         self.pos += 1;
                         TokenKind::Underscore
@@ -358,7 +321,7 @@ impl<'a> Lexer<'a> {
                 b'"' => self.string(start)?,
                 _ => self.operator(start)?,
             };
-            self.out.tokens.push(Token {
+            self.tokens.push(Token {
                 kind,
                 span: Span::new(start as u32, self.pos as u32),
             });
@@ -405,8 +368,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn word(&mut self) -> TokenKind {
-        let start = self.pos;
+    fn word(&mut self, start: usize) -> Fallible<TokenKind> {
         let rest = &self.bytes[start..];
         self.pos += rest
             .iter()
@@ -414,30 +376,18 @@ impl<'a> Lexer<'a> {
             .unwrap_or(rest.len());
         let text = &self.src[start..self.pos];
         let probe = self.words.probe(text);
-        let out = &mut self.out;
-        let mut add_name = |name: Arc<str>, info: NameInfo| {
-            out.names.push(name);
-            out.info.push(info);
-            let id = out.names.len() - 1;
-            TokenKind::Ident(u32::try_from(id).expect("fewer than u32::MAX names"))
-        };
         match self.words.find(&probe) {
-            Ok(i) => {
-                let word = &mut self.words.words[i];
-                match word.meaning {
-                    Meaning::Token(kind) => kind,
-                    Meaning::Predeclared(k) => {
-                        let (name, info) = &PREDECLARED[k as usize];
-                        let kind = add_name(Arc::clone(name), *info);
-                        word.meaning = Meaning::Token(kind);
-                        kind
-                    }
-                }
-            }
+            Ok(i) => Ok(self.words.words[i].kind),
             Err(slot) => {
-                let kind = add_name(Arc::from(text), NameInfo::default());
-                self.words.insert(slot, probe, Meaning::Token(kind));
-                kind
+                if self.names.len() >= MAX_NAMES {
+                    return Err(SyntaxError::boxed(
+                        format!("a source may spell at most {MAX_NAMES} distinct names"),
+                        Span::new(start as u32, self.pos as u32),
+                    ));
+                }
+                let kind = TokenKind::Ident(self.names.push(text).raw());
+                self.words.insert(slot, probe, kind);
+                Ok(kind)
             }
         }
     }
@@ -503,8 +453,8 @@ impl<'a> Lexer<'a> {
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    self.out.strings.push(out);
-                    return Ok(TokenKind::Str((self.out.strings.len() - 1) as u32));
+                    self.strings.push(out);
+                    return Ok(TokenKind::Str((self.strings.len() - 1) as u32));
                 }
                 Some(_) => {
                     self.pos += 1;
@@ -585,6 +535,7 @@ impl<'a> Lexer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ent_modes::Symbol;
 
     /// A token kind with its name or string literal resolved.
     #[derive(Debug, PartialEq)]
@@ -600,7 +551,9 @@ mod tests {
             .tokens
             .iter()
             .map(|t| match t.kind {
-                TokenKind::Ident(id) => Kind::Ident(lexed.names[id as usize].to_string()),
+                TokenKind::Ident(id) => {
+                    Kind::Ident(lexed.names.get(Symbol::from_raw(id)).to_string())
+                }
                 TokenKind::Str(id) => Kind::Str(lexed.strings[id as usize].clone()),
                 other => Kind::Other(other),
             })
@@ -738,19 +691,35 @@ mod tests {
         };
         assert_eq!(name(0), name(2));
         assert_ne!(name(0), name(1));
-        assert_eq!(lexed.names.len(), 2, "one name per spelling");
+        assert_eq!(
+            lexed.names.len(),
+            PREDECLARED.len() + 2,
+            "one name per spelling"
+        );
     }
 
     #[test]
     fn predeclared_names_are_shared_across_sources() {
         let a = lex("Math int x").unwrap();
         let b = lex("x int Math").unwrap();
-        assert!(Arc::ptr_eq(&a.names[0], &b.names[2]), "`Math`");
-        assert!(Arc::ptr_eq(&a.names[1], &b.names[1]), "`int`");
-        // A source's own names are its own.
-        assert!(!Arc::ptr_eq(&a.names[2], &b.names[0]), "`x`");
-        assert_eq!(a.info[1].prim, Some(PrimType::Int));
-        assert_eq!(a.info[0].prim, None);
+        let ids = |lexed: &Lexed| -> Vec<u32> {
+            lexed.tokens[..3]
+                .iter()
+                .map(|t| match t.kind {
+                    TokenKind::Ident(id) => id,
+                    other => panic!("expected an identifier, got {other:?}"),
+                })
+                .collect()
+        };
+        let (ia, ib) = (ids(&a), ids(&b));
+        assert_eq!(ia[0], ib[2], "`Math`");
+        assert_eq!(ia[1], ib[1], "`int`");
+        assert_eq!(a.names.get(Symbol::from_raw(ia[0])), "Math");
+        // A source's own names follow the predeclared ones.
+        assert_eq!(ia[2] as usize, PREDECLARED.len());
+        assert_eq!(ib[0] as usize, PREDECLARED.len());
+        assert_eq!(Lexed::prim(ia[1]), Some(PrimType::Int));
+        assert_eq!(Lexed::prim(ia[0]), None);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! # Example
 //!
 //! ```
-//! use ent_syntax::{parse_program, ClassTable};
+//! use ent_syntax::{parse_program, ClassName, ClassTable};
 //!
 //! let program = parse_program(
 //!     "modes { energy_saver <= managed; managed <= full_throttle; }
@@ -45,13 +45,13 @@
 //!      }",
 //! )?;
 //! let table = ClassTable::new(&program).expect("valid class structure");
-//! assert!(table.class(&"Agent".into()).unwrap().mode_params.dynamic);
+//! let agent = program.names().find("Agent").expect("a name of the program");
+//! assert!(table.class(&ClassName::new(agent)).unwrap().mode_params.dynamic);
 //! # Ok::<(), ent_syntax::SyntaxError>(())
 //! ```
 
 mod ast;
 mod error;
-pub mod intern;
 mod lex;
 mod parse;
 mod pretty;
@@ -64,8 +64,8 @@ pub use ast::{
     ExprList, FieldDecl, Ident, List, Lit, MethodDecl, ModeArgsId, PrimType, Program, Shown, Stmt,
     StmtList, Type, TypeId, UnOp,
 };
+pub use ent_modes::{Names, Spelling, Symbol};
 pub use error::SyntaxError;
-pub use intern::{Interner, Symbol};
 pub use lex::{lex, Lexed};
 pub use parse::{parse_expr, parse_program, MAX_MODES, MAX_MODE_PARAMS};
 pub use pretty::{mode_args_string, print_expr_string, print_program};

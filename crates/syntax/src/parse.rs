@@ -8,7 +8,8 @@
 use std::sync::Arc;
 
 use ent_modes::{
-    Bounded, ClassModeParams, Mode, ModeArgs, ModeName, ModeTable, ModeVar, StaticMode,
+    Bounded, ClassModeParams, Mode, ModeArgs, ModeName, ModeTable, ModeVar, Names, StaticMode,
+    Symbol,
 };
 
 use crate::ast::*;
@@ -44,14 +45,14 @@ pub fn parse_program(src: &str) -> Result<Program, SyntaxError> {
 
 /// Parses a single expression (useful in tests and the REPL-style
 /// examples) into a tree of its own, and returns the tree with the
-/// expression's id.
+/// expression's id and the table its names are ids into.
 ///
 /// Mode-name resolution uses the given mode names as constants.
 ///
 /// # Errors
 ///
 /// Returns the first lexing or parsing error encountered.
-pub fn parse_expr(src: &str, mode_names: &[&str]) -> Result<(Ast, ExprId), SyntaxError> {
+pub fn parse_expr(src: &str, mode_names: &[&str]) -> Result<(Ast, ExprId, Names), SyntaxError> {
     let mut parser = Parser::new(lex(src)?);
     for name in mode_names {
         parser.mark_mode(name);
@@ -60,7 +61,8 @@ pub fn parse_expr(src: &str, mode_names: &[&str]) -> Result<(Ast, ExprId), Synta
         parser.expect(TokenKind::Eof)?;
         Ok(expr)
     });
-    Ok((parser.ast, expr.map_err(|e| *e)?))
+    let expr = expr.map_err(|e| *e)?;
+    Ok((parser.ast, expr, parser.lexed.names))
 }
 
 /// The most distinct modes a `modes { ... }` block may declare. The
@@ -92,6 +94,9 @@ struct Parser {
     stmts: Vec<Stmt>,
     /// Arms of the open mode cases, likewise.
     arms: Vec<Arm>,
+    /// Each declared mode's name id and its one [`ModeName`], which every
+    /// use of the mode shares.
+    modes: Vec<(u32, ModeName)>,
 }
 
 impl Parser {
@@ -104,6 +109,7 @@ impl Parser {
             items: Vec::with_capacity(16),
             stmts: Vec::with_capacity(16),
             arms: Vec::new(),
+            modes: Vec::new(),
         }
     }
 
@@ -119,16 +125,17 @@ impl Parser {
 
     /// Marks `name` as a mode constant, if the source spells it at all.
     fn mark_mode(&mut self, name: &str) {
-        if let Some(id) = self.lexed.names.iter().position(|n| &**n == name) {
-            self.lexed.info[id].is_mode = true;
+        if let Some(id) = self.lexed.names.find(name) {
+            self.lexed.is_mode[id.index()] = true;
+            self.modes.push((id.raw(), ModeName::new(name)));
         }
     }
 
     /// Declares the mode named by `id` in the `modes` block, refusing a
     /// block with more than [`MAX_MODES`] distinct modes.
     fn declare_mode(&mut self, id: u32, span: Span) -> Fallible<ModeName> {
-        if !self.lexed.info[id as usize].is_mode {
-            self.lexed.info[id as usize].is_mode = true;
+        if !self.lexed.is_mode[id as usize] {
+            self.lexed.is_mode[id as usize] = true;
             self.n_modes += 1;
             if self.n_modes > MAX_MODES {
                 return Err(SyntaxError::boxed(
@@ -136,8 +143,20 @@ impl Parser {
                     span,
                 ));
             }
+            let name = ModeName::new(self.text(Symbol::from_raw(id)));
+            self.modes.push((id, name));
         }
-        Ok(ModeName::from(self.name(id)))
+        Ok(self.mode_name(id))
+    }
+
+    /// The name of declared mode `id`, shared.
+    fn mode_name(&self, id: u32) -> ModeName {
+        let (_, name) = self
+            .modes
+            .iter()
+            .find(|&&(mode, _)| mode == id)
+            .expect("a mode constant is declared");
+        name.clone()
     }
 
     // ---- token plumbing -------------------------------------------------
@@ -150,9 +169,9 @@ impl Parser {
         self.lexed.tokens[(self.pos + 1).min(self.lexed.tokens.len() - 1)].kind
     }
 
-    /// The shared spelling of name `id`.
-    fn name(&self, id: u32) -> Arc<str> {
-        Arc::clone(&self.lexed.names[id as usize])
+    /// The spelling of name `sym`.
+    fn text(&self, sym: Symbol) -> &str {
+        self.lexed.names.get(sym)
     }
 
     fn describe(&self, kind: TokenKind) -> String {
@@ -213,10 +232,10 @@ impl Parser {
         }
     }
 
-    /// The next identifier: a clone of the lexer's shared name.
-    fn ident(&mut self) -> Fallible<(Arc<str>, Span)> {
+    /// The next identifier's name.
+    fn ident(&mut self) -> Fallible<(Symbol, Span)> {
         let (id, span) = self.ident_id()?;
-        Ok((self.name(id), span))
+        Ok((Symbol::from_raw(id), span))
     }
 
     // ---- program structure ----------------------------------------------
@@ -236,14 +255,15 @@ impl Parser {
             classes.push(self.class_decl()?);
         }
         let ast = std::mem::take(&mut self.ast);
+        let names = self.lexed.names.clone();
         Ok(Program {
             mode_table,
-            classes: Arc::new(Classes::new(classes, ast)),
+            classes: Arc::new(Classes::new(classes, ast, names)),
         })
     }
 
     /// Parses the `modes { ... }` block, marking every mode it names in
-    /// `info`.
+    /// `is_mode`.
     fn modes_block(&mut self) -> Fallible<ModeTable> {
         let start = self.span();
         self.expect(TokenKind::Modes)?;
@@ -272,7 +292,7 @@ impl Parser {
         self.expect(TokenKind::Class)?;
         let (name, _) = self.ident()?;
         let mode_params = if self.peek() == TokenKind::At {
-            self.class_mode_params(&name)?
+            self.class_mode_params(name)?
         } else {
             ClassModeParams::neutral()
         };
@@ -290,9 +310,9 @@ impl Parser {
             } else {
                 Vec::new()
             };
-            (ClassName::from(sup), args)
+            (ClassName::new(sup), args)
         } else {
-            (ClassName::object(), Vec::new())
+            (ClassName::OBJECT, Vec::new())
         };
 
         self.expect(TokenKind::LBrace)?;
@@ -315,7 +335,7 @@ impl Parser {
         self.expect(TokenKind::RBrace)?;
 
         Ok(ClassDecl {
-            name: ClassName::from(name),
+            name: ClassName::new(name),
             mode_params,
             superclass,
             super_args,
@@ -327,7 +347,7 @@ impl Parser {
     }
 
     /// Parses `@mode<...>` after a class name into a `ClassModeParams`.
-    fn class_mode_params(&mut self, class: &str) -> Fallible<ClassModeParams> {
+    fn class_mode_params(&mut self, class: Symbol) -> Fallible<ClassModeParams> {
         let start = self.span();
         self.at_mode_open()?;
         let mut dynamic = false;
@@ -344,11 +364,9 @@ impl Parser {
                 } else {
                     StaticMode::Top
                 };
-                bounds.push(Bounded::new(StaticMode::Bot, ModeVar::from(var), hi));
+                bounds.push(Bounded::new(StaticMode::Bot, ModeVar::named(var), hi));
             } else {
-                bounds.push(Bounded::unconstrained(ModeVar::new(format!(
-                    "Self_{class}"
-                ))));
+                bounds.push(Bounded::unconstrained(ModeVar::own_mode(class)));
             }
         } else {
             bounds.push(self.bounded_param(class)?);
@@ -371,11 +389,12 @@ impl Parser {
     fn check_mode_params(
         &self,
         what: &str,
-        owner: &str,
+        owner: Symbol,
         count: usize,
         start: Span,
     ) -> Fallible<()> {
         if count > MAX_MODE_PARAMS {
+            let owner = self.text(owner);
             return Err(SyntaxError::boxed(
                 format!("{what} `{owner}` declares more than {MAX_MODE_PARAMS} mode parameters"),
                 start.join(self.prev_span()),
@@ -385,22 +404,22 @@ impl Parser {
     }
 
     /// One static mode parameter: `X`, `m` (pinned), or `lo <= X <= hi`.
-    fn bounded_param(&mut self, class: &str) -> Fallible<Bounded> {
+    fn bounded_param(&mut self, class: Symbol) -> Fallible<Bounded> {
         let first = self.static_mode()?;
         if self.eat(TokenKind::Le) {
-            let (var, span) = self.ident_id()?;
-            if self.lexed.info[var as usize].is_mode {
+            let (var, span) = self.ident()?;
+            if self.lexed.is_mode[var.index()] {
                 return Err(SyntaxError::boxed(
                     format!(
                         "`{}` is a mode constant, not a parameter name",
-                        self.name(var)
+                        self.text(var)
                     ),
                     span,
                 ));
             }
             self.expect(TokenKind::Le)?;
             let hi = self.static_mode()?;
-            Ok(Bounded::new(first, ModeVar::from(self.name(var)), hi))
+            Ok(Bounded::new(first, ModeVar::named(var), hi))
         } else {
             match first {
                 StaticMode::Var(v) => Ok(Bounded::unconstrained(v)),
@@ -409,7 +428,7 @@ impl Parser {
                     // mode. Modeled as `m ≤ Self ≤ m`.
                     Ok(Bounded::new(
                         pinned.clone(),
-                        ModeVar::new(format!("Self_{class}")),
+                        ModeVar::own_mode(class),
                         pinned,
                     ))
                 }
@@ -430,10 +449,10 @@ impl Parser {
         let mode = match self.peek() {
             TokenKind::Bot => StaticMode::Bot,
             TokenKind::Top => StaticMode::Top,
-            TokenKind::Ident(id) if self.lexed.info[id as usize].is_mode => {
-                StaticMode::Const(ModeName::from(self.name(id)))
+            TokenKind::Ident(id) if self.lexed.is_mode[id as usize] => {
+                StaticMode::Const(self.mode_name(id))
             }
-            TokenKind::Ident(id) => StaticMode::Var(ModeVar::from(self.name(id))),
+            TokenKind::Ident(id) => StaticMode::Var(ModeVar::named(Symbol::from_raw(id))),
             other => {
                 return Err(SyntaxError::boxed(
                     format!("expected a mode, found {}", self.describe(other)),
@@ -482,13 +501,13 @@ impl Parser {
             let start = self.span();
             self.bump();
             loop {
-                mode_params.push(self.bounded_param(&name)?);
+                mode_params.push(self.bounded_param(name)?);
                 if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
             self.expect(TokenKind::Gt)?;
-            self.check_mode_params("method", &name, mode_params.len(), start)?;
+            self.check_mode_params("method", name, mode_params.len(), start)?;
         }
 
         if self.peek() == TokenKind::LParen {
@@ -499,7 +518,7 @@ impl Parser {
                 loop {
                     let pty = self.ty()?;
                     let (pname, _) = self.ident()?;
-                    params.push((pty, Ident::from(pname)));
+                    params.push((pty, Ident::new(pname)));
                     if !self.eat(TokenKind::Comma) {
                         break;
                     }
@@ -516,7 +535,7 @@ impl Parser {
                 mode: method_mode,
                 mode_params,
                 ret: ty,
-                name: Ident::from(name),
+                name: Ident::new(name),
                 params,
                 attributor,
                 body,
@@ -538,7 +557,7 @@ impl Parser {
             self.expect(TokenKind::Semi)?;
             fields.push(FieldDecl {
                 ty,
-                name: Ident::from(name),
+                name: Ident::new(name),
                 init,
                 span: start.join(self.prev_span()),
             });
@@ -567,10 +586,11 @@ impl Parser {
             return Ok(Type::MCase(Box::new(inner)));
         }
         let (id, span) = self.ident_id()?;
-        if let Some(prim) = self.lexed.info[id as usize].prim {
+        if let Some(prim) = Lexed::prim(id) {
             return Ok(Type::Prim(prim));
         }
-        let name = self.name(id);
+        let class = ClassName::new(Symbol::from_raw(id));
+        let name = self.text(class.symbol());
         if !name.chars().next().is_some_and(char::is_uppercase) {
             return Err(SyntaxError::boxed(
                 format!("class names must start uppercase: `{name}`"),
@@ -595,10 +615,7 @@ impl Parser {
             // class is actually neutral (or pins the mode itself).
             ModeArgs::of_static(StaticMode::Bot)
         };
-        Ok(Type::Object {
-            class: ClassName::from(name),
-            args,
-        })
+        Ok(Type::Object { class, args })
     }
 
     // ---- statements and blocks ---------------------------------------------
@@ -637,7 +654,7 @@ impl Parser {
                 let ty = ty.map(|t| self.ast.push_type(t));
                 Ok(Stmt::Let {
                     ty,
-                    name: Ident::from(name),
+                    name: Ident::new(name),
                     value,
                 })
             }
@@ -724,8 +741,8 @@ impl Parser {
                     // A call on a builtin namespace's name is a builtin
                     // call: the name's `Var` node, the last one pushed,
                     // gives way to it.
-                    let ns = match &self.ast[e].kind {
-                        ExprKind::Var(ns) if is_builtin_ns(ns.as_str()) => Some(ns.clone()),
+                    let ns = match self.ast[e].kind {
+                        ExprKind::Var(ns) if is_builtin_ns(self.text(ns.symbol())) => Some(ns),
                         _ => None,
                     };
                     let start = self.span_of(e);
@@ -734,7 +751,7 @@ impl Parser {
                     }
                     let args = self.call_args()?;
                     let span = start.join(self.prev_span());
-                    let name = Ident::from(name);
+                    let name = Ident::new(name);
                     let kind = match ns {
                         Some(ns) => ExprKind::Builtin { ns, name, args },
                         None => ExprKind::Call {
@@ -750,7 +767,7 @@ impl Parser {
                         return Err(SyntaxError::boxed("mode arguments require a call", nspan));
                     }
                     let span = self.span_of(e).join(nspan);
-                    let name = Ident::from(name);
+                    let name = Ident::new(name);
                     e = self.push(ExprKind::Field { recv: e, name }, span);
                 }
             } else if self.eat(TokenKind::TriangleLeft) {
@@ -803,10 +820,10 @@ impl Parser {
             TokenKind::True => ExprKind::Lit(Lit::Bool(true)),
             TokenKind::False => ExprKind::Lit(Lit::Bool(false)),
             TokenKind::This => ExprKind::This,
-            TokenKind::Ident(id) if self.lexed.info[id as usize].is_mode => {
-                ExprKind::ModeConst(ModeName::from(self.name(id)))
+            TokenKind::Ident(id) if self.lexed.is_mode[id as usize] => {
+                ExprKind::ModeConst(self.mode_name(id))
             }
-            TokenKind::Ident(id) => ExprKind::Var(Ident::from(self.name(id))),
+            TokenKind::Ident(id) => ExprKind::Var(Ident::new(Symbol::from_raw(id))),
             TokenKind::New => return self.new_expr(),
             TokenKind::Snapshot => return self.snapshot_expr(),
             TokenKind::MCase => return self.mcase_expr(),
@@ -854,7 +871,7 @@ impl Parser {
         };
         let ctor_args = self.call_args()?;
         let new = ExprKind::New {
-            class: ClassName::from(class),
+            class: ClassName::new(class),
             args,
             ctor_args,
         };
@@ -901,16 +918,20 @@ impl Parser {
         let mark = self.arms.len();
         while self.peek() != TokenKind::RBrace {
             let (mode, mspan) = self.ident_id()?;
-            if !self.lexed.info[mode as usize].is_mode {
+            if !self.lexed.is_mode[mode as usize] {
                 return Err(SyntaxError::boxed(
-                    format!("`{}` is not a declared mode", self.name(mode)),
+                    format!(
+                        "`{}` is not a declared mode",
+                        self.text(Symbol::from_raw(mode))
+                    ),
                     mspan,
                 ));
             }
             self.expect(TokenKind::Colon)?;
             let value = self.expr()?;
             self.expect(TokenKind::Semi)?;
-            self.arms.push((ModeName::from(self.name(mode)), value));
+            let name = self.mode_name(mode);
+            self.arms.push((name, value));
         }
         self.expect(TokenKind::RBrace)?;
         let arms = self.ast.push_arms(self.arms.drain(mark..));
@@ -962,9 +983,8 @@ impl Parser {
         let looks_like_type = match self.peek() {
             TokenKind::MCase => true,
             TokenKind::Ident(id) => {
-                let name = &*self.lexed.names[id as usize];
-                name.chars().next().is_some_and(char::is_uppercase)
-                    || self.lexed.info[id as usize].prim.is_some()
+                let name = self.text(Symbol::from_raw(id));
+                name.chars().next().is_some_and(char::is_uppercase) || Lexed::prim(id).is_some()
             }
             _ => false,
         };
@@ -1036,9 +1056,21 @@ mod tests {
 
     /// The tree of `src` and the kind of its root.
     fn expr(src: &str) -> (Ast, ExprKind) {
-        let (ast, root) = parse_expr(src, &["energy_saver", "managed", "full_throttle"]).unwrap();
-        let kind = ast[root].kind.clone();
+        let (ast, kind, _) = expr_names(src);
         (ast, kind)
+    }
+
+    /// The tree of `src`, the kind of its root and the name table.
+    fn expr_names(src: &str) -> (Ast, ExprKind, Names) {
+        let modes = ["energy_saver", "managed", "full_throttle"];
+        let (ast, root, names) = parse_expr(src, &modes).unwrap();
+        let kind = ast[root].kind.clone();
+        (ast, kind, names)
+    }
+
+    /// The id `name` has in `names`.
+    fn sym(names: &Names, name: &str) -> Symbol {
+        names.find(name).unwrap()
     }
 
     #[test]
@@ -1061,11 +1093,11 @@ mod tests {
 
     #[test]
     fn parses_snapshot_with_bounds() {
-        let (_, e) = expr("snapshot ds [_, X]");
+        let (_, e, names) = expr_names("snapshot ds [_, X]");
         match e {
             ExprKind::Snapshot { lo, hi, .. } => {
                 assert_eq!(lo, StaticMode::Bot);
-                assert_eq!(hi, StaticMode::Var(ModeVar::new("X")));
+                assert_eq!(hi, StaticMode::Var(ModeVar::named(sym(&names, "X"))));
             }
             other => panic!("expected snapshot, got {other:?}"),
         }
@@ -1143,14 +1175,14 @@ mod tests {
 
     #[test]
     fn parses_new_with_mode_instantiation() {
-        let (ast, e) = expr("new Site@mode<full_throttle>(url)");
+        let (ast, e, names) = expr_names("new Site@mode<full_throttle>(url)");
         match e {
             ExprKind::New {
                 class,
                 args,
                 ctor_args,
             } => {
-                assert_eq!(class, ClassName::new("Site"));
+                assert_eq!(class, ClassName::new(sym(&names, "Site")));
                 let args = &ast[args.unwrap()];
                 assert_eq!(
                     args.mode,
@@ -1232,7 +1264,8 @@ mod tests {
         )
         .unwrap();
         let helper = &p.classes[0];
-        assert_eq!(helper.mode_params.bounds[0].var, ModeVar::new("X"));
+        let x = sym(p.names(), "X");
+        assert_eq!(helper.mode_params.bounds[0].var, ModeVar::named(x));
         assert_eq!(
             helper.methods[0].mode,
             Some(StaticMode::Const(ModeName::new("high")))
@@ -1300,8 +1333,9 @@ mod tests {
         )
         .unwrap();
         let d = &p.classes[1];
-        assert_eq!(d.superclass, ClassName::new("Base"));
-        assert_eq!(d.super_args, vec![StaticMode::Var(ModeVar::new("Y"))]);
+        assert_eq!(d.superclass, ClassName::new(sym(p.names(), "Base")));
+        let y = ModeVar::named(sym(p.names(), "Y"));
+        assert_eq!(d.super_args, vec![StaticMode::Var(y)]);
     }
 
     #[test]

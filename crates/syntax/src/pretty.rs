@@ -5,7 +5,7 @@
 
 use std::fmt::Write as _;
 
-use ent_modes::{Mode, StaticMode};
+use ent_modes::{Mode, Names, StaticMode};
 
 use crate::ast::*;
 
@@ -65,6 +65,11 @@ mod ent_syntax_types {
 /// # Ok::<(), ent_syntax::SyntaxError>(())
 /// ```
 pub fn print_program(p: &Program) -> String {
+    p.names().enter(|| print_program_names(p))
+}
+
+/// [`print_program`], under the program's names.
+fn print_program_names(p: &Program) -> String {
     let mut out = Printer {
         ast: p.ast(),
         out: String::new(),
@@ -96,13 +101,14 @@ pub fn print_program(p: &Program) -> String {
     out.out
 }
 
-/// Pretty-prints expression `e` of tree `ast`.
-pub fn print_expr_string(ast: &Ast, e: ExprId) -> String {
+/// Pretty-prints expression `e` of tree `ast`, whose names are ids into
+/// `names`.
+pub fn print_expr_string(names: &Names, ast: &Ast, e: ExprId) -> String {
     let mut out = Printer {
         ast,
         out: String::new(),
     };
-    out.expr(e, 0);
+    names.enter(|| out.expr(e, 0));
     out.out
 }
 
@@ -141,7 +147,7 @@ impl Printer<'_> {
     fn class(&mut self, c: &ClassDecl) {
         let _ = write!(self, "class {}", c.name);
         self.class_mode_params(c);
-        if c.superclass != ClassName::object() {
+        if c.superclass != ClassName::OBJECT {
             let _ = write!(self, " extends {}", c.superclass);
             if !c.super_args.is_empty() {
                 let args: Vec<String> = c.super_args.iter().map(src_mode).collect();
@@ -180,7 +186,7 @@ impl Printer<'_> {
             let first = bounds
                 .next()
                 .expect("dynamic class has an internal parameter");
-            if first.var.as_str().starts_with("Self_") {
+            if first.var.name().is_none() {
                 parts.push("?".to_string());
             } else if first.hi == StaticMode::Top {
                 parts.push(format!("? <= {}", first.var));
@@ -456,8 +462,9 @@ impl Printer<'_> {
     }
 }
 
-/// Prints a type's mode arguments. (Used by diagnostics in downstream
-/// crates; re-exported for convenience.)
+/// Prints a type's mode arguments, names through the table current on
+/// the thread. (Used by diagnostics in downstream crates; re-exported for
+/// convenience.)
 pub fn mode_args_string(args: &ent_modes::ModeArgs) -> String {
     match (&args.mode, args.rest.is_empty()) {
         (Mode::Static(StaticMode::Bot), true) => String::new(),
@@ -496,17 +503,17 @@ mod tests {
 
     #[test]
     fn expression_printing_is_parseable() {
-        let (ast1, e1) = parse_expr("1 + 2 * -x", &[]).unwrap();
-        let s = print_expr_string(&ast1, e1);
-        let (ast2, e2) = parse_expr(&s, &[]).unwrap();
+        let (ast1, e1, names1) = parse_expr("1 + 2 * -x", &[]).unwrap();
+        let s = print_expr_string(&names1, &ast1, e1);
+        let (ast2, e2, names2) = parse_expr(&s, &[]).unwrap();
         // Printed form is fully parenthesized; compare printed forms.
-        assert_eq!(s, print_expr_string(&ast2, e2));
+        assert_eq!(s, print_expr_string(&names2, &ast2, e2));
     }
 
     #[test]
     fn snapshot_bounds_print_with_holes() {
-        let (ast, e) = parse_expr("snapshot x", &[]).unwrap();
-        assert_eq!(print_expr_string(&ast, e), "snapshot x [_, _]");
+        let (ast, e, names) = parse_expr("snapshot x", &[]).unwrap();
+        assert_eq!(print_expr_string(&names, &ast, e), "snapshot x [_, _]");
     }
 
     #[test]

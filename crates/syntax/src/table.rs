@@ -1,28 +1,28 @@
 //! The class table: inheritance-aware lookup of fields, methods, and
 //! attributors (the paper's `fields`, `mtype`, `mbody`, and `abody`).
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use ent_modes::{Mode, ModeArgs, StaticMode, Subst};
+use ent_modes::{Mode, ModeArgs, Names, Spelling, StaticMode, Subst, Symbol};
 
 use crate::ast::*;
 
-/// An error found while assembling the class table.
+/// An error found while assembling the class table. Its names are
+/// [`Spelling`]s, so it prints without a current name table.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TableError {
     /// Two classes share a name.
-    DuplicateClass(ClassName),
+    DuplicateClass(Spelling),
     /// A class extends an undeclared class.
-    UnknownSuperclass(ClassName, ClassName),
+    UnknownSuperclass(Spelling, Spelling),
     /// The inheritance relation is cyclic through the named class.
-    InheritanceCycle(ClassName),
+    InheritanceCycle(Spelling),
     /// The superclass instantiation has the wrong number of mode arguments.
     SuperArgArity {
         /// The subclass.
-        class: ClassName,
+        class: Spelling,
         /// Expected count (the superclass's parameter count).
         expected: usize,
         /// Found count.
@@ -30,16 +30,16 @@ pub enum TableError {
     },
     /// The superclass instantiation changes the object's own mode, which
     /// would let an upcast evade the waterfall invariant.
-    SuperModeMismatch(ClassName),
+    SuperModeMismatch(Spelling),
     /// A class has two fields (possibly inherited) with the same name.
-    DuplicateField(ClassName, Ident),
+    DuplicateField(Spelling, Spelling),
     /// A class declares two methods with the same name.
-    DuplicateMethod(ClassName, Ident),
+    DuplicateMethod(Spelling, Spelling),
     /// A class uses the reserved name `Object` or `Main` incorrectly.
-    ReservedClass(ClassName),
+    ReservedClass(Spelling),
     /// A dynamic class is missing its attributor, or a non-dynamic class
     /// has one.
-    AttributorMismatch(ClassName, &'static str),
+    AttributorMismatch(Spelling, &'static str),
 }
 
 impl fmt::Display for TableError {
@@ -121,7 +121,7 @@ pub struct ResolvedMethod {
 /// # Example
 ///
 /// ```
-/// use ent_syntax::{parse_program, ClassTable};
+/// use ent_syntax::{parse_program, ClassName, ClassTable};
 ///
 /// let p = parse_program(
 ///     "modes { low <= high; }
@@ -129,18 +129,24 @@ pub struct ResolvedMethod {
 ///      class DepthRule@mode<X> extends Rule@mode<X> { int depth; }",
 /// ).unwrap();
 /// let table = ClassTable::new(&p)?;
-/// assert!(table.is_subclass(&"DepthRule".into(), &"Rule".into()));
+/// let class = |name| ClassName::new(p.names().find(name).unwrap());
+/// assert!(table.is_subclass(&class("DepthRule"), &class("Rule")));
 /// # Ok::<(), ent_syntax::TableError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct ClassTable {
-    /// The program's own declarations, shared rather than copied.
+    /// The program's own declarations and names, shared rather than
+    /// copied.
     classes: Arc<Classes>,
-    /// Each class's position in `classes`, by name.
-    index: HashMap<ClassName, usize>,
+    /// Each class's position in `classes` by name id ([`NOT_A_CLASS`] for
+    /// a name no class declares): one index per name of the program.
+    index: Vec<u32>,
     /// Class names in declaration order.
     order: Vec<ClassName>,
 }
+
+/// An [`ClassTable::index`] entry for a name no class declares.
+const NOT_A_CLASS: u32 = u32::MAX;
 
 /// A class's superclass, by position in the table's declaration order.
 #[derive(Clone, Copy, Debug)]
@@ -158,7 +164,11 @@ enum Parent {
 /// so a deep chain costs linear time. Classes off the forest (an unknown
 /// superclass or a cycle above them) get `None`; the chain check rejects
 /// them first.
-fn first_duplicate_fields<'d>(decls: &'d [ClassDecl], parent: &[Parent]) -> Vec<Option<Ident>> {
+fn first_duplicate_fields(
+    decls: &[ClassDecl],
+    parent: &[Parent],
+    n_names: usize,
+) -> Vec<Option<Ident>> {
     let n = decls.len();
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut roots = Vec::new();
@@ -170,8 +180,9 @@ fn first_duplicate_fields<'d>(decls: &'d [ClassDecl], parent: &[Parent]) -> Vec<
         }
     }
     let mut first_dup: Vec<Option<Ident>> = vec![None; n];
-    // How often each field name occurs on the current root path.
-    let mut on_path: HashMap<&'d Ident, u32> = HashMap::new();
+    // How often each field name occurs on the current root path, by name
+    // id.
+    let mut on_path: Vec<u32> = vec![0; n_names];
     // `(class, fields it added to on_path, its next child)`.
     let mut stack: Vec<(usize, usize, usize)> = Vec::new();
     for root in roots {
@@ -181,7 +192,7 @@ fn first_duplicate_fields<'d>(decls: &'d [ClassDecl], parent: &[Parent]) -> Vec<
             let (c, added, next) = *top;
             if let Some(&child) = children[c].get(next) {
                 top.2 += 1;
-                let inherited = first_dup[c].clone();
+                let inherited = first_dup[c];
                 let added = enter_fields(
                     &decls[child],
                     inherited,
@@ -191,7 +202,7 @@ fn first_duplicate_fields<'d>(decls: &'d [ClassDecl], parent: &[Parent]) -> Vec<
                 stack.push((child, added, 0));
             } else {
                 for fd in &decls[c].fields[..added] {
-                    *on_path.get_mut(&fd.name).expect("added on entry") -= 1;
+                    on_path[fd.name.symbol().index()] -= 1;
                 }
                 stack.pop();
             }
@@ -205,10 +216,10 @@ fn first_duplicate_fields<'d>(decls: &'d [ClassDecl], parent: &[Parent]) -> Vec<
 /// first of its own fields already on the path or earlier among its own.
 /// Adds its fields up to that repeat to `on_path`, and returns how many
 /// it added.
-fn enter_fields<'d>(
-    decl: &'d ClassDecl,
+fn enter_fields(
+    decl: &ClassDecl,
     inherited: Option<Ident>,
-    on_path: &mut HashMap<&'d Ident, u32>,
+    on_path: &mut [u32],
     dup: &mut Option<Ident>,
 ) -> usize {
     if inherited.is_some() {
@@ -216,9 +227,9 @@ fn enter_fields<'d>(
         return 0;
     }
     for (i, fd) in decl.fields.iter().enumerate() {
-        let count = on_path.entry(&fd.name).or_insert(0);
+        let count = &mut on_path[fd.name.symbol().index()];
         if *count > 0 {
-            *dup = Some(fd.name.clone());
+            *dup = Some(fd.name);
             return i;
         }
         *count += 1;
@@ -238,16 +249,19 @@ impl ClassTable {
     /// class must not).
     pub fn new(program: &Program) -> Result<Self, TableError> {
         let classes = Arc::clone(&program.classes);
-        let mut index = HashMap::with_capacity(classes.len());
+        let spell = |c: ClassName| classes.names().spelling(c.symbol());
+        let mut index = vec![NOT_A_CLASS; classes.names().len()];
         let mut order = Vec::with_capacity(classes.len());
-        for (i, c) in classes.iter().enumerate() {
-            if c.name == ClassName::object() {
-                return Err(TableError::ReservedClass(c.name.clone()));
+        for (i, c) in (0u32..).zip(classes.iter()) {
+            if c.name == ClassName::OBJECT {
+                return Err(TableError::ReservedClass(spell(c.name)));
             }
-            if index.insert(c.name.clone(), i).is_some() {
-                return Err(TableError::DuplicateClass(c.name.clone()));
+            let slot = &mut index[c.name.symbol().index()];
+            if *slot != NOT_A_CLASS {
+                return Err(TableError::DuplicateClass(spell(c.name)));
             }
-            order.push(c.name.clone());
+            *slot = i;
+            order.push(c.name);
         }
         let table = ClassTable {
             classes,
@@ -258,15 +272,33 @@ impl ClassTable {
         Ok(table)
     }
 
+    /// The position of class `name` in declaration order, if declared.
+    pub fn position(&self, name: &ClassName) -> Option<usize> {
+        match self.index.get(name.symbol().index()) {
+            Some(&i) if i != NOT_A_CLASS => Some(i as usize),
+            _ => None,
+        }
+    }
+
     /// The declaration named `name`.
     fn decl(&self, name: &ClassName) -> Option<&ClassDecl> {
-        self.index.get(name).map(|&i| &self.classes[i])
+        self.position(name).map(|i| &self.classes[i])
+    }
+
+    /// The program's name table.
+    pub fn names(&self) -> &Names {
+        self.classes.names()
+    }
+
+    /// The spelling of `name`, for an error.
+    fn spell(&self, name: impl Into<Symbol>) -> Spelling {
+        self.names().spelling(name.into())
     }
 
     fn validate(&self) -> Result<(), TableError> {
         let decls: &[ClassDecl] = &self.classes;
         let parent = self.parents();
-        let first_dup = first_duplicate_fields(decls, &parent);
+        let first_dup = first_duplicate_fields(decls, &parent, self.index.len());
         // Per class: `UNCHECKED`, `CHAIN_OK`, or `k` while the walk that
         // started at class `k` is on it. A walk stops at a checked class,
         // so each chain link is followed once over the whole table.
@@ -285,12 +317,12 @@ impl ClassTable {
                         Parent::Object => break,
                         Parent::Unknown => {
                             return Err(TableError::UnknownSuperclass(
-                                decls[cur].name.clone(),
-                                decls[cur].superclass.clone(),
+                                self.spell(decls[cur].name),
+                                self.spell(decls[cur].superclass),
                             ))
                         }
                         Parent::Class(p) if state[p] == k => {
-                            return Err(TableError::InheritanceCycle(name.clone()))
+                            return Err(TableError::InheritanceCycle(self.spell(*name)))
                         }
                         Parent::Class(p) if state[p] == CHAIN_OK => break,
                         Parent::Class(p) => {
@@ -310,12 +342,12 @@ impl ClassTable {
             }
 
             // Superclass instantiation arity + own-mode preservation.
-            if c.superclass != ClassName::object() {
-                let sup = &decls[self.index[&c.superclass]];
+            if c.superclass != ClassName::OBJECT {
+                let sup = self.superclass(c);
                 if sup.mode_params.dynamic {
                     // Extending a dynamic class is out of scope for the
                     // reproduction (as in the paper's examples).
-                    return Err(TableError::SuperModeMismatch(name.clone()));
+                    return Err(TableError::SuperModeMismatch(self.spell(*name)));
                 }
                 let expected = sup.mode_params.bounds.len();
                 let found = c.super_args.len();
@@ -324,7 +356,7 @@ impl ClassTable {
                     sup.mode_params.bounds.iter().all(|b| b.lo == b.hi) && !sup.mode_params.dynamic;
                 if found != expected && !(found == 0 && (expected == 0 || pinned_only)) {
                     return Err(TableError::SuperArgArity {
-                        class: name.clone(),
+                        class: self.spell(*name),
                         expected,
                         found,
                     });
@@ -340,7 +372,7 @@ impl ClassTable {
                         _ => false,
                     };
                     if !ok {
-                        return Err(TableError::SuperModeMismatch(name.clone()));
+                        return Err(TableError::SuperModeMismatch(self.spell(*name)));
                     }
                 } else if expected > 0 && found == 0 {
                     // Implicit pinned instantiation: subclass must be pinned
@@ -350,27 +382,31 @@ impl ClassTable {
             }
 
             // Member uniqueness (fields also against inherited ones).
-            if let Some(field) = &first_dup[k] {
-                return Err(TableError::DuplicateField(name.clone(), field.clone()));
+            if let Some(field) = first_dup[k] {
+                return Err(TableError::DuplicateField(
+                    self.spell(*name),
+                    self.spell(field),
+                ));
             }
-            let mut method_names: Vec<Ident> = Vec::new();
-            for m in &c.methods {
-                if method_names.contains(&m.name) {
-                    return Err(TableError::DuplicateMethod(name.clone(), m.name.clone()));
+            for (i, m) in c.methods.iter().enumerate() {
+                if c.methods[..i].iter().any(|earlier| earlier.name == m.name) {
+                    return Err(TableError::DuplicateMethod(
+                        self.spell(*name),
+                        self.spell(m.name),
+                    ));
                 }
-                method_names.push(m.name.clone());
             }
 
             // Attributor presence must match dynamicness.
             if c.mode_params.dynamic && c.attributor.is_none() {
                 return Err(TableError::AttributorMismatch(
-                    name.clone(),
+                    self.spell(*name),
                     "is dynamic but has no attributor",
                 ));
             }
             if !c.mode_params.dynamic && c.attributor.is_some() {
                 return Err(TableError::AttributorMismatch(
-                    name.clone(),
+                    self.spell(*name),
                     "has an attributor but is not dynamic",
                 ));
             }
@@ -383,12 +419,11 @@ impl ClassTable {
         self.classes
             .iter()
             .map(|c| {
-                if c.superclass == ClassName::object() {
+                if c.superclass == ClassName::OBJECT {
                     Parent::Object
                 } else {
-                    self.index
-                        .get(&c.superclass)
-                        .map_or(Parent::Unknown, |&p| Parent::Class(p))
+                    self.position(&c.superclass)
+                        .map_or(Parent::Unknown, Parent::Class)
                 }
             })
             .collect()
@@ -400,7 +435,7 @@ impl ClassTable {
     }
 
     /// Class names in declaration order.
-    pub fn names(&self) -> &[ClassName] {
+    pub fn class_names(&self) -> &[ClassName] {
         &self.order
     }
 
@@ -408,11 +443,11 @@ impl ClassTable {
     /// including `name`.
     pub fn superclass_chain(&self, name: &ClassName) -> Vec<ClassName> {
         let mut chain = Vec::new();
-        let mut cur = name.clone();
-        while cur != ClassName::object() {
-            chain.push(cur.clone());
+        let mut cur = *name;
+        while cur != ClassName::OBJECT {
+            chain.push(cur);
             match self.decl(&cur) {
-                Some(c) => cur = c.superclass.clone(),
+                Some(c) => cur = c.superclass,
                 None => break,
             }
         }
@@ -422,19 +457,19 @@ impl ClassTable {
 
     /// Nominal subclassing: is `c` equal to or a subclass of `d`?
     pub fn is_subclass(&self, c: &ClassName, d: &ClassName) -> bool {
-        if d == &ClassName::object() {
+        if *d == ClassName::OBJECT {
             return true;
         }
-        let mut cur = c.clone();
+        let mut cur = *c;
         loop {
-            if &cur == d {
+            if cur == *d {
                 return true;
             }
-            if cur == ClassName::object() {
+            if cur == ClassName::OBJECT {
                 return false;
             }
             match self.decl(&cur) {
-                Some(decl) => cur = decl.superclass.clone(),
+                Some(decl) => cur = decl.superclass,
                 None => return false,
             }
         }
@@ -455,13 +490,13 @@ impl ClassTable {
             let mode = match &args.mode {
                 Mode::Static(m) => m.clone(),
                 // Dynamic instantiation: keep the internal variable.
-                Mode::Dynamic => StaticMode::Var(b.var.clone()),
+                Mode::Dynamic => StaticMode::Var(b.var),
             };
-            (b.var.clone(), mode)
+            (b.var, mode)
         });
         let rest = bounds.iter().skip(1).zip(&args.rest);
         own.into_iter()
-            .chain(rest.map(|(b, m)| (b.var.clone(), m.clone())))
+            .chain(rest.map(|(b, m)| (b.var, m.clone())))
             .collect()
     }
 
@@ -471,15 +506,12 @@ impl ClassTable {
     fn super_subst(&self, decl: &ClassDecl, subst: &Subst) -> Subst {
         let bounds = &self.superclass(decl).mode_params.bounds;
         if decl.super_args.is_empty() {
-            bounds
-                .iter()
-                .map(|b| (b.var.clone(), b.lo.clone()))
-                .collect()
+            bounds.iter().map(|b| (b.var, b.lo.clone())).collect()
         } else {
             bounds
                 .iter()
                 .zip(&decl.super_args)
-                .map(|(b, m)| (b.var.clone(), m.apply(subst)))
+                .map(|(b, m)| (b.var, m.apply(subst)))
                 .collect()
         }
     }
@@ -500,7 +532,7 @@ impl ClassTable {
             if let Some(fd) = decl.fields.iter().find(|f| &f.name == name) {
                 return Some(resolve_field(decl, fd, &subst));
             }
-            if decl.superclass == ClassName::object() {
+            if decl.superclass == ClassName::OBJECT {
                 return None;
             }
             subst = self.super_subst(decl, &subst);
@@ -534,7 +566,7 @@ impl ClassTable {
         keep: &dyn Fn(&FieldDecl) -> bool,
         out: &mut Vec<ResolvedField>,
     ) {
-        if decl.superclass != ClassName::object() {
+        if decl.superclass != ClassName::OBJECT {
             // Compose: super args are in terms of this class's vars.
             let sup = self.superclass(decl);
             self.fields_rec(sup, &self.super_subst(decl, subst), keep, out);
@@ -560,7 +592,7 @@ impl ClassTable {
         loop {
             if let Some(m) = decl.method(name) {
                 return Some(ResolvedMethod {
-                    owner: decl.name.clone(),
+                    owner: decl.name,
                     params: m.params.iter().map(|(t, _)| t.apply(&subst)).collect(),
                     ret: m.ret.apply(&subst),
                     mode: m.mode.as_ref().map(|mo| mo.apply(&subst)),
@@ -573,7 +605,7 @@ impl ClassTable {
                     subst,
                 });
             }
-            if decl.superclass == ClassName::object() {
+            if decl.superclass == ClassName::OBJECT {
                 return None;
             }
             subst = self.super_subst(decl, &subst);
@@ -589,7 +621,8 @@ impl ClassTable {
     /// The declaration of `decl`'s superclass, which the validated table
     /// holds.
     fn superclass(&self, decl: &ClassDecl) -> &ClassDecl {
-        &self.classes[self.index[&decl.superclass]]
+        self.decl(&decl.superclass)
+            .expect("a validated superclass is declared")
     }
 }
 
@@ -597,8 +630,8 @@ impl ClassTable {
 /// substituted per `subst`.
 fn resolve_field(decl: &ClassDecl, fd: &FieldDecl, subst: &Subst) -> ResolvedField {
     ResolvedField {
-        owner: decl.name.clone(),
-        name: fd.name.clone(),
+        owner: decl.name,
+        name: fd.name,
         ty: fd.ty.apply(subst),
         has_init: fd.init.is_some(),
     }
@@ -614,6 +647,21 @@ mod tests {
         ClassTable::new(&parse_program(src).unwrap()).unwrap()
     }
 
+    /// The id `t`'s program gives `name`, or an id no table holds.
+    fn sym(t: &ClassTable, name: &str) -> Symbol {
+        t.names()
+            .find(name)
+            .unwrap_or(Symbol::from_raw(u32::MAX >> 2))
+    }
+
+    fn class(t: &ClassTable, name: &str) -> ClassName {
+        ClassName::new(sym(t, name))
+    }
+
+    fn ident(t: &ClassTable, name: &str) -> Ident {
+        Ident::new(sym(t, name))
+    }
+
     const BASE: &str = "modes { low <= high; }
         class Rule@mode<R> { int max; }
         class DepthRule@mode<X> extends Rule@mode<X> { int depth; }
@@ -624,24 +672,24 @@ mod tests {
     fn chain_and_subclassing() {
         let t = table(BASE);
         assert_eq!(
-            t.superclass_chain(&"DepthRule".into()),
-            vec![ClassName::new("Rule"), ClassName::new("DepthRule")]
+            t.superclass_chain(&class(&t, "DepthRule")),
+            vec![class(&t, "Rule"), class(&t, "DepthRule")]
         );
-        assert!(t.is_subclass(&"DepthRule".into(), &"Rule".into()));
-        assert!(t.is_subclass(&"Rule".into(), &"Rule".into()));
-        assert!(!t.is_subclass(&"Rule".into(), &"DepthRule".into()));
-        assert!(t.is_subclass(&"Plain".into(), &ClassName::object()));
+        assert!(t.is_subclass(&class(&t, "DepthRule"), &class(&t, "Rule")));
+        assert!(t.is_subclass(&class(&t, "Rule"), &class(&t, "Rule")));
+        assert!(!t.is_subclass(&class(&t, "Rule"), &class(&t, "DepthRule")));
+        assert!(t.is_subclass(&class(&t, "Plain"), &ClassName::OBJECT));
     }
 
     #[test]
     fn fields_are_inherited_first_and_substituted() {
         let t = table(BASE);
         let args = ModeArgs::of_static(StaticMode::Const(ModeName::new("high")));
-        let fields = t.fields(&"DepthRule".into(), &args);
+        let fields = t.fields(&class(&t, "DepthRule"), &args);
         assert_eq!(fields.len(), 2);
-        assert_eq!(fields[0].name, Ident::new("max"));
-        assert_eq!(fields[0].owner, ClassName::new("Rule"));
-        assert_eq!(fields[1].name, Ident::new("depth"));
+        assert_eq!(fields[0].name, ident(&t, "max"));
+        assert_eq!(fields[0].owner, class(&t, "Rule"));
+        assert_eq!(fields[1].name, ident(&t, "depth"));
     }
 
     #[test]
@@ -652,8 +700,11 @@ mod tests {
              class SubBox@mode<S> extends Box@mode<S> { }",
         );
         let args = ModeArgs::of_static(StaticMode::Const(ModeName::new("low")));
-        let fields = t.fields(&"SubBox".into(), &args);
-        assert_eq!(fields[0].ty.to_string(), "Box@mode<low>");
+        let fields = t.fields(&class(&t, "SubBox"), &args);
+        assert_eq!(
+            t.names().enter(|| fields[0].ty.to_string()),
+            "Box@mode<low>"
+        );
     }
 
     #[test]
@@ -664,15 +715,15 @@ mod tests {
              class SubBox@mode<S> extends Box@mode<S> { SubBox@mode<S> peer; }",
         );
         let args = ModeArgs::of_static(StaticMode::Const(ModeName::new("low")));
-        let class = ClassName::new("SubBox");
-        for f in t.fields(&class, &args) {
-            assert_eq!(t.field(&class, &args, &f.name), Some(f));
+        let sub = class(&t, "SubBox");
+        for f in t.fields(&sub, &args) {
+            assert_eq!(t.field(&sub, &args, &f.name), Some(f));
         }
-        let next = t.field(&class, &args, &Ident::new("next")).unwrap();
-        assert_eq!(next.owner, ClassName::new("Box"));
-        assert_eq!(next.ty.to_string(), "Box@mode<low>");
-        assert_eq!(t.field(&class, &args, &Ident::new("nope")), None);
-        assert_eq!(t.field(&"Nope".into(), &args, &Ident::new("next")), None);
+        let next = t.field(&sub, &args, &ident(&t, "next")).unwrap();
+        assert_eq!(next.owner, class(&t, "Box"));
+        assert_eq!(t.names().enter(|| next.ty.to_string()), "Box@mode<low>");
+        assert_eq!(t.field(&sub, &args, &ident(&t, "nope")), None);
+        assert_eq!(t.field(&class(&t, "Nope"), &args, &ident(&t, "next")), None);
     }
 
     #[test]
@@ -684,9 +735,9 @@ mod tests {
              class Site@mode<S> { }",
         );
         let args = ModeArgs::of_static(StaticMode::Const(ModeName::new("high")));
-        let m = t.method(&"B".into(), &args, &Ident::new("get")).unwrap();
-        assert_eq!(m.owner, ClassName::new("A"));
-        assert_eq!(m.ret.to_string(), "Site@mode<high>");
+        let m = t.method(&class(&t, "B"), &args, &ident(&t, "get")).unwrap();
+        assert_eq!(m.owner, class(&t, "A"));
+        assert_eq!(t.names().enter(|| m.ret.to_string()), "Site@mode<high>");
         assert_eq!(m.params, vec![Type::INT]);
     }
 
@@ -702,15 +753,15 @@ mod tests {
         );
         let m = t
             .method(
-                &"Agent".into(),
+                &class(&t, "Agent"),
                 &ModeArgs::of_dynamic(),
-                &Ident::new("peek"),
+                &ident(&t, "peek"),
             )
             .unwrap();
-        assert_eq!(m.ret.to_string(), "Site@mode<X>");
+        assert_eq!(t.names().enter(|| m.ret.to_string()), "Site@mode<X>");
         assert_eq!(
-            m.subst.get(&ModeVar::new("X")),
-            Some(&StaticMode::Var(ModeVar::new("X")))
+            m.subst.get(&ModeVar::named(sym(&t, "X"))),
+            Some(&StaticMode::Var(ModeVar::named(sym(&t, "X"))))
         );
     }
 
@@ -803,8 +854,11 @@ mod tests {
             "modes { low <= high; }
              class C { int a; int b = 3; string c; }",
         );
-        let params = t.ctor_params(&"C".into(), &ModeArgs::of_static(StaticMode::Bot));
-        let names: Vec<_> = params.iter().map(|f| f.name.as_str().to_string()).collect();
+        let params = t.ctor_params(&class(&t, "C"), &ModeArgs::of_static(StaticMode::Bot));
+        let names: Vec<_> = params
+            .iter()
+            .map(|f| t.names().get(f.name.into()))
+            .collect();
         assert_eq!(names, ["a", "c"]);
     }
 
@@ -832,25 +886,25 @@ mod tests {
     /// it memoized chains: every class's whole chain walked with a `seen`
     /// list, then rebuilt for the field check.
     fn chain_and_field_oracle(t: &ClassTable) -> Result<(), TableError> {
-        for name in &t.order {
-            let mut seen = vec![name.clone()];
-            let mut cur = t.class(name).expect("a declared class");
-            while cur.superclass != ClassName::object() {
+        for &name in &t.order {
+            let mut seen = vec![name];
+            let mut cur = t.class(&name).expect("a declared class");
+            while cur.superclass != ClassName::OBJECT {
                 if seen.contains(&cur.superclass) {
-                    return Err(TableError::InheritanceCycle(name.clone()));
+                    return Err(TableError::InheritanceCycle(t.spell(name)));
                 }
-                seen.push(cur.superclass.clone());
+                seen.push(cur.superclass);
                 cur = t.class(&cur.superclass).ok_or_else(|| {
-                    TableError::UnknownSuperclass(cur.name.clone(), cur.superclass.clone())
+                    TableError::UnknownSuperclass(t.spell(cur.name), t.spell(cur.superclass))
                 })?;
             }
             let mut field_names: Vec<Ident> = Vec::new();
-            for anc in t.superclass_chain(name) {
+            for anc in t.superclass_chain(&name) {
                 for fd in &t.class(&anc).expect("a chain class").fields {
                     if field_names.contains(&fd.name) {
-                        return Err(TableError::DuplicateField(name.clone(), fd.name.clone()));
+                        return Err(TableError::DuplicateField(t.spell(name), t.spell(fd.name)));
                     }
-                    field_names.push(fd.name.clone());
+                    field_names.push(fd.name);
                 }
             }
         }
@@ -887,15 +941,14 @@ mod tests {
                 src.push_str(" }\n");
             }
             let program = parse_program(&src).expect("generated classes parse");
+            let mut index = vec![NOT_A_CLASS; program.names().len()];
+            for (i, c) in (0u32..).zip(program.classes.iter()) {
+                index[c.name.symbol().index()] = i;
+            }
             let unchecked = ClassTable {
                 classes: Arc::clone(&program.classes),
-                index: program
-                    .classes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| (c.name.clone(), i))
-                    .collect(),
-                order: program.classes.iter().map(|c| c.name.clone()).collect(),
+                index,
+                order: program.classes.iter().map(|c| c.name).collect(),
             };
             proptest::prop_assert_eq!(
                 ClassTable::new(&program).map(|_| ()),

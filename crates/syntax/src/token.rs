@@ -19,7 +19,7 @@ pub struct Token {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TokenKind {
     // Literals and names
-    /// An identifier or non-keyword name: its index in
+    /// An identifier or non-keyword name: its id in
     /// [`crate::Lexed::names`], one per distinct spelling.
     Ident(u32),
     /// An integer literal.
@@ -137,9 +137,12 @@ impl TokenKind {
     /// A short human-readable description used in parse errors. An
     /// identifier is described by its spelling, looked up in `names`
     /// ([`crate::Lexed::names`]).
-    pub fn describe(&self, names: &[std::sync::Arc<str>]) -> String {
+    pub fn describe(&self, names: &ent_modes::Names) -> String {
         match self {
-            TokenKind::Ident(id) => format!("identifier `{}`", names[*id as usize]),
+            TokenKind::Ident(id) => format!(
+                "identifier `{}`",
+                names.get(ent_modes::Symbol::from_raw(*id))
+            ),
             TokenKind::Int(n) => format!("integer `{n}`"),
             TokenKind::Double(x) => format!("double `{x}`"),
             TokenKind::Str(_) => "string literal".to_string(),
@@ -249,7 +252,10 @@ mod tests {
             assert_eq!(kind.to_string(), *word);
         }
         let agent = crate::lex("agent").unwrap().tokens[0].kind;
-        assert_eq!(agent, TokenKind::Ident(0));
+        assert_eq!(
+            agent,
+            TokenKind::Ident(crate::ast::PREDECLARED.len() as u32)
+        );
     }
 
     #[test]
@@ -268,7 +274,7 @@ mod tests {
 
     #[test]
     fn describe_wraps_punctuation_in_backticks() {
-        let names = ["x".into()];
+        let names = ent_modes::Names::new(&[], &["x"]);
         assert_eq!(TokenKind::Comma.describe(&names), "`,`");
         assert_eq!(TokenKind::Ident(0).describe(&names), "identifier `x`");
     }

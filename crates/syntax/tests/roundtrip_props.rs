@@ -1,6 +1,7 @@
 //! Property tests: pretty-printed expressions re-parse to the same tree
 //! (compared via their printed normal form, since spans differ).
 
+use ent_modes::Names;
 use ent_syntax::{
     parse_expr, print_expr_string, Ast, BinOp, Expr, ExprId, ExprKind, Ident, Lit, Span,
 };
@@ -12,8 +13,9 @@ const MODES: &[&str] = &["energy_saver", "managed", "full_throttle"];
 #[derive(Clone, Debug)]
 enum Shape {
     Leaf(ExprKind),
+    Var(String),
     Binary(BinOp, Box<Shape>, Box<Shape>),
-    Field(Box<Shape>, Ident),
+    Field(Box<Shape>, String),
     Call(Box<Shape>, Vec<Shape>),
     Not(Box<Shape>),
     If(Box<Shape>, Box<Shape>, Box<Shape>),
@@ -21,45 +23,51 @@ enum Shape {
     Snapshot(Box<Shape>),
 }
 
-/// Adds `shape` to `ast`, children first, and returns its root.
-fn build(ast: &mut Ast, shape: &Shape) -> ExprId {
-    let mut sub = |s: &Shape| build(ast, s);
+/// The id of `name` in `names`, added if new.
+fn intern(names: &mut Names, name: &str) -> Ident {
+    Ident::new(names.find(name).unwrap_or_else(|| names.push(name)))
+}
+
+/// Adds `shape` to `ast`, children first, its names to `names`, and
+/// returns its root.
+fn build(ast: &mut Ast, names: &mut Names, shape: &Shape) -> ExprId {
     let kind = match shape {
         Shape::Leaf(kind) => kind.clone(),
+        Shape::Var(name) => ExprKind::Var(intern(names, name)),
         Shape::Binary(op, l, r) => ExprKind::Binary {
             op: *op,
-            lhs: sub(l),
-            rhs: sub(r),
+            lhs: build(ast, names, l),
+            rhs: build(ast, names, r),
         },
         Shape::Field(e, name) => ExprKind::Field {
-            recv: sub(e),
-            name: name.clone(),
+            recv: build(ast, names, e),
+            name: intern(names, name),
         },
         Shape::Call(e, args) => {
-            let recv = sub(e);
-            let args: Vec<ExprId> = args.iter().map(&mut sub).collect();
+            let recv = build(ast, names, e);
+            let args: Vec<ExprId> = args.iter().map(|a| build(ast, names, a)).collect();
             ExprKind::Call {
                 recv,
-                method: Ident::new("work"),
+                method: intern(names, "work"),
                 mode_args: vec![],
                 args: ast.push_exprs(args),
             }
         }
         Shape::Not(e) => ExprKind::Unary {
             op: ent_syntax::UnOp::Not,
-            expr: sub(e),
+            expr: build(ast, names, e),
         },
         Shape::If(c, t, e) => ExprKind::If {
-            cond: sub(c),
-            then: sub(t),
-            els: Some(sub(e)),
+            cond: build(ast, names, c),
+            then: build(ast, names, t),
+            els: Some(build(ast, names, e)),
         },
         Shape::Array(items) => {
-            let items: Vec<ExprId> = items.iter().map(&mut sub).collect();
+            let items: Vec<ExprId> = items.iter().map(|i| build(ast, names, i)).collect();
             ExprKind::ArrayLit(ast.push_exprs(items))
         }
         Shape::Snapshot(e) => ExprKind::Snapshot {
-            expr: sub(e),
+            expr: build(ast, names, e),
             lo: ent_modes::StaticMode::Bot,
             hi: ent_modes::StaticMode::Top,
         },
@@ -73,7 +81,7 @@ fn leaf() -> impl Strategy<Value = Shape> {
         any::<bool>().prop_map(|b| Shape::Leaf(ExprKind::Lit(Lit::Bool(b)))),
         "[a-z][a-z0-9_]{0,5}"
             .prop_filter("not a keyword or mode", |s| { !is_reserved(s) })
-            .prop_map(|s| Shape::Leaf(ExprKind::Var(Ident::new(s)))),
+            .prop_map(Shape::Var),
         Just(Shape::Leaf(ExprKind::This)),
         "[a-z ]{0,8}".prop_map(|s| Shape::Leaf(ExprKind::Lit(Lit::Str(s)))),
     ]
@@ -124,7 +132,7 @@ fn arb_expr() -> impl Strategy<Value = Shape> {
                 inner.clone(),
                 "[a-z][a-z0-9]{0,4}".prop_filter("reserved", |s| !is_reserved(s))
             )
-                .prop_map(|(e, f)| Shape::Field(Box::new(e), Ident::new(f))),
+                .prop_map(|(e, f)| Shape::Field(Box::new(e), f)),
             // Method call
             (
                 inner.clone(),
@@ -154,10 +162,11 @@ proptest! {
     #[test]
     fn printed_expressions_reparse(shape in arb_expr()) {
         let mut ast = Ast::new();
-        let e = build(&mut ast, &shape);
-        let printed = print_expr_string(&ast, e);
-        let (reparsed, root) = parse_expr(&printed, MODES)
+        let mut names = Names::default();
+        let e = build(&mut ast, &mut names, &shape);
+        let printed = print_expr_string(&names, &ast, e);
+        let (reparsed, root, names) = parse_expr(&printed, MODES)
             .unwrap_or_else(|err| panic!("printed `{printed}` failed to parse: {err}"));
-        prop_assert_eq!(printed.clone(), print_expr_string(&reparsed, root));
+        prop_assert_eq!(printed.clone(), print_expr_string(&names, &reparsed, root));
     }
 }
