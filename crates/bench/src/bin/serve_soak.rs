@@ -19,7 +19,11 @@
 //!    and with one worker versus four — produces the identical
 //!    deterministic record.
 //!
-//! Exits 1 if any contract is violated.
+//! The document records seven booleans (survival, byte identity, typed
+//! sheds, hysteresis over all three runs, same-seed replay, worker-count
+//! independence, and reaching `fallback_only`); the binary exits 1
+//! naming each one that is false. `cargo test` checks each of them on a
+//! shorter flood (`crates/serve/tests/serve_soak.rs`).
 //!
 //! Usage:
 //!   cargo run -p ent-bench --release --bin serve_soak \[seed\]
@@ -27,7 +31,7 @@
 use std::path::PathBuf;
 
 use ent_bench::parse_grid_args;
-use ent_runtime::{json, json_fields};
+use ent_runtime::json;
 use ent_serve::modes::SystemMode;
 use ent_serve::soak::{run_soak, SoakConfig};
 
@@ -92,11 +96,23 @@ fn main() {
         .any(|(_, _, to)| *to == SystemMode::FallbackOnly);
 
     let hysteresis_ok = report.hysteresis_ok && replay.hysteresis_ok && solo.hysteresis_ok;
+    // The contract: written to the document and, all together, the exit
+    // status.
+    let contracts = [
+        ("survived", survived),
+        ("byte_identical", byte_identical),
+        ("typed_sheds", typed_sheds),
+        ("hysteresis_ok", hysteresis_ok),
+        ("deterministic_replay", deterministic),
+        ("worker_count_independent", worker_independent),
+        ("reached_fallback_only", reached_floor),
+    ];
     let doc = json::object(|o| {
-        json_fields!(o; bench = "serve_soak", survived = survived, byte_identical = byte_identical,
-            typed_sheds = typed_sheds, hysteresis_ok = hysteresis_ok,
-            deterministic_replay = deterministic, worker_count_independent = worker_independent,
-            reached_fallback_only = reached_floor, report = report.json());
+        o.field("bench", "serve_soak");
+        for (name, held) in contracts {
+            o.field(name, held);
+        }
+        o.field("report", report.json());
     });
     let path = repo_root().join("BENCH_serve.json");
     std::fs::write(&path, json::to_string(doc.lines()) + "\n").unwrap();
@@ -119,15 +135,13 @@ fn main() {
         report.quarantine_paroled,
     );
 
-    if !(survived
-        && byte_identical
-        && typed_sheds
-        && report.hysteresis_ok
-        && deterministic
-        && worker_independent
-        && reached_floor)
-    {
-        eprintln!("SERVE SOAK CONTRACT VIOLATED");
+    let violated: Vec<&str> = contracts
+        .iter()
+        .filter(|&&(_, held)| !held)
+        .map(|&(name, _)| name)
+        .collect();
+    if !violated.is_empty() {
+        eprintln!("SERVE SOAK CONTRACT VIOLATED: {}", violated.join(", "));
         std::process::exit(1);
     }
 }

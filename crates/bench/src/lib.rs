@@ -81,13 +81,17 @@ pub struct GridArgs {
     pub fault_seed: u64,
 }
 
-/// Exits with status 1, naming the variable, when `ENT_STACK_SIZE` is
-/// malformed ([`ent_runtime::check_env_settings`]); otherwise the runs
-/// would silently fall back to the default stack. Every binary calls it
-/// before it runs anything, most through [`parse_grid_args`].
+/// Exits with status 1 and an `error:` line naming `ENT_STACK_SIZE` when
+/// the variable is malformed ([`ent_runtime::check_env_settings`]), so the
+/// runs do not silently fall back to the default stack, or when the host
+/// refuses a stack of that size ([`ent_runtime::check_interp_stack`]),
+/// so the first run does not panic. Every binary calls it before it runs
+/// anything, most through [`parse_grid_args`].
 pub fn check_env_or_exit() {
-    if let Err(e) = ent_runtime::check_env_settings() {
-        eprintln!("{e}");
+    if let Err(e) =
+        ent_runtime::check_env_settings().and_then(|()| ent_runtime::check_interp_stack())
+    {
+        eprintln!("error: {e}");
         std::process::exit(1);
     }
 }
@@ -98,8 +102,8 @@ pub fn check_env_or_exit() {
 /// that flag only changes speed. A malformed `--faults` value exits with
 /// status 1, as does a zero or non-numeric `--jobs` or `--fault-seed`,
 /// any other `--flag` (its value would otherwise be read as the
-/// positional count), and a malformed `ENT_STACK_SIZE`
-/// ([`ent_runtime::check_env_settings`]).
+/// positional count), and an `ENT_STACK_SIZE` that is malformed or that
+/// the host refuses ([`check_env_or_exit`]).
 pub fn parse_grid_args(default_value: u64) -> GridArgs {
     parse_grid_args_with(default_value, &[])
 }

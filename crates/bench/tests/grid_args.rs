@@ -1,6 +1,7 @@
 //! The figure binaries' flag contract: a flag they do not know, or a
-//! malformed stack size in the environment, exits 1 with a message naming
-//! it, before any grid runs; the environment half holds for
+//! stack size in the environment that is malformed or that the host
+//! refuses, exits 1 with a message naming it, before any grid runs; the
+//! environment half holds for
 //! `chaos_resilience`, `data_collection_rsd`, the two ablations and
 //! `obs_overhead` too. A skipped flag would have its value read as the
 //! positional repeat count.
@@ -60,6 +61,11 @@ fn a_malformed_stack_size_exits_one_before_any_grid_runs() {
     let binaries = [
         ("fig9_e1_all", env!("CARGO_BIN_EXE_fig9_e1_all"), &["1"][..]),
         (
+            "fig6_overhead",
+            env!("CARGO_BIN_EXE_fig6_overhead"),
+            &["1"][..],
+        ),
+        (
             "chaos_resilience",
             env!("CARGO_BIN_EXE_chaos_resilience"),
             &[][..],
@@ -81,20 +87,26 @@ fn a_malformed_stack_size_exits_one_before_any_grid_runs() {
         ),
         ("obs_overhead", env!("CARGO_BIN_EXE_obs_overhead"), &[][..]),
     ];
-    for (name, bin, args) in binaries {
-        let dir = scratch_dir(&format!("{name}-env"));
-        let out = Command::new(bin)
-            .args(args)
-            .env("ENT_STACK_SIZE", "huge")
-            .current_dir(&dir)
-            .output()
-            .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
-        assert!(stderr.contains("ENT_STACK_SIZE"), "{name}: got {stderr}");
-        assert!(out.stdout.is_empty(), "{name}: the run started");
-        assert!(!dir.join("results").exists(), "{name}: wrote results/");
-        let _ = std::fs::remove_dir_all(&dir);
+    // `huge` does not parse; 200000 GiB parses, but no host reserves that
+    // much address space for a thread's stack.
+    for value in ["huge", "200000g"] {
+        for (name, bin, args) in binaries {
+            let dir = scratch_dir(&format!("{name}-env"));
+            let out = Command::new(bin)
+                .args(args)
+                .env("ENT_STACK_SIZE", value)
+                .current_dir(&dir)
+                .output()
+                .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let row = format!("{name} ENT_STACK_SIZE={value}");
+            assert_eq!(out.status.code(), Some(1), "{row}: {stderr}");
+            assert!(stderr.starts_with("error: "), "{row}: got {stderr}");
+            assert!(stderr.contains("ENT_STACK_SIZE"), "{row}: got {stderr}");
+            assert!(out.stdout.is_empty(), "{row}: the run started");
+            assert!(!dir.join("results").exists(), "{row}: wrote results/");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 

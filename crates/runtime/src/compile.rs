@@ -64,6 +64,7 @@
 //! in the per-run cache vectors; ids only need to be unique, not dense,
 //! so racing lazy compilations stay correct.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use ent_syntax::{BinOp, ClassName};
@@ -75,7 +76,10 @@ use crate::interp::threaded::{
     op_sc_jump, op_snap, op_tail_call, op_this, op_try_pop, op_try_push, op_un, op_unbound,
     op_unit, TFn, TOp, K_CST, K_REG, K_SLOT,
 };
-use crate::lower::{else_branch, BOp, CastCheck, Ir, LMode, LStmt, NewPlan, Node, NodeId, Seq};
+use crate::lower::{
+    else_branch, take_exact, BOp, Body, CastCheck, Ir, LMode, LStmt, NewPlan, Node, NodeId, Seq,
+    SCRATCH_KEEP_BYTES,
+};
 use crate::value::Value;
 
 /// Per-program inline-cache site counters; compiled bodies allocate their
@@ -181,7 +185,9 @@ pub(crate) struct Code {
     pub(crate) frame_size: u32,
 }
 
-/// [`Code`]'s tables while the compiler fills them.
+/// [`Code`]'s tables while the compiler fills them: one set per thread,
+/// kept between bodies for its capacity only ([`compile_body`]).
+#[derive(Default)]
 struct Tables {
     ops: Vec<TOp>,
     consts: Vec<Value>,
@@ -197,311 +203,83 @@ struct Tables {
     unknown_classes: Vec<ClassName>,
 }
 
+thread_local! {
+    /// This thread's [`Tables`], empty between calls.
+    static TABLES: Cell<Tables> = Cell::default();
+}
+
 impl Tables {
-    /// Empty tables with room for exactly the counted entries.
-    fn with_sizes(s: &Sizes) -> Tables {
-        Tables {
-            ops: Vec::with_capacity(s.ops),
-            consts: Vec::with_capacity(s.consts),
-            fused: Vec::with_capacity(s.fused),
-            fields: Vec::with_capacity(s.fields),
-            news: Vec::with_capacity(s.news),
-            calls: Vec::with_capacity(s.calls),
-            builtins: Vec::with_capacity(s.builtins),
-            casts: Vec::with_capacity(s.casts),
-            snaps: Vec::with_capacity(s.snaps),
-            elims: Vec::with_capacity(s.elims),
-            mcases: Vec::with_capacity(s.mcases),
-            unknown_classes: Vec::with_capacity(s.unknown_classes),
-        }
+    /// Empties every table, keeping its capacity.
+    fn clear(&mut self) {
+        self.ops.clear();
+        self.consts.clear();
+        self.fused.clear();
+        self.fields.clear();
+        self.news.clear();
+        self.calls.clear();
+        self.builtins.clear();
+        self.casts.clear();
+        self.snaps.clear();
+        self.elims.clear();
+        self.mcases.clear();
+        self.unknown_classes.clear();
     }
 
-    /// The finished body. A table filled to its counted size converts
-    /// without reallocating.
-    fn finish(self, frame_size: u32) -> Code {
-        Code {
-            ops: self.ops.into_boxed_slice(),
-            consts: self.consts.into_boxed_slice(),
-            fused: self.fused.into_boxed_slice(),
-            fields: self.fields.into_boxed_slice(),
-            news: self.news.into_boxed_slice(),
-            calls: self.calls.into_boxed_slice(),
-            builtins: self.builtins.into_boxed_slice(),
-            casts: self.casts.into_boxed_slice(),
-            snaps: self.snaps.into_boxed_slice(),
-            elims: self.elims.into_boxed_slice(),
-            mcases: self.mcases.into_boxed_slice(),
-            unknown_classes: self.unknown_classes.into_boxed_slice(),
+    /// The finished body, each table moved out at its exact size, which
+    /// leaves the tables empty, and the bytes their capacity still holds.
+    fn finish(&mut self, frame_size: u32) -> (Code, usize) {
+        let held = &mut 0;
+        let code = Code {
+            ops: take_exact(&mut self.ops, held).into(),
+            consts: take_exact(&mut self.consts, held).into(),
+            fused: take_exact(&mut self.fused, held).into(),
+            fields: take_exact(&mut self.fields, held).into(),
+            news: take_exact(&mut self.news, held).into(),
+            calls: take_exact(&mut self.calls, held).into(),
+            builtins: take_exact(&mut self.builtins, held).into(),
+            casts: take_exact(&mut self.casts, held).into(),
+            snaps: take_exact(&mut self.snaps, held).into(),
+            elims: take_exact(&mut self.elims, held).into(),
+            mcases: take_exact(&mut self.mcases, held).into(),
+            unknown_classes: take_exact(&mut self.unknown_classes, held).into(),
             frame_size,
-        }
+        };
+        (code, *held)
     }
 }
 
-/// Compiles one lowered body (method, attributor, or field initializer),
-/// the tree rooted at `root` in `ir`, whose frame starts with `n_base`
-/// locals (the parameter count; zero for class attributors and
-/// initializers). Every body compiles, whatever its size.
-pub(crate) fn compile_body(ir: &Ir, root: NodeId, n_base: u32, ic: &IcCounters) -> Code {
-    // Pass 1 counts every table's entries and the deepest lexical `let`
-    // depth, which fixes where scratch registers start; pass 2 fills the
-    // tables, each allocated once at its final size.
-    let sizes = Sizes::of(ir, root, n_base);
+/// Compiles one lowered body (method, attributor, or field initializer)
+/// of `ir`. Every body compiles, whatever its size.
+///
+/// The compiler emits in one pass into this thread's [`Tables`], taken
+/// out of [`TABLES`] for the call (so a nested call or a panic never
+/// sees a half-filled set) and cleared first; each non-empty table is
+/// then copied out once at its exact size. The set goes back only when
+/// it holds at most [`SCRATCH_KEEP_BYTES`], so one huge body does not
+/// pin its tables on a long-lived thread.
+pub(crate) fn compile_body(ir: &Ir, body: &Body, ic: &IcCounters) -> Code {
+    let mut code = TABLES.take();
+    code.clear();
+    // Parameters and `let` slots sit below the first scratch register.
     let mut c = Compiler {
         ir,
         ic,
-        code: Tables::with_sizes(&sizes),
+        code,
         pending: 0,
-        let_depth: n_base,
-        scratch_lo: sizes.max_locals,
-        scratch: sizes.max_locals,
-        max_reg: sizes.max_locals,
+        let_depth: body.n_base,
+        scratch_lo: body.n_locals,
+        scratch: body.n_locals,
+        max_reg: body.n_locals,
         tail_send: None,
     };
     let dst = c.alloc_scratch();
-    c.expr(root, dst);
+    c.expr(body.root, dst);
     c.emit(op_halt, 0, dst, 0, 0);
-    let code = c.code.finish(c.max_reg);
-    debug_assert!(
-        sizes.matches(&code),
-        "the counting pass disagrees with the compiler"
-    );
+    let (code, held) = c.code.finish(c.max_reg);
+    if held <= SCRATCH_KEEP_BYTES {
+        TABLES.set(c.code);
+    }
     code
-}
-
-/// How many entries each [`Code`] table of one body receives, and the
-/// body's deepest `let` slot. [`Sizes::of`] mirrors [`Compiler::expr`]'s
-/// emissions node for node.
-#[derive(Debug, Default)]
-struct Sizes {
-    ops: usize,
-    consts: usize,
-    fused: usize,
-    fields: usize,
-    news: usize,
-    calls: usize,
-    builtins: usize,
-    casts: usize,
-    snaps: usize,
-    elims: usize,
-    mcases: usize,
-    unknown_classes: usize,
-    /// Locals the frame needs: parameters plus the deepest `let` nesting.
-    max_locals: u32,
-}
-
-impl Sizes {
-    fn of(ir: &Ir, root: NodeId, n_base: u32) -> Sizes {
-        let mut sizes = Sizes {
-            max_locals: n_base,
-            ..Sizes::default()
-        };
-        sizes.expr(ir, root, n_base);
-        sizes.ops += 1; // halt
-        sizes
-    }
-
-    /// Whether `code` holds exactly the counted entries.
-    fn matches(&self, code: &Code) -> bool {
-        let counted = [
-            self.ops,
-            self.consts,
-            self.fused,
-            self.fields,
-            self.news,
-            self.calls,
-            self.builtins,
-            self.casts,
-            self.snaps,
-            self.elims,
-            self.mcases,
-            self.unknown_classes,
-        ];
-        let filled = [
-            code.ops.len(),
-            code.consts.len(),
-            code.fused.len(),
-            code.fields.len(),
-            code.news.len(),
-            code.calls.len(),
-            code.builtins.len(),
-            code.casts.len(),
-            code.snaps.len(),
-            code.elims.len(),
-            code.mcases.len(),
-            code.unknown_classes.len(),
-        ];
-        counted == filled
-    }
-
-    /// Counts node `e` at lexical `let` depth `depth`.
-    fn expr(&mut self, ir: &Ir, e: NodeId, depth: u32) {
-        match ir.node(e) {
-            Node::Lit(_) | Node::ModeConst(_) => {
-                self.consts += 1;
-                self.ops += 1;
-            }
-            Node::This | Node::Var { .. } | Node::UnboundVar(_) => self.ops += 1,
-            Node::Field { recv, .. } => {
-                self.fields += 1;
-                self.ops += 1;
-                if !matches!(ir.node(recv), Node::This) {
-                    self.expr(ir, recv, depth);
-                }
-            }
-            Node::New { ctor_args, .. } => {
-                self.news += 1;
-                self.ops += 1;
-                self.all(ir, ctor_args, depth);
-            }
-            Node::NewUnknown { ctor_args, .. } => {
-                self.unknown_classes += 1;
-                self.ops += 1;
-                self.all(ir, ctor_args, depth);
-            }
-            Node::Call { recv_args, .. } => {
-                self.calls += 1;
-                self.ops += 1;
-                let (&recv, args) = ir
-                    .kids(recv_args)
-                    .split_first()
-                    .expect("a call has a receiver");
-                if !matches!(ir.node(recv), Node::This) {
-                    self.expr(ir, recv, depth);
-                }
-                for &a in args {
-                    self.expr(ir, a, depth);
-                }
-            }
-            Node::Builtin { args, .. } => {
-                self.builtins += 1;
-                self.ops += 1;
-                let args = ir.kids(args);
-                for (i, &a) in args.iter().enumerate() {
-                    self.expr(ir, a, depth);
-                    if i + 1 < args.len() && maybe_mcase(ir, a) {
-                        self.ops += 1; // force
-                    }
-                }
-            }
-            Node::Cast { expr, .. } => {
-                self.casts += 1;
-                self.ops += 1;
-                self.expr(ir, expr, depth);
-            }
-            Node::Snapshot { expr, .. } => {
-                self.snaps += 1;
-                self.ops += 1;
-                self.expr(ir, expr, depth);
-            }
-            Node::Elim { expr, .. } => {
-                self.elims += 1;
-                self.ops += 1;
-                self.expr(ir, expr, depth);
-            }
-            Node::Unary { expr, .. } => {
-                self.ops += 1;
-                self.expr(ir, expr, depth);
-            }
-            Node::MCase { arms, .. } => {
-                self.mcases += 1;
-                self.ops += 1;
-                self.all(ir, arms, depth);
-            }
-            Node::Binary { op, lhs, rhs } => self.binary(ir, op, lhs, rhs, depth),
-            Node::If { cond, then, els } => {
-                match ir.node(cond) {
-                    Node::Binary { op, lhs, rhs } if is_cmp(op) => {
-                        self.binary(ir, op, lhs, rhs, depth)
-                    }
-                    _ => {
-                        self.expr(ir, cond, depth);
-                        self.ops += 1; // jump if false
-                    }
-                }
-                self.expr(ir, then, depth);
-                self.ops += 1; // jump
-                match else_branch(els) {
-                    Some(els) => self.expr(ir, els, depth),
-                    None => self.ops += 1, // unit
-                }
-            }
-            Node::Block(stmts) => {
-                // Mirrors lowering: each `let` claims the next slot for the
-                // rest of the block; sibling blocks reuse the same depths.
-                let stmts = ir.stmts(stmts);
-                let mut d = depth;
-                for &stmt in stmts {
-                    match stmt {
-                        LStmt::Let(v) => {
-                            self.expr(ir, v, d);
-                            d += 1;
-                            self.max_locals = self.max_locals.max(d);
-                        }
-                        LStmt::Expr(e) => self.expr(ir, e, d),
-                        LStmt::Return(e) => {
-                            self.expr(ir, e, d);
-                            self.ops += 1; // return
-                        }
-                    }
-                }
-                if !matches!(stmts.last(), Some(LStmt::Expr(_))) {
-                    self.ops += 1; // unit
-                }
-            }
-            Node::Try { body, handler } => {
-                self.ops += 3; // try push, try pop, jump
-                self.expr(ir, body, depth);
-                self.expr(ir, handler, depth);
-            }
-            Node::ArrayLit(items) => {
-                self.ops += 1;
-                self.all(ir, items, depth);
-            }
-        }
-    }
-
-    fn all(&mut self, ir: &Ir, es: Seq, depth: u32) {
-        for &e in ir.kids(es) {
-            self.expr(ir, e, depth);
-        }
-    }
-
-    /// Counts a binary operator as [`Compiler::binary`] compiles it, its
-    /// branch form included.
-    fn binary(&mut self, ir: &Ir, op: BinOp, lhs: NodeId, rhs: NodeId, depth: u32) {
-        if matches!(op, BinOp::And | BinOp::Or) {
-            self.ops += 2; // short-circuit jump and force
-            self.expr(ir, lhs, depth);
-            self.expr(ir, rhs, depth);
-            return;
-        }
-        let lhs_fusable = fusable(ir, lhs);
-        if fusable(ir, rhs) && (lhs_fusable || !matches!(ir.node(lhs), Node::Binary { .. })) {
-            self.fused += 1;
-            self.ops += 1;
-            if lhs_fusable {
-                self.operand(ir, lhs);
-            } else {
-                self.expr(ir, lhs, depth);
-            }
-            self.operand(ir, rhs);
-            return;
-        }
-        self.ops += 1;
-        self.expr(ir, lhs, depth);
-        if maybe_mcase(ir, lhs) {
-            self.ops += 1; // force
-        }
-        self.expr(ir, rhs, depth);
-    }
-
-    /// Counts a fused operand: a constant for a literal, nothing for a
-    /// slot; no op.
-    fn operand(&mut self, ir: &Ir, e: NodeId) {
-        if matches!(ir.node(e), Node::Lit(_)) {
-            self.consts += 1;
-        }
-    }
 }
 
 struct Compiler<'a> {
@@ -1019,8 +797,9 @@ impl Compiler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::Body;
-    use crate::{lower_program, run_lowered, with_interp_stack, Engine, RuntimeConfig};
+    use crate::{
+        lower_program, run_lowered, with_interp_stack, Engine, LoweredProgram, RuntimeConfig,
+    };
     use ent_energy::Platform;
 
     #[test]
@@ -1092,5 +871,58 @@ mod tests {
             Value::Int(n as i64),
             |code| assert!(code.frame_size > n as u32),
         );
+    }
+
+    /// `Main.main` makes `reps` statements, each with a field read, a send
+    /// and two builtin calls; `Main.small` is one addition.
+    fn sites_program(reps: usize) -> LoweredProgram {
+        let stmts = "IO.print(Str.ofInt(p.v + p.get())); ".repeat(reps);
+        let src = format!(
+            "class P {{ int v; int get() {{ return this.v; }} }}
+             class Main {{
+               int main() {{ let p = new P(1); {stmts}return 0; }}
+               int small(int x) {{ return x + 1; }}
+             }}"
+        );
+        lower_program(&ent_core::compile(&src).expect("compiles"))
+    }
+
+    /// Compiles `Main`'s method `name`.
+    fn compile_method(p: &LoweredProgram, name: &str) -> Code {
+        let class = p.classes.iter().position(|c| p.spell(c.name) == "Main");
+        let method = p.method_names.iter().position(|&m| p.spell(m) == name);
+        let entry = p.method_entry(class.unwrap() as u32, method.unwrap() as u32);
+        let body = &p.bodies[p.methods[entry.unwrap().method as usize].body as usize];
+        compile_body(&p.ir, body, &p.ic)
+    }
+
+    /// The ops this thread's scratch tables have room for.
+    fn scratch_ops() -> usize {
+        let tables = TABLES.take();
+        let room = tables.ops.capacity();
+        TABLES.set(tables);
+        room
+    }
+
+    #[test]
+    fn each_body_gets_only_its_own_entries_and_a_scratch_past_the_cap_is_dropped() {
+        // On a thread of its own, `small` compiles from an empty scratch.
+        let alone = std::thread::scope(|s| {
+            s.spawn(|| format!("{:?}", compile_method(&sites_program(1), "small")))
+                .join()
+                .expect("compiles")
+        });
+        // A body of 1200 sites (2400 ops) leaves its tables' capacity
+        // behind ...
+        compile_method(&sites_program(300), "main");
+        assert!(scratch_ops() > 2400, "the scratch was not kept");
+        // ... and `small`, compiled next on this thread, holds exactly the
+        // entries it holds when compiled alone.
+        let small = compile_method(&sites_program(1), "small");
+        assert_eq!(format!("{small:?}"), alone);
+        // A body whose tables outgrow the cap does not leave them behind.
+        let big = compile_method(&sites_program(8000), "main");
+        assert!(std::mem::size_of_val(&*big.ops) > SCRATCH_KEEP_BYTES);
+        assert_eq!(scratch_ops(), 0, "the scratch past the cap was kept");
     }
 }

@@ -35,6 +35,7 @@
 //! energy measurements for fixed seeds (enforced by the golden suite in
 //! `tests/formal_equivalence.rs` and the perf harness's fingerprints).
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -182,8 +183,12 @@ impl Seq {
 pub(crate) struct Body {
     pub(crate) root: NodeId,
     /// Locals the body's frame starts with: the method's parameter count,
-    /// zero for class attributors and field initializers.
+    /// zero for class attributors and field initializers. The body's
+    /// first `let` binds this slot.
     pub(crate) n_base: u32,
+    /// Locals the frame needs: `n_base` plus the body's deepest `let`
+    /// nesting. Scratch registers start here.
+    pub(crate) n_locals: u32,
     /// The ops the bytecode engine runs (see [`crate::compile`]),
     /// compiled on the body's first bytecode execution. The tree walker
     /// (`--engine tree`) runs [`Body::root`] and never fills the cell.
@@ -191,10 +196,11 @@ pub(crate) struct Body {
 }
 
 impl Body {
-    fn new(root: NodeId, n_base: u32) -> Body {
+    fn new(root: NodeId, n_base: u32, n_locals: u32) -> Body {
         Body {
             root,
             n_base,
+            n_locals,
             code: OnceLock::new(),
         }
     }
@@ -217,7 +223,7 @@ impl Body {
     ) -> &Code {
         self.code.get_or_init(|| {
             *compiles += 1;
-            crate::compile::compile_body(ir, self.root, self.n_base, ic)
+            crate::compile::compile_body(ir, self, ic)
         })
     }
 }
@@ -747,6 +753,20 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
         .collect();
     let subclass = subclass_intervals(&parent);
 
+    // Every declared method lowers once, shared by the classes that
+    // inherit it, and so does every attributor and field initializer.
+    let n_methods_declared: usize = decls.iter().map(|d| d.methods.len()).sum();
+    let n_bodies: usize = decls
+        .iter()
+        .map(|d| {
+            let attributors = d.methods.iter().filter(|m| m.attributor.is_some()).count();
+            let inits = d.fields.iter().filter(|f| f.init.is_some()).count();
+            d.methods.len() + attributors + inits + usize::from(d.attributor.is_some())
+        })
+        .sum();
+
+    let mut ir = IR.take();
+    ir.clear();
     let n_names = program.names().len();
     let mut lowerer = Lowerer {
         ast: program.ast(),
@@ -759,30 +779,26 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
         field_ids: vec![NO_ID; n_names],
         n_field_ids: 0,
         n_fields: 0,
-        ir: Ir::default(),
-        bodies: Vec::new(),
-        methods: Vec::new(),
+        ir,
+        bodies: Vec::with_capacity(n_bodies),
+        methods: Vec::with_capacity(n_methods_declared),
         vtables: Vec::new(),
         n_methods: 0,
         env_srcs: Vec::new(),
         default_envs: Vec::new(),
-        method_cache: HashMap::new(),
+        method_cache: HashMap::with_capacity(n_methods_declared),
+        init_bodies: vec![NO_ID; nc],
         walk: Vec::new(),
         walk_runs: Vec::with_capacity(nc),
         walk_at: NO_CLASS,
         env_maps: Vec::with_capacity(nc),
         env: Vec::new(),
         locals: Vec::new(),
+        max_locals: 0,
         pending: Vec::new(),
         pending_stmts: Vec::new(),
         chain: Vec::with_capacity(nc),
     };
-
-    let sizes = lowerer.count_program(&subclass);
-    lowerer.ir = Ir::with_sizes(&sizes);
-    lowerer.bodies.reserve_exact(sizes.bodies);
-    lowerer.methods.reserve_exact(sizes.methods);
-    lowerer.method_cache.reserve(sizes.methods);
 
     // Number every declared method and field name first, so vtables and
     // field tables built early still cover names declared in later
@@ -815,7 +831,7 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
     let Lowerer {
         mode_names,
         method_names,
-        ir,
+        mut ir,
         bodies,
         methods,
         vtables,
@@ -823,11 +839,10 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
         default_envs,
         ..
     } = lowerer;
-    debug_assert_eq!(
-        IrSizes::of(&ir, bodies.len(), methods.len()),
-        sizes,
-        "the counting pass disagrees with lowering"
-    );
+    let (exact, held) = ir.take_exact();
+    if held <= SCRATCH_KEEP_BYTES {
+        IR.set(ir);
+    }
     LoweredProgram {
         names: program.names().clone(),
         mode_names,
@@ -841,7 +856,7 @@ pub fn lower_program(compiled: &CompiledProgram) -> LoweredProgram {
         default_envs,
         subclass,
         main,
-        ir,
+        ir: exact,
         bodies,
         methods,
         ic: crate::compile::IcCounters::default(),
@@ -905,60 +920,59 @@ fn subclass_intervals(parent: &[u32]) -> Vec<(u32, u32)> {
     span
 }
 
-/// How many entries each [`Ir`] table of a program receives.
-/// [`Lowerer::count`] mirrors [`Lowerer::lower_expr`]'s pushes node for
-/// node, so every table is allocated once, at its final size.
-#[derive(Debug, Default, PartialEq, Eq)]
-struct IrSizes {
-    nodes: usize,
-    kids: usize,
-    stmts: usize,
-    lits: usize,
-    names: usize,
-    modes: usize,
-    news: usize,
-    sends: usize,
-    arm_modes: usize,
-    unknown_classes: usize,
-    bodies: usize,
-    methods: usize,
+/// A per-thread scratch ([`Ir`] here, the bytecode compiler's tables in
+/// [`crate::compile`]) that holds more than this many bytes after a call
+/// is dropped instead of kept for the thread's next call, so one huge
+/// program does not pin memory on a long-lived thread.
+pub(crate) const SCRATCH_KEEP_BYTES: usize = 1 << 20;
+
+/// `v`'s entries in a vector of exactly their count. `v` is left empty
+/// with its capacity, whose bytes are added to `held`.
+pub(crate) fn take_exact<T>(v: &mut Vec<T>, held: &mut usize) -> Vec<T> {
+    *held += v.capacity() * std::mem::size_of::<T>();
+    let mut exact = Vec::with_capacity(v.len());
+    exact.append(v);
+    exact
 }
 
-impl IrSizes {
-    /// What `ir` and the body and method tables hold.
-    fn of(ir: &Ir, bodies: usize, methods: usize) -> IrSizes {
-        IrSizes {
-            nodes: ir.nodes.len(),
-            kids: ir.kids.len(),
-            stmts: ir.stmts.len(),
-            lits: ir.lits.len(),
-            names: ir.names.len(),
-            modes: ir.modes.len(),
-            news: ir.news.len(),
-            sends: ir.sends.len(),
-            arm_modes: ir.arm_modes.len(),
-            unknown_classes: ir.unknown_classes.len(),
-            bodies,
-            methods,
-        }
-    }
+thread_local! {
+    /// The tables [`lower_program`] fills on this thread, empty between
+    /// calls.
+    static IR: Cell<Ir> = Cell::default();
 }
 
 impl Ir {
-    /// Empty tables with room for exactly the counted entries.
-    fn with_sizes(s: &IrSizes) -> Ir {
-        Ir {
-            nodes: Vec::with_capacity(s.nodes),
-            kids: Vec::with_capacity(s.kids),
-            stmts: Vec::with_capacity(s.stmts),
-            lits: Vec::with_capacity(s.lits),
-            names: Vec::with_capacity(s.names),
-            modes: Vec::with_capacity(s.modes),
-            news: Vec::with_capacity(s.news),
-            sends: Vec::with_capacity(s.sends),
-            arm_modes: Vec::with_capacity(s.arm_modes),
-            unknown_classes: Vec::with_capacity(s.unknown_classes),
-        }
+    /// Empties every table, keeping its capacity.
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.kids.clear();
+        self.stmts.clear();
+        self.lits.clear();
+        self.names.clear();
+        self.modes.clear();
+        self.news.clear();
+        self.sends.clear();
+        self.arm_modes.clear();
+        self.unknown_classes.clear();
+    }
+
+    /// Every table moved out at its exact size, leaving these empty, and
+    /// the bytes their capacity still holds.
+    fn take_exact(&mut self) -> (Ir, usize) {
+        let held = &mut 0;
+        let ir = Ir {
+            nodes: take_exact(&mut self.nodes, held),
+            kids: take_exact(&mut self.kids, held),
+            stmts: take_exact(&mut self.stmts, held),
+            lits: take_exact(&mut self.lits, held),
+            names: take_exact(&mut self.names, held),
+            modes: take_exact(&mut self.modes, held),
+            news: take_exact(&mut self.news, held),
+            sends: take_exact(&mut self.sends, held),
+            arm_modes: take_exact(&mut self.arm_modes, held),
+            unknown_classes: take_exact(&mut self.unknown_classes, held),
+        };
+        (ir, *held)
     }
 }
 
@@ -1006,6 +1020,10 @@ struct Lowerer<'a> {
     default_envs: Vec<GMode>,
     /// `(owner, method id)` → index in `methods`.
     method_cache: HashMap<(u32, u32), u32>,
+    /// By class id: the body index of the class's first field
+    /// initializer, the rest following in declaration order; [`NO_ID`]
+    /// until they are lowered.
+    init_bodies: Vec<u32>,
     /// The walk up the chain of the class being lowered (see
     /// [`Lowerer::env_map`]): its environment projected onto each
     /// ancestor walked so far, as runs of `walk` by distance up the chain
@@ -1019,8 +1037,11 @@ struct Lowerer<'a> {
     env_maps: Vec<Option<Seq>>,
     /// The mode-environment slot layout of the body being lowered.
     env: Vec<ModeVar>,
-    /// The local names in scope in the body being lowered, innermost last.
+    /// The local names in scope in the body being lowered, innermost last:
+    /// a local's slot is its position here.
     locals: Vec<Ident>,
+    /// The most locals in scope at once in the body being lowered.
+    max_locals: usize,
     /// Ids of list items lowered but not yet moved into `ir.kids`; nested
     /// lists push and drain above their parent's mark.
     pending: Vec<NodeId>,
@@ -1070,150 +1091,6 @@ impl Lowerer<'_> {
     /// The spelling of `name`.
     fn spell(&self, name: impl Into<Symbol>) -> &str {
         self.table.names().get(name.into())
-    }
-
-    /// Counts what lowering the program pushes: every declared method
-    /// (body and attributor) and class attributor once, and each field
-    /// initializer once per class that inherits it (`subclass`
-    /// intervals give that count).
-    fn count_program(&self, subclass: &[(u32, u32)]) -> IrSizes {
-        let mut s = IrSizes::default();
-        for (decl, &(start, end)) in self.decls.iter().zip(subclass) {
-            for init in decl.fields.iter().filter_map(|f| f.init) {
-                for _ in start..end {
-                    s.bodies += 1;
-                    self.count(&mut s, init);
-                }
-            }
-            for m in &decl.methods {
-                s.methods += 1;
-                s.bodies += 1;
-                self.count(&mut s, m.body);
-                if let Some(a) = &m.attributor {
-                    s.bodies += 1;
-                    self.count(&mut s, a.body);
-                }
-            }
-            if let Some(a) = &decl.attributor {
-                s.bodies += 1;
-                self.count(&mut s, a.body);
-            }
-        }
-        s
-    }
-
-    /// Counts the table entries [`Lowerer::lower_expr`] pushes for `e`.
-    fn count(&self, s: &mut IrSizes, e: ExprId) {
-        let ast = self.ast;
-        s.nodes += 1;
-        match &ast[e].kind {
-            ExprKind::Lit(_) | ExprKind::ModeConst(_) => s.lits += 1,
-            ExprKind::This => {}
-            ExprKind::Var(_) => s.names += 1,
-            ExprKind::Field { recv, .. } => {
-                s.names += 1;
-                self.count(s, *recv);
-            }
-            ExprKind::New {
-                class,
-                args,
-                ctor_args,
-            } => {
-                self.count_list(s, &ast[*ctor_args]);
-                match self.class_id(class) {
-                    None => s.unknown_classes += 1,
-                    Some(cid) => {
-                        s.news += 1;
-                        let n_params = self.decls[cid as usize].mode_params.bounds.len();
-                        s.modes += match args.map(|a| &ast[a]) {
-                            Some(m) if m.is_dynamic() => {
-                                n_params.saturating_sub(1).min(m.rest.len())
-                            }
-                            Some(m) => 1 + m.rest.len(),
-                            None => 0,
-                        };
-                    }
-                }
-            }
-            ExprKind::Call {
-                recv,
-                mode_args,
-                args,
-                ..
-            } => {
-                s.sends += 1;
-                s.modes += mode_args.len();
-                s.kids += 1;
-                self.count(s, *recv);
-                self.count_list(s, &ast[*args]);
-            }
-            ExprKind::Builtin { ns, name, args } => {
-                s.names += 2;
-                let op = builtin_op(self.spell(*ns), self.spell(*name));
-                let args = &ast[*args];
-                match literal_work_kind(ast, op, args) {
-                    Some(_) => self.count_list(s, &args[1..]),
-                    None => self.count_list(s, args),
-                }
-            }
-            ExprKind::Cast { ty, expr } => {
-                if let Type::Object { class, .. } = &ast[*ty] {
-                    if *class != ClassName::OBJECT && self.class_id(class).is_none() {
-                        s.unknown_classes += 1;
-                    }
-                }
-                self.count(s, *expr);
-            }
-            ExprKind::Snapshot { expr, .. } => {
-                s.modes += 2;
-                self.count(s, *expr);
-            }
-            ExprKind::MCase { arms, .. } => {
-                s.kids += arms.len();
-                s.arm_modes += arms.len();
-                for &(_, a) in &ast[*arms] {
-                    self.count(s, a);
-                }
-            }
-            ExprKind::Elim { expr, mode } => {
-                s.modes += usize::from(mode.is_some());
-                self.count(s, *expr);
-            }
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.count(s, *lhs);
-                self.count(s, *rhs);
-            }
-            ExprKind::Unary { expr, .. } => self.count(s, *expr),
-            ExprKind::If { cond, then, els } => {
-                self.count(s, *cond);
-                self.count(s, *then);
-                if let Some(e) = *els {
-                    self.count(s, e);
-                }
-            }
-            ExprKind::Block(stmts) => {
-                s.stmts += stmts.len();
-                for stmt in &ast[*stmts] {
-                    match *stmt {
-                        Stmt::Let { value: e, .. } | Stmt::Expr(e) | Stmt::Return(e) => {
-                            self.count(s, e)
-                        }
-                    }
-                }
-            }
-            ExprKind::Try { body, handler } => {
-                self.count(s, *body);
-                self.count(s, *handler);
-            }
-            ExprKind::ArrayLit(items) => self.count_list(s, &ast[*items]),
-        }
-    }
-
-    fn count_list(&self, s: &mut IrSizes, items: &[ExprId]) {
-        s.kids += items.len();
-        for &e in items {
-            self.count(s, e);
-        }
     }
 
     fn ground_verbatim(&mut self, m: &StaticMode) -> GMode {
@@ -1372,11 +1249,12 @@ impl Lowerer<'_> {
         let mut slot = 0u32;
         for (pos, &anc) in chain.iter().enumerate() {
             let adecl = self.decls[anc as usize];
+            let mut next_init = None;
             for f in &adecl.fields {
-                if let Some(init) = f.init {
+                if f.init.is_some() {
                     let env_map = self.env_map(ci, chain.len() - 1 - pos);
-                    self.set_scope(adecl, None, &[]);
-                    let body = self.lower_body(0, init);
+                    let body = next_init.unwrap_or_else(|| self.lower_inits(anc));
+                    next_init = Some(body + 1);
                     inits.push(InitJob {
                         slot,
                         env_map,
@@ -1408,7 +1286,7 @@ impl Lowerer<'_> {
         let attributor = decl.attributor.as_ref().map(|a| {
             self.set_scope(decl, None, &[]);
             ClassAttributor {
-                body: self.lower_body(0, a.body),
+                body: self.lower_body(a.body),
                 has_internal: !decl.mode_params.bounds.is_empty(),
             }
         });
@@ -1456,12 +1334,31 @@ impl Lowerer<'_> {
         self.locals.extend(params.iter().map(|&(_, n)| n));
     }
 
-    /// Lowers one body in the current scope and returns its
-    /// [`LoweredProgram::bodies`] index.
-    fn lower_body(&mut self, n_base: u32, e: ExprId) -> u32 {
+    /// Lowers one body in the current scope, whose locals are its frame's
+    /// first slots, and returns its [`LoweredProgram::bodies`] index.
+    fn lower_body(&mut self, e: ExprId) -> u32 {
+        let n_base = self.locals.len();
+        self.max_locals = n_base;
         let root = self.lower_expr(e);
-        self.bodies.push(Body::new(root, n_base));
+        self.bodies
+            .push(Body::new(root, index(n_base), index(self.max_locals)));
         index(self.bodies.len() - 1)
+    }
+
+    /// The body index of `class`'s first field initializer, its others
+    /// following in declaration order. They lower once, on the first
+    /// request, and every class that inherits them shares those bodies,
+    /// as [`Lowerer::lower_method`] shares methods.
+    fn lower_inits(&mut self, class: u32) -> u32 {
+        if self.init_bodies[class as usize] == NO_ID {
+            let decl = self.decls[class as usize];
+            self.init_bodies[class as usize] = index(self.bodies.len());
+            self.set_scope(decl, None, &[]);
+            for init in decl.fields.iter().filter_map(|f| f.init) {
+                self.lower_body(init);
+            }
+        }
+        self.init_bodies[class as usize]
     }
 
     fn lower_method(&mut self, owner: u32, mdecl: &MethodDecl) -> u32 {
@@ -1483,10 +1380,7 @@ impl Lowerer<'_> {
             mode_params.push(MParam { default });
         }
         let n_params = mdecl.params.len() as u32;
-        let attributor = mdecl
-            .attributor
-            .as_ref()
-            .map(|a| self.lower_body(n_params, a.body));
+        let attributor = mdecl.attributor.as_ref().map(|a| self.lower_body(a.body));
         let mode_override = mdecl.mode.as_ref().map(|m| match m {
             StaticMode::Var(v) => {
                 let var = v.raw();
@@ -1500,7 +1394,7 @@ impl Lowerer<'_> {
             }
             g => LOverride::Ground(self.ground_verbatim(g)),
         });
-        let body = self.lower_body(n_params, mdecl.body);
+        let body = self.lower_body(mdecl.body);
         self.methods.push(LMethod {
             n_params,
             mode_params,
@@ -1724,6 +1618,7 @@ impl Lowerer<'_> {
                         Stmt::Let { name, value, .. } => {
                             let v = self.lower_expr(*value);
                             self.locals.push(*name);
+                            self.max_locals = self.max_locals.max(self.locals.len());
                             LStmt::Let(v)
                         }
                         Stmt::Expr(e) => LStmt::Expr(self.lower_expr(*e)),
@@ -1786,9 +1681,11 @@ fn builtin_op(ns: &str, name: &str) -> BOp {
 
 #[cfg(test)]
 mod tests {
+    use ent_energy::Platform;
     use proptest::prelude::*;
 
-    use super::lower_program;
+    use super::{lower_program, IR, SCRATCH_KEEP_BYTES};
+    use crate::{run_lowered, RuntimeConfig, Value};
 
     /// Vtables and field tables are as wide as the method and field names
     /// the program declares, whatever else its name table holds: locals,
@@ -1819,6 +1716,75 @@ mod tests {
         assert!(compiled.program.names().len() > 4 + 4 + 10);
         // A name only called has an id past the stride.
         assert!(lowered.method_names.len() > 4);
+    }
+
+    /// In a chain of `k` classes, each declaring one initialized field,
+    /// every class inherits the initializers above it; each still lowers
+    /// once (k(k + 1)/2 bodies when every class lowered its own copies).
+    #[test]
+    fn a_class_chain_lowers_each_initializer_once() {
+        let k = 40;
+        let mut src = String::from("class C0 { int f0 = 0; }\n");
+        for i in 1..k {
+            src += &format!("class C{i} extends C{} {{ int f{i} = {i}; }}\n", i - 1);
+        }
+        let last = k - 1;
+        src += &format!(
+            "class Main {{ int main() {{ let c = new C{last}(); return c.f0 + c.f{last}; }} }}"
+        );
+        let lowered = lower_program(&ent_core::compile(&src).expect("the chain compiles"));
+        // The k initializers and `main`.
+        assert_eq!(lowered.bodies.len(), k + 1);
+        let run = run_lowered(&lowered, Platform::system_a(), RuntimeConfig::default());
+        assert_eq!(run.value, Ok(Value::Int(last as i64)));
+    }
+
+    /// `Main.main` makes `reps` statements, each with a field read, a send
+    /// and two builtin calls.
+    fn sites_source(reps: usize) -> String {
+        let stmts = "IO.print(Str.ofInt(p.v + p.get())); ".repeat(reps);
+        format!(
+            "class P {{ int v; int get() {{ return this.v; }} }}
+             class Main {{ int main() {{ let p = new P(1); {stmts}return 0; }} }}"
+        )
+    }
+
+    /// Lowers `src` and renders its tables with their capacities.
+    fn lowered_tables(src: &str) -> String {
+        let ir = lower_program(&ent_core::compile(src).expect("compiles")).ir;
+        let capacities = [
+            ir.nodes.capacity(),
+            ir.kids.capacity(),
+            ir.stmts.capacity(),
+            ir.lits.capacity(),
+            ir.names.capacity(),
+            ir.sends.capacity(),
+        ];
+        format!("{ir:?} with capacities {capacities:?}")
+    }
+
+    /// The nodes this thread's lowering scratch has room for.
+    fn scratch_nodes() -> usize {
+        let ir = IR.take();
+        let room = ir.nodes.capacity();
+        IR.set(ir);
+        room
+    }
+
+    #[test]
+    fn each_program_gets_only_its_own_entries_and_a_scratch_past_the_cap_is_dropped() {
+        let small = sites_source(1);
+        // On a thread of its own, the program lowers from an empty scratch.
+        let alone =
+            std::thread::scope(|s| s.spawn(|| lowered_tables(&small)).join().expect("lowers"));
+        lowered_tables(&sites_source(300));
+        assert!(scratch_nodes() > 300 * 7, "the scratch was not kept");
+        // After a bigger program on this thread, each table holds exactly
+        // the entries, and has exactly the room, it has when lowered alone.
+        assert_eq!(lowered_tables(&small), alone);
+        let big = lower_program(&ent_core::compile(&sites_source(12_000)).expect("compiles"));
+        assert!(std::mem::size_of_val(&*big.ir.nodes) > SCRATCH_KEEP_BYTES);
+        assert_eq!(scratch_nodes(), 0, "the scratch past the cap was kept");
     }
 
     proptest! {

@@ -34,7 +34,8 @@
 //! or process-wide via the `ENT_STACK_SIZE` environment variable
 //! (plain bytes, or with a `k`/`m`/`g` suffix, e.g. `ENT_STACK_SIZE=256m`;
 //! values are clamped to at least 1 MiB). Binaries reject a malformed
-//! value at startup ([`check_env_settings`]).
+//! value, and one the host cannot create, at startup
+//! ([`check_env_settings`], [`check_interp_stack`]).
 
 use std::cell::Cell;
 use std::io;
@@ -121,6 +122,28 @@ fn env_stack_size() -> Result<Option<usize>, String> {
 /// A message naming the variable and the values it accepts.
 pub fn check_env_settings() -> Result<(), String> {
     env_stack_size().map(drop)
+}
+
+/// Checks that the host creates an interpreter thread on the
+/// [`default_stack_size`] stack, by starting one that returns at once.
+/// Binaries that run on such threads call this at startup, after
+/// [`check_env_settings`], and exit 1 on `Err` instead of panicking at
+/// their first run.
+///
+/// # Errors
+///
+/// A message naming the size and `ENT_STACK_SIZE`, with the host's error.
+pub fn check_interp_stack() -> Result<(), String> {
+    let stack = default_stack_size();
+    match spawn_interp(stack, || ()) {
+        Ok(probe) => {
+            let _ = probe.join();
+            Ok(())
+        }
+        Err(e) => Err(format!(
+            "cannot create a {stack}-byte interpreter stack (ENT_STACK_SIZE): {e}"
+        )),
+    }
 }
 
 /// The process-wide default interpreter stack size: `ENT_STACK_SIZE` if

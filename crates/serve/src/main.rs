@@ -81,14 +81,11 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Err(msg) = ent_runtime::check_env_settings() {
-        eprintln!("error: {msg}");
-        return ExitCode::from(1);
-    }
     // Every connection thread gets this stack: fail here, not per client.
-    let stack = ent_runtime::default_stack_size();
-    if let Err(e) = ent_runtime::spawn_interp(stack, || ()).map(|probe| probe.join()) {
-        eprintln!("error: cannot create a {stack}-byte interpreter stack (ENT_STACK_SIZE): {e}");
+    if let Err(msg) =
+        ent_runtime::check_env_settings().and_then(|()| ent_runtime::check_interp_stack())
+    {
+        eprintln!("error: {msg}");
         return ExitCode::from(1);
     }
     let listener = match TcpListener::bind(&addr) {

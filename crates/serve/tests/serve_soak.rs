@@ -52,6 +52,41 @@ fn a_different_seed_reshuffles_the_chaos_but_not_the_invariants() {
 }
 
 #[test]
+fn one_worker_replays_the_four_worker_record() {
+    let four = run_soak(&SoakConfig {
+        flood_jobs: 40,
+        ..SoakConfig::default()
+    });
+    assert_eq!(four.workers, 4);
+    let one = run_soak(&SoakConfig {
+        workers: 1,
+        flood_jobs: 40,
+        ..SoakConfig::default()
+    });
+    assert_eq!(
+        four.deterministic_signature(),
+        one.deterministic_signature()
+    );
+}
+
+#[test]
+fn every_typed_shed_class_is_counted() {
+    let report = run_soak(&SoakConfig {
+        flood_jobs: 40,
+        ..SoakConfig::default()
+    });
+    let c = &report.counters;
+    for (class, n) in [
+        ("rate_limited", c.shed_rate_limited),
+        ("energy_budget", c.shed_energy_budget),
+        ("quarantined", c.shed_quarantined),
+        ("fallback_only", c.shed_fallback),
+    ] {
+        assert!(n > 0, "no `{class}` shed in {c:?}");
+    }
+}
+
+#[test]
 fn soak_report_renders_a_valid_bench_document() {
     let report = run_soak(&SoakConfig {
         flood_jobs: 20,

@@ -37,7 +37,11 @@ impl Daemon {
             .spawn()
             .expect("launch ent-serve");
         let daemon = Daemon { child, addr };
-        drop(daemon.connect());
+        // Wait for an answer, not just an accepted connection: the reply
+        // shows this connection's thread has started, so a test that then
+        // waits for the idle thread count sees that thread leave instead
+        // of counting it before it starts.
+        daemon.connect().assert_healthy("ready");
         daemon
     }
 

@@ -23,6 +23,7 @@
 //! ```
 
 mod apps;
+pub mod differential;
 pub mod engine;
 pub mod fuzzgen;
 mod programs;
