@@ -9,8 +9,11 @@
 //!
 //! `--jobs` is forwarded to the measuring figure binaries; their output is
 //! bit-identical at every jobs count, so it only changes wall-clock time.
-//! At `1` repeat the outputs are the committed `results/`, which
-//! `crates/bench/tests/determinism.rs` checks in process.
+//! At `1` repeat the outputs are the committed `results/`:
+//! `crates/bench/tests/fig_tables.rs` runs each binary of
+//! [`ent_bench::FIG_ALL`] as this driver does and compares what it
+//! prints and writes, and `crates/bench/tests/determinism.rs` renders the
+//! JSON grids in process.
 
 use std::fs;
 use std::process::Command;
@@ -26,24 +29,12 @@ fn main() {
         .expect("bin dir")
         .to_path_buf();
 
-    // (binary, forward repeats?, forward --jobs?)
-    let bins: &[(&str, bool, bool)] = &[
-        ("fig6_overhead", true, true),
-        ("fig7_settings", false, false),
-        ("fig8_e1_system_a", true, true),
-        ("fig9_e1_all", true, true),
-        ("fig10_e2", true, true),
-        ("fig11_e3_thermal", false, true),
-        ("ablation_snapshots", false, false),
-        ("ablation_governor", false, false),
-        ("data_collection_rsd", true, false),
-    ];
-    for (bin, takes_repeats, takes_jobs) in bins {
+    for (bin, takes_repeats, takes_jobs) in ent_bench::FIG_ALL {
         let mut cmd = Command::new(exe_dir.join(bin));
-        if *takes_repeats {
+        if takes_repeats {
             cmd.arg(&repeats);
         }
-        if *takes_jobs {
+        if takes_jobs {
             cmd.args(["--jobs", &jobs]);
         }
         let out = cmd

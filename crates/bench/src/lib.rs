@@ -63,6 +63,21 @@ pub fn average_runs(repeats: usize, mut f: impl FnMut(u64) -> f64) -> f64 {
     total / repeats as f64
 }
 
+/// The binaries `fig_all` runs, in order, each with whether it takes the
+/// repeat count and whether it takes `--jobs`: together they print every
+/// `results/*.txt` table and write every figure's `results/*.json`.
+pub const FIG_ALL: [(&str, bool, bool); 9] = [
+    ("fig6_overhead", true, true),
+    ("fig7_settings", false, false),
+    ("fig8_e1_system_a", true, true),
+    ("fig9_e1_all", true, true),
+    ("fig10_e2", true, true),
+    ("fig11_e3_thermal", false, true),
+    ("ablation_snapshots", false, false),
+    ("ablation_governor", false, false),
+    ("data_collection_rsd", true, false),
+];
+
 /// Command-line arguments shared by the figure binaries:
 /// `[<value>] [--jobs N] [--faults <spec>] [--fault-seed N]`, where the
 /// positional value is the repeat count (the seed, for

@@ -128,6 +128,101 @@ fn deep_recursion_stops_at_the_call_depth_guard_on_both_engines() {
     }
 }
 
+#[test]
+fn bytecode_sends_run_to_the_call_limit_on_the_smallest_stack() {
+    // A bytecode send pushes a frame record on the register stack and
+    // takes no native stack, so `f(49998)` — 49,999 frames under `main`,
+    // the most the 50,000-call limit allows — completes on a 1 MiB
+    // interpreter stack, with the step count both engines give on the
+    // default release stack. One more call exceeds the limit on both
+    // engines, whatever the stack.
+    let recursion = |n: u32| {
+        temp_source(
+            &format!("sends-{n}"),
+            &format!(
+                "class Main {{\n  int f(int n) {{ if (n <= 0) {{ return 0; }} return 1 + this.f(n - 1); }}\n  int main() {{ return this.f({n}); }}\n}}\n"
+            ),
+        )
+    };
+    let deepest = recursion(49_998);
+    let metrics = std::env::temp_dir().join(format!("ent-sends-{}.json", std::process::id()));
+    let out = spawn_ent(
+        &[
+            "run",
+            deepest.to_str().expect("utf-8 temp path"),
+            "--stack-size",
+            "1m",
+            "--metrics-json",
+            metrics.to_str().expect("utf-8 temp path"),
+        ],
+        &[],
+    );
+    assert_eq!(out.status.code(), Some(EXIT_OK), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("result: 49998"), "{stdout}");
+    let telemetry = std::fs::read_to_string(&metrics).expect("metrics written");
+    assert!(telemetry.contains("\"steps\": 599987,"), "{telemetry}");
+    let too_deep = recursion(49_999);
+    for engine in ["tree", "bytecode"] {
+        let out = spawn_ent(
+            &[
+                "run",
+                too_deep.to_str().expect("utf-8 temp path"),
+                "--engine",
+                engine,
+            ],
+            &[],
+        );
+        assert_eq!(out.status.code(), Some(EXIT_RUNTIME), "{engine}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("call depth exceeded the interpreter limit"),
+            "{engine}: {stdout}"
+        );
+    }
+    for path in [deepest, too_deep, metrics] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn recursion_through_bodies_the_runtime_enters_stops_at_the_nesting_guard() {
+    // A field initializer that allocates its own class, and an
+    // attributor that snapshots its own class, make no send: each level
+    // is a bytecode body the runtime enters natively from inside
+    // another. That nesting counts against the stack-derived limit, so
+    // both stop with the depth error on both engines, on the default
+    // stack and on 16 MiB (before, bytecode overflowed the native stack
+    // and aborted, exit 134).
+    for (tag, src) in [
+        (
+            "initializer",
+            "class A { A next = new A(); }\nclass Main { int main() { let a = new A(); return 1; } }\n",
+        ),
+        (
+            "attributor",
+            "modes { low <= high; }\nclass S@mode<? <= X> {\n  attributor { let d = new S(); let S s = snapshot d [_, _]; return low; }\n}\nclass Main { int main() { let d = new S(); let S s = snapshot d [_, _]; return 1; } }\n",
+        ),
+    ] {
+        let path = temp_source(&format!("nested-{tag}"), src);
+        let path_str = path.to_str().expect("utf-8 temp path");
+        for args in [
+            vec!["run", path_str],
+            vec!["run", path_str, "--engine", "tree"],
+            vec!["run", path_str, "--stack-size", "16m"],
+        ] {
+            let out = spawn_ent(&args, &[]);
+            assert_eq!(out.status.code(), Some(EXIT_RUNTIME), "{args:?}: {out:?}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                stdout.contains("call depth exceeded the interpreter limit"),
+                "{args:?}: {stdout}"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 /// Spawns `ent` with `args` under a `limit_kb` address-space limit, so a
 /// run that would allocate past it aborts (exit 134) instead of taking
 /// the host's memory.

@@ -70,7 +70,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use ent_syntax::{BinOp, ClassName};
 
 use crate::interp::threaded::{
-    op_arr_lit, op_bin_f_for, op_bin_for, op_call_b, op_call_m, op_cast, op_const, op_elim,
+    op_arr_lit, op_bin_f_for, op_bin_for, op_call_b_for, op_call_m, op_cast, op_const, op_elim,
     op_field_get, op_field_this, op_force, op_halt, op_jmp, op_jmp_bin_f_for, op_jmp_bin_for,
     op_jmp_if_false, op_local, op_make_mcase, op_new_obj, op_new_unknown, op_ret, op_sc_force,
     op_sc_jump, op_snap, op_tail_call, op_this, op_try_pop, op_try_push, op_un, op_unbound,
@@ -555,7 +555,7 @@ impl Compiler<'_> {
                     n_args: n as u32,
                     force_last,
                 });
-                self.emit(op_call_b, dst, base, 0, site);
+                self.emit(op_call_b_for(op, n as u32), dst, base, 0, site);
                 self.scratch = mark;
             }
             Node::Cast { check, expr } => {

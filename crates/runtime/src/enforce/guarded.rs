@@ -24,6 +24,7 @@ impl<'p> Interp<'p> {
     /// dfall(o, m): the receiver mode must be ≤ the sender (closure)
     /// mode. Untagged dynamic receivers are only reachable via `this`,
     /// which keeps the sender's mode.
+    #[inline]
     pub(crate) fn guarded_call_check(
         &mut self,
         class: u32,
@@ -31,41 +32,55 @@ impl<'p> Interp<'p> {
         receiver_mode: Option<GMode>,
         sender_mode: GMode,
     ) -> Result<GMode, Flow> {
-        let prog = self.prog;
         match receiver_mode {
-            Some(rm) => {
-                if !prog.le(rm, sender_mode) {
-                    self.stats.energy_exceptions += 1;
-                    self.stats.dfall_failures += 1;
-                    if let Some(c) = self.profiler.as_mut().and_then(AnyProfiler::own) {
-                        c.dfall_failures += 1;
-                    }
-                    if self.config.record_events {
-                        self.events.push(EnergyEvent {
-                            at_s: self.sim.time_s(),
-                            payload: EventPayload::DfallFailure {
-                                class,
-                                method,
-                                receiver_mode: rm,
-                                sender_mode,
-                            },
-                        });
-                    }
-                    if !self.config.silent {
-                        return Err(RtError::EnergyException(format!(
-                            "dynamic waterfall violation: `{}.{}` runs at mode `{}` but the caller is at `{}`",
-                            prog.class_name(class),
-                            prog.method_name(method),
-                            prog.mode_disp(rm),
-                            prog.mode_disp(sender_mode)
-                        ))
-                        .into());
-                    }
-                }
-                Ok(rm)
+            Some(rm) if !self.prog.le(rm, sender_mode) => {
+                self.dfall_failure(class, method, rm, sender_mode)
             }
+            Some(rm) => Ok(rm),
             None => Ok(sender_mode),
         }
+    }
+
+    /// A failed dfall check blames the send: counts it, records it, and
+    /// raises the catchable `EnergyException` unless running silent (the
+    /// frame then runs at the receiver's mode, as on a pass).
+    #[cold]
+    #[inline(never)]
+    fn dfall_failure(
+        &mut self,
+        class: u32,
+        method: u32,
+        rm: GMode,
+        sender_mode: GMode,
+    ) -> Result<GMode, Flow> {
+        let prog = self.prog;
+        self.stats.energy_exceptions += 1;
+        self.stats.dfall_failures += 1;
+        if let Some(c) = self.profiler.as_mut().and_then(AnyProfiler::own) {
+            c.dfall_failures += 1;
+        }
+        if self.config.record_events {
+            self.events.push(EnergyEvent {
+                at_s: self.sim.time_s(),
+                payload: EventPayload::DfallFailure {
+                    class,
+                    method,
+                    receiver_mode: rm,
+                    sender_mode,
+                },
+            });
+        }
+        if !self.config.silent {
+            return Err(RtError::EnergyException(format!(
+                "dynamic waterfall violation: `{}.{}` runs at mode `{}` but the caller is at `{}`",
+                prog.class_name(class),
+                prog.method_name(method),
+                prog.mode_disp(rm),
+                prog.mode_disp(sender_mode)
+            ))
+            .into());
+        }
+        Ok(rm)
     }
 
     /// A failed bounds check blames the boundary: the snapshotted class.

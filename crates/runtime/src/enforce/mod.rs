@@ -34,7 +34,7 @@ use ent_syntax::UnOp;
 
 use super::{EvalResult, Frame, Interp, RtTag};
 use crate::error::{Flow, RtError};
-use crate::lower::{CastCheck, GMode, LMethod, NewPlan};
+use crate::lower::{CastCheck, GMode, NewPlan};
 use crate::value::{ObjRef, Value};
 
 /// Which enforcement strategy discharges mode obligations at run time.
@@ -85,6 +85,7 @@ impl<'p> Interp<'p> {
     /// at. `receiver_mode` is `None` for an untagged dynamic receiver
     /// (only reachable via `this`), which inherits the sender's mode under
     /// both strategies.
+    #[inline]
     pub(super) fn enforce_call(
         &mut self,
         class: u32,
@@ -252,19 +253,5 @@ impl<'p> Interp<'p> {
                 Err(RtError::Native(format!("cannot apply `{op}` to a {}", v.kind())).into())
             }
         }
-    }
-
-    /// Runs a resolved method body in its prepared frame and recycles the
-    /// register file — the half of a send that executes *after* the
-    /// enforcement prologue ([`Interp::invoke_prologue`]).
-    pub(super) fn invoke_body(&mut self, m: &'p LMethod, mut frame: Frame) -> EvalResult {
-        let out = match self.run_body(&mut frame, &self.prog.bodies[m.body as usize]) {
-            Ok(v) => Ok(v),
-            Err(Flow::Return(v)) => Ok(v),
-            Err(e) => Err(e),
-        };
-        self.recycle_locals(frame.locals);
-        self.recycle_env(frame.env);
-        out
     }
 }

@@ -90,7 +90,7 @@ impl<'p> Interp<'p> {
         name: u32,
     ) -> Result<(), Flow> {
         self.stats.transient_checks += 1;
-        if matches!(self.heap[r].mode, RtTag::Dynamic) && frame.this_ref != Some(r) {
+        if matches!(self.heap[r].mode, RtTag::Dynamic) && frame.this_ref != r {
             self.stats.energy_exceptions += 1;
             self.stats.transient_failures += 1;
             if !self.config.silent {

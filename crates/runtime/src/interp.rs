@@ -382,8 +382,9 @@ pub fn run_lowered(prog: &LoweredProgram, platform: Platform, config: RuntimeCon
 
 // The engine hands one `LoweredProgram` to many worker threads at once and
 // `with_interp_stack` ships borrowed programs and results across threads;
-// both are sound only while these stay thread-safe (the interners inside
-// are `Arc<str>`-backed), so regressions fail here at compile time.
+// both are sound only while these stay thread-safe (names are ids into
+// the program's own `Names` table, and compiled bodies sit in `OnceLock`
+// cells), so regressions fail here at compile time.
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = assert_send_sync::<LoweredProgram>();
 const _: () = assert_send_sync::<RunResult>();
@@ -415,9 +416,16 @@ fn run_on_current_thread(
         output: Vec::new(),
         stats: RunStats::default(),
         depth: 0,
-        max_depth: max_call_depth(config.stack_size),
-        live_slots: 0,
+        max_depth: match config.engine {
+            Engine::Tree => max_call_depth(config.stack_size),
+            Engine::Bytecode => MAX_CALL_DEPTH,
+        },
+        nested: 0,
+        max_nested: max_call_depth(config.stack_size),
+        regs: Vec::new(),
         max_slots: max_live_slots(config.stack_size),
+        frames: Vec::new(),
+        tries: Vec::new(),
         stack_floor: match crate::stack::STACK_LOW.with(std::cell::Cell::get) {
             0 => 0,
             low => low + STACK_RESERVE,
@@ -431,7 +439,6 @@ fn run_on_current_thread(
         faults_on,
         last_good: [None; 2],
         degraded: false,
-        locals_pool: Vec::new(),
         env_pool: Vec::new(),
         ic_send: Vec::new(),
         ic_arm: Vec::new(),
@@ -479,27 +486,31 @@ fn run_on_current_thread(
     }
 }
 
-/// Maximum ENT call depth before [`RtError::StackOverflow`].
+/// Maximum ENT call depth before [`RtError::StackOverflow`], on both
+/// engines.
 const MAX_CALL_DEPTH: usize = 50_000;
 
-/// Native stack budgeted per ENT call frame when deriving the depth limit
-/// from a configured stack size. Measured the same way as the debug
-/// budget below: the tree walker takes 1.9 KiB per plain self-call and
-/// 3.3 KiB under four more binary operators, bytecode 1.1 KiB. The
-/// headroom absorbs expression-nesting frames that add native depth
+/// Native stack budgeted per natively nested frame when deriving
+/// [`max_call_depth`] from a configured stack size: each call of the
+/// tree walker, and each bytecode body entered from inside the runtime (a
+/// method attributor, a snapshot's attributor, a field initializer).
+/// Bytecode sends take none. Measured the same way as the debug budget
+/// below: the tree walker takes 1.9 KiB per plain self-call and 3.3 KiB
+/// under four more binary operators, a nested bytecode entry 1.1 KiB.
+/// The headroom absorbs expression-nesting frames that add native depth
 /// without ENT depth. At the default 512 MiB stack the derived limit
-/// exceeds `MAX_CALL_DEPTH`, so default behavior is unchanged.
+/// exceeds `MAX_CALL_DEPTH`.
 #[cfg(not(debug_assertions))]
 const STACK_BYTES_PER_FRAME: usize = 8 * 1024;
 /// Unoptimized frames are several times larger than release frames.
 /// Measured on a debug `ent` by bisecting the deepest self-call that
 /// completes on a 64 MiB stack: the tree walker takes 7.8 KiB per call of
 /// `return 1 + this.go(n - 1)` and 16.4 KiB when the call sits under four
-/// more binary operators; bytecode takes 3.8 KiB. So a debug run with a
-/// small configured stack stops at [`RtError::StackOverflow`] instead of
-/// overflowing the native stack and aborting the process. (With every
-/// arm's locals in one `eval` frame, the tree walker took 29.4 and
-/// 61.7 KiB, past this budget.)
+/// more binary operators; a nested bytecode entry took 3.8 KiB. So a
+/// debug run with a small configured stack stops at
+/// [`RtError::StackOverflow`] instead of overflowing the native stack and
+/// aborting the process. (With every arm's locals in one `eval` frame,
+/// the tree walker took 29.4 and 61.7 KiB, past this budget.)
 #[cfg(debug_assertions)]
 const STACK_BYTES_PER_FRAME: usize = 24 * 1024;
 
@@ -516,32 +527,36 @@ const STACK_BYTES_PER_FRAME: usize = 24 * 1024;
 /// check to the next). This keeps four times the larger.
 const STACK_RESERVE: usize = 64 * 1024;
 
-/// The ENT call-depth limit for a given interpreter stack size: small
-/// configured stacks must fail with [`RtError::StackOverflow`] rather
-/// than overflow the native stack and abort the process.
+/// The native nesting limit for a given interpreter stack size: the
+/// tree walker's call depth, and the depth of bytecode bodies entered
+/// from inside the runtime. Small configured stacks must fail with
+/// [`RtError::StackOverflow`] rather than overflow the native stack and
+/// abort the process.
 fn max_call_depth(stack_size: usize) -> usize {
     MAX_CALL_DEPTH
         .min(stack_size / STACK_BYTES_PER_FRAME)
         .max(64)
 }
 
-/// The most register slots a run's live frames may hold together: as
-/// many `Value`s as would fill the interpreter stack the run is on (at
-/// least the 1 MiB every worker gets). Bytecode frames count their
+/// The smallest register-stack bound, in bytes of `Value`s: bytecode
+/// sends take no native stack, so a small interpreter stack must not cap
+/// them below [`MAX_CALL_DEPTH`] frames of up to 56 registers each.
+const REGISTER_STACK_FLOOR: usize = 64 * 1024 * 1024;
+
+/// The most slots the register stack ([`Interp::regs`]) may hold: as
+/// many `Value`s as would fill the larger of the interpreter stack the
+/// run is on and [`REGISTER_STACK_FLOOR`]. Bytecode frames hold their
 /// `frame_size`, tree-walked frames their parameters and `let`s; past
 /// the bound the run stops with [`RtError::StackOverflow`], as the depth
-/// guard does, so register files cannot take the host's memory where
-/// native frames cannot take its stack.
+/// guard does, so register windows cannot take the host's memory.
 fn max_live_slots(stack_size: usize) -> usize {
-    stack_size.max(crate::stack::MIN_STACK_SIZE) / std::mem::size_of::<Value>()
+    stack_size.max(REGISTER_STACK_FLOOR) / std::mem::size_of::<Value>()
 }
 
-/// The largest register file (in slots) [`Interp::recycle_locals`] keeps
-/// for reuse. A recycled file keeps its capacity, and a frame counts only
-/// its `frame_size`, so a pooled file past this size would let small
-/// frames hold large files uncounted. Figure programs' frames hold a few
-/// dozen registers.
-const MAX_POOLED_SLOTS: usize = 256;
+/// The capacity the register stack first grows to, in slots: a few
+/// frames' worth, so a short run allocates once and a deep one doubles
+/// from here.
+const MIN_REGISTER_CAPACITY: usize = 128;
 
 /// Largest array a single `Arr.make`/`Arr.range`/`Arr.concat` may
 /// allocate (16M elements ≈ 0.5 GiB of `Value`s): a hostile
@@ -589,12 +604,16 @@ struct ObjData {
     snapshotted: bool,
 }
 
-/// A call frame.
+/// A call frame: where its registers sit on the register stack, and the
+/// closure state of `cl(m, e)`.
 #[derive(Debug)]
 pub(crate) struct Frame {
-    /// Slot-indexed locals: parameters first, then block-scoped lets.
-    locals: Vec<Value>,
-    this_ref: Option<ObjRef>,
+    /// The frame's first slot on [`Interp::regs`]: parameters first, then
+    /// block-scoped `let`s, then (bytecode) scratch registers.
+    base: usize,
+    /// The receiver: every body runs on an object (`main` on a fresh
+    /// `Main`).
+    this_ref: ObjRef,
     /// The current closure mode `m` of `cl(m, e)`.
     mode: GMode,
     /// Slot-indexed mode environment (layout fixed at lowering time).
@@ -604,43 +623,26 @@ pub(crate) struct Frame {
     unbound_lo: u32,
     /// Declared parameter count (slots below it are parameters).
     n_params: u32,
-}
-
-impl Frame {
-    /// Writes register `r` through [`put`]: a plain old value is
-    /// overwritten without running drop glue.
-    #[inline(always)]
-    fn set(&mut self, r: usize, v: Value) {
-        put(&mut self.locals[r], v);
-    }
-}
-
-/// Pads or truncates call arguments to the declared parameter count,
-/// returning the slot-indexed locals and the first unbound parameter slot
-/// (`u32::MAX` when fully applied).
-fn make_locals(mut args: Vec<Value>, n_params: u32) -> (Vec<Value>, u32) {
-    let n = n_params as usize;
-    let unbound_lo = if args.len() < n {
-        args.len() as u32
-    } else {
-        u32::MAX
-    };
-    args.resize(n, Value::Unit);
-    (args, unbound_lo)
+    /// Entries of [`Interp::tries`] below this belong to the frame's
+    /// callers: a bytecode `try` handler is live in this frame only at or
+    /// above it.
+    try_lo: u32,
 }
 
 /// Projects an object's mode environment through a pre-compiled
 /// (class → owner) environment map, appending into `out` (a recycled
 /// vector from [`Interp::grab_env`] at the hot call sites).
 fn apply_env_into(obj_env: &[GMode], map: &[EnvSrc], out: &mut Vec<GMode>) {
-    out.extend(map.iter().map(|src| match *src {
-        EnvSrc::Copy(i) => obj_env[i as usize],
-        EnvSrc::SlotOrVar { slot, var } => match obj_env[slot as usize] {
-            GMode::Missing => GMode::Var(var),
-            g => g,
-        },
-        EnvSrc::Ground(g) => g,
-    }));
+    for src in map {
+        out.push(match *src {
+            EnvSrc::Copy(i) => obj_env[i as usize],
+            EnvSrc::SlotOrVar { slot, var } => match obj_env[slot as usize] {
+                GMode::Missing => GMode::Var(var),
+                g => g,
+            },
+            EnvSrc::Ground(g) => g,
+        });
+    }
 }
 
 pub(crate) struct Interp<'p> {
@@ -652,12 +654,28 @@ pub(crate) struct Interp<'p> {
     stats: RunStats,
     /// Current ENT call depth (for the stack guard).
     depth: usize,
-    /// Depth limit derived from the configured stack size.
+    /// Depth limit: [`MAX_CALL_DEPTH`] for bytecode; for the tree walker,
+    /// whose every call recurses natively, [`max_call_depth`] of the
+    /// configured stack.
     max_depth: usize,
-    /// Register slots the live frames hold ([`max_live_slots`]).
-    live_slots: usize,
-    /// The bound on `live_slots`, derived from the configured stack size.
+    /// Bytecode bodies entered natively and not yet left: the run's first
+    /// body, and every attributor or field initializer started from
+    /// inside the runtime.
+    nested: usize,
+    /// The bound on `nested`: [`max_call_depth`] of the configured stack.
+    max_nested: usize,
+    /// The register stack: every live frame's window, innermost on top.
+    /// A bytecode send pushes its callee's window here and a return
+    /// truncates it, so the length is the innermost frame's top.
+    regs: Vec<Value>,
+    /// The bound on `regs` ([`max_live_slots`]).
     max_slots: usize,
+    /// The callers of the innermost bytecode frames, one record per send
+    /// not yet returned (see `threaded::enter`).
+    frames: Vec<threaded::FrameRec<'p>>,
+    /// Live bytecode `try` handlers (their handler pcs), innermost last;
+    /// each frame owns those at or above its [`Frame::try_lo`].
+    tries: Vec<u32>,
     /// The tree walker stops with [`RtError::StackOverflow`] when the
     /// native stack reaches below this address: the worker's stack end
     /// plus [`STACK_RESERVE`], or 0 off an interpreter worker.
@@ -677,15 +695,9 @@ pub(crate) struct Interp<'p> {
     /// Set when a faulted read degrades past the staleness bound; mode
     /// decisions consult and clear it to substitute conservative modes.
     degraded: bool,
-    /// Recycled call-frame register files: completed invocations park
-    /// their `locals` vector here and bytecode call sites draw argument
-    /// vectors from it, so steady-state calls reuse one allocation whose
-    /// capacity already grew to the largest `frame_size` seen instead of
-    /// paying a malloc (and a realloc in `run_body`) plus a free per call.
-    locals_pool: Vec<Vec<Value>>,
-    /// Recycled mode-environment vectors, pooled like `locals_pool`: every
-    /// send projects the receiver's environment through the entry's map
-    /// into one of these instead of a fresh allocation.
+    /// Recycled mode-environment vectors: every send projects the
+    /// receiver's environment through the entry's map into one of these
+    /// instead of a fresh allocation.
     env_pool: Vec<Vec<GMode>>,
     /// Per-run send-site inline caches (bytecode engine), indexed by the
     /// program-wide site ids allocated during lazy compilation. Grown on
@@ -719,7 +731,7 @@ impl<'p> Interp<'p> {
             Err(Flow::Error(e)) => return Err(e),
             Err(Flow::Return(_)) => unreachable!("allocation cannot return"),
         };
-        match self.invoke(this_ref, main_method, Vec::new(), &[], GMode::Top, None) {
+        match self.invoke(this_ref, main_method, Vec::new(), &[], GMode::Top) {
             Ok(v) => Ok(v),
             Err(Flow::Return(v)) => Ok(v),
             Err(Flow::Error(e)) => Err(e),
@@ -751,32 +763,64 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Hands out an empty argument vector for a call site, preferring a
-    /// recycled register file from [`Self::recycle_locals`] (whose
-    /// capacity has already grown to a previous callee's `frame_size`)
-    /// over a fresh allocation.
+    /// Grows the register stack to `len` slots of `Unit`, or stops the run
+    /// with [`RtError::StackOverflow`] past [`Self::max_slots`] (or when
+    /// the host refuses the memory). Capacity doubles from
+    /// [`MIN_REGISTER_CAPACITY`] and never passes the bound. A shorter
+    /// `len` changes nothing.
     #[inline]
-    pub(crate) fn grab_locals(&mut self, n_args: usize) -> Vec<Value> {
-        match self.locals_pool.pop() {
-            Some(v) => v,
-            // Headroom above the argument count so the callee's register
-            // file usually fits without a realloc even on a cold vector.
-            None => Vec::with_capacity(n_args.max(16)),
+    fn grow_regs(&mut self, len: usize) -> Result<(), Flow> {
+        self.reserve_regs(len)?;
+        if len > self.regs.len() {
+            // Writes each tag in place: a `push` loop built every `Unit`
+            // in a temporary and copied it, stalling on the copy.
+            self.regs.resize_with(len, || Value::Unit);
+        }
+        Ok(())
+    }
+
+    /// Shrinks the register stack to `len` slots, dropping the values
+    /// above it (drop glue runs only for those that own something, see
+    /// [`discard`]).
+    #[inline]
+    fn drop_regs(&mut self, len: usize) {
+        while self.regs.len() > len {
+            if let Some(v) = self.regs.pop() {
+                discard(v);
+            }
         }
     }
 
-    /// Parks a finished frame's register file for reuse. Values were
-    /// already drained or are dropped here, plain ones without drop glue
-    /// (see [`put`]); only the allocation survives.
+    /// Makes room for `len` slots on the register stack ([`Self::grow_regs`]
+    /// without the fill).
     #[inline]
-    fn recycle_locals(&mut self, mut locals: Vec<Value>) {
-        // A small cap bounds retained memory; one entry per live call
-        // depth is the steady-state need, and deep recursion past the cap
-        // simply falls back to fresh allocations.
-        if self.locals_pool.len() < 64 && locals.capacity() <= MAX_POOLED_SLOTS {
-            locals.drain(..).for_each(discard);
-            self.locals_pool.push(locals);
+    fn reserve_regs(&mut self, len: usize) -> Result<(), Flow> {
+        if len <= self.regs.capacity() {
+            Ok(())
+        } else {
+            self.grow_capacity(len)
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow_capacity(&mut self, len: usize) -> Result<(), Flow> {
+        if len > self.max_slots {
+            return Err(RtError::StackOverflow.into());
+        }
+        let cap = (self.regs.capacity() * 2)
+            .max(MIN_REGISTER_CAPACITY)
+            .clamp(len, self.max_slots);
+        self.regs
+            .try_reserve_exact(cap - self.regs.len())
+            .map_err(|_| RtError::StackOverflow.into())
+    }
+
+    /// Sets register `r` of `frame` through [`put`]: a plain old value is
+    /// overwritten without running drop glue.
+    #[inline(always)]
+    fn set(&mut self, frame: &Frame, r: usize, v: Value) {
+        put(&mut self.regs[frame.base + r], v);
     }
 
     /// Hands out an empty mode-environment vector, preferring a recycled
@@ -786,10 +830,11 @@ impl<'p> Interp<'p> {
         self.env_pool.pop().unwrap_or_default()
     }
 
-    /// Parks a finished frame's mode environment for reuse.
+    /// Parks a finished frame's mode environment for reuse (one that
+    /// never allocated is not worth keeping).
     #[inline]
     fn recycle_env(&mut self, mut env: Vec<GMode>) {
-        if self.env_pool.len() < 64 {
+        if env.capacity() != 0 && self.env_pool.len() < 64 {
             env.clear();
             self.env_pool.push(env);
         }
@@ -808,37 +853,31 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Executes one lowered body on the configured engine: the tree
-    /// walker only under [`Engine::Tree`]; otherwise the body's bytecode,
-    /// compiled on its first execution (once per program, so batch runs
-    /// compile once), in a register file resized to its `frame_size`.
-    /// Either way the frame's slots count against [`Self::max_slots`]
-    /// until the body returns.
+    /// Executes one lowered body natively on the configured engine: the
+    /// tree walker only under [`Engine::Tree`]; otherwise the body's
+    /// bytecode, compiled on its first execution (once per program, so
+    /// batch runs compile once), in `frame`'s window grown to its
+    /// `frame_size`. A bytecode entry counts against
+    /// [`Self::max_nested`]. The register stack is back at its entry
+    /// length when the body returns, on every path.
     fn run_body(&mut self, frame: &mut Frame, body: &'p Body) -> EvalResult {
-        let live = self.live_slots;
+        let top = self.regs.len();
         let out = if self.config.engine == Engine::Tree {
-            // `let`s claim their slots as `eval_block` binds them.
-            self.claim_slots(frame.locals.len())?;
+            // `let`s take their slots as `eval_block` binds them.
             self.eval(frame, body.root)
         } else {
             let code = body.code_or_compile(&self.prog.ir, &self.prog.ic, &mut self.compiles);
-            self.claim_slots(code.frame_size as usize)?;
-            frame.locals.resize(code.frame_size as usize, Value::Unit);
-            threaded::enter(self, frame, code)
+            if self.nested == self.max_nested {
+                return Err(RtError::StackOverflow.into());
+            }
+            self.nested += 1;
+            let out = (self.grow_regs(frame.base + code.frame_size as usize))
+                .and_then(|()| threaded::enter(self, frame, code));
+            self.nested -= 1;
+            out
         };
-        self.live_slots = live;
+        self.drop_regs(top);
         out
-    }
-
-    /// Counts `n` more live register slots, or stops the run with
-    /// [`RtError::StackOverflow`] when they would pass the bound.
-    #[inline]
-    fn claim_slots(&mut self, n: usize) -> Result<(), Flow> {
-        if n > self.max_slots - self.live_slots {
-            return Err(RtError::StackOverflow.into());
-        }
-        self.live_slots += n;
-        Ok(())
     }
 
     /// The single "virtual time advanced" hook: every interpreter-driven
@@ -1069,16 +1108,8 @@ impl<'p> Interp<'p> {
                 RtTag::Ground(m) => m,
                 RtTag::Dynamic => GMode::Top,
             };
-            let mut frame = Frame {
-                locals: self.grab_locals(0),
-                this_ref: Some(obj_ref),
-                mode,
-                env,
-                unbound_lo: u32::MAX,
-                n_params: 0,
-            };
+            let mut frame = self.frame_at(self.regs.len(), obj_ref, mode, env);
             let v = self.run_body(&mut frame, &prog.bodies[job.body as usize])?;
-            self.recycle_locals(frame.locals);
             self.recycle_env(frame.env);
             self.heap[obj_ref].fields[job.slot as usize] = v;
         }
@@ -1087,14 +1118,63 @@ impl<'p> Interp<'p> {
 
     // ---- invocation --------------------------------------------------------
 
-    /// Invokes `recv.method(args)` from a sender executing at
-    /// `sender_mode`, enforcing the configured obligation strategy. `ic`
-    /// is the send-site inline-cache slot when called from a bytecode call
-    /// site (the tree engine passes `None` and always walks the vtable).
+    /// Invokes `recv.method(args)` natively from a sender executing at
+    /// `sender_mode`: the run's `main` and every tree-walked send. The
+    /// arguments become the callee's window on top of the register stack;
+    /// [`Interp::open_frame`] runs the enforcement prologue, the body runs
+    /// through [`Interp::run_body`], and [`Interp::close_frame`] pops the
+    /// frame. A bytecode send runs the same prologue and epilogue without
+    /// a native frame (`threaded::enter`).
+    fn invoke(
+        &mut self,
+        recv: ObjRef,
+        method: u32,
+        args: Vec<Value>,
+        mode_args: &[GMode],
+        sender_mode: GMode,
+    ) -> EvalResult {
+        let (base, n_args) = (self.regs.len(), args.len() as u32);
+        self.reserve_regs(base + args.len())?;
+        self.regs.extend(args);
+        let depth = self.depth;
+        let mut frame = self.frame_at(base, recv, sender_mode, Vec::new());
+        let m = self.open_frame(&mut frame, method, n_args, mode_args, None)?;
+        let out = match self.run_body(&mut frame, &self.prog.bodies[m.body as usize]) {
+            Ok(v) | Err(Flow::Return(v)) => Ok(v),
+            Err(e) => Err(e),
+        };
+        self.close_frame(frame, depth);
+        out
+    }
+
+    /// A frame on `this_ref` whose window starts at `base`, with no
+    /// parameters: a send's before its prologue (at the sender's mode
+    /// until the call-site check yields its own), or an attributor's or
+    /// field initializer's at the top of the register stack.
+    #[inline]
+    fn frame_at(&self, base: usize, this_ref: ObjRef, mode: GMode, env: Vec<GMode>) -> Frame {
+        Frame {
+            base,
+            this_ref,
+            mode,
+            env,
+            unbound_lo: u32::MAX,
+            n_params: 0,
+            try_lo: self.tries.len() as u32,
+        }
+    }
+
+    /// Opens `frame` (from [`Interp::frame_at`]) for `method` on the
+    /// `n_args` arguments in its window: counts its depth, runs the
+    /// enforcement prologue ([`Interp::invoke_prologue`]) and opens its
+    /// profiler frame. `ic` is the send-site inline-cache slot of a
+    /// bytecode call site (`None` walks the vtable). On an error nothing
+    /// stays open: the depth is restored, the window dropped, and a
+    /// profiler frame already opened is closed.
     ///
     /// The profiler hook ordering encodes each strategy's blame model.
     /// Guarded: the frame opens *before* the attributor/dfall machinery in
-    /// `invoke_prologue`, so attribution charges those to the callee (the
+    /// the prologue, so attribution charges those to the callee (the
     /// historical behavior, byte-identical). Transient: the prologue —
     /// including the transient call check — runs *before* the frame opens,
     /// so its costs land in the caller's open frame: the check is blamed
@@ -1104,199 +1184,136 @@ impl<'p> Interp<'p> {
     /// executed it — at identical `(stack, step)` points in both engines,
     /// since the bytecode engine's gas batching is exact at these
     /// boundaries.
-    fn invoke(
+    #[inline(always)]
+    fn open_frame(
         &mut self,
-        recv: ObjRef,
+        frame: &mut Frame,
         method: u32,
-        args: Vec<Value>,
+        n_args: u32,
         mode_args: &[GMode],
-        sender_mode: GMode,
         ic: Option<u32>,
-    ) -> EvalResult {
+    ) -> Result<&'p LMethod, Flow> {
+        let depth = self.depth;
         self.depth += 1;
-        if self.depth > self.max_depth {
-            self.depth -= 1;
-            return Err(RtError::StackOverflow.into());
-        }
-        let result = match self.config.enforcement {
-            Enforcement::Guarded => {
-                let entered = match self.profiler.as_mut() {
-                    Some(p) => {
-                        p.on_enter(self.heap[recv].class, method, self.stats.steps);
-                        true
-                    }
-                    None => false,
-                };
-                let result =
-                    match self.invoke_prologue(recv, method, args, mode_args, sender_mode, ic) {
-                        Ok((m, frame)) => self.invoke_body(m, frame),
-                        Err(e) => Err(e),
-                    };
-                if entered {
-                    let steps = self.stats.steps;
-                    self.profiler
-                        .as_mut()
-                        .expect("profiler stays on")
-                        .on_exit(steps);
-                }
-                result
+        let guarded = matches!(self.config.enforcement, Enforcement::Guarded);
+        let opened = if self.depth > self.max_depth {
+            Err(RtError::StackOverflow.into())
+        } else {
+            if guarded {
+                self.profile_enter(frame, method);
             }
-            Enforcement::Transient => {
-                // A failing prologue returns before the frame ever opens,
-                // keeping the shadow stack balanced.
-                match self.invoke_prologue(recv, method, args, mode_args, sender_mode, ic) {
-                    Ok((m, frame)) => {
-                        let entered = match self.profiler.as_mut() {
-                            Some(p) => {
-                                p.on_enter(self.heap[recv].class, method, self.stats.steps);
-                                true
-                            }
-                            None => false,
-                        };
-                        let result = self.invoke_body(m, frame);
-                        if entered {
-                            let steps = self.stats.steps;
-                            self.profiler
-                                .as_mut()
-                                .expect("profiler stays on")
-                                .on_exit(steps);
-                        }
-                        result
-                    }
-                    Err(e) => Err(e),
-                }
+            let opened = self.invoke_prologue(frame, method, n_args, mode_args, ic);
+            // A failing transient prologue returns before the frame ever
+            // opens, keeping the shadow stack balanced.
+            match (guarded, opened.is_ok()) {
+                (true, false) => self.profile_exit(),
+                (false, true) => self.profile_enter(frame, method),
+                _ => {}
             }
+            opened
         };
-        self.depth -= 1;
-        result
+        if opened.is_err() {
+            self.depth = depth;
+            self.drop_regs(frame.base);
+        }
+        opened
     }
 
-    /// The enforcement prologue of a send: resolves the method (through
-    /// the send IC when bytecode provides one), binds mode parameters,
-    /// runs a method-level attributor, and discharges the call-site
-    /// obligation via [`Interp::enforce_call`] — everything that happens
-    /// before the body runs. Returns the resolved method and its prepared
-    /// frame for [`Interp::invoke_body`].
+    /// The epilogue of a frame [`Interp::open_frame`] opened: closes its
+    /// profiler frame, restores the caller's `depth` (which also pops the
+    /// frame's elided tail calls), drops the `try` handlers it left and
+    /// its window's values, and recycles its mode environment.
+    #[inline]
+    fn close_frame(&mut self, frame: Frame, depth: usize) {
+        self.profile_exit();
+        self.depth = depth;
+        self.tries.truncate(frame.try_lo as usize);
+        self.drop_regs(frame.base);
+        self.recycle_env(frame.env);
+    }
+
+    #[inline]
+    fn profile_enter(&mut self, frame: &Frame, method: u32) {
+        if let Some(p) = self.profiler.as_mut() {
+            p.on_enter(self.heap[frame.this_ref].class, method, self.stats.steps);
+        }
+    }
+
+    #[inline]
+    fn profile_exit(&mut self) {
+        if let Some(p) = self.profiler.as_mut() {
+            p.on_exit(self.stats.steps);
+        }
+    }
+
+    /// The enforcement prologue of a send, on the callee's `frame`:
+    /// resolves the method (through the send IC when bytecode provides
+    /// one), binds mode parameters, sizes the window to the declared
+    /// parameters, runs a method-level attributor in it, and discharges
+    /// the call-site obligation via [`Interp::enforce_call`] — everything
+    /// that happens before the body runs. Returns the resolved method.
+    #[inline(always)]
     fn invoke_prologue(
         &mut self,
-        recv: ObjRef,
+        frame: &mut Frame,
         method: u32,
-        args: Vec<Value>,
+        n_args: u32,
         mode_args: &[GMode],
-        sender_mode: GMode,
         ic: Option<u32>,
-    ) -> Result<(&'p LMethod, Frame), Flow> {
+    ) -> Result<&'p LMethod, Flow> {
         let prog = self.prog;
+        let recv = frame.this_ref;
         let class = self.heap[recv].class;
-        let layout = &prog.classes[class as usize];
-        // Method ids past the declared names are names no class declares:
-        // the lookup correctly reports them absent.
-        let lookup = || -> Result<&'p MethodEntry, Flow> {
-            match prog.method_entry(class, method) {
-                Some(e) => Ok(e),
-                None => Err(RtError::Native(format!(
-                    "class `{}` has no method `{}`",
-                    prog.spell(layout.name),
-                    prog.method_name(method)
-                ))
-                .into()),
-            }
-        };
         // Monomorphic send-site inline cache: a receiver-class guard in
         // front of the vtable walk (each bytecode call site targets one
         // method id, so the class alone keys the entry).
-        let entry: &'p MethodEntry = match ic {
-            Some(site) => {
-                let site = site as usize;
-                if self.ic_send.len() <= site {
-                    self.ic_send.resize(site + 1, None);
-                }
-                match self.ic_send[site] {
-                    Some((c, e)) if c == class => e,
-                    _ => {
-                        let e = lookup()?;
-                        self.ic_send[site] = Some((class, e));
-                        e
-                    }
-                }
-            }
-            None => lookup()?,
+        let entry: &'p MethodEntry = match ic.and_then(|site| self.ic_send.get(site as usize)) {
+            Some(&Some((c, e))) if c == class => e,
+            _ => self.lookup_method(class, method, ic)?,
         };
         let m: &'p LMethod = &prog.methods[entry.method as usize];
-        let mut env = self.grab_env();
-        apply_env_into(
-            &self.heap[recv].mode_env,
-            &prog.env_srcs[entry.env_map.range()],
-            &mut env,
-        );
-        let n0 = env.len();
-
-        // Bind generic method-mode parameters: explicit arguments first,
-        // then defaults (a shadowed owner binding, or unbound).
-        for (k, p) in m.mode_params.iter().enumerate() {
-            let g = match mode_args.get(k) {
-                Some(&g) => g,
-                None => match p.default {
-                    MDefault::FromSlot(j) => env[j as usize],
-                    MDefault::Missing => GMode::Missing,
-                },
-            };
-            env.push(g);
+        let env_map = &prog.env_srcs[entry.env_map.range()];
+        if !env_map.is_empty() || !m.mode_params.is_empty() {
+            frame.env = self.grab_env();
+            apply_env_into(&self.heap[recv].mode_env, env_map, &mut frame.env);
+            // Bind generic method-mode parameters: explicit arguments
+            // first, then defaults (a shadowed owner binding, or unbound).
+            for (k, p) in m.mode_params.iter().enumerate() {
+                let g = match mode_args.get(k) {
+                    Some(&g) => g,
+                    None => match p.default {
+                        MDefault::FromSlot(j) => frame.env[j as usize],
+                        MDefault::Missing => GMode::Missing,
+                    },
+                };
+                frame.env.push(g);
+            }
         }
 
-        // The frame's locals are built once and reused by the attributor
-        // frame below (the attributor leaves the slot layout balanced), so
-        // attributed sends never clone argument values or environments.
-        let (mut locals, unbound_lo) = make_locals(args, m.n_params);
+        // The window holds exactly the declared parameters: missing
+        // arguments read as unbound, extra ones are dropped. An
+        // attributor runs in the same window, so attributed sends never
+        // clone argument values or environments.
+        let params = frame.base + m.n_params as usize;
+        if params > self.regs.len() {
+            self.grow_regs(params)?;
+        } else {
+            self.drop_regs(params);
+        }
+        frame.n_params = m.n_params;
+        if n_args < m.n_params {
+            frame.unbound_lo = n_args;
+        }
 
         // Receiver-side mode for dfall: the object's tag, overridden by a
         // method-level mode or attributor.
         let receiver_mode = if let Some(attr_body) = m.attributor {
-            // Method-level attributor: evaluate it now to characterize
-            // this invocation.
-            let mut aframe = Frame {
-                locals,
-                this_ref: Some(recv),
-                mode: sender_mode,
-                env,
-                unbound_lo,
-                n_params: m.n_params,
-            };
-            // Sensor reads inside the attributor may degrade past the
-            // staleness bound; the flag is scoped to this one decision
-            // (saved/restored around it so an outer decision in progress
-            // keeps its own view).
-            let outer_degraded = self.degraded;
-            self.degraded = false;
-            let attributed =
-                self.eval_attributor_body(&mut aframe, &prog.bodies[attr_body as usize])?;
-            // Reclaim the frame pieces: the tree engine's block scoping
-            // leaves exactly the parameters; the bytecode engine may have
-            // grown the register file, truncated back here.
-            locals = aframe.locals;
-            locals.truncate(m.n_params as usize);
-            env = aframe.env;
-            let produced = if self.degraded {
-                // Degraded decision: fall back to the sender's mode — the
-                // conservative choice that always satisfies the waterfall
-                // invariant (a lower mode is never forced upward).
-                self.stats.degraded_decisions += 1;
-                sender_mode
-            } else {
-                attributed
-            };
-            self.degraded = outer_degraded;
-            // The method's internal view (its first declared mode
-            // parameter, if any) is bound to the attributed mode.
-            if !m.mode_params.is_empty() {
-                env[n0] = produced;
-            }
-            Some(produced)
+            Some(self.attribute(frame, m, env_map.len(), attr_body)?)
         } else if let Some(ov) = m.mode_override {
             // Method-level static override, resolved in the owner's env.
             Some(match ov {
                 LOverride::Ground(g) => g,
-                LOverride::Param { slot, var } => match env[slot as usize] {
+                LOverride::Param { slot, var } => match frame.env[slot as usize] {
                     GMode::Missing => GMode::Var(var),
                     g => g,
                 },
@@ -1307,19 +1324,75 @@ impl<'p> Interp<'p> {
 
         // The call-site obligation: the configured strategy validates the
         // receiver mode against the sender's and yields the frame's mode.
-        let frame_mode = self.enforce_call(class, method, receiver_mode, sender_mode)?;
+        frame.mode = self.enforce_call(class, method, receiver_mode, frame.mode)?;
+        Ok(m)
+    }
 
-        Ok((
-            m,
-            Frame {
-                locals,
-                this_ref: Some(recv),
-                mode: frame_mode,
-                env,
-                unbound_lo,
-                n_params: m.n_params,
-            },
-        ))
+    /// The vtable walk behind a send: `class`'s entry for `method`,
+    /// cached at bytecode site `ic`. Method ids past the declared names
+    /// are names no class declares: the lookup correctly reports them
+    /// absent.
+    #[cold]
+    #[inline(never)]
+    fn lookup_method(
+        &mut self,
+        class: u32,
+        method: u32,
+        ic: Option<u32>,
+    ) -> Result<&'p MethodEntry, Flow> {
+        let prog = self.prog;
+        let Some(entry) = prog.method_entry(class, method) else {
+            return Err(RtError::Native(format!(
+                "class `{}` has no method `{}`",
+                prog.spell(prog.classes[class as usize].name),
+                prog.method_name(method)
+            ))
+            .into());
+        };
+        if let Some(site) = ic {
+            let site = site as usize;
+            if self.ic_send.len() <= site {
+                self.ic_send.resize(site + 1, None);
+            }
+            self.ic_send[site] = Some((class, entry));
+        }
+        Ok(entry)
+    }
+
+    /// Runs `m`'s attributor in the callee's `frame`, still at the
+    /// sender's mode, to characterize this invocation; binds the method's
+    /// internal view (its first declared mode parameter, slot `n0` of the
+    /// environment, if any) to the produced mode and returns it.
+    #[inline(never)]
+    fn attribute(
+        &mut self,
+        frame: &mut Frame,
+        m: &'p LMethod,
+        n0: usize,
+        attr_body: u32,
+    ) -> Result<GMode, Flow> {
+        // Sensor reads inside the attributor may degrade past the
+        // staleness bound; the flag is scoped to this one decision
+        // (saved/restored around it so an outer decision in progress
+        // keeps its own view).
+        let sender_mode = frame.mode;
+        let outer_degraded = self.degraded;
+        self.degraded = false;
+        let attributed = self.eval_attributor_body(frame, &self.prog.bodies[attr_body as usize])?;
+        let produced = if self.degraded {
+            // Degraded decision: fall back to the sender's mode — the
+            // conservative choice that always satisfies the waterfall
+            // invariant (a lower mode is never forced upward).
+            self.stats.degraded_decisions += 1;
+            sender_mode
+        } else {
+            attributed
+        };
+        self.degraded = outer_degraded;
+        if !m.mode_params.is_empty() {
+            frame.env[n0] = produced;
+        }
+        Ok(produced)
     }
 
     /// Evaluates an attributor body to a mode constant.
@@ -1379,14 +1452,7 @@ impl<'p> Interp<'p> {
         };
         let mut env = self.grab_env();
         env.extend_from_slice(&self.heap[obj].mode_env);
-        let mut aframe = Frame {
-            locals: self.grab_locals(0),
-            this_ref: Some(obj),
-            mode: frame.mode,
-            env,
-            unbound_lo: u32::MAX,
-            n_params: 0,
-        };
+        let mut aframe = self.frame_at(self.regs.len(), obj, frame.mode, env);
         // Scope the degradation flag to this snapshot's attributor run
         // (nested snapshots inside the attributor manage their own).
         let outer_degraded = self.degraded;
@@ -1395,7 +1461,6 @@ impl<'p> Interp<'p> {
             self.eval_attributor_body(&mut aframe, &prog.bodies[attributor.body as usize])?;
         let attr_degraded = self.degraded;
         self.degraded = outer_degraded;
-        self.recycle_locals(aframe.locals);
         self.recycle_env(aframe.env);
 
         // check(m, m1, m2, o): bad check throws the catchable
@@ -1546,10 +1611,7 @@ impl<'p> Interp<'p> {
         // smaller frame keeps the nesting depth a stack size allows.
         match ir.nodes[e as usize] {
             Node::Lit(v) | Node::ModeConst(v) => Ok(ir.lits[v as usize].clone()),
-            Node::This => match frame.this_ref {
-                Some(r) => Ok(Value::Obj(r)),
-                None => Err(RtError::Native("`this` outside an object context".into()).into()),
-            },
+            Node::This => Ok(Value::Obj(frame.this_ref)),
             Node::Var { slot, name } => self.eval_var(frame, slot, name),
             Node::UnboundVar(name) => Err(self.unbound(name)),
             Node::Field { recv, field, name } => self.eval_field(frame, recv, field, name),
@@ -1586,7 +1648,7 @@ impl<'p> Interp<'p> {
         if slot >= frame.unbound_lo && slot < frame.n_params {
             return Err(self.unbound(name));
         }
-        match frame.locals.get(slot as usize) {
+        match self.regs.get(frame.base + slot as usize) {
             Some(v) => Ok(v.clone()),
             None => Err(self.unbound(name)),
         }
@@ -1643,7 +1705,7 @@ impl<'p> Interp<'p> {
         for m in ir.modes(send.mode_args) {
             gmodes.push(self.resolve_mode(frame, m)?);
         }
-        self.invoke(r, send.method, vals, &gmodes, frame.mode, None)
+        self.invoke(r, send.method, vals, &gmodes, frame.mode)
     }
 
     fn eval_builtin(&mut self, frame: &mut Frame, op: BOp, name: u32, args: Seq) -> EvalResult {
@@ -1731,15 +1793,18 @@ impl<'p> Interp<'p> {
         }
     }
 
+    /// A block: each `let` binds the next slot of the frame, on top of the
+    /// register stack, until the block ends.
     fn eval_block(&mut self, frame: &mut Frame, stmts: Seq) -> EvalResult {
-        let depth = frame.locals.len();
+        let top = self.regs.len();
         let mut last = Value::Unit;
         for &stmt in self.prog.ir.stmts(stmts) {
             match stmt {
                 LStmt::Let(value) => {
                     let v = self.eval(frame, value)?;
-                    self.claim_slots(1)?;
-                    frame.locals.push(v);
+                    let slot = self.regs.len();
+                    self.grow_regs(slot + 1)?;
+                    self.regs[slot] = v;
                     last = Value::Unit;
                 }
                 LStmt::Expr(e) => {
@@ -1747,29 +1812,22 @@ impl<'p> Interp<'p> {
                 }
                 LStmt::Return(e) => {
                     let v = self.eval(frame, e)?;
-                    self.pop_locals(frame, depth);
+                    self.drop_regs(top);
                     return Err(Flow::Return(v));
                 }
             }
         }
-        self.pop_locals(frame, depth);
+        self.drop_regs(top);
         Ok(last)
-    }
-
-    /// Unbinds the tree walker's block locals above `depth`, releasing
-    /// their slots.
-    fn pop_locals(&mut self, frame: &mut Frame, depth: usize) {
-        self.live_slots -= frame.locals.len() - depth;
-        frame.locals.truncate(depth);
     }
 
     fn eval_try(&mut self, frame: &mut Frame, body: NodeId, handler: NodeId) -> EvalResult {
         // A failing body may leave partially-pushed block locals on the
         // frame; restore the handler's lowered slot layout.
-        let depth = frame.locals.len();
+        let top = self.regs.len();
         match self.eval(frame, body) {
             Err(Flow::Error(RtError::EnergyException(_))) => {
-                self.pop_locals(frame, depth);
+                self.drop_regs(top);
                 self.eval(frame, handler)
             }
             other => other,
@@ -1864,28 +1922,30 @@ impl<'p> Interp<'p> {
     }
 
     /// Calls a compiled builtin site on its argument registers in place,
-    /// `frame.locals[base..base + n_args]` — the one builtin path of the
-    /// bytecode engine. Forces the last argument first when the site says
-    /// so. On every exit (value, builtin error or
-    /// force error) the window is reset to `Unit` before returning, which
-    /// is where the take-based form left those registers: every argument
-    /// dies where it died when the call owned a vector of them.
+    /// registers `base..base + n_args` of `frame` — the generic builtin
+    /// path of the bytecode engine, and the fallback of its scalar
+    /// handlers. Forces the last argument first when the site says so. On
+    /// every exit (value, builtin error or force error) the window is
+    /// reset to `Unit` before returning, which is where the take-based
+    /// form left those registers: every argument dies where it died when
+    /// the call owned a vector of them. No builtin runs ENT code, so the
+    /// register stack is set aside for the call.
     #[inline]
-    fn call_builtin(&mut self, frame: &mut Frame, site: &BuiltinSite, base: usize) -> EvalResult {
-        let end = base + site.n_args as usize;
+    fn call_builtin(&mut self, frame: &Frame, site: &BuiltinSite, base: usize) -> EvalResult {
+        let (lo, hi) = (frame.base + base, frame.base + base + site.n_args as usize);
+        let mut regs = std::mem::take(&mut self.regs);
         let out = 'call: {
-            if site.force_last && matches!(frame.locals[end - 1], Value::MCase(_)) {
-                let last = std::mem::replace(&mut frame.locals[end - 1], Value::Unit);
+            if site.force_last && matches!(regs[hi - 1], Value::MCase(_)) {
+                let last = std::mem::replace(&mut regs[hi - 1], Value::Unit);
                 match self.force(frame, last) {
-                    Ok(v) => frame.locals[end - 1] = v,
+                    Ok(v) => regs[hi - 1] = v,
                     Err(f) => break 'call Err(f),
                 }
             }
-            self.builtin_slice(site.op, site.name, &mut frame.locals[base..end])
+            self.builtin_slice(site.op, site.name, &mut regs[lo..hi])
         };
-        frame.locals[base..end]
-            .iter_mut()
-            .for_each(|v| put(v, Value::Unit));
+        regs[lo..hi].iter_mut().for_each(|v| put(v, Value::Unit));
+        self.regs = regs;
         out
     }
 
@@ -2044,15 +2104,18 @@ mod clone_audit {
             stats: RunStats::default(),
             depth: 0,
             max_depth: MAX_CALL_DEPTH,
-            live_slots: 0,
+            nested: 0,
+            max_nested: MAX_CALL_DEPTH,
+            regs: Vec::new(),
             max_slots: max_live_slots(config.stack_size),
+            frames: Vec::new(),
+            tries: Vec::new(),
             stack_floor: 0,
             events: EventRing::default(),
             profiler: None,
             faults_on: false,
             last_good: [None; 2],
             degraded: false,
-            locals_pool: Vec::new(),
             env_pool: Vec::new(),
             ic_send: Vec::new(),
             ic_arm: Vec::new(),
@@ -2156,23 +2219,25 @@ mod clone_audit {
         });
     }
 
-    /// A frame whose registers are `args`, and a compiled builtin site
-    /// over all of them (the program's `Arr.name` call), for
-    /// [`Interp::call_builtin`].
-    fn window(it: &Interp<'_>, op: BOp, name: &str, args: Vec<Value>) -> (Frame, BuiltinSite) {
+    /// A frame whose registers are `args`, the whole register stack, and
+    /// a compiled builtin site over all of them (the program's `Arr.name`
+    /// call), for [`Interp::call_builtin`].
+    fn window(it: &mut Interp<'_>, op: BOp, name: &str, args: Vec<Value>) -> (Frame, BuiltinSite) {
         let site = BuiltinSite {
             op,
             name: site_name(it, "Arr", name),
             n_args: args.len() as u32,
             force_last: true,
         };
+        it.regs = args;
         let frame = Frame {
-            locals: args,
-            this_ref: None,
+            base: 0,
+            this_ref: 0,
             mode: GMode::Top,
             env: Vec::new(),
             unbound_lo: u32::MAX,
             n_params: 0,
+            try_lo: 0,
         };
         (frame, site)
     }
@@ -2182,16 +2247,16 @@ mod clone_audit {
         with_interp(MODES_MAIN, |it| {
             let inner: Arc<Vec<Value>> = Arc::new(vec![Value::Int(7)]);
             let items = Arc::new(vec![Value::Array(inner.clone()), Value::Int(2)]);
-            let (mut frame, site) = window(
+            let (frame, site) = window(
                 it,
                 BOp::ArrGet,
                 "get",
                 vec![Value::Array(items.clone()), Value::Int(0)],
             );
-            let got = it.call_builtin(&mut frame, &site, 0).unwrap();
+            let got = it.call_builtin(&frame, &site, 0).unwrap();
             // The registers were reset, so the outer array is back to one
             // owner and the element is shared, not copied.
-            assert_eq!(frame.locals, [Value::Unit, Value::Unit]);
+            assert_eq!(it.regs, [Value::Unit, Value::Unit]);
             assert_eq!(Arc::strong_count(&items), 1);
             assert_eq!(Arc::strong_count(&inner), 3);
             let Value::Array(got) = got else {
@@ -2199,14 +2264,14 @@ mod clone_audit {
             };
             assert!(Arc::ptr_eq(&got, &inner));
             // An error resets the window too.
-            let (mut frame, site) = window(
+            let (frame, site) = window(
                 it,
                 BOp::ArrGet,
                 "get",
                 vec![Value::Array(items.clone()), Value::Int(5)],
             );
-            assert!(it.call_builtin(&mut frame, &site, 0).is_err());
-            assert_eq!(frame.locals, [Value::Unit, Value::Unit]);
+            assert!(it.call_builtin(&frame, &site, 0).is_err());
+            assert_eq!(it.regs, [Value::Unit, Value::Unit]);
             assert_eq!(Arc::strong_count(&items), 1);
         });
     }
@@ -2217,18 +2282,18 @@ mod clone_audit {
             let mut v = Vec::with_capacity(8);
             v.extend([Value::Int(1), Value::Int(2)]);
             let buf = v.as_ptr();
-            let (mut frame, site) = window(
+            let (frame, site) = window(
                 it,
                 BOp::ArrPush,
                 "push",
                 vec![Value::Array(Arc::new(v)), Value::Int(3)],
             );
-            let Value::Array(out) = it.call_builtin(&mut frame, &site, 0).unwrap() else {
+            let Value::Array(out) = it.call_builtin(&frame, &site, 0).unwrap() else {
                 panic!("expected array")
             };
             assert_eq!(out.len(), 3);
             assert_eq!(out.as_ptr(), buf);
-            assert_eq!(frame.locals, [Value::Unit, Value::Unit]);
+            assert_eq!(it.regs, [Value::Unit, Value::Unit]);
         });
     }
 
@@ -2275,29 +2340,44 @@ mod register_files {
     use super::*;
 
     #[test]
-    fn only_small_register_files_are_pooled() {
-        with_interp(MODES_MAIN, |it| {
-            // A frame counts only its `frame_size`, so a pooled file must
-            // not carry a larger capacity into the next frame.
-            it.recycle_locals(Vec::with_capacity(MAX_POOLED_SLOTS + 1));
-            assert!(it.locals_pool.is_empty());
-            it.recycle_locals(Vec::with_capacity(MAX_POOLED_SLOTS));
-            assert_eq!(it.locals_pool.len(), 1);
-        });
-    }
-
-    #[test]
     fn live_slots_stop_at_the_bound() {
         with_interp(MODES_MAIN, |it| {
-            let max = it.max_slots;
-            assert_eq!(max, max_live_slots(it.config.stack_size));
-            assert!(it.claim_slots(max).is_ok());
-            let err = it.claim_slots(1).unwrap_err();
+            assert_eq!(it.max_slots, max_live_slots(it.config.stack_size));
+            // A small bound, so the test does not fill a real one.
+            let max = 1000;
+            it.max_slots = max;
+            assert!(it.grow_regs(max).is_ok());
+            let err = it.grow_regs(max + 1).unwrap_err();
             assert!(
                 matches!(err, Flow::Error(RtError::StackOverflow)),
                 "{err:?}"
             );
-            assert_eq!(it.live_slots, max, "a refused claim counts nothing");
+            assert_eq!(it.regs.len(), max, "a refused claim counts nothing");
         });
+    }
+
+    #[test]
+    fn the_register_stack_doubles_from_a_small_capacity_up_to_its_bound() {
+        with_interp(MODES_MAIN, |it| {
+            it.max_slots = 1000;
+            it.grow_regs(3).unwrap();
+            assert_eq!(it.regs.capacity(), MIN_REGISTER_CAPACITY);
+            it.grow_regs(MIN_REGISTER_CAPACITY + 1).unwrap();
+            assert_eq!(it.regs.capacity(), 2 * MIN_REGISTER_CAPACITY);
+            it.grow_regs(2 * MIN_REGISTER_CAPACITY + 1).unwrap();
+            assert_eq!(it.regs.capacity(), 4 * MIN_REGISTER_CAPACITY);
+            it.grow_regs(4 * MIN_REGISTER_CAPACITY + 1).unwrap();
+            assert_eq!(it.regs.capacity(), 1000, "capacity never passes the bound");
+        });
+        // Sends take no native stack: the smallest interpreter stack
+        // still holds the register stack's floor.
+        assert_eq!(
+            max_live_slots(crate::stack::MIN_STACK_SIZE),
+            REGISTER_STACK_FLOOR / std::mem::size_of::<Value>()
+        );
+        assert_eq!(
+            max_live_slots(512 << 20),
+            (512 << 20) / std::mem::size_of::<Value>()
+        );
     }
 }

@@ -271,3 +271,93 @@ fn a_work_kind_held_in_a_variable_runs_unresolved_at_the_same_cost() {
     // An unknown kind parses as CPU work, resolved or not.
     assert_eq!(cost(unknown), cost(cpu));
 }
+
+/// Every kind of value a builtin argument can hold, as an expression:
+/// the scalars, the other plain and boxed kinds, mode cases (forced at
+/// the call) of each scalar and of a string, and an array of them.
+const OPERANDS: [&str; 11] = [
+    "3",
+    "2.5",
+    "true",
+    "\"s\"",
+    "IO.print(\"u\")",
+    "[1, 2]",
+    "this",
+    "mcase{ low: 4; high: 9; }",
+    "mcase{ low: 1.5; high: 0.25; }",
+    "mcase{ low: \"x\"; high: \"y\"; }",
+    "[mcase{ low: 1; high: 2; }]",
+];
+
+#[test]
+fn scalar_builtins_match_the_generic_path_on_every_operand_kind() {
+    // Bytecode runs these builtins on the scalar lanes of its own
+    // handlers and falls back to the generic path for any other operand;
+    // the tree walker always takes the generic `builtin_slice`. Each
+    // call, on each operand kind (every kind in one position, the others
+    // a matching scalar), must give the same value or error after the
+    // same steps, with the same output and energy.
+    let mut calls: Vec<String> = [
+        "Ext.battery()",
+        "Ext.temperature()",
+        "Ext.timeMs()",
+        "Sim.rand()",
+    ]
+    .map(String::from)
+    .to_vec();
+    for (unary, scalar) in [
+        ("Sim.work(\"net\", {})", "1.0e6"),
+        ("Sim.sleepMs({})", "5"),
+        ("Math.floor({})", "2.5"),
+        ("Math.toDouble({})", "3"),
+        ("Math.abs({})", "0 - 3"),
+        ("Math.sqrt({})", "2.5"),
+    ] {
+        calls.push(unary.replace("{}", scalar));
+        calls.extend(OPERANDS.map(|x| unary.replace("{}", x)));
+    }
+    for (binary, scalar) in [
+        ("Math.min", "3"),
+        ("Math.max", "3"),
+        ("Math.fmin", "2.5"),
+        ("Math.fmax", "2.5"),
+        ("Math.pow", "2.5"),
+    ] {
+        for x in OPERANDS {
+            calls.push(format!("{binary}({x}, {scalar})"));
+            calls.push(format!("{binary}({scalar}, {x})"));
+        }
+    }
+    let (mut ok, mut failed) = (0, 0);
+    for call in &calls {
+        let src = format!(
+            "modes {{ low <= high; }} class Main {{ int main() {{ IO.print(\"go\"); return {call}; }} }}"
+        );
+        let compiled = ent_core::compile_unchecked(&src).expect("program parses");
+        let lowered = lower_program(&compiled);
+        let runs = [Engine::Tree, Engine::Bytecode].map(|engine| {
+            let config = RuntimeConfig {
+                engine,
+                record_events: true,
+                ..RuntimeConfig::default()
+            };
+            let r = run_lowered(&lowered, Platform::system_a(), config);
+            (
+                format!("{:?}", r.value),
+                r.stats.steps,
+                r.output,
+                r.measurement.energy_j.to_bits(),
+                r.measurement.time_s.to_bits(),
+            )
+        });
+        assert_eq!(runs[0], runs[1], "{call}");
+        if runs[0].0.starts_with("Ok") {
+            ok += 1;
+        } else {
+            failed += 1;
+        }
+    }
+    // Both paths were exercised: scalar operands and forced mode cases
+    // succeed, every other kind is a misapplied call.
+    assert!(ok > 30 && failed > 60, "{ok} ok, {failed} failed");
+}

@@ -6,7 +6,9 @@
 
 use ent_core::compile;
 use ent_energy::Platform;
-use ent_runtime::{lower_program, run_lowered, LoweredProgram, RunResult, RuntimeConfig};
+use ent_runtime::{
+    lower_program, run_lowered, Engine, LoweredProgram, RunResult, RuntimeConfig, Value,
+};
 
 /// A program that exercises the dynamic machinery: a mode lattice, a
 /// dynamic object with an attributor, snapshots (bounded, so low battery
@@ -207,32 +209,40 @@ fn observability_results_are_complete_under_concurrency() {
 
 #[test]
 fn small_stacks_turn_deep_recursion_into_a_graceful_error() {
-    // The depth limit scales with the configured stack size: a recursion
-    // that would blow a 16 MiB native stack must surface as the runtime's
-    // stack-overflow error, never abort the process.
-    let compiled = compile(
-        r#"
-        class Main {
-          int go(int n) {
-            if (n <= 0) { return 0; }
-            return this.go(n - 1);
-          }
-          int main() { return this.go(30000); }
-        }
-        "#,
-    )
-    .expect("deep program compiles");
-    let prog = lower_program(&compiled);
-    let result = run_lowered(
-        &prog,
-        Platform::system_a(),
-        RuntimeConfig {
-            stack_size: 16 * 1024 * 1024,
-            ..RuntimeConfig::default()
-        },
-    );
-    let err = result.value.expect_err("depth guard should fire");
-    assert!(err.to_string().contains("call depth"), "{err}");
+    // The tree walker's depth limit scales with the configured stack
+    // size: a recursion that would blow a 16 MiB native stack must
+    // surface as the runtime's stack-overflow error, never abort the
+    // process. Bytecode sends take no native stack, so the same stack
+    // runs bytecode to the 50,000-call limit, which stops it the same
+    // way.
+    let go = |depth: u32| {
+        let src = format!(
+            "class Main {{
+               int go(int n) {{ if (n <= 0) {{ return 0; }} return this.go(n - 1); }}
+               int main() {{ return this.go({depth}); }}
+             }}"
+        );
+        lower_program(&compile(&src).expect("deep program compiles"))
+    };
+    let run = |prog: &LoweredProgram, engine| {
+        run_lowered(
+            prog,
+            Platform::system_a(),
+            RuntimeConfig {
+                stack_size: 16 * 1024 * 1024,
+                engine,
+                ..RuntimeConfig::default()
+            },
+        )
+    };
+    let (deep, too_deep) = (go(30_000), go(60_000));
+    for (prog, engine) in [(&deep, Engine::Tree), (&too_deep, Engine::Bytecode)] {
+        let err = run(prog, engine)
+            .value
+            .expect_err("depth guard should fire");
+        assert!(err.to_string().contains("call depth"), "{engine:?}: {err}");
+    }
+    assert_eq!(run(&deep, Engine::Bytecode).value, Ok(Value::Int(0)));
 }
 
 #[test]

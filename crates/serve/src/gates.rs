@@ -230,6 +230,11 @@ impl Gates {
         self.counters.bad_requests += 1;
     }
 
+    /// Counts a connection the host could not give a thread.
+    pub(crate) fn refuse_connection(&mut self) {
+        self.counters.shed_overloaded += 1;
+    }
+
     /// One controller tick on the signals since the last one and the
     /// queue's `queue_depth`; returns the (possibly new) mode.
     pub(crate) fn tick(&mut self, queue_depth: usize) -> SystemMode {

@@ -247,6 +247,17 @@ impl Server {
         Reply::error("", ErrorKind::BadRequest, message)
     }
 
+    /// The reply to a connection the host could not give a thread,
+    /// counted as an `overloaded` shed.
+    pub(crate) fn refuse_connection(&self) -> Reply {
+        self.lock().gates.refuse_connection();
+        Reply::error(
+            "",
+            ErrorKind::Overloaded,
+            "no thread for this connection; retry later",
+        )
+    }
+
     /// Submits a parsed request at `now_ms` virtual time. An admitted job
     /// runs on this thread, on an interpreter stack (scoped, if need be).
     pub fn submit(&self, request: Request, now_ms: u64) -> Submission {

@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use ent_runtime::{default_stack_size, release_idle_stack, spawn_interp};
 
 use crate::json::ToJson;
+use crate::proto::Reply;
 use crate::server::Server;
 
 /// The most bytes a request line may hold before its `\n`: 8 MiB, well
@@ -48,12 +49,29 @@ pub fn serve(listener: TcpListener, server: Arc<Server>, tick_ms: u64) {
     }
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
-        let server = Arc::clone(&server);
-        // A connection the host cannot give a thread is dropped.
-        let _ = spawn_interp(default_stack_size(), move || {
-            handle_connection(stream, &server, epoch);
+        // A clone outlives the spawn: a connection the host cannot give a
+        // thread gets one typed `overloaded` line, then closes.
+        let refused = stream.try_clone();
+        let conn = Arc::clone(&server);
+        let spawned = spawn_interp(default_stack_size(), move || {
+            handle_connection(stream, &conn, epoch);
         });
+        if let (Err(_), Ok(mut refused)) = (spawned, refused) {
+            let _ = write_reply(
+                &mut refused,
+                &server.refuse_connection(),
+                &mut String::new(),
+            );
+        }
     }
+}
+
+/// Writes `reply` and its `\n` as one write, through `line`.
+fn write_reply(stream: &mut TcpStream, reply: &Reply, line: &mut String) -> io::Result<()> {
+    line.clear();
+    reply.json().write_json(line, 0);
+    line.push('\n');
+    stream.write_all(line.as_bytes())
 }
 
 fn handle_connection(stream: TcpStream, server: &Server, epoch: Instant) {
@@ -89,10 +107,7 @@ fn handle_connection(stream: TcpStream, server: &Server, epoch: Instant) {
                 }
             }
         };
-        line.clear();
-        reply.json().write_json(&mut line, 0);
-        line.push('\n');
-        if writer.write_all(line.as_bytes()).is_err() {
+        if write_reply(&mut writer, &reply, &mut line).is_err() {
             return;
         }
         if held >= RELEASE_AFTER {

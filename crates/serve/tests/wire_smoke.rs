@@ -1,5 +1,6 @@
 //! The built `ent-serve` over its wire: the hostile-request smoke, one
-//! thread per connection, and what a connection keeps after a deep job.
+//! thread per connection (and a typed reply when the host refuses one),
+//! and what a connection keeps after a deep job.
 //!
 //! Each test starts the daemon on a free loopback port and talks
 //! newline-delimited JSON to it, as a client would. Inputs are sized so
@@ -23,13 +24,29 @@ impl Daemon {
     /// Starts `ent-serve` with `args` on a free loopback port and waits
     /// until it accepts (the probe connection is closed again).
     fn start(args: &[&str]) -> Daemon {
+        Daemon::launch(Command::new(env!("CARGO_BIN_EXE_ent-serve")), args)
+    }
+
+    /// [`Daemon::start`] under a `limit_kb` address-space limit, with
+    /// `ENT_STACK_SIZE` set to `stack`.
+    fn start_limited(limit_kb: u64, stack: &str, args: &[&str]) -> Daemon {
+        let mut sh = Command::new("sh");
+        sh.arg("-c")
+            .arg(format!("ulimit -v {limit_kb} && exec \"$0\" \"$@\""))
+            .arg(env!("CARGO_BIN_EXE_ent-serve"))
+            .env("ENT_STACK_SIZE", stack);
+        Daemon::launch(sh, args)
+    }
+
+    /// Runs `cmd`, the daemon, with `args` on a free loopback port.
+    fn launch(mut cmd: Command, args: &[&str]) -> Daemon {
         // A free loopback port for the daemon (the listener closes at once).
         let port = TcpListener::bind("127.0.0.1:0")
             .and_then(|l| l.local_addr())
             .expect("a free loopback port")
             .port();
         let addr = format!("127.0.0.1:{port}");
-        let child = Command::new(env!("CARGO_BIN_EXE_ent-serve"))
+        let child = cmd
             .args(["--addr", &addr])
             .args(args)
             .stdout(Stdio::null())
@@ -315,6 +332,30 @@ fn rss_kib(pid: u32) -> u64 {
 }
 
 #[cfg(target_os = "linux")]
+#[test]
+fn a_connection_the_host_cannot_give_a_thread_gets_a_typed_reply() {
+    // Each connection thread reserves `ENT_STACK_SIZE` of address space,
+    // so under this limit only a few fit and a later connection's thread
+    // cannot start. That connection reads one `overloaded` line (it once
+    // closed without a reply), and the connections already open keep
+    // answering.
+    let daemon = Daemon::start_limited(1_500_000, "256m", &["--workers", "1"]);
+    let mut first = daemon.connect();
+    first.assert_healthy("first");
+    let mut open = Vec::new();
+    let refused = loop {
+        assert!(open.len() < 64, "every connection got a thread");
+        let mut c = daemon.connect();
+        let reply = c.ask("health", &[("id", "next")]);
+        if str_at(&reply, &["status"]) != "ok" {
+            break reply;
+        }
+        open.push(c);
+    };
+    assert_eq!(str_at(&refused, &["error"]), "overloaded", "{refused:?}");
+    first.assert_healthy("after");
+}
+
 #[test]
 fn each_answered_connection_holds_exactly_one_thread() {
     // Eight permits start no thread: idle, the daemon runs its accept
