@@ -211,3 +211,45 @@ fn attributors_and_snapshots_inside_a_deep_bytecode_recursion_match_the_tree_wal
     let profiles = [PROFILES[0], PROFILES[2]];
     assert_eq!(matches_the_tree_walker(DEEP, &profiles), ["caught at 3"]);
 }
+
+/// `probe`'s method attributor makes a failing snapshot: the exception
+/// leaves the prologue of a send whose caller was already saved on a
+/// frame record, so the record pops back without a frame having opened,
+/// and the exception reaches `run`'s `try` two sends up.
+const ATTRIBUTOR_RAISES: &str = r#"
+modes { low <= mid; mid <= high; }
+class Job@mode<? <= J> {
+  int size;
+  attributor { if (this.size > 100) { return high; } else { return low; } }
+  int work() { return this.size; }
+}
+class Agent@mode<? <= X> {
+  attributor { return low; }
+  int probe(int n) attributor {
+    let dj = new Job(500 + n);
+    let Job j = snapshot dj [_, low];
+    return low;
+  } { return n; }
+  int mid(int n) { let k = n + 1; return this.probe(k) + 1; }
+  int run() {
+    let a = try { this.mid(1) } catch { IO.print("caught attributor raise"); 0 - 1 };
+    let b = try { this.mid(2) + this.mid(3) } catch { 0 - 2 };
+    return a + b;
+  }
+}
+class Main {
+  int main() {
+    let da = new Agent();
+    let Agent a = snapshot da [_, _];
+    return a.run();
+  }
+}
+"#;
+
+#[test]
+fn an_energy_exception_from_a_send_prologue_unwinds_like_the_tree_walker() {
+    assert_eq!(
+        matches_the_tree_walker(ATTRIBUTOR_RAISES, &PROFILES),
+        ["caught attributor raise"]
+    );
+}
