@@ -11,7 +11,7 @@
 //! bit-identical at every jobs count, so it only changes wall-clock time.
 //! At `1` repeat the outputs are the committed `results/`:
 //! `crates/bench/tests/fig_tables.rs` runs each binary of
-//! [`ent_bench::FIG_ALL`] as this driver does and compares what it
+//! [`ent_bench::FIG_ALL`] as `fig_all` does and compares what it
 //! prints and writes, and `crates/bench/tests/determinism.rs` renders the
 //! JSON grids in process.
 
